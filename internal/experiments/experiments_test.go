@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -109,4 +114,75 @@ func TestThroughputHelper(t *testing.T) {
 	if got := throughput(2000, 1e9); got != 2.0 { // 2000 ops / 1 s = 2 kops
 		t.Fatalf("throughput = %v", got)
 	}
+}
+
+var update = flag.Bool("update", false, "regenerate testdata/quick.golden")
+
+// TestQuickGolden pins the simulated figures as a regression oracle: every
+// figure measured on the virtual clock, rendered at Quick() scale, must match
+// testdata/quick.golden byte for byte. fig23a-c measure wall time and are
+// excluded. An engine change that moves a figure regenerates the file with
+// -update and says why.
+func TestQuickGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every figure at Quick() scale")
+	}
+	var ids []string
+	for _, id := range IDs() {
+		if !strings.HasPrefix(id, "fig23") {
+			ids = append(ids, id)
+		}
+	}
+	// Figures share no state, so they render concurrently; the output is
+	// assembled in ID order.
+	out := make([]bytes.Buffer, len(ids))
+	errs := make([]error, len(ids))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			res, err := Run(id, Quick())
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res.Print(&out[i])
+		}()
+	}
+	wg.Wait()
+	var got bytes.Buffer
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", id, errs[i])
+		}
+		got.Write(out[i].Bytes())
+	}
+	const path = "testdata/quick.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("figure output moved at line %d (rerun with -update only if the move is intended):\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("figure output has %d lines, golden has %d", len(gotLines), len(wantLines))
 }

@@ -45,17 +45,22 @@ func updDataset(s Scale, mutate func(*dsConfig), updateRatio float64, seed int64
 func fig16(s Scale) (*Result, error) {
 	res := &Result{Figure: "fig16", Title: "Non-index-only query performance"}
 	sels := []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.10}
+	// Series run in declaration order: the queries of one variant share a
+	// buffer cache, so the order is part of the measurement.
+	type series struct {
+		name   string
+		method query.ValidationMethod
+	}
 	variants := []struct {
-		series  string
 		mutate  func(*dsConfig)
-		methods map[string]query.ValidationMethod
+		methods []series
 	}{
-		{"eager", func(c *dsConfig) { c.strategy = core.Eager },
-			map[string]query.ValidationMethod{"eager": query.NoValidation}},
-		{"norepair", func(c *dsConfig) { c.strategy = core.Validation },
-			map[string]query.ValidationMethod{"direct (no repair)": query.Direct, "ts (no repair)": query.Timestamp}},
-		{"repair", func(c *dsConfig) { c.strategy = core.Validation; c.mergeRepair = true },
-			map[string]query.ValidationMethod{"direct": query.Direct, "ts": query.Timestamp}},
+		{func(c *dsConfig) { c.strategy = core.Eager },
+			[]series{{"eager", query.NoValidation}}},
+		{func(c *dsConfig) { c.strategy = core.Validation },
+			[]series{{"direct (no repair)", query.Direct}, {"ts (no repair)", query.Timestamp}}},
+		{func(c *dsConfig) { c.strategy = core.Validation; c.mergeRepair = true },
+			[]series{{"direct", query.Direct}, {"ts", query.Timestamp}}},
 	}
 	for _, upd := range []float64{0, 0.5} {
 		suffix := fmt.Sprintf(" u=%.0f%%", upd*100)
@@ -65,16 +70,16 @@ func fig16(s Scale) (*Result, error) {
 				return nil, err
 			}
 			si := ds.Secondary("user0")
-			for name, method := range v.methods {
+			for _, m := range v.methods {
 				for _, sel := range sels {
 					d, err := avgQuery(ds, env, si, s, sel, query.SecondaryQueryOptions{
-						Validation: method,
+						Validation: m.method,
 						Lookup:     query.DefaultLookupConfig(),
 					})
 					if err != nil {
 						return nil, err
 					}
-					res.Add(name+suffix, fmt.Sprintf("%.4g%%", sel*100), d.Seconds(), "s")
+					res.Add(m.name+suffix, fmt.Sprintf("%.4g%%", sel*100), d.Seconds(), "s")
 				}
 			}
 		}
