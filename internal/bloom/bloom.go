@@ -24,6 +24,21 @@ type Filter interface {
 	NumBits() int
 }
 
+// Kind names a filter variant; index builders select on it.
+type Kind uint8
+
+// Filter variants.
+const (
+	// KindStandard is the classic filter (the paper's default).
+	KindStandard Kind = iota
+	// KindBlocked is the paper's cache-friendly variant (Section 3.2), a
+	// cost-model ablation.
+	KindBlocked
+	// KindV2 is the runtime split-block filter, the only variant with a
+	// persisted form (V2.Marshal).
+	KindV2
+)
+
 // FNV-1a 64-bit parameters (hash/fnv), inlined below so hash2 stays
 // allocation-free on the read hot path.
 const (

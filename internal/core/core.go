@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bloom"
 	"repro/internal/kv"
 	"repro/internal/lsm"
 	"repro/internal/maint"
@@ -141,13 +142,11 @@ type Config struct {
 	RepairBloomOpt bool
 	// BloomFPR is the Bloom filter false-positive rate (1% in the paper).
 	BloomFPR float64
-	// BlockedBloom selects blocked Bloom filters (Section 3.2).
-	BlockedBloom bool
-	// BloomV2 selects the runtime split-block filter (bloom.V2) for the
-	// primary and pk-index trees and persists it in the manifest so reopen
-	// skips the rebuild-by-scan. Takes precedence over BlockedBloom; the
-	// simulated cost-model experiments keep using the paper's variants.
-	BloomV2 bool
+	// Bloom selects the filter variant of the primary and pk-index trees:
+	// the paper's Standard (default) or Blocked (Section 3.2) cost-model
+	// variants, or the runtime split-block bloom.KindV2, which persists in
+	// the manifest so reopen skips the rebuild-by-scan.
+	Bloom bloom.Kind
 	// DisableWAL turns off write-ahead logging (benchmarks that measure
 	// pure ingestion I/O).
 	DisableWAL bool
@@ -159,20 +158,21 @@ type Config struct {
 	GroupCommit wal.GroupCommitter
 	// Seed makes memtable shapes deterministic.
 	Seed int64
-	// Maintenance, when non-nil, moves flushes and policy-picked merges off
-	// the write path: writes freeze the memory components and return
-	// immediately while disk-component builds and merges run on the pool's
-	// workers. Nil (the default) keeps today's synchronous behavior: the
-	// write that crosses the memory budget performs the flush and all due
-	// merges inline.
+	// Maintenance is the pool that runs the flush pipeline's jobs — the
+	// disk-component builds of frozen memtables and every policy-picked
+	// merge. Writes only freeze the memory components and submit. Nil (the
+	// default) is the run-on-caller pool: the write that crosses the memory
+	// budget runs the build and all due merges itself before it returns,
+	// and all maintenance I/O charges the ingest lane.
 	Maintenance *maint.Pool
-	// MaxFrozenMemtables bounds the frozen flush batches awaiting
-	// background builds before writers soft-stall (backpressure;
-	// asynchronous mode only). 0 means the default of 4.
+	// MaxFrozenMemtables bounds the frozen flush batches awaiting builds
+	// before writers soft-stall (backpressure). 0 means the default of 4.
+	// With run-on-caller maintenance the bound is reached only by writers
+	// racing the one that is building.
 	MaxFrozenMemtables int
 	// MaxUnmergedComponents soft-stalls writers while the primary index
 	// holds at least this many disk components and a merge is pending or
-	// running (asynchronous mode only). 0 disables this threshold.
+	// running. 0 disables this threshold.
 	MaxUnmergedComponents int
 	// Yield, when non-nil, is the deterministic-simulation scheduling hook:
 	// it is invoked at the instrumented points in the WAL group-commit path
@@ -195,15 +195,15 @@ type SecondaryIndex struct {
 	// accumulators of the DeletedKey strategy.
 	mu         sync.Mutex
 	memDeleted map[string]int64 // pk -> delete timestamp (current memtable)
-	// pendingDeleted holds accumulators frozen by in-flight asynchronous
-	// flushes (oldest to newest): their deletes stay visible to query
+	// pendingDeleted holds accumulators frozen by in-flight flushes
+	// (oldest to newest): their deletes stay visible to query
 	// validation until the deleted-key B+-tree of the flushed component is
 	// installed.
 	pendingDeleted []*frozenDeleted
 }
 
-// frozenDeleted is one deleted-key accumulator frozen by an asynchronous
-// flush, addressable by pointer so its batch can release it after install.
+// frozenDeleted is one deleted-key accumulator frozen by a flush,
+// addressable by pointer so its batch can release it after install.
 type frozenDeleted struct {
 	m map[string]int64
 }
@@ -227,8 +227,6 @@ type Dataset struct {
 	ids    txn.IDs
 	log    *wal.Log
 
-	// flushMu serializes synchronous flushes and merges with each other.
-	flushMu sync.Mutex
 	// persistMu serializes manifest saves, so a later component-list
 	// snapshot is never overwritten by an earlier one (durable devices
 	// only).
@@ -237,14 +235,14 @@ type Dataset struct {
 	// primary/pk merge) atomic with respect to Crash, so a simulated
 	// failure can never observe a half-installed batch.
 	crashMu sync.Mutex
-	// maint holds the background maintenance state (nil in synchronous
-	// mode).
+	// maint is the flush pipeline's scheduling state over the pool.
 	maint *maintState
 	// bgEnv/bgStore are the background maintenance I/O lane: a clock of
 	// its own over the same disk, cache, cost model and counters. Flush
 	// builds and merges charge this lane, modelling maintenance that
 	// overlaps the ingest path; the lanes couple at backpressure stalls
-	// and drains. Nil in synchronous mode.
+	// and drains. Nil when the pool runs jobs on the caller: maintenance
+	// then charges the ingest lane.
 	bgEnv   *metrics.Env
 	bgStore *storage.Store
 
@@ -302,11 +300,10 @@ func Open(cfg Config) (*Dataset, error) {
 	}
 	mutable := cfg.Strategy == MutableBitmap
 	d.primary = lsm.New(lsm.Options{
-		Name:         "primary",
-		Store:        cfg.Store,
-		BloomFPR:     cfg.BloomFPR,
-		BlockedBloom: cfg.BlockedBloom,
-		BloomV2:      cfg.BloomV2,
+		Name:     "primary",
+		Store:    cfg.Store,
+		BloomFPR: cfg.BloomFPR,
+		Bloom:    cfg.Bloom,
 		FilterExtract: func(e kv.Entry) (int64, bool) {
 			if cfg.FilterExtract == nil || e.Anti {
 				return 0, false
@@ -321,8 +318,7 @@ func Open(cfg Config) (*Dataset, error) {
 			Name:           "pk-index",
 			Store:          cfg.Store,
 			BloomFPR:       cfg.BloomFPR,
-			BlockedBloom:   cfg.BlockedBloom,
-			BloomV2:        cfg.BloomV2,
+			Bloom:          cfg.Bloom,
 			MutableBitmaps: mutable,
 			Seed:           cfg.Seed + 2,
 		})
@@ -350,8 +346,12 @@ func Open(cfg Config) (*Dataset, error) {
 	if err := d.setupDurability(); err != nil {
 		return nil, err
 	}
-	if cfg.Maintenance != nil {
-		d.maint = newMaintState(cfg.Maintenance)
+	pool := cfg.Maintenance
+	if pool == nil {
+		pool = maint.NewPool(0)
+	}
+	d.maint = newMaintState(pool)
+	if pool.Workers() > 0 {
 		d.bgEnv = env.BackgroundLane()
 		d.bgStore = cfg.Store.WithEnv(d.bgEnv)
 	}
@@ -386,23 +386,19 @@ func (d *Dataset) Secondary(name string) *SecondaryIndex {
 // Env returns the dataset's metrics environment.
 func (d *Dataset) Env() *metrics.Env { return d.env }
 
-// MaintGauges reports the asynchronous-maintenance backlog: flush batches
-// frozen but not yet picked up by a builder, and frozen batches total
-// (pending plus building) awaiting install. Both are zero on a synchronous
-// dataset, where the flushing write performs the build inline.
+// MaintGauges reports the flush backlog: batches frozen but not yet picked
+// up by a builder, and frozen batches total (pending plus building)
+// awaiting install.
 func (d *Dataset) MaintGauges() (pendingFlushBatches, frozenMemtables int) {
 	m := d.maint
-	if m == nil {
-		return 0, 0
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.pending), m.frozen
 }
 
 // MaintSimTime returns the background maintenance lane's virtual time
-// (zero on a synchronous dataset). The dataset's elapsed simulated time
-// under overlapped maintenance is max(Env().Clock.Now(), MaintSimTime()).
+// (zero when maintenance runs on the caller). The dataset's elapsed
+// simulated time is max(Env().Clock.Now(), MaintSimTime()).
 func (d *Dataset) MaintSimTime() time.Duration {
 	if d.bgEnv == nil {
 		return 0
@@ -420,8 +416,7 @@ func (d *Dataset) maintIOStore() *storage.Store {
 }
 
 // mergeIOStore returns the store view merges should pass to lsm.MergeSpec:
-// nil in synchronous mode (the tree's own store), the background lane
-// otherwise.
+// the background lane, or nil (the tree's own store) without one.
 func (d *Dataset) mergeIOStore() *storage.Store { return d.bgStore }
 
 // maintEnv returns the metrics environment maintenance CPU work should
@@ -477,24 +472,10 @@ func (d *Dataset) allTrees() []*lsm.Tree {
 	return trees
 }
 
-// takeMemDeleted swaps out a secondary's deleted-key accumulator, returning
-// its contents sorted by primary key (for bulk-loading a deleted-key tree).
-func (si *SecondaryIndex) takeMemDeleted() []kv.Entry {
-	si.mu.Lock()
-	m := si.memDeleted
-	if len(m) == 0 {
-		si.mu.Unlock()
-		return nil
-	}
-	si.memDeleted = make(map[string]int64)
-	si.mu.Unlock()
-	return sortedDeleted(m)
-}
-
 // freezeMemDeleted swaps out the accumulator and parks it on pendingDeleted,
 // keeping its deletes visible to query validation until the owning flush
-// batch installs its deleted-key B+-tree (asynchronous flushes). It returns
-// nil when the accumulator is empty.
+// batch installs its deleted-key B+-tree. It returns nil when the
+// accumulator is empty.
 func (si *SecondaryIndex) freezeMemDeleted() *frozenDeleted {
 	si.mu.Lock()
 	defer si.mu.Unlock()
@@ -549,7 +530,7 @@ func (si *SecondaryIndex) addMemDeleted(pk []byte, ts int64) {
 }
 
 // MemDeletedAfter reports whether the memory component's deleted-key set —
-// or an accumulator frozen by an in-flight asynchronous flush — holds pk
+// or an accumulator frozen by an in-flight flush — holds pk
 // with a deletion timestamp newer than ts (deleted-key strategy query
 // validation, Section 4.1).
 func (si *SecondaryIndex) MemDeletedAfter(pk []byte, ts int64) bool {

@@ -348,8 +348,8 @@ func (d *Dataset) cleanSecondariesFromMem(pk []byte, ts int64) {
 
 // markDeletedViaBitmap performs the Mutable-bitmap delete/upsert search
 // (Figures 10b, 11b): find the newest version of pk via the memory
-// component, the memtables frozen by in-flight asynchronous flushes, and
-// then the primary key index; when it lives in a disk component, set the
+// component, the memtables frozen by in-flight flushes, and then the
+// primary key index; when it lives in a disk component, set the
 // component's bitmap bit and forward the delete to any component under
 // construction. A version still in a frozen memtable forwards the delete to
 // its flush batch, which applies it to the built component's bitmap before
@@ -382,12 +382,6 @@ func (d *Dataset) markDeletedViaBitmap(pk []byte) (updateBit, existed bool, undo
 		if e, tbl, ok := d.pkIndex.FrozenGet(pk); ok {
 			if e.Anti {
 				return false, false, nil, nil, nil
-			}
-			if d.maint == nil {
-				// Synchronous flushes drain writers for the whole build, so
-				// a writer can never observe a frozen memtable; defensive
-				// fallback mirroring the memory-component case.
-				return false, true, nil, nil, nil
 			}
 			if b := d.batchForPKTable(tbl); b != nil {
 				forwarded, sealedComp := b.addFrozenDelete(pk)
@@ -471,7 +465,7 @@ func (d *Dataset) unforwardFrozenDelete(b *flushBatch, pk []byte) {
 // forwardDelete propagates a delete into the component currently being
 // built from comp, per the configured concurrency-control method.
 func (d *Dataset) forwardDelete(comp *lsm.Component, pk []byte) {
-	bt := comp.Building
+	bt := comp.Building.Load()
 	if bt == nil {
 		return
 	}

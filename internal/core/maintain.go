@@ -15,122 +15,11 @@ import (
 	"repro/internal/txn"
 )
 
-// maybeFlush flushes all memory components when the shared budget is
-// exceeded (the dataset's indexes always flush together, Section 3). With
-// background maintenance configured, the flush only freezes the memtables
-// and the build runs off the write path.
-func (d *Dataset) maybeFlush() error {
-	if d.maint != nil {
-		return d.maybeFlushAsync()
-	}
-	if d.memBytes() < d.cfg.MemoryBudget {
-		return nil
-	}
-	return d.FlushAll()
-}
-
-// FlushAll flushes every index's memory component into new disk components
-// stamped with a fresh epoch, then lets the merge policy run. In
-// synchronous mode writers are drained for the (memory-bound) duration of
-// the flush; long-running merges use the Section 5.3 concurrency-control
-// protocols instead. In asynchronous mode FlushAll freezes the memtables,
-// then drains every pending background build and merge, so the store is
-// fully quiesced when it returns.
-func (d *Dataset) FlushAll() error {
-	if d.maint != nil {
-		return d.flushAllAsync()
-	}
-	d.flushMu.Lock()
-	defer d.flushMu.Unlock()
-	var err error
-	d.dsLock.Drain(func() { err = d.flushLocked() })
-	if err != nil {
-		return err
-	}
-	if err := d.mergeDue(); err != nil {
-		return err
-	}
-	// Durability point: on a durable device the freshly installed
-	// components are synced and the manifest now references them.
-	return d.Persist()
-}
-
-// flushTree flushes one index, normalizing the empty case: an empty memory
-// component yields (nil, nil), never ErrEmptyFlush, so every index of the
-// dataset is handled uniformly (primary, primary key, and secondaries
-// alike).
-func flushTree(tr *lsm.Tree, epoch uint64) (*lsm.Component, error) {
-	comp, err := tr.Flush(epoch)
-	if err == lsm.ErrEmptyFlush {
-		return nil, nil
-	}
-	return comp, err
-}
-
-func (d *Dataset) flushLocked() (err error) {
-	// Consume an epoch only when at least one index has data; a fully
-	// empty flush is a no-op.
-	any := d.primary.Mem().Len() > 0
-	if d.pkIndex != nil && d.pkIndex.Mem().Len() > 0 {
-		any = true
-	}
-	for _, si := range d.secondaries {
-		if si.Tree.Mem().Len() > 0 {
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	epoch := d.epoch.Add(1)
-	op := d.cfg.Journal.Begin(obs.JFlush, "batch")
-	var bytes int64
-	var comps int
-	defer func() { op.End(bytes, 0, comps, err) }()
-	countComp := func(c *lsm.Component) {
-		if c != nil {
-			bytes += c.SizeBytes()
-			comps++
-		}
-	}
-	primComp, err := flushTree(d.primary, epoch)
-	if err != nil {
-		return err
-	}
-	countComp(primComp)
-	var pkComp *lsm.Component
-	if d.pkIndex != nil {
-		if pkComp, err = flushTree(d.pkIndex, epoch); err != nil {
-			return err
-		}
-		countComp(pkComp)
-	}
-	if d.cfg.Strategy == MutableBitmap {
-		if err := pairPrimaryPK(primComp, pkComp); err != nil {
-			return err
-		}
-	}
-	for _, si := range d.secondaries {
-		comp, err := flushTree(si.Tree, epoch)
-		if err != nil {
-			return err
-		}
-		countComp(comp)
-		if d.cfg.Strategy == DeletedKey && comp != nil {
-			if err := d.attachDeletedEntries(comp, si.takeMemDeleted()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // pairPrimaryPK enforces the Mutable-bitmap pairing invariant on freshly
 // flushed primary and primary-key-index components: the two indexes flush
 // together — one being empty while the other is not breaks the pairing —
 // hold the same keys in the same order, and share one validity bitmap
-// (Figure 9). Both the synchronous flush and the background batch build go
-// through this single check.
+// (Figure 9).
 func pairPrimaryPK(primComp, pkComp *lsm.Component) error {
 	if (primComp == nil) != (pkComp == nil) {
 		return fmt.Errorf("core: primary/pk flush mismatch under mutable bitmaps")
@@ -177,20 +66,12 @@ func (d *Dataset) attachDeletedEntries(comp *lsm.Component, entries []kv.Entry) 
 	return nil
 }
 
-// MergeDue runs the merge policy to completion (all due merges). In
-// asynchronous mode the merges run on the background pool; MergeDue
-// schedules them and drains, so two merge passes never overlap.
+// MergeDue runs the merge policy to completion (all due merges): it
+// schedules the merge job on the pool and drains, so two merge passes never
+// overlap.
 func (d *Dataset) MergeDue() error {
-	if d.maint != nil {
-		d.scheduleMerge()
-		return d.DrainMaintenance()
-	}
-	d.flushMu.Lock()
-	defer d.flushMu.Unlock()
-	if err := d.mergeDue(); err != nil {
-		return err
-	}
-	return d.Persist()
+	d.scheduleMerge()
+	return d.DrainMaintenance()
 }
 
 func (d *Dataset) mergeDue() error {
@@ -560,7 +441,7 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 	// same keys, ordinals, and bitmaps, so one build target serves both.
 	setPKBuilding := func(bt *lsm.BuildTarget) {
 		for _, c := range pkComps {
-			c.Building = bt
+			c.Building.Store(bt)
 		}
 	}
 
@@ -598,25 +479,11 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 
 	// Build the pk-index sibling in the same pass (maintenance I/O lane).
 	pkBuilder := btree.NewBuilder(d.maintIOStore())
-	var pkBloom bloom.Filter
-	var addPK func([]byte)
-	if d.cfg.BloomFPR > 0 {
-		var upper int64
-		for _, c := range primComps {
-			upper += c.NumEntries()
-		}
-		switch {
-		case d.cfg.BloomV2:
-			f := bloom.NewV2FPR(int(upper), d.cfg.BloomFPR)
-			pkBloom, addPK = f, f.Add
-		case d.cfg.BlockedBloom:
-			f := bloom.NewBlockedFPR(int(upper), d.cfg.BloomFPR)
-			pkBloom, addPK = f, f.Add
-		default:
-			f := bloom.NewStandardFPR(int(upper), d.cfg.BloomFPR)
-			pkBloom, addPK = f, f.Add
-		}
+	var upper int64
+	for _, c := range primComps {
+		upper += c.NumEntries()
 	}
+	pkBloom, addPK := d.pkIndex.NewFilter(int(upper))
 	var pkErr error
 	var pkPayload []byte
 	spec.OnEntry = func(e kv.Entry, ordinal int64) {
@@ -672,7 +539,7 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 	// primary component and its pk-index sibling share one bitmap, so a
 	// failure must never observe one installed without the other. The pk
 	// run is replaced by identity, tolerating components appended by
-	// concurrent asynchronous flushes.
+	// concurrent flushes.
 	d.crashMu.Lock()
 	defer d.crashMu.Unlock()
 	if err := d.primary.Install(res); err != nil {

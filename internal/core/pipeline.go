@@ -11,20 +11,21 @@ import (
 	"repro/internal/obs"
 )
 
-// This file implements the asynchronous half of dataset maintenance: with
-// Config.Maintenance set, the write that crosses the memory budget only
-// freezes the memory components (a writer drain plus pointer swaps) and
-// returns; the disk-component builds and every policy-picked merge run on
-// the shared background pool. The frozen memtables stay readable through
-// the trees' flushing queues (lsm.Tree.ReadView), writers soft-stall when
-// maintenance falls too far behind (backpressure), and worker errors
-// surface on the next write. Crash abandons in-flight installs through the
-// trees' install generations, so a failure can never resurrect pre-crash
-// memory state.
+// This file implements the dataset's one flush pipeline: freeze → build →
+// install. The write that crosses the memory budget freezes the memory
+// components (a writer drain plus pointer swaps) and submits the batch to
+// Config.Maintenance; the disk-component builds and every policy-picked
+// merge run as pool jobs — on the pool's workers, or on the submitting
+// writer itself when the pool has none. The frozen memtables stay readable
+// through the trees' flushing queues (lsm.Tree.ReadView), writers soft-stall
+// when maintenance falls too far behind (backpressure), and a failed job
+// wedges the dataset with a sticky error that every later write returns.
+// Crash abandons in-flight installs through the trees' install generations,
+// so a failure can never resurrect pre-crash memory state.
 
 // flushBatch is one frozen set of memory components: every index of the
-// dataset freezes together under one epoch, exactly like a synchronous
-// flush (Section 3's shared memory budget), only the build is deferred.
+// dataset freezes together under one epoch (the dataset's indexes always
+// flush together, Section 3's shared memory budget).
 type flushBatch struct {
 	epoch uint64
 
@@ -105,7 +106,7 @@ type maintState struct {
 	building  bool
 	mergeWant bool // a merge job is queued
 	merging   bool
-	err       error // sticky first failure of any background job
+	err       error // sticky first failure of any job
 
 	freezeMu sync.Mutex // serializes freeze decisions
 }
@@ -120,7 +121,7 @@ func newMaintState(pool *maint.Pool) *maintState {
 // pool was closed (the store was Closed).
 var ErrMaintenanceClosed = errors.New("core: maintenance pool is closed")
 
-// setErrLocked records the first background failure; m.mu must be held.
+// setErrLocked records the first job failure; m.mu must be held.
 func (m *maintState) setErrLocked(err error) {
 	if m.err == nil && err != nil {
 		m.err = err
@@ -128,25 +129,22 @@ func (m *maintState) setErrLocked(err error) {
 	m.cond.Broadcast()
 }
 
-// MaintErr returns the sticky background-maintenance error, if any. The
-// next write after an asynchronous flush or merge fails returns this error;
-// it stays set (the store is considered wedged) until a Crash+Recover
-// cycle.
+// MaintErr returns the sticky maintenance error, if any. A flush batch
+// installs all of its components or none, so a failed build or merge leaves
+// nothing half-installed; every write from then on returns this error (the
+// store is considered wedged) until a Crash+Recover cycle.
 func (d *Dataset) MaintErr() error {
 	m := d.maint
-	if m == nil {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.err
 }
 
-// maybeFlushAsync is the asynchronous counterpart of maybeFlush: apply
-// backpressure, then freeze-and-schedule instead of flushing inline. The
-// sticky-error check is folded into the backpressure pass so the common
-// write takes the maintenance mutex once.
-func (d *Dataset) maybeFlushAsync() error {
+// maybeFlush runs after every write: apply backpressure, then freeze and
+// schedule a flush when the shared budget is exceeded. The sticky-error
+// check is folded into the backpressure pass so the common write takes the
+// maintenance mutex once.
+func (d *Dataset) maybeFlush() error {
 	if err := d.stallForBackpressure(); err != nil {
 		return err
 	}
@@ -201,12 +199,18 @@ func (d *Dataset) stallForBackpressure() error {
 			d.env.Counters.WriteStallsComponents.Add(1)
 		}
 		d.env.Counters.WriteStallNanos.Add((sl.Monotonic() - start).Nanoseconds())
-		// Lane synchronization: a stalled writer waited for background
-		// maintenance, so the ingest lane's virtual clock catches up to
-		// the maintenance lane.
-		d.env.Clock.AdvanceTo(d.bgEnv.Clock.Now())
+		d.syncLanes()
 	}
 	return err
+}
+
+// syncLanes couples the two virtual clocks where the ingest path waited for
+// maintenance (a backpressure stall, a drain): the ingest lane catches up to
+// the maintenance lane. With one lane there is nothing to couple.
+func (d *Dataset) syncLanes() {
+	if d.bgEnv != nil {
+		d.env.Clock.AdvanceTo(d.bgEnv.Clock.Now())
+	}
 }
 
 // freezeAndSchedule freezes the memory components into a batch and submits
@@ -274,10 +278,9 @@ func (d *Dataset) freezeBatch() *flushBatch {
 				b.secondaries[i], b.secGens[i] = tbl, gen
 				any = true
 				if d.cfg.Strategy == DeletedKey {
-					// The accumulator freezes with its memtable, exactly
-					// as the synchronous flush takes it when the component
-					// is built; an empty-memtable secondary keeps
-					// accumulating for its next flush.
+					// The accumulator freezes with its memtable; an
+					// empty-memtable secondary keeps accumulating for its
+					// next flush.
 					b.secDeleted[i] = si.freezeMemDeleted()
 				}
 			}
@@ -305,7 +308,8 @@ func (d *Dataset) freezeBatch() *flushBatch {
 // builder per dataset and the pending queue pops FIFO. A job that finds a
 // builder already active returns immediately — the active builder drains
 // the queue before exiting — so a busy dataset never pins extra pool
-// workers that other shards could use.
+// workers that other shards could use, and a writer running its own job
+// never waits behind another writer's build.
 func (d *Dataset) processOneBatch() {
 	m := d.maint
 	m.mu.Lock()
@@ -364,14 +368,14 @@ func (d *Dataset) batchForPKTable(tbl *memtable.Table) *flushBatch {
 func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, err error) {
 	var primComp, pkComp *lsm.Component
 	if b.primary != nil {
-		if primComp, err = d.primary.BuildFrozenOn(d.bgStore, b.primary, b.epoch); err != nil {
+		if primComp, err = d.primary.BuildFrozen(d.bgStore, b.primary, b.epoch); err != nil {
 			return bytes, comps, err
 		}
 		bytes += primComp.SizeBytes()
 		comps++
 	}
 	if b.pk != nil {
-		if pkComp, err = d.pkIndex.BuildFrozenOn(d.bgStore, b.pk, b.epoch); err != nil {
+		if pkComp, err = d.pkIndex.BuildFrozen(d.bgStore, b.pk, b.epoch); err != nil {
 			return bytes, comps, err
 		}
 		bytes += pkComp.SizeBytes()
@@ -388,7 +392,7 @@ func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, e
 			continue
 		}
 		var comp *lsm.Component
-		if comp, err = si.Tree.BuildFrozenOn(d.bgStore, b.secondaries[i], b.epoch); err != nil {
+		if comp, err = si.Tree.BuildFrozen(d.bgStore, b.secondaries[i], b.epoch); err != nil {
 			return bytes, comps, err
 		}
 		bytes += comp.SizeBytes()
@@ -509,10 +513,12 @@ func (d *Dataset) runMergeJob() {
 	m.mu.Unlock()
 }
 
-// flushAllAsync makes FlushAll deterministic in asynchronous mode: freeze
-// whatever the memtables hold, make sure due merges are considered, and
-// drain until every background job for this dataset has finished.
-func (d *Dataset) flushAllAsync() error {
+// FlushAll freezes whatever the memtables hold into a batch stamped with a
+// fresh epoch, makes sure due merges are considered, and drains until every
+// maintenance job of this dataset has finished, so the store is fully
+// quiesced — and, on a durable device, its manifest references every
+// installed component — when it returns.
+func (d *Dataset) FlushAll() error {
 	if err := d.MaintErr(); err != nil {
 		return err
 	}
@@ -523,34 +529,25 @@ func (d *Dataset) flushAllAsync() error {
 
 // DrainMaintenance blocks until no flush batches are pending or building
 // and no merge job is queued or running, then returns the sticky
-// maintenance error, if any. On a synchronous dataset it returns nil
-// immediately.
+// maintenance error, if any.
 func (d *Dataset) DrainMaintenance() error {
 	m := d.maint
-	if m == nil {
-		return nil
-	}
 	m.mu.Lock()
 	for m.err == nil && (len(m.pending) > 0 || m.building || m.mergeWant || m.merging) {
 		m.cond.Wait()
 	}
 	err := m.err
 	m.mu.Unlock()
-	// Lane synchronization: draining waits for the maintenance lane, so
-	// the ingest lane's virtual clock catches up to it.
-	d.env.Clock.AdvanceTo(d.bgEnv.Clock.Now())
+	d.syncLanes()
 	return err
 }
 
-// crashAsync abandons queued flush batches (their frozen memtables die with
+// abandonPending drops queued flush batches (their frozen memtables die with
 // the crash) and wakes stalled writers. In-flight builds and merges abandon
 // themselves at install time through the trees' generation checks. The
 // caller holds crashMu.
-func (d *Dataset) crashAsync() {
+func (d *Dataset) abandonPending() {
 	m := d.maint
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	m.frozen -= len(m.pending)
 	m.pending = nil

@@ -9,21 +9,19 @@ import (
 
 // Crash simulates a failure under the no-steal/no-force policy
 // (Section 2.2): every memory component is lost — the live memtables and
-// any memtables frozen by in-flight asynchronous flushes alike; disk
+// any memtables frozen by in-flight flushes alike; disk
 // components — and, in this simulation, their checkpointed bitmaps —
 // survive. Maintenance jobs caught mid-build or mid-merge abandon their
 // installs (the trees' install generations change), exactly as a real
 // failure discards a half-written component. Use Recover to replay the
 // write-ahead log afterwards.
 func (d *Dataset) Crash() {
-	d.flushMu.Lock()
-	defer d.flushMu.Unlock()
 	// crashMu makes the generation bump atomic with respect to multi-tree
 	// installs: a flush batch or paired primary/pk merge lands either
 	// entirely before this crash (durable) or not at all.
 	d.crashMu.Lock()
 	defer d.crashMu.Unlock()
-	d.crashAsync()
+	d.abandonPending()
 	d.dsLock.Drain(func() {
 		d.primary.ResetMem()
 		if d.pkIndex != nil {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
@@ -202,9 +203,11 @@ func build(s Scale, c dsConfig) (*core.Dataset, *metrics.Env, *storage.Store, er
 		MergeRepair:      c.mergeRepair,
 		RepairBloomOpt:   c.repairBloom,
 		BloomFPR:         0.01,
-		BlockedBloom:     c.blockedBloom,
 		DisableWAL:       c.disableWAL,
 		Seed:             42,
+	}
+	if c.blockedBloom {
+		cfg.Bloom = bloom.KindBlocked
 	}
 	if !c.noRangeFilter {
 		cfg.FilterExtract = workload.CreationOf

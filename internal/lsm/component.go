@@ -81,8 +81,10 @@ type Component struct {
 
 	// Building points at the component currently being produced by a
 	// flush/merge that includes this component, so Mutable-bitmap writers
-	// can forward deletes (Figs 10 and 11). Managed by the dataset layer.
-	Building *BuildTarget
+	// can forward deletes (Figs 10 and 11). Managed by the dataset layer;
+	// atomic because builders publish it while writers, which hold no lock
+	// the Lock-method builder takes before its first scanned key, read it.
+	Building atomic.Pointer[BuildTarget]
 }
 
 // BuildTarget is the handle writers use to forward deletes into a component

@@ -77,7 +77,7 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 	// Expose the build target so concurrent writers can forward deletes.
 	if spec.Target != nil {
 		for _, c := range inputs {
-			c.Building = spec.Target
+			c.Building.Store(spec.Target)
 		}
 	}
 

@@ -69,7 +69,7 @@ func (t *Tree) Restore(images []RestoredComponent) ([]*Component, error) {
 		}
 		if t.opts.BloomFPR > 0 {
 			var f bloom.Filter
-			if t.opts.BloomV2 && len(im.Bloom) > 0 {
+			if t.opts.Bloom == bloom.KindV2 && len(im.Bloom) > 0 {
 				// Persisted v2 filter: decode instead of scanning. Corrupt
 				// bytes degrade to the rebuild path below (self-healing on
 				// the next manifest write).

@@ -18,7 +18,7 @@ func sentinelKey(i int) []byte { return []byte(fmt.Sprintf("sentinel-%04d", i)) 
 // the test also requires that at least some of those keys miss.
 func TestRestoreUsesPersistedBloomV2(t *testing.T) {
 	const n = 512
-	tr, _ := newTestTree(t, 1024, func(o *Options) { o.BloomV2 = true })
+	tr, _ := newTestTree(t, 1024, func(o *Options) { o.Bloom = bloom.KindV2 })
 	for i := 0; i < n; i++ {
 		tr.Put(kv.Entry{Key: key(i), Value: val(i), TS: int64(i)})
 	}
@@ -64,7 +64,7 @@ func TestRestoreUsesPersistedBloomV2(t *testing.T) {
 // the rebuilt filter must admit all of them.
 func TestRestoreBloomFallbacks(t *testing.T) {
 	const n = 512
-	tr, _ := newTestTree(t, 1024, func(o *Options) { o.BloomV2 = true })
+	tr, _ := newTestTree(t, 1024, func(o *Options) { o.Bloom = bloom.KindV2 })
 	for i := 0; i < n; i++ {
 		tr.Put(kv.Entry{Key: key(i), Value: val(i), TS: int64(i)})
 	}

@@ -22,14 +22,10 @@ type Options struct {
 	// BloomFPR, when positive, attaches a Bloom filter with this target
 	// false-positive rate to every disk component (the paper uses 1%).
 	BloomFPR float64
-	// BlockedBloom selects the cache-friendly blocked variant (Section 3.2).
-	BlockedBloom bool
-	// BloomV2 selects the runtime split-block filter (bloom.V2) instead of
-	// the paper's cost-model variants. V2 filters marshal into the durable
-	// manifest (RestoredComponent.Bloom), so reopen skips the
-	// rebuild-by-scan the in-memory-only variants pay. Takes precedence
-	// over BlockedBloom.
-	BloomV2 bool
+	// Bloom selects the filter variant. Only bloom.KindV2 filters marshal
+	// into the durable manifest (RestoredComponent.Bloom), so reopen skips
+	// the rebuild-by-scan the paper's in-memory-only variants pay.
+	Bloom bloom.Kind
 	// FilterExtract extracts the range-filter key from an entry, or reports
 	// false when the entry carries none (anti-matter). Nil disables
 	// recomputing filters at merge time.
@@ -46,13 +42,14 @@ type Options struct {
 // disabled). Every disk-component build path (memtable flush, merge, pk
 // sibling build, restore rebuild) goes through this single selector.
 func newFilter(opts Options, n int) (bloom.Filter, func([]byte)) {
-	switch {
-	case opts.BloomFPR <= 0:
+	if opts.BloomFPR <= 0 {
 		return nil, nil
-	case opts.BloomV2:
+	}
+	switch opts.Bloom {
+	case bloom.KindV2:
 		f := bloom.NewV2FPR(n, opts.BloomFPR)
 		return f, f.Add
-	case opts.BlockedBloom:
+	case bloom.KindBlocked:
 		f := bloom.NewBlockedFPR(n, opts.BloomFPR)
 		return f, f.Add
 	default:
@@ -60,6 +57,10 @@ func newFilter(opts Options, n int) (bloom.Filter, func([]byte)) {
 		return f, f.Add
 	}
 }
+
+// NewFilter builds a filter of the tree's configured flavor sized for n keys
+// (see newFilter), for components the dataset layer assembles itself.
+func (t *Tree) NewFilter(n int) (bloom.Filter, func([]byte)) { return newFilter(t.opts, n) }
 
 // Tree is one LSM-tree index. All methods are safe for concurrent use.
 type Tree struct {
@@ -73,8 +74,8 @@ type Tree struct {
 	// flushing holds the frozen memory components, oldest to newest, while
 	// flushes build their disk components, keeping their entries visible to
 	// concurrent readers during the build window (writers are drained during
-	// freezes, readers are not). Synchronous flushes hold at most one; the
-	// background maintenance scheduler may queue several.
+	// freezes, readers are not). The dataset's flush pipeline may queue
+	// several.
 	flushing []*memtable.Table
 	// installGen invalidates in-flight merge/flush installs across a crash:
 	// ResetMem bumps it, and installs captured under an older generation are
@@ -283,7 +284,7 @@ func (t *Tree) Flush(epoch uint64) (*Component, error) {
 	if !ok {
 		return nil, ErrEmptyFlush
 	}
-	comp, err := t.BuildFrozen(frozen, epoch)
+	comp, err := t.BuildFrozen(nil, frozen, epoch)
 	if err != nil {
 		t.dropFrozen(frozen)
 		return nil, err
@@ -314,67 +315,15 @@ func (t *Tree) Freeze() (frozen *memtable.Table, gen uint64, ok bool) {
 
 // BuildFrozen bulk-loads a frozen memory component into a new disk component
 // stamped with the given epoch. It does not install the component; pair it
-// with InstallFlushed.
-func (t *Tree) BuildFrozen(frozen *memtable.Table, epoch uint64) (*Component, error) {
-	return t.buildFromMemtableOn(t.opts.Store, frozen, epoch)
-}
-
-// BuildFrozenOn is BuildFrozen with the build I/O charged to the given
-// store view (the background maintenance lane). The built component's
-// reader is rebound to the tree's foreground store before it is returned,
-// so queries against the installed component charge the foreground lane.
-func (t *Tree) BuildFrozenOn(store *storage.Store, frozen *memtable.Table, epoch uint64) (*Component, error) {
+// with InstallFlushed. The build I/O is charged to the given store view (the
+// background maintenance lane; nil means the tree's own store), and the
+// built component's reader is rebound to the tree's foreground store before
+// it is returned, so queries against the installed component charge the
+// foreground lane.
+func (t *Tree) BuildFrozen(store *storage.Store, mem *memtable.Table, epoch uint64) (*Component, error) {
 	if store == nil {
 		store = t.opts.Store
 	}
-	return t.buildFromMemtableOn(store, frozen, epoch)
-}
-
-// InstallFlushed atomically appends comp as the newest disk component and
-// retires its frozen source memtable. With a stale generation (the tree was
-// reset since Freeze) the install is abandoned with ErrStaleInstall: the
-// frozen memtable is already gone and the built component is discarded.
-func (t *Tree) InstallFlushed(frozen *memtable.Table, comp *Component, gen uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if gen != t.installGen {
-		return ErrStaleInstall
-	}
-	t.disk = append(t.disk, comp)
-	t.removeFrozenLocked(frozen)
-	return nil
-}
-
-// dropFrozen removes a frozen memtable whose build failed, so the queue does
-// not grow without bound; the tree is considered wedged by the caller.
-func (t *Tree) dropFrozen(frozen *memtable.Table) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.removeFrozenLocked(frozen)
-}
-
-func (t *Tree) removeFrozenLocked(frozen *memtable.Table) {
-	for i, m := range t.flushing {
-		if m == frozen {
-			t.flushing = append(t.flushing[:i:i], t.flushing[i+1:]...)
-			return
-		}
-	}
-}
-
-// InstallGen returns the current install generation (captured by background
-// maintenance jobs before building, checked again at install).
-func (t *Tree) InstallGen() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.installGen
-}
-
-func (t *Tree) buildFromMemtable(mem *memtable.Table, epoch uint64) (*Component, error) {
-	return t.buildFromMemtableOn(t.opts.Store, mem, epoch)
-}
-
-func (t *Tree) buildFromMemtableOn(store *storage.Store, mem *memtable.Table, epoch uint64) (*Component, error) {
 	n := mem.Len()
 	b := btree.NewBuilder(store)
 	filter, addToFilter := newFilter(t.opts, n)
@@ -422,6 +371,46 @@ func (t *Tree) buildFromMemtableOn(store *storage.Store, mem *memtable.Table, ep
 		comp.Valid = bitmap.NewMutable(reader.NumEntries())
 	}
 	return comp, nil
+}
+
+// InstallFlushed atomically appends comp as the newest disk component and
+// retires its frozen source memtable. With a stale generation (the tree was
+// reset since Freeze) the install is abandoned with ErrStaleInstall: the
+// frozen memtable is already gone and the built component is discarded.
+func (t *Tree) InstallFlushed(frozen *memtable.Table, comp *Component, gen uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if gen != t.installGen {
+		return ErrStaleInstall
+	}
+	t.disk = append(t.disk, comp)
+	t.removeFrozenLocked(frozen)
+	return nil
+}
+
+// dropFrozen removes a frozen memtable whose build failed, so the queue does
+// not grow without bound; the tree is considered wedged by the caller.
+func (t *Tree) dropFrozen(frozen *memtable.Table) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.removeFrozenLocked(frozen)
+}
+
+func (t *Tree) removeFrozenLocked(frozen *memtable.Table) {
+	for i, m := range t.flushing {
+		if m == frozen {
+			t.flushing = append(t.flushing[:i:i], t.flushing[i+1:]...)
+			return
+		}
+	}
+}
+
+// InstallGen returns the current install generation (captured by background
+// maintenance jobs before building, checked again at install).
+func (t *Tree) InstallGen() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.installGen
 }
 
 // ErrRunNotFound reports an identity-based replacement whose input run is no

@@ -20,8 +20,9 @@ type job struct {
 }
 
 // Pool runs maintenance jobs on a bounded set of worker goroutines. Submitted
-// jobs queue without bound; at most the configured number run at once. All
-// methods are safe for concurrent use.
+// jobs queue without bound; at most the configured number run at once. A
+// pool with zero workers runs every job on the goroutine that submits it,
+// before Submit returns. All methods are safe for concurrent use.
 type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -34,11 +35,13 @@ type Pool struct {
 	gate    func()             // merge-dispatch gate (nil = open)
 }
 
-// NewPool creates a pool with the given worker bound. workers < 1 is treated
-// as 1 (a pool with zero workers could never drain).
+// NewPool creates a pool with the given worker bound. workers < 1 creates
+// the run-on-caller pool: nothing queues, so its Stats are all zero, and the
+// merge gate and the yield hook are never consulted — a throttled merge
+// dispatch must not block the writer that submitted it.
 func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
+	if workers < 0 {
+		workers = 0
 	}
 	p := &Pool{workers: workers}
 	p.cond = sync.NewCond(&p.mu)
@@ -97,6 +100,11 @@ func (p *Pool) SubmitKind(kind JobKind, fn func()) bool {
 	if p.closed {
 		p.mu.Unlock()
 		return false
+	}
+	if p.workers == 0 {
+		p.mu.Unlock()
+		fn()
+		return true
 	}
 	p.queue = append(p.queue, job{kind: kind, fn: fn})
 	if p.spawned < p.workers && p.spawned < p.active+len(p.queue) {

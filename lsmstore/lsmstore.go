@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/advisor"
+	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/lsm"
@@ -361,6 +362,12 @@ func Open(opts Options) (*DB, error) {
 			// writes would silently vanish across a reopen.
 			return nil, errors.New("lsmstore: FileBackend requires the write-ahead log (unset DisableWAL)")
 		}
+		if opts.BlockedBloom {
+			// Only the split-block filter persists; a Blocked store would
+			// rebuild every filter by scan at each reopen, for a cost-model
+			// ablation that means nothing where the virtual clock is idle.
+			return nil, errors.New("lsmstore: FileBackend does not support BlockedBloom (a simulated-backend ablation)")
+		}
 		if err := checkLayout(opts); err != nil {
 			return nil, err
 		}
@@ -537,22 +544,17 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 	store := storage.NewStore(dev, resolveCacheBytes(opts), env)
 
 	cfg := core.Config{
-		Store:            store,
-		Strategy:         opts.Strategy,
-		CC:               opts.CC,
-		FilterExtract:    opts.FilterExtract,
-		MemoryBudget:     opts.MemoryBudget,
-		UsePKIndex:       !opts.DisablePKIndex,
-		CorrelatedMerges: opts.CorrelatedMerges,
-		MergeRepair:      opts.MergeRepair,
-		RepairBloomOpt:   opts.RepairBloomOpt,
-		BloomFPR:         0.01,
-		BlockedBloom:     opts.BlockedBloom,
-		// The runtime read path on real files gets the split-block filter:
-		// single-cache-line probes and a marshaled form the manifest
-		// persists, so reopen skips the rebuild-by-scan. The simulated
-		// backend keeps the paper's Standard/Blocked cost-model variants.
-		BloomV2:               opts.Backend == FileBackend && !opts.BlockedBloom,
+		Store:                 store,
+		Strategy:              opts.Strategy,
+		CC:                    opts.CC,
+		FilterExtract:         opts.FilterExtract,
+		MemoryBudget:          opts.MemoryBudget,
+		UsePKIndex:            !opts.DisablePKIndex,
+		CorrelatedMerges:      opts.CorrelatedMerges,
+		MergeRepair:           opts.MergeRepair,
+		RepairBloomOpt:        opts.RepairBloomOpt,
+		BloomFPR:              0.01,
+		Bloom:                 bloomKind(opts),
 		DisableWAL:            opts.DisableWAL,
 		Seed:                  opts.Seed,
 		Maintenance:           pool,
@@ -578,6 +580,20 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		return nil, err
 	}
 	return &shard.Partition{DS: ds, Store: store, Env: env}, nil
+}
+
+// bloomKind picks the filter variant. The runtime read path on real files
+// gets the split-block filter: single-cache-line probes and a marshaled form
+// the manifest persists, so reopen skips the rebuild-by-scan. The simulated
+// backend keeps the paper's Standard/Blocked cost-model variants.
+func bloomKind(opts Options) bloom.Kind {
+	switch {
+	case opts.Backend == FileBackend:
+		return bloom.KindV2
+	case opts.BlockedBloom:
+		return bloom.KindBlocked
+	}
+	return bloom.KindStandard
 }
 
 // dsFor returns the dataset owning pk: the single dataset, or the shard
