@@ -13,7 +13,7 @@ import (
 var ErrUnknownIndex = errors.New("shard: unknown secondary index")
 
 // SecondaryQuery fans a secondary-index range query out to every shard
-// with bounded worker parallelism and merges the answers. Because shards
+// and merges the answers. Because shards
 // are independent hash partitions, a primary key appears in exactly one
 // shard's answer; the merged records (or keys, for index-only queries) are
 // returned in primary-key order — a deterministic total order regardless
@@ -62,8 +62,13 @@ func (r *Router) SecondaryQuery(index string, lo, hi []byte, opts query.Secondar
 
 // FilterScan runs the primary-index range-filter scan on every shard
 // concurrently, then emits the union in primary-key order. emit is always
-// called from the caller's goroutine.
+// called from the caller's goroutine. A single partition already scans in
+// primary-key order, so it streams straight to emit: an unbounded scan is
+// never buffered.
 func (r *Router) FilterScan(lo, hi int64, emit func(kv.Entry)) error {
+	if len(r.parts) == 1 {
+		return query.FilterScan(r.parts[0].DS, lo, hi, emit)
+	}
 	perShard := make([][]kv.Entry, len(r.parts))
 	err := r.fanOut(func(i int, p *Partition) error {
 		return query.FilterScan(p.DS, lo, hi, func(e kv.Entry) {

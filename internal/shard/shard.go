@@ -4,8 +4,9 @@
 // because both ingestion and queries are partition-local; this package
 // supplies that scaling layer: primary-key operations route to one
 // partition by PK hash, batches apply to all partitions concurrently, and
-// secondary-index queries fan out to every partition with bounded worker
-// parallelism and merge their answers.
+// secondary-index queries fan out to every partition, one goroutine each,
+// and merge their answers. One partition is the N = 1 case of the same
+// code: every fan-out then runs on the caller's goroutine.
 //
 // Each partition is a self-contained core.Dataset with its own simulated
 // disk, buffer cache, write-ahead log, and virtual clock, modelling one
@@ -34,25 +35,19 @@ type Partition struct {
 
 // Router fronts N partitions behind a single-dataset-shaped API.
 type Router struct {
-	parts   []*Partition
-	workers int
+	parts []*Partition
 	// invalidate, when set, is called with every mutated primary key after
 	// its shard applied the mutation and before the batch returns (i.e.
 	// before any caller can observe the ack). See SetInvalidator.
 	invalidate func(pk []byte)
 }
 
-// NewRouter builds a router over the given partitions. workers bounds the
-// goroutines used by fan-out operations (queries, batch applies, flushes);
-// values < 1 mean one worker per partition.
-func NewRouter(parts []*Partition, workers int) (*Router, error) {
+// NewRouter builds a router over the given partitions.
+func NewRouter(parts []*Partition) (*Router, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("shard: at least one partition is required")
 	}
-	if workers < 1 || workers > len(parts) {
-		workers = len(parts)
-	}
-	return &Router{parts: parts, workers: workers}, nil
+	return &Router{parts: parts}, nil
 }
 
 // SetInvalidator registers the read-cache invalidation hook: fn runs for
@@ -120,8 +115,7 @@ type Mutation struct {
 }
 
 // ApplyBatch groups the mutations by owning shard and applies each group
-// concurrently, one worker per shard with pending work (bounded by the
-// router's worker limit). Within a shard, mutations apply in input order,
+// concurrently, one goroutine per shard. Within a shard, mutations apply in input order,
 // so writes to the same key keep their program order; across shards there
 // is no ordering, matching the independence of hash partitions. The first
 // error in a shard stops that shard's remaining mutations; all shard
@@ -209,15 +203,8 @@ func (r *Router) applyGroup(s int, p *Partition, group []Mutation, indexes [][]i
 	return err
 }
 
-// ApplyMutations applies the mutations to one dataset sequentially, in
-// order, stopping at the first error. It is the per-shard (and unsharded)
-// half of ApplyBatch.
-func ApplyMutations(ds *core.Dataset, muts []Mutation) error {
-	return ApplyMutationsResults(ds, muts, nil)
-}
-
-// ApplyMutationsResults applies the mutations sequentially and, when
-// applied is non-nil (it must then be at least len(muts) long), records
+// ApplyMutationsResults applies the mutations to one dataset sequentially,
+// in order (the per-shard half of ApplyBatch) and, when applied is non-nil (it must then be at least len(muts) long), records
 // whether each mutation took effect: upserts always do, duplicate inserts
 // and deletes of missing keys do not. It stops at the first error, leaving
 // later entries false.
@@ -276,27 +263,18 @@ func ApplyMutationsResults(ds *core.Dataset, muts []Mutation, applied []bool) er
 	return firstErr
 }
 
-// fanOut runs fn once per partition on up to r.workers goroutines and
-// joins the per-shard errors.
+// fanOut runs fn once per partition, one goroutine each (the caller's own
+// for a single partition), and joins the per-shard errors.
 func (r *Router) fanOut(fn func(i int, p *Partition) error) error {
-	if len(r.parts) == 1 || r.workers == 1 {
-		var errs []error
-		for i, p := range r.parts {
-			if err := fn(i, p); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
+	if len(r.parts) == 1 {
+		return fn(0, r.parts[0])
 	}
-	sem := make(chan struct{}, r.workers)
 	errs := make([]error, len(r.parts))
 	var wg sync.WaitGroup
 	for i := range r.parts {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
-			defer func() { <-sem }()
 			errs[i] = fn(i, r.parts[i])
 		}(i)
 	}
@@ -304,8 +282,8 @@ func (r *Router) fanOut(fn func(i int, p *Partition) error) error {
 	return errors.Join(errs...)
 }
 
-// ForEach runs fn on every partition's dataset with bounded parallelism,
-// joining errors. It backs the lifecycle operations (flush, recovery,
+// ForEach runs fn on every partition's dataset concurrently, joining
+// errors. It backs the lifecycle operations (flush, recovery,
 // repair) that apply uniformly to all shards.
 func (r *Router) ForEach(fn func(ds *core.Dataset) error) error {
 	return r.fanOut(func(_ int, p *Partition) error { return fn(p.DS) })
@@ -335,12 +313,12 @@ type Stats struct {
 	// concurrently).
 	SimulatedTime int64 // nanoseconds
 	// IngestTime is the ingest lane's virtual time: the time the write
-	// path experienced. It equals SimulatedTime on a synchronous shard;
-	// with background maintenance it only absorbs maintenance time at
-	// backpressure stalls and drains. Max in an aggregate.
+	// path experienced. It equals SimulatedTime when maintenance runs on
+	// the writers; with background workers it only absorbs maintenance
+	// time at backpressure stalls and drains. Max in an aggregate.
 	IngestTime int64 // nanoseconds
 	// MaintTime is the background maintenance lane's virtual time (zero
-	// without background maintenance); max in an aggregate.
+	// without background workers); max in an aggregate.
 	MaintTime int64 // nanoseconds
 	// Ingested and Ignored count accepted and ignored writes.
 	Ingested, Ignored int64
@@ -351,8 +329,7 @@ type Stats struct {
 	DiskBytesWritten int64
 	// PendingFlushBatches and FrozenMemtables are maintenance gauges:
 	// frozen batches queued for flush and frozen memtables not yet
-	// installed (both zero on a synchronous shard; summed in an
-	// aggregate).
+	// installed (summed in an aggregate).
 	PendingFlushBatches int
 	FrozenMemtables     int
 	// Counters snapshots the low-level event counters.

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-func newTestRouter(t *testing.T, n, workers int) *Router {
+func newTestRouter(t *testing.T, n int) *Router {
 	t.Helper()
 	parts := make([]*Partition, n)
 	for i := range parts {
@@ -33,7 +33,7 @@ func newTestRouter(t *testing.T, n, workers int) *Router {
 		}
 		parts[i] = &Partition{DS: ds, Store: store, Env: env}
 	}
-	r, err := NewRouter(parts, workers)
+	r, err := NewRouter(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestShardOfDeterministicAndSpread(t *testing.T) {
 
 func TestApplyBatchRoutingAndOrder(t *testing.T) {
 	const shards = 3
-	r := newTestRouter(t, shards, 0)
+	r := newTestRouter(t, shards)
 	var muts []Mutation
 	const n = 500
 	for id := uint64(1); id <= n; id++ {
@@ -132,35 +132,13 @@ func TestAggregateStats(t *testing.T) {
 }
 
 func TestRouterRejectsEmpty(t *testing.T) {
-	if _, err := NewRouter(nil, 0); err == nil {
+	if _, err := NewRouter(nil); err == nil {
 		t.Fatal("empty router accepted")
 	}
 }
 
-func TestFanOutWorkerBounds(t *testing.T) {
-	// workers > shards and workers < 1 both clamp; the batch still applies.
-	for _, workers := range []int{-1, 1, 2, 99} {
-		r := newTestRouter(t, 4, workers)
-		var muts []Mutation
-		for id := uint64(1); id <= 64; id++ {
-			rec := workload.Tweet{ID: id, UserID: 1, Creation: int64(id), Message: []byte("m")}.Encode()
-			muts = append(muts, Mutation{Op: OpUpsert, PK: pk(id), Record: rec})
-		}
-		if err := r.ApplyBatch(muts); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var total int64
-		for _, s := range r.StatsPerShard() {
-			total += s.Ingested
-		}
-		if total != 64 {
-			t.Fatalf("workers=%d: ingested %d of 64", workers, total)
-		}
-	}
-}
-
 func TestApplyBatchUnknownOp(t *testing.T) {
-	r := newTestRouter(t, 2, 0)
+	r := newTestRouter(t, 2)
 	err := r.ApplyBatch([]Mutation{{Op: Op(42), PK: pk(1)}})
 	if err == nil {
 		t.Fatal("unknown op accepted")

@@ -4,10 +4,10 @@
 // Carey, "Efficient Data Ingestion and Query Processing for LSM-Based
 // Storage Systems" (PVLDB 12(5), 2019).
 //
-// A DB is one or more dataset partitions, each backed by a simulated disk
-// with an explicit I/O cost model (see DESIGN.md), holding a primary LSM
-// index, an optional primary key index, and any number of secondary
-// indexes that share a memory budget. The maintenance strategy for
+// A DB is a router over one or more dataset partitions, each backed by a
+// simulated disk with an explicit I/O cost model (see DESIGN.md) or by real
+// files, holding a primary LSM index, an optional primary key index, and
+// any number of secondary indexes that share a memory budget. The maintenance strategy for
 // auxiliary structures — Eager, Validation, Mutable-bitmap, or Deleted-key
 // B+-tree — is chosen at Open time, and queries pick a validation method
 // per request.
@@ -27,22 +27,30 @@
 //
 // # Sharding
 //
-// Options.Shards > 1 opens a hash-partitioned store: N independent
-// partitions, each with its own disk, buffer cache, write-ahead log and
-// virtual clock, fronted by a router (internal/shard). Primary-key
-// operations route to the owning partition by PK hash; ApplyBatch groups
-// a batch of mutations per shard and applies the groups concurrently;
-// SecondaryQuery and FilterScan fan out to every shard with bounded
-// worker parallelism and merge the answers in primary-key order; Flush,
-// Crash, Recover, RepairSecondaryIndexes and Stats apply to (or aggregate
-// over) all shards. Shards is 1 by default, which behaves exactly like
-// the unsharded store.
+// Every DB is a hash-partitioned store: Options.Shards independent
+// partitions (default 1), each with its own disk, buffer cache,
+// write-ahead log and virtual clock, fronted by a router (internal/shard).
+// Primary-key operations route to the owning partition by PK hash;
+// ApplyBatch groups a batch of mutations per shard and applies the groups
+// concurrently; SecondaryQuery and FilterScan fan out to every shard, one
+// goroutine each, and merge the answers in primary-key order; Flush, Crash,
+// Recover, RepairSecondaryIndexes and Stats apply to (or aggregate over)
+// all shards. One shard is the N = 1 case of the same code, not a second
+// program: fan-outs run on the caller's goroutine, a batch is not
+// regrouped, and FilterScan streams instead of buffering.
+//
+// # Maintenance
+//
+// Each partition has one flush pipeline: the write that crosses the memory
+// budget freezes the memory components, and the disk-component builds and
+// policy-picked merges run as jobs of one pool shared by all partitions.
+// Options.MaintenanceWorkers sizes the pool; at 0 a job runs on the writer
+// that submitted it, before that write returns.
 package lsmstore
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -233,33 +241,35 @@ type Options struct {
 	MaxSyncDelay time.Duration
 	// Seed fixes all pseudo-random choices.
 	Seed int64
-	// Shards selects the number of hash partitions (default 1, the
-	// unsharded store). With Shards > 1 the buffer cache (hardware RAM)
-	// is split evenly across partitions, while MemoryBudget applies per
-	// partition, following the paper's per-partition budget (128 MB per
-	// dataset partition in Section 6.1).
+	// Shards selects the number of hash partitions (values below 1 mean
+	// 1). With Shards > 1 the buffer cache (hardware RAM) is split evenly
+	// across partitions, while MemoryBudget applies per partition,
+	// following the paper's per-partition budget (128 MB per dataset
+	// partition in Section 6.1).
 	Shards int
-	// ShardWorkers bounds the goroutines used by cross-shard fan-out
-	// (batch applies, queries, flushes). 0 means one worker per shard.
-	ShardWorkers int
-	// MaintenanceWorkers enables background maintenance: flushes swap the
-	// memory components and return immediately (the frozen memtables stay
-	// readable until their disk components install), while component
-	// builds and policy-picked merges run on a pool of this many workers
-	// shared by every shard. Each shard schedules its own flush builds and
-	// merges, so partitions compact independently and concurrently. 0 (the
-	// default) keeps the synchronous behavior: the write crossing the
-	// memory budget flushes and merges inline.
+	// MaintenanceWorkers sizes the pool, shared by every shard, that runs
+	// the flush pipeline's jobs. A flush swaps the memory components (the
+	// frozen memtables stay readable until their disk components install)
+	// and submits the component builds; policy-picked merges follow as jobs
+	// of their own. Each shard schedules its own builds and merges, so
+	// partitions compact independently and concurrently. At 0 (the
+	// default) the pool has no workers and a job runs on the goroutine
+	// that submits it: the write crossing the memory budget builds the
+	// components and runs every due merge before it returns. A failed
+	// build or merge wedges the shard at any worker count: the batch
+	// installs nothing, every later write returns the error, and Crash +
+	// Recover (or a reopen) clears it.
 	MaintenanceWorkers int
-	// MaxFrozenMemtables bounds the frozen flush batches per shard
-	// awaiting background builds before writers soft-stall (backpressure;
-	// stall counts and durations appear in Stats.Counters). 0 means the
-	// default of 4. Only meaningful with MaintenanceWorkers > 0.
+	// MaxFrozenMemtables bounds the frozen flush batches per shard awaiting
+	// builds before writers soft-stall (backpressure; stall counts and
+	// durations appear in Stats.Counters). 0 means the default of 4. At
+	// MaintenanceWorkers 0 writers are drained only for the freeze, not
+	// for the build one of them runs, so this bounds how far the others
+	// may run ahead of it.
 	MaxFrozenMemtables int
 	// MaxUnmergedComponents soft-stalls writers while a shard's primary
 	// index holds at least this many disk components and a merge is still
-	// pending. 0 disables the threshold. Only meaningful with
-	// MaintenanceWorkers > 0.
+	// pending. 0 disables the threshold.
 	MaxUnmergedComponents int
 	// MaintJournalEvents bounds the flush/merge events retained by the
 	// maintenance journal (see DB.MaintJournal): every flush and merge on
@@ -314,14 +324,11 @@ type ReadCacheOptions struct {
 // ErrClosed reports an operation on a DB after Close.
 var ErrClosed = errors.New("lsmstore: store is closed")
 
-// DB is one dataset partition or, with Options.Shards > 1, a hash-
-// partitioned group of them behind a router.
+// DB is a hash-partitioned group of Options.Shards dataset partitions
+// behind a router.
 type DB struct {
-	ds      *core.Dataset
-	store   *storage.Store
-	env     *metrics.Env
-	shards  *shard.Router    // non-nil only when Options.Shards > 1
-	pool    *maint.Pool      // non-nil only when Options.MaintenanceWorkers > 0
+	shards  *shard.Router
+	pool    *maint.Pool      // run-on-caller when Options.MaintenanceWorkers is 0
 	cache   *readcache.Cache // non-nil only when Options.ReadCache.Bytes > 0
 	journal *obs.Journal     // nil when Options.MaintJournalEvents < 0
 
@@ -372,30 +379,26 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	var pool *maint.Pool
-	if opts.MaintenanceWorkers > 0 {
-		pool = maint.NewPool(opts.MaintenanceWorkers)
-		pool.SetYield(opts.Yield)
-	}
-	closePoolOnErr := func(err error) error {
-		if pool != nil {
-			pool.Close()
-		}
-		return err
-	}
+	pool := maint.NewPool(opts.MaintenanceWorkers)
+	pool.SetYield(opts.Yield)
 	journal := newMaintJournal(opts)
-	if opts.Shards > 1 {
-		db, err := openSharded(opts, pool, journal)
-		if err != nil {
-			return nil, closePoolOnErr(err)
-		}
-		return db, nil
-	}
-	p, err := openPartition(opts, pool, journal, 0)
+	parts, err := openPartitions(opts, pool, journal)
 	if err != nil {
-		return nil, closePoolOnErr(err)
+		pool.Close()
+		return nil, err
 	}
-	return &DB{ds: p.DS, store: p.Store, env: p.Env, pool: pool, cache: newReadCache(opts), journal: journal}, nil
+	r, err := shard.NewRouter(parts)
+	if err != nil {
+		pool.Close()
+		return nil, err
+	}
+	db := &DB{shards: r, pool: pool, cache: newReadCache(opts), journal: journal}
+	if db.cache != nil {
+		// Batch fan-out workers invalidate their group's keys before the
+		// batch is acknowledged (internal/readcache invariant 1).
+		r.SetInvalidator(db.cache.Invalidate)
+	}
+	return db, nil
 }
 
 // newMaintJournal builds the store-wide maintenance journal, or nil when
@@ -418,18 +421,20 @@ func newReadCache(opts Options) *readcache.Cache {
 	})
 }
 
-// openSharded opens Options.Shards independent partitions — the buffer
+// openPartitions opens Options.Shards independent partitions — the buffer
 // cache splits evenly across them, the memory budget applies per partition
-// (the paper's per-partition budget) — and fronts them with a hash router.
-// All partitions share one maintenance pool, so background work is bounded
-// machine-wide while each shard compacts independently.
-func openSharded(opts Options, pool *maint.Pool, journal *obs.Journal) (*DB, error) {
-	n := opts.Shards
+// (the paper's per-partition budget). All partitions share one maintenance
+// pool, so background work is bounded machine-wide while each shard
+// compacts independently.
+func openPartitions(opts Options, pool *maint.Pool, journal *obs.Journal) ([]*shard.Partition, error) {
+	n := max(opts.Shards, 1)
 	per := opts
-	per.Shards = 1
-	per.CacheBytes = resolveCacheBytes(opts) / int64(n)
-	if minCache := int64(8 * resolvePageSize(opts)); per.CacheBytes < minCache {
-		per.CacheBytes = minCache
+	per.CacheBytes = resolveCacheBytes(opts)
+	if n > 1 {
+		per.CacheBytes /= int64(n)
+		if minCache := int64(8 * resolvePageSize(opts)); per.CacheBytes < minCache {
+			per.CacheBytes = minCache
+		}
 	}
 	parts := make([]*shard.Partition, n)
 	for i := range parts {
@@ -446,17 +451,7 @@ func openSharded(opts Options, pool *maint.Pool, journal *obs.Journal) (*DB, err
 		}
 		parts[i] = p
 	}
-	r, err := shard.NewRouter(parts, opts.ShardWorkers)
-	if err != nil {
-		return nil, err
-	}
-	db := &DB{ds: parts[0].DS, store: parts[0].Store, env: parts[0].Env, shards: r, pool: pool, cache: newReadCache(opts), journal: journal}
-	if db.cache != nil {
-		// Batch fan-out workers invalidate their group's keys before the
-		// batch is acknowledged (internal/readcache invariant 1).
-		r.SetInvalidator(db.cache.Invalidate)
-	}
-	return db, nil
+	return parts, nil
 }
 
 // resolveCacheBytes applies the buffer-cache default (64 MB, matching the
@@ -497,7 +492,7 @@ func resolvePageSize(opts Options) int {
 	return storage.HDD().PageSize
 }
 
-// openPartition opens one partition: the unsharded store, or shard idx.
+// openPartition opens shard idx.
 func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int) (*shard.Partition, error) {
 	env := metrics.NewEnv()
 	if opts.Sleeper != nil {
@@ -596,14 +591,8 @@ func bloomKind(opts Options) bloom.Kind {
 	return bloom.KindStandard
 }
 
-// dsFor returns the dataset owning pk: the single dataset, or the shard
-// selected by PK hash.
-func (db *DB) dsFor(pk []byte) *core.Dataset {
-	if db.shards != nil {
-		return db.shards.DatasetFor(pk)
-	}
-	return db.ds
-}
+// dsFor returns the dataset owning pk: the shard selected by PK hash.
+func (db *DB) dsFor(pk []byte) *core.Dataset { return db.shards.DatasetFor(pk) }
 
 // Insert adds a record; it reports false when the key already exists.
 func (db *DB) Insert(pk, record []byte) (bool, error) {
@@ -722,34 +711,19 @@ const (
 	OpDelete = shard.OpDelete
 )
 
-// ApplyBatch applies a batch of mutations. On a sharded store the batch is
-// grouped by owning shard and the groups apply concurrently (bounded by
-// Options.ShardWorkers); mutations to the same primary key always land in
-// the same shard and keep their order within the batch. On an unsharded
-// store the batch applies sequentially in order. Duplicate inserts and
-// deletes of missing keys are counted as ignored, as in Insert and Delete.
+// ApplyBatch applies a batch of mutations. The batch is grouped by owning
+// shard and the groups apply concurrently; mutations to the same primary
+// key always land in the same shard and keep their order within the batch
+// (with one shard the whole batch applies sequentially in order). Duplicate
+// inserts and deletes of missing keys are counted as ignored, as in Insert
+// and Delete. The router's fan-out workers drop every mutated key's
+// read-cache entry (Router.SetInvalidator).
 func (db *DB) ApplyBatch(muts []Mutation) error {
 	if err := db.acquire(); err != nil {
 		return err
 	}
 	defer db.release()
-	if db.shards != nil {
-		return db.shards.ApplyBatch(muts)
-	}
-	err := shard.ApplyMutations(db.ds, muts)
-	db.invalidateBatch(muts)
-	return err
-}
-
-// invalidateBatch drops every mutated key's read-cache entry; the sharded
-// equivalent lives in the router's fan-out workers (Router.SetInvalidator).
-func (db *DB) invalidateBatch(muts []Mutation) {
-	if db.cache == nil {
-		return
-	}
-	for i := range muts {
-		db.cache.Invalidate(muts[i].PK)
-	}
+	return db.shards.ApplyBatch(muts)
 }
 
 // ApplyBatchResults is ApplyBatch plus a per-mutation report: applied[i]
@@ -763,22 +737,11 @@ func (db *DB) ApplyBatchResults(muts []Mutation) ([]bool, error) {
 		return nil, err
 	}
 	defer db.release()
-	if db.shards != nil {
-		return db.shards.ApplyBatchResults(muts)
-	}
-	applied := make([]bool, len(muts))
-	err := shard.ApplyMutationsResults(db.ds, muts, applied)
-	db.invalidateBatch(muts)
-	return applied, err
+	return db.shards.ApplyBatchResults(muts)
 }
 
-// NumShards returns the number of hash partitions (1 when unsharded).
-func (db *DB) NumShards() int {
-	if db.shards != nil {
-		return db.shards.NumShards()
-	}
-	return 1
-}
+// NumShards returns the number of hash partitions.
+func (db *DB) NumShards() int { return db.shards.NumShards() }
 
 // QueryOptions configures a secondary-index query.
 type QueryOptions struct {
@@ -795,11 +758,10 @@ type QueryOptions struct {
 	// them (query-driven maintenance, the paper's Section 7 extension).
 	CrackOnValidate bool
 	// Limit caps the number of returned records (or keys, for index-only
-	// queries); 0 means unlimited. With a limit the answer is sorted in
-	// primary-key order before the cap applies — on every shard count —
-	// so the selected subset is deterministic for a given store state and
-	// does not change when a store is re-opened with a different Shards
-	// value.
+	// queries); 0 means unlimited. The answer is sorted in primary-key
+	// order before the cap applies, so the selected subset is deterministic
+	// for a given store state and does not change when a store is
+	// re-opened with a different Shards value.
 	Limit int
 }
 
@@ -821,7 +783,7 @@ type Record struct {
 var ErrUnknownIndex = errors.New("lsmstore: unknown secondary index")
 
 // SecondaryQuery runs a range query lo <= secondary key <= hi on the named
-// index.
+// index. Results are in primary-key order, on every shard count.
 func (db *DB) SecondaryQuery(index string, lo, hi []byte, opts QueryOptions) (*QueryResult, error) {
 	if err := db.acquire(); err != nil {
 		return nil, err
@@ -837,43 +799,12 @@ func (db *DB) SecondaryQuery(index string, lo, hi []byte, opts QueryOptions) (*Q
 		Lookup:          lookup,
 		CrackOnValidate: opts.CrackOnValidate,
 	}
-	var res *query.SecondaryResult
-	if db.shards != nil {
-		var err error
-		res, err = db.shards.SecondaryQuery(index, lo, hi, qopts, opts.Limit)
-		if errors.Is(err, shard.ErrUnknownIndex) {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, index)
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		si := db.ds.Secondary(index)
-		if si == nil {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, index)
-		}
-		var err error
-		res, err = query.SecondaryRange(db.ds, si, lo, hi, qopts)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Limit > 0 {
-			// Match the sharded path's semantics: the capped subset is the
-			// first Limit results in primary-key order, regardless of the
-			// scan order the validation method produced.
-			sort.Slice(res.Records, func(i, j int) bool {
-				return kv.Compare(res.Records[i].Key, res.Records[j].Key) < 0
-			})
-			sort.Slice(res.Keys, func(i, j int) bool {
-				return kv.Compare(res.Keys[i], res.Keys[j]) < 0
-			})
-			if len(res.Records) > opts.Limit {
-				res.Records = res.Records[:opts.Limit]
-			}
-			if len(res.Keys) > opts.Limit {
-				res.Keys = res.Keys[:opts.Limit]
-			}
-		}
+	res, err := db.shards.SecondaryQuery(index, lo, hi, qopts, opts.Limit)
+	if errors.Is(err, shard.ErrUnknownIndex) {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, index)
+	}
+	if err != nil {
+		return nil, err
 	}
 	out := &QueryResult{Keys: res.Keys}
 	for _, e := range res.Records {
@@ -883,36 +814,30 @@ func (db *DB) SecondaryQuery(index string, lo, hi []byte, opts QueryOptions) (*Q
 }
 
 // FilterScan scans the primary index for records whose filter key lies in
-// [lo, hi], using component range filters for pruning. On a sharded store
-// every shard scans concurrently and the union is emitted in primary-key
-// order from the caller's goroutine.
+// [lo, hi], using component range filters for pruning. Every shard scans
+// concurrently and the union is emitted in primary-key order from the
+// caller's goroutine; a one-shard store streams its scan without buffering.
 func (db *DB) FilterScan(lo, hi int64, fn func(pk, record []byte)) error {
 	if err := db.acquire(); err != nil {
 		return err
 	}
 	defer db.release()
-	if db.shards != nil {
-		return db.shards.FilterScan(lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
-	}
-	return query.FilterScan(db.ds, lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
+	return db.shards.FilterScan(lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
 }
 
 // Flush forces all memory components to disk and runs due merges, on every
-// shard. With background maintenance enabled it also drains every pending
-// build and merge, so the store is fully quiesced when it returns.
+// shard, and drains every pending build and merge, so the store is fully
+// quiesced when it returns.
 func (db *DB) Flush() error {
 	if err := db.acquire(); err != nil {
 		return err
 	}
 	defer db.release()
-	if db.shards != nil {
-		return db.shards.FlushAll()
-	}
-	return db.ds.FlushAll()
+	return db.shards.FlushAll()
 }
 
-// Close drains all pending background maintenance (flush builds and
-// merges on every shard), stops the maintenance workers, and — on the file
+// Close drains all pending maintenance (flush builds and merges on every
+// shard), stops the maintenance workers, and — on the file
 // backend — persists the final manifests and releases the devices. It does
 // not flush live memory components: their committed writes sit in the
 // on-disk write-ahead log and are replayed at the next Open (call Flush
@@ -934,18 +859,11 @@ func (db *DB) Close() error {
 	db.finalStats = db.stats()
 	db.closed = true
 	var errs []error
-	drain := func(ds *core.Dataset) error { return ds.DrainMaintenance() }
-	if db.shards != nil {
-		if err := db.shards.ForEach(drain); err != nil {
-			errs = append(errs, err)
-		}
-	} else if err := drain(db.ds); err != nil {
+	if err := db.shards.ForEach((*core.Dataset).DrainMaintenance); err != nil {
 		errs = append(errs, err)
 	}
-	if db.pool != nil {
-		db.pool.Close()
-	}
-	shutdown := func(p *shard.Partition) {
+	db.pool.Close()
+	for _, p := range db.shards.Partitions() {
 		// WAL compaction drops records that durable components cover — per
 		// the IN-MEMORY component lists. Those lists only become durable
 		// when Persist lands the manifest, so after a failed Persist the
@@ -961,29 +879,18 @@ func (db *DB) Close() error {
 			errs = append(errs, err)
 		}
 	}
-	if db.shards != nil {
-		for _, p := range db.shards.Partitions() {
-			shutdown(p)
-		}
-	} else {
-		shutdown(&shard.Partition{DS: db.ds, Store: db.store, Env: db.env})
-	}
 	return errors.Join(errs...)
 }
 
 // Crash simulates a failure: all memory components are lost; disk
-// components survive (no-steal/no-force, Section 2.2 of the paper). On a
-// sharded store every shard fails. Crash on a closed store is a no-op.
+// components survive (no-steal/no-force, Section 2.2 of the paper). Every
+// shard fails. Crash on a closed store is a no-op.
 func (db *DB) Crash() {
 	if err := db.acquire(); err != nil {
 		return
 	}
 	defer db.release()
-	if db.shards != nil {
-		db.shards.Crash()
-	} else {
-		db.ds.Crash()
-	}
+	db.shards.Crash()
 	// After the engine dropped its memory components: cached entries may
 	// reflect writes the crash destroyed (internal/readcache invariant 3).
 	if db.cache != nil {
@@ -998,12 +905,7 @@ func (db *DB) Recover() error {
 		return err
 	}
 	defer db.release()
-	var err error
-	if db.shards != nil {
-		err = db.shards.Recover()
-	} else {
-		err = db.ds.Recover()
-	}
+	err := db.shards.Recover()
 	// Replay resurrects writes that were invisible between Crash and
 	// Recover, so negative entries cached in that window are now stale.
 	if db.cache != nil {
@@ -1019,10 +921,7 @@ func (db *DB) RepairSecondaryIndexes() error {
 		return err
 	}
 	defer db.release()
-	if db.shards != nil {
-		return db.shards.ForEach(repairSecondaries)
-	}
-	return repairSecondaries(db.ds)
+	return db.shards.ForEach(repairSecondaries)
 }
 
 func repairSecondaries(ds *core.Dataset) error {
@@ -1040,23 +939,23 @@ func repairSecondaries(ds *core.Dataset) error {
 	return ds.Persist()
 }
 
-// Stats summarizes engine state and accumulated costs. On a sharded store
-// the top-level fields aggregate over shards (sums, except SimulatedTime,
-// which is the maximum because shards progress concurrently on independent
-// devices) and PerShard holds each shard's own snapshot.
+// Stats summarizes engine state and accumulated costs. The top-level fields
+// aggregate over shards (sums, except SimulatedTime, which is the maximum
+// because shards progress concurrently on independent devices) and, with
+// more than one shard, PerShard holds each shard's own snapshot.
 type Stats struct {
 	// SimulatedTime is the virtual clock reading (cost-model time): the
 	// elapsed time of the partition, i.e. the maximum of the ingest lane
-	// and the background maintenance lane, which overlap when background
-	// maintenance is enabled.
+	// and the background maintenance lane, which overlap when the
+	// maintenance pool has workers.
 	SimulatedTime string
 	// IngestTime is the ingest lane's virtual time: the time the write
-	// path experienced. It equals SimulatedTime on a synchronous store;
-	// with background maintenance it only absorbs maintenance time at
-	// backpressure stalls and drains.
+	// path experienced. It equals SimulatedTime at MaintenanceWorkers 0,
+	// where writers run the maintenance jobs themselves; with workers it
+	// only absorbs maintenance time at backpressure stalls and drains.
 	IngestTime string
 	// MaintenanceTime is the background maintenance lane's virtual time
-	// ("0s" without background maintenance).
+	// ("0s" at MaintenanceWorkers 0).
 	MaintenanceTime string
 	// Ingested and Ignored count accepted and ignored writes.
 	Ingested, Ignored int64
@@ -1064,10 +963,9 @@ type Stats struct {
 	PrimaryComponents int
 	// DiskBytesWritten is total bytes flushed/merged (write amplification).
 	DiskBytesWritten int64
-	// PendingFlushBatches and FrozenMemtables are the asynchronous-
-	// maintenance backlog gauges: frozen flush batches awaiting a
-	// background builder, and frozen batches total (pending plus building)
-	// not yet installed. Zero on a synchronous store.
+	// PendingFlushBatches and FrozenMemtables are the flush backlog
+	// gauges: frozen flush batches awaiting a builder, and frozen batches
+	// total (pending plus building) not yet installed.
 	PendingFlushBatches int
 	FrozenMemtables     int
 	// Counters snapshots the low-level event counters.
@@ -1077,10 +975,10 @@ type Stats struct {
 	// disabled (Options.MaintJournalEvents < 0). Top-level only; per-shard
 	// snapshots leave it zero because the journal is store-wide.
 	Maintenance obs.JournalSummary `json:",omitzero"`
-	// Shards is the hash-partition count (1 when unsharded).
+	// Shards is the hash-partition count.
 	Shards int
-	// PerShard holds per-shard statistics in shard order; nil when
-	// unsharded.
+	// PerShard holds per-shard statistics in shard order; nil with one
+	// shard, whose snapshot is the top level itself.
 	PerShard []Stats
 }
 
@@ -1097,49 +995,23 @@ func (db *DB) Stats() Stats {
 
 // stats computes the snapshot; the caller holds the lifecycle lock.
 func (db *DB) stats() Stats {
-	if db.shards != nil {
-		per := db.shards.StatsPerShard()
-		agg := shard.Aggregate(per)
-		out := statsFrom(agg)
-		if db.cache != nil {
-			// The read cache fronts the whole store, so its counters fold
-			// into the aggregate only, not into any shard's snapshot.
-			out.Counters = out.Counters.Add(db.cache.Counters())
-		}
-		out.Shards = db.shards.NumShards()
-		out.Maintenance = db.journal.Summary()
+	per := db.shards.StatsPerShard()
+	out := statsFrom(shard.Aggregate(per))
+	if db.cache != nil {
+		// The read cache fronts the whole store, so its counters fold
+		// into the aggregate only, not into any shard's snapshot.
+		out.Counters = out.Counters.Add(db.cache.Counters())
+	}
+	out.Shards = len(per)
+	out.Maintenance = db.journal.Summary()
+	if len(per) > 1 {
 		out.PerShard = make([]Stats, len(per))
 		for i, s := range per {
 			out.PerShard[i] = statsFrom(s)
 			out.PerShard[i].Shards = 1
 		}
-		return out
 	}
-	ingest := db.env.Clock.Now()
-	mnt := db.ds.MaintSimTime()
-	sim := ingest
-	if mnt > sim {
-		sim = mnt
-	}
-	counters := db.env.Counters.Snapshot()
-	if db.cache != nil {
-		counters = counters.Add(db.cache.Counters())
-	}
-	pending, frozen := db.ds.MaintGauges()
-	return Stats{
-		SimulatedTime:       sim.String(),
-		IngestTime:          ingest.String(),
-		MaintenanceTime:     mnt.String(),
-		Ingested:            db.ds.IngestedCount(),
-		Ignored:             db.ds.IgnoredCount(),
-		PrimaryComponents:   db.ds.Primary().NumDiskComponents(),
-		DiskBytesWritten:    db.store.Device().BytesWritten(),
-		PendingFlushBatches: pending,
-		FrozenMemtables:     frozen,
-		Counters:            counters,
-		Maintenance:         db.journal.Summary(),
-		Shards:              1,
-	}
+	return out
 }
 
 // statsFrom converts a shard-level snapshot to the public shape.
@@ -1165,27 +1037,18 @@ func statsFrom(s shard.Stats) Stats {
 // result without checking.
 func (db *DB) MaintJournal() *obs.Journal { return db.journal }
 
-// MaintPoolStats reports the background maintenance pool's queue depth,
-// executing jobs, and worker bound. All zeros on a synchronous store
-// (Options.MaintenanceWorkers == 0).
-func (db *DB) MaintPoolStats() (queued, active, workers int) {
-	if db.pool == nil {
-		return 0, 0, 0
-	}
-	return db.pool.Stats()
-}
+// MaintPoolStats reports the maintenance pool's queue depth, executing
+// jobs, and worker bound. All zeros at Options.MaintenanceWorkers == 0,
+// where nothing queues: writers run the jobs themselves.
+func (db *DB) MaintPoolStats() (queued, active, workers int) { return db.pool.Stats() }
 
 // SetMergeGate installs a dispatch gate called before each merge job runs
 // (nil clears it). The server's admission governor uses it to throttle
-// merge I/O against foreground latency; flush jobs are never gated.
-// No-op on a synchronous store (no maintenance pool). Gating changes
-// merge timing only, never results — see TestMergeGateObservationalOnly.
-func (db *DB) SetMergeGate(gate func()) {
-	if db.pool == nil {
-		return
-	}
-	db.pool.SetGate(gate)
-}
+// merge I/O against foreground latency; flush jobs are never gated, and
+// neither is anything at Options.MaintenanceWorkers == 0, where the merge
+// runs on a writer the gate must not block. Gating changes merge timing
+// only, never results — see TestMergeGateObservationalOnly.
+func (db *DB) SetMergeGate(gate func()) { db.pool.SetGate(gate) }
 
 // WorkloadProfile describes an expected workload for Advise.
 type WorkloadProfile = advisor.Profile
@@ -1200,22 +1063,13 @@ func Advise(p WorkloadProfile) (Strategy, AdvisorReport, error) {
 	return advisor.Recommend(p)
 }
 
-// Dataset exposes the underlying dataset for advanced use (experiments).
-// On a sharded store it returns shard 0; use Shard to reach the others.
-func (db *DB) Dataset() *core.Dataset { return db.ds }
+// Dataset exposes shard 0's dataset for advanced use (experiments); use
+// Shard to reach the others.
+func (db *DB) Dataset() *core.Dataset { return db.Shard(0) }
 
-// Shard exposes shard i's dataset for advanced use. On an unsharded store
-// only shard 0 exists.
-func (db *DB) Shard(i int) *core.Dataset {
-	if db.shards != nil {
-		return db.shards.Partition(i).DS
-	}
-	if i != 0 {
-		panic(fmt.Sprintf("lsmstore: shard %d of an unsharded store", i))
-	}
-	return db.ds
-}
+// Shard exposes shard i's dataset for advanced use.
+func (db *DB) Shard(i int) *core.Dataset { return db.shards.Partition(i).DS }
 
-// Env exposes the metrics environment (virtual clock and counters). On a
-// sharded store it returns shard 0's environment; each shard has its own.
-func (db *DB) Env() *metrics.Env { return db.env }
+// Env exposes shard 0's metrics environment (virtual clock and counters);
+// each shard has its own.
+func (db *DB) Env() *metrics.Env { return db.shards.Partition(0).Env }
