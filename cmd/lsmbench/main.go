@@ -49,7 +49,7 @@ func main() {
 	list := flag.Bool("list", false, "list available figure IDs")
 	sweep := flag.String("shardsweep", "", "comma-separated shard counts: run the sharded ingest sweep instead of figures")
 	nrecs := flag.Int("n", 100_000, "records to ingest per -shardsweep run")
-	async := flag.Int("async", 0, "background maintenance workers for -shardsweep (0 = synchronous)")
+	async := flag.Int("async", 0, "maintenance workers for -shardsweep (0 = jobs run on the submitting writer)")
 	backendFlag := flag.String("backend", "sim", "storage backend for -shardsweep: sim | disk")
 	dir := flag.String("dir", "", "data directory for -backend=disk (default: a temp dir, removed on exit)")
 	flag.Parse()
@@ -118,7 +118,7 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 		muts[i] = lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: op.Tweet.PK(), Record: op.Tweet.Encode()}
 	}
 
-	mode := "synchronous maintenance"
+	mode := "maintenance on the writers"
 	if async > 0 {
 		mode = fmt.Sprintf("background maintenance, %d workers", async)
 	}

@@ -57,7 +57,7 @@ func run() error {
 	dir := flag.String("dir", "", "data directory for -backend=disk (default: a temp dir, removed on exit)")
 	strategy := flag.String("strategy", "validation", "eager | validation | mutable-bitmap | deleted-key")
 	shards := flag.Int("shards", 1, "hash partitions")
-	maintWorkers := flag.Int("maint-workers", 2, "background maintenance workers (0 = synchronous)")
+	maintWorkers := flag.Int("maint-workers", 2, "maintenance workers (0 = jobs run on the submitting writer)")
 	memBudget := flag.Int("memory-budget", 4<<20, "per-partition memory component budget in bytes")
 	cacheBytes := flag.Int64("cache", 64<<20, "buffer cache bytes (split across shards)")
 	readCache := flag.Int64("read-cache", 0, "hot-entry read cache bytes in front of the engine (0 = off)")

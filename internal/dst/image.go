@@ -1,7 +1,9 @@
 package dst
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,8 +24,16 @@ import (
 //     them. Cutting mid-record produces the torn tail the WAL decoder
 //     must stop at.
 //   - The LOCK file is skipped; a lock never survives its process.
+//   - Temp files of an atomic replace (*.tmp) are skipped, and so is any
+//     entry that vanishes while the walk runs — the store keeps working
+//     during the copy, and the rename that installs a manifest removes its
+//     temp file between the walk's readdir and its lstat. No surviving
+//     manifest ever references a temp file.
 func snapshotCrashImage(src, dst string, c *Control, r *rng) error {
 	return filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -36,10 +46,13 @@ func snapshotCrashImage(src, dst string, c *Control, r *rng) error {
 			return os.MkdirAll(target, 0o755)
 		}
 		base := filepath.Base(path)
-		if base == "LOCK" {
+		if base == "LOCK" || strings.HasSuffix(base, ".tmp") {
 			return nil
 		}
 		data, rerr := os.ReadFile(path)
+		if errors.Is(rerr, fs.ErrNotExist) {
+			return nil
+		}
 		if rerr != nil {
 			return rerr
 		}

@@ -275,7 +275,7 @@ func visibleWith(c *Component, ordinal int64, snaps map[*Component]*bitmap.Immut
 
 // Install finalizes a merge: replaces the input run with the new component.
 // The inputs are located by identity, so disk components appended by a
-// concurrent asynchronous flush do not disturb the install; a tree reset
+// concurrent flush do not disturb the install; a tree reset
 // since the merge began abandons it with ErrStaleInstall. The inputs'
 // Building pointers are deliberately left in place: a writer that
 // snapshotted the component list just before the install may still forward

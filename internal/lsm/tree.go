@@ -137,7 +137,7 @@ func (t *Tree) NumFrozen() int {
 // FrozenGet searches the frozen memory components newest-first for key,
 // returning the winning entry and the table holding it. It backs write
 // paths (Mutable-bitmap delete search) that must observe entries swapped
-// out by an in-flight asynchronous flush.
+// out by an in-flight flush.
 func (t *Tree) FrozenGet(key []byte) (kv.Entry, *memtable.Table, bool) {
 	t.mu.RLock()
 	frozen := t.flushing
@@ -255,7 +255,7 @@ func (t *Tree) getInternal(key []byte, only []*Component) (kv.Entry, *Component,
 // ResetMem discards the memory component and every frozen memory component
 // (crash simulation: the no-steal policy guarantees disk components never
 // hold uncommitted data, so losing memory state is exactly what a failure
-// does). It also bumps the install generation so in-flight asynchronous
+// does). It also bumps the install generation so in-flight
 // flush builds and merges abandon their installs instead of resurrecting
 // pre-crash memory state.
 func (t *Tree) ResetMem() {

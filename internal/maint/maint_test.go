@@ -71,6 +71,31 @@ func TestPoolDrainWaitsForInFlight(t *testing.T) {
 	}
 }
 
+// TestPoolRunOnCaller pins the zero-worker pool: a job has run by the time
+// Submit returns, nothing ever queues, and the merge gate is never
+// consulted (it would block the submitting writer).
+func TestPoolRunOnCaller(t *testing.T) {
+	p := NewPool(0)
+	p.SetGate(func() { t.Error("gate consulted by the run-on-caller pool") })
+	ran := 0
+	for _, kind := range []JobKind{JobFlush, JobMerge} {
+		if !p.SubmitKind(kind, func() { ran++ }) {
+			t.Fatal("submit refused on an open pool")
+		}
+	}
+	if ran != 2 {
+		t.Fatalf("%d of 2 jobs had run when Submit returned", ran)
+	}
+	if queued, active, workers := p.Stats(); queued+active+workers != 0 {
+		t.Fatalf("stats = %d, %d, %d; want all zero", queued, active, workers)
+	}
+	p.Drain()
+	p.Close()
+	if p.Submit(func() {}) {
+		t.Fatal("submit accepted on a closed pool")
+	}
+}
+
 func TestPoolCloseIdempotent(t *testing.T) {
 	p := NewPool(2)
 	p.Submit(func() {})

@@ -2,6 +2,7 @@ package lsmstore_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -45,70 +46,86 @@ func requireFired(t *testing.T, control *dst.Control, kind string) {
 	t.Fatalf("no %s fault fired; the script missed its target (fired: %v)", kind, control.Fired())
 }
 
-// TestFailedManifestInstall fails the manifest sync of every component
-// install: the flush must surface the error, the half-install (component
-// files exist, manifest does not reference them) must stay invisible, and
-// a reopen of the post-failure directory must serve exactly the same image
-// as a reopen from right before the flush.
+// TestFailedManifestInstall fails every write of one step of the flush
+// pipeline — a page append of the component build, or the manifest sync of
+// the install — at 0 and at 2 maintenance workers, which must agree: the
+// flush surfaces the error and it stays sticky, the half-install (component
+// files exist, manifest does not reference them) stays invisible, and a
+// reopen of the post-failure directory serves exactly the same image as a
+// reopen from right before the flush.
 func TestFailedManifestInstall(t *testing.T) {
-	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap, lsmstore.DeletedKey} {
-		t.Run(strategy.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			db, control := faultStore(t, dir, diskOptions(strategy, dir), dst.Script{
-				{Shard: 0, Op: dst.OpSaveManifest, Ord: -1, Fault: dst.Fault{Kind: dst.KindManifest}},
-			})
+	faults := []struct{ op, kind string }{
+		{dst.OpAppendPage, dst.KindPageAppend},
+		{dst.OpSaveManifest, dst.KindManifest},
+	}
+	strategies := []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap, lsmstore.DeletedKey}
+	for _, fault := range faults {
+		for _, workers := range []int{0, 2} {
+			for _, strategy := range strategies {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", fault.kind, workers, strategy), func(t *testing.T) {
+					dir := t.TempDir()
+					opts := diskOptions(strategy, dir)
+					opts.MaintenanceWorkers = workers
+					db, control := faultStore(t, dir, opts, dst.Script{
+						{Shard: 0, Op: fault.op, Ord: -1, Fault: dst.Fault{Kind: fault.kind}},
+					})
 
-			var ids []uint64
-			for id := uint64(1); id <= 40; id++ {
-				if err := db.Upsert(tweetPK(id), tweetRec(id, uint32(id%7), int64(id))); err != nil {
-					t.Fatalf("upsert %d: %v", id, err)
-				}
-				ids = append(ids, id)
-			}
+					var ids []uint64
+					for id := uint64(1); id <= 40; id++ {
+						if err := db.Upsert(tweetPK(id), tweetRec(id, uint32(id%7), int64(id))); err != nil {
+							t.Fatalf("upsert %d: %v", id, err)
+						}
+						ids = append(ids, id)
+					}
 
-			before := t.TempDir()
-			if err := snapshotStoreDir(dir, before); err != nil {
-				t.Fatal(err)
-			}
+					before := t.TempDir()
+					if err := snapshotStoreDir(dir, before); err != nil {
+						t.Fatal(err)
+					}
 
-			err := db.Flush()
-			if err == nil {
-				t.Fatal("flush succeeded although every manifest install fails")
-			}
-			if !strings.Contains(err.Error(), "manifest") {
-				t.Fatalf("flush error does not trace to the manifest fault: %v", err)
-			}
-			requireFired(t, control, dst.KindManifest)
+					err := db.Flush()
+					if err == nil {
+						t.Fatalf("flush succeeded although every %s fails", fault.op)
+					}
+					if !strings.Contains(err.Error(), fault.kind) {
+						t.Fatalf("flush error does not trace to the %s fault: %v", fault.kind, err)
+					}
+					requireFired(t, control, fault.kind)
+					if again := db.Flush(); again == nil || again.Error() != err.Error() {
+						t.Fatalf("maintenance error is not sticky: first %v, then %v", err, again)
+					}
 
-			after := t.TempDir()
-			if err := snapshotStoreDir(dir, after); err != nil {
-				t.Fatal(err)
-			}
-			control.Detach()
-			_ = db.Close()
+					after := t.TempDir()
+					if err := snapshotStoreDir(dir, after); err != nil {
+						t.Fatal(err)
+					}
+					control.Detach()
+					_ = db.Close()
 
-			validation := validationFor(strategy)
-			wantDB, err := lsmstore.Open(diskOptions(strategy, before))
-			if err != nil {
-				t.Fatalf("reopen pre-flush image: %v", err)
-			}
-			want := storeImage(t, wantDB, ids, validation)
-			if err := wantDB.Close(); err != nil {
-				t.Fatal(err)
-			}
+					validation := validationFor(strategy)
+					wantDB, err := lsmstore.Open(diskOptions(strategy, before))
+					if err != nil {
+						t.Fatalf("reopen pre-flush image: %v", err)
+					}
+					want := storeImage(t, wantDB, ids, validation)
+					if err := wantDB.Close(); err != nil {
+						t.Fatal(err)
+					}
 
-			gotDB, err := lsmstore.Open(diskOptions(strategy, after))
-			if err != nil {
-				t.Fatalf("reopen post-failure image: %v", err)
+					gotDB, err := lsmstore.Open(diskOptions(strategy, after))
+					if err != nil {
+						t.Fatalf("reopen post-failure image: %v", err)
+					}
+					got := storeImage(t, gotDB, ids, validation)
+					if err := gotDB.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("failed install leaked into the reopened image:\n got %s\nwant %s", got, want)
+					}
+				})
 			}
-			got := storeImage(t, gotDB, ids, validation)
-			if err := gotDB.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("failed install leaked into the reopened image:\n got %s\nwant %s", got, want)
-			}
-		})
+		}
 	}
 }
 

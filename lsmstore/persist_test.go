@@ -1,6 +1,7 @@
 package lsmstore_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,36 +105,46 @@ func TestFileBackendCrashRecovery(t *testing.T) {
 
 // TestFileBackendShardedReopen checks per-shard directories round-trip and
 // that a wrong shard count is refused instead of silently mis-routing.
+// Shards 0 and 1 are the same one-partition layout, so each reopens the
+// other's directory.
 func TestFileBackendShardedReopen(t *testing.T) {
-	dir := t.TempDir()
-	opts := diskOptions(lsmstore.Validation, dir)
-	opts.Shards = 4
-	db, err := lsmstore.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := mixedWorkload(t, db, 800, 31)
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := storeImage(t, db, ids, lsmstore.TimestampValidation)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct{ shards, reopenAs int }{{0, 1}, {1, 0}, {4, 4}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := diskOptions(lsmstore.Validation, dir)
+			opts.Shards = tc.shards
+			db, err := lsmstore.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := mixedWorkload(t, db, 800, 31)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want := storeImage(t, db, ids, lsmstore.TimestampValidation)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "shard-0000")); err != nil {
+				t.Fatalf("partition 0 does not live in shard-0000: %v", err)
+			}
 
-	wrong := opts
-	wrong.Shards = 2
-	if _, err := lsmstore.Open(wrong); err == nil {
-		t.Fatal("reopen with a different shard count was accepted")
-	}
+			wrong := opts
+			wrong.Shards = 2
+			if _, err := lsmstore.Open(wrong); err == nil {
+				t.Fatal("reopen with a different shard count was accepted")
+			}
 
-	re, err := lsmstore.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := storeImage(t, re, ids, lsmstore.TimestampValidation); got != want {
-		t.Fatalf("sharded reopen diverges:\n got %s\nwant %s", got, want)
+			opts.Shards = tc.reopenAs
+			re, err := lsmstore.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := storeImage(t, re, ids, lsmstore.TimestampValidation); got != want {
+				t.Fatalf("sharded reopen diverges:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 
@@ -434,10 +445,18 @@ func TestFileBackendRefusesDoubleOpen(t *testing.T) {
 	re.Close()
 }
 
-// TestFileBackendRequiresDir pins the error for a missing data directory.
+// TestFileBackendRequiresDir pins the errors for options the file backend
+// cannot honor: a missing data directory, and the two settings that would
+// silently lose durability or filter persistence.
 func TestFileBackendRequiresDir(t *testing.T) {
 	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend}); err == nil {
 		t.Fatal("FileBackend without Dir was accepted")
+	}
+	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend, Dir: t.TempDir(), DisableWAL: true}); err == nil {
+		t.Fatal("FileBackend without a WAL was accepted")
+	}
+	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend, Dir: t.TempDir(), BlockedBloom: true}); err == nil {
+		t.Fatal("FileBackend with BlockedBloom was accepted")
 	}
 }
 

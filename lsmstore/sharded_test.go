@@ -19,101 +19,109 @@ func shardedOptions(strategy lsmstore.Strategy, shards int) lsmstore.Options {
 	return opts
 }
 
-// TestShardedEquivalence drives identical workloads into an unsharded store
-// and a 4-shard store and demands the same visible contents from every read
-// path: point reads, secondary queries, and filter scans.
+// TestShardedEquivalence drives identical workloads into a one-shard store
+// and a store opened with Shards 0 (which means one) or 4 and demands the
+// same visible contents from every read path: point reads, secondary
+// queries, and filter scans.
 func TestShardedEquivalence(t *testing.T) {
 	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation} {
-		t.Run(fmt.Sprint(strategy), func(t *testing.T) {
-			validation := lsmstore.NoValidation
-			if strategy == lsmstore.Validation {
-				validation = lsmstore.TimestampValidation
-			}
-			single, err := lsmstore.Open(shardedOptions(strategy, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, err := lsmstore.Open(shardedOptions(strategy, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if single.NumShards() != 1 || sharded.NumShards() != 4 {
-				t.Fatalf("shard counts: %d, %d", single.NumShards(), sharded.NumShards())
-			}
-
-			rng := rand.New(rand.NewSource(11))
-			live := map[uint64]bool{}
-			for i := 0; i < 3000; i++ {
-				id := uint64(rng.Intn(400) + 1)
-				pk := tweetPK(id)
-				if rng.Intn(8) == 0 {
-					single.Delete(pk)
-					sharded.Delete(pk)
-					live[id] = false
-					continue
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", strategy, shards), func(t *testing.T) {
+				validation := lsmstore.NoValidation
+				if strategy == lsmstore.Validation {
+					validation = lsmstore.TimestampValidation
 				}
-				rec := tweetRec(id, uint32(rng.Intn(30)), int64(i+1))
-				if err := single.Upsert(pk, rec); err != nil {
+				single, err := lsmstore.Open(shardedOptions(strategy, 1))
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sharded.Upsert(pk, rec); err != nil {
+				sharded, err := lsmstore.Open(shardedOptions(strategy, shards))
+				if err != nil {
 					t.Fatal(err)
 				}
-				live[id] = true
-			}
-
-			for id, alive := range live {
-				a, foundA, errA := single.Get(tweetPK(id))
-				b, foundB, errB := sharded.Get(tweetPK(id))
-				if errA != nil || errB != nil {
-					t.Fatal(errA, errB)
+				wantShards := max(shards, 1)
+				if single.NumShards() != 1 || sharded.NumShards() != wantShards {
+					t.Fatalf("shard counts: %d, %d", single.NumShards(), sharded.NumShards())
 				}
-				if foundA != alive || foundB != alive {
-					t.Fatalf("key %d: single found=%v sharded found=%v want %v", id, foundA, foundB, alive)
+
+				rng := rand.New(rand.NewSource(11))
+				live := map[uint64]bool{}
+				for i := 0; i < 3000; i++ {
+					id := uint64(rng.Intn(400) + 1)
+					pk := tweetPK(id)
+					if rng.Intn(8) == 0 {
+						single.Delete(pk)
+						sharded.Delete(pk)
+						live[id] = false
+						continue
+					}
+					rec := tweetRec(id, uint32(rng.Intn(30)), int64(i+1))
+					if err := single.Upsert(pk, rec); err != nil {
+						t.Fatal(err)
+					}
+					if err := sharded.Upsert(pk, rec); err != nil {
+						t.Fatal(err)
+					}
+					live[id] = true
 				}
-				if !bytes.Equal(a, b) {
-					t.Fatalf("key %d: records differ", id)
+
+				for id, alive := range live {
+					a, foundA, errA := single.Get(tweetPK(id))
+					b, foundB, errB := sharded.Get(tweetPK(id))
+					if errA != nil || errB != nil {
+						t.Fatal(errA, errB)
+					}
+					if foundA != alive || foundB != alive {
+						t.Fatalf("key %d: single found=%v sharded found=%v want %v", id, foundA, foundB, alive)
+					}
+					if !bytes.Equal(a, b) {
+						t.Fatalf("key %d: records differ", id)
+					}
 				}
-			}
 
-			qa, err := single.SecondaryQuery("user", workload.UserKey(0), workload.UserKey(29),
-				lsmstore.QueryOptions{Validation: validation})
-			if err != nil {
-				t.Fatal(err)
-			}
-			qb, err := sharded.SecondaryQuery("user", workload.UserKey(0), workload.UserKey(29),
-				lsmstore.QueryOptions{Validation: validation})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := recordSet(qb.Records), recordSet(qa.Records); got != want {
-				t.Fatalf("secondary answers differ:\nsharded: %s\nsingle:  %s", got, want)
-			}
+				qa, err := single.SecondaryQuery("user", workload.UserKey(0), workload.UserKey(29),
+					lsmstore.QueryOptions{Validation: validation})
+				if err != nil {
+					t.Fatal(err)
+				}
+				qb, err := sharded.SecondaryQuery("user", workload.UserKey(0), workload.UserKey(29),
+					lsmstore.QueryOptions{Validation: validation})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := recordSet(qb.Records), recordSet(qa.Records); got != want {
+					t.Fatalf("secondary answers differ:\nsharded: %s\nsingle:  %s", got, want)
+				}
 
-			var sa, sb []string
-			single.FilterScan(0, 1<<62, func(pk, rec []byte) { sa = append(sa, fmt.Sprintf("%x=%x", pk, rec)) })
-			sharded.FilterScan(0, 1<<62, func(pk, rec []byte) { sb = append(sb, fmt.Sprintf("%x=%x", pk, rec)) })
-			sort.Strings(sa)
-			sort.Strings(sb)
-			if fmt.Sprint(sa) != fmt.Sprint(sb) {
-				t.Fatalf("filter scans differ: %d vs %d rows", len(sa), len(sb))
-			}
+				var sa, sb []string
+				single.FilterScan(0, 1<<62, func(pk, rec []byte) { sa = append(sa, fmt.Sprintf("%x=%x", pk, rec)) })
+				sharded.FilterScan(0, 1<<62, func(pk, rec []byte) { sb = append(sb, fmt.Sprintf("%x=%x", pk, rec)) })
+				sort.Strings(sa)
+				sort.Strings(sb)
+				if fmt.Sprint(sa) != fmt.Sprint(sb) {
+					t.Fatalf("filter scans differ: %d vs %d rows", len(sa), len(sb))
+				}
 
-			st := sharded.Stats()
-			if st.Shards != 4 || len(st.PerShard) != 4 {
-				t.Fatalf("sharded stats shape: shards=%d per=%d", st.Shards, len(st.PerShard))
-			}
-			var ingested int64
-			for _, s := range st.PerShard {
-				ingested += s.Ingested
-			}
-			if ingested != st.Ingested {
-				t.Fatalf("aggregate ingested %d != per-shard sum %d", st.Ingested, ingested)
-			}
-			if st.Ingested != single.Stats().Ingested {
-				t.Fatalf("ingested: sharded %d vs single %d", st.Ingested, single.Stats().Ingested)
-			}
-		})
+				st := sharded.Stats()
+				wantPer := wantShards
+				if wantShards == 1 {
+					wantPer = 0 // one shard's snapshot is the top level itself
+				}
+				if st.Shards != wantShards || len(st.PerShard) != wantPer {
+					t.Fatalf("stats shape: shards=%d per=%d", st.Shards, len(st.PerShard))
+				}
+				var ingested int64
+				for _, s := range st.PerShard {
+					ingested += s.Ingested
+				}
+				if wantPer > 0 && ingested != st.Ingested {
+					t.Fatalf("aggregate ingested %d != per-shard sum %d", st.Ingested, ingested)
+				}
+				if st.Ingested != single.Stats().Ingested {
+					t.Fatalf("ingested: sharded %d vs single %d", st.Ingested, single.Stats().Ingested)
+				}
+			})
+		}
 	}
 }
 
