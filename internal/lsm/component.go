@@ -82,8 +82,8 @@ type Component struct {
 	// Building points at the component currently being produced by a
 	// flush/merge that includes this component, so Mutable-bitmap writers
 	// can forward deletes (Figs 10 and 11). Managed by the dataset layer;
-	// atomic because builders publish it while writers, which hold no lock
-	// the Lock-method builder takes before its first scanned key, read it.
+	// atomic because a builder publishes it while writers, which share no
+	// lock with it at that point, read it.
 	Building atomic.Pointer[BuildTarget]
 }
 

@@ -189,13 +189,13 @@ func (r *Router) applyBatch(muts []Mutation, applied []bool) ([]bool, error) {
 // per-mutation results back to their original batch positions.
 func (r *Router) applyGroup(s int, p *Partition, group []Mutation, indexes [][]int, applied []bool) error {
 	if applied == nil {
-		return ApplyMutationsResults(p.DS, group, nil)
+		return applyMutations(p.DS, group, nil)
 	}
 	if len(r.parts) == 1 {
-		return ApplyMutationsResults(p.DS, group, applied)
+		return applyMutations(p.DS, group, applied)
 	}
 	got := make([]bool, len(group))
-	err := ApplyMutationsResults(p.DS, group, got)
+	err := applyMutations(p.DS, group, got)
 	// Shards write disjoint index sets, so the scatter is race-free.
 	for j, ok := range got {
 		applied[indexes[s][j]] = ok
@@ -203,7 +203,7 @@ func (r *Router) applyGroup(s int, p *Partition, group []Mutation, indexes [][]i
 	return err
 }
 
-// ApplyMutationsResults applies the mutations to one dataset sequentially,
+// applyMutations applies the mutations to one dataset sequentially,
 // in order (the per-shard half of ApplyBatch) and, when applied is non-nil (it must then be at least len(muts) long), records
 // whether each mutation took effect: upserts always do, duplicate inserts
 // and deletes of missing keys do not. It stops at the first error, leaving
@@ -220,7 +220,7 @@ func (r *Router) applyGroup(s int, p *Partition, group []Mutation, indexes [][]i
 // errored batch means "retry safely", never "certainly absent" (the same
 // contract the server's write coalescer documents for partial batch
 // errors).
-func ApplyMutationsResults(ds *core.Dataset, muts []Mutation, applied []bool) error {
+func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool) error {
 	b := ds.BeginCommitBatch()
 	var firstErr error
 	for i, m := range muts {

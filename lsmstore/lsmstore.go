@@ -382,12 +382,11 @@ func Open(opts Options) (*DB, error) {
 	pool := maint.NewPool(opts.MaintenanceWorkers)
 	pool.SetYield(opts.Yield)
 	journal := newMaintJournal(opts)
+	var r *shard.Router
 	parts, err := openPartitions(opts, pool, journal)
-	if err != nil {
-		pool.Close()
-		return nil, err
+	if err == nil {
+		r, err = shard.NewRouter(parts)
 	}
-	r, err := shard.NewRouter(parts)
 	if err != nil {
 		pool.Close()
 		return nil, err
