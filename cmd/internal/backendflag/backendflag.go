@@ -15,10 +15,15 @@ import (
 // For the disk backend with an empty dir it creates a temporary data
 // directory; cleanup removes it (and is a no-op otherwise) — call it on
 // every exit path. resolvedDir is the directory to pass as Options.Dir.
+// A dir with the sim backend is an error: serving a volatile store to a
+// caller who named a directory would lose their data silently.
 func Resolve(name, dir string) (backend lsmstore.Backend, resolvedDir string, cleanup func(), err error) {
 	nop := func() {}
 	switch strings.ToLower(name) {
 	case "sim":
+		if dir != "" {
+			return 0, "", nop, fmt.Errorf("-dir requires -backend=disk (the sim backend keeps nothing in %q)", dir)
+		}
 		return lsmstore.SimBackend, "", nop, nil
 	case "disk":
 		if dir != "" {

@@ -7,7 +7,6 @@
 //
 //	lsmingest -strategy validation -ops 50000 -update-ratio 0.5 -zipf
 //	lsmingest -strategy validation -backend=disk -dir /data/ingest
-//	lsmingest -addr 127.0.0.1:4150 -ops 50000 -net-batch 64
 //
 // With -backend=disk the store runs on real files under -dir (a temp
 // directory, removed on exit, when -dir is empty): batched appends, fsync
@@ -15,11 +14,8 @@
 // directory be reopened later. On that backend the simulated-time row
 // reflects CPU charges only; wall time is the honest hardware figure.
 //
-// With -addr the workload is driven over the network into a live
-// lsmserver via lsmclient instead of an embedded store: upserts travel in
-// -net-batch-sized ApplyBatch round trips, and the statistics come from
-// the server. The local store flags (-strategy, -backend, -dir, ...) are
-// ignored; the server picked those at startup.
+// The store is always embedded; to load a served store over the network,
+// use the benchmark in bench/ (README "Measuring").
 package main
 
 import (
@@ -31,7 +27,6 @@ import (
 
 	"repro/cmd/internal/backendflag"
 	"repro/internal/workload"
-	"repro/lsmclient"
 	"repro/lsmstore"
 )
 
@@ -53,14 +48,7 @@ func run() error {
 	seed := flag.Int64("seed", 42, "workload seed")
 	backend := flag.String("backend", "sim", "storage backend: sim | disk")
 	dir := flag.String("dir", "", "data directory for -backend=disk (default: a temp dir, removed on exit)")
-	addr := flag.String("addr", "", "drive a live lsmserver at this address instead of an embedded store")
-	netBatch := flag.Int("net-batch", 64, "upserts per ApplyBatch round trip with -addr")
-	netConns := flag.Int("net-conns", 2, "client pool connections with -addr")
 	flag.Parse()
-
-	if *addr != "" {
-		return runRemote(*addr, *netBatch, *netConns, *ops, *updateRatio, *zipf, *seed)
-	}
 
 	opts := lsmstore.Options{
 		FilterExtract: workload.CreationOf,
@@ -139,53 +127,4 @@ func run() error {
 	// backend a failed final sync must fail the run, so close explicitly
 	// (Close is idempotent).
 	return db.Close()
-}
-
-// runRemote drives the same workload into a live lsmserver over the wire,
-// batching upserts into ApplyBatch round trips.
-func runRemote(addr string, batch, conns, ops int, updateRatio float64, zipf bool, seed int64) error {
-	if batch < 1 || conns < 1 {
-		return fmt.Errorf("-net-batch and -net-conns must be >= 1")
-	}
-	client, err := lsmclient.DialOptions(lsmclient.Options{Addr: addr, Conns: conns})
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-	if err := client.Ping(); err != nil {
-		return fmt.Errorf("ping %s: %w", addr, err)
-	}
-	wcfg := workload.DefaultConfig(seed)
-	wcfg.UpdateRatio = updateRatio
-	wcfg.ZipfUpdates = zipf
-	gen := workload.NewGenerator(wcfg)
-	start := time.Now()
-	b := client.NewBatch()
-	for i := 0; i < ops; i++ {
-		op := gen.Next()
-		b.Upsert(op.Tweet.PK(), op.Tweet.Encode())
-		if b.Len() >= batch {
-			if _, err := b.Apply(); err != nil {
-				return err
-			}
-		}
-	}
-	if b.Len() > 0 {
-		if _, err := b.Apply(); err != nil {
-			return err
-		}
-	}
-	wall := time.Since(start)
-	st, err := client.Stats()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("server              %s\n", addr)
-	fmt.Printf("operations          %d sent (server total: %d ingested, %d ignored)\n", ops, st.Ingested, st.Ignored)
-	fmt.Printf("wall time           %s (%.0f ops/s over the wire, batch %d)\n",
-		wall.Round(time.Millisecond), float64(ops)/wall.Seconds(), batch)
-	fmt.Printf("primary components  %d\n", st.PrimaryComponents)
-	fmt.Printf("disk bytes written  %d\n", st.DiskBytesWritten)
-	fmt.Printf("server shards       %d\n", st.Shards)
-	return nil
 }

@@ -6,12 +6,9 @@
 //
 //	lsmquery -records 30000 -strategy validation -user-lo 100 -user-hi 200
 //	lsmquery -records 30000 -filter-lo 25000 -filter-hi 30000
-//	lsmquery -addr 127.0.0.1:4150 -records 30000 -user-lo 100 -user-hi 200
 //
-// With -addr the records load into — and the queries run against — a live
-// lsmserver via lsmclient, and per-query wall times replace the virtual
-// times (the server owns the store configuration, so -strategy only
-// selects the default validation method).
+// The store is always embedded and simulated; queries against a served
+// store are measured by the benchmark in bench/ (README "Measuring").
 package main
 
 import (
@@ -19,10 +16,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/workload"
-	"repro/lsmclient"
 	"repro/lsmstore"
 )
 
@@ -37,7 +32,6 @@ func main() {
 	filterLo := flag.Int64("filter-lo", -1, "filter scan: lowest creation time (-1 disables)")
 	filterHi := flag.Int64("filter-hi", -1, "filter scan: highest creation time")
 	seed := flag.Int64("seed", 42, "workload seed")
-	addr := flag.String("addr", "", "query a live lsmserver at this address instead of an embedded store")
 	flag.Parse()
 
 	opts := lsmstore.Options{
@@ -73,21 +67,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "lsmquery: unknown validation %q\n", *validation)
 		os.Exit(2)
-	}
-
-	if *addr != "" {
-		if strings.ToLower(*validation) == "auto" {
-			// The server owns the maintenance strategy (its default is
-			// Validation); timestamp validation is correct against every
-			// strategy, so it is the safe remote default.
-			method = lsmstore.TimestampValidation
-		}
-		if err := runRemote(*addr, *records, *updateRatio, *seed, method, *indexOnly,
-			uint32(*userLo), uint32(*userHi), *filterLo, *filterHi); err != nil {
-			fmt.Fprintln(os.Stderr, "lsmquery:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	db, err := lsmstore.Open(opts)
@@ -130,58 +109,4 @@ func main() {
 		fmt.Printf("filter scan [%d,%d]: %d records in %s (virtual)\n",
 			*filterLo, *filterHi, count, db.Env().Clock.Now()-before)
 	}
-}
-
-// runRemote loads the workload into a live lsmserver and runs the asked
-// queries over the wire, reporting wall-clock round-trip times.
-func runRemote(addr string, records int, updateRatio float64, seed int64,
-	method lsmstore.ValidationMethod, indexOnly bool,
-	userLo, userHi uint32, filterLo, filterHi int64) error {
-	client, err := lsmclient.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-	wcfg := workload.DefaultConfig(seed)
-	wcfg.UpdateRatio = updateRatio
-	gen := workload.NewGenerator(wcfg)
-	start := time.Now()
-	b := client.NewBatch()
-	for i := 0; i < records; i++ {
-		op := gen.Next()
-		b.Upsert(op.Tweet.PK(), op.Tweet.Encode())
-		if b.Len() >= 64 {
-			if _, err := b.Apply(); err != nil {
-				return err
-			}
-		}
-	}
-	if b.Len() > 0 {
-		if _, err := b.Apply(); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("loaded %d operations into %s in %s (wall)\n", records, addr, time.Since(start).Round(time.Millisecond))
-
-	if userHi > 0 {
-		before := time.Now()
-		res, err := client.SecondaryQuery("user", workload.UserKey(userLo), workload.UserKey(userHi),
-			lsmstore.QueryOptions{Validation: method, IndexOnly: indexOnly})
-		if err != nil {
-			return err
-		}
-		n := len(res.Records) + len(res.Keys)
-		fmt.Printf("secondary query user=[%d,%d] validation=%v index-only=%v: %d results in %s (wall)\n",
-			userLo, userHi, method, indexOnly, n, time.Since(before).Round(time.Microsecond))
-	}
-	if filterLo >= 0 {
-		before := time.Now()
-		recs, err := client.FilterScan(filterLo, filterHi, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("filter scan [%d,%d]: %d records in %s (wall)\n",
-			filterLo, filterHi, len(recs), time.Since(before).Round(time.Microsecond))
-	}
-	return nil
 }

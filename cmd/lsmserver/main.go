@@ -52,7 +52,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:4150", "TCP listen address for the wire protocol")
-	httpAddr := flag.String("http", "127.0.0.1:9650", "HTTP sidecar address for /healthz and /stats (empty disables)")
+	httpAddr := flag.String("http", "127.0.0.1:9650", "HTTP sidecar address for /healthz, /stats, /metrics and /debug/* (empty disables)")
 	backend := flag.String("backend", "sim", "storage backend: sim | disk")
 	dir := flag.String("dir", "", "data directory for -backend=disk (default: a temp dir, removed on exit)")
 	strategy := flag.String("strategy", "validation", "eager | validation | mutable-bitmap | deleted-key")

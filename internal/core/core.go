@@ -170,10 +170,6 @@ type Config struct {
 	// With run-on-caller maintenance the bound is reached only by writers
 	// racing the one that is building.
 	MaxFrozenMemtables int
-	// MaxUnmergedComponents soft-stalls writers while the primary index
-	// holds at least this many disk components and a merge is pending or
-	// running. 0 disables this threshold.
-	MaxUnmergedComponents int
 	// Yield, when non-nil, is the deterministic-simulation scheduling hook:
 	// it is invoked at the instrumented points in the WAL group-commit path
 	// (see wal.Log.SetYield) with a label naming the point. Nil (the

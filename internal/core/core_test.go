@@ -59,6 +59,17 @@ func newTestDataset(t testing.TB, mutate func(*Config)) *Dataset {
 	return d
 }
 
+func TestOpenRejectsBadConfigs(t *testing.T) {
+	env := metrics.NopEnv()
+	store := storage.NewStore(storage.NewDisk(storage.ScaledHDD(4096), env), 1<<20, env)
+	if _, err := Open(Config{Store: store, Strategy: MutableBitmap}); err == nil {
+		t.Fatal("mutable-bitmap without pk index must fail")
+	}
+	if _, err := Open(Config{Store: store, UsePKIndex: true, RepairBloomOpt: true}); err == nil {
+		t.Fatal("bf repair optimization without correlated merges must fail")
+	}
+}
+
 func pkOf(id uint64) []byte { return kv.EncodeUint64(id) }
 
 // seedRunningExample loads Figure 2's initial state: records 101 and 102 in

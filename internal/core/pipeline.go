@@ -156,35 +156,22 @@ func (d *Dataset) maybeFlush() error {
 }
 
 // stallForBackpressure blocks the writer while maintenance is too far
-// behind: too many frozen batches awaiting builds, or (when configured) too
-// many unmerged disk components while a merge is still pending. Stall
-// counts and wall-clock durations land in the metrics counters. It returns
-// the sticky maintenance error, which also breaks any stall.
+// behind: too many frozen batches awaiting builds. Stall counts and
+// wall-clock durations land in the metrics counters. It returns the sticky
+// maintenance error, which also breaks any stall.
 func (d *Dataset) stallForBackpressure() error {
 	m := d.maint
 	maxFrozen := d.cfg.MaxFrozenMemtables
 	if maxFrozen <= 0 {
 		maxFrozen = 4
 	}
-	maxComps := d.cfg.MaxUnmergedComponents
 	sl := d.env.Clock.Sleeper()
 	var start time.Duration
 	stalled := false
-	frozenStall := false // cause at the moment the stall began
 	m.mu.Lock()
-	for m.err == nil {
-		overFrozen := m.frozen >= maxFrozen
-		over := overFrozen
-		if !over && maxComps > 0 && (m.mergeWant || m.merging) &&
-			d.primary.NumDiskComponents() >= maxComps {
-			over = true
-		}
-		if !over {
-			break
-		}
+	for m.err == nil && m.frozen >= maxFrozen {
 		if !stalled {
 			stalled = true
-			frozenStall = overFrozen
 			start = sl.Monotonic()
 		}
 		m.cond.Wait()
@@ -193,11 +180,6 @@ func (d *Dataset) stallForBackpressure() error {
 	m.mu.Unlock()
 	if stalled {
 		d.env.Counters.WriteStalls.Add(1)
-		if frozenStall {
-			d.env.Counters.WriteStallsFrozen.Add(1)
-		} else {
-			d.env.Counters.WriteStallsComponents.Add(1)
-		}
 		d.env.Counters.WriteStallNanos.Add((sl.Monotonic() - start).Nanoseconds())
 		d.syncLanes()
 	}

@@ -109,11 +109,6 @@ type Counters struct {
 	WriteStalls     atomic.Int64 // writes stalled by maintenance backpressure
 	WriteStallNanos atomic.Int64 // total wall-clock time writes spent stalled
 
-	// Stall attribution: what the write path was waiting on when a stall
-	// began (frozen-memtable ceiling vs. on-disk component count).
-	WriteStallsFrozen     atomic.Int64
-	WriteStallsComponents atomic.Int64
-
 	// Group-commit durability path (file backend; zero on the simulated
 	// device, whose log appends carry no fsync).
 	WALFsyncs          atomic.Int64 // fsyncs issued against the WAL area
@@ -142,9 +137,6 @@ type Snapshot struct {
 	WriteStalls     int64
 	WriteStallNanos int64
 
-	WriteStallsFrozen     int64
-	WriteStallsComponents int64
-
 	WALFsyncs          int64
 	GroupCommitBatches int64
 	GroupCommitWaiters int64
@@ -170,9 +162,6 @@ func (c *Counters) Snapshot() Snapshot {
 		EntriesScanned:  c.EntriesScanned.Load(),
 		WriteStalls:     c.WriteStalls.Load(),
 		WriteStallNanos: c.WriteStallNanos.Load(),
-
-		WriteStallsFrozen:     c.WriteStallsFrozen.Load(),
-		WriteStallsComponents: c.WriteStallsComponents.Load(),
 
 		WALFsyncs:          c.WALFsyncs.Load(),
 		GroupCommitBatches: c.GroupCommitBatches.Load(),
@@ -201,9 +190,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		WriteStalls:     s.WriteStalls + o.WriteStalls,
 		WriteStallNanos: s.WriteStallNanos + o.WriteStallNanos,
 
-		WriteStallsFrozen:     s.WriteStallsFrozen + o.WriteStallsFrozen,
-		WriteStallsComponents: s.WriteStallsComponents + o.WriteStallsComponents,
-
 		WALFsyncs:          s.WALFsyncs + o.WALFsyncs,
 		GroupCommitBatches: s.GroupCommitBatches + o.GroupCommitBatches,
 		GroupCommitWaiters: s.GroupCommitWaiters + o.GroupCommitWaiters,
@@ -231,9 +217,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		WriteStalls:     s.WriteStalls - o.WriteStalls,
 		WriteStallNanos: s.WriteStallNanos - o.WriteStallNanos,
 
-		WriteStallsFrozen:     s.WriteStallsFrozen - o.WriteStallsFrozen,
-		WriteStallsComponents: s.WriteStallsComponents - o.WriteStallsComponents,
-
 		WALFsyncs:          s.WALFsyncs - o.WALFsyncs,
 		GroupCommitBatches: s.GroupCommitBatches - o.GroupCommitBatches,
 		GroupCommitWaiters: s.GroupCommitWaiters - o.GroupCommitWaiters,
@@ -259,8 +242,6 @@ func (c *Counters) Reset() {
 	c.EntriesScanned.Store(0)
 	c.WriteStalls.Store(0)
 	c.WriteStallNanos.Store(0)
-	c.WriteStallsFrozen.Store(0)
-	c.WriteStallsComponents.Store(0)
 	c.WALFsyncs.Store(0)
 	c.GroupCommitBatches.Store(0)
 	c.GroupCommitWaiters.Store(0)

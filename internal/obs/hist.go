@@ -213,7 +213,7 @@ func (s HistSnapshot) estMax() int64 {
 }
 
 // Summary condenses a snapshot into the percentile digest served by
-// /stats and printed by lsmload. Values are microseconds.
+// /stats. Values are microseconds.
 type Summary struct {
 	Count      int64 `json:"count"`
 	P50Micros  int64 `json:"p50_us"`

@@ -166,9 +166,6 @@ func TestAdmissionSurfacedOnStats(t *testing.T) {
 	if payload.Admission.Budget != 1 {
 		t.Fatalf("/stats Admission.Budget = %d, want 1", payload.Admission.Budget)
 	}
-	if payload.ShedLatencyHist == nil {
-		t.Fatal("/stats ShedLatencyHist is null with admission enabled")
-	}
 	if payload.Governor == nil {
 		t.Fatal("/stats Governor is null with a latency target set")
 	}

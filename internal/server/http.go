@@ -16,9 +16,8 @@ import (
 
 // StatsPayload is the GET /stats response body: the engine snapshot from
 // lsmstore.Stats, the network service's own counters, and — when
-// observability is on — the server-side latency histograms, both as
-// percentile summaries and as raw bucket snapshots (the raw form is what
-// lsmload diffs across a run to print interval percentiles).
+// observability is on — percentile digests of the server-side latency
+// histograms. The raw buckets are served once, by GET /metrics.
 type StatsPayload struct {
 	Engine lsmstore.Stats
 	Server metrics.ServerSnapshot
@@ -29,15 +28,9 @@ type StatsPayload struct {
 	// request stage (microseconds).
 	Latency map[string]obs.Summary `json:",omitempty"`
 	Stages  map[string]obs.Summary `json:",omitempty"`
-	// LatencyHist and StageHist are the same histograms with raw sparse
-	// buckets, supporting Add/Sub deltas client-side.
-	LatencyHist map[string]obs.HistSnapshot `json:",omitempty"`
-	StageHist   map[string]obs.HistSnapshot `json:",omitempty"`
 	// Admission is the admission controller's counters and per-tenant
-	// accounting; ShedLatencyHist is the shed fail-fast latency. Present
-	// only when admission control is enabled.
-	Admission       *admission.Snapshot `json:",omitempty"`
-	ShedLatencyHist *obs.HistSnapshot   `json:",omitempty"`
+	// accounting. Present only when admission control is enabled.
+	Admission *admission.Snapshot `json:",omitempty"`
 	// Governor is the maintenance governor's state. GovernorLastError is
 	// the sticky record of a governor panic — a dead governor must be
 	// diagnosable from /stats, like SidecarLastError.
@@ -53,16 +46,12 @@ func (s *Server) statsPayload() StatsPayload {
 		SidecarLastError: s.http.lastError(),
 	}
 	if s.obs != nil {
-		p.LatencyHist = s.obs.OpSnapshots()
-		p.StageHist = s.obs.StageSnapshots()
-		p.Latency = obs.Summaries(p.LatencyHist)
-		p.Stages = obs.Summaries(p.StageHist)
+		p.Latency = obs.Summaries(s.obs.OpSnapshots())
+		p.Stages = obs.Summaries(s.obs.StageSnapshots())
 	}
 	if s.adm != nil {
 		snap := s.adm.Snapshot()
 		p.Admission = &snap
-		shed := s.adm.ShedHist()
-		p.ShedLatencyHist = &shed
 	}
 	if s.gov != nil {
 		gsnap := s.gov.Snapshot()

@@ -41,8 +41,6 @@ func (s *Server) promExposition() []byte {
 	w.Counter("lsm_engine_entries_scanned_total", "Entries pulled through iterators.", c.EntriesScanned)
 	w.Counter("lsm_engine_write_stalls_total", "Writes stalled by maintenance backpressure.", c.WriteStalls)
 	w.Counter("lsm_engine_write_stall_seconds_total", "Total time writes spent stalled.", c.WriteStallNanos/1e9)
-	w.Counter("lsm_engine_write_stalls_frozen_total", "Stalls attributed to the frozen-memtable ceiling.", c.WriteStallsFrozen)
-	w.Counter("lsm_engine_write_stalls_components_total", "Stalls attributed to the on-disk component count.", c.WriteStallsComponents)
 	w.Counter("lsm_engine_wal_fsyncs_total", "Fsyncs issued against the WAL area.", c.WALFsyncs)
 	w.Counter("lsm_engine_group_commit_batches_total", "Commit groups closed by one covering fsync.", c.GroupCommitBatches)
 	w.Counter("lsm_engine_group_commit_waiters_total", "Committed writes covered by commit groups.", c.GroupCommitWaiters)

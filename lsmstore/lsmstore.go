@@ -176,7 +176,11 @@ type SecondaryIndex struct {
 }
 
 // Options configures a DB. The zero value gives an Eager-strategy store on
-// a simulated HDD with a 64 MB buffer cache and a 4 MB memory budget.
+// a simulated HDD with a 64 MB buffer cache, a 4 MB memory budget, tiering
+// merges and a primary key index. The paper's ablations (no primary key
+// index, correlated merges, the Bloom-filter repair optimization, blocked
+// Bloom filters, no merges) are core.Config settings that
+// internal/experiments sets directly; they are not options of a DB.
 type Options struct {
 	// Strategy is the maintenance strategy for secondary indexes and
 	// filters.
@@ -206,22 +210,8 @@ type Options struct {
 	CacheBytes int64
 	// MemoryBudget is the shared memory-component budget (default 4 MB).
 	MemoryBudget int
-	// DisablePKIndex drops the primary key index (Figure 13's ablation);
-	// uniqueness checks then use the primary index.
-	DisablePKIndex bool
-	// MaxMergeableBytes caps mergeable component size for the tiering
-	// merge policy (1 GB in the paper; 0 = uncapped). Set
-	// DisableMerges to turn merging off entirely.
-	MaxMergeableBytes int64
-	DisableMerges     bool
-	// CorrelatedMerges synchronizes merges across all indexes.
-	CorrelatedMerges bool
 	// MergeRepair repairs secondary indexes during merges (Validation).
 	MergeRepair bool
-	// RepairBloomOpt enables the Bloom-filter repair optimization.
-	RepairBloomOpt bool
-	// BlockedBloom uses cache-friendly blocked Bloom filters.
-	BlockedBloom bool
 	// DisableWAL turns off write-ahead logging.
 	DisableWAL bool
 	// GroupCommit selects commit-fsync coalescing on the file backend
@@ -260,17 +250,6 @@ type Options struct {
 	// installs nothing, every later write returns the error, and Crash +
 	// Recover (or a reopen) clears it.
 	MaintenanceWorkers int
-	// MaxFrozenMemtables bounds the frozen flush batches per shard awaiting
-	// builds before writers soft-stall (backpressure; stall counts and
-	// durations appear in Stats.Counters). 0 means the default of 4. At
-	// MaintenanceWorkers 0 writers are drained only for the freeze, not
-	// for the build one of them runs, so this bounds how far the others
-	// may run ahead of it.
-	MaxFrozenMemtables int
-	// MaxUnmergedComponents soft-stalls writers while a shard's primary
-	// index holds at least this many disk components and a merge is still
-	// pending. 0 disables the threshold.
-	MaxUnmergedComponents int
 	// MaintJournalEvents bounds the flush/merge events retained by the
 	// maintenance journal (see DB.MaintJournal): every flush and merge on
 	// every shard records a start/end event with its duration, bytes
@@ -368,12 +347,6 @@ func Open(opts Options) (*DB, error) {
 			// are recovered from the on-disk WAL. Without one, acknowledged
 			// writes would silently vanish across a reopen.
 			return nil, errors.New("lsmstore: FileBackend requires the write-ahead log (unset DisableWAL)")
-		}
-		if opts.BlockedBloom {
-			// Only the split-block filter persists; a Blocked store would
-			// rebuild every filter by scan at each reopen, for a cost-model
-			// ablation that means nothing where the virtual clock is idle.
-			return nil, errors.New("lsmstore: FileBackend does not support BlockedBloom (a simulated-backend ablation)")
 		}
 		if err := checkLayout(opts); err != nil {
 			return nil, err
@@ -538,27 +511,21 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 	store := storage.NewStore(dev, resolveCacheBytes(opts), env)
 
 	cfg := core.Config{
-		Store:                 store,
-		Strategy:              opts.Strategy,
-		CC:                    opts.CC,
-		FilterExtract:         opts.FilterExtract,
-		MemoryBudget:          opts.MemoryBudget,
-		UsePKIndex:            !opts.DisablePKIndex,
-		CorrelatedMerges:      opts.CorrelatedMerges,
-		MergeRepair:           opts.MergeRepair,
-		RepairBloomOpt:        opts.RepairBloomOpt,
-		BloomFPR:              0.01,
-		Bloom:                 bloomKind(opts),
-		DisableWAL:            opts.DisableWAL,
-		Seed:                  opts.Seed,
-		Maintenance:           pool,
-		MaxFrozenMemtables:    opts.MaxFrozenMemtables,
-		MaxUnmergedComponents: opts.MaxUnmergedComponents,
-		Yield:                 opts.Yield,
-		Journal:               obs.ShardJournal{J: journal, Shard: idx},
-	}
-	if !opts.DisableMerges {
-		cfg.Policy = lsm.NewTiering(opts.MaxMergeableBytes)
+		Store:         store,
+		Strategy:      opts.Strategy,
+		CC:            opts.CC,
+		FilterExtract: opts.FilterExtract,
+		MemoryBudget:  opts.MemoryBudget,
+		UsePKIndex:    true,
+		MergeRepair:   opts.MergeRepair,
+		BloomFPR:      0.01,
+		Bloom:         bloomKind(opts.Backend),
+		Policy:        lsm.NewTiering(0),
+		DisableWAL:    opts.DisableWAL,
+		Seed:          opts.Seed,
+		Maintenance:   pool,
+		Yield:         opts.Yield,
+		Journal:       obs.ShardJournal{J: journal, Shard: idx},
 	}
 	if groupCommit != nil {
 		// Assigned only when non-nil: a typed nil pointer inside the
@@ -579,13 +546,10 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 // bloomKind picks the filter variant. The runtime read path on real files
 // gets the split-block filter: single-cache-line probes and a marshaled form
 // the manifest persists, so reopen skips the rebuild-by-scan. The simulated
-// backend keeps the paper's Standard/Blocked cost-model variants.
-func bloomKind(opts Options) bloom.Kind {
-	switch {
-	case opts.Backend == FileBackend:
+// backend keeps the paper's Standard cost-model variant.
+func bloomKind(b Backend) bloom.Kind {
+	if b == FileBackend {
 		return bloom.KindV2
-	case opts.BlockedBloom:
-		return bloom.KindBlocked
 	}
 	return bloom.KindStandard
 }

@@ -11,20 +11,6 @@ import (
 	"repro/lsmstore"
 )
 
-func TestOpenRejectsBadConfigs(t *testing.T) {
-	_, err := lsmstore.Open(lsmstore.Options{
-		Strategy:       lsmstore.MutableBitmap,
-		DisablePKIndex: true,
-	})
-	if err == nil {
-		t.Fatal("mutable-bitmap without pk index must fail")
-	}
-	_, err = lsmstore.Open(lsmstore.Options{RepairBloomOpt: true})
-	if err == nil {
-		t.Fatal("bf repair optimization without correlated merges must fail")
-	}
-}
-
 func TestCRUDRoundTrip(t *testing.T) {
 	db, err := lsmstore.Open(tinyOptions(lsmstore.Eager))
 	if err != nil {

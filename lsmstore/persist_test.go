@@ -446,17 +446,14 @@ func TestFileBackendRefusesDoubleOpen(t *testing.T) {
 }
 
 // TestFileBackendRequiresDir pins the errors for options the file backend
-// cannot honor: a missing data directory, and the two settings that would
-// silently lose durability or filter persistence.
+// cannot honor: a missing data directory, and a disabled WAL, which would
+// silently lose durability.
 func TestFileBackendRequiresDir(t *testing.T) {
 	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend}); err == nil {
 		t.Fatal("FileBackend without Dir was accepted")
 	}
 	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend, Dir: t.TempDir(), DisableWAL: true}); err == nil {
 		t.Fatal("FileBackend without a WAL was accepted")
-	}
-	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend, Dir: t.TempDir(), BlockedBloom: true}); err == nil {
-		t.Fatal("FileBackend with BlockedBloom was accepted")
 	}
 }
 

@@ -171,9 +171,9 @@ func TestReadCacheEquivalence(t *testing.T) {
 // on the disk backend with the working set pushed into disk components, a
 // hot-key read mix with the cache on must beat the cache-off baseline by
 // at least 1.5x — the ISSUE's target for this optimization. Skipped
-// unless LSMSTORE_BENCH_SMOKE=1. (The lsmload read-heavy A/B measures the
-// same effect over TCP, where loopback RTT dilutes it; this gate measures
-// the store itself, which is what the cache optimizes.)
+// unless LSMSTORE_BENCH_SMOKE=1. (The gate measures the store itself,
+// which is what the cache optimizes; over TCP loopback RTT dilutes the
+// same effect.)
 func TestReadCacheSpeedupSmoke(t *testing.T) {
 	if os.Getenv("LSMSTORE_BENCH_SMOKE") == "" {
 		t.Skip("set LSMSTORE_BENCH_SMOKE=1 to run the read-cache speed gate")
