@@ -4,7 +4,7 @@
 //
 // The public API lives in package lsmstore; the engine internals live under
 // internal/ (see README.md for the map). Beyond the paper, the store runs
-// in hash-sharded mode (lsmstore.Options.Shards, internal/shard): N
+// in hash-sharded mode (lsmstore.Options.Shards, lsmstore/router.go): N
 // independent dataset partitions ingest batches concurrently via
 // ApplyBatch while queries fan out and merge, scaling the paper's single-
 // partition engine toward production traffic. Background maintenance

@@ -1,7 +1,9 @@
 // Package kv defines the entry model shared by every index in the storage
 // engine: a key/value pair stamped with an ingestion timestamp and an
 // anti-matter flag, plus the canonical byte encodings used inside B+-tree
-// pages and write-ahead-log records.
+// pages and write-ahead-log records. It also holds the one definition of
+// the caller-facing Record and Mutation, which lsmstore and internal/wire
+// alias.
 package kv
 
 import (
@@ -19,6 +21,35 @@ type Entry struct {
 	Value []byte
 	TS    int64
 	Anti  bool
+}
+
+// Record is one (primary key, record) pair of a query or scan answer, in
+// the shape callers see it: the engine's router, the wire protocol and the
+// client all pass this one type.
+type Record struct {
+	PK    []byte
+	Value []byte
+}
+
+// Op is a batched mutation's operation. The values are the wire encoding.
+type Op uint8
+
+// Batched operations.
+const (
+	// OpUpsert inserts or replaces the record under PK.
+	OpUpsert Op = iota
+	// OpInsert adds the record only when PK is absent (a duplicate is
+	// counted as ignored).
+	OpInsert
+	// OpDelete removes the record under PK (a missing key is ignored).
+	OpDelete
+)
+
+// Mutation is one write in a batch, embedded or over the wire.
+type Mutation struct {
+	Op     Op
+	PK     []byte
+	Record []byte // unused by OpDelete
 }
 
 // Compare orders keys with bytes.Compare semantics.

@@ -17,10 +17,10 @@
 // tell it. Correctness is the writers' obligation and rests on three rules:
 //
 //  1. Writers invalidate, they never fill. Every mutation path —
-//     lsmstore.DB.Insert/Upsert/Delete, the unsharded ApplyBatch helpers,
-//     and the shard.Router fan-out workers (Router.SetInvalidator) —
-//     calls Invalidate(pk) for each mutated key after the engine applied
-//     the mutation and before the write is acknowledged to the caller.
+//     lsmstore.DB.Insert/Upsert/Delete, and ApplyBatch once every shard's
+//     group has applied — calls Invalidate(pk) for each mutated key after
+//     the engine applied the mutation and before the write is
+//     acknowledged to the caller.
 //     A reader that observes the ack therefore can never hit a cache
 //     entry predating the write. Uncertain outcomes (a failed covering
 //     group-commit fsync zeroes the applied results) still invalidate:

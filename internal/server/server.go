@@ -638,15 +638,6 @@ func (s *Server) handle(req wire.Request, tr *trace) wire.Response {
 	case wire.OpPing:
 		return wire.Response{ID: req.ID, Kind: wire.KindOK}
 
-	case wire.OpGet:
-		// Normally intercepted by readLoop's zero-copy fast path; kept for
-		// completeness, sharing its engine path.
-		val, found, err := s.db.GetRef(req.Key)
-		if err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindValue, Found: found, Value: val}
-
 	case wire.OpUpsert:
 		if _, err := s.write(lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: bytes.Clone(req.Key), Record: bytes.Clone(req.Value)}, tr); err != nil {
 			return s.errorResponse(req.ID, err)
@@ -668,64 +659,42 @@ func (s *Server) handle(req wire.Request, tr *trace) wire.Response {
 		return wire.Response{ID: req.ID, Kind: wire.KindApplied, Applied: applied}
 
 	case wire.OpApplyBatch:
-		muts := make([]lsmstore.Mutation, len(req.Muts))
-		for i, m := range req.Muts {
-			var op lsmstore.Op
-			switch m.Op {
-			case wire.MutUpsert:
-				op = lsmstore.OpUpsert
-			case wire.MutInsert:
-				op = lsmstore.OpInsert
-			case wire.MutDelete:
-				op = lsmstore.OpDelete
-			default:
-				return wire.ErrorResponse(req.ID, wire.CodeBadRequest,
-					fmt.Sprintf("unknown mutation op %d", m.Op))
-			}
-			muts[i] = lsmstore.Mutation{Op: op, PK: bytes.Clone(m.PK), Record: bytes.Clone(m.Record)}
+		// The decoder already refused out-of-range ops. Clone in place:
+		// the decoded slice is this request's own, its bytes are not.
+		for i := range req.Muts {
+			m := &req.Muts[i]
+			m.PK, m.Record = bytes.Clone(m.PK), bytes.Clone(m.Record)
 		}
-		applied, err := s.db.ApplyBatchResults(muts)
+		applied, err := s.db.ApplyBatchResults(req.Muts)
 		if err != nil {
 			return s.errorResponse(req.ID, err)
 		}
 		return wire.Response{ID: req.ID, Kind: wire.KindBatch, AppliedBatch: applied}
 
 	case wire.OpSecondaryQuery:
-		validation := lsmstore.ValidationMethod(req.Validation)
-		if !validation.Valid() {
-			return wire.ErrorResponse(req.ID, wire.CodeBadRequest,
-				fmt.Sprintf("validation method %d out of range", req.Validation))
-		}
 		if req.Limit < 0 {
 			return wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit")
 		}
 		res, err := s.db.SecondaryQuery(req.Index, req.Lo, req.Hi, lsmstore.QueryOptions{
-			Validation: validation,
+			Validation: lsmstore.ValidationMethod(req.Validation), // range-checked by the store
 			IndexOnly:  req.IndexOnly,
 			Limit:      int(req.Limit),
 		})
 		if err != nil {
 			return s.errorResponse(req.ID, err)
 		}
-		resp := wire.Response{ID: req.ID, Kind: wire.KindQuery, Keys: res.Keys}
-		for _, r := range res.Records {
-			resp.Records = append(resp.Records, wire.Record{PK: r.PK, Value: r.Value})
-		}
-		return resp
+		return wire.Response{ID: req.ID, Kind: wire.KindQuery, Records: res.Records, Keys: res.Keys}
 
 	case wire.OpFilterScan:
 		if req.Limit < 0 {
 			return wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit")
 		}
-		var records []wire.Record
+		var records []lsmstore.Record
 		err := s.db.FilterScan(req.FilterLo, req.FilterHi, func(pk, record []byte) {
 			if req.Limit > 0 && int64(len(records)) >= req.Limit {
 				return
 			}
-			records = append(records, wire.Record{
-				PK:    append([]byte(nil), pk...),
-				Value: append([]byte(nil), record...),
-			})
+			records = append(records, lsmstore.Record{PK: bytes.Clone(pk), Value: bytes.Clone(record)})
 		})
 		if err != nil {
 			return s.errorResponse(req.ID, err)
@@ -855,6 +824,8 @@ func (s *Server) errorResponse(id uint64, err error) wire.Response {
 		code = wire.CodeClosed
 	case errors.Is(err, lsmstore.ErrUnknownIndex):
 		code = wire.CodeUnknownIndex
+	case errors.Is(err, lsmstore.ErrBadQuery):
+		code = wire.CodeBadRequest
 	}
 	return wire.ErrorResponse(id, code, err.Error())
 }

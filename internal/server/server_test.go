@@ -615,3 +615,76 @@ func TestServerRejectsBadConfig(t *testing.T) {
 		t.Fatal("empty addr accepted")
 	}
 }
+
+// TestServedBatchSurvivesBufferReuse is the clone-before-retain guard: a
+// request is decoded in place over a pooled receive buffer, and the write-
+// ahead log's memory image keeps each write's key and record until a flush
+// covers it — Recover (and Close's log compaction) read them back.
+// Same-sized batches on one connection recycle that buffer over and over;
+// after a crash every acknowledged write must still replay byte-identical.
+// Today both the server (handle) and the engine (core's logOp) copy, so
+// either copy alone keeps this green; it fails when no layer copies.
+func TestServedBatchSurvivesBufferReuse(t *testing.T) {
+	opts := storeOptions()
+	opts.MemoryBudget = 8 << 20 // nothing flushes: recovery replays every write from the log
+	srv, db := startServer(t, opts, nil)
+	c := dial(t, srv, 1)
+
+	const batches, perBatch = 64, 16
+	want := make(map[string][]byte, batches*perBatch)
+	for b := uint64(0); b < batches; b++ {
+		muts := make([]lsmstore.Mutation, perBatch)
+		for i := range muts {
+			pk, rec := tweet(b*perBatch + uint64(i))
+			muts[i] = lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: pk, Record: rec}
+			want[string(pk)] = rec
+		}
+		if _, err := c.ApplyBatch(muts); err != nil {
+			t.Fatal(err)
+		}
+		// A single write between batches goes through the same pool.
+		pk, rec := tweet(1<<32 + b)
+		if err := c.Upsert(pk, rec); err != nil {
+			t.Fatal(err)
+		}
+		want[string(pk)] = rec
+	}
+	if st := db.Stats(); st.PrimaryComponents != 0 {
+		t.Fatalf("%d components flushed; the test must replay the log", st.PrimaryComponents)
+	}
+	db.Crash()
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for pk, rec := range want {
+		got, found, err := c.Get([]byte(pk))
+		if err != nil || !found || string(got) != string(rec) {
+			t.Fatalf("key %x: found=%v err=%v\n got %x\nwant %x", pk, found, err, got, rec)
+		}
+	}
+}
+
+// TestBadQueryIsBadRequest checks that query options the store rejects
+// cross the wire as CodeBadRequest — a ServerError the client never
+// retries — and leave the connection usable.
+func TestBadQueryIsBadRequest(t *testing.T) {
+	srv, _ := startServer(t, storeOptions(), nil)
+	c := dial(t, srv, 1)
+	for _, q := range []struct {
+		index string
+		opts  lsmstore.QueryOptions
+	}{
+		{"user", lsmstore.QueryOptions{Validation: lsmstore.DirectValidation, IndexOnly: true}},
+		{"user", lsmstore.QueryOptions{Validation: lsmstore.ValidationMethod(9)}},
+		{"nope", lsmstore.QueryOptions{Validation: lsmstore.ValidationMethod(200)}}, // options are judged before the index is looked up
+	} {
+		_, err := c.SecondaryQuery(q.index, workload.UserKey(0), workload.UserKey(31), q.opts)
+		var se *lsmclient.ServerError
+		if !errors.As(err, &se) || se.Code != "bad-request" {
+			t.Fatalf("%s %+v: err = %v, want a bad-request ServerError", q.index, q.opts, err)
+		}
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection unusable after a rejected query: %v", err)
+	}
+}

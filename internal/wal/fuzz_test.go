@@ -98,7 +98,7 @@ func TestCompactImage(t *testing.T) {
 	l.Commit(2)
 	app(3, 20, RecUpsert, "uncommitted") // crash before commit: dead
 	app(4, 25, RecDelete, "aborted")
-	l.Abort(4)
+	l.Append(Record{TxnID: 4, Type: RecAbort})
 
 	img := l.CompactImage(10)
 	kept, err := Unmarshal(img)
@@ -107,17 +107,18 @@ func TestCompactImage(t *testing.T) {
 	}
 	var keys []string
 	types := map[RecordType]int{}
-	for _, r := range kept.TxnRecords(2) {
-		keys = append(keys, string(r.Key))
-	}
 	if err := kept.Replay(0, func(r Record) error {
+		if r.TxnID != 2 {
+			t.Errorf("replayed a record of txn %d; only txn 2 is live", r.TxnID)
+		}
+		keys = append(keys, string(r.Key))
 		types[r.Type]++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(keys) != 1 || keys[0] != "live" {
-		t.Fatalf("txn 2 records = %q, want [live]", keys)
+		t.Fatalf("replayed records = %q, want [live]", keys)
 	}
 	if kept.Len() != 2 { // the live data record + its commit
 		t.Fatalf("compacted image holds %d records, want 2", kept.Len())

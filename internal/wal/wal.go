@@ -27,7 +27,6 @@
 package wal
 
 import (
-	"errors"
 	"sync"
 
 	"repro/internal/metrics"
@@ -107,8 +106,6 @@ type Log struct {
 	mu      sync.Mutex
 	records []Record
 	nextLSN int64
-	// checkpointLSN is the LSN below which bitmap state is known flushed.
-	checkpointLSN int64
 	// sinkErr is the first sink failure; once set the log is considered
 	// wedged for durability purposes and the next logged write surfaces it.
 	sinkErr error
@@ -439,27 +436,6 @@ func (l *Log) WaitBatch(b *Batch) error {
 	return nil
 }
 
-// Abort appends an abort record for txn.
-func (l *Log) Abort(txnID int64) int64 {
-	return l.Append(Record{TxnID: txnID, Type: RecAbort})
-}
-
-// Checkpoint advances the checkpoint LSN (dirty bitmap pages flushed).
-func (l *Log) Checkpoint(lsn int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if lsn > l.checkpointLSN {
-		l.checkpointLSN = lsn
-	}
-}
-
-// CheckpointLSN returns the current checkpoint LSN.
-func (l *Log) CheckpointLSN() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.checkpointLSN
-}
-
 // MaxLSN returns the LSN of the last appended record (0 when empty).
 func (l *Log) MaxLSN() int64 {
 	l.mu.Lock()
@@ -473,22 +449,6 @@ func (l *Log) Len() int {
 	defer l.mu.Unlock()
 	return len(l.records)
 }
-
-// TxnRecords returns the data records of txn in append order, for rollback.
-func (l *Log) TxnRecords(txnID int64) []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Record
-	for _, r := range l.records {
-		if r.TxnID == txnID && r.Type != RecCommit && r.Type != RecAbort {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ErrNoRecords reports recovery over an empty log range.
-var ErrNoRecords = errors.New("wal: no records")
 
 // Replay invokes apply for every data record of a committed transaction
 // with LSN greater than fromLSN, in log order. Records of uncommitted or

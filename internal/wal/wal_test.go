@@ -23,7 +23,7 @@ func TestReplayOnlyCommitted(t *testing.T) {
 	l.Append(Record{TxnID: 1, Type: RecInsert, Key: []byte("committed")})
 	l.Commit(1)
 	l.Append(Record{TxnID: 2, Type: RecInsert, Key: []byte("aborted")})
-	l.Abort(2)
+	l.Append(Record{TxnID: 2, Type: RecAbort})
 	l.Append(Record{TxnID: 3, Type: RecInsert, Key: []byte("in-flight")})
 
 	var replayed []string
@@ -53,29 +53,6 @@ func TestReplayFromLSN(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("replayed %d records past LSN 5, want 2", n)
-	}
-}
-
-func TestTxnRecordsForRollback(t *testing.T) {
-	l := New(metrics.NopEnv())
-	l.Append(Record{TxnID: 7, Type: RecUpsert, Key: []byte("a"), UpdateBit: true})
-	l.Append(Record{TxnID: 8, Type: RecDelete, Key: []byte("b")})
-	l.Append(Record{TxnID: 7, Type: RecDelete, Key: []byte("c")})
-	recs := l.TxnRecords(7)
-	if len(recs) != 2 || string(recs[0].Key) != "a" || string(recs[1].Key) != "c" {
-		t.Fatalf("TxnRecords = %+v", recs)
-	}
-	if !recs[0].UpdateBit {
-		t.Fatal("update bit lost")
-	}
-}
-
-func TestCheckpointMonotone(t *testing.T) {
-	l := New(metrics.NopEnv())
-	l.Checkpoint(10)
-	l.Checkpoint(5) // must not regress
-	if l.CheckpointLSN() != 10 {
-		t.Fatalf("CheckpointLSN = %d", l.CheckpointLSN())
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/kv"
 )
 
 // MaxFrame is the default cap on a frame payload, shared by server and
@@ -169,30 +171,22 @@ func (c ErrCode) String() string {
 	return fmt.Sprintf("code(%d)", uint16(c))
 }
 
-// MutOp is a batched mutation's operation, mirroring the engine's batch
-// ops (shard.OpUpsert and friends) without importing them.
-type MutOp uint8
+// MutOp, Mutation and Record are the engine's own types (internal/kv): a
+// decoded batch and a query answer pass between wire, server, store and
+// client without conversion. MutOp's values are the wire encoding.
+type (
+	MutOp    = kv.Op
+	Mutation = kv.Mutation
+	Record   = kv.Record
+)
 
 // Batched operations.
 const (
-	MutUpsert MutOp = iota
-	MutInsert
-	MutDelete
-	mutMax // sentinel: first invalid mutation op
+	MutUpsert = kv.OpUpsert
+	MutInsert = kv.OpInsert
+	MutDelete = kv.OpDelete
+	mutMax    = MutDelete + 1 // sentinel: first invalid mutation op
 )
-
-// Mutation is one write inside an ApplyBatch request.
-type Mutation struct {
-	Op     MutOp
-	PK     []byte
-	Record []byte // unused by MutDelete
-}
-
-// Record is one (primary key, record) pair in a query or scan response.
-type Record struct {
-	PK    []byte
-	Value []byte
-}
 
 // Request is one client request. ID correlates the response on a
 // pipelined connection: responses may return in any order. The value

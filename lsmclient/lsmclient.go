@@ -234,22 +234,14 @@ func (c *Client) Delete(pk []byte) (bool, error) {
 // ApplyBatch applies a batch of mutations in one round trip and reports,
 // per mutation, whether it took effect (matching DB.ApplyBatchResults).
 func (c *Client) ApplyBatch(muts []lsmstore.Mutation) ([]bool, error) {
-	req := wire.Request{Op: wire.OpApplyBatch, Muts: make([]wire.Mutation, len(muts))}
-	for i, m := range muts {
-		var op wire.MutOp
-		switch m.Op {
-		case lsmstore.OpUpsert:
-			op = wire.MutUpsert
-		case lsmstore.OpInsert:
-			op = wire.MutInsert
-		case lsmstore.OpDelete:
-			op = wire.MutDelete
-		default:
+	for _, m := range muts {
+		// The server's decoder treats an out-of-range op as a corrupt frame
+		// and hangs up on every request pipelined behind it.
+		if m.Op > lsmstore.OpDelete {
 			return nil, fmt.Errorf("lsmclient: unknown mutation op %d", m.Op)
 		}
-		req.Muts[i] = wire.Mutation{Op: op, PK: m.PK, Record: m.Record}
 	}
-	resp, err := c.do(req, wire.KindBatch)
+	resp, err := c.do(wire.Request{Op: wire.OpApplyBatch, Muts: muts}, wire.KindBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -276,11 +268,7 @@ func (c *Client) SecondaryQuery(index string, lo, hi []byte, opts lsmstore.Query
 	if err != nil {
 		return nil, err
 	}
-	out := &lsmstore.QueryResult{Keys: resp.Keys}
-	for _, r := range resp.Records {
-		out.Records = append(out.Records, lsmstore.Record{PK: r.PK, Value: r.Value})
-	}
-	return out, nil
+	return &lsmstore.QueryResult{Records: resp.Records, Keys: resp.Keys}, nil
 }
 
 // FilterScan returns records whose filter key lies in [lo, hi], in
@@ -292,11 +280,7 @@ func (c *Client) FilterScan(lo, hi int64, limit int) ([]lsmstore.Record, error) 
 	if err != nil {
 		return nil, err
 	}
-	records := make([]lsmstore.Record, len(resp.Records))
-	for i, r := range resp.Records {
-		records[i] = lsmstore.Record{PK: r.PK, Value: r.Value}
-	}
-	return records, nil
+	return resp.Records, nil
 }
 
 // Stats fetches the server's engine statistics snapshot.

@@ -12,6 +12,16 @@ import (
 	"repro/lsmstore"
 )
 
+// The store's and the wire's Record and Mutation are one type (internal/kv),
+// not two with equal fields: a batch and an answer cross client, wire,
+// server and store without a conversion loop. These stop compiling if
+// either side grows its own definition again.
+var (
+	_ []wire.Record   = []lsmstore.Record(nil)
+	_ []wire.Mutation = []lsmstore.Mutation(nil)
+	_ wire.MutOp      = lsmstore.OpUpsert
+)
+
 // silentServer accepts connections and reads frames but never responds —
 // the worst-behaved peer a client timeout must survive.
 type silentServer struct {

@@ -4,7 +4,7 @@
 // Carey, "Efficient Data Ingestion and Query Processing for LSM-Based
 // Storage Systems" (PVLDB 12(5), 2019).
 //
-// A DB is a router over one or more dataset partitions, each backed by a
+// A DB routes over one or more dataset partitions, each backed by a
 // simulated disk with an explicit I/O cost model (see DESIGN.md) or by real
 // files, holding a primary LSM index, an optional primary key index, and
 // any number of secondary indexes that share a memory budget. The maintenance strategy for
@@ -29,7 +29,7 @@
 //
 // Every DB is a hash-partitioned store: Options.Shards independent
 // partitions (default 1), each with its own disk, buffer cache,
-// write-ahead log and virtual clock, fronted by a router (internal/shard).
+// write-ahead log and virtual clock; the DB itself is the router (router.go).
 // Primary-key operations route to the owning partition by PK hash;
 // ApplyBatch groups a batch of mutations per shard and applies the groups
 // concurrently; SecondaryQuery and FilterScan fan out to every shard, one
@@ -65,7 +65,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/readcache"
 	"repro/internal/repair"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/storage/filedev"
 )
@@ -303,10 +302,10 @@ type ReadCacheOptions struct {
 // ErrClosed reports an operation on a DB after Close.
 var ErrClosed = errors.New("lsmstore: store is closed")
 
-// DB is a hash-partitioned group of Options.Shards dataset partitions
-// behind a router.
+// DB is a hash-partitioned group of Options.Shards dataset partitions and
+// the router over them.
 type DB struct {
-	shards  *shard.Router
+	parts   []partition      // at least one
 	pool    *maint.Pool      // run-on-caller when Options.MaintenanceWorkers is 0
 	cache   *readcache.Cache // non-nil only when Options.ReadCache.Bytes > 0
 	journal *obs.Journal     // nil when Options.MaintJournalEvents < 0
@@ -355,22 +354,12 @@ func Open(opts Options) (*DB, error) {
 	pool := maint.NewPool(opts.MaintenanceWorkers)
 	pool.SetYield(opts.Yield)
 	journal := newMaintJournal(opts)
-	var r *shard.Router
 	parts, err := openPartitions(opts, pool, journal)
-	if err == nil {
-		r, err = shard.NewRouter(parts)
-	}
 	if err != nil {
 		pool.Close()
 		return nil, err
 	}
-	db := &DB{shards: r, pool: pool, cache: newReadCache(opts), journal: journal}
-	if db.cache != nil {
-		// Batch fan-out workers invalidate their group's keys before the
-		// batch is acknowledged (internal/readcache invariant 1).
-		r.SetInvalidator(db.cache.Invalidate)
-	}
-	return db, nil
+	return &DB{parts: parts, pool: pool, cache: newReadCache(opts), journal: journal}, nil
 }
 
 // newMaintJournal builds the store-wide maintenance journal, or nil when
@@ -398,7 +387,7 @@ func newReadCache(opts Options) *readcache.Cache {
 // (the paper's per-partition budget). All partitions share one maintenance
 // pool, so background work is bounded machine-wide while each shard
 // compacts independently.
-func openPartitions(opts Options, pool *maint.Pool, journal *obs.Journal) ([]*shard.Partition, error) {
+func openPartitions(opts Options, pool *maint.Pool, journal *obs.Journal) ([]partition, error) {
 	n := max(opts.Shards, 1)
 	per := opts
 	per.CacheBytes = resolveCacheBytes(opts)
@@ -408,7 +397,7 @@ func openPartitions(opts Options, pool *maint.Pool, journal *obs.Journal) ([]*sh
 			per.CacheBytes = minCache
 		}
 	}
-	parts := make([]*shard.Partition, n)
+	parts := make([]partition, n)
 	for i := range parts {
 		po := per
 		// Distinct seeds keep per-shard memtable shapes independent while
@@ -417,7 +406,7 @@ func openPartitions(opts Options, pool *maint.Pool, journal *obs.Journal) ([]*sh
 		p, err := openPartition(po, pool, journal, i)
 		if err != nil {
 			for _, prev := range parts[:i] {
-				prev.Store.Device().Close()
+				prev.store.Device().Close()
 			}
 			return nil, err
 		}
@@ -465,7 +454,7 @@ func resolvePageSize(opts Options) int {
 }
 
 // openPartition opens shard idx.
-func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int) (*shard.Partition, error) {
+func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int) (partition, error) {
 	env := metrics.NewEnv()
 	if opts.Sleeper != nil {
 		env.Clock.SetSleeper(opts.Sleeper)
@@ -487,7 +476,7 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 	if opts.Backend == FileBackend {
 		fd, err := filedev.Open(shardDir(opts.Dir, idx), profile)
 		if err != nil {
-			return nil, err
+			return partition{}, err
 		}
 		fd.AttachCounters(env.Counters)
 		dev = fd
@@ -538,9 +527,9 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 	ds, err := core.Open(cfg)
 	if err != nil {
 		dev.Close()
-		return nil, err
+		return partition{}, err
 	}
-	return &shard.Partition{DS: ds, Store: store, Env: env}, nil
+	return partition{ds: ds, store: store, env: env}, nil
 }
 
 // bloomKind picks the filter variant. The runtime read path on real files
@@ -553,9 +542,6 @@ func bloomKind(b Backend) bloom.Kind {
 	}
 	return bloom.KindStandard
 }
-
-// dsFor returns the dataset owning pk: the shard selected by PK hash.
-func (db *DB) dsFor(pk []byte) *core.Dataset { return db.shards.DatasetFor(pk) }
 
 // Insert adds a record; it reports false when the key already exists.
 func (db *DB) Insert(pk, record []byte) (bool, error) {
@@ -661,17 +647,22 @@ func (db *DB) getRef(pk []byte) ([]byte, bool, error) {
 	return e.Value, true, nil
 }
 
-// Mutation is one write in an ApplyBatch.
-type Mutation = shard.Mutation
-
-// Op is a Mutation's operation.
-type Op = shard.Op
+// Record, Mutation and Op are defined once, in internal/kv; internal/wire
+// aliases the same types, so a served batch or answer is never converted.
+type (
+	// Record is one fetched record.
+	Record = kv.Record
+	// Mutation is one write in an ApplyBatch.
+	Mutation = kv.Mutation
+	// Op is a Mutation's operation.
+	Op = kv.Op
+)
 
 // Batched operations.
 const (
-	OpUpsert = shard.OpUpsert
-	OpInsert = shard.OpInsert
-	OpDelete = shard.OpDelete
+	OpUpsert = kv.OpUpsert
+	OpInsert = kv.OpInsert
+	OpDelete = kv.OpDelete
 )
 
 // ApplyBatch applies a batch of mutations. The batch is grouped by owning
@@ -679,14 +670,14 @@ const (
 // key always land in the same shard and keep their order within the batch
 // (with one shard the whole batch applies sequentially in order). Duplicate
 // inserts and deletes of missing keys are counted as ignored, as in Insert
-// and Delete. The router's fan-out workers drop every mutated key's
-// read-cache entry (Router.SetInvalidator).
+// and Delete. Every mutated key's read-cache entry is dropped before the
+// call returns.
 func (db *DB) ApplyBatch(muts []Mutation) error {
 	if err := db.acquire(); err != nil {
 		return err
 	}
 	defer db.release()
-	return db.shards.ApplyBatch(muts)
+	return db.applyBatch(muts, nil)
 }
 
 // ApplyBatchResults is ApplyBatch plus a per-mutation report: applied[i]
@@ -700,18 +691,20 @@ func (db *DB) ApplyBatchResults(muts []Mutation) ([]bool, error) {
 		return nil, err
 	}
 	defer db.release()
-	return db.shards.ApplyBatchResults(muts)
+	applied := make([]bool, len(muts))
+	return applied, db.applyBatch(muts, applied)
 }
 
 // NumShards returns the number of hash partitions.
-func (db *DB) NumShards() int { return db.shards.NumShards() }
+func (db *DB) NumShards() int { return len(db.parts) }
 
 // QueryOptions configures a secondary-index query.
 type QueryOptions struct {
 	// Validation selects the validation method; required (non-
 	// NoValidation) for lazy strategies.
 	Validation ValidationMethod
-	// IndexOnly returns primary keys without fetching records.
+	// IndexOnly returns primary keys without fetching records. Direct
+	// validation validates by fetching them, so the pair is ErrBadQuery.
 	IndexOnly bool
 	// Lookup tunes the point-lookup optimizations; the zero value is
 	// upgraded to the paper's fully optimized configuration.
@@ -736,14 +729,13 @@ type QueryResult struct {
 	Keys [][]byte
 }
 
-// Record is one fetched record.
-type Record struct {
-	PK    []byte
-	Value []byte
-}
-
 // ErrUnknownIndex reports a query against an undeclared secondary index.
 var ErrUnknownIndex = errors.New("lsmstore: unknown secondary index")
+
+// ErrBadQuery reports query options that no execution can honour: a
+// validation method outside the defined range, or an index-only query with
+// Direct validation (which validates by fetching the records).
+var ErrBadQuery = errors.New("lsmstore: bad query options")
 
 // SecondaryQuery runs a range query lo <= secondary key <= hi on the named
 // index. Results are in primary-key order, on every shard count.
@@ -752,28 +744,24 @@ func (db *DB) SecondaryQuery(index string, lo, hi []byte, opts QueryOptions) (*Q
 		return nil, err
 	}
 	defer db.release()
+	switch {
+	case !opts.Validation.Valid():
+		return nil, fmt.Errorf("%w: validation method %d out of range", ErrBadQuery, opts.Validation)
+	case opts.IndexOnly && opts.Validation == DirectValidation:
+		return nil, fmt.Errorf("%w: index-only with direct validation", ErrBadQuery)
+	case db.parts[0].ds.Secondary(index) == nil: // every partition declares the same indexes
+		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, index)
+	}
 	lookup := query.DefaultLookupConfig()
 	if opts.Lookup != nil {
 		lookup = *opts.Lookup
 	}
-	qopts := query.SecondaryQueryOptions{
+	return db.secondaryQuery(index, lo, hi, query.SecondaryQueryOptions{
 		Validation:      opts.Validation,
 		IndexOnly:       opts.IndexOnly,
 		Lookup:          lookup,
 		CrackOnValidate: opts.CrackOnValidate,
-	}
-	res, err := db.shards.SecondaryQuery(index, lo, hi, qopts, opts.Limit)
-	if errors.Is(err, shard.ErrUnknownIndex) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, index)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := &QueryResult{Keys: res.Keys}
-	for _, e := range res.Records {
-		out.Records = append(out.Records, Record{PK: e.Key, Value: e.Value})
-	}
-	return out, nil
+	}, opts.Limit)
 }
 
 // FilterScan scans the primary index for records whose filter key lies in
@@ -785,7 +773,7 @@ func (db *DB) FilterScan(lo, hi int64, fn func(pk, record []byte)) error {
 		return err
 	}
 	defer db.release()
-	return db.shards.FilterScan(lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
+	return db.filterScan(lo, hi, fn)
 }
 
 // Flush forces all memory components to disk and runs due merges, on every
@@ -796,7 +784,7 @@ func (db *DB) Flush() error {
 		return err
 	}
 	defer db.release()
-	return db.shards.FlushAll()
+	return db.fanOut(func(_ int, ds *core.Dataset) error { return ds.FlushAll() })
 }
 
 // Close drains all pending maintenance (flush builds and merges on every
@@ -822,23 +810,23 @@ func (db *DB) Close() error {
 	db.finalStats = db.stats()
 	db.closed = true
 	var errs []error
-	if err := db.shards.ForEach((*core.Dataset).DrainMaintenance); err != nil {
+	if err := db.fanOut(func(_ int, ds *core.Dataset) error { return ds.DrainMaintenance() }); err != nil {
 		errs = append(errs, err)
 	}
 	db.pool.Close()
-	for _, p := range db.shards.Partitions() {
+	for _, p := range db.parts {
 		// WAL compaction drops records that durable components cover — per
 		// the IN-MEMORY component lists. Those lists only become durable
 		// when Persist lands the manifest, so after a failed Persist the
 		// compaction would discard the one copy of acknowledged writes the
 		// stale on-disk manifest still needs replayed. Keep the full log in
 		// that case; reopen replays it against whatever manifest survived.
-		if err := p.DS.Persist(); err != nil {
+		if err := p.ds.Persist(); err != nil {
 			errs = append(errs, err)
-		} else if err := p.DS.CompactWAL(); err != nil {
+		} else if err := p.ds.CompactWAL(); err != nil {
 			errs = append(errs, err)
 		}
-		if err := p.Store.Device().Close(); err != nil {
+		if err := p.store.Device().Close(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -853,7 +841,7 @@ func (db *DB) Crash() {
 		return
 	}
 	defer db.release()
-	db.shards.Crash()
+	_ = db.fanOut(func(_ int, ds *core.Dataset) error { ds.Crash(); return nil })
 	// After the engine dropped its memory components: cached entries may
 	// reflect writes the crash destroyed (internal/readcache invariant 3).
 	if db.cache != nil {
@@ -868,7 +856,7 @@ func (db *DB) Recover() error {
 		return err
 	}
 	defer db.release()
-	err := db.shards.Recover()
+	err := db.fanOut(func(_ int, ds *core.Dataset) error { return ds.Recover() })
 	// Replay resurrects writes that were invisible between Crash and
 	// Recover, so negative entries cached in that window are now stale.
 	if db.cache != nil {
@@ -884,10 +872,10 @@ func (db *DB) RepairSecondaryIndexes() error {
 		return err
 	}
 	defer db.release()
-	return db.shards.ForEach(repairSecondaries)
+	return db.fanOut(repairSecondaries)
 }
 
-func repairSecondaries(ds *core.Dataset) error {
+func repairSecondaries(_ int, ds *core.Dataset) error {
 	pk := ds.PKIndex()
 	if pk == nil {
 		return core.ErrNoPKIndex
@@ -956,43 +944,6 @@ func (db *DB) Stats() Stats {
 	return db.stats()
 }
 
-// stats computes the snapshot; the caller holds the lifecycle lock.
-func (db *DB) stats() Stats {
-	per := db.shards.StatsPerShard()
-	out := statsFrom(shard.Aggregate(per))
-	if db.cache != nil {
-		// The read cache fronts the whole store, so its counters fold
-		// into the aggregate only, not into any shard's snapshot.
-		out.Counters = out.Counters.Add(db.cache.Counters())
-	}
-	out.Shards = len(per)
-	out.Maintenance = db.journal.Summary()
-	if len(per) > 1 {
-		out.PerShard = make([]Stats, len(per))
-		for i, s := range per {
-			out.PerShard[i] = statsFrom(s)
-			out.PerShard[i].Shards = 1
-		}
-	}
-	return out
-}
-
-// statsFrom converts a shard-level snapshot to the public shape.
-func statsFrom(s shard.Stats) Stats {
-	return Stats{
-		SimulatedTime:       time.Duration(s.SimulatedTime).String(),
-		IngestTime:          time.Duration(s.IngestTime).String(),
-		MaintenanceTime:     time.Duration(s.MaintTime).String(),
-		Ingested:            s.Ingested,
-		Ignored:             s.Ignored,
-		PrimaryComponents:   s.PrimaryComponents,
-		DiskBytesWritten:    s.DiskBytesWritten,
-		PendingFlushBatches: s.PendingFlushBatches,
-		FrozenMemtables:     s.FrozenMemtables,
-		Counters:            s.Counters,
-	}
-}
-
 // MaintJournal returns the store-wide maintenance journal: a bounded ring
 // of flush/merge events (duration, bytes, component counts, per-shard)
 // plus lifetime totals. It is nil when Options.MaintJournalEvents is
@@ -1031,8 +982,8 @@ func Advise(p WorkloadProfile) (Strategy, AdvisorReport, error) {
 func (db *DB) Dataset() *core.Dataset { return db.Shard(0) }
 
 // Shard exposes shard i's dataset for advanced use.
-func (db *DB) Shard(i int) *core.Dataset { return db.shards.Partition(i).DS }
+func (db *DB) Shard(i int) *core.Dataset { return db.parts[i].ds }
 
 // Env exposes shard 0's metrics environment (virtual clock and counters);
 // each shard has its own.
-func (db *DB) Env() *metrics.Env { return db.shards.Partition(0).Env }
+func (db *DB) Env() *metrics.Env { return db.parts[0].env }

@@ -2,6 +2,7 @@ package lsmstore_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -50,6 +51,39 @@ func TestUnknownIndexError(t *testing.T) {
 	db, _ := lsmstore.Open(tinyOptions(lsmstore.Eager))
 	if _, err := db.SecondaryQuery("nope", nil, nil, lsmstore.QueryOptions{}); err == nil {
 		t.Fatal("unknown index accepted")
+	}
+}
+
+// TestBadQueryRejected checks the two option sets no execution can honour
+// — index-only with Direct validation (which used to answer with full
+// records and no keys) and a validation method outside the enum (which used
+// to answer empty with a nil error) — on one partition and on several.
+func TestBadQueryRejected(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		db, err := lsmstore.Open(shardedOptions(lsmstore.Validation, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := db.Upsert(tweetPK(1), tweetRec(1, 3, 1)); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []lsmstore.QueryOptions{
+			{Validation: lsmstore.DirectValidation, IndexOnly: true},
+			{Validation: lsmstore.ValidationMethod(4)},
+			{Validation: lsmstore.ValidationMethod(-1), IndexOnly: true},
+		} {
+			res, err := db.SecondaryQuery("user", workload.UserKey(3), workload.UserKey(3), opts)
+			if !errors.Is(err, lsmstore.ErrBadQuery) || res != nil {
+				t.Fatalf("shards=%d %+v: res=%v err=%v, want ErrBadQuery", shards, opts, res, err)
+			}
+		}
+		// The same range answers once the options make sense.
+		res, err := db.SecondaryQuery("user", workload.UserKey(3), workload.UserKey(3),
+			lsmstore.QueryOptions{Validation: lsmstore.DirectValidation})
+		if err != nil || len(res.Records) != 1 {
+			t.Fatalf("shards=%d direct query: res=%+v err=%v", shards, res, err)
+		}
 	}
 }
 

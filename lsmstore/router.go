@@ -1,0 +1,305 @@
+package lsmstore
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/kv"
+	"repro/internal/metrics"
+	"repro/internal/query"
+	"repro/internal/storage"
+)
+
+// partition is one shard: a self-contained dataset with its own device,
+// buffer cache, write-ahead log and virtual clock, modelling one storage
+// node (the paper evaluates one partition at a time, Section 6.1, and
+// scales across them because ingestion and queries are partition-local).
+type partition struct {
+	ds    *core.Dataset
+	store *storage.Store
+	env   *metrics.Env
+}
+
+// shardOf hashes pk (FNV-1a, 64-bit) onto [0, n). The hash depends only on
+// the key bytes and the shard count, so placement is deterministic across
+// process restarts and reopens.
+func shardOf(pk []byte, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, b := range pk {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return int(h % uint64(n))
+}
+
+// dsFor returns the dataset owning pk.
+func (db *DB) dsFor(pk []byte) *core.Dataset { return db.parts[shardOf(pk, len(db.parts))].ds }
+
+// fanOut runs fn once per partition, one goroutine each (the caller's own
+// for a single partition), and joins the per-shard errors.
+func (db *DB) fanOut(fn func(i int, ds *core.Dataset) error) error {
+	if len(db.parts) == 1 {
+		return fn(0, db.parts[0].ds)
+	}
+	errs := make([]error, len(db.parts))
+	var wg sync.WaitGroup
+	for i := range db.parts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i, db.parts[i].ds)
+		}(i)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// applyBatch groups the mutations by owning shard and applies the groups
+// concurrently. Within a shard, mutations apply in input order, so writes
+// to the same key keep their program order; across shards there is no
+// ordering, matching the independence of hash partitions. The first error
+// in a shard stops that shard's remaining mutations; all shard errors are
+// joined. A non-nil applied (len(muts) long) receives the per-mutation
+// report of applyMutations, at the original batch positions.
+func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
+	if len(muts) == 0 {
+		return nil
+	}
+	var err error
+	if n := len(db.parts); n == 1 {
+		err = applyMutations(db.parts[0].ds, muts, applied)
+	} else {
+		// Hash each key once, then size the groups so appends don't
+		// reallocate.
+		owners := make([]int, len(muts))
+		counts := make([]int, n)
+		for i := range muts {
+			owners[i] = shardOf(muts[i].PK, n)
+			counts[owners[i]]++
+		}
+		groups := make([][]Mutation, n)
+		indexes := make([][]int, n) // original positions per shard, for the result scatter
+		for s, c := range counts {
+			if c > 0 {
+				groups[s] = make([]Mutation, 0, c)
+				if applied != nil {
+					indexes[s] = make([]int, 0, c)
+				}
+			}
+		}
+		for i, s := range owners {
+			groups[s] = append(groups[s], muts[i])
+			if applied != nil {
+				indexes[s] = append(indexes[s], i)
+			}
+		}
+		err = db.fanOut(func(s int, ds *core.Dataset) error {
+			if applied == nil {
+				return applyMutations(ds, groups[s], nil)
+			}
+			got := make([]bool, len(groups[s]))
+			err := applyMutations(ds, groups[s], got)
+			// Shards write disjoint index sets, so the scatter is race-free.
+			for j, ok := range got {
+				applied[indexes[s][j]] = ok
+			}
+			return err
+		})
+	}
+	// Every shard has applied its group and nothing is acknowledged yet
+	// (internal/readcache invariant 1). Keys of an errored batch are
+	// dropped too: their on-disk outcome is uncertain.
+	for i := range muts {
+		db.invalidate(muts[i].PK)
+	}
+	return err
+}
+
+// applyMutations applies the mutations to one dataset sequentially, in
+// order, and, when applied is non-nil (it must then be at least len(muts)
+// long), records whether each mutation took effect: upserts always do,
+// duplicate inserts and deletes of missing keys do not. It stops at the
+// first error, leaving later entries false.
+//
+// On a group-commit store the batch defers every mutation's commit fsync
+// into one covering group fsync at the end — one fsync per batch, not per
+// mutation. If that covering fsync fails, no write in the batch is
+// GUARANTEED durable: every applied entry is reset to false and the fsync
+// error is returned, so no caller acknowledges a write the disk may not
+// have accepted. The report is conservative, not exact — a mid-batch
+// flush can have installed some of the batch's writes in durable
+// components before the WAL fsync failed, so an applied=false entry in an
+// errored batch means "retry safely", never "certainly absent" (the same
+// contract the server's write coalescer documents for partial batch
+// errors).
+func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool) error {
+	b := ds.BeginCommitBatch()
+	var firstErr error
+	for i, m := range muts {
+		var (
+			ok  = true
+			err error
+		)
+		switch m.Op {
+		case OpUpsert:
+			err = ds.UpsertBatched(m.PK, m.Record, b)
+		case OpInsert:
+			ok, err = ds.InsertBatched(m.PK, m.Record, b)
+		case OpDelete:
+			ok, err = ds.DeleteBatched(m.PK, b)
+		default:
+			err = fmt.Errorf("lsmstore: unknown mutation op %d", m.Op)
+		}
+		if err != nil {
+			firstErr = err
+			break
+		}
+		if applied != nil {
+			applied[i] = ok
+		}
+	}
+	// The covering fsync must run even after a mid-batch error: the
+	// mutations before the failure were reported applied and still need
+	// their durability.
+	if err := ds.WaitCommitBatch(b); err != nil {
+		for i := range applied {
+			applied[i] = false
+		}
+		if firstErr == nil {
+			return err
+		}
+		return errors.Join(firstErr, err)
+	}
+	return firstErr
+}
+
+// secondaryQuery fans the query out to every shard and merges the answers.
+// Shards are independent hash partitions, so a primary key appears in
+// exactly one shard's answer; the merged records (or keys) come back in
+// primary-key order — a deterministic total order regardless of shard
+// interleaving — truncated to limit when limit > 0. The single-partition
+// query has no early exit, so limit bounds the answer size, not the scan
+// cost.
+func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQueryOptions, limit int) (*QueryResult, error) {
+	perShard := make([]*query.SecondaryResult, len(db.parts))
+	err := db.fanOut(func(i int, ds *core.Dataset) error {
+		res, err := query.SecondaryRange(ds, ds.Secondary(index), lo, hi, opts)
+		perShard[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// One partition's keys are handed through; more are appended to them.
+	out := &QueryResult{Keys: perShard[0].Keys}
+	var nRecords int
+	for _, res := range perShard {
+		nRecords += len(res.Records)
+	}
+	if nRecords > 0 {
+		out.Records = make([]Record, 0, nRecords)
+	}
+	for i, res := range perShard {
+		for _, e := range res.Records {
+			out.Records = append(out.Records, Record{PK: e.Key, Value: e.Value})
+		}
+		if i > 0 {
+			out.Keys = append(out.Keys, res.Keys...)
+		}
+	}
+	// Not even one partition answers in primary-key order: the batched
+	// record fetch emits in component order.
+	sort.Slice(out.Records, func(i, j int) bool { return kv.Compare(out.Records[i].PK, out.Records[j].PK) < 0 })
+	sort.Slice(out.Keys, func(i, j int) bool { return kv.Compare(out.Keys[i], out.Keys[j]) < 0 })
+	if limit > 0 {
+		out.Records = out.Records[:min(limit, len(out.Records))]
+		out.Keys = out.Keys[:min(limit, len(out.Keys))]
+	}
+	return out, nil
+}
+
+// filterScan runs the primary-index range-filter scan on every shard
+// concurrently, then emits the union in primary-key order from the
+// caller's goroutine. A single partition already scans in primary-key
+// order, so it streams straight to fn: an unbounded scan is never buffered.
+func (db *DB) filterScan(lo, hi int64, fn func(pk, record []byte)) error {
+	if len(db.parts) == 1 {
+		return query.FilterScan(db.parts[0].ds, lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
+	}
+	perShard := make([][]kv.Entry, len(db.parts))
+	err := db.fanOut(func(i int, ds *core.Dataset) error {
+		return query.FilterScan(ds, lo, hi, func(e kv.Entry) {
+			perShard[i] = append(perShard[i], e.Clone())
+		})
+	})
+	if err != nil {
+		return err
+	}
+	var all []kv.Entry
+	for _, entries := range perShard {
+		all = append(all, entries...)
+	}
+	sort.Slice(all, func(i, j int) bool { return kv.Compare(all[i].Key, all[j].Key) < 0 })
+	for _, e := range all {
+		fn(e.Key, e.Value)
+	}
+	return nil
+}
+
+// stats computes the snapshot; the caller holds the lifecycle lock. Shards
+// progress concurrently on independent devices, so the aggregate's three
+// times are the maximum over shards; everything else is a sum.
+func (db *DB) stats() Stats {
+	per := make([]Stats, len(db.parts))
+	var agg Stats
+	var sim, ingest, mnt time.Duration
+	for i, p := range db.parts {
+		pIngest, pMnt := p.env.Clock.Now(), p.ds.MaintSimTime()
+		pSim := max(pIngest, pMnt)
+		pending, frozen := p.ds.MaintGauges()
+		per[i] = Stats{
+			SimulatedTime:       pSim.String(),
+			IngestTime:          pIngest.String(),
+			MaintenanceTime:     pMnt.String(),
+			Ingested:            p.ds.IngestedCount(),
+			Ignored:             p.ds.IgnoredCount(),
+			PrimaryComponents:   p.ds.Primary().NumDiskComponents(),
+			DiskBytesWritten:    p.store.Device().BytesWritten(),
+			PendingFlushBatches: pending,
+			FrozenMemtables:     frozen,
+			Counters:            p.env.Counters.Snapshot(),
+			Shards:              1,
+		}
+		sim, ingest, mnt = max(sim, pSim), max(ingest, pIngest), max(mnt, pMnt)
+		agg.Ingested += per[i].Ingested
+		agg.Ignored += per[i].Ignored
+		agg.PrimaryComponents += per[i].PrimaryComponents
+		agg.DiskBytesWritten += per[i].DiskBytesWritten
+		agg.PendingFlushBatches += pending
+		agg.FrozenMemtables += frozen
+		agg.Counters = agg.Counters.Add(per[i].Counters)
+	}
+	agg.SimulatedTime, agg.IngestTime, agg.MaintenanceTime = sim.String(), ingest.String(), mnt.String()
+	if db.cache != nil {
+		// The read cache fronts the whole store, so its counters fold
+		// into the aggregate only, not into any shard's snapshot.
+		agg.Counters = agg.Counters.Add(db.cache.Counters())
+	}
+	agg.Shards = len(per)
+	agg.Maintenance = db.journal.Summary()
+	if len(per) > 1 {
+		agg.PerShard = per
+	}
+	return agg
+}

@@ -1,0 +1,166 @@
+package lsmstore
+
+import (
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"repro/internal/workload"
+)
+
+// newRoutedDB opens a small simulated store over n partitions. (The
+// storetest fixtures import lsmstore, so an in-package test cannot.)
+func newRoutedDB(t *testing.T, n int) *DB {
+	t.Helper()
+	db, err := Open(Options{
+		Strategy:     Validation,
+		Secondaries:  []SecondaryIndex{{Name: "user", Extract: workload.UserIDOf}},
+		PageSize:     4 << 10,
+		CacheBytes:   int64(n) * 2 << 20,
+		MemoryBudget: 32 << 10,
+		Seed:         5,
+		Shards:       n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+func pk(id uint64) []byte { return binary.BigEndian.AppendUint64(nil, id) }
+
+func TestShardOfDeterministicAndSpread(t *testing.T) {
+	const n = 8
+	hits := make([]int, n)
+	for id := uint64(0); id < 4096; id++ {
+		s := shardOf(pk(id), n)
+		if s < 0 || s >= n {
+			t.Fatalf("shard %d out of range", s)
+		}
+		if again := shardOf(pk(id), n); again != s {
+			t.Fatalf("shardOf not deterministic: %d vs %d", s, again)
+		}
+		hits[s]++
+	}
+	for s, h := range hits {
+		// A uniform hash puts ~512 of 4096 keys on each of 8 shards; accept
+		// a generous band to stay robust to the fixed hash function.
+		if h < 256 || h > 1024 {
+			t.Fatalf("shard %d got %d of 4096 keys; hash badly skewed", s, h)
+		}
+	}
+	if shardOf(pk(99), 1) != 0 {
+		t.Fatal("single shard must own everything")
+	}
+}
+
+// insertBatch builds n inserts (ids 1..n, ten users) followed by an upsert
+// of key 1 and a delete of key 2: same-key program order must hold even
+// though the batch is regrouped per shard.
+func insertBatch(n uint64) []Mutation {
+	var muts []Mutation
+	for id := uint64(1); id <= n; id++ {
+		rec := workload.Tweet{ID: id, UserID: uint32(id % 10), Creation: int64(id), Message: []byte("v1")}.Encode()
+		muts = append(muts, Mutation{Op: OpInsert, PK: pk(id), Record: rec})
+	}
+	rec2 := workload.Tweet{ID: 1, UserID: 3, Creation: int64(n) + 100, Message: []byte("v2")}.Encode()
+	muts = append(muts, Mutation{Op: OpUpsert, PK: pk(1), Record: rec2})
+	return append(muts, Mutation{Op: OpDelete, PK: pk(2)})
+}
+
+func TestApplyBatchRoutingAndOrder(t *testing.T) {
+	const shards, n = 3, 500
+	db := newRoutedDB(t, shards)
+	if err := db.ApplyBatch(insertBatch(n)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every key lives on exactly the shard the hash names.
+	for id := uint64(1); id <= n; id++ {
+		want := shardOf(pk(id), shards)
+		for s := 0; s < shards; s++ {
+			_, found, err := db.Shard(s).Primary().Get(pk(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id == 2 {
+				if found {
+					t.Fatalf("deleted key 2 visible on shard %d", s)
+				}
+				continue
+			}
+			if found != (s == want) {
+				t.Fatalf("key %d on shard %d: found=%v want shard %d", id, s, found, want)
+			}
+		}
+	}
+	rec, found, err := db.Get(pk(1))
+	if err != nil || !found {
+		t.Fatal("key 1 missing after upsert", err)
+	}
+	if u, _ := workload.UserIDOf(rec); string(u) != string(workload.UserKey(3)) {
+		t.Fatal("same-key mutations applied out of order")
+	}
+}
+
+func TestApplyBatchUnknownOp(t *testing.T) {
+	db := newRoutedDB(t, 2)
+	bad := []Mutation{{Op: Op(42), PK: pk(1)}}
+	if err := db.ApplyBatch(bad); err == nil {
+		t.Fatal("unknown op accepted")
+	}
+	if applied, err := db.ApplyBatchResults(bad); err == nil || applied[0] {
+		t.Fatalf("unknown op reported applied=%v err=%v", applied, err)
+	}
+}
+
+// TestAggregateStats checks the fold of per-shard snapshots into the top
+// level: sums everywhere except the three times, which are the maximum
+// because shards progress concurrently on independent devices.
+func TestAggregateStats(t *testing.T) {
+	db := newRoutedDB(t, 3)
+	if err := db.ApplyBatch(insertBatch(2000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	agg := db.Stats()
+	if agg.Shards != 3 || len(agg.PerShard) != 3 {
+		t.Fatalf("stats shape: shards=%d per=%d", agg.Shards, len(agg.PerShard))
+	}
+	dur := func(s string) time.Duration {
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	var sum Stats
+	var sim, ingest, mnt, simTotal time.Duration
+	for _, s := range agg.PerShard {
+		sum.Ingested += s.Ingested
+		sum.Ignored += s.Ignored
+		sum.PrimaryComponents += s.PrimaryComponents
+		sum.DiskBytesWritten += s.DiskBytesWritten
+		sum.Counters = sum.Counters.Add(s.Counters)
+		sim, ingest, mnt = max(sim, dur(s.SimulatedTime)), max(ingest, dur(s.IngestTime)), max(mnt, dur(s.MaintenanceTime))
+		simTotal += dur(s.SimulatedTime)
+	}
+	if agg.Ingested != sum.Ingested || agg.Ignored != sum.Ignored || agg.Ingested != 2002 ||
+		agg.PrimaryComponents != sum.PrimaryComponents || agg.PrimaryComponents < 3 ||
+		agg.DiskBytesWritten != sum.DiskBytesWritten || agg.DiskBytesWritten == 0 {
+		t.Fatalf("bad sums: aggregate %+v, per-shard sum %+v", agg, sum)
+	}
+	if agg.Counters != sum.Counters || agg.Counters.PagesWritten == 0 {
+		t.Fatalf("counters not summed: aggregate %+v, per-shard sum %+v", agg.Counters, sum.Counters)
+	}
+	if dur(agg.SimulatedTime) != sim || dur(agg.IngestTime) != ingest || dur(agg.MaintenanceTime) != mnt {
+		t.Fatalf("times must be the max over shards: got %s/%s/%s want %s/%s/%s",
+			agg.SimulatedTime, agg.IngestTime, agg.MaintenanceTime, sim, ingest, mnt)
+	}
+	if sim == 0 || sim >= simTotal {
+		t.Fatalf("max %s is not below the sum %s: the shards' clocks did not all advance", sim, simTotal)
+	}
+}
