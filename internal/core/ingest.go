@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 
 	"repro/internal/kv"
@@ -11,276 +12,228 @@ import (
 	"repro/internal/wal"
 )
 
-// withWriteLocks runs one record-level write transaction: the writer is
-// registered with the dataset lock (so Side-file drains can wait for it)
-// and holds an exclusive lock on the primary key (Section 5.2). The flush
-// check runs after both locks are released — flushing drains writers, so it
-// must never run while this writer is still registered.
+// recordTypes maps a mutation's op onto its logical log record type.
+var recordTypes = [...]wal.RecordType{
+	kv.OpUpsert: wal.RecUpsert,
+	kv.OpInsert: wal.RecInsert,
+	kv.OpDelete: wal.RecDelete,
+}
+
+// Apply runs one mutation as a record-level write transaction and reports
+// whether it took effect: upserts always do, an insert of an existing key
+// and a delete of a missing one are ignored (Section 3.1). It is the only
+// write path: single writes, engine batches and — through the same prepare
+// and install steps — WAL replay.
 //
-// The ingestion timestamp is drawn INSIDE the registered window and handed
-// to fn. This ordering is load-bearing for recovery: flushes freeze
-// memtables under a writer drain, so every timestamp issued before a
-// freeze has its entry in the frozen memtable, and a flushed component's
-// MaxTS can never cover a timestamp whose write is still in flight. WAL
-// replay (and on-disk WAL compaction) drop records with TS <= the maximum
-// durable component timestamp — drawing the timestamp before registering
-// would let a stalled writer log an acknowledged write that replay then
-// skips forever.
-func (d *Dataset) withWriteLocks(pk []byte, fn func(ts int64) error) error {
-	d.dsLock.Enter()
-	defer d.dsLock.Exit()
-	d.locks.Lock(pk, txn.Exclusive)
-	defer d.locks.Unlock(pk, txn.Exclusive)
-	// A sticky WAL-durability failure makes the dataset read-only: fail
-	// here, before any strategy mutates shared state (the Mutable-bitmap
-	// paths flip disk bitmaps before logging).
-	if d.log != nil {
-		if err := d.log.SinkErr(); err != nil {
-			return err
-		}
+// With a non-nil batch the commit record is appended unsynced and
+// registered in b, and the write may only be acknowledged after
+// WaitCommitBatch(b) succeeds. A nil batch makes the commit durable before
+// Apply returns.
+func (d *Dataset) Apply(m kv.Mutation, b *wal.Batch) (applied bool, err error) {
+	if int(m.Op) >= len(recordTypes) {
+		return false, fmt.Errorf("core: unknown mutation op %d", m.Op)
 	}
-	return fn(d.NextTS())
+	if applied, err = d.applyLocked(m, b); err != nil || !applied {
+		return false, err
+	}
+	// The flush check runs after both locks are released — flushing drains
+	// writers, so it must never run while this writer is still registered.
+	return true, d.maybeFlush()
 }
 
 // Insert adds a new record under pk. It returns false when the key already
-// exists (the record is ignored, Section 3.1). All strategies handle
-// inserts identically up to timestamping: key uniqueness is checked with a
-// point lookup against the primary key index when available, else the
-// primary index.
+// exists.
 func (d *Dataset) Insert(pk, record []byte) (bool, error) {
-	return d.InsertBatched(pk, record, nil)
+	return d.Apply(kv.Mutation{Op: kv.OpInsert, PK: pk, Record: record}, nil)
 }
 
-// InsertBatched is Insert with deferred commit durability: with a non-nil
-// batch the commit record is appended unsynced and registered in b, and
-// the write may only be acknowledged after WaitCommitBatch(b) succeeds.
-// A nil batch keeps Insert's own durability (the commit is durable on
-// return).
-func (d *Dataset) InsertBatched(pk, record []byte, b *wal.Batch) (bool, error) {
-	inserted := false
-	err := d.withWriteLocks(pk, func(ts int64) error {
-		exists, err := d.keyExists(pk)
-		if err != nil {
-			return err
-		}
-		if exists {
-			d.ignored.Add(1)
-			return nil
-		}
-		if err := d.logOp(wal.RecInsert, pk, record, ts, false, b); err != nil {
-			return err
-		}
-		d.putAllIndexes(pk, record, ts)
-		d.widenFilterFor(record)
-		d.ingested.Add(1)
-		inserted = true
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	if !inserted {
-		return false, nil
-	}
-	return true, d.maybeFlush()
+// Upsert inserts record under pk, replacing any existing record.
+func (d *Dataset) Upsert(pk, record []byte) error {
+	_, err := d.Apply(kv.Mutation{Op: kv.OpUpsert, PK: pk, Record: record}, nil)
+	return err
 }
 
 // Delete removes the record under pk, if any. It returns false when the key
 // does not exist.
 func (d *Dataset) Delete(pk []byte) (bool, error) {
-	return d.DeleteBatched(pk, nil)
+	return d.Apply(kv.Mutation{Op: kv.OpDelete, PK: pk}, nil)
 }
 
-// DeleteBatched is Delete with deferred commit durability (see
-// InsertBatched).
-func (d *Dataset) DeleteBatched(pk []byte, b *wal.Batch) (bool, error) {
-	deleted := false
-	err := d.withWriteLocks(pk, func(ts int64) error {
-		ok, err := d.deleteLocked(pk, ts, b)
-		deleted = ok
-		return err
-	})
+// applyLocked is the live write: the writer is registered with the dataset
+// lock (so Side-file drains can wait for it) and holds an exclusive lock on
+// the primary key (Section 5.2) across prepare, log and install.
+//
+// The ingestion timestamp is drawn INSIDE the registered window. This
+// ordering is load-bearing for recovery: flushes freeze memtables under a
+// writer drain, so every timestamp issued before a freeze has its entry in
+// the frozen memtable, and a flushed component's MaxTS can never cover a
+// timestamp whose write is still in flight. WAL replay (and on-disk WAL
+// compaction) drop records with TS <= the maximum durable component
+// timestamp — drawing the timestamp before registering would let a stalled
+// writer log an acknowledged write that replay then skips forever.
+func (d *Dataset) applyLocked(m kv.Mutation, b *wal.Batch) (bool, error) {
+	d.dsLock.Enter()
+	defer d.dsLock.Exit()
+	d.locks.Lock(m.PK, txn.Exclusive)
+	defer d.locks.Unlock(m.PK, txn.Exclusive)
+	// A sticky WAL-durability failure makes the dataset read-only: fail
+	// here, before prepare mutates shared state (the Mutable-bitmap search
+	// flips disk bitmaps before logging).
+	if d.log != nil {
+		if err := d.log.SinkErr(); err != nil {
+			return false, err
+		}
+	}
+	ts := d.NextTS()
+	p, err := d.prepare(m.Op, m.PK, true)
 	if err != nil {
 		return false, err
 	}
-	if !deleted {
+	if p.skip {
+		d.ignored.Add(1)
 		return false, nil
 	}
-	return true, d.maybeFlush()
-}
-
-func (d *Dataset) deleteLocked(pk []byte, ts int64, b *wal.Batch) (bool, error) {
-	switch d.cfg.Strategy {
-	case Eager:
-		// Point lookup fetches the old record so anti-matter can be
-		// produced for every index and filters widened (Section 3.1).
-		old, found, err := d.primary.Get(pk)
-		if err != nil {
-			return false, err
+	if err := d.logOp(recordTypes[m.Op], m.PK, m.Record, ts, p.updateBit, b); err != nil {
+		// The append failed, so the write never durably happened: revert
+		// the bitmap flip before reporting failure.
+		if p.undo != nil {
+			p.undo()
 		}
-		if !found {
-			d.ignored.Add(1)
-			return false, nil
-		}
-		if err := d.logOp(wal.RecDelete, pk, nil, ts, false, b); err != nil {
-			return false, err
-		}
-		d.putAnti(pk, ts)
-		for _, si := range d.secondaries {
-			if sk, ok := si.Spec.Extract(old.Value); ok {
-				si.Tree.Put(kv.Entry{Key: kv.ComposeKey(sk, pk), TS: ts, Anti: true})
-			}
-		}
-		d.widenFilterFor(old.Value)
-
-	case Validation:
-		// Anti-matter goes to the primary and primary key indexes only
-		// (Section 4.2); obsolete secondary entries are repaired later.
-		if err := d.logOp(wal.RecDelete, pk, nil, ts, false, b); err != nil {
-			return false, err
-		}
-		d.cleanSecondariesFromMem(pk, ts)
-		d.putAnti(pk, ts)
-
-	case MutableBitmap:
-		updateBit, existed, undo, commit, err := d.markDeletedViaBitmap(pk)
-		if err != nil {
-			return false, err
-		}
-		if !existed {
-			d.ignored.Add(1)
-			return false, nil
-		}
-		// An anti-matter key is still added (Section 5.2): the bitmap is
-		// an auxiliary structure and must not change LSM semantics, and
-		// it keeps Validation-maintained secondaries repairable.
-		if err := d.logOp(wal.RecDelete, pk, nil, ts, updateBit, b); err != nil {
-			// The append failed, so the delete never durably happened:
-			// revert the bitmap flip before reporting failure.
-			if undo != nil {
-				undo()
-			}
-			return false, err
-		}
-		if commit != nil {
-			commit() // durably logged: now forward to any in-flight build
-		}
-		d.cleanSecondariesFromMem(pk, ts)
-		d.putAnti(pk, ts)
-
-	case DeletedKey:
-		if err := d.logOp(wal.RecDelete, pk, nil, ts, false, b); err != nil {
-			return false, err
-		}
-		d.putAnti(pk, ts)
-		for _, si := range d.secondaries {
-			si.addMemDeleted(pk, ts)
-		}
+		return false, err
 	}
+	d.install(m.Op, m.PK, m.Record, ts, p)
 	d.ingested.Add(1)
 	return true, nil
 }
 
-// Upsert inserts record under pk, replacing any existing record. This is
-// the operation where the strategies differ most (Sections 3.1, 4.2, 5.2).
-func (d *Dataset) Upsert(pk, record []byte) error {
-	return d.UpsertBatched(pk, record, nil)
+// prepared is what a mutation's reads learned, handed from prepare to
+// install by value.
+type prepared struct {
+	// skip marks a live no-op: an insert of an existing key, a delete of a
+	// missing one.
+	skip bool
+	// found and old are the version being replaced (Eager only).
+	found bool
+	old   []byte
+	// updateBit, undo and commit are markDeletedViaBitmap's results
+	// (Mutable-bitmap only).
+	updateBit    bool
+	undo, commit func()
 }
 
-// UpsertBatched is Upsert with deferred commit durability (see
-// InsertBatched).
-func (d *Dataset) UpsertBatched(pk, record []byte, b *wal.Batch) error {
-	if err := d.withWriteLocks(pk, func(ts int64) error {
-		return d.upsertLocked(pk, record, ts, b)
-	}); err != nil {
-		return err
+// prepare runs the strategy's reads for one mutation, before it is logged.
+// search selects the existence search — the insert's uniqueness lookup, the
+// Mutable-bitmap pk-index search that flips the old version's bitmap bit. A
+// live write always runs it. Replay runs it only for a record whose update
+// bit says the search flipped a disk bitmap (Section 5.2): its other
+// answer, skip, was settled when the record was logged.
+func (d *Dataset) prepare(op kv.Op, pk []byte, search bool) (p prepared, err error) {
+	if op == kv.OpInsert {
+		// Every strategy handles an insert the same way: a uniqueness
+		// check, then a blind put into every index.
+		if search {
+			p.skip, err = d.keyExists(pk)
+		}
+		return p, err
 	}
-	return d.maybeFlush()
-}
-
-func (d *Dataset) upsertLocked(pk, record []byte, ts int64, b *wal.Batch) error {
 	switch d.cfg.Strategy {
 	case Eager:
-		// Point lookup to fetch the old record; anti-matter entries clean
-		// each secondary index whose key changed; filters are maintained
-		// with both the old and the new record (Figure 3).
-		old, found, err := d.primary.Get(pk)
-		if err != nil {
-			return err
-		}
-		if err := d.logOp(wal.RecUpsert, pk, record, ts, false, b); err != nil {
-			return err
-		}
-		for _, si := range d.secondaries {
-			newSK, hasNew := si.Spec.Extract(record)
-			if found {
-				oldSK, hasOld := si.Spec.Extract(old.Value)
-				if hasOld && hasNew && bytes.Equal(oldSK, newSK) {
-					// Unchanged secondary key: skip maintenance entirely.
-					continue
-				}
-				if hasOld {
-					si.Tree.Put(kv.Entry{Key: kv.ComposeKey(oldSK, pk), TS: ts, Anti: true})
-				}
-			}
-			if hasNew {
-				si.Tree.Put(kv.Entry{Key: kv.ComposeKey(newSK, pk), TS: ts})
-			}
-		}
-		d.primary.Put(kv.Entry{Key: pk, Value: record, TS: ts})
-		if d.pkIndex != nil {
-			d.pkIndex.Put(kv.Entry{Key: pk, TS: ts})
-		}
-		if found {
-			d.widenFilterFor(old.Value)
-		}
-		d.widenFilterFor(record)
-
-	case Validation:
-		// Blind insert into every index (Figure 4); filters maintained
-		// with the new record only.
-		if err := d.logOp(wal.RecUpsert, pk, record, ts, false, b); err != nil {
-			return err
-		}
-		d.cleanSecondariesFromMem(pk, ts)
-		d.putAllIndexes(pk, record, ts)
-		d.widenFilterFor(record)
-
+		// Point lookup to fetch the old record, so anti-matter can clean
+		// the secondary indexes and the filters can be widened with it
+		// (Section 3.1, Figure 3).
+		var old kv.Entry
+		old, p.found, err = d.primary.Get(pk)
+		p.old = old.Value
+		p.skip = !p.found && op == kv.OpDelete
 	case MutableBitmap:
 		// The primary key index locates the old record; if it lives in a
-		// disk component its bitmap bit is set (Figure 9). Filters are
-		// maintained with the new record only.
-		updateBit, _, undo, commit, err := d.markDeletedViaBitmap(pk)
-		if err != nil {
-			return err
+		// disk component its bitmap bit is set (Figure 9).
+		if search {
+			var existed bool
+			p.updateBit, existed, p.undo, p.commit, err = d.markDeletedViaBitmap(pk)
+			p.skip = !existed && op == kv.OpDelete
 		}
-		if err := d.logOp(wal.RecUpsert, pk, record, ts, updateBit, b); err != nil {
-			// The append failed, so the upsert never durably happened:
-			// revert the bitmap flip before reporting failure.
-			if undo != nil {
-				undo()
-			}
-			return err
-		}
-		if commit != nil {
-			commit() // durably logged: now forward to any in-flight build
-		}
-		d.cleanSecondariesFromMem(pk, ts)
-		d.putAllIndexes(pk, record, ts)
-		d.widenFilterFor(record)
+	}
+	// Validation and Deleted-key writes are blind (Figure 4, Section 4.1).
+	return p, err
+}
 
-	case DeletedKey:
-		if err := d.logOp(wal.RecUpsert, pk, record, ts, false, b); err != nil {
-			return err
-		}
-		d.putAllIndexes(pk, record, ts)
+// install puts a prepared, durably logged mutation into the memory
+// components at timestamp ts. Replay calls it with the record's own
+// timestamp.
+func (d *Dataset) install(op kv.Op, pk, record []byte, ts int64, p prepared) {
+	if p.commit != nil {
+		p.commit() // durably logged: now forward to any in-flight build
+	}
+	switch {
+	case d.cfg.Strategy == Eager:
+		d.installEager(op, pk, record, ts, p)
+		return
+	case op == kv.OpInsert:
+		// A new key leaves no old version to clean up after.
+	case d.cfg.Strategy == DeletedKey:
 		for _, si := range d.secondaries {
 			si.addMemDeleted(pk, ts)
 		}
-		d.widenFilterFor(record)
+	default: // Validation, MutableBitmap
+		// Obsolete secondary entries are repaired later (Section 4.2) or
+		// hidden by the bitmap; only what the memory component still holds
+		// is cleaned now.
+		d.cleanSecondariesFromMem(pk, ts)
 	}
-	d.ingested.Add(1)
-	return nil
+	if op == kv.OpDelete {
+		// Anti-matter goes to the primary and primary key indexes only —
+		// under Mutable-bitmap too (Section 5.2): the bitmap is an auxiliary
+		// structure and must not change LSM semantics, and the anti-matter
+		// keeps Validation-maintained secondaries repairable.
+		d.putAnti(pk, ts)
+		return
+	}
+	// Blind insert into every index (Figure 4); filters maintained with the
+	// new record only.
+	d.putRecord(pk, record, ts)
+	for _, si := range d.secondaries {
+		if sk, ok := si.Spec.Extract(record); ok {
+			si.Tree.Put(kv.Entry{Key: kv.ComposeKey(sk, pk), TS: ts})
+		}
+	}
+	d.widenFilterFor(record)
+}
+
+// installEager keeps every index up to date at write time (Figure 3):
+// anti-matter cleans each secondary index whose key changed and only those
+// get the new entry; filters are maintained with both the old and the new
+// record. An insert arrives with no old version and so puts blindly.
+func (d *Dataset) installEager(op kv.Op, pk, record []byte, ts int64, p prepared) {
+	del := op == kv.OpDelete
+	for _, si := range d.secondaries {
+		var newSK, oldSK []byte
+		var hasNew, hasOld bool
+		if !del {
+			newSK, hasNew = si.Spec.Extract(record)
+		}
+		if p.found {
+			oldSK, hasOld = si.Spec.Extract(p.old)
+		}
+		if hasOld && hasNew && bytes.Equal(oldSK, newSK) {
+			continue // unchanged secondary key: skip maintenance entirely
+		}
+		if hasOld {
+			si.Tree.Put(kv.Entry{Key: kv.ComposeKey(oldSK, pk), TS: ts, Anti: true})
+		}
+		if hasNew {
+			si.Tree.Put(kv.Entry{Key: kv.ComposeKey(newSK, pk), TS: ts})
+		}
+	}
+	if p.found {
+		d.widenFilterFor(p.old)
+	}
+	if del {
+		d.putAnti(pk, ts)
+		return
+	}
+	d.putRecord(pk, record, ts)
+	d.widenFilterFor(record)
 }
 
 // keyExists checks primary-key uniqueness via the primary key index when
@@ -294,17 +247,12 @@ func (d *Dataset) keyExists(pk []byte) (bool, error) {
 	return found, err
 }
 
-// putAllIndexes inserts the new record into the primary index, the primary
-// key index, and every secondary index.
-func (d *Dataset) putAllIndexes(pk, record []byte, ts int64) {
+// putRecord inserts the new record into the primary index and the primary
+// key index.
+func (d *Dataset) putRecord(pk, record []byte, ts int64) {
 	d.primary.Put(kv.Entry{Key: pk, Value: record, TS: ts})
 	if d.pkIndex != nil {
 		d.pkIndex.Put(kv.Entry{Key: pk, TS: ts})
-	}
-	for _, si := range d.secondaries {
-		if sk, ok := si.Spec.Extract(record); ok {
-			si.Tree.Put(kv.Entry{Key: kv.ComposeKey(sk, pk), TS: ts})
-		}
 	}
 }
 

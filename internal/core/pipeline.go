@@ -496,16 +496,15 @@ func (d *Dataset) runMergeJob() {
 }
 
 // FlushAll freezes whatever the memtables hold into a batch stamped with a
-// fresh epoch, makes sure due merges are considered, and drains until every
-// maintenance job of this dataset has finished, so the store is fully
-// quiesced — and, on a durable device, its manifest references every
-// installed component — when it returns.
+// fresh epoch and drains until every maintenance job of this dataset has
+// finished: the batch's build and the merge pass its install queues. The
+// store is fully quiesced — and, on a durable device, its manifest
+// references every installed component — when it returns.
 func (d *Dataset) FlushAll() error {
 	if err := d.MaintErr(); err != nil {
 		return err
 	}
 	d.freezeAndSchedule(false)
-	d.scheduleMerge()
 	return d.DrainMaintenance()
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/kv"
 	"repro/internal/wal"
@@ -45,39 +46,39 @@ var ErrNoWAL = errors.New("core: recovery requires the write-ahead log")
 // Recover replays committed transactions whose effects were lost in a
 // crash. As in AsterixDB (Section 2.2), the system first computes the
 // maximum component timestamp across all indexes; committed operations
-// beyond it are re-executed from their logical log records. No undo is
-// needed: the no-steal policy guarantees disk components hold only
-// committed data. Bitmap mutations are replayed only for records whose
-// update bit is set (Section 5.2).
+// beyond it are re-executed from their logical log records: the prepare and
+// install steps of Apply, at the record's own timestamp. What replay leaves
+// out is what only a live write needs — the locks (nothing else runs), the
+// timestamp draw, the log append, the ingested/ignored counters, and the
+// existence search unless the record's update bit says it flipped a disk
+// bitmap (Section 5.2; Set is idempotent, so a flip whose bitmap page was
+// checkpointed is harmless to replay). No undo is needed: the no-steal
+// policy guarantees disk components hold only committed data.
 func (d *Dataset) Recover() error {
 	if d.log == nil {
 		return ErrNoWAL
 	}
 	maxComponentTS := d.maxComponentTS()
-	err := d.log.Replay(0, func(r wal.Record) error {
+	return d.log.Replay(0, func(r wal.Record) error {
 		if r.TS <= maxComponentTS {
 			return nil // already durable in a disk component
 		}
+		i := slices.Index(recordTypes[:], r.Type)
+		if i < 0 {
+			return nil // not a mutation record
+		}
+		op := kv.Op(i)
 		// Keep the ingestion clock ahead of every replayed timestamp.
 		for cur := d.clock.Load(); cur < r.TS; cur = d.clock.Load() {
 			d.clock.CompareAndSwap(cur, r.TS)
 		}
-		switch r.Type {
-		case wal.RecInsert:
-			d.putAllIndexes(r.Key, r.Value, r.TS)
-			d.widenFilterFor(r.Value)
-		case wal.RecUpsert:
-			return d.replayUpsert(r)
-		case wal.RecDelete:
-			return d.replayDelete(r)
+		p, err := d.prepare(op, r.Key, r.UpdateBit)
+		if err != nil {
+			return err
 		}
+		d.install(op, r.Key, r.Value, r.TS, p)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	d.ingested.Store(d.ingested.Load()) // counters unchanged; kept for clarity
-	return nil
 }
 
 // maxComponentTS returns the newest timestamp durable in any disk
@@ -93,106 +94,4 @@ func (d *Dataset) maxComponentTS() int64 {
 		}
 	}
 	return maxTS
-}
-
-// replayBitmapMark re-executes a logged bitmap mutation, applying the
-// deferred forward immediately: replay is single-threaded and already
-// durable, so there is nothing to roll back.
-func (d *Dataset) replayBitmapMark(key []byte) error {
-	_, _, _, commit, err := d.markDeletedViaBitmap(key)
-	if err != nil {
-		return err
-	}
-	if commit != nil {
-		commit()
-	}
-	return nil
-}
-
-func (d *Dataset) replayUpsert(r wal.Record) error {
-	switch d.cfg.Strategy {
-	case Eager:
-		old, found, err := d.primary.Get(r.Key)
-		if err != nil {
-			return err
-		}
-		for _, si := range d.secondaries {
-			newSK, hasNew := si.Spec.Extract(r.Value)
-			if found {
-				oldSK, hasOld := si.Spec.Extract(old.Value)
-				if hasOld && hasNew && kv.Compare(oldSK, newSK) == 0 {
-					continue
-				}
-				if hasOld {
-					si.Tree.Put(kv.Entry{Key: kv.ComposeKey(oldSK, r.Key), TS: r.TS, Anti: true})
-				}
-			}
-			if hasNew {
-				si.Tree.Put(kv.Entry{Key: kv.ComposeKey(newSK, r.Key), TS: r.TS})
-			}
-		}
-		d.primary.Put(kv.Entry{Key: r.Key, Value: r.Value, TS: r.TS})
-		if d.pkIndex != nil {
-			d.pkIndex.Put(kv.Entry{Key: r.Key, TS: r.TS})
-		}
-		if found {
-			d.widenFilterFor(old.Value)
-		}
-		d.widenFilterFor(r.Value)
-	case MutableBitmap:
-		if r.UpdateBit {
-			// Replay the bitmap mutation; Set is idempotent, so records
-			// whose bitmap page was checkpointed are harmless to replay.
-			if err := d.replayBitmapMark(r.Key); err != nil {
-				return err
-			}
-		}
-		d.cleanSecondariesFromMem(r.Key, r.TS)
-		d.putAllIndexes(r.Key, r.Value, r.TS)
-		d.widenFilterFor(r.Value)
-	default: // Validation, DeletedKey
-		d.cleanSecondariesFromMem(r.Key, r.TS)
-		d.putAllIndexes(r.Key, r.Value, r.TS)
-		for _, si := range d.secondaries {
-			if si.memDeleted != nil {
-				si.addMemDeleted(r.Key, r.TS)
-			}
-		}
-		d.widenFilterFor(r.Value)
-	}
-	return nil
-}
-
-func (d *Dataset) replayDelete(r wal.Record) error {
-	switch d.cfg.Strategy {
-	case Eager:
-		old, found, err := d.primary.Get(r.Key)
-		if err != nil {
-			return err
-		}
-		if found {
-			for _, si := range d.secondaries {
-				if sk, ok := si.Spec.Extract(old.Value); ok {
-					si.Tree.Put(kv.Entry{Key: kv.ComposeKey(sk, r.Key), TS: r.TS, Anti: true})
-				}
-			}
-			d.widenFilterFor(old.Value)
-		}
-	case MutableBitmap:
-		if r.UpdateBit {
-			if err := d.replayBitmapMark(r.Key); err != nil {
-				return err
-			}
-		}
-		d.cleanSecondariesFromMem(r.Key, r.TS)
-	default:
-		d.cleanSecondariesFromMem(r.Key, r.TS)
-		for _, si := range d.secondaries {
-			if si.memDeleted != nil {
-				si.addMemDeleted(r.Key, r.TS)
-			}
-		}
-	}
-	d.putAnti(r.Key, r.TS)
-	return nil
 }

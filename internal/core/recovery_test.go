@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -238,5 +239,120 @@ func TestCrashRecoveryAsyncAllStrategies(t *testing.T) {
 			}
 			verifyModel(t, d, model)
 		})
+	}
+}
+
+// driveReplayStream applies a seeded insert/upsert/delete stream (duplicate
+// inserts and deletes of missing keys included), flushing every flushEvery
+// operations when that is positive.
+func driveReplayStream(t *testing.T, d *Dataset, seed int64, nOps, flushEvery int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < nOps; i++ {
+		pk := pkOf(uint64(rng.Intn(200)))
+		rec := testRecord(fmt.Sprintf("L%02d", rng.Intn(20)), int64(2000+i))
+		var err error
+		switch rng.Intn(6) {
+		case 0:
+			_, err = d.Delete(pk)
+		case 1:
+			_, err = d.Insert(pk, rec)
+		default:
+			err = d.Upsert(pk, rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flushEvery > 0 && i > 0 && i%flushEvery == 0 {
+			if err := d.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// memImage lists a tree's memory component entry for entry.
+func memImage(tr *lsm.Tree) []string {
+	var out []string
+	it := tr.Mem().NewIterator(nil, nil)
+	for e, ok := it.Next(); ok; e, ok = it.Next() {
+		out = append(out, fmt.Sprintf("key=%x ts=%d anti=%v value=%x", e.Key, e.TS, e.Anti, e.Value))
+	}
+	return out
+}
+
+// TestReplayMatchesLive pins recovery as re-execution (Section 2.2): a
+// dataset that crashed and replayed its log must hold, in every index, the
+// memory image of a dataset that ran the same stream and never crashed —
+// the same entries, timestamps, anti-matter and deleted-key bookkeeping, not
+// merely the same answers. The flushed variant adds disk components, so
+// Mutable-bitmap update-bit replay runs against bitmaps that already
+// reflect the deletes (Section 5.2).
+func TestReplayMatchesLive(t *testing.T) {
+	for _, strat := range []Strategy{Eager, Validation, MutableBitmap, DeletedKey} {
+		for _, flushEvery := range []int{0, 300} {
+			t.Run(fmt.Sprintf("%v/flushEvery=%d", strat, flushEvery), func(t *testing.T) {
+				open := func() *Dataset {
+					d := newTestDataset(t, func(c *Config) { c.Strategy = strat })
+					driveReplayStream(t, d, 83, 1500, flushEvery)
+					return d
+				}
+				live, recovered := open(), open()
+				recovered.Crash()
+				if err := recovered.Recover(); err != nil {
+					t.Fatal(err)
+				}
+				if n := live.Primary().NumDiskComponents(); (n == 0) != (flushEvery == 0) {
+					t.Fatalf("setup: %d disk components with flushEvery=%d", n, flushEvery)
+				}
+
+				liveTrees, recTrees := live.allTrees(), recovered.allTrees()
+				for i, tr := range liveTrees {
+					want, got := memImage(tr), memImage(recTrees[i])
+					if len(want) == 0 {
+						t.Fatalf("setup: live memory component of tree %d is empty", i)
+					}
+					if len(got) != len(want) {
+						t.Errorf("tree %d: replayed memory component holds %d entries, live %d", i, len(got), len(want))
+					}
+					for j := 0; j < len(want) && j < len(got); j++ {
+						if got[j] != want[j] {
+							t.Errorf("tree %d entry %d:\n replayed %s\n live     %s", i, j, got[j], want[j])
+							break
+						}
+					}
+					lc, rc := tr.Components(), recTrees[i].Components()
+					if len(lc) != len(rc) {
+						t.Fatalf("tree %d: %d components replayed, %d live", i, len(rc), len(lc))
+					}
+					for j := range lc {
+						if lc[j].Valid.Count() != rc[j].Valid.Count() {
+							t.Errorf("tree %d component %d: %d bitmap bits replayed, %d live",
+								i, j, rc[j].Valid.Count(), lc[j].Valid.Count())
+						}
+					}
+				}
+				for i, si := range live.Secondaries() {
+					want, got := si.memDeleted, recovered.Secondaries()[i].memDeleted
+					if len(got) != len(want) {
+						t.Errorf("secondary %d: memDeleted holds %d keys replayed, %d live", i, len(got), len(want))
+					}
+					for k, ts := range want {
+						if got[k] != ts {
+							t.Errorf("secondary %d: memDeleted[%x] = %d replayed, %d live", i, k, got[k], ts)
+							break
+						}
+					}
+				}
+				for id := uint64(0); id < 200; id++ {
+					want, wantFound := mustGet(t, live, id)
+					got, gotFound := mustGet(t, recovered, id)
+					if gotFound != wantFound || got.TS != want.TS || !bytes.Equal(got.Value, want.Value) {
+						t.Fatalf("key %d: replayed (%v, ts %d, %x), live (%v, ts %d, %x)",
+							id, gotFound, got.TS, got.Value, wantFound, want.TS, want.Value)
+					}
+				}
+			})
+		}
 	}
 }

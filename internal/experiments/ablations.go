@@ -1,5 +1,6 @@
-// Ablation experiments beyond the paper's own figures: the DESIGN.md
-// design-choice ablations (merge policy, WAL) and the Section 7
+// Ablation experiments beyond the paper's own figures: this
+// reproduction's design-choice ablations (merge policy, WAL — core.Config
+// settings, see README "Maintenance: one flush pipeline") and the Section 7
 // future-work extension (query-driven cracking).
 package experiments
 

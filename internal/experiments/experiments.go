@@ -1,9 +1,10 @@
 // Package experiments reproduces every figure of the paper's evaluation
 // (Section 6). Each runner builds the scaled-down analogue of the paper's
-// setup (see DESIGN.md's substitution table), drives the synthetic tweet
-// workload, and reports the same series the paper plots, measured on the
-// virtual cost-model clock (except Figure 23, which measures real wall
-// time because lock contention is a real-CPU effect).
+// setup (the substitutions are described in the internal/metrics and
+// internal/storage package docs), drives the synthetic tweet workload, and
+// reports the same series the paper plots, measured on the virtual
+// cost-model clock (except Figure 23, which measures real wall time because
+// lock contention is a real-CPU effect).
 package experiments
 
 import (
@@ -173,7 +174,8 @@ func (s Scale) newConfig() dsConfig {
 	device := storage.ScaledHDD(s.PageSize)
 	// The paper's 4 MB read-ahead assumes the 2 GB cache can hold one
 	// window per component; scale the window down with the cache so a
-	// multi-component merge scan does not thrash (see DESIGN.md).
+	// multi-component merge scan does not thrash (the read-ahead rule is in
+	// the internal/storage package doc).
 	device.ReadAheadPages = 8
 	return dsConfig{
 		strategy:     core.Eager,

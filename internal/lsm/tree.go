@@ -237,8 +237,9 @@ func (t *Tree) getInternal(key []byte, only []*Component) (kv.Entry, *Component,
 		}
 		if !c.entryVisible(ord) {
 			// Deleted through a bitmap: every older version is deleted
-			// too (see DESIGN.md invariants), so keep searching only to
-			// honor Obsolete-bitmap skips, where older entries may win.
+			// too (each was the newest when the write that superseded it
+			// set its bit, see Component.Valid), so keep searching only
+			// to honor Obsolete-bitmap skips, where older entries may win.
 			if c.Valid.IsSet(ord) {
 				return kv.Entry{}, nil, 0, false, nil
 			}

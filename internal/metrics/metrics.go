@@ -4,9 +4,10 @@
 // a shared virtual clock by a calibrated amount, so experiments report
 // "seconds" whose ratios track the paper's testbed without 6-hour runs.
 //
-// See DESIGN.md ("Substitutions") for why this preserves the paper's shapes:
-// the results are driven by random-vs-sequential I/O ratios, cache residency,
-// and in-memory search costs, all of which the model reproduces explicitly.
+// The substitution preserves the paper's shapes because the results are
+// driven by random-vs-sequential I/O ratios, cache residency, and in-memory
+// search costs, all of which the model reproduces explicitly; the device
+// half of the model is described in the internal/storage package doc.
 package metrics
 
 import (

@@ -89,9 +89,9 @@ func FetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 func fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
 	env := primary.Env()
 	mem, flushing, comps := primary.ReadView()
-	cursors := make([]*lsmLookup, len(comps))
+	cursors := make([]*btree.LookupCursor, len(comps))
 	for i, c := range comps {
-		cursors[i] = newLSMLookup(c, cfg.Stateful)
+		cursors[i] = c.BTree.NewLookupCursor(cfg.Stateful)
 	}
 	for i := range keys {
 		k := keys[i]
@@ -110,7 +110,7 @@ func fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.En
 			if !c.MayContain(env, k.PK) {
 				continue
 			}
-			e, ord, found, err := cursors[ci].lookup(k.PK)
+			e, ord, found, err := cursors[ci].Lookup(k.PK)
 			if err != nil {
 				return err
 			}
@@ -177,7 +177,7 @@ func fetchBatched(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 		// component per batch keeps page access monotone.
 		for ci := len(comps) - 1; ci >= 0 && remaining > 0; ci-- {
 			c := comps[ci]
-			cur := newLSMLookup(c, cfg.Stateful)
+			cur := c.BTree.NewLookupCursor(cfg.Stateful)
 			for i := range batch {
 				if bfound[i] {
 					continue
@@ -188,7 +188,7 @@ func fetchBatched(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 				if !c.MayContain(env, batch[i].PK) {
 					continue
 				}
-				e, ord, ok, err := cur.lookup(batch[i].PK)
+				e, ord, ok, err := cur.Lookup(batch[i].PK)
 				if err != nil {
 					return err
 				}
@@ -223,19 +223,6 @@ func memGet(env *metrics.Env, mem *memtable.Table, flushing []*memtable.Table, p
 		}
 	}
 	return kv.Entry{}, false
-}
-
-// lsmLookup wraps a component's B+-tree point lookups, optionally stateful.
-type lsmLookup struct {
-	cur *btree.LookupCursor
-}
-
-func newLSMLookup(c *lsm.Component, stateful bool) *lsmLookup {
-	return &lsmLookup{cur: c.BTree.NewLookupCursor(stateful)}
-}
-
-func (l *lsmLookup) lookup(pk []byte) (kv.Entry, int64, bool, error) {
-	return l.cur.Lookup(pk)
 }
 
 // SortRecordsByPK sorts fetched records back into primary-key order

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/lsm"
@@ -153,85 +154,54 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 		cands = append(cands, c)
 	}
 
+	// The validation method decides which candidates survive; one tail then
+	// answers from their keys or fetches their records.
 	res := &SecondaryResult{}
+	direct := opts.Validation == Direct
 	switch opts.Validation {
 	case NoValidation:
-		if opts.IndexOnly {
-			for i := range cands {
-				res.Keys = append(res.Keys, cands[i].pk)
-			}
-			return res, nil
-		}
-		keys := make([]Key, len(cands))
-		for i, c := range cands {
-			keys[i] = Key{PK: c.pk, Src: c.src}
-		}
-		err = FetchRecords(ds.Primary(), keys, opts.Lookup, func(e kv.Entry) {
-			res.Records = append(res.Records, e.Clone())
-		})
-		return res, err
-
 	case Direct:
 		// Sort-distinct then fetch; the search condition is re-checked on
-		// each record (Figure 5a).
+		// each record (Figure 5a), so the index alone cannot answer.
 		env.ChargeSort(len(cands))
 		sort.Slice(cands, func(i, j int) bool { return kv.Compare(cands[i].pk, cands[j].pk) < 0 })
-		keys := make([]Key, 0, len(cands))
+		distinct := cands[:0]
 		for i, c := range cands {
-			if i > 0 && kv.Compare(c.pk, cands[i-1].pk) == 0 {
-				continue // distinct
+			if i == 0 || kv.Compare(c.pk, cands[i-1].pk) != 0 {
+				distinct = append(distinct, c)
 			}
-			keys = append(keys, Key{PK: c.pk, Src: c.src})
 		}
-		err = FetchRecords(ds.Primary(), keys, opts.Lookup, func(e kv.Entry) {
-			if sk, ok := si.Spec.Extract(e.Value); ok &&
-				kv.Compare(sk, loSK) >= 0 && kv.Compare(sk, hiSK) <= 0 {
-				res.Records = append(res.Records, e.Clone())
-			}
-		})
-		return res, err
-
+		cands = distinct
 	case DeletedKeyCheck:
-		valid, err := deletedKeyValidate(ds, si, comps, cands)
-		if err != nil {
-			return nil, err
-		}
-		if opts.IndexOnly {
-			for _, c := range valid {
-				res.Keys = append(res.Keys, c.pk)
-			}
-			return res, nil
-		}
-		keys := make([]Key, len(valid))
-		for i, c := range valid {
-			keys[i] = Key{PK: c.pk, Src: c.src}
-		}
-		err = FetchRecords(ds.Primary(), keys, opts.Lookup, func(e kv.Entry) {
-			res.Records = append(res.Records, e.Clone())
-		})
-		return res, err
-
+		cands, err = deletedKeyValidate(ds, si, comps, cands)
 	case Timestamp:
-		valid, err := timestampValidate(ds, cands, opts.CrackOnValidate)
-		if err != nil {
-			return nil, err
-		}
-		if opts.IndexOnly {
-			for _, c := range valid {
-				res.Keys = append(res.Keys, c.pk)
-			}
-			return res, nil
-		}
-		keys := make([]Key, len(valid))
-		for i, c := range valid {
-			keys[i] = Key{PK: c.pk, Src: c.src}
-		}
-		err = FetchRecords(ds.Primary(), keys, opts.Lookup, func(e kv.Entry) {
-			res.Records = append(res.Records, e.Clone())
-		})
-		return res, err
+		cands, err = timestampValidate(ds, cands, opts.CrackOnValidate)
+	default:
+		return res, nil
 	}
-	return res, nil
+	if err != nil {
+		return nil, err
+	}
+	if opts.IndexOnly && !direct {
+		for i := range cands {
+			res.Keys = append(res.Keys, cands[i].pk)
+		}
+		return res, nil
+	}
+	keys := make([]Key, len(cands))
+	for i, c := range cands {
+		keys[i] = Key{PK: c.pk, Src: c.src}
+	}
+	err = FetchRecords(ds.Primary(), keys, opts.Lookup, func(e kv.Entry) {
+		if direct {
+			if sk, ok := si.Spec.Extract(e.Value); !ok ||
+				kv.Compare(sk, loSK) < 0 || kv.Compare(sk, hiSK) > 0 {
+				return
+			}
+		}
+		res.Records = append(res.Records, e.Clone())
+	})
+	return res, err
 }
 
 // deletedKeyValidate implements the deleted-key B+-tree strategy's query
@@ -290,9 +260,7 @@ func timestampValidate(ds *core.Dataset, cands []candidate, crack bool) ([]candi
 	sort.Slice(cands, func(i, j int) bool { return kv.Compare(cands[i].pk, cands[j].pk) < 0 })
 
 	mem, flushing, comps := pkIndex.ReadView()
-	cursors := make([]interface {
-		Lookup([]byte) (kv.Entry, int64, bool, error)
-	}, len(comps))
+	cursors := make([]*btree.LookupCursor, len(comps))
 	for i, c := range comps {
 		cursors[i] = c.BTree.NewLookupCursor(true)
 	}

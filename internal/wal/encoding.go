@@ -124,32 +124,3 @@ func DecodeRecord(buf []byte) (Record, []byte, error) {
 	}
 	return r, rest, nil
 }
-
-// Marshal serializes the whole log.
-func (l *Log) Marshal() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []byte
-	for _, r := range l.records {
-		out = AppendRecord(out, r)
-	}
-	return out
-}
-
-// Unmarshal reconstructs a log from Marshal output. The reconstructed log
-// has no metrics environment attached; appends to it are not charged.
-func Unmarshal(data []byte) (*Log, error) {
-	l := &Log{nextLSN: 1}
-	for len(data) > 0 {
-		r, rest, err := DecodeRecord(data)
-		if err != nil {
-			return nil, err
-		}
-		l.records = append(l.records, r)
-		if r.LSN >= l.nextLSN {
-			l.nextLSN = r.LSN + 1
-		}
-		data = rest
-	}
-	return l, nil
-}

@@ -74,17 +74,20 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 	}
 }
 
-func TestLogMarshalUnmarshal(t *testing.T) {
-	l := New(metrics.NopEnv())
+// TestLogPersistedRoundTrip runs the served decode path: the byte stream a
+// sink received reopens, through OpenPersisted, as a log that replays the
+// same records and continues the LSN sequence.
+func TestLogPersistedRoundTrip(t *testing.T) {
+	sink := &recordingSink{}
+	l := NewWithSink(metrics.NopEnv(), sink)
 	l.Append(Record{TxnID: 1, Type: RecUpsert, Key: []byte("a"), Value: []byte("1"), TS: 10})
 	l.Commit(1)
 	l.Append(Record{TxnID: 2, Type: RecDelete, Key: []byte("b"), TS: 11, UpdateBit: true})
 	l.Commit(2)
 
-	data := l.Marshal()
-	l2, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
+	l2, consumed := OpenPersisted(nil, sink.image, nil)
+	if consumed != len(sink.image) {
+		t.Fatalf("reopen consumed %d of %d image bytes", consumed, len(sink.image))
 	}
 	if l2.Len() != l.Len() || l2.MaxLSN() != l.MaxLSN() {
 		t.Fatalf("len=%d/%d maxLSN=%d/%d", l2.Len(), l.Len(), l2.MaxLSN(), l.MaxLSN())
@@ -111,15 +114,27 @@ func TestLogMarshalUnmarshal(t *testing.T) {
 	}
 	// Appends continue with fresh LSNs.
 	if lsn := l2.Append(Record{TxnID: 3, Type: RecInsert}); lsn != l.MaxLSN()+1 {
-		t.Fatalf("post-unmarshal LSN = %d", lsn)
+		t.Fatalf("post-reopen LSN = %d", lsn)
 	}
 }
 
-func TestUnmarshalCorrupt(t *testing.T) {
-	l := New(metrics.NopEnv())
+// TestOpenPersistedTornTail cuts the image at every byte: reopen keeps the
+// records before the torn one and reports exactly their bytes as decoded.
+func TestOpenPersistedTornTail(t *testing.T) {
+	sink := &recordingSink{}
+	l := NewWithSink(nil, sink)
 	l.Append(Record{TxnID: 1, Type: RecInsert, Key: []byte("x")})
-	data := l.Marshal()
-	if _, err := Unmarshal(data[:len(data)-1]); err == nil {
-		t.Fatal("truncated log accepted")
+	first := len(sink.image)
+	l.Commit(1)
+	for cut := 0; cut < len(sink.image); cut++ {
+		kept, consumed := OpenPersisted(nil, sink.image[:cut], nil)
+		wantLen, wantConsumed := 0, 0
+		if cut >= first {
+			wantLen, wantConsumed = 1, first
+		}
+		if kept.Len() != wantLen || consumed != wantConsumed {
+			t.Fatalf("cut at %d: %d records, %d bytes decoded; want %d, %d",
+				cut, kept.Len(), consumed, wantLen, wantConsumed)
+		}
 	}
 }

@@ -5,14 +5,17 @@ import (
 	"testing"
 )
 
-// recordingSink captures every append and its sync flag.
+// recordingSink captures every append, its sync flag and the byte stream a
+// device's WAL area would hold.
 type recordingSink struct {
 	appends int
 	syncs   int
+	image   []byte
 }
 
 func (s *recordingSink) Append(encoded []byte, sync bool) error {
 	s.appends++
+	s.image = append(s.image, encoded...)
 	if sync {
 		s.syncs++
 	}

@@ -26,7 +26,7 @@
 //
 // # Robustness
 //
-// DecodeRequest and DecodeResponse never panic on corrupt input. Every
+// DecodeRequestInPlace and DecodeResponse never panic on corrupt input. Every
 // decoding failure — truncation, bad varint, out-of-range enum, trailing
 // garbage, list counts exceeding the frame — wraps ErrCorruptFrame, which
 // the fuzzers in this package enforce.

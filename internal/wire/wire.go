@@ -439,25 +439,16 @@ func AppendRequest(buf []byte, r Request) []byte {
 	return buf
 }
 
-// DecodeRequest decodes a frame payload produced by AppendRequest. It
-// never panics on corrupt input: every failure wraps ErrCorruptFrame,
-// including trailing garbage after a well-formed request. Every byte field
-// is copied out of frame, so the caller may reuse frame immediately.
-func DecodeRequest(frame []byte) (Request, error) {
-	return decodeRequest(frame, takeBytes)
-}
-
-// DecodeRequestInPlace is DecodeRequest without the copies: every byte
-// field of the result (Key, Value, Lo, Hi, mutation PKs and Records)
-// aliases frame. The caller must keep frame alive and unmodified for as
-// long as those fields are in use, and must copy any field it hands to
-// code that retains it — the server's read path does this for write
-// operations, whose keys and records outlive the request in the engine.
+// DecodeRequestInPlace decodes a frame payload produced by AppendRequest.
+// It never panics on corrupt input: every failure wraps ErrCorruptFrame,
+// including trailing garbage after a well-formed request. Nothing is
+// copied: every byte field of the result (Key, Value, Lo, Hi, mutation PKs
+// and Records) aliases frame. The caller must keep frame alive and
+// unmodified for as long as those fields are in use, and must copy any
+// field it hands to code that retains it — the server's read path does
+// this for write operations, whose keys and records outlive the request in
+// the engine.
 func DecodeRequestInPlace(frame []byte) (Request, error) {
-	return decodeRequest(frame, takeBytesRef)
-}
-
-func decodeRequest(frame []byte, takeB func([]byte) ([]byte, []byte, error)) (Request, error) {
 	var (
 		r   Request
 		err error
@@ -474,19 +465,19 @@ func decodeRequest(frame []byte, takeB func([]byte) ([]byte, []byte, error)) (Re
 	if r.Op == 0 || r.Op >= opMax {
 		return Request{}, fmt.Errorf("%w: unknown op %d", ErrCorruptFrame, op)
 	}
-	if r.Key, b, err = takeB(b); err != nil {
+	if r.Key, b, err = takeBytesRef(b); err != nil {
 		return Request{}, err
 	}
-	if r.Value, b, err = takeB(b); err != nil {
+	if r.Value, b, err = takeBytesRef(b); err != nil {
 		return Request{}, err
 	}
 	if r.Index, b, err = takeString(b); err != nil {
 		return Request{}, err
 	}
-	if r.Lo, b, err = takeB(b); err != nil {
+	if r.Lo, b, err = takeBytesRef(b); err != nil {
 		return Request{}, err
 	}
-	if r.Hi, b, err = takeB(b); err != nil {
+	if r.Hi, b, err = takeBytesRef(b); err != nil {
 		return Request{}, err
 	}
 	if r.FilterLo, b, err = takeVarint(b); err != nil {
@@ -519,10 +510,10 @@ func decodeRequest(frame []byte, takeB func([]byte) ([]byte, []byte, error)) (Re
 				return Request{}, fmt.Errorf("%w: unknown mutation op %d", ErrCorruptFrame, mo)
 			}
 			r.Muts[i].Op = MutOp(mo)
-			if r.Muts[i].PK, b, err = takeB(b); err != nil {
+			if r.Muts[i].PK, b, err = takeBytesRef(b); err != nil {
 				return Request{}, err
 			}
-			if r.Muts[i].Record, b, err = takeB(b); err != nil {
+			if r.Muts[i].Record, b, err = takeBytesRef(b); err != nil {
 				return Request{}, err
 			}
 		}
@@ -589,7 +580,7 @@ func AppendValueResponse(buf []byte, id uint64, found bool, value []byte) []byte
 }
 
 // DecodeResponse decodes a frame payload produced by AppendResponse. Like
-// DecodeRequest it never panics and wraps every failure in
+// DecodeRequestInPlace it never panics and wraps every failure in
 // ErrCorruptFrame.
 func DecodeResponse(frame []byte) (Response, error) {
 	var (

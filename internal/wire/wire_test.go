@@ -32,7 +32,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	for _, want := range reqs {
 		enc := AppendRequest(nil, want)
-		got, err := DecodeRequest(enc)
+		got, err := DecodeRequestInPlace(enc)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", want.Op, err)
 		}
@@ -97,8 +97,8 @@ func TestAppendValueResponseIdentity(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestInPlace checks the zero-copy decoder agrees with the
-// copying one and that its fields really alias the input frame.
+// TestDecodeRequestInPlace checks that the decoder's byte fields really
+// alias the input frame, capped so an append cannot reach the next field.
 func TestDecodeRequestInPlace(t *testing.T) {
 	reqs := []Request{
 		{ID: 2, Op: OpGet, Key: []byte("pk-7")},
@@ -120,13 +120,8 @@ func TestDecodeRequestInPlace(t *testing.T) {
 		}
 	}
 
-	// Aliasing: scribbling on the frame must show through the decoded Key,
-	// and a copying decode of the same frame must not be affected.
+	// Aliasing: scribbling on the frame must show through the decoded Key.
 	enc := AppendRequest(nil, Request{ID: 1, Op: OpGet, Key: []byte("abc")})
-	copied, err := DecodeRequest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := DecodeRequestInPlace(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -135,15 +130,15 @@ func TestDecodeRequestInPlace(t *testing.T) {
 	if off < 0 {
 		t.Fatal("key bytes not found in encoding")
 	}
+	if cap(got.Key) != len(got.Key) {
+		t.Fatalf("decoded key has cap %d > len %d: an append would overwrite the frame", cap(got.Key), len(got.Key))
+	}
 	enc[off] ^= 0xFF
 	if string(got.Key) == "abc" {
 		t.Fatal("in-place decode did not alias the frame")
 	}
-	if string(copied.Key) != "abc" {
-		t.Fatal("copying decode aliased the frame")
-	}
 
-	// Corrupt input errors identically.
+	// Corrupt input is an error, not a short alias.
 	if _, err := DecodeRequestInPlace(enc[:3]); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("truncated in-place decode: err = %v, want ErrCorruptFrame", err)
 	}
@@ -168,7 +163,7 @@ func TestOldFormatFramesStillDecode(t *testing.T) {
 		0x00, // no mutations
 	}
 	want := Request{ID: 7, Op: OpGet, Key: []byte("pk")}
-	got, err := DecodeRequest(oldFrame)
+	got, err := DecodeRequestInPlace(oldFrame)
 	if err != nil {
 		t.Fatalf("old-format frame rejected: %v", err)
 	}
@@ -188,7 +183,7 @@ func TestOldFormatFramesStillDecode(t *testing.T) {
 	// An explicitly encoded empty tenant (a single zero byte) is accepted
 	// and normalizes to the untagged request.
 	explicitEmpty := append(append([]byte(nil), oldFrame...), 0x00)
-	got, err = DecodeRequest(explicitEmpty)
+	got, err = DecodeRequestInPlace(explicitEmpty)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("explicit empty tenant: err=%v got %+v", err, got)
 	}
@@ -213,7 +208,7 @@ func TestNewErrorCodesRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	enc := AppendRequest(nil, Request{ID: 1, Op: OpPing})
-	if _, err := DecodeRequest(append(enc, 0xAB)); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := DecodeRequestInPlace(append(enc, 0xAB)); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("trailing byte: err = %v, want ErrCorruptFrame", err)
 	}
 	encR := AppendResponse(nil, Response{ID: 1, Kind: KindOK})
@@ -226,10 +221,10 @@ func TestDecodeRejectsBadEnums(t *testing.T) {
 	enc := AppendRequest(nil, Request{ID: 1, Op: OpPing})
 	bad := append([]byte(nil), enc...)
 	bad[1] = byte(opMax) // the op byte follows the single-byte ID uvarint
-	if _, err := DecodeRequest(bad); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := DecodeRequestInPlace(bad); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("bad op: err = %v, want ErrCorruptFrame", err)
 	}
-	if _, err := DecodeRequest(nil); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := DecodeRequestInPlace(nil); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("empty payload: err = %v, want ErrCorruptFrame", err)
 	}
 }

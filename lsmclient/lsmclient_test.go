@@ -178,7 +178,7 @@ func newScriptedServer(t *testing.T, handle func(req wire.Request) wire.Response
 						return
 					}
 					buf = frame[:cap(frame)]
-					req, err := wire.DecodeRequest(frame)
+					req, err := wire.DecodeRequestInPlace(frame) // handle runs before the buffer is reused
 					if err != nil {
 						return
 					}

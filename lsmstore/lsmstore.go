@@ -5,9 +5,10 @@
 // Storage Systems" (PVLDB 12(5), 2019).
 //
 // A DB routes over one or more dataset partitions, each backed by a
-// simulated disk with an explicit I/O cost model (see DESIGN.md) or by real
-// files, holding a primary LSM index, an optional primary key index, and
-// any number of secondary indexes that share a memory budget. The maintenance strategy for
+// simulated disk with an explicit I/O cost model (see the internal/metrics
+// and internal/storage package docs) or by real files, holding a primary
+// LSM index, an optional primary key index, and any number of secondary
+// indexes that share a memory budget. The maintenance strategy for
 // auxiliary structures — Eager, Validation, Mutable-bitmap, or Deleted-key
 // B+-tree — is chosen at Open time, and queries pick a validation method
 // per request.
@@ -545,34 +546,28 @@ func bloomKind(b Backend) bloom.Kind {
 
 // Insert adds a record; it reports false when the key already exists.
 func (db *DB) Insert(pk, record []byte) (bool, error) {
-	if err := db.acquire(); err != nil {
-		return false, err
-	}
-	defer db.release()
-	ok, err := db.dsFor(pk).Insert(pk, record)
-	db.invalidate(pk)
-	return ok, err
+	return db.apply(Mutation{Op: OpInsert, PK: pk, Record: record})
 }
 
 // Upsert inserts or replaces the record under pk.
 func (db *DB) Upsert(pk, record []byte) error {
-	if err := db.acquire(); err != nil {
-		return err
-	}
-	defer db.release()
-	err := db.dsFor(pk).Upsert(pk, record)
-	db.invalidate(pk)
+	_, err := db.apply(Mutation{Op: OpUpsert, PK: pk, Record: record})
 	return err
 }
 
 // Delete removes the record under pk; it reports false when absent.
 func (db *DB) Delete(pk []byte) (bool, error) {
+	return db.apply(Mutation{Op: OpDelete, PK: pk})
+}
+
+// apply routes one mutation to its shard; the commit is durable on return.
+func (db *DB) apply(m Mutation) (bool, error) {
 	if err := db.acquire(); err != nil {
 		return false, err
 	}
 	defer db.release()
-	ok, err := db.dsFor(pk).Delete(pk)
-	db.invalidate(pk)
+	ok, err := db.dsFor(m.PK).Apply(m, nil)
+	db.invalidate(m.PK)
 	return ok, err
 }
 

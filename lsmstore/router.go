@@ -2,7 +2,6 @@ package lsmstore
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -130,7 +129,7 @@ func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
 // order, and, when applied is non-nil (it must then be at least len(muts)
 // long), records whether each mutation took effect: upserts always do,
 // duplicate inserts and deletes of missing keys do not. It stops at the
-// first error, leaving later entries false.
+// first error (an unknown op is one), leaving later entries false.
 //
 // On a group-commit store the batch defers every mutation's commit fsync
 // into one covering group fsync at the end — one fsync per batch, not per
@@ -147,20 +146,7 @@ func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool) error {
 	b := ds.BeginCommitBatch()
 	var firstErr error
 	for i, m := range muts {
-		var (
-			ok  = true
-			err error
-		)
-		switch m.Op {
-		case OpUpsert:
-			err = ds.UpsertBatched(m.PK, m.Record, b)
-		case OpInsert:
-			ok, err = ds.InsertBatched(m.PK, m.Record, b)
-		case OpDelete:
-			ok, err = ds.DeleteBatched(m.PK, b)
-		default:
-			err = fmt.Errorf("lsmstore: unknown mutation op %d", m.Op)
-		}
+		ok, err := ds.Apply(m, b)
 		if err != nil {
 			firstErr = err
 			break

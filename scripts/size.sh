@@ -5,6 +5,11 @@
 # and in total; the package count; the option surface (fields of
 # lsmstore.Options and server.Config); and the flag definitions under cmd/.
 # Lines are raw `wc -l` lines of gofmt-ed source: comments and blanks count.
+#
+#   scripts/size.sh                     the working tree
+#   scripts/size.sh --against <git-ref> the ref (a `git archive` of it in a
+#                                       temp dir), the working tree, and the
+#                                       difference, row by row
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,18 +33,51 @@ fields() {
 		}' "$2"
 }
 
-printf '%-12s %7s\n' "directory" "lines"
-for d in $(find . -mindepth 1 -maxdepth 1 -type d -not -name '.*' -not -name bench | sort); do
-	n=$(sources "$d" | lines)
-	[ "$n" -gt 0 ] && printf '%-12s %7d\n' "${d#./}" "$n"
-done
-printf '%-12s %7d\n' "(root)" "$(find . -maxdepth 1 -name '*.go' -not -name '*_test.go' | lines)"
-printf '%-12s %7d   non-test Go outside bench/, testdata excluded\n' "total" "$(sources . | lines)"
-printf '%-12s %7d   analyzer testdata, not in the total\n' "testdata" \
-	"$(find . -name '*.go' -not -name '*_test.go' -path '*/testdata/*' -not -path './bench/*' | lines)"
-printf '%-12s %7d\n' "packages" "$(sources . | xargs -r -n1 dirname | sort -u | wc -l)"
-printf '%-12s %7d   lsmstore.Options fields\n' "options" "$(fields Options lsmstore/lsmstore.go)"
-printf '%-12s %7d   server.Config fields\n' "config" "$(fields Config internal/server/server.go)"
-printf '%-12s %7d   flag definitions under cmd/\n' "flags" \
-	"$(find cmd -name '*.go' -not -name '*_test.go' -print0 |
-		xargs -0 grep -hoE '\bflag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' | wc -l)"
+# measure DIR: one "row<TAB>count<TAB>note" line per row of the table, for
+# the tree rooted at DIR.
+measure() (
+	cd "$1"
+	for d in $(find . -mindepth 1 -maxdepth 1 -type d -not -name '.*' -not -name bench | sort); do
+		n=$(sources "$d" | lines)
+		[ "$n" -gt 0 ] && printf '%s\t%d\t\n' "${d#./}" "$n"
+	done
+	printf '(root)\t%d\t\n' "$(find . -maxdepth 1 -name '*.go' -not -name '*_test.go' | lines)"
+	printf 'total\t%d\tnon-test Go outside bench/, testdata excluded\n' "$(sources . | lines)"
+	printf 'testdata\t%d\tanalyzer testdata, not in the total\n' \
+		"$(find . -name '*.go' -not -name '*_test.go' -path '*/testdata/*' -not -path './bench/*' | lines)"
+	printf 'packages\t%d\t\n' "$(sources . | xargs -r -n1 dirname | sort -u | wc -l)"
+	printf 'options\t%d\tlsmstore.Options fields\n' "$(fields Options lsmstore/lsmstore.go)"
+	printf 'config\t%d\tserver.Config fields\n' "$(fields Config internal/server/server.go)"
+	printf 'flags\t%d\tflag definitions under cmd/\n' \
+		"$(find cmd -name '*.go' -not -name '*_test.go' -print0 |
+			xargs -0 grep -hoE '\bflag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' | wc -l)"
+)
+
+case "${1:-}" in
+"")
+	printf '%-12s %7s\n' "directory" "lines"
+	measure . | awk -F'\t' '{ printf "%-12s %7d%s\n", $1, $2, ($3 == "" ? "" : "   " $3) }'
+	;;
+--against)
+	ref=${2:?usage: scripts/size.sh --against <git-ref>}
+	tmp=$(mktemp -d)
+	trap 'rm -rf "$tmp"' EXIT
+	git archive "$ref" | tar -x -C "$tmp"
+	printf '%-12s %9.9s %9s %7s\n' "directory" "$ref" "tree" "delta"
+	# Rows are keyed by name: a directory present on one side only counts 0
+	# on the other, and keeps the order of the side that has it.
+	awk -F'\t' '
+		NR == FNR { ref[$1] = $2; if (!($1 in seen)) { seen[$1]; order[++n] = $1 }; next }
+		{ tree[$1] = $2; note[$1] = $3; if (!($1 in seen)) { seen[$1]; order[++n] = $1 } }
+		END {
+			for (i = 1; i <= n; i++) {
+				k = order[i]
+				printf "%-12s %9d %9d %+7d%s\n", k, ref[k], tree[k], tree[k] - ref[k], (note[k] == "" ? "" : "   " note[k])
+			}
+		}' <(measure "$tmp") <(measure .)
+	;;
+*)
+	echo "usage: scripts/size.sh [--against <git-ref>]" >&2
+	exit 2
+	;;
+esac
