@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,7 +37,7 @@ func main() {
 		faultRate = flag.Float64("fault-rate", 1, "fault-injection rate multiplier (0 disables)")
 		killAfter = flag.Int64("kill-after", 0, "kill the device at this traced op of the first session (0 = seeded)")
 		profile   = flag.String("profile", "seq", "determinism profile: seq (bit-reproducible) or conc")
-		bug       = flag.String("bug", "", "re-arm a historical bug: keep-commit")
+		bug       = flag.String("bug", "", "re-arm a bug: "+strings.Join(dst.Bugs, ", "))
 		traceOut  = flag.Bool("trace", false, "print the full op trace of a single-seed run")
 		minimize  = flag.Bool("minimize", true, "minimize the fault schedule of a failing run")
 		dir       = flag.String("dir", "", "scratch directory (default: a temp dir, removed on success)")
@@ -47,8 +48,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *bug != "" && *bug != dst.BugKeepCommit {
-		fatal(fmt.Errorf("unknown -bug %q (known: %s)", *bug, dst.BugKeepCommit))
+	if *bug != "" && !slices.Contains(dst.Bugs, *bug) {
+		fatal(fmt.Errorf("unknown -bug %q (known: %s)", *bug, strings.Join(dst.Bugs, ", ")))
 	}
 
 	scratch := *dir

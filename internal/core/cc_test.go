@@ -312,18 +312,20 @@ func TestAsyncConcurrentWritersAndReaders(t *testing.T) {
 						}
 					}
 					si := d.Secondary("location")
-					mem, flushing, comps := si.Tree.ReadView()
+					v := si.Tree.ReadView()
 					it, err := si.Tree.NewMergedIterator(lsm.IterOptions{
-						Components: comps, Flushing: flushing, Mem: mem,
+						Components: v.Components, Flushing: v.Flushing, Mem: v.Mem,
 						HideAnti: true, SkipInvisible: true,
 					})
 					if err != nil {
+						v.Release()
 						errc <- err
 						return
 					}
 					for {
 						_, ok, err := it.Next()
 						if err != nil {
+							v.Release()
 							errc <- err
 							return
 						}
@@ -331,6 +333,7 @@ func TestAsyncConcurrentWritersAndReaders(t *testing.T) {
 							break
 						}
 					}
+					v.Release()
 				}
 			}()
 			wg.Wait()

@@ -224,9 +224,14 @@ type Dataset struct {
 	log    *wal.Log
 
 	// persistMu serializes manifest saves, so a later component-list
-	// snapshot is never overwritten by an earlier one (durable devices
-	// only).
+	// snapshot is never overwritten by an earlier one, and the unlinks that
+	// follow them. named, under it, is the file set of the durable manifest
+	// (nil on a non-durable device): a retired file in it must wait.
 	persistMu sync.Mutex
+	named     map[storage.FileID]bool
+	// unsafeEarlyUnlink and unsafeEarlyCut re-arm ordering bugs for the
+	// simulation corpus; see SetUnsafeReclaimBeforePersist.
+	unsafeEarlyUnlink, unsafeEarlyCut atomic.Bool
 	// crashMu makes multi-tree installs (flush batches, the paired
 	// primary/pk merge) atomic with respect to Crash, so a simulated
 	// failure can never observe a half-installed batch.
@@ -308,6 +313,7 @@ func Open(cfg Config) (*Dataset, error) {
 		},
 		MutableBitmaps: mutable,
 		Seed:           cfg.Seed + 1,
+		OnRetire:       d.scheduleReclaim,
 	})
 	if cfg.UsePKIndex {
 		d.pkIndex = lsm.New(lsm.Options{
@@ -317,6 +323,7 @@ func Open(cfg Config) (*Dataset, error) {
 			Bloom:          cfg.Bloom,
 			MutableBitmaps: mutable,
 			Seed:           cfg.Seed + 2,
+			OnRetire:       d.scheduleReclaim,
 		})
 	}
 	for i, spec := range cfg.Secondaries {
@@ -327,7 +334,8 @@ func Open(cfg Config) (*Dataset, error) {
 				Store: cfg.Store,
 				// Secondary index searches are range scans; Bloom filters
 				// are not consulted, so none are built.
-				Seed: cfg.Seed + 10 + int64(i),
+				Seed:     cfg.Seed + 10 + int64(i),
+				OnRetire: d.scheduleReclaim,
 			}),
 		}
 		if cfg.Strategy == DeletedKey {
@@ -429,6 +437,40 @@ func (d *Dataset) Config() Config { return d.cfg }
 
 // Log returns the write-ahead log (nil when disabled).
 func (d *Dataset) Log() *wal.Log { return d.log }
+
+// SetUnsafeReclaimBeforePersist re-arms, on purpose, the two ordering bugs
+// reclamation must never have: unlink deletes retired component files
+// before the manifest that drops their names is saved, cut drops log
+// segments before the manifest covering their records is. A crash (or a
+// failed save) in between leaves a manifest naming missing files, or
+// acknowledged writes in neither a component nor the log. It exists solely
+// so the deterministic simulation corpus can prove it catches both
+// (internal/dst); nothing else may call it.
+func (d *Dataset) SetUnsafeReclaimBeforePersist(unlink, cut bool) {
+	d.unsafeEarlyUnlink.Store(unlink)
+	d.unsafeEarlyCut.Store(cut)
+}
+
+// ReclaimStats reports what the partition holds on the device and what
+// reclamation still owes: the bytes of the retained log, the bytes of the
+// component files the current component lists name, and the files of
+// merged-away components not yet unlinked (a reader still pins them, or
+// they await the next manifest).
+func (d *Dataset) ReclaimStats() (walBytes, componentBytes int64, retiredFiles int) {
+	if d.log != nil {
+		walBytes = d.log.Bytes()
+	}
+	for _, tr := range d.allTrees() {
+		for _, c := range tr.Components() {
+			componentBytes += c.SizeBytes()
+			if c.DeletedKeys != nil {
+				componentBytes += c.DeletedKeys.SizeBytes()
+			}
+		}
+		retiredFiles += tr.RetiredFiles()
+	}
+	return walBytes, componentBytes, retiredFiles
+}
 
 // Locks returns the record-level lock manager.
 func (d *Dataset) Locks() *txn.LockManager { return d.locks }

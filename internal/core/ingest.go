@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 
 	"repro/internal/kv"
 	"repro/internal/lsm"
 	"repro/internal/memtable"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -321,6 +323,7 @@ func (d *Dataset) markDeletedViaBitmap(pk []byte) (updateBit, existed bool, undo
 		return false, false, nil, nil, ErrNoPKIndex
 	}
 	var lastGone *memtable.Table
+	vanished := false
 	for {
 		// Memory component first: a blind Put will supersede it; no bitmap
 		// work.
@@ -343,6 +346,13 @@ func (d *Dataset) markDeletedViaBitmap(pk []byte) (updateBit, existed bool, undo
 					// its bitmap bit and forward the delete to any merge
 					// already building over it.
 					_, ordinal, found, err := sealedComp.BTree.Get(pk)
+					if errors.Is(err, storage.ErrNoSuchFile) && !vanished {
+						// Installed, merged away and unlinked since the
+						// batch handed it out: the merged component holds
+						// the version now. Search again, once.
+						vanished = true
+						continue
+					}
 					if err != nil {
 						return false, false, nil, nil, err
 					}
@@ -373,7 +383,9 @@ func (d *Dataset) markDeletedViaBitmap(pk []byte) (updateBit, existed bool, undo
 			runtime.Gosched()
 			continue
 		}
-		e, comp, ordinal, found, err := d.pkIndex.GetWithLocation(pk, d.pkIndex.Components())
+		v := d.pkIndex.ReadView()
+		e, comp, ordinal, found, err := d.pkIndex.GetWithLocation(pk, v.Components)
+		v.Release()
 		if err != nil || !found || e.Anti {
 			return false, false, nil, nil, err
 		}
@@ -451,8 +463,8 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 		TxnID:     id,
 		Type:      t,
 		Index:     "dataset",
-		Key:       append([]byte(nil), pk...),
-		Value:     append([]byte(nil), record...),
+		Key:       pk, // encoded into the log's segment, not retained
+		Value:     record,
 		TS:        ts,
 		UpdateBit: updateBit,
 	}); err != nil {

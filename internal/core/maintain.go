@@ -251,7 +251,10 @@ func (d *Dataset) mergeSecondaryRange(si *SecondaryIndex, lo, hi int) error {
 // deleted-key probe costs a point lookup, which is why this strategy's
 // merges are expensive (Section 4.1).
 func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
-	comps := si.Tree.Components()
+	// Pinned: the merge probes and scans the inputs' deleted-key trees.
+	view := si.Tree.ReadView()
+	defer view.Release()
+	comps := view.Components
 	if lo < 0 || hi > len(comps) || lo >= hi {
 		return lsm.ErrBadMergeRange
 	}
@@ -320,6 +323,7 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 	}
 	// Union the deleted-key trees into the merged component.
 	if err := d.unionDeletedKeys(res.Component, inputs); err != nil {
+		si.Tree.Discard(res.Component)
 		return err
 	}
 	return si.Tree.Install(res)
@@ -502,10 +506,13 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 		return nil, err
 	}
 	if pkErr != nil {
+		pkBuilder.Abort()
+		d.primary.Discard(res.Component)
 		return nil, pkErr
 	}
 	pkReader, err := pkBuilder.Finish()
 	if err != nil {
+		d.primary.Discard(res.Component)
 		return nil, err
 	}
 	if d.maintIOStore() != d.cfg.Store {
@@ -543,6 +550,7 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 	d.crashMu.Lock()
 	defer d.crashMu.Unlock()
 	if err := d.primary.Install(res); err != nil {
+		d.pkIndex.Discard(pkComp)
 		return nil, err
 	}
 	if err := d.pkIndex.ReplaceRun(pkComps, pkComp, pkGen); err != nil {

@@ -15,9 +15,11 @@ import (
 // storage.ManifestDevice: after every component install (flush or merge)
 // the dataset snapshots its component metadata into a small manifest and
 // hands it to the device, whose SaveManifest syncs the data files first and
-// then replaces the manifest atomically. Reopening a directory restores the
-// component lists from the manifest, garbage-collects files a crash left
-// half-installed, and replays the on-disk write-ahead log to rebuild the
+// then replaces the manifest atomically — and only then are the files of
+// merged-away components unlinked and the log segments the install covers
+// dropped. Reopening a directory restores the component lists from the
+// manifest, garbage-collects files a crash left half-installed or
+// half-reclaimed, and replays the surviving log segments to rebuild the
 // memory components — the real-files analogue of the simulated
 // Crash/Recover battery. On the simulated device every hook here is a
 // no-op, keeping the default backend byte-for-byte unchanged.
@@ -67,26 +69,85 @@ type componentManifest struct {
 	Bloom []byte `json:",omitempty"`
 }
 
-// Persist snapshots every tree's component list into the device manifest.
-// On a non-durable device it is a no-op. The snapshot is taken under
-// crashMu, so it can never observe half of a multi-tree install (a flush
-// batch or a paired primary/pk merge); saves are serialized so a later
-// snapshot is never overwritten by an earlier one.
+// Persist snapshots every tree's component list into the device manifest
+// and then gives back what that manifest no longer names: the files of
+// retired components are unlinked only here, after SaveManifest returned
+// nil. A failed save deletes nothing (the caller wedges the shard), so
+// whatever manifest a crash finds, every file it names exists; files it does
+// not name are the reopen sweep's. On a non-durable device there is no
+// manifest to wait for and retired files go at once. The snapshot is taken
+// under crashMu, so it can never observe half of a multi-tree install (a
+// flush batch or a paired primary/pk merge); saves are serialized so a
+// later snapshot is never overwritten by an earlier one.
 func (d *Dataset) Persist() error {
-	md, ok := d.cfg.Store.Device().(storage.ManifestDevice)
-	if !ok {
-		return nil
-	}
 	d.persistMu.Lock()
 	defer d.persistMu.Unlock()
-	d.crashMu.Lock()
-	m := d.buildManifest()
-	d.crashMu.Unlock()
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
+	if md, ok := d.cfg.Store.Device().(storage.ManifestDevice); ok {
+		d.crashMu.Lock()
+		m := d.buildManifest()
+		d.crashMu.Unlock()
+		data, err := json.Marshal(m)
+		if err != nil {
+			return err
+		}
+		named := m.files()
+		if d.unsafeEarlyUnlink.Load() {
+			d.reclaimLocked(named)
+		}
+		if err := md.SaveManifest(data); err != nil {
+			return err
+		}
+		d.named = named
 	}
-	return md.SaveManifest(data)
+	d.reclaimLocked(d.named)
+	return nil
+}
+
+// reclaimLocked unlinks every retired component file that named — the file
+// set of the durable manifest — does not hold; the rest go back on their
+// tree's queue for the Persist that drops their name. persistMu must be held.
+//
+// The unlink goes to the device, past the buffer cache: pages of a dead file
+// age out of the LRU as they did when the file was never deleted. File IDs
+// are never reused, so they are only stale — and dropping them eagerly
+// would change what the cache evicts next, and with it every simulated
+// figure.
+func (d *Dataset) reclaimLocked(named map[storage.FileID]bool) {
+	dev := d.cfg.Store.Device()
+	for _, tr := range d.allTrees() {
+		var keep []storage.FileID
+		for _, id := range tr.TakeRetired() {
+			if named[id] {
+				keep = append(keep, id)
+			} else {
+				dev.Delete(id)
+			}
+		}
+		tr.Retire(keep)
+	}
+}
+
+// reclaim is the maintenance job a late reader schedules: the last pin on a
+// merged-away component was released after the Persist that dropped its
+// name, so no later Persist is owed.
+func (d *Dataset) reclaim() {
+	d.persistMu.Lock()
+	d.reclaimLocked(d.named)
+	d.persistMu.Unlock()
+}
+
+// files lists every device file the manifest names.
+func (m manifest) files() map[storage.FileID]bool {
+	named := make(map[storage.FileID]bool)
+	for _, tm := range m.Trees {
+		for _, cm := range tm.Components {
+			named[storage.FileID(cm.File)] = true
+			if cm.DeletedKeysFile != 0 {
+				named[storage.FileID(cm.DeletedKeysFile)] = true
+			}
+		}
+	}
+	return named
 }
 
 func (d *Dataset) buildManifest() manifest {
@@ -147,6 +208,8 @@ func (d *Dataset) treeManifest(name string, tr *lsm.Tree, sharedValid bool) tree
 type walSink struct{ dev storage.WALDevice }
 
 func (s walSink) Append(b []byte, sync bool) error { return s.dev.AppendWAL(b, sync) }
+func (s walSink) Rotate(seq uint64) error          { return s.dev.RotateWAL(seq) }
+func (s walSink) Drop(seq uint64)                  { s.dev.DropWAL(seq) }
 
 // setupDurability wires a freshly opened dataset to a durable device:
 // restore the manifest's component lists, garbage-collect files a crash
@@ -165,18 +228,17 @@ func (d *Dataset) setupDurability() error {
 	if err != nil {
 		return err
 	}
-	referenced := make(map[storage.FileID]bool)
+	d.named = make(map[storage.FileID]bool)
 	if data != nil {
-		if err := d.restoreManifest(data, referenced); err != nil {
+		if err := d.restoreManifest(data, d.named); err != nil {
 			return err
 		}
 	}
 	// Drop every file the manifest does not reference: components a crash
 	// caught mid-install (data synced, manifest never written) and
-	// components retired by merges (their files are kept live in-process
-	// for stale readers, but no reader survives a restart).
+	// components a merge retired whose unlink the crash beat.
 	for _, id := range dev.List() {
-		if !referenced[id] {
+		if !d.named[id] {
 			d.cfg.Store.Delete(id)
 		}
 	}
@@ -187,11 +249,22 @@ func (d *Dataset) setupDurability() error {
 	if !ok {
 		return nil
 	}
-	image, err := wd.LoadWAL()
+	found, err := wd.LoadWAL()
 	if err != nil {
 		return err
 	}
-	log, consumed := wal.OpenPersisted(d.env, image, walSink{wd})
+	segs := make([]wal.Segment, len(found))
+	for i, s := range found {
+		segs[i] = wal.Segment(s)
+	}
+	// The recovered segments are replayed and then left alone — never
+	// appended to, never rewritten, torn tails included — until the first
+	// flush of this session cuts them with everything else it covers; the
+	// session's own appends go to the fresh segment OpenPersisted starts.
+	log, err := wal.OpenPersisted(d.env, segs, walSink{wd})
+	if err != nil {
+		return err
+	}
 	log.SetYield(d.cfg.Yield)
 	if d.cfg.GroupCommit != nil {
 		log.AttachGroupCommitter(d.cfg.GroupCommit)
@@ -202,43 +275,12 @@ func (d *Dataset) setupDurability() error {
 	// a dead data record from an earlier session to a new session's
 	// commit.
 	d.ids.AdvanceTo(d.log.MaxTxnID())
-	if len(image) > 0 {
+	if d.log.Len() > 0 {
 		if err := d.Recover(); err != nil {
 			return fmt.Errorf("core: replay of the on-disk WAL failed: %w", err)
 		}
 	}
-	// Compact the on-disk log: drop records the restored components cover
-	// and, crucially, any torn tail a crash left (consumed < len(image)) —
-	// appends must never land behind garbage, or every commit of this
-	// session would be unreadable at the next reopen.
-	compacted := d.log.CompactImage(d.maxComponentTS())
-	if len(compacted) != len(image) || consumed != len(image) {
-		if err := wd.ResetWAL(compacted); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// CompactWAL rewrites the device's WAL area keeping only records that
-// durable components do not cover. It must only run while the log is
-// quiescent — no writers, maintenance drained — i.e. at clean shutdown
-// (reopen compacts automatically). A no-op off the file backend.
-func (d *Dataset) CompactWAL() error {
-	wd, ok := d.cfg.Store.Device().(storage.WALDevice)
-	if !ok || d.log == nil {
-		return nil
-	}
-	// After a sink failure the in-memory record list is a superset of what
-	// was durably appended (the failed operation returned an error to the
-	// caller and never reached the memtable). Rewriting the device from
-	// memory would make that failed write durable; leave the on-disk log
-	// alone — it is consistent on its own: an uncommitted or torn record
-	// is skipped or truncated at the next reopen.
-	if err := d.log.SinkErr(); err != nil {
-		return err
-	}
-	return wd.ResetWAL(d.log.CompactImage(d.maxComponentTS()))
 }
 
 // restoreManifest rebuilds every tree's component list from the manifest,

@@ -22,12 +22,23 @@ import (
 // wedges the dataset with a sticky error that every later write returns.
 // Crash abandons in-flight installs through the trees' install generations,
 // so a failure can never resurrect pre-crash memory state.
+//
+// The pipeline is also where the write-ahead log is cut. The freeze rotates
+// the log to a fresh segment inside its writer drain, so every record logged
+// before the freeze sits in an older segment and every write those records
+// describe sits in the batch's frozen memtables (or in components already).
+// Once the batch is installed and the manifest naming its components is
+// durable, those older segments are dropped wholesale.
 
 // flushBatch is one frozen set of memory components: every index of the
 // dataset freezes together under one epoch (the dataset's indexes always
 // flush together, Section 3's shared memory budget).
 type flushBatch struct {
 	epoch uint64
+	// walCut is the log segment the freeze rotated to: every older segment
+	// is covered once this batch is durable. 0 when there is no log or the
+	// rotation failed (nothing is cut then).
+	walCut uint64
 
 	primary, pk *memtable.Table // nil when that index's memtable was empty
 	primGen     uint64          // install generation captured at freeze
@@ -106,6 +117,7 @@ type maintState struct {
 	building  bool
 	mergeWant bool // a merge job is queued
 	merging   bool
+	reclaims  int   // reclaim jobs queued or running
 	err       error // sticky first failure of any job
 
 	freezeMu sync.Mutex // serializes freeze decisions
@@ -269,6 +281,13 @@ func (d *Dataset) freezeBatch() *flushBatch {
 		}
 		if any {
 			b.epoch = d.epoch.Add(1)
+			if d.log != nil {
+				// No append is in flight inside the drain. A failed rotation
+				// wedges the log itself (the next write surfaces it); the
+				// batch still builds, it just cuts nothing.
+				//lsm:allow-discard the error is sticky in the log (SinkErr) and fails the next write
+				b.walCut, _ = d.log.Rotate()
+			}
 			m := d.maint
 			m.mu.Lock()
 			m.pending = append(m.pending, b)
@@ -308,9 +327,15 @@ func (d *Dataset) processOneBatch() {
 		op := d.cfg.Journal.Begin(obs.JFlush, "batch")
 		bytes, comps, err := d.buildAndInstallBatch(b)
 		if err == nil {
+			if d.unsafeEarlyCut.Load() {
+				d.cutLog(b.walCut)
+			}
 			// Durability point: sync the built component files and publish
 			// them in the manifest before the batch counts as complete.
 			err = d.Persist()
+		}
+		if err == nil {
+			d.cutLog(b.walCut)
 		}
 		op.End(bytes, 0, comps, err)
 
@@ -333,6 +358,42 @@ func (d *Dataset) processOneBatch() {
 	m.mu.Unlock()
 }
 
+// cutLog drops every log segment older than seq, the segment a flush batch's
+// freeze rotated to, now that the batch is installed and persisted. Batches
+// install in freeze order, so every earlier batch is durable too — unless
+// one failed: then the shard is wedged, the failed batch's writes live only
+// in the log, and nothing is cut until a Crash + Recover has replayed them
+// into a memtable that a later batch freezes.
+func (d *Dataset) cutLog(seq uint64) {
+	if seq != 0 && d.MaintErr() == nil {
+		d.log.DropBefore(seq)
+	}
+}
+
+// scheduleReclaim queues the job that unlinks retired component files. It
+// is the trees' OnRetire hook: a reader that outlived the Persist dropping
+// its components' names calls it from its last Release, which must not
+// touch the device itself. A pool without workers would run the job right
+// here, on that reader; there the next flush's Persist reclaims instead.
+func (d *Dataset) scheduleReclaim() {
+	m := d.maint
+	if m == nil || m.pool.Workers() == 0 {
+		return
+	}
+	m.mu.Lock()
+	m.reclaims++
+	m.mu.Unlock()
+	done := func() {
+		m.mu.Lock()
+		m.reclaims--
+		m.cond.Broadcast()
+		m.mu.Unlock()
+	}
+	if !m.pool.Submit(func() { d.reclaim(); done() }) {
+		done() // the pool is closed: Close's Persist reclaims
+	}
+}
+
 // batchForPKTable maps a frozen pk-index memtable to its flush batch (for
 // forwarding Mutable-bitmap deletes).
 func (d *Dataset) batchForPKTable(tbl *memtable.Table) *flushBatch {
@@ -346,13 +407,28 @@ func (d *Dataset) batchForPKTable(tbl *memtable.Table) *flushBatch {
 // disk components, then installs them all atomically with respect to Crash.
 // It reports the components built and their byte size for the maintenance
 // journal (best-effort: a failed batch reports what it built before the
-// failure).
+// failure). A batch that fails or is abandoned by a crash deletes the files
+// it created: no read state and no manifest ever listed them.
 func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, err error) {
+	type builtComp struct {
+		tr *lsm.Tree
+		c  *lsm.Component
+	}
+	var built []builtComp // in install order
+	installed := 0
+	defer func() {
+		if err != nil {
+			for _, bc := range built[installed:] {
+				bc.tr.Discard(bc.c)
+			}
+		}
+	}()
 	var primComp, pkComp *lsm.Component
 	if b.primary != nil {
 		if primComp, err = d.primary.BuildFrozen(d.bgStore, b.primary, b.epoch); err != nil {
 			return bytes, comps, err
 		}
+		built = append(built, builtComp{d.primary, primComp})
 		bytes += primComp.SizeBytes()
 		comps++
 	}
@@ -360,6 +436,7 @@ func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, e
 		if pkComp, err = d.pkIndex.BuildFrozen(d.bgStore, b.pk, b.epoch); err != nil {
 			return bytes, comps, err
 		}
+		built = append(built, builtComp{d.pkIndex, pkComp})
 		bytes += pkComp.SizeBytes()
 		comps++
 	}
@@ -377,6 +454,7 @@ func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, e
 		if comp, err = si.Tree.BuildFrozen(d.bgStore, b.secondaries[i], b.epoch); err != nil {
 			return bytes, comps, err
 		}
+		built = append(built, builtComp{si.Tree, comp})
 		bytes += comp.SizeBytes()
 		comps++
 		if d.cfg.Strategy == DeletedKey && b.secDeleted[i] != nil {
@@ -420,17 +498,20 @@ func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, e
 		if err = d.primary.InstallFlushed(b.primary, primComp, b.primGen); err != nil {
 			return bytes, comps, err
 		}
+		installed++
 	}
 	if b.pk != nil {
 		if err = d.pkIndex.InstallFlushed(b.pk, pkComp, b.pkGen); err != nil {
 			return bytes, comps, err
 		}
+		installed++
 	}
 	for i, si := range d.secondaries {
 		if b.secondaries[i] != nil {
 			if err = si.Tree.InstallFlushed(b.secondaries[i], secComps[i], b.secGens[i]); err != nil {
 				return bytes, comps, err
 			}
+			installed++
 		}
 		si.releasePendingDeleted(b.secDeleted[i])
 	}
@@ -509,12 +590,12 @@ func (d *Dataset) FlushAll() error {
 }
 
 // DrainMaintenance blocks until no flush batches are pending or building
-// and no merge job is queued or running, then returns the sticky
+// and no merge or reclaim job is queued or running, then returns the sticky
 // maintenance error, if any.
 func (d *Dataset) DrainMaintenance() error {
 	m := d.maint
 	m.mu.Lock()
-	for m.err == nil && (len(m.pending) > 0 || m.building || m.mergeWant || m.merging) {
+	for m.err == nil && (len(m.pending) > 0 || m.building || m.mergeWant || m.merging || m.reclaims > 0) {
 		m.cond.Wait()
 	}
 	err := m.err

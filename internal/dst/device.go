@@ -60,7 +60,8 @@ const (
 	OpSync         = "sync"
 	OpAppendWAL    = "append-wal"
 	OpSyncWAL      = "sync-wal"
-	OpResetWAL     = "reset-wal"
+	OpRotateWAL    = "rotate-wal"
+	OpDropWAL      = "drop-wal"
 	OpSaveManifest = "save-manifest"
 )
 
@@ -211,10 +212,14 @@ type ordKey struct {
 	op    string
 }
 
-// walState tracks what the WAL file holds vs what an OS-level crash is
-// guaranteed to keep: length counts every write()n byte, durable the
+// walState tracks what the live WAL segment holds vs what an OS-level crash
+// is guaranteed to keep: length counts every write()n byte, durable the
 // fsync-covered prefix. The gap is the tail a crash image may truncate.
-type walState struct{ length, durable int64 }
+// Sealed segments need no ledger: a rotation fsyncs the segment it seals.
+type walState struct {
+	seq             uint64 // the live segment; 0 before the session's first rotation
+	length, durable int64
+}
 
 // NewControl builds a Control. sleeper may be nil (delay-sync faults are
 // then discarded); inj must not be nil.
@@ -252,6 +257,7 @@ func (c *Control) SetSuppress(idx map[int64]bool) {
 func (c *Control) Rearm(killAfter int64) {
 	c.mu.Lock()
 	c.killed = false
+	c.killOp = ""
 	c.detached = false
 	c.ops = 0
 	c.killAt = killAfter
@@ -282,7 +288,11 @@ func (c *Control) killFrom(op string) {
 	c.mu.Unlock()
 }
 
-// KillOp returns the device op the kill switch fired on ("" while alive).
+// KillOp returns the device op on which the engine saw the death ("" while
+// it has not): the op the kill switch fired on, or — when that op reports
+// nothing, as an unlink or a segment drop does — the first op refused
+// afterwards. That later op, not the silent one, tells a commit-path death
+// from a maintenance-path one.
 func (c *Control) KillOp() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -329,16 +339,16 @@ func (c *Control) Fired() []FiredFault {
 	return append([]FiredFault(nil), c.fired...)
 }
 
-// WALState returns the written length and fsync-covered prefix of the
-// shard's WAL, in bytes.
-func (c *Control) WALState(shard int) (length, durable int64) {
+// WALState returns the shard's live WAL segment with its written length and
+// fsync-covered prefix, in bytes.
+func (c *Control) WALState(shard int) (seq uint64, length, durable int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.wal[shard]
 	if w == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
-	return w.length, w.durable
+	return w.seq, w.length, w.durable
 }
 
 // begin gates one traced operation: enforces the kill switch, assigns the
@@ -350,14 +360,20 @@ func (c *Control) begin(shard int, op, detail string, applicable func(kind strin
 	if c.detached {
 		return Fault{}, false, nil
 	}
+	silent := op == OpDelete || op == OpDropWAL // no error return: the engine learns nothing here
 	if c.killed {
+		if c.killOp == "" && !silent {
+			c.killOp = op
+		}
 		return Fault{}, false, ErrKilled
 	}
 	c.ops++
 	opIdx := c.ops
 	if c.killAt > 0 && opIdx >= c.killAt {
 		c.killed = true
-		c.killOp = op
+		if !silent {
+			c.killOp = op
+		}
 		c.trace.Addf("%s/%d %s -> kill@%d", op, shard, detail, opIdx)
 		return Fault{}, false, ErrKilled
 	}
@@ -413,10 +429,12 @@ func (c *Control) walFor(shard int) *walState {
 	return w
 }
 
-func (c *Control) walLen(shard int) int64 {
+// walMark snapshots the live segment and its written length, taken before
+// issuing an fsync that will cover it.
+func (c *Control) walMark(shard int) walState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.walFor(shard).length
+	return *c.walFor(shard)
 }
 
 func (c *Control) noteAppendWAL(shard int, n int, sync bool) {
@@ -429,21 +447,23 @@ func (c *Control) noteAppendWAL(shard int, n int, sync bool) {
 	c.mu.Unlock()
 }
 
-// noteWALSynced marks the prefix up to upTo durable (a covering fsync
-// completed; upTo is the length snapshot taken before issuing it).
-func (c *Control) noteWALSynced(shard int, upTo int64) {
+// noteWALSynced marks the prefix up to the mark durable (a covering fsync
+// completed; mark is the walMark taken before issuing it). A mark of a
+// segment sealed since says nothing about the live one.
+func (c *Control) noteWALSynced(shard int, mark walState) {
 	c.mu.Lock()
 	w := c.walFor(shard)
-	if upTo > w.durable {
-		w.durable = upTo
+	if mark.seq == w.seq && mark.length > w.durable {
+		w.durable = mark.length
 	}
 	c.mu.Unlock()
 }
 
-func (c *Control) noteResetWAL(shard int, n int64) {
+// noteRotateWAL starts the ledger of a fresh live segment (empty at open,
+// too: a session never appends to a segment it found).
+func (c *Control) noteRotateWAL(shard int, seq uint64) {
 	c.mu.Lock()
-	w := c.walFor(shard)
-	w.length, w.durable = n, n
+	*c.walFor(shard) = walState{seq: seq}
 	c.mu.Unlock()
 }
 
@@ -518,12 +538,12 @@ func (d *Device) Sync() error {
 	if _, _, err := d.c.begin(d.shard, OpSync, "", nil); err != nil {
 		return err
 	}
-	upTo := d.c.walLen(d.shard)
+	mark := d.c.walMark(d.shard)
 	if err := d.inner.Sync(); err != nil {
 		return err
 	}
 	// filedev's Sync covers the WAL file too.
-	d.c.noteWALSynced(d.shard, upTo)
+	d.c.noteWALSynced(d.shard, mark)
 	return nil
 }
 
@@ -601,7 +621,7 @@ func (d *fileDevice) SyncWAL() error {
 	if err != nil {
 		return err
 	}
-	upTo := d.c.walLen(d.shard)
+	mark := d.c.walMark(d.shard)
 	if ok {
 		switch f.Kind {
 		case KindSyncWAL:
@@ -610,7 +630,7 @@ func (d *fileDevice) SyncWAL() error {
 				// durable — but failure is reported. The engine must treat
 				// the covered suffix as indeterminate anyway.
 				if serr := d.w.SyncWAL(); serr == nil {
-					d.c.noteWALSynced(d.shard, upTo)
+					d.c.noteWALSynced(d.shard, mark)
 				}
 			}
 			// Fail-before flavor: the fsync never happens; the bytes stay
@@ -625,33 +645,43 @@ func (d *fileDevice) SyncWAL() error {
 	if err := d.w.SyncWAL(); err != nil {
 		return err
 	}
-	d.c.noteWALSynced(d.shard, upTo)
+	d.c.noteWALSynced(d.shard, mark)
 	return nil
 }
 
-func (d *fileDevice) LoadWAL() ([]byte, error) {
-	img, err := d.w.LoadWAL()
+func (d *fileDevice) LoadWAL() ([]storage.WALSegment, error) {
+	segs, err := d.w.LoadWAL()
 	if err != nil {
 		return nil, err
 	}
-	d.c.mu.Lock()
-	w := d.c.walFor(d.shard)
-	w.length, w.durable = int64(len(img)), int64(len(img))
-	c := d.c
-	c.mu.Unlock()
-	c.note(d.shard, "load-wal", fmt.Sprintf("n=%d", len(img)))
-	return img, nil
+	n := 0
+	for _, s := range segs {
+		n += len(s.Data)
+	}
+	d.c.note(d.shard, "load-wal", fmt.Sprintf("segs=%d n=%d", len(segs), n))
+	return segs, nil
 }
 
-func (d *fileDevice) ResetWAL(data []byte) error {
-	if _, _, err := d.c.begin(d.shard, OpResetWAL, fmt.Sprintf("n=%d", len(data)), nil); err != nil {
+// RotateWAL and DropWAL are kill points and nothing else: a death before a
+// rotation leaves the old live segment with its unsynced tail, a death
+// before the first append after one leaves an empty successor, and a death
+// between two drops leaves a suffix of the covered segments.
+func (d *fileDevice) RotateWAL(seq uint64) error {
+	if _, _, err := d.c.begin(d.shard, OpRotateWAL, fmt.Sprintf("seq=%d", seq), nil); err != nil {
 		return err
 	}
-	if err := d.w.ResetWAL(data); err != nil {
+	if err := d.w.RotateWAL(seq); err != nil {
 		return err
 	}
-	d.c.noteResetWAL(d.shard, int64(len(data)))
+	d.c.noteRotateWAL(d.shard, seq)
 	return nil
+}
+
+func (d *fileDevice) DropWAL(seq uint64) {
+	if _, _, err := d.c.begin(d.shard, OpDropWAL, fmt.Sprintf("seq=%d", seq), nil); err != nil {
+		return // a dead process unlinks nothing
+	}
+	d.w.DropWAL(seq)
 }
 
 func (d *fileDevice) SaveManifest(data []byte) error {
@@ -664,13 +694,13 @@ func (d *fileDevice) SaveManifest(data []byte) error {
 		// replace; the previous manifest stays authoritative.
 		return &injectedError{KindManifest}
 	}
-	upTo := d.c.walLen(d.shard)
+	mark := d.c.walMark(d.shard)
 	if err := d.m.SaveManifest(data); err != nil {
 		return err
 	}
 	// SaveManifest syncs the whole device (WAL included) before the
 	// atomic replace, so every appended byte is durable once it returns.
-	d.c.noteWALSynced(d.shard, upTo)
+	d.c.noteWALSynced(d.shard, mark)
 	d.c.mu.Lock()
 	d.c.manifests++
 	d.c.mu.Unlock()

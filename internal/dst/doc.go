@@ -12,8 +12,11 @@
 //     file backend that traces every mutating and durability operation,
 //     injects seeded faults (failed commit fsyncs, lying group fsyncs,
 //     torn WAL appends, failed manifest installs, failed page appends,
-//     delayed syncs), enforces a crash-at-op-N kill switch, and tracks
-//     each shard's WAL durable prefix for the crash-image builder.
+//     delayed syncs), enforces a crash-at-op-N kill switch — component
+//     unlinks, log rotations and segment drops count as operations, so a
+//     kill lands between a manifest install and what it lets go of — and
+//     tracks the durable prefix of each shard's live WAL segment for the
+//     crash-image builder.
 //   - SimSleeper/Sched (sleeper.go, sched.go): virtual time behind
 //     metrics.Sleeper, and the yield hook the engine calls at its
 //     instrumented scheduling points (WAL group commit, maintenance

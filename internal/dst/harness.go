@@ -51,6 +51,20 @@ func ParseProfile(s string) (Profile, error) {
 // corpus can prove the harness catches it.
 const BugKeepCommit = "keep-commit"
 
+// BugEarlyUnlink and BugEarlyCut re-arm the two ordering bugs reclamation
+// must never have (core.Dataset.SetUnsafeReclaimBeforePersist): the files of
+// merged-away components are unlinked, or the covered log segments dropped,
+// before the manifest that makes them garbage is durable. A failed or killed
+// manifest save then leaves a directory whose manifest names missing files,
+// or whose acknowledged writes are in neither a component nor the log.
+const (
+	BugEarlyUnlink = "early-unlink"
+	BugEarlyCut    = "early-cut"
+)
+
+// Bugs lists every re-armable bug.
+var Bugs = []string{BugKeepCommit, BugEarlyUnlink, BugEarlyCut}
+
 // Config parameterizes one simulated run.
 type Config struct {
 	// Seed drives every pseudo-random choice: workload, fault schedule,
@@ -72,7 +86,7 @@ type Config struct {
 	// Dir is the scratch root for store generations; required, and must
 	// be empty or absent.
 	Dir string
-	// Bug re-arms a historical bug ("" or BugKeepCommit).
+	// Bug re-arms a bug ("" or one of Bugs).
 	Bug string
 	// RecordTrace retains the full event list in Report.Trace.
 	RecordTrace bool
@@ -414,14 +428,9 @@ func (h *harness) openSession() error {
 		return failf("reopen of g%04d failed: %v", h.gen, err)
 	}
 	h.db = db
-	if h.cfg.Bug == BugKeepCommit {
-		if db.NumShards() == 1 {
-			db.Dataset().Log().SetUnsafeKeepCommitOnFailedFsync(true)
-		} else {
-			for i := 0; i < db.NumShards(); i++ {
-				db.Shard(i).Log().SetUnsafeKeepCommitOnFailedFsync(true)
-			}
-		}
+	for i := 0; i < db.NumShards(); i++ {
+		db.Shard(i).Log().SetUnsafeKeepCommitOnFailedFsync(h.cfg.Bug == BugKeepCommit)
+		db.Shard(i).SetUnsafeReclaimBeforePersist(h.cfg.Bug == BugEarlyUnlink, h.cfg.Bug == BugEarlyCut)
 	}
 	return nil
 }

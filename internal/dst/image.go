@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/storage/filedev"
 )
 
 // snapshotCrashImage copies the store directory src into dst as the
@@ -18,11 +20,12 @@ import (
 //     guarantees every file a surviving manifest references was synced.
 //   - The manifest itself is installed by atomic rename, so the copy holds
 //     either the old or the new one, never a mix.
-//   - Each shard's WAL file is truncated to its fsync-covered prefix plus
-//     a seeded fraction of the unsynced tail: write()n-but-unsynced bytes
-//     survive an OS crash only as far as the kernel happened to flush
-//     them. Cutting mid-record produces the torn tail the WAL decoder
-//     must stop at.
+//   - Each shard's live WAL segment is truncated to its fsync-covered
+//     prefix plus a seeded fraction of the unsynced tail: write()n-but-
+//     unsynced bytes survive an OS crash only as far as the kernel
+//     happened to flush them. Cutting mid-record produces the torn tail
+//     the WAL decoder must stop at. Sealed segments are copied whole: the
+//     rotation that sealed them fsynced them first.
 //   - The LOCK file is skipped; a lock never survives its process.
 //   - Temp files of an atomic replace (*.tmp) are skipped, and so is any
 //     entry that vanishes while the walk runs — the store keeps working
@@ -56,9 +59,8 @@ func snapshotCrashImage(src, dst string, c *Control, r *rng) error {
 		if rerr != nil {
 			return rerr
 		}
-		if base == "wal.log" {
-			shard := shardOfDir(filepath.Dir(rel))
-			length, durable := c.WALState(shard)
+		live, length, durable := c.WALState(shardOfDir(filepath.Dir(rel)))
+		if live != 0 && base == filedev.WALSegmentName(live) {
 			unsynced := length - durable
 			keep := durable
 			if unsynced > 0 {

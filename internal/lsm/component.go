@@ -17,6 +17,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/metrics"
+	"repro/internal/storage"
 )
 
 // ID identifies a component by the (minTS, maxTS) timestamp range of the
@@ -85,6 +86,18 @@ type Component struct {
 	// atomic because a builder publishes it while writers, which share no
 	// lock with it at that point, read it.
 	Building atomic.Pointer[BuildTarget]
+
+	// refs counts the read states listing the component (see readState).
+	refs atomic.Int32
+}
+
+// files lists the device files behind the component.
+func (c *Component) files() []storage.FileID {
+	ids := []storage.FileID{c.BTree.FileID()}
+	if c.DeletedKeys != nil {
+		ids = append(ids, c.DeletedKeys.FileID())
+	}
+	return ids
 }
 
 // BuildTarget is the handle writers use to forward deletes into a component

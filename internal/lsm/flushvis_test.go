@@ -67,7 +67,9 @@ func TestReadVisibilityDuringFlush(t *testing.T) {
 			t.Fatalf("round %d: keys invisible during flush: %v", round, missing[:1])
 		}
 		// Sanity: view is clean after the flush.
-		mem, flushing, comps := tr.ReadView()
+		v := tr.ReadView()
+		mem, flushing, comps := v.Mem, v.Flushing, v.Components
+		v.Release()
 		if len(flushing) != 0 {
 			t.Fatal("flushing table still set after flush")
 		}

@@ -65,14 +65,14 @@ var ErrBadMergeRange = errors.New("lsm: bad merge range")
 // Merge builds a new component from the given range. It does not install
 // the result; see MergeResult.
 func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
-	t.mu.RLock()
-	if spec.Lo < 0 || spec.Hi > len(t.disk) || spec.Lo >= spec.Hi {
-		t.mu.RUnlock()
+	// The pinned view keeps the inputs' files in place for the whole build,
+	// whatever another merge retires meanwhile.
+	v, gen := t.pin()
+	defer v.Release()
+	if spec.Lo < 0 || spec.Hi > len(v.Components) || spec.Lo >= spec.Hi {
 		return nil, ErrBadMergeRange
 	}
-	inputs := append([]*Component(nil), t.disk[spec.Lo:spec.Hi]...)
-	gen := t.installGen
-	t.mu.RUnlock()
+	inputs := v.Components[spec.Lo:spec.Hi:spec.Hi]
 
 	// Expose the build target so concurrent writers can forward deletes.
 	if spec.Target != nil {

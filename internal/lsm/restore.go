@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitmap"
 	"repro/internal/bloom"
@@ -101,8 +102,7 @@ func (t *Tree) Restore(images []RestoredComponent) ([]*Component, error) {
 		comps = append(comps, c)
 	}
 	t.mu.Lock()
-	t.disk = append([]*Component(nil), comps...)
-	t.mu.Unlock()
+	t.publish(&readState{mem: t.cur.mem, flushing: t.cur.flushing, disk: slices.Clone(comps)})
 	return comps, nil
 }
 

@@ -2,7 +2,9 @@ package lsm
 
 import (
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitmap"
 	"repro/internal/bloom"
@@ -35,6 +37,10 @@ type Options struct {
 	MutableBitmaps bool
 	// Seed makes memtable shapes deterministic.
 	Seed int64
+	// OnRetire, when set, is called (on whatever goroutine dropped the last
+	// pin) after a component's files were queued for deletion; see
+	// TakeRetired. It must not block.
+	OnRetire func()
 }
 
 // newFilter builds the configured Bloom filter flavor sized for n keys,
@@ -67,27 +73,130 @@ type Tree struct {
 	opts Options
 	env  *metrics.Env
 
-	mu   sync.RWMutex
-	mem  *memtable.Table
-	disk []*Component // oldest -> newest
-	gen  int64
-	// flushing holds the frozen memory components, oldest to newest, while
-	// flushes build their disk components, keeping their entries visible to
-	// concurrent readers during the build window (writers are drained during
-	// freezes, readers are not). The dataset's flush pipeline may queue
-	// several.
-	flushing []*memtable.Table
+	mu sync.RWMutex
+	// cur is the tree's read sources. It is immutable: a freeze, an install
+	// or a reset publishes a successor and drops the old one's reference.
+	cur *readState
+	gen int64
 	// installGen invalidates in-flight merge/flush installs across a crash:
 	// ResetMem bumps it, and installs captured under an older generation are
 	// abandoned with ErrStaleInstall.
 	installGen uint64
+
+	retMu   sync.Mutex
+	retired []storage.FileID // files of retired components, awaiting TakeRetired
+	pinned  atomic.Int64     // files of components a merge replaced that a read state still lists
 }
+
+// readState is one immutable set of read sources (LevelDB's Version,
+// Pebble's readState): the live memory component, the memory components
+// frozen by in-flight flushes (oldest to newest; they stay readable while
+// their disk components build — writers are drained during freezes, readers
+// are not), and the disk components oldest to newest. The tree holds one
+// reference on the current state and every ReadView adds one. A state holds
+// one reference on each of its components; a component no state lists is
+// retired and its files are queued for deletion.
+type readState struct {
+	refs     atomic.Int64
+	mem      *memtable.Table
+	flushing []*memtable.Table
+	disk     []*Component
+}
+
+// View is a pinned read state. Release it when the read is over: until then
+// every component it lists keeps its files, whatever merges install
+// meanwhile.
+type View struct {
+	Mem        *memtable.Table
+	Flushing   []*memtable.Table // oldest to newest; empty outside a flush
+	Components []*Component      // oldest to newest
+	t          *Tree
+	rs         *readState
+}
+
+// Release drops the pin. The last pin on a replaced state only queues the
+// files of the components it retires; it never touches the device.
+func (v View) Release() { v.t.unref(v.rs) }
 
 // New creates an empty LSM-tree.
 func New(opts Options) *Tree {
 	t := &Tree{opts: opts, env: opts.Store.Env()}
-	t.mem = memtable.New(opts.Seed)
+	t.cur = &readState{mem: memtable.New(opts.Seed)}
+	t.cur.refs.Store(1)
 	return t
+}
+
+// publish makes next the current read state, releases t.mu — which the
+// caller holds — and drops the tree's reference on the state it replaced
+// (outside the lock: the last reference queues files and calls OnRetire).
+func (t *Tree) publish(next *readState) {
+	for _, c := range next.disk {
+		c.refs.Add(1)
+	}
+	next.refs.Store(1)
+	old := t.cur
+	t.cur = next
+	t.mu.Unlock()
+	t.unref(old)
+}
+
+// unref drops one reference on rs; the last one releases the state's
+// components and queues the files of those no other state lists.
+func (t *Tree) unref(rs *readState) {
+	if rs.refs.Add(-1) != 0 {
+		return
+	}
+	retired := false
+	for _, c := range rs.disk {
+		if c.refs.Add(-1) != 0 {
+			continue
+		}
+		files := c.files()
+		t.retMu.Lock()
+		t.retired = append(t.retired, files...)
+		t.retMu.Unlock()
+		t.pinned.Add(-int64(len(files)))
+		retired = true
+	}
+	if retired && t.opts.OnRetire != nil {
+		t.opts.OnRetire()
+	}
+}
+
+// TakeRetired hands over the files of components that no read state lists
+// any more. The caller deletes them once the manifest that no longer names
+// them is durable (or gives them back with Retire when it is not).
+func (t *Tree) TakeRetired() []storage.FileID {
+	t.retMu.Lock()
+	defer t.retMu.Unlock()
+	ids := t.retired
+	t.retired = nil
+	return ids
+}
+
+// Retire queues files for a later TakeRetired.
+func (t *Tree) Retire(ids []storage.FileID) {
+	t.retMu.Lock()
+	t.retired = append(t.retired, ids...)
+	t.retMu.Unlock()
+}
+
+// RetiredFiles counts what reclamation still owes: files queued for
+// deletion plus those of components a reader pins after a merge replaced
+// them.
+func (t *Tree) RetiredFiles() int {
+	t.retMu.Lock()
+	defer t.retMu.Unlock()
+	return len(t.retired) + int(t.pinned.Load())
+}
+
+// Discard deletes the files of a component that was built but never
+// installed (an abandoned flush batch or merge): no read state and no
+// manifest ever listed it.
+func (t *Tree) Discard(c *Component) {
+	for _, id := range c.files() {
+		t.opts.Store.Delete(id)
+	}
 }
 
 // Name returns the tree's label.
@@ -103,27 +212,35 @@ func (t *Tree) Options() Options { return t.opts }
 func (t *Tree) Mem() *memtable.Table {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.mem
+	return t.cur.mem
 }
 
 // Components returns a snapshot of the disk components, oldest to newest.
+// It pins nothing: maintenance uses it to pick and locate merge inputs;
+// anything that reads the components' files goes through ReadView.
 func (t *Tree) Components() []*Component {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([]*Component(nil), t.disk...)
+	return append([]*Component(nil), t.cur.disk...)
 }
 
-// ReadView atomically snapshots the tree's read sources: the live memory
-// component, the memory components currently being flushed (oldest to
-// newest; empty outside a flush), and the disk components oldest to newest.
-// Readers that consult mem and components non-atomically can miss the
-// entries of an in-flight flush — swapped out of the memtable but not yet
-// installed on disk — so every concurrent read path should start from one
-// ReadView.
-func (t *Tree) ReadView() (mem *memtable.Table, flushing []*memtable.Table, comps []*Component) {
+// ReadView pins the tree's read sources: one atomic add under the read
+// lock, nothing copied. Readers that consult mem and components
+// non-atomically can miss the entries of an in-flight flush — swapped out
+// of the memtable but not yet installed on disk — so every concurrent read
+// path starts from one ReadView, and releases it when done.
+func (t *Tree) ReadView() View {
+	v, _ := t.pin()
+	return v
+}
+
+// pin is ReadView plus the install generation the view was taken under.
+func (t *Tree) pin() (View, uint64) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.mem, append([]*memtable.Table(nil), t.flushing...), append([]*Component(nil), t.disk...)
+	rs, gen := t.cur, t.installGen
+	rs.refs.Add(1)
+	t.mu.RUnlock()
+	return View{Mem: rs.mem, Flushing: rs.flushing, Components: rs.disk, t: t, rs: rs}, gen
 }
 
 // NumFrozen returns the number of frozen memory components awaiting their
@@ -131,7 +248,7 @@ func (t *Tree) ReadView() (mem *memtable.Table, flushing []*memtable.Table, comp
 func (t *Tree) NumFrozen() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.flushing)
+	return len(t.cur.flushing)
 }
 
 // FrozenGet searches the frozen memory components newest-first for key,
@@ -140,14 +257,13 @@ func (t *Tree) NumFrozen() int {
 // out by an in-flight flush.
 func (t *Tree) FrozenGet(key []byte) (kv.Entry, *memtable.Table, bool) {
 	t.mu.RLock()
-	frozen := t.flushing
+	frozen := t.cur.flushing
+	t.mu.RUnlock()
 	for i := len(frozen) - 1; i >= 0; i-- {
 		if e, ok := frozen[i].Get(key); ok {
-			t.mu.RUnlock()
 			return e, frozen[i], true
 		}
 	}
-	t.mu.RUnlock()
 	return kv.Entry{}, nil, false
 }
 
@@ -155,7 +271,7 @@ func (t *Tree) FrozenGet(key []byte) (kv.Entry, *memtable.Table, bool) {
 func (t *Tree) NumDiskComponents() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.disk)
+	return len(t.cur.disk)
 }
 
 // MemBytes returns the memory component's current footprint.
@@ -166,7 +282,7 @@ func (t *Tree) DiskBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var total int64
-	for _, c := range t.disk {
+	for _, c := range t.cur.disk {
 		total += c.SizeBytes()
 	}
 	return total
@@ -204,24 +320,25 @@ func (t *Tree) getInternal(key []byte, only []*Component) (kv.Entry, *Component,
 	t.env.Counters.PointLookups.Add(1)
 	comps := only
 	if comps == nil {
-		mem, flushing, viewComps := t.ReadView()
+		v := t.ReadView()
+		defer v.Release()
 		t.env.ChargeMemtable()
-		if e, ok := mem.Get(key); ok {
+		if e, ok := v.Mem.Get(key); ok {
 			if e.Anti {
 				return kv.Entry{}, nil, 0, false, nil
 			}
 			return e, nil, 0, true, nil
 		}
-		for i := len(flushing) - 1; i >= 0; i-- {
+		for i := len(v.Flushing) - 1; i >= 0; i-- {
 			t.env.ChargeMemtable()
-			if e, ok := flushing[i].Get(key); ok {
+			if e, ok := v.Flushing[i].Get(key); ok {
 				if e.Anti {
 					return kv.Entry{}, nil, 0, false, nil
 				}
 				return e, nil, 0, true, nil
 			}
 		}
-		comps = viewComps
+		comps = v.Components
 	}
 	for i := len(comps) - 1; i >= 0; i-- {
 		c := comps[i]
@@ -261,11 +378,9 @@ func (t *Tree) getInternal(key []byte, only []*Component) (kv.Entry, *Component,
 // pre-crash memory state.
 func (t *Tree) ResetMem() {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.gen++
 	t.installGen++
-	t.mem = memtable.New(t.opts.Seed + t.gen)
-	t.flushing = nil
+	t.publish(&readState{mem: memtable.New(t.opts.Seed + t.gen), disk: t.cur.disk})
 }
 
 // ErrEmptyFlush reports a flush of an empty memory component.
@@ -291,6 +406,7 @@ func (t *Tree) Flush(epoch uint64) (*Component, error) {
 		return nil, err
 	}
 	if err := t.InstallFlushed(frozen, comp, gen); err != nil {
+		t.Discard(comp)
 		return nil, err
 	}
 	return comp, nil
@@ -303,15 +419,18 @@ func (t *Tree) Flush(epoch uint64) (*Component, error) {
 // crashes between freeze and install.
 func (t *Tree) Freeze() (frozen *memtable.Table, gen uint64, ok bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.mem
-	if old.Len() == 0 {
-		return nil, t.installGen, false
+	cur, gen := t.cur, t.installGen
+	if cur.mem.Len() == 0 {
+		t.mu.Unlock()
+		return nil, gen, false
 	}
 	t.gen++
-	t.mem = memtable.New(t.opts.Seed + t.gen)
-	t.flushing = append(t.flushing, old)
-	return old, t.installGen, true
+	t.publish(&readState{
+		mem:      memtable.New(t.opts.Seed + t.gen),
+		flushing: append(cur.flushing[:len(cur.flushing):len(cur.flushing)], cur.mem),
+		disk:     cur.disk,
+	})
+	return cur.mem, gen, true
 }
 
 // BuildFrozen bulk-loads a frozen memory component into a new disk component
@@ -377,15 +496,19 @@ func (t *Tree) BuildFrozen(store *storage.Store, mem *memtable.Table, epoch uint
 // InstallFlushed atomically appends comp as the newest disk component and
 // retires its frozen source memtable. With a stale generation (the tree was
 // reset since Freeze) the install is abandoned with ErrStaleInstall: the
-// frozen memtable is already gone and the built component is discarded.
+// frozen memtable is already gone; the caller discards the built component.
 func (t *Tree) InstallFlushed(frozen *memtable.Table, comp *Component, gen uint64) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if gen != t.installGen {
+		t.mu.Unlock()
 		return ErrStaleInstall
 	}
-	t.disk = append(t.disk, comp)
-	t.removeFrozenLocked(frozen)
+	cur := t.cur
+	t.publish(&readState{
+		mem:      cur.mem,
+		flushing: withoutFrozen(cur.flushing, frozen),
+		disk:     append(cur.disk[:len(cur.disk):len(cur.disk)], comp),
+	})
 	return nil
 }
 
@@ -393,17 +516,19 @@ func (t *Tree) InstallFlushed(frozen *memtable.Table, comp *Component, gen uint6
 // not grow without bound; the tree is considered wedged by the caller.
 func (t *Tree) dropFrozen(frozen *memtable.Table) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.removeFrozenLocked(frozen)
+	cur := t.cur
+	t.publish(&readState{mem: cur.mem, flushing: withoutFrozen(cur.flushing, frozen), disk: cur.disk})
 }
 
-func (t *Tree) removeFrozenLocked(frozen *memtable.Table) {
-	for i, m := range t.flushing {
-		if m == frozen {
-			t.flushing = append(t.flushing[:i:i], t.flushing[i+1:]...)
-			return
+// withoutFrozen returns a copy of the frozen queue without the given table.
+func withoutFrozen(flushing []*memtable.Table, frozen *memtable.Table) []*memtable.Table {
+	out := make([]*memtable.Table, 0, len(flushing))
+	for _, m := range flushing {
+		if m != frozen {
+			out = append(out, m)
 		}
 	}
+	return out
 }
 
 // InstallGen returns the current install generation (captured by background
@@ -423,42 +548,40 @@ var ErrRunNotFound = errors.New("lsm: component run not found")
 // by inputs (by identity, not index) with newComp. Locating the run at
 // install time tolerates components appended by concurrent flush installs;
 // with a stale generation the replacement is abandoned with ErrStaleInstall.
-// Retired components' files are intentionally left on the simulated disk:
-// concurrent readers may still hold snapshots of the old component list (a
-// production engine would reference-count components; the simulation simply
-// never reuses file IDs, so stale reads stay safe and retired files are
-// reclaimed when the whole store is garbage collected).
+// An abandoned newComp is discarded here. The replaced components retire —
+// their files are queued for deletion — when the last read state listing
+// them is released.
 func (t *Tree) ReplaceRun(inputs []*Component, newComp *Component, gen uint64) error {
 	if len(inputs) == 0 {
 		return ErrBadMergeRange
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if gen != t.installGen {
-		return ErrStaleInstall
+	cur := t.cur
+	lo := slices.Index(cur.disk, inputs[0])
+	var err error
+	switch {
+	case gen != t.installGen:
+		err = ErrStaleInstall
+	case lo < 0 || lo+len(inputs) > len(cur.disk) || !slices.Equal(cur.disk[lo:lo+len(inputs)], inputs):
+		err = ErrRunNotFound
 	}
-	lo := -1
-	for i, c := range t.disk {
-		if c == inputs[0] {
-			lo = i
-			break
+	if err != nil {
+		t.mu.Unlock()
+		if newComp != nil {
+			t.Discard(newComp)
 		}
-	}
-	if lo < 0 || lo+len(inputs) > len(t.disk) {
-		return ErrRunNotFound
-	}
-	for i, in := range inputs {
-		if t.disk[lo+i] != in {
-			return ErrRunNotFound
-		}
+		return err
 	}
 	var repl []*Component
-	repl = append(repl, t.disk[:lo]...)
+	repl = append(repl, cur.disk[:lo]...)
 	if newComp != nil {
 		repl = append(repl, newComp)
 	}
-	repl = append(repl, t.disk[lo+len(inputs):]...)
-	t.disk = repl
+	repl = append(repl, cur.disk[lo+len(inputs):]...)
+	for _, c := range inputs {
+		t.pinned.Add(int64(len(c.files())))
+	}
+	t.publish(&readState{mem: cur.mem, flushing: cur.flushing, disk: repl})
 	return nil
 }
 

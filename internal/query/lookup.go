@@ -88,7 +88,9 @@ func FetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 // random-I/O pattern batching avoids.
 func fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
 	env := primary.Env()
-	mem, flushing, comps := primary.ReadView()
+	v := primary.ReadView()
+	defer v.Release()
+	mem, flushing, comps := v.Mem, v.Flushing, v.Components
 	cursors := make([]*btree.LookupCursor, len(comps))
 	for i, c := range comps {
 		cursors[i] = c.BTree.NewLookupCursor(cfg.Stateful)
@@ -137,7 +139,9 @@ func fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.En
 // found.
 func fetchBatched(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
 	env := primary.Env()
-	mem, flushing, comps := primary.ReadView()
+	v := primary.ReadView()
+	defer v.Release()
+	mem, flushing, comps := v.Mem, v.Flushing, v.Components
 
 	est := cfg.EstRecordSize
 	if est <= 0 {

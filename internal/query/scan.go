@@ -27,8 +27,12 @@ func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 	extract := ds.Config().FilterExtract
 	primary := ds.Primary()
 	// One atomic view: a concurrent flush's frozen memtable stays visible
-	// as a source newer than every disk component (see Tree.ReadView).
-	mem, flushing, comps := primary.ReadView()
+	// as a source newer than every disk component (see Tree.ReadView). It
+	// stays pinned until the scan returns, so a merge installing meanwhile
+	// cannot take the components' files away.
+	v := primary.ReadView()
+	defer v.Release()
+	mem, flushing, comps := v.Mem, v.Flushing, v.Components
 
 	check := func(e kv.Entry) {
 		if extract != nil {

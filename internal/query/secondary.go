@@ -103,8 +103,12 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 	lo, hi := kv.SecondaryScanBounds(loSK, hiSK)
 
 	// One atomic view of the index: entries of an in-flight flush stay
-	// visible through the frozen memtable until their component lands.
-	mem, flushing, comps := si.Tree.ReadView()
+	// visible through the frozen memtable until their component lands. The
+	// pin outlives the scan: deleted-key validation reads the components'
+	// deleted-key trees.
+	v := si.Tree.ReadView()
+	defer v.Release()
+	mem, flushing, comps := v.Mem, v.Flushing, v.Components
 	it, err := si.Tree.NewMergedIterator(lsm.IterOptions{
 		Lo: lo, Hi: hi,
 		Components:    comps,
@@ -259,7 +263,9 @@ func timestampValidate(ds *core.Dataset, cands []candidate, crack bool) ([]candi
 	env.ChargeSort(len(cands))
 	sort.Slice(cands, func(i, j int) bool { return kv.Compare(cands[i].pk, cands[j].pk) < 0 })
 
-	mem, flushing, comps := pkIndex.ReadView()
+	v := pkIndex.ReadView()
+	defer v.Release()
+	mem, flushing, comps := v.Mem, v.Flushing, v.Components
 	cursors := make([]*btree.LookupCursor, len(comps))
 	for i, c := range comps {
 		cursors[i] = c.BTree.NewLookupCursor(true)

@@ -42,11 +42,15 @@
 //     trivially starts cold — the cache is memory-only and never
 //     persisted.
 //
-// Value slices handed to Put are stored as-is, and Get returns them
-// without copying; both sides of the contract must treat them as
-// immutable. The engine's component pages and memtable entries already
-// are (components are write-once, memtable values are replaced, never
-// edited in place), which is what makes the zero-copy GET path safe.
+// The cache owns what it keeps: an accepted Put copies the value (one
+// allocation per accepted fill; a fill discarded by the version gate costs
+// nothing), so an entry of a few hundred bytes never pins the 128 KiB page
+// it was read from, and the byte budget bounds the memory the cache really
+// holds. Get returns the cached slice without copying, and callers must
+// treat it as immutable. The bytes an engine read returns on a miss stay
+// zero-copy — they alias a component page or a memtable value, immutable
+// too (components are write-once, memtable values are replaced, never
+// edited in place) — which is what keeps the uncached GET path copy-free.
 //
 // The cache is deterministic — no wall-clock reads, no randomness — so
 // the internal/dst simulation can enable it without breaking

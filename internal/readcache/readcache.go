@@ -147,9 +147,11 @@ func (c *Cache) Get(pk []byte) ([]byte, Outcome, Token) {
 }
 
 // Put offers a positive entry observed by an engine read that missed under
-// tok. The value is retained as-is (no copy) and must be immutable. The
-// fill is dropped if any invalidation touched the segment since the miss,
-// or if the entry alone exceeds the segment's byte share.
+// tok. An accepted fill copies val — the cache owns, and is charged for,
+// exactly the bytes it keeps, never the page or buffer val was cut from —
+// so val is the caller's again when Put returns. The fill is dropped, at no
+// cost, if any invalidation touched the segment since the miss, or if the
+// entry alone exceeds the segment's byte share.
 func (c *Cache) Put(pk, val []byte, tok Token) {
 	c.fill(pk, val, false, tok)
 }
@@ -166,6 +168,11 @@ func (c *Cache) fill(pk, val []byte, neg bool, tok Token) {
 	defer s.mu.Unlock()
 	if s.version != uint64(tok) || cost > s.cap {
 		return
+	}
+	if !neg {
+		own := make([]byte, len(val)) // cap == len: nothing rides along
+		copy(own, val)
+		val = own
 	}
 	if old, ok := s.entries[string(pk)]; ok {
 		// A racing reader filled the same key first; refresh in place.

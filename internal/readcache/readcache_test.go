@@ -36,6 +36,29 @@ func TestHitMissNegative(t *testing.T) {
 	}
 }
 
+// TestPutCopiesWhatItKeeps: an accepted fill owns a right-sized copy — it
+// neither aliases nor pins the buffer the value was cut from — and a fill
+// the version gate discards allocates nothing.
+func TestPutCopiesWhatItKeeps(t *testing.T) {
+	c := New(Options{Bytes: 1 << 20, Segments: 1})
+	page := make([]byte, 128<<10)
+	copy(page[4096:], "record")
+	k := []byte("pk")
+	_, _, tok := c.Get(k)
+	c.Put(k, page[4096:4102], tok)
+	copy(page[4096:], "XXXXXX") // the page is the caller's again
+	v, out, _ := c.Get(k)
+	if out != Hit || string(v) != "record" || cap(v) != len(v) {
+		t.Fatalf("Get = %v %q (cap %d), want Hit \"record\" with cap == len", out, v, cap(v))
+	}
+
+	_, _, stale := c.Get([]byte("other"))
+	c.Invalidate([]byte("third")) // same segment: the fill below is stale
+	if n := testing.AllocsPerRun(100, func() { c.Put([]byte("other"), page[:512], stale) }); n != 0 {
+		t.Fatalf("a discarded fill allocates %.0f times, want 0", n)
+	}
+}
+
 func TestInvalidateRemovesBothKinds(t *testing.T) {
 	c := New(Options{Bytes: 1 << 20, Segments: 1})
 	pos, neg := []byte("pos"), []byte("neg")

@@ -28,6 +28,7 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 		}
 	}
 	v := newValidator(pkIndex, repairedTS)
+	defer v.view.Release()
 	env := pkIndex.Env()
 
 	var tuples []tuple
@@ -63,6 +64,7 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 
 	bm := bitmap.NewImmutable(res.Component.NumEntries())
 	if err := v.validate(tuples, bm); err != nil {
+		sec.Discard(res.Component)
 		return err
 	}
 	res.Component.Obsolete = bm
@@ -73,8 +75,11 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 // StandaloneRepair validates one secondary-index component in place,
 // producing only a fresh immutable bitmap (Section 4.4): no merge output is
 // written. Scheduled independently of merges (e.g. during off-peak hours).
+// The caller keeps comp's files in place (a pinned view of sec, or no
+// concurrent merges).
 func StandaloneRepair(sec, pkIndex *lsm.Tree, comp *lsm.Component, opts Options) error {
 	v := newValidator(pkIndex, comp.RepairedTS)
+	defer v.view.Release()
 	env := pkIndex.Env()
 
 	scan, err := comp.BTree.NewScan(nil, nil)
@@ -123,7 +128,9 @@ func StandaloneRepair(sec, pkIndex *lsm.Tree, comp *lsm.Component, opts Options)
 
 // RepairAll standalone-repairs every disk component of a secondary index.
 func RepairAll(sec, pkIndex *lsm.Tree, opts Options) error {
-	for _, comp := range sec.Components() {
+	view := sec.ReadView()
+	defer view.Release()
+	for _, comp := range view.Components {
 		if err := StandaloneRepair(sec, pkIndex, comp, opts); err != nil {
 			return err
 		}
@@ -152,7 +159,9 @@ type SecondaryTarget struct {
 // Unlike secondary repair, this reads full records (the paper's point: the
 // I/O volume scales with record size, Figure 21).
 func PrimaryRepair(primary *lsm.Tree, targets []SecondaryTarget, withMerge bool, repairTS int64) error {
-	comps := primary.Components()
+	view := primary.ReadView()
+	defer view.Release()
+	comps := view.Components
 	if len(comps) == 0 {
 		return nil
 	}

@@ -47,8 +47,9 @@ type tuple struct {
 // validator answers "does the primary key index hold this key with a larger
 // timestamp?" against a pruned snapshot of the primary key index.
 type validator struct {
-	env *metrics.Env
-	mem *memtable.Table
+	env  *metrics.Env
+	view lsm.View
+	mem  *memtable.Table
 	// flushing holds the memory components frozen by in-flight flushes
 	// (oldest to newest); they rank between mem and the disk components.
 	flushing []*memtable.Table
@@ -59,12 +60,13 @@ type validator struct {
 	newRepairedTS int64
 }
 
-// newValidator snapshots the primary key index, pruning disk components
-// with maxTS <= repairedTS (Fig 6).
+// newValidator pins a view of the primary key index, pruning disk
+// components with maxTS <= repairedTS (Fig 6). The caller releases the
+// validator's view when the repair is over.
 func newValidator(pkIndex *lsm.Tree, repairedTS int64) *validator {
-	mem, flushing, comps := pkIndex.ReadView()
-	v := &validator{env: pkIndex.Env(), mem: mem, flushing: flushing, newRepairedTS: repairedTS}
-	for _, c := range comps {
+	view := pkIndex.ReadView()
+	v := &validator{env: pkIndex.Env(), view: view, mem: view.Mem, flushing: view.Flushing, newRepairedTS: repairedTS}
+	for _, c := range view.Components {
 		if c.ID.MaxTS <= repairedTS {
 			continue // pruned
 		}

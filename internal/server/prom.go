@@ -25,6 +25,9 @@ func (s *Server) promExposition() []byte {
 	w.Counter("lsm_engine_ignored_total", "Duplicate inserts ignored.", st.Ignored)
 	w.Gauge("lsm_engine_primary_components", "On-disk primary components across shards.", float64(st.PrimaryComponents))
 	w.Counter("lsm_engine_disk_bytes_written_total", "Bytes written to the storage device.", st.DiskBytesWritten)
+	w.Gauge("lsm_engine_wal_bytes", "Bytes of write-ahead log no durable flush covers yet, across shards.", float64(st.WALBytes))
+	w.Gauge("lsm_engine_component_bytes", "Bytes of the component files the current component lists name, across shards.", float64(st.ComponentBytes))
+	w.Gauge("lsm_engine_retired_files", "Files of merged-away components not yet unlinked (pinned by a reader or awaiting the manifest).", float64(st.RetiredFiles))
 	w.Gauge("lsm_engine_pending_flush_batches", "Frozen batches queued for flush across shards.", float64(st.PendingFlushBatches))
 	w.Gauge("lsm_engine_frozen_memtables", "Frozen memtables not yet installed across shards.", float64(st.FrozenMemtables))
 

@@ -7,14 +7,13 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/storetest"
 	"repro/internal/workload"
 	"repro/lsmclient"
 	"repro/lsmstore"
@@ -505,7 +504,7 @@ func TestServerKillAndReopen(t *testing.T) {
 	// The abandoned DB still holds the directory flock; reopen a crash
 	// image, exactly like a restarted machine would see the disk.
 	snap := t.TempDir()
-	if err := snapshotStoreDir(dir, snap); err != nil {
+	if err := storetest.SnapshotStoreDir(dir, snap); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := lsmstore.Open(func() lsmstore.Options {
@@ -543,63 +542,6 @@ func TestServerKillAndReopen(t *testing.T) {
 			t.Fatalf("acknowledged write %d missing from the secondary index after reopen", id)
 		}
 	}
-}
-
-// snapshotStoreDir copies a store directory as a crash would freeze it:
-// per shard, manifest and WAL first, then the immutable component files
-// (the same order lsmstore's own durability battery uses).
-func snapshotStoreDir(src, dst string) error {
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		sp, dp := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
-		if !e.IsDir() {
-			if err := copyFile(sp, dp); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := os.MkdirAll(dp, 0o755); err != nil {
-			return err
-		}
-		shardFiles, err := os.ReadDir(sp)
-		if err != nil {
-			return err
-		}
-		for _, name := range []string{"MANIFEST", "wal.log"} {
-			if err := copyFile(filepath.Join(sp, name), filepath.Join(dp, name)); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		for _, f := range shardFiles {
-			if f.IsDir() || f.Name() == "MANIFEST" || f.Name() == "wal.log" {
-				continue
-			}
-			if err := copyFile(filepath.Join(sp, f.Name()), filepath.Join(dp, f.Name())); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.OpenFile(dst, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }
 
 func TestServerRejectsBadConfig(t *testing.T) {

@@ -83,21 +83,32 @@ type WALSyncDevice interface {
 }
 
 // WALDevice is implemented by devices with a durable write-ahead-log area.
-// The log is a raw byte stream owned by the wal package; the device only
-// appends and reads it.
+// The log is a sequence of numbered segments, each a raw byte stream owned
+// by the wal package; the device appends to the live one, seals it when
+// told to, and unlinks sealed ones. It never rewrites a segment.
 type WALDevice interface {
-	// AppendWAL appends encoded log records; with sync set the append is
-	// fsynced before returning (group commit durability).
+	// AppendWAL appends encoded log records to the live segment; with sync
+	// set the append is fsynced before returning (commit durability).
 	AppendWAL(data []byte, sync bool) error
-	// LoadWAL returns the whole log image written by previous sessions
+	// RotateWAL seals the live segment (fsync) and makes a new, empty
+	// segment numbered seq the live one; the new segment's existence is
+	// durable when the call returns. A session's first RotateWAL starts its
+	// log: segments found at open are never appended to.
+	RotateWAL(seq uint64) error
+	// DropWAL unlinks the sealed segment seq (log records that durable
+	// components cover). It cannot fail; a surviving segment is garbage the
+	// next cut removes.
+	DropWAL(seq uint64)
+	// LoadWAL returns the segments previous sessions left, oldest first
 	// (nil when none). A torn tail from a crash mid-append is expected;
-	// the decoder stops at the first corrupt record.
-	LoadWAL() ([]byte, error)
-	// ResetWAL atomically replaces the log area with data (WAL
-	// compaction: records covered by durable components are dropped, and
-	// so is any torn tail — later appends must never land behind garbage).
-	// Only call while the log is quiescent (reopen, clean shutdown).
-	ResetWAL(data []byte) error
+	// the decoder stops at a segment's first corrupt record.
+	LoadWAL() ([]WALSegment, error)
+}
+
+// WALSegment is one log segment as read back by LoadWAL.
+type WALSegment struct {
+	Seq  uint64
+	Data []byte
 }
 
 var _ Device = (*Disk)(nil)

@@ -25,7 +25,7 @@
 // # WAL durability and group commit
 //
 // Devices with a durable log area implement WALDevice (append, load,
-// atomic reset). WALSyncDevice adds SyncWAL — an fsync of the log area
+// rotate to a fresh segment, drop a sealed one). WALSyncDevice adds SyncWAL — an fsync of the log area
 // decoupled from any append — which is the primitive group commit builds
 // on: concurrent committers append their commit records unsynced, park on
 // a shared commit window (filedev.GroupSyncer), and a leader issues one

@@ -8,15 +8,42 @@
 //	                   bytes, zero-padded to PageSize+4, so page p lives at
 //	                   offset p*(PageSize+4) and the page count of a file is
 //	                   size/(PageSize+4) — reopen needs no per-page index.
-//	wal.log            write-ahead log: raw record stream appended by the
-//	                   wal package, fsynced on commit — per record, or one
-//	                   covering fsync per commit group when group commit is
-//	                   on (see GroupSyncer). A torn tail from a crash
-//	                   mid-append is expected and tolerated.
+//	wal-00000001.log ... write-ahead log segments: raw record streams
+//	                   appended by the wal package, fsynced on commit — per
+//	                   record, or one covering fsync per commit group when
+//	                   group commit is on (see GroupSyncer). The highest
+//	                   number a session created is its live segment; every
+//	                   other one is sealed and never written again. A torn
+//	                   tail from a crash mid-append is expected and
+//	                   tolerated. (wal.log, the single-file log of earlier
+//	                   layouts, is read as segment 0.)
 //	MANIFEST           component metadata blob written by the dataset layer.
 //	                   Replaced atomically (write temp + fsync + rename +
 //	                   dir fsync) after the data files are synced, so it is
 //	                   the durability point of a component install.
+//
+// # File lifetimes
+//
+// Nothing is rewritten in place and nothing is unlinked before the state
+// that stops needing it is durable:
+//
+//   - A component file is deleted (Delete) by the dataset layer only after
+//     the MANIFEST that no longer names it was saved, and only once no
+//     reader holds the component. A crash before the unlink leaves a file
+//     no manifest names; Open lists it and the dataset's reopen sweep
+//     deletes it.
+//   - RotateWAL fsyncs the live segment, creates the next one and fsyncs
+//     the directory before it returns, so a commit acknowledged out of the
+//     new segment can never outlive the segment's name. A crash between
+//     the steps leaves the sealed segment whole and at most an empty
+//     successor.
+//   - DropWAL unlinks a sealed segment once the MANIFEST covering its
+//     records is durable. A crash mid-drop leaves a suffix of the covered
+//     segments; replay skips what the components already hold and the next
+//     cut removes the files.
+//   - A reopened device never appends to or truncates a segment it found:
+//     the session starts a fresh one (RotateWAL with the next number).
+//     Sealed files are therefore safe to hard-link into a crash image.
 //
 // Appends are batched: pages accumulate in memory and are written to the
 // OS in appendBatchPages-sized runs; Sync flushes everything outstanding
@@ -52,7 +79,9 @@ const (
 
 	compPrefix   = "c"
 	compSuffix   = ".lsm"
-	walName      = "wal.log"
+	walPrefix    = "wal-"
+	walSuffix    = ".log"
+	legacyWAL    = "wal.log" // the single-file log of earlier layouts: segment 0
 	manifestName = "MANIFEST"
 	lockName     = "LOCK"
 )
@@ -91,7 +120,7 @@ type Device struct {
 	lastPage     int
 	bytesWritten int64
 	dirDirty     bool
-	wal          *os.File
+	wal          *os.File // live segment; nil until the session's first RotateWAL
 	walSize      int64
 	walDirty     bool
 	walBroken    bool
@@ -119,9 +148,9 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// One live device per directory: a second opener would rename-replace
-	// the WAL out from under the first one's append handle and clobber
-	// manifest saves. The lock dies with the process, so a crashed owner
+	// One live device per directory: a second opener would unlink log
+	// segments the first still replays from and clobber its manifest
+	// saves. The lock dies with the process, so a crashed owner
 	// never wedges the directory.
 	lock, err := acquireDirLock(filepath.Join(dir, lockName))
 	if err != nil {
@@ -167,15 +196,6 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 			d.nextID = id + 1
 		}
 	}
-	d.wal, err = os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, errors.Join(err, d.closeAllLocked())
-	}
-	st, err := d.wal.Stat()
-	if err != nil {
-		return nil, errors.Join(err, d.closeAllLocked())
-	}
-	d.walSize = st.Size()
 	return d, nil
 }
 
@@ -189,7 +209,22 @@ func (d *Device) Profile() storage.Profile { return d.profile }
 func (d *Device) PageSize() int { return d.profile.PageSize }
 
 func (d *Device) compPath(id storage.FileID) string {
-	return filepath.Join(d.dir, fmt.Sprintf("%s%08d%s", compPrefix, uint64(id), compSuffix))
+	return filepath.Join(d.dir, ComponentFileName(id))
+}
+
+// ComponentFileName is the name of component file id inside a data
+// directory; WALSegmentName that of log segment seq (0 is the single-file
+// log of earlier layouts). Crash-image builders and tests name files
+// through these, so the layout is spelled in one place.
+func ComponentFileName(id storage.FileID) string {
+	return fmt.Sprintf("%s%08d%s", compPrefix, uint64(id), compSuffix)
+}
+
+func WALSegmentName(seq uint64) string {
+	if seq == 0 {
+		return legacyWAL
+	}
+	return fmt.Sprintf("%s%08d%s", walPrefix, seq, walSuffix)
 }
 
 // Create allocates a new empty component file.
@@ -213,22 +248,25 @@ func (d *Device) Create() storage.FileID {
 	return id
 }
 
-// Delete removes a component file.
+// Delete removes a component file. The file leaves the device's table under
+// the mutex; the close and the unlink — which take time in proportion to the
+// file — run outside it, so reclaiming a large merged-away component never
+// stalls the partition's reads and appends.
 func (d *Device) Delete(id storage.FileID) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	f, ok := d.files[id]
+	delete(d.files, id)
+	d.dirDirty = d.dirDirty || ok
+	d.mu.Unlock()
 	if !ok {
 		return
 	}
-	delete(d.files, id)
 	if f.f != nil {
 		//lsm:allow-discard Delete is infallible by the storage.Device contract; a close failure here leaks nothing the process exit won't reclaim
 		f.f.Close()
 	}
 	//lsm:allow-discard a component file that survives a failed remove is garbage-collected on the next Open; Delete stays infallible
 	os.Remove(d.compPath(id))
-	d.dirDirty = true
 }
 
 // writeThroughLocked writes the file's pending pages to the OS. The
@@ -259,7 +297,7 @@ func (d *Device) writeThroughLocked(id storage.FileID, f *file) error {
 	if _, err := f.f.WriteAt(buf, int64(f.flushed)*d.slot); err != nil {
 		return err
 	}
-	// Same retention discipline as the pooled WAL/frame buffers: the batch
+	// Same retention discipline as the pooled frame buffers: the batch
 	// is bounded at appendBatchPages slots by construction, so anything
 	// larger came from an outsized caller and must not stay pinned for the
 	// device's lifetime.
@@ -510,11 +548,15 @@ func (d *Device) closeAllLocked() error {
 // failed commit durable).
 var errWALBroken = errors.New("filedev: WAL is poisoned by an earlier failed append")
 
-// AppendWAL appends encoded log records to wal.log, fsyncing when sync is
-// set (commit durability). A failed write or fsync means the operation was
-// reported as failed to the caller, so the appended bytes are truncated
-// away; if even the rollback fails, the WAL is poisoned rather than left
-// where a later background sync could durably commit the failed write.
+// walPath names the file of segment seq.
+func (d *Device) walPath(seq uint64) string { return filepath.Join(d.dir, WALSegmentName(seq)) }
+
+// AppendWAL appends encoded log records to the live segment, fsyncing when
+// sync is set (commit durability). A failed write or fsync means the
+// operation was reported as failed to the caller, so the appended bytes are
+// truncated away; if even the rollback fails, the WAL is poisoned rather
+// than left where a later background sync could durably commit the failed
+// write.
 func (d *Device) AppendWAL(data []byte, sync bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -523,6 +565,9 @@ func (d *Device) AppendWAL(data []byte, sync bool) error {
 	}
 	if d.walBroken {
 		return errWALBroken
+	}
+	if d.wal == nil {
+		return errors.New("filedev: no live WAL segment (RotateWAL starts one)")
 	}
 	pre := d.walSize
 	rollback := func(cause error) error {
@@ -550,15 +595,16 @@ func (d *Device) AppendWAL(data []byte, sync bool) error {
 	return nil
 }
 
-// SyncWAL fsyncs the WAL area alone, covering every append that completed
-// before the call — the durability point of a commit group. The device
-// mutex is NOT held across the fsync, so appends for the next group
+// SyncWAL fsyncs the live segment alone, covering every append that
+// completed before the call — the durability point of a commit group. The
+// device mutex is NOT held across the fsync, so appends for the next group
 // proceed while this group's fsync is in flight; walSyncMu serializes the
-// fsyncs themselves. A failed fsync poisons the log area: unlike a failed
-// synchronous append there is nothing to truncate back to — records from
-// several writers (and possibly a next group) sit above the last known
-// durable offset, so the suffix is indeterminate and neither appends nor
-// background syncs may touch it again.
+// fsyncs themselves (and rotations: the handle cannot move under an fsync).
+// A failed fsync poisons the log area: unlike a failed synchronous append
+// there is nothing to truncate back to — records from several writers (and
+// possibly a next group) sit above the last known durable offset, so the
+// suffix is indeterminate and neither appends nor background syncs may
+// touch it again.
 func (d *Device) SyncWAL() error {
 	d.walSyncMu.Lock()
 	defer d.walSyncMu.Unlock()
@@ -591,51 +637,101 @@ func (d *Device) SyncWAL() error {
 	return nil
 }
 
-// ResetWAL atomically replaces wal.log with data: temp file + fsync +
-// rename + directory fsync, so a crash mid-reset leaves either the old or
-// the new log, never a mix. The append handle is reopened on the new file.
-func (d *Device) ResetWAL(data []byte) error {
+// RotateWAL seals the live segment and makes segment seq the live one: the
+// old segment is fsynced before the handle moves, and the new file and its
+// directory entry are durable before RotateWAL returns, so no commit is
+// ever acknowledged out of a segment a crash could lose the name of. The
+// new file must not exist: a session never appends to a segment it found.
+// The caller guarantees no append is in flight; a covering group fsync may
+// be, and walSyncMu orders the rotation after it.
+func (d *Device) RotateWAL(seq uint64) error {
+	d.walSyncMu.Lock()
+	defer d.walSyncMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	//lsm:lockio-ok WAL replacement must be atomic against concurrent appends; this is the checkpoint/maintenance path, not the commit hot path
-	if err := AtomicWriteFile(d.dir, walName, data); err != nil {
+	if d.walBroken {
+		return errWALBroken
+	}
+	if d.wal != nil && d.walDirty {
+		//lsm:lockio-ok the rotation is a barrier inside the flush pipeline's writer drain; mu keeps an append from slipping between the seal and the handle move
+		if err := d.wal.Sync(); err != nil {
+			d.walBroken = true
+			return err
+		}
+		d.walDirty = false
+		d.countWALFsync()
+	}
+	f, err := os.OpenFile(d.walPath(seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		return err
 	}
-	//lsm:allow-discard the old append handle points at a file the rename just orphaned; closing it is best-effort
-	d.wal.Close()
-	var err error
-	if d.wal, err = os.OpenFile(filepath.Join(d.dir, walName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644); err != nil {
-		return err
+	//lsm:lockio-ok see above: same barrier
+	if err := syncDir(d.dir); err != nil {
+		return errors.Join(err, f.Close())
 	}
-	d.walSize = int64(len(data))
-	// The area was rebuilt from known-good content; any earlier poisoning
-	// is gone with the old file.
-	d.walDirty, d.walBroken = false, false
+	if d.wal != nil {
+		//lsm:allow-discard the sealed segment was fsynced above; its handle holds nothing a close could lose
+		d.wal.Close()
+	}
+	d.wal, d.walSize = f, 0
 	return nil
 }
 
-// LoadWAL returns the whole log image (nil when empty).
-func (d *Device) LoadWAL() ([]byte, error) {
+// DropWAL unlinks the sealed segment seq (never the live one). Like Delete
+// it cannot fail: a segment that survives is dropped by the first cut after
+// the next reopen.
+func (d *Device) DropWAL(seq uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return
+	}
+	//lsm:allow-discard see the doc comment: a surviving segment is only garbage
+	os.Remove(d.walPath(seq))
+	d.dirDirty = true
+}
+
+// LoadWAL returns every log segment in the directory, oldest first (nil
+// when there is none).
+func (d *Device) LoadWAL() ([]storage.WALSegment, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, ErrClosed
 	}
-	st, err := d.wal.Stat()
+	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() == 0 {
-		return nil, nil
+	var segs []storage.WALSegment
+	for _, e := range entries {
+		seq, ok := walSeq(e.Name())
+		if !ok {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(d.dir, e.Name()))
+		if err != nil {
+			return nil, err
+		}
+		segs = append(segs, storage.WALSegment{Seq: seq, Data: data})
 	}
-	buf := make([]byte, st.Size())
-	if _, err := d.wal.ReadAt(buf, 0); err != nil {
-		return nil, err
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Seq < segs[j].Seq })
+	return segs, nil
+}
+
+// walSeq parses a log segment's file name.
+func walSeq(name string) (uint64, bool) {
+	if name == legacyWAL {
+		return 0, true
 	}
-	return buf, nil
+	if !strings.HasPrefix(name, walPrefix) || !strings.HasSuffix(name, walSuffix) {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix), 10, 64)
+	return seq, err == nil && seq > 0
 }
 
 // SaveManifest syncs the device, then atomically replaces the manifest:
@@ -676,7 +772,7 @@ func syncDir(dir string) error {
 // AtomicWriteFile durably replaces dir/name: temp file + fsync + rename +
 // directory fsync, so a crash leaves either the previous content or the
 // new one, never a mix. It is the one crash-safe replace protocol shared
-// by the manifest, the WAL reset, and the store layout file.
+// by the manifest and the store layout file.
 func AtomicWriteFile(dir, name string, data []byte) error {
 	path := filepath.Join(dir, name)
 	tmp := path + ".tmp"

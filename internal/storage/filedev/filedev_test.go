@@ -2,8 +2,10 @@ package filedev
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -164,11 +166,35 @@ func TestManifestAtomicReplace(t *testing.T) {
 	}
 }
 
+// walImage renders LoadWAL's answer as "seq:bytes" pairs.
+func walImage(t *testing.T, d *Device) string {
+	t.Helper()
+	segs, err := d.LoadWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []string
+	for _, s := range segs {
+		parts = append(parts, fmt.Sprintf("%d:%s", s.Seq, s.Data))
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestWALAppendLoad walks the segment lifecycle: a session's log starts
+// with its first RotateWAL, appends land in the live segment, a reopened
+// device never appends to a segment it found, and DropWAL unlinks a sealed
+// one.
 func TestWALAppendLoad(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDev(t, dir)
-	if w, err := d.LoadWAL(); err != nil || w != nil {
-		t.Fatalf("LoadWAL on fresh dir = %q, %v", w, err)
+	if got := walImage(t, d); got != "" {
+		t.Fatalf("LoadWAL on fresh dir = %q", got)
+	}
+	if err := d.AppendWAL([]byte("early"), false); err == nil {
+		t.Fatal("append before the session's first RotateWAL was accepted")
+	}
+	if err := d.RotateWAL(1); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.AppendWAL([]byte("rec1"), false); err != nil {
 		t.Fatal(err)
@@ -181,15 +207,38 @@ func TestWALAppendLoad(t *testing.T) {
 	}
 	d2 := openTestDev(t, dir)
 	defer mustClose(t, d2)
-	w, err := d2.LoadWAL()
-	if err != nil || string(w) != "rec1rec2" {
-		t.Fatalf("LoadWAL = %q, %v", w, err)
+	if got := walImage(t, d2); got != "1:rec1rec2" {
+		t.Fatalf("LoadWAL = %q", got)
+	}
+	if err := d2.RotateWAL(1); err == nil {
+		t.Fatal("rotation onto a recovered segment was accepted")
+	}
+	if err := d2.RotateWAL(2); err != nil {
+		t.Fatal(err)
 	}
 	if err := d2.AppendWAL([]byte("rec3"), true); err != nil {
 		t.Fatal(err)
 	}
-	if w, err := d2.LoadWAL(); err != nil || string(w) != "rec1rec2rec3" {
-		t.Fatalf("LoadWAL after reopen-append = %q, %v", w, err)
+	if got := walImage(t, d2); got != "1:rec1rec2 2:rec3" {
+		t.Fatalf("LoadWAL after reopen-append = %q", got)
+	}
+	if err := d2.RotateWAL(3); err != nil {
+		t.Fatal(err)
+	}
+	d2.DropWAL(1)
+	if got := walImage(t, d2); got != "2:rec3 3:" {
+		t.Fatalf("LoadWAL after rotate+drop = %q", got)
+	}
+	// The single-file log of earlier layouts reads as segment 0.
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := walImage(t, d2); got != "0:old 2:rec3 3:" {
+		t.Fatalf("LoadWAL with a legacy wal.log = %q", got)
+	}
+	d2.DropWAL(0)
+	if got := walImage(t, d2); got != "2:rec3 3:" {
+		t.Fatalf("LoadWAL after dropping the legacy log = %q", got)
 	}
 }
 

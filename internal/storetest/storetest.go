@@ -10,14 +10,18 @@ package storetest
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/storage"
+	"repro/internal/storage/filedev"
 	"repro/internal/workload"
 	"repro/lsmstore"
 )
@@ -137,10 +141,16 @@ func MixedWorkload(t testing.TB, db *lsmstore.DB, n int, seed int64) []uint64 {
 	return ids
 }
 
-// SnapshotStoreDir copies a store directory as a crash would freeze it:
-// per shard, manifest and WAL first, then the immutable component files.
-// (A referenced component file never changes once a manifest references
-// it, so this order is exactly the crash-consistency contract.)
+// SnapshotStoreDir copies a store directory — live or abandoned — into dst
+// as some crash would have frozen it. The store keeps unlinking while the
+// copy runs: a merged-away component goes once the manifest that no longer
+// names it is durable, a log segment once the manifest that covers it is.
+// Both wait for a manifest, so each shard is copied between two reads of
+// its MANIFEST and copied again if they differ: with the manifest unchanged
+// from start to end, nothing it names and no log segment it does not cover
+// was taken away meanwhile. Log segments are copied oldest first, so a
+// rotation during the copy can only cost the newest records — writes
+// acknowledged after the snapshot began.
 func SnapshotStoreDir(src, dst string) error {
 	entries, err := os.ReadDir(src)
 	if err != nil {
@@ -149,34 +159,87 @@ func SnapshotStoreDir(src, dst string) error {
 	for _, e := range entries {
 		sp, dp := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
 		if !e.IsDir() {
-			if err := CopyFile(sp, dp); err != nil {
-				return err
-			}
-			continue
+			err = CopyFile(sp, dp)
+		} else {
+			err = snapshotShard(sp, dp)
 		}
-		if err := os.MkdirAll(dp, 0o755); err != nil {
-			return err
-		}
-		shardFiles, err := os.ReadDir(sp)
 		if err != nil {
 			return err
 		}
-		first := []string{"MANIFEST", "wal.log"}
-		for _, name := range first {
-			if err := CopyFile(filepath.Join(sp, name), filepath.Join(dp, name)); err != nil && !os.IsNotExist(err) {
+	}
+	return nil
+}
+
+func snapshotShard(src, dst string) error {
+	const manifest = "MANIFEST"
+	for attempt := 0; attempt < 1000; attempt++ {
+		if err := os.RemoveAll(dst); err != nil {
+			return err
+		}
+		if err := os.MkdirAll(dst, 0o755); err != nil {
+			return err
+		}
+		before, err := os.ReadFile(filepath.Join(src, manifest))
+		if err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		files, err := os.ReadDir(src) // sorted by name: log segments oldest first
+		if err != nil {
+			return err
+		}
+		for _, f := range files {
+			// A lock never survives its process, a temp file is half an
+			// atomic replace, and a file that vanishes under the copy is
+			// one the manifest check below vouches for or rejects.
+			if f.IsDir() || f.Name() == manifest || f.Name() == "LOCK" || strings.HasSuffix(f.Name(), ".tmp") {
+				continue
+			}
+			if err := CopyFile(filepath.Join(src, f.Name()), filepath.Join(dst, f.Name())); err != nil && !os.IsNotExist(err) {
 				return err
 			}
 		}
-		for _, f := range shardFiles {
-			if f.IsDir() || f.Name() == "MANIFEST" || f.Name() == "wal.log" {
-				continue
-			}
-			if err := CopyFile(filepath.Join(sp, f.Name()), filepath.Join(dp, f.Name())); err != nil && !os.IsNotExist(err) {
-				return err
+		after, err := os.ReadFile(filepath.Join(src, manifest))
+		if err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		if !bytes.Equal(before, after) || !namedFilesPresent(before, dst) {
+			continue
+		}
+		if before == nil {
+			return nil
+		}
+		return os.WriteFile(filepath.Join(dst, manifest), before, 0o644)
+	}
+	return fmt.Errorf("storetest: %s never held still long enough to snapshot", src)
+}
+
+// namedFilesPresent reports whether every component file the manifest names
+// is in dir.
+func namedFilesPresent(manifest []byte, dir string) bool {
+	if manifest == nil {
+		return true
+	}
+	var m struct {
+		Trees []struct {
+			Components []struct{ File, DeletedKeysFile uint64 }
+		}
+	}
+	if json.Unmarshal(manifest, &m) != nil {
+		return false
+	}
+	for _, tr := range m.Trees {
+		for _, c := range tr.Components {
+			for _, id := range []uint64{c.File, c.DeletedKeysFile} {
+				if id == 0 {
+					continue
+				}
+				if _, err := os.Stat(filepath.Join(dir, filedev.ComponentFileName(storage.FileID(id)))); err != nil {
+					return false
+				}
 			}
 		}
 	}
-	return nil
+	return true
 }
 
 // CopyFile copies src to dst, truncating any existing dst.

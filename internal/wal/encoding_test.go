@@ -85,8 +85,11 @@ func TestLogPersistedRoundTrip(t *testing.T) {
 	l.Append(Record{TxnID: 2, Type: RecDelete, Key: []byte("b"), TS: 11, UpdateBit: true})
 	l.Commit(2)
 
-	l2, consumed := OpenPersisted(nil, sink.image, nil)
-	if consumed != len(sink.image) {
+	l2, err := OpenPersisted(nil, oneSegment(sink.image), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consumed := l2.Bytes(); consumed != int64(len(sink.image)) {
 		t.Fatalf("reopen consumed %d of %d image bytes", consumed, len(sink.image))
 	}
 	if l2.Len() != l.Len() || l2.MaxLSN() != l.MaxLSN() {
@@ -127,12 +130,15 @@ func TestOpenPersistedTornTail(t *testing.T) {
 	first := len(sink.image)
 	l.Commit(1)
 	for cut := 0; cut < len(sink.image); cut++ {
-		kept, consumed := OpenPersisted(nil, sink.image[:cut], nil)
-		wantLen, wantConsumed := 0, 0
-		if cut >= first {
-			wantLen, wantConsumed = 1, first
+		kept, err := OpenPersisted(nil, oneSegment(sink.image[:cut]), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if kept.Len() != wantLen || consumed != wantConsumed {
+		wantLen, wantConsumed := 0, int64(0)
+		if cut >= first {
+			wantLen, wantConsumed = 1, int64(first)
+		}
+		if consumed := kept.Bytes(); kept.Len() != wantLen || consumed != wantConsumed {
 			t.Fatalf("cut at %d: %d records, %d bytes decoded; want %d, %d",
 				cut, kept.Len(), consumed, wantLen, wantConsumed)
 		}

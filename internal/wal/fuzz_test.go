@@ -3,6 +3,9 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -82,52 +85,72 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// TestCompactImage pins the reopen/shutdown compaction contract: data
-// records survive only when their transaction committed AND their
-// timestamp is newer than the durable-component watermark; everything else
-// — covered records, uncommitted leftovers, aborted transactions and all
-// bare markers — is dropped.
-func TestCompactImage(t *testing.T) {
-	l := New(nil)
-	app := func(txn, ts int64, typ RecordType, key string) {
-		l.Append(Record{TxnID: txn, Type: typ, Key: []byte(key), TS: ts})
+// TestCutDropsCoveredSegments pins the one way the log shrinks: Rotate
+// seals the live segment, DropBefore discards every sealed segment below a
+// cut — memory image and sink file together, never the live one — and a
+// reopen over what the device still holds replays exactly the survivors,
+// keeps a recovered torn segment readable up to its tear, and appends to a
+// fresh segment only.
+func TestCutDropsCoveredSegments(t *testing.T) {
+	sink := &recordingSink{}
+	l := NewWithSink(nil, sink)
+	app := func(lg *Log, txn, ts int64, key string) {
+		lg.Append(Record{TxnID: txn, Type: RecUpsert, Key: []byte(key), TS: ts})
+		lg.Commit(txn)
 	}
-	app(1, 5, RecUpsert, "covered") // covered by components
-	l.Commit(1)
-	app(2, 15, RecUpsert, "live") // durable commit past the watermark
-	l.Commit(2)
-	app(3, 20, RecUpsert, "uncommitted") // crash before commit: dead
-	app(4, 25, RecDelete, "aborted")
-	l.Append(Record{TxnID: 4, Type: RecAbort})
-
-	img := l.CompactImage(10)
-	kept, consumed := OpenPersisted(nil, img, nil)
-	if consumed != len(img) {
-		t.Fatalf("compacted image decodes for %d of %d bytes", consumed, len(img))
-	}
-	var keys []string
-	types := map[RecordType]int{}
-	if err := kept.Replay(0, func(r Record) error {
-		if r.TxnID != 2 {
-			t.Errorf("replayed a record of txn %d; only txn 2 is live", r.TxnID)
+	replayed := func(lg *Log) string {
+		var keys []string
+		if err := lg.Replay(0, func(r Record) error {
+			keys = append(keys, string(r.Key))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		keys = append(keys, string(r.Key))
-		types[r.Type]++
-		return nil
-	}); err != nil {
+		return strings.Join(keys, ",")
+	}
+	app(l, 1, 5, "a") // segment 1
+	cut2, err := l.Rotate()
+	if err != nil || cut2 != 2 {
+		t.Fatalf("first rotation = %d, %v; want segment 2", cut2, err)
+	}
+	app(l, 2, 15, "b") // segment 2
+	cut3, err := l.Rotate()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 1 || keys[0] != "live" {
-		t.Fatalf("replayed records = %q, want [live]", keys)
+	app(l, 3, 25, "c") // segment 3, live
+	full := l.Bytes()
+
+	l.DropBefore(cut2) // the batch frozen at the first rotation is durable
+	if got := replayed(l); got != "b,c" {
+		t.Fatalf("after the first cut the log replays %q, want b,c", got)
 	}
-	if kept.Len() != 2 { // the live data record + its commit
-		t.Fatalf("compacted image holds %d records, want 2", kept.Len())
+	if l.Len() != 4 || l.Bytes() >= full || l.MaxTxnID() != 3 {
+		t.Fatalf("after the first cut: %d records, %d of %d bytes, max txn %d", l.Len(), l.Bytes(), full, l.MaxTxnID())
 	}
-	if types[RecUpsert] != 1 {
-		t.Fatalf("replay of compacted image applied %d upserts, want 1", types[RecUpsert])
+	l.DropBefore(cut3 + 10) // a cut past the end still spares the live segment
+	if got := replayed(l); got != "c" {
+		t.Fatalf("after the second cut the log replays %q, want c", got)
 	}
-	if got := kept.MaxTxnID(); got != 2 {
-		t.Fatalf("MaxTxnID of compacted image = %d, want 2", got)
+	if fmt.Sprint(sink.dropped) != "[1 2]" || len(sink.segs) != 1 {
+		t.Fatalf("sink dropped %v and holds %d segments, want [1 2] and the live one", sink.dropped, len(sink.segs))
+	}
+
+	// Reopen over the surviving segment with a torn tail behind it.
+	torn := append(slices.Clone(sink.segs[3]), 0, 0, 1, 200, 77)
+	re, err := OpenPersisted(nil, []Segment{{Seq: 3, Data: torn}}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app(re, 4, 35, "d")
+	if got := replayed(re); got != "c,d" {
+		t.Fatalf("the reopened log replays %q, want c,d", got)
+	}
+	if !bytes.Equal(sink.segs[3], torn[:len(torn)-5]) || len(sink.segs[4]) == 0 {
+		t.Fatalf("reopen appended to the recovered segment instead of a fresh one")
+	}
+	if lsn := re.MaxLSN(); lsn != l.MaxLSN()+2 {
+		t.Fatalf("LSNs do not continue across the reopen: %d after %d", lsn, l.MaxLSN())
 	}
 }
 

@@ -6,21 +6,49 @@ import (
 )
 
 // recordingSink captures every append, its sync flag and the byte stream a
-// device's WAL area would hold.
+// device's WAL area would hold: image is everything ever appended, segs
+// what each segment still on the "device" holds.
 type recordingSink struct {
 	appends int
 	syncs   int
 	image   []byte
+	live    uint64 // 0 until the first Rotate: appends then land in segment 1
+	segs    map[uint64][]byte
+	dropped []uint64
 }
 
 func (s *recordingSink) Append(encoded []byte, sync bool) error {
 	s.appends++
 	s.image = append(s.image, encoded...)
+	if s.segs == nil {
+		s.segs = map[uint64][]byte{}
+	}
+	seq := max(s.live, 1)
+	s.segs[seq] = append(s.segs[seq], encoded...)
 	if sync {
 		s.syncs++
 	}
 	return nil
 }
+
+func (s *recordingSink) Rotate(seq uint64) error {
+	if s.segs == nil {
+		s.segs = map[uint64][]byte{}
+	}
+	if _, exists := s.segs[seq]; exists {
+		return errors.New("recordingSink: rotation onto an existing segment")
+	}
+	s.live, s.segs[seq] = seq, nil
+	return nil
+}
+
+func (s *recordingSink) Drop(seq uint64) {
+	delete(s.segs, seq)
+	s.dropped = append(s.dropped, seq)
+}
+
+// oneSegment wraps a byte stream as the only segment a device holds.
+func oneSegment(image []byte) []Segment { return []Segment{{Seq: 1, Data: image}} }
 
 // scriptedGroup is a GroupCommitter whose Wait results are scripted.
 type scriptedGroup struct {

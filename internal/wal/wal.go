@@ -24,9 +24,22 @@
 // commit record returns, and a failed fsync fails exactly the writers that
 // fsync was meant to cover (per-waiter error delivery) while wedging the
 // log for everyone after.
+//
+// # Lifetime
+//
+// The log is a sequence of segments. Rotate seals the live one and starts
+// the next; the dataset rotates inside the writer drain of every memtable
+// freeze, and once the batch frozen there is installed and its manifest is
+// durable, DropBefore discards every older segment wholesale — the memory
+// image and, through the sink, the file. Nothing is ever rewritten: a
+// reopened log keeps the segments it recovered read-only and appends to a
+// fresh one. What the log retains per record is its encoding, the very
+// bytes the sink received; Replay decodes them.
 package wal
 
 import (
+	"encoding/binary"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -66,10 +79,48 @@ type Record struct {
 // Sink receives the binary encoding of every appended record, letting a
 // durable device persist the log as it grows. Append with sync set marks a
 // commit point: the sink must make everything appended so far durable
-// before returning (fsync on a file-backed device). The sink must not
-// retain encoded past the call — the log reuses encode buffers.
+// before returning (fsync on a file-backed device). The sink must neither
+// retain nor modify encoded — it aliases the log's own memory image.
 type Sink interface {
 	Append(encoded []byte, sync bool) error
+	// Rotate seals the live segment — everything appended to it is durable
+	// when Rotate returns — and directs later appends to a fresh segment
+	// numbered seq, whose existence is durable too.
+	Rotate(seq uint64) error
+	// Drop discards the sealed segment seq. Like a component delete it
+	// cannot fail: a segment that survives is dropped by the first cut
+	// after the next reopen.
+	Drop(seq uint64)
+}
+
+// Segment is one log segment as a device holds it: the unit of Rotate and
+// Drop, and of what a reopen hands to OpenPersisted.
+type Segment struct {
+	Seq  uint64
+	Data []byte
+}
+
+// segment is the memory image of one log segment: the encodings of its
+// records back to back, exactly the bytes the sink was given.
+type segment struct {
+	seq uint64
+	buf []byte
+	n   int // records in buf
+}
+
+// drop removes the record with the given LSN. The survivors move to a fresh
+// buffer: a sink append still in flight may be reading the old one.
+func (s *segment) drop(lsn int64) bool {
+	for off := 0; off < len(s.buf); {
+		end := off + 4 + int(binary.BigEndian.Uint32(s.buf[off:]))
+		if got, _ := binary.Varint(s.buf[off+4:]); got == lsn {
+			s.buf = append(slices.Clone(s.buf[:off]), s.buf[end:]...)
+			s.n--
+			return true
+		}
+		off = end
+	}
+	return false
 }
 
 // GroupCommitter coalesces commit durability across concurrent writers.
@@ -104,8 +155,9 @@ type Log struct {
 	group GroupCommitter // non-nil only in group-commit mode
 
 	mu      sync.Mutex
-	records []Record
+	segs    []segment // oldest to newest; appends go to the last
 	nextLSN int64
+	maxTxn  int64
 	// sinkErr is the first sink failure; once set the log is considered
 	// wedged for durability purposes and the next logged write surfaces it.
 	sinkErr error
@@ -118,38 +170,84 @@ type Log struct {
 }
 
 // New creates an empty log.
-func New(env *metrics.Env) *Log {
-	return &Log{env: env, nextLSN: 1}
-}
+func New(env *metrics.Env) *Log { return NewWithSink(env, nil) }
 
-// NewWithSink creates an empty log streaming its records to sink.
+// NewWithSink creates an empty log streaming its records to sink, which
+// must be ready to take appends for segment 1.
 func NewWithSink(env *metrics.Env, sink Sink) *Log {
-	return &Log{env: env, sink: sink, nextLSN: 1}
+	return &Log{env: env, sink: sink, nextLSN: 1, segs: []segment{{seq: 1}}}
 }
 
-// OpenPersisted rebuilds a log from the binary image a previous session
-// left in a device's WAL area, stopping at the first corrupt or truncated
-// record (the torn tail of a crash mid-append), and attaches sink for
-// future appends — which continue the same byte stream, so LSNs keep
-// ascending across sessions. It returns the log and the number of image
-// bytes that decoded cleanly.
-func OpenPersisted(env *metrics.Env, image []byte, sink Sink) (*Log, int) {
+// OpenPersisted rebuilds a log from the segments a previous session left on
+// a device, oldest first. Each segment ends at its first corrupt or
+// truncated record (the torn tail of a crash mid-append); the segments stay
+// as they are — nothing is appended to or cut out of a recovered segment —
+// and the session's appends go to a fresh one, started through sink here.
+// LSNs keep ascending across sessions.
+func OpenPersisted(env *metrics.Env, segs []Segment, sink Sink) (*Log, error) {
 	l := &Log{env: env, sink: sink, nextLSN: 1}
-	consumed := 0
-	data := image
-	for len(data) > 0 {
-		r, rest, err := DecodeRecord(data)
-		if err != nil {
-			break
+	for _, s := range segs {
+		seg := segment{seq: s.Seq}
+		data := s.Data
+		for len(data) > 0 {
+			r, rest, err := DecodeRecord(data)
+			if err != nil {
+				break
+			}
+			seg.n++
+			l.nextLSN = max(l.nextLSN, r.LSN+1)
+			l.maxTxn = max(l.maxTxn, r.TxnID)
+			data = rest
 		}
-		l.records = append(l.records, r)
-		if r.LSN >= l.nextLSN {
-			l.nextLSN = r.LSN + 1
-		}
-		consumed += len(data) - len(rest)
-		data = rest
+		seg.buf = s.Data[:len(s.Data)-len(data)]
+		l.segs = append(l.segs, seg)
 	}
-	return l, consumed
+	_, err := l.Rotate()
+	return l, err
+}
+
+// Rotate seals the live segment and starts the next, returning the new
+// segment's number: the cut point to hand DropBefore once everything logged
+// before this call is durable elsewhere. No append may be in flight (the
+// dataset rotates inside a writer drain). A failed rotation wedges the log.
+func (l *Log) Rotate() (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seq, size := uint64(1), 0
+	if n := len(l.segs); n > 0 {
+		seq, size = l.segs[n-1].seq+1, len(l.segs[n-1].buf)
+	}
+	if l.sink != nil {
+		if err := l.sink.Rotate(seq); err != nil {
+			if l.sinkErr == nil {
+				l.sinkErr = err
+			}
+			return 0, err
+		}
+	}
+	// Sized like its predecessor: in steady state a segment never regrows.
+	l.segs = append(l.segs, segment{seq: seq, buf: make([]byte, 0, size)})
+	return seq, nil
+}
+
+// DropBefore discards every sealed segment numbered below seq, memory image
+// and file together. The caller guarantees their records are covered by
+// durable components.
+func (l *Log) DropBefore(seq uint64) {
+	l.mu.Lock()
+	n := 0
+	for n < len(l.segs)-1 && l.segs[n].seq < seq {
+		n++
+	}
+	dropped := slices.Clone(l.segs[:n])
+	l.segs = slices.Delete(l.segs, 0, n)
+	sink := l.sink
+	l.mu.Unlock()
+	if sink != nil {
+		for _, s := range dropped {
+			sink.Drop(s.seq)
+		}
+	}
 }
 
 // AttachGroupCommitter switches the log into group-commit mode: commit
@@ -162,15 +260,6 @@ func (l *Log) AttachGroupCommitter(gc GroupCommitter) { l.group = gc }
 // GroupCommitEnabled reports whether a group committer is attached (and a
 // sink exists for it to cover).
 func (l *Log) GroupCommitEnabled() bool { return l.group != nil && l.sink != nil }
-
-// encBufPool recycles sink encode buffers: the sink contract forbids
-// retaining the slice, so one buffer serves each append and goes back.
-// Pointers avoid boxing the slice header on every Put; buffers grown past
-// maxPooledEncBuf by an outsized record are dropped instead of pinning
-// megabytes in the pool.
-const maxPooledEncBuf = 64 << 10
-
-var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // Append adds a record, assigning and returning its LSN. Callers that
 // need this call's own durability result use AppendChecked.
@@ -195,19 +284,19 @@ func (l *Log) appendChecked(r Record, sync bool) (int64, error) {
 	l.mu.Lock()
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	l.records = append(l.records, r)
+	l.maxTxn = max(l.maxTxn, r.TxnID)
+	live := &l.segs[len(l.segs)-1]
+	start := len(live.buf)
+	live.buf = AppendRecord(live.buf, r)
+	live.n++
+	// The sink reads the record out of the memory image: later appends only
+	// write past it, and a drop moves the survivors instead of shifting them.
+	enc := live.buf[start:len(live.buf):len(live.buf)]
 	sink := l.sink
 	l.mu.Unlock()
 	var sinkErr error
 	if sink != nil {
-		bp := encBufPool.Get().(*[]byte)
-		enc := AppendRecord((*bp)[:0], r)
-		sinkErr = sink.Append(enc, sync)
-		if cap(enc) <= maxPooledEncBuf {
-			*bp = enc
-			encBufPool.Put(bp)
-		}
-		if sinkErr != nil {
+		if sinkErr = sink.Append(enc, sync); sinkErr != nil {
 			l.poisonAndDrop(sinkErr, r.LSN)
 		}
 	}
@@ -215,17 +304,6 @@ func (l *Log) appendChecked(r Record, sync bool) (int64, error) {
 		l.env.ChargeLogAppend()
 	}
 	return r.LSN, sinkErr
-}
-
-// dropRecordLocked removes the record with the given LSN from the memory
-// image (rollback of an append whose durability failed).
-func (l *Log) dropRecordLocked(lsn int64) {
-	for i := len(l.records) - 1; i >= 0; i-- {
-		if l.records[i].LSN == lsn {
-			l.records = append(l.records[:i], l.records[i+1:]...)
-			return
-		}
-	}
 }
 
 // poisonAndDrop records a durability failure: the sticky sink error wedges
@@ -239,7 +317,8 @@ func (l *Log) poisonAndDrop(err error, lsns ...int64) {
 		l.sinkErr = err
 	}
 	for _, lsn := range lsns {
-		l.dropRecordLocked(lsn)
+		for i := len(l.segs) - 1; i >= 0 && !l.segs[i].drop(lsn); i-- {
+		}
 	}
 }
 
@@ -250,56 +329,14 @@ func (l *Log) SinkErr() error {
 	return l.sinkErr
 }
 
-// CompactImage serializes only the records recovery still needs once every
-// component with maxTS <= coveredTS is durable: data records of COMMITTED
-// transactions with TS > coveredTS, plus those transactions' commit
-// records. Rewriting a device's WAL area with this image drops the covered
-// prefix, any torn tail, and uncommitted leftovers — compaction only runs
-// while the log is quiescent (reopen, clean shutdown), when no writer can
-// ever deliver a missing commit, and keeping a dead data record would let
-// a future session's commit under a recycled transaction ID resurrect it.
-func (l *Log) CompactImage(coveredTS int64) []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	committed := committedMask(l.records)
-	keep := make([]bool, len(l.records))
-	keepCommit := make(map[int64]bool)
-	for i, r := range l.records {
-		if committed[i] && r.TS > coveredTS {
-			keep[i] = true
-			keepCommit[r.TxnID] = true
-		}
-	}
-	var out []byte
-	for i, r := range l.records {
-		if keep[i] {
-			out = AppendRecord(out, r)
-			continue
-		}
-		if r.Type == RecCommit && keepCommit[r.TxnID] {
-			out = AppendRecord(out, r)
-			// One commit per kept transaction: a (buggy) duplicate ID
-			// later in the log must not re-commit the kept records.
-			keepCommit[r.TxnID] = false
-		}
-	}
-	return out
-}
-
-// MaxTxnID returns the largest transaction ID in the log (0 when empty).
-// Reopen seeds the transaction-ID allocator past it: replay matches
+// MaxTxnID returns the largest transaction ID the log has held (0 when
+// none). Reopen seeds the transaction-ID allocator past it: replay matches
 // commits to data records by ID, so IDs must never recycle across process
 // generations.
 func (l *Log) MaxTxnID() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var maxID int64
-	for _, r := range l.records {
-		if r.TxnID > maxID {
-			maxID = r.TxnID
-		}
-	}
-	return maxID
+	return l.maxTxn
 }
 
 // SetYield installs a scheduling hook invoked at the instrumented points
@@ -443,11 +480,27 @@ func (l *Log) MaxLSN() int64 {
 	return l.nextLSN - 1
 }
 
-// Len returns the number of records.
+// Len returns the number of records the log retains.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	n := 0
+	for i := range l.segs {
+		n += l.segs[i].n
+	}
+	return n
+}
+
+// Bytes returns the size of the retained log: the bytes of every segment
+// not yet dropped, which is what the device holds for it.
+func (l *Log) Bytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n int64
+	for i := range l.segs {
+		n += int64(len(l.segs[i].buf))
+	}
+	return n
 }
 
 // Replay invokes apply for every data record of a committed transaction
@@ -457,9 +510,22 @@ func (l *Log) Len() int {
 // appears LATER in the log — a commit can never cover work that had not
 // been logged yet, so positional matching keeps a dead leftover record
 // from marrying an unrelated commit under a colliding transaction ID.
+// The records handed to apply alias the log's memory image.
 func (l *Log) Replay(fromLSN int64, apply func(Record) error) error {
 	l.mu.Lock()
-	records := append([]Record(nil), l.records...)
+	var records []Record
+	for i := range l.segs {
+		records = slices.Grow(records, l.segs[i].n)
+		for data := l.segs[i].buf; len(data) > 0; {
+			r, rest, err := DecodeRecord(data)
+			if err != nil {
+				l.mu.Unlock()
+				return err
+			}
+			records = append(records, r)
+			data = rest
+		}
+	}
 	l.mu.Unlock()
 
 	for i, r := range committedMask(records) {

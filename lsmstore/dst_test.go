@@ -120,25 +120,22 @@ func TestDSTSeedBitReproducible(t *testing.T) {
 	}
 }
 
-// TestDSTCatchesKeepCommitBug re-arms the historical
-// keep-commit-on-failed-fsync bug (the PR 5 failed-fsync rollback,
-// deleted) and requires that the corpus catches it: at least one seed must
-// fail with a replayed-failed-commit verdict, and the same seeds must pass
-// with the bug disarmed (the corpus test above already runs them clean,
-// but the pairing here keeps the proof self-contained).
-func TestDSTCatchesKeepCommitBug(t *testing.T) {
-	// A slice of the corpus, enough that at least one seed draws a
-	// group-commit configuration with a failed covering fsync.
-	seeds := dstCorpus[:8]
+// requireCorpusCatches re-arms bug and requires that the given corpus seeds
+// catch it: at least one must fail, every failure must carry the verdict
+// the bug is known by, and each seed that fails must pass with the bug
+// disarmed (the corpus test above already runs them clean, but the pairing
+// keeps the proof self-contained).
+func requireCorpusCatches(t *testing.T, bug string, seeds []int64, verdict string) {
+	t.Helper()
 	caught := 0
 	for _, seed := range seeds {
-		buggy := dstRun(t, dst.Config{Seed: seed, Ops: 400, FaultRate: 1, Profile: dst.Seq, Bug: dst.BugKeepCommit})
+		buggy := dstRun(t, dst.Config{Seed: seed, Ops: 400, FaultRate: 1, Profile: dst.Seq, Bug: bug})
 		if !buggy.Failed {
 			continue
 		}
 		caught++
-		if !strings.Contains(buggy.Verdict, "failed commit replayed") {
-			t.Errorf("seed %d caught the bug with an unexpected verdict: %s", seed, buggy.Verdict)
+		if !strings.Contains(buggy.Verdict, verdict) {
+			t.Errorf("seed %d caught the %s bug with an unexpected verdict: %s", seed, bug, buggy.Verdict)
 		}
 		clean := dstRun(t, dst.Config{Seed: seed, Ops: 400, FaultRate: 1, Profile: dst.Seq})
 		if clean.Failed {
@@ -146,8 +143,34 @@ func TestDSTCatchesKeepCommitBug(t *testing.T) {
 		}
 	}
 	if caught == 0 {
-		t.Fatalf("no corpus seed catches the keep-commit bug; the detector is dead")
+		t.Fatalf("no corpus seed catches the %s bug; the detector is dead", bug)
 	}
+}
+
+// TestDSTCatchesKeepCommitBug re-arms the historical
+// keep-commit-on-failed-fsync bug (the PR 5 failed-fsync rollback,
+// deleted): a slice of the corpus is enough that at least one seed draws a
+// group-commit configuration with a failed covering fsync and fails with a
+// replayed-failed-commit verdict.
+func TestDSTCatchesKeepCommitBug(t *testing.T) {
+	requireCorpusCatches(t, dst.BugKeepCommit, dstCorpus[:8], "failed commit replayed")
+}
+
+// TestDSTCatchesEarlyUnlinkBug re-arms the unlink-before-manifest ordering
+// bug: retired component files are deleted before the manifest that drops
+// their names is saved, so a manifest save that fails (or a kill landing on
+// it) leaves a directory whose manifest names files that are gone, and the
+// next generation does not reopen.
+func TestDSTCatchesEarlyUnlinkBug(t *testing.T) {
+	requireCorpusCatches(t, dst.BugEarlyUnlink, dstCorpus, "component file")
+}
+
+// TestDSTCatchesEarlyCutBug re-arms the cut-before-manifest ordering bug:
+// the log segments a flush covers are dropped before its manifest is saved,
+// so a failed save leaves acknowledged writes in neither a durable
+// component nor the log, and the reopened store diverges from the model.
+func TestDSTCatchesEarlyCutBug(t *testing.T) {
+	requireCorpusCatches(t, dst.BugEarlyCut, dstCorpus, "reopen: key")
 }
 
 // TestDSTConcProfileSound spot-checks the concurrency profile: background

@@ -1,12 +1,15 @@
 package lsmstore_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dst"
+	"repro/internal/workload"
 	"repro/lsmstore"
 )
 
@@ -198,7 +201,7 @@ func TestTornWALTailAtGroupCommitBoundary(t *testing.T) {
 
 // TestClosePersistFailureKeepsWAL is the regression test for the Close
 // path: when Close's final persist fails (manifest install error), Close
-// must NOT compact the WAL — the log is the only durable copy of the
+// must NOT cut the WAL — the log is the only durable copy of the
 // memtable it just failed to persist. A reopen of the same directory must
 // replay every acknowledged write.
 func TestClosePersistFailureKeepsWAL(t *testing.T) {
@@ -237,5 +240,113 @@ func TestClosePersistFailureKeepsWAL(t *testing.T) {
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKillAtReclaimPoints kills the process exactly at each device
+// operation reclamation added — the first unlink after a manifest install,
+// the operation right after a log rotation, the first segment drop after a
+// manifest, and the second of two back-to-back drops — and reopens the
+// directory the dead process left: every acknowledged write is served.
+// A dry run of the same deterministic workload (no workers, so the device
+// sees one fixed operation sequence) finds the operation numbers.
+func TestKillAtReclaimPoints(t *testing.T) {
+	// Session one leaves a log segment behind, so session two's first cut
+	// drops two segments back to back.
+	seed := func(dir string) {
+		db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(1); id <= 20; id++ {
+			if err := db.Upsert(tweetPK(id), tweetRec(id, uint32(id%7), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// run drives session two until the workload ends or the device dies and
+	// returns the op trace and the writes acknowledged, by key.
+	run := func(dir string, killAt int64) ([]string, map[uint64][]byte) {
+		seed(dir)
+		trace := dst.NewTrace(true)
+		control := dst.NewControl(trace, dst.NoFaults{}, nil)
+		control.SetKillAfter(killAt)
+		opts := diskOptions(lsmstore.Validation, dir)
+		opts.WrapDevice = control.Wrap
+		db, err := lsmstore.Open(opts)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		acked := map[uint64][]byte{}
+		for i := 0; i < 4000; i++ {
+			id := uint64(1 + i%700)
+			rec := tweetRec(id, uint32(id%7), int64(i+2))
+			if err := db.Upsert(tweetPK(id), rec); err != nil {
+				if !errors.Is(err, dst.ErrKilled) {
+					t.Fatalf("write %d failed without a kill: %v", i, err)
+				}
+				break
+			}
+			acked[id] = rec
+		}
+		if killAt > 0 && !control.Killed() {
+			t.Fatalf("the workload ended before device operation %d", killAt)
+		}
+		control.Detach()
+		_ = db.Close()
+		return trace.Events(), acked
+	}
+
+	// Number the device operations of the dry run the way Control does.
+	counted := []string{dst.OpDelete, dst.OpAppendPage, dst.OpSync, dst.OpAppendWAL, dst.OpSyncWAL, dst.OpRotateWAL, dst.OpDropWAL, dst.OpSaveManifest}
+	var ops []string
+	events, _ := run(t.TempDir(), 0)
+	for _, ev := range events {
+		if op, _, ok := strings.Cut(ev, "/"); ok && slices.Contains(counted, op) {
+			ops = append(ops, op)
+		}
+	}
+	find := func(match func(i int) bool) int64 {
+		for i := 1; i < len(ops); i++ {
+			if match(i) {
+				return int64(i + 1) // operations are numbered from 1
+			}
+		}
+		t.Fatalf("the dry run never reaches the operation under study (%d operations)", len(ops))
+		return 0
+	}
+	points := map[string]int64{
+		"manifest-then-unlink": find(func(i int) bool { return ops[i] == dst.OpDelete && ops[i-1] == dst.OpSaveManifest }),
+		"rotate-then-append":   find(func(i int) bool { return ops[i-1] == dst.OpRotateWAL && i > 2 }), // past the rotation Open does
+		"manifest-then-drop":   find(func(i int) bool { return ops[i] == dst.OpDropWAL && ops[i-1] == dst.OpSaveManifest }),
+		"mid-drop":             find(func(i int) bool { return ops[i] == dst.OpDropWAL && ops[i-1] == dst.OpDropWAL }),
+	}
+	for name, killAt := range points {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, acked := run(dir, killAt)
+			// Every acknowledged commit was fsynced before its Upsert
+			// returned, so the directory as it stands is the crash image.
+			re, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+			if err != nil {
+				t.Fatalf("reopen after a kill at device operation %d: %v", killAt, err)
+			}
+			defer re.Close()
+			for id, want := range acked {
+				got, found, err := re.Get(tweetPK(id))
+				if err != nil || !found {
+					t.Fatalf("acknowledged key %d after a kill at operation %d: found=%v err=%v", id, killAt, found, err)
+				}
+				// The write the kill interrupted may have reached the log.
+				if wantV, _ := workload.CreationOf(want); !bytes.Equal(got, want) {
+					if gotV, _ := workload.CreationOf(got); gotV < wantV {
+						t.Fatalf("key %d rolled back to version %d, acknowledged at %d", id, gotV, wantV)
+					}
+				}
+			}
+		})
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/storetest"
 	"repro/lsmstore"
-	"repro/lsmstore/internal/storetest"
 )
 
 // The group-commit battery: coalescing commit fsyncs must change

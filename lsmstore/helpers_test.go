@@ -1,13 +1,14 @@
 package lsmstore_test
 
 import (
+	"path/filepath"
 	"testing"
 
+	"repro/internal/storetest"
 	"repro/lsmstore"
-	"repro/lsmstore/internal/storetest"
 )
 
-// The battery fixtures live in lsmstore/internal/storetest; these thin
+// The battery fixtures live in internal/storetest; these thin
 // names keep the test files readable and apply the per-run backend
 // override (LSMSTORE_TEST_BACKEND) where it belongs.
 
@@ -44,5 +45,16 @@ func mixedWorkload(t *testing.T, db *lsmstore.DB, n int, seed int64) []uint64 {
 }
 
 func snapshotStoreDir(src, dst string) error { return storetest.SnapshotStoreDir(src, dst) }
+
+// newestWALSegment returns the path of shard 0's newest log segment: the
+// one a crashed session was appending to.
+func newestWALSegment(t testing.TB, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-0000", "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no log segment under %s (%v)", dir, err)
+	}
+	return segs[len(segs)-1] // Glob sorts; the numbers are zero-padded
+}
 
 func copyFile(src, dst string) error { return storetest.CopyFile(src, dst) }

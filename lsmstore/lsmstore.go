@@ -598,7 +598,8 @@ func (db *DB) Get(pk []byte) ([]byte, bool, error) {
 
 // GetRef returns the current record under pk without copying: the slice
 // aliases engine-owned memory — an immutable component page, a memtable
-// value, or a read-cache entry — and must be treated as read-only. It stays
+// value, or the read cache's own copy of the record — and must be treated
+// as read-only. It stays
 // valid as long as the caller holds it (pages are write-once and memtable
 // values are replaced, never edited in place; the GC keeps the backing
 // buffer alive). The network server encodes GET responses straight from it
@@ -810,15 +811,10 @@ func (db *DB) Close() error {
 	}
 	db.pool.Close()
 	for _, p := range db.parts {
-		// WAL compaction drops records that durable components cover — per
-		// the IN-MEMORY component lists. Those lists only become durable
-		// when Persist lands the manifest, so after a failed Persist the
-		// compaction would discard the one copy of acknowledged writes the
-		// stale on-disk manifest still needs replayed. Keep the full log in
-		// that case; reopen replays it against whatever manifest survived.
+		// The final manifest, and with it the last unlinks. The log needs
+		// nothing here: every flush cut it when its manifest landed, and
+		// what is left is the un-flushed window the next Open replays.
 		if err := p.ds.Persist(); err != nil {
-			errs = append(errs, err)
-		} else if err := p.ds.CompactWAL(); err != nil {
 			errs = append(errs, err)
 		}
 		if err := p.store.Device().Close(); err != nil {
@@ -909,6 +905,17 @@ type Stats struct {
 	PrimaryComponents int
 	// DiskBytesWritten is total bytes flushed/merged (write amplification).
 	DiskBytesWritten int64
+	// WALBytes is the size of the retained write-ahead log (the segments no
+	// durable flush has covered yet) and ComponentBytes that of the
+	// component files the current component lists name: together, what the
+	// store needs on the device — the numerator of a live space
+	// amplification. RetiredFiles counts files of merged-away components
+	// not yet unlinked because a reader still pins them or the manifest
+	// dropping their names is not durable yet; a value that only grows
+	// means a reader leaked its pin.
+	WALBytes       int64
+	ComponentBytes int64
+	RetiredFiles   int
 	// PendingFlushBatches and FrozenMemtables are the flush backlog
 	// gauges: frozen flush batches awaiting a builder, and frozen batches
 	// total (pending plus building) not yet installed.

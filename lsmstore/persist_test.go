@@ -18,7 +18,7 @@ import (
 
 // The shared fixtures — diskOptions, storeImage, mixedWorkload,
 // snapshotStoreDir, the acknowledged-write ledger — live in
-// lsmstore/internal/storetest (see helpers_test.go for the local names).
+// internal/storetest (see helpers_test.go for the local names).
 
 // TestFileBackendReopenAfterClose writes, flushes, closes, reopens, and
 // demands an identical image from every read path — for every strategy,
@@ -313,8 +313,7 @@ func TestFileBackendTornWALTailThenMoreSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir = snap
-	wal := filepath.Join(dir, "shard-0000", "wal.log")
-	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(newestWALSegment(t, dir), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +347,8 @@ func TestFileBackendTornWALTailThenMoreSessions(t *testing.T) {
 }
 
 // TestFileBackendWALCompaction: once a flush makes writes durable in
-// components, a clean Close (and any reopen) must shrink the on-disk WAL
-// to the un-flushed tail instead of retaining the store's whole history.
+// components, the on-disk WAL must be cut to the un-flushed tail instead of
+// retaining the store's whole history — and a clean Close leaves it there.
 func TestFileBackendWALCompaction(t *testing.T) {
 	dir := t.TempDir()
 	db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
@@ -363,8 +362,11 @@ func TestFileBackendWALCompaction(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wal := filepath.Join(dir, "shard-0000", "wal.log")
-	st, err := os.Stat(wal)
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-0000", "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("WAL segments after flush+close = %v (%v), want the live one alone", segs, err)
+	}
+	st, err := os.Stat(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +397,7 @@ func TestFileBackendUncommittedWALRecordNeverResurrects(t *testing.T) {
 		LSN: 1 << 40, TxnID: 1, Type: wal.RecUpsert, Index: "dataset",
 		Key: ghostPK, Value: tweetRec(0xdeadbeef, 1, 1), TS: 1 << 40,
 	})
-	walPath := filepath.Join(dir, "shard-0000", "wal.log")
-	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(newestWALSegment(t, dir), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}

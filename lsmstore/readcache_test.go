@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/workload"
 	"repro/lsmstore"
 )
 
@@ -252,4 +254,91 @@ func TestReadCacheSpeedupSmoke(t *testing.T) {
 		t.Fatalf("read cache speedup below the 1.5x gate: on %.0f vs off %.0f gets/s (%.2fx)", on, off, on/off)
 	}
 	fmt.Fprintf(os.Stderr, "read-cache smoke: %.2fx speedup (%.0f -> %.0f gets/s)\n", on/off, off, on)
+}
+
+// TestReadCacheOwnsWhatItKeeps: a cached record of a few hundred bytes must
+// not pin the 128 KiB page it was read from. With data many times the
+// buffer cache, almost every miss reads a fresh copy of its page; a cache
+// that kept the engine's slice would hold one such copy per entry — here
+// some 2 000 × 128 KiB against a 1 MiB budget. Every cached value is a
+// right-sized copy, and the live heap stays within twice the budget.
+func TestReadCacheOwnsWhatItKeeps(t *testing.T) {
+	const (
+		budget = 1 << 20
+		keys   = 24000 // ~8 MiB of records: 64 pages behind an 8-page buffer cache
+	)
+	opts := diskOptions(lsmstore.Validation, t.TempDir())
+	opts.PageSize, opts.CacheBytes = 128<<10, 1<<20
+	opts.MemoryBudget = 16 << 20
+	opts.ReadCache = lsmstore.ReadCacheOptions{Bytes: budget}
+	db, err := lsmstore.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	msg := bytes.Repeat([]byte("m"), 300)
+	rec := func(id uint64) []byte {
+		return workload.Tweet{ID: id, UserID: uint32(id % 32), Creation: int64(id), Message: msg}.Encode()
+	}
+	for lo := 0; lo < keys; lo += 500 {
+		muts := make([]lsmstore.Mutation, 500)
+		for i := range muts {
+			id := uint64(lo + i)
+			muts[i] = lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: tweetPK(id), Record: rec(id)}
+		}
+		if err := db.ApplyBatch(muts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// Fill the buffer cache first, so the reads below can only grow the
+	// heap through the read cache.
+	if err := db.FilterScan(0, 1<<62, func(_, _ []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	base := liveHeap()
+
+	// A stride coprime to the key count scatters consecutive reads over
+	// the pages, so the buffer cache misses and every fill cuts its value
+	// from a page read just for it.
+	for i := 0; i < keys; i++ {
+		id := uint64(i * 7919 % keys)
+		got, found, err := db.GetRef(tweetPK(id))
+		if err != nil || !found || !bytes.Equal(got, rec(id)) {
+			t.Fatalf("get %d: found=%v err=%v", id, found, err)
+		}
+	}
+	if st := db.Stats(); st.Counters.ReadCacheMisses < keys {
+		t.Fatalf("only %d read-cache misses for %d cold keys", st.Counters.ReadCacheMisses, keys)
+	}
+	if grown := liveHeap() - base; grown > 2*budget {
+		t.Fatalf("live heap grew %d bytes under a %d-byte read cache: entries pin more than they are charged for", grown, budget)
+	}
+	hits := 0
+	for i := keys - 1; i >= 0 && hits < 100; i-- { // the most recent fills are still cached
+		id := uint64(i * 7919 % keys)
+		before := db.Stats().Counters.ReadCacheHits
+		got, _, err := db.GetRef(tweetPK(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.Stats().Counters.ReadCacheHits == before {
+			continue
+		}
+		hits++
+		if cap(got) != len(got) || !bytes.Equal(got, rec(id)) {
+			t.Fatalf("cached value of key %d: len %d cap %d", id, len(got), cap(got))
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no read-cache hit to inspect")
+	}
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/lsm"
+	"repro/internal/storetest"
 	"repro/lsmstore"
-	"repro/lsmstore/internal/storetest"
 )
 
 // memImage lists a tree's memory component entry for entry.

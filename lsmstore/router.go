@@ -254,6 +254,7 @@ func (db *DB) stats() Stats {
 		pIngest, pMnt := p.env.Clock.Now(), p.ds.MaintSimTime()
 		pSim := max(pIngest, pMnt)
 		pending, frozen := p.ds.MaintGauges()
+		walBytes, compBytes, retired := p.ds.ReclaimStats()
 		per[i] = Stats{
 			SimulatedTime:       pSim.String(),
 			IngestTime:          pIngest.String(),
@@ -262,6 +263,9 @@ func (db *DB) stats() Stats {
 			Ignored:             p.ds.IgnoredCount(),
 			PrimaryComponents:   p.ds.Primary().NumDiskComponents(),
 			DiskBytesWritten:    p.store.Device().BytesWritten(),
+			WALBytes:            walBytes,
+			ComponentBytes:      compBytes,
+			RetiredFiles:        retired,
 			PendingFlushBatches: pending,
 			FrozenMemtables:     frozen,
 			Counters:            p.env.Counters.Snapshot(),
@@ -272,6 +276,9 @@ func (db *DB) stats() Stats {
 		agg.Ignored += per[i].Ignored
 		agg.PrimaryComponents += per[i].PrimaryComponents
 		agg.DiskBytesWritten += per[i].DiskBytesWritten
+		agg.WALBytes += walBytes
+		agg.ComponentBytes += compBytes
+		agg.RetiredFiles += retired
 		agg.PendingFlushBatches += pending
 		agg.FrozenMemtables += frozen
 		agg.Counters = agg.Counters.Add(per[i].Counters)
