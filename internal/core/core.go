@@ -151,10 +151,10 @@ type Config struct {
 	// pure ingestion I/O).
 	DisableWAL bool
 	// GroupCommit, when non-nil on a durable device, coalesces commit
-	// fsyncs across concurrent writers: commit records append unsynced and
-	// committers park on a shared commit group whose leader issues one
+	// fsyncs across concurrent writers: log records append unsynced and
+	// writers park on a shared commit group whose leader issues one
 	// covering fsync (see wal.GroupCommitter / filedev.GroupSyncer). Nil
-	// keeps the per-commit fsync. Ignored on non-durable devices.
+	// keeps the per-record fsync. Ignored on non-durable devices.
 	GroupCommit wal.GroupCommitter
 	// Seed makes memtable shapes deterministic.
 	Seed int64
@@ -220,7 +220,6 @@ type Dataset struct {
 	epoch  atomic.Uint64
 	locks  *txn.LockManager
 	dsLock *txn.DatasetLock
-	ids    txn.IDs
 	log    *wal.Log
 
 	// persistMu serializes manifest saves, so a later component-list

@@ -470,8 +470,8 @@ func TestWALRecordsAppendsAndCommits(t *testing.T) {
 	if d.Log() == nil {
 		t.Fatal("WAL disabled by default config?")
 	}
-	if n := d.Log().Len(); n != 4 { // 2 ops * (record + commit)
-		t.Errorf("log records = %d, want 4", n)
+	if n := d.Log().Len(); n != 2 { // one record per write
+		t.Errorf("log records = %d, want 2", n)
 	}
 	d2 := newTestDataset(t, func(c *Config) { c.DisableWAL = true })
 	mustUpsert(t, d2, 1, "CA", 2015)

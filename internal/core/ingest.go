@@ -27,10 +27,9 @@ var recordTypes = [...]wal.RecordType{
 // write path: single writes, engine batches and — through the same prepare
 // and install steps — WAL replay.
 //
-// With a non-nil batch the commit record is appended unsynced and
-// registered in b, and the write may only be acknowledged after
-// WaitCommitBatch(b) succeeds. A nil batch makes the commit durable before
-// Apply returns.
+// With a non-nil batch the log record is appended unsynced and registered
+// in b, and the write may only be acknowledged after WaitCommitBatch(b)
+// succeeds. A nil batch makes the write durable before Apply returns.
 func (d *Dataset) Apply(m kv.Mutation, b *wal.Batch) (applied bool, err error) {
 	if int(m.Op) >= len(recordTypes) {
 		return false, fmt.Errorf("core: unknown mutation op %d", m.Op)
@@ -440,41 +439,31 @@ func (d *Dataset) forwardDelete(comp *lsm.Component, pk []byte) {
 	bt.ForwardDelete(pk)
 }
 
-// logOp appends one logical log record and its commit record. On a durable
-// device the commit becomes durable through the log's sink — a per-record
-// fsync, or (in group-commit mode) one fsync shared with every concurrent
-// committer. A failure of THIS operation's appends or covering fsync means
-// the write is not durably committed and is surfaced as the operation's
-// error (a concurrent writer's failure wedges the dataset via the
-// sticky-error precheck instead, without mislabeling writes that did
+// logOp logs one mutation as one record; the record is the commit (see
+// package wal). With a nil batch it is durable when logOp returns nil — a
+// per-record fsync, or in group-commit mode one fsync shared with every
+// concurrent writer. A failure of THIS record's append or covering fsync
+// means the write is not durably committed and is surfaced as the
+// operation's error (a concurrent writer's failure wedges the dataset via
+// the sticky-error precheck instead, without mislabeling writes that did
 // commit).
 //
-// With a non-nil batch the commit record is appended unsynced and its
-// durability deferred to the caller's WaitCommitBatch — one covering fsync
-// per engine batch instead of one per mutation. Until that wait succeeds
-// the write is visible in the memory components but NOT acknowledged;
-// callers must not report success before the wait returns.
+// With a non-nil batch the record is appended unsynced and its durability
+// deferred to the caller's WaitCommitBatch — one covering fsync per engine
+// batch instead of one per mutation. Until that wait succeeds the write is
+// visible in the memory components but NOT acknowledged; callers must not
+// report success before the wait returns.
 func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit bool, b *wal.Batch) error {
 	if d.log == nil {
 		return nil
 	}
-	id := d.ids.Next()
-	if _, err := d.log.AppendChecked(wal.Record{
-		TxnID:     id,
+	_, err := d.log.Append(wal.Record{
 		Type:      t,
-		Index:     "dataset",
-		Key:       pk, // encoded into the log's segment, not retained
-		Value:     record,
 		TS:        ts,
 		UpdateBit: updateBit,
-	}); err != nil {
-		return err
-	}
-	if b != nil {
-		_, err := d.log.CommitBatched(id, b)
-		return err
-	}
-	_, err := d.log.CommitDurable(id)
+		Key:       pk, // encoded into the log's segment, not retained
+		Value:     record,
+	}, b)
 	return err
 }
 
@@ -488,9 +477,9 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 // bitmaps and forward deletes into in-flight builds around the WAL append,
 // and that undo/commit pair is only race-free while the writer still holds
 // its exclusive key lock — which a batch-end durability wait no longer
-// does. Its mutations commit one by one through CommitDurable instead
-// (still coalesced with concurrent committers by the group window), so a
-// failed covering fsync can always revert the flip under the lock.
+// does. Its mutations become durable one by one instead (still coalesced
+// with concurrent writers by the group window), so a failed covering fsync
+// can always revert the flip under the lock.
 func (d *Dataset) BeginCommitBatch() *wal.Batch {
 	if d.cfg.Strategy == MutableBitmap {
 		return nil
@@ -498,9 +487,9 @@ func (d *Dataset) BeginCommitBatch() *wal.Batch {
 	return d.log.NewBatch()
 }
 
-// WaitCommitBatch blocks until every commit deferred into b is covered by
+// WaitCommitBatch blocks until every record deferred into b is covered by
 // a WAL fsync. On failure none of the batch's writes may be acknowledged:
-// their commit records are dropped from the log's memory image, the log
+// their records are dropped from the log's memory image, the log
 // is wedged (the dataset turns read-only), and an in-session
 // Crash/Recover will not replay them. The writes still sit in the memory
 // components — and any of them a mid-batch flush already installed in a

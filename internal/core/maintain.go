@@ -74,9 +74,12 @@ func (d *Dataset) MergeDue() error {
 	return d.DrainMaintenance()
 }
 
-func (d *Dataset) mergeDue() error {
+// mergeDue runs every merge the policy picks. merged reports whether it
+// picked any: only then do the component lists differ from what the last
+// manifest save recorded.
+func (d *Dataset) mergeDue() (merged bool, err error) {
 	if d.cfg.Policy == nil {
-		return nil
+		return false, nil
 	}
 	if d.cfg.CorrelatedMerges {
 		return d.mergeCorrelated()
@@ -87,8 +90,9 @@ func (d *Dataset) mergeDue() error {
 		if !ok {
 			break
 		}
+		merged = true
 		if err := d.mergeTreeRange(d.primary, cand.Lo, cand.Hi, cand.Lo == 0); err != nil {
-			return err
+			return merged, err
 		}
 	}
 	if d.pkIndex != nil {
@@ -97,11 +101,12 @@ func (d *Dataset) mergeDue() error {
 			if !ok {
 				break
 			}
+			merged = true
 			// Anti-matter is never dropped from the primary key index:
 			// Timestamp validation and index repair rely on it as
 			// evidence that a key was deleted.
 			if err := d.mergeTreeRange(d.pkIndex, cand.Lo, cand.Hi, false); err != nil {
-				return err
+				return merged, err
 			}
 		}
 	}
@@ -111,12 +116,13 @@ func (d *Dataset) mergeDue() error {
 			if !ok {
 				break
 			}
+			merged = true
 			if err := d.mergeSecondaryRange(si, cand.Lo, cand.Hi); err != nil {
-				return err
+				return merged, err
 			}
 		}
 	}
-	return nil
+	return merged, nil
 }
 
 func (d *Dataset) pickFor(tr *lsm.Tree) (lsm.MergeCandidate, bool) {
@@ -132,7 +138,7 @@ func (d *Dataset) pickFor(tr *lsm.Tree) (lsm.MergeCandidate, bool) {
 // (the correlated merge policy of Section 4.4): the decision is made on the
 // leader index and translated to every other index via flush-epoch ranges,
 // so components of different indexes are always merged together.
-func (d *Dataset) mergeCorrelated() error {
+func (d *Dataset) mergeCorrelated() (merged bool, err error) {
 	leader := d.pkIndex
 	if leader == nil {
 		leader = d.primary
@@ -140,13 +146,14 @@ func (d *Dataset) mergeCorrelated() error {
 	for {
 		cand, ok := d.pickFor(leader)
 		if !ok {
-			return nil
+			return merged, nil
 		}
+		merged = true
 		leaderComps := leader.Components()
 		eMin := leaderComps[cand.Lo].EpochMin
 		eMax := leaderComps[cand.Hi-1].EpochMax
 		if err := d.mergeEpochRange(eMin, eMax); err != nil {
-			return err
+			return merged, err
 		}
 	}
 }

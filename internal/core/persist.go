@@ -214,8 +214,8 @@ func (s walSink) Drop(seq uint64)                  { s.dev.DropWAL(seq) }
 // setupDurability wires a freshly opened dataset to a durable device:
 // restore the manifest's component lists, garbage-collect files a crash
 // left unreferenced (half-built components whose install never reached the
-// manifest), attach the persisted write-ahead log, and replay committed
-// records past the maximum durable component timestamp — rebuilding the
+// manifest), attach the persisted write-ahead log, and replay its records
+// past the maximum durable component timestamp — rebuilding the
 // memory components the previous process lost. On a non-durable device it
 // is a no-op.
 func (d *Dataset) setupDurability() error {
@@ -270,11 +270,6 @@ func (d *Dataset) setupDurability() error {
 		log.AttachGroupCommitter(d.cfg.GroupCommit)
 	}
 	d.log = log
-	// Seed the transaction-ID allocator past every recovered ID: replay
-	// matches commits to data records by ID, so a recycled ID could marry
-	// a dead data record from an earlier session to a new session's
-	// commit.
-	d.ids.AdvanceTo(d.log.MaxTxnID())
 	if d.log.Len() > 0 {
 		if err := d.Recover(); err != nil {
 			return fmt.Errorf("core: replay of the on-disk WAL failed: %w", err)

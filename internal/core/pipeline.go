@@ -558,11 +558,14 @@ func (d *Dataset) runMergeJob() {
 		m.merging = true
 		m.mu.Unlock()
 
-		err := d.mergeDue()
+		merged, err := d.mergeDue()
 		if errors.Is(err, lsm.ErrStaleInstall) {
 			err = nil // a crash abandoned the merge; its inputs are intact
 		}
-		if err == nil {
+		// A pass that merged nothing leaves the manifest the flush saved
+		// current; files a late reader retired since wait for the next
+		// flush's Persist or the reclaim job.
+		if err == nil && merged {
 			err = d.Persist()
 		}
 

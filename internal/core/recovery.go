@@ -43,31 +43,27 @@ func (d *Dataset) Crash() {
 // ErrNoWAL reports recovery without a write-ahead log.
 var ErrNoWAL = errors.New("core: recovery requires the write-ahead log")
 
-// Recover replays committed transactions whose effects were lost in a
-// crash. As in AsterixDB (Section 2.2), the system first computes the
-// maximum component timestamp across all indexes; committed operations
-// beyond it are re-executed from their logical log records: the prepare and
-// install steps of Apply, at the record's own timestamp. What replay leaves
-// out is what only a live write needs — the locks (nothing else runs), the
-// timestamp draw, the log append, the ingested/ignored counters, and the
-// existence search unless the record's update bit says it flipped a disk
-// bitmap (Section 5.2; Set is idempotent, so a flip whose bitmap page was
-// checkpointed is harmless to replay). No undo is needed: the no-steal
-// policy guarantees disk components hold only committed data.
+// Recover replays the writes whose effects were lost in a crash. As in
+// AsterixDB (Section 2.2), the system first computes the maximum component
+// timestamp across all indexes; every log record beyond it — each one a
+// committed write — is re-executed: the prepare and install steps of Apply,
+// at the record's own timestamp. What replay leaves out is what only a live
+// write needs — the locks (nothing else runs), the timestamp draw, the log
+// append, the ingested/ignored counters, and the existence search unless
+// the record's update bit says it flipped a disk bitmap (Section 5.2; Set
+// is idempotent, so a flip whose bitmap page was checkpointed is harmless
+// to replay). No undo is needed: the no-steal policy guarantees disk
+// components hold only committed data.
 func (d *Dataset) Recover() error {
 	if d.log == nil {
 		return ErrNoWAL
 	}
 	maxComponentTS := d.maxComponentTS()
-	return d.log.Replay(0, func(r wal.Record) error {
+	return d.log.Replay(func(r wal.Record) error {
 		if r.TS <= maxComponentTS {
 			return nil // already durable in a disk component
 		}
-		i := slices.Index(recordTypes[:], r.Type)
-		if i < 0 {
-			return nil // not a mutation record
-		}
-		op := kv.Op(i)
+		op := kv.Op(slices.Index(recordTypes[:], r.Type))
 		// Keep the ingestion clock ahead of every replayed timestamp.
 		for cur := d.clock.Load(); cur < r.TS; cur = d.clock.Load() {
 			d.clock.CompareAndSwap(cur, r.TS)

@@ -27,7 +27,7 @@
 // Devices with a durable log area implement WALDevice (append, load,
 // rotate to a fresh segment, drop a sealed one). WALSyncDevice adds SyncWAL — an fsync of the log area
 // decoupled from any append — which is the primitive group commit builds
-// on: concurrent committers append their commit records unsynced, park on
+// on: concurrent committers append their log records unsynced, park on
 // a shared commit window (filedev.GroupSyncer), and a leader issues one
 // SyncWAL covering all of them. One fsync then acknowledges a whole group
 // of writes instead of one, which is the difference between

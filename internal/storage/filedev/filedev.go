@@ -9,18 +9,24 @@
 //	                   offset p*(PageSize+4) and the page count of a file is
 //	                   size/(PageSize+4) — reopen needs no per-page index.
 //	wal-00000001.log ... write-ahead log segments: raw record streams
-//	                   appended by the wal package, fsynced on commit — per
-//	                   record, or one covering fsync per commit group when
-//	                   group commit is on (see GroupSyncer). The highest
-//	                   number a session created is its live segment; every
-//	                   other one is sealed and never written again. A torn
-//	                   tail from a crash mid-append is expected and
-//	                   tolerated. (wal.log, the single-file log of earlier
-//	                   layouts, is read as segment 0.)
+//	                   appended by the wal package, one record per write
+//	                   (u32 length, then LSN, type, flags, timestamp, key
+//	                   and value; package wal owns the encoding), fsynced
+//	                   per record, or by one covering fsync per commit
+//	                   group when group commit is on (see GroupSyncer).
+//	                   The highest number a session created is its live
+//	                   segment; every other one is sealed and never
+//	                   written again. A torn tail from a crash mid-append
+//	                   is expected and tolerated.
 //	MANIFEST           component metadata blob written by the dataset layer.
 //	                   Replaced atomically (write temp + fsync + rename +
 //	                   dir fsync) after the data files are synced, so it is
 //	                   the durability point of a component install.
+//
+// Nothing in a partition directory says which record encoding its segments
+// use: lsmstore's layout.json, one level up, carries the store's Format
+// number and refuses a directory written under another one before any
+// partition opens.
 //
 // # File lifetimes
 //
@@ -81,7 +87,6 @@ const (
 	compSuffix   = ".lsm"
 	walPrefix    = "wal-"
 	walSuffix    = ".log"
-	legacyWAL    = "wal.log" // the single-file log of earlier layouts: segment 0
 	manifestName = "MANIFEST"
 	lockName     = "LOCK"
 )
@@ -213,17 +218,13 @@ func (d *Device) compPath(id storage.FileID) string {
 }
 
 // ComponentFileName is the name of component file id inside a data
-// directory; WALSegmentName that of log segment seq (0 is the single-file
-// log of earlier layouts). Crash-image builders and tests name files
-// through these, so the layout is spelled in one place.
+// directory; WALSegmentName that of log segment seq. Crash-image builders
+// and tests name files through these, so the layout is spelled in one place.
 func ComponentFileName(id storage.FileID) string {
 	return fmt.Sprintf("%s%08d%s", compPrefix, uint64(id), compSuffix)
 }
 
 func WALSegmentName(seq uint64) string {
-	if seq == 0 {
-		return legacyWAL
-	}
 	return fmt.Sprintf("%s%08d%s", walPrefix, seq, walSuffix)
 }
 
@@ -724,9 +725,6 @@ func (d *Device) LoadWAL() ([]storage.WALSegment, error) {
 
 // walSeq parses a log segment's file name.
 func walSeq(name string) (uint64, bool) {
-	if name == legacyWAL {
-		return 0, true
-	}
 	if !strings.HasPrefix(name, walPrefix) || !strings.HasSuffix(name, walSuffix) {
 		return 0, false
 	}

@@ -229,17 +229,6 @@ func TestWALAppendLoad(t *testing.T) {
 	if got := walImage(t, d2); got != "2:rec3 3:" {
 		t.Fatalf("LoadWAL after rotate+drop = %q", got)
 	}
-	// The single-file log of earlier layouts reads as segment 0.
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("old"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := walImage(t, d2); got != "0:old 2:rec3 3:" {
-		t.Fatalf("LoadWAL with a legacy wal.log = %q", got)
-	}
-	d2.DropWAL(0)
-	if got := walImage(t, d2); got != "2:rec3 3:" {
-		t.Fatalf("LoadWAL after dropping the legacy log = %q", got)
-	}
 }
 
 func TestPageOverflowRejected(t *testing.T) {

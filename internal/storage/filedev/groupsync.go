@@ -9,7 +9,7 @@ import (
 
 // GroupSyncer coalesces concurrent WAL commit fsyncs into group commits.
 // Committers follow the wal.GroupCommitter protocol: Announce intent,
-// append the commit record to the WAL area (unsynced), then Wait. Wait
+// append the write's log record to the WAL area (unsynced), then Wait. Wait
 // joins the open commit group; the group's first member is its leader and
 // issues one SyncWAL covering every member, then wakes them all with the
 // result. While that fsync is in flight the NEXT group accumulates — on a
@@ -107,8 +107,8 @@ func (g *GroupSyncer) Retract() {
 }
 
 // Wait joins the open commit group and blocks until a covering fsync
-// completes, returning its result. The caller's commit records must be
-// fully appended before the call: the covering fsync is only issued after
+// completes, returning its result. The caller's log records must be fully
+// appended before the call: the covering fsync is only issued after
 // the group stops accepting joiners, so every member's bytes are under it.
 // commits is the number of committed writes this waiter carries (a
 // deferred batch parks once for its whole batch).

@@ -6,10 +6,7 @@
 // in-flight transactions (Fig 11).
 package txn
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // LockMode distinguishes shared from exclusive key locks.
 type LockMode int
@@ -105,22 +102,6 @@ func (m *LockManager) WithLock(key []byte, mode LockMode, fn func()) {
 	m.Lock(key, mode)
 	defer m.Unlock(key, mode)
 	fn()
-}
-
-// IDs allocates transaction identifiers.
-type IDs struct{ next atomic.Int64 }
-
-// Next returns a fresh transaction ID.
-func (g *IDs) Next() int64 { return g.next.Add(1) }
-
-// AdvanceTo makes sure future IDs exceed floor. Reopening a durable store
-// seeds the allocator past every transaction ID in the recovered log:
-// write-ahead-log replay matches commits to data records by ID, so an ID
-// must never be reused across process generations.
-func (g *IDs) AdvanceTo(floor int64) {
-	for cur := g.next.Load(); cur < floor; cur = g.next.Load() {
-		g.next.CompareAndSwap(cur, floor)
-	}
 }
 
 // DatasetLock is the dataset-level lock of the Side-file protocol: normal

@@ -118,29 +118,6 @@ func TestWithLock(t *testing.T) {
 	m.Unlock([]byte("k"), Exclusive)
 }
 
-func TestIDsUnique(t *testing.T) {
-	var ids IDs
-	seen := make(map[int64]bool)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				id := ids.Next()
-				mu.Lock()
-				if seen[id] {
-					t.Errorf("duplicate id %d", id)
-				}
-				seen[id] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func TestDatasetLockDrains(t *testing.T) {
 	var d DatasetLock
 	var inFlight atomic.Int64

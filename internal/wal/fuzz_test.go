@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -15,12 +14,10 @@ import (
 // record does decode, re-encoding it must round-trip.
 func FuzzDecodeRecord(f *testing.F) {
 	seed := []Record{
-		{},
-		{TxnID: 7, Type: RecCommit},
-		{LSN: 3, TxnID: 9, Type: RecUpsert, Index: "dataset", Key: []byte("pk-1"),
-			Value: []byte("record-bytes"), TS: 42, UpdateBit: true,
-			PrevValue: []byte("old"), HadPrev: true},
-		{LSN: -1, TxnID: -5, Type: RecDelete, Key: []byte{0, 1, 2}, TS: -9},
+		{}, // type 0: encodes, must not decode
+		{LSN: 7, Type: RecInsert},
+		{LSN: 3, Type: RecUpsert, Key: []byte("pk-1"), Value: []byte("record-bytes"), TS: 42, UpdateBit: true},
+		{LSN: -1, Type: RecDelete, Key: []byte{0, 1, 2}, TS: -9},
 	}
 	for _, r := range seed {
 		f.Add(AppendRecord(nil, r))
@@ -53,21 +50,24 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzRecordRoundTrip builds a record from fuzzed fields, encodes it, and
-// checks that (a) it decodes back identically and (b) every strict prefix
-// of the encoding — a corrupt-tail truncation — fails with ErrCorruptRecord
-// rather than panicking or mis-decoding.
+// checks that (a) it decodes back identically — or, when its type is not a
+// mutation, is refused as corrupt — and (b) every strict prefix of the
+// encoding — a corrupt-tail truncation — fails with ErrCorruptRecord rather
+// than panicking or mis-decoding.
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(int64(1), int64(2), byte(RecUpsert), []byte("k"), []byte("v"), []byte("p"), int64(3), true, true)
-	f.Add(int64(-1), int64(0), byte(RecCommit), []byte(nil), []byte(nil), []byte(nil), int64(-7), false, false)
-	f.Add(int64(1<<62), int64(-1<<62), byte(200), bytes.Repeat([]byte{0xff}, 300), []byte{}, []byte{0}, int64(0), true, false)
-	f.Fuzz(func(t *testing.T, lsn, txn int64, typ byte, key, val, prev []byte, ts int64, update, hadPrev bool) {
-		r := Record{
-			LSN: lsn, TxnID: txn, Type: RecordType(typ), Index: "idx",
-			Key: key, Value: val, PrevValue: prev, TS: ts,
-			UpdateBit: update, HadPrev: hadPrev,
-		}
+	f.Add(int64(1), byte(RecUpsert), []byte("k"), []byte("v"), int64(3), true)
+	f.Add(int64(-1), byte(RecDelete), []byte(nil), []byte(nil), int64(-7), false)
+	f.Add(int64(1<<62), byte(200), bytes.Repeat([]byte{0xff}, 300), []byte{}, int64(0), true)
+	f.Fuzz(func(t *testing.T, lsn int64, typ byte, key, val []byte, ts int64, update bool) {
+		r := Record{LSN: lsn, Type: RecordType(typ), Key: key, Value: val, TS: ts, UpdateBit: update}
 		enc := AppendRecord(nil, r)
 		got, rest, err := DecodeRecord(enc)
+		if r.Type < RecInsert || r.Type > RecUpsert {
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("record of type %d decoded: err = %v, want ErrCorruptRecord", typ, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decode of valid encoding failed: %v", err)
 		}
@@ -94,39 +94,29 @@ func FuzzRecordRoundTrip(f *testing.F) {
 func TestCutDropsCoveredSegments(t *testing.T) {
 	sink := &recordingSink{}
 	l := NewWithSink(nil, sink)
-	app := func(lg *Log, txn, ts int64, key string) {
-		lg.Append(Record{TxnID: txn, Type: RecUpsert, Key: []byte(key), TS: ts})
-		lg.Commit(txn)
+	app := func(lg *Log, ts int64, key string) {
+		mustAppend(t, lg, Record{Type: RecUpsert, Key: []byte(key), TS: ts})
 	}
-	replayed := func(lg *Log) string {
-		var keys []string
-		if err := lg.Replay(0, func(r Record) error {
-			keys = append(keys, string(r.Key))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return strings.Join(keys, ",")
-	}
-	app(l, 1, 5, "a") // segment 1
+	replayed := func(lg *Log) string { return replayedKeys(t, lg) }
+	app(l, 5, "a") // segment 1
 	cut2, err := l.Rotate()
 	if err != nil || cut2 != 2 {
 		t.Fatalf("first rotation = %d, %v; want segment 2", cut2, err)
 	}
-	app(l, 2, 15, "b") // segment 2
+	app(l, 15, "b") // segment 2
 	cut3, err := l.Rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	app(l, 3, 25, "c") // segment 3, live
+	app(l, 25, "c") // segment 3, live
 	full := l.Bytes()
 
 	l.DropBefore(cut2) // the batch frozen at the first rotation is durable
 	if got := replayed(l); got != "b,c" {
 		t.Fatalf("after the first cut the log replays %q, want b,c", got)
 	}
-	if l.Len() != 4 || l.Bytes() >= full || l.MaxTxnID() != 3 {
-		t.Fatalf("after the first cut: %d records, %d of %d bytes, max txn %d", l.Len(), l.Bytes(), full, l.MaxTxnID())
+	if l.Len() != 2 || l.Bytes() >= full {
+		t.Fatalf("after the first cut: %d records, %d of %d bytes", l.Len(), l.Bytes(), full)
 	}
 	l.DropBefore(cut3 + 10) // a cut past the end still spares the live segment
 	if got := replayed(l); got != "c" {
@@ -142,14 +132,14 @@ func TestCutDropsCoveredSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app(re, 4, 35, "d")
+	app(re, 35, "d")
 	if got := replayed(re); got != "c,d" {
 		t.Fatalf("the reopened log replays %q, want c,d", got)
 	}
 	if !bytes.Equal(sink.segs[3], torn[:len(torn)-5]) || len(sink.segs[4]) == 0 {
 		t.Fatalf("reopen appended to the recovered segment instead of a fresh one")
 	}
-	if lsn := re.MaxLSN(); lsn != l.MaxLSN()+2 {
+	if lsn := re.MaxLSN(); lsn != l.MaxLSN()+1 {
 		t.Fatalf("LSNs do not continue across the reopen: %d after %d", lsn, l.MaxLSN())
 	}
 }
@@ -157,9 +147,6 @@ func TestCutDropsCoveredSegments(t *testing.T) {
 // recordsEqual compares records with the decoder's nil/empty normalization
 // (zero-length byte fields decode as nil).
 func recordsEqual(a, b Record) bool {
-	return a.LSN == b.LSN && a.TxnID == b.TxnID && a.Type == b.Type &&
-		a.Index == b.Index && a.TS == b.TS &&
-		a.UpdateBit == b.UpdateBit && a.HadPrev == b.HadPrev &&
-		bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value) &&
-		bytes.Equal(a.PrevValue, b.PrevValue)
+	return a.LSN == b.LSN && a.Type == b.Type && a.TS == b.TS && a.UpdateBit == b.UpdateBit &&
+		bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value)
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -15,9 +16,13 @@ type recordingSink struct {
 	live    uint64 // 0 until the first Rotate: appends then land in segment 1
 	segs    map[uint64][]byte
 	dropped []uint64
+	fail    error // when set, every append fails with it and keeps nothing
 }
 
 func (s *recordingSink) Append(encoded []byte, sync bool) error {
+	if s.fail != nil {
+		return s.fail
+	}
 	s.appends++
 	s.image = append(s.image, encoded...)
 	if s.segs == nil {
@@ -47,6 +52,30 @@ func (s *recordingSink) Drop(seq uint64) {
 	s.dropped = append(s.dropped, seq)
 }
 
+// mustAppend logs r through lg (nil batch: durable on return) and returns
+// its LSN.
+func mustAppend(t *testing.T, lg *Log, r Record) int64 {
+	t.Helper()
+	lsn, err := lg.Append(r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lsn
+}
+
+// replayedKeys returns the keys lg replays, in order, comma-separated.
+func replayedKeys(t *testing.T, lg *Log) string {
+	t.Helper()
+	var keys []string
+	if err := lg.Replay(func(r Record) error {
+		keys = append(keys, string(r.Key))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(keys, ",")
+}
+
 // oneSegment wraps a byte stream as the only segment a device holds.
 func oneSegment(image []byte) []Segment { return []Segment{{Seq: 1, Data: image}} }
 
@@ -73,36 +102,29 @@ func (g *scriptedGroup) Wait(commits int64) error {
 
 // TestCommitDurableGroupModeDefersSync: in group mode no append carries a
 // per-record sync — durability comes from the group Wait, exactly once per
-// commit.
+// write, and a write is exactly one sink append.
 func TestCommitDurableGroupModeDefersSync(t *testing.T) {
 	sink := &recordingSink{}
 	gc := &scriptedGroup{}
 	l := NewWithSink(nil, sink)
 	l.AttachGroupCommitter(gc)
 
-	l.Append(Record{TxnID: 1, Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1})
-	if _, err := l.CommitDurable(1); err != nil {
-		t.Fatal(err)
-	}
-	if sink.syncs != 0 {
-		t.Fatalf("sync appends = %d, want 0 (durability is the group's job)", sink.syncs)
+	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1})
+	if sink.appends != 1 || sink.syncs != 0 {
+		t.Fatalf("%d appends, %d synced; want 1 and 0 (durability is the group's job)", sink.appends, sink.syncs)
 	}
 	if gc.announced != 1 || gc.waits != 1 || gc.retracted != 0 {
 		t.Fatalf("group protocol = announce %d / wait %d / retract %d, want 1/1/0",
 			gc.announced, gc.waits, gc.retracted)
 	}
-	replayed := 0
-	if err := l.Replay(0, func(Record) error { replayed++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if replayed != 1 {
-		t.Fatalf("replayed %d records, want 1", replayed)
+	if got := replayedKeys(t, l); got != "k" {
+		t.Fatalf("replayed %q, want the one write", got)
 	}
 }
 
-// TestCommitDurableGroupFailure: a failed covering fsync fails THIS commit
-// — the commit record leaves the memory image (replay must not resurrect
-// the write) and the log wedges with the sticky error.
+// TestCommitDurableGroupFailure: a failed covering fsync fails THIS write —
+// its record leaves the memory image (replay must not resurrect the write)
+// and the log wedges with the sticky error.
 func TestCommitDurableGroupFailure(t *testing.T) {
 	boom := errors.New("covering fsync failed")
 	sink := &recordingSink{}
@@ -110,50 +132,45 @@ func TestCommitDurableGroupFailure(t *testing.T) {
 	l := NewWithSink(nil, sink)
 	l.AttachGroupCommitter(gc)
 
-	l.Append(Record{TxnID: 1, Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1})
-	if _, err := l.CommitDurable(1); !errors.Is(err, boom) {
-		t.Fatalf("CommitDurable error = %v, want the fsync failure", err)
+	if _, err := l.Append(Record{Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1}, nil); !errors.Is(err, boom) {
+		t.Fatalf("Append error = %v, want the fsync failure", err)
 	}
 	if err := l.SinkErr(); !errors.Is(err, boom) {
 		t.Fatalf("SinkErr = %v, want the sticky fsync failure", err)
 	}
-	if err := l.Replay(0, func(r Record) error {
-		return errors.New("replayed a write whose covering fsync failed")
-	}); err != nil {
-		t.Fatal(err)
+	if got := replayedKeys(t, l); got != "" {
+		t.Fatalf("replayed %q: a write whose covering fsync failed", got)
 	}
 }
 
 // TestWaitBatchFailureDropsEveryDeferredCommit: a deferred batch whose
-// covering fsync fails loses ALL its commit records — none of its writes
-// may survive an in-session recovery.
+// covering fsync fails loses ALL its records — none of its writes may
+// survive an in-session recovery — and spares the ones acknowledged before.
 func TestWaitBatchFailureDropsEveryDeferredCommit(t *testing.T) {
 	boom := errors.New("covering fsync failed")
 	sink := &recordingSink{}
-	gc := &scriptedGroup{errs: []error{boom}}
+	gc := &scriptedGroup{errs: []error{nil, boom}}
 	l := NewWithSink(nil, sink)
 	l.AttachGroupCommitter(gc)
 
+	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("acked"), TS: 1})
 	b := l.NewBatch()
 	if b == nil {
 		t.Fatal("NewBatch returned nil in group-commit mode")
 	}
-	for txn := int64(1); txn <= 3; txn++ {
-		l.Append(Record{TxnID: txn, Type: RecUpsert, Key: []byte{byte(txn)}, TS: txn})
-		if _, err := l.CommitBatched(txn, b); err != nil {
+	for i := int64(1); i <= 3; i++ {
+		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte{byte(i)}, TS: 1 + i}, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.WaitBatch(b); !errors.Is(err, boom) {
 		t.Fatalf("WaitBatch error = %v, want the fsync failure", err)
 	}
-	if gc.commits != 3 {
-		t.Fatalf("group saw %d commits, want 3 (one batch waiter carrying all)", gc.commits)
+	if gc.commits != 1+3 {
+		t.Fatalf("group saw %d commits, want 4 (the single write, then one batch waiter carrying 3)", gc.commits)
 	}
-	if err := l.Replay(0, func(r Record) error {
-		return errors.New("replayed a write from the failed batch")
-	}); err != nil {
-		t.Fatal(err)
+	if got := replayedKeys(t, l); got != "acked" {
+		t.Fatalf("replayed %q, want only the write acknowledged before the failed batch", got)
 	}
 }
 
@@ -165,11 +182,13 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	l.AttachGroupCommitter(gc)
 
 	b := l.NewBatch()
-	for txn := int64(1); txn <= 3; txn++ {
-		l.Append(Record{TxnID: txn, Type: RecUpsert, Key: []byte{byte(txn)}, TS: txn})
-		if _, err := l.CommitBatched(txn, b); err != nil {
+	for i := int64(1); i <= 3; i++ {
+		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte{'a' + byte(i)}, TS: i}, b); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if gc.announced != 0 {
+		t.Fatalf("batched appends announced %d commits before the batch wait", gc.announced)
 	}
 	if err := l.WaitBatch(b); err != nil {
 		t.Fatal(err)
@@ -177,15 +196,11 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	if gc.waits != 1 || gc.commits != 3 {
 		t.Fatalf("waits=%d commits=%d, want one wait carrying 3 commits", gc.waits, gc.commits)
 	}
-	if sink.syncs != 0 {
-		t.Fatalf("sync appends = %d, want 0", sink.syncs)
+	if sink.appends != 3 || sink.syncs != 0 {
+		t.Fatalf("%d appends, %d synced; want 3 and 0", sink.appends, sink.syncs)
 	}
-	replayed := 0
-	if err := l.Replay(0, func(Record) error { replayed++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if replayed != 3 {
-		t.Fatalf("replayed %d records, want 3", replayed)
+	if got := replayedKeys(t, l); got != "b,c,d" {
+		t.Fatalf("replayed %q, want the three batched writes", got)
 	}
 }
 

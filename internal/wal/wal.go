@@ -1,29 +1,48 @@
 // Package wal implements write-ahead logging and recovery in the style of
-// AsterixDB (Section 2.2): index-level logical log records under a
-// no-steal/no-force buffer policy. Rollback applies inverse operations in
-// reverse order; crash recovery replays committed transactions past the
-// maximum component LSN. Each delete/upsert record carries the update bit
-// of Section 5.2, telling recovery whether the operation flipped a mutable
-// bitmap bit in a disk component.
+// AsterixDB (Section 2.2): logical log records, record-level transactions,
+// a no-steal/no-force buffer policy. A write is one log record — the record
+// is the commit. Every record still in the log is a committed write, and
+// crash recovery replays those past the maximum component timestamp; there
+// is nothing to undo, because no-steal keeps uncommitted data out of the
+// disk components. Each delete/upsert record carries the update bit of
+// Section 5.2, telling recovery whether the operation flipped a mutable
+// bitmap bit in a disk component. Only this package knows the rule and the
+// record encoding.
 //
 // # Durability
 //
-// On a durable device the log streams every record to a Sink. Two commit
-// disciplines exist:
+// On a durable device Append streams the record to a Sink and makes it
+// durable the way the caller asks:
 //
-//   - Per-record: CommitChecked appends the commit record with sync set,
-//     and the sink fsyncs before returning. Simple, but every committer
+//   - Per-record: without a GroupCommitter the record is appended with sync
+//     set, and the sink fsyncs before returning. Simple, but every writer
 //     pays a full fsync.
-//   - Group commit: with a GroupCommitter attached, CommitDurable appends
-//     the commit record unsynced and parks on the open commit group; one
-//     member issues a single fsync covering everyone parked and wakes the
-//     group. Batch/CommitBatched/WaitBatch extend this to engine batches —
-//     one fsync per batch, not per mutation.
+//   - Group commit: with a GroupCommitter attached, the record is appended
+//     unsynced and the writer parks on the open commit group; one member
+//     issues a single fsync covering everyone parked and wakes the group.
+//   - Batched: a record registered in a Batch is appended unsynced and
+//     WaitBatch parks once for all of them — one fsync per engine batch,
+//     not per mutation.
 //
 // Either way a write is acknowledged only after the fsync that covers its
-// commit record returns, and a failed fsync fails exactly the writers that
-// fsync was meant to cover (per-waiter error delivery) while wedging the
-// log for everyone after.
+// record returns, and a failed fsync fails exactly the writers that fsync
+// was meant to cover (per-waiter error delivery) while wedging the log for
+// everyone after. What each failure leaves behind:
+//
+//   - A failed append: the device rolled the bytes back (or poisoned its log
+//     area), the record is dropped from the memory image, the log is wedged.
+//   - A failed covering fsync: the records it was meant to cover are dropped
+//     from the memory image and the log is wedged, so an in-session
+//     Crash/Recover never replays them. Their bytes may still sit in the
+//     segment file.
+//   - A torn tail (a crash mid-append): the segment ends at its first
+//     truncated or malformed record when it is reopened.
+//
+// The contract is "acknowledged ⇒ fsynced ⇒ replayed after any crash", not
+// its converse: a record that reached the file whole is replayed by the next
+// process even if the write was never acknowledged — the crash came before
+// the covering fsync returned, or that fsync failed. An unacknowledged write
+// is "not guaranteed", never "certainly absent".
 //
 // # Lifetime
 //
@@ -53,34 +72,26 @@ const (
 	RecInsert RecordType = iota + 1
 	RecDelete
 	RecUpsert
-	RecCommit
-	RecAbort
 )
 
-// Record is one logical log record.
+// Record is one logical log record: one committed mutation.
 type Record struct {
-	LSN   int64
-	TxnID int64
-	Type  RecordType
-	// Index names the LSM index the operation applies to.
-	Index string
-	Key   []byte
-	Value []byte
-	TS    int64
+	LSN  int64
+	Type RecordType
+	TS   int64
 	// UpdateBit marks delete/upsert operations that also flipped a mutable
 	// bitmap bit in a disk component (Section 5.2); recovery replays the
 	// bitmap mutation only when it is set.
 	UpdateBit bool
-	// PrevValue is the pre-image needed to undo an upsert logically.
-	PrevValue []byte
-	HadPrev   bool
+	Key       []byte
+	Value     []byte
 }
 
 // Sink receives the binary encoding of every appended record, letting a
-// durable device persist the log as it grows. Append with sync set marks a
-// commit point: the sink must make everything appended so far durable
-// before returning (fsync on a file-backed device). The sink must neither
-// retain nor modify encoded — it aliases the log's own memory image.
+// durable device persist the log as it grows. Append with sync set asks for
+// per-record durability: the sink must make everything appended so far
+// durable before returning (fsync on a file-backed device). The sink must
+// neither retain nor modify encoded — it aliases the log's own memory image.
 type Sink interface {
 	Append(encoded []byte, sync bool) error
 	// Rotate seals the live segment — everything appended to it is durable
@@ -124,8 +135,8 @@ func (s *segment) drop(lsn int64) bool {
 }
 
 // GroupCommitter coalesces commit durability across concurrent writers.
-// A committer announces intent, appends its commit record to the sink
-// without sync, and then Waits: the waiter joins the open commit group, one
+// A committer announces intent, appends its record to the sink without
+// sync, and then Waits: the waiter joins the open commit group, one
 // member becomes the leader and issues a single covering fsync, and every
 // member of the group receives that fsync's result. Announce/Retract bound
 // the window a leader may hold the group open for stragglers that have
@@ -137,8 +148,8 @@ type GroupCommitter interface {
 	// Retract withdraws an announced commit whose append failed.
 	Retract()
 	// Wait joins the open commit group and blocks until a covering fsync
-	// completes, returning its result. The caller's commit records must be
-	// fully appended to the sink before Wait is called; commits says how
+	// completes, returning its result. The caller's records must be fully
+	// appended to the sink before Wait is called; commits says how
 	// many of them this waiter carries (1 for a single write, the batch
 	// size for a deferred batch — group-size accounting only).
 	Wait(commits int64) error
@@ -147,8 +158,8 @@ type GroupCommitter interface {
 // Log is an append-only logical log. The paper's configuration dedicates a
 // separate device to logging, so appends are charged at a flat group-commit
 // cost rather than against the LSM data disk. With a Sink attached, every
-// record is additionally streamed to the sink in its binary encoding and
-// commit/abort records are synced (real write-ahead durability).
+// record is additionally streamed to the sink in its binary encoding (real
+// write-ahead durability).
 type Log struct {
 	env   *metrics.Env
 	sink  Sink
@@ -157,7 +168,6 @@ type Log struct {
 	mu      sync.Mutex
 	segs    []segment // oldest to newest; appends go to the last
 	nextLSN int64
-	maxTxn  int64
 	// sinkErr is the first sink failure; once set the log is considered
 	// wedged for durability purposes and the next logged write surfaces it.
 	sinkErr error
@@ -196,7 +206,6 @@ func OpenPersisted(env *metrics.Env, segs []Segment, sink Sink) (*Log, error) {
 			}
 			seg.n++
 			l.nextLSN = max(l.nextLSN, r.LSN+1)
-			l.maxTxn = max(l.maxTxn, r.TxnID)
 			data = rest
 		}
 		seg.buf = s.Data[:len(s.Data)-len(data)]
@@ -250,41 +259,38 @@ func (l *Log) DropBefore(seq uint64) {
 	}
 }
 
-// AttachGroupCommitter switches the log into group-commit mode: commit
-// records are appended to the sink WITHOUT a per-record fsync, and
-// CommitDurable/WaitBatch block on gc until one covering fsync lands.
-// Attach before the first append; the log does not synchronize the switch
-// against in-flight writers.
+// AttachGroupCommitter switches the log into group-commit mode: records are
+// appended to the sink WITHOUT a per-record fsync, and Append/WaitBatch
+// block on gc until one covering fsync lands. Attach before the first
+// append; the log does not synchronize the switch against in-flight writers.
 func (l *Log) AttachGroupCommitter(gc GroupCommitter) { l.group = gc }
 
 // GroupCommitEnabled reports whether a group committer is attached (and a
 // sink exists for it to cover).
 func (l *Log) GroupCommitEnabled() bool { return l.group != nil && l.sink != nil }
 
-// Append adds a record, assigning and returning its LSN. Callers that
-// need this call's own durability result use AppendChecked.
-func (l *Log) Append(r Record) int64 {
-	//lsm:allow-discard Append is the documented fire-and-forget form; AppendChecked carries this call's durability result
-	lsn, _ := l.AppendChecked(r)
-	return lsn
-}
-
-// AppendChecked adds a record and returns THIS call's sink error — not the
-// log-wide sticky one, which may belong to a concurrent writer whose own
-// append failed while ours durably committed. On a sink failure the
-// in-memory record is removed again, so the log's memory image always
-// matches the device's rolled-back state (an in-session Crash/Recover must
-// not replay a write whose durable append was reported as failed).
-func (l *Log) AppendChecked(r Record) (int64, error) {
-	sync := r.Type == RecCommit || r.Type == RecAbort
-	return l.appendChecked(r, sync)
-}
-
-func (l *Log) appendChecked(r Record, sync bool) (int64, error) {
+// Append logs one write, assigning and returning its LSN. With a nil batch
+// the record is durable when Append returns nil: synced by the sink itself,
+// or — in group-commit mode — covered by the one fsync its commit group
+// shares. With a batch (group-commit mode only, see NewBatch) the record is
+// appended unsynced and registered in b; it is durable, and the write may be
+// acknowledged, only after a successful WaitBatch.
+//
+// The error is THIS record's own result — a sink failure of its append or
+// the failure of the fsync meant to cover it — never the log-wide sticky
+// one, which may belong to a concurrent writer. On failure the record is
+// removed from the memory image again and the log is wedged: the device's
+// log area is no longer trustworthy, and an in-session Crash/Recover must
+// not replay a write reported as failed.
+func (l *Log) Append(r Record, b *Batch) (int64, error) {
+	grouped := l.GroupCommitEnabled()
+	park := grouped && b == nil // this call waits on the commit group itself
+	if park {
+		l.group.Announce()
+	}
 	l.mu.Lock()
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	l.maxTxn = max(l.maxTxn, r.TxnID)
 	live := &l.segs[len(l.segs)-1]
 	start := len(live.buf)
 	live.buf = AppendRecord(live.buf, r)
@@ -292,24 +298,41 @@ func (l *Log) appendChecked(r Record, sync bool) (int64, error) {
 	// The sink reads the record out of the memory image: later appends only
 	// write past it, and a drop moves the survivors instead of shifting them.
 	enc := live.buf[start:len(live.buf):len(live.buf)]
-	sink := l.sink
+	sink, yield := l.sink, l.yield
 	l.mu.Unlock()
-	var sinkErr error
-	if sink != nil {
-		if sinkErr = sink.Append(enc, sync); sinkErr != nil {
-			l.poisonAndDrop(sinkErr, r.LSN)
-		}
-	}
 	if l.env != nil {
 		l.env.ChargeLogAppend()
 	}
-	return r.LSN, sinkErr
+	if sink == nil {
+		return r.LSN, nil
+	}
+	if err := sink.Append(enc, !grouped); err != nil {
+		if park {
+			l.group.Retract()
+		}
+		l.poisonAndDrop(err, r.LSN)
+		return r.LSN, err
+	}
+	if !park {
+		if grouped {
+			b.lsns = append(b.lsns, r.LSN)
+		}
+		return r.LSN, nil
+	}
+	if yield != nil {
+		yield("wal.commit.appended")
+	}
+	if err := l.group.Wait(1); err != nil {
+		l.failCovered(err, r.LSN)
+		return r.LSN, err
+	}
+	return r.LSN, nil
 }
 
 // poisonAndDrop records a durability failure: the sticky sink error wedges
-// the log (the next logged write surfaces it) and every listed commit LSN
-// is removed from the memory image, so an in-session Crash/Recover can
-// never replay a write whose covering fsync was reported as failed.
+// the log (the next logged write surfaces it) and every listed record is
+// removed from the memory image, so an in-session Crash/Recover can never
+// replay a write whose append or covering fsync was reported as failed.
 func (l *Log) poisonAndDrop(err error, lsns ...int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -329,35 +352,19 @@ func (l *Log) SinkErr() error {
 	return l.sinkErr
 }
 
-// MaxTxnID returns the largest transaction ID the log has held (0 when
-// none). Reopen seeds the transaction-ID allocator past it: replay matches
-// commits to data records by ID, so IDs must never recycle across process
-// generations.
-func (l *Log) MaxTxnID() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.maxTxn
-}
-
 // SetYield installs a scheduling hook invoked at the instrumented points
-// in the group-commit path (after a commit record is appended unsynced,
-// before the committer parks on its group). The deterministic simulation
-// harness uses it to perturb how committers interleave with group leaders.
-// A nil hook disables the points.
+// in the group-commit path (after a record is appended unsynced, before
+// the writer parks on its group). The deterministic simulation harness uses
+// it to perturb how committers interleave with group leaders. A nil hook
+// disables the points.
 func (l *Log) SetYield(fn func(point string)) {
 	l.mu.Lock()
 	l.yield = fn
 	l.mu.Unlock()
 }
 
-func (l *Log) yieldHook() func(string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.yield
-}
-
 // SetUnsafeKeepCommitOnFailedFsync reintroduces, on purpose, the historical
-// bug this package once shipped: a commit whose covering fsync failed was
+// bug this package once shipped: a record whose covering fsync failed was
 // left in the memory image instead of being dropped and the log wedged, so
 // an in-session Crash/Recover would replay — and a later flush would make
 // durable — a write that was never acknowledged. It exists solely so the
@@ -369,67 +376,28 @@ func (l *Log) SetUnsafeKeepCommitOnFailedFsync(keep bool) {
 	l.mu.Unlock()
 }
 
-func (l *Log) dropCommitOnFailedFsync() bool {
+// failCovered handles the failure of a covering fsync for the listed
+// records: they leave the memory image and the log wedges.
+func (l *Log) failCovered(err error, lsns ...int64) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return !l.keepCommitOnFailedFsync
+	keep := l.keepCommitOnFailedFsync
+	l.mu.Unlock()
+	if !keep {
+		l.poisonAndDrop(err, lsns...)
+	}
 }
 
-// Commit appends a commit record for txn.
-func (l *Log) Commit(txnID int64) int64 {
-	return l.Append(Record{TxnID: txnID, Type: RecCommit})
-}
-
-// CommitChecked appends a commit record for txn, returning this call's
-// durability result (the commit fsync on a durable device).
-func (l *Log) CommitChecked(txnID int64) (int64, error) {
-	return l.AppendChecked(Record{TxnID: txnID, Type: RecCommit})
-}
-
-// CommitDurable appends txn's commit record and blocks until it is durable.
-// Without a group committer this is CommitChecked (a per-record fsync
-// through the sink). With one, the record is appended unsynced and the call
-// parks on the open commit group: one leader fsyncs for everyone parked,
-// so concurrent committers share a single fsync. The returned error is THIS
-// commit's own durability result — a group member only ever fails with the
-// error of the fsync that was meant to cover it, never a stranger's. On
-// failure the commit record is removed from the memory image and the log
-// is wedged (sticky sink error), because the device's log area is no longer
-// trustworthy.
-func (l *Log) CommitDurable(txnID int64) (int64, error) {
-	if !l.GroupCommitEnabled() {
-		return l.CommitChecked(txnID)
-	}
-	gc := l.group
-	gc.Announce()
-	lsn, err := l.appendChecked(Record{TxnID: txnID, Type: RecCommit}, false)
-	if err != nil {
-		gc.Retract()
-		return lsn, err
-	}
-	if yield := l.yieldHook(); yield != nil {
-		yield("wal.commit.appended")
-	}
-	if err := gc.Wait(1); err != nil {
-		if l.dropCommitOnFailedFsync() {
-			l.poisonAndDrop(err, lsn)
-		}
-		return lsn, err
-	}
-	return lsn, nil
-}
-
-// Batch defers commit durability across a run of writes: each commit
-// record is appended unsynced and registered here, and one WaitBatch at
-// the end parks on the commit group once, so an engine batch pays a single
-// fsync instead of one per mutation. Only meaningful in group-commit mode;
-// a Batch is not safe for concurrent use.
+// Batch defers durability across a run of writes: each record is appended
+// unsynced and registered here, and one WaitBatch at the end parks on the
+// commit group once, so an engine batch pays a single fsync instead of one
+// per mutation. Only meaningful in group-commit mode; a Batch is not safe
+// for concurrent use.
 type Batch struct {
 	lsns []int64
 }
 
 // NewBatch returns a deferred-durability handle, or nil when the log is
-// not in group-commit mode (callers then fall back to per-commit
+// not in group-commit mode (callers then fall back to per-record
 // durability, preserving the non-grouped semantics exactly).
 func (l *Log) NewBatch() *Batch {
 	if l == nil || !l.GroupCommitEnabled() {
@@ -438,20 +406,8 @@ func (l *Log) NewBatch() *Batch {
 	return &Batch{}
 }
 
-// CommitBatched appends txn's commit record unsynced and registers it with
-// b; the commit becomes durable — and may be acknowledged — only after a
-// successful WaitBatch.
-func (l *Log) CommitBatched(txnID int64, b *Batch) (int64, error) {
-	lsn, err := l.appendChecked(Record{TxnID: txnID, Type: RecCommit}, false)
-	if err != nil {
-		return lsn, err
-	}
-	b.lsns = append(b.lsns, lsn)
-	return lsn, nil
-}
-
-// WaitBatch blocks until every commit registered in b is covered by a WAL
-// fsync. On failure every registered commit is removed from the memory
+// WaitBatch blocks until every record registered in b is covered by a WAL
+// fsync. On failure every registered record is removed from the memory
 // image and the log is wedged — none of the batch's writes may be
 // acknowledged, and an in-session Crash/Recover will not replay them.
 func (l *Log) WaitBatch(b *Batch) error {
@@ -460,13 +416,14 @@ func (l *Log) WaitBatch(b *Batch) error {
 	}
 	gc := l.group
 	gc.Announce()
-	if yield := l.yieldHook(); yield != nil {
+	l.mu.Lock()
+	yield := l.yield
+	l.mu.Unlock()
+	if yield != nil {
 		yield("wal.batch.announced")
 	}
 	if err := gc.Wait(int64(len(b.lsns))); err != nil {
-		if l.dropCommitOnFailedFsync() {
-			l.poisonAndDrop(err, b.lsns...)
-		}
+		l.failCovered(err, b.lsns...)
 		return err
 	}
 	b.lsns = b.lsns[:0]
@@ -503,62 +460,30 @@ func (l *Log) Bytes() int64 {
 	return n
 }
 
-// Replay invokes apply for every data record of a committed transaction
-// with LSN greater than fromLSN, in log order. Records of uncommitted or
-// aborted transactions are skipped (no-steal: nothing to undo). A data
-// record counts as committed only when its transaction's commit record
-// appears LATER in the log — a commit can never cover work that had not
-// been logged yet, so positional matching keeps a dead leftover record
-// from marrying an unrelated commit under a colliding transaction ID.
-// The records handed to apply alias the log's memory image.
-func (l *Log) Replay(fromLSN int64, apply func(Record) error) error {
+// Replay invokes apply for every record in the log, in log order: each is a
+// committed write (a record whose append or covering fsync failed has left
+// the memory image, and a recovered segment ends before its torn tail). The
+// records handed to apply alias the log's memory image.
+func (l *Log) Replay(apply func(Record) error) error {
+	// A segment buffer is only ever appended to or replaced, so the slices
+	// snapshotted here stay valid while apply runs without the mutex.
 	l.mu.Lock()
-	var records []Record
+	bufs := make([][]byte, len(l.segs))
 	for i := range l.segs {
-		records = slices.Grow(records, l.segs[i].n)
-		for data := l.segs[i].buf; len(data) > 0; {
+		bufs[i] = l.segs[i].buf
+	}
+	l.mu.Unlock()
+	for _, data := range bufs {
+		for len(data) > 0 {
 			r, rest, err := DecodeRecord(data)
 			if err != nil {
-				l.mu.Unlock()
 				return err
 			}
-			records = append(records, r)
+			if err := apply(r); err != nil {
+				return err
+			}
 			data = rest
 		}
 	}
-	l.mu.Unlock()
-
-	for i, r := range committedMask(records) {
-		if !r {
-			continue
-		}
-		rec := records[i]
-		if rec.LSN <= fromLSN {
-			continue
-		}
-		if err := apply(rec); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// committedMask marks, per record, the data records whose transaction has
-// a commit record later in the log (reverse scan).
-func committedMask(records []Record) []bool {
-	ok := make([]bool, len(records))
-	commitAhead := make(map[int64]bool)
-	for i := len(records) - 1; i >= 0; i-- {
-		switch records[i].Type {
-		case RecCommit:
-			commitAhead[records[i].TxnID] = true
-		case RecAbort:
-			// An abort closes the transaction: data records before it are
-			// rolled back even if the ID is (incorrectly) reused later.
-			commitAhead[records[i].TxnID] = false
-		default:
-			ok[i] = commitAhead[records[i].TxnID]
-		}
-	}
-	return ok
 }

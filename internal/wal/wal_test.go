@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/metrics"
@@ -8,8 +9,8 @@ import (
 
 func TestAppendAssignsLSNs(t *testing.T) {
 	l := New(metrics.NopEnv())
-	lsn1 := l.Append(Record{TxnID: 1, Type: RecInsert, Key: []byte("a")})
-	lsn2 := l.Append(Record{TxnID: 1, Type: RecUpsert, Key: []byte("b")})
+	lsn1 := mustAppend(t, l, Record{Type: RecInsert, Key: []byte("a")})
+	lsn2 := mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("b")})
 	if lsn1 != 1 || lsn2 != 2 {
 		t.Fatalf("LSNs = %d, %d", lsn1, lsn2)
 	}
@@ -18,49 +19,53 @@ func TestAppendAssignsLSNs(t *testing.T) {
 	}
 }
 
-func TestReplayOnlyCommitted(t *testing.T) {
-	l := New(metrics.NopEnv())
-	l.Append(Record{TxnID: 1, Type: RecInsert, Key: []byte("committed")})
-	l.Commit(1)
-	l.Append(Record{TxnID: 2, Type: RecInsert, Key: []byte("aborted")})
-	l.Append(Record{TxnID: 2, Type: RecAbort})
-	l.Append(Record{TxnID: 3, Type: RecInsert, Key: []byte("in-flight")})
-
-	var replayed []string
-	err := l.Replay(0, func(r Record) error {
-		replayed = append(replayed, string(r.Key))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed) != 1 || replayed[0] != "committed" {
-		t.Fatalf("replayed %v", replayed)
-	}
-}
-
-func TestReplayFromLSN(t *testing.T) {
-	l := New(metrics.NopEnv())
-	for i := 0; i < 5; i++ {
-		id := int64(i + 1)
-		l.Append(Record{TxnID: id, Type: RecUpsert, Key: []byte{byte(i)}})
-		l.Commit(id)
-	}
-	// Records have LSNs 1,3,5,7,9 (commits interleave).
-	var n int
-	if err := l.Replay(5, func(Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("replayed %d records past LSN 5, want 2", n)
-	}
-}
-
 func TestAppendChargesClock(t *testing.T) {
 	env := metrics.NewEnv()
 	l := New(env)
-	l.Append(Record{TxnID: 1, Type: RecInsert})
+	mustAppend(t, l, Record{Type: RecInsert})
 	if env.Clock.Now() != env.CPU.LogAppend {
 		t.Fatalf("log append charged %v", env.Clock.Now())
+	}
+}
+
+// TestAppendPerRecordSync: without a group committer the one record of a
+// write is its own durability point — one sink append, synced.
+func TestAppendPerRecordSync(t *testing.T) {
+	sink := &recordingSink{}
+	l := NewWithSink(nil, sink)
+	for i := 0; i < 3; i++ {
+		mustAppend(t, l, Record{Type: RecUpsert, Key: []byte{byte(i)}, TS: int64(i)})
+	}
+	if sink.appends != 3 || sink.syncs != 3 {
+		t.Fatalf("3 writes made %d sink appends, %d of them synced; want 3 and 3", sink.appends, sink.syncs)
+	}
+}
+
+// TestAppendFailureDropsRecord: a failed sink append fails THIS write, takes
+// its record out of the memory image, wedges the log and — in group-commit
+// mode — retracts the announced commit instead of parking on it.
+func TestAppendFailureDropsRecord(t *testing.T) {
+	boom := errors.New("append failed")
+	for _, grouped := range []bool{false, true} {
+		sink := &recordingSink{}
+		gc := &scriptedGroup{}
+		l := NewWithSink(nil, sink)
+		if grouped {
+			l.AttachGroupCommitter(gc)
+		}
+		mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("kept"), TS: 1})
+		sink.fail = boom
+		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte("lost"), TS: 2}, nil); !errors.Is(err, boom) {
+			t.Fatalf("grouped=%v: Append error = %v, want the sink failure", grouped, err)
+		}
+		if err := l.SinkErr(); !errors.Is(err, boom) {
+			t.Fatalf("grouped=%v: SinkErr = %v, want the sticky failure", grouped, err)
+		}
+		if got := replayedKeys(t, l); got != "kept" {
+			t.Fatalf("grouped=%v: log replays %q, want only the write that was appended", grouped, got)
+		}
+		if grouped && (gc.announced != 2 || gc.waits != 1 || gc.retracted != 1) {
+			t.Fatalf("group protocol = announce %d / wait %d / retract %d, want 2/1/1", gc.announced, gc.waits, gc.retracted)
+		}
 	}
 }

@@ -19,10 +19,19 @@ import (
 const layoutName = "layout.json"
 
 type layout struct {
+	// Format numbers the on-disk encodings under the shard directories
+	// (today: the write-ahead log's record layout, package wal). A directory
+	// stamped with another number, or none, is refused: its log segments
+	// would not decode as corrupt-and-reportable but as an empty torn tail.
+	Format   int
 	Shards   int
 	PageSize int
 	Device   string
 }
+
+// layoutFormat is the Format this build reads and writes. 1: one log record
+// per write. Directories from before the field existed read as 0.
+const layoutFormat = 1
 
 // shardDir returns shard i's subdirectory of a file-backed store.
 func shardDir(dir string, i int) string {
@@ -33,6 +42,7 @@ func shardDir(dir string, i int) string {
 // options, or stamps a fresh directory with the layout of this store.
 func checkLayout(opts Options) error {
 	want := layout{
+		Format:   layoutFormat,
 		Shards:   opts.Shards,
 		PageSize: resolvePageSize(opts),
 		Device:   deviceName(opts.Device),
@@ -47,6 +57,10 @@ func checkLayout(opts Options) error {
 		var have layout
 		if err := json.Unmarshal(data, &have); err != nil {
 			return fmt.Errorf("lsmstore: corrupt %s: %w", layoutName, err)
+		}
+		if have.Format != want.Format {
+			return fmt.Errorf("lsmstore: directory %s is in on-disk format %d, this build reads and writes format %d only",
+				opts.Dir, have.Format, want.Format)
 		}
 		if have != want {
 			return fmt.Errorf("lsmstore: directory %s was written as %+v, reopened as %+v", opts.Dir, have, want)

@@ -36,6 +36,32 @@ func faultStore(t *testing.T, dir string, opts lsmstore.Options, script dst.Scri
 	return db, control
 }
 
+// countedStore opens a disk store behind a fault-free device wrapper and
+// returns a function that reports, per kind, how many device operations
+// (dst.OpAppendWAL, dst.OpSyncWAL, dst.OpSaveManifest, ...) ran since its
+// previous call — the open itself is not counted.
+func countedStore(t *testing.T, opts lsmstore.Options) (*lsmstore.DB, func() map[string]int) {
+	t.Helper()
+	trace := dst.NewTrace(true)
+	opts.WrapDevice = dst.NewControl(trace, dst.NoFaults{}, nil).Wrap
+	db, err := lsmstore.Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	seen := trace.Len()
+	return db, func() map[string]int {
+		events := trace.Events()
+		ops := map[string]int{}
+		for _, ev := range events[seen:] {
+			if op, _, ok := strings.Cut(ev, "/"); ok {
+				ops[op]++
+			}
+		}
+		seen = len(events)
+		return ops
+	}
+}
+
 // requireFired fails the test unless at least one scripted fault of the
 // given kind actually fired — the guard against a script aimed at an
 // operation ordinal that no longer exists.
@@ -132,24 +158,62 @@ func TestFailedManifestInstall(t *testing.T) {
 	}
 }
 
-// TestTornWALTailAtGroupCommitBoundary tears the WAL append that starts a
-// new group-commit window — the tail of the on-disk log lands exactly on
-// the durable boundary of the previous covering fsync. Every write the
-// previous windows acknowledged must survive a reopen of the crash image;
-// the torn write must not. Both tear points are pinned: the record append
-// and the commit append (record intact, commit torn).
+// TestFlushWithoutMergeSavesOneManifest: the manifest is saved when the
+// component lists change. A flush whose merge pass finds nothing due changed
+// them once — the flush install — so it pays one save (data sync, temp
+// write, fsync, rename, directory fsync), not a second one for the pass.
+func TestFlushWithoutMergeSavesOneManifest(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := diskOptions(lsmstore.Validation, t.TempDir())
+			opts.MaintenanceWorkers = workers
+			db, ops := countedStore(t, opts)
+			defer db.Close()
+			for id := uint64(1); id <= 40; id++ {
+				if err := db.Upsert(tweetPK(id), tweetRec(id, uint32(id%7), int64(id))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ops()
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.Stats(); st.Maintenance.Merges != 0 {
+				t.Fatalf("the first flush merged %d times; the test needs a flush without a merge", st.Maintenance.Merges)
+			}
+			if got := ops()[dst.OpSaveManifest]; got != 1 {
+				t.Fatalf("a flush that merged nothing saved %d manifests, want 1", got)
+			}
+		})
+	}
+}
+
+// TestTornWALTailAtGroupCommitBoundary kills the process on the WAL append
+// that starts a new group-commit window — the tail of the on-disk log lands
+// exactly on the durable boundary of the previous covering fsync. Every
+// write the previous windows acknowledged must survive a reopen of the crash
+// image. A write is one append, so what the unacknowledged write leaves is
+// decided by how much of that one record reached the file: torn, it ends the
+// segment and is gone; whole, it is in the log and therefore replayed.
 func TestTornWALTailAtGroupCommitBoundary(t *testing.T) {
-	// Per acknowledged upsert under group commit: one record append, one
-	// commit append (both unsynced), one covering group fsync.
+	// Per acknowledged upsert under group commit: one unsynced record
+	// append, one covering group fsync.
 	const acked = 5
-	for name, tornOrd := range map[string]int64{"record-append": 2 * acked, "commit-append": 2*acked + 1} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		frac     float64 // share of the record written before the kill
+		replayed bool
+	}{
+		{"record-append", 0.5, false},
+		{"whole-append", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := diskOptions(lsmstore.Eager, dir)
 			opts.GroupCommit = lsmstore.GroupCommitOn
 			opts.MemoryBudget = 1 << 20 // no flush: the WAL tail is the store
 			db, control := faultStore(t, dir, opts, dst.Script{
-				{Shard: 0, Op: dst.OpAppendWAL, Ord: tornOrd, Fault: dst.Fault{Kind: dst.KindTornAppend, Frac: 0.5}},
+				{Shard: 0, Op: dst.OpAppendWAL, Ord: acked, Fault: dst.Fault{Kind: dst.KindTornAppend, Frac: tc.frac}},
 			})
 
 			for id := uint64(1); id <= acked; id++ {
@@ -192,8 +256,8 @@ func TestTornWALTailAtGroupCommitBoundary(t *testing.T) {
 			}
 			if _, found, err := re.Get(tweetPK(acked + 1)); err != nil {
 				t.Fatal(err)
-			} else if found {
-				t.Fatal("torn, unacknowledged write replayed from the torn tail")
+			} else if found != tc.replayed {
+				t.Fatalf("unacknowledged write with %.0f%% of its record in the file: found=%v, want %v", 100*tc.frac, found, tc.replayed)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dst"
 	"repro/internal/storetest"
 	"repro/lsmstore"
 )
@@ -154,15 +155,40 @@ func TestGroupCommitLoneWriterDurableImmediately(t *testing.T) {
 	}
 }
 
+// TestUpsertIsOneLogAppend: a write is one log record, so one Upsert hands
+// the device exactly one WAL append and pays exactly one fsync — the group's
+// covering SyncWAL with group commit on, the append's own sync with it off.
+func TestUpsertIsOneLogAppend(t *testing.T) {
+	for _, mode := range []lsmstore.GroupCommitMode{lsmstore.GroupCommitOn, lsmstore.GroupCommitOff} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := diskOptions(lsmstore.Validation, t.TempDir())
+			opts.GroupCommit = mode
+			db, ops := countedStore(t, opts)
+			defer db.Close()
+			before := db.Stats().Counters
+			if err := db.Upsert(tweetPK(1), tweetRec(1, 1, 1)); err != nil {
+				t.Fatal(err)
+			}
+			got, fsyncs := ops(), db.Stats().Counters.Sub(before).WALFsyncs
+			wantSyncWAL := 0
+			if mode == lsmstore.GroupCommitOn {
+				wantSyncWAL = 1
+			}
+			if got[dst.OpAppendWAL] != 1 || got[dst.OpSyncWAL] != wantSyncWAL || fsyncs != 1 {
+				t.Fatalf("one upsert: %d WAL appends, %d SyncWAL calls, %d fsyncs; want 1, %d, 1",
+					got[dst.OpAppendWAL], got[dst.OpSyncWAL], fsyncs, wantSyncWAL)
+			}
+		})
+	}
+}
+
 // TestGroupCommitBatchOneFsync: an ApplyBatch on the group-commit store
-// pays one covering WAL fsync for the whole batch, not one per mutation.
+// hands the device one WAL append per mutation and pays one covering WAL
+// fsync for the whole batch, not one per mutation.
 func TestGroupCommitBatchOneFsync(t *testing.T) {
 	opts := diskOptions(lsmstore.Validation, t.TempDir())
 	opts.GroupCommit = lsmstore.GroupCommitOn
-	db, err := lsmstore.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, ops := countedStore(t, opts)
 	defer db.Close()
 
 	const n = 64
@@ -178,6 +204,10 @@ func TestGroupCommitBatchOneFsync(t *testing.T) {
 	d := db.Stats().Counters.Sub(before)
 	if d.WALFsyncs != 1 {
 		t.Fatalf("batch of %d mutations cost %d WAL fsyncs, want exactly 1", n, d.WALFsyncs)
+	}
+	if got := ops(); got[dst.OpAppendWAL] != n || got[dst.OpSyncWAL] != 1 {
+		t.Fatalf("batch of %d mutations made %d WAL appends and %d SyncWAL calls, want %d and 1",
+			n, got[dst.OpAppendWAL], got[dst.OpSyncWAL], n)
 	}
 	if d.GroupCommitWaiters != n {
 		t.Fatalf("group covered %d commits, want %d", d.GroupCommitWaiters, n)

@@ -220,7 +220,7 @@ type Options struct {
 	// fsync covering every parked commit, and ApplyBatch pays one fsync
 	// per batch instead of one per mutation. Acknowledgment semantics are
 	// unchanged — a write is never acknowledged before the fsync covering
-	// its commit record returns. Ignored on the simulated backend.
+	// its log record returns. Ignored on the simulated backend.
 	GroupCommit GroupCommitMode
 	// MaxSyncDelay bounds how long a group-commit leader holds the commit
 	// window open for committers that have announced intent but not yet

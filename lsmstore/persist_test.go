@@ -1,6 +1,9 @@
 package lsmstore_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -375,12 +378,14 @@ func TestFileBackendWALCompaction(t *testing.T) {
 	}
 }
 
-// TestFileBackendUncommittedWALRecordNeverResurrects plants a data record
-// with no commit at the WAL tail (a crash between the data append and the
-// commit fsync — the write was never acknowledged). No later session may
-// ever surface it, even after new sessions write fresh transactions whose
-// IDs could otherwise collide with the dead record's.
-func TestFileBackendUncommittedWALRecordNeverResurrects(t *testing.T) {
+// TestFileBackendUnacknowledgedWALTail plants, behind a cleanly closed
+// session's log, what a crash between a write's append and its covering
+// fsync can leave: one record that reached the file whole and, after it, one
+// the crash tore. Neither write was acknowledged. The whole record is in the
+// log, so it is a committed write: the next session replays it and every
+// later one keeps serving it. The torn record ends its segment and never
+// surfaces, nor does it hide anything the later sessions write.
+func TestFileBackendUnacknowledgedWALTail(t *testing.T) {
 	dir := t.TempDir()
 	db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
 	if err != nil {
@@ -390,35 +395,46 @@ func TestFileBackendUncommittedWALRecordNeverResurrects(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The dead record: huge TS (newer than everything durable), low TxnID
-	// (guaranteed to be recycled by the next session's first transactions).
-	ghostPK := tweetPK(0xdeadbeef)
-	ghost := wal.AppendRecord(nil, wal.Record{
-		LSN: 1 << 40, TxnID: 1, Type: wal.RecUpsert, Index: "dataset",
-		Key: ghostPK, Value: tweetRec(0xdeadbeef, 1, 1), TS: 1 << 40,
+	// Timestamps newer than everything durable, as a live write's would be.
+	wholePK, wholeRec := tweetPK(0xdeadbeef), tweetRec(0xdeadbeef, 1, 1)
+	tornPK := tweetPK(0xfeedface)
+	tail := wal.AppendRecord(nil, wal.Record{
+		LSN: 1 << 40, Type: wal.RecUpsert, Key: wholePK, Value: wholeRec, TS: 1 << 40,
 	})
+	torn := wal.AppendRecord(nil, wal.Record{
+		LSN: 1<<40 + 1, Type: wal.RecUpsert, Key: tornPK, Value: tweetRec(0xfeedface, 1, 1), TS: 1<<40 + 1,
+	})
+	tail = append(tail, torn[:len(torn)-1]...)
 	f, err := os.OpenFile(newestWALSegment(t, dir), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(ghost); err != nil {
+	if _, err := f.Write(tail); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
+	var ids2 []uint64 // what session 2 wrote, and how it read back there
+	var want2 string
 	for session := 2; session <= 3; session++ {
 		s, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
 		if err != nil {
 			t.Fatalf("session %d open: %v", session, err)
 		}
-		if _, found, err := s.Get(ghostPK); err != nil || found {
-			t.Fatalf("session %d: uncommitted ghost record surfaced (found=%v, err=%v)", session, found, err)
+		if got, found, err := s.Get(wholePK); err != nil || !found || string(got) != string(wholeRec) {
+			t.Fatalf("session %d: the whole record at the log tail was not replayed (found=%v, err=%v)", session, found, err)
 		}
-		// New writes recycle low transaction IDs in a fresh process — they
-		// must never marry the ghost's data record to their commits.
-		mixedWorkload(t, s, 50, int64(100+session))
+		if _, found, err := s.Get(tornPK); err != nil || found {
+			t.Fatalf("session %d: the torn record surfaced (found=%v, err=%v)", session, found, err)
+		}
+		if session == 2 {
+			ids2 = mixedWorkload(t, s, 50, 102)
+			want2 = storeImage(t, s, ids2, lsmstore.TimestampValidation)
+		} else if got := storeImage(t, s, ids2, lsmstore.TimestampValidation); got != want2 {
+			t.Fatalf("session 2's writes are lost behind the torn record:\n got %s\nwant %s", got, want2)
+		}
 		if err := s.Close(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("session %d close: %v", session, err)
 		}
 	}
 }
@@ -476,5 +492,86 @@ func TestFileBackendStrategyMismatchRefused(t *testing.T) {
 	}
 	if _, err := lsmstore.Open(diskOptions(lsmstore.Eager, dir)); err == nil {
 		t.Fatal("strategy mismatch on reopen was accepted")
+	}
+}
+
+// TestFileBackendRefusesOtherFormat: layout.json carries the number of the
+// on-disk format, and a directory without the current one is refused with an
+// error that names it, before any shard opens. The case that matters is a
+// directory from before the number existed, whose log holds a data record
+// and a commit record per write: today's decoder takes such a segment for a
+// torn tail, so without the guard the store would open — empty.
+func TestFileBackendRefusesOtherFormat(t *testing.T) {
+	// One acknowledged upsert as the two-record log wrote it: u32 length,
+	// LSN, transaction ID, type, flags, timestamp, then index name, key,
+	// value and pre-image, each length-prefixed; the commit record (type 4)
+	// repeats the transaction ID.
+	oldRecord := func(lsn, txn int64, typ byte, ts int64, index string, key, value []byte) []byte {
+		body := binary.AppendVarint(nil, lsn)
+		body = binary.AppendVarint(body, txn)
+		body = append(body, typ, 0)
+		body = binary.AppendVarint(body, ts)
+		for _, field := range [][]byte{[]byte(index), key, value, nil} {
+			body = binary.AppendUvarint(body, uint64(len(field)))
+			body = append(body, field...)
+		}
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	oldSegment := append(oldRecord(1, 1, 3, 1, "dataset", tweetPK(1), tweetRec(1, 1, 1)),
+		oldRecord(2, 1, 4, 0, "", nil, nil)...)
+	if _, _, err := wal.DecodeRecord(oldSegment); err == nil {
+		t.Fatal("a two-record segment decodes under the one-record layout; the fixture proves nothing")
+	}
+
+	for name, stamp := range map[string]func(map[string]any){
+		"no format number": func(l map[string]any) { delete(l, "Format") },
+		"a later format":   func(l map[string]any) { l["Format"] = 99 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			layoutPath := filepath.Join(dir, "layout.json")
+			data, err := os.ReadFile(layoutPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var layout map[string]any
+			if err := json.Unmarshal(data, &layout); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := layout["Format"]; !ok {
+				t.Fatalf("a fresh directory's %s carries no Format: %s", layoutPath, data)
+			}
+			stamp(layout)
+			if data, err = json.Marshal(layout); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(layoutPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			segment := newestWALSegment(t, dir)
+			if err := os.WriteFile(segment, oldSegment, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			re, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+			if err == nil {
+				_, found, _ := re.Get(tweetPK(1))
+				re.Close()
+				t.Fatalf("a directory in another format opened (its acknowledged write found=%v)", found)
+			}
+			if !strings.Contains(err.Error(), "format") {
+				t.Fatalf("the refusal does not name the format: %v", err)
+			}
+			if left, rerr := os.ReadFile(segment); rerr != nil || !bytes.Equal(left, oldSegment) {
+				t.Fatalf("the refused open touched the log segment (%v)", rerr)
+			}
+		})
 	}
 }
