@@ -1,11 +1,10 @@
 // Command lsmserver serves an lsmstore over TCP with the repository's wire
 // protocol, turning the embedded engine into a networked system. It opens
 // (or reopens) a store on the chosen backend, declares the tweet-workload
-// schema — a "user" secondary index and a creation-time range filter, the
-// same schema lsmingest and lsmquery use — and serves GET, UPSERT, INSERT,
-// DELETE, APPLY_BATCH, SECONDARY_QUERY, FILTER_SCAN, STATS, FLUSH and PING
-// with pipelined, out-of-order responses. Concurrent single writes are
-// coalesced into per-shard batches.
+// schema — a "user" secondary index and a creation-time range filter — and
+// serves GET, UPSERT, INSERT, DELETE, APPLY_BATCH, SECONDARY_QUERY,
+// FILTER_SCAN, STATS, FLUSH and PING with pipelined, out-of-order responses.
+// Concurrent single writes are coalesced into per-shard batches.
 //
 // The HTTP sidecar serves /healthz, /stats (JSON incl. latency digests),
 // /metrics (Prometheus text format), /debug/slow (slow-request ring),
@@ -62,11 +61,7 @@ func run() error {
 	cacheBytes := flag.Int64("cache", 64<<20, "buffer cache bytes (split across shards)")
 	readCache := flag.Int64("read-cache", 0, "hot-entry read cache bytes in front of the engine (0 = off)")
 	maxInFlight := flag.Int("max-inflight", 128, "max in-flight requests per connection before backpressure")
-	maxBatch := flag.Int("max-batch", 256, "max writes the coalescer folds into one engine batch")
-	coalescers := flag.Int("coalescers", 4, "concurrent coalescer drainers (overlap commit fsyncs with engine work)")
-	noCoalesce := flag.Bool("no-coalesce", false, "apply single writes individually instead of coalescing")
-	groupCommit := flag.String("group-commit", "auto", "commit fsync coalescing on the disk backend: auto | on | off")
-	maxSyncDelay := flag.Duration("max-sync-delay", 0, "group-commit window for announced stragglers (0 = 2ms default; negative disables)")
+	groupCommit := flag.String("group-commit", "on", "commit fsync coalescing on the disk backend: on | off")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before connections are cut")
 	seed := flag.Int64("seed", 42, "engine seed")
 	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the HTTP sidecar")
@@ -74,7 +69,6 @@ func run() error {
 	noObs := flag.Bool("no-obs", false, "disable latency histograms, stage tracing and the slow-request log")
 	admBudget := flag.Int64("admission-budget", 0, "weighted in-flight admission budget (0 = admission control off)")
 	admQueue := flag.Int("admission-queue", 0, "admission wait-queue depth (0 = 2x budget; negative disables queueing)")
-	queueDeadline := flag.Duration("queue-deadline", 0, "max admission-queue wait before a request is shed (0 = 2ms default)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admitted requests/sec for tagged clients (0 = unlimited)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant burst above -tenant-rate (0 = rate)")
 	latencyTarget := flag.Duration("latency-target", 0, "foreground p99 target coupling maintenance to load (0 = governor off)")
@@ -103,16 +97,13 @@ func run() error {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
 	switch strings.ToLower(*groupCommit) {
-	case "auto":
-		opts.GroupCommit = lsmstore.GroupCommitAuto
 	case "on":
 		opts.GroupCommit = lsmstore.GroupCommitOn
 	case "off":
 		opts.GroupCommit = lsmstore.GroupCommitOff
 	default:
-		return fmt.Errorf("unknown -group-commit %q (want auto, on or off)", *groupCommit)
+		return fmt.Errorf("unknown -group-commit %q (want on or off)", *groupCommit)
 	}
-	opts.MaxSyncDelay = *maxSyncDelay
 	be, resolvedDir, cleanup, err := backendflag.Resolve(*backend, *dir)
 	if err != nil {
 		return err
@@ -128,24 +119,20 @@ func run() error {
 	defer db.Close()
 
 	srv, err := server.New(server.Config{
-		DB:                db,
-		Addr:              *addr,
-		HTTPAddr:          *httpAddr,
-		MaxInFlight:       *maxInFlight,
-		MaxBatch:          *maxBatch,
-		Coalescers:        *coalescers,
-		DisableCoalescing: *noCoalesce,
+		DB:          db,
+		Addr:        *addr,
+		HTTPAddr:    *httpAddr,
+		MaxInFlight: *maxInFlight,
 
 		EnablePprof:          *pprof,
 		SlowRequestThreshold: *slowThreshold,
 		DisableObservability: *noObs,
 
-		AdmissionBudget:        *admBudget,
-		AdmissionQueue:         *admQueue,
-		AdmissionQueueDeadline: *queueDeadline,
-		TenantRate:             *tenantRate,
-		TenantBurst:            *tenantBurst,
-		LatencyTarget:          *latencyTarget,
+		AdmissionBudget: *admBudget,
+		AdmissionQueue:  *admQueue,
+		TenantRate:      *tenantRate,
+		TenantBurst:     *tenantBurst,
+		LatencyTarget:   *latencyTarget,
 	})
 	if err != nil {
 		return err

@@ -15,7 +15,7 @@
 //
 // This root package holds the benchmark harness: bench_test.go regenerates
 // every figure of the paper's evaluation via internal/experiments, and
-// shard_bench_test.go sweeps shard counts over the same ingest workload
+// ingest_scaling_test.go sweeps shard counts over the same ingest workload
 // (BenchmarkShardedIngest with sync and maint=N variants,
 // TestShardedIngestScaling, TestAsyncIngestThroughput).
 package repro

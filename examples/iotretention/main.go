@@ -49,7 +49,6 @@ func pk(device uint32, seq uint64) []byte {
 func main() {
 	db, err := lsmstore.Open(lsmstore.Options{
 		Strategy:      lsmstore.MutableBitmap,
-		CC:            lsmstore.SideFile,
 		Secondaries:   []lsmstore.SecondaryIndex{{Name: "device", Extract: device}},
 		FilterExtract: eventTime,
 		MemoryBudget:  256 << 10,

@@ -33,7 +33,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -218,8 +217,8 @@ type Dataset struct {
 
 	clock  atomic.Int64 // ingestion timestamp generator (node-local clock)
 	epoch  atomic.Uint64
-	locks  *txn.LockManager
-	dsLock *txn.DatasetLock
+	locks  *lockManager
+	dsLock *datasetLock
 	log    *wal.Log
 
 	// persistMu serializes manifest saves, so a later component-list
@@ -291,8 +290,8 @@ func Open(cfg Config) (*Dataset, error) {
 	d := &Dataset{
 		cfg:    cfg,
 		env:    env,
-		locks:  txn.NewLockManager(),
-		dsLock: &txn.DatasetLock{},
+		locks:  newLockManager(),
+		dsLock: &datasetLock{},
 	}
 	if !cfg.DisableWAL {
 		d.log = wal.New(env)
@@ -470,9 +469,6 @@ func (d *Dataset) ReclaimStats() (walBytes, componentBytes int64, retiredFiles i
 	}
 	return walBytes, componentBytes, retiredFiles
 }
-
-// Locks returns the record-level lock manager.
-func (d *Dataset) Locks() *txn.LockManager { return d.locks }
 
 // IngestedCount returns the number of records accepted so far.
 func (d *Dataset) IngestedCount() int64 { return d.ingested.Load() }

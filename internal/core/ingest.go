@@ -10,7 +10,6 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/memtable"
 	"repro/internal/storage"
-	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -75,8 +74,8 @@ func (d *Dataset) Delete(pk []byte) (bool, error) {
 func (d *Dataset) applyLocked(m kv.Mutation, b *wal.Batch) (bool, error) {
 	d.dsLock.Enter()
 	defer d.dsLock.Exit()
-	d.locks.Lock(m.PK, txn.Exclusive)
-	defer d.locks.Unlock(m.PK, txn.Exclusive)
+	d.locks.Lock(m.PK, lockExclusive)
+	defer d.locks.Unlock(m.PK, lockExclusive)
 	// A sticky WAL-durability failure makes the dataset read-only: fail
 	// here, before prepare mutates shared state (the Mutable-bitmap search
 	// flips disk bitmaps before logging).

@@ -1,20 +1,20 @@
-// Package txn provides the record-level concurrency control the paper's
-// ingestion paths assume: writers hold an exclusive lock on a primary key
-// for the duration of a record-level transaction (Section 5.2), component
-// builders take shared locks on scanned keys (Lock method, Fig 10), and the
-// Side-file method briefly takes a dataset-level shared lock to drain
-// in-flight transactions (Fig 11).
-package txn
+// Record-level concurrency control, as the paper's ingestion paths assume
+// it: writers hold an exclusive lock on a primary key for the duration of a
+// write (Section 5.2), component builders take shared locks on scanned keys
+// (Lock method, Fig 10), and the Side-file method briefly takes a
+// dataset-level lock to drain in-flight writes (Fig 11).
+
+package core
 
 import "sync"
 
-// LockMode distinguishes shared from exclusive key locks.
-type LockMode int
+// lockMode distinguishes shared from exclusive key locks.
+type lockMode int
 
 // Lock modes.
 const (
-	Shared LockMode = iota
-	Exclusive
+	lockShared lockMode = iota
+	lockExclusive
 )
 
 type keyLock struct {
@@ -25,18 +25,18 @@ type keyLock struct {
 	waiters int
 }
 
-// LockManager provides blocking S/X locks on keys.
-type LockManager struct {
+// lockManager provides blocking S/X locks on keys.
+type lockManager struct {
 	mu    sync.Mutex
 	locks map[string]*keyLock
 }
 
-// NewLockManager creates an empty lock table.
-func NewLockManager() *LockManager {
-	return &LockManager{locks: make(map[string]*keyLock)}
+// newLockManager creates an empty lock table.
+func newLockManager() *lockManager {
+	return &lockManager{locks: make(map[string]*keyLock)}
 }
 
-func (m *LockManager) get(key string) *keyLock {
+func (m *lockManager) get(key string) *keyLock {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	l, ok := m.locks[key]
@@ -49,7 +49,7 @@ func (m *LockManager) get(key string) *keyLock {
 	return l
 }
 
-func (m *LockManager) put(key string, l *keyLock) {
+func (m *lockManager) put(key string, l *keyLock) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	l.waiters--
@@ -59,11 +59,11 @@ func (m *LockManager) put(key string, l *keyLock) {
 }
 
 // Lock acquires key in the given mode, blocking until compatible.
-func (m *LockManager) Lock(key []byte, mode LockMode) {
+func (m *lockManager) Lock(key []byte, mode lockMode) {
 	k := string(key)
 	l := m.get(k)
 	l.mu.Lock()
-	if mode == Exclusive {
+	if mode == lockExclusive {
 		for l.writer || l.readers > 0 {
 			l.cond.Wait()
 		}
@@ -78,7 +78,7 @@ func (m *LockManager) Lock(key []byte, mode LockMode) {
 }
 
 // Unlock releases key from the given mode.
-func (m *LockManager) Unlock(key []byte, mode LockMode) {
+func (m *lockManager) Unlock(key []byte, mode lockMode) {
 	k := string(key)
 	m.mu.Lock()
 	l := m.locks[k]
@@ -87,7 +87,7 @@ func (m *LockManager) Unlock(key []byte, mode LockMode) {
 		return
 	}
 	l.mu.Lock()
-	if mode == Exclusive {
+	if mode == lockExclusive {
 		l.writer = false
 	} else {
 		l.readers--
@@ -97,30 +97,30 @@ func (m *LockManager) Unlock(key []byte, mode LockMode) {
 	m.put(k, l)
 }
 
-// WithLock runs fn while holding key in the given mode.
-func (m *LockManager) WithLock(key []byte, mode LockMode, fn func()) {
+// withLock runs fn while holding key in the given mode.
+func (m *lockManager) withLock(key []byte, mode lockMode, fn func()) {
 	m.Lock(key, mode)
 	defer m.Unlock(key, mode)
 	fn()
 }
 
-// DatasetLock is the dataset-level lock of the Side-file protocol: normal
+// datasetLock is the dataset-level lock of the Side-file protocol: normal
 // writers hold it shared for the duration of each record-level transaction;
 // the component builder takes it exclusively (the paper's "S lock dataset"
 // drains in-flight transactions; exclusivity against writers is what the
 // drain achieves, so we model it directly as a write lock).
-type DatasetLock struct {
+type datasetLock struct {
 	mu sync.RWMutex
 }
 
 // Enter marks a writer transaction in flight.
-func (d *DatasetLock) Enter() { d.mu.RLock() }
+func (d *datasetLock) Enter() { d.mu.RLock() }
 
 // Exit marks the writer transaction finished.
-func (d *DatasetLock) Exit() { d.mu.RUnlock() }
+func (d *datasetLock) Exit() { d.mu.RUnlock() }
 
 // Drain blocks until all in-flight writers exit, runs fn, then reopens.
-func (d *DatasetLock) Drain(fn func()) {
+func (d *datasetLock) Drain(fn func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	fn()

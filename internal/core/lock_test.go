@@ -1,4 +1,4 @@
-package txn
+package core
 
 import (
 	"sync"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestExclusiveLockMutualExclusion(t *testing.T) {
-	m := NewLockManager()
+	m := newLockManager()
 	key := []byte("k")
 	var counter, max int64
 	var wg sync.WaitGroup
@@ -17,13 +17,13 @@ func TestExclusiveLockMutualExclusion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				m.Lock(key, Exclusive)
+				m.Lock(key, lockExclusive)
 				c := atomic.AddInt64(&counter, 1)
 				if c > atomic.LoadInt64(&max) {
 					atomic.StoreInt64(&max, c)
 				}
 				atomic.AddInt64(&counter, -1)
-				m.Unlock(key, Exclusive)
+				m.Unlock(key, lockExclusive)
 			}
 		}()
 	}
@@ -34,13 +34,13 @@ func TestExclusiveLockMutualExclusion(t *testing.T) {
 }
 
 func TestSharedLocksCoexist(t *testing.T) {
-	m := NewLockManager()
+	m := newLockManager()
 	key := []byte("k")
-	m.Lock(key, Shared)
+	m.Lock(key, lockShared)
 	done := make(chan struct{})
 	go func() {
-		m.Lock(key, Shared) // must not block
-		m.Unlock(key, Shared)
+		m.Lock(key, lockShared) // must not block
+		m.Unlock(key, lockShared)
 		close(done)
 	}()
 	select {
@@ -48,25 +48,25 @@ func TestSharedLocksCoexist(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("second shared lock blocked")
 	}
-	m.Unlock(key, Shared)
+	m.Unlock(key, lockShared)
 }
 
 func TestSharedBlocksExclusive(t *testing.T) {
-	m := NewLockManager()
+	m := newLockManager()
 	key := []byte("k")
-	m.Lock(key, Shared)
+	m.Lock(key, lockShared)
 	acquired := make(chan struct{})
 	go func() {
-		m.Lock(key, Exclusive)
+		m.Lock(key, lockExclusive)
 		close(acquired)
-		m.Unlock(key, Exclusive)
+		m.Unlock(key, lockExclusive)
 	}()
 	select {
 	case <-acquired:
 		t.Fatal("X lock acquired while S held")
 	case <-time.After(50 * time.Millisecond):
 	}
-	m.Unlock(key, Shared)
+	m.Unlock(key, lockShared)
 	select {
 	case <-acquired:
 	case <-time.After(2 * time.Second):
@@ -75,12 +75,12 @@ func TestSharedBlocksExclusive(t *testing.T) {
 }
 
 func TestDifferentKeysIndependent(t *testing.T) {
-	m := NewLockManager()
-	m.Lock([]byte("a"), Exclusive)
+	m := newLockManager()
+	m.Lock([]byte("a"), lockExclusive)
 	done := make(chan struct{})
 	go func() {
-		m.Lock([]byte("b"), Exclusive)
-		m.Unlock([]byte("b"), Exclusive)
+		m.Lock([]byte("b"), lockExclusive)
+		m.Unlock([]byte("b"), lockExclusive)
 		close(done)
 	}()
 	select {
@@ -88,15 +88,15 @@ func TestDifferentKeysIndependent(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("lock on b blocked by lock on a")
 	}
-	m.Unlock([]byte("a"), Exclusive)
+	m.Unlock([]byte("a"), lockExclusive)
 }
 
 func TestLockTableCleansUp(t *testing.T) {
-	m := NewLockManager()
+	m := newLockManager()
 	for i := 0; i < 100; i++ {
 		k := []byte{byte(i)}
-		m.Lock(k, Exclusive)
-		m.Unlock(k, Exclusive)
+		m.Lock(k, lockExclusive)
+		m.Unlock(k, lockExclusive)
 	}
 	m.mu.Lock()
 	n := len(m.locks)
@@ -107,19 +107,19 @@ func TestLockTableCleansUp(t *testing.T) {
 }
 
 func TestWithLock(t *testing.T) {
-	m := NewLockManager()
+	m := newLockManager()
 	ran := false
-	m.WithLock([]byte("k"), Shared, func() { ran = true })
+	m.withLock([]byte("k"), lockShared, func() { ran = true })
 	if !ran {
-		t.Fatal("WithLock did not run fn")
+		t.Fatal("withLock did not run fn")
 	}
 	// lock released afterwards
-	m.Lock([]byte("k"), Exclusive)
-	m.Unlock([]byte("k"), Exclusive)
+	m.Lock([]byte("k"), lockExclusive)
+	m.Unlock([]byte("k"), lockExclusive)
 }
 
 func TestDatasetLockDrains(t *testing.T) {
-	var d DatasetLock
+	var d datasetLock
 	var inFlight atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

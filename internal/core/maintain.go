@@ -12,7 +12,6 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/obs"
 	"repro/internal/repair"
-	"repro/internal/txn"
 )
 
 // pairPrimaryPK enforces the Mutable-bitmap pairing invariant on freshly
@@ -465,8 +464,8 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 		spec.Target = target
 		setPKBuilding(target)
 		spec.LockKey = func(key []byte) func() {
-			d.locks.Lock(key, txn.Shared)
-			return func() { d.locks.Unlock(key, txn.Shared) }
+			d.locks.Lock(key, lockShared)
+			return func() { d.locks.Unlock(key, lockShared) }
 		}
 	case SideFile:
 		// Fig 11: drain writers, snapshot bitmaps, then build against the

@@ -33,35 +33,20 @@ type Config struct {
 	// stops reading that connection until responses drain — backpressure
 	// by TCP flow control. 0 means the default of 128.
 	MaxInFlight int
-	// MaxFrame caps accepted request frames (0 = wire.MaxFrame).
-	MaxFrame int
-	// MaxBatch caps how many concurrent single writes the coalescer
-	// folds into one ApplyBatch call (0 = 256).
-	MaxBatch int
-	// Coalescers is the number of concurrent batch-apply drainers
-	// (0 = 4). More than one lets a batch parked on its commit-group
-	// fsync overlap with the next batch's engine work.
-	Coalescers int
-	// DisableCoalescing applies every single write individually instead
-	// of grouping concurrent ones into batches.
-	DisableCoalescing bool
 	// SlowRequestThreshold is the server-side latency at or above which a
-	// request lands in the slow-request ring served at /debug/slow.
-	// 0 means the 100ms default; negative disables the slow log.
+	// request lands in the 128-entry slow-request ring served at
+	// /debug/slow. 0 means the 100ms default; negative disables the slow
+	// log.
 	SlowRequestThreshold time.Duration
-	// SlowLogSize caps the slow-request ring (0 = 128 entries).
-	SlowLogSize int
 	// AdmissionBudget enables server-wide admission control: the total
 	// weighted in-flight budget across every connection (see
 	// internal/admission for the per-class weights). 0 disables admission
 	// control — the only bound is then the per-connection MaxInFlight.
 	AdmissionBudget int64
 	// AdmissionQueue caps the admission FIFO wait queue (0 = 2×budget,
-	// negative = no queue: over-budget requests shed immediately).
+	// negative = no queue: over-budget requests shed immediately). A
+	// request still queued after 2ms is shed.
 	AdmissionQueue int
-	// AdmissionQueueDeadline bounds how long a request may wait queued
-	// before it is shed (0 = 2ms).
-	AdmissionQueueDeadline time.Duration
 	// TenantRate is the per-tenant admission rate limit in requests per
 	// second for requests carrying a tenant tag (0 = unlimited).
 	TenantRate float64
@@ -71,8 +56,8 @@ type Config struct {
 	// the foreground get/upsert interval p99 exceeds the target, merge
 	// dispatch is throttled (never below a hard rate floor — see
 	// internal/admission's no-deadlock argument). 0 disables the
-	// governor. Requires observability (the governor samples its
-	// histograms), so DisableObservability turns it off too.
+	// governor. It samples the latency histograms, so New refuses it
+	// together with DisableObservability.
 	LatencyTarget time.Duration
 	// DisableObservability turns off the per-op latency histograms, the
 	// request-stage tracing and the slow-request log. /metrics then
@@ -85,9 +70,14 @@ type Config struct {
 
 const (
 	defaultMaxInFlight   = 128
-	defaultMaxBatch      = 256
-	defaultCoalescers    = 4
 	defaultSlowThreshold = 100 * time.Millisecond
+	// maxBatch caps how many concurrent single writes the coalescer folds
+	// into one ApplyBatch call.
+	maxBatch = 256
+	// coalescers is the number of concurrent batch-apply drainers: more
+	// than one lets a batch parked on its commit-group fsync overlap with
+	// the next batch's engine work.
+	coalescers = 4
 )
 
 // Server serves a DB over the wire protocol: one TCP listener, a
@@ -127,14 +117,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = defaultMaxInFlight
 	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.MaxFrame
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = defaultMaxBatch
-	}
-	if cfg.Coalescers <= 0 {
-		cfg.Coalescers = defaultCoalescers
+	if cfg.LatencyTarget > 0 && cfg.DisableObservability {
+		return nil, errors.New("server: Config.LatencyTarget needs the latency histograms that Config.DisableObservability turns off")
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -143,6 +127,7 @@ func New(cfg Config) (*Server, error) {
 		conns:    make(map[*conn]struct{}),
 		stopped:  make(chan struct{}),
 	}
+	s.coal = newCoalescer(cfg.DB, s.counters, maxBatch, coalescers)
 	if !cfg.DisableObservability {
 		s.obs = obs.NewRegistry()
 		if cfg.SlowRequestThreshold >= 0 {
@@ -150,22 +135,18 @@ func New(cfg Config) (*Server, error) {
 			if thr == 0 {
 				thr = defaultSlowThreshold
 			}
-			s.slow = obs.NewSlowLog(cfg.SlowLogSize, thr)
+			s.slow = obs.NewSlowLog(0, thr) // the default ring: 128 entries
 		}
-	}
-	if !cfg.DisableCoalescing {
-		s.coal = newCoalescer(cfg.DB, s.counters, cfg.MaxBatch, cfg.Coalescers)
 	}
 	if cfg.AdmissionBudget > 0 {
 		s.adm = admission.New(admission.Config{
-			Budget:        cfg.AdmissionBudget,
-			MaxQueue:      cfg.AdmissionQueue,
-			QueueDeadline: cfg.AdmissionQueueDeadline,
-			TenantRate:    cfg.TenantRate,
-			TenantBurst:   cfg.TenantBurst,
+			Budget:      cfg.AdmissionBudget,
+			MaxQueue:    cfg.AdmissionQueue,
+			TenantRate:  cfg.TenantRate,
+			TenantBurst: cfg.TenantBurst,
 		})
 	}
-	if cfg.LatencyTarget > 0 && s.obs != nil {
+	if cfg.LatencyTarget > 0 {
 		s.gov = admission.NewGovernor(admission.GovernorConfig{Target: cfg.LatencyTarget}, s.obs)
 	}
 	return s, nil
@@ -207,9 +188,7 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = true
-	if s.coal != nil {
-		s.coal.start()
-	}
+	s.coal.start()
 	if s.gov != nil {
 		s.db.SetMergeGate(s.gov.Gate())
 		s.gov.Start()
@@ -335,9 +314,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	if s.coal != nil {
-		s.coal.stop()
-	}
+	s.coal.stop()
 	return err
 }
 
@@ -363,9 +340,7 @@ func (s *Server) Kill() {
 	s.mu.Unlock()
 	s.acceptWg.Wait()
 	s.connWg.Wait()
-	if s.coal != nil {
-		s.coal.stop()
-	}
+	s.coal.stop()
 }
 
 // stopOverload tears down the overload-protection layer on either stop
@@ -465,7 +440,7 @@ func (c *conn) readLoop() {
 			return
 		}
 		bp := reqBufPool.Get().(*[]byte)
-		frame, err := wire.ReadFrame(br, *bp, c.srv.cfg.MaxFrame)
+		frame, err := wire.ReadFrame(br, *bp, wire.MaxFrame)
 		if err != nil {
 			putReqBuf(bp)
 			return // EOF, peer reset, shutdown deadline, oversized frame
@@ -717,20 +692,12 @@ func (s *Server) handle(req wire.Request, tr *trace) wire.Response {
 	return wire.ErrorResponse(req.ID, wire.CodeBadRequest, fmt.Sprintf("unknown op %d", req.Op))
 }
 
-// write applies one mutation, through the coalescer when enabled. The
-// time the mutation spent queued before a drainer picked it up lands in
-// tr.wait.
+// write applies one mutation through the coalescer. The time the mutation
+// spent queued before a drainer picked it up lands in tr.wait.
 func (s *Server) write(m lsmstore.Mutation, tr *trace) (bool, error) {
-	if s.coal != nil {
-		applied, wait, err := s.coal.apply(m, !tr.start.IsZero())
-		tr.wait = wait
-		return applied, err
-	}
-	applied, err := s.db.ApplyBatchResults([]lsmstore.Mutation{m})
-	if err != nil {
-		return false, err
-	}
-	return applied[0], nil
+	applied, wait, err := s.coal.apply(m, !tr.start.IsZero())
+	tr.wait = wait
+	return applied, err
 }
 
 // admissionClassOf maps a wire op onto its admission class. Control-plane

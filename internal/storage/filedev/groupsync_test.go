@@ -45,7 +45,7 @@ func (s *gatedSync) count() int {
 
 // TestGroupSyncerLoneCommitterNeverWaits is the stranded-writer guarantee,
 // by construction: a single committer with no announced peers must become
-// durable immediately even with an enormous MaxSyncDelay configured.
+// durable immediately even with an enormous hold-open window configured.
 func TestGroupSyncerLoneCommitterNeverWaits(t *testing.T) {
 	s := &gatedSync{}
 	g := newGroupSyncer(s.sync, time.Hour, nil)
@@ -95,7 +95,7 @@ func TestGroupSyncerCoalescesAnnouncedCommitters(t *testing.T) {
 
 // TestGroupSyncerRetractReleasesLeader: a straggler whose append fails
 // retracts; the leader must stop holding the window for it rather than
-// burn the whole MaxSyncDelay.
+// burn the whole hold-open window.
 func TestGroupSyncerRetractReleasesLeader(t *testing.T) {
 	s := &gatedSync{}
 	g := newGroupSyncer(s.sync, time.Hour, nil)

@@ -55,8 +55,6 @@ type Options struct {
 	// disables). A timed-out request fails with ErrTimeout; its response,
 	// if it ever arrives, is discarded.
 	RequestTimeout time.Duration
-	// MaxFrame caps accepted response frames (0 = the protocol default).
-	MaxFrame int
 	// Tenant is the QoS tenant tag stamped on every request for the
 	// server's per-tenant rate limits and fair-share shedding. Empty
 	// leaves requests untagged (exempt from per-tenant limits).
@@ -143,9 +141,6 @@ func DialOptions(opts Options) (*Client, error) {
 	}
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = defaultRequestTimeout
-	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = wire.MaxFrame
 	}
 	if opts.RetryLimit == 0 {
 		opts.RetryLimit = defaultRetryLimit
@@ -489,10 +484,9 @@ func (c *Client) dialConn() (*conn, error) {
 		return nil, err
 	}
 	cn := &conn{
-		nc:       nc,
-		bw:       bufio.NewWriterSize(nc, 64<<10),
-		pending:  make(map[uint64]chan wire.Response),
-		maxFrame: c.opts.MaxFrame,
+		nc:      nc,
+		bw:      bufio.NewWriterSize(nc, 64<<10),
+		pending: make(map[uint64]chan wire.Response),
 	}
 	go cn.readLoop()
 	return cn, nil
@@ -501,8 +495,7 @@ func (c *Client) dialConn() (*conn, error) {
 // conn is one pooled connection: a locked write path and a reader
 // goroutine routing responses to their waiters by request ID.
 type conn struct {
-	nc       net.Conn
-	maxFrame int
+	nc net.Conn
 
 	wmu sync.Mutex // serializes frame writes
 	bw  *bufio.Writer
@@ -548,7 +541,7 @@ func (c *conn) abandon(id uint64) {
 func (c *conn) readLoop() {
 	var buf []byte
 	for {
-		frame, err := wire.ReadFrame(c.nc, buf, c.maxFrame)
+		frame, err := wire.ReadFrame(c.nc, buf, wire.MaxFrame)
 		if err != nil {
 			c.close(fmt.Errorf("lsmclient: connection lost: %w", err))
 			return

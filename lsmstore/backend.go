@@ -26,7 +26,6 @@ type layout struct {
 	Format   int
 	Shards   int
 	PageSize int
-	Device   string
 }
 
 // layoutFormat is the Format this build reads and writes. 1: one log record
@@ -45,7 +44,6 @@ func checkLayout(opts Options) error {
 		Format:   layoutFormat,
 		Shards:   opts.Shards,
 		PageSize: resolvePageSize(opts),
-		Device:   deviceName(opts.Device),
 	}
 	if want.Shards < 1 {
 		want.Shards = 1
@@ -87,11 +85,4 @@ func checkLayout(opts Options) error {
 	default:
 		return err
 	}
-}
-
-func deviceName(d Device) string {
-	if d == SSD {
-		return "ssd"
-	}
-	return "hdd"
 }

@@ -127,34 +127,6 @@ func TestGroupCommitKillMidGroupCommit(t *testing.T) {
 	storetest.VerifyAll(t, re, survivors)
 }
 
-// TestGroupCommitLoneWriterDurableImmediately: a single committer with no
-// concurrent writers must not pay any part of MaxSyncDelay — the leader
-// only holds the window for announced peers, and there are none.
-func TestGroupCommitLoneWriterDurableImmediately(t *testing.T) {
-	opts := diskOptions(lsmstore.Validation, t.TempDir())
-	opts.GroupCommit = lsmstore.GroupCommitOn
-	opts.MaxSyncDelay = 10 * time.Second // would be unmissable if ever paid
-	db, err := lsmstore.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		if err := db.Upsert(tweetPK(uint64(i)), tweetRec(uint64(i), 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("lone write %d took %s — the leader waited for followers that never come", i, elapsed)
-		}
-	}
-	st := db.Stats()
-	if st.Counters.WALFsyncs == 0 || st.Counters.GroupCommitBatches == 0 {
-		t.Fatalf("lone writes were not group-committed durably: fsyncs=%d batches=%d",
-			st.Counters.WALFsyncs, st.Counters.GroupCommitBatches)
-	}
-}
-
 // TestUpsertIsOneLogAppend: a write is one log record, so one Upsert hands
 // the device exactly one WAL append and pays exactly one fsync — the group's
 // covering SyncWAL with group commit on, the append's own sync with it off.
@@ -257,9 +229,8 @@ func TestGroupCommitMutableBitmapBatchDoesNotDefer(t *testing.T) {
 // TestGroupCommitModeString pins the flag-facing names.
 func TestGroupCommitModeString(t *testing.T) {
 	for mode, want := range map[lsmstore.GroupCommitMode]string{
-		lsmstore.GroupCommitAuto: "auto",
-		lsmstore.GroupCommitOn:   "on",
-		lsmstore.GroupCommitOff:  "off",
+		lsmstore.GroupCommitOn:  "on",
+		lsmstore.GroupCommitOff: "off",
 	} {
 		if got := fmt.Sprint(mode); got != want {
 			t.Errorf("mode %d prints %q, want %q", int(mode), got, want)

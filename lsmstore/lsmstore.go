@@ -47,6 +47,12 @@
 // policy-picked merges run as jobs of one pool shared by all partitions.
 // Options.MaintenanceWorkers sizes the pool; at 0 a job runs on the writer
 // that submitted it, before that write returns.
+//
+// # Configuration
+//
+// The Options doc comment lists what a caller can set and what is a
+// constant instead. The paper's ablations are neither: they are core.Config
+// settings of internal/experiments.
 package lsmstore
 
 import (
@@ -81,16 +87,6 @@ const (
 	DeletedKey    = core.DeletedKey
 )
 
-// CCMethod selects Mutable-bitmap merge concurrency control.
-type CCMethod = core.CCMethod
-
-// Concurrency-control methods (Section 5.3).
-const (
-	SideFile = core.SideFile
-	Lock     = core.Lock
-	NoCC     = core.NoCC
-)
-
 // ValidationMethod selects query validation (Figure 5).
 type ValidationMethod = query.ValidationMethod
 
@@ -99,15 +95,6 @@ const (
 	NoValidation        = query.NoValidation
 	DirectValidation    = query.Direct
 	TimestampValidation = query.Timestamp
-)
-
-// Device selects the simulated storage device profile.
-type Device int
-
-// Devices (Section 6.1's two testbeds).
-const (
-	HDD Device = iota
-	SSD
 )
 
 // Backend selects the storage backend beneath a DB.
@@ -138,26 +125,24 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", int(b))
 }
 
-// GroupCommitMode selects commit-fsync coalescing on the file backend.
+// GroupCommitMode selects commit-fsync coalescing on the file backend. The
+// simulated backend has no commit fsync to coalesce, so the mode is
+// meaningless there.
 type GroupCommitMode int
 
 // Group-commit modes.
 const (
-	// GroupCommitAuto (the default) turns group commit on for the file
-	// backend. The simulated backend has no commit fsync to coalesce, so
-	// the mode is meaningless there.
-	GroupCommitAuto GroupCommitMode = iota
-	// GroupCommitOn forces group commit on the file backend.
-	GroupCommitOn
-	// GroupCommitOff keeps one fsync per committed write.
+	// GroupCommitOn (the default) shares one fsync among concurrent
+	// committers.
+	GroupCommitOn GroupCommitMode = iota
+	// GroupCommitOff keeps one fsync per committed write: the reference
+	// side of the group-commit equivalence and speedup tests.
 	GroupCommitOff
 )
 
 // String implements fmt.Stringer.
 func (m GroupCommitMode) String() string {
 	switch m {
-	case GroupCommitAuto:
-		return "auto"
 	case GroupCommitOn:
 		return "on"
 	case GroupCommitOff:
@@ -177,23 +162,29 @@ type SecondaryIndex struct {
 
 // Options configures a DB. The zero value gives an Eager-strategy store on
 // a simulated HDD with a 64 MB buffer cache, a 4 MB memory budget, tiering
-// merges and a primary key index. The paper's ablations (no primary key
-// index, correlated merges, the Bloom-filter repair optimization, blocked
-// Bloom filters, no merges) are core.Config settings that
-// internal/experiments sets directly; they are not options of a DB.
+// merges and a primary key index. What a DB lets a caller choose is the
+// schema (Strategy, Secondaries, FilterExtract), where the data lives
+// (Backend, Dir, Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
+// MaintenanceWorkers, ReadCache), MergeRepair, Seed, GroupCommit — whose off
+// side is the reference the group-commit tests compare against — and three
+// hooks that let a test substitute a fake. Everything else is fixed: the
+// write-ahead log is always on, Mutable-bitmap merges use the Side-file
+// method, a group-commit leader waits at most 2 ms for announced
+// committers, and the maintenance journal keeps the last 256 events. The
+// paper's ablations (no primary key index, correlated merges, the
+// Bloom-filter repair optimization, blocked Bloom filters, no merges, the
+// other concurrency-control methods, the SSD profile, no log) are
+// core.Config and storage settings that internal/experiments sets directly;
+// they are not options of a DB.
 type Options struct {
 	// Strategy is the maintenance strategy for secondary indexes and
 	// filters.
 	Strategy Strategy
-	// CC is the Mutable-bitmap concurrency-control method.
-	CC CCMethod
 	// Secondaries declares secondary indexes.
 	Secondaries []SecondaryIndex
 	// FilterExtract, when set, maintains a component-level range filter
 	// over the extracted value (e.g. a creation timestamp).
 	FilterExtract func(record []byte) (int64, bool)
-	// Device selects the simulated device profile (HDD or SSD).
-	Device Device
 	// Backend selects the storage backend: the simulated device (default)
 	// or real files under Dir.
 	Backend Backend
@@ -212,23 +203,14 @@ type Options struct {
 	MemoryBudget int
 	// MergeRepair repairs secondary indexes during merges (Validation).
 	MergeRepair bool
-	// DisableWAL turns off write-ahead logging.
-	DisableWAL bool
 	// GroupCommit selects commit-fsync coalescing on the file backend
-	// (default GroupCommitAuto = on): concurrent committers append their
-	// WAL records and park on a shared commit window; a leader issues one
+	// (default GroupCommitOn): concurrent committers append their WAL
+	// records and park on a shared commit window; a leader issues one
 	// fsync covering every parked commit, and ApplyBatch pays one fsync
 	// per batch instead of one per mutation. Acknowledgment semantics are
 	// unchanged — a write is never acknowledged before the fsync covering
 	// its log record returns. Ignored on the simulated backend.
 	GroupCommit GroupCommitMode
-	// MaxSyncDelay bounds how long a group-commit leader holds the commit
-	// window open for committers that have announced intent but not yet
-	// appended (they are mid-append and join within microseconds). A lone
-	// committer never waits: with no announced peers the fsync is issued
-	// immediately. 0 means the 2ms default; negative disables the window
-	// entirely (the leader syncs as soon as any in-flight fsync finishes).
-	MaxSyncDelay time.Duration
 	// Seed fixes all pseudo-random choices.
 	Seed int64
 	// Shards selects the number of hash partitions (values below 1 mean
@@ -250,14 +232,6 @@ type Options struct {
 	// installs nothing, every later write returns the error, and Crash +
 	// Recover (or a reopen) clears it.
 	MaintenanceWorkers int
-	// MaintJournalEvents bounds the flush/merge events retained by the
-	// maintenance journal (see DB.MaintJournal): every flush and merge on
-	// every shard records a start/end event with its duration, bytes
-	// written and component counts, plus lifetime totals. 0 means the
-	// default of 256 retained events; negative disables the journal
-	// entirely. Recording is observational only — it never changes engine
-	// behavior or results.
-	MaintJournalEvents int
 	// ReadCache enables the sharded hot-entry cache on the point-read path
 	// (Get/GetRef): positive entries map a primary key to its encoded
 	// record, negative entries remember keys known to be absent. Every
@@ -269,8 +243,10 @@ type Options struct {
 	// is without one. Counters surface in Stats.Counters.ReadCache*.
 	ReadCache ReadCacheOptions
 
-	// The remaining fields are simulation hooks for deterministic
-	// simulation testing (internal/dst). Production callers leave them nil.
+	// The remaining fields are the seams through which deterministic
+	// simulation testing (internal/dst) substitutes a fault-injecting
+	// device, a virtual clock and a seeded scheduler. Production callers
+	// leave them nil.
 
 	// WrapDevice, when set, wraps each partition's storage device before
 	// the store and WAL are built. It receives the shard index and the
@@ -309,7 +285,7 @@ type DB struct {
 	parts   []partition      // at least one
 	pool    *maint.Pool      // run-on-caller when Options.MaintenanceWorkers is 0
 	cache   *readcache.Cache // non-nil only when Options.ReadCache.Bytes > 0
-	journal *obs.Journal     // nil when Options.MaintJournalEvents < 0
+	journal *obs.Journal     // flush/merge events of every shard
 
 	// mu guards the lifecycle: public operations hold it shared, Close
 	// holds it exclusively, so Close waits for in-flight operations to
@@ -342,34 +318,19 @@ func Open(opts Options) (*DB, error) {
 		if opts.Dir == "" {
 			return nil, errors.New("lsmstore: FileBackend requires Options.Dir")
 		}
-		if opts.DisableWAL {
-			// Close does not flush live memtables — their committed writes
-			// are recovered from the on-disk WAL. Without one, acknowledged
-			// writes would silently vanish across a reopen.
-			return nil, errors.New("lsmstore: FileBackend requires the write-ahead log (unset DisableWAL)")
-		}
 		if err := checkLayout(opts); err != nil {
 			return nil, err
 		}
 	}
 	pool := maint.NewPool(opts.MaintenanceWorkers)
 	pool.SetYield(opts.Yield)
-	journal := newMaintJournal(opts)
+	journal := obs.NewJournal(0) // the default ring: 256 events
 	parts, err := openPartitions(opts, pool, journal)
 	if err != nil {
 		pool.Close()
 		return nil, err
 	}
 	return &DB{parts: parts, pool: pool, cache: newReadCache(opts), journal: journal}, nil
-}
-
-// newMaintJournal builds the store-wide maintenance journal, or nil when
-// Options.MaintJournalEvents is negative.
-func newMaintJournal(opts Options) *obs.Journal {
-	if opts.MaintJournalEvents < 0 {
-		return nil
-	}
-	return obs.NewJournal(opts.MaintJournalEvents)
 }
 
 // newReadCache builds the read cache, or nil when Options.ReadCache is off.
@@ -425,31 +386,17 @@ func resolveCacheBytes(opts Options) int64 {
 	return 64 << 20
 }
 
-// defaultMaxSyncDelay is how long a group-commit leader will hold the
-// commit window open for announced stragglers when Options.MaxSyncDelay
-// is zero. It bounds worst-case added commit latency; with no announced
-// peers it is never paid at all.
-const defaultMaxSyncDelay = 2 * time.Millisecond
-
-// resolveMaxSyncDelay applies the MaxSyncDelay default (0 → 2ms,
-// negative → no window).
-func resolveMaxSyncDelay(opts Options) time.Duration {
-	switch {
-	case opts.MaxSyncDelay < 0:
-		return 0
-	case opts.MaxSyncDelay == 0:
-		return defaultMaxSyncDelay
-	}
-	return opts.MaxSyncDelay
-}
+// groupCommitWindow is how long a group-commit leader holds the commit
+// window open for committers that have announced intent but not yet
+// appended (they are mid-append and join within microseconds). It bounds
+// worst-case added commit latency; a lone committer never pays it: with no
+// announced peers the fsync is issued immediately.
+const groupCommitWindow = 2 * time.Millisecond
 
 // resolvePageSize returns the effective device page size for the options.
 func resolvePageSize(opts Options) int {
 	if opts.PageSize > 0 {
 		return opts.PageSize
-	}
-	if opts.Device == SSD {
-		return storage.SSD().PageSize
 	}
 	return storage.HDD().PageSize
 }
@@ -461,16 +408,8 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		env.Clock.SetSleeper(opts.Sleeper)
 	}
 	profile := storage.HDD()
-	if opts.Device == SSD {
-		profile = storage.SSD()
-	}
 	if opts.PageSize > 0 {
 		profile = storage.ScaledHDD(opts.PageSize)
-		if opts.Device == SSD {
-			p := storage.SSD()
-			p.PageSize = opts.PageSize
-			profile = p
-		}
 	}
 	var dev storage.Device
 	var groupCommit *filedev.GroupSyncer
@@ -488,7 +427,7 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 			// The syncer runs over the (possibly wrapped) device, so an
 			// injected SyncWAL fault reaches the covering group fsync.
 			if sd, ok := dev.(storage.WALSyncDevice); ok {
-				groupCommit = filedev.NewGroupSyncerOver(sd, resolveMaxSyncDelay(opts), env.Counters)
+				groupCommit = filedev.NewGroupSyncerOver(sd, groupCommitWindow, env.Counters)
 				groupCommit.SetSleeper(opts.Sleeper)
 			}
 		}
@@ -503,7 +442,6 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 	cfg := core.Config{
 		Store:         store,
 		Strategy:      opts.Strategy,
-		CC:            opts.CC,
 		FilterExtract: opts.FilterExtract,
 		MemoryBudget:  opts.MemoryBudget,
 		UsePKIndex:    true,
@@ -511,7 +449,6 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		BloomFPR:      0.01,
 		Bloom:         bloomKind(opts.Backend),
 		Policy:        lsm.NewTiering(0),
-		DisableWAL:    opts.DisableWAL,
 		Seed:          opts.Seed,
 		Maintenance:   pool,
 		Yield:         opts.Yield,
@@ -924,8 +861,7 @@ type Stats struct {
 	// Counters snapshots the low-level event counters.
 	Counters metrics.Snapshot
 	// Maintenance aggregates the maintenance journal: flush/merge counts,
-	// durations, bytes and in-flight gauges. Zeros when the journal is
-	// disabled (Options.MaintJournalEvents < 0). Top-level only; per-shard
+	// durations, bytes and in-flight gauges. Top-level only; per-shard
 	// snapshots leave it zero because the journal is store-wide.
 	Maintenance obs.JournalSummary `json:",omitzero"`
 	// Shards is the hash-partition count.
@@ -946,11 +882,10 @@ func (db *DB) Stats() Stats {
 	return db.stats()
 }
 
-// MaintJournal returns the store-wide maintenance journal: a bounded ring
-// of flush/merge events (duration, bytes, component counts, per-shard)
-// plus lifetime totals. It is nil when Options.MaintJournalEvents is
-// negative; obs.Journal methods are nil-safe, so callers may use the
-// result without checking.
+// MaintJournal returns the store-wide maintenance journal: a ring of the
+// last 256 flush/merge events (duration, bytes, component counts,
+// per-shard) plus lifetime totals. Recording is observational only — it
+// never changes engine behavior or results.
 func (db *DB) MaintJournal() *obs.Journal { return db.journal }
 
 // MaintPoolStats reports the maintenance pool's queue depth, executing

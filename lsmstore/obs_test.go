@@ -6,62 +6,6 @@ import (
 	"repro/lsmstore"
 )
 
-// TestMaintJournalObservationalOnly proves the maintenance journal never
-// feeds back into engine behavior: the identical seeded workload with the
-// journal disabled (MaintJournalEvents = -1) and enabled (default ring)
-// must produce identical query results and ingestion counts.
-func TestMaintJournalObservationalOnly(t *testing.T) {
-	mk := func(events int) *lsmstore.DB {
-		opts := asyncOptions(lsmstore.Validation, 2, 2)
-		opts.MaintJournalEvents = events
-		db, err := lsmstore.Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		return db
-	}
-	off := mk(-1)
-	on := mk(0) // 0 → default ring size
-
-	modelOff := applyWorkload(t, off, 2000)
-	modelOn := applyWorkload(t, on, 2000)
-	if len(modelOff) != len(modelOn) {
-		t.Fatalf("models diverge: %d vs %d live rows", len(modelOff), len(modelOn))
-	}
-	if err := off.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := on.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	sa, sb := off.Stats(), on.Stats()
-	if sa.Ingested != sb.Ingested || sa.Ignored != sb.Ignored {
-		t.Fatalf("counts diverge: off %d/%d on %d/%d", sa.Ingested, sa.Ignored, sb.Ingested, sb.Ignored)
-	}
-	fa := storeFingerprint(t, off, lsmstore.TimestampValidation, modelOff)
-	fb := storeFingerprint(t, on, lsmstore.TimestampValidation, modelOn)
-	if fa != fb {
-		t.Fatalf("stores diverge with journal on vs off:\noff: %.400s\non:  %.400s", fa, fb)
-	}
-
-	// The disabled store reports an empty journal; the enabled one saw the
-	// flush traffic the workload generated.
-	if off.MaintJournal() != nil {
-		t.Fatal("MaintJournalEvents=-1 still allocated a journal")
-	}
-	if sa.Maintenance.Flushes != 0 {
-		t.Fatalf("disabled journal reports %d flushes", sa.Maintenance.Flushes)
-	}
-	if sb.Maintenance.Flushes < 1 || sb.Maintenance.FlushBytes <= 0 {
-		t.Fatalf("enabled journal summary = %+v", sb.Maintenance)
-	}
-	if sb.Maintenance.ActiveFlushes != 0 || sb.Maintenance.ActiveMerges != 0 {
-		t.Fatalf("drained store reports active maintenance: %+v", sb.Maintenance)
-	}
-}
-
 // TestMaintStatsGauges checks the maintenance gauges and journal plumbing
 // that Stats and the sidecar expose.
 func TestMaintStatsGauges(t *testing.T) {
@@ -86,11 +30,7 @@ func TestMaintStatsGauges(t *testing.T) {
 		t.Fatalf("no flushes journaled: %+v", st.Maintenance)
 	}
 
-	j := db.MaintJournal()
-	if j == nil {
-		t.Fatal("default options should enable the journal")
-	}
-	events := j.Events()
+	events := db.MaintJournal().Events()
 	if len(events) == 0 {
 		t.Fatal("journal ring is empty after flush traffic")
 	}

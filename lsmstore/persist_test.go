@@ -462,15 +462,11 @@ func TestFileBackendRefusesDoubleOpen(t *testing.T) {
 	re.Close()
 }
 
-// TestFileBackendRequiresDir pins the errors for options the file backend
-// cannot honor: a missing data directory, and a disabled WAL, which would
-// silently lose durability.
+// TestFileBackendRequiresDir pins the error for the one option the file
+// backend cannot default: its data directory.
 func TestFileBackendRequiresDir(t *testing.T) {
 	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend}); err == nil {
 		t.Fatal("FileBackend without Dir was accepted")
-	}
-	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend, Dir: t.TempDir(), DisableWAL: true}); err == nil {
-		t.Fatal("FileBackend without a WAL was accepted")
 	}
 }
 
@@ -492,6 +488,35 @@ func TestFileBackendStrategyMismatchRefused(t *testing.T) {
 	}
 	if _, err := lsmstore.Open(diskOptions(lsmstore.Eager, dir)); err == nil {
 		t.Fatal("strategy mismatch on reopen was accepted")
+	}
+}
+
+// TestFileBackendOpensLayoutWithDevice: layout.json stopped carrying the
+// simulated device profile without a format bump, so a format-1 directory
+// stamped by a build that still wrote it must open and serve its data.
+func TestFileBackendOpensLayoutWithDevice(t *testing.T) {
+	dir := t.TempDir()
+	db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := mixedWorkload(t, db, 300, 9)
+	want := storeImage(t, db, ids, lsmstore.TimestampValidation)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Byte for byte what that build stamped for these options.
+	stamped := []byte(`{"Format":1,"Shards":1,"PageSize":4096,"Device":"hdd"}`)
+	if err := os.WriteFile(filepath.Join(dir, "layout.json"), stamped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+	if err != nil {
+		t.Fatalf("a format-1 directory whose layout names a device was refused: %v", err)
+	}
+	defer re.Close()
+	if got := storeImage(t, re, ids, lsmstore.TimestampValidation); got != want {
+		t.Fatalf("reopened store diverges:\nwant %.300s\ngot  %.300s", want, got)
 	}
 }
 

@@ -10,8 +10,15 @@
 #   scripts/size.sh --against <git-ref> the ref (a `git archive` of it in a
 #                                       temp dir), the working tree, and the
 #                                       difference, row by row
+#   scripts/size.sh --against <git-ref> --no-new-knobs
+#                                       the same, and exit 1 when the options,
+#                                       config or flags row grew: the
+#                                       configuration surface grows only by a
+#                                       change that edits this gate's caller
+#                                       and says why
 set -euo pipefail
 cd "$(dirname "$0")/.."
+usage='usage: scripts/size.sh [--against <git-ref> [--no-new-knobs]]'
 
 sources() { # non-test Go files under $1, outside bench/ and testdata/
 	find "$1" -name '*.go' -not -name '*_test.go' \
@@ -59,25 +66,35 @@ case "${1:-}" in
 	measure . | awk -F'\t' '{ printf "%-12s %7d%s\n", $1, $2, ($3 == "" ? "" : "   " $3) }'
 	;;
 --against)
-	ref=${2:?usage: scripts/size.sh --against <git-ref>}
+	ref=${2:?$usage}
+	gate=${3:-}
+	if [ -n "$gate" ] && [ "$gate" != --no-new-knobs ]; then
+		echo "$usage" >&2
+		exit 2
+	fi
 	tmp=$(mktemp -d)
 	trap 'rm -rf "$tmp"' EXIT
 	git archive "$ref" | tar -x -C "$tmp"
 	printf '%-12s %9.9s %9s %7s\n' "directory" "$ref" "tree" "delta"
 	# Rows are keyed by name: a directory present on one side only counts 0
 	# on the other, and keeps the order of the side that has it.
-	awk -F'\t' '
+	awk -F'\t' -v gate="$gate" '
 		NR == FNR { ref[$1] = $2; if (!($1 in seen)) { seen[$1]; order[++n] = $1 }; next }
 		{ tree[$1] = $2; note[$1] = $3; if (!($1 in seen)) { seen[$1]; order[++n] = $1 } }
 		END {
 			for (i = 1; i <= n; i++) {
 				k = order[i]
 				printf "%-12s %9d %9d %+7d%s\n", k, ref[k], tree[k], tree[k] - ref[k], (note[k] == "" ? "" : "   " note[k])
+				if (gate != "" && (k == "options" || k == "config" || k == "flags") && tree[k] > ref[k]) {
+					printf "size.sh: the %s row grew (%d -> %d)\n", k, ref[k], tree[k] > "/dev/stderr"
+					grew = 1
+				}
 			}
+			exit grew
 		}' <(measure "$tmp") <(measure .)
 	;;
 *)
-	echo "usage: scripts/size.sh [--against <git-ref>]" >&2
+	echo "$usage" >&2
 	exit 2
 	;;
 esac
