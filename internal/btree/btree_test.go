@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -304,41 +305,155 @@ func TestAbortDeletesFile(t *testing.T) {
 	}
 }
 
+// TestRandomizedAgainstModel builds random trees — down to a 256-byte page,
+// so several internal levels — and checks that the in-place page search
+// (Get), the stateful cursor and the scan all agree with a linear scan of
+// the sorted input on found/absent, ordinal and value.
 func TestRandomizedAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		store := newTestStore(t, 512+rng.Intn(4)*512)
+		store := newTestStore(t, 256<<rng.Intn(4))
 		n := rng.Intn(3000)
-		model := make(map[string][]byte, n)
+		seen := make(map[string]bool, n)
 		var keys []string
 		for i := 0; i < n; i++ {
-			k := fmt.Sprintf("key-%08d", rng.Intn(100000))
-			if _, dup := model[k]; dup {
-				continue
+			// Variable-length keys: slots are not a fixed stride apart.
+			k := fmt.Sprintf("key-%08d%s", rng.Intn(100000), "xxxxxxxx"[:rng.Intn(9)])
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
 			}
-			v := []byte(fmt.Sprintf("val-%d", rng.Int63()))
-			model[k] = v
-			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		var entries []kv.Entry
-		for _, k := range keys {
-			entries = append(entries, kv.Entry{Key: []byte(k), Value: model[k]})
+		for i, k := range keys {
+			entries = append(entries, kv.Entry{Key: []byte(k), Value: []byte(fmt.Sprintf("val-%d", rng.Int63())), TS: int64(i)})
 		}
 		r := buildTree(t, store, entries)
-		for i := 0; i < 200; i++ {
-			k := fmt.Sprintf("key-%08d", rng.Intn(100000))
-			e, _, found, err := r.Get([]byte(k))
+		// lowerBound is the reference: the first position whose key >= k.
+		lowerBound := func(k string) int {
+			for i := range keys {
+				if keys[i] >= k {
+					return i
+				}
+			}
+			return len(keys)
+		}
+		check := func(what, k string, e kv.Entry, ord int64, found bool, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("trial %d %s(%s): %v", trial, what, k, err)
+			}
+			i := lowerBound(k)
+			want := i < len(keys) && keys[i] == k
+			if found != want {
+				t.Fatalf("trial %d %s(%s): found=%v want %v", trial, what, k, found, want)
+			}
+			if found && (ord != int64(i) || !bytes.Equal(e.Value, entries[i].Value) || e.TS != entries[i].TS) {
+				t.Fatalf("trial %d %s(%s): got %v at %d, want %v at %d", trial, what, k, e, ord, entries[i], i)
+			}
+		}
+		probes := make([]string, 200)
+		for i := range probes {
+			probes[i] = fmt.Sprintf("key-%08d", rng.Intn(100000))
+			if len(keys) > 0 && i%2 == 0 {
+				probes[i] = keys[rng.Intn(len(keys))]
+			}
+		}
+		unsorted := r.NewLookupCursor(true)
+		for _, k := range probes {
+			e, ord, found, err := r.Get([]byte(k))
+			check("Get", k, e, ord, found, err)
+			e, ord, found, err = unsorted.Lookup([]byte(k))
+			check("unsorted cursor", k, e, ord, found, err)
+		}
+		sort.Strings(probes)
+		cur := r.NewLookupCursor(true)
+		for _, k := range probes {
+			e, ord, found, err := cur.Lookup([]byte(k))
+			check("cursor", k, e, ord, found, err)
+		}
+		for i := 0; i < 20; i++ {
+			lo, hi := probes[rng.Intn(len(probes))], probes[rng.Intn(len(probes))]
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			scan, err := r.NewScan([]byte(lo), []byte(hi))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, ok := model[k]
-			if found != ok {
-				t.Fatalf("trial %d key %s: found=%v want %v", trial, k, found, ok)
-			}
-			if found && !bytes.Equal(e.Value, want) {
-				t.Fatalf("trial %d key %s: wrong value", trial, k)
+			for at := lowerBound(lo); ; at++ {
+				e, ord, ok, err := scan.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if end := lowerBound(hi); !ok {
+					if at != end {
+						t.Fatalf("trial %d scan [%s,%s): ended at %d, want %d", trial, lo, hi, at, end)
+					}
+					break
+				}
+				if ord != int64(at) || string(e.Key) != keys[at] || !bytes.Equal(e.Value, entries[at].Value) {
+					t.Fatalf("trial %d scan [%s,%s): got %v at %d, want %v at %d", trial, lo, hi, e, ord, entries[at], at)
+				}
 			}
 		}
+	}
+}
+
+// TestSearchAllocatesNothing guards the in-place page search: on cached
+// pages a point lookup, a cursor lookup (descending or inside its leaf) and
+// a scan step parse the slots they compare and allocate nothing.
+func TestSearchAllocatesNothing(t *testing.T) {
+	const n = 20000
+	r := buildTree(t, newTestStore(t, 1024), seqEntries(n))
+	scan, err := r.NewScan(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for { // bring every leaf into the cache
+		if _, _, ok, err := scan.Next(); err != nil || !ok {
+			break
+		}
+	}
+	var probe [8]byte
+	i := 0
+	guard := func(what string, step int, fn func(k []byte) (bool, error)) {
+		t.Helper()
+		allocs := testing.AllocsPerRun(2000, func() {
+			binary.BigEndian.PutUint64(probe[:], uint64(i%n)*3)
+			i += step
+			if found, err := fn(probe[:]); err != nil || !found {
+				t.Fatalf("%s(%d): found=%v err=%v", what, i, found, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", what, allocs)
+		}
+	}
+	guard("Reader.Get", 7919, func(k []byte) (bool, error) {
+		_, _, found, err := r.Get(k)
+		return found, err
+	})
+	for _, stateful := range []bool{true, false} {
+		cur := r.NewLookupCursor(stateful)
+		// Step 1 stays inside a leaf most of the time; 7919 leaves it every time.
+		for _, step := range []int{1, 7919} {
+			guard(fmt.Sprintf("LookupCursor(stateful=%v).Lookup", stateful), step, func(k []byte) (bool, error) {
+				_, _, found, err := cur.Lookup(k)
+				return found, err
+			})
+		}
+	}
+	scan, err = r.NewScan(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(n/2, func() {
+		if _, _, ok, err := scan.Next(); err != nil || !ok {
+			t.Fatalf("Scan.Next: ok=%v err=%v", ok, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Scan.Next allocates %v times per entry, want 0", allocs)
 	}
 }

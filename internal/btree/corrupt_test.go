@@ -1,6 +1,9 @@
 package btree
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/kv"
@@ -41,30 +44,121 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestDecodePageRejectsCorrupt(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{},
-		{0x7f},            // unknown page type
-		{pageLeaf},        // truncated leaf header
-		{pageInternal, 0}, // truncated internal header
+// leafPage assembles a leaf page holding the given count and slot offsets
+// followed by body, the way flushLeaf lays one out.
+func leafPage(count uint32, offsets []uint32, body []byte) []byte {
+	raw := []byte{pageLeaf}
+	raw = binary.BigEndian.AppendUint32(raw, count)
+	raw = binary.BigEndian.AppendUint64(raw, 0)
+	for _, off := range offsets {
+		raw = binary.BigEndian.AppendUint32(raw, off)
 	}
-	for i, raw := range cases {
-		if _, err := decodePage(raw, 0); err == nil {
-			t.Errorf("case %d: corrupt page decoded", i)
+	return append(raw, body...)
+}
+
+// corruptPages are malformed pages: each must be refused with ErrCorrupt by
+// the page view or by the first accessor that reaches the damage.
+var corruptPages = map[string][]byte{
+	"empty":                     {},
+	"unknown page type":         {0x7f},
+	"truncated leaf header":     {pageLeaf},
+	"truncated internal header": {pageInternal, 0},
+	"slot offset past the page": leafPage(1, []uint32{0xffffffff}, nil),
+	// The count overruns the slot directory.
+	"header-only leaf, count 1":  leafPage(1, nil, nil),
+	"leaf, count 2^32-1":         leafPage(0xffffffff, []uint32{17, 17}, []byte{1, 'k'}),
+	"internal, count 3, 2 slots": {pageInternal, 0, 0, 0, 3, 0, 0, 0, 13, 0, 0, 0, 13},
+	// Slots whose contents run off the page or off their own extent.
+	"key length past the slot":      leafPage(1, []uint32{17}, []byte{9, 'k'}),
+	"unterminated key varint":       leafPage(1, []uint32{17}, []byte{0x80, 0x80}),
+	"slot starts after its end":     leafPage(2, []uint32{26, 21}, []byte{1, 'a', 0, 2, 0, 1, 'b', 0, 4, 0}),
+	"internal slot without a child": {pageInternal, 0, 0, 0, 1, 0, 0, 0, 9, 1, 'k', 0, 0},
+}
+
+// walkPage drives every accessor of the page view over raw the way Get,
+// Scan and LookupCursor do, probing with key, and hands each error to check.
+// It reports whether any accessor failed.
+func walkPage(raw, key []byte, check func(error)) (failed bool) {
+	note := func(err error) {
+		if err != nil {
+			failed = true
+			check(err)
 		}
 	}
-	// Leaf with slot offset out of range.
-	bad := make([]byte, leafHeaderSize+4)
-	bad[0] = pageLeaf
-	bad[4] = 1                 // count = 1 (big endian at [1:5])
-	bad[leafHeaderSize] = 0xff // offset way past the page
-	bad[leafHeaderSize+1] = 0xff
-	bad[leafHeaderSize+2] = 0xff
-	bad[leafHeaderSize+3] = 0xff
-	if _, err := decodePage(bad, 0); err == nil {
-		t.Error("out-of-range slot accepted")
+	// Capacity is clipped so a slice expression past the page panics
+	// instead of quietly reading a neighbour's bytes.
+	p, err := viewPage(raw[:len(raw):len(raw)], 0)
+	if note(err); err != nil {
+		return true
 	}
+	env := metrics.NopEnv()
+	for i := 0; i < p.n; i++ {
+		k, rest, err := p.slot(i)
+		note(err)
+		if len(k)+len(rest) > len(raw) {
+			check(fmt.Errorf("slot %d: %d+%d bytes from a %d-byte page", i, len(k), len(rest), len(raw)))
+		}
+		if p.typ == pageInternal {
+			_, err = p.child(i)
+		} else {
+			_, _, _, err = p.found(env, i, k)
+		}
+		note(err)
+	}
+	idx, err := p.search(env, 0, p.n, key)
+	note(err)
+	_, err = p.holds(idx, key)
+	note(err)
+	if p.typ == pageLeaf {
+		_, _, _, err = p.found(env, idx, key)
+		note(err)
+		r := &Reader{env: env, count: int64(p.n), numLeaves: 2}
+		for _, last := range []int{0, p.n / 2, p.n} {
+			c := &LookupCursor{r: r, stateful: true, leaf: p, lastPos: last}
+			_, err = c.covers(key)
+			note(err)
+			_, err = c.exponentialSearch(key)
+			note(err)
+		}
+	}
+	return failed
+}
+
+// TestDecodePageRejectsCorrupt: every malformed page is refused with
+// ErrCorrupt, never a panic and never an allocation sized by the page's
+// own count field.
+func TestDecodePageRejectsCorrupt(t *testing.T) {
+	for name, raw := range corruptPages {
+		failed := walkPage(raw, []byte("k"), func(err error) {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %v, want ErrCorrupt", name, err)
+			}
+		})
+		if !failed {
+			t.Errorf("%s: corrupt page accepted", name)
+		}
+	}
+	if _, err := viewPage(nil, 0); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("nil page: %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzPageSearch feeds arbitrary bytes to the page view as a page: every
+// accessor returns a value or a corruption error, never panics and never
+// reads outside the page.
+func FuzzPageSearch(f *testing.F) {
+	for _, raw := range corruptPages {
+		f.Add(raw, []byte("k"))
+	}
+	f.Add(leafPage(2, []uint32{21, 27}, []byte{1, 'a', 0, 2, 1, 'x', 1, 'b', 0, 4, 0}), []byte("b"))
+	f.Add([]byte{pageInternal, 0, 0, 0, 2, 0, 0, 0, 13, 0, 0, 0, 19, 1, 'a', 0, 0, 0, 0, 1, 'm', 0, 0, 0, 1}, []byte("c"))
+	f.Fuzz(func(t *testing.T, raw, key []byte) {
+		walkPage(raw, key, func(err error) {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, kv.ErrCorrupt) {
+				t.Errorf("unexpected error %v", err)
+			}
+		})
+	})
 }
 
 // TestPageBoundaryFill packs entries that exactly straddle page capacity,

@@ -12,7 +12,7 @@ import (
 type Scan struct {
 	r    *Reader
 	hi   []byte
-	leaf *decodedPage
+	leaf page
 	idx  int
 	err  error
 	done bool
@@ -25,19 +25,14 @@ func (r *Reader) NewScan(lo, hi []byte) (*Scan, error) {
 		s.done = true
 		return s, nil
 	}
+	var err error
 	if lo == nil {
-		leaf, err := r.readDecoded(0, true)
-		if err != nil {
-			return nil, err
-		}
-		s.leaf, s.idx = leaf, 0
-	} else {
-		leaf, err := r.descendToLeaf(lo)
-		if err != nil {
-			return nil, err
-		}
-		s.leaf = leaf
-		s.idx = leaf.searchPage(r.env, lo)
+		s.leaf, err = r.readPage(0, true)
+	} else if s.leaf, err = r.descendToLeaf(lo); err == nil {
+		s.idx, err = s.leaf.search(r.env, 0, s.leaf.n, lo)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -53,21 +48,25 @@ func (s *Scan) Next() (e kv.Entry, ordinal int64, ok bool, err error) {
 			s.done = true
 			return kv.Entry{}, 0, false, nil
 		}
-		leaf, err := s.r.readDecoded(next, true)
+		leaf, err := s.r.readPage(next, true)
 		if err != nil {
 			s.err = err
 			return kv.Entry{}, 0, false, err
 		}
 		s.leaf, s.idx = leaf, 0
 	}
-	key := s.leaf.keys[s.idx]
+	key, payload, err := s.leaf.slot(s.idx)
+	if err != nil {
+		s.err = err
+		return kv.Entry{}, 0, false, err
+	}
 	if s.hi != nil && bytes.Compare(key, s.hi) >= 0 {
 		s.done = true
 		return kv.Entry{}, 0, false, nil
 	}
 	s.r.env.ChargeDecode(1)
 	s.r.env.Counters.EntriesScanned.Add(1)
-	e, err = kv.DecodePayload(s.leaf.payloads[s.idx], key)
+	e, err = kv.DecodePayload(payload, key)
 	if err != nil {
 		s.err = err
 		return kv.Entry{}, 0, false, err
@@ -85,7 +84,7 @@ func (s *Scan) Next() (e kv.Entry, ordinal int64, ok bool, err error) {
 type LookupCursor struct {
 	r        *Reader
 	stateful bool
-	leaf     *decodedPage
+	leaf     page // raw is nil until the first descent
 	lastPos  int
 }
 
@@ -101,46 +100,53 @@ func (c *LookupCursor) Lookup(key []byte) (kv.Entry, int64, bool, error) {
 	if c.r.count == 0 {
 		return kv.Entry{}, 0, false, nil
 	}
-	var idx int
-	if c.stateful && c.leaf != nil && c.covers(key) {
-		idx = c.exponentialSearch(key)
-	} else {
-		leaf, err := c.r.descendToLeaf(key)
-		if err != nil {
+	inLeaf := false
+	if c.stateful && c.leaf.raw != nil {
+		var err error
+		if inLeaf, err = c.covers(key); err != nil {
 			return kv.Entry{}, 0, false, err
 		}
-		c.leaf = leaf
-		idx = leaf.searchPage(c.r.env, key)
 	}
-	c.lastPos = idx
-	if idx >= c.leaf.n || !bytes.Equal(c.leaf.keys[idx], key) {
-		return kv.Entry{}, 0, false, nil
+	var idx int
+	var err error
+	if inLeaf {
+		idx, err = c.exponentialSearch(key)
+	} else if c.leaf, err = c.r.descendToLeaf(key); err == nil {
+		idx, err = c.leaf.search(c.r.env, 0, c.leaf.n, key)
 	}
-	c.r.env.ChargeDecode(1)
-	e, err := kv.DecodePayload(c.leaf.payloads[idx], c.leaf.keys[idx])
 	if err != nil {
 		return kv.Entry{}, 0, false, err
 	}
-	return e, c.leaf.ordinal + int64(idx), true, nil
+	c.lastPos = idx
+	return c.leaf.found(c.r.env, idx, key)
 }
 
 // covers reports whether key falls inside the current leaf's key range.
 // The last leaf of the tree also covers keys beyond its final entry.
-func (c *LookupCursor) covers(key []byte) bool {
-	if compareCharged(c.r.env, key, c.leaf.keys[0]) < 0 {
-		return false
+func (c *LookupCursor) covers(key []byte) (bool, error) {
+	first, err := c.leaf.key(0)
+	if err != nil {
+		return false, err
+	}
+	if compareCharged(c.r.env, key, first) < 0 {
+		return false, nil
 	}
 	if c.leaf.pageNo == c.r.numLeaves-1 {
-		return true
+		return true, nil
 	}
-	return compareCharged(c.r.env, key, c.leaf.keys[c.leaf.n-1]) <= 0
+	last, err := c.leaf.key(c.leaf.n - 1)
+	if err != nil {
+		return false, err
+	}
+	return compareCharged(c.r.env, key, last) <= 0, nil
 }
 
 // exponentialSearch locates the first index >= key starting from the last
 // position, using exponentially growing steps followed by binary search
 // (Bentley & Yao), charging each comparison.
-func (c *LookupCursor) exponentialSearch(key []byte) int {
-	n := c.leaf.n
+func (c *LookupCursor) exponentialSearch(key []byte) (int, error) {
+	leaf, env := &c.leaf, c.r.env
+	n := leaf.n
 	pos := c.lastPos
 	if pos >= n {
 		pos = n - 1
@@ -148,44 +154,45 @@ func (c *LookupCursor) exponentialSearch(key []byte) int {
 	if pos < 0 {
 		pos = 0
 	}
-	env := c.r.env
-	if compareCharged(env, c.leaf.keys[pos], key) >= 0 {
+	// below reports whether slot i's key sorts before key.
+	below := func(i int) (bool, error) {
+		k, err := leaf.key(i)
+		return err == nil && compareCharged(env, k, key) < 0, err
+	}
+	lt, err := below(pos)
+	if err != nil {
+		return 0, err
+	}
+	if !lt {
 		// search backwards
 		step := 1
 		lo, hi := 0, pos
 		for pos-step >= 0 {
-			if compareCharged(env, c.leaf.keys[pos-step], key) < 0 {
+			if lt, err = below(pos - step); err != nil {
+				return 0, err
+			}
+			if lt {
 				lo = pos - step + 1
 				break
 			}
 			hi = pos - step
 			step *= 2
 		}
-		return binarySearchRange(env, c.leaf.keys, lo, hi, key)
+		return leaf.search(env, lo, hi, key)
 	}
 	// search forwards
 	step := 1
 	lo, hi := pos+1, n
 	for pos+step < n {
-		if compareCharged(env, c.leaf.keys[pos+step], key) >= 0 {
+		if lt, err = below(pos + step); err != nil {
+			return 0, err
+		}
+		if !lt {
 			hi = pos + step
 			break
 		}
 		lo = pos + step + 1
 		step *= 2
 	}
-	return binarySearchRange(env, c.leaf.keys, lo, hi, key)
-}
-
-func binarySearchRange(env interface{ ChargeCompare(int) }, keys [][]byte, lo, hi int, key []byte) int {
-	for lo < hi {
-		mid := (lo + hi) / 2
-		env.ChargeCompare(1)
-		if bytes.Compare(keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return leaf.search(env, lo, hi, key)
 }

@@ -95,138 +95,180 @@ func compareCharged(env *metrics.Env, a, b []byte) int {
 	return bytes.Compare(a, b)
 }
 
-// decodedPage is a parsed page (leaf or internal).
-type decodedPage struct {
-	pageNo   int
-	typ      byte
-	n        int
-	ordinal  int64    // leaves: ordinal of first entry
-	keys     [][]byte // n keys (aliasing page data)
-	payloads [][]byte // leaves: n payloads
-	children []uint32 // internals: n child page numbers
+// page is a view over the raw bytes of one leaf or internal page, held by
+// value and decoding one slot at a time: a visit parses the header, checks
+// that the slot directory lies inside the page, and then touches only the
+// slots the search compares, so it allocates nothing.
+type page struct {
+	raw     []byte
+	pageNo  int
+	typ     byte
+	n       int
+	ordinal int64 // leaves: ordinal of first entry
+	base    int   // offset of the slot directory
 }
 
-func (r *Reader) readDecoded(pageNo int, seqHint bool) (*decodedPage, error) {
+func (r *Reader) readPage(pageNo int, seqHint bool) (page, error) {
 	raw, err := r.store.ReadPage(r.file, pageNo, seqHint)
 	if err != nil {
-		return nil, err
+		return page{}, err
 	}
-	return decodePage(raw, pageNo)
+	return viewPage(raw, pageNo)
 }
 
-func decodePage(raw []byte, pageNo int) (*decodedPage, error) {
+// viewPage validates the header and the extent of the slot directory; the
+// slots themselves are validated as they are read.
+func viewPage(raw []byte, pageNo int) (page, error) {
 	if len(raw) < 1 {
-		return nil, ErrCorrupt
+		return page{}, ErrCorrupt
 	}
-	dp := &decodedPage{pageNo: pageNo, typ: raw[0]}
-	switch dp.typ {
+	p := page{raw: raw, pageNo: pageNo, typ: raw[0]}
+	switch p.typ {
 	case pageLeaf:
 		if len(raw) < leafHeaderSize {
-			return nil, ErrCorrupt
+			return page{}, ErrCorrupt
 		}
-		dp.n = int(binary.BigEndian.Uint32(raw[1:]))
-		dp.ordinal = int64(binary.BigEndian.Uint64(raw[5:]))
-		slotBase := leafHeaderSize
-		dp.keys = make([][]byte, dp.n)
-		dp.payloads = make([][]byte, dp.n)
-		for i := 0; i < dp.n; i++ {
-			off := int(binary.BigEndian.Uint32(raw[slotBase+4*i:]))
-			end := len(raw)
-			if i+1 < dp.n {
-				end = int(binary.BigEndian.Uint32(raw[slotBase+4*(i+1):]))
-			}
-			if off >= len(raw) || end > len(raw) || off > end {
-				return nil, ErrCorrupt
-			}
-			klen, m := binary.Uvarint(raw[off:end])
-			if m <= 0 || off+m+int(klen) > end {
-				return nil, ErrCorrupt
-			}
-			dp.keys[i] = raw[off+m : off+m+int(klen)]
-			dp.payloads[i] = raw[off+m+int(klen) : end]
-		}
+		p.ordinal = int64(binary.BigEndian.Uint64(raw[5:]))
+		p.base = leafHeaderSize
 	case pageInternal:
 		if len(raw) < internalHeaderSize {
-			return nil, ErrCorrupt
+			return page{}, ErrCorrupt
 		}
-		dp.n = int(binary.BigEndian.Uint32(raw[1:]))
-		slotBase := internalHeaderSize
-		dp.keys = make([][]byte, dp.n)
-		dp.children = make([]uint32, dp.n)
-		for i := 0; i < dp.n; i++ {
-			off := int(binary.BigEndian.Uint32(raw[slotBase+4*i:]))
-			if off >= len(raw) {
-				return nil, ErrCorrupt
-			}
-			klen, m := binary.Uvarint(raw[off:])
-			if m <= 0 || off+m+int(klen)+4 > len(raw) {
-				return nil, ErrCorrupt
-			}
-			dp.keys[i] = raw[off+m : off+m+int(klen)]
-			dp.children[i] = binary.BigEndian.Uint32(raw[off+m+int(klen):])
-		}
+		p.base = internalHeaderSize
 	default:
-		return nil, ErrCorrupt
+		return page{}, ErrCorrupt
 	}
-	return dp, nil
+	n := binary.BigEndian.Uint32(raw[1:])
+	if uint64(p.base)+4*uint64(n) > uint64(len(raw)) {
+		return page{}, ErrCorrupt
+	}
+	p.n = int(n)
+	return p, nil
 }
 
-// searchPage binary-searches for key, returning the index of the first entry
-// >= key (possibly n), charging comparisons against the environment.
-func (dp *decodedPage) searchPage(env *metrics.Env, key []byte) int {
-	lo, hi := 0, dp.n
+// slot decodes entry i: its key and the bytes after it (a leaf's payload,
+// which ends where the next slot starts; an internal page's child number).
+func (p *page) slot(i int) (key, rest []byte, err error) {
+	if uint(i) >= uint(p.n) {
+		return nil, nil, ErrCorrupt
+	}
+	raw, at := p.raw, p.base+4*i
+	off, end := int(binary.BigEndian.Uint32(raw[at:])), len(raw)
+	if p.typ == pageLeaf && i+1 < p.n {
+		end = int(binary.BigEndian.Uint32(raw[at+4:]))
+	}
+	if off >= len(raw) || end > len(raw) || off > end {
+		return nil, nil, ErrCorrupt
+	}
+	klen, m := binary.Uvarint(raw[off:end])
+	if m <= 0 || klen > uint64(end-off-m) {
+		return nil, nil, ErrCorrupt
+	}
+	k := off + m + int(klen)
+	return raw[off+m : k], raw[k:end], nil
+}
+
+// key returns slot i's key.
+func (p *page) key(i int) ([]byte, error) {
+	key, _, err := p.slot(i)
+	return key, err
+}
+
+// child returns the page number internal slot i routes to.
+func (p *page) child(i int) (int, error) {
+	_, rest, err := p.slot(i)
+	if err != nil || len(rest) < 4 {
+		return 0, ErrCorrupt
+	}
+	return int(binary.BigEndian.Uint32(rest)), nil
+}
+
+// search binary-searches slots [lo, hi) for key, returning the index of the
+// first entry >= key (possibly hi), charging one comparison per probe.
+func (p *page) search(env *metrics.Env, lo, hi int, key []byte) (int, error) {
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if compareCharged(env, dp.keys[mid], key) < 0 {
+		k, err := p.key(mid)
+		if err != nil {
+			return 0, err
+		}
+		if compareCharged(env, k, key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, nil
 }
 
-// descendToLeaf walks root-to-leaf and returns the decoded leaf that may
-// contain key.
-func (r *Reader) descendToLeaf(key []byte) (*decodedPage, error) {
-	if r.count == 0 {
-		return nil, nil
+// holds reports whether slot i exists and carries exactly key.
+func (p *page) holds(i int, key []byte) (bool, error) {
+	if i >= p.n {
+		return false, nil
 	}
+	k, err := p.key(i)
+	return bytes.Equal(k, key), err
+}
+
+// descendToLeaf walks root-to-leaf and returns the leaf that may contain
+// key. The tree must not be empty.
+func (r *Reader) descendToLeaf(key []byte) (page, error) {
 	pageNo := int(r.root)
-	for {
-		dp, err := r.readDecoded(pageNo, false)
-		if err != nil {
-			return nil, err
-		}
-		if dp.typ == pageLeaf {
-			return dp, nil
+	// A well-formed tree reaches a leaf after height internal pages; more
+	// means a corrupt child pointer (possibly a cycle).
+	for visits := 0; visits <= r.height; visits++ {
+		p, err := r.readPage(pageNo, false)
+		if err != nil || p.typ == pageLeaf {
+			return p, err
 		}
 		// route to the last child whose first key <= key
-		idx := dp.searchPage(r.env, key)
-		if idx == dp.n || !bytes.Equal(dp.keys[idx], key) {
-			if idx > 0 {
-				idx--
-			}
+		idx, err := p.search(r.env, 0, p.n, key)
+		if err != nil {
+			return page{}, err
 		}
-		pageNo = int(dp.children[idx])
+		if eq, err := p.holds(idx, key); err != nil {
+			return page{}, err
+		} else if !eq && idx > 0 {
+			idx--
+		}
+		if pageNo, err = p.child(idx); err != nil {
+			return page{}, err
+		}
 	}
+	return page{}, ErrCorrupt
 }
 
 // Get performs a point lookup, returning the entry, its ordinal position in
 // the tree, and whether the key was found.
 func (r *Reader) Get(key []byte) (kv.Entry, int64, bool, error) {
-	leaf, err := r.descendToLeaf(key)
-	if err != nil || leaf == nil {
-		return kv.Entry{}, 0, false, err
-	}
-	idx := leaf.searchPage(r.env, key)
-	if idx >= leaf.n || !bytes.Equal(leaf.keys[idx], key) {
+	if r.count == 0 {
 		return kv.Entry{}, 0, false, nil
 	}
-	r.env.ChargeDecode(1)
-	e, err := kv.DecodePayload(leaf.payloads[idx], leaf.keys[idx])
+	leaf, err := r.descendToLeaf(key)
 	if err != nil {
 		return kv.Entry{}, 0, false, err
 	}
-	return e, leaf.ordinal + int64(idx), true, nil
+	idx, err := leaf.search(r.env, 0, leaf.n, key)
+	if err != nil {
+		return kv.Entry{}, 0, false, err
+	}
+	return leaf.found(r.env, idx, key)
+}
+
+// found finishes a point lookup that searched the leaf to idx: the entry
+// there when it carries key, with its ordinal, charging one decode.
+func (p *page) found(env *metrics.Env, idx int, key []byte) (kv.Entry, int64, bool, error) {
+	if idx >= p.n {
+		return kv.Entry{}, 0, false, nil
+	}
+	k, payload, err := p.slot(idx)
+	if err != nil || !bytes.Equal(k, key) {
+		return kv.Entry{}, 0, false, err
+	}
+	env.ChargeDecode(1)
+	e, err := kv.DecodePayload(payload, k)
+	if err != nil {
+		return kv.Entry{}, 0, false, err
+	}
+	return e, p.ordinal + int64(idx), true, nil
 }

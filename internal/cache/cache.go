@@ -4,10 +4,7 @@
 // by the caller, misses fall through to the device.
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // PageKey identifies a cached page: (file, page number).
 type PageKey struct {
@@ -15,9 +12,12 @@ type PageKey struct {
 	Page int
 }
 
-type cacheEntry struct {
-	key  PageKey
-	data []byte
+// entry is one cached page and its own links in the recency list, so a
+// miss costs one allocation and a hit follows no second pointer.
+type entry struct {
+	prev, next *entry
+	key        PageKey
+	data       []byte
 }
 
 // LRU is a fixed-capacity least-recently-used page cache. It is safe for
@@ -25,8 +25,10 @@ type cacheEntry struct {
 type LRU struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List
-	items    map[PageKey]*list.Element
+	items    map[PageKey]*entry
+	// root is the sentinel of the circular recency list: root.next is the
+	// most recently used entry, root.prev the least.
+	root entry
 
 	hits   int64
 	misses int64
@@ -35,11 +37,19 @@ type LRU struct {
 // NewLRU creates a cache holding at most capacity pages. A capacity of 0
 // disables caching (every Get misses).
 func NewLRU(capacity int) *LRU {
-	return &LRU{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[PageKey]*list.Element),
-	}
+	c := &LRU{capacity: capacity, items: make(map[PageKey]*entry)}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
+}
+
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFront makes e the most recently used entry.
+func (c *LRU) pushFront(e *entry) {
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // Get returns the cached page and true on a hit. The returned slice must not
@@ -47,10 +57,11 @@ func NewLRU(capacity int) *LRU {
 func (c *LRU) Get(key PageKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if e, ok := c.items[key]; ok {
+		e.unlink()
+		c.pushFront(e)
 		c.hits++
-		return el.Value.(*cacheEntry).data, true
+		return e.data, true
 	}
 	c.misses++
 	return nil, false
@@ -63,17 +74,19 @@ func (c *LRU) Put(key PageKey, data []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).data = data
-		c.ll.MoveToFront(el)
+	if e, ok := c.items[key]; ok {
+		e.data = data
+		e.unlink()
+		c.pushFront(e)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, data: data})
-	c.items[key] = el
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+	e := &entry{key: key, data: data}
+	c.pushFront(e)
+	c.items[key] = e
+	for len(c.items) > c.capacity {
+		oldest := c.root.prev
+		oldest.unlink()
+		delete(c.items, oldest.key)
 	}
 }
 
@@ -92,9 +105,9 @@ func (c *LRU) Contains(key PageKey) bool {
 func (c *LRU) InvalidateFile(file uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.items {
+	for key, e := range c.items {
 		if key.File == file {
-			c.ll.Remove(el)
+			e.unlink()
 			delete(c.items, key)
 		}
 	}
@@ -104,7 +117,7 @@ func (c *LRU) InvalidateFile(file uint64) {
 func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.items)
 }
 
 // Capacity returns the page capacity.
@@ -121,7 +134,7 @@ func (c *LRU) Stats() (hits, misses int64) {
 func (c *LRU) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[PageKey]*list.Element)
+	c.root.prev, c.root.next = &c.root, &c.root
+	c.items = make(map[PageKey]*entry)
 	c.hits, c.misses = 0, 0
 }

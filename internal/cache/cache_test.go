@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -122,5 +123,85 @@ func TestCapacityNeverExceeded(t *testing.T) {
 	}
 	if c.Capacity() != 5 {
 		t.Fatalf("Capacity = %d", c.Capacity())
+	}
+}
+
+// TestEvictionOrderMatchesModel drives the cache and a slice-based reference
+// LRU with the same random operations and compares what each holds after
+// every step: Get and Put promote, Contains does not, a replacing Put
+// promotes without evicting, and the victim is always the least recently
+// used page. The simulator's hit/miss sequence depends on exactly this.
+func TestEvictionOrderMatchesModel(t *testing.T) {
+	const capacity = 8
+	rng := rand.New(rand.NewSource(5))
+	c := NewLRU(capacity)
+	var model []PageKey // most recently used first
+	find := func(k PageKey) int {
+		for i, m := range model {
+			if m == k {
+				return i
+			}
+		}
+		return -1
+	}
+	promote := func(i int, k PageKey) {
+		if i >= 0 {
+			model = append(model[:i], model[i+1:]...)
+		}
+		model = append([]PageKey{k}, model...)
+	}
+	for step := 0; step < 20000; step++ {
+		k := key(uint64(rng.Intn(3)), rng.Intn(8))
+		switch op := rng.Intn(10); {
+		case op < 4:
+			i := find(k)
+			if _, ok := c.Get(k); ok != (i >= 0) {
+				t.Fatalf("step %d: Get(%v) hit=%v, model holds=%v", step, k, ok, i >= 0)
+			}
+			if i >= 0 {
+				promote(i, k)
+			}
+		case op < 8:
+			c.Put(k, []byte{byte(step)})
+			promote(find(k), k)
+			if len(model) > capacity {
+				model = model[:capacity]
+			}
+		case op < 9:
+			if c.Contains(k) != (find(k) >= 0) {
+				t.Fatalf("step %d: Contains(%v) disagrees with the model", step, k)
+			}
+		default:
+			c.InvalidateFile(k.File)
+			kept := model[:0]
+			for _, m := range model {
+				if m.File != k.File {
+					kept = append(kept, m)
+				}
+			}
+			model = kept
+		}
+		if c.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, model holds %d", step, c.Len(), len(model))
+		}
+		for _, m := range model {
+			if !c.Contains(m) {
+				t.Fatalf("step %d: %v evicted, model keeps it", step, m)
+			}
+		}
+	}
+}
+
+// TestMissCostsOneAllocation: inserting into a full cache allocates the new
+// entry and nothing else.
+func TestMissCostsOneAllocation(t *testing.T) {
+	c := NewLRU(4)
+	page := []byte("p")
+	n := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Put(key(1, n), page)
+		n++
+	}); allocs != 1 {
+		t.Fatalf("Put of a new page = %v allocations, want 1", allocs)
 	}
 }

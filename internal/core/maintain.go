@@ -313,7 +313,7 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 			if item.Entry.Anti {
 				return true
 			}
-			_, pk, err := kv.SplitKey(item.Entry.Key)
+			pk, err := kv.PrimaryOf(item.Entry.Key)
 			if err != nil {
 				return true
 			}

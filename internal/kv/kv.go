@@ -67,6 +67,34 @@ func (e Entry) Clone() Entry {
 	return c
 }
 
+// Arena copies byte strings into large chunks it allocates, so the keys and
+// records of one query cost an allocation per chunk instead of one each.
+// A chunk is never reallocated: slices returned earlier stay valid, and
+// they all keep their chunk alive. The zero value is ready to use; an
+// Arena is not safe for concurrent use.
+type Arena struct{ chunk []byte }
+
+// Copy returns a copy of b (nil when b is empty, as Entry.Clone does).
+func (a *Arena) Copy(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	if len(b) > cap(a.chunk)-len(a.chunk) {
+		// Chunks double from 4 KiB to 256 KiB, so a small answer stays
+		// small and a large one costs O(log n) allocations.
+		a.chunk = make([]byte, 0, max(len(b), min(2*cap(a.chunk), 256<<10), 4<<10))
+	}
+	n := len(a.chunk)
+	a.chunk = append(a.chunk, b...)
+	return a.chunk[n:len(a.chunk):len(a.chunk)]
+}
+
+// CloneEntry deep-copies e into the arena.
+func (a *Arena) CloneEntry(e Entry) Entry {
+	e.Key, e.Value = a.Copy(e.Key), a.Copy(e.Value)
+	return e
+}
+
 func (e Entry) String() string {
 	anti := ""
 	if e.Anti {
@@ -183,6 +211,25 @@ func appendEscaped(dst, s []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// PrimaryOf returns the primary-key part of a key built by ComposeKey,
+// aliasing composite, without unescaping the secondary part.
+func PrimaryOf(composite []byte) ([]byte, error) {
+	for i := 0; i+1 < len(composite); i++ {
+		if composite[i] != escByte {
+			continue
+		}
+		switch composite[i+1] {
+		case escCont:
+			i++
+		case escTerm:
+			return composite[i+2:], nil
+		default:
+			return nil, ErrCorrupt
+		}
+	}
+	return nil, ErrCorrupt
 }
 
 // SplitKey splits a key built by ComposeKey back into its parts.

@@ -1,0 +1,51 @@
+package query
+
+import (
+	"testing"
+
+	"repro/internal/core"
+)
+
+// queryDataset is a Validation dataset with several disk components and 50
+// user ids over ~2 700 live records, so a one-user range has ~50 candidates.
+func queryDataset(t testing.TB) *core.Dataset {
+	d := newDataset(t, core.Validation, nil)
+	applyWorkload(t, d, 7, 8000, 3000)
+	return d
+}
+
+func directQuery(t testing.TB, d *core.Dataset, lo, hi uint32) int {
+	res, err := SecondaryRange(d, d.Secondary("user"), userKey(lo), userKey(hi),
+		SecondaryQueryOptions{Validation: Direct, Lookup: DefaultLookupConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(res.Records)
+}
+
+// TestSecondaryRangeAllocsDoNotScaleWithRecords: a query's candidate keys and
+// fetched records live in one arena, so its allocation count is set by the
+// number of components and growth steps, not by the number of records. The
+// same fixed ceiling holds at two range widths whose answers differ ~7x in
+// size, and it is below even the narrow answer's record count.
+func TestSecondaryRangeAllocsDoNotScaleWithRecords(t *testing.T) {
+	d := queryDataset(t)
+	const ceiling = 80 // measured: 40 and 46; 1 088 and 5 666 before the arena
+	for _, width := range []uint32{2, 16} {
+		var records int
+		allocs := testing.AllocsPerRun(20, func() { records = directQuery(t, d, 10, 10+width-1) })
+		t.Logf("width %d: %d records, %v allocations", width, records, allocs)
+		if allocs > ceiling || records <= ceiling {
+			t.Errorf("width %d: %v allocations for %d records, ceiling %d", width, allocs, records, ceiling)
+		}
+	}
+}
+
+func BenchmarkSecondaryRangeDirect(b *testing.B) {
+	d := queryDataset(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		directQuery(b, d, 10, 11)
+	}
+}

@@ -12,7 +12,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/kv"
@@ -74,7 +74,7 @@ func FetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 	}
 	env := primary.Env()
 	env.ChargeSort(len(keys))
-	sort.Slice(keys, func(i, j int) bool { return kv.Compare(keys[i].PK, keys[j].PK) < 0 })
+	slices.SortFunc(keys, func(a, b Key) int { return kv.Compare(a.PK, b.PK) })
 
 	if !cfg.Batched {
 		return fetchNaive(primary, keys, cfg, emit)
@@ -233,7 +233,5 @@ func memGet(env *metrics.Env, mem *memtable.Table, flushing []*memtable.Table, p
 // (Figure 12d's "batching plus sorting" plan) and charges the sort.
 func SortRecordsByPK(env *metrics.Env, records []kv.Entry) {
 	env.ChargeSort(len(records))
-	sort.Slice(records, func(i, j int) bool {
-		return kv.Compare(records[i].Key, records[j].Key) < 0
-	})
+	slices.SortFunc(records, func(a, b kv.Entry) int { return kv.Compare(a.Key, b.Key) })
 }

@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/btree"
@@ -71,7 +71,9 @@ type SecondaryQueryOptions struct {
 	CrackOnValidate bool
 }
 
-// SecondaryResult is the answer to a secondary-index range query.
+// SecondaryResult is the answer to a secondary-index range query. Its byte
+// strings are sub-slices of a few chunks shared by the whole answer
+// (kv.Arena): keeping one record or key keeps its chunk alive.
 type SecondaryResult struct {
 	// Records holds the fetched records (non-index-only queries).
 	Records []kv.Entry
@@ -95,6 +97,8 @@ type candidate struct {
 	srcComp    *lsm.Component
 	srcOrdinal int64
 }
+
+func byPK(a, b candidate) int { return kv.Compare(a.pk, b.pk) }
 
 // SecondaryRange runs a range query loSK <= secondary key <= hiSK against
 // the given secondary index of the dataset.
@@ -120,6 +124,9 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 	if err != nil {
 		return nil, err
 	}
+	// Every candidate key and fetched record of this query is copied into
+	// one arena.
+	var arena kv.Arena
 	var cands []candidate
 	for {
 		item, ok, err := it.Next()
@@ -129,12 +136,12 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 		if !ok {
 			break
 		}
-		_, pk, err := kv.SplitKey(item.Entry.Key)
+		pk, err := kv.PrimaryOf(item.Entry.Key)
 		if err != nil {
 			return nil, err
 		}
 		c := candidate{
-			pk: append([]byte(nil), pk...),
+			pk: arena.Copy(pk),
 			ts: item.Entry.TS,
 		}
 		if item.Comp != nil {
@@ -168,7 +175,7 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 		// Sort-distinct then fetch; the search condition is re-checked on
 		// each record (Figure 5a), so the index alone cannot answer.
 		env.ChargeSort(len(cands))
-		sort.Slice(cands, func(i, j int) bool { return kv.Compare(cands[i].pk, cands[j].pk) < 0 })
+		slices.SortFunc(cands, byPK)
 		distinct := cands[:0]
 		for i, c := range cands {
 			if i == 0 || kv.Compare(c.pk, cands[i-1].pk) != 0 {
@@ -196,6 +203,7 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 	for i, c := range cands {
 		keys[i] = Key{PK: c.pk, Src: c.src}
 	}
+	res.Records = make([]kv.Entry, 0, len(keys))
 	err = FetchRecords(ds.Primary(), keys, opts.Lookup, func(e kv.Entry) {
 		if direct {
 			if sk, ok := si.Spec.Extract(e.Value); !ok ||
@@ -203,7 +211,7 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 				return
 			}
 		}
-		res.Records = append(res.Records, e.Clone())
+		res.Records = append(res.Records, arena.CloneEntry(e))
 	})
 	return res, err
 }
@@ -261,7 +269,7 @@ func timestampValidate(ds *core.Dataset, cands []candidate, crack bool) ([]candi
 	}
 	env := ds.Env()
 	env.ChargeSort(len(cands))
-	sort.Slice(cands, func(i, j int) bool { return kv.Compare(cands[i].pk, cands[j].pk) < 0 })
+	slices.SortFunc(cands, byPK)
 
 	v := pkIndex.ReadView()
 	defer v.Release()

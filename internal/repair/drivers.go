@@ -42,7 +42,7 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 			if e.Anti {
 				return
 			}
-			_, pk, err := kv.SplitKey(e.Key)
+			pk, err := kv.PrimaryOf(e.Key)
 			if err != nil {
 				return
 			}
@@ -98,7 +98,7 @@ func StandaloneRepair(sec, pkIndex *lsm.Tree, comp *lsm.Component, opts Options)
 		if e.Anti || comp.Obsolete.IsSet(ordinal) {
 			continue
 		}
-		_, pk, err := kv.SplitKey(e.Key)
+		pk, err := kv.PrimaryOf(e.Key)
 		if err != nil {
 			continue
 		}

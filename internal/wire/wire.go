@@ -219,6 +219,11 @@ type Request struct {
 
 // Response is one server response. Like Request, the payload fields are a
 // union keyed by Kind but all encode unconditionally.
+//
+// The byte strings of a decoded Response (Value, every record's PK and
+// Value, Keys, Stats) are sub-slices of one backing array: keeping any one
+// of them keeps the whole answer's bytes alive. Copy what must outlive the
+// rest.
 type Response struct {
 	ID   uint64
 	Kind Kind
@@ -357,24 +362,8 @@ func takeByte(b []byte) (byte, []byte, error) {
 	return b[0], b[1:], nil
 }
 
-func takeBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := takeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("%w: byte string of %d bytes with %d remaining", ErrCorruptFrame, n, len(rest))
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	out := make([]byte, n)
-	copy(out, rest[:n])
-	return out, rest[n:], nil
-}
-
-// takeBytesRef is takeBytes without the copy: the returned slice aliases b
-// (capped so appends cannot scribble over the following fields).
+// takeBytesRef reads one byte string without copying it: the returned slice
+// aliases b (capped so appends cannot scribble over the following fields).
 func takeBytesRef(b []byte) ([]byte, []byte, error) {
 	n, rest, err := takeUvarint(b)
 	if err != nil {
@@ -390,8 +379,29 @@ func takeBytesRef(b []byte) ([]byte, []byte, error) {
 }
 
 func takeString(b []byte) (string, []byte, error) {
-	v, rest, err := takeBytes(b)
+	v, rest, err := takeBytesRef(b)
 	return string(v), rest, err
+}
+
+// backing holds the byte strings of one decoded response in a single
+// buffer, so a response costs one allocation for its bytes however many
+// records it carries. The buffer is allocated at the first non-empty string,
+// sized by the bytes still undecoded then — an upper bound on everything
+// that follows, so it never grows and earlier sub-slices stay valid.
+type backing []byte
+
+// take is takeBytesRef with the string copied into the backing buffer.
+func (bk *backing) take(b []byte) ([]byte, []byte, error) {
+	v, rest, err := takeBytesRef(b)
+	if err != nil || len(v) == 0 {
+		return nil, rest, err
+	}
+	if *bk == nil {
+		*bk = make([]byte, 0, len(v)+len(rest))
+	}
+	n := len(*bk)
+	*bk = append(*bk, v...)
+	return (*bk)[n:len(*bk):len(*bk)], rest, nil
 }
 
 // takeCount reads a list length and sanity-checks it against the bytes
@@ -581,13 +591,14 @@ func AppendValueResponse(buf []byte, id uint64, found bool, value []byte) []byte
 
 // DecodeResponse decodes a frame payload produced by AppendResponse. Like
 // DecodeRequestInPlace it never panics and wraps every failure in
-// ErrCorruptFrame.
+// ErrCorruptFrame. Nothing in the result aliases frame.
 func DecodeResponse(frame []byte) (Response, error) {
 	var (
 		r    Response
 		err  error
 		b    = frame
 		kind byte
+		bk   backing
 	)
 	if r.ID, b, err = takeUvarint(b); err != nil {
 		return Response{}, err
@@ -602,7 +613,7 @@ func DecodeResponse(frame []byte) (Response, error) {
 	if r.Found, b, err = takeBool(b); err != nil {
 		return Response{}, err
 	}
-	if r.Value, b, err = takeBytes(b); err != nil {
+	if r.Value, b, err = bk.take(b); err != nil {
 		return Response{}, err
 	}
 	if r.Applied, b, err = takeBool(b); err != nil {
@@ -615,10 +626,10 @@ func DecodeResponse(frame []byte) (Response, error) {
 	if n > 0 {
 		r.Records = make([]Record, n)
 		for i := range r.Records {
-			if r.Records[i].PK, b, err = takeBytes(b); err != nil {
+			if r.Records[i].PK, b, err = bk.take(b); err != nil {
 				return Response{}, err
 			}
-			if r.Records[i].Value, b, err = takeBytes(b); err != nil {
+			if r.Records[i].Value, b, err = bk.take(b); err != nil {
 				return Response{}, err
 			}
 		}
@@ -629,7 +640,7 @@ func DecodeResponse(frame []byte) (Response, error) {
 	if n > 0 {
 		r.Keys = make([][]byte, n)
 		for i := range r.Keys {
-			if r.Keys[i], b, err = takeBytes(b); err != nil {
+			if r.Keys[i], b, err = bk.take(b); err != nil {
 				return Response{}, err
 			}
 		}
@@ -645,7 +656,7 @@ func DecodeResponse(frame []byte) (Response, error) {
 			}
 		}
 	}
-	if r.Stats, b, err = takeBytes(b); err != nil {
+	if r.Stats, b, err = bk.take(b); err != nil {
 		return Response{}, err
 	}
 	var code uint64

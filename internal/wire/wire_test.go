@@ -67,6 +67,49 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeResponseOneBacking: a decoded response owns its bytes (nothing
+// aliases the frame, and an append to one field cannot reach the next) and
+// pays for them once — one allocation for a GET reply's value, one more
+// than the record slice for a query answer of any length.
+func TestDecodeResponseOneBacking(t *testing.T) {
+	get := AppendValueResponse(nil, 7, true, bytes.Repeat([]byte("v"), 500))
+	query := Response{ID: 8, Kind: KindQuery}
+	for i := 0; i < 100; i++ {
+		query.Records = append(query.Records, Record{PK: []byte{byte(i), 1, 2, 3}, Value: bytes.Repeat([]byte{byte(i)}, 300)})
+	}
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  float64
+	}{
+		{"value reply", get, 1},
+		{"miss reply", AppendValueResponse(nil, 7, false, nil), 0},
+		{"100-record answer", AppendResponse(nil, query), 2},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeResponse(c.frame); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != c.want {
+			t.Errorf("%s: %v allocations per decode, want %v", c.name, allocs, c.want)
+		}
+	}
+
+	frame := AppendResponse(nil, query)
+	got, err := DecodeResponse(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xEE // the frame buffer is reused for the next read
+	}
+	_ = append(got.Records[0].PK, 0xEE)
+	_ = append(got.Records[0].Value, 0xEE)
+	if !reflect.DeepEqual(got, query) {
+		t.Fatal("decoded records alias the frame or each other")
+	}
+}
+
 // TestAppendValueResponseIdentity pins the GET fast path's hand-rolled
 // encoder to the generic one: any drift between them would let the two
 // paths disagree on the bytes a client sees for the same response.

@@ -654,7 +654,10 @@ type QueryOptions struct {
 	Limit int
 }
 
-// QueryResult is a secondary query's answer.
+// QueryResult is a secondary query's answer. The records (and keys) of one
+// answer are sub-slices of a few shared backing arrays, embedded and over
+// the wire alike: they are the caller's to read and keep, but keeping one
+// keeps its neighbours' bytes alive, so copy what must outlive the answer.
 type QueryResult struct {
 	// Records holds (pk, record) pairs for non-index-only queries.
 	Records []Record

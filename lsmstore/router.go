@@ -2,7 +2,7 @@ package lsmstore
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -206,8 +206,8 @@ func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQu
 	}
 	// Not even one partition answers in primary-key order: the batched
 	// record fetch emits in component order.
-	sort.Slice(out.Records, func(i, j int) bool { return kv.Compare(out.Records[i].PK, out.Records[j].PK) < 0 })
-	sort.Slice(out.Keys, func(i, j int) bool { return kv.Compare(out.Keys[i], out.Keys[j]) < 0 })
+	slices.SortFunc(out.Records, func(a, b Record) int { return kv.Compare(a.PK, b.PK) })
+	slices.SortFunc(out.Keys, kv.Compare)
 	if limit > 0 {
 		out.Records = out.Records[:min(limit, len(out.Records))]
 		out.Keys = out.Keys[:min(limit, len(out.Keys))]
@@ -225,8 +225,9 @@ func (db *DB) filterScan(lo, hi int64, fn func(pk, record []byte)) error {
 	}
 	perShard := make([][]kv.Entry, len(db.parts))
 	err := db.fanOut(func(i int, ds *core.Dataset) error {
+		var arena kv.Arena // this shard's records
 		return query.FilterScan(ds, lo, hi, func(e kv.Entry) {
-			perShard[i] = append(perShard[i], e.Clone())
+			perShard[i] = append(perShard[i], arena.CloneEntry(e))
 		})
 	})
 	if err != nil {
@@ -236,7 +237,7 @@ func (db *DB) filterScan(lo, hi int64, fn func(pk, record []byte)) error {
 	for _, entries := range perShard {
 		all = append(all, entries...)
 	}
-	sort.Slice(all, func(i, j int) bool { return kv.Compare(all[i].Key, all[j].Key) < 0 })
+	slices.SortFunc(all, func(a, b kv.Entry) int { return kv.Compare(a.Key, b.Key) })
 	for _, e := range all {
 		fn(e.Key, e.Value)
 	}
