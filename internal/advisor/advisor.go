@@ -121,7 +121,7 @@ func probeStrategy(s core.Strategy, p Profile) (Estimate, error) {
 	env := metrics.NewEnv()
 	profile := storage.ScaledHDD(probePageSize)
 	profile.ReadAheadPages = 8
-	store := storage.NewStore(storage.NewDisk(profile, env), probeCache, env)
+	store := storage.NewStore(storage.NewDisk(profile), probeCache, env)
 	cfg := core.Config{
 		Store:         store,
 		Strategy:      s,

@@ -11,7 +11,7 @@
 // commit is that the device mutex is released before the commit fsync, so
 // concurrent appends for the next group proceed while the current group's
 // fsync is in flight. Holding filedev.Device.mu or wal.Log.mu across an
-// fsync, a sink append, a channel operation, net I/O or a sleep
+// fsync, the log's device append, a channel operation, net I/O or a sleep
 // re-serializes the write path and silently degrades group commit back to
 // per-record commit — a performance regression no unit test catches.
 // lockio tracks Lock/Unlock of the configured mutexes through each

@@ -5,14 +5,15 @@
 // filedev device mutex must never be held across a WAL fsync, or the next
 // commit group's appends serialize behind the in-flight fsync and group
 // commit degenerates to per-record commit. The same discipline applies to
-// wal.Log's mutex around sink appends. lockio encodes the rule: inside a
+// wal.Log's mutex around the log's device calls. lockio encodes the rule: inside a
 // function that holds one of the configured mutexes, no blocking operation
 // may be reached — directly or through a same-package call chain.
 //
 // Blocking operations are: (*os.File).Sync, any net package I/O, channel
 // sends/receives (including range-over-channel and select without a
 // default), time.Sleep, (*sync.WaitGroup).Wait, and the configured extras
-// (wal.Sink.Append, wal.GroupCommitter.Wait by default).
+// (by default the log's device calls that fsync — wal.Device.AppendWAL and
+// wal.Device.RotateWAL — and wal.GroupCommitter.Wait).
 //
 // The analysis is intentionally intra-package: call summaries propagate
 // through static calls within the package under analysis, branch state is
@@ -52,7 +53,7 @@ func init() {
 		"repro/internal/storage/filedev.Device.mu,repro/internal/wal.Log.mu,repro/internal/readcache.segment.mu,repro/internal/obs.SlowLog.mu,repro/internal/obs.Journal.mu,repro/internal/admission.Controller.mu,repro/internal/admission.Bucket.mu,repro/internal/admission.Governor.mu",
 		"comma-separated pkgpath.Type.field mutexes the invariant protects")
 	Analyzer.Flags.StringVar(&blockingList, "blocking",
-		"repro/internal/wal.Sink.Append,repro/internal/wal.GroupCommitter.Wait",
+		"repro/internal/wal.Device.AppendWAL,repro/internal/wal.Device.RotateWAL,repro/internal/wal.GroupCommitter.Wait",
 		"comma-separated pkgpath.Type.Method (or pkgpath.Func) treated as blocking, besides the built-ins")
 }
 

@@ -16,7 +16,7 @@ import (
 func newTestStore(t testing.TB, pageSize int) *storage.Store {
 	t.Helper()
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(pageSize), env)
+	disk := storage.NewDisk(storage.ScaledHDD(pageSize))
 	return storage.NewStore(disk, 1<<30, env)
 }
 
@@ -238,7 +238,7 @@ func TestLookupCursorUnsortedProbes(t *testing.T) {
 
 func TestStatefulCursorSavesComparisons(t *testing.T) {
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(4096), env)
+	disk := storage.NewDisk(storage.ScaledHDD(4096))
 	store := storage.NewStore(disk, 1<<30, env)
 	r := buildTree(t, store, seqEntries(20000))
 

@@ -15,7 +15,7 @@ import (
 // B+-trees rather than panicking or misreading.
 func TestOpenRejectsGarbage(t *testing.T) {
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(1024), env)
+	disk := storage.NewDisk(storage.ScaledHDD(1024))
 	store := storage.NewStore(disk, 1<<20, env)
 
 	// Empty file.
@@ -166,7 +166,7 @@ func FuzzPageSearch(f *testing.F) {
 func TestPageBoundaryFill(t *testing.T) {
 	for _, pageSize := range []int{256, 512, 1024} {
 		env := metrics.NopEnv()
-		disk := storage.NewDisk(storage.ScaledHDD(pageSize), env)
+		disk := storage.NewDisk(storage.ScaledHDD(pageSize))
 		store := storage.NewStore(disk, 1<<20, env)
 		b := NewBuilder(store)
 		n := 500
@@ -198,7 +198,7 @@ func TestPageBoundaryFill(t *testing.T) {
 // TestDeepTree forces several internal levels with a tiny page size.
 func TestDeepTree(t *testing.T) {
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(256), env)
+	disk := storage.NewDisk(storage.ScaledHDD(256))
 	store := storage.NewStore(disk, 1<<30, env)
 	b := NewBuilder(store)
 	const n = 20000

@@ -75,9 +75,6 @@ func (r *Reader) CloneFor(store *storage.Store) *Reader {
 // NumEntries returns the number of entries in the tree.
 func (r *Reader) NumEntries() int64 { return r.count }
 
-// NumLeaves returns the number of leaf pages.
-func (r *Reader) NumLeaves() int { return r.numLeaves }
-
 // SizeBytes approximates the on-disk size of the tree.
 func (r *Reader) SizeBytes() int64 { return int64(r.numPages) * int64(r.store.PageSize()) }
 

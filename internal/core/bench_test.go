@@ -12,7 +12,7 @@ import (
 func benchDataset(b *testing.B, strategy Strategy) *Dataset {
 	b.Helper()
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(32<<10), env)
+	disk := storage.NewDisk(storage.ScaledHDD(32 << 10))
 	store := storage.NewStore(disk, 16<<20, env)
 	cfg := Config{
 		Store:        store,

@@ -149,12 +149,12 @@ type Config struct {
 	// DisableWAL turns off write-ahead logging (benchmarks that measure
 	// pure ingestion I/O).
 	DisableWAL bool
-	// GroupCommit, when non-nil on a durable device, coalesces commit
-	// fsyncs across concurrent writers: log records append unsynced and
-	// writers park on a shared commit group whose leader issues one
-	// covering fsync (see wal.GroupCommitter / filedev.GroupSyncer). Nil
-	// keeps the per-record fsync. Ignored on non-durable devices.
-	GroupCommit wal.GroupCommitter
+	// GroupCommit, on a durable device, coalesces commit fsyncs across
+	// concurrent writers: log records append unsynced and writers park on a
+	// shared commit group whose leader issues one covering fsync (see
+	// wal.GroupCommitter / filedev.GroupSyncer). Off keeps the per-record
+	// fsync. Ignored on non-durable devices.
+	GroupCommit bool
 	// Seed makes memtable shapes deterministic.
 	Seed int64
 	// Maintenance is the pool that runs the flush pipeline's jobs — the
@@ -210,6 +210,9 @@ type frozenDeleted struct {
 type Dataset struct {
 	cfg Config
 	env *metrics.Env
+	// durable is the store's device when it is a storage.Durable, nil on the
+	// simulated one: Open asserts once, everything after reads the field.
+	durable storage.Durable
 
 	primary     *lsm.Tree
 	pkIndex     *lsm.Tree
@@ -293,8 +296,9 @@ func Open(cfg Config) (*Dataset, error) {
 		locks:  newLockManager(),
 		dsLock: &datasetLock{},
 	}
+	d.durable, _ = cfg.Store.Device().(storage.Durable)
 	if !cfg.DisableWAL {
-		d.log = wal.New(env)
+		d.log = wal.New(env, nil)
 		d.log.SetYield(cfg.Yield)
 	}
 	mutable := cfg.Strategy == MutableBitmap
@@ -432,6 +436,10 @@ func (d *Dataset) maintEnv() *metrics.Env {
 
 // Config returns the dataset's configuration.
 func (d *Dataset) Config() Config { return d.cfg }
+
+// Durable reports whether the dataset persists: its device is a
+// storage.Durable, so there is a manifest to save and a log area to write.
+func (d *Dataset) Durable() bool { return d.durable != nil }
 
 // Log returns the write-ahead log (nil when disabled).
 func (d *Dataset) Log() *wal.Log { return d.log }

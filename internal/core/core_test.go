@@ -37,7 +37,7 @@ func recYear(rec []byte) (int64, bool) {
 func newTestDataset(t testing.TB, mutate func(*Config)) *Dataset {
 	t.Helper()
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(4096), env)
+	disk := storage.NewDisk(storage.ScaledHDD(4096))
 	store := storage.NewStore(disk, 1<<30, env)
 	cfg := Config{
 		Store:         store,
@@ -61,7 +61,7 @@ func newTestDataset(t testing.TB, mutate func(*Config)) *Dataset {
 
 func TestOpenRejectsBadConfigs(t *testing.T) {
 	env := metrics.NopEnv()
-	store := storage.NewStore(storage.NewDisk(storage.ScaledHDD(4096), env), 1<<20, env)
+	store := storage.NewStore(storage.NewDisk(storage.ScaledHDD(4096)), 1<<20, env)
 	if _, err := Open(Config{Store: store, Strategy: MutableBitmap}); err == nil {
 		t.Fatal("mutable-bitmap without pk index must fail")
 	}

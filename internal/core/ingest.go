@@ -80,7 +80,7 @@ func (d *Dataset) applyLocked(m kv.Mutation, b *wal.Batch) (bool, error) {
 	// here, before prepare mutates shared state (the Mutable-bitmap search
 	// flips disk bitmaps before logging).
 	if d.log != nil {
-		if err := d.log.SinkErr(); err != nil {
+		if err := d.log.DeviceErr(); err != nil {
 			return false, err
 		}
 	}

@@ -65,14 +65,6 @@ func (d *Dataset) attachDeletedEntries(comp *lsm.Component, entries []kv.Entry) 
 	return nil
 }
 
-// MergeDue runs the merge policy to completion (all due merges): it
-// schedules the merge job on the pool and drains, so two merge passes never
-// overlap.
-func (d *Dataset) MergeDue() error {
-	d.scheduleMerge()
-	return d.DrainMaintenance()
-}
-
 // mergeDue runs every merge the policy picks. merged reports whether it
 // picked any: only then do the component lists differ from what the last
 // manifest save recorded.

@@ -3,16 +3,18 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/bloom"
 	"repro/internal/lsm"
 	"repro/internal/storage"
+	"repro/internal/storage/filedev"
 	"repro/internal/wal"
 )
 
-// This file implements durable persistence on top of a
-// storage.ManifestDevice: after every component install (flush or merge)
+// This file implements durable persistence on top of a storage.Durable
+// (Dataset.durable): after every component install (flush or merge)
 // the dataset snapshots its component metadata into a small manifest and
 // hands it to the device, whose SaveManifest syncs the data files first and
 // then replaces the manifest atomically — and only then are the files of
@@ -82,7 +84,7 @@ type componentManifest struct {
 func (d *Dataset) Persist() error {
 	d.persistMu.Lock()
 	defer d.persistMu.Unlock()
-	if md, ok := d.cfg.Store.Device().(storage.ManifestDevice); ok {
+	if d.durable != nil {
 		d.crashMu.Lock()
 		m := d.buildManifest()
 		d.crashMu.Unlock()
@@ -94,7 +96,7 @@ func (d *Dataset) Persist() error {
 		if d.unsafeEarlyUnlink.Load() {
 			d.reclaimLocked(named)
 		}
-		if err := md.SaveManifest(data); err != nil {
+		if err := d.durable.SaveManifest(data); err != nil {
 			return err
 		}
 		d.named = named
@@ -204,12 +206,12 @@ func (d *Dataset) treeManifest(name string, tr *lsm.Tree, sharedValid bool) tree
 	return tm
 }
 
-// walSink streams log records onto the device's WAL area.
-type walSink struct{ dev storage.WALDevice }
-
-func (s walSink) Append(b []byte, sync bool) error { return s.dev.AppendWAL(b, sync) }
-func (s walSink) Rotate(seq uint64) error          { return s.dev.RotateWAL(seq) }
-func (s walSink) Drop(seq uint64)                  { s.dev.DropWAL(seq) }
+// groupCommitWindow is how long a group-commit leader holds the commit
+// window open for committers that have announced intent but not yet
+// appended (they are mid-append and join within microseconds). It bounds
+// worst-case added commit latency; a lone committer never pays it: with no
+// announced peers the fsync is issued immediately.
+const groupCommitWindow = 2 * time.Millisecond
 
 // setupDurability wires a freshly opened dataset to a durable device:
 // restore the manifest's component lists, garbage-collect files a crash
@@ -219,12 +221,11 @@ func (s walSink) Drop(seq uint64)                  { s.dev.DropWAL(seq) }
 // memory components the previous process lost. On a non-durable device it
 // is a no-op.
 func (d *Dataset) setupDurability() error {
-	dev := d.cfg.Store.Device()
-	md, ok := dev.(storage.ManifestDevice)
-	if !ok {
+	dev := d.durable
+	if dev == nil {
 		return nil
 	}
-	data, err := md.LoadManifest()
+	data, err := dev.LoadManifest()
 	if err != nil {
 		return err
 	}
@@ -245,29 +246,23 @@ func (d *Dataset) setupDurability() error {
 	if d.cfg.DisableWAL {
 		return nil
 	}
-	wd, ok := dev.(storage.WALDevice)
-	if !ok {
-		return nil
-	}
-	found, err := wd.LoadWAL()
+	segs, err := dev.LoadWAL()
 	if err != nil {
 		return err
-	}
-	segs := make([]wal.Segment, len(found))
-	for i, s := range found {
-		segs[i] = wal.Segment(s)
 	}
 	// The recovered segments are replayed and then left alone — never
 	// appended to, never rewritten, torn tails included — until the first
 	// flush of this session cuts them with everything else it covers; the
 	// session's own appends go to the fresh segment OpenPersisted starts.
-	log, err := wal.OpenPersisted(d.env, segs, walSink{wd})
+	log, err := wal.OpenPersisted(d.env, segs, dev)
 	if err != nil {
 		return err
 	}
 	log.SetYield(d.cfg.Yield)
-	if d.cfg.GroupCommit != nil {
-		log.AttachGroupCommitter(d.cfg.GroupCommit)
+	if d.cfg.GroupCommit {
+		// Over the device as Open found it, wrapped or raw, so an injected
+		// SyncWAL fault reaches the covering group fsync.
+		log.AttachGroupCommitter(filedev.NewGroupSyncerOver(dev, groupCommitWindow, d.env.Counters, d.env.Clock.Sleeper()))
 	}
 	d.log = log
 	if d.log.Len() > 0 {

@@ -285,7 +285,7 @@ func (d *Dataset) freezeBatch() *flushBatch {
 				// No append is in flight inside the drain. A failed rotation
 				// wedges the log itself (the next write surfaces it); the
 				// batch still builds, it just cuts nothing.
-				//lsm:allow-discard the error is sticky in the log (SinkErr) and fails the next write
+				//lsm:allow-discard the error is sticky in the log (DeviceErr) and fails the next write
 				b.walCut, _ = d.log.Rotate()
 			}
 			m := d.maint

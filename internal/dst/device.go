@@ -57,7 +57,6 @@ const (
 	OpCreate       = "create"
 	OpDelete       = "delete"
 	OpAppendPage   = "append-page"
-	OpSync         = "sync"
 	OpAppendWAL    = "append-wal"
 	OpSyncWAL      = "sync-wal"
 	OpRotateWAL    = "rotate-wal"
@@ -470,9 +469,8 @@ func (c *Control) noteRotateWAL(shard int, seq uint64) {
 // Device is the fault-injecting storage.Device wrapper. Mutating and
 // durability operations are traced, counted against the kill switch, and
 // subject to injection; reads pass through untouched. Wrap returns the
-// richer fileDevice when the inner device implements the durability
-// interfaces, so interface assertions against the wrapped device stay
-// truthful.
+// richer durableDevice when the inner device is a storage.Durable, so the
+// wrapped device is durable exactly when the one beneath it is.
 type Device struct {
 	c     *Control
 	shard int
@@ -487,10 +485,8 @@ func (c *Control) Wrap(shard int, dev storage.Device) storage.Device {
 	c.walFor(shard)
 	c.mu.Unlock()
 	d := Device{c: c, shard: shard, inner: dev}
-	m, mok := dev.(storage.ManifestDevice)
-	w, wok := dev.(storage.WALSyncDevice)
-	if mok && wok {
-		return &fileDevice{Device: d, m: m, w: w}
+	if inner, ok := dev.(storage.Durable); ok {
+		return &durableDevice{Device: d, dur: inner}
 	}
 	return &d
 }
@@ -524,8 +520,8 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 	return d.inner.AppendPageEnv(env, id, data)
 }
 
-func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, seqHint bool) ([]byte, error) {
-	return d.inner.ReadPageEnv(env, id, page, seqHint)
+func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
+	return d.inner.ReadPageEnv(env, id, page)
 }
 
 func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
@@ -533,19 +529,6 @@ func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int) 
 }
 
 func (d *Device) NumPages(id storage.FileID) (int, error) { return d.inner.NumPages(id) }
-
-func (d *Device) Sync() error {
-	if _, _, err := d.c.begin(d.shard, OpSync, "", nil); err != nil {
-		return err
-	}
-	mark := d.c.walMark(d.shard)
-	if err := d.inner.Sync(); err != nil {
-		return err
-	}
-	// filedev's Sync covers the WAL file too.
-	d.c.noteWALSynced(d.shard, mark)
-	return nil
-}
 
 func (d *Device) Close() error {
 	d.c.mu.Lock()
@@ -560,21 +543,16 @@ func (d *Device) Close() error {
 	return d.inner.Close()
 }
 
-// fileDevice extends Device with the durability interfaces, forwarding to
-// the asserted inner views so the engine's own interface assertions see
-// exactly what the unwrapped device would offer.
-type fileDevice struct {
+// durableDevice extends Device with the manifest and log-area half of
+// storage.Durable, forwarding to the durable view of the same inner device.
+type durableDevice struct {
 	Device
-	m storage.ManifestDevice
-	w storage.WALSyncDevice
+	dur storage.Durable
 }
 
-var (
-	_ storage.ManifestDevice = (*fileDevice)(nil)
-	_ storage.WALSyncDevice  = (*fileDevice)(nil)
-)
+var _ storage.Durable = (*durableDevice)(nil)
 
-func (d *fileDevice) AppendWAL(data []byte, sync bool) error {
+func (d *durableDevice) AppendWAL(data []byte, sync bool) error {
 	applicable := func(kind string) bool {
 		// A commit-fsync fault models the fsync step of a sync append;
 		// unsynced appends have no such step.
@@ -601,7 +579,7 @@ func (d *fileDevice) AppendWAL(data []byte, sync bool) error {
 				}
 			}
 			if n > 0 {
-				if aerr := d.w.AppendWAL(data[:n], false); aerr == nil {
+				if aerr := d.dur.AppendWAL(data[:n], false); aerr == nil {
 					d.c.noteAppendWAL(d.shard, n, false)
 				}
 			}
@@ -609,14 +587,14 @@ func (d *fileDevice) AppendWAL(data []byte, sync bool) error {
 			return ErrKilled
 		}
 	}
-	if err := d.w.AppendWAL(data, sync); err != nil {
+	if err := d.dur.AppendWAL(data, sync); err != nil {
 		return err
 	}
 	d.c.noteAppendWAL(d.shard, len(data), sync)
 	return nil
 }
 
-func (d *fileDevice) SyncWAL() error {
+func (d *durableDevice) SyncWAL() error {
 	f, ok, err := d.c.begin(d.shard, OpSyncWAL, "", nil)
 	if err != nil {
 		return err
@@ -629,7 +607,7 @@ func (d *fileDevice) SyncWAL() error {
 				// Fail-report flavor: the fsync completes — the bytes ARE
 				// durable — but failure is reported. The engine must treat
 				// the covered suffix as indeterminate anyway.
-				if serr := d.w.SyncWAL(); serr == nil {
+				if serr := d.dur.SyncWAL(); serr == nil {
 					d.c.noteWALSynced(d.shard, mark)
 				}
 			}
@@ -642,15 +620,15 @@ func (d *fileDevice) SyncWAL() error {
 			d.c.sleeper.Advance(time.Duration(1 + int64(f.Frac*float64(5*time.Millisecond))))
 		}
 	}
-	if err := d.w.SyncWAL(); err != nil {
+	if err := d.dur.SyncWAL(); err != nil {
 		return err
 	}
 	d.c.noteWALSynced(d.shard, mark)
 	return nil
 }
 
-func (d *fileDevice) LoadWAL() ([]storage.WALSegment, error) {
-	segs, err := d.w.LoadWAL()
+func (d *durableDevice) LoadWAL() ([]storage.WALSegment, error) {
+	segs, err := d.dur.LoadWAL()
 	if err != nil {
 		return nil, err
 	}
@@ -666,25 +644,25 @@ func (d *fileDevice) LoadWAL() ([]storage.WALSegment, error) {
 // rotation leaves the old live segment with its unsynced tail, a death
 // before the first append after one leaves an empty successor, and a death
 // between two drops leaves a suffix of the covered segments.
-func (d *fileDevice) RotateWAL(seq uint64) error {
+func (d *durableDevice) RotateWAL(seq uint64) error {
 	if _, _, err := d.c.begin(d.shard, OpRotateWAL, fmt.Sprintf("seq=%d", seq), nil); err != nil {
 		return err
 	}
-	if err := d.w.RotateWAL(seq); err != nil {
+	if err := d.dur.RotateWAL(seq); err != nil {
 		return err
 	}
 	d.c.noteRotateWAL(d.shard, seq)
 	return nil
 }
 
-func (d *fileDevice) DropWAL(seq uint64) {
+func (d *durableDevice) DropWAL(seq uint64) {
 	if _, _, err := d.c.begin(d.shard, OpDropWAL, fmt.Sprintf("seq=%d", seq), nil); err != nil {
 		return // a dead process unlinks nothing
 	}
-	d.w.DropWAL(seq)
+	d.dur.DropWAL(seq)
 }
 
-func (d *fileDevice) SaveManifest(data []byte) error {
+func (d *durableDevice) SaveManifest(data []byte) error {
 	f, ok, err := d.c.begin(d.shard, OpSaveManifest, fmt.Sprintf("n=%d", len(data)), nil)
 	if err != nil {
 		return err
@@ -695,7 +673,7 @@ func (d *fileDevice) SaveManifest(data []byte) error {
 		return &injectedError{KindManifest}
 	}
 	mark := d.c.walMark(d.shard)
-	if err := d.m.SaveManifest(data); err != nil {
+	if err := d.dur.SaveManifest(data); err != nil {
 		return err
 	}
 	// SaveManifest syncs the whole device (WAL included) before the
@@ -707,4 +685,4 @@ func (d *fileDevice) SaveManifest(data []byte) error {
 	return nil
 }
 
-func (d *fileDevice) LoadManifest() ([]byte, error) { return d.m.LoadManifest() }
+func (d *durableDevice) LoadManifest() ([]byte, error) { return d.dur.LoadManifest() }

@@ -9,14 +9,15 @@
 // Four pieces compose a run:
 //
 //   - Control/Device (device.go): a storage.Device wrapper over the real
-//     file backend that traces every mutating and durability operation,
-//     injects seeded faults (failed commit fsyncs, lying group fsyncs,
-//     torn WAL appends, failed manifest installs, failed page appends,
-//     delayed syncs), enforces a crash-at-op-N kill switch — component
-//     unlinks, log rotations and segment drops count as operations, so a
-//     kill lands between a manifest install and what it lets go of — and
-//     tracks the durable prefix of each shard's live WAL segment for the
-//     crash-image builder.
+//     file backend — a storage.Durable exactly when the device beneath it
+//     is one (Wrap's single assertion) — that traces every mutating and
+//     durability operation, injects seeded faults (failed commit fsyncs,
+//     lying group fsyncs, torn WAL appends, failed manifest installs,
+//     failed page appends, delayed syncs), enforces a crash-at-op-N kill
+//     switch — component unlinks, log rotations and segment drops count as
+//     operations, so a kill lands between a manifest install and what it
+//     lets go of — and tracks the durable prefix of each shard's live WAL
+//     segment for the crash-image builder.
 //   - SimSleeper/Sched (sleeper.go, sched.go): virtual time behind
 //     metrics.Sleeper, and the yield hook the engine calls at its
 //     instrumented scheduling points (WAL group commit, maintenance

@@ -193,7 +193,7 @@ func (s Scale) newConfig() dsConfig {
 // adds more indexes to maintain).
 func build(s Scale, c dsConfig) (*core.Dataset, *metrics.Env, *storage.Store, error) {
 	env := metrics.NewEnv()
-	disk := storage.NewDisk(c.device, env)
+	disk := storage.NewDisk(c.device)
 	store := storage.NewStore(disk, c.cacheBytes, env)
 	cfg := core.Config{
 		Store:            store,

@@ -18,7 +18,7 @@ import (
 func TestReadVisibilityDuringFlush(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		env := metrics.NopEnv()
-		store := storage.NewStore(storage.NewDisk(storage.ScaledHDD(1<<10), env), 1<<20, env)
+		store := storage.NewStore(storage.NewDisk(storage.ScaledHDD(1<<10)), 1<<20, env)
 		tr := New(Options{Name: "t", Store: store, Seed: int64(round)})
 		// Large enough that the build outlasts a scheduler preemption slice
 		// even on one CPU, so the reader goroutine observes the window.

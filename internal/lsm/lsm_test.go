@@ -14,7 +14,7 @@ import (
 func newTestTree(t testing.TB, pageSize int, opts func(*Options)) (*Tree, *metrics.Env) {
 	t.Helper()
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(pageSize), env)
+	disk := storage.NewDisk(storage.ScaledHDD(pageSize))
 	store := storage.NewStore(disk, 1<<30, env)
 	o := Options{Name: "test", Store: store, BloomFPR: 0.01, Seed: 1}
 	if opts != nil {

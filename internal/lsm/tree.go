@@ -277,17 +277,6 @@ func (t *Tree) NumDiskComponents() int {
 // MemBytes returns the memory component's current footprint.
 func (t *Tree) MemBytes() int { return t.Mem().Bytes() }
 
-// DiskBytes returns the total size of all disk components.
-func (t *Tree) DiskBytes() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var total int64
-	for _, c := range t.cur.disk {
-		total += c.SizeBytes()
-	}
-	return total
-}
-
 // Put inserts an entry (possibly anti-matter) into the memory component.
 func (t *Tree) Put(e kv.Entry) {
 	t.env.ChargeMemtable()

@@ -44,7 +44,7 @@ func userKey(u uint32) []byte {
 func newDataset(t testing.TB, strategy core.Strategy, mutate func(*core.Config)) *core.Dataset {
 	t.Helper()
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(4096), env)
+	disk := storage.NewDisk(storage.ScaledHDD(4096))
 	store := storage.NewStore(disk, 1<<30, env)
 	cfg := core.Config{
 		Store:         store,
@@ -314,7 +314,7 @@ func TestLookupConfigsAgree(t *testing.T) {
 // a cold cache, batched lookups issue fewer random reads than naive ones.
 func TestBatchedReducesRandomReads(t *testing.T) {
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(4096), env)
+	disk := storage.NewDisk(storage.ScaledHDD(4096))
 	store := storage.NewStore(disk, 1<<20, env) // tiny cache: misses dominate
 	cfg := core.Config{
 		Store:        store,

@@ -32,7 +32,7 @@ func recUserID(rec []byte) ([]byte, bool) {
 func newDataset(t testing.TB, mutate func(*core.Config)) *core.Dataset {
 	t.Helper()
 	env := metrics.NopEnv()
-	disk := storage.NewDisk(storage.ScaledHDD(4096), env)
+	disk := storage.NewDisk(storage.ScaledHDD(4096))
 	store := storage.NewStore(disk, 1<<30, env)
 	cfg := core.Config{
 		Store:        store,
@@ -240,7 +240,7 @@ func TestPrimaryRepairCleansObsolete(t *testing.T) {
 func TestSecondaryRepairCheaperThanPrimary(t *testing.T) {
 	setup := func() (*core.Dataset, *metrics.Env) {
 		env := metrics.NopEnv()
-		disk := storage.NewDisk(storage.ScaledHDD(4096), env)
+		disk := storage.NewDisk(storage.ScaledHDD(4096))
 		store := storage.NewStore(disk, 1<<20, env) // small cache
 		d, err := core.Open(core.Config{
 			Store:        store,

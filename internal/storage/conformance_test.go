@@ -1,0 +1,304 @@
+package storage_test
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/dst"
+	"repro/internal/metrics"
+	"repro/internal/storage"
+	"repro/internal/storage/filedev"
+	"repro/internal/wal"
+)
+
+// The device conformance suite: one table of implementations, one table of
+// cases, every case run over every implementation. The page cases hold for
+// any storage.Device; the durable cases for any storage.Durable, and the
+// suite also pins which implementations are durable — a wrapper is exactly
+// when the device beneath it is.
+
+func openDisk(*testing.T) storage.Device { return storage.NewDisk(storage.ScaledHDD(512)) }
+
+func openFiledev(t *testing.T) storage.Device {
+	d, err := filedev.Open(t.TempDir(), storage.ScaledHDD(512))
+	if err != nil {
+		t.Fatalf("filedev.Open: %v", err)
+	}
+	return d
+}
+
+// wrapped puts the simulation's fault-injecting wrapper, with no fault and
+// no kill armed, over the device open returns.
+func wrapped(open func(*testing.T) storage.Device) func(*testing.T) storage.Device {
+	return func(t *testing.T) storage.Device {
+		return dst.NewControl(dst.NewTrace(false), dst.NoFaults{}, nil).Wrap(0, open(t))
+	}
+}
+
+var conformanceDevices = []struct {
+	name    string
+	open    func(*testing.T) storage.Device
+	durable bool
+}{
+	{"disk", openDisk, false},
+	{"filedev", openFiledev, true},
+	{"dst-disk", wrapped(openDisk), false},
+	{"dst-filedev", wrapped(openFiledev), true},
+}
+
+var pageCases = []struct {
+	name string
+	run  func(*testing.T, storage.Device)
+}{
+	{"append-read", testAppendRead},
+	{"list-order", testListOrder},
+	{"delete", testDelete},
+	{"page-overflow", testPageOverflow},
+}
+
+var durableCases = []struct {
+	name string
+	run  func(*testing.T, storage.Durable)
+}{
+	{"manifest", testManifestRoundTrip},
+	{"wal-lifecycle", testWALLifecycle},
+	{"wal-torn-tail", testWALTornTail},
+}
+
+func TestDeviceConformance(t *testing.T) {
+	for _, impl := range conformanceDevices {
+		t.Run(impl.name, func(t *testing.T) {
+			open := func(t *testing.T) storage.Device {
+				dev := impl.open(t)
+				t.Cleanup(func() {
+					if err := dev.Close(); err != nil {
+						t.Errorf("Close: %v", err)
+					}
+				})
+				return dev
+			}
+			if _, ok := open(t).(storage.Durable); ok != impl.durable {
+				t.Fatalf("is a storage.Durable: %v, want %v", ok, impl.durable)
+			}
+			for _, c := range pageCases {
+				t.Run(c.name, func(t *testing.T) { c.run(t, open(t)) })
+			}
+			if !impl.durable {
+				return
+			}
+			for _, c := range durableCases {
+				t.Run(c.name, func(t *testing.T) { c.run(t, open(t).(storage.Durable)) })
+			}
+		})
+	}
+}
+
+// testAppendRead appends more pages than any implementation buffers, of
+// varying sizes, and reads each back by both read paths.
+func testAppendRead(t *testing.T, dev storage.Device) {
+	env := metrics.NewEnv()
+	id := dev.Create()
+	var pages [][]byte
+	var written int64
+	for i := range 40 {
+		p := bytes.Repeat([]byte{byte(i + 1)}, 1+i*37%dev.PageSize())
+		n, err := dev.AppendPageEnv(env, id, p)
+		if err != nil || n != i {
+			t.Fatalf("AppendPageEnv #%d = %d, %v", i, n, err)
+		}
+		pages = append(pages, p)
+		written += int64(len(p))
+	}
+	if np, err := dev.NumPages(id); err != nil || np != len(pages) {
+		t.Fatalf("NumPages = %d, %v, want %d", np, err, len(pages))
+	}
+	if got := dev.BytesWritten(); got != written {
+		t.Fatalf("BytesWritten = %d, want %d", got, written)
+	}
+	if got := env.Counters.Snapshot().PagesWritten; got != int64(len(pages)) {
+		t.Fatalf("PagesWritten = %d, want %d", got, len(pages))
+	}
+	for i, want := range pages {
+		if got, err := dev.ReadPageEnv(env, id, i); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ReadPageEnv(%d) mismatch: %v", i, err)
+		}
+		if got, err := dev.PrefetchPageEnv(env, id, i); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("PrefetchPageEnv(%d) mismatch: %v", i, err)
+		}
+	}
+	for _, page := range []int{-1, len(pages)} {
+		if _, err := dev.ReadPageEnv(env, id, page); err != storage.ErrNoSuchPage {
+			t.Fatalf("ReadPageEnv(%d) error = %v, want ErrNoSuchPage", page, err)
+		}
+		if _, err := dev.PrefetchPageEnv(env, id, page); err != storage.ErrNoSuchPage {
+			t.Fatalf("PrefetchPageEnv(%d) error = %v, want ErrNoSuchPage", page, err)
+		}
+	}
+}
+
+// testListOrder: IDs ascend and are never reused; List is ascending and
+// tracks creates and deletes.
+func testListOrder(t *testing.T, dev storage.Device) {
+	if ids := dev.List(); len(ids) != 0 {
+		t.Fatalf("List on a fresh device = %v", ids)
+	}
+	a, b, c := dev.Create(), dev.Create(), dev.Create()
+	if !(a < b && b < c) {
+		t.Fatalf("Create IDs %d, %d, %d do not ascend", a, b, c)
+	}
+	if ids := dev.List(); !slices.Equal(ids, []storage.FileID{a, b, c}) {
+		t.Fatalf("List = %v, want [%d %d %d]", ids, a, b, c)
+	}
+	dev.Delete(b)
+	if next := dev.Create(); next <= c {
+		t.Fatalf("Create after a delete = %d, want > %d", next, c)
+	} else if ids := dev.List(); !slices.Equal(ids, []storage.FileID{a, c, next}) {
+		t.Fatalf("List = %v, want [%d %d %d]", ids, a, c, next)
+	}
+}
+
+// testDelete: every access to a deleted file is ErrNoSuchFile, and deleting
+// it again is harmless.
+func testDelete(t *testing.T, dev storage.Device) {
+	env := metrics.NewEnv()
+	id := dev.Create()
+	if _, err := dev.AppendPageEnv(env, id, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	dev.Delete(id)
+	dev.Delete(id)
+	if _, err := dev.ReadPageEnv(env, id, 0); err != storage.ErrNoSuchFile {
+		t.Fatalf("read after delete = %v", err)
+	}
+	if _, err := dev.PrefetchPageEnv(env, id, 0); err != storage.ErrNoSuchFile {
+		t.Fatalf("prefetch after delete = %v", err)
+	}
+	if _, err := dev.AppendPageEnv(env, id, []byte{1}); err != storage.ErrNoSuchFile {
+		t.Fatalf("append after delete = %v", err)
+	}
+	if _, err := dev.NumPages(id); err != storage.ErrNoSuchFile {
+		t.Fatalf("NumPages after delete = %v", err)
+	}
+	if ids := dev.List(); len(ids) != 0 {
+		t.Fatalf("List after delete = %v", ids)
+	}
+}
+
+func testPageOverflow(t *testing.T, dev storage.Device) {
+	env := metrics.NewEnv()
+	id := dev.Create()
+	if _, err := dev.AppendPageEnv(env, id, make([]byte, dev.PageSize()+1)); err == nil {
+		t.Fatal("oversized page accepted")
+	}
+	if n, err := dev.AppendPageEnv(env, id, make([]byte, dev.PageSize())); err != nil || n != 0 {
+		t.Fatalf("full page = %d, %v, want page 0", n, err)
+	}
+}
+
+func testManifestRoundTrip(t *testing.T, dev storage.Durable) {
+	if m, err := dev.LoadManifest(); err != nil || m != nil {
+		t.Fatalf("LoadManifest on a fresh device = %q, %v", m, err)
+	}
+	for _, v := range []string{"v1", "version two"} {
+		if err := dev.SaveManifest([]byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := dev.LoadManifest(); err != nil || string(m) != v {
+			t.Fatalf("LoadManifest = %q, %v, want %q", m, err, v)
+		}
+	}
+}
+
+// walImage renders LoadWAL's answer as "seq:bytes" pairs.
+func walImage(t *testing.T, dev storage.Durable) string {
+	t.Helper()
+	segs, err := dev.LoadWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []string
+	for _, s := range segs {
+		parts = append(parts, fmt.Sprintf("%d:%s", s.Seq, s.Data))
+	}
+	return strings.Join(parts, " ")
+}
+
+// testWALLifecycle walks a session's log: it starts with the first
+// RotateWAL, appends land in the live segment synced or not, a rotation
+// never lands on a segment that exists, and DropWAL removes a sealed one.
+func testWALLifecycle(t *testing.T, dev storage.Durable) {
+	if got := walImage(t, dev); got != "" {
+		t.Fatalf("LoadWAL on a fresh device = %q", got)
+	}
+	if err := dev.AppendWAL([]byte("early"), false); err == nil {
+		t.Fatal("append before the session's first RotateWAL was accepted")
+	}
+	steps := []struct {
+		do   func() error
+		want string
+	}{
+		{func() error { return dev.RotateWAL(1) }, "1:"},
+		{func() error { return dev.AppendWAL([]byte("rec1"), false) }, "1:rec1"},
+		{dev.SyncWAL, "1:rec1"},
+		{func() error { return dev.AppendWAL([]byte("rec2"), true) }, "1:rec1rec2"},
+		{dev.SyncWAL, "1:rec1rec2"}, // nothing dirty: still fine
+		{func() error { return dev.RotateWAL(2) }, "1:rec1rec2 2:"},
+		{func() error { return dev.AppendWAL([]byte("rec3"), true) }, "1:rec1rec2 2:rec3"},
+		{func() error { return dev.RotateWAL(3) }, "1:rec1rec2 2:rec3 3:"},
+		{func() error { dev.DropWAL(1); return nil }, "2:rec3 3:"},
+		{func() error { dev.DropWAL(1); return nil }, "2:rec3 3:"}, // cannot fail
+	}
+	for i, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if got := walImage(t, dev); got != s.want {
+			t.Fatalf("step %d: LoadWAL = %q, want %q", i, got, s.want)
+		}
+	}
+	if err := dev.RotateWAL(2); err == nil {
+		t.Fatal("rotation onto an existing segment was accepted")
+	}
+}
+
+// testWALTornTail: the device holds bytes, not records. A record cut short
+// by a crash comes back from LoadWAL as it was written, and the log's
+// decoder — not the device — ends the segment there.
+func testWALTornTail(t *testing.T, dev storage.Durable) {
+	whole := wal.AppendRecord(nil, wal.Record{LSN: 1, Type: wal.RecUpsert, TS: 1, Key: []byte("kept"), Value: []byte("v")})
+	torn := wal.AppendRecord(nil, wal.Record{LSN: 2, Type: wal.RecUpsert, TS: 2, Key: []byte("lost"), Value: []byte("v")})
+	torn = torn[:len(torn)-3]
+	if err := dev.RotateWAL(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.AppendWAL(whole, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.AppendWAL(torn, false); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := dev.LoadWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || segs[0].Seq != 1 || !bytes.Equal(segs[0].Data, append(slices.Clone(whole), torn...)) {
+		t.Fatalf("LoadWAL = %v, want segment 1 with the torn tail intact", segs)
+	}
+	log, err := wal.OpenPersisted(nil, segs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	if err := log.Replay(func(r wal.Record) error {
+		keys = append(keys, string(r.Key))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(keys, []string{"kept"}) {
+		t.Fatalf("replayed %q, want only the whole record", keys)
+	}
+}

@@ -2,17 +2,16 @@ package storage
 
 import "repro/internal/metrics"
 
-// Device is the page-device abstraction beneath Store: append-only,
-// page-granular component files plus the lifecycle hooks a persistent
-// backend needs (sync, listing, shutdown). Two implementations exist:
+// Device is the page half of a storage device, beneath Store: append-only,
+// page-granular component files. Two implementations exist:
 //
 //   - *Disk (this package): the paper's simulated device. Every access is
 //     charged to the virtual clock per the device Profile; nothing survives
 //     the process.
 //   - filedev.Device (internal/storage/filedev): real files under a data
-//     directory with batched appends and explicit fsync. Accesses update
-//     the event counters but not the virtual clock — wall time is the
-//     measurement there.
+//     directory with batched appends. Accesses update the event counters
+//     but not the virtual clock — wall time is the measurement there. It is
+//     also Durable.
 //
 // All methods must be safe for concurrent use.
 type Device interface {
@@ -31,9 +30,10 @@ type Device interface {
 	// AppendPageEnv appends one page (at most PageSize bytes) to the file,
 	// charging the given metrics environment, and returns its page number.
 	AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, error)
-	// ReadPageEnv reads one page, charging env; seqHint marks scan
-	// accesses. The returned slice must not be modified.
-	ReadPageEnv(env *metrics.Env, id FileID, page int, seqHint bool) ([]byte, error)
+	// ReadPageEnv reads one page, charging env. Sequential or random is
+	// decided by the head position, not by the caller. The returned slice
+	// must not be modified.
+	ReadPageEnv(env *metrics.Env, id FileID, page int) ([]byte, error)
 	// PrefetchPageEnv reads one page as part of a device read-ahead window:
 	// the access is part of an already-positioned sequential stream, so it
 	// is charged at streaming (transfer-only) cost and never pays a seek,
@@ -47,49 +47,43 @@ type Device interface {
 	// BytesWritten reports the total bytes ever appended (write
 	// amplification accounting).
 	BytesWritten() int64
-	// Sync makes all completed appends durable. A no-op on the simulated
-	// device.
-	Sync() error
-	// Close syncs and releases the device. A no-op on the simulated device.
+	// Close makes what was appended durable, where the device can, and
+	// releases it. A no-op on the simulated device.
 	Close() error
 }
 
-// ManifestDevice is implemented by devices that can durably persist a small
-// manifest blob (component metadata, file IDs, epochs) next to their data
-// files. SaveManifest must act as the durability point of a component
-// install: the device is synced first, then the manifest replaces the
-// previous one atomically, so a crash leaves either the old or the new
-// manifest — never a mix — and every file the surviving manifest references
-// is durable.
-type ManifestDevice interface {
+// Durable is a Device that outlives the process: next to its component
+// files it keeps a manifest and a write-ahead-log area, the two halves of
+// the paper's durability model (Section 2.2: immutable components named by
+// a manifest, a no-steal/no-force log for what is not in them yet). It is
+// one contract — a device has all of it or none — and core.Open asserts it
+// once, for the dataset's lifetime; a wrapper (dst.Control.Wrap) asserts it
+// of the device it wraps. Nothing else does.
+//
+// The log area is a sequence of numbered segments, each a raw byte stream
+// owned by the wal package; the device appends to the live one, seals it
+// when told to, and unlinks sealed ones. It never rewrites a segment.
+type Durable interface {
 	Device
-	// SaveManifest syncs the device, then atomically replaces the manifest.
+	// SaveManifest is the durability point of a component install: every
+	// completed page append is made durable first, then the manifest
+	// replaces the previous one atomically, so a crash leaves either the
+	// old or the new manifest — never a mix — and every file the surviving
+	// one references is durable.
 	SaveManifest(data []byte) error
 	// LoadManifest returns the manifest written by a previous session, or
 	// (nil, nil) when none exists.
 	LoadManifest() ([]byte, error)
-}
-
-// WALSyncDevice is implemented by WAL devices that can make the log area
-// durable independently of an append — the primitive group commit is built
-// on: committers append their records unsynced and a leader issues one
-// SyncWAL covering all of them.
-type WALSyncDevice interface {
-	WALDevice
-	// SyncWAL fsyncs the WAL area, covering every append that completed
-	// before the call. A failure poisons the log area (the durable suffix
-	// is indeterminate) and is returned to the caller.
-	SyncWAL() error
-}
-
-// WALDevice is implemented by devices with a durable write-ahead-log area.
-// The log is a sequence of numbered segments, each a raw byte stream owned
-// by the wal package; the device appends to the live one, seals it when
-// told to, and unlinks sealed ones. It never rewrites a segment.
-type WALDevice interface {
 	// AppendWAL appends encoded log records to the live segment; with sync
-	// set the append is fsynced before returning (commit durability).
+	// set the append is fsynced before returning (commit durability). The
+	// device neither retains nor modifies data.
 	AppendWAL(data []byte, sync bool) error
+	// SyncWAL fsyncs the log area, covering every append that completed
+	// before the call — the primitive group commit is built on: committers
+	// append unsynced and a leader issues one SyncWAL for all of them. A
+	// failure poisons the log area (the durable suffix is indeterminate)
+	// and is returned to the caller.
+	SyncWAL() error
 	// RotateWAL seals the live segment (fsync) and makes a new, empty
 	// segment numbered seq the live one; the new segment's existence is
 	// durable when the call returns. A session's first RotateWAL starts its
@@ -105,7 +99,8 @@ type WALDevice interface {
 	LoadWAL() ([]WALSegment, error)
 }
 
-// WALSegment is one log segment as read back by LoadWAL.
+// WALSegment is one log segment as a device holds it: the unit of RotateWAL
+// and DropWAL, and what LoadWAL hands wal.OpenPersisted at a reopen.
 type WALSegment struct {
 	Seq  uint64
 	Data []byte

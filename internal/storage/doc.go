@@ -1,11 +1,17 @@
-// Package storage provides the page-device layer underneath every LSM
-// component, behind the Device interface: page-granular, append-only
-// component files created by flush/merge bulk loads and read by point
-// lookups and scans.
+// Package storage provides the device layer underneath every LSM
+// component, behind two interfaces (device.go). Device is the page half:
+// page-granular, append-only component files created by flush/merge bulk
+// loads and read by point lookups and scans. Durable is a Device that also
+// keeps a manifest and a write-ahead-log area — the paper's durability
+// model (Section 2.2), one contract a device has whole or not at all.
+// core.Open asserts Durable once and keeps the answer on the dataset; the
+// simulation's wrapper (dst.Control.Wrap) asserts it of the device it
+// wraps; nothing else asserts, and lsmstore.Open refuses a file-backend
+// shard whose Options.WrapDevice hook returned a device that is not one.
 //
 // # Backends
 //
-// Two Device implementations exist:
+// Two implementations exist:
 //
 //   - The simulated device (*Disk, this package) stands in for the paper's
 //     7200 rpm SATA hard disks and SSD (Section 6.1). Pages live in memory;
@@ -16,19 +22,19 @@
 //     Nothing survives process exit — crash/recovery is simulated by
 //     discarding memory components.
 //
-//   - The file-backed device (internal/storage/filedev) maps each
-//     component file to a real file under a data directory, batches
-//     appends, fsyncs on WAL commit and component install, and persists a
-//     manifest so a store can be reopened after a clean shutdown or a
-//     crash. See that package's documentation for the layout.
+//   - The file-backed device (internal/storage/filedev), the one Durable,
+//     maps each component file to a real file under a data directory,
+//     batches appends, fsyncs on WAL commit and component install, and
+//     persists a manifest so a store can be reopened after a clean
+//     shutdown or a crash. See that package's documentation for the layout.
 //
 // # WAL durability and group commit
 //
-// Devices with a durable log area implement WALDevice (append, load,
-// rotate to a fresh segment, drop a sealed one). WALSyncDevice adds SyncWAL — an fsync of the log area
-// decoupled from any append — which is the primitive group commit builds
-// on: concurrent committers append their log records unsynced, park on
-// a shared commit window (filedev.GroupSyncer), and a leader issues one
+// A Durable's log area takes appends, loads what previous sessions left,
+// rotates to a fresh segment and drops a sealed one. SyncWAL — an fsync of
+// the log area decoupled from any append — is the primitive group commit
+// builds on: concurrent committers append their log records unsynced, park
+// on a shared commit window (filedev.GroupSyncer), and a leader issues one
 // SyncWAL covering all of them. One fsync then acknowledges a whole group
 // of writes instead of one, which is the difference between
 // fsync-rate-bound and device-bound ingest on the file backend. A failed

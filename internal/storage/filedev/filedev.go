@@ -1,5 +1,6 @@
-// Package filedev implements storage.Device on real files: the persistence
-// backend behind lsmstore's Options.Backend = FileBackend.
+// Package filedev implements storage.Durable — component pages, manifest and
+// log area — on real files: the persistence backend behind lsmstore's
+// Options.Backend = FileBackend.
 //
 // Layout, under one data directory per partition:
 //
@@ -52,10 +53,10 @@
 //     Sealed files are therefore safe to hard-link into a crash image.
 //
 // Appends are batched: pages accumulate in memory and are written to the
-// OS in appendBatchPages-sized runs; Sync flushes everything outstanding
-// and fsyncs the dirty files (and the directory after creates/deletes).
-// Reads served from a not-yet-written tail come straight from the batch
-// buffer. The virtual clock is never advanced for I/O — wall time is the
+// OS in appendBatchPages-sized runs; SaveManifest and Close flush everything
+// outstanding and fsync the dirty files (and the directory after
+// creates/deletes). Reads served from a not-yet-written tail come straight
+// from the batch buffer. The virtual clock is never advanced for I/O — wall time is the
 // honest measure on real hardware — but event counters (pages written,
 // sequential/random reads) are maintained exactly like the simulated
 // device's, using the same single-head positional classification.
@@ -101,7 +102,7 @@ type file struct {
 	dirty   bool     // needs fsync before the next durability point
 }
 
-// Device is a storage.Device backed by real files under a data directory.
+// Device is a storage.Durable backed by real files under a data directory.
 // All methods are safe for concurrent use.
 type Device struct {
 	dir     string
@@ -313,7 +314,8 @@ func (d *Device) writeThroughLocked(id storage.FileID, f *file) error {
 
 // AppendPageEnv appends one page, buffering it in the file's batch. The
 // page is visible to reads immediately; it becomes durable at the next
-// Sync (component install) — the same no-force posture as the simulation.
+// SaveManifest (component install) — the same no-force posture as the
+// simulation.
 func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte) (int, error) {
 	if len(data) > d.profile.PageSize {
 		return 0, fmt.Errorf("filedev: page overflow: %d > %d", len(data), d.profile.PageSize)
@@ -347,7 +349,7 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 // buffered slices are never mutated after append), a written-through page
 // returns the file handle to pread outside the lock — os.File.ReadAt is
 // safe for concurrent use, and holding the device mutex across real disk
-// reads (or the multi-fsync Sync path) would serialize the partition.
+// reads (or the multi-fsync install path) would serialize the partition.
 func (d *Device) planRead(id storage.FileID, page int) (buffered []byte, h *os.File, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -390,7 +392,7 @@ func (d *Device) advanceHead(id storage.FileID, page int) bool {
 // ReadPageEnv reads one page. Counters classify the access sequential or
 // random exactly like the simulated device (single head position); the
 // virtual clock is not advanced.
-func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, seqHint bool) ([]byte, error) {
+func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
 	buffered, h, err := d.planRead(id, page)
 	if err != nil {
 		return nil, err
@@ -401,7 +403,6 @@ func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, seqH
 			return nil, err
 		}
 	}
-	_ = seqHint // classification is positional, as on the simulated device
 	if d.advanceHead(id, page) {
 		env.Counters.SequentialReads.Add(1)
 	} else {
@@ -492,17 +493,6 @@ func (d *Device) syncLocked() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// Sync makes all completed appends durable.
-func (d *Device) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	//lsm:lockio-ok Sync's contract is a barrier: mu must exclude appends from reordering around the durability point; commit-latency-critical callers use SyncWAL, which fsyncs outside the lock
-	return d.syncLocked()
 }
 
 // Close syncs and releases the device. The device is unusable afterwards.
@@ -793,9 +783,4 @@ func AtomicWriteFile(dir, name string, data []byte) error {
 	return syncDir(dir)
 }
 
-var (
-	_ storage.Device         = (*Device)(nil)
-	_ storage.ManifestDevice = (*Device)(nil)
-	_ storage.WALDevice      = (*Device)(nil)
-	_ storage.WALSyncDevice  = (*Device)(nil)
-)
+var _ storage.Durable = (*Device)(nil)

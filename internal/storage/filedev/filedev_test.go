@@ -12,6 +12,12 @@ import (
 	"repro/internal/storage"
 )
 
+// What every storage.Device and storage.Durable must do within a session —
+// append/read, delete, listing, page overflow, the manifest round trip, the
+// log segment lifecycle — is storage's TestDeviceConformance, which runs it
+// over this device raw and wrapped. The tests here are what only real files
+// have: reopen, a lost unsynced tail, the directory's contents.
+
 // mustClose fails the test on a Close error: Close runs the final sync,
 // so a dropped error here can hide a failed durability point.
 func mustClose(t *testing.T, d *Device) {
@@ -21,9 +27,9 @@ func mustClose(t *testing.T, d *Device) {
 	}
 }
 
-func mustReadPageEnv(t *testing.T, d *Device, env *metrics.Env, id storage.FileID, page int, seq bool) {
+func mustReadPageEnv(t *testing.T, d *Device, env *metrics.Env, id storage.FileID, page int) {
 	t.Helper()
-	if _, err := d.ReadPageEnv(env, id, page, seq); err != nil {
+	if _, err := d.ReadPageEnv(env, id, page); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,7 +60,7 @@ func TestAppendReadReopen(t *testing.T) {
 		}
 	}
 	for i, want := range pages {
-		got, err := d.ReadPageEnv(env, id, i, false)
+		got, err := d.ReadPageEnv(env, id, i)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("ReadPage(%d) mismatch: %v", i, err)
 		}
@@ -73,7 +79,7 @@ func TestAppendReadReopen(t *testing.T) {
 		t.Fatalf("reopened NumPages = %d, %v", np, err)
 	}
 	for i, want := range pages {
-		got, err := d2.ReadPageEnv(env, id, i, false)
+		got, err := d2.ReadPageEnv(env, id, i)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("reopened ReadPage(%d) mismatch: %v", i, err)
 		}
@@ -92,7 +98,9 @@ func TestUnsyncedTailDroppedAtReopen(t *testing.T) {
 	if _, err := d.AppendPageEnv(env, id, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
+	// The durability point of an install: everything appended so far is
+	// fsynced before the manifest is replaced.
+	if err := d.SaveManifest(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Buffered appends that were never synced may or may not survive a real
@@ -113,31 +121,31 @@ func TestUnsyncedTailDroppedAtReopen(t *testing.T) {
 	if err != nil || np != 1 {
 		t.Fatalf("NumPages after crash = %d, %v, want 1", np, err)
 	}
-	got, err := d2.ReadPageEnv(env, id, 0, false)
+	got, err := d2.ReadPageEnv(env, id, 0)
 	if err != nil || string(got) != "durable" {
 		t.Fatalf("page 0 after crash = %q, %v", got, err)
 	}
 }
 
+// TestDeleteAndList: a deleted component leaves the directory, and a
+// reopened device lists what is left.
 func TestDeleteAndList(t *testing.T) {
 	dir := t.TempDir()
 	env := metrics.NewEnv()
 	d := openTestDev(t, dir)
-	defer mustClose(t, d)
 	a, b := d.Create(), d.Create()
 	if _, err := d.AppendPageEnv(env, a, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	d.Delete(a)
-	if _, err := d.ReadPageEnv(env, a, 0, false); err != storage.ErrNoSuchFile {
-		t.Fatalf("read after delete = %v", err)
-	}
-	ids := d.List()
-	if len(ids) != 1 || ids[0] != b {
-		t.Fatalf("List = %v, want [%d]", ids, b)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "c00000001.lsm")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, ComponentFileName(a))); !os.IsNotExist(err) {
 		t.Fatalf("deleted component file still on disk: %v", err)
+	}
+	mustClose(t, d)
+	d2 := openTestDev(t, dir)
+	defer mustClose(t, d2)
+	if ids := d2.List(); len(ids) != 1 || ids[0] != b {
+		t.Fatalf("reopened List = %v, want [%d]", ids, b)
 	}
 }
 
@@ -231,15 +239,6 @@ func TestWALAppendLoad(t *testing.T) {
 	}
 }
 
-func TestPageOverflowRejected(t *testing.T) {
-	d := openTestDev(t, t.TempDir())
-	defer mustClose(t, d)
-	id := d.Create()
-	if _, err := d.AppendPageEnv(metrics.NewEnv(), id, make([]byte, d.PageSize()+1)); err == nil {
-		t.Fatal("oversized page accepted")
-	}
-}
-
 func TestCountersClassifyLikeSim(t *testing.T) {
 	env := metrics.NewEnv()
 	d := openTestDev(t, t.TempDir())
@@ -251,11 +250,11 @@ func TestCountersClassifyLikeSim(t *testing.T) {
 		}
 	}
 	env.Counters.Reset()
-	mustReadPageEnv(t, d, env, id, 0, true)
+	mustReadPageEnv(t, d, env, id, 0)
 	for i := 1; i < 5; i++ {
-		mustReadPageEnv(t, d, env, id, i, true)
+		mustReadPageEnv(t, d, env, id, i)
 	}
-	mustReadPageEnv(t, d, env, id, 9, true)
+	mustReadPageEnv(t, d, env, id, 9)
 	s := env.Counters.Snapshot()
 	if s.RandomReads != 2 || s.SequentialReads != 4 {
 		t.Fatalf("random=%d sequential=%d, want 2/4", s.RandomReads, s.SequentialReads)

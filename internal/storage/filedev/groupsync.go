@@ -28,7 +28,7 @@ import (
 // additionally poisons its WAL area, so later commits fail with their own
 // poisoned-log error instead of inheriting this group's.)
 type GroupSyncer struct {
-	syncFn   func() error
+	dev      walSyncer
 	maxDelay time.Duration
 	counters *metrics.Counters
 	sleeper  metrics.Sleeper
@@ -48,45 +48,21 @@ type commitGroup struct {
 	commits int64 // committed writes this group's fsync covers
 }
 
-// NewGroupSyncer builds a group syncer over the device's WAL area.
-// maxDelay bounds how long a leader holds the group open for announced
-// stragglers (0 means never wait — announced committers join the next
-// group instead). counters, when non-nil, accumulate GroupCommitBatches
-// and GroupCommitWaiters.
-func NewGroupSyncer(dev *Device, maxDelay time.Duration, counters *metrics.Counters) *GroupSyncer {
-	return newGroupSyncer(dev.SyncWAL, maxDelay, counters)
-}
-
-// walSyncer is the slice of the device surface a group syncer needs. It
-// matches storage.WALSyncDevice's SyncWAL without importing it, so any
-// wrapper that preserves WAL sync semantics (the deterministic-simulation
-// fault injector wraps the file device this way) can stand in for *Device.
+// walSyncer is the slice of storage.Durable a group syncer needs: the raw
+// file device, a wrapper that preserves its sync semantics (the
+// deterministic-simulation fault injector), or a test's counting stub.
 type walSyncer interface{ SyncWAL() error }
 
-// NewGroupSyncerOver is NewGroupSyncer over any WAL-syncing device,
-// wrapped or raw.
-func NewGroupSyncerOver(dev walSyncer, maxDelay time.Duration, counters *metrics.Counters) *GroupSyncer {
-	return newGroupSyncer(dev.SyncWAL, maxDelay, counters)
-}
-
-// newGroupSyncer is the testable constructor over an arbitrary sync
-// function.
-func newGroupSyncer(syncFn func() error, maxDelay time.Duration, counters *metrics.Counters) *GroupSyncer {
-	g := &GroupSyncer{syncFn: syncFn, maxDelay: maxDelay, counters: counters, sleeper: metrics.WallSleeper()}
+// NewGroupSyncerOver builds a group syncer over dev's WAL area. maxDelay
+// bounds how long a leader holds the group open for announced stragglers
+// (0 means never wait — announced committers join the next group instead),
+// measured on sleeper: real time, or the deterministic simulation's virtual
+// source. counters, when non-nil, accumulate GroupCommitBatches and
+// GroupCommitWaiters.
+func NewGroupSyncerOver(dev walSyncer, maxDelay time.Duration, counters *metrics.Counters, sleeper metrics.Sleeper) *GroupSyncer {
+	g := &GroupSyncer{dev: dev, maxDelay: maxDelay, counters: counters, sleeper: sleeper}
 	g.cond = sync.NewCond(&g.mu)
 	return g
-}
-
-// SetSleeper replaces the time source behind the hold-open window (real
-// time by default). Deterministic simulation calls this before the syncer
-// sees traffic; a nil Sleeper restores the default.
-func (g *GroupSyncer) SetSleeper(s metrics.Sleeper) {
-	if s == nil {
-		s = metrics.WallSleeper()
-	}
-	g.mu.Lock()
-	g.sleeper = s
-	g.mu.Unlock()
 }
 
 // Announce declares an imminent commit append. Every Announce must be
@@ -152,7 +128,7 @@ func (g *GroupSyncer) Wait(commits int64) error {
 	g.syncing = true
 	g.mu.Unlock()
 
-	err := g.syncFn()
+	err := g.dev.SyncWAL()
 
 	g.mu.Lock()
 	g.syncing = false

@@ -20,7 +20,7 @@ type gatedSync struct {
 	errs    []error // per-call results; nil beyond the list
 }
 
-func (s *gatedSync) sync() error {
+func (s *gatedSync) SyncWAL() error {
 	s.mu.Lock()
 	n := s.calls
 	s.calls++
@@ -48,7 +48,7 @@ func (s *gatedSync) count() int {
 // durable immediately even with an enormous hold-open window configured.
 func TestGroupSyncerLoneCommitterNeverWaits(t *testing.T) {
 	s := &gatedSync{}
-	g := newGroupSyncer(s.sync, time.Hour, nil)
+	g := NewGroupSyncerOver(s, time.Hour, nil, metrics.WallSleeper())
 	g.Announce()
 	start := time.Now()
 	if err := g.Wait(1); err != nil {
@@ -68,7 +68,7 @@ func TestGroupSyncerLoneCommitterNeverWaits(t *testing.T) {
 func TestGroupSyncerCoalescesAnnouncedCommitters(t *testing.T) {
 	s := &gatedSync{}
 	counters := &metrics.Counters{}
-	g := newGroupSyncer(s.sync, 10*time.Second, counters)
+	g := NewGroupSyncerOver(s, 10*time.Second, counters, metrics.WallSleeper())
 	g.Announce()
 	g.Announce()
 	var wg sync.WaitGroup
@@ -98,7 +98,7 @@ func TestGroupSyncerCoalescesAnnouncedCommitters(t *testing.T) {
 // burn the whole hold-open window.
 func TestGroupSyncerRetractReleasesLeader(t *testing.T) {
 	s := &gatedSync{}
-	g := newGroupSyncer(s.sync, time.Hour, nil)
+	g := NewGroupSyncerOver(s, time.Hour, nil, metrics.WallSleeper())
 	g.Announce() // the eventual leader
 	g.Announce() // the straggler that will fail its append
 	done := make(chan error, 1)
@@ -124,7 +124,7 @@ func TestGroupSyncerAccumulatesDuringInFlightSync(t *testing.T) {
 	// group 2's leader holds the group open until every announced follower
 	// has joined, so all three land in ONE group regardless of scheduling.
 	s := &gatedSync{entered: make(chan struct{}), gate: make(chan struct{})}
-	g := newGroupSyncer(s.sync, 10*time.Second, nil)
+	g := NewGroupSyncerOver(s, 10*time.Second, nil, metrics.WallSleeper())
 
 	first := make(chan error, 1)
 	g.Announce()
@@ -163,7 +163,7 @@ func TestGroupSyncerFailurePoisonsOnlyItsGroup(t *testing.T) {
 	s := &gatedSync{entered: make(chan struct{}), gate: make(chan struct{}), errs: []error{boom}}
 	// Both committers announce up front, so the window guarantees they
 	// share the failing group.
-	g := newGroupSyncer(s.sync, 10*time.Second, nil)
+	g := NewGroupSyncerOver(s, 10*time.Second, nil, metrics.WallSleeper())
 	g.Announce()
 	g.Announce()
 	errs := make(chan error, 2)

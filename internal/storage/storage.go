@@ -85,7 +85,6 @@ type file struct {
 // exactly the effect the paper's batched point lookup avoids (Section 3.2).
 type Disk struct {
 	profile Profile
-	env     *metrics.Env
 
 	mu       sync.Mutex
 	files    map[FileID]*file
@@ -97,8 +96,8 @@ type Disk struct {
 }
 
 // NewDisk creates an empty simulated disk with the given device profile.
-func NewDisk(profile Profile, env *metrics.Env) *Disk {
-	return &Disk{profile: profile, env: env, files: make(map[FileID]*file), nextID: 1, lastPage: -2}
+func NewDisk(profile Profile) *Disk {
+	return &Disk{profile: profile, files: make(map[FileID]*file), nextID: 1, lastPage: -2}
 }
 
 // Profile returns the device profile.
@@ -124,15 +123,10 @@ func (d *Disk) Delete(id FileID) {
 	delete(d.files, id)
 }
 
-// AppendPage appends one page to the file and returns its page number.
-// Writes are sequential by construction (flush and merge bulk loads), so they
-// are charged at transfer cost only.
-func (d *Disk) AppendPage(id FileID, data []byte) (int, error) {
-	return d.AppendPageEnv(d.env, id, data)
-}
-
-// AppendPageEnv is AppendPage charging the given metrics environment (the
-// caller's I/O lane: background maintenance charges its own clock).
+// AppendPageEnv appends one page to the file and returns its page number,
+// charging the given metrics environment (the caller's I/O lane: background
+// maintenance charges its own clock). Writes are sequential by construction
+// (flush and merge bulk loads), so they are charged at transfer cost only.
 func (d *Disk) AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, error) {
 	if len(data) > d.profile.PageSize {
 		return 0, fmt.Errorf("storage: page overflow: %d > %d", len(data), d.profile.PageSize)
@@ -154,15 +148,10 @@ func (d *Disk) AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, err
 	return n, nil
 }
 
-// ReadPage reads one page. seqHint tells the device the caller is scanning;
-// combined with the position of the previous read on the same file it
-// decides whether to charge a seek. The returned slice must not be modified.
-func (d *Disk) ReadPage(id FileID, page int, seqHint bool) ([]byte, error) {
-	return d.ReadPageEnv(d.env, id, page, seqHint)
-}
-
-// ReadPageEnv is ReadPage charging the given metrics environment.
-func (d *Disk) ReadPageEnv(env *metrics.Env, id FileID, page int, seqHint bool) ([]byte, error) {
+// ReadPageEnv reads one page, charging the given metrics environment. The
+// position of the previous read decides whether it pays a seek. The returned
+// slice must not be modified.
+func (d *Disk) ReadPageEnv(env *metrics.Env, id FileID, page int) ([]byte, error) {
 	d.mu.Lock()
 	f, ok := d.files[id]
 	if !ok {
@@ -175,7 +164,6 @@ func (d *Disk) ReadPageEnv(env *metrics.Env, id FileID, page int, seqHint bool) 
 	}
 	data := f.pages[page]
 	sequential := id == d.lastFile && page == d.lastPage+1
-	_ = seqHint // classification is positional; the hint drives read-ahead upstream
 	d.lastFile, d.lastPage = id, page
 	d.mu.Unlock()
 
@@ -246,13 +234,7 @@ func (d *Disk) List() []FileID {
 	return ids
 }
 
-// Sync is a no-op: the simulated disk is always "durable" for the lifetime
+// Close is a no-op: the simulated disk is always "durable" for the lifetime
 // of the process, which is exactly the no-steal/no-force boundary the
 // simulated crash battery exercises.
-func (d *Disk) Sync() error { return nil }
-
-// Close is a no-op on the simulated disk.
 func (d *Disk) Close() error { return nil }
-
-// Env exposes the metrics environment the disk charges against.
-func (d *Disk) Env() *metrics.Env { return d.env }

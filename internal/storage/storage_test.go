@@ -1,19 +1,33 @@
 package storage
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 )
 
-func newHDDDisk() (*Disk, *metrics.Env) {
-	env := metrics.NewEnv()
-	return NewDisk(HDD(), env), env
+// envDisk binds a Disk to the environment its accesses charge, giving it
+// Store's call shape.
+type envDisk struct {
+	*Disk
+	env *metrics.Env
 }
 
-// pageDev is the device surface the must-helpers drive; both Disk and
+func (d envDisk) AppendPage(id FileID, data []byte) (int, error) {
+	return d.AppendPageEnv(d.env, id, data)
+}
+
+func (d envDisk) ReadPage(id FileID, page int, _ bool) ([]byte, error) {
+	return d.ReadPageEnv(d.env, id, page)
+}
+
+func newHDDDisk() (envDisk, *metrics.Env) {
+	env := metrics.NewEnv()
+	return envDisk{NewDisk(HDD()), env}, env
+}
+
+// pageDev is the device surface the must-helpers drive; both envDisk and
 // Store satisfy it. The helpers keep accounting-focused tests honest: a
 // dropped device error would let a failing append or read pass as a
 // counter mismatch (or worse, not at all).
@@ -38,46 +52,10 @@ func mustReadPage(t *testing.T, d pageDev, f FileID, page int, seq bool) []byte 
 	return data
 }
 
-func TestCreateAppendRead(t *testing.T) {
-	d, _ := newHDDDisk()
-	f := d.Create()
-	page := bytes.Repeat([]byte{0xaa}, 1000)
-	n, err := d.AppendPage(f, page)
-	if err != nil || n != 0 {
-		t.Fatalf("AppendPage = %d, %v", n, err)
-	}
-	got, err := d.ReadPage(f, 0, false)
-	if err != nil || !bytes.Equal(got, page) {
-		t.Fatalf("ReadPage mismatch: %v", err)
-	}
-	if _, err := d.ReadPage(f, 1, false); err != ErrNoSuchPage {
-		t.Fatalf("out-of-range read error = %v", err)
-	}
-	if np, err := d.NumPages(f); err != nil || np != 1 {
-		t.Fatalf("NumPages = %d, %v", np, err)
-	}
-}
-
-func TestDeleteFile(t *testing.T) {
-	d, _ := newHDDDisk()
-	f := d.Create()
-	mustAppendPage(t, d, f, []byte{1})
-	d.Delete(f)
-	if _, err := d.ReadPage(f, 0, false); err != ErrNoSuchFile {
-		t.Fatalf("read after delete = %v", err)
-	}
-	if _, err := d.AppendPage(f, []byte{1}); err != ErrNoSuchFile {
-		t.Fatalf("append after delete = %v", err)
-	}
-}
-
-func TestPageOverflowRejected(t *testing.T) {
-	d, _ := newHDDDisk()
-	f := d.Create()
-	if _, err := d.AppendPage(f, make([]byte, d.PageSize()+1)); err == nil {
-		t.Fatal("oversized page accepted")
-	}
-}
+// What every Device must do — append/read, delete, page overflow, listing —
+// is TestDeviceConformance's (conformance_test.go), which runs it over Disk
+// and every other implementation. The tests here are Disk's cost model and
+// Store's cache.
 
 func TestSequentialVsRandomAccounting(t *testing.T) {
 	d, env := newHDDDisk()
@@ -172,7 +150,7 @@ func TestStoreCachingAndReadAhead(t *testing.T) {
 	env := metrics.NewEnv()
 	prof := ScaledHDD(512)
 	prof.ReadAheadPages = 4
-	d := NewDisk(prof, env)
+	d := NewDisk(prof)
 	store := NewStore(d, 1<<20, env)
 	f := store.Create()
 	for i := 0; i < 16; i++ {
@@ -205,7 +183,7 @@ func TestStoreCachingAndReadAhead(t *testing.T) {
 
 func TestStoreDeleteInvalidatesCache(t *testing.T) {
 	env := metrics.NewEnv()
-	d := NewDisk(ScaledHDD(512), env)
+	d := NewDisk(ScaledHDD(512))
 	store := NewStore(d, 1<<20, env)
 	f := store.Create()
 	mustAppendPage(t, store, f, []byte{1})
@@ -218,7 +196,7 @@ func TestStoreDeleteInvalidatesCache(t *testing.T) {
 
 func TestCacheHitCostCheaperThanDisk(t *testing.T) {
 	env := metrics.NewEnv()
-	d := NewDisk(HDD(), env)
+	d := NewDisk(HDD())
 	store := NewStore(d, 1<<30, env)
 	f := store.Create()
 	mustAppendPage(t, store, f, []byte{1})

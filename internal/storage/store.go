@@ -36,8 +36,7 @@ func (s *Store) WithEnv(env *metrics.Env) *Store {
 	return &Store{dev: s.dev, cache: s.cache, env: env}
 }
 
-// Device returns the underlying page device (for file create/append/delete
-// and, on durable backends, sync/manifest access).
+// Device returns the underlying page device.
 func (s *Store) Device() Device { return s.dev }
 
 // Cache returns the buffer cache.
@@ -67,7 +66,7 @@ func (s *Store) ReadPage(id FileID, page int, seqHint bool) ([]byte, error) {
 		return data, nil
 	}
 	s.env.Counters.CacheMisses.Add(1)
-	data, err := s.dev.ReadPageEnv(s.env, id, page, seqHint)
+	data, err := s.dev.ReadPageEnv(s.env, id, page)
 	if err != nil {
 		return nil, err
 	}

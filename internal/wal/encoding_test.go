@@ -79,7 +79,7 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 // same records and continues the LSN sequence.
 func TestLogPersistedRoundTrip(t *testing.T) {
 	sink := &recordingSink{}
-	l := NewWithSink(metrics.NopEnv(), sink)
+	l := New(metrics.NopEnv(), sink)
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("a"), Value: []byte("1"), TS: 10})
 	mustAppend(t, l, Record{Type: RecDelete, Key: []byte("b"), TS: 11, UpdateBit: true})
 
@@ -106,7 +106,7 @@ func TestLogPersistedRoundTrip(t *testing.T) {
 // records before the torn one and reports exactly their bytes as decoded.
 func TestOpenPersistedTornTail(t *testing.T) {
 	sink := &recordingSink{}
-	l := NewWithSink(nil, sink)
+	l := New(nil, sink)
 	mustAppend(t, l, Record{Type: RecInsert, Key: []byte("x")})
 	first := len(sink.image)
 	mustAppend(t, l, Record{Type: RecDelete, Key: []byte("y"), TS: 7})

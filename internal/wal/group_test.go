@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // recordingSink captures every append, its sync flag and the byte stream a
@@ -13,13 +15,13 @@ type recordingSink struct {
 	appends int
 	syncs   int
 	image   []byte
-	live    uint64 // 0 until the first Rotate: appends then land in segment 1
+	live    uint64 // 0 until the first RotateWAL: appends then land in segment 1
 	segs    map[uint64][]byte
 	dropped []uint64
 	fail    error // when set, every append fails with it and keeps nothing
 }
 
-func (s *recordingSink) Append(encoded []byte, sync bool) error {
+func (s *recordingSink) AppendWAL(encoded []byte, sync bool) error {
 	if s.fail != nil {
 		return s.fail
 	}
@@ -36,7 +38,7 @@ func (s *recordingSink) Append(encoded []byte, sync bool) error {
 	return nil
 }
 
-func (s *recordingSink) Rotate(seq uint64) error {
+func (s *recordingSink) RotateWAL(seq uint64) error {
 	if s.segs == nil {
 		s.segs = map[uint64][]byte{}
 	}
@@ -47,7 +49,7 @@ func (s *recordingSink) Rotate(seq uint64) error {
 	return nil
 }
 
-func (s *recordingSink) Drop(seq uint64) {
+func (s *recordingSink) DropWAL(seq uint64) {
 	delete(s.segs, seq)
 	s.dropped = append(s.dropped, seq)
 }
@@ -77,7 +79,9 @@ func replayedKeys(t *testing.T, lg *Log) string {
 }
 
 // oneSegment wraps a byte stream as the only segment a device holds.
-func oneSegment(image []byte) []Segment { return []Segment{{Seq: 1, Data: image}} }
+func oneSegment(image []byte) []storage.WALSegment {
+	return []storage.WALSegment{{Seq: 1, Data: image}}
+}
 
 // scriptedGroup is a GroupCommitter whose Wait results are scripted.
 type scriptedGroup struct {
@@ -106,7 +110,7 @@ func (g *scriptedGroup) Wait(commits int64) error {
 func TestCommitDurableGroupModeDefersSync(t *testing.T) {
 	sink := &recordingSink{}
 	gc := &scriptedGroup{}
-	l := NewWithSink(nil, sink)
+	l := New(nil, sink)
 	l.AttachGroupCommitter(gc)
 
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1})
@@ -129,14 +133,14 @@ func TestCommitDurableGroupFailure(t *testing.T) {
 	boom := errors.New("covering fsync failed")
 	sink := &recordingSink{}
 	gc := &scriptedGroup{errs: []error{boom}}
-	l := NewWithSink(nil, sink)
+	l := New(nil, sink)
 	l.AttachGroupCommitter(gc)
 
 	if _, err := l.Append(Record{Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1}, nil); !errors.Is(err, boom) {
 		t.Fatalf("Append error = %v, want the fsync failure", err)
 	}
-	if err := l.SinkErr(); !errors.Is(err, boom) {
-		t.Fatalf("SinkErr = %v, want the sticky fsync failure", err)
+	if err := l.DeviceErr(); !errors.Is(err, boom) {
+		t.Fatalf("DeviceErr = %v, want the sticky fsync failure", err)
 	}
 	if got := replayedKeys(t, l); got != "" {
 		t.Fatalf("replayed %q: a write whose covering fsync failed", got)
@@ -150,7 +154,7 @@ func TestWaitBatchFailureDropsEveryDeferredCommit(t *testing.T) {
 	boom := errors.New("covering fsync failed")
 	sink := &recordingSink{}
 	gc := &scriptedGroup{errs: []error{nil, boom}}
-	l := NewWithSink(nil, sink)
+	l := New(nil, sink)
 	l.AttachGroupCommitter(gc)
 
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("acked"), TS: 1})
@@ -178,7 +182,7 @@ func TestWaitBatchFailureDropsEveryDeferredCommit(t *testing.T) {
 func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	sink := &recordingSink{}
 	gc := &scriptedGroup{}
-	l := NewWithSink(nil, sink)
+	l := New(nil, sink)
 	l.AttachGroupCommitter(gc)
 
 	b := l.NewBatch()
@@ -207,7 +211,7 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 // TestNewBatchNilWithoutGroupMode: without a group committer (or on a nil
 // log) NewBatch must return nil so callers keep per-commit durability.
 func TestNewBatchNilWithoutGroupMode(t *testing.T) {
-	if b := NewWithSink(nil, &recordingSink{}).NewBatch(); b != nil {
+	if b := New(nil, &recordingSink{}).NewBatch(); b != nil {
 		t.Fatal("NewBatch without a group committer returned a batch")
 	}
 	var l *Log

@@ -11,11 +11,12 @@
 //
 // # Durability
 //
-// On a durable device Append streams the record to a Sink and makes it
-// durable the way the caller asks:
+// On a durable device (Device: the log-writing methods of storage.Durable,
+// under their own names) Append streams the record to the device's log area
+// and makes it durable the way the caller asks:
 //
 //   - Per-record: without a GroupCommitter the record is appended with sync
-//     set, and the sink fsyncs before returning. Simple, but every writer
+//     set, and the device fsyncs before returning. Simple, but every writer
 //     pays a full fsync.
 //   - Group commit: with a GroupCommitter attached, the record is appended
 //     unsynced and the writer parks on the open commit group; one member
@@ -50,10 +51,10 @@
 // the next; the dataset rotates inside the writer drain of every memtable
 // freeze, and once the batch frozen there is installed and its manifest is
 // durable, DropBefore discards every older segment wholesale — the memory
-// image and, through the sink, the file. Nothing is ever rewritten: a
+// image and, through the device, the file. Nothing is ever rewritten: a
 // reopened log keeps the segments it recovered read-only and appends to a
 // fresh one. What the log retains per record is its encoding, the very
-// bytes the sink received; Replay decodes them.
+// bytes the device received; Replay decodes them.
 package wal
 
 import (
@@ -62,6 +63,7 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/storage"
 )
 
 // RecordType enumerates logical log record kinds.
@@ -87,32 +89,19 @@ type Record struct {
 	Value     []byte
 }
 
-// Sink receives the binary encoding of every appended record, letting a
-// durable device persist the log as it grows. Append with sync set asks for
-// per-record durability: the sink must make everything appended so far
-// durable before returning (fsync on a file-backed device). The sink must
-// neither retain nor modify encoded — it aliases the log's own memory image.
-type Sink interface {
-	Append(encoded []byte, sync bool) error
-	// Rotate seals the live segment — everything appended to it is durable
-	// when Rotate returns — and directs later appends to a fresh segment
-	// numbered seq, whose existence is durable too.
-	Rotate(seq uint64) error
-	// Drop discards the sealed segment seq. Like a component delete it
-	// cannot fail: a segment that survives is dropped by the first cut
-	// after the next reopen.
-	Drop(seq uint64)
-}
-
-// Segment is one log segment as a device holds it: the unit of Rotate and
-// Drop, and of what a reopen hands to OpenPersisted.
-type Segment struct {
-	Seq  uint64
-	Data []byte
+// Device is what the log writes to: the three log-area methods of
+// storage.Durable it consumes, under the device's own names and contracts,
+// so a durable device — raw or wrapped — is the log's device as it stands.
+// AppendWAL receives the binary encoding of every appended record, a slice
+// aliasing the log's own memory image.
+type Device interface {
+	AppendWAL(data []byte, sync bool) error
+	RotateWAL(seq uint64) error
+	DropWAL(seq uint64)
 }
 
 // segment is the memory image of one log segment: the encodings of its
-// records back to back, exactly the bytes the sink was given.
+// records back to back, exactly the bytes the device was given.
 type segment struct {
 	seq uint64
 	buf []byte
@@ -120,7 +109,7 @@ type segment struct {
 }
 
 // drop removes the record with the given LSN. The survivors move to a fresh
-// buffer: a sink append still in flight may be reading the old one.
+// buffer: a device append still in flight may be reading the old one.
 func (s *segment) drop(lsn int64) bool {
 	for off := 0; off < len(s.buf); {
 		end := off + 4 + int(binary.BigEndian.Uint32(s.buf[off:]))
@@ -135,7 +124,7 @@ func (s *segment) drop(lsn int64) bool {
 }
 
 // GroupCommitter coalesces commit durability across concurrent writers.
-// A committer announces intent, appends its record to the sink without
+// A committer announces intent, appends its record to the device without
 // sync, and then Waits: the waiter joins the open commit group, one
 // member becomes the leader and issues a single covering fsync, and every
 // member of the group receives that fsync's result. Announce/Retract bound
@@ -149,7 +138,7 @@ type GroupCommitter interface {
 	Retract()
 	// Wait joins the open commit group and blocks until a covering fsync
 	// completes, returning its result. The caller's records must be fully
-	// appended to the sink before Wait is called; commits says how
+	// appended to the device before Wait is called; commits says how
 	// many of them this waiter carries (1 for a single write, the batch
 	// size for a deferred batch — group-size accounting only).
 	Wait(commits int64) error
@@ -157,20 +146,20 @@ type GroupCommitter interface {
 
 // Log is an append-only logical log. The paper's configuration dedicates a
 // separate device to logging, so appends are charged at a flat group-commit
-// cost rather than against the LSM data disk. With a Sink attached, every
-// record is additionally streamed to the sink in its binary encoding (real
+// cost rather than against the LSM data disk. With a Device attached, every
+// record is additionally streamed to it in its binary encoding (real
 // write-ahead durability).
 type Log struct {
 	env   *metrics.Env
-	sink  Sink
+	dev   Device
 	group GroupCommitter // non-nil only in group-commit mode
 
 	mu      sync.Mutex
 	segs    []segment // oldest to newest; appends go to the last
 	nextLSN int64
-	// sinkErr is the first sink failure; once set the log is considered
+	// devErr is the first device failure; once set the log is considered
 	// wedged for durability purposes and the next logged write surfaces it.
-	sinkErr error
+	devErr error
 	// yield is the deterministic-simulation scheduling hook, invoked at the
 	// instrumented points in the group-commit path (nil = off).
 	yield func(point string)
@@ -179,23 +168,21 @@ type Log struct {
 	keepCommitOnFailedFsync bool
 }
 
-// New creates an empty log.
-func New(env *metrics.Env) *Log { return NewWithSink(env, nil) }
-
-// NewWithSink creates an empty log streaming its records to sink, which
-// must be ready to take appends for segment 1.
-func NewWithSink(env *metrics.Env, sink Sink) *Log {
-	return &Log{env: env, sink: sink, nextLSN: 1, segs: []segment{{seq: 1}}}
+// New creates an empty log streaming its records to dev, which must be
+// ready to take appends for segment 1; with a nil dev the log lives in
+// memory only.
+func New(env *metrics.Env, dev Device) *Log {
+	return &Log{env: env, dev: dev, nextLSN: 1, segs: []segment{{seq: 1}}}
 }
 
 // OpenPersisted rebuilds a log from the segments a previous session left on
 // a device, oldest first. Each segment ends at its first corrupt or
 // truncated record (the torn tail of a crash mid-append); the segments stay
 // as they are — nothing is appended to or cut out of a recovered segment —
-// and the session's appends go to a fresh one, started through sink here.
+// and the session's appends go to a fresh one, started on dev here.
 // LSNs keep ascending across sessions.
-func OpenPersisted(env *metrics.Env, segs []Segment, sink Sink) (*Log, error) {
-	l := &Log{env: env, sink: sink, nextLSN: 1}
+func OpenPersisted(env *metrics.Env, segs []storage.WALSegment, dev Device) (*Log, error) {
+	l := &Log{env: env, dev: dev, nextLSN: 1}
 	for _, s := range segs {
 		seg := segment{seq: s.Seq}
 		data := s.Data
@@ -219,6 +206,8 @@ func OpenPersisted(env *metrics.Env, segs []Segment, sink Sink) (*Log, error) {
 // segment's number: the cut point to hand DropBefore once everything logged
 // before this call is durable elsewhere. No append may be in flight (the
 // dataset rotates inside a writer drain). A failed rotation wedges the log.
+//
+//lsm:lockio-ok the rotation runs inside the flush pipeline's writer drain: no append is in flight and none can start until the freeze returns, so nobody waits on mu behind the segment fsync; mu keeps the device's live segment and segs moving together
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -226,10 +215,10 @@ func (l *Log) Rotate() (uint64, error) {
 	if n := len(l.segs); n > 0 {
 		seq, size = l.segs[n-1].seq+1, len(l.segs[n-1].buf)
 	}
-	if l.sink != nil {
-		if err := l.sink.Rotate(seq); err != nil {
-			if l.sinkErr == nil {
-				l.sinkErr = err
+	if l.dev != nil {
+		if err := l.dev.RotateWAL(seq); err != nil {
+			if l.devErr == nil {
+				l.devErr = err
 			}
 			return 0, err
 		}
@@ -250,33 +239,32 @@ func (l *Log) DropBefore(seq uint64) {
 	}
 	dropped := slices.Clone(l.segs[:n])
 	l.segs = slices.Delete(l.segs, 0, n)
-	sink := l.sink
 	l.mu.Unlock()
-	if sink != nil {
+	if l.dev != nil {
 		for _, s := range dropped {
-			sink.Drop(s.seq)
+			l.dev.DropWAL(s.seq)
 		}
 	}
 }
 
 // AttachGroupCommitter switches the log into group-commit mode: records are
-// appended to the sink WITHOUT a per-record fsync, and Append/WaitBatch
+// appended to the device WITHOUT a per-record fsync, and Append/WaitBatch
 // block on gc until one covering fsync lands. Attach before the first
 // append; the log does not synchronize the switch against in-flight writers.
 func (l *Log) AttachGroupCommitter(gc GroupCommitter) { l.group = gc }
 
 // GroupCommitEnabled reports whether a group committer is attached (and a
-// sink exists for it to cover).
-func (l *Log) GroupCommitEnabled() bool { return l.group != nil && l.sink != nil }
+// device exists for it to cover).
+func (l *Log) GroupCommitEnabled() bool { return l.group != nil && l.dev != nil }
 
 // Append logs one write, assigning and returning its LSN. With a nil batch
-// the record is durable when Append returns nil: synced by the sink itself,
+// the record is durable when Append returns nil: synced by the device itself,
 // or — in group-commit mode — covered by the one fsync its commit group
 // shares. With a batch (group-commit mode only, see NewBatch) the record is
 // appended unsynced and registered in b; it is durable, and the write may be
 // acknowledged, only after a successful WaitBatch.
 //
-// The error is THIS record's own result — a sink failure of its append or
+// The error is THIS record's own result — a device failure of its append or
 // the failure of the fsync meant to cover it — never the log-wide sticky
 // one, which may belong to a concurrent writer. On failure the record is
 // removed from the memory image again and the log is wedged: the device's
@@ -295,18 +283,18 @@ func (l *Log) Append(r Record, b *Batch) (int64, error) {
 	start := len(live.buf)
 	live.buf = AppendRecord(live.buf, r)
 	live.n++
-	// The sink reads the record out of the memory image: later appends only
+	// The device reads the record out of the memory image: later appends only
 	// write past it, and a drop moves the survivors instead of shifting them.
 	enc := live.buf[start:len(live.buf):len(live.buf)]
-	sink, yield := l.sink, l.yield
+	yield := l.yield
 	l.mu.Unlock()
 	if l.env != nil {
 		l.env.ChargeLogAppend()
 	}
-	if sink == nil {
+	if l.dev == nil {
 		return r.LSN, nil
 	}
-	if err := sink.Append(enc, !grouped); err != nil {
+	if err := l.dev.AppendWAL(enc, !grouped); err != nil {
 		if park {
 			l.group.Retract()
 		}
@@ -329,15 +317,15 @@ func (l *Log) Append(r Record, b *Batch) (int64, error) {
 	return r.LSN, nil
 }
 
-// poisonAndDrop records a durability failure: the sticky sink error wedges
+// poisonAndDrop records a durability failure: the sticky device error wedges
 // the log (the next logged write surfaces it) and every listed record is
 // removed from the memory image, so an in-session Crash/Recover can never
 // replay a write whose append or covering fsync was reported as failed.
 func (l *Log) poisonAndDrop(err error, lsns ...int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.sinkErr == nil {
-		l.sinkErr = err
+	if l.devErr == nil {
+		l.devErr = err
 	}
 	for _, lsn := range lsns {
 		for i := len(l.segs) - 1; i >= 0 && !l.segs[i].drop(lsn); i-- {
@@ -345,11 +333,11 @@ func (l *Log) poisonAndDrop(err error, lsns ...int64) {
 	}
 }
 
-// SinkErr returns the first sink (durability) failure, if any.
-func (l *Log) SinkErr() error {
+// DeviceErr returns the first device (durability) failure, if any.
+func (l *Log) DeviceErr() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.sinkErr
+	return l.devErr
 }
 
 // SetYield installs a scheduling hook invoked at the instrumented points

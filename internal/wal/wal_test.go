@@ -8,7 +8,7 @@ import (
 )
 
 func TestAppendAssignsLSNs(t *testing.T) {
-	l := New(metrics.NopEnv())
+	l := New(metrics.NopEnv(), nil)
 	lsn1 := mustAppend(t, l, Record{Type: RecInsert, Key: []byte("a")})
 	lsn2 := mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("b")})
 	if lsn1 != 1 || lsn2 != 2 {
@@ -21,7 +21,7 @@ func TestAppendAssignsLSNs(t *testing.T) {
 
 func TestAppendChargesClock(t *testing.T) {
 	env := metrics.NewEnv()
-	l := New(env)
+	l := New(env, nil)
 	mustAppend(t, l, Record{Type: RecInsert})
 	if env.Clock.Now() != env.CPU.LogAppend {
 		t.Fatalf("log append charged %v", env.Clock.Now())
@@ -32,7 +32,7 @@ func TestAppendChargesClock(t *testing.T) {
 // write is its own durability point — one sink append, synced.
 func TestAppendPerRecordSync(t *testing.T) {
 	sink := &recordingSink{}
-	l := NewWithSink(nil, sink)
+	l := New(nil, sink)
 	for i := 0; i < 3; i++ {
 		mustAppend(t, l, Record{Type: RecUpsert, Key: []byte{byte(i)}, TS: int64(i)})
 	}
@@ -49,7 +49,7 @@ func TestAppendFailureDropsRecord(t *testing.T) {
 	for _, grouped := range []bool{false, true} {
 		sink := &recordingSink{}
 		gc := &scriptedGroup{}
-		l := NewWithSink(nil, sink)
+		l := New(nil, sink)
 		if grouped {
 			l.AttachGroupCommitter(gc)
 		}
@@ -58,8 +58,8 @@ func TestAppendFailureDropsRecord(t *testing.T) {
 		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte("lost"), TS: 2}, nil); !errors.Is(err, boom) {
 			t.Fatalf("grouped=%v: Append error = %v, want the sink failure", grouped, err)
 		}
-		if err := l.SinkErr(); !errors.Is(err, boom) {
-			t.Fatalf("grouped=%v: SinkErr = %v, want the sticky failure", grouped, err)
+		if err := l.DeviceErr(); !errors.Is(err, boom) {
+			t.Fatalf("grouped=%v: DeviceErr = %v, want the sticky failure", grouped, err)
 		}
 		if got := replayedKeys(t, l); got != "kept" {
 			t.Fatalf("grouped=%v: log replays %q, want only the write that was appended", grouped, got)

@@ -248,8 +248,8 @@ func (c *Client) ApplyBatch(muts []lsmstore.Mutation) ([]bool, error) {
 }
 
 // SecondaryQuery runs a range query lo <= secondary key <= hi on the
-// named index. Only Validation, IndexOnly and Limit travel over the wire;
-// the in-process-only knobs (Lookup, CrackOnValidate) are ignored.
+// named index. Only Validation, IndexOnly and Limit travel over the wire:
+// CrackOnValidate is in-process only.
 func (c *Client) SecondaryQuery(index string, lo, hi []byte, opts lsmstore.QueryOptions) (*lsmstore.QueryResult, error) {
 	resp, err := c.do(wire.Request{
 		Op:         wire.OpSecondaryQuery,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dst"
+	"repro/internal/storage"
 	"repro/internal/workload"
 	"repro/lsmstore"
 )
@@ -365,7 +366,7 @@ func TestKillAtReclaimPoints(t *testing.T) {
 	}
 
 	// Number the device operations of the dry run the way Control does.
-	counted := []string{dst.OpDelete, dst.OpAppendPage, dst.OpSync, dst.OpAppendWAL, dst.OpSyncWAL, dst.OpRotateWAL, dst.OpDropWAL, dst.OpSaveManifest}
+	counted := []string{dst.OpDelete, dst.OpAppendPage, dst.OpAppendWAL, dst.OpSyncWAL, dst.OpRotateWAL, dst.OpDropWAL, dst.OpSaveManifest}
 	var ops []string
 	events, _ := run(t.TempDir(), 0)
 	for _, ev := range events {
@@ -412,5 +413,53 @@ func TestKillAtReclaimPoints(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pagesOnly is a WrapDevice result that forgot the durable half: embedding
+// storage.Device promotes the page methods and nothing else.
+type pagesOnly struct{ storage.Device }
+
+// TestWrapDeviceMustStayDurable: on the file backend a wrapper that returns a
+// device without the manifest and the log area must be refused by Open, by
+// name — it used to open a store that persisted nothing and said nothing.
+// The refused open leaves the directory usable.
+func TestWrapDeviceMustStayDurable(t *testing.T) {
+	opts := diskOptions(lsmstore.Validation, t.TempDir())
+	opts.Shards = 2
+	opts.WrapDevice = func(shard int, dev storage.Device) storage.Device {
+		if shard == 1 {
+			return pagesOnly{dev}
+		}
+		return dev
+	}
+	db, err := lsmstore.Open(opts)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open accepted a file-backend shard whose device is not a storage.Durable")
+	}
+	for _, want := range []string{"Options.WrapDevice", "shard 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open error %q does not name %q", err, want)
+		}
+	}
+	// Both shard directories were released, the refused one included.
+	opts.WrapDevice = nil
+	db, err = lsmstore.Open(opts)
+	if err != nil {
+		t.Fatalf("open after the refusal: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The simulated device has no durable half to lose.
+	sim := tinyOptions(lsmstore.Validation)
+	if sim.Backend == lsmstore.SimBackend {
+		sim.WrapDevice = func(_ int, dev storage.Device) storage.Device { return pagesOnly{dev} }
+		db, err := lsmstore.Open(sim)
+		if err != nil {
+			t.Fatalf("simulated backend with a pages-only wrapper: %v", err)
+		}
+		db.Close()
 	}
 }

@@ -59,7 +59,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/bloom"
@@ -250,10 +249,10 @@ type Options struct {
 
 	// WrapDevice, when set, wraps each partition's storage device before
 	// the store and WAL are built. It receives the shard index and the
-	// opened device; the returned device is used in its place. The wrapper
-	// must preserve the durability interfaces the inner device implements
-	// (storage.ManifestDevice, storage.WALDevice, storage.WALSyncDevice),
-	// or the partition silently loses persistence.
+	// opened device; the returned device is used in its place. On the file
+	// backend the inner device is a storage.Durable and the wrapper must
+	// return one: Open refuses a shard whose wrapper dropped the durable
+	// half rather than run it without a manifest and a log.
 	WrapDevice func(shard int, dev storage.Device) storage.Device
 	// Sleeper, when set, replaces the real-time source behind the
 	// group-commit hold-open window and backpressure stall accounting with
@@ -386,13 +385,6 @@ func resolveCacheBytes(opts Options) int64 {
 	return 64 << 20
 }
 
-// groupCommitWindow is how long a group-commit leader holds the commit
-// window open for committers that have announced intent but not yet
-// appended (they are mid-append and join within microseconds). It bounds
-// worst-case added commit latency; a lone committer never pays it: with no
-// announced peers the fsync is issued immediately.
-const groupCommitWindow = 2 * time.Millisecond
-
 // resolvePageSize returns the effective device page size for the options.
 func resolvePageSize(opts Options) int {
 	if opts.PageSize > 0 {
@@ -412,7 +404,6 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		profile = storage.ScaledHDD(opts.PageSize)
 	}
 	var dev storage.Device
-	var groupCommit *filedev.GroupSyncer
 	if opts.Backend == FileBackend {
 		fd, err := filedev.Open(shardDir(opts.Dir, idx), profile)
 		if err != nil {
@@ -420,22 +411,11 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		}
 		fd.AttachCounters(env.Counters)
 		dev = fd
-		if opts.WrapDevice != nil {
-			dev = opts.WrapDevice(idx, dev)
-		}
-		if opts.GroupCommit != GroupCommitOff {
-			// The syncer runs over the (possibly wrapped) device, so an
-			// injected SyncWAL fault reaches the covering group fsync.
-			if sd, ok := dev.(storage.WALSyncDevice); ok {
-				groupCommit = filedev.NewGroupSyncerOver(sd, groupCommitWindow, env.Counters)
-				groupCommit.SetSleeper(opts.Sleeper)
-			}
-		}
 	} else {
-		dev = storage.NewDisk(profile, env)
-		if opts.WrapDevice != nil {
-			dev = opts.WrapDevice(idx, dev)
-		}
+		dev = storage.NewDisk(profile)
+	}
+	if opts.WrapDevice != nil {
+		dev = opts.WrapDevice(idx, dev)
 	}
 	store := storage.NewStore(dev, resolveCacheBytes(opts), env)
 
@@ -449,20 +429,19 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		BloomFPR:      0.01,
 		Bloom:         bloomKind(opts.Backend),
 		Policy:        lsm.NewTiering(0),
+		GroupCommit:   opts.GroupCommit != GroupCommitOff,
 		Seed:          opts.Seed,
 		Maintenance:   pool,
 		Yield:         opts.Yield,
 		Journal:       obs.ShardJournal{J: journal, Shard: idx},
 	}
-	if groupCommit != nil {
-		// Assigned only when non-nil: a typed nil pointer inside the
-		// interface would read as "group committer attached" to the log.
-		cfg.GroupCommit = groupCommit
-	}
 	for _, s := range opts.Secondaries {
 		cfg.Secondaries = append(cfg.Secondaries, core.SecondarySpec(s))
 	}
 	ds, err := core.Open(cfg)
+	if err == nil && opts.Backend == FileBackend && !ds.Durable() {
+		err = fmt.Errorf("lsmstore: Options.WrapDevice returned a device for shard %d that is not a storage.Durable: the shard would keep no manifest and no log", idx)
+	}
 	if err != nil {
 		dev.Close()
 		return partition{}, err
@@ -639,9 +618,6 @@ type QueryOptions struct {
 	// IndexOnly returns primary keys without fetching records. Direct
 	// validation validates by fetching them, so the pair is ErrBadQuery.
 	IndexOnly bool
-	// Lookup tunes the point-lookup optimizations; the zero value is
-	// upgraded to the paper's fully optimized configuration.
-	Lookup *query.LookupConfig
 	// CrackOnValidate lets Timestamp validation mark the obsolete entries
 	// it discovers so later queries skip them and the next merge drops
 	// them (query-driven maintenance, the paper's Section 7 extension).
@@ -688,14 +664,10 @@ func (db *DB) SecondaryQuery(index string, lo, hi []byte, opts QueryOptions) (*Q
 	case db.parts[0].ds.Secondary(index) == nil: // every partition declares the same indexes
 		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, index)
 	}
-	lookup := query.DefaultLookupConfig()
-	if opts.Lookup != nil {
-		lookup = *opts.Lookup
-	}
 	return db.secondaryQuery(index, lo, hi, query.SecondaryQueryOptions{
 		Validation:      opts.Validation,
 		IndexOnly:       opts.IndexOnly,
-		Lookup:          lookup,
+		Lookup:          query.DefaultLookupConfig(),
 		CrackOnValidate: opts.CrackOnValidate,
 	}, opts.Limit)
 }
