@@ -45,15 +45,22 @@ type Builder struct {
 	file     storage.FileID
 	pageSize int
 
-	// current leaf under construction
-	leafKeys     [][]byte
-	leafPayloads [][]byte
-	leafBytes    int
+	// The leaf under construction, laid out as its page will store it:
+	// entries holds each entry's bytes (keyLen uvarint, key, payload) back
+	// to back and offs where each one starts. Both are reused from leaf to
+	// leaf, so Add copies an entry's bytes once and allocates nothing.
+	entries []byte
+	offs    []uint32
+
+	// page is the one buffer every page of the file is assembled in. The
+	// device copies what AppendPage hands it (storage.Device), so the buffer
+	// is free again as soon as the call returns.
+	page []byte
 
 	// one pending routing entry per written page, per level
 	levels [][]routeEntry
 
-	lastKey []byte
+	lastKey []byte // reused; meaningful once count > 0
 	count   int64
 	done    bool
 }
@@ -65,10 +72,13 @@ type routeEntry struct {
 
 // NewBuilder starts a bulk load into a new file on store.
 func NewBuilder(store *storage.Store) *Builder {
+	pageSize := store.PageSize()
 	return &Builder{
 		store:    store,
 		file:     store.Create(),
-		pageSize: store.PageSize(),
+		pageSize: pageSize,
+		entries:  make([]byte, 0, pageSize),
+		page:     make([]byte, 0, pageSize),
 	}
 }
 
@@ -79,22 +89,23 @@ func (b *Builder) Add(key, payload []byte) error {
 	if b.done {
 		return errors.New("btree: builder already finished")
 	}
-	if b.lastKey != nil && compareCharged(nil, key, b.lastKey) <= 0 {
+	if b.count > 0 && compareCharged(nil, key, b.lastKey) <= 0 {
 		return fmt.Errorf("%w: %q after %q", ErrKeyOrder, key, b.lastKey)
 	}
 	need := entrySize(key, payload)
 	if leafHeaderSize+4+need > b.pageSize {
 		return ErrEntryTooLarge
 	}
-	if leafHeaderSize+4*(len(b.leafKeys)+1)+b.leafBytes+need > b.pageSize {
+	if leafHeaderSize+4*(len(b.offs)+1)+len(b.entries)+need > b.pageSize {
 		if err := b.flushLeaf(); err != nil {
 			return err
 		}
 	}
-	b.leafKeys = append(b.leafKeys, append([]byte(nil), key...))
-	b.leafPayloads = append(b.leafPayloads, append([]byte(nil), payload...))
-	b.leafBytes += need
-	b.lastKey = b.leafKeys[len(b.leafKeys)-1]
+	b.offs = append(b.offs, uint32(len(b.entries)))
+	b.entries = binary.AppendUvarint(b.entries, uint64(len(key)))
+	b.entries = append(b.entries, key...)
+	b.entries = append(b.entries, payload...)
+	b.lastKey = append(b.lastKey[:0], key...)
 	b.count++
 	return nil
 }
@@ -113,31 +124,30 @@ func uvarintLen(v uint64) int {
 }
 
 func (b *Builder) flushLeaf() error {
-	if len(b.leafKeys) == 0 {
+	n := len(b.offs)
+	if n == 0 {
 		return nil
 	}
-	startOrdinal := b.count - int64(len(b.leafKeys))
-	page := make([]byte, 0, b.pageSize)
-	page = append(page, pageLeaf)
-	page = binary.BigEndian.AppendUint32(page, uint32(len(b.leafKeys)))
-	page = binary.BigEndian.AppendUint64(page, uint64(startOrdinal))
-	// reserve slot array
-	slotBase := len(page)
-	page = append(page, make([]byte, 4*len(b.leafKeys))...)
-	for i := range b.leafKeys {
-		binary.BigEndian.PutUint32(page[slotBase+4*i:], uint32(len(page)))
-		page = binary.AppendUvarint(page, uint64(len(b.leafKeys[i])))
-		page = append(page, b.leafKeys[i]...)
-		page = append(page, b.leafPayloads[i]...)
+	page := append(b.page[:0], pageLeaf)
+	page = binary.BigEndian.AppendUint32(page, uint32(n))
+	page = binary.BigEndian.AppendUint64(page, uint64(b.count-int64(n)))
+	// The slot directory holds page offsets; the entries follow it.
+	base := uint32(leafHeaderSize + 4*n)
+	for _, off := range b.offs {
+		page = binary.BigEndian.AppendUint32(page, base+off)
 	}
+	page = append(page, b.entries...)
 	pageNo, err := b.store.AppendPage(b.file, page)
 	if err != nil {
 		return err
 	}
-	b.pushRoute(0, routeEntry{firstKey: b.leafKeys[0], page: uint32(pageNo)})
-	b.leafKeys = b.leafKeys[:0]
-	b.leafPayloads = b.leafPayloads[:0]
-	b.leafBytes = 0
+	// The route's first key is the one copy a leaf costs: the entry buffer
+	// is about to be overwritten and the route lives until Finish.
+	keyLen, w := binary.Uvarint(b.entries)
+	firstKey := append([]byte(nil), b.entries[w:w+int(keyLen)]...)
+	b.pushRoute(0, routeEntry{firstKey: firstKey, page: uint32(pageNo)})
+	b.entries = b.entries[:0]
+	b.offs = b.offs[:0]
 	return nil
 }
 
@@ -149,8 +159,7 @@ func (b *Builder) pushRoute(level int, r routeEntry) {
 }
 
 func (b *Builder) writeInternal(level int, routes []routeEntry) (uint32, error) {
-	page := make([]byte, 0, b.pageSize)
-	page = append(page, pageInternal)
+	page := append(b.page[:0], pageInternal)
 	page = binary.BigEndian.AppendUint32(page, uint32(len(routes)))
 	slotBase := len(page)
 	page = append(page, make([]byte, 4*len(routes))...)
@@ -233,8 +242,7 @@ func (b *Builder) Finish() (*Reader, error) {
 		}
 	}
 	// meta page: type(1) count(8) root(4) height(2) numLeaves(4)
-	meta := make([]byte, 0, 32)
-	meta = append(meta, pageMeta)
+	meta := append(b.page[:0], pageMeta)
 	meta = binary.BigEndian.AppendUint64(meta, uint64(b.count))
 	meta = binary.BigEndian.AppendUint32(meta, rootPage)
 	meta = binary.BigEndian.AppendUint16(meta, uint16(height))

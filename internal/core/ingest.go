@@ -29,6 +29,15 @@ var recordTypes = [...]wal.RecordType{
 // With a non-nil batch the log record is appended unsynced and registered
 // in b, and the write may only be acknowledged after WaitCommitBatch(b)
 // succeeds. A nil batch makes the write durable before Apply returns.
+//
+// Apply retains none of m's bytes after it returns: the memory components
+// copy the key and record they keep, the log encodes the record into its
+// segment, and every side structure that remembers a key (the lock table,
+// a flush batch's forwarded deletes, a secondary's deleted-key set, a merge
+// build's side-file) stores its own copy. The caller may reuse or overwrite
+// PK and Record at once — the server applies writes straight out of its
+// pooled receive buffers. TestApplyRetainsNoCallerBytes holds every
+// strategy to this.
 func (d *Dataset) Apply(m kv.Mutation, b *wal.Batch) (applied bool, err error) {
 	if int(m.Op) >= len(recordTypes) {
 		return false, fmt.Errorf("core: unknown mutation op %d", m.Op)
@@ -194,10 +203,18 @@ func (d *Dataset) install(op kv.Op, pk, record []byte, ts int64, p prepared) {
 	d.putRecord(pk, record, ts)
 	for _, si := range d.secondaries {
 		if sk, ok := si.Spec.Extract(record); ok {
-			si.Tree.Put(kv.Entry{Key: kv.ComposeKey(sk, pk), TS: ts})
+			si.put(sk, pk, ts, false)
 		}
 	}
 	d.widenFilterFor(record)
+}
+
+// put writes the (secondary key, primary key) entry, or its anti-matter,
+// into the index's memory component. The composite key is built in a stack
+// buffer (longer keys spill to the heap): the memtable copies what it keeps.
+func (si *SecondaryIndex) put(sk, pk []byte, ts int64, anti bool) {
+	var scratch [64]byte
+	si.Tree.Put(kv.Entry{Key: kv.AppendComposeKey(scratch[:0], sk, pk), TS: ts, Anti: anti})
 }
 
 // installEager keeps every index up to date at write time (Figure 3):
@@ -219,10 +236,10 @@ func (d *Dataset) installEager(op kv.Op, pk, record []byte, ts int64, p prepared
 			continue // unchanged secondary key: skip maintenance entirely
 		}
 		if hasOld {
-			si.Tree.Put(kv.Entry{Key: kv.ComposeKey(oldSK, pk), TS: ts, Anti: true})
+			si.put(oldSK, pk, ts, true)
 		}
 		if hasNew {
-			si.Tree.Put(kv.Entry{Key: kv.ComposeKey(newSK, pk), TS: ts})
+			si.put(newSK, pk, ts, false)
 		}
 	}
 	if p.found {
@@ -289,7 +306,7 @@ func (d *Dataset) cleanSecondariesFromMem(pk []byte, ts int64) {
 	}
 	for _, si := range d.secondaries {
 		if sk, has := si.Spec.Extract(old.Value); has {
-			si.Tree.Put(kv.Entry{Key: kv.ComposeKey(sk, pk), TS: ts, Anti: true})
+			si.put(sk, pk, ts, true)
 		}
 	}
 }

@@ -17,18 +17,28 @@ const (
 	lockExclusive
 )
 
+// keyLock is one key's lock state. It lives in the lock table only while
+// somebody holds or waits for the key; after that it is recycled, so a
+// write that takes and releases a key allocates no lock.
 type keyLock struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond // on mu
 	readers int
 	writer  bool
-	waiters int
+
+	// Guarded by lockManager.mu: the table's copy of the key (the one
+	// allocation a new entry costs), how many holders and waiters reference
+	// the lock, and the free-list link.
+	key  string
+	refs int
+	next *keyLock
 }
 
 // lockManager provides blocking S/X locks on keys.
 type lockManager struct {
 	mu    sync.Mutex
 	locks map[string]*keyLock
+	free  *keyLock // recycled locks: no holder, no waiter
 }
 
 // newLockManager creates an empty lock table.
@@ -36,32 +46,23 @@ func newLockManager() *lockManager {
 	return &lockManager{locks: make(map[string]*keyLock)}
 }
 
-func (m *lockManager) get(key string) *keyLock {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l, ok := m.locks[key]
-	if !ok {
-		l = &keyLock{}
-		l.cond = sync.NewCond(&l.mu)
-		m.locks[key] = l
-	}
-	l.waiters++
-	return l
-}
-
-func (m *lockManager) put(key string, l *keyLock) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l.waiters--
-	if l.waiters == 0 && l.readers == 0 && !l.writer {
-		delete(m.locks, key)
-	}
-}
-
 // Lock acquires key in the given mode, blocking until compatible.
 func (m *lockManager) Lock(key []byte, mode lockMode) {
-	k := string(key)
-	l := m.get(k)
+	m.mu.Lock()
+	l := m.locks[string(key)]
+	if l == nil {
+		if l = m.free; l != nil {
+			m.free, l.next = l.next, nil
+		} else {
+			l = &keyLock{}
+			l.cond.L = &l.mu
+		}
+		l.key = string(key)
+		m.locks[l.key] = l
+	}
+	l.refs++
+	m.mu.Unlock()
+
 	l.mu.Lock()
 	if mode == lockExclusive {
 		for l.writer || l.readers > 0 {
@@ -79,9 +80,8 @@ func (m *lockManager) Lock(key []byte, mode lockMode) {
 
 // Unlock releases key from the given mode.
 func (m *lockManager) Unlock(key []byte, mode lockMode) {
-	k := string(key)
 	m.mu.Lock()
-	l := m.locks[k]
+	l := m.locks[string(key)]
 	m.mu.Unlock()
 	if l == nil {
 		return
@@ -94,7 +94,18 @@ func (m *lockManager) Unlock(key []byte, mode lockMode) {
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	m.put(k, l)
+
+	// The reference taken by Lock is dropped last: until then the lock
+	// cannot leave the table, so the pointer looked up above stayed this
+	// key's. With no reference left nobody else holds the pointer, and the
+	// lock goes back on the free list.
+	m.mu.Lock()
+	l.refs--
+	if l.refs == 0 {
+		delete(m.locks, l.key)
+		l.key, l.next, m.free = "", m.free, l
+	}
+	m.mu.Unlock()
 }
 
 // withLock runs fn while holding key in the given mode.

@@ -195,11 +195,15 @@ const (
 
 // ComposeKey builds a composite (secondary key, primary key) index key.
 func ComposeKey(secondary, primary []byte) []byte {
-	out := make([]byte, 0, len(secondary)+len(primary)+4)
-	out = appendEscaped(out, secondary)
-	out = append(out, escByte, escTerm)
-	out = append(out, primary...)
-	return out
+	return AppendComposeKey(make([]byte, 0, len(secondary)+len(primary)+4), secondary, primary)
+}
+
+// AppendComposeKey appends the composite key to dst: ComposeKey for a
+// caller that hands the key straight to something that copies it.
+func AppendComposeKey(dst, secondary, primary []byte) []byte {
+	dst = appendEscaped(dst, secondary)
+	dst = append(dst, escByte, escTerm)
+	return append(dst, primary...)
 }
 
 func appendEscaped(dst, s []byte) []byte {

@@ -6,6 +6,15 @@
 // The implementation is a skiplist guarded by a read-write mutex, giving
 // concurrent readers and a single writer path, which matches the engine's
 // record-level locking discipline.
+//
+// Nodes are never removed while a table lives and a node's key never
+// changes, so nodes, their towers and their keys are carved from slabs —
+// chunks the table allocates whole and that become garbage together, when
+// the flushed table is dropped. Values are the exception: an overwrite
+// replaces a node's value, and a replaced value parked in a slab would stay
+// pinned until the flush, without bound for a key set that is overwritten
+// in place. Each value is its own allocation and is collectable the moment
+// it is replaced.
 package memtable
 
 import (
@@ -16,6 +25,13 @@ import (
 )
 
 const maxHeight = 16
+
+// Slab sizes. A table that holds anything holds at least one slab of each
+// kind (34 KiB together, with the first 4 KiB key chunk); one that never sees a Put holds none.
+const (
+	nodeSlab  = 256  // nodes per slab
+	towerSlab = 1024 // next-pointers per slab; a node uses 4/3 on average
+)
 
 type node struct {
 	entry kv.Entry
@@ -30,6 +46,12 @@ type Table struct {
 	rng    *rand.Rand
 	count  int
 	bytes  int
+
+	// The open slab of each kind; full ones stay reachable through the
+	// nodes, towers and keys carved from them. Guarded by mu like the list.
+	nodes  []node
+	towers []*node
+	keys   kv.Arena
 
 	// Component ID bookkeeping (minTS-maxTS of contained entries).
 	minTS int64
@@ -62,13 +84,34 @@ func (t *Table) randomHeight() int {
 	return h
 }
 
-// Put inserts or replaces the entry for e.Key.
+// newNode carves a node with an h-high tower from the slabs.
+func (t *Table) newNode(h int) *node {
+	if len(t.nodes) == cap(t.nodes) {
+		t.nodes = make([]node, 0, nodeSlab)
+	}
+	if h > cap(t.towers)-len(t.towers) {
+		t.towers = make([]*node, 0, towerSlab)
+	}
+	t.nodes = t.nodes[:len(t.nodes)+1]
+	n := &t.nodes[len(t.nodes)-1]
+	top := len(t.towers) + h
+	n.next = t.towers[len(t.towers):top:top]
+	t.towers = t.towers[:top]
+	return n
+}
+
+// Put inserts or replaces the entry for e.Key. The table copies what it
+// keeps — the key of a new entry into a slab, the value into an allocation
+// of its own — and retains none of e's bytes.
 func (t *Table) Put(e kv.Entry) {
-	e = e.Clone()
+	// The stored entry is built from a fresh local, never from e: were e
+	// itself stored, its key would escape and a caller could not compose
+	// one in a stack buffer.
+	stored := kv.Entry{Value: append([]byte(nil), e.Value...), TS: e.TS, Anti: e.Anti}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	update := make([]*node, maxHeight)
+	var update [maxHeight]*node
 	x := t.head
 	for level := t.height - 1; level >= 0; level-- {
 		for x.next[level] != nil && kv.Compare(x.next[level].entry.Key, e.Key) < 0 {
@@ -77,8 +120,9 @@ func (t *Table) Put(e kv.Entry) {
 		update[level] = x
 	}
 	if nxt := x.next[0]; nxt != nil && kv.Compare(nxt.entry.Key, e.Key) == 0 {
-		t.bytes += e.Size() - nxt.entry.Size()
-		nxt.entry = e
+		stored.Key = nxt.entry.Key // an overwrite keeps the node's key
+		t.bytes += stored.Size() - nxt.entry.Size()
+		nxt.entry = stored
 	} else {
 		h := t.randomHeight()
 		if h > t.height {
@@ -87,13 +131,15 @@ func (t *Table) Put(e kv.Entry) {
 			}
 			t.height = h
 		}
-		n := &node{entry: e, next: make([]*node, h)}
+		stored.Key = t.keys.Copy(e.Key)
+		n := t.newNode(h)
+		n.entry = stored
 		for level := 0; level < h; level++ {
 			n.next[level] = update[level].next[level]
 			update[level].next[level] = n
 		}
 		t.count++
-		t.bytes += e.Size()
+		t.bytes += stored.Size()
 	}
 	if t.minTS < 0 || e.TS < t.minTS {
 		t.minTS = e.TS

@@ -29,11 +29,14 @@ type Sleeper interface {
 // monotonic clock and time.AfterFunc.
 type wallSleeper struct{ base time.Time }
 
+// wall is the one wallSleeper, boxed into the interface once: Clock.Sleeper
+// hands it out on every write's backpressure check.
+//
 //lsm:clocksource-ok wallSleeper is the real-time Sleeper implementation itself
-var wallBase = time.Now()
+var wall Sleeper = wallSleeper{base: time.Now()}
 
 // WallSleeper returns the process-wide real-time Sleeper.
-func WallSleeper() Sleeper { return wallSleeper{base: wallBase} }
+func WallSleeper() Sleeper { return wall }
 
 func (w wallSleeper) Monotonic() time.Duration {
 	//lsm:clocksource-ok the wall Sleeper is the one sanctioned real-time source

@@ -604,42 +604,39 @@ func (c *conn) writeLoop(done chan struct{}) {
 // handle executes one request against the DB and builds its response.
 //
 // Requests arrive decoded in place: their byte fields alias a pooled
-// receive buffer that is reused once the request finishes. Read operations
-// may use the fields as-is (the engine does not retain them), but write
-// operations must clone what the engine keeps — keys and records live on
-// in the memtable and WAL long after the buffer is recycled.
+// receive buffer that is reused once the request finishes. Reads and writes
+// alike hand the fields to the engine as they are: the engine retains none
+// of a mutation's bytes once the apply returns (core.Dataset.Apply states
+// and tests the contract — the memtable and the log copy what they keep),
+// and a write returns here only after its batch has landed, so the buffer
+// outlives every use of it.
 func (s *Server) handle(req wire.Request, tr *trace) wire.Response {
 	switch req.Op {
 	case wire.OpPing:
 		return wire.Response{ID: req.ID, Kind: wire.KindOK}
 
 	case wire.OpUpsert:
-		if _, err := s.write(lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: bytes.Clone(req.Key), Record: bytes.Clone(req.Value)}, tr); err != nil {
+		if _, err := s.write(lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: req.Key, Record: req.Value}, tr); err != nil {
 			return s.errorResponse(req.ID, err)
 		}
 		return wire.Response{ID: req.ID, Kind: wire.KindOK}
 
 	case wire.OpInsert:
-		applied, err := s.write(lsmstore.Mutation{Op: lsmstore.OpInsert, PK: bytes.Clone(req.Key), Record: bytes.Clone(req.Value)}, tr)
+		applied, err := s.write(lsmstore.Mutation{Op: lsmstore.OpInsert, PK: req.Key, Record: req.Value}, tr)
 		if err != nil {
 			return s.errorResponse(req.ID, err)
 		}
 		return wire.Response{ID: req.ID, Kind: wire.KindApplied, Applied: applied}
 
 	case wire.OpDelete:
-		applied, err := s.write(lsmstore.Mutation{Op: lsmstore.OpDelete, PK: bytes.Clone(req.Key)}, tr)
+		applied, err := s.write(lsmstore.Mutation{Op: lsmstore.OpDelete, PK: req.Key}, tr)
 		if err != nil {
 			return s.errorResponse(req.ID, err)
 		}
 		return wire.Response{ID: req.ID, Kind: wire.KindApplied, Applied: applied}
 
 	case wire.OpApplyBatch:
-		// The decoder already refused out-of-range ops. Clone in place:
-		// the decoded slice is this request's own, its bytes are not.
-		for i := range req.Muts {
-			m := &req.Muts[i]
-			m.PK, m.Record = bytes.Clone(m.PK), bytes.Clone(m.Record)
-		}
+		// The decoder already refused out-of-range ops.
 		applied, err := s.db.ApplyBatchResults(req.Muts)
 		if err != nil {
 			return s.errorResponse(req.ID, err)

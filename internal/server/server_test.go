@@ -1,10 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -565,14 +567,16 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestServedBatchSurvivesBufferReuse is the clone-before-retain guard: a
-// request is decoded in place over a pooled receive buffer, and the write-
-// ahead log's memory image keeps each write's key and record until a flush
-// covers it — Recover (and Close's log compaction) read them back.
+// TestServedBatchSurvivesBufferReuse is the copy-before-retain guard for the
+// log: a request is decoded in place over a pooled receive buffer, and the
+// write-ahead log's memory image keeps each write's key and record until a
+// flush covers it — Recover (and Close's log compaction) read them back.
 // Same-sized batches on one connection recycle that buffer over and over;
 // after a crash every acknowledged write must still replay byte-identical.
-// Today both the server (handle) and the engine (core's logOp) copy, so
-// either copy alone keeps this green; it fails when no layer copies.
+// The server hands the engine the buffer's bytes as they are, so the
+// engine's copy (the log encodes the record into its segment) is the only
+// one; TestServedWritesSurviveBufferReuse covers the other write ops and
+// the memory components.
 func TestServedBatchSurvivesBufferReuse(t *testing.T) {
 	opts := storeOptions()
 	opts.MemoryBudget = 8 << 20 // nothing flushes: recovery replays every write from the log
@@ -611,6 +615,123 @@ func TestServedBatchSurvivesBufferReuse(t *testing.T) {
 			t.Fatalf("key %x: found=%v err=%v\n got %x\nwant %x", pk, found, err, got, rec)
 		}
 	}
+}
+
+// TestServedWritesSurviveBufferReuse drives every write op — UPSERT, INSERT,
+// DELETE, APPLY_BATCH — pipelined over one connection, so the pooled receive
+// buffers the requests are decoded in are recycled for later frames while
+// earlier batches are still in flight or long since applied. The server
+// applies writes straight out of those buffers; whatever the engine kept
+// must be its own copy. Records vary in length and content, so a retained
+// alias reads back as another request's bytes: from the memory components,
+// through a secondary query, after a flush, and from the log after a crash.
+func TestServedWritesSurviveBufferReuse(t *testing.T) {
+	opts := storeOptions()
+	opts.MemoryBudget = 8 << 20 // nothing flushes until the test says so
+	srv, db := startServer(t, opts, nil)
+	c := dial(t, srv, 1)
+
+	record := func(id uint64, version byte) (pk, rec []byte) {
+		tw := workload.Tweet{ID: id, UserID: uint32(id % 32), Creation: int64(id),
+			Message: bytes.Repeat([]byte{byte(id), version}, int(id%40))}
+		return tw.PK(), tw.Encode()
+	}
+	const workers, perWorker = 8, 120
+	models := make([]map[string][]byte, workers) // per worker: pk -> record; disjoint ids
+	write := func(round uint64) {
+		var wg sync.WaitGroup
+		for w := range models {
+			if models[w] == nil {
+				models[w] = map[string][]byte{}
+			}
+			wg.Add(1)
+			go func(w int, model map[string][]byte) {
+				defer wg.Done()
+				for i := uint64(0); i < perWorker; i++ {
+					id := round<<40 | uint64(w)<<20 | i
+					pk, rec := record(id, 1)
+					var err error
+					switch i % 4 {
+					case 0:
+						err = c.Upsert(pk, rec)
+						model[string(pk)] = rec
+					case 1:
+						var applied bool
+						if applied, err = c.Insert(pk, rec); err == nil && !applied {
+							err = errors.New("fresh insert not applied")
+						}
+						model[string(pk)] = rec
+					case 2: // a batch: a new key, a new version of the last upsert, a duplicate insert
+						oldPK, newRec := record(id-2, 2)
+						dupPK, dupRec := record(id-1, 3)
+						var applied []bool
+						applied, err = c.NewBatch().Upsert(pk, rec).Upsert(oldPK, newRec).Insert(dupPK, dupRec).Apply()
+						if err == nil && (len(applied) != 3 || applied[2]) {
+							err = fmt.Errorf("batch report %v, want the duplicate insert ignored", applied)
+						}
+						model[string(pk)], model[string(oldPK)] = rec, newRec
+					case 3: // delete what the batch just wrote
+						delPK, _ := record(id-1, 1)
+						_, err = c.Delete(delPK)
+						delete(model, string(delPK))
+					}
+					if err != nil {
+						t.Errorf("worker %d op %d: %v", w, i, err)
+						return
+					}
+				}
+			}(w, models[w])
+		}
+		wg.Wait()
+	}
+	check := func(stage string) {
+		t.Helper()
+		want := map[string][]byte{}
+		for _, model := range models {
+			for pk, rec := range model {
+				want[pk] = rec
+				got, found, err := c.Get([]byte(pk))
+				if err != nil || !found || !bytes.Equal(got, rec) {
+					t.Fatalf("%s: key %x: found=%v err=%v\n got %x\nwant %x", stage, pk, found, err, got, rec)
+				}
+			}
+		}
+		res, err := c.SecondaryQuery("user", workload.UserKey(0), workload.UserKey(31),
+			lsmstore.QueryOptions{Validation: lsmstore.DirectValidation})
+		if err != nil {
+			t.Fatalf("%s: query: %v", stage, err)
+		}
+		if len(res.Records) != len(want) {
+			t.Fatalf("%s: query returned %d records, want %d", stage, len(res.Records), len(want))
+		}
+		for _, r := range res.Records {
+			if !bytes.Equal(r.Value, want[string(r.PK)]) {
+				t.Fatalf("%s: query returned %x = %x, want %x", stage, r.PK, r.Value, want[string(r.PK)])
+			}
+		}
+	}
+
+	write(0)
+	if t.Failed() {
+		return
+	}
+	if st := db.Stats(); st.PrimaryComponents != 0 {
+		t.Fatalf("%d components flushed before the test asked", st.PrimaryComponents)
+	}
+	check("memory components")
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed")
+	write(1) // these reach the log and the memory components only
+	if t.Failed() {
+		return
+	}
+	db.Crash()
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	check("replayed")
 }
 
 // TestBadQueryIsBadRequest checks that query options the store rejects

@@ -54,6 +54,7 @@ var pageCases = []struct {
 	run  func(*testing.T, storage.Device)
 }{
 	{"append-read", testAppendRead},
+	{"append-reuse", testAppendReuse},
 	{"list-order", testListOrder},
 	{"delete", testDelete},
 	{"page-overflow", testPageOverflow},
@@ -93,6 +94,33 @@ func TestDeviceConformance(t *testing.T) {
 				t.Run(c.name, func(t *testing.T) { c.run(t, open(t).(storage.Durable)) })
 			}
 		})
+	}
+}
+
+// testAppendReuse appends every page from one buffer, overwritten with
+// garbage as soon as each call returns — the B+-tree builder assembles all
+// of a file's pages in one buffer. Every page must read back as it was
+// appended: the three the file device still holds in its append batch (it
+// writes through every 16) and the ones before them.
+func testAppendReuse(t *testing.T, dev storage.Device) {
+	env := metrics.NewEnv()
+	id := dev.Create()
+	buf := make([]byte, dev.PageSize())
+	const pages = 35
+	content := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 1+i*53%dev.PageSize()) }
+	for i := range pages {
+		p := buf[:copy(buf, content(i))]
+		if n, err := dev.AppendPageEnv(env, id, p); err != nil || n != i {
+			t.Fatalf("AppendPageEnv #%d = %d, %v", i, n, err)
+		}
+		for j := range buf {
+			buf[j] = 0xEE
+		}
+	}
+	for i := range pages {
+		if got, err := dev.ReadPageEnv(env, id, i); err != nil || !bytes.Equal(got, content(i)) {
+			t.Fatalf("ReadPageEnv(%d) after the buffer was reused: %d bytes starting %x (%v), want %d of %x", i, len(got), got[:1], err, len(content(i)), byte(i+1))
+		}
 	}
 }
 

@@ -29,6 +29,9 @@ type Device interface {
 	Delete(id FileID)
 	// AppendPageEnv appends one page (at most PageSize bytes) to the file,
 	// charging the given metrics environment, and returns its page number.
+	// The device copies data before it returns and never retains the slice:
+	// the caller may overwrite it at once (the B+-tree builder assembles
+	// every page of a file in one buffer).
 	AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, error)
 	// ReadPageEnv reads one page, charging env. Sequential or random is
 	// decided by the head position, not by the caller. The returned slice

@@ -74,13 +74,18 @@ func BenchmarkDiskApplyBatch(b *testing.B) {
 	}
 }
 
-// TestDiskWriteAllocGuard is the allocation regression gate for the
-// pooled write path (WAL record encode buffers, filedev staging buffer,
-// commit path): per-write allocations on the file backend must stay an
-// order of magnitude below an unpooled implementation. The ceilings carry
-// ~3x headroom over the measured values (~21 allocs per single write,
-// ~41 per batched mutation including shard grouping), so they catch gross
-// regressions — a lost pool, a per-write buffer — not single-alloc noise.
+// TestDiskWriteAllocGuard is the allocation regression gate for the write
+// path on the file backend: a record's bytes are copied once per layer and
+// nothing is allocated per entry that can be allocated per page or per
+// slab. It measures 6 objects per single write and 5 per batched mutation
+// (it measured 37 and 51 when the B+-tree builder kept two slices per
+// entry, the memtable a node, a tower and a key per Put, and the lock table
+// a lock and a condition variable per write). Two of them are this test's
+// own key and record; the rest are the memtable's copy of the value, the
+// lock table's copy of the key, the log batch's bookkeeping and the builds'
+// per-page copies spread over the entries. Each ceiling is twice the
+// measured figure: any per-entry allocation put back on the flush, merge or
+// Put path — there are several entries of each per write — goes over it.
 // Skipped unless LSMSTORE_BENCH_SMOKE=1.
 func TestDiskWriteAllocGuard(t *testing.T) {
 	if os.Getenv("LSMSTORE_BENCH_SMOKE") == "" {
@@ -102,8 +107,8 @@ func TestDiskWriteAllocGuard(t *testing.T) {
 			}
 		}
 	})
-	if got := single.AllocsPerOp(); got > 64 {
-		t.Errorf("single disk write allocates %d objects/op, ceiling 64 — a pooled buffer regressed", got)
+	if got := single.AllocsPerOp(); got > 12 {
+		t.Errorf("single disk write allocates %d objects/op, ceiling 12 — a per-entry allocation is back on the write path", got)
 	}
 	const batch = 64
 	muts := make([]lsmstore.Mutation, batch)
@@ -118,8 +123,8 @@ func TestDiskWriteAllocGuard(t *testing.T) {
 			}
 		}
 	})
-	if got := batched.AllocsPerOp() / batch; got > 128 {
-		t.Errorf("batched disk write allocates %d objects/mutation, ceiling 128", got)
+	if got := batched.AllocsPerOp() / batch; got > 10 {
+		t.Errorf("batched disk write allocates %d objects/mutation, ceiling 10", got)
 	}
 	t.Logf("disk write allocations: single %d/op, batched %d/mutation",
 		single.AllocsPerOp(), batched.AllocsPerOp()/batch)
