@@ -220,8 +220,9 @@ func (t *Table) Filter() (min, max int64, ok bool) {
 type Iterator struct {
 	t *Table
 	x *node
-	// bounds: lo inclusive, hi exclusive (nil = unbounded)
-	hi []byte
+	// bounds: lo inclusive, hi exclusive (nil = unbounded). lo is cleared
+	// once an entry at or above it has been returned.
+	lo, hi []byte
 }
 
 // NewIterator returns an iterator over [lo, hi); nil bounds are unbounded.
@@ -236,20 +237,29 @@ func (t *Table) NewIterator(lo, hi []byte) *Iterator {
 			}
 		}
 	}
-	return &Iterator{t: t, x: x, hi: hi}
+	return &Iterator{t: t, x: x, lo: lo, hi: hi}
 }
 
 // Next returns the next entry; ok is false at the end.
+//
+// The iterator starts parked on lo's predecessor, and a key put after
+// NewIterator can land between that predecessor and lo, so Next skips
+// keys below lo until it has returned one at or above it. After that every
+// later key sorts above lo: the list is sorted and nodes are never removed.
 func (it *Iterator) Next() (kv.Entry, bool) {
 	it.t.mu.RLock()
 	defer it.t.mu.RUnlock()
 	nxt := it.x.next[0]
+	for it.lo != nil && nxt != nil && kv.Compare(nxt.entry.Key, it.lo) < 0 {
+		it.x = nxt
+		nxt = nxt.next[0]
+	}
 	if nxt == nil {
 		return kv.Entry{}, false
 	}
 	if it.hi != nil && kv.Compare(nxt.entry.Key, it.hi) >= 0 {
 		return kv.Entry{}, false
 	}
-	it.x = nxt
+	it.x, it.lo = nxt, nil
 	return nxt.entry, true
 }

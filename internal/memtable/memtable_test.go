@@ -39,6 +39,24 @@ func TestAntiMatterStored(t *testing.T) {
 	}
 }
 
+// TestIteratorHonoursLowerBoundAfterConcurrentPut: NewIterator parks on
+// lo's predecessor, so a key put afterwards between that predecessor and lo
+// is the next node in the list — Next must not return it.
+func TestIteratorHonoursLowerBoundAfterConcurrentPut(t *testing.T) {
+	m := New(1)
+	m.Put(kv.Entry{Key: []byte("a"), Value: []byte("1"), TS: 1})
+	m.Put(kv.Entry{Key: []byte("d"), Value: []byte("4"), TS: 2})
+	it := m.NewIterator([]byte("c"), nil)
+	m.Put(kv.Entry{Key: []byte("b"), Value: []byte("2"), TS: 3})
+	var got []string
+	for e, ok := it.Next(); ok; e, ok = it.Next() {
+		got = append(got, string(e.Key))
+	}
+	if fmt.Sprint(got) != "[d]" {
+		t.Fatalf("iterator over [c, ∞) returned %q, want [d]", got)
+	}
+}
+
 func TestIteratorSortedAndBounded(t *testing.T) {
 	m := New(2)
 	rng := rand.New(rand.NewSource(3))

@@ -26,9 +26,10 @@ type batchApplier interface {
 // (group-commit WAL on the disk backend) does not stall the whole write
 // path: while one batch's covering fsync is in flight, the others keep
 // applying, and the WAL layer folds their commits into the next group.
-// Concurrent batches introduce no new ordering hazards — each request is
-// already handled on its own goroutine, so concurrent single writes never
-// had cross-request ordering guarantees.
+// Concurrent batches introduce no new ordering hazards — requests are
+// already handled concurrently (a connection's handler workers run its
+// pipelined requests side by side), so concurrent single writes never had
+// cross-request ordering guarantees.
 type coalescer struct {
 	db       batchApplier
 	counters *metrics.ServerCounters
@@ -80,14 +81,19 @@ func (c *coalescer) start() {
 // apply submits one mutation and blocks until its batch lands, reporting
 // whether the mutation took effect. With traced set it also reports how
 // long the write sat queued before a drainer picked it up.
+//
+// The reply channel is pooled: a drainer sends on each request's channel
+// exactly once and apply takes that one value, so the channel goes back
+// empty and nothing else holds it.
 func (c *coalescer) apply(m lsmstore.Mutation, traced bool) (bool, time.Duration, error) {
-	res := make(chan coalRes, 1)
+	res := coalResPool.Get().(chan coalRes)
 	req := coalReq{mut: m, res: res}
 	if traced {
 		req.enq = time.Now()
 	}
 	c.ch <- req
 	r := <-res
+	coalResPool.Put(res)
 	return r.applied, r.wait, r.err
 }
 

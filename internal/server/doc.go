@@ -4,13 +4,23 @@
 // # Connection model
 //
 // Each connection gets a reader goroutine and a writer goroutine. The
-// reader decodes frames and dispatches every request to its own handler
-// goroutine, so requests on one connection execute concurrently and
-// responses return in completion order, correlated by request ID — a
-// client that pipelines N requests pays one round trip, not N. In-flight
-// requests per connection are bounded (Config.MaxInFlight): past the
-// bound the reader stops reading, and TCP flow control pushes back on the
-// client.
+// reader decodes frames and hands each request to one of the connection's
+// handler workers — a parked one if there is one, a new one if not — so
+// requests on one connection execute concurrently and responses return in
+// completion order, correlated by request ID — a client that pipelines N
+// requests pays one round trip, not N. In-flight requests per connection
+// are bounded (Config.MaxInFlight): past the bound the reader stops
+// reading, and TCP flow control pushes back on the client.
+//
+// A worker serves a request, then parks for the next one instead of
+// exiting, so a request costs no goroutine start. A worker is started only
+// when none is parked, and never past MaxInFlight, so a connection's parked
+// workers are bounded by its peak in-flight count (a worker that has
+// released its in-flight token but not yet parked can add one more, up to
+// MaxInFlight); they exit when the connection closes. What a served GET
+// allocates is its answer — the client's decoded value — and nothing
+// else: request and response frames, the client's call (channel and
+// timer) and the coalescer's reply channel are all reused.
 //
 // # Write coalescing
 //

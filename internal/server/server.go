@@ -220,10 +220,11 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return // listener closed by Shutdown/Kill
 		}
 		c := &conn{
-			srv: s,
-			nc:  nc,
-			out: make(chan outFrame, s.cfg.MaxInFlight),
-			sem: make(chan struct{}, s.cfg.MaxInFlight),
+			srv:  s,
+			nc:   nc,
+			out:  make(chan outFrame, s.cfg.MaxInFlight),
+			sem:  make(chan struct{}, s.cfg.MaxInFlight),
+			work: make(chan job),
 		}
 		s.mu.Lock()
 		if s.stopping {
@@ -369,10 +370,15 @@ var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return
 
 // reqBufPool recycles request frame buffers. Each request reads its frame
 // into a pooled buffer and decodes it in place (wire.DecodeRequestInPlace),
-// so a GET's key never leaves the receive buffer; the handler returns the
-// buffer once the request is done. Write operations clone the fields the
-// engine retains (see handle) before the buffer goes back.
+// so no key or record leaves the receive buffer; the handler returns the
+// buffer once the request is done. Nothing is cloned first: reads and
+// writes alike are finished with the bytes by then, because the engine
+// copies what it keeps (see handle).
 var reqBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// coalResPool recycles the write coalescer's one-shot reply channels (see
+// coalescer.apply for why a returned channel is always empty and unshared).
+var coalResPool = sync.Pool{New: func() any { return make(chan coalRes, 1) }}
 
 // putReqBuf returns a request buffer to the pool unless one oversized
 // frame grew it past the cap worth pinning.
@@ -387,15 +393,30 @@ func putReqBuf(bp *[]byte) {
 // the handler goroutine, encode at send, write on the writer goroutine.
 // A zero trace (start.IsZero()) marks an untraced frame and records
 // nothing. It travels by value — tracing allocates nothing per request.
+//
+// start is the request's one time.Now; every later stamp is an offset
+// from it read with time.Since, which reads only the monotonic clock and
+// costs half a time.Now — at a few microseconds a request, the clock reads
+// are most of what tracing costs.
 type trace struct {
 	op     obs.Op
 	id     uint64
-	start  time.Time // frame fully received
-	enq    time.Time // response handed to the writer
+	start  time.Time     // frame fully received
+	at     time.Duration // since start: when the stage under way began
 	decode time.Duration
 	wait   time.Duration // coalescer queue wait (writes only)
 	engine time.Duration
 	encode time.Duration
+}
+
+// lap ends the stage that began at tr.at, returning its length, and starts
+// the next one now. After the encode lap, at is when the response was
+// handed to the writer.
+func (tr *trace) lap() time.Duration {
+	now := time.Since(tr.start)
+	d := now - tr.at
+	tr.at = now
+	return d
 }
 
 // outFrame is one encoded response frame moving to the writer, with its
@@ -406,15 +427,25 @@ type outFrame struct {
 	tr trace
 }
 
-// conn is one client connection: a reader goroutine decoding and
-// dispatching requests, per-request handler goroutines (bounded by sem),
-// and a writer goroutine serializing response frames.
+// job is one decoded request on its way from the reader to a handler
+// worker, with the pooled receive buffer its byte fields alias.
+type job struct {
+	req wire.Request
+	bp  *[]byte
+	tr  trace
+}
+
+// conn is one client connection: a reader goroutine decoding requests and
+// handing them to the connection's handler workers (in flight bounded by
+// sem), and a writer goroutine serializing response frames.
 type conn struct {
-	srv   *Server
-	nc    net.Conn
-	out   chan outFrame // pooled encoded response frames
-	sem   chan struct{} // in-flight request tokens
-	reqWg sync.WaitGroup
+	srv     *Server
+	nc      net.Conn
+	out     chan outFrame // pooled encoded response frames
+	sem     chan struct{} // in-flight request tokens
+	work    chan job      // unbuffered: a send succeeds only into a parked worker
+	workers int           // handler workers started; the reader's alone
+	reqWg   sync.WaitGroup
 }
 
 func (c *conn) serve() {
@@ -423,13 +454,40 @@ func (c *conn) serve() {
 	writerDone := make(chan struct{})
 	go c.writeLoop(writerDone)
 	c.readLoop()
-	// All accepted requests finish and enqueue their responses before the
-	// writer is told to flush out and exit.
+	// No job is sent after readLoop returns: the workers finish what they
+	// hold and exit. All accepted requests finish and enqueue their
+	// responses before the writer is told to flush out and exit.
+	close(c.work)
 	c.reqWg.Wait()
 	close(c.out)
 	<-writerDone
 	//lsm:allow-discard the conn is done; writeLoop already surfaced any write failure by failing the stream
 	c.nc.Close()
+}
+
+// dispatch hands a request to a parked worker, or starts one when none is
+// parked. Workers never exit before the connection does, so the count
+// only grows, and it stops at MaxInFlight: past it the reader waits for a
+// worker to park — by then one holds no token, so that wait is short.
+func (c *conn) dispatch(j job) {
+	select {
+	case c.work <- j:
+		return
+	default:
+	}
+	if c.workers < cap(c.sem) {
+		c.workers++
+		go c.worker(j)
+		return
+	}
+	c.work <- j
+}
+
+// worker serves jobs until serve closes the work channel.
+func (c *conn) worker(j job) {
+	for ok := true; ok; j, ok = <-c.work {
+		c.serveRequest(j.req, j.bp, j.tr)
+	}
 }
 
 func (c *conn) readLoop() {
@@ -464,79 +522,79 @@ func (c *conn) readLoop() {
 		}
 		var tr trace
 		if traced {
-			tr = trace{op: obsOpOf(req.Op), id: req.ID, start: start, decode: time.Since(start)}
+			tr = trace{op: obsOpOf(req.Op), id: req.ID, start: start}
+			tr.decode = tr.lap()
 		}
 		// Backpressure: past MaxInFlight outstanding requests this blocks,
 		// which stops reading the socket and lets TCP flow control push
 		// back on the client.
 		c.sem <- struct{}{}
 		c.reqWg.Add(1)
-		go func(req wire.Request, bp *[]byte, tr trace) { //lsm:poolleak-ok the goroutine is the request's owner; it returns the buffer via putReqBuf when done
-			defer c.reqWg.Done()
-			defer func() { <-c.sem }()
-			defer putReqBuf(bp)
-			// Admission control: data-plane ops pass through the global
-			// weighted budget; a shed request fails fast without ever
-			// touching the engine. Control-plane ops (PING, STATS, FLUSH)
-			// bypass it — health checks must work on an overloaded server.
-			if adm := c.srv.adm; adm != nil {
-				if class, ok := admissionClassOf(req.Op); ok {
-					release, err := adm.Acquire(class, req.Tenant)
-					if err != nil {
-						c.srv.counters.Errors.Add(1)
-						c.send(admissionError(req.ID, err), tr)
-						return
-					}
-					defer release()
-				}
-			}
-			if req.Op == wire.OpGet {
-				// GET fast path: serve a reference into engine-owned
-				// memory and encode it straight into the pooled response
-				// frame — no value copy, no intermediate Response.
-				var engStart time.Time
+		c.dispatch(job{req: req, bp: bp, tr: tr}) //lsm:poolleak-ok the handler worker owns the request's buffer from here; serveRequest returns it via putReqBuf
+	}
+}
+
+// serveRequest executes one request on a handler worker and enqueues its
+// response. It returns the request's buffer, sem token and reqWg count.
+func (c *conn) serveRequest(req wire.Request, bp *[]byte, tr trace) {
+	defer c.reqWg.Done()
+	defer func() { <-c.sem }()
+	defer putReqBuf(bp)
+	traced := !tr.start.IsZero()
+	// Admission control: data-plane ops pass through the global weighted
+	// budget; a shed request fails fast without ever touching the engine.
+	// Control-plane ops (PING, STATS, FLUSH) bypass it — health checks must
+	// work on an overloaded server.
+	if adm := c.srv.adm; adm != nil {
+		if class, ok := admissionClassOf(req.Op); ok {
+			release, err := adm.Acquire(class, req.Tenant)
+			if err != nil {
 				if traced {
-					engStart = time.Now()
+					tr.lap() // the admission wait is no stage
 				}
-				val, found, err := c.srv.db.GetRef(req.Key)
-				if traced {
-					tr.engine = time.Since(engStart)
-				}
-				if err != nil {
-					c.srv.counters.Errors.Add(1)
-					c.send(c.srv.errorResponse(req.ID, err), tr)
-					return
-				}
-				c.sendValue(req.ID, found, val, tr)
+				c.srv.counters.Errors.Add(1)
+				c.send(admissionError(req.ID, err), tr)
 				return
 			}
-			var engStart time.Time
-			if traced {
-				engStart = time.Now()
-			}
-			resp := c.srv.handle(req, &tr)
-			if traced {
-				// The coalescer wait is part of the handle call but not of
-				// the engine's work; attribute it to its own stage.
-				tr.engine = time.Since(engStart) - tr.wait
-			}
-			if resp.Kind == wire.KindError {
-				c.srv.counters.Errors.Add(1)
-			}
-			c.send(resp, tr)
-		}(req, bp, tr)
+			defer release()
+		}
 	}
+	if traced {
+		tr.lap() // the hop to this worker and the admission wait are no stage
+	}
+	if req.Op == wire.OpGet {
+		// GET fast path: serve a reference into engine-owned memory and
+		// encode it straight into the pooled response frame — no value
+		// copy, no intermediate Response.
+		val, found, err := c.srv.db.GetRef(req.Key)
+		if traced {
+			tr.engine = tr.lap()
+		}
+		if err != nil {
+			c.srv.counters.Errors.Add(1)
+			c.send(c.srv.errorResponse(req.ID, err), tr)
+			return
+		}
+		c.sendValue(req.ID, found, val, tr)
+		return
+	}
+	resp := c.srv.handle(req, &tr)
+	if traced {
+		// The coalescer wait is part of the handle call but not of the
+		// engine's work; attribute it to its own stage.
+		tr.engine = tr.lap() - tr.wait
+	}
+	if resp.Kind == wire.KindError {
+		c.srv.counters.Errors.Add(1)
+	}
+	c.send(resp, tr)
 }
 
 func (c *conn) send(resp wire.Response, tr trace) {
 	bp := frameBufPool.Get().(*[]byte)
-	if tr.start.IsZero() {
-		*bp = wire.AppendResponse((*bp)[:0], resp)
-	} else {
-		encStart := time.Now()
-		*bp = wire.AppendResponse((*bp)[:0], resp)
-		tr.encode = time.Since(encStart)
-		tr.enq = time.Now()
+	*bp = wire.AppendResponse((*bp)[:0], resp)
+	if !tr.start.IsZero() {
+		tr.encode = tr.lap()
 	}
 	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
 }
@@ -546,13 +604,9 @@ func (c *conn) send(resp wire.Response, tr trace) {
 // pooled frame, so the reference is released as soon as this returns).
 func (c *conn) sendValue(id uint64, found bool, value []byte, tr trace) {
 	bp := frameBufPool.Get().(*[]byte)
-	if tr.start.IsZero() {
-		*bp = wire.AppendValueResponse((*bp)[:0], id, found, value)
-	} else {
-		encStart := time.Now()
-		*bp = wire.AppendValueResponse((*bp)[:0], id, found, value)
-		tr.encode = time.Since(encStart)
-		tr.enq = time.Now()
+	*bp = wire.AppendValueResponse((*bp)[:0], id, found, value)
+	if !tr.start.IsZero() {
+		tr.encode = tr.lap()
 	}
 	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
 }
@@ -754,9 +808,8 @@ func obsOpOf(op wire.Op) obs.Op {
 // the response frame hit the socket, so the write stage and the total
 // are real.
 func (s *Server) recordRequest(tr trace) {
-	now := time.Now()
-	total := now.Sub(tr.start)
-	write := now.Sub(tr.enq)
+	total := time.Since(tr.start)
+	write := total - tr.at
 	s.obs.RecordOp(tr.op, total)
 	s.obs.RecordStage(obs.StageDecode, tr.decode)
 	if tr.wait > 0 {

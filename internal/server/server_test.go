@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -257,6 +258,51 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 		if _, found, err := c.Get(pk); err != nil || !found {
 			t.Fatalf("key %d missing after backpressured writes (err=%v)", i, err)
 		}
+	}
+}
+
+// TestConnCloseStopsWorkers: a connection's handler workers park between
+// requests instead of exiting, so they must exit when the connection
+// closes — a client that connects, pipelines and leaves takes every
+// goroutine it caused with it.
+func TestConnCloseStopsWorkers(t *testing.T) {
+	srv, _ := startServer(t, storeOptions(), nil)
+	base := runtime.NumGoroutine()
+	c, err := lsmclient.DialOptions(lsmclient.Options{Addr: srv.Addr().String(), RequestTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				pk, rec := tweet(uint64(g*20 + i))
+				if err := c.Upsert(pk, rec); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := c.Get(pk); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// The client's reader, the connection's reader and writer, and at least
+	// one parked worker.
+	if n := runtime.NumGoroutine(); n < base+4 {
+		t.Fatalf("%d goroutines with an idle connection open, baseline %d: no parked worker", n, base)
+	}
+	c.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10s after the connection closed, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

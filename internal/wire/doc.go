@@ -8,7 +8,10 @@
 // Every message travels in a frame: a 4-byte big-endian payload length
 // followed by the payload. WriteFrame and ReadFrame implement the frame
 // layer; ReadFrame caps the accepted payload (MaxFrame by default) so a
-// corrupt or hostile peer cannot force an unbounded allocation.
+// corrupt or hostile peer cannot force an unbounded allocation. Neither
+// allocates in steady state: WriteFrame writes the length prefix into the
+// caller's bufio.Writer, and ReadFrame reads it into the caller's reused
+// buffer (TestFrameIOAllocatesNothing).
 //
 // # Messages
 //

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -255,16 +256,21 @@ func (r *Response) Err() error {
 	return fmt.Errorf("wire: server error %s: %s", r.Code, r.Msg)
 }
 
-// WriteFrame writes one frame: a 4-byte big-endian payload length followed
-// by the payload. It refuses payloads beyond MaxFrame so a server bug
-// cannot emit a frame no client will accept.
-func WriteFrame(w io.Writer, payload []byte) error {
+// WriteFrame writes one frame into w: a 4-byte big-endian payload length
+// followed by the payload. The length goes straight into w's free space
+// (flushing first if fewer than 4 bytes are free), so a frame costs no
+// allocation; the caller flushes w. It refuses payloads beyond MaxFrame so
+// a server bug cannot emit a frame no client will accept.
+func WriteFrame(w *bufio.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if w.Available() < frameHeaderLen {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -272,18 +278,22 @@ func WriteFrame(w io.Writer, payload []byte) error {
 }
 
 // ReadFrame reads one frame payload, reusing buf when it is large enough.
-// max caps the accepted payload length (<= 0 means MaxFrame). A clean EOF
-// on the length prefix returns io.EOF; EOF mid-frame returns
-// io.ErrUnexpectedEOF.
+// The length prefix is read into buf's first bytes too, so a buf with at
+// least 4 bytes of capacity makes the read allocation-free. max caps the
+// accepted payload length (<= 0 means MaxFrame). A clean EOF on the length
+// prefix returns io.EOF; EOF mid-frame returns io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
 	if max <= 0 {
 		max = MaxFrame
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > max {
 		return nil, ErrFrameTooLarge
 	}
@@ -455,9 +465,10 @@ func AppendRequest(buf []byte, r Request) []byte {
 // copied: every byte field of the result (Key, Value, Lo, Hi, mutation PKs
 // and Records) aliases frame. The caller must keep frame alive and
 // unmodified for as long as those fields are in use, and must copy any
-// field it hands to code that retains it — the server's read path does
-// this for write operations, whose keys and records outlive the request in
-// the engine.
+// field it hands to code that retains it. The server copies nothing: it
+// hands every field to the engine as it is, because the engine copies what
+// it keeps (core.Dataset.Apply's contract) and the request's buffer
+// outlives the call.
 func DecodeRequestInPlace(frame []byte) (Request, error) {
 	var (
 		r   Request

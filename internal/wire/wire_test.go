@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -272,47 +273,88 @@ func TestDecodeRejectsBadEnums(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
+// writeFrames frames the payloads into a buffer through a bufio.Writer of
+// the given size.
+func writeFrames(t *testing.T, size int, payloads ...[]byte) *bytes.Buffer {
+	t.Helper()
 	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{7}, 1000)}
+	bw := bufio.NewWriterSize(&buf, size)
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+		if err := WriteFrame(bw, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	// The writer's 16-byte buffer (bufio's minimum) leaves 3 bytes free
+	// after the second frame, so the third length prefix needs a flush
+	// first.
+	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{7}, 1000)}
+	buf := writeFrames(t, 16, payloads...)
 	var scratch []byte
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf, scratch, 0)
+		got, err := ReadFrame(buf, scratch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame = %q, want %q", got, want)
 		}
+		scratch = got[:cap(got)]
 	}
-	if _, err := ReadFrame(&buf, nil, 0); err != io.EOF {
+	if _, err := ReadFrame(buf, nil, 0); err != io.EOF {
 		t.Fatalf("exhausted stream: err = %v, want io.EOF", err)
 	}
 }
 
 func TestFrameLimits(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrame(&buf, nil, 10); !errors.Is(err, ErrFrameTooLarge) {
+	buf := writeFrames(t, 4096, make([]byte, 100))
+	if _, err := ReadFrame(buf, nil, 10); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
 	if !errors.Is(ErrFrameTooLarge, ErrCorruptFrame) {
 		t.Fatal("ErrFrameTooLarge must wrap ErrCorruptFrame")
 	}
 	// A frame truncated mid-payload is an unexpected EOF, not a clean end.
-	buf.Reset()
-	if err := WriteFrame(&buf, []byte("full payload")); err != nil {
-		t.Fatal(err)
-	}
+	buf = writeFrames(t, 4096, []byte("full payload"))
 	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()-3])
 	if _, err := ReadFrame(trunc, nil, 0); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestFrameIOAllocatesNothing pins the frame layer's steady state: the
+// length prefix goes into the bufio.Writer's free space on the way out and
+// into the reused buffer on the way in, so neither direction allocates.
+func TestFrameIOAllocatesNothing(t *testing.T) {
+	payload := AppendRequest(nil, Request{ID: 9, Op: OpGet, Key: []byte("pk-42")})
+	bw := bufio.NewWriter(io.Discard)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("WriteFrame: %v allocations per frame, want 0", n)
+	}
+
+	stream := writeFrames(t, 4096, payload).Bytes()
+	rd := bytes.NewReader(stream)
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(stream)
+		frame, err := ReadFrame(rd, buf, 0)
+		if err != nil || !bytes.Equal(frame, payload) {
+			t.Fatalf("ReadFrame = %q, %v", frame, err)
+		}
+	}); n != 0 {
+		t.Fatalf("ReadFrame: %v allocations per frame, want 0", n)
 	}
 }

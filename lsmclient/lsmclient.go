@@ -397,7 +397,10 @@ func randDelay(n int64) int64 {
 // doOnce sends one request attempt on a pool connection and waits for its
 // response, enforcing the request timeout and mapping error frames to
 // typed errors. Each attempt gets a fresh request ID so an abandoned
-// attempt's late response can never be routed to its retry.
+// attempt's late response can never be routed to its retry. The attempt's
+// channel and timer come from a pooled call, which goes back to the pool
+// only on the two paths where no other goroutine can still reach it (see
+// call).
 func (c *Client) doOnce(req wire.Request, want wire.Kind) (wire.Response, error) {
 	req.ID = c.nextID.Add(1)
 	slot := int(c.rr.Add(1)-1) % len(c.conns)
@@ -405,21 +408,23 @@ func (c *Client) doOnce(req wire.Request, want wire.Kind) (wire.Response, error)
 	if err != nil {
 		return wire.Response{}, err
 	}
-	ch, err := cn.send(req)
-	if err != nil {
-		return wire.Response{}, err
+	cl := callPool.Get().(*call)
+	if err := cn.send(req, cl.ch); err != nil {
+		return wire.Response{}, err // the call is dropped: conn.close may close its channel
 	}
 	var timeout <-chan time.Time
 	if c.opts.RequestTimeout > 0 {
-		t := time.NewTimer(c.opts.RequestTimeout)
-		defer t.Stop()
-		timeout = t.C
+		timeout = cl.arm(c.opts.RequestTimeout)
 	}
 	select {
-	case res, ok := <-ch:
-		if !ok {
-			return wire.Response{}, cn.lastError()
+	case res, ok := <-cl.ch:
+		if timeout != nil {
+			cl.timer.Stop()
 		}
+		if !ok {
+			return wire.Response{}, cn.lastError() // closed by conn.close: dropped
+		}
+		callPool.Put(cl) // readLoop sends once, after removing the pending entry
 		if res.Kind == wire.KindError {
 			return wire.Response{}, mapServerError(res)
 		}
@@ -428,7 +433,11 @@ func (c *Client) doOnce(req wire.Request, want wire.Kind) (wire.Response, error)
 		}
 		return res, nil
 	case <-timeout:
-		cn.abandon(req.ID)
+		if cn.abandon(req.ID) {
+			callPool.Put(cl) // nobody else holds the channel any more
+		}
+		// Otherwise readLoop (or conn.close) got there first and will still
+		// send on (or close) the channel: the call is dropped.
 		return wire.Response{}, fmt.Errorf("%w: %s after %s", ErrTimeout, req.Op, c.opts.RequestTimeout)
 	}
 }
@@ -492,13 +501,19 @@ func (c *Client) dialConn() (*conn, error) {
 	return cn, nil
 }
 
+// maxKeptFrame caps the request encode buffer a connection keeps between
+// requests: one huge batch does not pin its buffer for every small request
+// after it (the server's maxPooledFrame rule).
+const maxKeptFrame = 64 << 10
+
 // conn is one pooled connection: a locked write path and a reader
 // goroutine routing responses to their waiters by request ID.
 type conn struct {
 	nc net.Conn
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
+	wmu  sync.Mutex // serializes frame writes; guards bw and wbuf
+	bw   *bufio.Writer
+	wbuf []byte // request encode buffer, reused across requests
 
 	mu      sync.Mutex
 	pending map[uint64]chan wire.Response
@@ -506,42 +521,51 @@ type conn struct {
 }
 
 // send registers the request's response channel and writes the frame.
-func (c *conn) send(req wire.Request) (chan wire.Response, error) {
-	ch := make(chan wire.Response, 1)
+func (c *conn) send(req wire.Request, ch chan wire.Response) error {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
+		return err
 	}
 	c.pending[req.ID] = ch
 	c.mu.Unlock()
 
-	frame := wire.AppendRequest(nil, req)
 	c.wmu.Lock()
-	err := wire.WriteFrame(c.bw, frame)
+	c.wbuf = wire.AppendRequest(c.wbuf[:0], req)
+	err := wire.WriteFrame(c.bw, c.wbuf)
 	if err == nil {
 		err = c.bw.Flush()
+	}
+	if cap(c.wbuf) > maxKeptFrame {
+		c.wbuf = nil
 	}
 	c.wmu.Unlock()
 	if err != nil {
 		c.close(fmt.Errorf("lsmclient: write: %w", err))
-		return nil, err
+		return err
 	}
-	return ch, nil
+	return nil
 }
 
 // abandon drops a timed-out request's waiter; a late response is ignored.
-func (c *conn) abandon(id uint64) {
+// It reports whether the waiter was still registered: false means readLoop
+// or close already took it and will send on or close its channel.
+func (c *conn) abandon(id uint64) bool {
 	c.mu.Lock()
+	_, ok := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
+	return ok
 }
 
 func (c *conn) readLoop() {
+	// Reading through a buffer makes a response one read(2), not two
+	// (length prefix, then payload).
+	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var buf []byte
 	for {
-		frame, err := wire.ReadFrame(c.nc, buf, wire.MaxFrame)
+		frame, err := wire.ReadFrame(br, buf, wire.MaxFrame)
 		if err != nil {
 			c.close(fmt.Errorf("lsmclient: connection lost: %w", err))
 			return

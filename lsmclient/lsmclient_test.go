@@ -1,13 +1,16 @@
 package lsmclient
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/lsmstore"
 )
@@ -171,6 +174,7 @@ func newScriptedServer(t *testing.T, handle func(req wire.Request) wire.Response
 			go func() {
 				defer s.wg.Done()
 				defer nc.Close()
+				bw := bufio.NewWriter(nc)
 				var buf []byte
 				for {
 					frame, err := wire.ReadFrame(nc, buf, 0)
@@ -184,7 +188,10 @@ func newScriptedServer(t *testing.T, handle func(req wire.Request) wire.Response
 					}
 					resp := handle(req)
 					resp.ID = req.ID
-					if err := wire.WriteFrame(nc, wire.AppendResponse(nil, resp)); err != nil {
+					if err := wire.WriteFrame(bw, wire.AppendResponse(nil, resp)); err != nil {
+						return
+					}
+					if err := bw.Flush(); err != nil {
 						return
 					}
 				}
@@ -419,5 +426,175 @@ func TestUseAfterClose(t *testing.T) {
 	}
 	if err := c.Ping(); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("ping after Close: err = %v, want ErrClientClosed", err)
+	}
+}
+
+// TestLateResponseNeverReachesARecycledCall hammers the call pool's reuse
+// rule. The server echoes each GET's key as the value; it answers half the
+// requests at once and the other half after a delay spread across the
+// client's timeout, from their own goroutines, so responses and timeouts
+// race all the time: some responses land before the timer, some after the
+// waiter gave up, and some while its timeout is being handled. A call
+// recycled while readLoop can still send on its channel would hand a later
+// request somebody else's answer; every request must get its own or
+// ErrTimeout.
+func TestLateResponseNeverReachesARecycledCall(t *testing.T) {
+	const (
+		timeout    = 2 * time.Millisecond
+		goroutines = 8
+		perG       = 150
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg    sync.WaitGroup // accept loop, connection readers, delayed answers
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, nc)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var wmu sync.Mutex
+				bw := bufio.NewWriter(nc)
+				var buf []byte
+				for n := 0; ; n++ {
+					frame, err := wire.ReadFrame(nc, buf, 0)
+					if err != nil {
+						return
+					}
+					buf = frame[:cap(frame)]
+					req, err := wire.DecodeRequestInPlace(frame)
+					if err != nil {
+						return
+					}
+					out := wire.AppendResponse(nil, wire.Response{ID: req.ID, Kind: wire.KindValue, Found: true, Value: req.Key})
+					var delay time.Duration
+					if n%2 == 1 { // in [timeout/2, 3*timeout/2), deterministic
+						delay = timeout/2 + time.Duration(n*7919%1000)*timeout/1000
+					}
+					wg.Add(1)
+					time.AfterFunc(delay, func() {
+						defer wg.Done()
+						wmu.Lock()
+						defer wmu.Unlock()
+						if wire.WriteFrame(bw, out) == nil {
+							bw.Flush()
+						}
+					})
+				}
+			}()
+		}
+	}()
+	c, err := DialOptions(Options{Addr: ln.Addr().String(), RequestTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		ln.Close()
+		mu.Lock()
+		for _, nc := range conns {
+			nc.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+
+	var answered, timedOut atomic.Int64
+	var gs sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		gs.Add(1)
+		go func() {
+			defer gs.Done()
+			for i := 0; i < perG; i++ {
+				key := fmt.Sprintf("g%d-req%d", g, i)
+				val, found, err := c.Get([]byte(key))
+				switch {
+				case errors.Is(err, ErrTimeout):
+					timedOut.Add(1)
+				case err != nil:
+					t.Errorf("%s: %v", key, err)
+					return
+				case !found || string(val) != key:
+					t.Errorf("request %s got the answer %q (found=%v): another request's response", key, val, found)
+					return
+				default:
+					answered.Add(1)
+				}
+			}
+		}()
+	}
+	gs.Wait()
+	if answered.Load() == 0 || timedOut.Load() == 0 {
+		t.Fatalf("%d answered, %d timed out: the test needs both outcomes", answered.Load(), timedOut.Load())
+	}
+	t.Logf("%d answered, %d timed out", answered.Load(), timedOut.Load())
+}
+
+// TestRoundTripAllocations counts the whole process — client and server
+// share it — per round trip against an in-process server: a GET answered by
+// the read cache allocates its decoded value and nothing else, a PING
+// nothing (one of slack each for the runtime's own bookkeeping). Under
+// -race the round trips run for the race detector's sake and the counts are
+// only logged: sync.Pool then drops Puts at random.
+func TestRoundTripAllocations(t *testing.T) {
+	db, err := lsmstore.Open(lsmstore.Options{ReadCache: lsmstore.ReadCacheOptions{Bytes: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{DB: db, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Kill()
+		db.Close()
+	})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pk, record := []byte("pk-1"), []byte("a record of some bytes")
+	if err := c.Upsert(pk, record); err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		if v, found, err := c.Get(pk); err != nil || !found || string(v) != string(record) {
+			t.Fatalf("get = %q, %v, %v", v, found, err)
+		}
+	}
+	ping := func() {
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get() // fills the read cache, the pools and the worker
+	for _, tc := range []struct {
+		name string
+		fn   func()
+		max  float64
+	}{{"Get", get, 2}, {"Ping", ping, 1}} {
+		n := testing.AllocsPerRun(200, tc.fn)
+		t.Logf("%s round trip: %v allocations", tc.name, n)
+		if !raceEnabled && n > tc.max {
+			t.Errorf("%s round trip: %v allocations, want <= %v", tc.name, n, tc.max)
+		}
 	}
 }

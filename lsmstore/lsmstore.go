@@ -692,7 +692,7 @@ func (db *DB) Flush() error {
 		return err
 	}
 	defer db.release()
-	return db.fanOut(func(_ int, ds *core.Dataset) error { return ds.FlushAll() })
+	return db.fanOut(nil, func(_ int, ds *core.Dataset) error { return ds.FlushAll() })
 }
 
 // Close drains all pending maintenance (flush builds and merges on every
@@ -718,7 +718,7 @@ func (db *DB) Close() error {
 	db.finalStats = db.stats()
 	db.closed = true
 	var errs []error
-	if err := db.fanOut(func(_ int, ds *core.Dataset) error { return ds.DrainMaintenance() }); err != nil {
+	if err := db.fanOut(nil, func(_ int, ds *core.Dataset) error { return ds.DrainMaintenance() }); err != nil {
 		errs = append(errs, err)
 	}
 	db.pool.Close()
@@ -744,7 +744,7 @@ func (db *DB) Crash() {
 		return
 	}
 	defer db.release()
-	_ = db.fanOut(func(_ int, ds *core.Dataset) error { ds.Crash(); return nil })
+	_ = db.fanOut(nil, func(_ int, ds *core.Dataset) error { ds.Crash(); return nil })
 	// After the engine dropped its memory components: cached entries may
 	// reflect writes the crash destroyed (internal/readcache invariant 3).
 	if db.cache != nil {
@@ -759,7 +759,7 @@ func (db *DB) Recover() error {
 		return err
 	}
 	defer db.release()
-	err := db.fanOut(func(_ int, ds *core.Dataset) error { return ds.Recover() })
+	err := db.fanOut(nil, func(_ int, ds *core.Dataset) error { return ds.Recover() })
 	// Replay resurrects writes that were invisible between Crash and
 	// Recover, so negative entries cached in that window are now stale.
 	if db.cache != nil {
@@ -775,7 +775,7 @@ func (db *DB) RepairSecondaryIndexes() error {
 		return err
 	}
 	defer db.release()
-	return db.fanOut(repairSecondaries)
+	return db.fanOut(nil, repairSecondaries)
 }
 
 func repairSecondaries(_ int, ds *core.Dataset) error {

@@ -46,14 +46,19 @@ func shardOf(pk []byte, n int) int {
 func (db *DB) dsFor(pk []byte) *core.Dataset { return db.parts[shardOf(pk, len(db.parts))].ds }
 
 // fanOut runs fn once per partition, one goroutine each (the caller's own
-// for a single partition), and joins the per-shard errors.
-func (db *DB) fanOut(fn func(i int, ds *core.Dataset) error) error {
+// for a single partition), and joins the per-shard errors. A non-nil work
+// holds each partition's amount of work: those with none get no goroutine
+// and no call.
+func (db *DB) fanOut(work []int, fn func(i int, ds *core.Dataset) error) error {
 	if len(db.parts) == 1 {
 		return fn(0, db.parts[0].ds)
 	}
 	errs := make([]error, len(db.parts))
 	var wg sync.WaitGroup
 	for i := range db.parts {
+		if work != nil && work[i] == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -64,57 +69,43 @@ func (db *DB) fanOut(fn func(i int, ds *core.Dataset) error) error {
 	return errors.Join(errs...)
 }
 
-// applyBatch groups the mutations by owning shard and applies the groups
-// concurrently. Within a shard, mutations apply in input order, so writes
-// to the same key keep their program order; across shards there is no
-// ordering, matching the independence of hash partitions. The first error
-// in a shard stops that shard's remaining mutations; all shard errors are
-// joined. A non-nil applied (len(muts) long) receives the per-mutation
-// report of applyMutations, at the original batch positions.
+// applyBatch applies the mutations shard by shard. Within a shard,
+// mutations apply in input order, so writes to the same key keep their
+// program order; across shards there is no ordering, matching the
+// independence of hash partitions. The first error in a shard stops that
+// shard's remaining mutations; all shard errors are joined. A non-nil
+// applied (len(muts) long) receives the per-mutation report of
+// applyMutations, at the original batch positions.
+//
+// A batch whose keys all hash to one shard — every batch of a one-shard
+// store, and nearly every write the server's coalescer folds alone — is
+// applied on the caller's goroutine with no grouping at all; only a batch
+// that spans shards is regrouped and fanned out.
 func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
 	if len(muts) == 0 {
 		return nil
 	}
+	n := len(db.parts)
+	first := shardOf(muts[0].PK, n)
+	var owners []int // nil while every key so far hashes to first
+	for i := 1; i < len(muts); i++ {
+		s := shardOf(muts[i].PK, n)
+		if owners == nil {
+			if s == first {
+				continue
+			}
+			owners = make([]int, len(muts))
+			for j := range i {
+				owners[j] = first
+			}
+		}
+		owners[i] = s
+	}
 	var err error
-	if n := len(db.parts); n == 1 {
-		err = applyMutations(db.parts[0].ds, muts, applied)
+	if owners == nil {
+		err = applyMutations(db.parts[first].ds, muts, applied)
 	} else {
-		// Hash each key once, then size the groups so appends don't
-		// reallocate.
-		owners := make([]int, len(muts))
-		counts := make([]int, n)
-		for i := range muts {
-			owners[i] = shardOf(muts[i].PK, n)
-			counts[owners[i]]++
-		}
-		groups := make([][]Mutation, n)
-		indexes := make([][]int, n) // original positions per shard, for the result scatter
-		for s, c := range counts {
-			if c > 0 {
-				groups[s] = make([]Mutation, 0, c)
-				if applied != nil {
-					indexes[s] = make([]int, 0, c)
-				}
-			}
-		}
-		for i, s := range owners {
-			groups[s] = append(groups[s], muts[i])
-			if applied != nil {
-				indexes[s] = append(indexes[s], i)
-			}
-		}
-		err = db.fanOut(func(s int, ds *core.Dataset) error {
-			if applied == nil {
-				return applyMutations(ds, groups[s], nil)
-			}
-			got := make([]bool, len(groups[s]))
-			err := applyMutations(ds, groups[s], got)
-			// Shards write disjoint index sets, so the scatter is race-free.
-			for j, ok := range got {
-				applied[indexes[s][j]] = ok
-			}
-			return err
-		})
+		err = db.applyAcrossShards(muts, owners, applied)
 	}
 	// Every shard has applied its group and nothing is acknowledged yet
 	// (internal/readcache invariant 1). Keys of an errored batch are
@@ -123,6 +114,46 @@ func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
 		db.invalidate(muts[i].PK)
 	}
 	return err
+}
+
+// applyAcrossShards groups a batch by owning shard (owners[i] is mutation
+// i's) and applies the groups concurrently, one goroutine per shard that
+// has any.
+func (db *DB) applyAcrossShards(muts []Mutation, owners []int, applied []bool) error {
+	n := len(db.parts)
+	// Size the groups so appends don't reallocate.
+	counts := make([]int, n)
+	for _, s := range owners {
+		counts[s]++
+	}
+	groups := make([][]Mutation, n)
+	indexes := make([][]int, n) // original positions per shard, for the result scatter
+	for s, c := range counts {
+		if c > 0 {
+			groups[s] = make([]Mutation, 0, c)
+			if applied != nil {
+				indexes[s] = make([]int, 0, c)
+			}
+		}
+	}
+	for i, s := range owners {
+		groups[s] = append(groups[s], muts[i])
+		if applied != nil {
+			indexes[s] = append(indexes[s], i)
+		}
+	}
+	return db.fanOut(counts, func(s int, ds *core.Dataset) error {
+		if applied == nil {
+			return applyMutations(ds, groups[s], nil)
+		}
+		got := make([]bool, len(groups[s]))
+		err := applyMutations(ds, groups[s], got)
+		// Shards write disjoint index sets, so the scatter is race-free.
+		for j, ok := range got {
+			applied[indexes[s][j]] = ok
+		}
+		return err
+	})
 }
 
 // applyMutations applies the mutations to one dataset sequentially, in
@@ -179,7 +210,7 @@ func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool) error {
 // cost.
 func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQueryOptions, limit int) (*QueryResult, error) {
 	perShard := make([]*query.SecondaryResult, len(db.parts))
-	err := db.fanOut(func(i int, ds *core.Dataset) error {
+	err := db.fanOut(nil, func(i int, ds *core.Dataset) error {
 		res, err := query.SecondaryRange(ds, ds.Secondary(index), lo, hi, opts)
 		perShard[i] = res
 		return err
@@ -224,7 +255,7 @@ func (db *DB) filterScan(lo, hi int64, fn func(pk, record []byte)) error {
 		return query.FilterScan(db.parts[0].ds, lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
 	}
 	perShard := make([][]kv.Entry, len(db.parts))
-	err := db.fanOut(func(i int, ds *core.Dataset) error {
+	err := db.fanOut(nil, func(i int, ds *core.Dataset) error {
 		var arena kv.Arena // this shard's records
 		return query.FilterScan(ds, lo, hi, func(e kv.Entry) {
 			perShard[i] = append(perShard[i], arena.CloneEntry(e))

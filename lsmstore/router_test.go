@@ -11,8 +11,11 @@ import (
 // newRoutedDB opens a small simulated store over n partitions. (The
 // storetest fixtures import lsmstore, so an in-package test cannot.)
 func newRoutedDB(t *testing.T, n int) *DB {
-	t.Helper()
-	db, err := Open(Options{
+	return openRouted(t, routedOptions(n))
+}
+
+func routedOptions(n int) Options {
+	return Options{
 		Strategy:     Validation,
 		Secondaries:  []SecondaryIndex{{Name: "user", Extract: workload.UserIDOf}},
 		PageSize:     4 << 10,
@@ -20,7 +23,12 @@ func newRoutedDB(t *testing.T, n int) *DB {
 		MemoryBudget: 32 << 10,
 		Seed:         5,
 		Shards:       n,
-	})
+	}
+}
+
+func openRouted(t *testing.T, opts Options) *DB {
+	t.Helper()
+	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +120,116 @@ func TestApplyBatchUnknownOp(t *testing.T) {
 	}
 	if applied, err := db.ApplyBatchResults(bad); err == nil || applied[0] {
 		t.Fatalf("unknown op reported applied=%v err=%v", applied, err)
+	}
+}
+
+// TestBatchOwnedByOneShard drives both applyBatch paths on a 2-shard store
+// with a read cache: a batch whose keys all hash to shard 0 (applied on the
+// caller's goroutine, no regrouping) and one that spans both shards. Each
+// must report what applying its mutations one by one reports, and each must
+// drop its keys' cache entries, positive and negative alike.
+func TestBatchOwnedByOneShard(t *testing.T) {
+	const shards, keys = 2, 80
+	opts := routedOptions(shards)
+	opts.ReadCache = ReadCacheOptions{Bytes: 1 << 20}
+	db := openRouted(t, opts)
+	ref := newRoutedDB(t, shards) // no cache: the engine's answer
+
+	record := func(id uint64, round int64) []byte {
+		return workload.Tweet{ID: id, UserID: uint32(id % 10), Creation: round, Message: []byte("m")}.Encode()
+	}
+	// Per key an insert (applied only when absent), a delete (only when
+	// present) or an upsert followed by a duplicate insert (never applied).
+	batchOf := func(ids []uint64, round int64) []Mutation {
+		var muts []Mutation
+		for _, id := range ids {
+			switch id % 3 {
+			case 0:
+				muts = append(muts, Mutation{Op: OpInsert, PK: pk(id), Record: record(id, round)})
+			case 1:
+				muts = append(muts, Mutation{Op: OpDelete, PK: pk(id)})
+			case 2:
+				muts = append(muts,
+					Mutation{Op: OpUpsert, PK: pk(id), Record: record(id, round)},
+					Mutation{Op: OpInsert, PK: pk(id), Record: record(id, round+1)})
+			}
+		}
+		return muts
+	}
+	oneByOne := func(muts []Mutation) []bool {
+		applied := make([]bool, len(muts))
+		for i, m := range muts {
+			var err error
+			switch m.Op {
+			case OpInsert:
+				applied[i], err = ref.Insert(m.PK, m.Record)
+			case OpDelete:
+				applied[i], err = ref.Delete(m.PK)
+			case OpUpsert:
+				applied[i], err = true, ref.Upsert(m.PK, m.Record)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return applied
+	}
+	// readAll reads every key from db; with check set it compares each
+	// answer with the reference store's.
+	readAll := func(check bool) {
+		t.Helper()
+		for id := uint64(1); id <= keys; id++ {
+			got, found, err := db.Get(pk(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !check {
+				continue
+			}
+			want, wantFound, err := ref.Get(pk(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if found != wantFound || string(got) != string(want) {
+				t.Fatalf("key %d: got found=%v %q, want found=%v %q (stale cache entry?)", id, found, got, wantFound, want)
+			}
+		}
+	}
+
+	// Keys 1..keys/2 exist before either batch.
+	var seed []Mutation
+	for id := uint64(1); id <= keys/2; id++ {
+		seed = append(seed, Mutation{Op: OpUpsert, PK: pk(id), Record: record(id, 0)})
+	}
+	if err := db.ApplyBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	oneByOne(seed)
+
+	var onShard0, all []uint64
+	for id := uint64(1); id <= keys; id++ {
+		all = append(all, id)
+		if shardOf(pk(id), shards) == 0 {
+			onShard0 = append(onShard0, id)
+		}
+	}
+	if len(onShard0) < 10 || len(onShard0) == keys {
+		t.Fatalf("%d of %d keys on shard 0: the test needs both shards populated", len(onShard0), keys)
+	}
+	for round, ids := range [][]uint64{onShard0, all} {
+		muts := batchOf(ids, int64(round+1))
+		readAll(false) // fill the cache with every key's current answer
+		got, err := db.ApplyBatchResults(muts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oneByOne(muts)
+		for i := range muts {
+			if got[i] != want[i] {
+				t.Fatalf("round %d mutation %d (op %d key %x): applied=%v, one by one %v", round, i, muts[i].Op, muts[i].PK, got[i], want[i])
+			}
+		}
+		readAll(true)
 	}
 }
 
