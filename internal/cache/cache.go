@@ -13,7 +13,7 @@ type PageKey struct {
 }
 
 // entry is one cached page and its own links in the recency list, so a
-// miss costs one allocation and a hit follows no second pointer.
+// miss costs at most one allocation and a hit follows no second pointer.
 type entry struct {
 	prev, next *entry
 	key        PageKey
@@ -67,7 +67,10 @@ func (c *LRU) Get(key PageKey) ([]byte, bool) {
 	return nil, false
 }
 
-// Put inserts a page, evicting the least recently used page if full.
+// Put inserts a page, evicting the least recently used page if full. A full
+// cache reuses the evicted page's entry for the new one, so only a miss
+// below capacity allocates: the entry itself never leaves the cache, only
+// its data does.
 func (c *LRU) Put(key PageKey, data []byte) {
 	if c.capacity == 0 {
 		return
@@ -80,14 +83,17 @@ func (c *LRU) Put(key PageKey, data []byte) {
 		c.pushFront(e)
 		return
 	}
-	e := &entry{key: key, data: data}
+	var e *entry
+	if len(c.items) >= c.capacity {
+		e = c.root.prev
+		e.unlink()
+		delete(c.items, e.key)
+		e.key, e.data = key, data
+	} else {
+		e = &entry{key: key, data: data}
+	}
 	c.pushFront(e)
 	c.items[key] = e
-	for len(c.items) > c.capacity {
-		oldest := c.root.prev
-		oldest.unlink()
-		delete(c.items, oldest.key)
-	}
 }
 
 // Contains reports whether key is cached without promoting it in the LRU

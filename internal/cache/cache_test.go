@@ -192,16 +192,28 @@ func TestEvictionOrderMatchesModel(t *testing.T) {
 	}
 }
 
-// TestMissCostsOneAllocation: inserting into a full cache allocates the new
-// entry and nothing else.
+// TestMissCostsOneAllocation: inserting below capacity allocates the new
+// entry and nothing else; inserting into a full cache reuses the evicted
+// page's entry and allocates nothing.
 func TestMissCostsOneAllocation(t *testing.T) {
-	c := NewLRU(4)
+	const capacity = 4096
+	c := NewLRU(capacity)
 	page := []byte("p")
 	n := 0
-	if allocs := testing.AllocsPerRun(1000, func() {
+	put := func() {
 		c.Put(key(1, n), page)
 		n++
-	}); allocs != 1 {
-		t.Fatalf("Put of a new page = %v allocations, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 1 {
+		t.Fatalf("Put of a new page below capacity = %v allocations, want 1", allocs)
+	}
+	for c.Len() < capacity {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Fatalf("Put of a new page at capacity = %v allocations, want 0", allocs)
+	}
+	if c.Len() != capacity {
+		t.Fatalf("Len = %d, want %d", c.Len(), capacity)
 	}
 }

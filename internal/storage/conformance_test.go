@@ -58,6 +58,7 @@ var pageCases = []struct {
 	{"list-order", testListOrder},
 	{"delete", testDelete},
 	{"page-overflow", testPageOverflow},
+	{"empty-page-refused", testEmptyPageRefused},
 }
 
 var durableCases = []struct {
@@ -223,6 +224,28 @@ func testPageOverflow(t *testing.T, dev storage.Device) {
 	}
 	if n, err := dev.AppendPageEnv(env, id, make([]byte, dev.PageSize())); err != nil || n != 0 {
 		t.Fatalf("full page = %d, %v, want page 0", n, err)
+	}
+}
+
+// testEmptyPageRefused: a page has at least one byte on every device — on
+// the file device a zero length header is where a reopen stops reading — and
+// a refused append leaves the file as it was.
+func testEmptyPageRefused(t *testing.T, dev storage.Device) {
+	env := metrics.NewEnv()
+	id := dev.Create()
+	for _, empty := range [][]byte{nil, {}} {
+		if _, err := dev.AppendPageEnv(env, id, empty); err == nil {
+			t.Fatalf("empty page %#v accepted", empty)
+		}
+	}
+	if n, err := dev.AppendPageEnv(env, id, []byte{1}); err != nil || n != 0 {
+		t.Fatalf("one-byte page after the refusals = %d, %v, want page 0", n, err)
+	}
+	if np, err := dev.NumPages(id); err != nil || np != 1 {
+		t.Fatalf("NumPages = %d, %v, want 1", np, err)
+	}
+	if got := dev.BytesWritten(); got != 1 {
+		t.Fatalf("BytesWritten = %d, want 1", got)
 	}
 }
 

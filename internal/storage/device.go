@@ -27,8 +27,9 @@ type Device interface {
 	Create() FileID
 	// Delete removes a component file (component drop after a merge).
 	Delete(id FileID)
-	// AppendPageEnv appends one page (at most PageSize bytes) to the file,
-	// charging the given metrics environment, and returns its page number.
+	// AppendPageEnv appends one page (1 to PageSize bytes; an empty page is
+	// an error) to the file, charging the given metrics environment, and
+	// returns its page number.
 	// The device copies data before it returns and never retains the slice:
 	// the caller may overwrite it at once (the B+-tree builder assembles
 	// every page of a file in one buffer).

@@ -4,11 +4,12 @@
 //
 // Layout, under one data directory per partition:
 //
-//	c00000001.lsm ...  component files: fixed-size page slots, each a
-//	                   4-byte big-endian length header followed by the page
-//	                   bytes, zero-padded to PageSize+4, so page p lives at
-//	                   offset p*(PageSize+4) and the page count of a file is
-//	                   size/(PageSize+4) — reopen needs no per-page index.
+//	c00000001.lsm ...  component files: pages back to back, each a 4-byte
+//	                   big-endian length n (1..PageSize) followed by exactly
+//	                   n page bytes, with no padding — a page costs its own
+//	                   bytes on disk and in the buffer cache. The device
+//	                   keeps each page's start offset in memory; Open
+//	                   rebuilds that table by walking the length headers.
 //	wal-00000001.log ... write-ahead log segments: raw record streams
 //	                   appended by the wal package, one record per write
 //	                   (u32 length, then LSN, type, flags, timestamp, key
@@ -28,6 +29,21 @@
 // use: lsmstore's layout.json, one level up, carries the store's Format
 // number and refuses a directory written under another one before any
 // partition opens.
+//
+// # Reopening a component file
+//
+// Open walks each component file from offset 0, one 4-byte pread per page,
+// and records where every page starts. The walk ends at the first header
+// that is zero, larger than PageSize, or whose page runs past the end of the
+// file: that header and everything after it is a torn tail, left by a crash
+// mid-write-through. Nothing durable refers to it — a file is named by a
+// MANIFEST only after all of it was synced — so the file's page count is
+// the number of whole pages in front of it. An empty page is never written
+// (AppendPageEnv refuses it), so a zero header can only be a tail.
+//
+// A read preads exactly the header and the n bytes the table records and
+// checks that the header still says n, so a file that changed under the
+// device is an error, never other bytes.
 //
 // # File lifetimes
 //
@@ -79,7 +95,8 @@ import (
 )
 
 const (
-	slotHeader = 4
+	// pageHeader is the length prefix in front of every page on disk.
+	pageHeader = 4
 	// appendBatchPages is the number of buffered appended pages per file
 	// before the batch is written through to the OS (without fsync).
 	appendBatchPages = 16
@@ -96,10 +113,28 @@ const (
 var ErrClosed = errors.New("filedev: device is closed")
 
 type file struct {
-	f       *os.File
-	flushed int      // page slots written to the OS
+	f *os.File
+	// offs holds the header offset of every page written to the OS, and end
+	// the offset just past the last one, where the next write-through
+	// lands. Page p's length is the gap to the next offset (or to end),
+	// less the header.
+	offs    []int64
+	end     int64
 	pending [][]byte // appended pages not yet written through
 	dirty   bool     // needs fsync before the next durability point
+}
+
+// flushed returns the number of pages written to the OS.
+func (f *file) flushed() int { return len(f.offs) }
+
+// extent returns where written-through page p's header starts and how many
+// page bytes follow it.
+func (f *file) extent(p int) (off int64, n int) {
+	next := f.end
+	if p+1 < len(f.offs) {
+		next = f.offs[p+1]
+	}
+	return f.offs[p], int(next - f.offs[p] - pageHeader)
 }
 
 // Device is a storage.Durable backed by real files under a data directory.
@@ -107,7 +142,6 @@ type file struct {
 type Device struct {
 	dir     string
 	profile storage.Profile
-	slot    int64
 
 	// counters, when attached, feed the WAL-durability event counts
 	// (WALFsyncs); read-only after AttachCounters, which must precede
@@ -133,7 +167,6 @@ type Device struct {
 	lock         *os.File
 	closed       bool
 	stage        []byte // reusable append write-through buffer
-	zero         []byte // slot-sized zero padding source
 }
 
 // AttachCounters wires the device's WAL-durability events (fsync counts)
@@ -147,9 +180,10 @@ func (d *Device) countWALFsync() {
 }
 
 // Open opens (creating if needed) the data directory and scans it for
-// component files left by a previous session. The profile's page size
-// defines the slot layout and must match across sessions; the dataset
-// manifest carries the authoritative check.
+// component files left by a previous session, walking each one's page
+// headers (see "Reopening a component file"). The profile's page size bounds
+// a page and must match across sessions; the dataset manifest carries the
+// authoritative check.
 func Open(dir string, profile storage.Profile) (*Device, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -166,7 +200,6 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 		lock:     lock,
 		dir:      dir,
 		profile:  profile,
-		slot:     int64(profile.PageSize + slotHeader),
 		files:    make(map[storage.FileID]*file),
 		nextID:   1,
 		lastPage: -2,
@@ -189,20 +222,41 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 		if err != nil {
 			return nil, errors.Join(err, d.closeAllLocked())
 		}
-		st, err := f.Stat()
+		offs, end, err := walkPages(f, profile.PageSize)
 		if err != nil {
 			return nil, errors.Join(err, f.Close(), d.closeAllLocked())
 		}
-		// A torn tail slot (crash mid-write-through) is dropped: the slot
-		// was never part of a synced install, so nothing durable refers to
-		// it.
-		pages := int(st.Size() / d.slot)
-		d.files[id] = &file{f: f, flushed: pages}
+		d.files[id] = &file{f: f, offs: offs, end: end}
 		if id >= d.nextID {
 			d.nextID = id + 1
 		}
 	}
 	return d, nil
+}
+
+// walkPages rebuilds a component file's page table from its length headers.
+// It stops at the first header that is zero, larger than pageSize, or whose
+// page runs past the end of the file: a torn tail. end is where that tail
+// starts, so an append after the reopen writes over it.
+func walkPages(f *os.File, pageSize int) (offs []int64, end int64, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	size := st.Size()
+	var hdr [pageHeader]byte
+	for end+pageHeader <= size {
+		if _, err := f.ReadAt(hdr[:], end); err != nil {
+			return nil, 0, err
+		}
+		n := int64(binary.BigEndian.Uint32(hdr[:]))
+		if n == 0 || n > int64(pageSize) || end+pageHeader+n > size {
+			break
+		}
+		offs = append(offs, end)
+		end += pageHeader + n
+	}
+	return offs, end, nil
 }
 
 // Dir returns the device's data directory.
@@ -271,10 +325,12 @@ func (d *Device) Delete(id storage.FileID) {
 	os.Remove(d.compPath(id))
 }
 
-// writeThroughLocked writes the file's pending pages to the OS. The
-// staging buffer is owned by the device and reused across batches (the
-// caller holds the device mutex), so a steady append stream stages without
-// allocating.
+// writeThroughLocked appends the file's pending pages, each behind its
+// length header, at the file's written-through end, and records where each
+// one starts. The staging buffer is owned by the device and reused across
+// batches (the caller holds the device mutex), so a steady append stream
+// stages without allocating. A failed write records nothing: the next
+// attempt writes the same pages at the same offset.
 func (d *Device) writeThroughLocked(id storage.FileID, f *file) error {
 	if len(f.pending) == 0 {
 		return nil
@@ -282,31 +338,32 @@ func (d *Device) writeThroughLocked(id storage.FileID, f *file) error {
 	if f.f == nil {
 		return fmt.Errorf("filedev: file %d was not created on disk", id)
 	}
-	if need := int(int64(len(f.pending)) * d.slot); cap(d.stage) < need {
-		d.stage = make([]byte, 0, need)
+	need := 0
+	for _, p := range f.pending {
+		need += pageHeader + len(p)
 	}
-	if d.zero == nil {
-		d.zero = make([]byte, d.slot)
+	if cap(d.stage) < need {
+		d.stage = make([]byte, 0, need)
 	}
 	buf := d.stage[:0]
 	for _, p := range f.pending {
-		var hdr [slotHeader]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(p)))
-		buf = append(buf, hdr[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
 		buf = append(buf, p...)
-		buf = append(buf, d.zero[:int(d.slot)-slotHeader-len(p)]...)
 	}
-	if _, err := f.f.WriteAt(buf, int64(f.flushed)*d.slot); err != nil {
+	if _, err := f.f.WriteAt(buf, f.end); err != nil {
 		return err
 	}
 	// Same retention discipline as the pooled frame buffers: the batch
-	// is bounded at appendBatchPages slots by construction, so anything
-	// larger came from an outsized caller and must not stay pinned for the
-	// device's lifetime.
-	if int64(cap(buf)) > appendBatchPages*d.slot {
+	// is bounded at appendBatchPages full pages by construction, so
+	// anything larger came from an outsized caller and must not stay pinned
+	// for the device's lifetime.
+	if cap(buf) > appendBatchPages*(pageHeader+d.profile.PageSize) {
 		d.stage = nil
 	}
-	f.flushed += len(f.pending)
+	for _, p := range f.pending {
+		f.offs = append(f.offs, f.end)
+		f.end += int64(pageHeader + len(p))
+	}
 	f.pending = nil
 	f.dirty = true
 	return nil
@@ -320,6 +377,10 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 	if len(data) > d.profile.PageSize {
 		return 0, fmt.Errorf("filedev: page overflow: %d > %d", len(data), d.profile.PageSize)
 	}
+	if len(data) == 0 {
+		// A zero length header is where a reopen's walk stops.
+		return 0, errors.New("filedev: empty page")
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -332,8 +393,11 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 	if f.f == nil {
 		return 0, fmt.Errorf("filedev: file %d was never created on disk", id)
 	}
-	f.pending = append(f.pending, append([]byte(nil), data...))
-	n := f.flushed + len(f.pending) - 1
+	// Exactly len(data) of capacity, like a written-through page's read.
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	f.pending = append(f.pending, cp)
+	n := f.flushed() + len(f.pending) - 1
 	d.bytesWritten += int64(len(data))
 	if len(f.pending) >= appendBatchPages {
 		if err := d.writeThroughLocked(id, f); err != nil {
@@ -347,36 +411,47 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 // planRead resolves a page read under the device mutex without performing
 // any I/O: a page still in the append batch is returned directly (the
 // buffered slices are never mutated after append), a written-through page
-// returns the file handle to pread outside the lock — os.File.ReadAt is
-// safe for concurrent use, and holding the device mutex across real disk
-// reads (or the multi-fsync install path) would serialize the partition.
-func (d *Device) planRead(id storage.FileID, page int) (buffered []byte, h *os.File, err error) {
+// returns the file handle and the page's extent to pread outside the lock —
+// os.File.ReadAt is safe for concurrent use, and holding the device mutex
+// across real disk reads (or the multi-fsync install path) would serialize
+// the partition.
+func (d *Device) planRead(id storage.FileID, page int) (buffered []byte, h *os.File, off int64, n int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f, ok := d.files[id]
 	if !ok {
-		return nil, nil, storage.ErrNoSuchFile
+		return nil, nil, 0, 0, storage.ErrNoSuchFile
 	}
-	if page < 0 || page >= f.flushed+len(f.pending) {
-		return nil, nil, storage.ErrNoSuchPage
+	if page < 0 || page >= f.flushed()+len(f.pending) {
+		return nil, nil, 0, 0, storage.ErrNoSuchPage
 	}
-	if page >= f.flushed {
-		return f.pending[page-f.flushed], nil, nil
+	if page >= f.flushed() {
+		return f.pending[page-f.flushed()], nil, 0, 0, nil
 	}
-	return nil, f.f, nil
+	off, n = f.extent(page)
+	return nil, f.f, off, n, nil
 }
 
-// readSlot preads one written-through page slot.
-func (d *Device) readSlot(h *os.File, page int) ([]byte, error) {
-	buf := make([]byte, d.slot)
-	if _, err := h.ReadAt(buf, int64(page)*d.slot); err != nil && err != io.EOF {
-		return nil, err
+// readPage returns one page: from the append batch, or by one pread of
+// exactly its header and bytes. The header must still say what the table
+// recorded; the returned slice is the page and nothing more (cap == len), so
+// the buffer cache holds exactly the page.
+func (d *Device) readPage(id storage.FileID, page int) ([]byte, error) {
+	buffered, h, off, n, err := d.planRead(id, page)
+	if err != nil || h == nil {
+		return buffered, err
 	}
-	n := binary.BigEndian.Uint32(buf)
-	if int(n) > d.profile.PageSize {
-		return nil, fmt.Errorf("filedev: corrupt page header (len %d) at page %d", n, page)
+	buf := make([]byte, pageHeader+n)
+	if got, err := h.ReadAt(buf, off); got < len(buf) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("filedev: reading file %d page %d: %w", id, page, err)
 	}
-	return buf[slotHeader : slotHeader+int(n)], nil
+	if hdr := binary.BigEndian.Uint32(buf); int64(hdr) != int64(n) {
+		return nil, fmt.Errorf("filedev: corrupt page header in file %d page %d: length %d, want %d", id, page, hdr, n)
+	}
+	return buf[pageHeader:], nil
 }
 
 // advanceHead updates the positional head and reports whether the access
@@ -393,15 +468,9 @@ func (d *Device) advanceHead(id storage.FileID, page int) bool {
 // random exactly like the simulated device (single head position); the
 // virtual clock is not advanced.
 func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
-	buffered, h, err := d.planRead(id, page)
+	data, err := d.readPage(id, page)
 	if err != nil {
 		return nil, err
-	}
-	data := buffered
-	if h != nil {
-		if data, err = d.readSlot(h, page); err != nil {
-			return nil, err
-		}
 	}
 	if d.advanceHead(id, page) {
 		env.Counters.SequentialReads.Add(1)
@@ -413,15 +482,9 @@ func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int) ([]b
 
 // PrefetchPageEnv reads one page of a read-ahead window (streaming access).
 func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
-	buffered, h, err := d.planRead(id, page)
+	data, err := d.readPage(id, page)
 	if err != nil {
 		return nil, err
-	}
-	data := buffered
-	if h != nil {
-		if data, err = d.readSlot(h, page); err != nil {
-			return nil, err
-		}
 	}
 	d.advanceHead(id, page)
 	env.Counters.SequentialReads.Add(1)
@@ -436,7 +499,7 @@ func (d *Device) NumPages(id storage.FileID) (int, error) {
 	if !ok {
 		return 0, storage.ErrNoSuchFile
 	}
-	return f.flushed + len(f.pending), nil
+	return f.flushed() + len(f.pending), nil
 }
 
 // List returns the IDs of all live component files in ascending order.

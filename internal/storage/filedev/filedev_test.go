@@ -2,6 +2,8 @@ package filedev
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,7 +18,8 @@ import (
 // append/read, delete, listing, page overflow, the manifest round trip, the
 // log segment lifecycle — is storage's TestDeviceConformance, which runs it
 // over this device raw and wrapped. The tests here are what only real files
-// have: reopen, a lost unsynced tail, the directory's contents.
+// have: the on-disk page layout, reopen, a torn or lost tail, the
+// directory's contents.
 
 // mustClose fails the test on a Close error: Close runs the final sync,
 // so a dropped error here can hide a failed durability point.
@@ -124,6 +127,198 @@ func TestUnsyncedTailDroppedAtReopen(t *testing.T) {
 	got, err := d2.ReadPageEnv(env, id, 0)
 	if err != nil || string(got) != "durable" {
 		t.Fatalf("page 0 after crash = %q, %v", got, err)
+	}
+}
+
+// layoutPages returns pages of mixed sizes, from a 19-byte page (the size of
+// a B+-tree's meta page) up to a full one, over more than one append batch.
+func layoutPages(pageSize int) [][]byte {
+	sizes := []int{19, pageSize, 1, pageSize / 2, 300}
+	var pages [][]byte
+	for i := range appendBatchPages*2 + 3 {
+		pages = append(pages, bytes.Repeat([]byte{byte(i + 1)}, sizes[i%len(sizes)]))
+	}
+	return pages
+}
+
+// writeLayoutFile writes pages into a new component file under dir and
+// closes the device. It returns the file's ID and path.
+func writeLayoutFile(t *testing.T, dir string, pages [][]byte) (storage.FileID, string) {
+	t.Helper()
+	d := openTestDev(t, dir)
+	id := d.Create()
+	for i, p := range pages {
+		if n, err := d.AppendPageEnv(metrics.NewEnv(), id, p); err != nil || n != i {
+			t.Fatalf("AppendPageEnv(%d) = %d, %v", i, n, err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return id, filepath.Join(dir, ComponentFileName(id))
+}
+
+// headerOffsets returns where each page's length header starts on disk.
+func headerOffsets(pages [][]byte) []int64 {
+	offs := make([]int64, len(pages))
+	var end int64
+	for i, p := range pages {
+		offs[i] = end
+		end += pageHeader + int64(len(p))
+	}
+	return offs
+}
+
+// overwriteHeader rewrites the length header at off in the file at path.
+func overwriteHeader(t *testing.T, path string, off int64, n uint32) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(binary.BigEndian.AppendUint32(nil, n), off); err != nil {
+		t.Fatal(errors.Join(err, f.Close()))
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requirePages checks that the device holds exactly want in file id.
+func requirePages(t *testing.T, d *Device, id storage.FileID, want [][]byte) {
+	t.Helper()
+	if np, err := d.NumPages(id); err != nil || np != len(want) {
+		t.Fatalf("NumPages = %d, %v, want %d", np, err, len(want))
+	}
+	env := metrics.NewEnv()
+	for i, p := range want {
+		if got, err := d.ReadPageEnv(env, id, i); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("page %d: %d bytes (%v), want %d", i, len(got), err, len(p))
+		}
+	}
+	if _, err := d.ReadPageEnv(env, id, len(want)); err != storage.ErrNoSuchPage {
+		t.Fatalf("page %d past the end: %v, want ErrNoSuchPage", len(want), err)
+	}
+}
+
+// TestFileHoldsPagesBackToBack: a component file is its pages, each behind a
+// 4-byte big-endian length, with no padding — a page costs 4 + len bytes.
+func TestFileHoldsPagesBackToBack(t *testing.T) {
+	dir := t.TempDir()
+	pages := layoutPages(512)
+	_, path := writeLayoutFile(t, dir, pages)
+	var want []byte
+	for _, p := range pages {
+		want = binary.BigEndian.AppendUint32(want, uint32(len(p)))
+		want = append(want, p...)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("file size = %d, want Σ(4 + len) = %d", len(got), len(want))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("file bytes are not the pages back to back behind their lengths")
+	}
+}
+
+// TestReopenStopsAtTornTail: a reopen walks the length headers and ends at
+// the first one that is cut short, runs past the end of the file, is larger
+// than a page, or is zero. Every page in front of it reads back byte for
+// byte, and a page appended afterwards lands where the tail was.
+func TestReopenStopsAtTornTail(t *testing.T) {
+	const pageSize = 512
+	pages := layoutPages(pageSize)
+	offs := headerOffsets(pages)
+	const k = appendBatchPages + 5 // a full page, in the second batch
+	if len(pages[k]) != pageSize {
+		t.Fatalf("page %d has %d bytes; the cases want a full one", k, len(pages[k]))
+	}
+	setHeader := func(n uint32) func(*testing.T, string) {
+		return func(t *testing.T, path string) { overwriteHeader(t, path, offs[k], n) }
+	}
+	truncate := func(size int64) func(*testing.T, string) {
+		return func(t *testing.T, path string) {
+			if err := os.Truncate(path, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, tear := range map[string]func(*testing.T, string){
+		"cut mid-page":              truncate(offs[k] + pageHeader + pageSize/2),
+		"cut mid-header":            truncate(offs[k] + 2),
+		"header larger than a page": setHeader(pageSize + 1),
+		"zero header":               setHeader(0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			id, path := writeLayoutFile(t, dir, pages)
+			tear(t, path)
+			d := openTestDev(t, dir)
+			requirePages(t, d, id, pages[:k])
+			next := []byte("after the tail")
+			if n, err := d.AppendPageEnv(metrics.NewEnv(), id, next); err != nil || n != k {
+				t.Fatalf("append after the tail = %d, %v, want page %d", n, err, k)
+			}
+			mustClose(t, d)
+			d2 := openTestDev(t, dir)
+			defer mustClose(t, d2)
+			requirePages(t, d2, id, append(pages[:k:k], next))
+		})
+	}
+}
+
+// TestPageReadCapacityIsLength: a read returns the page and nothing more,
+// whether it comes from the append batch or from the file, so the buffer
+// cache holds exactly the page.
+func TestPageReadCapacityIsLength(t *testing.T) {
+	env := metrics.NewEnv()
+	d := openTestDev(t, t.TempDir())
+	defer mustClose(t, d)
+	id := d.Create()
+	pages := layoutPages(512)
+	for _, p := range pages {
+		if _, err := d.AppendPageEnv(env, id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range pages {
+		for name, read := range map[string]func(*metrics.Env, storage.FileID, int) ([]byte, error){
+			"read": d.ReadPageEnv, "prefetch": d.PrefetchPageEnv,
+		} {
+			got, err := read(env, id, i)
+			if err != nil || len(got) != len(pages[i]) || cap(got) != len(got) {
+				t.Fatalf("%s page %d: len %d cap %d (%v), want len = cap = %d", name, i, len(got), cap(got), err, len(pages[i]))
+			}
+		}
+	}
+}
+
+// TestPageHeaderMismatchIsError: a header that no longer says the length the
+// page table recorded makes the read an error, never other bytes, and
+// leaves the other pages readable.
+func TestPageHeaderMismatchIsError(t *testing.T) {
+	dir := t.TempDir()
+	pages := layoutPages(512)
+	offs := headerOffsets(pages)
+	id, path := writeLayoutFile(t, dir, pages)
+	d := openTestDev(t, dir)
+	defer mustClose(t, d)
+	const k = 3
+	overwriteHeader(t, path, offs[k], uint32(len(pages[k])-1))
+	env := metrics.NewEnv()
+	if got, err := d.ReadPageEnv(env, id, k); err == nil || got != nil {
+		t.Fatalf("page %d under a changed header = %d bytes, %v; want an error and no bytes", k, len(got), err)
+	}
+	if got, err := d.PrefetchPageEnv(env, id, k); err == nil || got != nil {
+		t.Fatalf("prefetch of page %d under a changed header = %d bytes, %v; want an error and no bytes", k, len(got), err)
+	}
+	for _, i := range []int{k - 1, k + 1} {
+		if got, err := d.ReadPageEnv(env, id, i); err != nil || !bytes.Equal(got, pages[i]) {
+			t.Fatalf("page %d next to the bad header: %v", i, err)
+		}
 	}
 }
 

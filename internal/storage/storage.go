@@ -131,6 +131,9 @@ func (d *Disk) AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, err
 	if len(data) > d.profile.PageSize {
 		return 0, fmt.Errorf("storage: page overflow: %d > %d", len(data), d.profile.PageSize)
 	}
+	if len(data) == 0 {
+		return 0, errors.New("storage: empty page")
+	}
 	cp := append([]byte(nil), data...)
 	d.mu.Lock()
 	f, ok := d.files[id]

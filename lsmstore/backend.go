@@ -20,17 +20,21 @@ const layoutName = "layout.json"
 
 type layout struct {
 	// Format numbers the on-disk encodings under the shard directories
-	// (today: the write-ahead log's record layout, package wal). A directory
-	// stamped with another number, or none, is refused: its log segments
-	// would not decode as corrupt-and-reportable but as an empty torn tail.
+	// (today: the write-ahead log's record layout, package wal, and the
+	// component file layout, package filedev). A directory stamped with
+	// another number, or none, is refused: its log segments would not decode
+	// as corrupt-and-reportable but as an empty torn tail, and a format-1
+	// component file's slot padding would read as a torn tail after its
+	// first page that is not full.
 	Format   int
 	Shards   int
 	PageSize int
 }
 
 // layoutFormat is the Format this build reads and writes. 1: one log record
-// per write. Directories from before the field existed read as 0.
-const layoutFormat = 1
+// per write. 2: component pages back to back. Directories from before the
+// field existed read as 0.
+const layoutFormat = 2
 
 // shardDir returns shard i's subdirectory of a file-backed store.
 func shardDir(dir string, i int) string {

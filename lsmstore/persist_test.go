@@ -1,10 +1,11 @@
 package lsmstore_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -491,9 +492,38 @@ func TestFileBackendStrategyMismatchRefused(t *testing.T) {
 	}
 }
 
+// readLayout returns the layout.json of a file-backed store as a JSON map.
+func readLayout(t *testing.T, dir string) map[string]any {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "layout.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var layout map[string]any
+	if err := json.Unmarshal(data, &layout); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := layout["Format"]; !ok {
+		t.Fatalf("the layout.json this build wrote carries no Format: %s", data)
+	}
+	return layout
+}
+
+func writeLayout(t *testing.T, dir string, layout map[string]any) {
+	t.Helper()
+	data, err := json.Marshal(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "layout.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFileBackendOpensLayoutWithDevice: layout.json stopped carrying the
-// simulated device profile without a format bump, so a format-1 directory
-// stamped by a build that still wrote it must open and serve its data.
+// simulated device profile without a format bump, so a directory of the
+// current format whose layout still names a device ("Device":"hdd", as
+// older builds wrote it) must open and serve its data.
 func TestFileBackendOpensLayoutWithDevice(t *testing.T) {
 	dir := t.TempDir()
 	db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
@@ -505,14 +535,12 @@ func TestFileBackendOpensLayoutWithDevice(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Byte for byte what that build stamped for these options.
-	stamped := []byte(`{"Format":1,"Shards":1,"PageSize":4096,"Device":"hdd"}`)
-	if err := os.WriteFile(filepath.Join(dir, "layout.json"), stamped, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	layout := readLayout(t, dir)
+	layout["Device"] = "hdd"
+	writeLayout(t, dir, layout)
 	re, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
 	if err != nil {
-		t.Fatalf("a format-1 directory whose layout names a device was refused: %v", err)
+		t.Fatalf("a directory whose layout names a device was refused: %v", err)
 	}
 	defer re.Close()
 	if got := storeImage(t, re, ids, lsmstore.TimestampValidation); got != want {
@@ -522,10 +550,12 @@ func TestFileBackendOpensLayoutWithDevice(t *testing.T) {
 
 // TestFileBackendRefusesOtherFormat: layout.json carries the number of the
 // on-disk format, and a directory without the current one is refused with an
-// error that names it, before any shard opens. The case that matters is a
-// directory from before the number existed, whose log holds a data record
-// and a commit record per write: today's decoder takes such a segment for a
-// torn tail, so without the guard the store would open — empty.
+// error that names it, before any shard opens, and left as it was. Two cases
+// matter. A directory from before the number existed has a data record and a
+// commit record per write in its log: today's decoder takes such a segment
+// for a torn tail, so without the guard the store would open — empty. A
+// format-1 directory pads every component page to a fixed slot: today's
+// reopen takes the padding after a component's first page for a torn tail.
 func TestFileBackendRefusesOtherFormat(t *testing.T) {
 	// One acknowledged upsert as the two-record log wrote it: u32 length,
 	// LSN, transaction ID, type, flags, timestamp, then index name, key,
@@ -547,12 +577,62 @@ func TestFileBackendRefusesOtherFormat(t *testing.T) {
 	if _, _, err := wal.DecodeRecord(oldSegment); err == nil {
 		t.Fatal("a two-record segment decodes under the one-record layout; the fixture proves nothing")
 	}
+	twoRecordLog := func(t *testing.T, dir string) {
+		if err := os.WriteFile(newestWALSegment(t, dir), oldSegment, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// fixedSlots flushes the acknowledged upsert into components and
+	// rewrites every component file as format 1 laid it out: each page's
+	// length header and bytes, zero-padded to a PageSize+4 slot.
+	fixedSlots := func(t *testing.T, dir string) {
+		db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Upsert(tweetPK(1), tweetRec(1, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		const header = 4 // the length in front of every page
+		slot := header + int(readLayout(t, dir)["PageSize"].(float64))
+		paths, err := filepath.Glob(filepath.Join(dir, "shard-*", "c*.lsm"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no component file to rewrite (%v)", err)
+		}
+		for _, path := range paths {
+			pages, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var slots []byte
+			for len(pages) > 0 {
+				n := header + int(binary.BigEndian.Uint32(pages))
+				slots = append(slots, pages[:n]...)
+				slots = append(slots, make([]byte, slot-n)...)
+				pages = pages[n:]
+			}
+			if err := os.WriteFile(path, slots, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
-	for name, stamp := range map[string]func(map[string]any){
-		"no format number": func(l map[string]any) { delete(l, "Format") },
-		"a later format":   func(l map[string]any) { l["Format"] = 99 },
+	for _, c := range []struct {
+		name  string
+		plant func(*testing.T, string) // what a directory of that format holds
+		stamp func(map[string]any)
+	}{
+		{"no format number", twoRecordLog, func(l map[string]any) { delete(l, "Format") }},
+		{"format 1 (fixed slots)", fixedSlots, func(l map[string]any) { l["Format"] = 1 }},
+		{"a later format", twoRecordLog, func(l map[string]any) { l["Format"] = 99 }},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
 			if err != nil {
@@ -561,29 +641,11 @@ func TestFileBackendRefusesOtherFormat(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			layoutPath := filepath.Join(dir, "layout.json")
-			data, err := os.ReadFile(layoutPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var layout map[string]any
-			if err := json.Unmarshal(data, &layout); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := layout["Format"]; !ok {
-				t.Fatalf("a fresh directory's %s carries no Format: %s", layoutPath, data)
-			}
-			stamp(layout)
-			if data, err = json.Marshal(layout); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(layoutPath, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			segment := newestWALSegment(t, dir)
-			if err := os.WriteFile(segment, oldSegment, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			c.plant(t, dir)
+			layout := readLayout(t, dir)
+			c.stamp(layout)
+			writeLayout(t, dir, layout)
+			before := dirFiles(t, dir)
 
 			re, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
 			if err == nil {
@@ -591,12 +653,30 @@ func TestFileBackendRefusesOtherFormat(t *testing.T) {
 				re.Close()
 				t.Fatalf("a directory in another format opened (its acknowledged write found=%v)", found)
 			}
-			if !strings.Contains(err.Error(), "format") {
+			if !strings.Contains(err.Error(), "on-disk format") {
 				t.Fatalf("the refusal does not name the format: %v", err)
 			}
-			if left, rerr := os.ReadFile(segment); rerr != nil || !bytes.Equal(left, oldSegment) {
-				t.Fatalf("the refused open touched the log segment (%v)", rerr)
+			if after := dirFiles(t, dir); !maps.Equal(after, before) {
+				t.Fatal("the refused open changed the directory")
 			}
 		})
 	}
+}
+
+// dirFiles returns the content of every file under dir by relative path.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[strings.TrimPrefix(path, dir)] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
