@@ -8,9 +8,19 @@
 // driven by random-vs-sequential I/O ratios, cache residency, and in-memory
 // search costs, all of which the model reproduces explicitly; the device
 // half of the model is described in the internal/storage package doc.
+//
+// The package also holds the two counter sets every count lives in:
+// Counters (engine events, incremented on the hot path) and ServerCounters
+// (the network service). A counter set is a struct of atomic.Int64 fields
+// with a snapshot twin that declares the same names, in the same order, as
+// int64 fields tagged `prom:"name,help"`. Snapshot, Add, Sub and Reset walk
+// the fields, and /metrics writes the twin's tags, so a new count is two
+// lines: the atomic field and its tagged twin. TestCounterSetsMirror holds
+// the two in step.
 package metrics
 
 import (
+	"reflect"
 	"sync/atomic"
 	"time"
 )
@@ -99,7 +109,8 @@ func DefaultCPUCosts() CPUCosts {
 }
 
 // Counters aggregates event counts for reporting and assertions in tests.
-// All methods are safe for concurrent use.
+// It is a counter set; Snapshot is its twin. All methods are safe for
+// concurrent use.
 type Counters struct {
 	RandomReads     atomic.Int64 // disk pages read at random positions
 	SequentialReads atomic.Int64 // disk pages read sequentially
@@ -120,145 +131,56 @@ type Counters struct {
 	GroupCommitBatches atomic.Int64 // commit groups closed by one covering fsync
 	GroupCommitWaiters atomic.Int64 // committed writes covered by those groups (mean group size = waiters/batches)
 
-	// Read cache (internal/readcache; zero when Options.ReadCache is off).
+	// Read cache (internal/readcache counts into a Counters of its own; zero
+	// when Options.ReadCache is off).
 	ReadCacheHits          atomic.Int64 // GETs answered from a cached record
 	ReadCacheMisses        atomic.Int64 // GETs that fell through to the engine
 	ReadCacheNegHits       atomic.Int64 // GETs answered by a cached known-absent entry
 	ReadCacheInvalidations atomic.Int64 // write-path invalidations (per mutated key)
 }
 
-// Snapshot is an immutable copy of the counter values.
+// Snapshot is an immutable copy of the counter values. Each field's prom
+// tag is its /metrics name and help (obs.PromWriter.Fields).
 type Snapshot struct {
-	RandomReads     int64
-	SequentialReads int64
-	PagesWritten    int64
-	CacheHits       int64
-	CacheMisses     int64
-	BloomTests      int64
-	BloomNegatives  int64
-	KeyComparisons  int64
-	PointLookups    int64
-	EntriesScanned  int64
-	WriteStalls     int64
-	WriteStallNanos int64
+	RandomReads     int64 `prom:"lsm_engine_random_reads_total,Pages read at random positions."`
+	SequentialReads int64 `prom:"lsm_engine_sequential_reads_total,Pages read sequentially."`
+	PagesWritten    int64 `prom:"lsm_engine_pages_written_total,Pages written."`
+	CacheHits       int64 `prom:"lsm_engine_cache_hits_total,Buffer-cache hits."`
+	CacheMisses     int64 `prom:"lsm_engine_cache_misses_total,Buffer-cache misses."`
+	BloomTests      int64 `prom:"lsm_engine_bloom_tests_total,Bloom filter membership tests."`
+	BloomNegatives  int64 `prom:"lsm_engine_bloom_negatives_total,Bloom tests answered definitely-absent."`
+	KeyComparisons  int64 `prom:"lsm_engine_key_comparisons_total,B+-tree search comparisons."`
+	PointLookups    int64 `prom:"lsm_engine_point_lookups_total,Point lookups issued."`
+	EntriesScanned  int64 `prom:"lsm_engine_entries_scanned_total,Entries pulled through iterators."`
+	WriteStalls     int64 `prom:"lsm_engine_write_stalls_total,Writes stalled by maintenance backpressure."`
+	WriteStallNanos int64 `prom:"lsm_engine_write_stall_seconds_total,Total time writes spent stalled."`
 
-	WALFsyncs          int64
-	GroupCommitBatches int64
-	GroupCommitWaiters int64
+	WALFsyncs          int64 `prom:"lsm_engine_wal_fsyncs_total,Fsyncs issued against the WAL area."`
+	GroupCommitBatches int64 `prom:"lsm_engine_group_commit_batches_total,Commit groups closed by one covering fsync."`
+	GroupCommitWaiters int64 `prom:"lsm_engine_group_commit_waiters_total,Committed writes covered by commit groups."`
 
-	ReadCacheHits          int64
-	ReadCacheMisses        int64
-	ReadCacheNegHits       int64
-	ReadCacheInvalidations int64
+	ReadCacheHits          int64 `prom:"lsm_engine_read_cache_hits_total,GETs answered from the read cache."`
+	ReadCacheMisses        int64 `prom:"lsm_engine_read_cache_misses_total,GETs that fell through the read cache."`
+	ReadCacheNegHits       int64 `prom:"lsm_engine_read_cache_neg_hits_total,GETs answered by a cached known-absent entry."`
+	ReadCacheInvalidations int64 `prom:"lsm_engine_read_cache_invalidations_total,Write-path read-cache invalidations."`
 }
 
 // Snapshot captures the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		RandomReads:     c.RandomReads.Load(),
-		SequentialReads: c.SequentialReads.Load(),
-		PagesWritten:    c.PagesWritten.Load(),
-		CacheHits:       c.CacheHits.Load(),
-		CacheMisses:     c.CacheMisses.Load(),
-		BloomTests:      c.BloomTests.Load(),
-		BloomNegatives:  c.BloomNegatives.Load(),
-		KeyComparisons:  c.KeyComparisons.Load(),
-		PointLookups:    c.PointLookups.Load(),
-		EntriesScanned:  c.EntriesScanned.Load(),
-		WriteStalls:     c.WriteStalls.Load(),
-		WriteStallNanos: c.WriteStallNanos.Load(),
-
-		WALFsyncs:          c.WALFsyncs.Load(),
-		GroupCommitBatches: c.GroupCommitBatches.Load(),
-		GroupCommitWaiters: c.GroupCommitWaiters.Load(),
-
-		ReadCacheHits:          c.ReadCacheHits.Load(),
-		ReadCacheMisses:        c.ReadCacheMisses.Load(),
-		ReadCacheNegHits:       c.ReadCacheNegHits.Load(),
-		ReadCacheInvalidations: c.ReadCacheInvalidations.Load(),
-	}
-}
+func (c *Counters) Snapshot() Snapshot { return load[Snapshot](c) }
 
 // Add returns s plus o, for aggregating counters across shards or runs.
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	return Snapshot{
-		RandomReads:     s.RandomReads + o.RandomReads,
-		SequentialReads: s.SequentialReads + o.SequentialReads,
-		PagesWritten:    s.PagesWritten + o.PagesWritten,
-		CacheHits:       s.CacheHits + o.CacheHits,
-		CacheMisses:     s.CacheMisses + o.CacheMisses,
-		BloomTests:      s.BloomTests + o.BloomTests,
-		BloomNegatives:  s.BloomNegatives + o.BloomNegatives,
-		KeyComparisons:  s.KeyComparisons + o.KeyComparisons,
-		PointLookups:    s.PointLookups + o.PointLookups,
-		EntriesScanned:  s.EntriesScanned + o.EntriesScanned,
-		WriteStalls:     s.WriteStalls + o.WriteStalls,
-		WriteStallNanos: s.WriteStallNanos + o.WriteStallNanos,
-
-		WALFsyncs:          s.WALFsyncs + o.WALFsyncs,
-		GroupCommitBatches: s.GroupCommitBatches + o.GroupCommitBatches,
-		GroupCommitWaiters: s.GroupCommitWaiters + o.GroupCommitWaiters,
-
-		ReadCacheHits:          s.ReadCacheHits + o.ReadCacheHits,
-		ReadCacheMisses:        s.ReadCacheMisses + o.ReadCacheMisses,
-		ReadCacheNegHits:       s.ReadCacheNegHits + o.ReadCacheNegHits,
-		ReadCacheInvalidations: s.ReadCacheInvalidations + o.ReadCacheInvalidations,
-	}
-}
+func (s Snapshot) Add(o Snapshot) Snapshot { return combine(s, o, 1) }
 
 // Sub returns s minus o, for measuring a bounded region of work.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		RandomReads:     s.RandomReads - o.RandomReads,
-		SequentialReads: s.SequentialReads - o.SequentialReads,
-		PagesWritten:    s.PagesWritten - o.PagesWritten,
-		CacheHits:       s.CacheHits - o.CacheHits,
-		CacheMisses:     s.CacheMisses - o.CacheMisses,
-		BloomTests:      s.BloomTests - o.BloomTests,
-		BloomNegatives:  s.BloomNegatives - o.BloomNegatives,
-		KeyComparisons:  s.KeyComparisons - o.KeyComparisons,
-		PointLookups:    s.PointLookups - o.PointLookups,
-		EntriesScanned:  s.EntriesScanned - o.EntriesScanned,
-		WriteStalls:     s.WriteStalls - o.WriteStalls,
-		WriteStallNanos: s.WriteStallNanos - o.WriteStallNanos,
-
-		WALFsyncs:          s.WALFsyncs - o.WALFsyncs,
-		GroupCommitBatches: s.GroupCommitBatches - o.GroupCommitBatches,
-		GroupCommitWaiters: s.GroupCommitWaiters - o.GroupCommitWaiters,
-
-		ReadCacheHits:          s.ReadCacheHits - o.ReadCacheHits,
-		ReadCacheMisses:        s.ReadCacheMisses - o.ReadCacheMisses,
-		ReadCacheNegHits:       s.ReadCacheNegHits - o.ReadCacheNegHits,
-		ReadCacheInvalidations: s.ReadCacheInvalidations - o.ReadCacheInvalidations,
-	}
-}
+func (s Snapshot) Sub(o Snapshot) Snapshot { return combine(s, o, -1) }
 
 // Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.RandomReads.Store(0)
-	c.SequentialReads.Store(0)
-	c.PagesWritten.Store(0)
-	c.CacheHits.Store(0)
-	c.CacheMisses.Store(0)
-	c.BloomTests.Store(0)
-	c.BloomNegatives.Store(0)
-	c.KeyComparisons.Store(0)
-	c.PointLookups.Store(0)
-	c.EntriesScanned.Store(0)
-	c.WriteStalls.Store(0)
-	c.WriteStallNanos.Store(0)
-	c.WALFsyncs.Store(0)
-	c.GroupCommitBatches.Store(0)
-	c.GroupCommitWaiters.Store(0)
-	c.ReadCacheHits.Store(0)
-	c.ReadCacheMisses.Store(0)
-	c.ReadCacheNegHits.Store(0)
-	c.ReadCacheInvalidations.Store(0)
-}
+func (c *Counters) Reset() { each(c, func(_ int, a *atomic.Int64) { a.Store(0) }) }
 
 // ServerCounters aggregates network-service events for the lsmserver
 // front-end: connections, requests, failures, and write-coalescer
-// efficiency. All fields are safe for concurrent use.
+// efficiency. It is a counter set; ServerSnapshot is its twin. All fields
+// are safe for concurrent use.
 type ServerCounters struct {
 	Connections      atomic.Int64 // connections accepted since start
 	ActiveConns      atomic.Int64 // connections currently open
@@ -266,57 +188,47 @@ type ServerCounters struct {
 	Errors           atomic.Int64 // requests answered with an error frame
 	CoalescedBatches atomic.Int64 // ApplyBatch calls issued by the write coalescer
 	CoalescedWrites  atomic.Int64 // single writes absorbed into those batches
-	SlowRequests     atomic.Int64 // requests over the slow-request threshold
 }
 
-// ServerSnapshot is an immutable copy of the server counter values.
+// ServerSnapshot is an immutable copy of the server counter values, tagged
+// like Snapshot.
 type ServerSnapshot struct {
-	Connections      int64
-	ActiveConns      int64
-	Requests         int64
-	Errors           int64
-	CoalescedBatches int64
-	CoalescedWrites  int64
-	SlowRequests     int64
+	Connections      int64 `prom:"lsm_connections_total,Connections accepted since start."`
+	ActiveConns      int64 `prom:"lsm_active_connections,Connections currently open."`
+	Requests         int64 `prom:"lsm_requests_total,Requests decoded and dispatched."`
+	Errors           int64 `prom:"lsm_request_errors_total,Requests answered with an error frame."`
+	CoalescedBatches int64 `prom:"lsm_coalesced_batches_total,ApplyBatch calls issued by the write coalescer."`
+	CoalescedWrites  int64 `prom:"lsm_coalesced_writes_total,Single writes absorbed into coalesced batches."`
 }
 
 // Snapshot captures the current server counter values.
-func (c *ServerCounters) Snapshot() ServerSnapshot {
-	return ServerSnapshot{
-		Connections:      c.Connections.Load(),
-		ActiveConns:      c.ActiveConns.Load(),
-		Requests:         c.Requests.Load(),
-		Errors:           c.Errors.Load(),
-		CoalescedBatches: c.CoalescedBatches.Load(),
-		CoalescedWrites:  c.CoalescedWrites.Load(),
-		SlowRequests:     c.SlowRequests.Load(),
-	}
-}
-
-// Add returns s plus o, mirroring Snapshot.Add for the server counters.
-func (s ServerSnapshot) Add(o ServerSnapshot) ServerSnapshot {
-	return ServerSnapshot{
-		Connections:      s.Connections + o.Connections,
-		ActiveConns:      s.ActiveConns + o.ActiveConns,
-		Requests:         s.Requests + o.Requests,
-		Errors:           s.Errors + o.Errors,
-		CoalescedBatches: s.CoalescedBatches + o.CoalescedBatches,
-		CoalescedWrites:  s.CoalescedWrites + o.CoalescedWrites,
-		SlowRequests:     s.SlowRequests + o.SlowRequests,
-	}
-}
+func (c *ServerCounters) Snapshot() ServerSnapshot { return load[ServerSnapshot](c) }
 
 // Sub returns s minus o, for interval deltas across two /stats fetches.
-func (s ServerSnapshot) Sub(o ServerSnapshot) ServerSnapshot {
-	return ServerSnapshot{
-		Connections:      s.Connections - o.Connections,
-		ActiveConns:      s.ActiveConns - o.ActiveConns,
-		Requests:         s.Requests - o.Requests,
-		Errors:           s.Errors - o.Errors,
-		CoalescedBatches: s.CoalescedBatches - o.CoalescedBatches,
-		CoalescedWrites:  s.CoalescedWrites - o.CoalescedWrites,
-		SlowRequests:     s.SlowRequests - o.SlowRequests,
+func (s ServerSnapshot) Sub(o ServerSnapshot) ServerSnapshot { return combine(s, o, -1) }
+
+// each calls f with every field of the counter set *c and its position.
+func each(c any, f func(i int, a *atomic.Int64)) {
+	v := reflect.ValueOf(c).Elem()
+	for i := range v.NumField() {
+		f(i, v.Field(i).Addr().Interface().(*atomic.Int64))
 	}
+}
+
+// load returns the snapshot twin S of the counter set *c.
+func load[S any](c any) (s S) {
+	sv := reflect.ValueOf(&s).Elem()
+	each(c, func(i int, a *atomic.Int64) { sv.Field(i).SetInt(a.Load()) })
+	return s
+}
+
+// combine returns a + sign·b, field by field, for a snapshot type.
+func combine[S any](a, b S, sign int64) S {
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := range av.NumField() {
+		av.Field(i).SetInt(av.Field(i).Int() + sign*bv.Field(i).Int())
+	}
+	return a
 }
 
 // Env bundles the clock, cost model and counters that thread through the

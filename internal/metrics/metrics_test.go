@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -102,38 +104,86 @@ func TestDefaultCostsSane(t *testing.T) {
 	}
 }
 
-func TestServerSnapshotAddSub(t *testing.T) {
-	// Exercise every field via reflection so a newly added counter cannot
-	// silently escape Add/Sub coverage.
-	var a, b ServerSnapshot
-	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		va.Field(i).SetInt(int64(10 * (i + 1)))
-		vb.Field(i).SetInt(int64(i + 1))
+// TestCounterSetsMirror holds each counter set and its snapshot twin in
+// step — same names, same order, every twin tagged with a unique /metrics
+// name and a help — and runs every field through Snapshot, Sub, Add and
+// Reset, so a new count cannot escape the walk.
+func TestCounterSetsMirror(t *testing.T) {
+	checkMirror[Counters, Snapshot](t)
+	checkMirror[ServerCounters, ServerSnapshot](t)
+	if t.Failed() {
+		return // the walk would index past the shorter twin
 	}
-	sum, diff := a.Add(b), a.Sub(b)
-	vs, vd := reflect.ValueOf(sum), reflect.ValueOf(diff)
-	for i := 0; i < vs.NumField(); i++ {
-		name := vs.Type().Field(i).Name
-		if got, want := vs.Field(i).Int(), int64(11*(i+1)); got != want {
-			t.Errorf("Add %s = %d, want %d", name, got, want)
+
+	var c Counters
+	a, b := checkWalk(t, &c, (*Counters).Snapshot, Snapshot.Sub)
+	if got := a.Sub(b).Add(b); got != a {
+		t.Errorf("Sub/Add round trip = %+v, want %+v", got, a)
+	}
+	c.Reset()
+	if s := c.Snapshot(); s != (Snapshot{}) {
+		t.Errorf("after Reset: %+v", s)
+	}
+	var sc ServerCounters
+	checkWalk(t, &sc, (*ServerCounters).Snapshot, ServerSnapshot.Sub)
+}
+
+// checkMirror: field i of the counter set C is an atomic.Int64 whose twin,
+// field i of the snapshot S, is an int64 of the same name with a prom tag.
+func checkMirror[C, S any](t *testing.T) {
+	t.Helper()
+	c, s := reflect.TypeFor[C](), reflect.TypeFor[S]()
+	if c.NumField() != s.NumField() {
+		t.Errorf("%v has %d fields, %v has %d", c, c.NumField(), s, s.NumField())
+		return
+	}
+	names := map[string]bool{}
+	for i := range c.NumField() {
+		cf, sf := c.Field(i), s.Field(i)
+		if cf.Type != reflect.TypeFor[atomic.Int64]() || sf.Type.Kind() != reflect.Int64 || cf.Name != sf.Name {
+			t.Errorf("field %d: %v.%s (%v) and %v.%s (%v) are not twins", i, c, cf.Name, cf.Type, s, sf.Name, sf.Type)
 		}
-		if got, want := vd.Field(i).Int(), int64(9*(i+1)); got != want {
-			t.Errorf("Sub %s = %d, want %d", name, got, want)
+		name, help, _ := strings.Cut(sf.Tag.Get("prom"), ",")
+		if name == "" || help == "" {
+			t.Errorf("%v.%s: prom tag %q needs a name and a help", s, sf.Name, sf.Tag.Get("prom"))
+		}
+		if names[name] {
+			t.Errorf("%v.%s: /metrics name %s is already taken", s, sf.Name, name)
+		}
+		names[name] = true
+	}
+}
+
+// checkWalk sets field i of the counter set *c to 10(i+1) and checks that
+// its snapshot a reads it there, and that a minus b, whose field i is i+1,
+// reads 9(i+1).
+func checkWalk[C, S any](t *testing.T, c *C, snapshot func(*C) S, sub func(S, S) S) (a, b S) {
+	t.Helper()
+	cv, bv := reflect.ValueOf(c).Elem(), reflect.ValueOf(&b).Elem()
+	for i := range cv.NumField() {
+		cv.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(10 * (i + 1)))
+		bv.Field(i).SetInt(int64(i + 1))
+	}
+	a = snapshot(c)
+	av, dv := reflect.ValueOf(a), reflect.ValueOf(sub(a, b))
+	for i := range av.NumField() {
+		name := av.Type().Field(i).Name
+		if got := av.Field(i).Int(); got != int64(10*(i+1)) {
+			t.Errorf("%T.%s = %d, want %d", a, name, got, 10*(i+1))
+		}
+		if got := dv.Field(i).Int(); got != int64(9*(i+1)) {
+			t.Errorf("%T.Sub: %s = %d, want %d", a, name, got, 9*(i+1))
 		}
 	}
-	// Round trip: (a - b) + b == a.
-	if diff.Add(b) != a {
-		t.Fatalf("Sub/Add round trip failed: %+v", diff.Add(b))
-	}
+	return a, b
 }
 
 func TestServerCountersSnapshot(t *testing.T) {
 	var c ServerCounters
 	c.Requests.Add(4)
-	c.SlowRequests.Add(2)
+	c.CoalescedWrites.Add(2)
 	s := c.Snapshot()
-	if s.Requests != 4 || s.SlowRequests != 2 || s.Errors != 0 {
+	if s.Requests != 4 || s.CoalescedWrites != 2 || s.Errors != 0 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 }

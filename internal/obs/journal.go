@@ -39,20 +39,20 @@ type JournalEvent struct {
 }
 
 // JournalSummary aggregates the journal's lifetime totals plus the
-// in-progress gauges.
+// in-progress gauges. The prom tags are the /metrics names (Fields).
 type JournalSummary struct {
-	Flushes               int64 `json:"flushes"`
-	FlushErrors           int64 `json:"flush_errors"`
-	FlushNanos            int64 `json:"flush_ns"`
-	FlushBytes            int64 `json:"flush_bytes"`
-	FlushOutputComponents int64 `json:"flush_output_components"`
-	Merges                int64 `json:"merges"`
-	MergeErrors           int64 `json:"merge_errors"`
-	MergeNanos            int64 `json:"merge_ns"`
-	MergeBytes            int64 `json:"merge_bytes"`
-	MergeInputComponents  int64 `json:"merge_input_components"`
-	ActiveFlushes         int64 `json:"active_flushes"`
-	ActiveMerges          int64 `json:"active_merges"`
+	Flushes               int64 `json:"flushes" prom:"lsm_maintenance_flushes_total,Completed flush operations."`
+	FlushErrors           int64 `json:"flush_errors" prom:"lsm_maintenance_flush_errors_total,Flush operations that failed."`
+	FlushNanos            int64 `json:"flush_ns" prom:"lsm_maintenance_flush_seconds_total,Total time spent flushing."`
+	FlushBytes            int64 `json:"flush_bytes" prom:"lsm_maintenance_flush_bytes_total,Bytes written by flushes."`
+	FlushOutputComponents int64 `json:"flush_output_components" prom:"lsm_maintenance_flush_output_components_total,Components produced by flushes."`
+	Merges                int64 `json:"merges" prom:"lsm_maintenance_merges_total,Completed merge operations."`
+	MergeErrors           int64 `json:"merge_errors" prom:"lsm_maintenance_merge_errors_total,Merge operations that failed."`
+	MergeNanos            int64 `json:"merge_ns" prom:"lsm_maintenance_merge_seconds_total,Total time spent merging."`
+	MergeBytes            int64 `json:"merge_bytes" prom:"lsm_maintenance_merge_bytes_total,Bytes written by merges."`
+	MergeInputComponents  int64 `json:"merge_input_components" prom:"lsm_maintenance_merge_input_components_total,Components consumed by merges."`
+	ActiveFlushes         int64 `json:"active_flushes" prom:"lsm_maintenance_active_flushes,Flush operations in progress."`
+	ActiveMerges          int64 `json:"active_merges" prom:"lsm_maintenance_active_merges,Merge operations in progress."`
 }
 
 // Journal is a bounded ring of maintenance events plus running totals.

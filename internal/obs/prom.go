@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,16 +68,43 @@ func escapeLabel(v string) string {
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+func (w *PromWriter) sample(name, help, typ, value string, labels []string) {
+	w.header(name, help, typ)
+	fmt.Fprintf(&w.buf, "%s%s %s\n", name, labelString(labels), value)
+}
+
 // Counter writes one counter sample. labels are alternating key,value.
 func (w *PromWriter) Counter(name, help string, value int64, labels ...string) {
-	w.header(name, help, "counter")
-	fmt.Fprintf(&w.buf, "%s%s %d\n", name, labelString(labels), value)
+	w.sample(name, help, "counter", strconv.FormatInt(value, 10), labels)
 }
 
 // Gauge writes one gauge sample.
 func (w *PromWriter) Gauge(name, help string, value float64, labels ...string) {
-	w.header(name, help, "gauge")
-	fmt.Fprintf(&w.buf, "%s%s %s\n", name, labelString(labels), formatFloat(value))
+	w.sample(name, help, "gauge", formatFloat(value), labels)
+}
+
+// Fields writes one sample per int64 field of the struct snapshot that
+// carries a `prom:"name,help"` tag, in declaration order. A name ending in
+// _total is written as a counter and any other as a gauge; a field whose Go
+// name ends in Nanos is written in seconds, with its fraction.
+func (w *PromWriter) Fields(snapshot any) {
+	v := reflect.ValueOf(snapshot)
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		name, help, ok := strings.Cut(f.Tag.Get("prom"), ",")
+		if !ok {
+			continue
+		}
+		n := v.Field(i).Int()
+		typ, value := "gauge", formatFloat(float64(n))
+		if strings.HasSuffix(name, "_total") {
+			typ, value = "counter", strconv.FormatInt(n, 10)
+		}
+		if strings.HasSuffix(f.Name, "Nanos") {
+			value = formatFloat(float64(n) / 1e9)
+		}
+		w.sample(name, help, typ, value, nil)
+	}
 }
 
 // Histogram writes one histogram in exposition format: cumulative

@@ -25,7 +25,17 @@ func TestPromExpositionGrammar(t *testing.T) {
 	w.Gauge("lsm_active", "Active.", 3)
 	w.Histogram("lsm_latency_seconds", "Latency.", h.Snapshot(), "op", "get")
 	w.Histogram("lsm_latency_seconds", "Latency.", h.Snapshot(), "op", `we"ird\`)
+	w.Fields(JournalSummary{Flushes: 1, FlushNanos: 97_000, ActiveMerges: 2})
 	body := string(w.Bytes())
+	for _, want := range []string{
+		"# TYPE lsm_maintenance_flushes_total counter\nlsm_maintenance_flushes_total 1\n",
+		"# TYPE lsm_maintenance_flush_seconds_total counter\nlsm_maintenance_flush_seconds_total 9.7e-05\n",
+		"# TYPE lsm_maintenance_active_merges gauge\nlsm_maintenance_active_merges 2\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("Fields did not write %q", want)
+		}
+	}
 
 	helpSeen := map[string]int{}
 	typeSeen := map[string]int{}

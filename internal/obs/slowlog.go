@@ -74,8 +74,12 @@ func (l *SlowLog) Len() int {
 	return len(l.ring)
 }
 
-// Total reports how many entries were ever added (Seq of the newest).
+// Total reports how many entries were ever added (Seq of the newest). Safe
+// on a nil log (returns 0).
 func (l *SlowLog) Total() uint64 {
+	if l == nil {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq

@@ -2,7 +2,6 @@ package readcache
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -66,13 +65,9 @@ type segment struct {
 // Cache is the sharded read cache. See the package documentation for the
 // invalidation contract. All methods are safe for concurrent use.
 type Cache struct {
-	segs []*segment
-	mask uint64
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	negHits       atomic.Int64
-	invalidations atomic.Int64
+	segs     []*segment
+	mask     uint64
+	counters metrics.Counters // only the ReadCache* fields move
 }
 
 // New builds a cache with the given bounds.
@@ -132,17 +127,17 @@ func (c *Cache) Get(pk []byte) ([]byte, Outcome, Token) {
 	if !ok {
 		tok := Token(s.version)
 		s.mu.Unlock()
-		c.misses.Add(1)
+		c.counters.ReadCacheMisses.Add(1)
 		return nil, Miss, tok
 	}
 	s.moveFront(e)
 	val, neg := e.val, e.neg
 	s.mu.Unlock()
 	if neg {
-		c.negHits.Add(1)
+		c.counters.ReadCacheNegHits.Add(1)
 		return nil, NegativeHit, 0
 	}
-	c.hits.Add(1)
+	c.counters.ReadCacheHits.Add(1)
 	return val, Hit, 0
 }
 
@@ -202,7 +197,7 @@ func (c *Cache) Invalidate(pk []byte) {
 		s.remove(e)
 	}
 	s.mu.Unlock()
-	c.invalidations.Add(1)
+	c.counters.ReadCacheInvalidations.Add(1)
 }
 
 // InvalidateAll empties the cache and bumps every segment version —
@@ -220,14 +215,7 @@ func (c *Cache) InvalidateAll() {
 
 // Counters reports the cache's activity as a metrics snapshot holding only
 // the ReadCache* fields; lsmstore folds it into the aggregate Stats.
-func (c *Cache) Counters() metrics.Snapshot {
-	return metrics.Snapshot{
-		ReadCacheHits:          c.hits.Load(),
-		ReadCacheMisses:        c.misses.Load(),
-		ReadCacheNegHits:       c.negHits.Load(),
-		ReadCacheInvalidations: c.invalidations.Load(),
-	}
-}
+func (c *Cache) Counters() metrics.Snapshot { return c.counters.Snapshot() }
 
 // Len returns the number of cached entries (tests and introspection).
 func (c *Cache) Len() int {

@@ -172,8 +172,9 @@ func TestDebugSlowEndpoint(t *testing.T) {
 			t.Fatalf("bad slow entry: %+v", e)
 		}
 	}
-	if got := srv.Counters().SlowRequests.Load(); got != 10 {
-		t.Fatalf("SlowRequests counter = %d, want 10", got)
+	// /metrics counts slow requests from the same log.
+	if body := scrape(t, srv); !strings.Contains(body, "\nlsm_slow_requests_total 10\n") {
+		t.Fatalf("/metrics does not serve the slow log's total of 10:\n%s", body)
 	}
 }
 
@@ -299,6 +300,43 @@ func TestDisableObservability(t *testing.T) {
 	}
 	if strings.Contains(string(raw), "lsm_request_duration_seconds") {
 		t.Fatal("/metrics serves request histograms while disabled")
+	}
+}
+
+// TestObsOverheadAllocations is TestObsOverheadSmoke's count-based twin: a
+// GET and an UPSERT round trip allocate the same with observability on and
+// off, so tracing a request adds no allocation to it. Allocation counts
+// repeat where timings do not, so unlike the timing gate this one does not
+// fail an unchanged tree on a busy machine. Under -race the counts are only
+// logged: sync.Pool then drops Puts at random.
+func TestObsOverheadAllocations(t *testing.T) {
+	measure := func(disable bool) (get, upsert float64) {
+		opts := storeOptions()
+		opts.MemoryBudget = 64 << 20 // no flush inside the measured round trips
+		srv, _ := startServer(t, opts, func(cfg *server.Config) {
+			cfg.DisableObservability = disable
+		})
+		c := dial(t, srv, 1)
+		pk, rec := tweet(1)
+		upsertOnce := func() {
+			if err := c.Upsert(pk, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		getOnce := func() {
+			if _, found, err := c.Get(pk); err != nil || !found {
+				t.Fatalf("get: found=%v err=%v", found, err)
+			}
+		}
+		upsertOnce() // warms the pools, the workers and the memtable
+		getOnce()
+		return testing.AllocsPerRun(200, getOnce), testing.AllocsPerRun(200, upsertOnce)
+	}
+	onGet, onUpsert := measure(false)
+	offGet, offUpsert := measure(true)
+	t.Logf("GET %v allocations traced, %v untraced; UPSERT %v traced, %v untraced", onGet, offGet, onUpsert, offUpsert)
+	if !raceEnabled && (onGet != offGet || onUpsert != offUpsert) {
+		t.Fatalf("observability changes a round trip's allocations: GET %v vs %v, UPSERT %v vs %v", onGet, offGet, onUpsert, offUpsert)
 	}
 }
 

@@ -819,7 +819,6 @@ func (s *Server) recordRequest(tr trace) {
 	s.obs.RecordStage(obs.StageEncode, tr.encode)
 	s.obs.RecordStage(obs.StageWrite, write)
 	if s.slow != nil && total >= s.slow.Threshold() {
-		s.counters.SlowRequests.Add(1)
 		s.slow.Add(obs.SlowEntry{
 			Op:             tr.op.String(),
 			ReqID:          tr.id,
