@@ -294,6 +294,24 @@ func TestOrdinalsAreStableRanks(t *testing.T) {
 	}
 }
 
+// failingAppends is a device whose k-th page append, counted from 1, and
+// every later one fail (k = 0 never fails).
+type failingAppends struct {
+	storage.Device
+	k, n int
+}
+
+func (d *failingAppends) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte) (int, error) {
+	d.n++
+	if d.k > 0 && d.n >= d.k {
+		return 0, fmt.Errorf("append %d: injected failure", d.n)
+	}
+	return d.Device.AppendPageEnv(env, id, data)
+}
+
+// TestAbortDeletesFile: an aborted build leaves no file, and neither does a
+// Finish whose append of the last leaf, an internal page or the meta page
+// fails.
 func TestAbortDeletesFile(t *testing.T) {
 	store := newTestStore(t, 1024)
 	b := NewBuilder(store)
@@ -302,6 +320,37 @@ func TestAbortDeletesFile(t *testing.T) {
 	b.Abort()
 	if _, err := store.NumPages(id); err == nil {
 		t.Error("aborted builder's file should be deleted")
+	}
+
+	entries := seqEntries(300)
+	build := func(k int) (dev *failingAppends, addAppends int, err error) {
+		dev = &failingAppends{Device: storage.NewDisk(storage.ScaledHDD(256)), k: k}
+		b := NewBuilder(storage.NewStore(dev, 1<<20, metrics.NopEnv()))
+		for _, e := range entries {
+			if err := b.Add(e.Key, kv.AppendPayload(nil, e)); err != nil {
+				t.Fatalf("k=%d: Add: %v", k, err)
+			}
+		}
+		addAppends = dev.n
+		_, err = b.Finish()
+		b.Abort()
+		return dev, addAppends, err
+	}
+	clean, addAppends, err := build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.n-addAppends < 3 {
+		t.Fatalf("Finish wrote %d pages; want the last leaf, internal pages and the meta page", clean.n-addAppends)
+	}
+	for k := addAppends + 1; k <= clean.n; k++ {
+		dev, _, err := build(k)
+		if err == nil {
+			t.Fatalf("Finish with append %d failing succeeded", k)
+		}
+		if files := dev.List(); len(files) != 0 {
+			t.Errorf("Finish with append %d of %d failing left files %v", k, clean.n, files)
+		}
 	}
 }
 

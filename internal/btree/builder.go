@@ -190,12 +190,21 @@ func (b *Builder) internalFits(routes []routeEntry) int {
 }
 
 // Finish flushes remaining data, writes internal levels and the meta page,
-// and opens a Reader over the completed tree.
+// and opens a Reader over the completed tree. A failed Finish deletes the
+// file, as Abort does.
 func (b *Builder) Finish() (*Reader, error) {
 	if b.done {
 		return nil, errors.New("btree: builder already finished")
 	}
 	b.done = true
+	r, err := b.finish()
+	if err != nil {
+		b.store.Delete(b.file)
+	}
+	return r, err
+}
+
+func (b *Builder) finish() (*Reader, error) {
 	if err := b.flushLeaf(); err != nil {
 		return nil, err
 	}

@@ -81,9 +81,6 @@ func (r *Reader) SizeBytes() int64 { return int64(r.numPages) * int64(r.store.Pa
 // FileID returns the backing file.
 func (r *Reader) FileID() storage.FileID { return r.file }
 
-// Drop deletes the backing file (after a merge retires the component).
-func (r *Reader) Drop() { r.store.Delete(r.file) }
-
 // compareCharged compares keys, charging one comparison when env is non-nil.
 func compareCharged(env *metrics.Env, a, b []byte) int {
 	if env != nil {

@@ -241,7 +241,8 @@ type Dataset struct {
 	maint *maintState
 	// bgEnv/bgStore are the background maintenance I/O lane: a clock of
 	// its own over the same disk, cache, cost model and counters. Flush
-	// builds and merges charge this lane, modelling maintenance that
+	// builds and merges charge this lane — it is every tree's
+	// lsm.Options.Lane, set once in Open — modelling maintenance that
 	// overlaps the ingest path; the lanes couple at backpressure stalls
 	// and drains. Nil when the pool runs jobs on the caller: maintenance
 	// then charges the ingest lane.
@@ -301,10 +302,19 @@ func Open(cfg Config) (*Dataset, error) {
 		d.log = wal.New(env, nil)
 		d.log.SetYield(cfg.Yield)
 	}
+	pool := cfg.Maintenance
+	if pool == nil {
+		pool = maint.NewPool(0)
+	}
+	if pool.Workers() > 0 {
+		d.bgEnv = env.BackgroundLane()
+		d.bgStore = cfg.Store.WithEnv(d.bgEnv)
+	}
 	mutable := cfg.Strategy == MutableBitmap
 	d.primary = lsm.New(lsm.Options{
 		Name:     "primary",
 		Store:    cfg.Store,
+		Lane:     d.bgStore,
 		BloomFPR: cfg.BloomFPR,
 		Bloom:    cfg.Bloom,
 		FilterExtract: func(e kv.Entry) (int64, bool) {
@@ -321,6 +331,7 @@ func Open(cfg Config) (*Dataset, error) {
 		d.pkIndex = lsm.New(lsm.Options{
 			Name:           "pk-index",
 			Store:          cfg.Store,
+			Lane:           d.bgStore,
 			BloomFPR:       cfg.BloomFPR,
 			Bloom:          cfg.Bloom,
 			MutableBitmaps: mutable,
@@ -334,6 +345,7 @@ func Open(cfg Config) (*Dataset, error) {
 			Tree: lsm.New(lsm.Options{
 				Name:  spec.Name,
 				Store: cfg.Store,
+				Lane:  d.bgStore,
 				// Secondary index searches are range scans; Bloom filters
 				// are not consulted, so none are built.
 				Seed:     cfg.Seed + 10 + int64(i),
@@ -352,15 +364,7 @@ func Open(cfg Config) (*Dataset, error) {
 	if err := d.setupDurability(); err != nil {
 		return nil, err
 	}
-	pool := cfg.Maintenance
-	if pool == nil {
-		pool = maint.NewPool(0)
-	}
 	d.maint = newMaintState(pool)
-	if pool.Workers() > 0 {
-		d.bgEnv = env.BackgroundLane()
-		d.bgStore = cfg.Store.WithEnv(d.bgEnv)
-	}
 	return d, nil
 }
 
@@ -411,19 +415,6 @@ func (d *Dataset) MaintSimTime() time.Duration {
 	}
 	return d.bgEnv.Clock.Now()
 }
-
-// maintIOStore returns the store view maintenance I/O should charge: the
-// background lane when configured, else the foreground store.
-func (d *Dataset) maintIOStore() *storage.Store {
-	if d.bgStore != nil {
-		return d.bgStore
-	}
-	return d.cfg.Store
-}
-
-// mergeIOStore returns the store view merges should pass to lsm.MergeSpec:
-// the background lane, or nil (the tree's own store) without one.
-func (d *Dataset) mergeIOStore() *storage.Store { return d.bgStore }
 
 // maintEnv returns the metrics environment maintenance CPU work should
 // charge: the background lane when configured, else the foreground env.

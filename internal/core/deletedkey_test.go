@@ -2,6 +2,9 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/kv"
+	"repro/internal/lsm"
 )
 
 // TestDeletedKeyMergeDropsObsoleteEntries exercises the deleted-key
@@ -61,6 +64,70 @@ func TestDeletedKeyMergeDropsObsoleteEntries(t *testing.T) {
 	if len(got) != 100 {
 		t.Fatalf("visible entries = %d", len(got))
 	}
+	checkDeletedKeys(t, merged[0], 0, 50)
+
+	// Keys 40..59 are deleted again in a newer component: 40..49 are in
+	// both inputs of the next merge and must keep the newer timestamp.
+	before := d.CurrentTS()
+	for i := 40; i < 60; i++ {
+		mustUpsert(t, d, uint64(i), "L2", 2017)
+	}
+	if err := d.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.mergeDeletedKeyRange(si, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	merged = si.Tree.Components()
+	if len(merged) != 1 {
+		t.Fatalf("components after second merge = %d", len(merged))
+	}
+	ts := checkDeletedKeys(t, merged[0], 0, 60)
+	for pk, del := range ts {
+		if pk >= 40 && del <= before {
+			t.Errorf("key %d kept its older deletion ts %d", pk, del)
+		}
+		if pk < 40 && del > before {
+			t.Errorf("key %d: deletion ts %d, but it was deleted at or before %d", pk, del, before)
+		}
+	}
+}
+
+// checkDeletedKeys checks that c's deleted-key tree holds exactly the keys
+// [lo, hi) and that its Bloom filter answers true for each, and returns each
+// key's deletion timestamp.
+func checkDeletedKeys(t *testing.T, c *lsm.Component, lo, hi uint64) map[uint64]int64 {
+	t.Helper()
+	if c.DeletedKeys == nil || c.DeletedKeysBloom == nil {
+		t.Fatal("component has no deleted-key tree or filter")
+	}
+	scan, err := c.DeletedKeys.NewScan(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make(map[uint64]int64)
+	for {
+		e, _, ok, err := scan.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		ts[kv.DecodeUint64(e.Key)] = e.TS
+	}
+	if len(ts) != int(hi-lo) {
+		t.Fatalf("deleted-key tree holds %d keys, want %d", len(ts), hi-lo)
+	}
+	for pk := lo; pk < hi; pk++ {
+		if _, ok := ts[pk]; !ok {
+			t.Fatalf("deleted-key tree lacks key %d", pk)
+		}
+		if ok, _ := c.DeletedKeysBloom.MayContain(pkOf(pk)); !ok {
+			t.Errorf("deleted-key filter rejects key %d", pk)
+		}
+	}
+	return ts
 }
 
 // TestGetWithLocation verifies component/ordinal reporting, which both the

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/bitmap"
-	"repro/internal/bloom"
 	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/lsm"
@@ -35,30 +33,22 @@ func pairPrimaryPK(primComp, pkComp *lsm.Component) error {
 
 // attachDeletedEntries bulk-loads pk-sorted deleted-key entries into a
 // deleted-key B+-tree attached to a freshly flushed component (Section
-// 4.1's deleted-key B+-tree strategy; one copy per secondary). The build
-// charges the maintenance lane when one is configured; the reader is bound
-// to the foreground store for queries.
+// 4.1's deleted-key B+-tree strategy; one copy per secondary), at flush and
+// at merge alike. The build charges the maintenance lane when one is
+// configured; the reader is bound to the foreground store for queries.
 func (d *Dataset) attachDeletedEntries(comp *lsm.Component, entries []kv.Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	b := btree.NewBuilder(d.maintIOStore())
-	f := bloom.NewStandardFPR(len(entries), 0.01)
-	var payload []byte
+	b := lsm.NewKeySetBuilder(d.bgStore, d.cfg.Store, len(entries))
 	for _, e := range entries {
-		payload = kv.AppendPayload(payload[:0], e)
-		if err := b.Add(e.Key, payload); err != nil {
-			b.Abort()
+		if err := b.Add(e); err != nil {
 			return err
 		}
-		f.Add(e.Key)
 	}
-	r, err := b.Finish()
+	r, f, err := b.Finish()
 	if err != nil {
 		return err
-	}
-	if d.maintIOStore() != d.cfg.Store {
-		r.Rebind(d.cfg.Store)
 	}
 	comp.DeletedKeys = r
 	comp.DeletedKeysBloom = f
@@ -204,12 +194,7 @@ func epochRange(tr *lsm.Tree, eMin, eMax uint64) (lo, hi int, ok bool) {
 // mergeTreeRange merges [lo, hi) of one tree with no strategy extras.
 func (d *Dataset) mergeTreeRange(tr *lsm.Tree, lo, hi int, dropAnti bool) error {
 	op := d.cfg.Journal.Begin(obs.JMerge, tr.Name())
-	res, err := tr.Merge(lsm.MergeSpec{
-		Lo: lo, Hi: hi,
-		DropAnti:      dropAnti,
-		SkipInvisible: true,
-		Store:         d.mergeIOStore(),
-	})
+	res, err := tr.Merge(lsm.MergeSpec{Lo: lo, Hi: hi, DropAnti: dropAnti})
 	if err != nil {
 		op.End(0, hi-lo, 0, err)
 		return err
@@ -229,7 +214,7 @@ func (d *Dataset) mergeSecondaryRange(si *SecondaryIndex, lo, hi int) error {
 		// package; the journal records the merge with bytes unknown (0).
 		op := d.cfg.Journal.Begin(obs.JMerge, si.Spec.Name)
 		err := repair.MergeRepair(si.Tree, d.pkIndex, lo, hi,
-			repair.Options{UseBloom: d.cfg.RepairBloomOpt, Store: d.mergeIOStore()})
+			repair.Options{UseBloom: d.cfg.RepairBloomOpt})
 		op.End(0, hi-lo, 1, err)
 		return err
 	case d.cfg.Strategy == DeletedKey:
@@ -298,9 +283,7 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 	}
 	res, err := si.Tree.Merge(lsm.MergeSpec{
 		Lo: lo, Hi: hi,
-		DropAnti:      lo == 0,
-		SkipInvisible: true,
-		Store:         d.mergeIOStore(),
+		DropAnti: lo == 0,
 		EntryFilter: func(item lsm.MergedItem) bool {
 			if item.Entry.Anti {
 				return true
@@ -328,7 +311,8 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 }
 
 // unionDeletedKeys bulk-loads the union of the inputs' deleted-key trees,
-// charging the maintenance lane when one is configured.
+// keeping each key's newest deletion timestamp, charging the maintenance
+// lane when one is configured.
 func (d *Dataset) unionDeletedKeys(dst *lsm.Component, inputs []*lsm.Component) error {
 	merged := make(map[string]int64)
 	for _, c := range inputs {
@@ -356,35 +340,7 @@ func (d *Dataset) unionDeletedKeys(dst *lsm.Component, inputs []*lsm.Component) 
 			}
 		}
 	}
-	if len(merged) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b := btree.NewBuilder(d.maintIOStore())
-	f := bloom.NewStandardFPR(len(keys), 0.01)
-	var payload []byte
-	for _, k := range keys {
-		payload = kv.AppendPayload(payload[:0], kv.Entry{Key: []byte(k), TS: merged[k]})
-		if err := b.Add([]byte(k), payload); err != nil {
-			b.Abort()
-			return err
-		}
-		f.Add([]byte(k))
-	}
-	r, err := b.Finish()
-	if err != nil {
-		return err
-	}
-	if d.maintIOStore() != d.cfg.Store {
-		r.Rebind(d.cfg.Store)
-	}
-	dst.DeletedKeys = r
-	dst.DeletedKeysBloom = f
-	return nil
+	return d.attachDeletedEntries(dst, sortedDeleted(merged))
 }
 
 // mergePrimaryAndPK performs the Mutable-bitmap strategy's synchronized
@@ -429,13 +385,11 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 
 	var spec lsm.MergeSpec
 	spec.Lo, spec.Hi = pLo, pHi
-	spec.Store = d.mergeIOStore()
 	// Anti-matter is retained even at the bottom: the primary-key-index
 	// sibling is built from the same entry stream and Timestamp validation
 	// needs deletion evidence there. Bitmap-deleted records themselves are
-	// physically dropped (SkipInvisible).
+	// physically dropped, as every merge drops them.
 	spec.DropAnti = false
-	spec.SkipInvisible = true
 
 	// Writers locate old versions through the PK INDEX (Figs 10b, 11b), so
 	// the "old component points to new component" hook must be visible on
@@ -479,23 +433,15 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 		// Baseline: no protection (only valid without concurrent writers).
 	}
 
-	// Build the pk-index sibling in the same pass (maintenance I/O lane).
-	pkBuilder := btree.NewBuilder(d.maintIOStore())
+	// Build the key-only pk-index sibling in the same pass.
 	var upper int64
 	for _, c := range primComps {
 		upper += c.NumEntries()
 	}
-	pkBloom, addPK := d.pkIndex.NewFilter(int(upper))
-	var pkErr error
-	var pkPayload []byte
+	pkBuilder := d.pkIndex.NewBuilder(int(upper))
 	spec.OnEntry = func(e kv.Entry, ordinal int64) {
-		pkPayload = kv.AppendPayload(pkPayload[:0], kv.Entry{Key: e.Key, TS: e.TS, Anti: e.Anti})
-		if err := pkBuilder.Add(e.Key, pkPayload); err != nil && pkErr == nil {
-			pkErr = err
-		}
-		if addPK != nil {
-			addPK(e.Key)
-		}
+		//lsm:allow-discard a failed Add aborts the sibling build and Finish below returns its error
+		pkBuilder.Add(kv.Entry{Key: e.Key, TS: e.TS, Anti: e.Anti})
 	}
 
 	res, err := d.primary.Merge(spec)
@@ -503,18 +449,10 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 		pkBuilder.Abort()
 		return nil, err
 	}
-	if pkErr != nil {
-		pkBuilder.Abort()
-		d.primary.Discard(res.Component)
-		return nil, pkErr
-	}
-	pkReader, err := pkBuilder.Finish()
+	pkReader, pkBloom, err := pkBuilder.Finish()
 	if err != nil {
 		d.primary.Discard(res.Component)
 		return nil, err
-	}
-	if d.maintIOStore() != d.cfg.Store {
-		pkReader.Rebind(d.cfg.Store)
 	}
 	newPrim := res.Component
 

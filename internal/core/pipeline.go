@@ -425,7 +425,7 @@ func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, e
 	}()
 	var primComp, pkComp *lsm.Component
 	if b.primary != nil {
-		if primComp, err = d.primary.BuildFrozen(d.bgStore, b.primary, b.epoch); err != nil {
+		if primComp, err = d.primary.BuildFrozen(b.primary, b.epoch); err != nil {
 			return bytes, comps, err
 		}
 		built = append(built, builtComp{d.primary, primComp})
@@ -433,7 +433,7 @@ func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, e
 		comps++
 	}
 	if b.pk != nil {
-		if pkComp, err = d.pkIndex.BuildFrozen(d.bgStore, b.pk, b.epoch); err != nil {
+		if pkComp, err = d.pkIndex.BuildFrozen(b.pk, b.epoch); err != nil {
 			return bytes, comps, err
 		}
 		built = append(built, builtComp{d.pkIndex, pkComp})
@@ -451,7 +451,7 @@ func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, e
 			continue
 		}
 		var comp *lsm.Component
-		if comp, err = si.Tree.BuildFrozen(d.bgStore, b.secondaries[i], b.epoch); err != nil {
+		if comp, err = si.Tree.BuildFrozen(b.secondaries[i], b.epoch); err != nil {
 			return bytes, comps, err
 		}
 		built = append(built, builtComp{si.Tree, comp})

@@ -6,6 +6,11 @@
 // (repairedTS, immutable repair bitmaps, mutable validity bitmaps, deleted-
 // key B+-trees). Merge scheduling is pluggable (tiering / leveling /
 // correlated, Section 2.1 and Section 4.4).
+//
+// Every component file — flush, merge, the primary-key-index sibling of a
+// Mutable-bitmap merge, deleted-key trees — is written by Builder. Which
+// clock maintenance charges is a tree option, Options.Lane, set once when
+// the tree is created; no build or merge takes a store.
 package lsm
 
 import (

@@ -100,9 +100,9 @@ type IterOptions struct {
 	// Snapshots overrides components' live mutable bitmaps with immutable
 	// snapshots for visibility checks (Side-file builds).
 	Snapshots map[*Component]*bitmap.Immutable
-	// Store, when set, charges the component scans to this store view
-	// (the background maintenance I/O lane) instead of the readers' own.
-	Store *storage.Store
+	// store, when set, charges the component scans to this store view
+	// (a merge's lane) instead of the readers' own.
+	store *storage.Store
 }
 
 // NewMergedIterator builds a reconciling iterator over the given sources.
@@ -112,8 +112,8 @@ func (t *Tree) NewMergedIterator(opts IterOptions) (*MergedIterator, error) {
 	for _, comp := range opts.Components {
 		comp := comp
 		reader := comp.BTree
-		if opts.Store != nil {
-			reader = reader.CloneFor(opts.Store)
+		if opts.store != nil {
+			reader = reader.CloneFor(opts.store)
 		}
 		scan, err := reader.NewScan(opts.Lo, opts.Hi)
 		if err != nil {

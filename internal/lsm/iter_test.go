@@ -132,7 +132,7 @@ func TestCrackedEntriesInvisibleAndRemovedAtMerge(t *testing.T) {
 	if _, found, _ := tr.Get(key(7)); found {
 		t.Fatal("cracked entry visible via Get")
 	}
-	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true, SkipInvisible: true})
+	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestMergedFilterWidensForRetainedAnti(t *testing.T) {
 		t.Fatalf("filter [%d,%d] must cover the anti-matter's epoch", m.FilterMin, m.FilterMax)
 	}
 	// A full merge drops the anti and the filter tightens to live data.
-	res2, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true, SkipInvisible: true})
+	res2, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestMergeReconcilesAndDropsAnti(t *testing.T) {
 	}
 	tr.Flush(2)
 
-	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true, SkipInvisible: true})
+	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestMutableBitmapHidesEntries(t *testing.T) {
 		}
 	}
 	// merge physically removes it
-	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 1, DropAnti: true, SkipInvisible: true})
+	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 1, DropAnti: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRangeFilterFlushAndMerge(t *testing.T) {
 		tr.WidenMemFilter(int64(3000 + i))
 	}
 	tr.Flush(2)
-	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true, SkipInvisible: true})
+	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,11 +366,7 @@ func TestGetAgainstModelWithFlushesAndMerges(t *testing.T) {
 			sizes = append(sizes, c.SizeBytes())
 		}
 		if cand, ok := policy.Pick(sizes); ok {
-			res, err := tr.Merge(MergeSpec{
-				Lo: cand.Lo, Hi: cand.Hi,
-				DropAnti:      cand.Lo == 0,
-				SkipInvisible: true,
-			})
+			res, err := tr.Merge(MergeSpec{Lo: cand.Lo, Hi: cand.Hi, DropAnti: cand.Lo == 0})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,23 +4,20 @@ import (
 	"errors"
 
 	"repro/internal/bitmap"
-	"repro/internal/btree"
 	"repro/internal/kv"
-	"repro/internal/storage"
 )
 
 // MergeSpec describes one merge operation over the contiguous component
-// range disk[Lo:Hi) (oldest to newest). The caller installs the result with
-// Install (or ReplaceRun) once any post-processing (index repair, bitmap
-// catch-up) has finished.
+// range disk[Lo:Hi) (oldest to newest). Entries invalidated through the
+// Obsolete, cracked or Valid bitmaps are physically removed (Sections 4.4
+// and 5). The merge charges the tree's lane (see Options.Lane). The caller
+// installs the result with Install (or ReplaceRun) once any post-processing
+// (index repair, bitmap catch-up) has finished.
 type MergeSpec struct {
 	Lo, Hi int
 	// DropAnti discards winning anti-matter entries; only safe when the
 	// merge includes the tree's oldest component.
 	DropAnti bool
-	// SkipInvisible drops entries invalidated through Obsolete/Valid
-	// bitmaps, physically removing them (Sections 4.4 and 5).
-	SkipInvisible bool
 	// Snapshots overrides components' live mutable bitmaps with immutable
 	// snapshots (Side-file method, Fig 11: the build phase must not see
 	// concurrent deletes).
@@ -39,11 +36,6 @@ type MergeSpec struct {
 	// with its ordinal position (merge repair streams (pkey, ts, position)
 	// to its sorter from here, Fig 7 line 6).
 	OnEntry func(e kv.Entry, ordinal int64)
-	// Store, when set, charges the merge's I/O (input scans and the new
-	// component's build) to this store view — the background maintenance
-	// lane. The merged component's reader is rebound to the tree's
-	// foreground store before the result is returned.
-	Store *storage.Store
 }
 
 // MergeResult carries the built component before installation.
@@ -63,7 +55,7 @@ type MergeResult struct {
 var ErrBadMergeRange = errors.New("lsm: bad merge range")
 
 // Merge builds a new component from the given range. It does not install
-// the result; see MergeResult.
+// the result; see MergeResult. A failed merge leaves no new file.
 func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 	// The pinned view keeps the inputs' files in place for the whole build,
 	// whatever another merge retires meanwhile.
@@ -86,26 +78,22 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 		upperBound += c.NumEntries()
 	}
 
-	buildStore := t.opts.Store
-	if spec.Store != nil {
-		buildStore = spec.Store
-	}
-	b := btree.NewBuilder(buildStore)
-	filter, addToFilter := newFilter(t.opts, int(upperBound))
-
+	b := t.NewBuilder(int(upperBound))
+	// Under LockKey the scan keeps invisible entries: visibility is checked
+	// under each key's lock instead.
 	it, err := t.NewMergedIterator(IterOptions{
 		Components:    inputs,
 		HideAnti:      spec.DropAnti,
-		SkipInvisible: spec.SkipInvisible && spec.LockKey == nil,
+		SkipInvisible: spec.LockKey == nil,
 		Snapshots:     spec.Snapshots,
-		Store:         spec.Store,
+		store:         t.opts.Lane,
 	})
 	if err != nil {
+		b.Abort()
 		return nil, err
 	}
 
 	var (
-		payload    []byte
 		ordinal    int64
 		hasAnti    bool
 		fmin, fmax int64
@@ -132,42 +120,45 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 		if !ok {
 			break
 		}
+		unlock := func() {}
 		if spec.LockKey != nil {
-			unlock := spec.LockKey(item.Entry.Key)
+			unlock = spec.LockKey(item.Entry.Key)
 			// Re-check visibility under the lock (Fig 10 line 7): a
 			// writer may have deleted the key since the scan peeked.
-			if spec.SkipInvisible && item.Comp != nil && !visibleWith(item.Comp, item.Ordinal, spec.Snapshots) {
+			if item.Comp != nil && !visibleWith(item.Comp, item.Ordinal, spec.Snapshots) {
 				unlock()
 				continue
-			}
-			if spec.EntryFilter != nil && !spec.EntryFilter(item) {
-				unlock()
-				continue
-			}
-			if err := t.addMergeEntry(b, addToFilter, item, &payload, ordinal, spec, widen, &hasAnti); err != nil {
-				unlock()
-				b.Abort()
-				return nil, err
-			}
-			unlock()
-		} else {
-			if spec.EntryFilter != nil && !spec.EntryFilter(item) {
-				continue
-			}
-			if err := t.addMergeEntry(b, addToFilter, item, &payload, ordinal, spec, widen, &hasAnti); err != nil {
-				b.Abort()
-				return nil, err
 			}
 		}
+		if spec.EntryFilter != nil && !spec.EntryFilter(item) {
+			unlock()
+			continue
+		}
+		e := item.Entry
+		if err := b.Add(e); err != nil {
+			unlock()
+			return nil, err
+		}
+		if e.Anti {
+			hasAnti = true
+		} else if t.opts.FilterExtract != nil {
+			if v, ok := t.opts.FilterExtract(e); ok {
+				widen(v)
+			}
+		}
+		if spec.Target != nil {
+			spec.Target.RecordCopied(e.Key, ordinal)
+		}
+		if spec.OnEntry != nil {
+			spec.OnEntry(e, ordinal)
+		}
+		unlock()
 		ordinal++
 	}
 
-	reader, err := b.Finish()
+	reader, filter, err := b.Finish()
 	if err != nil {
 		return nil, err
-	}
-	if buildStore != t.opts.Store {
-		reader.Rebind(t.opts.Store)
 	}
 	comp := &Component{
 		ID:       ID{MinTS: inputs[0].ID.MinTS, MaxTS: inputs[0].ID.MaxTS},
@@ -199,32 +190,16 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 	// Range filter: recomputed from surviving records when possible; any
 	// retained anti-matter forces widening to the union of the inputs so
 	// queries still observe the deletes (Section 3.1's correctness rule).
-	if t.opts.FilterExtract != nil {
-		if hasAnti {
-			for _, c := range inputs {
-				if c.HasFilter {
-					widen(c.FilterMin)
-					widen(c.FilterMax)
-				}
-			}
-		}
-		comp.FilterMin, comp.FilterMax, comp.HasFilter = fmin, fmax, hasF
-	} else {
+	// Without an extractor the filter is the union of the inputs'.
+	if hasAnti || t.opts.FilterExtract == nil {
 		for _, c := range inputs {
 			if c.HasFilter {
-				if !comp.HasFilter {
-					comp.FilterMin, comp.FilterMax, comp.HasFilter = c.FilterMin, c.FilterMax, true
-				} else {
-					if c.FilterMin < comp.FilterMin {
-						comp.FilterMin = c.FilterMin
-					}
-					if c.FilterMax > comp.FilterMax {
-						comp.FilterMax = c.FilterMax
-					}
-				}
+				widen(c.FilterMin)
+				widen(c.FilterMax)
 			}
 		}
 	}
+	comp.FilterMin, comp.FilterMax, comp.HasFilter = fmin, fmax, hasF
 	if t.opts.MutableBitmaps {
 		comp.Valid = bitmap.NewMutable(reader.NumEntries())
 	}
@@ -232,32 +207,6 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 		spec.Target.Publish(comp.Valid)
 	}
 	return &MergeResult{Component: comp, Inputs: inputs, Lo: spec.Lo, Hi: spec.Hi, gen: gen}, nil
-}
-
-func (t *Tree) addMergeEntry(b *btree.Builder, addToFilter func([]byte), item MergedItem,
-	payload *[]byte, ordinal int64, spec MergeSpec, widen func(int64), hasAnti *bool) error {
-	e := item.Entry
-	*payload = kv.AppendPayload((*payload)[:0], e)
-	if err := b.Add(e.Key, *payload); err != nil {
-		return err
-	}
-	if addToFilter != nil {
-		addToFilter(e.Key)
-	}
-	if e.Anti {
-		*hasAnti = true
-	} else if t.opts.FilterExtract != nil {
-		if v, ok := t.opts.FilterExtract(e); ok {
-			widen(v)
-		}
-	}
-	if spec.Target != nil {
-		spec.Target.RecordCopied(e.Key, ordinal)
-	}
-	if spec.OnEntry != nil {
-		spec.OnEntry(e, ordinal)
-	}
-	return nil
 }
 
 // visibleWith checks entry visibility honoring snapshot overrides.

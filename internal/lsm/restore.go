@@ -92,7 +92,7 @@ func (t *Tree) Restore(images []RestoredComponent) ([]*Component, error) {
 			if err != nil {
 				return nil, fmt.Errorf("lsm: restore %s deleted-key file %d: %w", t.opts.Name, im.DeletedKeysFile, err)
 			}
-			dkBloom, err := rebuildBloomStandard(dk, 0.01)
+			dkBloom, err := rebuildBloom(dk, keySetFilter)
 			if err != nil {
 				return nil, err
 			}
@@ -106,42 +106,27 @@ func (t *Tree) Restore(images []RestoredComponent) ([]*Component, error) {
 	return comps, nil
 }
 
-// rebuildBloom scans every key of a restored component into a fresh Bloom
-// filter of the tree's configured flavor. The cost-model variants live only
-// in memory, so this scan is their normal reopen price; v2 trees reach here
-// only when the manifest carries no (or a corrupt) persisted filter.
+// rebuildBloom scans every key of a restored component (or deleted-key tree,
+// with keySetFilter) into a fresh Bloom filter of the configured flavor. The
+// cost-model variants live only in memory, so this scan is their normal
+// reopen price; v2 trees reach here only when the manifest carries no (or a
+// corrupt) persisted filter.
 func rebuildBloom(r *btree.Reader, opts Options) (bloom.Filter, error) {
 	filter, add := newFilter(opts, int(r.NumEntries()))
 	if filter == nil {
 		return nil, nil
 	}
-	if err := scanKeys(r, add); err != nil {
-		return nil, err
-	}
-	return filter, nil
-}
-
-// rebuildBloomStandard rebuilds the standard filter of a deleted-key tree.
-func rebuildBloomStandard(r *btree.Reader, fpr float64) (bloom.Filter, error) {
-	f := bloom.NewStandardFPR(int(r.NumEntries()), fpr)
-	if err := scanKeys(r, f.Add); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func scanKeys(r *btree.Reader, add func([]byte)) error {
 	scan, err := r.NewScan(nil, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for {
 		e, _, ok, err := scan.Next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
-			return nil
+			return filter, nil
 		}
 		add(e.Key)
 	}

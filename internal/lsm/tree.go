@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bitmap"
 	"repro/internal/bloom"
-	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/memtable"
 	"repro/internal/metrics"
@@ -21,6 +20,11 @@ type Options struct {
 	Name string
 	// Store is the shared storage handle (disk + buffer cache).
 	Store *storage.Store
+	// Lane, when set, is the store view maintenance charges — the
+	// background I/O lane: flush and merge builds write on it and merges
+	// scan their inputs on it. Every finished component is read through
+	// Store. Nil charges everything to Store.
+	Lane *storage.Store
 	// BloomFPR, when positive, attaches a Bloom filter with this target
 	// false-positive rate to every disk component (the paper uses 1%).
 	BloomFPR float64
@@ -45,8 +49,9 @@ type Options struct {
 
 // newFilter builds the configured Bloom filter flavor sized for n keys,
 // returning the filter and its insert function (nil, nil when filters are
-// disabled). Every disk-component build path (memtable flush, merge, pk
-// sibling build, restore rebuild) goes through this single selector.
+// disabled). Every filter goes through this single selector: Builder's for
+// every component it writes — flushes, merges, the pk sibling and deleted-key
+// trees (keySetFilter) — and the restore rebuild.
 func newFilter(opts Options, n int) (bloom.Filter, func([]byte)) {
 	if opts.BloomFPR <= 0 {
 		return nil, nil
@@ -63,10 +68,6 @@ func newFilter(opts Options, n int) (bloom.Filter, func([]byte)) {
 		return f, f.Add
 	}
 }
-
-// NewFilter builds a filter of the tree's configured flavor sized for n keys
-// (see newFilter), for components the dataset layer assembles itself.
-func (t *Tree) NewFilter(n int) (bloom.Filter, func([]byte)) { return newFilter(t.opts, n) }
 
 // Tree is one LSM-tree index. All methods are safe for concurrent use.
 type Tree struct {
@@ -389,7 +390,7 @@ func (t *Tree) Flush(epoch uint64) (*Component, error) {
 	if !ok {
 		return nil, ErrEmptyFlush
 	}
-	comp, err := t.BuildFrozen(nil, frozen, epoch)
+	comp, err := t.BuildFrozen(frozen, epoch)
 	if err != nil {
 		t.dropFrozen(frozen)
 		return nil, err
@@ -424,40 +425,22 @@ func (t *Tree) Freeze() (frozen *memtable.Table, gen uint64, ok bool) {
 
 // BuildFrozen bulk-loads a frozen memory component into a new disk component
 // stamped with the given epoch. It does not install the component; pair it
-// with InstallFlushed. The build I/O is charged to the given store view (the
-// background maintenance lane; nil means the tree's own store), and the
-// built component's reader is rebound to the tree's foreground store before
-// it is returned, so queries against the installed component charge the
-// foreground lane.
-func (t *Tree) BuildFrozen(store *storage.Store, mem *memtable.Table, epoch uint64) (*Component, error) {
-	if store == nil {
-		store = t.opts.Store
-	}
-	n := mem.Len()
-	b := btree.NewBuilder(store)
-	filter, addToFilter := newFilter(t.opts, n)
+// with InstallFlushed. The build charges the tree's lane (see Options.Lane).
+func (t *Tree) BuildFrozen(mem *memtable.Table, epoch uint64) (*Component, error) {
+	b := t.NewBuilder(mem.Len())
 	it := mem.NewIterator(nil, nil)
-	var payload []byte
 	for {
 		e, ok := it.Next()
 		if !ok {
 			break
 		}
-		payload = kv.AppendPayload(payload[:0], e)
-		if err := b.Add(e.Key, payload); err != nil {
-			b.Abort()
+		if err := b.Add(e); err != nil {
 			return nil, err
 		}
-		if addToFilter != nil {
-			addToFilter(e.Key)
-		}
 	}
-	reader, err := b.Finish()
+	reader, filter, err := b.Finish()
 	if err != nil {
 		return nil, err
-	}
-	if store != t.opts.Store {
-		reader.Rebind(t.opts.Store)
 	}
 	minTS, maxTS := mem.ID()
 	comp := &Component{

@@ -29,7 +29,7 @@ func flushed(t *testing.T, n int, opts func(*Options)) *Tree {
 
 func mergeAll(t *testing.T, tr *Tree) {
 	t.Helper()
-	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: tr.NumDiskComponents(), DropAnti: true, SkipInvisible: true})
+	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: tr.NumDiskComponents(), DropAnti: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestAbandonedInstallDeletesWhatItBuilt(t *testing.T) {
 	tr := flushed(t, 3, nil)
 	dev := tr.Options().Store.Device()
 	before := dev.List()
-	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 3, DropAnti: true, SkipInvisible: true})
+	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 3, DropAnti: true})
 	if err != nil {
 		t.Fatal(err)
 	}

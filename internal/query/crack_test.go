@@ -111,7 +111,7 @@ func TestCrackingReducesRevalidation(t *testing.T) {
 	// answer is unchanged.
 	n := si.Tree.NumDiskComponents()
 	if n >= 2 {
-		res, err := si.Tree.Merge(lsm.MergeSpec{Lo: 0, Hi: n, DropAnti: true, SkipInvisible: true})
+		res, err := si.Tree.Merge(lsm.MergeSpec{Lo: 0, Hi: n, DropAnti: true})
 		if err != nil {
 			t.Fatal(err)
 		}

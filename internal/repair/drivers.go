@@ -13,7 +13,9 @@ import (
 // (pkey, ts, position) tuples are sorted and validated against the primary
 // key index, and invalid positions are recorded in the new component's
 // immutable bitmap. The merged component's repairedTS advances to the
-// maximum timestamp of the unpruned primary-key-index components.
+// maximum timestamp of the unpruned primary-key-index components. The merge
+// charges sec's lane; validation lookups charge the primary key index's
+// readers.
 func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 	comps := sec.Components()
 	if lo < 0 || hi > len(comps) || lo >= hi {
@@ -35,9 +37,7 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 	var skipped int64
 	res, err := sec.Merge(lsm.MergeSpec{
 		Lo: lo, Hi: hi,
-		DropAnti:      lo == 0,
-		SkipInvisible: true,
-		Store:         opts.Store,
+		DropAnti: lo == 0,
 		OnEntry: func(e kv.Entry, ordinal int64) {
 			if e.Anti {
 				return
@@ -218,11 +218,7 @@ func PrimaryRepair(primary *lsm.Tree, targets []SecondaryTarget, withMerge bool,
 		emitObsolete(e)
 	}
 	if withMerge {
-		res, err := primary.Merge(lsm.MergeSpec{
-			Lo: 0, Hi: len(comps),
-			DropAnti:      true,
-			SkipInvisible: true,
-		})
+		res, err := primary.Merge(lsm.MergeSpec{Lo: 0, Hi: len(comps), DropAnti: true})
 		if err != nil {
 			return err
 		}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/memtable"
 	"repro/internal/metrics"
-	"repro/internal/storage"
 )
 
 // Options tunes a repair operation.
@@ -29,11 +28,6 @@ type Options struct {
 	// under a correlated merge policy, which guarantees the unpruned
 	// components are strictly newer than the repairing component.
 	UseBloom bool
-	// Store, when set, charges MergeRepair's merge I/O (input scans and
-	// the new component's build) to this store view — the background
-	// maintenance lane. Validation lookups against the primary key index
-	// keep their readers' own accounting.
-	Store *storage.Store
 }
 
 // tuple is one (primary key, timestamp, position) record fed to the sorter
