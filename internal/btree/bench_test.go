@@ -43,7 +43,7 @@ func BenchmarkGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, found, err := r.Get(kv.EncodeUint64(uint64(i*7919) % 100000))
+		_, found, err := r.Get(kv.EncodeUint64(uint64(i*7919)%100000), nil)
 		if err != nil || !found {
 			b.Fatal(err, found)
 		}

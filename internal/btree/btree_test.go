@@ -35,6 +35,13 @@ func buildTree(t testing.TB, store *storage.Store, entries []kv.Entry) *Reader {
 	return r
 }
 
+// get is Reader.Get with the entry copied out of its pinned page.
+func get(r *Reader, key []byte) (kv.Entry, int64, bool, error) {
+	var e kv.Entry
+	ord, found, err := r.Get(key, func(v kv.Entry, _ int64) { e = v.Clone() })
+	return e, ord, found, err
+}
+
 func seqEntries(n int) []kv.Entry {
 	entries := make([]kv.Entry, n)
 	for i := range entries {
@@ -55,7 +62,7 @@ func TestGetAllKeys(t *testing.T) {
 		t.Fatalf("NumEntries = %d, want 5000", r.NumEntries())
 	}
 	for i, want := range entries {
-		e, ord, found, err := r.Get(want.Key)
+		e, ord, found, err := get(r, want.Key)
 		if err != nil || !found {
 			t.Fatalf("Get key %d: found=%v err=%v", i, found, err)
 		}
@@ -73,11 +80,11 @@ func TestGetAbsentKeys(t *testing.T) {
 	r := buildTree(t, store, seqEntries(1000))
 	for i := 0; i < 1000; i++ {
 		// keys are multiples of 3; probe the gaps
-		if _, _, found, _ := r.Get(kv.EncodeUint64(uint64(i)*3 + 1)); found {
+		if _, _, found, _ := get(r, kv.EncodeUint64(uint64(i)*3 + 1)); found {
 			t.Fatalf("found absent key %d", i)
 		}
 	}
-	if _, _, found, _ := r.Get(kv.EncodeUint64(1 << 62)); found {
+	if _, _, found, _ := get(r, kv.EncodeUint64(1 << 62)); found {
 		t.Fatal("found key beyond the last entry")
 	}
 }
@@ -88,7 +95,7 @@ func TestEmptyTree(t *testing.T) {
 	if r.NumEntries() != 0 {
 		t.Fatalf("NumEntries = %d", r.NumEntries())
 	}
-	if _, _, found, err := r.Get([]byte("x")); found || err != nil {
+	if _, _, found, err := get(r, []byte("x")); found || err != nil {
 		t.Fatalf("Get on empty: found=%v err=%v", found, err)
 	}
 	s, err := r.NewScan(nil, nil)
@@ -266,7 +273,7 @@ func TestVariableKeySizes(t *testing.T) {
 	}
 	r := buildTree(t, store, entries)
 	for i, want := range entries {
-		e, _, found, err := r.Get(want.Key)
+		e, _, found, err := get(r, want.Key)
 		if err != nil || !found || !bytes.Equal(e.Value, want.Value) {
 			t.Fatalf("entry %d: found=%v err=%v", i, found, err)
 		}
@@ -411,7 +418,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		}
 		unsorted := r.NewLookupCursor(true)
 		for _, k := range probes {
-			e, ord, found, err := r.Get([]byte(k))
+			e, ord, found, err := get(r, []byte(k))
 			check("Get", k, e, ord, found, err)
 			e, ord, found, err = unsorted.Lookup([]byte(k))
 			check("unsorted cursor", k, e, ord, found, err)
@@ -481,7 +488,7 @@ func TestSearchAllocatesNothing(t *testing.T) {
 		}
 	}
 	guard("Reader.Get", 7919, func(k []byte) (bool, error) {
-		_, _, found, err := r.Get(k)
+		_, found, err := r.Get(k, func(kv.Entry, int64) {})
 		return found, err
 	})
 	for _, stateful := range []bool{true, false} {
@@ -504,5 +511,40 @@ func TestSearchAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Scan.Next allocates %v times per entry, want 0", allocs)
+	}
+}
+
+// TestColdLookupOnFullCacheAllocatesNothing: with the buffer cache full, a
+// lookup whose leaf is not cached reads it into the frame the eviction it
+// causes frees, so a cold LookupCursor.Lookup allocates nothing — neither a
+// page buffer nor a cache entry.
+func TestColdLookupOnFullCacheAllocatesNothing(t *testing.T) {
+	const n, pageSize, frames = 20000, 1024, 64
+	env := metrics.NewEnv()
+	store := storage.NewStore(storage.NewDisk(storage.ScaledHDD(pageSize)), frames*pageSize, env)
+	r := buildTree(t, store, seqEntries(n))
+	cur := r.NewLookupCursor(false)
+	defer cur.Close()
+	var probe [8]byte
+	i := 0
+	lookup := func() {
+		// A different leaf each time, away from the tree's right edge, whose
+		// part-filled pages would each take a buffer of their own.
+		binary.BigEndian.PutUint64(probe[:], uint64(i*7919%(n-1000))*3)
+		i++
+		if _, _, found, err := cur.Lookup(probe[:]); err != nil || !found {
+			t.Fatalf("Lookup #%d: found=%v err=%v", i, found, err)
+		}
+	}
+	for range 4 * frames { // fill the cache; the internal pages stay hot
+		lookup()
+	}
+	before := env.Counters.Snapshot()
+	if allocs := testing.AllocsPerRun(500, lookup); allocs != 0 {
+		t.Fatalf("a cold lookup on a full cache allocates %v times, want 0", allocs)
+	}
+	d := env.Counters.Snapshot().Sub(before)
+	if d.CacheMisses < 400 || d.FrameReuses != d.CacheMisses || d.FrameAllocs != 0 {
+		t.Fatalf("misses/reuses/allocs = %d/%d/%d over 501 lookups: the lookups were not cold", d.CacheMisses, d.FrameReuses, d.FrameAllocs)
 	}
 }

@@ -184,7 +184,7 @@ func TestPageBoundaryFill(t *testing.T) {
 			t.Fatalf("page %d: %d entries", pageSize, r.NumEntries())
 		}
 		for i := 0; i < n; i++ {
-			e, ord, found, err := r.Get(kv.EncodeUint64(uint64(i)))
+			e, ord, found, err := get(r, kv.EncodeUint64(uint64(i)))
 			if err != nil || !found || ord != int64(i) {
 				t.Fatalf("page %d key %d: found=%v ord=%d err=%v", pageSize, i, found, ord, err)
 			}
@@ -213,11 +213,78 @@ func TestDeepTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, probe := range []uint64{0, 1, n / 2, n - 2, n - 1} {
-		if _, ord, found, err := r.Get(kv.EncodeUint64(probe)); err != nil || !found || ord != int64(probe) {
+		if _, ord, found, err := get(r, kv.EncodeUint64(probe)); err != nil || !found || ord != int64(probe) {
 			t.Fatalf("probe %d: found=%v ord=%d err=%v", probe, found, ord, err)
 		}
 	}
-	if _, _, found, _ := r.Get(kv.EncodeUint64(n)); found {
+	if _, _, found, _ := get(r, kv.EncodeUint64(n)); found {
 		t.Fatal("key past the end found")
+	}
+}
+
+// corruptLeaf is a device that serves one page of every file with a broken
+// header, as bit rot met mid-scan would look.
+type corruptLeaf struct {
+	storage.Device
+	page int
+}
+
+func (d corruptLeaf) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
+	p, err := d.Device.ReadPageEnv(env, id, page, dst)
+	if err == nil && page == d.page {
+		p[0] = 0xFF
+	}
+	return p, err
+}
+
+func (d corruptLeaf) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
+	p, err := d.Device.PrefetchPageEnv(env, id, page, dst)
+	if err == nil && page == d.page {
+		p[0] = 0xFF
+	}
+	return p, err
+}
+
+// TestCorruptLeafReleasesPins: a scan, a cursor and a point lookup that
+// meet a corrupt leaf fail with ErrCorrupt and leave no frame pinned.
+func TestCorruptLeafReleasesPins(t *testing.T) {
+	const n, bad = 5000, 3
+	store := storage.NewStore(corruptLeaf{storage.NewDisk(storage.ScaledHDD(1024)), bad}, 64*1024, metrics.NopEnv())
+	r := buildTree(t, store, seqEntries(n))
+	scan, err := r.NewScan(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		_, _, ok, err := scan.Next()
+		if errors.Is(err, ErrCorrupt) {
+			break
+		}
+		if err != nil || !ok {
+			t.Fatalf("scan passed the corrupt leaf: ok=%v err=%v", ok, err)
+		}
+	}
+	scan.Close()
+	if pinned := store.Cache().Pinned(); pinned != 0 {
+		t.Fatalf("%d frames pinned after the scan failed", pinned)
+	}
+	// Entry i lives in leaf i/perLeaf; probe every key until one routes to
+	// the corrupt leaf, through a cursor and a point lookup.
+	cur := r.NewLookupCursor(true)
+	hit := false
+	for i := uint64(0); i < n && !hit; i += 7 {
+		if _, _, _, err := cur.Lookup(kv.EncodeUint64(i * 3)); errors.Is(err, ErrCorrupt) {
+			hit = true
+			if _, _, err := r.Get(kv.EncodeUint64(i*3), nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Get of a key in the corrupt leaf: %v", err)
+			}
+		}
+	}
+	cur.Close()
+	if !hit {
+		t.Fatal("no lookup reached the corrupt leaf")
+	}
+	if pinned := store.Cache().Pinned(); pinned != 0 {
+		t.Fatalf("%d frames pinned after failed lookups", pinned)
 	}
 }

@@ -9,10 +9,24 @@ import (
 // Scan iterates entries in key order over [lo, hi). Nil bounds are
 // unbounded. Leaf pages are fetched with the sequential hint so device
 // read-ahead applies.
+//
+// A scan pins the leaf it is positioned on. An entry Next returns stays
+// valid through the following Next call, until the one after it or Close —
+// one step longer than the usual iterator contract, because a merged
+// iterator advances a source past the entry it is about to emit: when Next
+// moves on to the next leaf, or reaches the end of the range or an error,
+// it keeps the leaf of the entry it returned last pinned for that one more
+// step. Close releases the pins and must be called once the scan is done,
+// whether or not it ran to its end.
 type Scan struct {
 	r    *Reader
 	hi   []byte
 	leaf page
+	// prev is the leaf of the entry the last Next returned, once the scan
+	// has moved past it; held reports that leaf is that leaf.
+	prev page
+	held bool
+	hide Filter
 	idx  int
 	err  error
 	done bool
@@ -29,7 +43,9 @@ func (r *Reader) NewScan(lo, hi []byte) (*Scan, error) {
 	if lo == nil {
 		s.leaf, err = r.readPage(0, true)
 	} else if s.leaf, err = r.descendToLeaf(lo); err == nil {
-		s.idx, err = s.leaf.search(r.env, 0, s.leaf.n, lo)
+		if s.idx, err = s.leaf.search(r.env, 0, s.leaf.n, lo); err != nil {
+			r.unpin(&s.leaf)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -37,43 +53,85 @@ func (r *Reader) NewScan(lo, hi []byte) (*Scan, error) {
 	return s, nil
 }
 
+// A Filter hides entries from a scan by their ordinal (the visibility
+// bitmaps of an LSM component).
+type Filter interface {
+	Hidden(ordinal int64) bool
+}
+
+// Hide makes Next pass over every entry f hides. Skipping inside the scan
+// keeps the pin on the last returned entry's leaf across any number of
+// hidden leaves. Hidden entries are still charged and counted as scanned.
+func (s *Scan) Hide(f Filter) { s.hide = f }
+
 // Next returns the next entry. ok is false at the end of the range.
 func (s *Scan) Next() (e kv.Entry, ordinal int64, ok bool, err error) {
 	if s.done || s.err != nil {
 		return kv.Entry{}, 0, false, s.err
 	}
-	for s.idx >= s.leaf.n {
-		next := s.leaf.pageNo + 1
-		if next >= s.r.numLeaves {
-			s.done = true
-			return kv.Entry{}, 0, false, nil
+	s.r.unpin(&s.prev)
+	for {
+		for s.idx >= s.leaf.n {
+			next := s.leaf.pageNo + 1
+			if next >= s.r.numLeaves {
+				s.finish(nil)
+				return kv.Entry{}, 0, false, nil
+			}
+			leaf, err := s.r.readPage(next, true)
+			if err != nil {
+				s.finish(err)
+				return kv.Entry{}, 0, false, err
+			}
+			if s.held && !s.r.store.Cache().UnsafeEarlyUnpin() {
+				s.prev = s.leaf
+			} else {
+				s.r.unpin(&s.leaf)
+			}
+			s.held = false
+			s.leaf, s.idx = leaf, 0
 		}
-		leaf, err := s.r.readPage(next, true)
+		key, payload, err := s.leaf.slot(s.idx)
 		if err != nil {
-			s.err = err
+			s.finish(err)
 			return kv.Entry{}, 0, false, err
 		}
-		s.leaf, s.idx = leaf, 0
+		if s.hi != nil && bytes.Compare(key, s.hi) >= 0 {
+			s.finish(nil)
+			return kv.Entry{}, 0, false, nil
+		}
+		s.r.env.ChargeDecode(1)
+		s.r.env.Counters.EntriesScanned.Add(1)
+		ordinal = s.leaf.ordinal + int64(s.idx)
+		s.idx++
+		if s.hide != nil && s.hide.Hidden(ordinal) {
+			continue
+		}
+		if e, err = kv.DecodePayload(payload, key); err != nil {
+			s.finish(err)
+			return kv.Entry{}, 0, false, err
+		}
+		s.held = true
+		return e, ordinal, true, nil
 	}
-	key, payload, err := s.leaf.slot(s.idx)
-	if err != nil {
-		s.err = err
-		return kv.Entry{}, 0, false, err
+}
+
+// finish ends the scan with err (nil at the end of the range). It keeps
+// only the pin on the leaf of the entry the last Next returned, for Close to
+// release.
+func (s *Scan) finish(err error) {
+	s.done, s.err = true, err
+	if !s.held {
+		s.r.unpin(&s.leaf)
 	}
-	if s.hi != nil && bytes.Compare(key, s.hi) >= 0 {
-		s.done = true
-		return kv.Entry{}, 0, false, nil
-	}
-	s.r.env.ChargeDecode(1)
-	s.r.env.Counters.EntriesScanned.Add(1)
-	e, err = kv.DecodePayload(payload, key)
-	if err != nil {
-		s.err = err
-		return kv.Entry{}, 0, false, err
-	}
-	ordinal = s.leaf.ordinal + int64(s.idx)
-	s.idx++
-	return e, ordinal, true, nil
+}
+
+// Close releases the scan's pins; Next then reports the end (or the error
+// the scan failed with). It may be called more than once.
+func (s *Scan) Close() {
+	s.done = true
+	s.r.unpin(&s.prev)
+	s.r.unpin(&s.leaf)
+	s.held = false
 }
 
 // LookupCursor performs repeated point lookups over ascending keys. In
@@ -81,6 +139,10 @@ func (s *Scan) Next() (e kv.Entry, ordinal int64, ok bool, err error) {
 // last leaf page and position: when the next key falls inside the same leaf
 // it locates the key with exponential search from the previous position
 // instead of a fresh root-to-leaf descent.
+//
+// The cursor pins the leaf of its last lookup: an entry Lookup returns
+// stays valid until the next Lookup or Close, and Close must be called
+// once the cursor is done.
 type LookupCursor struct {
 	r        *Reader
 	stateful bool
@@ -111,8 +173,11 @@ func (c *LookupCursor) Lookup(key []byte) (kv.Entry, int64, bool, error) {
 	var err error
 	if inLeaf {
 		idx, err = c.exponentialSearch(key)
-	} else if c.leaf, err = c.r.descendToLeaf(key); err == nil {
-		idx, err = c.leaf.search(c.r.env, 0, c.leaf.n, key)
+	} else {
+		c.r.unpin(&c.leaf)
+		if c.leaf, err = c.r.descendToLeaf(key); err == nil {
+			idx, err = c.leaf.search(c.r.env, 0, c.leaf.n, key)
+		}
 	}
 	if err != nil {
 		return kv.Entry{}, 0, false, err
@@ -120,6 +185,10 @@ func (c *LookupCursor) Lookup(key []byte) (kv.Entry, int64, bool, error) {
 	c.lastPos = idx
 	return c.leaf.found(c.r.env, idx, key)
 }
+
+// Close releases the cursor's pinned leaf. The cursor may be used again
+// afterwards (its next Lookup descends from the root) and closed again.
+func (c *LookupCursor) Close() { c.r.unpin(&c.leaf) }
 
 // covers reports whether key falls inside the current leaf's key range.
 // The last leaf of the tree also covers keys beyond its final entry.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"repro/internal/cache"
 	"repro/internal/kv"
 	"repro/internal/metrics"
 	"repro/internal/storage"
@@ -34,10 +35,12 @@ func Open(store *storage.Store, file storage.FileID) (*Reader, error) {
 	if n == 0 {
 		return nil, ErrCorrupt
 	}
-	meta, err := store.ReadPage(file, n-1, false)
+	f, err := store.ReadPage(file, n-1, false)
 	if err != nil {
 		return nil, err
 	}
+	defer store.Unpin(f)
+	meta := f.Data
 	if len(meta) < 19 || meta[0] != pageMeta {
 		return nil, ErrCorrupt
 	}
@@ -92,9 +95,12 @@ func compareCharged(env *metrics.Env, a, b []byte) int {
 // page is a view over the raw bytes of one leaf or internal page, held by
 // value and decoding one slot at a time: a visit parses the header, checks
 // that the slot directory lies inside the page, and then touches only the
-// slots the search compares, so it allocates nothing.
+// slots the search compares, so it allocates nothing. A page read through
+// the buffer cache holds its frame's pin; raw, and every key and entry
+// decoded from it, is valid until unpin.
 type page struct {
 	raw     []byte
+	frame   *cache.Frame
 	pageNo  int
 	typ     byte
 	n       int
@@ -102,12 +108,27 @@ type page struct {
 	base    int   // offset of the slot directory
 }
 
+// readPage returns page pageNo pinned; the caller unpins it.
 func (r *Reader) readPage(pageNo int, seqHint bool) (page, error) {
-	raw, err := r.store.ReadPage(r.file, pageNo, seqHint)
+	f, err := r.store.ReadPage(r.file, pageNo, seqHint)
 	if err != nil {
 		return page{}, err
 	}
-	return viewPage(raw, pageNo)
+	p, err := viewPage(f.Data, pageNo)
+	if err != nil {
+		r.store.Unpin(f)
+		return page{}, err
+	}
+	p.frame = f
+	return p, nil
+}
+
+// unpin releases p's frame, if it holds one, and empties p.
+func (r *Reader) unpin(p *page) {
+	if p.frame != nil {
+		r.store.Unpin(p.frame)
+	}
+	*p = page{}
 }
 
 // viewPage validates the header and the extent of the slot directory; the
@@ -205,7 +226,8 @@ func (p *page) holds(i int, key []byte) (bool, error) {
 }
 
 // descendToLeaf walks root-to-leaf and returns the leaf that may contain
-// key. The tree must not be empty.
+// key, pinned; each internal page is unpinned once its child is picked.
+// The tree must not be empty.
 func (r *Reader) descendToLeaf(key []byte) (page, error) {
 	pageNo := int(r.root)
 	// A well-formed tree reaches a leaf after height internal pages; more
@@ -215,38 +237,52 @@ func (r *Reader) descendToLeaf(key []byte) (page, error) {
 		if err != nil || p.typ == pageLeaf {
 			return p, err
 		}
-		// route to the last child whose first key <= key
-		idx, err := p.search(r.env, 0, p.n, key)
+		pageNo, err = p.route(r.env, key)
+		r.unpin(&p)
 		if err != nil {
-			return page{}, err
-		}
-		if eq, err := p.holds(idx, key); err != nil {
-			return page{}, err
-		} else if !eq && idx > 0 {
-			idx--
-		}
-		if pageNo, err = p.child(idx); err != nil {
 			return page{}, err
 		}
 	}
 	return page{}, ErrCorrupt
 }
 
-// Get performs a point lookup, returning the entry, its ordinal position in
-// the tree, and whether the key was found.
-func (r *Reader) Get(key []byte) (kv.Entry, int64, bool, error) {
+// route returns the child of internal page p whose subtree may hold key:
+// the last child whose first key <= key.
+func (p *page) route(env *metrics.Env, key []byte) (int, error) {
+	idx, err := p.search(env, 0, p.n, key)
+	if err != nil {
+		return 0, err
+	}
+	if eq, err := p.holds(idx, key); err != nil {
+		return 0, err
+	} else if !eq && idx > 0 {
+		idx--
+	}
+	return p.child(idx)
+}
+
+// Get performs a point lookup and reports the key's ordinal position in the
+// tree and whether it was found. When it was and visit is non-nil, visit
+// runs with the entry and its ordinal while the leaf is pinned: the entry's
+// bytes are the cached page's and are valid only until visit returns.
+func (r *Reader) Get(key []byte, visit func(e kv.Entry, ordinal int64)) (int64, bool, error) {
 	if r.count == 0 {
-		return kv.Entry{}, 0, false, nil
+		return 0, false, nil
 	}
 	leaf, err := r.descendToLeaf(key)
 	if err != nil {
-		return kv.Entry{}, 0, false, err
+		return 0, false, err
 	}
+	defer r.unpin(&leaf)
 	idx, err := leaf.search(r.env, 0, leaf.n, key)
 	if err != nil {
-		return kv.Entry{}, 0, false, err
+		return 0, false, err
 	}
-	return leaf.found(r.env, idx, key)
+	e, ord, found, err := leaf.found(r.env, idx, key)
+	if found && visit != nil {
+		visit(e, ord)
+	}
+	return ord, found, err
 }
 
 // found finishes a point lookup that searched the leaf to idx: the entry

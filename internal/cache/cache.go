@@ -2,9 +2,23 @@
 // disk, playing the role of the paper's 2 GB (HDD) / 4 GB (SSD) disk buffer
 // cache. Capacity is expressed in pages; hits are charged at in-memory cost
 // by the caller, misses fall through to the device.
+//
+// Like AsterixDB's buffer cache it is a pool of frames. A reader pins the
+// frame it reads (Get and Put return it pinned) and unpins it when it is
+// done with the page's bytes; a miss reads the page into a recycled frame
+// (Frame) instead of a fresh buffer. Pins never change what is cached:
+// Get, Put, Contains and InvalidateFile keep, promote and evict exactly the
+// pages an unpinned cache would, so the hit/miss sequence does not depend on
+// who holds a page. A pin only decides when an evicted or invalidated
+// frame's buffer may be reused: at once when nobody holds it, else at its
+// last Unpin. Until then the evicted frame is out of the cache and its bytes
+// stay the page its holders read.
 package cache
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // PageKey identifies a cached page: (file, page number).
 type PageKey struct {
@@ -12,88 +26,197 @@ type PageKey struct {
 	Page int
 }
 
-// entry is one cached page and its own links in the recency list, so a
-// miss costs at most one allocation and a hit follows no second pointer.
-type entry struct {
-	prev, next *entry
+// Frame is one page buffer of the cache and its own links in the recency
+// list, so a hit follows no second pointer. A frame handed out by Get, Put
+// or Frame is pinned: Data is the page's bytes, unchanged, until the holder
+// calls Unpin, after which the holder must not touch them.
+type Frame struct {
+	prev, next *Frame
 	key        PageKey
-	data       []byte
+	// Data is the page. A reader may read it while it holds a pin and must
+	// never modify it once the frame is cached.
+	Data []byte
+	// buf is the buffer Data lies in (a device may place the page a few
+	// bytes into it); recycling the frame recycles buf.
+	buf    []byte
+	pins   int32
+	cached bool
 }
+
+// poison is the pattern SetPoison writes over a freed frame's buffer.
+const poison = 0xDB
 
 // LRU is a fixed-capacity least-recently-used page cache. It is safe for
 // concurrent use.
 type LRU struct {
-	mu       sync.Mutex
-	capacity int
-	items    map[PageKey]*entry
+	mu         sync.Mutex
+	capacity   int
+	frameBytes int
+	items      map[PageKey]*Frame
 	// root is the sentinel of the circular recency list: root.next is the
-	// most recently used entry, root.prev the least.
-	root entry
+	// most recently used frame, root.prev the least.
+	root Frame
+	// free holds unpinned, uncached frames with frameBytes of buffer,
+	// linked through next. A frame joins it only while cached plus free
+	// frames do not exceed capacity, so the cache holds at most one frame
+	// more than a full cache of pages (plus the ones readers pin): the one
+	// the next miss reads into.
+	free   *Frame
+	nfree  int
+	pinned int // frames with pins > 0, cached or not
 
-	hits   int64
-	misses int64
+	poison     atomic.Bool
+	earlyUnpin atomic.Bool
 }
 
-// NewLRU creates a cache holding at most capacity pages. A capacity of 0
+// NewLRU creates a cache holding at most capacity pages, whose recyclable
+// frames have frameBytes of buffer (the device page size). A capacity of 0
 // disables caching (every Get misses).
-func NewLRU(capacity int) *LRU {
-	c := &LRU{capacity: capacity, items: make(map[PageKey]*entry)}
+func NewLRU(capacity, frameBytes int) *LRU {
+	c := &LRU{capacity: capacity, frameBytes: frameBytes, items: make(map[PageKey]*Frame)}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
 
-func (e *entry) unlink() {
-	e.prev.next, e.next.prev = e.next, e.prev
+// NewFrame returns a pinned, uncached frame holding data, for a page kept
+// in a buffer of its own (one too small to fill a recycled frame). Hand it
+// to Put like a frame from Frame.
+func (c *LRU) NewFrame(data []byte) *Frame {
+	c.mu.Lock()
+	c.pinned++
+	c.mu.Unlock()
+	return &Frame{Data: data, buf: data, pins: 1}
 }
 
-// pushFront makes e the most recently used entry.
-func (c *LRU) pushFront(e *entry) {
-	e.prev, e.next = &c.root, c.root.next
-	e.prev.next, e.next.prev = e, e
+// Holds reports whether p lies in f's buffer, as a page a device read into
+// the frame does; a page the device had to put in a buffer of its own does
+// not.
+func (f *Frame) Holds(p []byte) bool {
+	return cap(p) > 0 && cap(f.buf) > 0 && &p[:cap(p)][cap(p)-1] == &f.buf[:cap(f.buf)][cap(f.buf)-1]
 }
 
-// Get returns the cached page and true on a hit. The returned slice must not
-// be modified.
-func (c *LRU) Get(key PageKey) ([]byte, bool) {
+func (f *Frame) unlink() {
+	f.prev.next, f.next.prev = f.next, f.prev
+}
+
+// pushFront makes f the most recently used frame.
+func (c *LRU) pushFront(f *Frame) {
+	f.prev, f.next = &c.root, c.root.next
+	f.prev.next, f.next.prev = f, f
+}
+
+func (c *LRU) pin(f *Frame) {
+	if f.pins == 0 {
+		c.pinned++
+	}
+	f.pins++
+}
+
+// Get returns the cached page's frame, pinned, and true on a hit.
+func (c *LRU) Get(key PageKey) (*Frame, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		e.unlink()
-		c.pushFront(e)
-		c.hits++
-		return e.data, true
+	if f, ok := c.items[key]; ok {
+		f.unlink()
+		c.pushFront(f)
+		c.pin(f)
+		return f, true
 	}
-	c.misses++
 	return nil, false
 }
 
-// Put inserts a page, evicting the least recently used page if full. A full
-// cache reuses the evicted page's entry for the new one, so only a miss
-// below capacity allocates: the entry itself never leaves the cache, only
-// its data does.
-func (c *LRU) Put(key PageKey, data []byte) {
+// Frame returns a pinned, uncached frame to read a page into: a recycled
+// one when one is free (reused is true), else a new one with frameBytes of
+// buffer. Data is empty with the buffer's capacity behind it: read the
+// page into it, set Data to the page (which must lie in that buffer), and
+// hand the frame to Put, or Unpin it when the read failed.
+func (c *LRU) Frame() (f *Frame, reused bool) {
+	c.mu.Lock()
+	if f = c.free; f != nil {
+		c.free, f.next = f.next, nil
+		c.nfree--
+		c.pin(f)
+		c.mu.Unlock()
+		f.Data = f.buf[:0]
+		return f, true
+	}
+	c.pinned++
+	c.mu.Unlock()
+	buf := make([]byte, 0, c.frameBytes)
+	return &Frame{Data: buf, buf: buf, pins: 1}, false
+}
+
+// Put caches f, a pinned frame holding the page under key, evicting the
+// least recently used page if full; f stays pinned for the caller. A page
+// already cached under key is replaced (concurrent misses of one page both
+// read it). It reports whether the evicted page was pinned: its frame then
+// leaves the cache but keeps its bytes until its last Unpin.
+func (c *LRU) Put(key PageKey, f *Frame) (pinnedVictim bool) {
 	if c.capacity == 0 {
-		return
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		e.data = data
-		e.unlink()
-		c.pushFront(e)
+	if old, ok := c.items[key]; ok {
+		c.drop(old)
+	} else if len(c.items) >= c.capacity {
+		victim := c.root.prev
+		pinnedVictim = victim.pins > 0
+		c.drop(victim)
+	}
+	f.key, f.cached = key, true
+	c.pushFront(f)
+	c.items[key] = f
+	return pinnedVictim
+}
+
+// drop takes a cached frame out of the cache; an unpinned one is freed at
+// once, a pinned one at its last Unpin.
+func (c *LRU) drop(f *Frame) {
+	f.unlink()
+	delete(c.items, f.key)
+	f.cached = false
+	if f.pins == 0 {
+		c.release(f)
+	}
+}
+
+// release frees an unpinned, uncached frame: it joins the free list when its
+// buffer is a whole frame and the cache has room for it, else it is left to
+// the garbage collector. Either way it is poisoned first when SetPoison is
+// on.
+func (c *LRU) release(f *Frame) {
+	if c.poison.Load() {
+		buf := f.buf[:cap(f.buf)]
+		for i := range buf {
+			buf[i] = poison
+		}
+	}
+	if cap(f.buf) != c.frameBytes || len(c.items)+c.nfree > c.capacity {
 		return
 	}
-	var e *entry
-	if len(c.items) >= c.capacity {
-		e = c.root.prev
-		e.unlink()
-		delete(c.items, e.key)
-		e.key, e.data = key, data
-	} else {
-		e = &entry{key: key, data: data}
+	f.Data = nil
+	f.prev, f.next = nil, c.free
+	c.free = f
+	c.nfree++
+}
+
+// Unpin releases one pin on f. Unpinning a frame more times than it was
+// pinned panics: the page may already serve another reader.
+func (c *LRU) Unpin(f *Frame) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f.pins <= 0 {
+		panic("cache: Unpin of an unpinned frame")
 	}
-	c.pushFront(e)
-	c.items[key] = e
+	f.pins--
+	if f.pins > 0 {
+		return
+	}
+	c.pinned--
+	if !f.cached {
+		c.release(f)
+	}
 }
 
 // Contains reports whether key is cached without promoting it in the LRU
@@ -111,10 +234,9 @@ func (c *LRU) Contains(key PageKey) bool {
 func (c *LRU) InvalidateFile(file uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, e := range c.items {
+	for key, f := range c.items {
 		if key.File == file {
-			e.unlink()
-			delete(c.items, key)
+			c.drop(f)
 		}
 	}
 }
@@ -129,18 +251,36 @@ func (c *LRU) Len() int {
 // Capacity returns the page capacity.
 func (c *LRU) Capacity() int { return c.capacity }
 
-// Stats returns cumulative hit and miss counts.
-func (c *LRU) Stats() (hits, misses int64) {
+// Pinned returns the number of pinned frames, cached or evicted. It is 0
+// whenever no read is in progress.
+func (c *LRU) Pinned() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.pinned
 }
 
-// Reset clears contents and statistics.
+// Reset drops every cached page.
 func (c *LRU) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.root.prev, c.root.next = &c.root, &c.root
-	c.items = make(map[PageKey]*entry)
-	c.hits, c.misses = 0, 0
+	for _, f := range c.items {
+		c.drop(f)
+	}
 }
+
+// SetPoison makes every freed frame's buffer — recycled or dropped — fill
+// with a poison pattern, so a reader that kept using a page after unpinning
+// it reads garbage (and, under the race detector, races with the frame's
+// next read) instead of bytes that merely happen to be still right. Tests
+// and the deterministic simulation turn it on; it costs a pass over each
+// freed buffer.
+func (c *LRU) SetPoison(on bool) { c.poison.Store(on) }
+
+// SetUnsafeEarlyUnpin re-arms, on purpose, a pin-lifetime bug for the
+// deterministic simulation to catch: a B+-tree scan drops its previous
+// leaf's pin as soon as it moves on, so the entry its last Next returned
+// may be overwritten while a merged iterator still compares or copies it.
+func (c *LRU) SetUnsafeEarlyUnpin(on bool) { c.earlyUnpin.Store(on) }
+
+// UnsafeEarlyUnpin reports whether SetUnsafeEarlyUnpin armed the bug.
+func (c *LRU) UnsafeEarlyUnpin() bool { return c.earlyUnpin.Load() }

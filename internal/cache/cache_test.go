@@ -9,27 +9,46 @@ import (
 
 func key(f uint64, p int) PageKey { return PageKey{File: f, Page: p} }
 
+// put caches data under k the way a miss does — into a frame from Frame —
+// and unpins it.
+func put(c *LRU, k PageKey, data string) {
+	f, _ := c.Frame()
+	f.Data = append(f.Data, data...)
+	c.Put(k, f)
+	c.Unpin(f)
+}
+
+// get returns a copy of the page cached under k, unpinning it.
+func get(c *LRU, k PageKey) (string, bool) {
+	f, ok := c.Get(k)
+	if !ok {
+		return "", false
+	}
+	defer c.Unpin(f)
+	return string(f.Data), true
+}
+
 func TestPutGet(t *testing.T) {
-	c := NewLRU(2)
-	c.Put(key(1, 0), []byte("a"))
-	if v, ok := c.Get(key(1, 0)); !ok || string(v) != "a" {
+	c := NewLRU(2, 8)
+	put(c, key(1, 0), "a")
+	if v, ok := get(c, key(1, 0)); !ok || string(v) != "a" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if _, ok := c.Get(key(1, 1)); ok {
+	if _, ok := get(c, key(1, 1)); ok {
 		t.Fatal("missing page found")
 	}
 }
 
 func TestEvictionOrder(t *testing.T) {
-	c := NewLRU(2)
-	c.Put(key(1, 0), []byte("a"))
-	c.Put(key(1, 1), []byte("b"))
-	c.Get(key(1, 0)) // touch a: now b is LRU
-	c.Put(key(1, 2), []byte("c"))
-	if _, ok := c.Get(key(1, 1)); ok {
+	c := NewLRU(2, 8)
+	put(c, key(1, 0), "a")
+	put(c, key(1, 1), "b")
+	get(c, key(1, 0)) // touch a: now b is LRU
+	put(c, key(1, 2), "c")
+	if _, ok := get(c, key(1, 1)); ok {
 		t.Fatal("LRU page b should have been evicted")
 	}
-	if _, ok := c.Get(key(1, 0)); !ok {
+	if _, ok := get(c, key(1, 0)); !ok {
 		t.Fatal("recently used page a evicted")
 	}
 	if c.Len() != 2 {
@@ -38,10 +57,10 @@ func TestEvictionOrder(t *testing.T) {
 }
 
 func TestPutReplaces(t *testing.T) {
-	c := NewLRU(2)
-	c.Put(key(1, 0), []byte("a"))
-	c.Put(key(1, 0), []byte("a2"))
-	if v, _ := c.Get(key(1, 0)); string(v) != "a2" {
+	c := NewLRU(2, 8)
+	put(c, key(1, 0), "a")
+	put(c, key(1, 0), "a2")
+	if v, _ := get(c, key(1, 0)); string(v) != "a2" {
 		t.Fatalf("replace failed: %q", v)
 	}
 	if c.Len() != 1 {
@@ -50,48 +69,32 @@ func TestPutReplaces(t *testing.T) {
 }
 
 func TestZeroCapacityDisables(t *testing.T) {
-	c := NewLRU(0)
-	c.Put(key(1, 0), []byte("a"))
-	if _, ok := c.Get(key(1, 0)); ok {
+	c := NewLRU(0, 8)
+	put(c, key(1, 0), "a")
+	if _, ok := get(c, key(1, 0)); ok {
 		t.Fatal("zero-capacity cache stored a page")
 	}
 }
 
 func TestInvalidateFile(t *testing.T) {
-	c := NewLRU(10)
+	c := NewLRU(10, 8)
 	for p := 0; p < 3; p++ {
-		c.Put(key(1, p), []byte{1})
-		c.Put(key(2, p), []byte{2})
+		put(c, key(1, p), "1")
+		put(c, key(2, p), "2")
 	}
 	c.InvalidateFile(1)
 	for p := 0; p < 3; p++ {
-		if _, ok := c.Get(key(1, p)); ok {
+		if _, ok := get(c, key(1, p)); ok {
 			t.Fatalf("file 1 page %d survived invalidation", p)
 		}
-		if _, ok := c.Get(key(2, p)); !ok {
+		if _, ok := get(c, key(2, p)); !ok {
 			t.Fatalf("file 2 page %d wrongly invalidated", p)
 		}
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
-	c := NewLRU(2)
-	c.Put(key(1, 0), []byte("a"))
-	c.Get(key(1, 0))
-	c.Get(key(1, 9))
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d/%d", hits, misses)
-	}
-	c.Reset()
-	hits, misses = c.Stats()
-	if hits != 0 || misses != 0 || c.Len() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
-	c := NewLRU(64)
+	c := NewLRU(64, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -100,9 +103,9 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				k := key(uint64(g%2), i%100)
 				if i%3 == 0 {
-					c.Put(k, []byte(fmt.Sprint(i)))
+					put(c, k, fmt.Sprint(i))
 				} else {
-					c.Get(k)
+					get(c, k)
 				}
 			}
 		}(g)
@@ -114,9 +117,9 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestCapacityNeverExceeded(t *testing.T) {
-	c := NewLRU(5)
+	c := NewLRU(5, 8)
 	for i := 0; i < 100; i++ {
-		c.Put(key(1, i), []byte{byte(i)})
+		put(c, key(1, i), fmt.Sprint(i))
 		if c.Len() > 5 {
 			t.Fatalf("capacity exceeded at %d: %d", i, c.Len())
 		}
@@ -134,7 +137,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 func TestEvictionOrderMatchesModel(t *testing.T) {
 	const capacity = 8
 	rng := rand.New(rand.NewSource(5))
-	c := NewLRU(capacity)
+	c := NewLRU(capacity, 8)
 	var model []PageKey // most recently used first
 	find := func(k PageKey) int {
 		for i, m := range model {
@@ -155,14 +158,14 @@ func TestEvictionOrderMatchesModel(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 4:
 			i := find(k)
-			if _, ok := c.Get(k); ok != (i >= 0) {
+			if _, ok := get(c, k); ok != (i >= 0) {
 				t.Fatalf("step %d: Get(%v) hit=%v, model holds=%v", step, k, ok, i >= 0)
 			}
 			if i >= 0 {
 				promote(i, k)
 			}
 		case op < 8:
-			c.Put(k, []byte{byte(step)})
+			put(c, k, fmt.Sprint(step))
 			promote(find(k), k)
 			if len(model) > capacity {
 				model = model[:capacity]
@@ -192,28 +195,139 @@ func TestEvictionOrderMatchesModel(t *testing.T) {
 	}
 }
 
-// TestMissCostsOneAllocation: inserting below capacity allocates the new
-// entry and nothing else; inserting into a full cache reuses the evicted
-// page's entry and allocates nothing.
-func TestMissCostsOneAllocation(t *testing.T) {
+// TestMissAtCapacityAllocatesNothing: a miss into a full cache reads into
+// the frame its previous eviction freed and links it into the entry the
+// evicted page left, so the whole Frame/Put/Unpin cycle allocates nothing;
+// below capacity it allocates the frame and its buffer.
+func TestMissAtCapacityAllocatesNothing(t *testing.T) {
 	const capacity = 4096
-	c := NewLRU(capacity)
-	page := []byte("p")
+	c := NewLRU(capacity, 8)
 	n := 0
-	put := func() {
-		c.Put(key(1, n), page)
+	miss := func() {
+		f, _ := c.Frame()
+		f.Data = append(f.Data, 'p')
+		c.Put(key(1, n), f)
+		c.Unpin(f)
 		n++
 	}
-	if allocs := testing.AllocsPerRun(1000, put); allocs != 1 {
-		t.Fatalf("Put of a new page below capacity = %v allocations, want 1", allocs)
+	if allocs := testing.AllocsPerRun(1000, miss); allocs != 2 {
+		t.Fatalf("a miss below capacity = %v allocations, want 2 (frame and buffer)", allocs)
 	}
 	for c.Len() < capacity {
-		put()
+		miss()
 	}
-	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
-		t.Fatalf("Put of a new page at capacity = %v allocations, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, miss); allocs != 0 {
+		t.Fatalf("a miss at capacity = %v allocations, want 0", allocs)
 	}
 	if c.Len() != capacity {
 		t.Fatalf("Len = %d, want %d", c.Len(), capacity)
+	}
+	if c.Pinned() != 0 {
+		t.Fatalf("Pinned = %d after every frame was unpinned", c.Pinned())
+	}
+}
+
+// TestPinnedVictimKeepsItsBytes: evicting or invalidating a pinned page
+// takes it out of the cache exactly as an unpinned one, but its frame is
+// neither poisoned nor reused until its last Unpin; then the next miss
+// reads into it.
+func TestPinnedVictimKeepsItsBytes(t *testing.T) {
+	for _, how := range []string{"evict", "invalidate", "reset", "replace"} {
+		t.Run(how, func(t *testing.T) {
+			c := NewLRU(2, 8)
+			c.SetPoison(true)
+			put(c, key(1, 0), "a")
+			held, ok := c.Get(key(1, 0))
+			if !ok {
+				t.Fatal("miss")
+			}
+			switch how {
+			case "evict":
+				put(c, key(1, 1), "b")
+				put(c, key(1, 2), "c") // a is the LRU page
+			case "invalidate":
+				c.InvalidateFile(1)
+			case "reset":
+				c.Reset()
+			case "replace":
+				put(c, key(1, 0), "a")
+			}
+			if how != "replace" && c.Contains(key(1, 0)) {
+				t.Fatal("the pinned page is still cached")
+			}
+			for i := 0; i < 4; i++ { // misses that would reuse a freed frame
+				put(c, key(2, i), "x")
+			}
+			if string(held.Data) != "a" {
+				t.Fatalf("pinned page reads %q, want %q", held.Data, "a")
+			}
+			if c.Pinned() != 1 {
+				t.Fatalf("Pinned = %d, want 1", c.Pinned())
+			}
+			c.Unpin(held)
+			if c.Pinned() != 0 {
+				t.Fatalf("Pinned = %d after the last Unpin", c.Pinned())
+			}
+		})
+	}
+}
+
+// TestFreedFrameIsPoisoned: with poisoning on, a frame freed by its last
+// Unpin is overwritten before the next miss reads into it.
+func TestFreedFrameIsPoisoned(t *testing.T) {
+	c := NewLRU(2, 8)
+	c.SetPoison(true)
+	put(c, key(1, 0), "a")
+	held, _ := c.Get(key(1, 0))
+	c.InvalidateFile(1)
+	c.Unpin(held)
+	f, reused := c.Frame()
+	if !reused || f != held {
+		t.Fatalf("the unpinned frame was not the next one reused (reused=%v)", reused)
+	}
+	if buf := f.Data[:cap(f.Data)]; buf[0] != poison {
+		t.Fatalf("a freed frame reads %#x, want the poison pattern", buf[0])
+	}
+}
+
+// TestUnpinUnpinnedPanics: a second Unpin of one pin could free a frame
+// another reader holds, so it panics instead.
+func TestUnpinUnpinnedPanics(t *testing.T) {
+	c := NewLRU(2, 8)
+	put(c, key(1, 0), "a")
+	f, _ := c.Get(key(1, 0))
+	c.Unpin(f)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Unpin of an unpinned frame did not panic")
+		}
+	}()
+	c.Unpin(f)
+}
+
+// TestFreeFramesBounded: frames freed by invalidation wait for reuse only
+// while cached plus free frames stay below capacity, and frames whose buffer
+// is not a whole frame are never kept.
+func TestFreeFramesBounded(t *testing.T) {
+	c := NewLRU(4, 8)
+	for i := 0; i < 4; i++ {
+		put(c, key(1, i), "p")
+	}
+	small := c.NewFrame([]byte("s"))
+	c.Put(key(2, 0), small) // evicts (1,0) into the free list
+	c.Unpin(small)
+	c.InvalidateFile(1)
+	c.InvalidateFile(2)
+	reused := 0
+	for i := 0; i < 8; i++ {
+		if f, ok := c.Frame(); ok {
+			reused++
+			if cap(f.Data) != 8 {
+				t.Fatalf("a %d-byte buffer was kept for reuse", cap(f.Data))
+			}
+		}
+	}
+	if reused == 0 || reused > c.Capacity() {
+		t.Fatalf("%d frames reused after invalidating a full cache of %d, want 1..%d", reused, c.Capacity(), c.Capacity())
 	}
 }

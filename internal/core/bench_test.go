@@ -63,7 +63,7 @@ func BenchmarkPointGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, found, err := d.Primary().Get(pkOf(uint64(i*31) % 50000))
+		found, err := d.Primary().Get(pkOf(uint64(i*31)%50000), nil)
 		if err != nil || !found {
 			b.Fatal(err, found)
 		}

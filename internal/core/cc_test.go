@@ -74,7 +74,7 @@ func TestConcurrentDeletesDuringMergeNotLost(t *testing.T) {
 				// Every delete must be observed; every surviving key must
 				// still be readable with its record intact.
 				for i := 0; i < n; i++ {
-					_, found, err := d.Primary().Get(pkOf(uint64(i)))
+					_, found, err := getRecord(d, pkOf(uint64(i)))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -165,7 +165,7 @@ func TestConcurrentUpsertsDuringMerge(t *testing.T) {
 			}
 			wg.Wait()
 			for i := 0; i < n; i++ {
-				e, found, err := d.Primary().Get(pkOf(uint64(i)))
+				e, found, err := getRecord(d, pkOf(uint64(i)))
 				if err != nil || !found {
 					t.Fatalf("key %d lost: %v", i, err)
 				}
@@ -306,7 +306,7 @@ func TestAsyncConcurrentWritersAndReaders(t *testing.T) {
 					default:
 					}
 					for pk := uint64(0); pk < 50; pk++ {
-						if _, _, err := d.Primary().Get(pkOf(pk)); err != nil {
+						if _, _, err := getRecord(d, pkOf(pk)); err != nil {
 							errc <- err
 							return
 						}
@@ -351,7 +351,7 @@ func TestAsyncConcurrentWritersAndReaders(t *testing.T) {
 				base := uint64(w) * 1_000_000
 				for off := uint64(0); off < 200; off++ {
 					pk := base + off
-					e, found, err := d.Primary().Get(pkOf(pk))
+					e, found, err := getRecord(d, pkOf(pk))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -72,6 +72,14 @@ func TestOpenRejectsBadConfigs(t *testing.T) {
 
 func pkOf(id uint64) []byte { return kv.EncodeUint64(id) }
 
+// getRecord is a primary-index point read with the entry copied out of its
+// pinned page.
+func getRecord(d *Dataset, pk []byte) (kv.Entry, bool, error) {
+	var e kv.Entry
+	found, err := d.Primary().Get(pk, func(v kv.Entry) { e = v.Clone() })
+	return e, found, err
+}
+
 // seedRunningExample loads Figure 2's initial state: records 101 and 102 in
 // one flushed component, record 103 in the memory component.
 func seedRunningExample(t *testing.T, d *Dataset) {
@@ -96,7 +104,7 @@ func mustUpsert(t *testing.T, d *Dataset, id uint64, loc string, year int64) {
 // clean "not found".
 func mustGet(t *testing.T, d *Dataset, id uint64) (kv.Entry, bool) {
 	t.Helper()
-	e, found, err := d.Primary().Get(pkOf(id))
+	e, found, err := getRecord(d, pkOf(id))
 	if err != nil {
 		t.Fatalf("Get(%d): %v", id, err)
 	}
@@ -155,7 +163,7 @@ func TestEagerUpsertExample(t *testing.T) {
 
 	// Q2: Time < 2017 must return only (102, CA, 2016): the memory
 	// component cannot be pruned because its filter covers 2015.
-	e, found, err := d.Primary().Get(pkOf(101))
+	e, found, err := getRecord(d, pkOf(101))
 	if err != nil || !found {
 		t.Fatal(err, found)
 	}
@@ -211,7 +219,7 @@ func TestMutableBitmapUpsertExample(t *testing.T) {
 	if got := c.Valid.Count(); got != 1 {
 		t.Fatalf("bitmap marks %d entries, want 1 (old record 101)", got)
 	}
-	_, ord, found, err := c.BTree.Get(pkOf(101))
+	ord, found, err := c.BTree.Get(pkOf(101), nil)
 	if err != nil || !found {
 		t.Fatal("old record missing from component")
 	}
@@ -401,7 +409,7 @@ func TestMutableBitmapSurvivesMerge(t *testing.T) {
 	// or remain marked.
 	seen := map[uint64]bool{}
 	for i := uint64(0); i < 500; i++ {
-		e, found, err := d.Primary().Get(pkOf(i))
+		e, found, err := getRecord(d, pkOf(i))
 		if err != nil || !found {
 			t.Fatalf("key %d: found=%v err=%v", i, found, err)
 		}

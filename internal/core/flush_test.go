@@ -47,7 +47,7 @@ func TestFlushAllEmptyUniform(t *testing.T) {
 			if d.primary.NumDiskComponents() != comps {
 				t.Fatal("empty flush changed the component list")
 			}
-			if _, found, err := d.Primary().Get(pkOf(1)); err != nil || !found {
+			if _, found, err := getRecord(d, pkOf(1)); err != nil || !found {
 				t.Fatalf("record lost across empty flush: found=%v err=%v", found, err)
 			}
 		})
@@ -79,7 +79,7 @@ func TestFlushSecondaryOnlySkipsEmpty(t *testing.T) {
 		t.Fatalf("empty secondary got %d components", n)
 	}
 	// The flushed record is still readable and ErrEmptyFlush never leaked.
-	if _, found, err := d.Primary().Get(pkOf(9)); err != nil || !found {
+	if _, found, err := getRecord(d, pkOf(9)); err != nil || !found {
 		t.Fatalf("record lost: found=%v err=%v", found, err)
 	}
 	if err := d.FlushAll(); err == lsm.ErrEmptyFlush {

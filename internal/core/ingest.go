@@ -150,9 +150,9 @@ func (d *Dataset) prepare(op kv.Op, pk []byte, search bool) (p prepared, err err
 		// Point lookup to fetch the old record, so anti-matter can clean
 		// the secondary indexes and the filters can be widened with it
 		// (Section 3.1, Figure 3).
-		var old kv.Entry
-		old, p.found, err = d.primary.Get(pk)
-		p.old = old.Value
+		p.found, err = d.primary.Get(pk, func(old kv.Entry) {
+			p.old = append([]byte(nil), old.Value...) // outlives the page pin
+		})
 		p.skip = !p.found && op == kv.OpDelete
 	case MutableBitmap:
 		// The primary key index locates the old record; if it lives in a
@@ -257,11 +257,9 @@ func (d *Dataset) installEager(op kv.Op, pk, record []byte, ts int64, p prepared
 // available (the Section 3.1 optimization), else the primary index.
 func (d *Dataset) keyExists(pk []byte) (bool, error) {
 	if d.pkIndex != nil {
-		_, found, err := d.pkIndex.Get(pk)
-		return found, err
+		return d.pkIndex.Get(pk, nil)
 	}
-	_, found, err := d.primary.Get(pk)
-	return found, err
+	return d.primary.Get(pk, nil)
 }
 
 // putRecord inserts the new record into the primary index and the primary
@@ -360,7 +358,7 @@ func (d *Dataset) markDeletedViaBitmap(pk []byte) (updateBit, existed bool, undo
 					// component exactly like a disk-component hit — set
 					// its bitmap bit and forward the delete to any merge
 					// already building over it.
-					_, ordinal, found, err := sealedComp.BTree.Get(pk)
+					ordinal, found, err := sealedComp.BTree.Get(pk, nil)
 					if errors.Is(err, storage.ErrNoSuchFile) && !vanished {
 						// Installed, merged away and unlinked since the
 						// batch handed it out: the merged component holds
@@ -399,9 +397,9 @@ func (d *Dataset) markDeletedViaBitmap(pk []byte) (updateBit, existed bool, undo
 			continue
 		}
 		v := d.pkIndex.ReadView()
-		e, comp, ordinal, found, err := d.pkIndex.GetWithLocation(pk, v.Components)
+		comp, ordinal, found, err := d.pkIndex.GetWithLocation(pk, v.Components)
 		v.Release()
-		if err != nil || !found || e.Anti {
+		if err != nil || !found {
 			return false, false, nil, nil, err
 		}
 		if comp == nil {
@@ -431,7 +429,7 @@ func (d *Dataset) flipDeferred(comp *lsm.Component, ordinal int64, pk []byte) (u
 // the bit is cleared there instead.
 func (d *Dataset) unforwardFrozenDelete(b *flushBatch, pk []byte) {
 	if comp := b.removeFrozenDelete(pk); comp != nil && comp.Valid != nil {
-		if _, ordinal, found, err := comp.BTree.Get(pk); err == nil && found {
+		if ordinal, found, err := comp.BTree.Get(pk, nil); err == nil && found {
 			comp.Valid.Unset(ordinal)
 		}
 	}

@@ -275,7 +275,7 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 				}
 			}
 			//lsm:allow-discard a failed deleted-key probe reads as "not deleted", the conservative answer: the entry is kept, never wrongly dropped
-			if _, _, found, _ := dkReaders[i].Get(pk); found {
+			if _, found, _ := dkReaders[i].Get(pk, nil); found {
 				return true
 			}
 		}
@@ -323,24 +323,30 @@ func (d *Dataset) unionDeletedKeys(dst *lsm.Component, inputs []*lsm.Component) 
 		if d.bgStore != nil {
 			dk = dk.CloneFor(d.bgStore)
 		}
-		scan, err := dk.NewScan(nil, nil)
-		if err != nil {
+		if err := newestDeleted(dk, merged); err != nil {
 			return err
-		}
-		for {
-			e, _, ok, err := scan.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if old, seen := merged[string(e.Key)]; !seen || e.TS > old {
-				merged[string(e.Key)] = e.TS
-			}
 		}
 	}
 	return d.attachDeletedEntries(dst, sortedDeleted(merged))
+}
+
+// newestDeleted folds every (key, timestamp) of the deleted-key tree dk into
+// merged, keeping the newest timestamp per key.
+func newestDeleted(dk *btree.Reader, merged map[string]int64) error {
+	scan, err := dk.NewScan(nil, nil)
+	if err != nil {
+		return err
+	}
+	defer scan.Close()
+	for {
+		e, _, ok, err := scan.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if old, seen := merged[string(e.Key)]; !seen || e.TS > old {
+			merged[string(e.Key)] = e.TS
+		}
+	}
 }
 
 // mergePrimaryAndPK performs the Mutable-bitmap strategy's synchronized

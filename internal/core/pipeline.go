@@ -485,7 +485,7 @@ func (d *Dataset) buildAndInstallBatch(b *flushBatch) (bytes int64, comps int, e
 		// it; a lookup failure must fail the batch — silently dropping a
 		// forwarded delete would resurrect the record.
 		for pk := range b.seal(primComp) {
-			_, ord, found, err := primComp.BTree.Get([]byte(pk))
+			ord, found, err := primComp.BTree.Get([]byte(pk), nil)
 			if err != nil {
 				return bytes, comps, err
 			}

@@ -40,7 +40,7 @@ func driveMixed(t *testing.T, d *Dataset, seed int64, nOps int, flushEvery int) 
 func verifyModel(t *testing.T, d *Dataset, model map[uint64]string) {
 	t.Helper()
 	for pk := uint64(0); pk < 300; pk++ {
-		e, found, err := d.Primary().Get(pkOf(pk))
+		e, found, err := getRecord(d, pkOf(pk))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,13 +78,14 @@ func (s *scribbler) check(stage string, validation query.ValidationMethod) {
 	s.t.Helper()
 	byLoc := map[string][]uint64{}
 	for id := uint64(0); id < 80; id++ {
-		e, found, err := s.d.Primary().Get(kv.EncodeUint64(id))
+		var got []byte
+		found, err := s.d.Primary().Get(kv.EncodeUint64(id), func(e kv.Entry) { got = bytes.Clone(e.Value) })
 		if err != nil {
 			s.t.Fatalf("%s: Get(%d): %v", stage, id, err)
 		}
 		want, ok := s.expected[id]
-		if found != ok || (found && !bytes.Equal(e.Value, want)) {
-			s.t.Fatalf("%s: Get(%d) = %q, %v; want %q, %v", stage, id, e.Value, found, want, ok)
+		if found != ok || (found && !bytes.Equal(got, want)) {
+			s.t.Fatalf("%s: Get(%d) = %q, %v; want %q, %v", stage, id, got, found, want, ok)
 		}
 		if ok {
 			byLoc[string(want[8:])] = append(byLoc[string(want[8:])], id)

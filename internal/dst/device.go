@@ -520,12 +520,12 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 	return d.inner.AppendPageEnv(env, id, data)
 }
 
-func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
-	return d.inner.ReadPageEnv(env, id, page)
+func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
+	return d.inner.ReadPageEnv(env, id, page, dst)
 }
 
-func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
-	return d.inner.PrefetchPageEnv(env, id, page)
+func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
+	return d.inner.PrefetchPageEnv(env, id, page, dst)
 }
 
 func (d *Device) NumPages(id storage.FileID) (int, error) { return d.inner.NumPages(id) }

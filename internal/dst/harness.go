@@ -62,8 +62,16 @@ const (
 	BugEarlyCut    = "early-cut"
 )
 
+// BugEarlyUnpin re-arms a pin-lifetime bug in the buffer cache's frame
+// recycling (cache.LRU.SetUnsafeEarlyUnpin): a B+-tree scan drops its
+// previous leaf's pin as soon as it moves on, so a merged iterator can emit,
+// compare or copy an entry whose frame was already recycled for another
+// page. Every run poisons freed frames (cache.LRU.SetPoison), so such an
+// entry reads garbage rather than bytes that happen to survive.
+const BugEarlyUnpin = "early-unpin"
+
 // Bugs lists every re-armable bug.
-var Bugs = []string{BugKeepCommit, BugEarlyUnlink, BugEarlyCut}
+var Bugs = []string{BugKeepCommit, BugEarlyUnlink, BugEarlyCut, BugEarlyUnpin}
 
 // Config parameterizes one simulated run.
 type Config struct {
@@ -431,6 +439,9 @@ func (h *harness) openSession() error {
 	for i := 0; i < db.NumShards(); i++ {
 		db.Shard(i).Log().SetUnsafeKeepCommitOnFailedFsync(h.cfg.Bug == BugKeepCommit)
 		db.Shard(i).SetUnsafeReclaimBeforePersist(h.cfg.Bug == BugEarlyUnlink, h.cfg.Bug == BugEarlyCut)
+		frames := db.Shard(i).Config().Store.Cache()
+		frames.SetPoison(true)
+		frames.SetUnsafeEarlyUnpin(h.cfg.Bug == BugEarlyUnpin)
 	}
 	return nil
 }
@@ -460,7 +471,7 @@ func (h *harness) options() lsmstore.Options {
 		Backend:            lsmstore.FileBackend,
 		Dir:                h.dir,
 		MemoryBudget:       8 << 10, // tiny: every run crosses flush and merge paths
-		CacheBytes:         1 << 20,
+		CacheBytes:         2 * 4 << 10, // two frames: nearly every page a scan leaves is evicted by its next read
 		PageSize:           4 << 10,
 		Seed:               5,
 		GroupCommit:        h.gc,

@@ -59,7 +59,7 @@ func ablationPolicy(s Scale) (*Result, error) {
 		start := env.Clock.Now()
 		for i := 0; i < 200; i++ {
 			pk := gen.PastKey((i * 131) % gen.NumPast())
-			if _, _, err := ds.Primary().Get(kv.EncodeUint64(pk)); err != nil {
+			if _, err := ds.Primary().Get(kv.EncodeUint64(pk), nil); err != nil {
 				return nil, err
 			}
 		}

@@ -187,6 +187,7 @@ func measureFullScan(ds *core.Dataset, env *metrics.Env) (time.Duration, error) 
 		if err != nil {
 			return 0, err
 		}
+		defer it.Close()
 		for {
 			_, ok, err := it.Next()
 			if err != nil {

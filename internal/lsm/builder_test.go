@@ -11,42 +11,55 @@ import (
 	"repro/internal/storage"
 )
 
-// failingReads is a device whose page reads fail while failing is set.
+// failingReads is a device whose page reads fail while failing is set,
+// after the first allow of them.
 type failingReads struct {
 	storage.Device
 	failing bool
+	allow   int
 }
 
 var errInjectedRead = errors.New("injected read failure")
 
-func (d *failingReads) ReadPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
+func (d *failingReads) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
 	if d.failing {
-		return nil, errInjectedRead
+		if d.allow <= 0 {
+			return nil, errInjectedRead
+		}
+		d.allow--
 	}
-	return d.Device.ReadPageEnv(env, id, page)
+	return d.Device.ReadPageEnv(env, id, page, dst)
 }
 
-// TestMergeInputReadFailureLeavesNoFile: a merge whose first read of an
-// input page fails returns the error and leaves only the inputs' files.
+// TestMergeInputReadFailureLeavesNoFile: a merge whose read of an input
+// page fails — the first one, or one after other input scans already pin
+// pages — returns the error, leaves only the inputs' files and no pinned
+// buffer-cache frame.
 func TestMergeInputReadFailureLeavesNoFile(t *testing.T) {
-	dev := &failingReads{Device: storage.NewDisk(storage.ScaledHDD(1024))}
-	// No buffer cache: every page read reaches the device.
-	tr := New(Options{Name: "t", Store: storage.NewStore(dev, 0, metrics.NopEnv()), BloomFPR: 0.01, Seed: 1})
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 100; i++ {
-			tr.Put(kv.Entry{Key: key(i), Value: val(i), TS: int64(100*round + i)})
+	for _, allow := range []int{0, 1, 3} {
+		dev := &failingReads{Device: storage.NewDisk(storage.ScaledHDD(1024))}
+		// No buffer cache: every page read reaches the device.
+		store := storage.NewStore(dev, 0, metrics.NopEnv())
+		tr := New(Options{Name: "t", Store: store, BloomFPR: 0.01, Seed: 1})
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 100; i++ {
+				tr.Put(kv.Entry{Key: key(i), Value: val(i), TS: int64(100*round + i)})
+			}
+			if _, err := tr.Flush(uint64(round)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := tr.Flush(uint64(round)); err != nil {
-			t.Fatal(err)
+		inputs := dev.List()
+		dev.failing, dev.allow = true, allow
+		if _, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true}); !errors.Is(err, errInjectedRead) {
+			t.Fatalf("allow %d: Merge error = %v, want the injected read failure", allow, err)
 		}
-	}
-	inputs := dev.List()
-	dev.failing = true
-	if _, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true}); !errors.Is(err, errInjectedRead) {
-		t.Fatalf("Merge error = %v, want the injected read failure", err)
-	}
-	if files := dev.List(); !slices.Equal(files, inputs) {
-		t.Fatalf("files after the failed merge = %v, want only the inputs %v", files, inputs)
+		if files := dev.List(); !slices.Equal(files, inputs) {
+			t.Fatalf("allow %d: files after the failed merge = %v, want only the inputs %v", allow, files, inputs)
+		}
+		if n := store.Cache().Pinned(); n != 0 {
+			t.Fatalf("allow %d: %d frames still pinned after the failed merge", allow, n)
+		}
 	}
 }
 
@@ -101,7 +114,7 @@ func TestLaneAccounting(t *testing.T) {
 		})
 		check("merge", fg, lane, true)
 		fg, lane = charged(func() error {
-			_, found, err := tr.Get(key(7))
+			_, found, err := get(tr, key(7))
 			if err == nil && !found {
 				err = errors.New("key 7 not found")
 			}

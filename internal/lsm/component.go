@@ -218,20 +218,11 @@ func (c *Component) FilterDisjoint(lo, hi int64) bool {
 	return c.FilterMax < lo || c.FilterMin > hi
 }
 
-// entryVisible reports whether the entry at ordinal is visible to queries:
-// not marked obsolete by repair, not cracked out by a query, and not
-// deleted via the mutable bitmap.
-func (c *Component) entryVisible(ordinal int64) bool {
-	if c.Obsolete.IsSet(ordinal) {
-		return false
-	}
-	if c.cracked.Load().IsSet(ordinal) {
-		return false
-	}
-	if c.Valid.IsSet(ordinal) {
-		return false
-	}
-	return true
+// Hidden reports whether the entry at ordinal is invisible to queries:
+// marked obsolete by repair, cracked out by a query, or deleted via the
+// mutable bitmap. It makes a component a btree.Filter.
+func (c *Component) Hidden(ordinal int64) bool {
+	return c.Obsolete.IsSet(ordinal) || c.cracked.Load().IsSet(ordinal) || c.Valid.IsSet(ordinal)
 }
 
 // Crack marks the entry at ordinal invalid, creating the cracked bitmap on

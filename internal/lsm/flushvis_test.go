@@ -42,7 +42,7 @@ func TestReadVisibilityDuringFlush(t *testing.T) {
 				}
 				for i := 0; i < n; i += 997 {
 					key := []byte(fmt.Sprintf("key-%05d", i))
-					_, found, err := tr.Get(key)
+					_, found, err := get(tr, key)
 					if err != nil {
 						mu.Lock()
 						missing = append(missing, fmt.Sprintf("%s: %v", key, err))

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 
 	"repro/internal/bitmap"
+	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/memtable"
 	"repro/internal/storage"
@@ -14,7 +15,10 @@ import (
 // reconciliation of identical keys (Section 2.1).
 type source struct {
 	rank int
-	next func() (kv.Entry, int64, bool, error) // entry, ordinal, ok
+	// Exactly one of scan (a disk component) and mem (a memory component)
+	// is set.
+	scan *btree.Scan
+	mem  *memtable.Iterator
 
 	cur     kv.Entry
 	curOrd  int64
@@ -24,13 +28,28 @@ type source struct {
 }
 
 func (s *source) advance() {
-	e, ord, ok, err := s.next()
+	if s.mem != nil {
+		s.cur, s.valid = s.mem.Next()
+		return
+	}
+	e, ord, ok, err := s.scan.Next()
 	if err != nil {
 		s.err = err
 		s.valid = false
 		return
 	}
 	s.cur, s.curOrd, s.valid = e, ord, ok
+}
+
+// snapshotFilter hides what a component's snapshot of its deletes hides,
+// plus its repair and crack marks (Side-file builds).
+type snapshotFilter struct {
+	comp *Component
+	snap *bitmap.Immutable
+}
+
+func (f snapshotFilter) Hidden(ord int64) bool {
+	return f.snap.IsSet(ord) || f.comp.Obsolete.IsSet(ord) || f.comp.cracked.Load().IsSet(ord)
 }
 
 // sourceHeap orders sources by (key asc, rank desc) so that for equal keys
@@ -68,12 +87,14 @@ type MergedItem struct {
 // only the version from the newest source is emitted. With hideAnti set,
 // winning anti-matter entries (deletes) are suppressed (query scans); merge
 // scans keep them so tombstones survive partial merges.
+//
+// An item's entry points into a pinned buffer-cache page (or a memory
+// component) and stays valid until the following Next; Close releases the
+// component scans' pins and must be called once the iterator is done.
 type MergedIterator struct {
 	h        sourceHeap
+	scans    []*btree.Scan
 	hideAnti bool
-	// skipInvisible drops entries whose bitmap bits mark them obsolete or
-	// deleted before reconciliation (query scans and repair merges).
-	skipInvisible bool
 	// noReconcile emits all versions of duplicate keys.
 	noReconcile bool
 }
@@ -107,7 +128,7 @@ type IterOptions struct {
 
 // NewMergedIterator builds a reconciling iterator over the given sources.
 func (t *Tree) NewMergedIterator(opts IterOptions) (*MergedIterator, error) {
-	mi := &MergedIterator{hideAnti: opts.HideAnti, skipInvisible: opts.SkipInvisible}
+	mi := &MergedIterator{hideAnti: opts.HideAnti}
 	rank := 0
 	for _, comp := range opts.Components {
 		comp := comp
@@ -117,31 +138,23 @@ func (t *Tree) NewMergedIterator(opts IterOptions) (*MergedIterator, error) {
 		}
 		scan, err := reader.NewScan(opts.Lo, opts.Hi)
 		if err != nil {
+			mi.Close()
 			return nil, err
 		}
-		snap := opts.Snapshots[comp]
-		s := &source{rank: rank, curComp: comp}
-		s.next = func() (kv.Entry, int64, bool, error) {
-			for {
-				e, ord, ok, err := scan.Next()
-				if err != nil || !ok {
-					return kv.Entry{}, 0, ok, err
-				}
-				if mi.skipInvisible {
-					if snap != nil {
-						if snap.IsSet(ord) || comp.Obsolete.IsSet(ord) ||
-							comp.cracked.Load().IsSet(ord) {
-							continue
-						}
-					} else if !comp.entryVisible(ord) {
-						continue
-					}
-				}
-				return e, ord, true, nil
+		mi.scans = append(mi.scans, scan)
+		if opts.SkipInvisible {
+			// Invisible entries are skipped inside the scan, so the pin on
+			// the entry last emitted from it outlives the skipped leaves.
+			if snap := opts.Snapshots[comp]; snap != nil {
+				scan.Hide(snapshotFilter{comp, snap})
+			} else {
+				scan.Hide(comp)
 			}
 		}
+		s := &source{rank: rank, curComp: comp, scan: scan}
 		s.advance()
 		if s.err != nil {
+			mi.Close()
 			return nil, s.err
 		}
 		if s.valid {
@@ -153,12 +166,7 @@ func (t *Tree) NewMergedIterator(opts IterOptions) (*MergedIterator, error) {
 		if memSrc == nil {
 			continue
 		}
-		it := memSrc.NewIterator(opts.Lo, opts.Hi)
-		s := &source{rank: rank}
-		s.next = func() (kv.Entry, int64, bool, error) {
-			e, ok := it.Next()
-			return e, 0, ok, nil
-		}
+		s := &source{rank: rank, mem: memSrc.NewIterator(opts.Lo, opts.Hi)}
 		s.advance()
 		if s.valid {
 			mi.h = append(mi.h, s)
@@ -198,6 +206,15 @@ func (mi *MergedIterator) Next() (MergedItem, bool, error) {
 		return item, true, nil
 	}
 	return MergedItem{}, false, nil
+}
+
+// Close releases the component scans' pinned pages; Next must not be
+// called afterwards. It may be called more than once.
+func (mi *MergedIterator) Close() {
+	for _, s := range mi.scans {
+		s.Close()
+	}
+	mi.h = nil
 }
 
 func (mi *MergedIterator) popAdvance() {

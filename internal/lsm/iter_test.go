@@ -69,12 +69,12 @@ func TestIteratorSnapshotsOverrideLiveBitmaps(t *testing.T) {
 	tr.Flush(1)
 	comp := tr.Components()[0]
 	// Snapshot taken with entry 3 already deleted.
-	_, ord3, _, _ := comp.BTree.Get(key(3))
+	ord3, _, _ := comp.BTree.Get(key(3), nil)
 	comp.Valid.Set(ord3)
 	snap := comp.Valid.Snapshot()
 	// Entry 5 deleted after the snapshot: the snapshot scan must still
 	// see it (Fig 11's build phase isolation).
-	_, ord5, _, _ := comp.BTree.Get(key(5))
+	ord5, _, _ := comp.BTree.Get(key(5), nil)
 	comp.Valid.Set(ord5)
 
 	it, err := tr.NewMergedIterator(IterOptions{
@@ -124,12 +124,12 @@ func TestCrackedEntriesInvisibleAndRemovedAtMerge(t *testing.T) {
 	tr.Put(kv.Entry{Key: key(100), Value: val(100), TS: 100})
 	tr.Flush(2)
 	comp := tr.Components()[0]
-	_, ord, _, _ := comp.BTree.Get(key(7))
+	ord, _, _ := comp.BTree.Get(key(7), nil)
 	comp.Crack(ord)
 	if comp.CrackedCount() != 1 {
 		t.Fatalf("CrackedCount = %d", comp.CrackedCount())
 	}
-	if _, found, _ := tr.Get(key(7)); found {
+	if _, found, _ := get(tr, key(7)); found {
 		t.Fatal("cracked entry visible via Get")
 	}
 	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true})

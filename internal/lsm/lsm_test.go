@@ -26,14 +26,21 @@ func newTestTree(t testing.TB, pageSize int, opts func(*Options)) (*Tree, *metri
 func key(i int) []byte { return kv.EncodeUint64(uint64(i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%08d", i)) }
 
+// get is Tree.Get with the entry copied out of its pinned page.
+func get(tr *Tree, k []byte) (kv.Entry, bool, error) {
+	var e kv.Entry
+	found, err := tr.Get(k, func(v kv.Entry) { e = v.Clone() })
+	return e, found, err
+}
+
 func TestMemOnlyGet(t *testing.T) {
 	tr, _ := newTestTree(t, 1024, nil)
 	tr.Put(kv.Entry{Key: key(1), Value: val(1), TS: 1})
-	e, found, err := tr.Get(key(1))
+	e, found, err := get(tr, key(1))
 	if err != nil || !found || !bytes.Equal(e.Value, val(1)) {
 		t.Fatalf("Get: %v %v %v", e, found, err)
 	}
-	if _, found, _ := tr.Get(key(2)); found {
+	if _, found, _ := get(tr, key(2)); found {
 		t.Fatal("missing key found")
 	}
 }
@@ -57,7 +64,7 @@ func TestFlushAndGet(t *testing.T) {
 		t.Fatal("memtable not swapped")
 	}
 	for i := 0; i < 1000; i++ {
-		e, found, err := tr.Get(key(i))
+		e, found, err := get(tr, key(i))
 		if err != nil || !found || !bytes.Equal(e.Value, val(i)) {
 			t.Fatalf("key %d after flush: %v %v", i, found, err)
 		}
@@ -73,13 +80,13 @@ func TestNewerComponentWins(t *testing.T) {
 	tr.Flush(1)
 	tr.Put(kv.Entry{Key: key(1), Value: []byte("new"), TS: 2})
 	tr.Flush(2)
-	e, found, _ := tr.Get(key(1))
+	e, found, _ := get(tr, key(1))
 	if !found || string(e.Value) != "new" {
 		t.Fatalf("Get = %v %v", e, found)
 	}
 	// memory beats disk
 	tr.Put(kv.Entry{Key: key(1), Value: []byte("newest"), TS: 3})
-	e, _, _ = tr.Get(key(1))
+	e, _, _ = get(tr, key(1))
 	if string(e.Value) != "newest" {
 		t.Fatalf("memory should win: %v", e)
 	}
@@ -90,11 +97,11 @@ func TestAntiMatterHidesKey(t *testing.T) {
 	tr.Put(kv.Entry{Key: key(5), Value: val(5), TS: 1})
 	tr.Flush(1)
 	tr.Put(kv.Entry{Key: key(5), TS: 2, Anti: true})
-	if _, found, _ := tr.Get(key(5)); found {
+	if _, found, _ := get(tr, key(5)); found {
 		t.Fatal("anti-matter in memory should hide the key")
 	}
 	tr.Flush(2)
-	if _, found, _ := tr.Get(key(5)); found {
+	if _, found, _ := get(tr, key(5)); found {
 		t.Fatal("anti-matter on disk should hide the key")
 	}
 }
@@ -129,12 +136,12 @@ func TestMergeReconcilesAndDropsAnti(t *testing.T) {
 		t.Fatalf("merged entries = %d, want 90", comp.NumEntries())
 	}
 	for i := 0; i < 10; i++ {
-		if _, found, _ := tr.Get(key(i)); found {
+		if _, found, _ := get(tr, key(i)); found {
 			t.Fatalf("deleted key %d visible after merge", i)
 		}
 	}
 	for i := 50; i < 100; i++ {
-		e, found, _ := tr.Get(key(i))
+		e, found, _ := get(tr, key(i))
 		if !found || string(e.Value) != "v2" {
 			t.Fatalf("key %d: %v %v", i, e, found)
 		}
@@ -159,7 +166,7 @@ func TestMergeKeepsAntiWithoutDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Install(res)
-	if _, found, _ := tr.Get(key(1)); found {
+	if _, found, _ := get(tr, key(1)); found {
 		t.Fatal("tombstone lost in partial merge")
 	}
 	comp := tr.Components()[1]
@@ -227,12 +234,12 @@ func TestMutableBitmapHidesEntries(t *testing.T) {
 	if comp.Valid == nil {
 		t.Fatal("mutable bitmap missing")
 	}
-	_, ord, found, err := comp.BTree.Get(key(7))
+	ord, found, err := comp.BTree.Get(key(7), nil)
 	if err != nil || !found {
 		t.Fatal("setup failed")
 	}
 	comp.Valid.Set(ord)
-	if _, found, _ := tr.Get(key(7)); found {
+	if _, found, _ := get(tr, key(7)); found {
 		t.Fatal("bitmap-deleted key visible via Get")
 	}
 	it, _ := tr.NewMergedIterator(IterOptions{Components: tr.Components(), HideAnti: true, SkipInvisible: true})
@@ -374,7 +381,7 @@ func TestGetAgainstModelWithFlushesAndMerges(t *testing.T) {
 		}
 	}
 	for k := uint64(0); k < 2000; k++ {
-		e, found, err := tr.Get(kv.EncodeUint64(k))
+		e, found, err := get(tr, kv.EncodeUint64(k))
 		if err != nil {
 			t.Fatal(err)
 		}

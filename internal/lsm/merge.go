@@ -92,6 +92,7 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 		b.Abort()
 		return nil, err
 	}
+	defer it.Close()
 
 	var (
 		ordinal    int64

@@ -120,6 +120,7 @@ func rebuildBloom(r *btree.Reader, opts Options) (bloom.Filter, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer scan.Close()
 	for {
 		e, _, ok, err := scan.Next()
 		if err != nil {

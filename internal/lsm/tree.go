@@ -288,25 +288,28 @@ func (t *Tree) Put(e kv.Entry) {
 // dependent; see memtable.WidenFilter).
 func (t *Tree) WidenMemFilter(v int64) { t.Mem().WidenFilter(v) }
 
-// Get returns the newest visible version of key, reconciling the memory
+// Get reports whether key has a visible version, reconciling the memory
 // component and all disk components newest-first. Anti-matter and bitmap-
-// deleted entries make the key read as absent.
-func (t *Tree) Get(key []byte) (kv.Entry, bool, error) {
-	e, _, _, found, err := t.getInternal(key, nil)
-	return e, found, err
+// deleted entries make the key read as absent. When it is present and visit
+// is non-nil, visit runs with the newest version; a version read from a
+// disk component is the pinned buffer-cache page's bytes, valid only until
+// visit returns, so visit copies what it keeps. This is the one point-read
+// path.
+func (t *Tree) Get(key []byte, visit func(kv.Entry)) (bool, error) {
+	_, _, found, err := t.get(key, nil, visit)
+	return found, err
 }
 
-// GetWithLocation additionally reports the component holding the winning
-// version (nil for the memory component) and the entry's ordinal in it.
-// It is used by the Mutable-bitmap strategy's delete path and by component-
-// ID propagation. The onlyComponents argument, when non-nil, restricts the
-// search to the given disk components (pID pruning).
-func (t *Tree) GetWithLocation(key []byte, onlyComponents []*Component) (kv.Entry, *Component, int64, bool, error) {
-	e, c, ord, found, err := t.getInternal(key, onlyComponents)
-	return e, c, ord, found, err
+// GetWithLocation reports the component holding the newest visible
+// version of key (nil for the memory component) and the entry's ordinal in
+// it. It is used by the Mutable-bitmap strategy's delete path and by
+// component-ID propagation. The onlyComponents argument, when non-nil,
+// restricts the search to the given disk components (pID pruning).
+func (t *Tree) GetWithLocation(key []byte, onlyComponents []*Component) (*Component, int64, bool, error) {
+	return t.get(key, onlyComponents, nil)
 }
 
-func (t *Tree) getInternal(key []byte, only []*Component) (kv.Entry, *Component, int64, bool, error) {
+func (t *Tree) get(key []byte, only []*Component, visit func(kv.Entry)) (*Component, int64, bool, error) {
 	t.env.Counters.PointLookups.Add(1)
 	comps := only
 	if comps == nil {
@@ -314,18 +317,12 @@ func (t *Tree) getInternal(key []byte, only []*Component) (kv.Entry, *Component,
 		defer v.Release()
 		t.env.ChargeMemtable()
 		if e, ok := v.Mem.Get(key); ok {
-			if e.Anti {
-				return kv.Entry{}, nil, 0, false, nil
-			}
-			return e, nil, 0, true, nil
+			return nil, 0, memVisit(e, visit), nil
 		}
 		for i := len(v.Flushing) - 1; i >= 0; i-- {
 			t.env.ChargeMemtable()
 			if e, ok := v.Flushing[i].Get(key); ok {
-				if e.Anti {
-					return kv.Entry{}, nil, 0, false, nil
-				}
-				return e, nil, 0, true, nil
+				return nil, 0, memVisit(e, visit), nil
 			}
 		}
 		comps = v.Components
@@ -335,29 +332,54 @@ func (t *Tree) getInternal(key []byte, only []*Component) (kv.Entry, *Component,
 		if !c.MayContain(t.env, key) {
 			continue
 		}
-		e, ord, found, err := c.BTree.Get(key)
-		if err != nil {
-			return kv.Entry{}, nil, 0, false, err
-		}
-		if !found {
-			continue
-		}
-		if !c.entryVisible(ord) {
-			// Deleted through a bitmap: every older version is deleted
-			// too (each was the newest when the write that superseded it
-			// set its bit, see Component.Valid), so keep searching only
-			// to honor Obsolete-bitmap skips, where older entries may win.
-			if c.Valid.IsSet(ord) {
-				return kv.Entry{}, nil, 0, false, nil
+		// The verdict is taken inside the visitor, while the leaf is
+		// pinned: deleted, present, or (Obsolete-bitmap skip) search on.
+		const searchOn, absent, present = 0, 1, 2
+		verdict := searchOn
+		ord, found, err := c.BTree.Get(key, func(e kv.Entry, ord int64) {
+			switch {
+			case c.Hidden(ord):
+				// Deleted through a bitmap: every older version is deleted
+				// too (each was the newest when the write that superseded
+				// it set its bit, see Component.Valid), so keep searching
+				// only to honor Obsolete-bitmap skips, where older entries
+				// may win.
+				if c.Valid.IsSet(ord) {
+					verdict = absent
+				}
+			case e.Anti:
+				verdict = absent
+			default:
+				verdict = present
+				if visit != nil {
+					visit(e)
+				}
 			}
+		})
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if !found || verdict == searchOn {
 			continue
 		}
-		if e.Anti {
-			return kv.Entry{}, nil, 0, false, nil
+		if verdict == absent {
+			return nil, 0, false, nil
 		}
-		return e, c, ord, true, nil
+		return c, ord, true, nil
 	}
-	return kv.Entry{}, nil, 0, false, nil
+	return nil, 0, false, nil
+}
+
+// memVisit finishes a point read answered by a memory component: anti-
+// matter reads as absent, anything else is visited.
+func memVisit(e kv.Entry, visit func(kv.Entry)) bool {
+	if e.Anti {
+		return false
+	}
+	if visit != nil {
+		visit(e)
+	}
+	return true
 }
 
 // ResetMem discards the memory component and every frozen memory component

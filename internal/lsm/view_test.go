@@ -60,9 +60,13 @@ func TestViewPinsMergedAwayComponents(t *testing.T) {
 		t.Fatalf("RetiredFiles = %d with three merged-away components pinned", tr.RetiredFiles())
 	}
 	for i := 0; i < 100; i++ { // the newest pinned component still answers
-		e, _, _, found, err := tr.GetWithLocation(key(i), view.Components)
-		if err != nil || !found || !bytes.Equal(e.Value, val(2000+i)) {
-			t.Fatalf("key %d through the pinned view: %v %v %q", i, found, err, e.Value)
+		c, _, found, err := tr.GetWithLocation(key(i), view.Components)
+		var got []byte
+		if found {
+			_, _, err = c.BTree.Get(key(i), func(e kv.Entry, _ int64) { got = bytes.Clone(e.Value) })
+		}
+		if err != nil || !found || !bytes.Equal(got, val(2000+i)) {
+			t.Fatalf("key %d through the pinned view: %v %v %q", i, found, err, got)
 		}
 	}
 
@@ -122,7 +126,7 @@ func TestViewsUnderConcurrentMerges(t *testing.T) {
 				default:
 				}
 				v := tr.ReadView()
-				if _, _, _, found, err := tr.GetWithLocation(key(i%100), v.Components); err != nil || !found {
+				if _, _, found, err := tr.GetWithLocation(key(i%100), v.Components); err != nil || !found {
 					t.Errorf("read through a pinned view: found=%v err=%v", found, err)
 				}
 				v.Release()

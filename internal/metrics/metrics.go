@@ -117,6 +117,9 @@ type Counters struct {
 	PagesWritten    atomic.Int64 // disk pages written (always sequential)
 	CacheHits       atomic.Int64 // buffer-cache hits
 	CacheMisses     atomic.Int64 // buffer-cache misses
+	FrameReuses     atomic.Int64 // misses read into a recycled buffer-cache frame
+	FrameAllocs     atomic.Int64 // buffer-cache frames allocated (no free frame, or a page kept in its own buffer)
+	PinnedEvictions atomic.Int64 // evictions whose victim a reader still pinned
 	BloomTests      atomic.Int64 // Bloom filter membership tests
 	BloomNegatives  atomic.Int64 // tests that returned "definitely absent"
 	KeyComparisons  atomic.Int64 // B+-tree search comparisons
@@ -147,6 +150,9 @@ type Snapshot struct {
 	PagesWritten    int64 `prom:"lsm_engine_pages_written_total,Pages written."`
 	CacheHits       int64 `prom:"lsm_engine_cache_hits_total,Buffer-cache hits."`
 	CacheMisses     int64 `prom:"lsm_engine_cache_misses_total,Buffer-cache misses."`
+	FrameReuses     int64 `prom:"lsm_buffer_cache_frame_reuses_total,Buffer-cache misses read into a recycled frame."`
+	FrameAllocs     int64 `prom:"lsm_buffer_cache_frame_allocs_total,Buffer-cache frames allocated."`
+	PinnedEvictions int64 `prom:"lsm_buffer_cache_pinned_evictions_total,Buffer-cache evictions of a page a reader still pinned."`
 	BloomTests      int64 `prom:"lsm_engine_bloom_tests_total,Bloom filter membership tests."`
 	BloomNegatives  int64 `prom:"lsm_engine_bloom_negatives_total,Bloom tests answered definitely-absent."`
 	KeyComparisons  int64 `prom:"lsm_engine_key_comparisons_total,B+-tree search comparisons."`

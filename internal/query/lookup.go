@@ -67,7 +67,9 @@ type Key struct {
 // sorted; they are sorted here (the classic fetch-list optimization), and
 // with cfg.Batched the batched algorithm of Section 3.2 runs. The order of
 // emitted records follows the algorithm (primary-key order without
-// batching; batch-internal component order with it).
+// batching; batch-internal component order with it). A record read from a
+// disk component is the pinned buffer-cache page's bytes, valid only until
+// emit returns.
 func FetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
 	if len(keys) == 0 {
 		return nil
@@ -95,6 +97,7 @@ func fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.En
 	for i, c := range comps {
 		cursors[i] = c.BTree.NewLookupCursor(cfg.Stateful)
 	}
+	defer closeCursors(cursors)
 	for i := range keys {
 		k := keys[i]
 		env.Counters.PointLookups.Add(1)
@@ -129,6 +132,13 @@ func fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.En
 		}
 	}
 	return nil
+}
+
+// closeCursors releases every cursor's pinned leaf.
+func closeCursors(cursors []*btree.LookupCursor) {
+	for _, c := range cursors {
+		c.Close()
+	}
 }
 
 // fetchBatched implements the batched point lookup (Section 3.2): sorted
@@ -194,6 +204,7 @@ func fetchBatched(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 				}
 				e, ord, ok, err := cur.Lookup(batch[i].PK)
 				if err != nil {
+					cur.Close()
 					return err
 				}
 				if !ok {
@@ -208,6 +219,7 @@ func fetchBatched(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 					emit(e)
 				}
 			}
+			cur.Close()
 		}
 	}
 	return nil

@@ -22,7 +22,9 @@ import (
 //     only overlapping components are read — and they can be scanned one by
 //     one without reconciliation.
 //
-// emit is called once per matching record.
+// emit is called once per matching record. A record read from a disk
+// component is the pinned buffer-cache page's bytes, valid only until emit
+// returns.
 func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 	extract := ds.Config().FilterExtract
 	primary := ds.Primary()
@@ -69,22 +71,8 @@ func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 			if c.FilterDisjoint(lo, hi) {
 				continue
 			}
-			scan, err := c.BTree.NewScan(nil, nil)
-			if err != nil {
+			if err := scanVisible(c, check); err != nil {
 				return err
-			}
-			for {
-				e, ord, ok, err := scan.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				if e.Anti || c.Valid.IsSet(ord) || c.Obsolete.IsSet(ord) {
-					continue
-				}
-				check(e)
 			}
 		}
 		if len(flushing) > 0 {
@@ -161,6 +149,26 @@ func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 	}
 }
 
+// scanVisible emits every entry of c that neither a bitmap nor anti-matter
+// hides, without reconciliation.
+func scanVisible(c *lsm.Component, emit func(kv.Entry)) error {
+	scan, err := c.BTree.NewScan(nil, nil)
+	if err != nil {
+		return err
+	}
+	defer scan.Close()
+	scan.Hide(c)
+	for {
+		e, _, ok, err := scan.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if !e.Anti {
+			emit(e)
+		}
+	}
+}
+
 // reconciledScan runs a full reconciled scan over the given components, the
 // flushing memtables, and the live memory component (either may be empty),
 // hiding anti-matter.
@@ -175,6 +183,7 @@ func reconciledScan(primary *lsm.Tree, comps []*lsm.Component, flushing []*memta
 	if err != nil {
 		return err
 	}
+	defer it.Close()
 	for {
 		item, ok, err := it.Next()
 		if err != nil {

@@ -92,11 +92,12 @@ func TestFilterScanSupersededFrozenVersion(t *testing.T) {
 	}
 
 	// Sanity: the probe key reads as v2 through the point-lookup path too.
-	e, found, err := d.Primary().Get(probe)
+	var c int64
+	found, err := d.Primary().Get(probe, func(e kv.Entry) { c, _ = recCreation(e.Value) })
 	if err != nil || !found {
 		t.Fatalf("probe key lost: found=%v err=%v", found, err)
 	}
-	if c, _ := recCreation(e.Value); c != 200 {
+	if c != 200 {
 		t.Fatalf("probe key resolves to creation %d, want 200", c)
 	}
 }

@@ -124,6 +124,7 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 	if err != nil {
 		return nil, err
 	}
+	defer it.Close()
 	// Every candidate key and fetched record of this query is copied into
 	// one arena.
 	var arena kv.Arena
@@ -241,12 +242,10 @@ func deletedKeyValidate(ds *core.Dataset, si *core.SecondaryIndex, comps []*lsm.
 					continue
 				}
 			}
-			e, _, found, err := comp.DeletedKeys.Get(c.pk)
-			if err != nil {
+			if _, _, err := comp.DeletedKeys.Get(c.pk, func(e kv.Entry, _ int64) {
+				invalid = e.TS > c.ts
+			}); err != nil {
 				return nil, err
-			}
-			if found && e.TS > c.ts {
-				invalid = true
 			}
 		}
 		if !invalid {
@@ -278,6 +277,7 @@ func timestampValidate(ds *core.Dataset, cands []candidate, crack bool) ([]candi
 	for i, c := range comps {
 		cursors[i] = c.BTree.NewLookupCursor(true)
 	}
+	defer closeCursors(cursors)
 
 	var valid []candidate
 	for _, c := range cands {

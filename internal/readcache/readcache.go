@@ -144,11 +144,13 @@ func (c *Cache) Get(pk []byte) ([]byte, Outcome, Token) {
 // Put offers a positive entry observed by an engine read that missed under
 // tok. An accepted fill copies val — the cache owns, and is charged for,
 // exactly the bytes it keeps, never the page or buffer val was cut from —
-// so val is the caller's again when Put returns. The fill is dropped, at no
-// cost, if any invalidation touched the segment since the miss, or if the
-// entry alone exceeds the segment's byte share.
-func (c *Cache) Put(pk, val []byte, tok Token) {
-	c.fill(pk, val, false, tok)
+// so val is the caller's again when Put returns. It returns the cache's
+// copy, which is never modified and may be kept like a Get hit's value. The
+// fill is dropped, at no cost, if any invalidation touched the segment
+// since the miss, or if the entry alone exceeds the segment's byte share;
+// Put then returns nil.
+func (c *Cache) Put(pk, val []byte, tok Token) []byte {
+	return c.fill(pk, val, false, tok)
 }
 
 // PutNegative offers a known-absent entry under the same contract as Put.
@@ -156,13 +158,13 @@ func (c *Cache) PutNegative(pk []byte, tok Token) {
 	c.fill(pk, nil, true, tok)
 }
 
-func (c *Cache) fill(pk, val []byte, neg bool, tok Token) {
+func (c *Cache) fill(pk, val []byte, neg bool, tok Token) []byte {
 	s := c.segOf(pk)
 	cost := int64(len(pk)+len(val)) + entryOverhead
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.version != uint64(tok) || cost > s.cap {
-		return
+		return nil
 	}
 	if !neg {
 		own := make([]byte, len(val)) // cap == len: nothing rides along
@@ -183,6 +185,7 @@ func (c *Cache) fill(pk, val []byte, neg bool, tok Token) {
 	for s.bytes > s.cap {
 		s.evictOldest()
 	}
+	return val
 }
 
 // Invalidate removes pk's entry (positive or negative) and bumps the

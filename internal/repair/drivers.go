@@ -30,7 +30,7 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 		}
 	}
 	v := newValidator(pkIndex, repairedTS)
-	defer v.view.Release()
+	defer v.release()
 	env := pkIndex.Env()
 
 	var tuples []tuple
@@ -79,13 +79,14 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 // concurrent merges).
 func StandaloneRepair(sec, pkIndex *lsm.Tree, comp *lsm.Component, opts Options) error {
 	v := newValidator(pkIndex, comp.RepairedTS)
-	defer v.view.Release()
+	defer v.release()
 	env := pkIndex.Env()
 
 	scan, err := comp.BTree.NewScan(nil, nil)
 	if err != nil {
 		return err
 	}
+	defer scan.Close()
 	var tuples []tuple
 	for {
 		e, ordinal, ok, err := scan.Next()
@@ -175,6 +176,9 @@ func PrimaryRepair(primary *lsm.Tree, targets []SecondaryTarget, withMerge bool,
 	if err != nil {
 		return err
 	}
+	defer it.Close()
+	// The newest version outlives the iterator steps over its older ones,
+	// so its key and value are copied out of the page.
 	var (
 		curKey  []byte
 		newest  kv.Entry
@@ -210,7 +214,7 @@ func PrimaryRepair(primary *lsm.Tree, targets []SecondaryTarget, withMerge bool,
 		e := item.Entry
 		if !haveCur || kv.Compare(e.Key, curKey) != 0 {
 			curKey = append(curKey[:0], e.Key...)
-			newest = e
+			newest = kv.Entry{Key: curKey, Value: append(newest.Value[:0], e.Value...), TS: e.TS, Anti: e.Anti}
 			haveCur = true
 			continue
 		}

@@ -56,7 +56,7 @@ type validator struct {
 
 // newValidator pins a view of the primary key index, pruning disk
 // components with maxTS <= repairedTS (Fig 6). The caller releases the
-// validator's view when the repair is over.
+// validator when the repair is over.
 func newValidator(pkIndex *lsm.Tree, repairedTS int64) *validator {
 	view := pkIndex.ReadView()
 	v := &validator{env: pkIndex.Env(), view: view, mem: view.Mem, flushing: view.Flushing, newRepairedTS: repairedTS}
@@ -79,6 +79,14 @@ func newValidator(pkIndex *lsm.Tree, repairedTS int64) *validator {
 		}
 	}
 	return v
+}
+
+// release closes the validator's cursors and releases its view.
+func (v *validator) release() {
+	for _, c := range v.cursors {
+		c.Close()
+	}
+	v.view.Release()
 }
 
 // numRecentKeys returns the total entry count of the unpruned components,
@@ -167,10 +175,11 @@ func (v *validator) validate(tuples []tuple, bm *bitmap.Immutable) error {
 // validateByMergeScan walks the sorted tuples alongside one reconciled scan
 // of the snapshot.
 func (v *validator) validateByMergeScan(tuples []tuple, bm *bitmap.Immutable) error {
-	it, err := newSnapshotIterator(v)
+	it, closeIt, err := newSnapshotIterator(v)
 	if err != nil {
 		return err
 	}
+	defer closeIt()
 	cur, curOK, err := it()
 	if err != nil {
 		return err
@@ -199,8 +208,10 @@ func (v *validator) validateByMergeScan(tuples []tuple, bm *bitmap.Immutable) er
 }
 
 // newSnapshotIterator returns a pull function over the validator's snapshot,
-// reconciled so the newest version (anti-matter included) wins.
-func newSnapshotIterator(v *validator) (func() (kv.Entry, bool, error), error) {
+// reconciled so the newest version (anti-matter included) wins, and the
+// function that releases its scans' pins. A pulled entry stays valid until
+// the following pull.
+func newSnapshotIterator(v *validator) (next func() (kv.Entry, bool, error), closeAll func(), err error) {
 	// Build a private merged iterator: the lsm iterator needs a *Tree, so
 	// we re-implement the small amount of heap logic via lsm.MergedItem by
 	// scanning each component and the memtable.
@@ -211,11 +222,19 @@ func newSnapshotIterator(v *validator) (func() (kv.Entry, bool, error), error) {
 		rank int
 	}
 	var srcs []*src
+	var scans []*btree.Scan
+	closeAll = func() {
+		for _, s := range scans {
+			s.Close()
+		}
+	}
 	for rank, c := range v.comps {
 		scan, err := c.BTree.NewScan(nil, nil)
 		if err != nil {
-			return nil, err
+			closeAll()
+			return nil, nil, err
 		}
+		scans = append(scans, scan)
 		s := &src{rank: rank}
 		s.next = func() (kv.Entry, bool, error) {
 			e, _, ok, err := scan.Next()
@@ -240,7 +259,8 @@ func newSnapshotIterator(v *validator) (func() (kv.Entry, bool, error), error) {
 	for _, s := range srcs {
 		e, ok, err := s.next()
 		if err != nil {
-			return nil, err
+			closeAll()
+			return nil, nil, err
 		}
 		s.cur, s.ok = e, ok
 	}
@@ -275,5 +295,5 @@ func newSnapshotIterator(v *validator) (func() (kv.Entry, bool, error), error) {
 			}
 		}
 		return out, true, nil
-	}, nil
+	}, closeAll, nil
 }

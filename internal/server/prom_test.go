@@ -93,6 +93,9 @@ var wantExposition = []string{
 	"# HELP lsm_admission_queued Requests waiting in the admission queue.",
 	"# HELP lsm_admission_shed_duration_seconds Fail-fast latency of shed requests.",
 	"# HELP lsm_admission_shed_total Requests shed, by cause.",
+	"# HELP lsm_buffer_cache_frame_allocs_total Buffer-cache frames allocated.",
+	"# HELP lsm_buffer_cache_frame_reuses_total Buffer-cache misses read into a recycled frame.",
+	"# HELP lsm_buffer_cache_pinned_evictions_total Buffer-cache evictions of a page a reader still pinned.",
 	"# HELP lsm_coalesced_batches_total ApplyBatch calls issued by the write coalescer.",
 	"# HELP lsm_coalesced_writes_total Single writes absorbed into coalesced batches.",
 	"# HELP lsm_connections_total Connections accepted since start.",
@@ -154,6 +157,9 @@ var wantExposition = []string{
 	"# TYPE lsm_admission_queued gauge",
 	"# TYPE lsm_admission_shed_duration_seconds histogram",
 	"# TYPE lsm_admission_shed_total counter",
+	"# TYPE lsm_buffer_cache_frame_allocs_total counter",
+	"# TYPE lsm_buffer_cache_frame_reuses_total counter",
+	"# TYPE lsm_buffer_cache_pinned_evictions_total counter",
 	"# TYPE lsm_coalesced_batches_total counter",
 	"# TYPE lsm_coalesced_writes_total counter",
 	"# TYPE lsm_connections_total counter",

@@ -563,19 +563,7 @@ func (c *conn) serveRequest(req wire.Request, bp *[]byte, tr trace) {
 		tr.lap() // the hop to this worker and the admission wait are no stage
 	}
 	if req.Op == wire.OpGet {
-		// GET fast path: serve a reference into engine-owned memory and
-		// encode it straight into the pooled response frame — no value
-		// copy, no intermediate Response.
-		val, found, err := c.srv.db.GetRef(req.Key)
-		if traced {
-			tr.engine = tr.lap()
-		}
-		if err != nil {
-			c.srv.counters.Errors.Add(1)
-			c.send(c.srv.errorResponse(req.ID, err), tr)
-			return
-		}
-		c.sendValue(req.ID, found, val, tr)
+		c.serveGet(req, tr)
 		return
 	}
 	resp := c.srv.handle(req, &tr)
@@ -599,13 +587,31 @@ func (c *conn) send(resp wire.Response, tr trace) {
 	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
 }
 
-// sendValue encodes a KindValue response directly from an engine-owned
-// value reference (wire.AppendValueResponse copies the bytes into the
-// pooled frame, so the reference is released as soon as this returns).
-func (c *conn) sendValue(id uint64, found bool, value []byte, tr trace) {
+// serveGet is the GET fast path: the record is encoded into the pooled
+// response frame from inside the engine's read, while the buffer-cache page
+// holding it is pinned — no value copy, no intermediate Response.
+func (c *conn) serveGet(req wire.Request, tr trace) {
+	traced := !tr.start.IsZero()
 	bp := frameBufPool.Get().(*[]byte)
-	*bp = wire.AppendValueResponse((*bp)[:0], id, found, value)
-	if !tr.start.IsZero() {
+	found, err := c.srv.db.GetWith(req.Key, func(val []byte) {
+		if traced {
+			tr.engine = tr.lap()
+		}
+		*bp = wire.AppendValueResponse((*bp)[:0], req.ID, true, val)
+	})
+	if !found && traced {
+		tr.engine = tr.lap()
+	}
+	if err != nil {
+		frameBufPool.Put(bp)
+		c.srv.counters.Errors.Add(1)
+		c.send(c.srv.errorResponse(req.ID, err), tr)
+		return
+	}
+	if !found {
+		*bp = wire.AppendValueResponse((*bp)[:0], req.ID, false, nil)
+	}
+	if traced {
 		tr.encode = tr.lap()
 	}
 	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing

@@ -55,6 +55,7 @@ var pageCases = []struct {
 }{
 	{"append-read", testAppendRead},
 	{"append-reuse", testAppendReuse},
+	{"read-into-caller-buffer", testReadIntoCallerBuffer},
 	{"list-order", testListOrder},
 	{"delete", testDelete},
 	{"page-overflow", testPageOverflow},
@@ -119,8 +120,62 @@ func testAppendReuse(t *testing.T, dev storage.Device) {
 		}
 	}
 	for i := range pages {
-		if got, err := dev.ReadPageEnv(env, id, i); err != nil || !bytes.Equal(got, content(i)) {
+		if got, err := dev.ReadPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, content(i)) {
 			t.Fatalf("ReadPageEnv(%d) after the buffer was reused: %d bytes starting %x (%v), want %d of %x", i, len(got), got[:1], err, len(content(i)), byte(i+1))
+		}
+	}
+}
+
+// testReadIntoCallerBuffer: both read paths copy the page into the
+// caller's buffer — a buffer-cache frame of one page — without allocating,
+// and never hand out device memory. Pages still in the file device's append
+// batch and pages written through, full ones included, are read into one
+// reused buffer, garbage in between, and scribbling over a result must not
+// change what the next read of that page returns.
+func testReadIntoCallerBuffer(t *testing.T, dev storage.Device) {
+	env := metrics.NewEnv()
+	id := dev.Create()
+	const pages = 20
+	content := func(i int) []byte {
+		return bytes.Repeat([]byte{byte(i + 1)}, dev.PageSize()-i*29%dev.PageSize())
+	}
+	for i := range pages {
+		if _, err := dev.AppendPageEnv(env, id, content(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := make([]byte, 0, dev.PageSize())
+	inFrame := func(p []byte) bool {
+		return cap(p) > 0 && &p[:cap(p)][cap(p)-1] == &frame[:cap(frame)][cap(frame)-1]
+	}
+	for _, read := range []struct {
+		name string
+		fn   func(*metrics.Env, storage.FileID, int, []byte) ([]byte, error)
+	}{{"ReadPageEnv", dev.ReadPageEnv}, {"PrefetchPageEnv", dev.PrefetchPageEnv}} {
+		for i := range pages {
+			for j := range frame[:cap(frame)] {
+				frame[:cap(frame)][j] = 0xEE
+			}
+			got, err := read.fn(env, id, i, frame)
+			if err != nil || !bytes.Equal(got, content(i)) {
+				t.Fatalf("%s(%d) = %d bytes (%v), want %d", read.name, i, len(got), err, len(content(i)))
+			}
+			if !inFrame(got) {
+				t.Fatalf("%s(%d) did not land in the caller's buffer", read.name, i)
+			}
+			if allocs := testing.AllocsPerRun(5, func() {
+				if _, err := read.fn(env, id, i, frame); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 && !raceEnabled {
+				t.Fatalf("%s(%d) into the caller's buffer allocates %v times", read.name, i, allocs)
+			}
+			for j := range got {
+				got[j] = 0xEE
+			}
+			if again, err := read.fn(env, id, i, nil); err != nil || !bytes.Equal(again, content(i)) {
+				t.Fatalf("%s(%d) changed after the caller scribbled over its copy", read.name, i)
+			}
 		}
 	}
 }
@@ -151,18 +206,18 @@ func testAppendRead(t *testing.T, dev storage.Device) {
 		t.Fatalf("PagesWritten = %d, want %d", got, len(pages))
 	}
 	for i, want := range pages {
-		if got, err := dev.ReadPageEnv(env, id, i); err != nil || !bytes.Equal(got, want) {
+		if got, err := dev.ReadPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("ReadPageEnv(%d) mismatch: %v", i, err)
 		}
-		if got, err := dev.PrefetchPageEnv(env, id, i); err != nil || !bytes.Equal(got, want) {
+		if got, err := dev.PrefetchPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("PrefetchPageEnv(%d) mismatch: %v", i, err)
 		}
 	}
 	for _, page := range []int{-1, len(pages)} {
-		if _, err := dev.ReadPageEnv(env, id, page); err != storage.ErrNoSuchPage {
+		if _, err := dev.ReadPageEnv(env, id, page, nil); err != storage.ErrNoSuchPage {
 			t.Fatalf("ReadPageEnv(%d) error = %v, want ErrNoSuchPage", page, err)
 		}
-		if _, err := dev.PrefetchPageEnv(env, id, page); err != storage.ErrNoSuchPage {
+		if _, err := dev.PrefetchPageEnv(env, id, page, nil); err != storage.ErrNoSuchPage {
 			t.Fatalf("PrefetchPageEnv(%d) error = %v, want ErrNoSuchPage", page, err)
 		}
 	}
@@ -199,10 +254,10 @@ func testDelete(t *testing.T, dev storage.Device) {
 	}
 	dev.Delete(id)
 	dev.Delete(id)
-	if _, err := dev.ReadPageEnv(env, id, 0); err != storage.ErrNoSuchFile {
+	if _, err := dev.ReadPageEnv(env, id, 0, nil); err != storage.ErrNoSuchFile {
 		t.Fatalf("read after delete = %v", err)
 	}
-	if _, err := dev.PrefetchPageEnv(env, id, 0); err != storage.ErrNoSuchFile {
+	if _, err := dev.PrefetchPageEnv(env, id, 0, nil); err != storage.ErrNoSuchFile {
 		t.Fatalf("prefetch after delete = %v", err)
 	}
 	if _, err := dev.AppendPageEnv(env, id, []byte{1}); err != storage.ErrNoSuchFile {

@@ -34,15 +34,20 @@ type Device interface {
 	// the caller may overwrite it at once (the B+-tree builder assembles
 	// every page of a file in one buffer).
 	AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, error)
-	// ReadPageEnv reads one page, charging env. Sequential or random is
-	// decided by the head position, not by the caller. The returned slice
-	// must not be modified.
-	ReadPageEnv(env *metrics.Env, id FileID, page int) ([]byte, error)
-	// PrefetchPageEnv reads one page as part of a device read-ahead window:
-	// the access is part of an already-positioned sequential stream, so it
-	// is charged at streaming (transfer-only) cost and never pays a seek,
-	// even when cached pages inside the window were skipped over.
-	PrefetchPageEnv(env *metrics.Env, id FileID, page int) ([]byte, error)
+	// ReadPageEnv reads one page into dst's buffer, charging env, and
+	// returns it. The page lands in that buffer whenever cap(dst) holds it
+	// (a buffer-cache frame), possibly a few bytes into it, and in a new
+	// buffer otherwise. The result never aliases device memory — the caller
+	// owns those bytes and may reuse the buffer for another page at once.
+	// Sequential or random is decided by the head position, not by the
+	// caller.
+	ReadPageEnv(env *metrics.Env, id FileID, page int, dst []byte) ([]byte, error)
+	// PrefetchPageEnv reads one page into dst, like ReadPageEnv, as part of
+	// a device read-ahead window: the access is part of an already-
+	// positioned sequential stream, so it is charged at streaming
+	// (transfer-only) cost and never pays a seek, even when cached pages
+	// inside the window were skipped over.
+	PrefetchPageEnv(env *metrics.Env, id FileID, page int, dst []byte) ([]byte, error)
 	// NumPages returns the current length of the file in pages.
 	NumPages(id FileID) (int, error)
 	// List returns the IDs of all live component files, in ascending order

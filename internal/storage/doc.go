@@ -57,4 +57,7 @@
 // Store combines a Device with the shared LRU buffer cache and implements
 // the paper's 4 MB scan read-ahead: a missing page read with the scan hint
 // prefetches the rest of the device read-ahead window at streaming cost.
+// ReadPage returns a pinned cache frame that the caller unpins; a miss reads
+// the page into a recycled frame, which is why a device read copies into
+// the caller's buffer and never hands out memory of its own.
 package storage

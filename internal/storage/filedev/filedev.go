@@ -41,9 +41,11 @@
 // the number of whole pages in front of it. An empty page is never written
 // (AppendPageEnv refuses it), so a zero header can only be a tail.
 //
-// A read preads exactly the header and the n bytes the table records and
-// checks that the header still says n, so a file that changed under the
-// device is an error, never other bytes.
+// A read preads exactly the header and the n bytes the table records into
+// the caller's buffer (a buffer-cache frame) — in two preads when the frame
+// has room for the page but not for its header too — and checks that the
+// header still says n, so a file that changed under the device is an error,
+// never other bytes.
 //
 // # File lifetimes
 //
@@ -393,7 +395,7 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 	if f.f == nil {
 		return 0, fmt.Errorf("filedev: file %d was never created on disk", id)
 	}
-	// Exactly len(data) of capacity, like a written-through page's read.
+	// The batch keeps its own copy; a read copies it out again.
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	f.pending = append(f.pending, cp)
@@ -432,26 +434,60 @@ func (d *Device) planRead(id storage.FileID, page int) (buffered []byte, h *os.F
 	return nil, f.f, off, n, nil
 }
 
-// readPage returns one page: from the append batch, or by one pread of
-// exactly its header and bytes. The header must still say what the table
-// recorded; the returned slice is the page and nothing more (cap == len), so
-// the buffer cache holds exactly the page.
-func (d *Device) readPage(id storage.FileID, page int) ([]byte, error) {
+// readPage copies one page into dst: from the append batch, or by one pread
+// of exactly its header and bytes. The header must still say what the table
+// recorded. The page lands in dst's buffer whenever cap(dst) holds it: just
+// behind its header when there is room for both, else at the start, the
+// header read on its own (a page within pageHeader bytes of a full frame).
+// Without room, it lands in a new buffer of exactly header and page, so the
+// result never has capacity past the page unless dst gave it.
+func (d *Device) readPage(id storage.FileID, page int, dst []byte) ([]byte, error) {
 	buffered, h, off, n, err := d.planRead(id, page)
-	if err != nil || h == nil {
-		return buffered, err
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, pageHeader+n)
+	if h == nil {
+		if cap(dst) < len(buffered) {
+			dst = make([]byte, 0, len(buffered))
+		}
+		return append(dst[:0], buffered...), nil
+	}
+	var length uint32
+	var body []byte
+	if cap(dst) < pageHeader+n && cap(dst) >= n {
+		var hdr [pageHeader]byte
+		body = dst[:n]
+		if err = d.pread(h, hdr[:], off); err == nil {
+			err = d.pread(h, body, off+pageHeader)
+		}
+		length = binary.BigEndian.Uint32(hdr[:])
+	} else {
+		buf := dst[:0]
+		if cap(buf) < pageHeader+n {
+			buf = make([]byte, 0, pageHeader+n)
+		}
+		buf = buf[:pageHeader+n]
+		err = d.pread(h, buf, off)
+		length, body = binary.BigEndian.Uint32(buf), buf[pageHeader:]
+	}
+	if err != nil {
+		return nil, fmt.Errorf("filedev: reading file %d page %d: %w", id, page, err)
+	}
+	if int64(length) != int64(n) {
+		return nil, fmt.Errorf("filedev: corrupt page header in file %d page %d: length %d, want %d", id, page, length, n)
+	}
+	return body, nil
+}
+
+// pread fills buf from h at off; a short read is an error.
+func (d *Device) pread(h *os.File, buf []byte, off int64) error {
 	if got, err := h.ReadAt(buf, off); got < len(buf) {
 		if err == nil || err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, fmt.Errorf("filedev: reading file %d page %d: %w", id, page, err)
+		return err
 	}
-	if hdr := binary.BigEndian.Uint32(buf); int64(hdr) != int64(n) {
-		return nil, fmt.Errorf("filedev: corrupt page header in file %d page %d: length %d, want %d", id, page, hdr, n)
-	}
-	return buf[pageHeader:], nil
+	return nil
 }
 
 // advanceHead updates the positional head and reports whether the access
@@ -464,11 +500,11 @@ func (d *Device) advanceHead(id storage.FileID, page int) bool {
 	return sequential
 }
 
-// ReadPageEnv reads one page. Counters classify the access sequential or
-// random exactly like the simulated device (single head position); the
-// virtual clock is not advanced.
-func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
-	data, err := d.readPage(id, page)
+// ReadPageEnv reads one page into dst (see readPage). Counters classify the
+// access sequential or random exactly like the simulated device (single head
+// position); the virtual clock is not advanced.
+func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
+	data, err := d.readPage(id, page, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -481,8 +517,8 @@ func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int) ([]b
 }
 
 // PrefetchPageEnv reads one page of a read-ahead window (streaming access).
-func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int) ([]byte, error) {
-	data, err := d.readPage(id, page)
+func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
+	data, err := d.readPage(id, page, dst)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func mustClose(t *testing.T, d *Device) {
 
 func mustReadPageEnv(t *testing.T, d *Device, env *metrics.Env, id storage.FileID, page int) {
 	t.Helper()
-	if _, err := d.ReadPageEnv(env, id, page); err != nil {
+	if _, err := d.ReadPageEnv(env, id, page, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,7 +63,7 @@ func TestAppendReadReopen(t *testing.T) {
 		}
 	}
 	for i, want := range pages {
-		got, err := d.ReadPageEnv(env, id, i)
+		got, err := d.ReadPageEnv(env, id, i, nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("ReadPage(%d) mismatch: %v", i, err)
 		}
@@ -82,7 +82,7 @@ func TestAppendReadReopen(t *testing.T) {
 		t.Fatalf("reopened NumPages = %d, %v", np, err)
 	}
 	for i, want := range pages {
-		got, err := d2.ReadPageEnv(env, id, i)
+		got, err := d2.ReadPageEnv(env, id, i, nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("reopened ReadPage(%d) mismatch: %v", i, err)
 		}
@@ -124,7 +124,7 @@ func TestUnsyncedTailDroppedAtReopen(t *testing.T) {
 	if err != nil || np != 1 {
 		t.Fatalf("NumPages after crash = %d, %v, want 1", np, err)
 	}
-	got, err := d2.ReadPageEnv(env, id, 0)
+	got, err := d2.ReadPageEnv(env, id, 0, nil)
 	if err != nil || string(got) != "durable" {
 		t.Fatalf("page 0 after crash = %q, %v", got, err)
 	}
@@ -192,11 +192,11 @@ func requirePages(t *testing.T, d *Device, id storage.FileID, want [][]byte) {
 	}
 	env := metrics.NewEnv()
 	for i, p := range want {
-		if got, err := d.ReadPageEnv(env, id, i); err != nil || !bytes.Equal(got, p) {
+		if got, err := d.ReadPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, p) {
 			t.Fatalf("page %d: %d bytes (%v), want %d", i, len(got), err, len(p))
 		}
 	}
-	if _, err := d.ReadPageEnv(env, id, len(want)); err != storage.ErrNoSuchPage {
+	if _, err := d.ReadPageEnv(env, id, len(want), nil); err != storage.ErrNoSuchPage {
 		t.Fatalf("page %d past the end: %v, want ErrNoSuchPage", len(want), err)
 	}
 }
@@ -285,10 +285,10 @@ func TestPageReadCapacityIsLength(t *testing.T) {
 		}
 	}
 	for i := range pages {
-		for name, read := range map[string]func(*metrics.Env, storage.FileID, int) ([]byte, error){
+		for name, read := range map[string]func(*metrics.Env, storage.FileID, int, []byte) ([]byte, error){
 			"read": d.ReadPageEnv, "prefetch": d.PrefetchPageEnv,
 		} {
-			got, err := read(env, id, i)
+			got, err := read(env, id, i, nil)
 			if err != nil || len(got) != len(pages[i]) || cap(got) != len(got) {
 				t.Fatalf("%s page %d: len %d cap %d (%v), want len = cap = %d", name, i, len(got), cap(got), err, len(pages[i]))
 			}
@@ -309,14 +309,17 @@ func TestPageHeaderMismatchIsError(t *testing.T) {
 	const k = 3
 	overwriteHeader(t, path, offs[k], uint32(len(pages[k])-1))
 	env := metrics.NewEnv()
-	if got, err := d.ReadPageEnv(env, id, k); err == nil || got != nil {
-		t.Fatalf("page %d under a changed header = %d bytes, %v; want an error and no bytes", k, len(got), err)
+	// A frame of exactly the page's size reads the header on its own.
+	for _, dst := range [][]byte{nil, make([]byte, 0, len(pages[k]))} {
+		if got, err := d.ReadPageEnv(env, id, k, dst); err == nil || got != nil {
+			t.Fatalf("page %d under a changed header = %d bytes, %v; want an error and no bytes", k, len(got), err)
+		}
 	}
-	if got, err := d.PrefetchPageEnv(env, id, k); err == nil || got != nil {
+	if got, err := d.PrefetchPageEnv(env, id, k, nil); err == nil || got != nil {
 		t.Fatalf("prefetch of page %d under a changed header = %d bytes, %v; want an error and no bytes", k, len(got), err)
 	}
 	for _, i := range []int{k - 1, k + 1} {
-		if got, err := d.ReadPageEnv(env, id, i); err != nil || !bytes.Equal(got, pages[i]) {
+		if got, err := d.ReadPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, pages[i]) {
 			t.Fatalf("page %d next to the bad header: %v", i, err)
 		}
 	}

@@ -151,10 +151,10 @@ func (d *Disk) AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, err
 	return n, nil
 }
 
-// ReadPageEnv reads one page, charging the given metrics environment. The
-// position of the previous read decides whether it pays a seek. The returned
-// slice must not be modified.
-func (d *Disk) ReadPageEnv(env *metrics.Env, id FileID, page int) ([]byte, error) {
+// ReadPageEnv copies one page into dst (see Device), charging the given
+// metrics environment. The position of the previous read decides whether it
+// pays a seek.
+func (d *Disk) ReadPageEnv(env *metrics.Env, id FileID, page int, dst []byte) ([]byte, error) {
 	d.mu.Lock()
 	f, ok := d.files[id]
 	if !ok {
@@ -165,7 +165,7 @@ func (d *Disk) ReadPageEnv(env *metrics.Env, id FileID, page int) ([]byte, error
 		d.mu.Unlock()
 		return nil, ErrNoSuchPage
 	}
-	data := f.pages[page]
+	data := append(dst[:0], f.pages[page]...)
 	sequential := id == d.lastFile && page == d.lastPage+1
 	d.lastFile, d.lastPage = id, page
 	d.mu.Unlock()
@@ -186,7 +186,7 @@ func (d *Disk) ReadPageEnv(env *metrics.Env, id FileID, page int) ([]byte, error
 // pages inside the window were skipped over and the head-position chain
 // would otherwise look broken. The head still advances, so a subsequent
 // read of the next page stays sequential.
-func (d *Disk) PrefetchPageEnv(env *metrics.Env, id FileID, page int) ([]byte, error) {
+func (d *Disk) PrefetchPageEnv(env *metrics.Env, id FileID, page int, dst []byte) ([]byte, error) {
 	d.mu.Lock()
 	f, ok := d.files[id]
 	if !ok {
@@ -197,7 +197,7 @@ func (d *Disk) PrefetchPageEnv(env *metrics.Env, id FileID, page int) ([]byte, e
 		d.mu.Unlock()
 		return nil, ErrNoSuchPage
 	}
-	data := f.pages[page]
+	data := append(dst[:0], f.pages[page]...)
 	d.lastFile, d.lastPage = id, page
 	d.mu.Unlock()
 

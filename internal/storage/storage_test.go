@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -19,7 +20,20 @@ func (d envDisk) AppendPage(id FileID, data []byte) (int, error) {
 }
 
 func (d envDisk) ReadPage(id FileID, page int, _ bool) ([]byte, error) {
-	return d.ReadPageEnv(d.env, id, page)
+	return d.ReadPageEnv(d.env, id, page, nil)
+}
+
+// storeDev gives Store the same call shape: a read copies the page out of
+// its pinned frame and unpins it.
+type storeDev struct{ *Store }
+
+func (s storeDev) ReadPage(id FileID, page int, seq bool) ([]byte, error) {
+	f, err := s.Store.ReadPage(id, page, seq)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Unpin(f)
+	return append([]byte(nil), f.Data...), nil
 }
 
 func newHDDDisk() (envDisk, *metrics.Env) {
@@ -28,7 +42,7 @@ func newHDDDisk() (envDisk, *metrics.Env) {
 }
 
 // pageDev is the device surface the must-helpers drive; both envDisk and
-// Store satisfy it. The helpers keep accounting-focused tests honest: a
+// storeDev satisfy it. The helpers keep accounting-focused tests honest: a
 // dropped device error would let a failing append or read pass as a
 // counter mismatch (or worse, not at all).
 type pageDev interface {
@@ -154,11 +168,11 @@ func TestStoreCachingAndReadAhead(t *testing.T) {
 	store := NewStore(d, 1<<20, env)
 	f := store.Create()
 	for i := 0; i < 16; i++ {
-		mustAppendPage(t, store, f, []byte{byte(i)})
+		mustAppendPage(t, storeDev{store}, f, []byte{byte(i)})
 	}
 	// Scan access with read-ahead: first miss prefetches the window.
 	env.Counters.Reset()
-	mustReadPage(t, store, f, 0, true)
+	mustReadPage(t, storeDev{store}, f, 0, true)
 	s := env.Counters.Snapshot()
 	if s.RandomReads+s.SequentialReads != 4 {
 		t.Fatalf("read-ahead fetched %d pages, want 4", s.RandomReads+s.SequentialReads)
@@ -166,7 +180,7 @@ func TestStoreCachingAndReadAhead(t *testing.T) {
 	// The next 3 pages are cache hits.
 	env.Counters.Reset()
 	for i := 1; i < 4; i++ {
-		mustReadPage(t, store, f, i, true)
+		mustReadPage(t, storeDev{store}, f, i, true)
 	}
 	s = env.Counters.Snapshot()
 	if s.CacheHits != 3 || s.RandomReads+s.SequentialReads != 0 {
@@ -174,7 +188,7 @@ func TestStoreCachingAndReadAhead(t *testing.T) {
 	}
 	// Point reads (no hint) do not prefetch.
 	env.Counters.Reset()
-	mustReadPage(t, store, f, 10, false)
+	mustReadPage(t, storeDev{store}, f, 10, false)
 	s = env.Counters.Snapshot()
 	if s.RandomReads != 1 || s.CacheMisses != 1 {
 		t.Fatalf("point read: random=%d misses=%d", s.RandomReads, s.CacheMisses)
@@ -186,8 +200,8 @@ func TestStoreDeleteInvalidatesCache(t *testing.T) {
 	d := NewDisk(ScaledHDD(512))
 	store := NewStore(d, 1<<20, env)
 	f := store.Create()
-	mustAppendPage(t, store, f, []byte{1})
-	mustReadPage(t, store, f, 0, false) // cached
+	mustAppendPage(t, storeDev{store}, f, []byte{1})
+	mustReadPage(t, storeDev{store}, f, 0, false) // cached
 	store.Delete(f)
 	if _, err := store.ReadPage(f, 0, false); err == nil {
 		t.Fatal("read of deleted file served from cache")
@@ -199,12 +213,70 @@ func TestCacheHitCostCheaperThanDisk(t *testing.T) {
 	d := NewDisk(HDD())
 	store := NewStore(d, 1<<30, env)
 	f := store.Create()
-	mustAppendPage(t, store, f, []byte{1})
-	mustReadPage(t, store, f, 0, false)
+	mustAppendPage(t, storeDev{store}, f, []byte{1})
+	mustReadPage(t, storeDev{store}, f, 0, false)
 	before := env.Clock.Now()
-	mustReadPage(t, store, f, 0, false) // hit
+	mustReadPage(t, storeDev{store}, f, 0, false) // hit
 	hitCost := env.Clock.Now() - before
 	if hitCost <= 0 || hitCost >= time.Millisecond {
 		t.Errorf("cache hit cost = %v, want small positive", hitCost)
+	}
+}
+
+// TestStoreRecyclesFrames: once the cache is full, a miss reads into the
+// frame the previous eviction freed — no allocation at all — while a page
+// that would fill less than half a frame gets a buffer of its own size, and
+// an eviction of a page a reader still pins is counted.
+func TestStoreRecyclesFrames(t *testing.T) {
+	env := metrics.NewEnv()
+	const pageSize, frames = 512, 4
+	store := NewStore(NewDisk(ScaledHDD(pageSize)), frames*pageSize, env)
+	f := store.Create()
+	const pages = 64
+	for i := range pages {
+		mustAppendPage(t, storeDev{store}, f, bytes.Repeat([]byte{byte(i)}, pageSize-i%8))
+	}
+	small := store.Create()
+	mustAppendPage(t, storeDev{store}, small, []byte("tiny"))
+
+	i := 0
+	read := func() {
+		fr, err := store.ReadPage(f, i%pages, false)
+		if err != nil || fr.Data[0] != byte(i%pages) {
+			t.Fatalf("page %d: %v", i%pages, err)
+		}
+		store.Unpin(fr)
+		i++
+	}
+	for range frames + 1 {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+		t.Fatalf("a miss into a full cache allocates %v times, want 0", allocs)
+	}
+	s := env.Counters.Snapshot()
+	if s.FrameAllocs != frames+1 || s.FrameReuses != int64(i)-(frames+1) {
+		t.Fatalf("frame allocs/reuses = %d/%d after %d misses, want %d/%d", s.FrameAllocs, s.FrameReuses, i, frames+1, i-(frames+1))
+	}
+
+	fr, err := store.ReadPage(small, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(fr.Data) != "tiny" || cap(fr.Data) >= pageSize/2 {
+		t.Fatalf("small page: %q in a %d-byte buffer, want one of its own size", fr.Data, cap(fr.Data))
+	}
+	for range frames { // evict the small page while it is pinned
+		read()
+	}
+	if got := env.Counters.Snapshot().PinnedEvictions; got != 1 {
+		t.Fatalf("PinnedEvictions = %d, want 1", got)
+	}
+	if string(fr.Data) != "tiny" {
+		t.Fatalf("pinned page changed to %q after its eviction", fr.Data)
+	}
+	store.Unpin(fr)
+	if n := store.Cache().Pinned(); n != 0 {
+		t.Fatalf("%d frames still pinned", n)
 	}
 }

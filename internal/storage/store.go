@@ -5,14 +5,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// PageReader is the read interface consumed by B+-tree readers and scans.
-type PageReader interface {
-	// ReadPage fetches a page; seqHint marks scan accesses.
-	ReadPage(id FileID, page int, seqHint bool) ([]byte, error)
-	// PageSize returns the device page size.
-	PageSize() int
-}
-
 // Store combines a page device with the LRU buffer cache and charges the
 // virtual clock for each access. It is the single storage handle shared by
 // every index of a dataset (as the buffer cache is shared in AsterixDB).
@@ -22,10 +14,11 @@ type Store struct {
 	env   *metrics.Env
 }
 
-// NewStore wraps dev with a buffer cache of cacheBytes capacity.
+// NewStore wraps dev with a buffer cache of cacheBytes capacity, in frames
+// of one page.
 func NewStore(dev Device, cacheBytes int64, env *metrics.Env) *Store {
 	pages := int(cacheBytes / int64(dev.PageSize()))
-	return &Store{dev: dev, cache: cache.NewLRU(pages), env: env}
+	return &Store{dev: dev, cache: cache.NewLRU(pages, dev.PageSize()), env: env}
 }
 
 // WithEnv returns a Store view sharing this store's device and buffer cache
@@ -49,7 +42,9 @@ func (s *Store) Env() *metrics.Env { return s.env }
 func (s *Store) PageSize() int { return s.dev.PageSize() }
 
 // ReadPage serves a page from the buffer cache, falling through to the
-// device on a miss and installing the page afterwards.
+// device on a miss and installing the page afterwards. The returned frame
+// is pinned: its Data is the page until the caller passes it to Unpin, and
+// the caller must do so exactly once.
 //
 // When seqHint is set (scans), a miss triggers device read-ahead: the
 // following ReadAheadPages-1 pages are prefetched into the cache at
@@ -58,19 +53,18 @@ func (s *Store) PageSize() int { return s.dev.PageSize() }
 // the device, without promoting them in the LRU order (a prefetch is not a
 // use), and without breaking the streaming cost of the pages behind them —
 // the window was opened by one seek and never pays another.
-func (s *Store) ReadPage(id FileID, page int, seqHint bool) ([]byte, error) {
+func (s *Store) ReadPage(id FileID, page int, seqHint bool) (*cache.Frame, error) {
 	key := cache.PageKey{File: uint64(id), Page: page}
-	if data, ok := s.cache.Get(key); ok {
+	if f, ok := s.cache.Get(key); ok {
 		s.env.Counters.CacheHits.Add(1)
 		s.env.Clock.Advance(s.env.CPU.CacheHit)
-		return data, nil
+		return f, nil
 	}
 	s.env.Counters.CacheMisses.Add(1)
-	data, err := s.dev.ReadPageEnv(s.env, id, page)
+	f, err := s.load(key, s.dev.ReadPageEnv)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(key, data)
 	if seqHint {
 		if n, err := s.dev.NumPages(id); err == nil {
 			end := page + s.dev.Profile().ReadAheadPages
@@ -82,16 +76,54 @@ func (s *Store) ReadPage(id FileID, page int, seqHint bool) ([]byte, error) {
 				if s.cache.Contains(pk) {
 					continue
 				}
-				d, err := s.dev.PrefetchPageEnv(s.env, id, p)
+				pf, err := s.load(pk, s.dev.PrefetchPageEnv)
 				if err != nil {
 					break
 				}
-				s.cache.Put(pk, d)
+				s.cache.Unpin(pf)
 			}
 		}
 	}
-	return data, nil
+	return f, nil
 }
+
+// load reads the page under key with read into a recycled frame (or a new
+// one when none is free), caches it, and returns the frame pinned. A page
+// that would fill less than half a frame is moved to a buffer of its own
+// size and the frame goes back to the free list, so small internal and meta
+// pages never occupy whole frames; so is a page the device could not place
+// in the frame.
+func (s *Store) load(key cache.PageKey, read func(*metrics.Env, FileID, int, []byte) ([]byte, error)) (*cache.Frame, error) {
+	f, reused := s.cache.Frame()
+	if reused {
+		s.env.Counters.FrameReuses.Add(1)
+	} else {
+		s.env.Counters.FrameAllocs.Add(1)
+	}
+	data, err := read(s.env, FileID(key.File), key.Page, f.Data)
+	if err != nil {
+		s.cache.Unpin(f)
+		return nil, err
+	}
+	if inFrame := f.Holds(data); inFrame && 2*len(data) >= cap(f.Data) {
+		f.Data = data
+	} else {
+		if inFrame { // a small page: copy it out before the frame is freed
+			data = append([]byte(nil), data...)
+		}
+		own := s.cache.NewFrame(data)
+		s.env.Counters.FrameAllocs.Add(1)
+		s.cache.Unpin(f)
+		f = own
+	}
+	if s.cache.Put(key, f) {
+		s.env.Counters.PinnedEvictions.Add(1)
+	}
+	return f, nil
+}
+
+// Unpin releases a frame ReadPage returned.
+func (s *Store) Unpin(f *cache.Frame) { s.cache.Unpin(f) }
 
 // Create allocates a new component file.
 func (s *Store) Create() FileID { return s.dev.Create() }
@@ -109,5 +141,3 @@ func (s *Store) Delete(id FileID) {
 
 // NumPages returns the length of a file in pages.
 func (s *Store) NumPages(id FileID) (int, error) { return s.dev.NumPages(id) }
-
-var _ PageReader = (*Store)(nil)

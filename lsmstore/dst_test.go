@@ -173,6 +173,17 @@ func TestDSTCatchesEarlyCutBug(t *testing.T) {
 	requireCorpusCatches(t, dst.BugEarlyCut, dstCorpus, "reopen: key")
 }
 
+// TestDSTCatchesEarlyUnpinBug re-arms the early-unpin bug: a B+-tree scan
+// drops the pin on its previous leaf as soon as it moves on, so a merged
+// iterator emits an entry whose buffer-cache frame was already freed. The
+// harness poisons every freed frame and gives each shard two frames, so
+// such an entry reads as garbage: a reconciled filter scan loses records
+// (seed 1 instead fails its secondary query on a corrupt payload; these
+// four seeds share the scan verdict).
+func TestDSTCatchesEarlyUnpinBug(t *testing.T) {
+	requireCorpusCatches(t, dst.BugEarlyUnpin, []int64{0, 2, 3, 5}, "filter scan diverged from model")
+}
+
 // TestDSTConcProfileSound spot-checks the concurrency profile: background
 // maintenance workers, seeded yield perturbation, optional sharding. The
 // op trace is interleaving-dependent there, but verdicts must stay sound.

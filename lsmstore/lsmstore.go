@@ -498,65 +498,80 @@ func (db *DB) invalidate(pk []byte) {
 }
 
 // Get returns the current record under pk. The returned slice is the
-// caller's to keep: it is copied out of the engine. GetRef is the
-// zero-copy variant.
+// caller's to keep: it is copied out of the engine.
 func (db *DB) Get(pk []byte) ([]byte, bool, error) {
-	if err := db.acquire(); err != nil {
-		return nil, false, err
-	}
-	defer db.release()
-	v, found, err := db.getRef(pk)
+	var rec []byte
+	found, err := db.GetWith(pk, func(v []byte) { rec = append([]byte(nil), v...) })
 	if err != nil || !found {
 		return nil, false, err
 	}
-	return append([]byte(nil), v...), true, nil
+	return rec, true, nil
 }
 
-// GetRef returns the current record under pk without copying: the slice
-// aliases engine-owned memory — an immutable component page, a memtable
-// value, or the read cache's own copy of the record — and must be treated
-// as read-only. It stays
-// valid as long as the caller holds it (pages are write-once and memtable
-// values are replaced, never edited in place; the GC keeps the backing
-// buffer alive). The network server encodes GET responses straight from it
-// into pooled output frames.
+// GetRef returns the current record under pk, sharing the read cache's
+// copy of it when there is one — on a hit, or the copy this read's fill
+// just stored — and copying it otherwise. The slice may be shared with
+// other readers, so it must be treated as read-only; it stays valid as
+// long as the caller holds it (cached records are replaced, never edited
+// in place). It never aliases a buffer-cache page: that page's frame is
+// recycled for another page once the read unpins it.
 func (db *DB) GetRef(pk []byte) ([]byte, bool, error) {
 	if err := db.acquire(); err != nil {
 		return nil, false, err
 	}
 	defer db.release()
-	return db.getRef(pk)
-}
-
-// getRef is the shared point-read path: read cache first, engine on a
-// miss, filling the cache under the version-token protocol that discards
-// fills raced by an invalidation (internal/readcache invariant 2).
-func (db *DB) getRef(pk []byte) ([]byte, bool, error) {
-	if db.cache != nil {
-		v, out, tok := db.cache.Get(pk)
-		switch out {
-		case readcache.Hit:
-			return v, true, nil
-		case readcache.NegativeHit:
-			return nil, false, nil
-		default:
-			e, found, err := db.dsFor(pk).Primary().Get(pk)
-			if err != nil {
-				return nil, false, err
-			}
-			if !found {
-				db.cache.PutNegative(pk, tok)
-				return nil, false, nil
-			}
-			db.cache.Put(pk, e.Value, tok)
-			return e.Value, true, nil
+	var rec []byte
+	found, err := db.get(pk, func(v, kept []byte) {
+		if rec = kept; kept == nil {
+			rec = append([]byte(nil), v...)
 		}
-	}
-	e, found, err := db.dsFor(pk).Primary().Get(pk)
+	})
 	if err != nil || !found {
 		return nil, false, err
 	}
-	return e.Value, true, nil
+	return rec, true, nil
+}
+
+// GetWith runs fn with the current record under pk and reports whether
+// there is one (fn runs only then). The record is the engine's bytes — a
+// pinned buffer-cache page, a memtable value or the read cache's copy —
+// and is valid only until fn returns: fn must copy what it keeps and must
+// not modify it. The network server encodes GET responses from inside fn,
+// straight into its output frame.
+func (db *DB) GetWith(pk []byte, fn func(record []byte)) (bool, error) {
+	if err := db.acquire(); err != nil {
+		return false, err
+	}
+	defer db.release()
+	return db.get(pk, func(v, _ []byte) { fn(v) })
+}
+
+// get is the one point-read path: read cache first, engine on a miss,
+// filling the cache under the version-token protocol that discards fills
+// raced by an invalidation (internal/readcache invariant 2). visit runs
+// with the record while it is valid (see GetWith); kept is the read cache's
+// own copy of it, which outlives the call, or nil when the read cache holds
+// none.
+func (db *DB) get(pk []byte, visit func(v, kept []byte)) (bool, error) {
+	primary := db.dsFor(pk).Primary()
+	if db.cache == nil {
+		return primary.Get(pk, func(e kv.Entry) { visit(e.Value, nil) })
+	}
+	v, out, tok := db.cache.Get(pk)
+	switch out {
+	case readcache.Hit:
+		visit(v, v)
+		return true, nil
+	case readcache.NegativeHit:
+		return false, nil
+	}
+	found, err := primary.Get(pk, func(e kv.Entry) {
+		visit(e.Value, db.cache.Put(pk, e.Value, tok))
+	})
+	if err == nil && !found {
+		db.cache.PutNegative(pk, tok)
+	}
+	return found, err
 }
 
 // Record, Mutation and Op are defined once, in internal/kv; internal/wire
@@ -675,7 +690,9 @@ func (db *DB) SecondaryQuery(index string, lo, hi []byte, opts QueryOptions) (*Q
 // FilterScan scans the primary index for records whose filter key lies in
 // [lo, hi], using component range filters for pruning. Every shard scans
 // concurrently and the union is emitted in primary-key order from the
-// caller's goroutine; a one-shard store streams its scan without buffering.
+// caller's goroutine; a one-shard store streams its scan without buffering,
+// so pk and record may be a pinned buffer-cache page's bytes: they are valid
+// only until fn returns, and fn copies what it keeps.
 func (db *DB) FilterScan(lo, hi int64, fn func(pk, record []byte)) error {
 	if err := db.acquire(); err != nil {
 		return err

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kv"
 	"repro/internal/storage"
 	"repro/internal/storage/filedev"
 	"repro/internal/storetest"
@@ -194,9 +195,13 @@ func TestStaleReaderKeepsRetiredComponents(t *testing.T) {
 	}
 	// Every read through the stale view succeeds, with the bytes it pinned.
 	for k := 0; k < keys; k++ {
-		e, _, _, found, err := primary.GetWithLocation(tweetPK(uint64(k)), view.Components)
-		if err != nil || !found || !bytes.Equal(e.Value, oldRec(k)) {
-			t.Fatalf("key %d through the stale view: found=%v err=%v value=%x", k, found, err, e.Value)
+		c, _, found, err := primary.GetWithLocation(tweetPK(uint64(k)), view.Components)
+		var got []byte
+		if found {
+			_, _, err = c.BTree.Get(tweetPK(uint64(k)), func(e kv.Entry, _ int64) { got = bytes.Clone(e.Value) })
+		}
+		if err != nil || !found || !bytes.Equal(got, oldRec(k)) {
+			t.Fatalf("key %d through the stale view: found=%v err=%v value=%x", k, found, err, got)
 		}
 	}
 

@@ -88,7 +88,7 @@ func TestApplyBatchRoutingAndOrder(t *testing.T) {
 	for id := uint64(1); id <= n; id++ {
 		want := shardOf(pk(id), shards)
 		for s := 0; s < shards; s++ {
-			_, found, err := db.Shard(s).Primary().Get(pk(id))
+			found, err := db.Shard(s).Primary().Get(pk(id), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -145,7 +145,7 @@ func TestShardedRoutingDeterministicAcrossReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			for s := 0; s < shards; s++ {
-				if _, found, _ := db.Shard(s).Primary().Get(tweetPK(id)); found {
+				if found, _ := db.Shard(s).Primary().Get(tweetPK(id), nil); found {
 					out[id] = s
 				}
 			}
