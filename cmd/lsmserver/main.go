@@ -61,7 +61,6 @@ func run() error {
 	cacheBytes := flag.Int64("cache", 64<<20, "buffer cache bytes (split across shards)")
 	readCache := flag.Int64("read-cache", 0, "hot-entry read cache bytes in front of the engine (0 = off)")
 	maxInFlight := flag.Int("max-inflight", 128, "max in-flight requests per connection before backpressure")
-	groupCommit := flag.String("group-commit", "on", "commit fsync coalescing on the disk backend: on | off")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before connections are cut")
 	seed := flag.Int64("seed", 42, "engine seed")
 	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the HTTP sidecar")
@@ -95,14 +94,6 @@ func run() error {
 		opts.Strategy = lsmstore.DeletedKey
 	default:
 		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	switch strings.ToLower(*groupCommit) {
-	case "on":
-		opts.GroupCommit = lsmstore.GroupCommitOn
-	case "off":
-		opts.GroupCommit = lsmstore.GroupCommitOff
-	default:
-		return fmt.Errorf("unknown -group-commit %q (want on or off)", *groupCommit)
 	}
 	be, resolvedDir, cleanup, err := backendflag.Resolve(*backend, *dir)
 	if err != nil {

@@ -12,8 +12,8 @@
 // concurrent appends for the next group proceed while the current group's
 // fsync is in flight. Holding filedev.Device.mu or wal.Log.mu across an
 // fsync, the log's device append, a channel operation, net I/O or a sleep
-// re-serializes the write path and silently degrades group commit back to
-// per-record commit — a performance regression no unit test catches.
+// re-serializes the write path and silently degrades group commit to one
+// fsync per record — a performance regression no unit test catches.
 // lockio tracks Lock/Unlock of the configured mutexes through each
 // function linearly (branch-sensitive, defer-aware) and through
 // same-package call chains, and reports any reachable blocking operation.

@@ -4,7 +4,7 @@
 // PR 5 (group-commit WAL) made a latency invariant load-bearing: the
 // filedev device mutex must never be held across a WAL fsync, or the next
 // commit group's appends serialize behind the in-flight fsync and group
-// commit degenerates to per-record commit. The same discipline applies to
+// commit degenerates to one fsync per record. The same discipline applies to
 // wal.Log's mutex around the log's device calls. lockio encodes the rule: inside a
 // function that holds one of the configured mutexes, no blocking operation
 // may be reached — directly or through a same-package call chain.
@@ -12,8 +12,8 @@
 // Blocking operations are: (*os.File).Sync, any net package I/O, channel
 // sends/receives (including range-over-channel and select without a
 // default), time.Sleep, (*sync.WaitGroup).Wait, and the configured extras
-// (by default the log's device calls that fsync — wal.Device.AppendWAL and
-// wal.Device.RotateWAL — and wal.GroupCommitter.Wait).
+// (by default the log's device I/O — wal.Device.AppendWAL, which writes,
+// and wal.Device.RotateWAL, which fsyncs — and wal.GroupCommitter.Wait).
 //
 // The analysis is intentionally intra-package: call summaries propagate
 // through static calls within the package under analysis, branch state is

@@ -8,7 +8,7 @@ package wal
 import "sync"
 
 type Device interface {
-	AppendWAL(data []byte, sync bool) error
+	AppendWAL(data []byte) error
 	RotateWAL(seq uint64) error
 	DropWAL(seq uint64)
 }
@@ -28,7 +28,7 @@ func (l *Log) AppendUnderLock(enc []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.segs = append(l.segs, enc)
-	return l.dev.AppendWAL(enc, true) // want `wal\.Device\.AppendWAL while .*\.Log\.mu is held`
+	return l.dev.AppendWAL(enc) // want `wal\.Device\.AppendWAL while .*\.Log\.mu is held`
 }
 
 // AppendOutsideLock is the shape the log's write path has: the memory image
@@ -37,7 +37,7 @@ func (l *Log) AppendOutsideLock(enc []byte) error {
 	l.mu.Lock()
 	l.segs = append(l.segs, enc)
 	l.mu.Unlock()
-	return l.dev.AppendWAL(enc, true)
+	return l.dev.AppendWAL(enc)
 }
 
 func (l *Log) RotateUnderLock(seq uint64) error {

@@ -149,12 +149,6 @@ type Config struct {
 	// DisableWAL turns off write-ahead logging (benchmarks that measure
 	// pure ingestion I/O).
 	DisableWAL bool
-	// GroupCommit, on a durable device, coalesces commit fsyncs across
-	// concurrent writers: log records append unsynced and writers park on a
-	// shared commit group whose leader issues one covering fsync (see
-	// wal.GroupCommitter / filedev.GroupSyncer). Off keeps the per-record
-	// fsync. Ignored on non-durable devices.
-	GroupCommit bool
 	// Seed makes memtable shapes deterministic.
 	Seed int64
 	// Maintenance is the pool that runs the flush pipeline's jobs — the
@@ -170,7 +164,7 @@ type Config struct {
 	// racing the one that is building.
 	MaxFrozenMemtables int
 	// Yield, when non-nil, is the deterministic-simulation scheduling hook:
-	// it is invoked at the instrumented points in the WAL group-commit path
+	// it is invoked at the instrumented points in the WAL commit path
 	// (see wal.Log.SetYield) with a label naming the point. Nil (the
 	// default) leaves scheduling to the runtime.
 	Yield func(point string)
@@ -299,7 +293,7 @@ func Open(cfg Config) (*Dataset, error) {
 	}
 	d.durable, _ = cfg.Store.Device().(storage.Durable)
 	if !cfg.DisableWAL {
-		d.log = wal.New(env, nil)
+		d.log = wal.New(env)
 		d.log.SetYield(cfg.Yield)
 	}
 	pool := cfg.Maintenance

@@ -454,19 +454,19 @@ func (d *Dataset) forwardDelete(comp *lsm.Component, pk []byte) {
 }
 
 // logOp logs one mutation as one record; the record is the commit (see
-// package wal). With a nil batch it is durable when logOp returns nil — a
-// per-record fsync, or in group-commit mode one fsync shared with every
-// concurrent writer. A failure of THIS record's append or covering fsync
+// package wal). With a nil batch it is durable when logOp returns nil — on a
+// durable device, covered by one fsync shared with every concurrent writer
+// of its commit group. A failure of THIS record's append or covering fsync
 // means the write is not durably committed and is surfaced as the
 // operation's error (a concurrent writer's failure wedges the dataset via
 // the sticky-error precheck instead, without mislabeling writes that did
 // commit).
 //
-// With a non-nil batch the record is appended unsynced and its durability
-// deferred to the caller's WaitCommitBatch — one covering fsync per engine
-// batch instead of one per mutation. Until that wait succeeds the write is
-// visible in the memory components but NOT acknowledged; callers must not
-// report success before the wait returns.
+// With a non-nil batch the record's durability is deferred to the caller's
+// WaitCommitBatch — one covering fsync per engine batch instead of one per
+// mutation. Until that wait succeeds the write is visible in the memory
+// components but NOT acknowledged; callers must not report success before
+// the wait returns.
 func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit bool, b *wal.Batch) error {
 	if d.log == nil {
 		return nil
@@ -481,9 +481,9 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 	return err
 }
 
-// BeginCommitBatch returns a deferred-durability handle when the log runs
-// in group-commit mode, nil otherwise (writes then carry their own commit
-// durability, byte-for-byte the non-grouped behavior). Pair every non-nil
+// BeginCommitBatch returns a deferred-durability handle when the log is on a
+// durable device, nil otherwise (a memory-only log has no fsync to defer, and
+// Mutable-bitmap writes carry their own, see below). Pair every non-nil
 // handle with exactly one WaitCommitBatch before acknowledging any of the
 // batch's writes.
 //
@@ -491,9 +491,9 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 // bitmaps and forward deletes into in-flight builds around the WAL append,
 // and that undo/commit pair is only race-free while the writer still holds
 // its exclusive key lock — which a batch-end durability wait no longer
-// does. Its mutations become durable one by one instead (still coalesced
-// with concurrent writers by the group window), so a failed covering fsync
-// can always revert the flip under the lock.
+// does. Its mutations commit one by one instead (still coalesced with
+// concurrent writers by the commit group), so a failed covering fsync can
+// always revert the flip under the lock.
 func (d *Dataset) BeginCommitBatch() *wal.Batch {
 	if d.cfg.Strategy == MutableBitmap {
 		return nil

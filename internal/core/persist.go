@@ -206,7 +206,7 @@ func (d *Dataset) treeManifest(name string, tr *lsm.Tree, sharedValid bool) tree
 	return tm
 }
 
-// groupCommitWindow is how long a group-commit leader holds the commit
+// groupCommitWindow is how long a commit-group leader holds the commit
 // window open for committers that have announced intent but not yet
 // appended (they are mid-append and join within microseconds). It bounds
 // worst-case added commit latency; a lone committer never pays it: with no
@@ -254,16 +254,14 @@ func (d *Dataset) setupDurability() error {
 	// appended to, never rewritten, torn tails included — until the first
 	// flush of this session cuts them with everything else it covers; the
 	// session's own appends go to the fresh segment OpenPersisted starts.
-	log, err := wal.OpenPersisted(d.env, segs, dev)
+	// The group syncs the device as Open found it, wrapped or raw, so an
+	// injected SyncWAL fault reaches the covering group fsync.
+	group := filedev.NewGroupSyncerOver(dev, groupCommitWindow, d.env.Counters, d.env.Clock.Sleeper())
+	log, err := wal.OpenPersisted(d.env, segs, dev, group)
 	if err != nil {
 		return err
 	}
 	log.SetYield(d.cfg.Yield)
-	if d.cfg.GroupCommit {
-		// Over the device as Open found it, wrapped or raw, so an injected
-		// SyncWAL fault reaches the covering group fsync.
-		log.AttachGroupCommitter(filedev.NewGroupSyncerOver(dev, groupCommitWindow, d.env.Counters, d.env.Clock.Sleeper()))
-	}
 	d.log = log
 	if d.log.Len() > 0 {
 		if err := d.Recover(); err != nil {

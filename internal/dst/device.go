@@ -24,10 +24,10 @@ func (e *injectedError) Error() string { return "dst: injected " + e.kind + " fa
 // Fault kinds. Each models a failure the real device (or the kernel under
 // it) can produce, with the same visible contract filedev honors.
 const (
-	// KindCommitFsync fails an AppendWAL(sync=true) before any byte is
-	// written: the record certainly does not survive. Only applicable to
-	// sync appends (the per-record-fsync commit path).
-	KindCommitFsync = "commit-fsync"
+	// KindWALAppend fails a log append before any byte is written: the
+	// record certainly does not survive, matching filedev's
+	// truncate-on-failed-append rollback contract.
+	KindWALAppend = "wal-append"
 	// KindTornAppend persists a seeded prefix of the record unsynced, then
 	// kills the device — the torn-tail crash the WAL decoder must stop at.
 	KindTornAppend = "torn-append"
@@ -142,7 +142,7 @@ func (s SeededInjector) Decide(shard int, op string, ord int64) (Fault, bool) {
 			return Fault{Kind: KindTornAppend, Frac: frac}, true
 		}
 		if p < 0.020*s.Rate {
-			return Fault{Kind: KindCommitFsync}, true
+			return Fault{Kind: KindWALAppend}, true
 		}
 	case OpSyncWAL:
 		if p < 0.030*s.Rate {
@@ -351,9 +351,8 @@ func (c *Control) WALState(shard int) (seq uint64, length, durable int64) {
 }
 
 // begin gates one traced operation: enforces the kill switch, assigns the
-// op its trace entry, and asks the injector for a fault. applicable, when
-// non-nil, filters fault kinds that cannot apply to this particular call.
-func (c *Control) begin(shard int, op, detail string, applicable func(kind string) bool) (Fault, bool, error) {
+// op its trace entry, and asks the injector for a fault.
+func (c *Control) begin(shard int, op, detail string) (Fault, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.detached {
@@ -385,9 +384,6 @@ func (c *Control) begin(shard int, op, detail string, applicable func(kind strin
 		f, ok = c.inj.Decide(shard, op, ord)
 	}
 	if ok && f.Kind == KindDelaySync && c.sleeper == nil {
-		ok = false
-	}
-	if ok && applicable != nil && !applicable(f.Kind) {
 		ok = false
 	}
 	tag := ""
@@ -436,13 +432,9 @@ func (c *Control) walMark(shard int) walState {
 	return *c.walFor(shard)
 }
 
-func (c *Control) noteAppendWAL(shard int, n int, sync bool) {
+func (c *Control) noteAppendWAL(shard int, n int) {
 	c.mu.Lock()
-	w := c.walFor(shard)
-	w.length += int64(n)
-	if sync {
-		w.durable = w.length
-	}
+	c.walFor(shard).length += int64(n)
 	c.mu.Unlock()
 }
 
@@ -503,14 +495,14 @@ func (d *Device) Create() storage.FileID {
 }
 
 func (d *Device) Delete(id storage.FileID) {
-	if _, _, err := d.c.begin(d.shard, OpDelete, fmt.Sprintf("id=%d", id), nil); err != nil {
+	if _, _, err := d.c.begin(d.shard, OpDelete, fmt.Sprintf("id=%d", id)); err != nil {
 		return // a dead process deletes nothing
 	}
 	d.inner.Delete(id)
 }
 
 func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte) (int, error) {
-	f, ok, err := d.c.begin(d.shard, OpAppendPage, fmt.Sprintf("id=%d n=%d", id, len(data)), nil)
+	f, ok, err := d.c.begin(d.shard, OpAppendPage, fmt.Sprintf("id=%d n=%d", id, len(data)))
 	if err != nil {
 		return 0, err
 	}
@@ -552,23 +544,16 @@ type durableDevice struct {
 
 var _ storage.Durable = (*durableDevice)(nil)
 
-func (d *durableDevice) AppendWAL(data []byte, sync bool) error {
-	applicable := func(kind string) bool {
-		// A commit-fsync fault models the fsync step of a sync append;
-		// unsynced appends have no such step.
-		return kind != KindCommitFsync || sync
-	}
-	f, ok, err := d.c.begin(d.shard, OpAppendWAL, fmt.Sprintf("n=%d sync=%t", len(data), sync), applicable)
+func (d *durableDevice) AppendWAL(data []byte) error {
+	f, ok, err := d.c.begin(d.shard, OpAppendWAL, fmt.Sprintf("n=%d", len(data)))
 	if err != nil {
 		return err
 	}
 	if ok {
 		switch f.Kind {
-		case KindCommitFsync:
-			// Nothing reaches the device: the record certainly does not
-			// survive, matching filedev's truncate-on-failed-append
-			// rollback contract.
-			return &injectedError{KindCommitFsync}
+		case KindWALAppend:
+			// Nothing reaches the device.
+			return &injectedError{KindWALAppend}
 		case KindTornAppend:
 			// A prefix lands unsynced, then the process dies mid-append.
 			n := 0
@@ -579,23 +564,23 @@ func (d *durableDevice) AppendWAL(data []byte, sync bool) error {
 				}
 			}
 			if n > 0 {
-				if aerr := d.dur.AppendWAL(data[:n], false); aerr == nil {
-					d.c.noteAppendWAL(d.shard, n, false)
+				if aerr := d.dur.AppendWAL(data[:n]); aerr == nil {
+					d.c.noteAppendWAL(d.shard, n)
 				}
 			}
 			d.c.killFrom(OpAppendWAL)
 			return ErrKilled
 		}
 	}
-	if err := d.dur.AppendWAL(data, sync); err != nil {
+	if err := d.dur.AppendWAL(data); err != nil {
 		return err
 	}
-	d.c.noteAppendWAL(d.shard, len(data), sync)
+	d.c.noteAppendWAL(d.shard, len(data))
 	return nil
 }
 
 func (d *durableDevice) SyncWAL() error {
-	f, ok, err := d.c.begin(d.shard, OpSyncWAL, "", nil)
+	f, ok, err := d.c.begin(d.shard, OpSyncWAL, "")
 	if err != nil {
 		return err
 	}
@@ -645,7 +630,7 @@ func (d *durableDevice) LoadWAL() ([]storage.WALSegment, error) {
 // before the first append after one leaves an empty successor, and a death
 // between two drops leaves a suffix of the covered segments.
 func (d *durableDevice) RotateWAL(seq uint64) error {
-	if _, _, err := d.c.begin(d.shard, OpRotateWAL, fmt.Sprintf("seq=%d", seq), nil); err != nil {
+	if _, _, err := d.c.begin(d.shard, OpRotateWAL, fmt.Sprintf("seq=%d", seq)); err != nil {
 		return err
 	}
 	if err := d.dur.RotateWAL(seq); err != nil {
@@ -656,14 +641,14 @@ func (d *durableDevice) RotateWAL(seq uint64) error {
 }
 
 func (d *durableDevice) DropWAL(seq uint64) {
-	if _, _, err := d.c.begin(d.shard, OpDropWAL, fmt.Sprintf("seq=%d", seq), nil); err != nil {
+	if _, _, err := d.c.begin(d.shard, OpDropWAL, fmt.Sprintf("seq=%d", seq)); err != nil {
 		return // a dead process unlinks nothing
 	}
 	d.dur.DropWAL(seq)
 }
 
 func (d *durableDevice) SaveManifest(data []byte) error {
-	f, ok, err := d.c.begin(d.shard, OpSaveManifest, fmt.Sprintf("n=%d", len(data)), nil)
+	f, ok, err := d.c.begin(d.shard, OpSaveManifest, fmt.Sprintf("n=%d", len(data)))
 	if err != nil {
 		return err
 	}

@@ -169,13 +169,13 @@ func walkFaults(err error, fn func(kind string)) {
 // doubt. Manifest installs and page appends happen only on the maintenance
 // path, which runs after the op's own commit returned durable — an error
 // carrying only those kinds means the write itself stands and will replay.
-// Commit-path kinds (failed commit fsync, failed group fsync, torn append)
+// Commit-path kinds (failed log append, failed group fsync, torn append)
 // mean the commit may be lost; so does a kill, when it fired on a WAL op.
 func (h *harness) commitUncertain(err error) bool {
 	uncertain := false
 	walkFaults(err, func(kind string) {
 		switch kind {
-		case KindCommitFsync, KindSyncWAL, KindTornAppend:
+		case KindWALAppend, KindSyncWAL, KindTornAppend:
 			uncertain = true
 		case "killed":
 			switch h.control.KillOp() {
@@ -255,7 +255,6 @@ type harness struct {
 	imgRng  *rng // crash-image tail survival
 
 	strategy   lsmstore.Strategy
-	gc         lsmstore.GroupCommitMode
 	validation lsmstore.ValidationMethod
 	shards     int
 	workers    int
@@ -315,10 +314,6 @@ func Run(cfg Config) (*Report, error) {
 	default:
 		h.validation = lsmstore.TimestampValidation
 	}
-	h.gc = lsmstore.GroupCommitOn
-	if cfgRng.chance(0.25) {
-		h.gc = lsmstore.GroupCommitOff
-	}
 	h.keySpace = 80 + cfgRng.intn(160)
 	h.shards, h.workers = 1, 0
 	perturb := false
@@ -361,14 +356,14 @@ func Run(cfg Config) (*Report, error) {
 	if err := os.MkdirAll(h.dir, 0o755); err != nil {
 		return nil, err
 	}
-	h.trace.Addf("run strategy=%v gc=%v shards=%d keyspace=%d readcache=%s admission=%s",
-		h.strategy, h.gc, h.shards, h.keySpace, onOff(h.readCache), onOff(h.adm != nil))
+	h.trace.Addf("run strategy=%v shards=%d keyspace=%d readcache=%s admission=%s",
+		h.strategy, h.shards, h.keySpace, onOff(h.readCache), onOff(h.adm != nil))
 
 	report := &Report{
 		Seed:    cfg.Seed,
 		Profile: cfg.Profile,
-		Setup: fmt.Sprintf("strategy=%v gc=%v shards=%d workers=%d keyspace=%d readcache=%s admission=%s",
-			h.strategy, h.gc, h.shards, h.workers, h.keySpace, onOff(h.readCache), onOff(h.adm != nil)),
+		Setup: fmt.Sprintf("strategy=%v shards=%d workers=%d keyspace=%d readcache=%s admission=%s",
+			h.strategy, h.shards, h.workers, h.keySpace, onOff(h.readCache), onOff(h.adm != nil)),
 		Verdict: "ok",
 	}
 	err := h.run()
@@ -470,11 +465,10 @@ func (h *harness) options() lsmstore.Options {
 		FilterExtract:      workload.CreationOf,
 		Backend:            lsmstore.FileBackend,
 		Dir:                h.dir,
-		MemoryBudget:       8 << 10, // tiny: every run crosses flush and merge paths
+		MemoryBudget:       8 << 10,     // tiny: every run crosses flush and merge paths
 		CacheBytes:         2 * 4 << 10, // two frames: nearly every page a scan leaves is evicted by its next read
 		PageSize:           4 << 10,
 		Seed:               5,
-		GroupCommit:        h.gc,
 		Shards:             h.shards,
 		MaintenanceWorkers: h.workers,
 		WrapDevice:         h.control.Wrap,

@@ -333,13 +333,13 @@ func walImage(t *testing.T, dev storage.Durable) string {
 }
 
 // testWALLifecycle walks a session's log: it starts with the first
-// RotateWAL, appends land in the live segment synced or not, a rotation
+// RotateWAL, appends land in the live segment before any sync, a rotation
 // never lands on a segment that exists, and DropWAL removes a sealed one.
 func testWALLifecycle(t *testing.T, dev storage.Durable) {
 	if got := walImage(t, dev); got != "" {
 		t.Fatalf("LoadWAL on a fresh device = %q", got)
 	}
-	if err := dev.AppendWAL([]byte("early"), false); err == nil {
+	if err := dev.AppendWAL([]byte("early")); err == nil {
 		t.Fatal("append before the session's first RotateWAL was accepted")
 	}
 	steps := []struct {
@@ -347,12 +347,13 @@ func testWALLifecycle(t *testing.T, dev storage.Durable) {
 		want string
 	}{
 		{func() error { return dev.RotateWAL(1) }, "1:"},
-		{func() error { return dev.AppendWAL([]byte("rec1"), false) }, "1:rec1"},
+		{func() error { return dev.AppendWAL([]byte("rec1")) }, "1:rec1"},
 		{dev.SyncWAL, "1:rec1"},
-		{func() error { return dev.AppendWAL([]byte("rec2"), true) }, "1:rec1rec2"},
+		{func() error { return dev.AppendWAL([]byte("rec2")) }, "1:rec1rec2"},
+		{dev.SyncWAL, "1:rec1rec2"},
 		{dev.SyncWAL, "1:rec1rec2"}, // nothing dirty: still fine
 		{func() error { return dev.RotateWAL(2) }, "1:rec1rec2 2:"},
-		{func() error { return dev.AppendWAL([]byte("rec3"), true) }, "1:rec1rec2 2:rec3"},
+		{func() error { return dev.AppendWAL([]byte("rec3")) }, "1:rec1rec2 2:rec3"},
 		{func() error { return dev.RotateWAL(3) }, "1:rec1rec2 2:rec3 3:"},
 		{func() error { dev.DropWAL(1); return nil }, "2:rec3 3:"},
 		{func() error { dev.DropWAL(1); return nil }, "2:rec3 3:"}, // cannot fail
@@ -380,10 +381,10 @@ func testWALTornTail(t *testing.T, dev storage.Durable) {
 	if err := dev.RotateWAL(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.AppendWAL(whole, true); err != nil {
+	if err := dev.AppendWAL(whole); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.AppendWAL(torn, false); err != nil {
+	if err := dev.AppendWAL(torn); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := dev.LoadWAL()
@@ -393,7 +394,7 @@ func testWALTornTail(t *testing.T, dev storage.Durable) {
 	if len(segs) != 1 || segs[0].Seq != 1 || !bytes.Equal(segs[0].Data, append(slices.Clone(whole), torn...)) {
 		t.Fatalf("LoadWAL = %v, want segment 1 with the torn tail intact", segs)
 	}
-	log, err := wal.OpenPersisted(nil, segs, nil)
+	log, err := wal.OpenPersisted(nil, segs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,10 +83,11 @@ type Durable interface {
 	// LoadManifest returns the manifest written by a previous session, or
 	// (nil, nil) when none exists.
 	LoadManifest() ([]byte, error)
-	// AppendWAL appends encoded log records to the live segment; with sync
-	// set the append is fsynced before returning (commit durability). The
-	// device neither retains nor modifies data.
-	AppendWAL(data []byte, sync bool) error
+	// AppendWAL appends encoded log records to the live segment, unsynced:
+	// SyncWAL is their durability point. A failed append leaves none of
+	// data in the log area (or poisons it). The device neither retains nor
+	// modifies data.
+	AppendWAL(data []byte) error
 	// SyncWAL fsyncs the log area, covering every append that completed
 	// before the call — the primitive group commit is built on: committers
 	// append unsynced and a leader issues one SyncWAL for all of them. A

@@ -31,9 +31,10 @@
 // # WAL durability and group commit
 //
 // A Durable's log area takes appends, loads what previous sessions left,
-// rotates to a fresh segment and drops a sealed one. SyncWAL — an fsync of
-// the log area decoupled from any append — is the primitive group commit
-// builds on: concurrent committers append their log records unsynced, park
+// rotates to a fresh segment and drops a sealed one. An append never
+// fsyncs: SyncWAL — an fsync of the log area decoupled from any append — is
+// the only commit fsync, and group commit builds on it: concurrent
+// committers append their log records unsynced, park
 // on a shared commit window (filedev.GroupSyncer), and a leader issues one
 // SyncWAL covering all of them. One fsync then acknowledges a whole group
 // of writes instead of one, which is the difference between

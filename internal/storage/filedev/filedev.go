@@ -641,13 +641,12 @@ var errWALBroken = errors.New("filedev: WAL is poisoned by an earlier failed app
 // walPath names the file of segment seq.
 func (d *Device) walPath(seq uint64) string { return filepath.Join(d.dir, WALSegmentName(seq)) }
 
-// AppendWAL appends encoded log records to the live segment, fsyncing when
-// sync is set (commit durability). A failed write or fsync means the
+// AppendWAL appends encoded log records to the live segment, unsynced: the
+// commit group's SyncWAL makes them durable. A failed write means the
 // operation was reported as failed to the caller, so the appended bytes are
 // truncated away; if even the rollback fails, the WAL is poisoned rather
-// than left where a later background sync could durably commit the failed
-// write.
-func (d *Device) AppendWAL(data []byte, sync bool) error {
+// than left where a later sync could durably commit the failed write.
+func (d *Device) AppendWAL(data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -659,29 +658,15 @@ func (d *Device) AppendWAL(data []byte, sync bool) error {
 	if d.wal == nil {
 		return errors.New("filedev: no live WAL segment (RotateWAL starts one)")
 	}
-	pre := d.walSize
-	rollback := func(cause error) error {
-		if terr := d.wal.Truncate(pre); terr != nil {
-			d.walBroken = true
-		} else {
-			d.walSize = pre
-		}
-		return cause
-	}
 	n, err := d.wal.Write(data)
-	d.walSize += int64(n)
 	if err != nil {
-		return rollback(err)
-	}
-	d.walDirty = true
-	if sync {
-		//lsm:lockio-ok the per-record commit fsync must sit inside mu for rollback atomicity (truncate-on-failure); group commit (SyncWAL) is the hot path and fsyncs outside the lock
-		if err := d.wal.Sync(); err != nil {
-			return rollback(err)
+		if terr := d.wal.Truncate(d.walSize); terr != nil {
+			d.walBroken = true
 		}
-		d.walDirty = false
-		d.countWALFsync()
+		return err
 	}
+	d.walSize += int64(n)
+	d.walDirty = true
 	return nil
 }
 
@@ -690,8 +675,8 @@ func (d *Device) AppendWAL(data []byte, sync bool) error {
 // device mutex is NOT held across the fsync, so appends for the next group
 // proceed while this group's fsync is in flight; walSyncMu serializes the
 // fsyncs themselves (and rotations: the handle cannot move under an fsync).
-// A failed fsync poisons the log area: unlike a failed synchronous append
-// there is nothing to truncate back to — records from several writers (and
+// A failed fsync poisons the log area: unlike a failed append there is
+// nothing to truncate back to — records from several writers (and
 // possibly a next group) sit above the last known durable offset, so the
 // suffix is indeterminate and neither appends nor background syncs may
 // touch it again.

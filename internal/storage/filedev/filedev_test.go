@@ -396,16 +396,16 @@ func TestWALAppendLoad(t *testing.T) {
 	if got := walImage(t, d); got != "" {
 		t.Fatalf("LoadWAL on fresh dir = %q", got)
 	}
-	if err := d.AppendWAL([]byte("early"), false); err == nil {
+	if err := d.AppendWAL([]byte("early")); err == nil {
 		t.Fatal("append before the session's first RotateWAL was accepted")
 	}
 	if err := d.RotateWAL(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AppendWAL([]byte("rec1"), false); err != nil {
+	if err := d.AppendWAL([]byte("rec1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AppendWAL([]byte("rec2"), true); err != nil {
+	if err := d.AppendWAL([]byte("rec2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -422,7 +422,7 @@ func TestWALAppendLoad(t *testing.T) {
 	if err := d2.RotateWAL(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.AppendWAL([]byte("rec3"), true); err != nil {
+	if err := d2.AppendWAL([]byte("rec3")); err != nil {
 		t.Fatal(err)
 	}
 	if got := walImage(t, d2); got != "1:rec1rec2 2:rec3" {

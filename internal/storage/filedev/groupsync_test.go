@@ -210,7 +210,7 @@ func TestDeviceSyncWALCountsFsyncs(t *testing.T) {
 	if err := d.RotateWAL(1); err != nil { // nothing to seal: no fsync either
 		t.Fatal(err)
 	}
-	if err := d.AppendWAL([]byte("record"), false); err != nil {
+	if err := d.AppendWAL([]byte("record")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.SyncWAL(); err != nil {

@@ -114,31 +114,46 @@ func StoreImage(t testing.TB, db *lsmstore.DB, ids []uint64, validation lsmstore
 // returns the touched ids, sorted.
 func MixedWorkload(t testing.TB, db *lsmstore.DB, n int, seed int64) []uint64 {
 	t.Helper()
+	muts, ids := MixedMutations(n, seed)
+	for _, m := range muts {
+		if m.Op == lsmstore.OpDelete {
+			if _, err := db.Delete(m.PK); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := db.Upsert(m.PK, m.Record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
+}
+
+// MixedMutations is MixedWorkload's stream as mutations, for a caller that
+// applies it some other way (in batches, say), and the touched ids, sorted.
+func MixedMutations(n int, seed int64) ([]lsmstore.Mutation, []uint64) {
 	cfg := workload.DefaultConfig(seed)
 	cfg.UserIDRange = 40
 	cfg.UpdateRatio = 0.4
 	cfg.ZipfUpdates = true
 	gen := workload.NewGenerator(cfg)
 	seen := map[uint64]bool{}
+	muts := make([]lsmstore.Mutation, 0, n)
 	for i := 0; i < n; i++ {
 		op := gen.Next()
 		seen[op.Tweet.ID] = true
 		if i%17 == 13 {
-			if _, err := db.Delete(op.Tweet.PK()); err != nil {
-				t.Fatal(err)
-			}
+			muts = append(muts, lsmstore.Mutation{Op: lsmstore.OpDelete, PK: op.Tweet.PK()})
 			continue
 		}
-		if err := db.Upsert(op.Tweet.PK(), op.Tweet.Encode()); err != nil {
-			t.Fatal(err)
-		}
+		muts = append(muts, lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: op.Tweet.PK(), Record: op.Tweet.Encode()})
 	}
 	ids := make([]uint64, 0, len(seen))
 	for id := range seen {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return muts, ids
 }
 
 // SnapshotStoreDir copies a store directory — live or abandoned — into dst

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/metrics"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -79,11 +77,11 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 // same records and continues the LSN sequence.
 func TestLogPersistedRoundTrip(t *testing.T) {
 	sink := &recordingSink{}
-	l := New(metrics.NopEnv(), sink)
+	l := openOn(t, sink, nil)
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("a"), Value: []byte("1"), TS: 10})
 	mustAppend(t, l, Record{Type: RecDelete, Key: []byte("b"), TS: 11, UpdateBit: true})
 
-	l2, err := OpenPersisted(nil, oneSegment(sink.image), nil)
+	l2, err := OpenPersisted(nil, oneSegment(sink.image), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +104,12 @@ func TestLogPersistedRoundTrip(t *testing.T) {
 // records before the torn one and reports exactly their bytes as decoded.
 func TestOpenPersistedTornTail(t *testing.T) {
 	sink := &recordingSink{}
-	l := New(nil, sink)
+	l := openOn(t, sink, nil)
 	mustAppend(t, l, Record{Type: RecInsert, Key: []byte("x")})
 	first := len(sink.image)
 	mustAppend(t, l, Record{Type: RecDelete, Key: []byte("y"), TS: 7})
 	for cut := 0; cut < len(sink.image); cut++ {
-		kept, err := OpenPersisted(nil, oneSegment(sink.image[:cut]), nil)
+		kept, err := OpenPersisted(nil, oneSegment(sink.image[:cut]), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,7 +95,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // fresh segment only.
 func TestCutDropsCoveredSegments(t *testing.T) {
 	sink := &recordingSink{}
-	l := New(nil, sink)
+	l := openOn(t, sink, nil)
 	app := func(lg *Log, ts int64, key string) {
 		mustAppend(t, lg, Record{Type: RecUpsert, Key: []byte(key), TS: ts})
 	}
@@ -130,7 +130,7 @@ func TestCutDropsCoveredSegments(t *testing.T) {
 
 	// Reopen over the surviving segment with a torn tail behind it.
 	torn := append(slices.Clone(sink.segs[3]), 0, 0, 1, 200, 77)
-	re, err := OpenPersisted(nil, []storage.WALSegment{{Seq: 3, Data: torn}}, sink)
+	re, err := OpenPersisted(nil, []storage.WALSegment{{Seq: 3, Data: torn}}, sink, &scriptedGroup{})
 	if err != nil {
 		t.Fatal(err)
 	}

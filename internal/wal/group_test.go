@@ -8,12 +8,11 @@ import (
 	"repro/internal/storage"
 )
 
-// recordingSink captures every append, its sync flag and the byte stream a
-// device's WAL area would hold: image is everything ever appended, segs
-// what each segment still on the "device" holds.
+// recordingSink captures every append and the byte stream a device's WAL
+// area would hold: image is everything ever appended, segs what each
+// segment still on the "device" holds.
 type recordingSink struct {
 	appends int
-	syncs   int
 	image   []byte
 	live    uint64 // 0 until the first RotateWAL: appends then land in segment 1
 	segs    map[uint64][]byte
@@ -21,7 +20,7 @@ type recordingSink struct {
 	fail    error // when set, every append fails with it and keeps nothing
 }
 
-func (s *recordingSink) AppendWAL(encoded []byte, sync bool) error {
+func (s *recordingSink) AppendWAL(encoded []byte) error {
 	if s.fail != nil {
 		return s.fail
 	}
@@ -32,9 +31,6 @@ func (s *recordingSink) AppendWAL(encoded []byte, sync bool) error {
 	}
 	seq := max(s.live, 1)
 	s.segs[seq] = append(s.segs[seq], encoded...)
-	if sync {
-		s.syncs++
-	}
 	return nil
 }
 
@@ -52,6 +48,20 @@ func (s *recordingSink) RotateWAL(seq uint64) error {
 func (s *recordingSink) DropWAL(seq uint64) {
 	delete(s.segs, seq)
 	s.dropped = append(s.dropped, seq)
+}
+
+// openOn opens a fresh log on sink that commits through gc (a fresh
+// scriptedGroup when nil).
+func openOn(t *testing.T, sink *recordingSink, gc GroupCommitter) *Log {
+	t.Helper()
+	if gc == nil {
+		gc = &scriptedGroup{}
+	}
+	l, err := OpenPersisted(nil, nil, sink, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // mustAppend logs r through lg (nil batch: durable on return) and returns
@@ -104,18 +114,16 @@ func (g *scriptedGroup) Wait(commits int64) error {
 	return nil
 }
 
-// TestCommitDurableGroupModeDefersSync: in group mode no append carries a
-// per-record sync — durability comes from the group Wait, exactly once per
-// write, and a write is exactly one sink append.
+// TestCommitDurableGroupModeDefersSync: durability comes from the group
+// Wait, exactly once per write, and a write is exactly one sink append.
 func TestCommitDurableGroupModeDefersSync(t *testing.T) {
 	sink := &recordingSink{}
 	gc := &scriptedGroup{}
-	l := New(nil, sink)
-	l.AttachGroupCommitter(gc)
+	l := openOn(t, sink, gc)
 
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1})
-	if sink.appends != 1 || sink.syncs != 0 {
-		t.Fatalf("%d appends, %d synced; want 1 and 0 (durability is the group's job)", sink.appends, sink.syncs)
+	if sink.appends != 1 {
+		t.Fatalf("%d appends, want 1", sink.appends)
 	}
 	if gc.announced != 1 || gc.waits != 1 || gc.retracted != 0 {
 		t.Fatalf("group protocol = announce %d / wait %d / retract %d, want 1/1/0",
@@ -132,9 +140,7 @@ func TestCommitDurableGroupModeDefersSync(t *testing.T) {
 func TestCommitDurableGroupFailure(t *testing.T) {
 	boom := errors.New("covering fsync failed")
 	sink := &recordingSink{}
-	gc := &scriptedGroup{errs: []error{boom}}
-	l := New(nil, sink)
-	l.AttachGroupCommitter(gc)
+	l := openOn(t, sink, &scriptedGroup{errs: []error{boom}})
 
 	if _, err := l.Append(Record{Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1}, nil); !errors.Is(err, boom) {
 		t.Fatalf("Append error = %v, want the fsync failure", err)
@@ -154,13 +160,12 @@ func TestWaitBatchFailureDropsEveryDeferredCommit(t *testing.T) {
 	boom := errors.New("covering fsync failed")
 	sink := &recordingSink{}
 	gc := &scriptedGroup{errs: []error{nil, boom}}
-	l := New(nil, sink)
-	l.AttachGroupCommitter(gc)
+	l := openOn(t, sink, gc)
 
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("acked"), TS: 1})
 	b := l.NewBatch()
 	if b == nil {
-		t.Fatal("NewBatch returned nil in group-commit mode")
+		t.Fatal("NewBatch returned nil on a log with a device")
 	}
 	for i := int64(1); i <= 3; i++ {
 		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte{byte(i)}, TS: 1 + i}, b); err != nil {
@@ -182,8 +187,7 @@ func TestWaitBatchFailureDropsEveryDeferredCommit(t *testing.T) {
 func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	sink := &recordingSink{}
 	gc := &scriptedGroup{}
-	l := New(nil, sink)
-	l.AttachGroupCommitter(gc)
+	l := openOn(t, sink, gc)
 
 	b := l.NewBatch()
 	for i := int64(1); i <= 3; i++ {
@@ -200,19 +204,19 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	if gc.waits != 1 || gc.commits != 3 {
 		t.Fatalf("waits=%d commits=%d, want one wait carrying 3 commits", gc.waits, gc.commits)
 	}
-	if sink.appends != 3 || sink.syncs != 0 {
-		t.Fatalf("%d appends, %d synced; want 3 and 0", sink.appends, sink.syncs)
+	if sink.appends != 3 {
+		t.Fatalf("%d appends, want 3", sink.appends)
 	}
 	if got := replayedKeys(t, l); got != "b,c,d" {
 		t.Fatalf("replayed %q, want the three batched writes", got)
 	}
 }
 
-// TestNewBatchNilWithoutGroupMode: without a group committer (or on a nil
-// log) NewBatch must return nil so callers keep per-commit durability.
+// TestNewBatchNilWithoutGroupMode: a log without a device (or a nil log)
+// has no fsync to wait for, so NewBatch returns nil.
 func TestNewBatchNilWithoutGroupMode(t *testing.T) {
-	if b := New(nil, &recordingSink{}).NewBatch(); b != nil {
-		t.Fatal("NewBatch without a group committer returned a batch")
+	if b := New(nil).NewBatch(); b != nil {
+		t.Fatal("NewBatch on a memory-only log returned a batch")
 	}
 	var l *Log
 	if b := l.NewBatch(); b != nil {

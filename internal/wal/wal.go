@@ -13,15 +13,13 @@
 //
 // On a durable device (Device: the log-writing methods of storage.Durable,
 // under their own names) Append streams the record to the device's log area
-// and makes it durable the way the caller asks:
+// unsynced, and its durability comes from the log's GroupCommitter, passed
+// at construction:
 //
-//   - Per-record: without a GroupCommitter the record is appended with sync
-//     set, and the device fsyncs before returning. Simple, but every writer
-//     pays a full fsync.
-//   - Group commit: with a GroupCommitter attached, the record is appended
-//     unsynced and the writer parks on the open commit group; one member
-//     issues a single fsync covering everyone parked and wakes the group.
-//   - Batched: a record registered in a Batch is appended unsynced and
+//   - Single write: the writer parks on the open commit group; one member
+//     issues a single fsync covering everyone parked and wakes the group. A
+//     lone writer's group is itself, and its fsync is immediate.
+//   - Batched: a record registered in a Batch is not waited for on its own;
 //     WaitBatch parks once for all of them — one fsync per engine batch,
 //     not per mutation.
 //
@@ -95,7 +93,7 @@ type Record struct {
 // AppendWAL receives the binary encoding of every appended record, a slice
 // aliasing the log's own memory image.
 type Device interface {
-	AppendWAL(data []byte, sync bool) error
+	AppendWAL(data []byte) error
 	RotateWAL(seq uint64) error
 	DropWAL(seq uint64)
 }
@@ -146,13 +144,13 @@ type GroupCommitter interface {
 
 // Log is an append-only logical log. The paper's configuration dedicates a
 // separate device to logging, so appends are charged at a flat group-commit
-// cost rather than against the LSM data disk. With a Device attached, every
-// record is additionally streamed to it in its binary encoding (real
-// write-ahead durability).
+// cost rather than against the LSM data disk. A log opened on a Device
+// additionally streams every record to it in its binary encoding and commits
+// it through its group (real write-ahead durability).
 type Log struct {
 	env   *metrics.Env
 	dev   Device
-	group GroupCommitter // non-nil only in group-commit mode
+	group GroupCommitter // commits every append to dev; nil exactly when dev is
 
 	mu      sync.Mutex
 	segs    []segment // oldest to newest; appends go to the last
@@ -168,11 +166,9 @@ type Log struct {
 	keepCommitOnFailedFsync bool
 }
 
-// New creates an empty log streaming its records to dev, which must be
-// ready to take appends for segment 1; with a nil dev the log lives in
-// memory only.
-func New(env *metrics.Env, dev Device) *Log {
-	return &Log{env: env, dev: dev, nextLSN: 1, segs: []segment{{seq: 1}}}
+// New creates an empty log that lives in memory only.
+func New(env *metrics.Env) *Log {
+	return &Log{env: env, nextLSN: 1, segs: []segment{{seq: 1}}}
 }
 
 // OpenPersisted rebuilds a log from the segments a previous session left on
@@ -180,9 +176,11 @@ func New(env *metrics.Env, dev Device) *Log {
 // truncated record (the torn tail of a crash mid-append); the segments stay
 // as they are — nothing is appended to or cut out of a recovered segment —
 // and the session's appends go to a fresh one, started on dev here.
-// LSNs keep ascending across sessions.
-func OpenPersisted(env *metrics.Env, segs []storage.WALSegment, dev Device) (*Log, error) {
-	l := &Log{env: env, dev: dev, nextLSN: 1}
+// LSNs keep ascending across sessions. Every append is committed through
+// group, which must cover dev's log area; with a nil dev (and group) the log
+// lives in memory only.
+func OpenPersisted(env *metrics.Env, segs []storage.WALSegment, dev Device, group GroupCommitter) (*Log, error) {
+	l := &Log{env: env, dev: dev, group: group, nextLSN: 1}
 	for _, s := range segs {
 		seg := segment{seq: s.Seq}
 		data := s.Data
@@ -247,22 +245,11 @@ func (l *Log) DropBefore(seq uint64) {
 	}
 }
 
-// AttachGroupCommitter switches the log into group-commit mode: records are
-// appended to the device WITHOUT a per-record fsync, and Append/WaitBatch
-// block on gc until one covering fsync lands. Attach before the first
-// append; the log does not synchronize the switch against in-flight writers.
-func (l *Log) AttachGroupCommitter(gc GroupCommitter) { l.group = gc }
-
-// GroupCommitEnabled reports whether a group committer is attached (and a
-// device exists for it to cover).
-func (l *Log) GroupCommitEnabled() bool { return l.group != nil && l.dev != nil }
-
 // Append logs one write, assigning and returning its LSN. With a nil batch
-// the record is durable when Append returns nil: synced by the device itself,
-// or — in group-commit mode — covered by the one fsync its commit group
-// shares. With a batch (group-commit mode only, see NewBatch) the record is
-// appended unsynced and registered in b; it is durable, and the write may be
-// acknowledged, only after a successful WaitBatch.
+// the record is durable when Append returns nil: covered by the one fsync
+// its commit group shares. With a batch (see NewBatch) the record is
+// registered in b; it is durable, and the write may be acknowledged, only
+// after a successful WaitBatch.
 //
 // The error is THIS record's own result — a device failure of its append or
 // the failure of the fsync meant to cover it — never the log-wide sticky
@@ -271,8 +258,7 @@ func (l *Log) GroupCommitEnabled() bool { return l.group != nil && l.dev != nil 
 // log area is no longer trustworthy, and an in-session Crash/Recover must
 // not replay a write reported as failed.
 func (l *Log) Append(r Record, b *Batch) (int64, error) {
-	grouped := l.GroupCommitEnabled()
-	park := grouped && b == nil // this call waits on the commit group itself
+	park := l.dev != nil && b == nil // this call waits on the commit group itself
 	if park {
 		l.group.Announce()
 	}
@@ -294,7 +280,7 @@ func (l *Log) Append(r Record, b *Batch) (int64, error) {
 	if l.dev == nil {
 		return r.LSN, nil
 	}
-	if err := l.dev.AppendWAL(enc, !grouped); err != nil {
+	if err := l.dev.AppendWAL(enc); err != nil {
 		if park {
 			l.group.Retract()
 		}
@@ -302,9 +288,7 @@ func (l *Log) Append(r Record, b *Batch) (int64, error) {
 		return r.LSN, err
 	}
 	if !park {
-		if grouped {
-			b.lsns = append(b.lsns, r.LSN)
-		}
+		b.lsns = append(b.lsns, r.LSN)
 		return r.LSN, nil
 	}
 	if yield != nil {
@@ -341,7 +325,7 @@ func (l *Log) DeviceErr() error {
 }
 
 // SetYield installs a scheduling hook invoked at the instrumented points
-// in the group-commit path (after a record is appended unsynced, before
+// in the commit path (after a record is appended unsynced, before
 // the writer parks on its group). The deterministic simulation harness uses
 // it to perturb how committers interleave with group leaders. A nil hook
 // disables the points.
@@ -378,17 +362,15 @@ func (l *Log) failCovered(err error, lsns ...int64) {
 // Batch defers durability across a run of writes: each record is appended
 // unsynced and registered here, and one WaitBatch at the end parks on the
 // commit group once, so an engine batch pays a single fsync instead of one
-// per mutation. Only meaningful in group-commit mode; a Batch is not safe
-// for concurrent use.
+// per mutation. A Batch is not safe for concurrent use.
 type Batch struct {
 	lsns []int64
 }
 
-// NewBatch returns a deferred-durability handle, or nil when the log is
-// not in group-commit mode (callers then fall back to per-record
-// durability, preserving the non-grouped semantics exactly).
+// NewBatch returns a deferred-durability handle, or nil for a nil log or
+// one without a device, whose writes have no fsync to wait for.
 func (l *Log) NewBatch() *Batch {
-	if l == nil || !l.GroupCommitEnabled() {
+	if l == nil || l.dev == nil {
 		return nil
 	}
 	return &Batch{}
@@ -402,15 +384,14 @@ func (l *Log) WaitBatch(b *Batch) error {
 	if b == nil || len(b.lsns) == 0 {
 		return nil
 	}
-	gc := l.group
-	gc.Announce()
+	l.group.Announce()
 	l.mu.Lock()
 	yield := l.yield
 	l.mu.Unlock()
 	if yield != nil {
 		yield("wal.batch.announced")
 	}
-	if err := gc.Wait(int64(len(b.lsns))); err != nil {
+	if err := l.group.Wait(int64(len(b.lsns))); err != nil {
 		l.failCovered(err, b.lsns...)
 		return err
 	}

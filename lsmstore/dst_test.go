@@ -17,10 +17,10 @@ import (
 // harness behind a CLI for reproducing and sweeping seeds.
 
 // dstCorpus is the committed seed corpus. Each seed derives a different
-// store configuration (strategy, group-commit mode, keyspace) and fault
+// store configuration (strategy, keyspace, read cache, admission) and fault
 // schedule; together they cover all four anti-matter strategies and every
-// injected fault kind (asserted below, so corpus edits can't silently
-// lose coverage).
+// damaging fault kind (asserted below, so corpus edits can't silently lose
+// coverage).
 var dstCorpus = []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
 
 func dstRun(t *testing.T, cfg dst.Config) *dst.Report {
@@ -35,7 +35,7 @@ func dstRun(t *testing.T, cfg dst.Config) *dst.Report {
 
 // TestDSTCorpus runs every committed seed with fault injection and
 // requires a clean verdict, then asserts the corpus still covers all four
-// strategies and the three damaging fault kinds.
+// strategies and the four damaging fault kinds.
 func TestDSTCorpus(t *testing.T) {
 	strategies := map[string]bool{}
 	kinds := map[string]bool{}
@@ -70,7 +70,7 @@ func TestDSTCorpus(t *testing.T) {
 			t.Errorf("corpus no longer covers strategy %q (got %v)", want, strategies)
 		}
 	}
-	for _, want := range []string{dst.KindTornAppend, dst.KindSyncWAL, dst.KindManifest} {
+	for _, want := range []string{dst.KindWALAppend, dst.KindTornAppend, dst.KindSyncWAL, dst.KindManifest} {
 		if !kinds[want] {
 			t.Errorf("corpus no longer fires fault kind %q (got %v)", want, kinds)
 		}
@@ -150,8 +150,7 @@ func requireCorpusCatches(t *testing.T, bug string, seeds []int64, verdict strin
 // TestDSTCatchesKeepCommitBug re-arms the historical
 // keep-commit-on-failed-fsync bug (the PR 5 failed-fsync rollback,
 // deleted): a slice of the corpus is enough that at least one seed draws a
-// group-commit configuration with a failed covering fsync and fails with a
-// replayed-failed-commit verdict.
+// failed covering fsync and fails with a replayed-failed-commit verdict.
 func TestDSTCatchesKeepCommitBug(t *testing.T) {
 	requireCorpusCatches(t, dst.BugKeepCommit, dstCorpus[:8], "failed commit replayed")
 }

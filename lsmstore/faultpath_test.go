@@ -17,9 +17,9 @@ import (
 // The fault-path battery: single scripted storage faults placed exactly on
 // the operation under study, via the internal/dst device wrapper over the
 // real file backend. Where the dst sweeps explore seeded schedules, these
-// tests pin the two failure shapes PR 7 called out as uncovered — a failed
-// manifest sync during component install, and a torn WAL tail on a
-// group-commit window boundary — plus the Close-persist regression.
+// tests pin single failure shapes — a failed manifest sync during component
+// install, a torn WAL tail on a commit-group boundary, a failed WAL append on
+// a single write and mid-batch — plus the Close-persist regression.
 
 // faultStore opens a disk store in dir wrapped with a scripted injector.
 // The open itself runs quiet (no injection: Open probes a different
@@ -211,7 +211,6 @@ func TestTornWALTailAtGroupCommitBoundary(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := diskOptions(lsmstore.Eager, dir)
-			opts.GroupCommit = lsmstore.GroupCommitOn
 			opts.MemoryBudget = 1 << 20 // no flush: the WAL tail is the store
 			db, control := faultStore(t, dir, opts, dst.Script{
 				{Shard: 0, Op: dst.OpAppendWAL, Ord: acked, Fault: dst.Fault{Kind: dst.KindTornAppend, Frac: tc.frac}},
@@ -260,6 +259,108 @@ func TestTornWALTailAtGroupCommitBoundary(t *testing.T) {
 			} else if found != tc.replayed {
 				t.Fatalf("unacknowledged write with %.0f%% of its record in the file: found=%v, want %v", 100*tc.frac, found, tc.replayed)
 			}
+		})
+	}
+}
+
+// TestFailedWALAppend fails one log append — nothing reaches the device —
+// on a single Upsert and on the k-th mutation of an ApplyBatch, whose
+// records commit together at the end. The failed write returns the error,
+// every later write returns it too (the log is wedged), and the failed write
+// is served neither after an in-process Crash+Recover nor after a reopen,
+// while every write acknowledged before it — the batch's mutations before k
+// included, which were reported applied and committed by the batch's
+// covering fsync — is.
+func TestFailedWALAppend(t *testing.T) {
+	const (
+		acked = 5 // single upserts acknowledged before the failure
+		batch = 5
+		k     = 2 // the failing mutation of the batch
+	)
+	for _, batched := range []bool{false, true} {
+		name := "upsert"
+		if batched {
+			name = "batch"
+		}
+		t.Run(name, func(t *testing.T) {
+			// The writes under study: one upsert, or a batch failing at k.
+			muts, fail := make([]lsmstore.Mutation, 1), 0
+			if batched {
+				muts, fail = make([]lsmstore.Mutation, batch), k
+			}
+			for i := range muts {
+				id := uint64(acked + 1 + i)
+				muts[i] = lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: tweetPK(id), Record: tweetRec(id, 7, int64(id))}
+			}
+			dir := t.TempDir()
+			opts := diskOptions(lsmstore.Validation, dir)
+			opts.MemoryBudget = 1 << 20 // no flush: the log holds every write
+			db, control := faultStore(t, dir, opts, dst.Script{
+				{Shard: 0, Op: dst.OpAppendWAL, Ord: int64(acked + fail), Fault: dst.Fault{Kind: dst.KindWALAppend}},
+			})
+
+			want := map[uint64][]byte{} // acknowledged: served to the end
+			for id := uint64(1); id <= acked; id++ {
+				want[id] = tweetRec(id, uint32(id), int64(id))
+				if err := db.Upsert(tweetPK(id), want[id]); err != nil {
+					t.Fatalf("acked upsert %d: %v", id, err)
+				}
+			}
+			applied := make([]bool, len(muts))
+			var err error
+			if batched {
+				applied, err = db.ApplyBatchResults(muts)
+			} else {
+				err = db.Upsert(muts[0].PK, muts[0].Record)
+			}
+			requireFired(t, control, dst.KindWALAppend)
+			if err == nil || !strings.Contains(err.Error(), dst.KindWALAppend) {
+				t.Fatalf("failed append returned %v, want the injected %s fault", err, dst.KindWALAppend)
+			}
+			lost := []uint64{100} // failed, never logged or refused: never served
+			for i, m := range muts {
+				if applied[i] != (i < fail) {
+					t.Fatalf("mutation %d reported applied=%v; want only the %d before the failed append", i, applied[i], fail)
+				}
+				if i < fail {
+					want[uint64(acked+1+i)] = m.Record
+				} else {
+					lost = append(lost, uint64(acked+1+i))
+				}
+			}
+			if next := db.Upsert(tweetPK(100), tweetRec(100, 1, 1)); next == nil || !strings.Contains(next.Error(), dst.KindWALAppend) {
+				t.Fatalf("the write after the failed append returned %v, want the sticky %s error", next, dst.KindWALAppend)
+			}
+
+			served := func(when string, db *lsmstore.DB) {
+				t.Helper()
+				for id, rec := range want {
+					got, found, err := db.Get(tweetPK(id))
+					if err != nil || !found || !bytes.Equal(got, rec) {
+						t.Fatalf("%s: acknowledged write %d not served (found=%v err=%v)", when, id, found, err)
+					}
+				}
+				for _, id := range lost {
+					if _, found, err := db.Get(tweetPK(id)); err != nil || found {
+						t.Fatalf("%s: write %d whose append failed or never ran is served (found=%v err=%v)", when, id, found, err)
+					}
+				}
+			}
+			db.Crash()
+			if err := db.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			served("after crash+recover", db)
+			control.Detach()
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			served("after reopen", re)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package lsmstore_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -13,42 +12,69 @@ import (
 
 // The group-commit battery: coalescing commit fsyncs must change
 // throughput, never semantics — the store's visible contents are identical
-// with group commit on and off, an acknowledged write survives a kill even
-// when its fsync covered a whole group, and a lone writer is never
-// stranded waiting for followers that are not coming.
+// whether commits share fsyncs or each pays its own, an acknowledged write
+// survives a kill even when its fsync covered a whole group, a batch pays
+// one fsync, and a lone writer is never stranded waiting for followers that
+// are not coming. That the file backend's contents match the simulated
+// backend's, which has no fsync at all, is TestFileBackendMatchesSim.
 
 // TestGroupCommitOnOffEquivalence drives the identical deterministic
-// workload with group commit on and off — for every strategy, live and
-// after a reopen — and demands identical images from every read path.
+// workload with commit coalescing on and off — for every strategy, live and
+// after a reopen — and demands identical images from every read path. "on"
+// applies the stream in batches, whose writes share one covering fsync;
+// "off" applies it one write at a time, so each write is a lone committer
+// that pays its own fsync. Mutable-bitmap batches commit one record at a
+// time, so for that strategy both runs pay an fsync per write.
 func TestGroupCommitOnOffEquivalence(t *testing.T) {
+	const n, seed, batch = 700, 37, 50
 	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap, lsmstore.DeletedKey} {
 		t.Run(strategy.String(), func(t *testing.T) {
-			type run struct{ live, reopened string }
-			images := map[lsmstore.GroupCommitMode]run{}
-			for _, mode := range []lsmstore.GroupCommitMode{lsmstore.GroupCommitOn, lsmstore.GroupCommitOff} {
-				dir := t.TempDir()
-				opts := diskOptions(strategy, dir)
-				opts.GroupCommit = mode
+			type run struct {
+				live, reopened string
+				fsyncs         int64
+			}
+			images := map[string]run{}
+			for _, mode := range []string{"on", "off"} {
+				opts := diskOptions(strategy, t.TempDir())
 				db, err := lsmstore.Open(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ids := mixedWorkload(t, db, 700, 37)
+				before := db.Stats().Counters
+				var ids []uint64
+				if mode == "on" {
+					var muts []lsmstore.Mutation
+					muts, ids = storetest.MixedMutations(n, seed)
+					for len(muts) > 0 {
+						k := min(batch, len(muts))
+						if err := db.ApplyBatch(muts[:k]); err != nil {
+							t.Fatal(err)
+						}
+						muts = muts[k:]
+					}
+				} else {
+					ids = mixedWorkload(t, db, n, seed)
+				}
+				fsyncs := db.Stats().Counters.Sub(before).WALFsyncs
 				live := storeImage(t, db, ids, validationFor(strategy))
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
 				re, err := lsmstore.Open(opts)
 				if err != nil {
-					t.Fatalf("reopen (%v): %v", mode, err)
+					t.Fatalf("reopen (%s): %v", mode, err)
 				}
 				reopened := storeImage(t, re, ids, validationFor(strategy))
 				if err := re.Close(); err != nil {
 					t.Fatal(err)
 				}
-				images[mode] = run{live: live, reopened: reopened}
+				images[mode] = run{live: live, reopened: reopened, fsyncs: fsyncs}
 			}
-			on, off := images[lsmstore.GroupCommitOn], images[lsmstore.GroupCommitOff]
+			on, off := images["on"], images["off"]
+			if strategy != lsmstore.MutableBitmap && on.fsyncs >= off.fsyncs {
+				t.Fatalf("batched run paid %d WAL fsyncs, one-at-a-time run %d: no commits were coalesced",
+					on.fsyncs, off.fsyncs)
+			}
 			if on.live != off.live {
 				t.Fatalf("live images diverge:\n on  %s\n off %s", on.live, off.live)
 			}
@@ -68,7 +94,6 @@ func TestGroupCommitOnOffEquivalence(t *testing.T) {
 func TestGroupCommitKillMidGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	opts := diskOptions(lsmstore.Validation, dir)
-	opts.GroupCommit = lsmstore.GroupCommitOn
 	opts.MaintenanceWorkers = 2
 	opts.MemoryBudget = 32 << 10 // flushes and WAL compaction race the writers
 	db, err := lsmstore.Open(opts)
@@ -128,39 +153,30 @@ func TestGroupCommitKillMidGroupCommit(t *testing.T) {
 }
 
 // TestUpsertIsOneLogAppend: a write is one log record, so one Upsert hands
-// the device exactly one WAL append and pays exactly one fsync — the group's
-// covering SyncWAL with group commit on, the append's own sync with it off.
+// the device exactly one WAL append and pays exactly one fsync — its commit
+// group's covering SyncWAL, issued at once for a lone writer. Group commit
+// is always on for a durable log; the subtest is named for that.
 func TestUpsertIsOneLogAppend(t *testing.T) {
-	for _, mode := range []lsmstore.GroupCommitMode{lsmstore.GroupCommitOn, lsmstore.GroupCommitOff} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := diskOptions(lsmstore.Validation, t.TempDir())
-			opts.GroupCommit = mode
-			db, ops := countedStore(t, opts)
-			defer db.Close()
-			before := db.Stats().Counters
-			if err := db.Upsert(tweetPK(1), tweetRec(1, 1, 1)); err != nil {
-				t.Fatal(err)
-			}
-			got, fsyncs := ops(), db.Stats().Counters.Sub(before).WALFsyncs
-			wantSyncWAL := 0
-			if mode == lsmstore.GroupCommitOn {
-				wantSyncWAL = 1
-			}
-			if got[dst.OpAppendWAL] != 1 || got[dst.OpSyncWAL] != wantSyncWAL || fsyncs != 1 {
-				t.Fatalf("one upsert: %d WAL appends, %d SyncWAL calls, %d fsyncs; want 1, %d, 1",
-					got[dst.OpAppendWAL], got[dst.OpSyncWAL], fsyncs, wantSyncWAL)
-			}
-		})
-	}
+	t.Run("on", func(t *testing.T) {
+		db, ops := countedStore(t, diskOptions(lsmstore.Validation, t.TempDir()))
+		defer db.Close()
+		before := db.Stats().Counters
+		if err := db.Upsert(tweetPK(1), tweetRec(1, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		got, fsyncs := ops(), db.Stats().Counters.Sub(before).WALFsyncs
+		if got[dst.OpAppendWAL] != 1 || got[dst.OpSyncWAL] != 1 || fsyncs != 1 {
+			t.Fatalf("one upsert: %d WAL appends, %d SyncWAL calls, %d fsyncs; want 1, 1, 1",
+				got[dst.OpAppendWAL], got[dst.OpSyncWAL], fsyncs)
+		}
+	})
 }
 
-// TestGroupCommitBatchOneFsync: an ApplyBatch on the group-commit store
-// hands the device one WAL append per mutation and pays one covering WAL
-// fsync for the whole batch, not one per mutation.
+// TestGroupCommitBatchOneFsync: an ApplyBatch on the file backend hands the
+// device one WAL append per mutation and pays one covering WAL fsync for the
+// whole batch, not one per mutation.
 func TestGroupCommitBatchOneFsync(t *testing.T) {
-	opts := diskOptions(lsmstore.Validation, t.TempDir())
-	opts.GroupCommit = lsmstore.GroupCommitOn
-	db, ops := countedStore(t, opts)
+	db, ops := countedStore(t, diskOptions(lsmstore.Validation, t.TempDir()))
 	defer db.Close()
 
 	const n = 64
@@ -198,9 +214,7 @@ func TestGroupCommitBatchOneFsync(t *testing.T) {
 // Each mutation commits durably on its own (a sequential batch is a lone
 // committer per write: one fsync each, never one for the whole batch).
 func TestGroupCommitMutableBitmapBatchDoesNotDefer(t *testing.T) {
-	opts := diskOptions(lsmstore.MutableBitmap, t.TempDir())
-	opts.GroupCommit = lsmstore.GroupCommitOn
-	db, err := lsmstore.Open(opts)
+	db, err := lsmstore.Open(diskOptions(lsmstore.MutableBitmap, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,18 +236,6 @@ func TestGroupCommitMutableBitmapBatchDoesNotDefer(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if _, found, err := db.Get(tweetPK(uint64(i))); err != nil || !found {
 			t.Fatalf("batched write %d missing (found=%v err=%v)", i, found, err)
-		}
-	}
-}
-
-// TestGroupCommitModeString pins the flag-facing names.
-func TestGroupCommitModeString(t *testing.T) {
-	for mode, want := range map[lsmstore.GroupCommitMode]string{
-		lsmstore.GroupCommitOn:  "on",
-		lsmstore.GroupCommitOff: "off",
-	} {
-		if got := fmt.Sprint(mode); got != want {
-			t.Errorf("mode %d prints %q, want %q", int(mode), got, want)
 		}
 	}
 }

@@ -124,32 +124,6 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", int(b))
 }
 
-// GroupCommitMode selects commit-fsync coalescing on the file backend. The
-// simulated backend has no commit fsync to coalesce, so the mode is
-// meaningless there.
-type GroupCommitMode int
-
-// Group-commit modes.
-const (
-	// GroupCommitOn (the default) shares one fsync among concurrent
-	// committers.
-	GroupCommitOn GroupCommitMode = iota
-	// GroupCommitOff keeps one fsync per committed write: the reference
-	// side of the group-commit equivalence and speedup tests.
-	GroupCommitOff
-)
-
-// String implements fmt.Stringer.
-func (m GroupCommitMode) String() string {
-	switch m {
-	case GroupCommitOn:
-		return "on"
-	case GroupCommitOff:
-		return "off"
-	}
-	return fmt.Sprintf("group-commit(%d)", int(m))
-}
-
 // SecondaryIndex declares one secondary index.
 type SecondaryIndex struct {
 	// Name identifies the index in SecondaryQuery calls.
@@ -164,17 +138,18 @@ type SecondaryIndex struct {
 // merges and a primary key index. What a DB lets a caller choose is the
 // schema (Strategy, Secondaries, FilterExtract), where the data lives
 // (Backend, Dir, Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
-// MaintenanceWorkers, ReadCache), MergeRepair, Seed, GroupCommit — whose off
-// side is the reference the group-commit tests compare against — and three
-// hooks that let a test substitute a fake. Everything else is fixed: the
-// write-ahead log is always on, Mutable-bitmap merges use the Side-file
-// method, a group-commit leader waits at most 2 ms for announced
-// committers, and the maintenance journal keeps the last 256 events. The
-// paper's ablations (no primary key index, correlated merges, the
-// Bloom-filter repair optimization, blocked Bloom filters, no merges, the
-// other concurrency-control methods, the SSD profile, no log) are
-// core.Config and storage settings that internal/experiments sets directly;
-// they are not options of a DB.
+// MaintenanceWorkers, ReadCache), MergeRepair, Seed and three hooks that let
+// a test substitute a fake. Everything else is fixed: the write-ahead log is
+// always on, and on the file backend it commits through a group (concurrent
+// committers share one covering fsync, an ApplyBatch pays one per batch, and
+// no write is acknowledged before the fsync covering its log record
+// returns) whose leader waits at most 2 ms for announced committers;
+// Mutable-bitmap merges use the Side-file method; and the maintenance
+// journal keeps the last 256 events. The paper's ablations (no primary key
+// index, correlated merges, the Bloom-filter repair optimization, blocked
+// Bloom filters, no merges, the other concurrency-control methods, the SSD
+// profile, no log) are core.Config and storage settings that
+// internal/experiments sets directly; they are not options of a DB.
 type Options struct {
 	// Strategy is the maintenance strategy for secondary indexes and
 	// filters.
@@ -202,14 +177,6 @@ type Options struct {
 	MemoryBudget int
 	// MergeRepair repairs secondary indexes during merges (Validation).
 	MergeRepair bool
-	// GroupCommit selects commit-fsync coalescing on the file backend
-	// (default GroupCommitOn): concurrent committers append their WAL
-	// records and park on a shared commit window; a leader issues one
-	// fsync covering every parked commit, and ApplyBatch pays one fsync
-	// per batch instead of one per mutation. Acknowledgment semantics are
-	// unchanged — a write is never acknowledged before the fsync covering
-	// its log record returns. Ignored on the simulated backend.
-	GroupCommit GroupCommitMode
 	// Seed fixes all pseudo-random choices.
 	Seed int64
 	// Shards selects the number of hash partitions (values below 1 mean
@@ -255,11 +222,11 @@ type Options struct {
 	// half rather than run it without a manifest and a log.
 	WrapDevice func(shard int, dev storage.Device) storage.Device
 	// Sleeper, when set, replaces the real-time source behind the
-	// group-commit hold-open window and backpressure stall accounting with
+	// commit-group hold-open window and backpressure stall accounting with
 	// a virtual one. Nil keeps wall time.
 	Sleeper metrics.Sleeper
 	// Yield, when set, is invoked at the instrumented scheduling points in
-	// the WAL group-commit path and the maintenance pool, letting the
+	// the WAL commit path and the maintenance pool, letting the
 	// simulation harness perturb goroutine interleavings. Nil leaves
 	// scheduling to the runtime.
 	Yield func(point string)
@@ -429,7 +396,6 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		BloomFPR:      0.01,
 		Bloom:         bloomKind(opts.Backend),
 		Policy:        lsm.NewTiering(0),
-		GroupCommit:   opts.GroupCommit != GroupCommitOff,
 		Seed:          opts.Seed,
 		Maintenance:   pool,
 		Yield:         opts.Yield,

@@ -213,10 +213,13 @@ func TestFileBackendAbandonsPartialInstalls(t *testing.T) {
 }
 
 // TestFileBackendMatchesSim drives the identical workload into a simulated
-// store and a file-backed store and demands identical visible contents —
-// the backends must differ only in durability, never in semantics.
+// store and a file-backed store and demands identical visible contents,
+// live and after the file-backed store is reopened — the backends must
+// differ only in durability, never in semantics. The simulated backend has
+// no fsync at all, so it is also the reference for the file backend's
+// group commit: coalescing commit fsyncs changes no visible byte.
 func TestFileBackendMatchesSim(t *testing.T) {
-	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap} {
+	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap, lsmstore.DeletedKey} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			simOpts := tinyOptions(strategy)
 			simOpts.Backend = lsmstore.SimBackend
@@ -225,11 +228,11 @@ func TestFileBackendMatchesSim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			disk, err := lsmstore.Open(diskOptions(strategy, t.TempDir()))
+			diskOpts := diskOptions(strategy, t.TempDir())
+			disk, err := lsmstore.Open(diskOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer disk.Close()
 			simIDs := mixedWorkload(t, sim, 700, 13)
 			diskIDs := mixedWorkload(t, disk, 700, 13)
 			if err := sim.Flush(); err != nil {
@@ -239,8 +242,20 @@ func TestFileBackendMatchesSim(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := validationFor(strategy)
-			if got, want := storeImage(t, disk, diskIDs, v), storeImage(t, sim, simIDs, v); got != want {
+			want := storeImage(t, sim, simIDs, v)
+			if got := storeImage(t, disk, diskIDs, v); got != want {
 				t.Fatalf("backends diverge:\n disk %s\n sim  %s", got, want)
+			}
+			if err := disk.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := lsmstore.Open(diskOpts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			if got := storeImage(t, re, diskIDs, v); got != want {
+				t.Fatalf("reopened disk store diverges from sim:\n disk %s\n sim  %s", got, want)
 			}
 		})
 	}

@@ -188,7 +188,6 @@ func TestReadCacheSpeedupSmoke(t *testing.T) {
 	)
 	measure := func(cacheBytes int64) (opsPerSec float64) {
 		opts := diskOptions(lsmstore.Validation, t.TempDir())
-		opts.GroupCommit = lsmstore.GroupCommitOn
 		opts.MemoryBudget = 16 << 10 // push the working set into disk components
 		opts.ReadCache = lsmstore.ReadCacheOptions{Bytes: cacheBytes}
 		db, err := lsmstore.Open(opts)

@@ -162,7 +162,7 @@ func (db *DB) applyAcrossShards(muts []Mutation, owners []int, applied []bool) e
 // duplicate inserts and deletes of missing keys do not. It stops at the
 // first error (an unknown op is one), leaving later entries false.
 //
-// On a group-commit store the batch defers every mutation's commit fsync
+// On a durable store the batch defers every mutation's commit fsync
 // into one covering group fsync at the end — one fsync per batch, not per
 // mutation. If that covering fsync fails, no write in the batch is
 // GUARANTEED durable: every applied entry is reset to false and the fsync
