@@ -1,7 +1,9 @@
 package readcache
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -136,12 +138,12 @@ func TestInvalidateAll(t *testing.T) {
 }
 
 func TestLRUEvictionByBytes(t *testing.T) {
-	// One segment, room for roughly 4 entries of cost 64+8.
+	// One segment, room for 4 entries of cost entryOverhead+8.
 	c := New(Options{Bytes: 4 * (entryOverhead + 8), Segments: 1})
 	put := func(i int) {
 		k := []byte(fmt.Sprintf("key-%03d", i)) // 7 bytes
 		_, _, tok := c.Get(k)
-		c.Put(k, []byte("v"), tok) // cost 7+1+64 = 72
+		c.Put(k, []byte("v"), tok) // cost 7+1+entryOverhead
 	}
 	for i := 0; i < 8; i++ {
 		put(i)
@@ -238,21 +240,190 @@ func TestConcurrentFillInvalidate(t *testing.T) {
 	writers.Wait()
 }
 
+// record is key i's value in the tests below: its length varies from 1 to
+// 2999 bytes so that entries straddle chunk boundaries and the ring's end.
+func record(i int) []byte {
+	v := make([]byte, 1+i*7919%2999)
+	for j := range v {
+		v[j] = byte(i + j)
+	}
+	return v
+}
+
+func key(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
+
+// fillKeys puts keys from..to-1 with record(i) values.
+func fillKeys(c *Cache, from, to int) {
+	for i := from; i < to; i++ {
+		_, _, tok := c.Get(key(i))
+		c.Put(key(i), record(i), tok)
+	}
+}
+
+// TestRingServesExactBytes: over many laps of a ring of four chunks and a
+// short fifth, with entries straddling chunk boundaries and the ring's end,
+// every hit returns the bytes that were put, the newest entries are always
+// resident, and the charged bytes never pass the budget.
+func TestRingServesExactBytes(t *testing.T) {
+	const budget = 4*chunkBytes + 1000
+	c := New(Options{Bytes: budget, Segments: 1})
+	hits := 0
+	for i := 0; i < 5000; i++ {
+		fillKeys(c, i, i+1)
+		for _, j := range []int{i, i - 1, i - 7, i - 40} {
+			v, out, _ := c.Get(key(j))
+			if j == i && out != Hit {
+				t.Fatalf("key %d missed right after its fill", j)
+			}
+			if out == Hit {
+				hits++
+				if !bytes.Equal(v, record(j)) {
+					t.Fatalf("key %d served %d wrong bytes", j, len(v))
+				}
+			}
+		}
+		if c.SizeBytes() > budget {
+			t.Fatalf("%d bytes charged over a %d-byte budget", c.SizeBytes(), budget)
+		}
+	}
+	if hits < 5000 || c.Len() < 20 {
+		t.Fatalf("hits %d, resident %d: the ring holds too little", hits, c.Len())
+	}
+}
+
+// TestFillAllocatesNothing: once the ring has filled and the index has
+// reached its size, a fill — the miss, the copy into the ring, the
+// evictions it causes — allocates nothing, and neither does a hit copied
+// into a buffer with room.
+func TestFillAllocatesNothing(t *testing.T) {
+	c := New(Options{Bytes: 1 << 20, Segments: 4})
+	fillKeys(c, 0, 4000) // about four laps of every segment
+	keys := make([][]byte, 2000)
+	for i := range keys {
+		keys[i] = key(4000 + i)
+	}
+	val := record(1)
+	i := 0
+	if n := testing.AllocsPerRun(len(keys)-1, func() {
+		_, _, tok := c.Get(keys[i])
+		c.Put(keys[i], val, tok)
+		i++
+	}); n != 0 {
+		t.Fatalf("a fill allocates %.2f times", n)
+	}
+	dst := make([]byte, 0, len(val))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, out, _ := c.Append(dst[:0], keys[i-1]); out != Hit {
+			t.Fatal("newest key missed")
+		}
+	}); n != 0 {
+		t.Fatalf("a hit into a buffer with room allocates %.0f times", n)
+	}
+}
+
+// TestCacheHeapIsItsBudget: the cache holds its records in a few large
+// pointer-free chunks, not in objects per entry, and what it holds is its
+// byte budget plus a small index.
+func TestCacheHeapIsItsBudget(t *testing.T) {
+	const budget = 4 << 20
+	heap := func() (alloc, objects uint64) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, ms.HeapObjects
+	}
+	b0, o0 := heap()
+	c := New(Options{Bytes: budget})
+	fillKeys(c, 0, 20000) // about 30 MB offered
+	b1, o1 := heap()
+	if c.Len() < 2000 {
+		t.Fatalf("only %d entries resident", c.Len())
+	}
+	if objects := int64(o1) - int64(o0); objects > budget/chunkBytes+100 {
+		t.Fatalf("%d heap objects for %d entries: entries are not in chunks", objects, c.Len())
+	}
+	if hb := c.HeapBytes(); hb > budget+budget/32 {
+		t.Fatalf("the cache holds %d bytes under a %d-byte budget", hb, budget)
+	}
+	if grown := int64(b1) - int64(b0); grown > c.HeapBytes()+64<<10 {
+		t.Fatalf("the heap grew %d bytes; the cache accounts for %d", grown, c.HeapBytes())
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestIndexCollisions drives the index with hashes whose home slots
+// collide and interleave in one run that wraps the table's end: every
+// deletion leaves the other entries findable, and a key whose hash matches
+// another key's entry is a miss, never that entry.
+func TestIndexCollisions(t *testing.T) {
+	var x index
+	// Homes minSlots-2, minSlots-1 and 0 in turn, each tag distinct.
+	h := func(k int) uint64 { return uint64((minSlots-2+k%3)%minSlots+k*minSlots) << offBits }
+	for k := 0; k < 10; k++ {
+		x.insert(h(k), int64(k))
+	}
+	gone := map[int]bool{}
+	for _, del := range []int{3, 0, 8, 5} {
+		i := x.find(h(del), int64(del))
+		if i < 0 {
+			t.Fatalf("entry %d not found before its deletion", del)
+		}
+		x.del(i)
+		gone[del] = true
+		for k := 0; k < 10; k++ {
+			if found := x.find(h(k), int64(k)) >= 0; found == gone[k] {
+				t.Fatalf("after deleting %d: entry %d found=%v", del, k, found)
+			}
+		}
+	}
+	if x.n != 6 {
+		t.Fatalf("index counts %d entries, want 6", x.n)
+	}
+
+	s := New(Options{Bytes: 1 << 16, Segments: 1}).segs[0]
+	s.insert(42, []byte("a"), []byte("record of a"), false)
+	if i, _ := s.lookup(42, []byte("b")); i >= 0 {
+		t.Fatal("a key sharing another key's hash found that key's entry")
+	}
+	if i, _ := s.lookup(42, []byte("a")); i < 0 {
+		t.Fatal("the key itself is not found")
+	}
+}
+
 func BenchmarkCacheGetHit(b *testing.B) {
 	c := New(Options{Bytes: 32 << 20, Segments: 16})
 	keys := make([][]byte, 1024)
 	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("key-%08d", i))
+		keys[i] = key(i)
 		_, _, tok := c.Get(keys[i])
 		c.Put(keys[i], make([]byte, 128), tok)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		dst := make([]byte, 0, 128)
 		i := 0
 		for pb.Next() {
-			c.Get(keys[i%len(keys)])
+			c.Append(dst[:0], keys[i%len(keys)])
 			i++
 		}
 	})
+}
+
+// BenchmarkCacheFill measures a miss and its fill in a full ring.
+func BenchmarkCacheFill(b *testing.B) {
+	c := New(Options{Bytes: 1 << 20, Segments: 16})
+	fillKeys(c, 0, 4000)
+	keys := make([][]byte, 8192) // a key returns long after its eviction
+	for i := range keys {
+		keys[i] = key(4000 + i)
+	}
+	val := make([]byte, 300)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		_, _, tok := c.Get(k)
+		c.Put(k, val, tok)
+	}
 }

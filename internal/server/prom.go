@@ -26,6 +26,7 @@ func (s *Server) promExposition() []byte {
 	w.Gauge("lsm_engine_retired_files", "Files of merged-away components not yet unlinked (pinned by a reader or awaiting the manifest).", float64(st.RetiredFiles))
 	w.Gauge("lsm_engine_pending_flush_batches", "Frozen batches queued for flush across shards.", float64(st.PendingFlushBatches))
 	w.Gauge("lsm_engine_frozen_memtables", "Frozen memtables not yet installed across shards.", float64(st.FrozenMemtables))
+	w.Gauge("lsm_engine_read_cache_bytes", "Memory the read cache holds: its record chunks and its index.", float64(st.ReadCacheBytes))
 	w.Fields(st.Counters)
 	w.Fields(s.db.MaintJournal().Summary())
 

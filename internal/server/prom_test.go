@@ -117,6 +117,7 @@ var wantExposition = []string{
 	"# HELP lsm_engine_point_lookups_total Point lookups issued.",
 	"# HELP lsm_engine_primary_components On-disk primary components across shards.",
 	"# HELP lsm_engine_random_reads_total Pages read at random positions.",
+	"# HELP lsm_engine_read_cache_bytes Memory the read cache holds: its record chunks and its index.",
 	"# HELP lsm_engine_read_cache_hits_total GETs answered from the read cache.",
 	"# HELP lsm_engine_read_cache_invalidations_total Write-path read-cache invalidations.",
 	"# HELP lsm_engine_read_cache_misses_total GETs that fell through the read cache.",
@@ -181,6 +182,7 @@ var wantExposition = []string{
 	"# TYPE lsm_engine_point_lookups_total counter",
 	"# TYPE lsm_engine_primary_components gauge",
 	"# TYPE lsm_engine_random_reads_total counter",
+	"# TYPE lsm_engine_read_cache_bytes gauge",
 	"# TYPE lsm_engine_read_cache_hits_total counter",
 	"# TYPE lsm_engine_read_cache_invalidations_total counter",
 	"# TYPE lsm_engine_read_cache_misses_total counter",

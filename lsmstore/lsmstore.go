@@ -199,7 +199,7 @@ type Options struct {
 	// Recover (or a reopen) clears it.
 	MaintenanceWorkers int
 	// ReadCache enables the sharded hot-entry cache on the point-read path
-	// (Get/GetRef): positive entries map a primary key to its encoded
+	// (Get/GetWith): positive entries map a primary key to its encoded
 	// record, negative entries remember keys known to be absent. Every
 	// write path invalidates its mutated keys after the engine applies them
 	// and before the write is acknowledged, and Crash/Recover flush the
@@ -234,8 +234,9 @@ type Options struct {
 
 // ReadCacheOptions sizes the read cache of Options.ReadCache.
 type ReadCacheOptions struct {
-	// Bytes bounds the memory charged to cached entries (keys, values, and
-	// a fixed per-entry overhead). 0 disables the cache.
+	// Bytes bounds the memory the cache's record chunks hold: each entry's
+	// key, value and a 16-byte header. Its index adds a few percent
+	// (Stats.ReadCacheBytes reports both). 0 disables the cache.
 	Bytes int64
 	// Segments is the number of independently locked cache segments,
 	// rounded up to a power of two (default 16). Ignored when Bytes is 0.
@@ -464,33 +465,12 @@ func (db *DB) invalidate(pk []byte) {
 }
 
 // Get returns the current record under pk. The returned slice is the
-// caller's to keep: it is copied out of the engine.
+// caller's to keep: it is an exactly sized copy.
 func (db *DB) Get(pk []byte) ([]byte, bool, error) {
 	var rec []byte
-	found, err := db.GetWith(pk, func(v []byte) { rec = append([]byte(nil), v...) })
-	if err != nil || !found {
-		return nil, false, err
-	}
-	return rec, true, nil
-}
-
-// GetRef returns the current record under pk, sharing the read cache's
-// copy of it when there is one — on a hit, or the copy this read's fill
-// just stored — and copying it otherwise. The slice may be shared with
-// other readers, so it must be treated as read-only; it stays valid as
-// long as the caller holds it (cached records are replaced, never edited
-// in place). It never aliases a buffer-cache page: that page's frame is
-// recycled for another page once the read unpins it.
-func (db *DB) GetRef(pk []byte) ([]byte, bool, error) {
-	if err := db.acquire(); err != nil {
-		return nil, false, err
-	}
-	defer db.release()
-	var rec []byte
-	found, err := db.get(pk, func(v, kept []byte) {
-		if rec = kept; kept == nil {
-			rec = append([]byte(nil), v...)
-		}
+	found, err := db.GetWith(pk, func(v []byte) {
+		rec = make([]byte, len(v))
+		copy(rec, v)
 	})
 	if err != nil || !found {
 		return nil, false, err
@@ -498,41 +478,51 @@ func (db *DB) GetRef(pk []byte) ([]byte, bool, error) {
 	return rec, true, nil
 }
 
+// GetRef is Get, kept for the callers that use the name. No read can share
+// the read cache's bytes: the cache reuses the chunks it keeps records in,
+// so every record a read returns is a copy.
+func (db *DB) GetRef(pk []byte) ([]byte, bool, error) { return db.Get(pk) }
+
 // GetWith runs fn with the current record under pk and reports whether
 // there is one (fn runs only then). The record is the engine's bytes — a
-// pinned buffer-cache page, a memtable value or the read cache's copy —
-// and is valid only until fn returns: fn must copy what it keeps and must
-// not modify it. The network server encodes GET responses from inside fn,
-// straight into its output frame.
+// pinned buffer-cache page, a memtable value or a pooled copy of the read
+// cache's entry — and is valid only until fn returns: fn must copy what it
+// keeps and must not modify it. The network server encodes GET responses
+// from inside fn, straight into its output frame.
 func (db *DB) GetWith(pk []byte, fn func(record []byte)) (bool, error) {
 	if err := db.acquire(); err != nil {
 		return false, err
 	}
 	defer db.release()
-	return db.get(pk, func(v, _ []byte) { fn(v) })
+	return db.get(pk, fn)
 }
+
+// hitBufs holds the buffers a read-cache hit is copied into for its
+// visitor: the cache reuses its ring, so a hit cannot lend its bytes out.
+var hitBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // get is the one point-read path: read cache first, engine on a miss,
 // filling the cache under the version-token protocol that discards fills
 // raced by an invalidation (internal/readcache invariant 2). visit runs
-// with the record while it is valid (see GetWith); kept is the read cache's
-// own copy of it, which outlives the call, or nil when the read cache holds
-// none.
-func (db *DB) get(pk []byte, visit func(v, kept []byte)) (bool, error) {
+// with the record while it is valid (see GetWith).
+func (db *DB) get(pk []byte, visit func(v []byte)) (bool, error) {
 	primary := db.dsFor(pk).Primary()
 	if db.cache == nil {
-		return primary.Get(pk, func(e kv.Entry) { visit(e.Value, nil) })
+		return primary.Get(pk, func(e kv.Entry) { visit(e.Value) })
 	}
-	v, out, tok := db.cache.Get(pk)
-	switch out {
-	case readcache.Hit:
-		visit(v, v)
-		return true, nil
-	case readcache.NegativeHit:
-		return false, nil
+	bp := hitBufs.Get().(*[]byte)
+	v, out, tok := db.cache.Append((*bp)[:0], pk)
+	if out == readcache.Hit {
+		visit(v)
+	}
+	*bp = v
+	hitBufs.Put(bp)
+	if out != readcache.Miss {
+		return out == readcache.Hit, nil
 	}
 	found, err := primary.Get(pk, func(e kv.Entry) {
-		visit(e.Value, db.cache.Put(pk, e.Value, tok))
+		db.cache.Put(pk, e.Value, tok)
+		visit(e.Value)
 	})
 	if err == nil && !found {
 		db.cache.PutNegative(pk, tok)
@@ -816,6 +806,10 @@ type Stats struct {
 	// total (pending plus building) not yet installed.
 	PendingFlushBatches int
 	FrozenMemtables     int
+	// ReadCacheBytes is the memory the read cache holds: its record chunks,
+	// never more than Options.ReadCache.Bytes, and its index. Top-level
+	// only, like the cache; 0 with the cache off.
+	ReadCacheBytes int64
 	// Counters snapshots the low-level event counters.
 	Counters metrics.Snapshot
 	// Maintenance aggregates the maintenance journal: flush/merge counts,

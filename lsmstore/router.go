@@ -320,6 +320,7 @@ func (db *DB) stats() Stats {
 		// The read cache fronts the whole store, so its counters fold
 		// into the aggregate only, not into any shard's snapshot.
 		agg.Counters = agg.Counters.Add(db.cache.Counters())
+		agg.ReadCacheBytes = db.cache.HeapBytes()
 	}
 	agg.Shards = len(per)
 	agg.Maintenance = db.journal.Summary()
