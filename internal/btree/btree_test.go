@@ -80,11 +80,11 @@ func TestGetAbsentKeys(t *testing.T) {
 	r := buildTree(t, store, seqEntries(1000))
 	for i := 0; i < 1000; i++ {
 		// keys are multiples of 3; probe the gaps
-		if _, _, found, _ := get(r, kv.EncodeUint64(uint64(i)*3 + 1)); found {
+		if _, _, found, _ := get(r, kv.EncodeUint64(uint64(i)*3+1)); found {
 			t.Fatalf("found absent key %d", i)
 		}
 	}
-	if _, _, found, _ := get(r, kv.EncodeUint64(1 << 62)); found {
+	if _, _, found, _ := get(r, kv.EncodeUint64(1<<62)); found {
 		t.Fatal("found key beyond the last entry")
 	}
 }

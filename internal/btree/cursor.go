@@ -32,9 +32,10 @@ type Scan struct {
 	done bool
 }
 
-// NewScan positions a scan at the first entry >= lo.
-func (r *Reader) NewScan(lo, hi []byte) (*Scan, error) {
-	s := &Scan{r: r, hi: hi}
+// NewScan positions a scan at the first entry >= lo. On error nothing is
+// left pinned and the returned scan is empty.
+func (r *Reader) NewScan(lo, hi []byte) (Scan, error) {
+	s := Scan{r: r, hi: hi}
 	if r.count == 0 {
 		s.done = true
 		return s, nil
@@ -48,7 +49,7 @@ func (r *Reader) NewScan(lo, hi []byte) (*Scan, error) {
 		}
 	}
 	if err != nil {
-		return nil, err
+		return Scan{}, err
 	}
 	return s, nil
 }
@@ -142,7 +143,8 @@ func (s *Scan) Close() {
 //
 // The cursor pins the leaf of its last lookup: an entry Lookup returns
 // stays valid until the next Lookup or Close, and Close must be called
-// once the cursor is done.
+// once the cursor is done. Like a Scan it is a value, so a query keeps its
+// cursors in a slice it reuses.
 type LookupCursor struct {
 	r        *Reader
 	stateful bool
@@ -152,8 +154,8 @@ type LookupCursor struct {
 
 // NewLookupCursor creates a cursor. stateful toggles the sLookup
 // optimization; when false every Lookup descends from the root.
-func (r *Reader) NewLookupCursor(stateful bool) *LookupCursor {
-	return &LookupCursor{r: r, stateful: stateful}
+func (r *Reader) NewLookupCursor(stateful bool) LookupCursor {
+	return LookupCursor{r: r, stateful: stateful}
 }
 
 // Lookup finds key, returning the entry, its ordinal and whether it exists.

@@ -313,7 +313,7 @@ func TestAsyncConcurrentWritersAndReaders(t *testing.T) {
 					}
 					si := d.Secondary("location")
 					v := si.Tree.ReadView()
-					it, err := si.Tree.NewMergedIterator(lsm.IterOptions{
+					it, err := lsm.NewMergedIterator(lsm.IterOptions{
 						Components: v.Components, Flushing: v.Flushing, Mem: v.Mem,
 						HideAnti: true, SkipInvisible: true,
 					})

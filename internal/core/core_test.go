@@ -113,7 +113,7 @@ func mustGet(t *testing.T, d *Dataset, id uint64) (kv.Entry, bool) {
 
 func scanSecondaryRaw(t *testing.T, si *SecondaryIndex) []string {
 	t.Helper()
-	it, err := si.Tree.NewMergedIterator(lsm.IterOptions{
+	it, err := lsm.NewMergedIterator(lsm.IterOptions{
 		Components:    si.Tree.Components(),
 		Mem:           si.Tree.Mem(),
 		HideAnti:      true,

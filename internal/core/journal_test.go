@@ -14,7 +14,7 @@ import (
 func treeImage(t *testing.T, tr *lsm.Tree) []string {
 	t.Helper()
 	comps := tr.Components()
-	it, err := tr.NewMergedIterator(lsm.IterOptions{Components: comps, Mem: tr.Mem(), NoReconcile: true})
+	it, err := lsm.NewMergedIterator(lsm.IterOptions{Components: comps, Mem: tr.Mem(), NoReconcile: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,10 +242,6 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 		return lsm.ErrBadMergeRange
 	}
 	inputs := comps[lo:hi]
-	rankOf := make(map[*lsm.Component]int, len(inputs))
-	for i, c := range inputs {
-		rankOf[c] = i
-	}
 	env := d.maintEnv()
 	// Deleted-key probes during the merge charge the maintenance lane.
 	dkReaders := make([]*btree.Reader, len(inputs))
@@ -292,11 +288,9 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 			if err != nil {
 				return true
 			}
-			rank, ok := rankOf[item.Comp]
-			if !ok {
-				return true
-			}
-			return !deletedIn(pk, rank)
+			// The merge scans exactly inputs, so an item's rank is its
+			// component's index there.
+			return !deletedIn(pk, item.Rank)
 		},
 	})
 	if err != nil {

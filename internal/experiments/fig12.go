@@ -178,7 +178,7 @@ func measureFullScan(ds *core.Dataset, env *metrics.Env) (time.Duration, error) 
 	run := func() (time.Duration, error) {
 		ds.Config().Store.Cache().Reset()
 		start := env.Clock.Now()
-		it, err := ds.Primary().NewMergedIterator(lsm.IterOptions{
+		it, err := lsm.NewMergedIterator(lsm.IterOptions{
 			Components:    ds.Primary().Components(),
 			Mem:           ds.Primary().Mem(),
 			HideAnti:      true,

@@ -262,12 +262,16 @@ func SplitKey(composite []byte) (secondary, primary []byte, err error) {
 	return nil, nil, ErrCorrupt
 }
 
-// SecondaryScanBounds returns the [lo, hi) composite-key bounds covering all
-// entries whose secondary part s satisfies loS <= s <= hiS (inclusive).
-func SecondaryScanBounds(loS, hiS []byte) (lo, hi []byte) {
-	lo = appendEscaped(nil, loS)
-	lo = append(lo, escByte, escTerm)
-	hi = appendEscaped(nil, hiS)
-	hi = append(hi, escByte, escUpper)
-	return lo, hi
+// AppendSecondaryScanBounds appends the [lo, hi) composite-key bounds
+// covering all entries whose secondary part s satisfies loS <= s <= hiS
+// (inclusive) to dst, lo then hi. It returns the extended buffer, which a
+// caller reuses for its next query, and the two bounds as sub-slices of it.
+func AppendSecondaryScanBounds(dst, loS, hiS []byte) (buf, lo, hi []byte) {
+	start := len(dst)
+	dst = appendEscaped(dst, loS)
+	dst = append(dst, escByte, escTerm)
+	mid := len(dst)
+	dst = appendEscaped(dst, hiS)
+	dst = append(dst, escByte, escUpper)
+	return dst, dst[start:mid:mid], dst[mid:]
 }

@@ -126,12 +126,14 @@ func TestSecondaryScanBounds(t *testing.T) {
 		}
 		return b
 	}
+	var buf []byte // reused across trials, as a query's scratch reuses it
 	for trial := 0; trial < 500; trial++ {
 		lo, hi := randKey(4), randKey(4)
 		if bytes.Compare(lo, hi) > 0 {
 			lo, hi = hi, lo
 		}
-		cLo, cHi := SecondaryScanBounds(lo, hi)
+		var cLo, cHi []byte
+		buf, cLo, cHi = AppendSecondaryScanBounds(buf[:0], lo, hi)
 		s, p := randKey(4), randKey(4)
 		comp := ComposeKey(s, p)
 		inRange := bytes.Compare(s, lo) >= 0 && bytes.Compare(s, hi) <= 0

@@ -15,20 +15,20 @@ import (
 // reconciliation of identical keys (Section 2.1).
 type source struct {
 	rank int
-	// Exactly one of scan (a disk component) and mem (a memory component)
-	// is set.
-	scan *btree.Scan
-	mem  *memtable.Iterator
+	// comp is the disk component scan reads; nil for a memory component,
+	// which mem iterates.
+	comp *Component
+	scan btree.Scan
+	mem  memtable.Iterator
 
-	cur     kv.Entry
-	curOrd  int64
-	curComp *Component // nil for memory component
-	valid   bool
-	err     error
+	cur    kv.Entry
+	curOrd int64
+	valid  bool
+	err    error
 }
 
 func (s *source) advance() {
-	if s.mem != nil {
+	if s.comp == nil {
 		s.cur, s.valid = s.mem.Next()
 		return
 	}
@@ -81,6 +81,10 @@ type MergedItem struct {
 	Comp *Component
 	// Ordinal is the entry's position within Comp.
 	Ordinal int64
+	// Rank is the source's recency: Comp's index in IterOptions.Components,
+	// or len(Components) and up for the memory components (the flushing
+	// ones oldest first, then Mem).
+	Rank int
 }
 
 // MergedIterator reconciles entries with identical keys across components:
@@ -91,9 +95,16 @@ type MergedItem struct {
 // An item's entry points into a pinned buffer-cache page (or a memory
 // component) and stays valid until the following Next; Close releases the
 // component scans' pins and must be called once the iterator is done.
+//
+// The zero MergedIterator is ready to Open, and a closed one may be opened
+// again: it keeps its sources' memory, so a caller that holds on to one
+// iterator (a query's scratch) opens it without allocating.
 type MergedIterator struct {
+	// srcs holds every source, exhausted ones included: an exhausted scan
+	// still pins the leaf of its last entry until Close. h points into it,
+	// so srcs never grows while the iterator is open.
+	srcs     []source
 	h        sourceHeap
-	scans    []*btree.Scan
 	hideAnti bool
 	// noReconcile emits all versions of duplicate keys.
 	noReconcile bool
@@ -126,12 +137,24 @@ type IterOptions struct {
 	store *storage.Store
 }
 
-// NewMergedIterator builds a reconciling iterator over the given sources.
-func (t *Tree) NewMergedIterator(opts IterOptions) (*MergedIterator, error) {
-	mi := &MergedIterator{hideAnti: opts.HideAnti}
-	rank := 0
-	for _, comp := range opts.Components {
-		comp := comp
+// NewMergedIterator opens a new reconciling iterator over opts' sources.
+func NewMergedIterator(opts IterOptions) (*MergedIterator, error) {
+	mi := new(MergedIterator)
+	if err := mi.Open(opts); err != nil {
+		return nil, err
+	}
+	return mi, nil
+}
+
+// Open positions mi over opts' sources. mi must be new or closed; on error
+// it is closed again.
+func (mi *MergedIterator) Open(opts IterOptions) error {
+	if n := len(opts.Components) + len(opts.Flushing) + 1; cap(mi.srcs) < n {
+		mi.srcs, mi.h = make([]source, 0, n), make(sourceHeap, 0, n)
+	}
+	mi.srcs, mi.h = mi.srcs[:0], mi.h[:0]
+	mi.hideAnti, mi.noReconcile = opts.HideAnti, opts.NoReconcile
+	for rank, comp := range opts.Components {
 		reader := comp.BTree
 		if opts.store != nil {
 			reader = reader.CloneFor(opts.store)
@@ -139,45 +162,48 @@ func (t *Tree) NewMergedIterator(opts IterOptions) (*MergedIterator, error) {
 		scan, err := reader.NewScan(opts.Lo, opts.Hi)
 		if err != nil {
 			mi.Close()
-			return nil, err
+			return err
 		}
-		mi.scans = append(mi.scans, scan)
+		mi.srcs = append(mi.srcs, source{rank: rank, comp: comp, scan: scan})
+		s := &mi.srcs[len(mi.srcs)-1]
 		if opts.SkipInvisible {
 			// Invisible entries are skipped inside the scan, so the pin on
 			// the entry last emitted from it outlives the skipped leaves.
 			if snap := opts.Snapshots[comp]; snap != nil {
-				scan.Hide(snapshotFilter{comp, snap})
+				s.scan.Hide(snapshotFilter{comp, snap})
 			} else {
-				scan.Hide(comp)
+				s.scan.Hide(comp)
 			}
 		}
-		s := &source{rank: rank, curComp: comp, scan: scan}
-		s.advance()
-		if s.err != nil {
+		if mi.push(s); s.err != nil {
 			mi.Close()
-			return nil, s.err
+			return s.err
 		}
-		if s.valid {
-			mi.h = append(mi.h, s)
-		}
-		rank++
 	}
-	for _, memSrc := range append(append([]*memtable.Table(nil), opts.Flushing...), opts.Mem) {
-		if memSrc == nil {
+	rank := len(opts.Components)
+	for i := 0; i <= len(opts.Flushing); i++ {
+		mem := opts.Mem
+		if i < len(opts.Flushing) {
+			mem = opts.Flushing[i]
+		}
+		if mem == nil {
 			continue
 		}
-		s := &source{rank: rank, mem: memSrc.NewIterator(opts.Lo, opts.Hi)}
-		s.advance()
-		if s.valid {
-			mi.h = append(mi.h, s)
-		}
+		mi.srcs = append(mi.srcs, source{rank: rank, mem: mem.NewIterator(opts.Lo, opts.Hi)})
 		rank++
-	}
-	if opts.NoReconcile {
-		mi.noReconcile = true
+		mi.push(&mi.srcs[len(mi.srcs)-1])
 	}
 	heap.Init(&mi.h)
-	return mi, nil
+	return nil
+}
+
+// push reads s's first entry and puts s on the heap unless it is empty or
+// failed (s.err).
+func (mi *MergedIterator) push(s *source) {
+	s.advance()
+	if s.valid {
+		mi.h = append(mi.h, s)
+	}
 }
 
 // Next returns the next reconciled item; ok=false at stream end.
@@ -187,7 +213,7 @@ func (mi *MergedIterator) Next() (MergedItem, bool, error) {
 		if top.err != nil {
 			return MergedItem{}, false, top.err
 		}
-		item := MergedItem{Entry: top.cur, Comp: top.curComp, Ordinal: top.curOrd}
+		item := MergedItem{Entry: top.cur, Comp: top.comp, Ordinal: top.curOrd, Rank: top.rank}
 		winKey := item.Entry.Key
 		// pop the winner and, unless reconciliation is off, every older
 		// version of the same key
@@ -208,13 +234,17 @@ func (mi *MergedIterator) Next() (MergedItem, bool, error) {
 	return MergedItem{}, false, nil
 }
 
-// Close releases the component scans' pinned pages; Next must not be
-// called afterwards. It may be called more than once.
+// Close releases the component scans' pinned pages and drops every
+// reference the sources held, keeping only their memory for the next Open;
+// Next must not be called afterwards. It may be called more than once.
 func (mi *MergedIterator) Close() {
-	for _, s := range mi.scans {
-		s.Close()
+	for i := range mi.srcs {
+		if mi.srcs[i].comp != nil {
+			mi.srcs[i].scan.Close()
+		}
 	}
-	mi.h = nil
+	clear(mi.srcs)
+	mi.srcs, mi.h = mi.srcs[:0], mi.h[:0]
 }
 
 func (mi *MergedIterator) popAdvance() {

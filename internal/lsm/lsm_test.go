@@ -189,7 +189,7 @@ func TestScanReconciled(t *testing.T) {
 		tr.Put(kv.Entry{Key: key(i), TS: int64(500 + i), Anti: true})
 	}
 
-	it, err := tr.NewMergedIterator(IterOptions{
+	it, err := NewMergedIterator(IterOptions{
 		Components: tr.Components(),
 		Mem:        tr.Mem(),
 		HideAnti:   true,
@@ -242,7 +242,7 @@ func TestMutableBitmapHidesEntries(t *testing.T) {
 	if _, found, _ := get(tr, key(7)); found {
 		t.Fatal("bitmap-deleted key visible via Get")
 	}
-	it, _ := tr.NewMergedIterator(IterOptions{Components: tr.Components(), HideAnti: true, SkipInvisible: true})
+	it, _ := NewMergedIterator(IterOptions{Components: tr.Components(), HideAnti: true, SkipInvisible: true})
 	for {
 		item, ok, _ := it.Next()
 		if !ok {

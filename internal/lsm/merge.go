@@ -81,7 +81,7 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 	b := t.NewBuilder(int(upperBound))
 	// Under LockKey the scan keeps invisible entries: visibility is checked
 	// under each key's lock instead.
-	it, err := t.NewMergedIterator(IterOptions{
+	it, err := NewMergedIterator(IterOptions{
 		Components:    inputs,
 		HideAnti:      spec.DropAnti,
 		SkipInvisible: spec.LockKey == nil,

@@ -226,7 +226,8 @@ type Iterator struct {
 }
 
 // NewIterator returns an iterator over [lo, hi); nil bounds are unbounded.
-func (t *Table) NewIterator(lo, hi []byte) *Iterator {
+// It is a value, so a merged iterator keeps it inside its source.
+func (t *Table) NewIterator(lo, hi []byte) Iterator {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	x := t.head
@@ -237,7 +238,7 @@ func (t *Table) NewIterator(lo, hi []byte) *Iterator {
 			}
 		}
 	}
-	return &Iterator{t: t, x: x, lo: lo, hi: hi}
+	return Iterator{t: t, x: x, lo: lo, hi: hi}
 }
 
 // Next returns the next entry; ok is false at the end.

@@ -14,7 +14,6 @@ package query
 import (
 	"slices"
 
-	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/lsm"
 	"repro/internal/memtable"
@@ -62,15 +61,15 @@ type Key struct {
 	Src lsm.ID
 }
 
-// FetchRecords retrieves the newest visible record for each key from the
-// primary index, invoking emit for each record found. Keys need not be
-// sorted; they are sorted here (the classic fetch-list optimization), and
-// with cfg.Batched the batched algorithm of Section 3.2 runs. The order of
-// emitted records follows the algorithm (primary-key order without
-// batching; batch-internal component order with it). A record read from a
-// disk component is the pinned buffer-cache page's bytes, valid only until
-// emit returns.
-func FetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
+// fetchRecords retrieves the newest visible record for each key from the
+// primary index, invoking emit for each record found, with its cursors and
+// flags in sc. Keys need not be sorted; they are sorted here (the classic
+// fetch-list optimization), and with cfg.Batched the batched algorithm of
+// Section 3.2 runs. The order of emitted records follows the algorithm
+// (primary-key order without batching; batch-internal component order with
+// it). A record read from a disk component is the pinned buffer-cache page's
+// bytes, valid only until emit returns.
+func (sc *scratch) fetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -79,24 +78,21 @@ func FetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 	slices.SortFunc(keys, func(a, b Key) int { return kv.Compare(a.PK, b.PK) })
 
 	if !cfg.Batched {
-		return fetchNaive(primary, keys, cfg, emit)
+		return sc.fetchNaive(primary, keys, cfg, emit)
 	}
-	return fetchBatched(primary, keys, cfg, emit)
+	return sc.fetchBatched(primary, keys, cfg, emit)
 }
 
 // fetchNaive performs one independent point lookup per sorted key: memory
 // component, then components newest to oldest, each guarded by its Bloom
 // filter. Pages of different components interleave, which is exactly the
 // random-I/O pattern batching avoids.
-func fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
+func (sc *scratch) fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
 	env := primary.Env()
 	v := primary.ReadView()
 	defer v.Release()
 	mem, flushing, comps := v.Mem, v.Flushing, v.Components
-	cursors := make([]*btree.LookupCursor, len(comps))
-	for i, c := range comps {
-		cursors[i] = c.BTree.NewLookupCursor(cfg.Stateful)
-	}
+	cursors := sc.lookupCursors(comps, cfg.Stateful)
 	defer closeCursors(cursors)
 	for i := range keys {
 		k := keys[i]
@@ -134,20 +130,13 @@ func fetchNaive(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.En
 	return nil
 }
 
-// closeCursors releases every cursor's pinned leaf.
-func closeCursors(cursors []*btree.LookupCursor) {
-	for _, c := range cursors {
-		c.Close()
-	}
-}
-
 // fetchBatched implements the batched point lookup (Section 3.2): sorted
 // keys are split into batches sized by BatchMemory; within a batch the
 // memory component and then each disk component (newest to oldest) are
 // probed for every not-yet-found key, so each component's leaf pages are
 // accessed in monotone order. A batch terminates early once every key is
 // found.
-func fetchBatched(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
+func (sc *scratch) fetchBatched(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
 	env := primary.Env()
 	v := primary.ReadView()
 	defer v.Release()
@@ -165,7 +154,7 @@ func fetchBatched(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.
 		batchKeys = 1
 	}
 
-	found := make([]bool, len(keys))
+	found := sc.foundFlags(len(keys))
 	for start := 0; start < len(keys); start += batchKeys {
 		end := start + batchKeys
 		if end > len(keys) {

@@ -10,7 +10,7 @@ import (
 
 func TestFetchRecordsEmpty(t *testing.T) {
 	d := newDataset(t, core.Eager, nil)
-	err := FetchRecords(d.Primary(), nil, DefaultLookupConfig(), func(kv.Entry) {
+	err := new(scratch).fetchRecords(d.Primary(), nil, DefaultLookupConfig(), func(kv.Entry) {
 		t.Fatal("emit on empty key list")
 	})
 	if err != nil {
@@ -32,7 +32,7 @@ func TestFetchRecordsSingleKeyBatches(t *testing.T) {
 		keys = append(keys, Key{PK: kv.EncodeUint64(i)})
 	}
 	got := 0
-	if err := FetchRecords(d.Primary(), keys, cfg, func(kv.Entry) { got++ }); err != nil {
+	if err := new(scratch).fetchRecords(d.Primary(), keys, cfg, func(kv.Entry) { got++ }); err != nil {
 		t.Fatal(err)
 	}
 	if got != len(keys) {
@@ -54,7 +54,7 @@ func TestFetchRecordsMissingKeysSilent(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		got := 0
 		cfg := LookupConfig{Batched: batched, BatchMemory: 1 << 20, EstRecordSize: 64}
-		if err := FetchRecords(d.Primary(), keys, cfg, func(kv.Entry) { got++ }); err != nil {
+		if err := new(scratch).fetchRecords(d.Primary(), keys, cfg, func(kv.Entry) { got++ }); err != nil {
 			t.Fatal(err)
 		}
 		if got != 2 {

@@ -24,8 +24,14 @@ import (
 //
 // emit is called once per matching record. A record read from a disk
 // component is the pinned buffer-cache page's bytes, valid only until emit
-// returns.
+// returns. A reconciled scan's merged iterator lives in a recycled scratch.
 func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
+	sc := getScratch()
+	defer sc.release()
+	return sc.filterScan(ds, lo, hi, emit)
+}
+
+func (sc *scratch) filterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 	extract := ds.Config().FilterExtract
 	primary := ds.Primary()
 	// One atomic view: a concurrent flush's frozen memtable stays visible
@@ -85,7 +91,7 @@ func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 			// the flush batch; until the install, the anti-matter in the
 			// newer memory source is the only evidence.)
 			if flushingOverlaps || memOverlaps {
-				return reconciledScan(primary, nil, flushing, mem, check)
+				return sc.reconciledScan(nil, flushing, mem, check)
 			}
 			return nil
 		}
@@ -118,14 +124,14 @@ func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 			if flushingOverlaps {
 				// Reading the flushing table requires reading the (newer)
 				// memory component too.
-				return reconciledScan(primary, nil, flushing, mem, check)
+				return sc.reconciledScan(nil, flushing, mem, check)
 			}
 			if !memOverlaps {
 				return nil
 			}
-			return reconciledScan(primary, nil, nil, mem, check)
+			return sc.reconciledScan(nil, nil, mem, check)
 		}
-		return reconciledScan(primary, comps[firstIdx:], flushing, mem, check)
+		return sc.reconciledScan(comps[firstIdx:], flushing, mem, check)
 
 	default: // Eager
 		var cands []*lsm.Component
@@ -145,7 +151,7 @@ func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 		if len(cands) == 0 && flushArg == nil && memArg == nil {
 			return nil
 		}
-		return reconciledScan(primary, cands, flushArg, memArg, check)
+		return sc.reconciledScan(cands, flushArg, memArg, check)
 	}
 }
 
@@ -172,15 +178,15 @@ func scanVisible(c *lsm.Component, emit func(kv.Entry)) error {
 // reconciledScan runs a full reconciled scan over the given components, the
 // flushing memtables, and the live memory component (either may be empty),
 // hiding anti-matter.
-func reconciledScan(primary *lsm.Tree, comps []*lsm.Component, flushing []*memtable.Table, mem *memtable.Table, emit func(kv.Entry)) error {
-	it, err := primary.NewMergedIterator(lsm.IterOptions{
+func (sc *scratch) reconciledScan(comps []*lsm.Component, flushing []*memtable.Table, mem *memtable.Table, emit func(kv.Entry)) error {
+	it := &sc.it
+	if err := it.Open(lsm.IterOptions{
 		Components:    comps,
 		Flushing:      flushing,
 		Mem:           mem,
 		HideAnti:      true,
 		SkipInvisible: true,
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	defer it.Close()

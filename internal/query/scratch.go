@@ -1,0 +1,85 @@
+package query
+
+import (
+	"sync"
+
+	"repro/internal/btree"
+	"repro/internal/lsm"
+)
+
+// scratch is one query's working memory: the secondary index's merged
+// iterator with its sources and B+-tree scans, the composite scan bounds,
+// the candidates and their primary keys, the fetch list, the batch's found
+// flags and the lookup cursors. A query takes one from scratchPool and
+// returns it when it is done, so a query in steady state allocates only its
+// answer: the result, its records (or keys) slice and the arena chunks
+// holding their bytes. Nothing in the answer points into a scratch.
+type scratch struct {
+	it      lsm.MergedIterator
+	bounds  []byte // the composite scan bounds, lo then hi
+	pks     []byte // the candidates' primary keys, back to back
+	cands   []candidate
+	keys    []Key
+	found   []bool
+	cursors []btree.LookupCursor
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxRecycledCandidates bounds what the pool keeps: a query with more
+// candidates than this leaves its scratch, whose other buffers grow with
+// the candidates, to the garbage collector, so one huge query does not pin
+// its working memory.
+const maxRecycledCandidates = 8192
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release resets the scratch and returns it to the pool, unless a large
+// query grew it past maxRecycledCandidates.
+func (sc *scratch) release() {
+	sc.reset()
+	if cap(sc.cands) <= maxRecycledCandidates {
+		scratchPool.Put(sc)
+	}
+}
+
+// reset drops every reference the scratch holds into the query's data —
+// candidate keys, components, the cursors' readers, the iterator's sources —
+// and keeps only its memory. Slices are cleared to their capacity, not their
+// length: a later phase may use fewer entries than an earlier one did (the
+// fetch's cursors after timestamp validation's).
+func (sc *scratch) reset() {
+	sc.it.Close()
+	clear(sc.cands[:cap(sc.cands)])
+	clear(sc.keys[:cap(sc.keys)])
+	clear(sc.cursors[:cap(sc.cursors)])
+}
+
+// lookupCursors returns one cursor per component, in the scratch's reused
+// slice; the caller closes them (closeCursors) before the scratch is used
+// for the next lookups.
+func (sc *scratch) lookupCursors(comps []*lsm.Component, stateful bool) []btree.LookupCursor {
+	cursors := sc.cursors[:0]
+	for _, c := range comps {
+		cursors = append(cursors, c.BTree.NewLookupCursor(stateful))
+	}
+	sc.cursors = cursors
+	return cursors
+}
+
+// closeCursors releases every cursor's pinned leaf.
+func closeCursors(cursors []btree.LookupCursor) {
+	for i := range cursors {
+		cursors[i].Close()
+	}
+}
+
+// foundFlags returns n false flags in the scratch's reused slice.
+func (sc *scratch) foundFlags(n int) []bool {
+	if cap(sc.found) < n {
+		sc.found = make([]bool, n)
+	}
+	found := sc.found[:n]
+	clear(found)
+	return found
+}

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/lsm"
@@ -83,15 +82,20 @@ type SecondaryResult struct {
 
 // candidate is one (pk, ts) pair returned by the secondary index search.
 type candidate struct {
-	pk  []byte
-	ts  int64
-	src lsm.ID
+	// pk is the primary key, in the scratch's key buffer; pkEnd is where it
+	// ends there. pk is set from pkEnd once the scan is over, because the
+	// buffer may move while it grows.
+	pk    []byte
+	pkEnd int
+	ts    int64
+	src   lsm.ID
 	// srcRepairedTS is the repairedTS of the component the entry came
 	// from, which prunes primary-key-index components during Timestamp
 	// validation (footnote 2 of the paper).
 	srcRepairedTS int64
-	// srcRank is the index of the source component in the scanned list
-	// (len = memory component), for deleted-key validation recency.
+	// srcRank is the recency rank of the entry's source (lsm.MergedItem's
+	// Rank: the component's index in the scanned list, len or more for a
+	// memory component), for deleted-key validation recency.
 	srcRank int
 	// srcComp and srcOrdinal locate the entry for query-driven cracking.
 	srcComp    *lsm.Component
@@ -101,10 +105,30 @@ type candidate struct {
 func byPK(a, b candidate) int { return kv.Compare(a.pk, b.pk) }
 
 // SecondaryRange runs a range query loSK <= secondary key <= hiSK against
-// the given secondary index of the dataset.
+// the given secondary index of the dataset. Its working memory comes from a
+// recycled scratch, so what it allocates is its answer.
 func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) (*SecondaryResult, error) {
+	res := &SecondaryResult{}
+	if err := AppendSecondaryRange(res, ds, si, loSK, hiSK, opts); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// AppendSecondaryRange is SecondaryRange appending its answer to res: the
+// records to res.Records, or, index-only, the keys to res.Keys. A caller
+// that reuses res across queries (the multi-shard router's per-shard
+// answers) allocates only the arena holding the answer's bytes.
+func AppendSecondaryRange(res *SecondaryResult, ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) error {
+	sc := getScratch()
+	defer sc.release()
+	return sc.secondaryRange(res, ds, si, loSK, hiSK, opts)
+}
+
+func (sc *scratch) secondaryRange(res *SecondaryResult, ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) error {
 	env := ds.Env()
-	lo, hi := kv.SecondaryScanBounds(loSK, hiSK)
+	var lo, hi []byte
+	sc.bounds, lo, hi = kv.AppendSecondaryScanBounds(sc.bounds[:0], loSK, hiSK)
 
 	// One atomic view of the index: entries of an in-flight flush stay
 	// visible through the frozen memtable until their component lands. The
@@ -112,63 +136,24 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 	// deleted-key trees.
 	v := si.Tree.ReadView()
 	defer v.Release()
-	mem, flushing, comps := v.Mem, v.Flushing, v.Components
-	it, err := si.Tree.NewMergedIterator(lsm.IterOptions{
+	comps := v.Components
+	if err := sc.it.Open(lsm.IterOptions{
 		Lo: lo, Hi: hi,
 		Components:    comps,
-		Flushing:      flushing,
-		Mem:           mem,
+		Flushing:      v.Flushing,
+		Mem:           v.Mem,
 		HideAnti:      true,
 		SkipInvisible: true,
-	})
-	if err != nil {
-		return nil, err
+	}); err != nil {
+		return err
 	}
-	defer it.Close()
-	// Every candidate key and fetched record of this query is copied into
-	// one arena.
-	var arena kv.Arena
-	var cands []candidate
-	for {
-		item, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		pk, err := kv.PrimaryOf(item.Entry.Key)
-		if err != nil {
-			return nil, err
-		}
-		c := candidate{
-			pk: arena.Copy(pk),
-			ts: item.Entry.TS,
-		}
-		if item.Comp != nil {
-			c.src = item.Comp.ID
-			c.srcRepairedTS = item.Comp.RepairedTS
-			c.srcComp = item.Comp
-			c.srcOrdinal = item.Ordinal
-			for rank := range comps {
-				if comps[rank] == item.Comp {
-					c.srcRank = rank
-					break
-				}
-			}
-		} else {
-			// Memory-component entries are as fresh as it gets: only the
-			// memory component itself can invalidate them.
-			c.srcRepairedTS = 0
-			c.src = lsm.ID{MinTS: item.Entry.TS, MaxTS: item.Entry.TS}
-			c.srcRank = len(comps)
-		}
-		cands = append(cands, c)
+	cands, err := sc.collect()
+	if err != nil {
+		return err
 	}
 
 	// The validation method decides which candidates survive; one tail then
 	// answers from their keys or fetches their records.
-	res := &SecondaryResult{}
 	direct := opts.Validation == Direct
 	switch opts.Validation {
 	case NoValidation:
@@ -187,25 +172,30 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 	case DeletedKeyCheck:
 		cands, err = deletedKeyValidate(ds, si, comps, cands)
 	case Timestamp:
-		cands, err = timestampValidate(ds, cands, opts.CrackOnValidate)
+		cands, err = sc.timestampValidate(ds, cands, opts.CrackOnValidate)
 	default:
-		return res, nil
+		return nil
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
+	// Every byte of the answer is copied into one arena; the candidates'
+	// keys stay in the scratch.
+	var arena kv.Arena
 	if opts.IndexOnly && !direct {
+		res.Keys = slices.Grow(res.Keys, len(cands))
 		for i := range cands {
-			res.Keys = append(res.Keys, cands[i].pk)
+			res.Keys = append(res.Keys, arena.Copy(cands[i].pk))
 		}
-		return res, nil
+		return nil
 	}
-	keys := make([]Key, len(cands))
-	for i, c := range cands {
-		keys[i] = Key{PK: c.pk, Src: c.src}
+	keys := sc.keys[:0]
+	for _, c := range cands {
+		keys = append(keys, Key{PK: c.pk, Src: c.src})
 	}
-	res.Records = make([]kv.Entry, 0, len(keys))
-	err = FetchRecords(ds.Primary(), keys, opts.Lookup, func(e kv.Entry) {
+	sc.keys = keys
+	res.Records = slices.Grow(res.Records, len(keys))
+	return sc.fetchRecords(ds.Primary(), keys, opts.Lookup, func(e kv.Entry) {
 		if direct {
 			if sk, ok := si.Spec.Extract(e.Value); !ok ||
 				kv.Compare(sk, loSK) < 0 || kv.Compare(sk, hiSK) > 0 {
@@ -214,17 +204,59 @@ func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte
 		}
 		res.Records = append(res.Records, arena.CloneEntry(e))
 	})
-	return res, err
+}
+
+// collect drains the open iterator into the scratch's candidates, copying
+// each primary key into the scratch's key buffer, and closes the iterator,
+// so its pins are gone before validation and the fetch read pages.
+func (sc *scratch) collect() ([]candidate, error) {
+	defer sc.it.Close()
+	sc.pks = sc.pks[:0]
+	cands := sc.cands[:0]
+	for {
+		item, ok, err := sc.it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		pk, err := kv.PrimaryOf(item.Entry.Key)
+		if err != nil {
+			return nil, err
+		}
+		sc.pks = append(sc.pks, pk...)
+		c := candidate{pkEnd: len(sc.pks), ts: item.Entry.TS, srcRank: item.Rank}
+		if item.Comp != nil {
+			c.src = item.Comp.ID
+			c.srcRepairedTS = item.Comp.RepairedTS
+			c.srcComp = item.Comp
+			c.srcOrdinal = item.Ordinal
+		} else {
+			// Memory-component entries are as fresh as it gets: only the
+			// memory component itself can invalidate them.
+			c.src = lsm.ID{MinTS: item.Entry.TS, MaxTS: item.Entry.TS}
+		}
+		cands = append(cands, c)
+	}
+	sc.cands = cands
+	start := 0
+	for i := range cands {
+		end := cands[i].pkEnd
+		cands[i].pk = sc.pks[start:end:end]
+		start = end
+	}
+	return cands, nil
 }
 
 // deletedKeyValidate implements the deleted-key B+-tree strategy's query
 // validation (Section 4.1): a candidate is invalid when a same-or-newer
 // component's deleted-key B+-tree — or the memory component's accumulator —
 // holds its primary key with a newer timestamp. Each probe first consults
-// the deleted-key tree's Bloom filter.
+// the deleted-key tree's Bloom filter. The survivors are filtered in place.
 func deletedKeyValidate(ds *core.Dataset, si *core.SecondaryIndex, comps []*lsm.Component, cands []candidate) ([]candidate, error) {
 	env := ds.Env()
-	var valid []candidate
+	valid := cands[:0]
 	for _, c := range cands {
 		invalid := si.MemDeletedAfter(c.pk, c.ts)
 		for rank := c.srcRank; !invalid && rank < len(comps); rank++ {
@@ -261,7 +293,8 @@ func deletedKeyValidate(ds *core.Dataset, si *core.SecondaryIndex, comps []*lsm.
 // Primary-key-index components with maxTS <= the candidate's source
 // repairedTS are pruned. With crack set, proven-invalid entries are marked
 // in their source component's cracked bitmap (query-driven maintenance).
-func timestampValidate(ds *core.Dataset, cands []candidate, crack bool) ([]candidate, error) {
+// The survivors are filtered in place.
+func (sc *scratch) timestampValidate(ds *core.Dataset, cands []candidate, crack bool) ([]candidate, error) {
 	pkIndex := ds.PKIndex()
 	if pkIndex == nil {
 		return nil, core.ErrNoPKIndex
@@ -273,13 +306,10 @@ func timestampValidate(ds *core.Dataset, cands []candidate, crack bool) ([]candi
 	v := pkIndex.ReadView()
 	defer v.Release()
 	mem, flushing, comps := v.Mem, v.Flushing, v.Components
-	cursors := make([]*btree.LookupCursor, len(comps))
-	for i, c := range comps {
-		cursors[i] = c.BTree.NewLookupCursor(true)
-	}
+	cursors := sc.lookupCursors(comps, true)
 	defer closeCursors(cursors)
 
-	var valid []candidate
+	valid := cands[:0]
 	for _, c := range cands {
 		newestTS := int64(-1)
 		if e, ok := memGet(env, mem, flushing, c.pk); ok {

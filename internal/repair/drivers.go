@@ -168,7 +168,7 @@ func PrimaryRepair(primary *lsm.Tree, targets []SecondaryTarget, withMerge bool,
 	}
 	// Iterate all versions (no reconciliation) so older duplicates are
 	// observed next to the newest version of each key.
-	it, err := primary.NewMergedIterator(lsm.IterOptions{
+	it, err := lsm.NewMergedIterator(lsm.IterOptions{
 		Components:    comps,
 		NoReconcile:   true,
 		SkipInvisible: true,

@@ -48,7 +48,7 @@ type validator struct {
 	// (oldest to newest); they rank between mem and the disk components.
 	flushing []*memtable.Table
 	comps    []*lsm.Component // unpruned, oldest to newest
-	cursors  []*btree.LookupCursor
+	cursors  []btree.LookupCursor
 	// newRepairedTS is the repair watermark after this operation: the
 	// maximum timestamp covered by the examined components and memory.
 	newRepairedTS int64
@@ -83,8 +83,8 @@ func newValidator(pkIndex *lsm.Tree, repairedTS int64) *validator {
 
 // release closes the validator's cursors and releases its view.
 func (v *validator) release() {
-	for _, c := range v.cursors {
-		c.Close()
+	for i := range v.cursors {
+		v.cursors[i].Close()
 	}
 	v.view.Release()
 }
@@ -175,12 +175,14 @@ func (v *validator) validate(tuples []tuple, bm *bitmap.Immutable) error {
 // validateByMergeScan walks the sorted tuples alongside one reconciled scan
 // of the snapshot.
 func (v *validator) validateByMergeScan(tuples []tuple, bm *bitmap.Immutable) error {
-	it, closeIt, err := newSnapshotIterator(v)
+	// The snapshot reconciled so the newest version (anti-matter included)
+	// wins; an entry stays valid until the following Next.
+	it, err := lsm.NewMergedIterator(lsm.IterOptions{Components: v.comps, Flushing: v.flushing, Mem: v.mem})
 	if err != nil {
 		return err
 	}
-	defer closeIt()
-	cur, curOK, err := it()
+	defer it.Close()
+	item, curOK, err := it.Next()
 	if err != nil {
 		return err
 	}
@@ -188,112 +190,20 @@ func (v *validator) validateByMergeScan(tuples []tuple, bm *bitmap.Immutable) er
 		if !curOK {
 			break
 		}
-		c := kv.Compare(cur.Key, tuples[i].pk)
+		c := kv.Compare(item.Entry.Key, tuples[i].pk)
 		switch {
 		case c < 0:
-			cur, curOK, err = it()
-			if err != nil {
+			if item, curOK, err = it.Next(); err != nil {
 				return err
 			}
 		case c > 0:
 			i++
 		default:
-			if cur.TS > tuples[i].ts {
+			if item.Entry.TS > tuples[i].ts {
 				bm.Set(tuples[i].pos)
 			}
 			i++
 		}
 	}
 	return nil
-}
-
-// newSnapshotIterator returns a pull function over the validator's snapshot,
-// reconciled so the newest version (anti-matter included) wins, and the
-// function that releases its scans' pins. A pulled entry stays valid until
-// the following pull.
-func newSnapshotIterator(v *validator) (next func() (kv.Entry, bool, error), closeAll func(), err error) {
-	// Build a private merged iterator: the lsm iterator needs a *Tree, so
-	// we re-implement the small amount of heap logic via lsm.MergedItem by
-	// scanning each component and the memtable.
-	type src struct {
-		next func() (kv.Entry, bool, error)
-		cur  kv.Entry
-		ok   bool
-		rank int
-	}
-	var srcs []*src
-	var scans []*btree.Scan
-	closeAll = func() {
-		for _, s := range scans {
-			s.Close()
-		}
-	}
-	for rank, c := range v.comps {
-		scan, err := c.BTree.NewScan(nil, nil)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		scans = append(scans, scan)
-		s := &src{rank: rank}
-		s.next = func() (kv.Entry, bool, error) {
-			e, _, ok, err := scan.Next()
-			return e, ok, err
-		}
-		srcs = append(srcs, s)
-	}
-	memRank := len(v.comps)
-	for _, m := range append(append([]*memtable.Table(nil), v.flushing...), v.mem) {
-		if m == nil {
-			continue
-		}
-		memIt := m.NewIterator(nil, nil)
-		ms := &src{rank: memRank}
-		ms.next = func() (kv.Entry, bool, error) {
-			e, ok := memIt.Next()
-			return e, ok, nil
-		}
-		srcs = append(srcs, ms)
-		memRank++
-	}
-	for _, s := range srcs {
-		e, ok, err := s.next()
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		s.cur, s.ok = e, ok
-	}
-	return func() (kv.Entry, bool, error) {
-		// pick smallest key, newest rank
-		var best *src
-		for _, s := range srcs {
-			if !s.ok {
-				continue
-			}
-			if best == nil {
-				best = s
-				continue
-			}
-			c := kv.Compare(s.cur.Key, best.cur.Key)
-			if c < 0 || (c == 0 && s.rank > best.rank) {
-				best = s
-			}
-		}
-		if best == nil {
-			return kv.Entry{}, false, nil
-		}
-		out := best.cur
-		// advance every source holding the same key
-		for _, s := range srcs {
-			for s.ok && kv.Compare(s.cur.Key, out.Key) == 0 {
-				e, ok, err := s.next()
-				if err != nil {
-					return kv.Entry{}, false, err
-				}
-				s.cur, s.ok = e, ok
-			}
-		}
-		return out, true, nil
-	}, closeAll, nil
 }

@@ -57,7 +57,7 @@ func newDataset(t testing.TB, mutate func(*core.Config)) *core.Dataset {
 // ground-truthed against the model.
 func visibleSecondaryEntries(t *testing.T, si *core.SecondaryIndex) []string {
 	t.Helper()
-	it, err := si.Tree.NewMergedIterator(lsm.IterOptions{
+	it, err := lsm.NewMergedIterator(lsm.IterOptions{
 		Components:    si.Tree.Components(),
 		Mem:           si.Tree.Mem(),
 		HideAnti:      true,

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/kv"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -78,6 +78,9 @@ const (
 	// than one lets a batch parked on its commit-group fsync overlap with
 	// the next batch's engine work.
 	coalescers = 4
+	// maxPresizedScan caps the records slice a FILTER_SCAN sizes up front
+	// from its limit; a larger answer grows past it.
+	maxPresizedScan = 1024
 )
 
 // Server serves a DB over the wire protocol: one TCP listener, a
@@ -721,12 +724,18 @@ func (s *Server) handle(req wire.Request, tr *trace) wire.Response {
 		if req.Limit < 0 {
 			return wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit")
 		}
+		// The answer's bytes are copied into one arena, as a secondary
+		// query's are; a capped answer's slice is sized once.
 		var records []lsmstore.Record
+		if req.Limit > 0 {
+			records = make([]lsmstore.Record, 0, min(req.Limit, maxPresizedScan))
+		}
+		var arena kv.Arena
 		err := s.db.FilterScan(req.FilterLo, req.FilterHi, func(pk, record []byte) {
 			if req.Limit > 0 && int64(len(records)) >= req.Limit {
 				return
 			}
-			records = append(records, lsmstore.Record{PK: bytes.Clone(pk), Value: bytes.Clone(record)})
+			records = append(records, lsmstore.Record{PK: arena.Copy(pk), Value: arena.Copy(record)})
 		})
 		if err != nil {
 			return s.errorResponse(req.ID, err)

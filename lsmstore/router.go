@@ -45,8 +45,9 @@ func shardOf(pk []byte, n int) int {
 // dsFor returns the dataset owning pk.
 func (db *DB) dsFor(pk []byte) *core.Dataset { return db.parts[shardOf(pk, len(db.parts))].ds }
 
-// fanOut runs fn once per partition, one goroutine each (the caller's own
-// for a single partition), and joins the per-shard errors. A non-nil work
+// fanOut runs fn once per partition and joins the per-shard errors. The
+// last partition runs on the caller's goroutine and every other one on a
+// goroutine of its own, so a one-shard store starts none. A non-nil work
 // holds each partition's amount of work: those with none get no goroutine
 // and no call.
 func (db *DB) fanOut(work []int, fn func(i int, ds *core.Dataset) error) error {
@@ -55,15 +56,22 @@ func (db *DB) fanOut(work []int, fn func(i int, ds *core.Dataset) error) error {
 	}
 	errs := make([]error, len(db.parts))
 	var wg sync.WaitGroup
+	last := -1
 	for i := range db.parts {
 		if work != nil && work[i] == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i, db.parts[i].ds)
-		}(i)
+		if last >= 0 {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = fn(i, db.parts[i].ds)
+			}(last)
+		}
+		last = i
+	}
+	if last >= 0 {
+		errs[last] = fn(last, db.parts[last].ds)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -117,8 +125,8 @@ func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
 }
 
 // applyAcrossShards groups a batch by owning shard (owners[i] is mutation
-// i's) and applies the groups concurrently, one goroutine per shard that
-// has any.
+// i's) and applies the groups concurrently (fanOut), one call per shard
+// that has any.
 func (db *DB) applyAcrossShards(muts []Mutation, owners []int, applied []bool) error {
 	n := len(db.parts)
 	// Size the groups so appends don't reallocate.
@@ -207,33 +215,36 @@ func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool) error {
 // primary-key order — a deterministic total order regardless of shard
 // interleaving — truncated to limit when limit > 0. The single-partition
 // query has no early exit, so limit bounds the answer size, not the scan
-// cost.
+// cost. The shards answer into recycled per-shard slices, so the merged
+// answer and the shards' arenas holding its bytes are what the query
+// allocates.
 func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQueryOptions, limit int) (*QueryResult, error) {
-	perShard := make([]*query.SecondaryResult, len(db.parts))
+	sa := getShardAnswers()
+	defer sa.release()
+	perShard := sa.reset(len(db.parts))
 	err := db.fanOut(nil, func(i int, ds *core.Dataset) error {
-		res, err := query.SecondaryRange(ds, ds.Secondary(index), lo, hi, opts)
-		perShard[i] = res
-		return err
+		return query.AppendSecondaryRange(&perShard[i], ds, ds.Secondary(index), lo, hi, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	// One partition's keys are handed through; more are appended to them.
-	out := &QueryResult{Keys: perShard[0].Keys}
-	var nRecords int
-	for _, res := range perShard {
-		nRecords += len(res.Records)
+	out := &QueryResult{}
+	var nRecords, nKeys int
+	for i := range perShard {
+		nRecords += len(perShard[i].Records)
+		nKeys += len(perShard[i].Keys)
 	}
 	if nRecords > 0 {
 		out.Records = make([]Record, 0, nRecords)
 	}
-	for i, res := range perShard {
-		for _, e := range res.Records {
+	if nKeys > 0 {
+		out.Keys = make([][]byte, 0, nKeys)
+	}
+	for i := range perShard {
+		for _, e := range perShard[i].Records {
 			out.Records = append(out.Records, Record{PK: e.Key, Value: e.Value})
 		}
-		if i > 0 {
-			out.Keys = append(out.Keys, res.Keys...)
-		}
+		out.Keys = append(out.Keys, perShard[i].Keys...)
 	}
 	// Not even one partition answers in primary-key order: the batched
 	// record fetch emits in component order.
@@ -246,6 +257,46 @@ func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQu
 	return out, nil
 }
 
+// shardAnswers holds a secondary query's or a multi-shard filter scan's
+// per-shard answers until they are merged. Recycled through
+// shardAnswersPool; release drops what they point at.
+type shardAnswers struct{ res []query.SecondaryResult }
+
+var shardAnswersPool = sync.Pool{New: func() any { return new(shardAnswers) }}
+
+func getShardAnswers() *shardAnswers { return shardAnswersPool.Get().(*shardAnswers) }
+
+// maxRecycledAnswer bounds the per-shard slices the pool keeps, in entries:
+// a larger answer leaves them to the garbage collector.
+const maxRecycledAnswer = 1 << 14
+
+// reset returns n empty per-shard answers.
+func (sa *shardAnswers) reset(n int) []query.SecondaryResult {
+	if cap(sa.res) < n {
+		sa.res = make([]query.SecondaryResult, n)
+	}
+	sa.res = sa.res[:n]
+	for i := range sa.res {
+		sa.res[i].Records, sa.res[i].Keys = sa.res[i].Records[:0], sa.res[i].Keys[:0]
+	}
+	return sa.res
+}
+
+// release clears the answers, which point into the query's arenas, and
+// returns them to the pool unless one grew past maxRecycledAnswer.
+func (sa *shardAnswers) release() {
+	keep := true
+	for i := range sa.res {
+		r := &sa.res[i]
+		clear(r.Records)
+		clear(r.Keys)
+		keep = keep && cap(r.Records)+cap(r.Keys) <= maxRecycledAnswer
+	}
+	if keep {
+		shardAnswersPool.Put(sa)
+	}
+}
+
 // filterScan runs the primary-index range-filter scan on every shard
 // concurrently, then emits the union in primary-key order from the
 // caller's goroutine. A single partition already scans in primary-key
@@ -254,19 +305,25 @@ func (db *DB) filterScan(lo, hi int64, fn func(pk, record []byte)) error {
 	if len(db.parts) == 1 {
 		return query.FilterScan(db.parts[0].ds, lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
 	}
-	perShard := make([][]kv.Entry, len(db.parts))
+	sa := getShardAnswers()
+	defer sa.release()
+	perShard := sa.reset(len(db.parts))
 	err := db.fanOut(nil, func(i int, ds *core.Dataset) error {
 		var arena kv.Arena // this shard's records
 		return query.FilterScan(ds, lo, hi, func(e kv.Entry) {
-			perShard[i] = append(perShard[i], arena.CloneEntry(e))
+			perShard[i].Records = append(perShard[i].Records, arena.CloneEntry(e))
 		})
 	})
 	if err != nil {
 		return err
 	}
-	var all []kv.Entry
-	for _, entries := range perShard {
-		all = append(all, entries...)
+	var total int
+	for i := range perShard {
+		total += len(perShard[i].Records)
+	}
+	all := make([]kv.Entry, 0, total)
+	for i := range perShard {
+		all = append(all, perShard[i].Records...)
 	}
 	slices.SortFunc(all, func(a, b kv.Entry) int { return kv.Compare(a.Key, b.Key) })
 	for _, e := range all {

@@ -2,9 +2,11 @@ package lsmstore
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -281,4 +283,51 @@ func TestAggregateStats(t *testing.T) {
 	if sim == 0 || sim >= simTotal {
 		t.Fatalf("max %s is not below the sum %s: the shards' clocks did not all advance", sim, simTotal)
 	}
+}
+
+// TestShardAnswersReleaseKeepsNothing: the recycled per-shard answers start
+// every query empty, and release drops every reference into the query's
+// arenas, so a pooled shardAnswers keeps no answer alive.
+func TestShardAnswersReleaseKeepsNothing(t *testing.T) {
+	db := newRoutedDB(t, 3)
+	if _, err := db.ApplyBatchResults(insertBatch(600)); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := workload.UserKey(2), workload.UserKey(5)
+	sa := new(shardAnswers)
+	for _, opts := range []query.SecondaryQueryOptions{
+		{Validation: query.Direct, Lookup: query.DefaultLookupConfig()},
+		{Validation: query.NoValidation, IndexOnly: true},
+	} {
+		perShard := sa.reset(len(db.parts))
+		var n int
+		for i, p := range db.parts {
+			if len(perShard[i].Records)+len(perShard[i].Keys) != 0 {
+				t.Fatalf("shard %d's recycled answer starts non-empty", i)
+			}
+			if err := query.AppendSecondaryRange(&perShard[i], p.ds, p.ds.Secondary("user"), lo, hi, opts); err != nil {
+				t.Fatal(err)
+			}
+			n += len(perShard[i].Records) + len(perShard[i].Keys)
+		}
+		if n < 100 {
+			t.Fatalf("%d results; the case measures nothing", n)
+		}
+		sa.release()
+		for i, r := range sa.res {
+			if !allZero(r.Records[:cap(r.Records)]) || !allZero(r.Keys[:cap(r.Keys)]) {
+				t.Fatalf("shard %d's released answer still references the query's arena", i)
+			}
+		}
+	}
+}
+
+// allZero reports whether every element of s is its zero value.
+func allZero[T any](s []T) bool {
+	for i := range s {
+		if !reflect.ValueOf(s[i]).IsZero() {
+			return false
+		}
+	}
+	return true
 }
