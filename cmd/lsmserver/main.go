@@ -11,8 +11,7 @@
 // /debug/maintenance (flush/merge journal) and, with -pprof, net/http/pprof.
 //
 // Overload protection is opt-in: -admission-budget bounds weighted
-// in-flight work (excess queues briefly, then sheds with OVERLOADED),
-// -tenant-rate rate-limits tagged clients (RETRY_LATER), and
+// in-flight work (excess queues briefly, then sheds with OVERLOADED), and
 // -latency-target starts the maintenance governor, which throttles merge
 // dispatch whenever the foreground p99 exceeds the target.
 //
@@ -68,8 +67,6 @@ func run() error {
 	noObs := flag.Bool("no-obs", false, "disable latency histograms, stage tracing and the slow-request log")
 	admBudget := flag.Int64("admission-budget", 0, "weighted in-flight admission budget (0 = admission control off)")
 	admQueue := flag.Int("admission-queue", 0, "admission wait-queue depth (0 = 2x budget; negative disables queueing)")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admitted requests/sec for tagged clients (0 = unlimited)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant burst above -tenant-rate (0 = rate)")
 	latencyTarget := flag.Duration("latency-target", 0, "foreground p99 target coupling maintenance to load (0 = governor off)")
 	flag.Parse()
 
@@ -121,8 +118,6 @@ func run() error {
 
 		AdmissionBudget: *admBudget,
 		AdmissionQueue:  *admQueue,
-		TenantRate:      *tenantRate,
-		TenantBurst:     *tenantBurst,
 		LatencyTarget:   *latencyTarget,
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // Class classifies a request for weighting. Weights approximate relative
-// engine cost; the defaults below are deliberately coarse — the budget
+// engine cost; the table below is deliberately coarse — the budget
 // bounds concurrency, not bytes.
 type Class uint8
 
@@ -42,9 +42,9 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// defaultWeights is the per-class cost approximation used when
-// Config.Weights leaves a class zero.
-var defaultWeights = [NumClasses]int64{
+// weights is the per-class cost approximation. A weight above the budget
+// is clamped to it (Controller.Weight).
+var weights = [NumClasses]int64{
 	ClassRead:  1,
 	ClassWrite: 1,
 	ClassBatch: 4,
@@ -53,15 +53,11 @@ var defaultWeights = [NumClasses]int64{
 }
 
 // Errors returned by Acquire. The server maps them onto the wire codes
-// (CodeOverloaded, CodeRetryLater, CodeShuttingDown).
+// (CodeOverloaded, CodeShuttingDown).
 var (
 	// ErrOverloaded reports a shed request: the budget and queue are full,
 	// or the queue deadline expired before a slot freed up.
 	ErrOverloaded = errors.New("admission: overloaded")
-	// ErrRateLimited reports a request rejected by its tenant's rate
-	// limit. Unlike ErrOverloaded it says nothing about server load — the
-	// client should retry later, not back off harder.
-	ErrRateLimited = errors.New("admission: tenant rate limited")
 	// ErrClosed reports an Acquire against a closed controller.
 	ErrClosed = errors.New("admission: controller closed")
 )
@@ -77,14 +73,6 @@ type Config struct {
 	// shed. 0 means the 2ms default — shedding must stay fast enough that
 	// a shed round trip is cheap for the client to retry.
 	QueueDeadline time.Duration
-	// Weights overrides the per-class weights (zero entries keep the
-	// defaults). A weight above Budget is clamped to it.
-	Weights [NumClasses]int64
-	// TenantRate is the per-tenant admission rate limit in requests per
-	// second (0 = unlimited). Requests without a tenant tag are exempt.
-	TenantRate float64
-	// TenantBurst is the tenant token-bucket burst (0 = max(1, TenantRate)).
-	TenantBurst float64
 }
 
 const (
@@ -100,21 +88,10 @@ const (
 )
 
 type waiter struct {
-	class  Class
-	tenant string
 	weight int64
 	ready  chan struct{} // closed on admit or shed
 	state  int
 	err    error // set when state == stateShed
-}
-
-type tenantState struct {
-	inflight    int64
-	admitted    int64
-	shed        int64
-	rateLimited int64
-	tokens      float64
-	last        time.Time
 }
 
 // Controller is the server-wide admission controller. All methods are
@@ -125,15 +102,12 @@ type Controller struct {
 	mu       sync.Mutex
 	inflight int64
 	queue    []*waiter
-	tenants  map[string]*tenantState
 	closed   bool
 
 	admitted          atomic.Int64
 	admittedAfterWait atomic.Int64
 	shedQueueFull     atomic.Int64
 	shedDeadline      atomic.Int64
-	shedFairShare     atomic.Int64
-	shedRateLimited   atomic.Int64
 
 	// shedHist records the fail-fast latency of shed requests (Acquire
 	// entry to shed), the bound the overload acceptance criteria pin.
@@ -154,34 +128,23 @@ func New(cfg Config) *Controller {
 	if cfg.QueueDeadline <= 0 {
 		cfg.QueueDeadline = defaultQueueDeadline
 	}
-	for c := Class(0); c < NumClasses; c++ {
-		if cfg.Weights[c] <= 0 {
-			cfg.Weights[c] = defaultWeights[c]
-		}
-		if cfg.Weights[c] > cfg.Budget {
-			cfg.Weights[c] = cfg.Budget
-		}
-	}
-	if cfg.TenantRate > 0 && cfg.TenantBurst <= 0 {
-		cfg.TenantBurst = max(1, cfg.TenantRate)
-	}
-	return &Controller{cfg: cfg, tenants: make(map[string]*tenantState)}
+	return &Controller{cfg: cfg}
 }
 
-// Weight reports the configured weight of a class.
+// Weight reports the weight of a class, clamped to the budget.
 func (c *Controller) Weight(class Class) int64 {
 	if class >= NumClasses {
 		return 1
 	}
-	return c.cfg.Weights[class]
+	return min(weights[class], c.cfg.Budget)
 }
 
-// Acquire admits one request of the given class (and optional tenant
-// tag), blocking in the FIFO queue up to the queue deadline when the
-// budget is full. On success it returns the release function the caller
-// must invoke exactly once when the request finishes. On failure the
-// request was shed: ErrOverloaded, ErrRateLimited or ErrClosed.
-func (c *Controller) Acquire(class Class, tenant string) (func(), error) {
+// Acquire admits one request of the given class, blocking in the FIFO
+// queue up to the queue deadline when the budget is full. On success it
+// returns the release function the caller must invoke exactly once when
+// the request finishes. On failure the request was shed: ErrOverloaded
+// or ErrClosed.
+func (c *Controller) Acquire(class Class) (func(), error) {
 	w := c.Weight(class)
 	start := time.Now()
 
@@ -190,43 +153,20 @@ func (c *Controller) Acquire(class Class, tenant string) (func(), error) {
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	ts := c.tenantLocked(tenant)
-	if ts != nil && !c.tenantTokenLocked(ts, start) {
-		ts.rateLimited++
-		c.mu.Unlock()
-		c.shedRateLimited.Add(1)
-		c.shedHist.Record(time.Since(start))
-		return nil, fmt.Errorf("%w: tenant %q over %g req/s", ErrRateLimited, tenant, c.cfg.TenantRate)
-	}
 	// Fast path: budget available and nobody queued ahead (FIFO).
 	if len(c.queue) == 0 && c.inflight+w <= c.cfg.Budget {
 		c.inflight += w
-		if ts != nil {
-			ts.inflight += w
-			ts.admitted++
-		}
 		c.mu.Unlock()
 		c.admitted.Add(1)
-		return c.releaseFunc(tenant, w), nil
+		return c.releaseFunc(w), nil
 	}
 	if len(c.queue) >= c.cfg.MaxQueue {
-		// Queue full. Fair share: if a queued waiter belongs to a tenant
-		// consuming strictly more than this request's tenant, shed that
-		// waiter instead and take its slot.
-		victim := c.fairShareVictimLocked(tenant)
-		if victim < 0 {
-			if ts != nil {
-				ts.shed++
-			}
-			c.mu.Unlock()
-			c.shedQueueFull.Add(1)
-			c.shedHist.Record(time.Since(start))
-			return nil, fmt.Errorf("%w: admission queue full", ErrOverloaded)
-		}
-		c.shedWaiterLocked(victim, fmt.Errorf("%w: displaced by fair-share shedding", ErrOverloaded))
-		c.shedFairShare.Add(1)
+		c.mu.Unlock()
+		c.shedQueueFull.Add(1)
+		c.shedHist.Record(time.Since(start))
+		return nil, fmt.Errorf("%w: admission queue full", ErrOverloaded)
 	}
-	wtr := &waiter{class: class, tenant: tenant, weight: w, ready: make(chan struct{})}
+	wtr := &waiter{weight: w, ready: make(chan struct{})}
 	c.queue = append(c.queue, wtr)
 	c.mu.Unlock()
 
@@ -240,20 +180,20 @@ func (c *Controller) Acquire(class Class, tenant string) (func(), error) {
 			return nil, wtr.err
 		}
 		c.admittedAfterWait.Add(1)
-		return c.releaseFunc(tenant, w), nil
+		return c.releaseFunc(w), nil
 	case <-timer.C:
 		c.mu.Lock()
 		if wtr.state == stateQueued {
 			c.removeWaiterLocked(wtr)
-			if ts := c.tenants[tenant]; ts != nil {
-				ts.shed++
-			}
+			// This waiter may have been all that held back the ones
+			// queued behind it.
+			c.grantLocked()
 			c.mu.Unlock()
 			c.shedDeadline.Add(1)
 			c.shedHist.Record(time.Since(start))
 			return nil, fmt.Errorf("%w: queue deadline (%s) expired", ErrOverloaded, c.cfg.QueueDeadline)
 		}
-		// The grant (or a fair-share shed) raced the deadline; honor it.
+		// The grant (or Close) raced the deadline; honor it.
 		state, err := wtr.state, wtr.err
 		c.mu.Unlock()
 		if state == stateShed {
@@ -261,21 +201,18 @@ func (c *Controller) Acquire(class Class, tenant string) (func(), error) {
 			return nil, err
 		}
 		c.admittedAfterWait.Add(1)
-		return c.releaseFunc(tenant, w), nil
+		return c.releaseFunc(w), nil
 	}
 }
 
 // releaseFunc builds the idempotence-guarded release closure for one
 // admitted request.
-func (c *Controller) releaseFunc(tenant string, w int64) func() {
+func (c *Controller) releaseFunc(w int64) func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			c.mu.Lock()
 			c.inflight -= w
-			if ts := c.tenants[tenant]; ts != nil {
-				ts.inflight -= w
-			}
 			c.grantLocked()
 			c.mu.Unlock()
 		})
@@ -292,10 +229,6 @@ func (c *Controller) grantLocked() {
 		}
 		c.queue = c.queue[1:]
 		c.inflight += w.weight
-		if ts := c.tenants[w.tenant]; ts != nil {
-			ts.inflight += w.weight
-			ts.admitted++
-		}
 		c.admitted.Add(1)
 		w.state = stateAdmitted
 		close(w.ready)
@@ -311,82 +244,6 @@ func (c *Controller) removeWaiterLocked(w *waiter) {
 			return
 		}
 	}
-}
-
-// shedWaiterLocked sheds queue[i] with the given error.
-func (c *Controller) shedWaiterLocked(i int, err error) {
-	w := c.queue[i]
-	c.queue = append(c.queue[:i], c.queue[i+1:]...)
-	if ts := c.tenants[w.tenant]; ts != nil {
-		ts.shed++
-	}
-	w.state = stateShed
-	w.err = err
-	close(w.ready)
-}
-
-// fairShareVictimLocked picks the newest queued waiter of the tenant with
-// the largest consumption (in-flight plus queued weight), provided that
-// tenant consumes strictly more than the arriving request's tenant. It
-// returns -1 when no such waiter exists — then the newcomer is the one to
-// shed. With no tenant tags in play every share is equal and the answer
-// is always -1 (plain FIFO queue-full shedding).
-func (c *Controller) fairShareVictimLocked(arriving string) int {
-	shares := make(map[string]int64, len(c.tenants)+1)
-	for name, ts := range c.tenants {
-		shares[name] = ts.inflight
-	}
-	for _, w := range c.queue {
-		shares[w.tenant] += w.weight
-	}
-	victim, victimShare := -1, shares[arriving]
-	for i := len(c.queue) - 1; i >= 0; i-- {
-		w := c.queue[i]
-		if w.tenant == arriving {
-			continue
-		}
-		if s := shares[w.tenant]; s > victimShare {
-			victim, victimShare = i, s
-		}
-	}
-	return victim
-}
-
-// tenantLocked returns the tenant's state, creating it on first use. The
-// empty tenant is untracked (nil): untagged traffic is exempt from the
-// per-tenant limits and absent from the per-tenant stats.
-func (c *Controller) tenantLocked(tenant string) *tenantState {
-	if tenant == "" {
-		return nil
-	}
-	ts := c.tenants[tenant]
-	if ts == nil {
-		ts = &tenantState{}
-		c.tenants[tenant] = ts
-	}
-	return ts
-}
-
-// tenantTokenLocked runs the tenant's rate-limit token bucket, reporting
-// whether this request may proceed. Rate 0 disables the limit.
-func (c *Controller) tenantTokenLocked(ts *tenantState, now time.Time) bool {
-	if c.cfg.TenantRate <= 0 {
-		return true
-	}
-	if ts.last.IsZero() {
-		ts.tokens = c.cfg.TenantBurst
-	} else {
-		ts.tokens += now.Sub(ts.last).Seconds() * c.cfg.TenantRate
-		if ts.tokens > c.cfg.TenantBurst {
-			ts.tokens = c.cfg.TenantBurst
-		}
-	}
-	ts.last = now
-	if ts.tokens < 1 {
-		return false
-	}
-	ts.tokens--
-	return true
 }
 
 // Close sheds every queued waiter with ErrClosed and fails all future
@@ -408,32 +265,21 @@ func (c *Controller) Close() {
 	c.mu.Unlock()
 }
 
-// TenantSnapshot is one tenant's admission accounting.
-type TenantSnapshot struct {
-	InFlight    int64 `json:"in_flight"`
-	Admitted    int64 `json:"admitted"`
-	Shed        int64 `json:"shed"`
-	RateLimited int64 `json:"rate_limited"`
-}
-
 // Snapshot is a point-in-time view of the controller, served on /stats
 // and /metrics.
 type Snapshot struct {
-	Budget            int64                     `json:"budget"`
-	InFlight          int64                     `json:"in_flight"`
-	Queued            int                       `json:"queued"`
-	Admitted          int64                     `json:"admitted"`
-	AdmittedAfterWait int64                     `json:"admitted_after_wait"`
-	ShedQueueFull     int64                     `json:"shed_queue_full"`
-	ShedDeadline      int64                     `json:"shed_deadline"`
-	ShedFairShare     int64                     `json:"shed_fair_share"`
-	ShedRateLimited   int64                     `json:"shed_rate_limited"`
-	Tenants           map[string]TenantSnapshot `json:"tenants,omitempty"`
+	Budget            int64 `json:"budget"`
+	InFlight          int64 `json:"in_flight"`
+	Queued            int   `json:"queued"`
+	Admitted          int64 `json:"admitted"`
+	AdmittedAfterWait int64 `json:"admitted_after_wait"`
+	ShedQueueFull     int64 `json:"shed_queue_full"`
+	ShedDeadline      int64 `json:"shed_deadline"`
 }
 
 // Shed is the total sheds across every cause.
 func (s Snapshot) Shed() int64 {
-	return s.ShedQueueFull + s.ShedDeadline + s.ShedFairShare + s.ShedRateLimited
+	return s.ShedQueueFull + s.ShedDeadline
 }
 
 // Snapshot captures the controller's current state.
@@ -443,24 +289,11 @@ func (c *Controller) Snapshot() Snapshot {
 		AdmittedAfterWait: c.admittedAfterWait.Load(),
 		ShedQueueFull:     c.shedQueueFull.Load(),
 		ShedDeadline:      c.shedDeadline.Load(),
-		ShedFairShare:     c.shedFairShare.Load(),
-		ShedRateLimited:   c.shedRateLimited.Load(),
 	}
 	c.mu.Lock()
 	s.Budget = c.cfg.Budget
 	s.InFlight = c.inflight
 	s.Queued = len(c.queue)
-	if len(c.tenants) > 0 {
-		s.Tenants = make(map[string]TenantSnapshot, len(c.tenants))
-		for name, ts := range c.tenants {
-			s.Tenants[name] = TenantSnapshot{
-				InFlight:    ts.inflight,
-				Admitted:    ts.admitted,
-				Shed:        ts.shed,
-				RateLimited: ts.rateLimited,
-			}
-		}
-	}
 	c.mu.Unlock()
 	return s
 }

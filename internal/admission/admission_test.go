@@ -23,7 +23,7 @@ func waitQueued(t *testing.T, c *Controller, n int) {
 
 func TestAcquireFastPath(t *testing.T) {
 	c := New(Config{Budget: 4})
-	rel, err := c.Acquire(ClassRead, "")
+	rel, err := c.Acquire(ClassRead)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestWeightClampedToBudget(t *testing.T) {
 	if w := c.Weight(ClassScan); w != 2 {
 		t.Fatalf("scan weight = %d, want clamped to budget 2", w)
 	}
-	rel, err := c.Acquire(ClassScan, "")
+	rel, err := c.Acquire(ClassScan)
 	if err != nil {
 		t.Fatalf("oversized class must still admit: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestBudgetNeverExceeded(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				cl := classes[(i+j)%len(classes)]
-				rel, err := c.Acquire(cl, "")
+				rel, err := c.Acquire(cl)
 				if err != nil {
 					continue
 				}
@@ -90,7 +90,7 @@ func TestBudgetNeverExceeded(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	c := New(Config{Budget: 1, MaxQueue: 8, QueueDeadline: 2 * time.Second})
-	rel, err := c.Acquire(ClassRead, "")
+	rel, err := c.Acquire(ClassRead)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestQueueFIFO(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		go func() {
-			r, err := c.Acquire(ClassRead, "")
+			r, err := c.Acquire(ClassRead)
 			if err != nil {
 				t.Errorf("queued acquire %d: %v", i, err)
 				return
@@ -124,13 +124,13 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueDeadlineShed(t *testing.T) {
 	c := New(Config{Budget: 1, QueueDeadline: 5 * time.Millisecond})
-	rel, err := c.Acquire(ClassRead, "")
+	rel, err := c.Acquire(ClassRead)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	defer rel()
 	start := time.Now()
-	_, err = c.Acquire(ClassRead, "")
+	_, err = c.Acquire(ClassRead)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
@@ -152,13 +152,13 @@ func TestQueueDeadlineShed(t *testing.T) {
 
 func TestQueueDisabledShedsImmediately(t *testing.T) {
 	c := New(Config{Budget: 1, MaxQueue: -1})
-	rel, err := c.Acquire(ClassRead, "")
+	rel, err := c.Acquire(ClassRead)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	defer rel()
 	start := time.Now()
-	_, err = c.Acquire(ClassRead, "")
+	_, err = c.Acquire(ClassRead)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -170,112 +170,54 @@ func TestQueueDisabledShedsImmediately(t *testing.T) {
 	}
 }
 
-func TestFairShareShedding(t *testing.T) {
-	c := New(Config{Budget: 1, MaxQueue: 2, QueueDeadline: 2 * time.Second})
-	relA, err := c.Acquire(ClassRead, "A")
-	if err != nil {
-		t.Fatalf("Acquire A: %v", err)
-	}
-	type result struct {
-		i   int
-		err error
-	}
-	results := make(chan result, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		go func() {
-			r, err := c.Acquire(ClassRead, "A")
-			if err == nil {
-				defer r()
-			}
-			results <- result{i, err}
-		}()
-		waitQueued(t, c, i+1)
-	}
-	// Tenant B arrives with the queue full. A consumes strictly more
-	// (in-flight 1 + queued 2) than B (0), so B displaces A's newest
-	// queued waiter instead of being shed itself.
-	bDone := make(chan error, 1)
-	go func() {
-		r, err := c.Acquire(ClassRead, "B")
-		if err == nil {
-			defer r()
-		}
-		bDone <- err
-	}()
-
-	// A's newest waiter (i=1) is shed with ErrOverloaded.
-	select {
-	case res := <-results:
-		if res.i != 1 {
-			t.Fatalf("victim was waiter %d, want the newest (1)", res.i)
-		}
-		if !errors.Is(res.err, ErrOverloaded) {
-			t.Fatalf("victim err = %v, want ErrOverloaded", res.err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no fair-share victim shed")
-	}
-	relA()
-	// FIFO: A's older waiter admits first, then B.
-	select {
-	case res := <-results:
-		if res.i != 0 || res.err != nil {
-			t.Fatalf("surviving waiter: %+v", res)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("surviving A waiter never resolved")
-	}
-	select {
-	case err := <-bDone:
+// TestExpiredHeadAdmitsWaitersBehind pins that a queue head shed by its
+// deadline hands the budget on: a small waiter stuck behind an oversized
+// head is admitted the moment the head expires, not at the next release
+// or its own deadline.
+func TestExpiredHeadAdmitsWaitersBehind(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	c := New(Config{Budget: 4, QueueDeadline: deadline})
+	for i := 0; i < 3; i++ {
+		rel, err := c.Acquire(ClassRead)
 		if err != nil {
-			t.Fatalf("tenant B should admit after displacement: %v", err)
+			t.Fatalf("read %d: %v", i, err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("tenant B never resolved")
+		defer rel()
 	}
-	s := c.Snapshot()
-	if s.ShedFairShare != 1 {
-		t.Fatalf("ShedFairShare = %d, want 1 (%+v)", s.ShedFairShare, s)
-	}
-	if s.Tenants["A"].Shed != 1 {
-		t.Fatalf("tenant A shed = %d, want 1", s.Tenants["A"].Shed)
-	}
-}
+	batchErr := make(chan error, 1)
+	go func() {
+		_, err := c.Acquire(ClassBatch) // weight 4: waits for an empty budget
+		batchErr <- err
+	}()
+	waitQueued(t, c, 1)
+	time.Sleep(deadline / 2)
 
-func TestTenantRateLimit(t *testing.T) {
-	c := New(Config{Budget: 8, TenantRate: 1, TenantBurst: 1})
-	rel, err := c.Acquire(ClassRead, "tenant-1")
+	start := time.Now()
+	rel, err := c.Acquire(ClassRead) // fits, but queues behind the batch
 	if err != nil {
-		t.Fatalf("first acquire: %v", err)
+		t.Fatalf("read behind the expired head: %v after %v, want admission", err, time.Since(start))
 	}
 	rel()
-	if _, err := c.Acquire(ClassRead, "tenant-1"); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("second acquire err = %v, want ErrRateLimited", err)
+	if waited := time.Since(start); waited >= deadline {
+		t.Fatalf("read admitted after %v, want before its own %v deadline", waited, deadline)
 	}
-	// Untagged traffic is exempt.
-	for i := 0; i < 5; i++ {
-		r, err := c.Acquire(ClassRead, "")
-		if err != nil {
-			t.Fatalf("untagged acquire %d: %v", i, err)
-		}
-		r()
+	if err := <-batchErr; !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("batch err = %v, want ErrOverloaded", err)
 	}
-	s := c.Snapshot()
-	if s.ShedRateLimited != 1 || s.Tenants["tenant-1"].RateLimited != 1 {
-		t.Fatalf("rate-limit accounting: %+v", s)
+	if s := c.Snapshot(); s.ShedDeadline != 1 || s.AdmittedAfterWait != 1 {
+		t.Fatalf("snapshot: %+v", s)
 	}
 }
 
 func TestCloseShedsQueueAndFailsAcquires(t *testing.T) {
 	c := New(Config{Budget: 1, QueueDeadline: 2 * time.Second})
-	rel, err := c.Acquire(ClassRead, "")
+	rel, err := c.Acquire(ClassRead)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.Acquire(ClassRead, "")
+		_, err := c.Acquire(ClassRead)
 		errCh <- err
 	}()
 	waitQueued(t, c, 1)
@@ -289,7 +231,7 @@ func TestCloseShedsQueueAndFailsAcquires(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("queued waiter not shed by Close")
 	}
-	if _, err := c.Acquire(ClassRead, ""); !errors.Is(err, ErrClosed) {
+	if _, err := c.Acquire(ClassRead); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close acquire err = %v, want ErrClosed", err)
 	}
 	rel() // release after close must not panic
@@ -311,8 +253,8 @@ func TestClassStrings(t *testing.T) {
 }
 
 func TestSnapshotShedTotal(t *testing.T) {
-	s := Snapshot{ShedQueueFull: 1, ShedDeadline: 2, ShedFairShare: 3, ShedRateLimited: 4}
-	if got := s.Shed(); got != 10 {
-		t.Fatalf("Shed() = %d, want 10", got)
+	s := Snapshot{ShedQueueFull: 1, ShedDeadline: 2}
+	if got := s.Shed(); got != 3 {
+		t.Fatalf("Shed() = %d, want 3", got)
 	}
 }

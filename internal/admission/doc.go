@@ -1,6 +1,6 @@
 // Package admission implements the server's overload-protection layer:
-// weighted admission control with load shedding, per-tenant QoS, and the
-// load-coupled maintenance governor (ROADMAP item 3).
+// weighted admission control with load shedding, and the load-coupled
+// maintenance governor (ROADMAP item 9).
 //
 // # Admission control
 //
@@ -11,13 +11,9 @@
 // queue with a queue deadline. Shedding is deliberate and fast, never
 // implicit and slow:
 //
-//   - queue full: the request is shed immediately (ErrOverloaded), unless
-//     a queued waiter from a tenant holding more than its fair share can
-//     be shed in its place (fair-share shedding);
-//   - queue deadline expired: the waiter sheds itself (ErrOverloaded);
-//   - tenant over its rate limit: rejected up front (ErrRateLimited),
-//     distinguishable on the wire (CodeRetryLater vs CodeOverloaded) so
-//     clients back off differently.
+//   - queue full: the request is shed immediately (ErrOverloaded);
+//   - queue deadline expired: the waiter sheds itself (ErrOverloaded) and
+//     hands the budget on to whoever queued behind it.
 //
 // A shed request never touches the engine: the cost of saying "no" is one
 // mutex acquisition and an error frame, which is what keeps goodput near
@@ -30,9 +26,9 @@
 //     requests serialize instead of deadlocking).
 //  2. Admission is FIFO among queued waiters: a waiter is only granted
 //     when everything queued before it has been granted or shed.
-//  3. Every Acquire resolves: admitted, shed by deadline, shed by
-//     fair-share eviction, or failed by Close. Nothing waits forever —
-//     the queue deadline bounds the wait, and Close sheds the queue.
+//  3. Every Acquire resolves: admitted, shed because the queue is full,
+//     shed by deadline, or failed by Close. Nothing waits forever — the
+//     queue deadline bounds the wait, and Close sheds the queue.
 //  4. No blocking operation runs while Controller.mu is held (enforced
 //     by the lockio analyzer): waiters block on their own channel outside
 //     the lock, and grants are channel closes, which do not block.

@@ -764,11 +764,11 @@ func (h *harness) drawOp() wop {
 // handled=true means this step was consumed by a shed.
 func (h *harness) stepAdmission() (handled bool, err error) {
 	if h.wrng.chance(0.15) {
-		block, err := h.adm.Acquire(admission.ClassWrite, "")
+		block, err := h.adm.Acquire(admission.ClassWrite)
 		if err != nil {
 			return false, failf("admission blocker acquire failed: %v", err)
 		}
-		_, shedErr := h.adm.Acquire(admission.ClassRead, "")
+		_, shedErr := h.adm.Acquire(admission.ClassRead)
 		block()
 		if !errors.Is(shedErr, admission.ErrOverloaded) {
 			return false, failf("admission over budget returned %v, want ErrOverloaded", shedErr)
@@ -776,7 +776,7 @@ func (h *harness) stepAdmission() (handled bool, err error) {
 		h.trace.Add("op shed")
 		return true, nil
 	}
-	release, err := h.adm.Acquire(admission.ClassWrite, "")
+	release, err := h.adm.Acquire(admission.ClassWrite)
 	if err != nil {
 		return false, failf("admission acquire with free budget failed: %v", err)
 	}

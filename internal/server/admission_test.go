@@ -91,51 +91,6 @@ func TestOverloadShedThenRecover(t *testing.T) {
 	}
 }
 
-// TestTenantRateLimitOverWire drives the per-tenant token bucket through
-// the wire header: the tagged client's second burst-exhausting GET comes
-// back CodeRetryLater and maps to ErrRetryLater, while an untagged client
-// remains exempt.
-func TestTenantRateLimitOverWire(t *testing.T) {
-	srv, _ := startServer(t, storeOptions(), func(cfg *server.Config) {
-		cfg.AdmissionBudget = 8
-		cfg.TenantRate = 0.5 // refill far slower than the test runs
-		cfg.TenantBurst = 1
-	})
-	tagged, err := lsmclient.DialOptions(lsmclient.Options{
-		Addr:       srv.Addr().String(),
-		Tenant:     "t1",
-		RetryLimit: -1, // surface the first rate-limit error
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tagged.Close()
-
-	pk, rec := tweet(1)
-	if err := tagged.Upsert(pk, rec); err != nil {
-		t.Fatalf("first tagged op (within burst): %v", err)
-	}
-	if _, _, err := tagged.Get(pk); !errors.Is(err, lsmclient.ErrRetryLater) {
-		t.Fatalf("second tagged op: err = %v, want ErrRetryLater", err)
-	}
-
-	plain := dial(t, srv, 1)
-	for i := 0; i < 4; i++ {
-		if _, _, err := plain.Get(pk); err != nil {
-			t.Fatalf("untagged op %d hit a limit: %v", i, err)
-		}
-	}
-
-	snap := srv.Admission().Snapshot()
-	if snap.ShedRateLimited == 0 {
-		t.Fatal("ShedRateLimited = 0 after a rate-limit rejection")
-	}
-	ten, ok := snap.Tenants["t1"]
-	if !ok || ten.RateLimited == 0 || ten.Admitted == 0 {
-		t.Fatalf("tenant t1 accounting missing or incomplete: %+v", snap.Tenants)
-	}
-}
-
 // TestAdmissionSurfacedOnStats asserts the observability contract: /stats
 // carries the admission snapshot, shed histogram, governor state, and the
 // sticky GovernorLastError field; /metrics carries the lsm_admission_* and
@@ -217,7 +172,7 @@ func TestAdmissionSurfacedOnStats(t *testing.T) {
 func TestAdmissionBypassesControlOps(t *testing.T) {
 	srv := overloadedServer(t, nil)
 	adm := srv.Admission()
-	release, err := adm.Acquire(admission.ClassRead, "")
+	release, err := adm.Acquire(admission.ClassRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +234,7 @@ func TestOverloadGoodputSmoke(t *testing.T) {
 				switch err := c.Upsert(pk, rec); {
 				case err == nil:
 					ok.Add(1)
-				case errors.Is(err, lsmclient.ErrOverloaded), errors.Is(err, lsmclient.ErrRetryLater):
+				case errors.Is(err, lsmclient.ErrOverloaded):
 					shed.Add(1)
 				default:
 					other.Add(1)

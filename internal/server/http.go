@@ -28,8 +28,8 @@ type StatsPayload struct {
 	// request stage (microseconds).
 	Latency map[string]obs.Summary `json:",omitempty"`
 	Stages  map[string]obs.Summary `json:",omitempty"`
-	// Admission is the admission controller's counters and per-tenant
-	// accounting. Present only when admission control is enabled.
+	// Admission is the admission controller's counters. Present only when
+	// admission control is enabled.
 	Admission *admission.Snapshot `json:",omitempty"`
 	// Governor is the maintenance governor's state. GovernorLastError is
 	// the sticky record of a governor panic — a dead governor must be

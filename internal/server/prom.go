@@ -39,8 +39,6 @@ func (s *Server) promExposition() []byte {
 		w.Counter("lsm_admission_admitted_after_wait_total", "Requests admitted after queueing.", a.AdmittedAfterWait)
 		w.Counter("lsm_admission_shed_total", "Requests shed, by cause.", a.ShedQueueFull, "cause", "queue_full")
 		w.Counter("lsm_admission_shed_total", "", a.ShedDeadline, "cause", "deadline")
-		w.Counter("lsm_admission_shed_total", "", a.ShedFairShare, "cause", "fair_share")
-		w.Counter("lsm_admission_shed_total", "", a.ShedRateLimited, "cause", "rate_limited")
 		w.Histogram("lsm_admission_shed_duration_seconds",
 			"Fail-fast latency of shed requests.", s.adm.ShedHist())
 	}

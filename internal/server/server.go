@@ -47,11 +47,6 @@ type Config struct {
 	// negative = no queue: over-budget requests shed immediately). A
 	// request still queued after 2ms is shed.
 	AdmissionQueue int
-	// TenantRate is the per-tenant admission rate limit in requests per
-	// second for requests carrying a tenant tag (0 = unlimited).
-	TenantRate float64
-	// TenantBurst is the tenant rate limiter's burst (0 = max(1, rate)).
-	TenantBurst float64
 	// LatencyTarget enables the load-coupled maintenance governor: while
 	// the foreground get/upsert interval p99 exceeds the target, merge
 	// dispatch is throttled (never below a hard rate floor — see
@@ -143,10 +138,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.AdmissionBudget > 0 {
 		s.adm = admission.New(admission.Config{
-			Budget:      cfg.AdmissionBudget,
-			MaxQueue:    cfg.AdmissionQueue,
-			TenantRate:  cfg.TenantRate,
-			TenantBurst: cfg.TenantBurst,
+			Budget:   cfg.AdmissionBudget,
+			MaxQueue: cfg.AdmissionQueue,
 		})
 	}
 	if cfg.LatencyTarget > 0 {
@@ -550,7 +543,7 @@ func (c *conn) serveRequest(req wire.Request, bp *[]byte, tr trace) {
 	// work on an overloaded server.
 	if adm := c.srv.adm; adm != nil {
 		if class, ok := admissionClassOf(req.Op); ok {
-			release, err := adm.Acquire(class, req.Tenant)
+			release, err := adm.Acquire(class)
 			if err != nil {
 				if traced {
 					tr.lap() // the admission wait is no stage
@@ -787,10 +780,7 @@ func admissionClassOf(op wire.Op) (admission.Class, bool) {
 // admissionError maps an admission failure onto its typed wire error.
 func admissionError(id uint64, err error) wire.Response {
 	code := wire.CodeOverloaded
-	switch {
-	case errors.Is(err, admission.ErrRateLimited):
-		code = wire.CodeRetryLater
-	case errors.Is(err, admission.ErrClosed):
+	if errors.Is(err, admission.ErrClosed) {
 		code = wire.CodeShuttingDown
 	}
 	return wire.ErrorResponse(id, code, err.Error())

@@ -23,13 +23,15 @@ func FuzzDecodeRequest(f *testing.F) {
 		{ID: 4, Op: OpSecondaryQuery, Index: "user", Lo: []byte{1}, Hi: []byte{2},
 			Validation: 3, IndexOnly: true, Limit: -1},
 		{ID: 5, Op: OpFilterScan, FilterLo: -1 << 62, FilterHi: 1 << 62},
-		{ID: 6, Op: OpGet, Key: []byte("pk"), Tenant: "tenant-a"},
 	}
 	for _, r := range seed {
 		f.Add(AppendRequest(nil, r))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1})
+	// A request followed by a length-prefixed string: the retired tenant
+	// tag, now trailing garbage.
+	f.Add(append(AppendRequest(nil, Request{ID: 6, Op: OpGet, Key: []byte("pk")}), 0x02, 't', '1'))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequestInPlace(data)
 		if err != nil {
@@ -87,24 +89,20 @@ func FuzzDecodeResponse(f *testing.F) {
 // FuzzRequestRoundTrip builds a request from fuzzed fields, encodes it,
 // and checks that it decodes back identically and that every strict prefix
 // of the encoding — a truncated frame — fails with ErrCorruptFrame rather
-// than panicking or mis-decoding. One prefix is legal by design: cutting
-// exactly the trailing tenant extension yields a valid old-format frame
-// that must decode as the same request untagged (the backward-compat
-// contract for the extension).
+// than panicking or mis-decoding.
 func FuzzRequestRoundTrip(f *testing.F) {
 	f.Add(uint64(1), byte(OpUpsert), []byte("k"), []byte("v"), "idx", []byte("lo"), []byte("hi"),
-		int64(-3), int64(9), byte(1), true, int64(10), []byte("mpk"), "tenant-a")
+		int64(-3), int64(9), byte(1), true, int64(10), []byte("mpk"))
 	f.Add(uint64(0), byte(OpPing), []byte(nil), []byte(nil), "", []byte(nil), []byte(nil),
-		int64(0), int64(0), byte(0), false, int64(0), []byte(nil), "")
+		int64(0), int64(0), byte(0), false, int64(0), []byte(nil))
 	f.Fuzz(func(t *testing.T, id uint64, op byte, key, value []byte, index string, lo, hi []byte,
-		flo, fhi int64, validation byte, indexOnly bool, limit int64, mutPK []byte, tenant string) {
+		flo, fhi int64, validation byte, indexOnly bool, limit int64, mutPK []byte) {
 		r := Request{
 			ID: id, Op: Op(op%byte(opMax-1)) + 1, // always a valid op
 			Key: key, Value: value, Index: index, Lo: lo, Hi: hi,
 			FilterLo: flo, FilterHi: fhi,
 			Validation: validation, IndexOnly: indexOnly, Limit: limit,
-			Muts:   []Mutation{{Op: MutOp(op % byte(mutMax)), PK: mutPK, Record: value}},
-			Tenant: tenant,
+			Muts: []Mutation{{Op: MutOp(op % byte(mutMax)), PK: mutPK, Record: value}},
 		}
 		enc := AppendRequest(nil, r)
 		got, err := DecodeRequestInPlace(enc)
@@ -125,22 +123,8 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip mismatch:\n got  %+v\n want %+v", got, want)
 		}
-		// The old-format cut point: the encoding without the tenant
-		// extension (== len(enc) when the request is untagged).
-		untagged := r
-		untagged.Tenant = ""
-		oldFormat := len(AppendRequest(nil, untagged))
 		for cut := 0; cut < len(enc); cut++ {
-			dec, err := DecodeRequestInPlace(enc[:cut])
-			if cut == oldFormat {
-				wantOld := want
-				wantOld.Tenant = ""
-				if err != nil || !reflect.DeepEqual(dec, wantOld) {
-					t.Fatalf("old-format prefix must decode untagged: err=%v\n got  %+v\n want %+v", err, dec, wantOld)
-				}
-				continue
-			}
-			if !errors.Is(err, ErrCorruptFrame) {
+			if _, err := DecodeRequestInPlace(enc[:cut]); !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("truncation at %d/%d bytes: err = %v, want ErrCorruptFrame", cut, len(enc), err)
 			}
 		}

@@ -145,10 +145,6 @@ const (
 	// server is over capacity and the request never reached the engine.
 	// Clients should back off (capped exponential, full jitter) and retry.
 	CodeOverloaded
-	// CodeRetryLater reports a request rejected by its tenant's rate
-	// limit. Unlike CodeOverloaded it says nothing about server load; the
-	// client should pace itself, not back off harder.
-	CodeRetryLater
 )
 
 // String implements fmt.Stringer.
@@ -166,8 +162,6 @@ func (c ErrCode) String() string {
 		return "shutting-down"
 	case CodeOverloaded:
 		return "overloaded"
-	case CodeRetryLater:
-		return "retry-later"
 	}
 	return fmt.Sprintf("code(%d)", uint16(c))
 }
@@ -210,12 +204,6 @@ type Request struct {
 	Limit      int64 // SecondaryQuery, FilterScan: result cap (0 = all)
 
 	Muts []Mutation // ApplyBatch
-
-	// Tenant is the optional QoS tenant tag, encoded as a trailing
-	// extension field only when non-empty. Old-format frames (without the
-	// field) decode with Tenant == "", so the extension is wire-compatible
-	// in both directions for untagged traffic.
-	Tenant string
 }
 
 // Response is one server response. Like Request, the payload fields are a
@@ -451,11 +439,6 @@ func AppendRequest(buf []byte, r Request) []byte {
 		buf = appendBytes(buf, m.PK)
 		buf = appendBytes(buf, m.Record)
 	}
-	// Trailing extension: the tenant tag is emitted only when set, so
-	// untagged requests stay byte-identical to the pre-extension format.
-	if r.Tenant != "" {
-		buf = appendString(buf, r.Tenant)
-	}
 	return buf
 }
 
@@ -537,13 +520,6 @@ func DecodeRequestInPlace(frame []byte) (Request, error) {
 			if r.Muts[i].Record, b, err = takeBytesRef(b); err != nil {
 				return Request{}, err
 			}
-		}
-	}
-	// Optional trailing extension: the tenant tag. Absent in old-format
-	// frames — their decode ends here with Tenant == "".
-	if len(b) > 0 {
-		if r.Tenant, b, err = takeString(b); err != nil {
-			return Request{}, err
 		}
 	}
 	if len(b) != 0 {

@@ -26,10 +26,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 8, Op: OpFilterScan, FilterLo: -5, FilterHi: 1 << 60, Limit: 7},
 		{ID: 9, Op: OpStats},
 		{ID: 10, Op: OpFlush},
-		{ID: 11, Op: OpGet, Key: []byte("pk"), Tenant: "tenant-a"},
-		{ID: 12, Op: OpApplyBatch, Tenant: "t/2", Muts: []Mutation{
-			{Op: MutDelete, PK: []byte("c")},
-		}},
 	}
 	for _, want := range reqs {
 		enc := AppendRequest(nil, want)
@@ -188,15 +184,15 @@ func TestDecodeRequestInPlace(t *testing.T) {
 	}
 }
 
-// TestOldFormatFramesStillDecode pins the pre-tenant-extension encoding
-// byte for byte: an old client's frame (no trailing tenant field) must
-// decode with Tenant == "", and an untagged request must encode to
-// exactly those bytes — the extension may not shift the base format.
+// TestOldFormatFramesStillDecode pins the request encoding byte for byte:
+// an untagged frame decodes and a request encodes to exactly those bytes,
+// while a frame that still carries the retired trailing tenant field (or
+// an explicitly empty one) is refused as trailing garbage.
 func TestOldFormatFramesStillDecode(t *testing.T) {
-	// Request{ID: 7, Op: OpGet, Key: "pk"} as encoded before the tenant
-	// extension existed: uvarint ID, op byte, length-prefixed key, then
-	// eleven zero bytes for the unused value/index/bounds/filter/
-	// validation/index-only/limit/mutation-count fields.
+	// Request{ID: 7, Op: OpGet, Key: "pk"}: uvarint ID, op byte,
+	// length-prefixed key, then eleven zero bytes for the unused
+	// value/index/bounds/filter/validation/index-only/limit/mutation-count
+	// fields.
 	oldFrame := []byte{
 		0x07,             // ID = 7
 		0x02,             // Op = OpGet
@@ -215,26 +211,21 @@ func TestOldFormatFramesStillDecode(t *testing.T) {
 		t.Fatalf("old-format decode:\n got  %+v\n want %+v", got, want)
 	}
 	if enc := AppendRequest(nil, want); !bytes.Equal(enc, oldFrame) {
-		t.Fatalf("untagged encoding drifted from the old format:\n got  %x\n want %x", enc, oldFrame)
+		t.Fatalf("encoding drifted from the old format:\n got  %x\n want %x", enc, oldFrame)
 	}
-	// A tagged request is the old frame plus the trailing tenant field.
-	tagged := want
-	tagged.Tenant = "t1"
-	wantTagged := append(append([]byte(nil), oldFrame...), 0x02, 't', '1')
-	if enc := AppendRequest(nil, tagged); !bytes.Equal(enc, wantTagged) {
-		t.Fatalf("tagged encoding:\n got  %x\n want %x", enc, wantTagged)
-	}
-	// An explicitly encoded empty tenant (a single zero byte) is accepted
-	// and normalizes to the untagged request.
-	explicitEmpty := append(append([]byte(nil), oldFrame...), 0x00)
-	got, err = DecodeRequestInPlace(explicitEmpty)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("explicit empty tenant: err=%v got %+v", err, got)
+	for name, tail := range map[string][]byte{
+		"tagged":         {0x02, 't', '1'},
+		"explicit empty": {0x00},
+	} {
+		frame := append(append([]byte(nil), oldFrame...), tail...)
+		if _, err := DecodeRequestInPlace(frame); !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("%s tenant field: err = %v, want ErrCorruptFrame", name, err)
+		}
 	}
 }
 
 func TestNewErrorCodesRoundTrip(t *testing.T) {
-	for _, code := range []ErrCode{CodeOverloaded, CodeRetryLater} {
+	for _, code := range []ErrCode{CodeOverloaded} {
 		want := ErrorResponse(42, code, "busy")
 		enc := AppendResponse(nil, want)
 		got, err := DecodeResponse(enc)
@@ -245,8 +236,8 @@ func TestNewErrorCodesRoundTrip(t *testing.T) {
 			t.Fatalf("%s round trip:\n got  %+v\n want %+v", code, got, want)
 		}
 	}
-	if CodeOverloaded.String() != "overloaded" || CodeRetryLater.String() != "retry-later" {
-		t.Fatalf("code strings: %q, %q", CodeOverloaded.String(), CodeRetryLater.String())
+	if CodeOverloaded.String() != "overloaded" {
+		t.Fatalf("code string: %q", CodeOverloaded.String())
 	}
 }
 

@@ -18,10 +18,10 @@
 //	})
 //
 // Server-side failures come back as typed errors: lsmstore.ErrClosed,
-// lsmstore.ErrUnknownIndex, ErrOverloaded and ErrRetryLater are
-// recognized with errors.Is; everything else is a *ServerError.
+// lsmstore.ErrUnknownIndex and ErrOverloaded are recognized with
+// errors.Is; everything else is a *ServerError.
 //
-// Overload responses (CodeOverloaded, CodeRetryLater) are retried
+// Overload responses (CodeOverloaded) are retried
 // automatically with capped exponential backoff and full jitter, up to
 // Options.RetryLimit; Options.MaxInFlight bounds the pool's concurrency
 // so a backing-off client stops hammering an overloaded server.
@@ -55,19 +55,15 @@ type Options struct {
 	// disables). A timed-out request fails with ErrTimeout; its response,
 	// if it ever arrives, is discarded.
 	RequestTimeout time.Duration
-	// Tenant is the QoS tenant tag stamped on every request for the
-	// server's per-tenant rate limits and fair-share shedding. Empty
-	// leaves requests untagged (exempt from per-tenant limits).
-	Tenant string
 	// MaxInFlight bounds the requests this client (whole pool) runs at
 	// once. A slot is held across a request's retries and backoff sleeps,
 	// so a backing-off client stops hammering the server instead of
 	// piling on fresh load. 0 = unlimited.
 	MaxInFlight int
-	// RetryLimit caps the retries after a CodeOverloaded/CodeRetryLater
-	// response before the error surfaces to the caller (0 = the default
-	// of 4; negative disables retries). Only overload errors are retried;
-	// bad requests, broken connections and timeouts fail immediately.
+	// RetryLimit caps the retries after a CodeOverloaded response before
+	// the error surfaces to the caller (0 = the default of 4; negative
+	// disables retries). Only overload errors are retried; bad requests,
+	// broken connections and timeouts fail immediately.
 	RetryLimit int
 	// BackoffBase is the first retry's backoff window (0 = 1ms). Each
 	// retry doubles the window, capped at BackoffCap; the actual sleep is
@@ -94,10 +90,6 @@ var ErrClientClosed = errors.New("lsmclient: client is closed")
 // ErrOverloaded reports a request the server shed (CodeOverloaded) that
 // was still failing after the retry budget. Back off before trying again.
 var ErrOverloaded = errors.New("lsmclient: server overloaded")
-
-// ErrRetryLater reports a request rejected by the tenant rate limit
-// (CodeRetryLater): the server is fine, this tenant is over its rate.
-var ErrRetryLater = errors.New("lsmclient: tenant rate limited")
 
 // ServerError is a typed failure the server reported for one request.
 type ServerError struct {
@@ -345,9 +337,6 @@ func (c *Client) do(req wire.Request, want wire.Kind) (wire.Response, error) {
 	if c.closed.Load() {
 		return wire.Response{}, ErrClientClosed
 	}
-	if req.Tenant == "" {
-		req.Tenant = c.opts.Tenant
-	}
 	if c.limiter != nil {
 		c.limiter <- struct{}{}
 		defer func() { <-c.limiter }()
@@ -368,7 +357,7 @@ func (c *Client) do(req wire.Request, want wire.Kind) (wire.Response, error) {
 // retrying. Bad requests, closed stores, timeouts and broken connections
 // are not — retrying those wastes the server's time or the caller's.
 func retryableError(err error) bool {
-	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrRetryLater)
+	return errors.Is(err, ErrOverloaded)
 }
 
 // backoffDelay computes the attempt's sleep: a window of base<<attempt
@@ -452,8 +441,6 @@ func mapServerError(res wire.Response) error {
 		return fmt.Errorf("%w (remote: %s)", lsmstore.ErrUnknownIndex, res.Msg)
 	case wire.CodeOverloaded:
 		return fmt.Errorf("%w (remote: %s)", ErrOverloaded, res.Msg)
-	case wire.CodeRetryLater:
-		return fmt.Errorf("%w (remote: %s)", ErrRetryLater, res.Msg)
 	}
 	return &ServerError{Code: res.Code.String(), Msg: res.Msg}
 }

@@ -329,54 +329,6 @@ func TestRetryRecoversAfterShed(t *testing.T) {
 	}
 }
 
-func TestRetryLaterIsRetriedAndMapped(t *testing.T) {
-	var attempts atomic.Int64
-	srv := newScriptedServer(t, func(req wire.Request) wire.Response {
-		attempts.Add(1)
-		return wire.ErrorResponse(req.ID, wire.CodeRetryLater, "tenant over rate")
-	})
-	c, err := DialOptions(Options{
-		Addr:        srv.ln.Addr().String(),
-		RetryLimit:  1,
-		BackoffBase: 50 * time.Microsecond,
-		Tenant:      "t1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); !errors.Is(err, ErrRetryLater) {
-		t.Fatalf("err = %v, want ErrRetryLater", err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("server saw %d attempts, want 2", got)
-	}
-}
-
-func TestTenantTagTravels(t *testing.T) {
-	var mu sync.Mutex
-	var seen []string
-	srv := newScriptedServer(t, func(req wire.Request) wire.Response {
-		mu.Lock()
-		seen = append(seen, req.Tenant)
-		mu.Unlock()
-		return wire.Response{ID: req.ID, Kind: wire.KindOK}
-	})
-	c, err := DialOptions(Options{Addr: srv.ln.Addr().String(), Tenant: "tenant-9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 1 || seen[0] != "tenant-9" {
-		t.Fatalf("server saw tenants %q, want [tenant-9]", seen)
-	}
-}
-
 func TestMaxInFlightBoundsPoolConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
 	srv := newScriptedServer(t, func(req wire.Request) wire.Response {

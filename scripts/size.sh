@@ -3,7 +3,8 @@
 # counts the same thing: non-test Go lines outside bench/ with analyzer
 # testdata excluded (and listed on its own line), per top-level directory
 # and in total; the package count; the option surface (fields of
-# lsmstore.Options and server.Config); and the flag definitions under cmd/.
+# lsmstore.Options, server.Config and lsmclient.Options); and the flag
+# definitions under cmd/.
 # Lines are raw `wc -l` lines of gofmt-ed source: comments and blanks count.
 #
 #   scripts/size.sh                     the working tree
@@ -12,7 +13,7 @@
 #                                       difference, row by row
 #   scripts/size.sh --against <git-ref> --no-new-knobs
 #                                       the same, and exit 1 when the options,
-#                                       config or flags row grew: the
+#                                       config, client or flags row grew: the
 #                                       configuration surface grows only by a
 #                                       change that edits this gate's caller
 #                                       and says why
@@ -55,6 +56,7 @@ measure() (
 	printf 'packages\t%d\t\n' "$(sources . | xargs -r -n1 dirname | sort -u | wc -l)"
 	printf 'options\t%d\tlsmstore.Options fields\n' "$(fields Options lsmstore/lsmstore.go)"
 	printf 'config\t%d\tserver.Config fields\n' "$(fields Config internal/server/server.go)"
+	printf 'client\t%d\tlsmclient.Options fields\n' "$(fields Options lsmclient/lsmclient.go)"
 	printf 'flags\t%d\tflag definitions under cmd/\n' \
 		"$(find cmd -name '*.go' -not -name '*_test.go' -print0 |
 			xargs -0 grep -hoE '\bflag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' | wc -l)"
@@ -85,7 +87,7 @@ case "${1:-}" in
 			for (i = 1; i <= n; i++) {
 				k = order[i]
 				printf "%-12s %9d %9d %+7d%s\n", k, ref[k], tree[k], tree[k] - ref[k], (note[k] == "" ? "" : "   " note[k])
-				if (gate != "" && (k == "options" || k == "config" || k == "flags") && tree[k] > ref[k]) {
+				if (gate != "" && (k == "options" || k == "config" || k == "client" || k == "flags") && tree[k] > ref[k]) {
 					printf "size.sh: the %s row grew (%d -> %d)\n", k, ref[k], tree[k] > "/dev/stderr"
 					grew = 1
 				}
