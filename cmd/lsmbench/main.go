@@ -25,7 +25,9 @@
 // batched appends, fsync on commit and install) under -dir — a fresh
 // temporary directory, removed on exit, when -dir is empty. Virtual times
 // then reflect CPU charges only; the wall-clock column is the honest
-// figure. The paper figures (-figure) always run the simulated cost model.
+// figure. The paper figures (-figure) always run the simulated cost model,
+// so -backend, -dir, -n and -async without -shardsweep are an error (exit
+// status 2), not silently ignored.
 package main
 
 import (
@@ -54,6 +56,19 @@ func main() {
 	dir := flag.String("dir", "", "data directory for -backend=disk (default: a temp dir, removed on exit)")
 	flag.Parse()
 
+	if *sweep == "" {
+		var stray []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "backend", "dir", "n", "async":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			fmt.Fprintf(os.Stderr, "lsmbench: without -shardsweep, %s would be ignored\n", strings.Join(stray, " and "))
+			os.Exit(2)
+		}
+	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)

@@ -13,9 +13,9 @@
 //	wal-00000001.log ... write-ahead log segments: raw record streams
 //	                   appended by the wal package, one record per write
 //	                   (u32 length, then LSN, type, flags, timestamp, key
-//	                   and value; package wal owns the encoding), fsynced
-//	                   per record, or by one covering fsync per commit
-//	                   group when group commit is on (see GroupSyncer).
+//	                   and value; package wal owns the encoding), made
+//	                   durable by one covering fsync per commit group
+//	                   (see GroupSyncer).
 //	                   The highest number a session created is its live
 //	                   segment; every other one is sealed and never
 //	                   written again. A torn tail from a crash mid-append

@@ -60,7 +60,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/advisor"
 	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/kv"
@@ -395,7 +394,7 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		UsePKIndex:    true,
 		MergeRepair:   opts.MergeRepair,
 		BloomFPR:      0.01,
-		Bloom:         bloomKind(opts.Backend),
+		Bloom:         bloom.KindV2,
 		Policy:        lsm.NewTiering(0),
 		Seed:          opts.Seed,
 		Maintenance:   pool,
@@ -414,17 +413,6 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		return partition{}, err
 	}
 	return partition{ds: ds, store: store, env: env}, nil
-}
-
-// bloomKind picks the filter variant. The runtime read path on real files
-// gets the split-block filter: single-cache-line probes and a marshaled form
-// the manifest persists, so reopen skips the rebuild-by-scan. The simulated
-// backend keeps the paper's Standard cost-model variant.
-func bloomKind(b Backend) bloom.Kind {
-	if b == FileBackend {
-		return bloom.KindV2
-	}
-	return bloom.KindStandard
 }
 
 // Insert adds a record; it reports false when the key already exists.
@@ -853,26 +841,5 @@ func (db *DB) MaintPoolStats() (queued, active, workers int) { return db.pool.St
 // only, never results — see TestMergeGateObservationalOnly.
 func (db *DB) SetMergeGate(gate func()) { db.pool.SetGate(gate) }
 
-// WorkloadProfile describes an expected workload for Advise.
-type WorkloadProfile = advisor.Profile
-
-// AdvisorReport holds per-strategy probe measurements.
-type AdvisorReport = advisor.Report
-
-// Advise recommends a maintenance strategy for the given workload profile
-// by probing every candidate on a miniature simulated replay (the paper's
-// Section 7 auto-tuning direction).
-func Advise(p WorkloadProfile) (Strategy, AdvisorReport, error) {
-	return advisor.Recommend(p)
-}
-
-// Dataset exposes shard 0's dataset for advanced use (experiments); use
-// Shard to reach the others.
-func (db *DB) Dataset() *core.Dataset { return db.Shard(0) }
-
 // Shard exposes shard i's dataset for advanced use.
 func (db *DB) Shard(i int) *core.Dataset { return db.parts[i].ds }
-
-// Env exposes shard 0's metrics environment (virtual clock and counters);
-// each shard has its own.
-func (db *DB) Env() *metrics.Env { return db.parts[0].env }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/wal"
 	"repro/lsmstore"
 )
@@ -217,7 +218,10 @@ func TestFileBackendAbandonsPartialInstalls(t *testing.T) {
 // live and after the file-backed store is reopened — the backends must
 // differ only in durability, never in semantics. The simulated backend has
 // no fsync at all, so it is also the reference for the file backend's
-// group commit: coalescing commit fsyncs changes no visible byte.
+// group commit: coalescing commit fsyncs changes no visible byte. Both
+// backends build the same engine, so after Flush and after the reads their
+// engine counters must match too, all but the durable log's, which only
+// files keep.
 func TestFileBackendMatchesSim(t *testing.T) {
 	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap, lsmstore.DeletedKey} {
 		t.Run(strategy.String(), func(t *testing.T) {
@@ -241,11 +245,13 @@ func TestFileBackendMatchesSim(t *testing.T) {
 			if err := disk.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			sameCounters(t, "after Flush", sim, disk)
 			v := validationFor(strategy)
 			want := storeImage(t, sim, simIDs, v)
 			if got := storeImage(t, disk, diskIDs, v); got != want {
 				t.Fatalf("backends diverge:\n disk %s\n sim  %s", got, want)
 			}
+			sameCounters(t, "after the reads", sim, disk)
 			if err := disk.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -258,6 +264,21 @@ func TestFileBackendMatchesSim(t *testing.T) {
 				t.Fatalf("reopened disk store diverges from sim:\n disk %s\n sim  %s", got, want)
 			}
 		})
+	}
+}
+
+// sameCounters fails t unless sim and disk report the same engine
+// counters, leaving out the durable log's, which the simulated backend
+// never moves.
+func sameCounters(t *testing.T, stage string, sim, disk *lsmstore.DB) {
+	t.Helper()
+	engine := func(db *lsmstore.DB) metrics.Snapshot {
+		c := db.Stats().Counters
+		c.WALFsyncs, c.GroupCommitBatches, c.GroupCommitWaiters = 0, 0, 0
+		return c
+	}
+	if s, d := engine(sim), engine(disk); s != d {
+		t.Fatalf("engine counters diverge %s:\n disk %+v\n sim  %+v", stage, d, s)
 	}
 }
 
