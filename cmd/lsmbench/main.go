@@ -23,11 +23,13 @@
 //
 // With -backend=disk the sweep runs on the file backend (real files,
 // batched appends, fsync on commit and install) under -dir — a fresh
-// temporary directory, removed on exit, when -dir is empty. Virtual times
-// then reflect CPU charges only; the wall-clock column is the honest
-// figure. The paper figures (-figure) always run the simulated cost model,
-// so -backend, -dir, -n and -async without -shardsweep are an error (exit
-// status 2), not silently ignored.
+// temporary directory, removed on exit, when -dir is empty. The Store
+// charges the same device model on files as on the simulator, so the
+// virtual-time columns print what -backend=sim prints; the wall-clock
+// column is the separate, real measure of the files. The paper figures
+// (-figure) always run on the simulated device, so -backend, -dir, -n and
+// -async without -shardsweep are an error (exit status 2), not silently
+// ignored.
 package main
 
 import (

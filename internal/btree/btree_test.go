@@ -308,12 +308,12 @@ type failingAppends struct {
 	k, n int
 }
 
-func (d *failingAppends) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte) (int, error) {
+func (d *failingAppends) AppendPage(id storage.FileID, data []byte) (int, error) {
 	d.n++
 	if d.k > 0 && d.n >= d.k {
 		return 0, fmt.Errorf("append %d: injected failure", d.n)
 	}
-	return d.Device.AppendPageEnv(env, id, data)
+	return d.Device.AppendPage(id, data)
 }
 
 // TestAbortDeletesFile: an aborted build leaves no file, and neither does a

@@ -118,7 +118,7 @@ func checkPagesMatchReference(t *testing.T, store *storage.Store, r *Reader, key
 		t.Fatalf("%d pages (%v), reference has %d", n, err, len(want))
 	}
 	for i := range want {
-		got, err := store.Device().ReadPageEnv(store.Env(), r.FileID(), i, nil)
+		got, err := store.Device().ReadPage(r.FileID(), i, nil)
 		if err != nil || !bytes.Equal(got, want[i]) {
 			t.Fatalf("page %d of %d differs from the reference encoding (%d vs %d bytes, err %v)", i, len(want), len(got), len(want[i]), err)
 		}

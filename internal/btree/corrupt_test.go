@@ -229,16 +229,8 @@ type corruptLeaf struct {
 	page int
 }
 
-func (d corruptLeaf) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
-	p, err := d.Device.ReadPageEnv(env, id, page, dst)
-	if err == nil && page == d.page {
-		p[0] = 0xFF
-	}
-	return p, err
-}
-
-func (d corruptLeaf) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
-	p, err := d.Device.PrefetchPageEnv(env, id, page, dst)
+func (d corruptLeaf) ReadPage(id storage.FileID, page int, dst []byte) ([]byte, error) {
+	p, err := d.Device.ReadPage(id, page, dst)
 	if err == nil && page == d.page {
 		p[0] = 0xFF
 	}

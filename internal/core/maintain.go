@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/btree"
@@ -260,15 +259,8 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 			if dkReaders[i] == nil {
 				continue
 			}
-			if c.DeletedKeysBloom != nil {
-				env.Counters.BloomTests.Add(1)
-				env.Clock.Advance(env.CPU.Hash)
-				ok, lines := c.DeletedKeysBloom.MayContain(pk)
-				env.Clock.Advance(time.Duration(lines) * env.CPU.CacheLineMiss)
-				if !ok {
-					env.Counters.BloomNegatives.Add(1)
-					continue
-				}
+			if !lsm.ProbeBloom(env, c.DeletedKeysBloom, pk) {
+				continue
 			}
 			//lsm:allow-discard a failed deleted-key probe reads as "not deleted", the conservative answer: the entry is kept, never wrongly dropped
 			if _, found, _ := dkReaders[i].Get(pk, nil); found {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -501,7 +500,7 @@ func (d *Device) Delete(id storage.FileID) {
 	d.inner.Delete(id)
 }
 
-func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte) (int, error) {
+func (d *Device) AppendPage(id storage.FileID, data []byte) (int, error) {
 	f, ok, err := d.c.begin(d.shard, OpAppendPage, fmt.Sprintf("id=%d n=%d", id, len(data)))
 	if err != nil {
 		return 0, err
@@ -509,15 +508,11 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 	if ok && f.Kind == KindPageAppend {
 		return 0, &injectedError{KindPageAppend}
 	}
-	return d.inner.AppendPageEnv(env, id, data)
+	return d.inner.AppendPage(id, data)
 }
 
-func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
-	return d.inner.ReadPageEnv(env, id, page, dst)
-}
-
-func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
-	return d.inner.PrefetchPageEnv(env, id, page, dst)
+func (d *Device) ReadPage(id storage.FileID, page int, dst []byte) ([]byte, error) {
+	return d.inner.ReadPage(id, page, dst)
 }
 
 func (d *Device) NumPages(id storage.FileID) (int, error) { return d.inner.NumPages(id) }

@@ -21,14 +21,14 @@ type failingReads struct {
 
 var errInjectedRead = errors.New("injected read failure")
 
-func (d *failingReads) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
+func (d *failingReads) ReadPage(id storage.FileID, page int, dst []byte) ([]byte, error) {
 	if d.failing {
 		if d.allow <= 0 {
 			return nil, errInjectedRead
 		}
 		d.allow--
 	}
-	return d.Device.ReadPageEnv(env, id, page, dst)
+	return d.Device.ReadPage(id, page, dst)
 }
 
 // TestMergeInputReadFailureLeavesNoFile: a merge whose read of an input

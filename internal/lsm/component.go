@@ -187,14 +187,24 @@ func (c *Component) SizeBytes() int64 { return c.BTree.SizeBytes() }
 // MayContain consults the component's Bloom filter (when present), charging
 // the cost model for the hash and the cache lines touched.
 func (c *Component) MayContain(env *metrics.Env, key []byte) bool {
-	if c.Bloom == nil {
+	return ProbeBloom(env, c.Bloom, key)
+}
+
+// ProbeBloom asks f whether it may contain key — true when f is nil — and
+// charges env for the probe: it counts the test (and a negative answer),
+// and charges the hash, the cache lines touched and, for the blocked
+// filters, the in-block probes after the first. Every Bloom probe of the
+// engine goes through it: primary and secondary components' filters and
+// the deleted-key trees'.
+func ProbeBloom(env *metrics.Env, f bloom.Filter, key []byte) bool {
+	if f == nil {
 		return true
 	}
 	env.Counters.BloomTests.Add(1)
 	env.Clock.Advance(env.CPU.Hash)
-	ok, lines := c.Bloom.MayContain(key)
+	ok, lines := f.MayContain(key)
 	env.Clock.Advance(time.Duration(lines) * env.CPU.CacheLineMiss)
-	switch b := c.Bloom.(type) {
+	switch b := f.(type) {
 	case *bloom.Blocked:
 		env.Clock.Advance(time.Duration(b.K()-1) * env.CPU.ProbeInBlock)
 	case *bloom.V2:

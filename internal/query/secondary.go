@@ -2,7 +2,6 @@ package query
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kv"
@@ -264,15 +263,8 @@ func deletedKeyValidate(ds *core.Dataset, si *core.SecondaryIndex, comps []*lsm.
 			if comp.DeletedKeys == nil {
 				continue
 			}
-			if comp.DeletedKeysBloom != nil {
-				env.Counters.BloomTests.Add(1)
-				env.Clock.Advance(env.CPU.Hash)
-				ok, lines := comp.DeletedKeysBloom.MayContain(c.pk)
-				env.Clock.Advance(time.Duration(lines) * env.CPU.CacheLineMiss)
-				if !ok {
-					env.Counters.BloomNegatives.Add(1)
-					continue
-				}
+			if !lsm.ProbeBloom(env, comp.DeletedKeysBloom, c.pk) {
+				continue
 			}
 			if _, _, err := comp.DeletedKeys.Get(c.pk, func(e kv.Entry, _ int64) {
 				invalid = e.TS > c.ts

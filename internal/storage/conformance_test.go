@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dst"
 	"repro/internal/metrics"
@@ -16,9 +17,11 @@ import (
 
 // The device conformance suite: one table of implementations, one table of
 // cases, every case run over every implementation. The page cases hold for
-// any storage.Device; the durable cases for any storage.Durable, and the
-// suite also pins which implementations are durable — a wrapper is exactly
-// when the device beneath it is.
+// any storage.Device, and the store cases — the paper's cost model, which
+// Store charges over whatever device it wraps — hold over every one alike;
+// the durable cases hold for any storage.Durable, and the suite also pins
+// which implementations are durable — a wrapper is exactly when the device
+// beneath it is.
 
 func openDisk(*testing.T) storage.Device { return storage.NewDisk(storage.ScaledHDD(512)) }
 
@@ -60,6 +63,12 @@ var pageCases = []struct {
 	{"delete", testDelete},
 	{"page-overflow", testPageOverflow},
 	{"empty-page-refused", testEmptyPageRefused},
+	{"store-classifies-reads", testStoreClassifiesReads},
+	{"store-cross-file-interleaving", testStoreCrossFileInterleaving},
+	{"store-charges-profile", testStoreChargesProfile},
+	{"store-prefetch-never-seeks", testStorePrefetchNeverSeeks},
+	{"store-failure-charges-nothing", testStoreFailureChargesNothing},
+	{"store-lane-view-shares-head", testStoreLaneViewSharesHead},
 }
 
 var durableCases = []struct {
@@ -105,42 +114,39 @@ func TestDeviceConformance(t *testing.T) {
 // appended: the three the file device still holds in its append batch (it
 // writes through every 16) and the ones before them.
 func testAppendReuse(t *testing.T, dev storage.Device) {
-	env := metrics.NewEnv()
 	id := dev.Create()
 	buf := make([]byte, dev.PageSize())
 	const pages = 35
 	content := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 1+i*53%dev.PageSize()) }
 	for i := range pages {
 		p := buf[:copy(buf, content(i))]
-		if n, err := dev.AppendPageEnv(env, id, p); err != nil || n != i {
-			t.Fatalf("AppendPageEnv #%d = %d, %v", i, n, err)
+		if n, err := dev.AppendPage(id, p); err != nil || n != i {
+			t.Fatalf("AppendPage #%d = %d, %v", i, n, err)
 		}
 		for j := range buf {
 			buf[j] = 0xEE
 		}
 	}
 	for i := range pages {
-		if got, err := dev.ReadPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, content(i)) {
-			t.Fatalf("ReadPageEnv(%d) after the buffer was reused: %d bytes starting %x (%v), want %d of %x", i, len(got), got[:1], err, len(content(i)), byte(i+1))
+		if got, err := dev.ReadPage(id, i, nil); err != nil || !bytes.Equal(got, content(i)) {
+			t.Fatalf("ReadPage(%d) after the buffer was reused: %d bytes starting %x (%v), want %d of %x", i, len(got), got[:1], err, len(content(i)), byte(i+1))
 		}
 	}
 }
 
-// testReadIntoCallerBuffer: both read paths copy the page into the
-// caller's buffer — a buffer-cache frame of one page — without allocating,
+// testReadIntoCallerBuffer: a read copies the page into the caller's buffer — a buffer-cache frame of one page — without allocating,
 // and never hand out device memory. Pages still in the file device's append
 // batch and pages written through, full ones included, are read into one
 // reused buffer, garbage in between, and scribbling over a result must not
 // change what the next read of that page returns.
 func testReadIntoCallerBuffer(t *testing.T, dev storage.Device) {
-	env := metrics.NewEnv()
 	id := dev.Create()
 	const pages = 20
 	content := func(i int) []byte {
 		return bytes.Repeat([]byte{byte(i + 1)}, dev.PageSize()-i*29%dev.PageSize())
 	}
 	for i := range pages {
-		if _, err := dev.AppendPageEnv(env, id, content(i)); err != nil {
+		if _, err := dev.AppendPage(id, content(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,50 +154,44 @@ func testReadIntoCallerBuffer(t *testing.T, dev storage.Device) {
 	inFrame := func(p []byte) bool {
 		return cap(p) > 0 && &p[:cap(p)][cap(p)-1] == &frame[:cap(frame)][cap(frame)-1]
 	}
-	for _, read := range []struct {
-		name string
-		fn   func(*metrics.Env, storage.FileID, int, []byte) ([]byte, error)
-	}{{"ReadPageEnv", dev.ReadPageEnv}, {"PrefetchPageEnv", dev.PrefetchPageEnv}} {
-		for i := range pages {
-			for j := range frame[:cap(frame)] {
-				frame[:cap(frame)][j] = 0xEE
+	for i := range pages {
+		for j := range frame[:cap(frame)] {
+			frame[:cap(frame)][j] = 0xEE
+		}
+		got, err := dev.ReadPage(id, i, frame)
+		if err != nil || !bytes.Equal(got, content(i)) {
+			t.Fatalf("ReadPage(%d) = %d bytes (%v), want %d", i, len(got), err, len(content(i)))
+		}
+		if !inFrame(got) {
+			t.Fatalf("ReadPage(%d) did not land in the caller's buffer", i)
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			if _, err := dev.ReadPage(id, i, frame); err != nil {
+				t.Fatal(err)
 			}
-			got, err := read.fn(env, id, i, frame)
-			if err != nil || !bytes.Equal(got, content(i)) {
-				t.Fatalf("%s(%d) = %d bytes (%v), want %d", read.name, i, len(got), err, len(content(i)))
-			}
-			if !inFrame(got) {
-				t.Fatalf("%s(%d) did not land in the caller's buffer", read.name, i)
-			}
-			if allocs := testing.AllocsPerRun(5, func() {
-				if _, err := read.fn(env, id, i, frame); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 && !raceEnabled {
-				t.Fatalf("%s(%d) into the caller's buffer allocates %v times", read.name, i, allocs)
-			}
-			for j := range got {
-				got[j] = 0xEE
-			}
-			if again, err := read.fn(env, id, i, nil); err != nil || !bytes.Equal(again, content(i)) {
-				t.Fatalf("%s(%d) changed after the caller scribbled over its copy", read.name, i)
-			}
+		}); allocs != 0 && !raceEnabled {
+			t.Fatalf("ReadPage(%d) into the caller's buffer allocates %v times", i, allocs)
+		}
+		for j := range got {
+			got[j] = 0xEE
+		}
+		if again, err := dev.ReadPage(id, i, nil); err != nil || !bytes.Equal(again, content(i)) {
+			t.Fatalf("ReadPage(%d) changed after the caller scribbled over its copy", i)
 		}
 	}
 }
 
 // testAppendRead appends more pages than any implementation buffers, of
-// varying sizes, and reads each back by both read paths.
+// varying sizes, and reads each back.
 func testAppendRead(t *testing.T, dev storage.Device) {
-	env := metrics.NewEnv()
 	id := dev.Create()
 	var pages [][]byte
 	var written int64
 	for i := range 40 {
 		p := bytes.Repeat([]byte{byte(i + 1)}, 1+i*37%dev.PageSize())
-		n, err := dev.AppendPageEnv(env, id, p)
+		n, err := dev.AppendPage(id, p)
 		if err != nil || n != i {
-			t.Fatalf("AppendPageEnv #%d = %d, %v", i, n, err)
+			t.Fatalf("AppendPage #%d = %d, %v", i, n, err)
 		}
 		pages = append(pages, p)
 		written += int64(len(p))
@@ -202,23 +202,14 @@ func testAppendRead(t *testing.T, dev storage.Device) {
 	if got := dev.BytesWritten(); got != written {
 		t.Fatalf("BytesWritten = %d, want %d", got, written)
 	}
-	if got := env.Counters.Snapshot().PagesWritten; got != int64(len(pages)) {
-		t.Fatalf("PagesWritten = %d, want %d", got, len(pages))
-	}
 	for i, want := range pages {
-		if got, err := dev.ReadPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("ReadPageEnv(%d) mismatch: %v", i, err)
-		}
-		if got, err := dev.PrefetchPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("PrefetchPageEnv(%d) mismatch: %v", i, err)
+		if got, err := dev.ReadPage(id, i, nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ReadPage(%d) mismatch: %v", i, err)
 		}
 	}
 	for _, page := range []int{-1, len(pages)} {
-		if _, err := dev.ReadPageEnv(env, id, page, nil); err != storage.ErrNoSuchPage {
-			t.Fatalf("ReadPageEnv(%d) error = %v, want ErrNoSuchPage", page, err)
-		}
-		if _, err := dev.PrefetchPageEnv(env, id, page, nil); err != storage.ErrNoSuchPage {
-			t.Fatalf("PrefetchPageEnv(%d) error = %v, want ErrNoSuchPage", page, err)
+		if _, err := dev.ReadPage(id, page, nil); err != storage.ErrNoSuchPage {
+			t.Fatalf("ReadPage(%d) error = %v, want ErrNoSuchPage", page, err)
 		}
 	}
 }
@@ -247,20 +238,16 @@ func testListOrder(t *testing.T, dev storage.Device) {
 // testDelete: every access to a deleted file is ErrNoSuchFile, and deleting
 // it again is harmless.
 func testDelete(t *testing.T, dev storage.Device) {
-	env := metrics.NewEnv()
 	id := dev.Create()
-	if _, err := dev.AppendPageEnv(env, id, []byte{1}); err != nil {
+	if _, err := dev.AppendPage(id, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	dev.Delete(id)
 	dev.Delete(id)
-	if _, err := dev.ReadPageEnv(env, id, 0, nil); err != storage.ErrNoSuchFile {
+	if _, err := dev.ReadPage(id, 0, nil); err != storage.ErrNoSuchFile {
 		t.Fatalf("read after delete = %v", err)
 	}
-	if _, err := dev.PrefetchPageEnv(env, id, 0, nil); err != storage.ErrNoSuchFile {
-		t.Fatalf("prefetch after delete = %v", err)
-	}
-	if _, err := dev.AppendPageEnv(env, id, []byte{1}); err != storage.ErrNoSuchFile {
+	if _, err := dev.AppendPage(id, []byte{1}); err != storage.ErrNoSuchFile {
 		t.Fatalf("append after delete = %v", err)
 	}
 	if _, err := dev.NumPages(id); err != storage.ErrNoSuchFile {
@@ -272,12 +259,11 @@ func testDelete(t *testing.T, dev storage.Device) {
 }
 
 func testPageOverflow(t *testing.T, dev storage.Device) {
-	env := metrics.NewEnv()
 	id := dev.Create()
-	if _, err := dev.AppendPageEnv(env, id, make([]byte, dev.PageSize()+1)); err == nil {
+	if _, err := dev.AppendPage(id, make([]byte, dev.PageSize()+1)); err == nil {
 		t.Fatal("oversized page accepted")
 	}
-	if n, err := dev.AppendPageEnv(env, id, make([]byte, dev.PageSize())); err != nil || n != 0 {
+	if n, err := dev.AppendPage(id, make([]byte, dev.PageSize())); err != nil || n != 0 {
 		t.Fatalf("full page = %d, %v, want page 0", n, err)
 	}
 }
@@ -286,14 +272,13 @@ func testPageOverflow(t *testing.T, dev storage.Device) {
 // the file device a zero length header is where a reopen stops reading — and
 // a refused append leaves the file as it was.
 func testEmptyPageRefused(t *testing.T, dev storage.Device) {
-	env := metrics.NewEnv()
 	id := dev.Create()
 	for _, empty := range [][]byte{nil, {}} {
-		if _, err := dev.AppendPageEnv(env, id, empty); err == nil {
+		if _, err := dev.AppendPage(id, empty); err == nil {
 			t.Fatalf("empty page %#v accepted", empty)
 		}
 	}
-	if n, err := dev.AppendPageEnv(env, id, []byte{1}); err != nil || n != 0 {
+	if n, err := dev.AppendPage(id, []byte{1}); err != nil || n != 0 {
 		t.Fatalf("one-byte page after the refusals = %d, %v, want page 0", n, err)
 	}
 	if np, err := dev.NumPages(id); err != nil || np != 1 {
@@ -302,6 +287,158 @@ func testEmptyPageRefused(t *testing.T, dev storage.Device) {
 	if got := dev.BytesWritten(); got != 1 {
 		t.Fatalf("BytesWritten = %d, want 1", got)
 	}
+}
+
+// costed puts a Store over dev that charges a fresh environment, with
+// cacheBytes of buffer cache (0: every read reaches the device), and
+// creates files files of pages one-byte pages each. The appends are
+// charged before the environment is handed back reset.
+func costed(t *testing.T, dev storage.Device, cacheBytes int64, files, pages int) (*storage.Store, *metrics.Env, []storage.FileID) {
+	t.Helper()
+	env := metrics.NewEnv()
+	s := storage.NewStore(dev, cacheBytes, env)
+	ids := make([]storage.FileID, files)
+	for f := range ids {
+		ids[f] = s.Create()
+		for i := range pages {
+			if _, err := s.AppendPage(ids[f], []byte{byte(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	env.Counters.Reset()
+	env.Clock.Reset()
+	return s, env, ids
+}
+
+// readThrough reads page of id through s, with the scan hint when scan,
+// and unpins it.
+func readThrough(t *testing.T, s *storage.Store, id storage.FileID, page int, scan bool) {
+	t.Helper()
+	f, err := s.ReadPage(id, page, scan)
+	if err != nil {
+		t.Fatalf("ReadPage(%d, %d): %v", id, page, err)
+	}
+	s.Unpin(f)
+}
+
+// wantReads fails t unless env counted random random and sequential
+// sequential device reads and its clock stands at charged.
+func wantReads(t *testing.T, env *metrics.Env, random, sequential int64, charged time.Duration) {
+	t.Helper()
+	c := env.Counters.Snapshot()
+	if c.RandomReads != random || c.SequentialReads != sequential || env.Clock.Now() != charged {
+		t.Fatalf("random=%d sequential=%d clock=%v, want %d/%d and %v", c.RandomReads, c.SequentialReads, env.Clock.Now(), random, sequential, charged)
+	}
+}
+
+// testStoreClassifiesReads: a read is sequential only when it targets the
+// page right after the previous one; the first read and a jump are random.
+func testStoreClassifiesReads(t *testing.T, dev storage.Device) {
+	s, env, ids := costed(t, dev, 0, 1, 10)
+	p := dev.Profile()
+	for _, page := range []int{0, 1, 2, 3, 4, 9} {
+		readThrough(t, s, ids[0], page, false)
+	}
+	wantReads(t, env, 2, 4, 2*(p.Seek+p.TransferPerPage)+4*p.TransferPerPage)
+}
+
+// testStoreCrossFileInterleaving: the device has one head, so alternating
+// between two files makes every read random even though each file is read
+// in order — what the paper's batched point lookup avoids (Section 3.2).
+func testStoreCrossFileInterleaving(t *testing.T, dev storage.Device) {
+	s, env, ids := costed(t, dev, 0, 2, 5)
+	p := dev.Profile()
+	for i := range 5 {
+		readThrough(t, s, ids[0], i, false)
+		readThrough(t, s, ids[1], i, false)
+	}
+	wantReads(t, env, 10, 0, 10*(p.Seek+p.TransferPerPage))
+}
+
+// testStoreChargesProfile: a random read costs a seek plus a transfer, a
+// sequential one a transfer, and a page write — part of a sequential bulk
+// load — a transfer.
+func testStoreChargesProfile(t *testing.T, dev storage.Device) {
+	s, env, _ := costed(t, dev, 0, 0, 0)
+	p := dev.Profile()
+	id := s.Create()
+	for i := range 3 {
+		if _, err := s.AppendPage(id, make([]byte, 1+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := env.Counters.Snapshot().PagesWritten; got != 3 || env.Clock.Now() != 3*p.TransferPerPage {
+		t.Fatalf("3 appends: PagesWritten=%d clock=%v, want 3 and %v", got, env.Clock.Now(), 3*p.TransferPerPage)
+	}
+	env.Clock.Reset()
+	readThrough(t, s, id, 0, false)
+	wantReads(t, env, 1, 0, p.Seek+p.TransferPerPage)
+	readThrough(t, s, id, 1, false)
+	wantReads(t, env, 1, 1, p.Seek+2*p.TransferPerPage)
+}
+
+// testStorePrefetchNeverSeeks: a scan's miss prefetches the read-ahead
+// window at transfer cost. A page of the window already cached is skipped,
+// and the page behind it still pays no seek; the head ends on the window's
+// last page, so reading the next one is sequential.
+func testStorePrefetchNeverSeeks(t *testing.T, dev storage.Device) {
+	s, env, ids := costed(t, dev, 1<<20, 1, 10)
+	p := dev.Profile()
+	if p.ReadAheadPages < 11 {
+		t.Fatalf("read-ahead window of %d pages, the case needs 11", p.ReadAheadPages)
+	}
+	readThrough(t, s, ids[0], 3, false)
+	readThrough(t, s, ids[0], 0, true)
+	// Random: 3 and 0. Prefetched: 1, 2 and 4..9, with 3 skipped.
+	wantReads(t, env, 2, 8, 2*(p.Seek+p.TransferPerPage)+8*p.TransferPerPage)
+	if _, err := s.AppendPage(ids[0], []byte{11}); err != nil {
+		t.Fatal(err)
+	}
+	env.Clock.Reset()
+	readThrough(t, s, ids[0], 10, false)
+	wantReads(t, env, 2, 9, p.TransferPerPage)
+}
+
+// testStoreFailureChargesNothing: a failed read or append counts no device
+// read or page write, charges nothing and leaves the head where it was.
+func testStoreFailureChargesNothing(t *testing.T, dev storage.Device) {
+	s, env, ids := costed(t, dev, 0, 1, 3)
+	p := dev.Profile()
+	readThrough(t, s, ids[0], 0, false)
+	for _, page := range []int{99, -1} {
+		if _, err := s.ReadPage(ids[0], page, false); err != storage.ErrNoSuchPage {
+			t.Fatalf("ReadPage(%d) = %v, want ErrNoSuchPage", page, err)
+		}
+	}
+	if _, err := s.ReadPage(ids[0]+1, 1, true); err != storage.ErrNoSuchFile {
+		t.Fatalf("ReadPage of a missing file = %v, want ErrNoSuchFile", err)
+	}
+	for _, page := range [][]byte{nil, make([]byte, dev.PageSize()+1)} {
+		if _, err := s.AppendPage(ids[0], page); err == nil {
+			t.Fatalf("a %d-byte page was appended", len(page))
+		}
+	}
+	if got := env.Counters.Snapshot().PagesWritten; got != 0 {
+		t.Fatalf("failed appends counted %d pages written", got)
+	}
+	readThrough(t, s, ids[0], 1, false)
+	wantReads(t, env, 1, 1, p.Seek+2*p.TransferPerPage)
+}
+
+// testStoreLaneViewSharesHead: a WithEnv view charges its own environment
+// but moves the same head, so a maintenance-lane read between two
+// foreground reads of adjacent pages breaks the foreground's sequential run.
+func testStoreLaneViewSharesHead(t *testing.T, dev storage.Device) {
+	s, env, ids := costed(t, dev, 0, 2, 3)
+	p := dev.Profile()
+	lane := metrics.NewEnv()
+	readThrough(t, s, ids[0], 0, false)
+	readThrough(t, s, ids[0], 1, false)
+	readThrough(t, s.WithEnv(lane), ids[1], 0, false)
+	readThrough(t, s, ids[0], 2, false)
+	wantReads(t, env, 2, 1, 2*(p.Seek+p.TransferPerPage)+p.TransferPerPage)
+	wantReads(t, lane, 1, 0, p.Seek+p.TransferPerPage)
 }
 
 func testManifestRoundTrip(t *testing.T, dev storage.Durable) {

@@ -1,24 +1,21 @@
 package storage
 
-import "repro/internal/metrics"
-
 // Device is the page half of a storage device, beneath Store: append-only,
-// page-granular component files. Two implementations exist:
+// page-granular component files. A device only stores and returns pages;
+// Store charges the paper's device model against the access pattern, so
+// virtual time means the same thing on every implementation, and on real
+// files wall-clock time is the separate, real measure. Two exist:
 //
-//   - *Disk (this package): the paper's simulated device. Every access is
-//     charged to the virtual clock per the device Profile; nothing survives
-//     the process.
+//   - *Disk (this package): the paper's simulated device. Pages live in
+//     memory; nothing survives the process.
 //   - filedev.Device (internal/storage/filedev): real files under a data
-//     directory with batched appends. Accesses update the event counters
-//     but not the virtual clock — wall time is the measurement there. It is
-//     also Durable.
+//     directory with batched appends. It is also Durable.
 //
 // All methods must be safe for concurrent use.
 type Device interface {
 	// Profile returns the device cost profile (page size, seek/transfer
-	// costs, read-ahead window). File-backed devices still carry a profile:
-	// the page size defines the on-disk layout and the read-ahead window
-	// drives Store prefetching.
+	// costs, read-ahead window) that Store charges and prefetches by. On a
+	// file-backed device the page size also defines the on-disk layout.
 	Profile() Profile
 	// PageSize returns the device page size in bytes.
 	PageSize() int
@@ -27,27 +24,18 @@ type Device interface {
 	Create() FileID
 	// Delete removes a component file (component drop after a merge).
 	Delete(id FileID)
-	// AppendPageEnv appends one page (1 to PageSize bytes; an empty page is
-	// an error) to the file, charging the given metrics environment, and
-	// returns its page number.
+	// AppendPage appends one page (1 to PageSize bytes; an empty page is an
+	// error) to the file and returns its page number.
 	// The device copies data before it returns and never retains the slice:
 	// the caller may overwrite it at once (the B+-tree builder assembles
 	// every page of a file in one buffer).
-	AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, error)
-	// ReadPageEnv reads one page into dst's buffer, charging env, and
-	// returns it. The page lands in that buffer whenever cap(dst) holds it
-	// (a buffer-cache frame), possibly a few bytes into it, and in a new
-	// buffer otherwise. The result never aliases device memory — the caller
-	// owns those bytes and may reuse the buffer for another page at once.
-	// Sequential or random is decided by the head position, not by the
-	// caller.
-	ReadPageEnv(env *metrics.Env, id FileID, page int, dst []byte) ([]byte, error)
-	// PrefetchPageEnv reads one page into dst, like ReadPageEnv, as part of
-	// a device read-ahead window: the access is part of an already-
-	// positioned sequential stream, so it is charged at streaming
-	// (transfer-only) cost and never pays a seek, even when cached pages
-	// inside the window were skipped over.
-	PrefetchPageEnv(env *metrics.Env, id FileID, page int, dst []byte) ([]byte, error)
+	AppendPage(id FileID, data []byte) (int, error)
+	// ReadPage reads one page into dst's buffer and returns it. The page
+	// lands in that buffer whenever cap(dst) holds it (a buffer-cache
+	// frame), possibly a few bytes into it, and in a new buffer otherwise.
+	// The result never aliases device memory — the caller owns those bytes
+	// and may reuse the buffer for another page at once.
+	ReadPage(id FileID, page int, dst []byte) ([]byte, error)
 	// NumPages returns the current length of the file in pages.
 	NumPages(id FileID) (int, error)
 	// List returns the IDs of all live component files, in ascending order

@@ -14,11 +14,7 @@
 // Two implementations exist:
 //
 //   - The simulated device (*Disk, this package) stands in for the paper's
-//     7200 rpm SATA hard disks and SSD (Section 6.1). Pages live in memory;
-//     every read is classified as sequential or random against a single
-//     head position and charged to the virtual clock per the device
-//     Profile (seek + transfer for random reads, transfer only for
-//     sequential ones; LSM writes are always sequential bulk loads).
+//     7200 rpm SATA hard disks and SSD (Section 6.1). Pages live in memory.
 //     Nothing survives process exit — crash/recovery is simulated by
 //     discarding memory components.
 //
@@ -43,17 +39,25 @@
 // the device refuses further log appends rather than risk silently
 // committing a write whose failure was already reported.
 //
-// # What the cost model does (and doesn't) measure on real disks
+// # One cost model, on every device
 //
-// The virtual clock and its Profile describe the *simulated* device only.
-// On the file backend, reads and writes still update the event counters
-// (pages written, sequential/random reads, cache hits), so the access
-// pattern remains observable, but the virtual clock is NOT advanced for
-// I/O: seek charges would be fiction on a kernel page cache and modern
-// media, and the honest figure for a real device is wall-clock time. CPU
-// charges (comparisons, memtable operations) still tick the clock, so
-// simulated time on the file backend reflects compute only and must not be
-// compared against simulated-device numbers.
+// A device only stores and returns pages. Store, the one caller of the
+// device page methods, applies the paper's device model (Section 6.1) to
+// the access pattern, whatever the device beneath it: it keeps the single
+// head position, classifies every device read as sequential (the page
+// right after the previous read, on the same file) or random, counts the
+// reads and the pages written, and charges the device Profile to the
+// virtual clock — seek + transfer for a random read, transfer only for a
+// sequential one, a prefetched one or a page write (LSM writes are always
+// sequential bulk loads). Every WithEnv view of a Store moves the same
+// head, so maintenance-lane reads break the foreground's sequential runs as
+// they would on one spindle. A failed read or append charges nothing.
+//
+// Virtual time therefore means the same thing on the file backend as on
+// the simulated one: the same workload reads the same counters and the
+// same clocks on both. It is the paper's model of the access pattern, not
+// a measurement of the files; on real files wall-clock time is the
+// separate, real measure.
 //
 // Store combines a Device with the shared LRU buffer cache and implements
 // the paper's 4 MB scan read-ahead: a missing page read with the scan hint

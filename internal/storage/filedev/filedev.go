@@ -39,7 +39,7 @@
 // mid-write-through. Nothing durable refers to it — a file is named by a
 // MANIFEST only after all of it was synced — so the file's page count is
 // the number of whole pages in front of it. An empty page is never written
-// (AppendPageEnv refuses it), so a zero header can only be a tail.
+// (AppendPage refuses it), so a zero header can only be a tail.
 //
 // A read preads exactly the header and the n bytes the table records into
 // the caller's buffer (a buffer-cache frame) — in two preads when the frame
@@ -74,10 +74,10 @@
 // OS in appendBatchPages-sized runs; SaveManifest and Close flush everything
 // outstanding and fsync the dirty files (and the directory after
 // creates/deletes). Reads served from a not-yet-written tail come straight
-// from the batch buffer. The virtual clock is never advanced for I/O — wall time is the
-// honest measure on real hardware — but event counters (pages written,
-// sequential/random reads) are maintained exactly like the simulated
-// device's, using the same single-head positional classification.
+// from the batch buffer. The device charges nothing: storage.Store charges
+// every access against the device Profile — the same head, counters and
+// virtual clock as on the simulated device — and wall-clock time is the
+// separate, real measure of what the files cost.
 package filedev
 
 import (
@@ -158,8 +158,6 @@ type Device struct {
 	mu           sync.Mutex
 	files        map[storage.FileID]*file
 	nextID       storage.FileID
-	lastFile     storage.FileID
-	lastPage     int
 	bytesWritten int64
 	dirDirty     bool
 	wal          *os.File // live segment; nil until the session's first RotateWAL
@@ -199,12 +197,11 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		lock:     lock,
-		dir:      dir,
-		profile:  profile,
-		files:    make(map[storage.FileID]*file),
-		nextID:   1,
-		lastPage: -2,
+		lock:    lock,
+		dir:     dir,
+		profile: profile,
+		files:   make(map[storage.FileID]*file),
+		nextID:  1,
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -371,11 +368,11 @@ func (d *Device) writeThroughLocked(id storage.FileID, f *file) error {
 	return nil
 }
 
-// AppendPageEnv appends one page, buffering it in the file's batch. The
+// AppendPage appends one page, buffering it in the file's batch. The
 // page is visible to reads immediately; it becomes durable at the next
 // SaveManifest (component install) — the same no-force posture as the
 // simulation.
-func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte) (int, error) {
+func (d *Device) AppendPage(id storage.FileID, data []byte) (int, error) {
 	if len(data) > d.profile.PageSize {
 		return 0, fmt.Errorf("filedev: page overflow: %d > %d", len(data), d.profile.PageSize)
 	}
@@ -406,7 +403,6 @@ func (d *Device) AppendPageEnv(env *metrics.Env, id storage.FileID, data []byte)
 			return 0, err
 		}
 	}
-	env.Counters.PagesWritten.Add(1)
 	return n, nil
 }
 
@@ -434,14 +430,14 @@ func (d *Device) planRead(id storage.FileID, page int) (buffered []byte, h *os.F
 	return nil, f.f, off, n, nil
 }
 
-// readPage copies one page into dst: from the append batch, or by one pread
+// ReadPage copies one page into dst: from the append batch, or by one pread
 // of exactly its header and bytes. The header must still say what the table
 // recorded. The page lands in dst's buffer whenever cap(dst) holds it: just
 // behind its header when there is room for both, else at the start, the
 // header read on its own (a page within pageHeader bytes of a full frame).
 // Without room, it lands in a new buffer of exactly header and page, so the
 // result never has capacity past the page unless dst gave it.
-func (d *Device) readPage(id storage.FileID, page int, dst []byte) ([]byte, error) {
+func (d *Device) ReadPage(id storage.FileID, page int, dst []byte) ([]byte, error) {
 	buffered, h, off, n, err := d.planRead(id, page)
 	if err != nil {
 		return nil, err
@@ -488,43 +484,6 @@ func (d *Device) pread(h *os.File, buf []byte, off int64) error {
 		return err
 	}
 	return nil
-}
-
-// advanceHead updates the positional head and reports whether the access
-// was sequential (counter classification only; no clock charge).
-func (d *Device) advanceHead(id storage.FileID, page int) bool {
-	d.mu.Lock()
-	sequential := id == d.lastFile && page == d.lastPage+1
-	d.lastFile, d.lastPage = id, page
-	d.mu.Unlock()
-	return sequential
-}
-
-// ReadPageEnv reads one page into dst (see readPage). Counters classify the
-// access sequential or random exactly like the simulated device (single head
-// position); the virtual clock is not advanced.
-func (d *Device) ReadPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
-	data, err := d.readPage(id, page, dst)
-	if err != nil {
-		return nil, err
-	}
-	if d.advanceHead(id, page) {
-		env.Counters.SequentialReads.Add(1)
-	} else {
-		env.Counters.RandomReads.Add(1)
-	}
-	return data, nil
-}
-
-// PrefetchPageEnv reads one page of a read-ahead window (streaming access).
-func (d *Device) PrefetchPageEnv(env *metrics.Env, id storage.FileID, page int, dst []byte) ([]byte, error) {
-	data, err := d.readPage(id, page, dst)
-	if err != nil {
-		return nil, err
-	}
-	d.advanceHead(id, page)
-	env.Counters.SequentialReads.Add(1)
-	return data, nil
 }
 
 // NumPages returns the length of a file in pages (including buffered ones).

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -30,13 +29,6 @@ func mustClose(t *testing.T, d *Device) {
 	}
 }
 
-func mustReadPageEnv(t *testing.T, d *Device, env *metrics.Env, id storage.FileID, page int) {
-	t.Helper()
-	if _, err := d.ReadPageEnv(env, id, page, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func openTestDev(t *testing.T, dir string) *Device {
 	t.Helper()
 	d, err := Open(dir, storage.ScaledHDD(512))
@@ -48,7 +40,6 @@ func openTestDev(t *testing.T, dir string) *Device {
 
 func TestAppendReadReopen(t *testing.T) {
 	dir := t.TempDir()
-	env := metrics.NewEnv()
 	d := openTestDev(t, dir)
 	id := d.Create()
 	var pages [][]byte
@@ -57,13 +48,13 @@ func TestAppendReadReopen(t *testing.T) {
 	for i := 0; i < appendBatchPages*2+3; i++ {
 		p := bytes.Repeat([]byte{byte(i + 1)}, 1+i*7%500)
 		pages = append(pages, p)
-		n, err := d.AppendPageEnv(env, id, p)
+		n, err := d.AppendPage(id, p)
 		if err != nil || n != i {
-			t.Fatalf("AppendPageEnv(%d) = %d, %v", i, n, err)
+			t.Fatalf("AppendPage(%d) = %d, %v", i, n, err)
 		}
 	}
 	for i, want := range pages {
-		got, err := d.ReadPageEnv(env, id, i, nil)
+		got, err := d.ReadPage(id, i, nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("ReadPage(%d) mismatch: %v", i, err)
 		}
@@ -82,7 +73,7 @@ func TestAppendReadReopen(t *testing.T) {
 		t.Fatalf("reopened NumPages = %d, %v", np, err)
 	}
 	for i, want := range pages {
-		got, err := d2.ReadPageEnv(env, id, i, nil)
+		got, err := d2.ReadPage(id, i, nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("reopened ReadPage(%d) mismatch: %v", i, err)
 		}
@@ -95,10 +86,9 @@ func TestAppendReadReopen(t *testing.T) {
 
 func TestUnsyncedTailDroppedAtReopen(t *testing.T) {
 	dir := t.TempDir()
-	env := metrics.NewEnv()
 	d := openTestDev(t, dir)
 	id := d.Create()
-	if _, err := d.AppendPageEnv(env, id, []byte("durable")); err != nil {
+	if _, err := d.AppendPage(id, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
 	// The durability point of an install: everything appended so far is
@@ -109,7 +99,7 @@ func TestUnsyncedTailDroppedAtReopen(t *testing.T) {
 	// Buffered appends that were never synced may or may not survive a real
 	// crash; simulate the lost-tail case by abandoning the device without
 	// Close (the batch buffer dies with the process).
-	if _, err := d.AppendPageEnv(env, id, []byte("lost")); err != nil {
+	if _, err := d.AppendPage(id, []byte("lost")); err != nil {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
@@ -124,7 +114,7 @@ func TestUnsyncedTailDroppedAtReopen(t *testing.T) {
 	if err != nil || np != 1 {
 		t.Fatalf("NumPages after crash = %d, %v, want 1", np, err)
 	}
-	got, err := d2.ReadPageEnv(env, id, 0, nil)
+	got, err := d2.ReadPage(id, 0, nil)
 	if err != nil || string(got) != "durable" {
 		t.Fatalf("page 0 after crash = %q, %v", got, err)
 	}
@@ -148,8 +138,8 @@ func writeLayoutFile(t *testing.T, dir string, pages [][]byte) (storage.FileID, 
 	d := openTestDev(t, dir)
 	id := d.Create()
 	for i, p := range pages {
-		if n, err := d.AppendPageEnv(metrics.NewEnv(), id, p); err != nil || n != i {
-			t.Fatalf("AppendPageEnv(%d) = %d, %v", i, n, err)
+		if n, err := d.AppendPage(id, p); err != nil || n != i {
+			t.Fatalf("AppendPage(%d) = %d, %v", i, n, err)
 		}
 	}
 	if err := d.Close(); err != nil {
@@ -190,13 +180,12 @@ func requirePages(t *testing.T, d *Device, id storage.FileID, want [][]byte) {
 	if np, err := d.NumPages(id); err != nil || np != len(want) {
 		t.Fatalf("NumPages = %d, %v, want %d", np, err, len(want))
 	}
-	env := metrics.NewEnv()
 	for i, p := range want {
-		if got, err := d.ReadPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, p) {
+		if got, err := d.ReadPage(id, i, nil); err != nil || !bytes.Equal(got, p) {
 			t.Fatalf("page %d: %d bytes (%v), want %d", i, len(got), err, len(p))
 		}
 	}
-	if _, err := d.ReadPageEnv(env, id, len(want), nil); err != storage.ErrNoSuchPage {
+	if _, err := d.ReadPage(id, len(want), nil); err != storage.ErrNoSuchPage {
 		t.Fatalf("page %d past the end: %v, want ErrNoSuchPage", len(want), err)
 	}
 }
@@ -259,7 +248,7 @@ func TestReopenStopsAtTornTail(t *testing.T) {
 			d := openTestDev(t, dir)
 			requirePages(t, d, id, pages[:k])
 			next := []byte("after the tail")
-			if n, err := d.AppendPageEnv(metrics.NewEnv(), id, next); err != nil || n != k {
+			if n, err := d.AppendPage(id, next); err != nil || n != k {
 				t.Fatalf("append after the tail = %d, %v, want page %d", n, err, k)
 			}
 			mustClose(t, d)
@@ -274,24 +263,19 @@ func TestReopenStopsAtTornTail(t *testing.T) {
 // whether it comes from the append batch or from the file, so the buffer
 // cache holds exactly the page.
 func TestPageReadCapacityIsLength(t *testing.T) {
-	env := metrics.NewEnv()
 	d := openTestDev(t, t.TempDir())
 	defer mustClose(t, d)
 	id := d.Create()
 	pages := layoutPages(512)
 	for _, p := range pages {
-		if _, err := d.AppendPageEnv(env, id, p); err != nil {
+		if _, err := d.AppendPage(id, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := range pages {
-		for name, read := range map[string]func(*metrics.Env, storage.FileID, int, []byte) ([]byte, error){
-			"read": d.ReadPageEnv, "prefetch": d.PrefetchPageEnv,
-		} {
-			got, err := read(env, id, i, nil)
-			if err != nil || len(got) != len(pages[i]) || cap(got) != len(got) {
-				t.Fatalf("%s page %d: len %d cap %d (%v), want len = cap = %d", name, i, len(got), cap(got), err, len(pages[i]))
-			}
+		got, err := d.ReadPage(id, i, nil)
+		if err != nil || len(got) != len(pages[i]) || cap(got) != len(got) {
+			t.Fatalf("page %d: len %d cap %d (%v), want len = cap = %d", i, len(got), cap(got), err, len(pages[i]))
 		}
 	}
 }
@@ -308,18 +292,14 @@ func TestPageHeaderMismatchIsError(t *testing.T) {
 	defer mustClose(t, d)
 	const k = 3
 	overwriteHeader(t, path, offs[k], uint32(len(pages[k])-1))
-	env := metrics.NewEnv()
 	// A frame of exactly the page's size reads the header on its own.
 	for _, dst := range [][]byte{nil, make([]byte, 0, len(pages[k]))} {
-		if got, err := d.ReadPageEnv(env, id, k, dst); err == nil || got != nil {
+		if got, err := d.ReadPage(id, k, dst); err == nil || got != nil {
 			t.Fatalf("page %d under a changed header = %d bytes, %v; want an error and no bytes", k, len(got), err)
 		}
 	}
-	if got, err := d.PrefetchPageEnv(env, id, k, nil); err == nil || got != nil {
-		t.Fatalf("prefetch of page %d under a changed header = %d bytes, %v; want an error and no bytes", k, len(got), err)
-	}
 	for _, i := range []int{k - 1, k + 1} {
-		if got, err := d.ReadPageEnv(env, id, i, nil); err != nil || !bytes.Equal(got, pages[i]) {
+		if got, err := d.ReadPage(id, i, nil); err != nil || !bytes.Equal(got, pages[i]) {
 			t.Fatalf("page %d next to the bad header: %v", i, err)
 		}
 	}
@@ -329,10 +309,9 @@ func TestPageHeaderMismatchIsError(t *testing.T) {
 // reopened device lists what is left.
 func TestDeleteAndList(t *testing.T) {
 	dir := t.TempDir()
-	env := metrics.NewEnv()
 	d := openTestDev(t, dir)
 	a, b := d.Create(), d.Create()
-	if _, err := d.AppendPageEnv(env, a, []byte{1}); err != nil {
+	if _, err := d.AppendPage(a, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	d.Delete(a)
@@ -434,27 +413,5 @@ func TestWALAppendLoad(t *testing.T) {
 	d2.DropWAL(1)
 	if got := walImage(t, d2); got != "2:rec3 3:" {
 		t.Fatalf("LoadWAL after rotate+drop = %q", got)
-	}
-}
-
-func TestCountersClassifyLikeSim(t *testing.T) {
-	env := metrics.NewEnv()
-	d := openTestDev(t, t.TempDir())
-	defer mustClose(t, d)
-	id := d.Create()
-	for i := 0; i < 10; i++ {
-		if _, err := d.AppendPageEnv(env, id, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	env.Counters.Reset()
-	mustReadPageEnv(t, d, env, id, 0)
-	for i := 1; i < 5; i++ {
-		mustReadPageEnv(t, d, env, id, i)
-	}
-	mustReadPageEnv(t, d, env, id, 9)
-	s := env.Counters.Snapshot()
-	if s.RandomReads != 2 || s.SequentialReads != 4 {
-		t.Fatalf("random=%d sequential=%d, want 2/4", s.RandomReads, s.SequentialReads)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // FileID names one component file on the simulated disk.
@@ -75,29 +73,22 @@ type file struct {
 	pages [][]byte
 }
 
-// Disk is a simulated page device holding append-only files. All methods are
-// safe for concurrent use.
-//
-// Sequential-versus-random classification uses a single global head position
-// (lastFile, lastPage), modelling one spindle: a read is sequential only when
-// it targets the page immediately after the previous read on the same file.
-// Interleaving reads across files therefore breaks sequentiality, which is
-// exactly the effect the paper's batched point lookup avoids (Section 3.2).
+// Disk is a simulated page device holding append-only files in memory. It
+// only stores pages: Store charges every access against the device Profile.
+// All methods are safe for concurrent use.
 type Disk struct {
 	profile Profile
 
-	mu       sync.Mutex
-	files    map[FileID]*file
-	nextID   FileID
-	lastFile FileID
-	lastPage int
+	mu     sync.Mutex
+	files  map[FileID]*file
+	nextID FileID
 
 	bytesWritten int64
 }
 
 // NewDisk creates an empty simulated disk with the given device profile.
 func NewDisk(profile Profile) *Disk {
-	return &Disk{profile: profile, files: make(map[FileID]*file), nextID: 1, lastPage: -2}
+	return &Disk{profile: profile, files: make(map[FileID]*file), nextID: 1}
 }
 
 // Profile returns the device profile.
@@ -123,11 +114,8 @@ func (d *Disk) Delete(id FileID) {
 	delete(d.files, id)
 }
 
-// AppendPageEnv appends one page to the file and returns its page number,
-// charging the given metrics environment (the caller's I/O lane: background
-// maintenance charges its own clock). Writes are sequential by construction
-// (flush and merge bulk loads), so they are charged at transfer cost only.
-func (d *Disk) AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, error) {
+// AppendPage appends one page to the file and returns its page number.
+func (d *Disk) AppendPage(id FileID, data []byte) (int, error) {
 	if len(data) > d.profile.PageSize {
 		return 0, fmt.Errorf("storage: page overflow: %d > %d", len(data), d.profile.PageSize)
 	}
@@ -136,74 +124,28 @@ func (d *Disk) AppendPageEnv(env *metrics.Env, id FileID, data []byte) (int, err
 	}
 	cp := append([]byte(nil), data...)
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	f, ok := d.files[id]
 	if !ok {
-		d.mu.Unlock()
 		return 0, ErrNoSuchFile
 	}
 	f.pages = append(f.pages, cp)
-	n := len(f.pages) - 1
 	d.bytesWritten += int64(len(cp))
-	d.mu.Unlock()
-
-	env.Counters.PagesWritten.Add(1)
-	env.Clock.Advance(d.profile.TransferPerPage)
-	return n, nil
+	return len(f.pages) - 1, nil
 }
 
-// ReadPageEnv copies one page into dst (see Device), charging the given
-// metrics environment. The position of the previous read decides whether it
-// pays a seek.
-func (d *Disk) ReadPageEnv(env *metrics.Env, id FileID, page int, dst []byte) ([]byte, error) {
+// ReadPage copies one page into dst (see Device).
+func (d *Disk) ReadPage(id FileID, page int, dst []byte) ([]byte, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	f, ok := d.files[id]
 	if !ok {
-		d.mu.Unlock()
 		return nil, ErrNoSuchFile
 	}
 	if page < 0 || page >= len(f.pages) {
-		d.mu.Unlock()
 		return nil, ErrNoSuchPage
 	}
-	data := append(dst[:0], f.pages[page]...)
-	sequential := id == d.lastFile && page == d.lastPage+1
-	d.lastFile, d.lastPage = id, page
-	d.mu.Unlock()
-
-	if sequential {
-		env.Counters.SequentialReads.Add(1)
-		env.Clock.Advance(d.profile.TransferPerPage)
-	} else {
-		env.Counters.RandomReads.Add(1)
-		env.Clock.Advance(d.profile.Seek + d.profile.TransferPerPage)
-	}
-	return data, nil
-}
-
-// PrefetchPageEnv reads one page of a device read-ahead window at streaming
-// cost: after the seek that opened the window the device transfers pages
-// back to back, so a prefetched page never pays a seek — even when cached
-// pages inside the window were skipped over and the head-position chain
-// would otherwise look broken. The head still advances, so a subsequent
-// read of the next page stays sequential.
-func (d *Disk) PrefetchPageEnv(env *metrics.Env, id FileID, page int, dst []byte) ([]byte, error) {
-	d.mu.Lock()
-	f, ok := d.files[id]
-	if !ok {
-		d.mu.Unlock()
-		return nil, ErrNoSuchFile
-	}
-	if page < 0 || page >= len(f.pages) {
-		d.mu.Unlock()
-		return nil, ErrNoSuchPage
-	}
-	data := append(dst[:0], f.pages[page]...)
-	d.lastFile, d.lastPage = id, page
-	d.mu.Unlock()
-
-	env.Counters.SequentialReads.Add(1)
-	env.Clock.Advance(d.profile.TransferPerPage)
-	return data, nil
+	return append(dst[:0], f.pages[page]...), nil
 }
 
 // NumPages returns the current length of the file in pages.

@@ -8,123 +8,52 @@ import (
 	"repro/internal/metrics"
 )
 
-// envDisk binds a Disk to the environment its accesses charge, giving it
-// Store's call shape.
-type envDisk struct {
-	*Disk
-	env *metrics.Env
-}
+// The must-helpers keep accounting-focused tests honest: a dropped device
+// error would let a failing append or read pass as a counter mismatch (or
+// worse, not at all).
 
-func (d envDisk) AppendPage(id FileID, data []byte) (int, error) {
-	return d.AppendPageEnv(d.env, id, data)
-}
-
-func (d envDisk) ReadPage(id FileID, page int, _ bool) ([]byte, error) {
-	return d.ReadPageEnv(d.env, id, page, nil)
-}
-
-// storeDev gives Store the same call shape: a read copies the page out of
-// its pinned frame and unpins it.
-type storeDev struct{ *Store }
-
-func (s storeDev) ReadPage(id FileID, page int, seq bool) ([]byte, error) {
-	f, err := s.Store.ReadPage(id, page, seq)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Unpin(f)
-	return append([]byte(nil), f.Data...), nil
-}
-
-func newHDDDisk() (envDisk, *metrics.Env) {
-	env := metrics.NewEnv()
-	return envDisk{NewDisk(HDD()), env}, env
-}
-
-// pageDev is the device surface the must-helpers drive; both envDisk and
-// storeDev satisfy it. The helpers keep accounting-focused tests honest: a
-// dropped device error would let a failing append or read pass as a
-// counter mismatch (or worse, not at all).
-type pageDev interface {
-	AppendPage(FileID, []byte) (int, error)
-	ReadPage(FileID, int, bool) ([]byte, error)
-}
-
-func mustAppendPage(t *testing.T, d pageDev, f FileID, data []byte) {
+func mustAppendPage(t *testing.T, s *Store, f FileID, data []byte) {
 	t.Helper()
-	if _, err := d.AppendPage(f, data); err != nil {
+	if _, err := s.AppendPage(f, data); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func mustReadPage(t *testing.T, d pageDev, f FileID, page int, seq bool) []byte {
+// mustReadPage reads a page through s and unpins its frame.
+func mustReadPage(t *testing.T, s *Store, f FileID, page int, seq bool) {
 	t.Helper()
-	data, err := d.ReadPage(f, page, seq)
+	fr, err := s.ReadPage(f, page, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	s.Unpin(fr)
 }
 
 // What every Device must do — append/read, delete, page overflow, listing —
-// is TestDeviceConformance's (conformance_test.go), which runs it over Disk
-// and every other implementation. The tests here are Disk's cost model and
-// Store's cache.
+// and the cost model Store charges over it are TestDeviceConformance's
+// (conformance_test.go), which runs them over Disk and every other
+// implementation. The tests here are the profiles, the HDD charges over
+// Disk and Store's cache.
 
-func TestSequentialVsRandomAccounting(t *testing.T) {
-	d, env := newHDDDisk()
-	f := d.Create()
-	for i := 0; i < 10; i++ {
-		mustAppendPage(t, d, f, []byte{byte(i)})
-	}
-	env.Counters.Reset()
-	// First read: random (head parked elsewhere).
-	mustReadPage(t, d, f, 0, true)
-	// Next reads in order: sequential.
-	for i := 1; i < 5; i++ {
-		mustReadPage(t, d, f, i, true)
-	}
-	// Jump: random again.
-	mustReadPage(t, d, f, 9, true)
-	s := env.Counters.Snapshot()
-	if s.RandomReads != 2 || s.SequentialReads != 4 {
-		t.Fatalf("random=%d sequential=%d, want 2/4", s.RandomReads, s.SequentialReads)
-	}
-}
-
-func TestCrossFileInterleavingBreaksSequentiality(t *testing.T) {
-	// The single-head model: alternating between two files makes every
-	// access random even if each file is read in order. This is the
-	// mechanism that makes batched point lookups win (Section 3.2).
-	d, env := newHDDDisk()
-	f1, f2 := d.Create(), d.Create()
-	for i := 0; i < 5; i++ {
-		mustAppendPage(t, d, f1, []byte{1})
-		mustAppendPage(t, d, f2, []byte{2})
-	}
-	env.Counters.Reset()
-	for i := 0; i < 5; i++ {
-		mustReadPage(t, d, f1, i, true)
-		mustReadPage(t, d, f2, i, true)
-	}
-	s := env.Counters.Snapshot()
-	if s.SequentialReads != 0 || s.RandomReads != 10 {
-		t.Fatalf("random=%d sequential=%d, want 10/0", s.RandomReads, s.SequentialReads)
-	}
+// newHDDStore returns an uncached Store over a Disk with the HDD profile, so
+// every read reaches the device and is charged.
+func newHDDStore() (*Store, *metrics.Env) {
+	env := metrics.NewEnv()
+	return NewStore(NewDisk(HDD()), 0, env), env
 }
 
 func TestClockChargesSeekAndTransfer(t *testing.T) {
-	d, env := newHDDDisk()
-	f := d.Create()
-	mustAppendPage(t, d, f, []byte{1})
-	mustAppendPage(t, d, f, []byte{2})
+	s, env := newHDDStore()
+	f := s.Create()
+	mustAppendPage(t, s, f, []byte{1})
+	mustAppendPage(t, s, f, []byte{2})
 	before := env.Clock.Now()
-	mustReadPage(t, d, f, 0, false) // random: seek + transfer
+	mustReadPage(t, s, f, 0, false) // random: seek + transfer
 	afterRandom := env.Clock.Now()
-	mustReadPage(t, d, f, 1, false) // adjacent: transfer only
+	mustReadPage(t, s, f, 1, false) // adjacent: transfer only
 	afterSeq := env.Clock.Now()
 
-	p := d.Profile()
+	p := s.Device().Profile()
 	if afterRandom-before != p.Seek+p.TransferPerPage {
 		t.Errorf("random read charged %v, want %v", afterRandom-before, p.Seek+p.TransferPerPage)
 	}
@@ -134,14 +63,17 @@ func TestClockChargesSeekAndTransfer(t *testing.T) {
 }
 
 func TestWritesChargedSequentially(t *testing.T) {
-	d, env := newHDDDisk()
-	f := d.Create()
+	s, env := newHDDStore()
+	f := s.Create()
 	before := env.Clock.Now()
-	mustAppendPage(t, d, f, make([]byte, 100))
-	if got := env.Clock.Now() - before; got != d.Profile().TransferPerPage {
-		t.Errorf("write charged %v, want transfer %v", got, d.Profile().TransferPerPage)
+	mustAppendPage(t, s, f, make([]byte, 100))
+	if got := env.Clock.Now() - before; got != s.Device().Profile().TransferPerPage {
+		t.Errorf("write charged %v, want transfer %v", got, s.Device().Profile().TransferPerPage)
 	}
-	if d.BytesWritten() != 100 {
+	if got := env.Counters.Snapshot().PagesWritten; got != 1 {
+		t.Errorf("PagesWritten = %d, want 1", got)
+	}
+	if d := s.Device().(*Disk); d.BytesWritten() != 100 {
 		t.Errorf("BytesWritten = %d", d.BytesWritten())
 	}
 }
@@ -168,11 +100,11 @@ func TestStoreCachingAndReadAhead(t *testing.T) {
 	store := NewStore(d, 1<<20, env)
 	f := store.Create()
 	for i := 0; i < 16; i++ {
-		mustAppendPage(t, storeDev{store}, f, []byte{byte(i)})
+		mustAppendPage(t, store, f, []byte{byte(i)})
 	}
 	// Scan access with read-ahead: first miss prefetches the window.
 	env.Counters.Reset()
-	mustReadPage(t, storeDev{store}, f, 0, true)
+	mustReadPage(t, store, f, 0, true)
 	s := env.Counters.Snapshot()
 	if s.RandomReads+s.SequentialReads != 4 {
 		t.Fatalf("read-ahead fetched %d pages, want 4", s.RandomReads+s.SequentialReads)
@@ -180,7 +112,7 @@ func TestStoreCachingAndReadAhead(t *testing.T) {
 	// The next 3 pages are cache hits.
 	env.Counters.Reset()
 	for i := 1; i < 4; i++ {
-		mustReadPage(t, storeDev{store}, f, i, true)
+		mustReadPage(t, store, f, i, true)
 	}
 	s = env.Counters.Snapshot()
 	if s.CacheHits != 3 || s.RandomReads+s.SequentialReads != 0 {
@@ -188,7 +120,7 @@ func TestStoreCachingAndReadAhead(t *testing.T) {
 	}
 	// Point reads (no hint) do not prefetch.
 	env.Counters.Reset()
-	mustReadPage(t, storeDev{store}, f, 10, false)
+	mustReadPage(t, store, f, 10, false)
 	s = env.Counters.Snapshot()
 	if s.RandomReads != 1 || s.CacheMisses != 1 {
 		t.Fatalf("point read: random=%d misses=%d", s.RandomReads, s.CacheMisses)
@@ -200,8 +132,8 @@ func TestStoreDeleteInvalidatesCache(t *testing.T) {
 	d := NewDisk(ScaledHDD(512))
 	store := NewStore(d, 1<<20, env)
 	f := store.Create()
-	mustAppendPage(t, storeDev{store}, f, []byte{1})
-	mustReadPage(t, storeDev{store}, f, 0, false) // cached
+	mustAppendPage(t, store, f, []byte{1})
+	mustReadPage(t, store, f, 0, false) // cached
 	store.Delete(f)
 	if _, err := store.ReadPage(f, 0, false); err == nil {
 		t.Fatal("read of deleted file served from cache")
@@ -213,10 +145,10 @@ func TestCacheHitCostCheaperThanDisk(t *testing.T) {
 	d := NewDisk(HDD())
 	store := NewStore(d, 1<<30, env)
 	f := store.Create()
-	mustAppendPage(t, storeDev{store}, f, []byte{1})
-	mustReadPage(t, storeDev{store}, f, 0, false)
+	mustAppendPage(t, store, f, []byte{1})
+	mustReadPage(t, store, f, 0, false)
 	before := env.Clock.Now()
-	mustReadPage(t, storeDev{store}, f, 0, false) // hit
+	mustReadPage(t, store, f, 0, false) // hit
 	hitCost := env.Clock.Now() - before
 	if hitCost <= 0 || hitCost >= time.Millisecond {
 		t.Errorf("cache hit cost = %v, want small positive", hitCost)
@@ -234,10 +166,10 @@ func TestStoreRecyclesFrames(t *testing.T) {
 	f := store.Create()
 	const pages = 64
 	for i := range pages {
-		mustAppendPage(t, storeDev{store}, f, bytes.Repeat([]byte{byte(i)}, pageSize-i%8))
+		mustAppendPage(t, store, f, bytes.Repeat([]byte{byte(i)}, pageSize-i%8))
 	}
 	small := store.Create()
-	mustAppendPage(t, storeDev{store}, small, []byte("tiny"))
+	mustAppendPage(t, store, small, []byte("tiny"))
 
 	i := 0
 	read := func() {

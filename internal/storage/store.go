@@ -1,32 +1,69 @@
 package storage
 
 import (
+	"sync"
+
 	"repro/internal/cache"
 	"repro/internal/metrics"
 )
 
 // Store combines a page device with the LRU buffer cache and charges the
 // virtual clock for each access. It is the single storage handle shared by
-// every index of a dataset (as the buffer cache is shared in AsterixDB).
+// every index of a dataset (as the buffer cache is shared in AsterixDB),
+// and the one place the paper's device model (Section 6.1) is applied, so
+// virtual time means the same thing on every Device: a cache hit costs
+// CPU, a device read costs a seek plus a transfer when it is random and a
+// transfer alone when it is sequential, and a page write — always part of
+// a sequential bulk load — costs a transfer.
 type Store struct {
 	dev   Device
+	prof  Profile
 	cache *cache.LRU
 	env   *metrics.Env
+	head  *head
+}
+
+// head is the device's one read head. A read is sequential only when it
+// targets the page right after the previous device read, on the same file,
+// so interleaving reads across files makes every one of them random —
+// exactly what the paper's batched point lookup avoids (Section 3.2).
+type head struct {
+	mu   sync.Mutex
+	file FileID
+	page int
+}
+
+// moveTo puts the head over page of id and reports whether that page
+// follows the one under it.
+func (h *head) moveTo(id FileID, page int) bool {
+	h.mu.Lock()
+	sequential := id == h.file && page == h.page+1
+	h.file, h.page = id, page
+	h.mu.Unlock()
+	return sequential
 }
 
 // NewStore wraps dev with a buffer cache of cacheBytes capacity, in frames
 // of one page.
 func NewStore(dev Device, cacheBytes int64, env *metrics.Env) *Store {
 	pages := int(cacheBytes / int64(dev.PageSize()))
-	return &Store{dev: dev, cache: cache.NewLRU(pages, dev.PageSize()), env: env}
+	return &Store{
+		dev:   dev,
+		prof:  dev.Profile(),
+		cache: cache.NewLRU(pages, dev.PageSize()),
+		env:   env,
+		head:  &head{page: -2},
+	}
 }
 
-// WithEnv returns a Store view sharing this store's device and buffer cache
-// but charging the given metrics environment. Background maintenance uses
-// it to account its I/O on a separate lane (clock) while keeping the event
-// counters and cache state global.
+// WithEnv returns a Store view sharing this store's device, buffer cache
+// and read head but charging the given metrics environment. Background
+// maintenance uses it to account its I/O on a separate lane (clock) while
+// its reads still move the one spindle the foreground reads from.
 func (s *Store) WithEnv(env *metrics.Env) *Store {
-	return &Store{dev: s.dev, cache: s.cache, env: env}
+	v := *s
+	v.env = env
+	return &v
 }
 
 // Device returns the underlying page device.
@@ -61,13 +98,13 @@ func (s *Store) ReadPage(id FileID, page int, seqHint bool) (*cache.Frame, error
 		return f, nil
 	}
 	s.env.Counters.CacheMisses.Add(1)
-	f, err := s.load(key, s.dev.ReadPageEnv)
+	f, err := s.load(key, false)
 	if err != nil {
 		return nil, err
 	}
 	if seqHint {
 		if n, err := s.dev.NumPages(id); err == nil {
-			end := page + s.dev.Profile().ReadAheadPages
+			end := page + s.prof.ReadAheadPages
 			if end > n {
 				end = n
 			}
@@ -76,7 +113,7 @@ func (s *Store) ReadPage(id FileID, page int, seqHint bool) (*cache.Frame, error
 				if s.cache.Contains(pk) {
 					continue
 				}
-				pf, err := s.load(pk, s.dev.PrefetchPageEnv)
+				pf, err := s.load(pk, true)
 				if err != nil {
 					break
 				}
@@ -87,23 +124,35 @@ func (s *Store) ReadPage(id FileID, page int, seqHint bool) (*cache.Frame, error
 	return f, nil
 }
 
-// load reads the page under key with read into a recycled frame (or a new
-// one when none is free), caches it, and returns the frame pinned. A page
-// that would fill less than half a frame is moved to a buffer of its own
-// size and the frame goes back to the free list, so small internal and meta
-// pages never occupy whole frames; so is a page the device could not place
-// in the frame.
-func (s *Store) load(key cache.PageKey, read func(*metrics.Env, FileID, int, []byte) ([]byte, error)) (*cache.Frame, error) {
+// load reads the page under key into a recycled frame (or a new one when
+// none is free), charges the read, caches it, and returns the frame pinned.
+// A page that would fill less than half a frame is moved to a buffer of its
+// own size and the frame goes back to the free list, so small internal and
+// meta pages never occupy whole frames; so is a page the device could not
+// place in the frame.
+//
+// A prefetch is one page of a read-ahead window: the seek that opened the
+// window already positioned the head, so it streams at transfer cost even
+// when cached pages inside the window were skipped over. It still moves
+// the head, so a read of the page after the window stays sequential.
+func (s *Store) load(key cache.PageKey, prefetch bool) (*cache.Frame, error) {
 	f, reused := s.cache.Frame()
 	if reused {
 		s.env.Counters.FrameReuses.Add(1)
 	} else {
 		s.env.Counters.FrameAllocs.Add(1)
 	}
-	data, err := read(s.env, FileID(key.File), key.Page, f.Data)
+	data, err := s.dev.ReadPage(FileID(key.File), key.Page, f.Data)
 	if err != nil {
 		s.cache.Unpin(f)
 		return nil, err
+	}
+	if s.head.moveTo(FileID(key.File), key.Page) || prefetch {
+		s.env.Counters.SequentialReads.Add(1)
+		s.env.Clock.Advance(s.prof.TransferPerPage)
+	} else {
+		s.env.Counters.RandomReads.Add(1)
+		s.env.Clock.Advance(s.prof.Seek + s.prof.TransferPerPage)
 	}
 	if inFrame := f.Holds(data); inFrame && 2*len(data) >= cap(f.Data) {
 		f.Data = data
@@ -128,9 +177,16 @@ func (s *Store) Unpin(f *cache.Frame) { s.cache.Unpin(f) }
 // Create allocates a new component file.
 func (s *Store) Create() FileID { return s.dev.Create() }
 
-// AppendPage appends a page to a component file being bulk-loaded.
+// AppendPage appends a page to a component file being bulk-loaded,
+// charging a transfer. A failed append charges nothing.
 func (s *Store) AppendPage(id FileID, data []byte) (int, error) {
-	return s.dev.AppendPageEnv(s.env, id, data)
+	n, err := s.dev.AppendPage(id, data)
+	if err != nil {
+		return 0, err
+	}
+	s.env.Counters.PagesWritten.Add(1)
+	s.env.Clock.Advance(s.prof.TransferPerPage)
+	return n, nil
 }
 
 // Delete drops a component file and invalidates its cached pages.

@@ -100,15 +100,17 @@ type Backend int
 
 // Backends.
 const (
-	// SimBackend (the default) runs on the simulated in-memory device with
-	// the paper's explicit I/O cost model. Nothing survives process exit;
-	// crash/recovery is simulated (Crash/Recover).
+	// SimBackend (the default) runs on the simulated in-memory device.
+	// Nothing survives process exit; crash/recovery is simulated
+	// (Crash/Recover).
 	SimBackend Backend = iota
 	// FileBackend runs on real files under Options.Dir: batched appends,
 	// fsync on WAL commit and component install, and a manifest that lets
 	// Open reopen the directory — after a clean Close or a crash — and
-	// continue serving every committed write. The virtual clock is not
-	// advanced for I/O on this backend; wall time is the honest measure.
+	// continue serving every committed write. The Store charges the same
+	// HDD device model against the access pattern as on SimBackend, so the
+	// counters and virtual clocks match it; wall-clock time is the
+	// separate, real measure of the files.
 	FileBackend
 )
 

@@ -269,7 +269,8 @@ func TestFileBackendMatchesSim(t *testing.T) {
 
 // sameCounters fails t unless sim and disk report the same engine
 // counters, leaving out the durable log's, which the simulated backend
-// never moves.
+// never moves, and the same virtual clocks: the Store charges one device
+// model on both backends.
 func sameCounters(t *testing.T, stage string, sim, disk *lsmstore.DB) {
 	t.Helper()
 	engine := func(db *lsmstore.DB) metrics.Snapshot {
@@ -279,6 +280,13 @@ func sameCounters(t *testing.T, stage string, sim, disk *lsmstore.DB) {
 	}
 	if s, d := engine(sim), engine(disk); s != d {
 		t.Fatalf("engine counters diverge %s:\n disk %+v\n sim  %+v", stage, d, s)
+	}
+	clocks := func(db *lsmstore.DB) [3]string {
+		st := db.Stats()
+		return [3]string{st.SimulatedTime, st.IngestTime, st.MaintenanceTime}
+	}
+	if s, d := clocks(sim), clocks(disk); s != d {
+		t.Fatalf("virtual clocks (simulated, ingest, maintenance) diverge %s:\n disk %v\n sim  %v", stage, d, s)
 	}
 }
 
