@@ -481,11 +481,12 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 	return err
 }
 
-// BeginCommitBatch returns a deferred-durability handle when the log is on a
-// durable device, nil otherwise (a memory-only log has no fsync to defer, and
-// Mutable-bitmap writes carry their own, see below). Pair every non-nil
-// handle with exactly one WaitCommitBatch before acknowledging any of the
-// batch's writes.
+// BeginCommitBatch empties the caller's handle b and returns it when the log
+// is on a durable device, nil otherwise (a memory-only log has no fsync to
+// defer, and Mutable-bitmap writes carry their own, see below). b keeps its
+// capacity, so a caller that reuses its handle allocates no bookkeeping.
+// Pair every non-nil handle with exactly one WaitCommitBatch before
+// acknowledging any of the batch's writes.
 //
 // The Mutable-bitmap strategy never defers: its writes flip disk-component
 // bitmaps and forward deletes into in-flight builds around the WAL append,
@@ -494,11 +495,11 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 // does. Its mutations commit one by one instead (still coalesced with
 // concurrent writers by the commit group), so a failed covering fsync can
 // always revert the flip under the lock.
-func (d *Dataset) BeginCommitBatch() *wal.Batch {
+func (d *Dataset) BeginCommitBatch(b *wal.Batch) *wal.Batch {
 	if d.cfg.Strategy == MutableBitmap {
 		return nil
 	}
-	return d.log.NewBatch()
+	return d.log.BeginBatch(b)
 }
 
 // WaitCommitBatch blocks until every record deferred into b is covered by

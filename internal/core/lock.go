@@ -6,7 +6,11 @@
 
 package core
 
-import "sync"
+import (
+	"bytes"
+	"hash/maphash"
+	"sync"
+)
 
 // lockMode distinguishes shared from exclusive key locks.
 type lockMode int
@@ -18,47 +22,76 @@ const (
 )
 
 // keyLock is one key's lock state. It lives in the lock table only while
-// somebody holds or waits for the key; after that it is recycled, so a
-// write that takes and releases a key allocates no lock.
+// somebody holds or waits for the key; after that it is recycled, key
+// buffer included, so a write that takes and releases a key allocates
+// nothing.
 type keyLock struct {
 	mu      sync.Mutex
 	cond    sync.Cond // on mu
 	readers int
 	writer  bool
 
-	// Guarded by lockManager.mu: the table's copy of the key (the one
-	// allocation a new entry costs), how many holders and waiters reference
-	// the lock, and the free-list link.
-	key  string
+	// Guarded by lockManager.mu: the table's copy of the key and its hash,
+	// how many holders and waiters reference the lock, and the link to the
+	// next lock in the same hash chain (or, once recycled, on the free
+	// list).
+	key  []byte
+	hash uint64
 	refs int
 	next *keyLock
 }
 
-// lockManager provides blocking S/X locks on keys.
+// lockManager provides blocking S/X locks on keys. The table is keyed by a
+// hash of the key bytes, so looking a key up or adding one converts
+// nothing; the locks whose keys share a hash form a chain told apart by
+// their own copies of the key.
 type lockManager struct {
 	mu    sync.Mutex
-	locks map[string]*keyLock
-	free  *keyLock // recycled locks: no holder, no waiter
+	seed  maphash.Seed
+	locks map[uint64]*keyLock // hash -> chain
+	free  *keyLock            // recycled locks: no holder, no waiter
+
+	// hashOf replaces the key hash when set; only tests set it, to force
+	// distinct keys onto one chain.
+	hashOf func(key []byte) uint64
 }
 
 // newLockManager creates an empty lock table.
 func newLockManager() *lockManager {
-	return &lockManager{locks: make(map[string]*keyLock)}
+	return &lockManager{seed: maphash.MakeSeed(), locks: make(map[uint64]*keyLock)}
+}
+
+func (m *lockManager) hash(key []byte) uint64 {
+	if m.hashOf != nil {
+		return m.hashOf(key)
+	}
+	return maphash.Bytes(m.seed, key)
+}
+
+// lookup returns key's lock, or nil. The caller holds m.mu.
+func (m *lockManager) lookup(key []byte, h uint64) *keyLock {
+	for l := m.locks[h]; l != nil; l = l.next {
+		if bytes.Equal(l.key, key) {
+			return l
+		}
+	}
+	return nil
 }
 
 // Lock acquires key in the given mode, blocking until compatible.
 func (m *lockManager) Lock(key []byte, mode lockMode) {
+	h := m.hash(key)
 	m.mu.Lock()
-	l := m.locks[string(key)]
+	l := m.lookup(key, h)
 	if l == nil {
 		if l = m.free; l != nil {
-			m.free, l.next = l.next, nil
+			m.free = l.next
 		} else {
 			l = &keyLock{}
 			l.cond.L = &l.mu
 		}
-		l.key = string(key)
-		m.locks[l.key] = l
+		l.key, l.hash = append(l.key[:0], key...), h
+		l.next, m.locks[h] = m.locks[h], l
 	}
 	l.refs++
 	m.mu.Unlock()
@@ -80,8 +113,9 @@ func (m *lockManager) Lock(key []byte, mode lockMode) {
 
 // Unlock releases key from the given mode.
 func (m *lockManager) Unlock(key []byte, mode lockMode) {
+	h := m.hash(key)
 	m.mu.Lock()
-	l := m.locks[string(key)]
+	l := m.lookup(key, h)
 	m.mu.Unlock()
 	if l == nil {
 		return
@@ -98,14 +132,30 @@ func (m *lockManager) Unlock(key []byte, mode lockMode) {
 	// The reference taken by Lock is dropped last: until then the lock
 	// cannot leave the table, so the pointer looked up above stayed this
 	// key's. With no reference left nobody else holds the pointer, and the
-	// lock goes back on the free list.
+	// lock leaves its chain for the free list.
 	m.mu.Lock()
 	l.refs--
 	if l.refs == 0 {
-		delete(m.locks, l.key)
-		l.key, l.next, m.free = "", m.free, l
+		m.unchain(l)
+		l.next, m.free = m.free, l
 	}
 	m.mu.Unlock()
+}
+
+// unchain removes l from its hash chain. The caller holds m.mu.
+func (m *lockManager) unchain(l *keyLock) {
+	p := m.locks[l.hash]
+	switch {
+	case p != l:
+		for p.next != l {
+			p = p.next
+		}
+		p.next = l.next
+	case l.next != nil:
+		m.locks[l.hash] = l.next
+	default:
+		delete(m.locks, l.hash)
+	}
 }
 
 // withLock runs fn while holding key in the given mode.

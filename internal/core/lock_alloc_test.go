@@ -3,8 +3,9 @@ package core
 import "testing"
 
 // TestLockUnlockAllocations guards the write path's lock bookkeeping: an
-// uncontended Lock/Unlock pair costs at most the lock table's copy of the
-// key — the keyLock and its condition variable are recycled.
+// uncontended Lock/Unlock pair allocates nothing — the table hashes the key
+// bytes instead of converting them, and the keyLock, its condition variable
+// and its key buffer are recycled.
 func TestLockUnlockAllocations(t *testing.T) {
 	m := newLockManager()
 	key := []byte("a primary key longer than a tiny allocation")
@@ -13,8 +14,8 @@ func TestLockUnlockAllocations(t *testing.T) {
 			m.Lock(key, mode)
 			m.Unlock(key, mode)
 		}
-		if got := testing.AllocsPerRun(1000, pair); got > 1 {
-			t.Errorf("mode %d: Lock+Unlock allocates %v times, want at most 1", mode, got)
+		if got := testing.AllocsPerRun(1000, pair); got != 0 {
+			t.Errorf("mode %d: Lock+Unlock allocates %v times, want 0", mode, got)
 		}
 	}
 	// Two keys held at once need two locks; both are reused afterwards.
@@ -25,8 +26,8 @@ func TestLockUnlockAllocations(t *testing.T) {
 		m.Unlock(key, lockExclusive)
 		m.Unlock(other, lockShared)
 	}
-	if got := testing.AllocsPerRun(1000, both); got > 2 {
-		t.Errorf("two keys: %v allocations, want at most 2", got)
+	if got := testing.AllocsPerRun(1000, both); got != 0 {
+		t.Errorf("two keys: %v allocations, want 0", got)
 	}
 	if len(m.locks) != 0 {
 		t.Fatalf("lock table retains %d entries", len(m.locks))

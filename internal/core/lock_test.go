@@ -151,3 +151,81 @@ func TestDatasetLockDrains(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestLockHashCollision forces every key onto one hash, so only the chain's
+// own copies of the keys tell them apart: an X lock on one key must not
+// block an X lock on another, must exclude a second X lock on its own key,
+// and the table must be empty once every lock has left its chain, from the
+// head, the middle or the tail. Run it under -race.
+func TestLockHashCollision(t *testing.T) {
+	m := newLockManager()
+	m.hashOf = func([]byte) uint64 { return 7 }
+	a, b, c := []byte("a"), []byte("b"), []byte("c")
+
+	m.Lock(a, lockExclusive)
+	done := make(chan struct{})
+	go func() {
+		m.Lock(b, lockExclusive)
+		m.Unlock(b, lockExclusive)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("X lock on b blocked by the X lock on a, which shares its hash")
+	}
+	acquired, released := make(chan struct{}), make(chan struct{})
+	go func() {
+		m.Lock(a, lockExclusive)
+		close(acquired)
+		m.Unlock(a, lockExclusive)
+		close(released)
+	}()
+	select {
+	case <-acquired:
+		t.Fatal("a second X lock on a was acquired while the first was held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	m.Unlock(a, lockExclusive)
+	select {
+	case <-released:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the second X lock on a was never acquired")
+	}
+
+	// The chain is c, b, a: leave from the middle, the tail, then the head.
+	for _, k := range [][]byte{a, b, c} {
+		m.Lock(k, lockShared)
+	}
+	for _, k := range [][]byte{b, a, c} {
+		m.Unlock(k, lockShared)
+	}
+
+	// Writers on three colliding keys: each key admits one holder at a time.
+	keys := [][]byte{a, b, c}
+	var holders [3]atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				k := (g + i) % len(keys)
+				m.Lock(keys[k], lockExclusive)
+				if n := holders[k].Add(1); n != 1 {
+					t.Errorf("key %q has %d X holders", keys[k], n)
+				}
+				holders[k].Add(-1)
+				m.Unlock(keys[k], lockExclusive)
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	m.mu.Lock()
+	n := len(m.locks)
+	m.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("lock table retains %d chains", n)
+	}
+}

@@ -10,11 +10,13 @@
 // Nodes are never removed while a table lives and a node's key never
 // changes, so nodes, their towers and their keys are carved from slabs —
 // chunks the table allocates whole and that become garbage together, when
-// the flushed table is dropped. Values are the exception: an overwrite
-// replaces a node's value, and a replaced value parked in a slab would stay
-// pinned until the flush, without bound for a key set that is overwritten
-// in place. Each value is its own allocation and is collectable the moment
-// it is replaced.
+// the flushed table is dropped. A new key's first value is carved from the
+// key slab too, so a Put of a new key allocates nothing of its own. Only an
+// overwrite allocates: it replaces the node's value with a copy of its own,
+// which is collectable the moment a later overwrite replaces it. A
+// superseded first value stays in its slab until the flush, so a key
+// overwritten in place pins at most one superseded value, never a chain of
+// them, however often it is overwritten.
 package memtable
 
 import (
@@ -48,10 +50,11 @@ type Table struct {
 	bytes  int
 
 	// The open slab of each kind; full ones stay reachable through the
-	// nodes, towers and keys carved from them. Guarded by mu like the list.
+	// nodes, towers, keys and first values carved from them. Guarded by mu
+	// like the list.
 	nodes  []node
 	towers []*node
-	keys   kv.Arena
+	keys   kv.Arena // keys and first values
 
 	// Component ID bookkeeping (minTS-maxTS of contained entries).
 	minTS int64
@@ -101,13 +104,13 @@ func (t *Table) newNode(h int) *node {
 }
 
 // Put inserts or replaces the entry for e.Key. The table copies what it
-// keeps — the key of a new entry into a slab, the value into an allocation
-// of its own — and retains none of e's bytes.
+// keeps — a new entry's key and value into a slab, an overwrite's value
+// into an allocation of its own — and retains none of e's bytes.
 func (t *Table) Put(e kv.Entry) {
 	// The stored entry is built from a fresh local, never from e: were e
 	// itself stored, its key would escape and a caller could not compose
 	// one in a stack buffer.
-	stored := kv.Entry{Value: append([]byte(nil), e.Value...), TS: e.TS, Anti: e.Anti}
+	stored := kv.Entry{TS: e.TS, Anti: e.Anti}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
@@ -121,6 +124,7 @@ func (t *Table) Put(e kv.Entry) {
 	}
 	if nxt := x.next[0]; nxt != nil && kv.Compare(nxt.entry.Key, e.Key) == 0 {
 		stored.Key = nxt.entry.Key // an overwrite keeps the node's key
+		stored.Value = append([]byte(nil), e.Value...)
 		t.bytes += stored.Size() - nxt.entry.Size()
 		nxt.entry = stored
 	} else {
@@ -131,7 +135,7 @@ func (t *Table) Put(e kv.Entry) {
 			}
 			t.height = h
 		}
-		stored.Key = t.keys.Copy(e.Key)
+		stored.Key, stored.Value = t.keys.Copy(e.Key), t.keys.Copy(e.Value)
 		n := t.newNode(h)
 		n.entry = stored
 		for level := 0; level < h; level++ {

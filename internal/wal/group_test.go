@@ -163,9 +163,9 @@ func TestWaitBatchFailureDropsEveryDeferredCommit(t *testing.T) {
 	l := openOn(t, sink, gc)
 
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("acked"), TS: 1})
-	b := l.NewBatch()
+	b := l.BeginBatch(new(Batch))
 	if b == nil {
-		t.Fatal("NewBatch returned nil on a log with a device")
+		t.Fatal("BeginBatch returned nil on a log with a device")
 	}
 	for i := int64(1); i <= 3; i++ {
 		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte{byte(i)}, TS: 1 + i}, b); err != nil {
@@ -189,7 +189,7 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	gc := &scriptedGroup{}
 	l := openOn(t, sink, gc)
 
-	b := l.NewBatch()
+	b := l.BeginBatch(new(Batch))
 	for i := int64(1); i <= 3; i++ {
 		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte{'a' + byte(i)}, TS: i}, b); err != nil {
 			t.Fatal(err)
@@ -212,14 +212,14 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	}
 }
 
-// TestNewBatchNilWithoutGroupMode: a log without a device (or a nil log)
-// has no fsync to wait for, so NewBatch returns nil.
-func TestNewBatchNilWithoutGroupMode(t *testing.T) {
-	if b := New(nil).NewBatch(); b != nil {
-		t.Fatal("NewBatch on a memory-only log returned a batch")
+// TestBeginBatchNilWithoutGroupMode: a log without a device (or a nil log)
+// has no fsync to wait for, so BeginBatch returns nil.
+func TestBeginBatchNilWithoutGroupMode(t *testing.T) {
+	if b := New(nil).BeginBatch(new(Batch)); b != nil {
+		t.Fatal("BeginBatch on a memory-only log returned a batch")
 	}
 	var l *Log
-	if b := l.NewBatch(); b != nil {
-		t.Fatal("NewBatch on a nil log returned a batch")
+	if b := l.BeginBatch(new(Batch)); b != nil {
+		t.Fatal("BeginBatch on a nil log returned a batch")
 	}
 }

@@ -247,7 +247,7 @@ func (l *Log) DropBefore(seq uint64) {
 
 // Append logs one write, assigning and returning its LSN. With a nil batch
 // the record is durable when Append returns nil: covered by the one fsync
-// its commit group shares. With a batch (see NewBatch) the record is
+// its commit group shares. With a batch (see BeginBatch) the record is
 // registered in b; it is durable, and the write may be acknowledged, only
 // after a successful WaitBatch.
 //
@@ -367,13 +367,16 @@ type Batch struct {
 	lsns []int64
 }
 
-// NewBatch returns a deferred-durability handle, or nil for a nil log or
-// one without a device, whose writes have no fsync to wait for.
-func (l *Log) NewBatch() *Batch {
+// BeginBatch empties b and returns it as a deferred-durability handle, or
+// returns nil for a nil log or one without a device, whose writes have no
+// fsync to wait for. b may be the zero Batch; a caller that keeps its
+// handle from batch to batch keeps the capacity its LSN list grew to.
+func (l *Log) BeginBatch(b *Batch) *Batch {
 	if l == nil || l.dev == nil {
 		return nil
 	}
-	return &Batch{}
+	b.lsns = b.lsns[:0]
+	return b
 }
 
 // WaitBatch blocks until every record registered in b is covered by a WAL

@@ -27,12 +27,15 @@ const tweetHeader = 14
 
 // Encode serializes the tweet's non-key attributes as the stored record.
 func (t Tweet) Encode() []byte {
-	rec := make([]byte, 0, tweetHeader+len(t.Message))
+	return t.AppendEncode(make([]byte, 0, tweetHeader+len(t.Message)))
+}
+
+// AppendEncode appends the record Encode returns to rec.
+func (t Tweet) AppendEncode(rec []byte) []byte {
 	rec = kv.AppendUint64(rec, uint64(t.Creation))
 	rec = append(rec, byte(t.UserID>>24), byte(t.UserID>>16), byte(t.UserID>>8), byte(t.UserID))
 	rec = append(rec, byte(len(t.Message)>>8), byte(len(t.Message)))
-	rec = append(rec, t.Message...)
-	return rec
+	return append(rec, t.Message...)
 }
 
 // PK returns the tweet's primary key encoding.

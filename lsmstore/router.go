@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // partition is one shard: a self-contained dataset with its own device,
@@ -88,32 +89,27 @@ func (db *DB) fanOut(work []int, fn func(i int, ds *core.Dataset) error) error {
 // A batch whose keys all hash to one shard — every batch of a one-shard
 // store, and nearly every write the server's coalescer folds alone — is
 // applied on the caller's goroutine with no grouping at all; only a batch
-// that spans shards is regrouped and fanned out.
+// that spans shards is regrouped and fanned out. Either way the call's
+// bookkeeping lives in a batchScratch taken here and put back here.
 func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
 	if len(muts) == 0 {
 		return nil
 	}
+	sc := batchScratchPool.Get().(*batchScratch)
 	n := len(db.parts)
-	first := shardOf(muts[0].PK, n)
-	var owners []int // nil while every key so far hashes to first
-	for i := 1; i < len(muts); i++ {
+	shards := sc.forShards(n)
+	owners, spans := sc.owners[:0], false
+	for i := range muts {
 		s := shardOf(muts[i].PK, n)
-		if owners == nil {
-			if s == first {
-				continue
-			}
-			owners = make([]int, len(muts))
-			for j := range i {
-				owners[j] = first
-			}
-		}
-		owners[i] = s
+		owners = append(owners, s)
+		spans = spans || s != owners[0]
 	}
+	sc.owners = owners
 	var err error
-	if owners == nil {
-		err = applyMutations(db.parts[first].ds, muts, applied)
+	if spans {
+		err = db.applyAcrossShards(sc, muts, applied)
 	} else {
-		err = db.applyAcrossShards(muts, owners, applied)
+		err = applyMutations(db.parts[owners[0]].ds, muts, applied, &shards[owners[0]].log)
 	}
 	// Every shard has applied its group and nothing is acknowledged yet
 	// (internal/readcache invariant 1). Keys of an errored batch are
@@ -121,54 +117,93 @@ func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
 	for i := range muts {
 		db.invalidate(muts[i].PK)
 	}
+	sc.clear()
+	if cap(sc.owners) <= maxRecycledBatch {
+		batchScratchPool.Put(sc)
+	}
 	return err
 }
 
-// applyAcrossShards groups a batch by owning shard (owners[i] is mutation
-// i's) and applies the groups concurrently (fanOut), one call per shard
-// that has any.
-func (db *DB) applyAcrossShards(muts []Mutation, owners []int, applied []bool) error {
-	n := len(db.parts)
-	// Size the groups so appends don't reallocate.
-	counts := make([]int, n)
-	for _, s := range owners {
-		counts[s]++
+// applyAcrossShards groups a batch by owning shard (sc.owners[i] is
+// mutation i's) and applies the groups concurrently (fanOut), one call per
+// shard that has any.
+func (db *DB) applyAcrossShards(sc *batchScratch, muts []Mutation, applied []bool) error {
+	for i, s := range sc.owners {
+		g := &sc.shards[s]
+		g.muts = append(g.muts, muts[i])
+		g.at = append(g.at, i)
 	}
-	groups := make([][]Mutation, n)
-	indexes := make([][]int, n) // original positions per shard, for the result scatter
-	for s, c := range counts {
-		if c > 0 {
-			groups[s] = make([]Mutation, 0, c)
-			if applied != nil {
-				indexes[s] = make([]int, 0, c)
-			}
-		}
+	for s := range sc.shards {
+		sc.counts[s] = len(sc.shards[s].muts)
 	}
-	for i, s := range owners {
-		groups[s] = append(groups[s], muts[i])
-		if applied != nil {
-			indexes[s] = append(indexes[s], i)
-		}
-	}
-	return db.fanOut(counts, func(s int, ds *core.Dataset) error {
+	return db.fanOut(sc.counts, func(s int, ds *core.Dataset) error {
+		g := &sc.shards[s]
 		if applied == nil {
-			return applyMutations(ds, groups[s], nil)
+			return applyMutations(ds, g.muts, nil, &g.log)
 		}
-		got := make([]bool, len(groups[s]))
-		err := applyMutations(ds, groups[s], got)
+		g.applied = slices.Grow(g.applied[:0], len(g.muts))[:len(g.muts)]
+		clear(g.applied)
+		err := applyMutations(ds, g.muts, g.applied, &g.log)
 		// Shards write disjoint index sets, so the scatter is race-free.
-		for j, ok := range got {
-			applied[indexes[s][j]] = ok
+		for j, ok := range g.applied {
+			applied[g.at[j]] = ok
 		}
 		return err
 	})
 }
 
+// batchScratch is one applyBatch call's working memory: each mutation's
+// owning shard and, per shard, its group of mutations with their batch
+// positions and report, and its log batch. A call takes one from
+// batchScratchPool and puts it back when it is done, so a batch in steady
+// state allocates no bookkeeping. clear drops the mutations, which point at
+// the caller's bytes.
+type batchScratch struct {
+	owners []int // owning shard per mutation
+	counts []int // mutations per shard: fanOut's work
+	shards []shardGroup
+}
+
+// shardGroup is one shard's part of a batch.
+type shardGroup struct {
+	muts    []Mutation // in batch order
+	at      []int      // muts[j] is the batch's mutation at[j]
+	applied []bool     // applyMutations' report on muts
+	log     wal.Batch  // the shard's deferred commits
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// maxRecycledBatch bounds what the pool keeps, in mutations: a larger batch
+// leaves its scratch, whose buffers grow with the batch, to the garbage
+// collector.
+const maxRecycledBatch = 1 << 14
+
+// forShards returns the scratch's n empty shard groups. The pool serves
+// every store in the process, so the groups only ever grow: a store with
+// fewer shards leaves the rest, empty, for the next one with more.
+func (sc *batchScratch) forShards(n int) []shardGroup {
+	sc.shards = slices.Grow(sc.shards[:0], n)[:n]
+	sc.counts = slices.Grow(sc.counts[:0], n)[:n]
+	return sc.shards
+}
+
+// clear empties the scratch, keeping its memory but no reference to the
+// batch: the mutations are cleared to their capacity.
+func (sc *batchScratch) clear() {
+	for s := range sc.shards {
+		g := &sc.shards[s]
+		clear(g.muts[:cap(g.muts)])
+		g.muts, g.at = g.muts[:0], g.at[:0]
+	}
+}
+
 // applyMutations applies the mutations to one dataset sequentially, in
-// order, and, when applied is non-nil (it must then be at least len(muts)
-// long), records whether each mutation took effect: upserts always do,
-// duplicate inserts and deletes of missing keys do not. It stops at the
-// first error (an unknown op is one), leaving later entries false.
+// order, deferring their commits into log (see core.BeginCommitBatch), and,
+// when applied is non-nil (it must then be at least len(muts) long),
+// records whether each mutation took effect: upserts always do, duplicate
+// inserts and deletes of missing keys do not. It stops at the first error
+// (an unknown op is one), leaving later entries false.
 //
 // On a durable store the batch defers every mutation's commit fsync
 // into one covering group fsync at the end — one fsync per batch, not per
@@ -181,8 +216,8 @@ func (db *DB) applyAcrossShards(muts []Mutation, owners []int, applied []bool) e
 // errored batch means "retry safely", never "certainly absent" (the same
 // contract the server's write coalescer documents for partial batch
 // errors).
-func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool) error {
-	b := ds.BeginCommitBatch()
+func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool, log *wal.Batch) error {
+	b := ds.BeginCommitBatch(log)
 	var firstErr error
 	for i, m := range muts {
 		ok, err := ds.Apply(m, b)

@@ -1,8 +1,12 @@
 package lsmstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,6 +286,110 @@ func TestAggregateStats(t *testing.T) {
 	}
 	if sim == 0 || sim >= simTotal {
 		t.Fatalf("max %s is not below the sum %s: the shards' clocks did not all advance", sim, simTotal)
+	}
+}
+
+// TestBatchScratchReuseMatchesFresh drives cross-shard ApplyBatchResults
+// calls from several goroutines at once on a durable three-shard store, so
+// the recycled batch scratches — groups, positions, reports and log batches
+// — pass from call to call and between goroutines. Every few rounds a batch
+// ends in an unknown op, which fails its shard, and the next one is clean.
+// Each report, and every key's read-back at the end, must match a one-shard
+// store given the same batches; and a scratch taken back after a failed
+// batch must hold none of its mutations. Run it under -race.
+func TestBatchScratchReuseMatchesFresh(t *testing.T) {
+	const (
+		shards, writers, rounds, keys = 3, 4, 24, 40
+		badOp                         = Op(99)
+	)
+	opts := routedOptions(shards)
+	opts.Backend, opts.Dir = FileBackend, t.TempDir()
+	db := openRouted(t, opts)
+	ref := newRoutedDB(t, 1)
+
+	// Writer w owns ids w*1000+1 .. w*1000+keys, so its batches commute
+	// with every other writer's. An unknown op is always a batch's last
+	// mutation: every mutation before it applies on both stores, whichever
+	// shard fails.
+	batchOf := func(w, round int) []Mutation {
+		var muts []Mutation
+		for k := uint64(1); k <= keys; k++ {
+			id := uint64(w)*1000 + k
+			rec := workload.Tweet{ID: id, UserID: uint32(id % 10), Creation: int64(round), Message: []byte("m")}.Encode()
+			switch (id + uint64(round)) % 3 {
+			case 0:
+				muts = append(muts, Mutation{Op: OpInsert, PK: pk(id), Record: rec})
+			case 1:
+				muts = append(muts, Mutation{Op: OpDelete, PK: pk(id)})
+			case 2:
+				muts = append(muts, Mutation{Op: OpUpsert, PK: pk(id), Record: rec},
+					Mutation{Op: OpInsert, PK: pk(id), Record: rec})
+			}
+		}
+		if round%4 == 3 {
+			muts = append(muts, Mutation{Op: badOp, PK: pk(uint64(w)*1000 + uint64(round))})
+		}
+		return muts
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				muts := batchOf(w, round)
+				want, wantErr := ref.ApplyBatchResults(muts)
+				got, err := db.ApplyBatchResults(muts)
+				if (err != nil) != (wantErr != nil) || (err != nil) != (round%4 == 3) {
+					t.Errorf("writer %d round %d: error %v, one-shard store %v", w, round, err, wantErr)
+					return
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("writer %d round %d: applied %v, one-shard store %v", w, round, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < writers; w++ {
+		for k := uint64(1); k <= keys; k++ {
+			id := uint64(w)*1000 + k
+			got, found, err := db.Get(pk(id))
+			want, wantFound, wantErr := ref.Get(pk(id))
+			if err != nil || wantErr != nil {
+				t.Fatal(err, wantErr)
+			}
+			if found != wantFound || !bytes.Equal(got, want) {
+				t.Fatalf("key %d: found=%v %q, one-shard store found=%v %q", id, found, got, wantFound, want)
+			}
+		}
+	}
+
+	// A failed batch's scratch goes back holding none of its mutations. With
+	// one P the pool hands back the scratch just put; -race drops a random
+	// quarter of Puts, so try a few failed batches before giving up.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for attempt := 0; ; attempt++ {
+		if _, err := db.ApplyBatchResults(batchOf(0, 3)); err == nil {
+			t.Fatal("a batch with an unknown op succeeded")
+		}
+		sc := batchScratchPool.Get().(*batchScratch)
+		used := false
+		for s := range sc.shards {
+			g := &sc.shards[s]
+			used = used || cap(g.muts) > 0
+			if !allZero(g.muts[:cap(g.muts)]) {
+				t.Fatalf("shard %d's group in a recycled scratch still holds a failed batch's mutations", s)
+			}
+		}
+		batchScratchPool.Put(sc)
+		if used {
+			break
+		}
+		if attempt == 10 {
+			t.Fatal("the pool never handed back a used scratch")
+		}
 	}
 }
 
