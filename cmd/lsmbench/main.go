@@ -16,10 +16,9 @@
 // Output rows mirror the series the paper plots; times are virtual
 // (cost-model) seconds except Figure 23, which reports wall time. The
 // shard sweep ingests the same batch at each shard count and reports the
-// simulated ingest time (max over shards) and throughput; with -async N
-// the flush builds and merges run on N background workers and the sweep
-// reports the ingest-lane time (what the write path experienced), the
-// maintenance-lane time, and the backpressure stalls.
+// total memory budget, the simulated ingest time (max over shards) and
+// throughput; with -async N the builds and merges run on N workers and it
+// adds the ingest- and maintenance-lane times and the backpressure stalls.
 //
 // With -backend=disk the sweep runs on the file backend (real files,
 // batched appends, fsync on commit and install) under -dir — a fresh
@@ -28,8 +27,7 @@
 // virtual-time columns print what -backend=sim prints; the wall-clock
 // column is the separate, real measure of the files. The paper figures
 // (-figure) always run on the simulated device, so -backend, -dir, -n and
-// -async without -shardsweep are an error (exit status 2), not silently
-// ignored.
+// -async without -shardsweep are an error (exit status 2), not ignored.
 package main
 
 import (
@@ -110,19 +108,23 @@ func main() {
 }
 
 // runShardSweep ingests the same generated batch into fresh stores with
-// each requested shard count and prints simulated time, throughput, and
-// speedup relative to the first entry of the sweep. With async > 0,
-// background maintenance runs on that many pool workers and the reported
-// ingest time is the ingest lane's (the write path's) virtual time. On the
-// disk backend each shard count runs in its own subdirectory of dir.
+// each requested shard count and prints the total memory budget, simulated
+// time, throughput, and speedup relative to the first row. With async > 0,
+// maintenance runs on that many pool workers and the ingest time is the
+// ingest lane's (the write path's). On the disk backend each row runs in
+// its own subdirectory of dir.
 func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir string) error {
-	var counts []int
+	var rows [][2]int // shard count, per-partition memory budget
 	for _, f := range strings.Split(spec, ",") {
 		c, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || c < 1 {
 			return fmt.Errorf("bad shard count %q in -shardsweep", f)
 		}
-		counts = append(counts, c)
+		// 1 MiB per partition, then a fixed 1 MiB total: partitioning apart from memory.
+		rows = append(rows, [2]int{c, 1 << 20})
+		if c > 1 {
+			rows = append(rows, [2]int{c, 1 << 20 / c})
+		}
 	}
 
 	cfg := workload.DefaultConfig(3)
@@ -144,16 +146,15 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 		where = fmt.Sprintf("backend=disk dir=%s", dir)
 	}
 	fmt.Printf("# sharded ingest sweep: %d records (20%% Zipf updates), Validation strategy, %s, %s\n", n, mode, where)
-	fmt.Printf("%-8s %14s %16s %10s %14s %8s\n", "shards", "ingest-time", "records/simsec", "speedup", "maint-time", "stalls")
+	fmt.Printf("%-8s %10s %14s %16s %10s %14s %8s\n", "shards", "mem-total", "ingest-time", "records/simsec", "speedup", "maint-time", "stalls")
 	var base time.Duration
-	for _, shards := range counts {
+	for _, r := range rows {
+		shards, budget := r[0], r[1]
 		runDir := ""
 		if backend == lsmstore.FileBackend {
-			// Each shard count is its own store; a shared directory would
-			// (correctly) refuse to reopen under a different count. A
-			// leftover run directory would be silently reopened and
-			// ingested on top of, skewing the sweep — refuse it.
-			runDir = filepath.Join(dir, fmt.Sprintf("run-%02d", shards))
+			// Each row is its own store; a leftover run directory would be
+			// reopened and ingested on top of, skewing the sweep — refuse it.
+			runDir = filepath.Join(dir, fmt.Sprintf("run-%02d-%dk", shards, budget>>10))
 			if _, err := os.Stat(runDir); err == nil {
 				return fmt.Errorf("%s already holds a previous run; pass a fresh -dir or remove it", runDir)
 			}
@@ -162,7 +163,7 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 			Strategy:           lsmstore.Validation,
 			Secondaries:        []lsmstore.SecondaryIndex{{Name: "user", Extract: workload.UserIDOf}},
 			FilterExtract:      workload.CreationOf,
-			MemoryBudget:       1 << 20,
+			MemoryBudget:       budget,
 			CacheBytes:         16 << 20,
 			PageSize:           8 << 10,
 			Seed:               3,
@@ -178,9 +179,8 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 		if err := db.ApplyBatch(muts); err != nil {
 			return err
 		}
-		// The ingest-lane reading is taken at the end of the write phase;
-		// the final Flush drains background maintenance so every run ends
-		// fully compacted.
+		// The ingest lane is read at the end of the write phase; the final
+		// Flush drains maintenance so every run ends fully compacted.
 		ingest, err := time.ParseDuration(db.Stats().IngestTime)
 		if err != nil {
 			return err
@@ -195,8 +195,8 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 		if base == 0 {
 			base = ingest
 		}
-		fmt.Printf("%-8d %14s %16.0f %9.2fx %14s %8d   (%.1fs real)\n",
-			shards, ingest, float64(n)/ingest.Seconds(), float64(base)/float64(ingest),
+		fmt.Printf("%-8d %7.2fMiB %14s %16.0f %9.2fx %14s %8d   (%.1fs real)\n",
+			shards, float64(shards*budget)/(1<<20), ingest, float64(n)/ingest.Seconds(), float64(base)/float64(ingest),
 			st.MaintenanceTime, st.Counters.WriteStalls, time.Since(start).Seconds())
 	}
 	return nil

@@ -1,11 +1,11 @@
 // Package clocksource implements the lsmlint analyzer that keeps
 // simulation code on the virtual clock.
 //
-// The cost model's reproducibility — and the planned deterministic
-// simulation harness (ROADMAP item 5a) — depend on sim-backend code never
-// consulting wall time: every duration must come from the metrics.Clock
-// that I/O and CPU events advance, or a seeded run stops being a pure
-// function of its seed. clocksource forbids the time package's clock
+// The cost model's reproducibility — and the deterministic simulation
+// harness (internal/dst), whose seeded runs must reproduce bit for bit —
+// depend on sim-backend code never consulting wall time: every duration
+// must come from the metrics.Clock that I/O and CPU events advance, or a
+// seeded run stops being a pure function of its seed. clocksource forbids the time package's clock
 // reads and timers (time.Now, time.Since, time.Sleep, time.After,
 // timers/tickers) in the configured packages. The real-device backend
 // (filedev) is deliberately out of scope: on real hardware, wall time is

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/bloom"
@@ -206,13 +205,6 @@ func (d *Dataset) treeManifest(name string, tr *lsm.Tree, sharedValid bool) tree
 	return tm
 }
 
-// groupCommitWindow is how long a commit-group leader holds the commit
-// window open for committers that have announced intent but not yet
-// appended (they are mid-append and join within microseconds). It bounds
-// worst-case added commit latency; a lone committer never pays it: with no
-// announced peers the fsync is issued immediately.
-const groupCommitWindow = 2 * time.Millisecond
-
 // setupDurability wires a freshly opened dataset to a durable device:
 // restore the manifest's component lists, garbage-collect files a crash
 // left unreferenced (half-built components whose install never reached the
@@ -256,7 +248,7 @@ func (d *Dataset) setupDurability() error {
 	// session's own appends go to the fresh segment OpenPersisted starts.
 	// The group syncs the device as Open found it, wrapped or raw, so an
 	// injected SyncWAL fault reaches the covering group fsync.
-	group := filedev.NewGroupSyncerOver(dev, groupCommitWindow, d.env.Counters, d.env.Clock.Sleeper())
+	group := filedev.NewGroupSyncer(dev, d.env.Counters)
 	log, err := wal.OpenPersisted(d.env, segs, dev, group)
 	if err != nil {
 		return err

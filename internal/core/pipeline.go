@@ -177,14 +177,13 @@ func (d *Dataset) stallForBackpressure() error {
 	if maxFrozen <= 0 {
 		maxFrozen = 4
 	}
-	sl := d.env.Clock.Sleeper()
-	var start time.Duration
+	var start time.Time
 	stalled := false
 	m.mu.Lock()
 	for m.err == nil && m.frozen >= maxFrozen {
 		if !stalled {
 			stalled = true
-			start = sl.Monotonic()
+			start = time.Now()
 		}
 		m.cond.Wait()
 	}
@@ -192,7 +191,7 @@ func (d *Dataset) stallForBackpressure() error {
 	m.mu.Unlock()
 	if stalled {
 		d.env.Counters.WriteStalls.Add(1)
-		d.env.Counters.WriteStallNanos.Add((sl.Monotonic() - start).Nanoseconds())
+		d.env.Counters.WriteStallNanos.Add(time.Since(start).Nanoseconds())
 		d.syncLanes()
 	}
 	return err

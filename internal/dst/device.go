@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/storage"
 )
@@ -42,11 +41,6 @@ const (
 	// KindPageAppend fails a component page append (maintenance write
 	// path: flushes and merges must abort and retry, never install).
 	KindPageAppend = "page-append"
-	// KindDelaySync advances virtual time before a covering fsync
-	// proceeds normally, firing any armed group-commit window timers at
-	// an adversarial moment. Requires a SimSleeper; reorders timer-driven
-	// work, not data.
-	KindDelaySync = "delay-sync"
 )
 
 // Device operation names: the shared vocabulary of the op trace and the
@@ -66,8 +60,7 @@ const (
 // Fault describes one injected failure.
 type Fault struct {
 	Kind string
-	// Frac tunes kind-specific magnitude: the surviving fraction of a torn
-	// append, or the scale of a delayed sync.
+	// Frac is the surviving fraction of a torn append.
 	Frac float64
 	// Report selects the fail-report flavor of KindSyncWAL.
 	Report bool
@@ -75,7 +68,7 @@ type Fault struct {
 
 func (f Fault) String() string {
 	s := f.Kind
-	if f.Kind == KindTornAppend || f.Kind == KindDelaySync {
+	if f.Kind == KindTornAppend {
 		s += fmt.Sprintf("(%.3f)", f.Frac)
 	}
 	if f.Report {
@@ -147,9 +140,6 @@ func (s SeededInjector) Decide(shard int, op string, ord int64) (Fault, bool) {
 		if p < 0.030*s.Rate {
 			return Fault{Kind: KindSyncWAL, Report: pick&1 == 0}, true
 		}
-		if p < 0.090*s.Rate {
-			return Fault{Kind: KindDelaySync, Frac: frac}, true
-		}
 	case OpSaveManifest:
 		if p < 0.050*s.Rate {
 			return Fault{Kind: KindManifest}, true
@@ -186,9 +176,8 @@ func (f FiredFault) String() string {
 // simulated store: the op trace, the fault injector, the kill switch, and
 // the per-shard WAL durability ledger the crash-image builder reads.
 type Control struct {
-	trace   *Trace
-	inj     Injector
-	sleeper *SimSleeper
+	trace *Trace
+	inj   Injector
 
 	mu        sync.Mutex
 	ops       int64
@@ -219,13 +208,11 @@ type walState struct {
 	length, durable int64
 }
 
-// NewControl builds a Control. sleeper may be nil (delay-sync faults are
-// then discarded); inj must not be nil.
-func NewControl(trace *Trace, inj Injector, sleeper *SimSleeper) *Control {
+// NewControl builds a Control; inj must not be nil.
+func NewControl(trace *Trace, inj Injector) *Control {
 	return &Control{
 		trace:    trace,
 		inj:      inj,
-		sleeper:  sleeper,
 		suppress: map[int64]bool{},
 		ordinals: map[ordKey]int64{},
 		wal:      map[int]*walState{},
@@ -381,9 +368,6 @@ func (c *Control) begin(shard int, op, detail string) (Fault, bool, error) {
 	ok := false
 	if !c.quiet {
 		f, ok = c.inj.Decide(shard, op, ord)
-	}
-	if ok && f.Kind == KindDelaySync && c.sleeper == nil {
-		ok = false
 	}
 	tag := ""
 	if ok {
@@ -580,25 +564,18 @@ func (d *durableDevice) SyncWAL() error {
 		return err
 	}
 	mark := d.c.walMark(d.shard)
-	if ok {
-		switch f.Kind {
-		case KindSyncWAL:
-			if f.Report {
-				// Fail-report flavor: the fsync completes — the bytes ARE
-				// durable — but failure is reported. The engine must treat
-				// the covered suffix as indeterminate anyway.
-				if serr := d.dur.SyncWAL(); serr == nil {
-					d.c.noteWALSynced(d.shard, mark)
-				}
+	if ok && f.Kind == KindSyncWAL {
+		if f.Report {
+			// Fail-report flavor: the fsync completes — the bytes ARE
+			// durable — but failure is reported. The engine must treat the
+			// covered suffix as indeterminate anyway.
+			if serr := d.dur.SyncWAL(); serr == nil {
+				d.c.noteWALSynced(d.shard, mark)
 			}
-			// Fail-before flavor: the fsync never happens; the bytes stay
-			// volatile until some later covering sync.
-			return &injectedError{KindSyncWAL}
-		case KindDelaySync:
-			// Stretch the moment before the covering fsync on virtual
-			// time, firing any armed hold-open window timers first.
-			d.c.sleeper.Advance(time.Duration(1 + int64(f.Frac*float64(5*time.Millisecond))))
 		}
+		// Fail-before flavor: the fsync never happens; the bytes stay
+		// volatile until some later covering sync.
+		return &injectedError{KindSyncWAL}
 	}
 	if err := d.dur.SyncWAL(); err != nil {
 		return err

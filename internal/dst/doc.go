@@ -13,13 +13,12 @@
 //     is one (Wrap's single assertion) — that traces every mutating and
 //     durability operation, injects seeded faults (failed commit fsyncs,
 //     lying group fsyncs, torn WAL appends, failed manifest installs,
-//     failed page appends, delayed syncs), enforces a crash-at-op-N kill
-//     switch — component unlinks, log rotations and segment drops count as
+//     failed page appends), enforces a crash-at-op-N kill switch —
+//     component unlinks, log rotations and segment drops count as
 //     operations, so a kill lands between a manifest install and what it
 //     lets go of — and tracks the durable prefix of each shard's live WAL
 //     segment for the crash-image builder.
-//   - SimSleeper/Sched (sleeper.go, sched.go): virtual time behind
-//     metrics.Sleeper, and the yield hook the engine calls at its
+//   - Sched (sched.go): the yield hook the engine calls at its
 //     instrumented scheduling points (WAL group commit, maintenance
 //     pool).
 //   - Model (model.go): an in-memory mirror holding each key's
@@ -40,16 +39,18 @@
 // on rules this package (and the engine paths it exercises) must keep:
 //
 //   - No wall clock. Nothing under internal/dst reads time.Now, sleeps,
-//     or arms runtime timers; real time enters only through the
-//     metrics.Sleeper seam, which SimSleeper replaces with virtual time.
-//     The lsmlint clocksource analyzer enforces this for the package.
-//     Wall-clock concerns (sweep deadlines) live in cmd/lsmdst only.
+//     or arms runtime timers, and no engine decision waits on one: the
+//     group-commit leader waits only for an fsync already in flight, and
+//     the engine's one wall-clock reading (backpressure stall time) lands
+//     in a counter the harness never reads. The lsmlint clocksource
+//     analyzer enforces this for the package. Wall-clock concerns (sweep
+//     deadlines) live in cmd/lsmdst only.
 //   - No bare goroutines in checked paths. The Seq profile runs the
 //     store single-threaded (no maintenance workers, shard fan-out of
-//     one); the group-commit leader path never arms its hold-open timer
-//     for a lone committer, so no scheduling decision is left to the
-//     runtime. The Conc profile deliberately gives that up: verdicts
-//     stay sound, traces are not comparable.
+//     one), and a lone committer is its own commit-group leader, so no
+//     scheduling decision is left to the runtime. The Conc profile
+//     deliberately gives that up: verdicts stay sound, traces are not
+//     comparable.
 //   - No map-iteration order. Every check that walks model state sorts
 //     keys first; the trace never records anything derived from Go map
 //     order.

@@ -3,7 +3,6 @@ package dst
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // Unit tests for the harness's own building blocks. The end-to-end
@@ -69,37 +68,6 @@ func TestScriptWildcardOrd(t *testing.T) {
 	}
 	if _, ok := s.Decide(2, OpSaveManifest, 0); ok {
 		t.Fatal("fault fired on the wrong shard")
-	}
-}
-
-// TestSimSleeperAdvance: due timers fire, undue ones do not, stop cancels,
-// and the monotonic reading tracks virtual time only.
-func TestSimSleeperAdvance(t *testing.T) {
-	s := NewSimSleeper()
-	early := make(chan struct{})
-	late := make(chan struct{})
-	s.AfterFunc(10*time.Millisecond, func() { close(early) })
-	s.AfterFunc(50*time.Millisecond, func() { close(late) })
-	stopMid := s.AfterFunc(20*time.Millisecond, func() { t.Error("cancelled timer fired") })
-	if !stopMid() {
-		t.Fatal("stop of a pending timer reported already-fired")
-	}
-
-	s.Advance(30 * time.Millisecond)
-	<-early
-	select {
-	case <-late:
-		t.Fatal("late timer fired 20ms before its deadline")
-	default:
-	}
-	if got := s.Monotonic(); got != 30*time.Millisecond {
-		t.Fatalf("virtual reading %v after advancing 30ms", got)
-	}
-
-	s.Advance(30 * time.Millisecond)
-	<-late
-	if stopMid() {
-		t.Fatal("second stop reported a pending timer")
 	}
 }
 

@@ -247,7 +247,6 @@ type harness struct {
 	trace   *Trace
 	model   *Model
 	control *Control
-	sleeper *SimSleeper
 	sched   *Sched
 
 	wrng    *rng // workload stream
@@ -293,7 +292,6 @@ func Run(cfg Config) (*Report, error) {
 		cfg:     cfg,
 		trace:   NewTrace(cfg.RecordTrace),
 		model:   NewModel(),
-		sleeper: NewSimSleeper(),
 		wrng:    root.fork("workload"),
 		sessRng: root.fork("session"),
 		imgRng:  root.fork("image"),
@@ -342,7 +340,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.FaultRate > 0 {
 		inj = SeededInjector{Seed: mix64(uint64(cfg.Seed) ^ 0xFA017FA017), Rate: cfg.FaultRate}
 	}
-	h.control = NewControl(h.trace, inj, h.sleeper)
+	h.control = NewControl(h.trace, inj)
 	if cfg.Suppress != nil {
 		h.control.SetSuppress(cfg.Suppress)
 	}
@@ -350,7 +348,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Profile == Conc {
 		schedTrace = nil // interleaving-dependent; keep the trace honest
 	}
-	h.sched = NewSched(mix64(uint64(cfg.Seed)^0x5C4ED5C4ED), perturb, schedTrace, h.sleeper)
+	h.sched = NewSched(mix64(uint64(cfg.Seed)^0x5C4ED5C4ED), perturb, schedTrace)
 
 	h.dir = filepath.Join(cfg.Dir, "g0000")
 	if err := os.MkdirAll(h.dir, 0o755); err != nil {
@@ -472,7 +470,6 @@ func (h *harness) options() lsmstore.Options {
 		Shards:             h.shards,
 		MaintenanceWorkers: h.workers,
 		WrapDevice:         h.control.Wrap,
-		Sleeper:            h.sleeper,
 		Yield:              h.sched.Yield,
 	}
 }

@@ -3,7 +3,6 @@ package dst
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 // Sched is the yield-point hook installed as lsmstore.Options.Yield. The
@@ -11,21 +10,20 @@ import (
 // group-commit path, the maintenance pool); the scheduler either records
 // them (sequential profile: the yield stream is part of the determinism
 // contract) or perturbs the interleaving around them (concurrent profile:
-// seeded Gosched bursts and virtual-time jumps shake out orderings the
-// runtime would rarely pick on its own).
+// seeded Gosched bursts shake out orderings the runtime would rarely pick on
+// its own).
 type Sched struct {
 	seed    uint64
 	perturb bool
 	trace   *Trace // non-nil only in the sequential profile
-	sleeper *SimSleeper
 	seq     atomic.Uint64
 }
 
 // NewSched builds a scheduler. trace non-nil records every yield point
 // (only sound when the engine runs single-threaded); perturb enables
 // seeded interleaving perturbation.
-func NewSched(seed uint64, perturb bool, trace *Trace, sleeper *SimSleeper) *Sched {
-	return &Sched{seed: seed, perturb: perturb, trace: trace, sleeper: sleeper}
+func NewSched(seed uint64, perturb bool, trace *Trace) *Sched {
+	return &Sched{seed: seed, perturb: perturb, trace: trace}
 }
 
 // Yield is the engine-facing hook.
@@ -38,19 +36,12 @@ func (s *Sched) Yield(point string) {
 		return
 	}
 	r := mix64(s.seed ^ n*0x9e3779b97f4a7c15)
-	switch r % 4 {
-	case 0:
+	if r%4 == 0 {
 		// Hand the processor away once or a few times: lets a racing
 		// flush, merge, or commit leader slot in right here.
 		for i := uint64(0); i <= (r>>8)%3; i++ {
 			runtime.Gosched()
 		}
-	case 1:
-		// Jump virtual time: fires any armed group-commit window timer at
-		// this instant instead of "later".
-		if s.sleeper != nil {
-			s.sleeper.Advance(time.Duration((r>>16)%2000) * time.Microsecond)
-		}
 	}
-	// Remaining cases: proceed untouched, so most yields stay cheap.
+	// Otherwise proceed untouched, so most yields stay cheap.
 }

@@ -26,13 +26,8 @@ import (
 )
 
 // Clock is a virtual clock. It is safe for concurrent use.
-//
-// A Clock also carries the Sleeper used for real-time-bounded waits (see
-// sleeper.go); the default is wall time, and deterministic simulation
-// swaps in a virtual source with SetSleeper.
 type Clock struct {
-	ns      atomic.Int64
-	sleeper atomic.Pointer[sleeperCell]
+	ns atomic.Int64
 }
 
 // NewClock returns a clock at time zero.
@@ -262,13 +257,7 @@ func NopEnv() *Env {
 // The two lanes couple at synchronization points — backpressure stalls and
 // drains — via Clock.AdvanceTo.
 func (e *Env) BackgroundLane() *Env {
-	lane := &Env{Clock: NewClock(), CPU: e.CPU, Counters: e.Counters}
-	// The lane keeps its own virtual time but shares the parent's real-time
-	// source, so a simulated Sleeper governs both lanes.
-	if cell := e.Clock.sleeper.Load(); cell != nil {
-		lane.Clock.SetSleeper(cell.s)
-	}
-	return lane
+	return &Env{Clock: NewClock(), CPU: e.CPU, Counters: e.Counters}
 }
 
 // ChargeCompare records n key comparisons.

@@ -32,10 +32,11 @@
 //
 // # Time
 //
-// obs never reads the engine's virtual clock. Durations are measured by
-// callers (the server uses the wall clock; core uses its Sleeper's
-// monotonic reading) and handed in; ring entries are stamped with a
-// process-monotonic offset used only to report event age. None of it
+// obs never reads the engine's virtual clock. Request and stage durations
+// are measured by the server on the wall clock and handed in; journal
+// events are timed by obs itself, from Begin to End, on the same
+// process-monotonic offset (monotonic()) that stamps ring entries for
+// reporting event age. None of it
 // feeds back into engine decisions, which is what keeps deterministic
 // simulation runs bit-identical with observability on or off.
 package obs

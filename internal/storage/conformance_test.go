@@ -37,7 +37,7 @@ func openFiledev(t *testing.T) storage.Device {
 // no kill armed, over the device open returns.
 func wrapped(open func(*testing.T) storage.Device) func(*testing.T) storage.Device {
 	return func(t *testing.T) storage.Device {
-		return dst.NewControl(dst.NewTrace(false), dst.NoFaults{}, nil).Wrap(0, open(t))
+		return dst.NewControl(dst.NewTrace(false), dst.NoFaults{}).Wrap(0, open(t))
 	}
 }
 

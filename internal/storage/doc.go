@@ -31,7 +31,7 @@
 // fsyncs: SyncWAL — an fsync of the log area decoupled from any append — is
 // the only commit fsync, and group commit builds on it: concurrent
 // committers append their log records unsynced, park
-// on a shared commit window (filedev.GroupSyncer), and a leader issues one
+// on a shared commit group (filedev.GroupSyncer), and a leader issues one
 // SyncWAL covering all of them. One fsync then acknowledges a whole group
 // of writes instead of one, which is the difference between
 // fsync-rate-bound and device-bound ingest on the file backend. A failed

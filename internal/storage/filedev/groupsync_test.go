@@ -2,6 +2,7 @@ package filedev
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -43,13 +44,35 @@ func (s *gatedSync) count() int {
 	return s.calls
 }
 
+// joined reports how many commits the open group carries (0 when no group
+// is open): a test that needs followers in one group waits until they are.
+func (g *GroupSyncer) joined() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.cur == nil {
+		return 0
+	}
+	return g.cur.commits
+}
+
+// waitJoined spins until the open group carries n commits.
+func waitJoined(t *testing.T, g *GroupSyncer, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for g.joined() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("open group carries %d commits, want %d", g.joined(), n)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestGroupSyncerLoneCommitterNeverWaits is the stranded-writer guarantee,
-// by construction: a single committer with no announced peers must become
-// durable immediately even with an enormous hold-open window configured.
+// by construction: a single committer finds no fsync in flight and becomes
+// durable at once, with no follower to wait for.
 func TestGroupSyncerLoneCommitterNeverWaits(t *testing.T) {
 	s := &gatedSync{}
-	g := NewGroupSyncerOver(s, time.Hour, nil, metrics.WallSleeper())
-	g.Announce()
+	g := NewGroupSyncer(s, nil)
 	start := time.Now()
 	if err := g.Wait(1); err != nil {
 		t.Fatal(err)
@@ -62,72 +85,16 @@ func TestGroupSyncerLoneCommitterNeverWaits(t *testing.T) {
 	}
 }
 
-// TestGroupSyncerCoalescesAnnouncedCommitters: two committers that have
-// both announced before either waits must share ONE covering fsync — the
-// leader holds the window open for the announced straggler.
-func TestGroupSyncerCoalescesAnnouncedCommitters(t *testing.T) {
-	s := &gatedSync{}
-	counters := &metrics.Counters{}
-	g := NewGroupSyncerOver(s, 10*time.Second, counters, metrics.WallSleeper())
-	g.Announce()
-	g.Announce()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := g.Wait(1); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if s.count() != 1 {
-		t.Fatalf("sync calls = %d, want 1 (both committers announced before waiting)", s.count())
-	}
-	if got := counters.GroupCommitBatches.Load(); got != 1 {
-		t.Fatalf("GroupCommitBatches = %d, want 1", got)
-	}
-	if got := counters.GroupCommitWaiters.Load(); got != 2 {
-		t.Fatalf("GroupCommitWaiters = %d, want 2", got)
-	}
-}
-
-// TestGroupSyncerRetractReleasesLeader: a straggler whose append fails
-// retracts; the leader must stop holding the window for it rather than
-// burn the whole hold-open window.
-func TestGroupSyncerRetractReleasesLeader(t *testing.T) {
-	s := &gatedSync{}
-	g := NewGroupSyncerOver(s, time.Hour, nil, metrics.WallSleeper())
-	g.Announce() // the eventual leader
-	g.Announce() // the straggler that will fail its append
-	done := make(chan error, 1)
-	go func() { done <- g.Wait(1) }()
-	time.Sleep(10 * time.Millisecond) // let the leader reach the window
-	g.Retract()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("leader still holding the window after the straggler retracted")
-	}
-}
-
 // TestGroupSyncerAccumulatesDuringInFlightSync: while one group's fsync is
 // in flight, later committers pile into the NEXT group and share its
 // single fsync — the pipelining that makes the fsync rate independent of
 // the commit rate.
 func TestGroupSyncerAccumulatesDuringInFlightSync(t *testing.T) {
-	// The window (10s, never fully paid) keeps the test deterministic:
-	// group 2's leader holds the group open until every announced follower
-	// has joined, so all three land in ONE group regardless of scheduling.
 	s := &gatedSync{entered: make(chan struct{}), gate: make(chan struct{})}
-	g := NewGroupSyncerOver(s, 10*time.Second, nil, metrics.WallSleeper())
+	counters := &metrics.Counters{}
+	g := NewGroupSyncer(s, counters)
 
 	first := make(chan error, 1)
-	g.Announce()
 	go func() { first <- g.Wait(1) }()
 	<-s.entered // group 1's fsync is now in flight
 
@@ -135,7 +102,6 @@ func TestGroupSyncerAccumulatesDuringInFlightSync(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
-		g.Announce()
 		go func() {
 			defer wg.Done()
 			if err := g.Wait(1); err != nil {
@@ -143,7 +109,9 @@ func TestGroupSyncerAccumulatesDuringInFlightSync(t *testing.T) {
 			}
 		}()
 	}
-	// Release group 1; group 2 (all three followers) then syncs once.
+	// Group 2's leader holds its group open only while group 1's fsync is
+	// in flight, so every follower must have joined before that fsync ends.
+	waitJoined(t, g, followers)
 	s.gate <- struct{}{}
 	if err := <-first; err != nil {
 		t.Fatal(err)
@@ -154,18 +122,25 @@ func TestGroupSyncerAccumulatesDuringInFlightSync(t *testing.T) {
 	if s.count() != 2 {
 		t.Fatalf("sync calls = %d, want 2 (one per group)", s.count())
 	}
+	if got := counters.GroupCommitBatches.Load(); got != 2 {
+		t.Fatalf("GroupCommitBatches = %d, want 2", got)
+	}
+	if got := counters.GroupCommitWaiters.Load(); got != 1+followers {
+		t.Fatalf("GroupCommitWaiters = %d, want %d", got, 1+followers)
+	}
 }
 
 // TestGroupSyncerFailurePoisonsOnlyItsGroup: a failed covering fsync is
 // delivered to every member of that group — and to no one after it.
 func TestGroupSyncerFailurePoisonsOnlyItsGroup(t *testing.T) {
 	boom := errors.New("fsync: device on fire")
-	s := &gatedSync{entered: make(chan struct{}), gate: make(chan struct{}), errs: []error{boom}}
-	// Both committers announce up front, so the window guarantees they
-	// share the failing group.
-	g := NewGroupSyncerOver(s, 10*time.Second, nil, metrics.WallSleeper())
-	g.Announce()
-	g.Announce()
+	s := &gatedSync{entered: make(chan struct{}), gate: make(chan struct{}), errs: []error{nil, boom}}
+	g := NewGroupSyncer(s, nil)
+	// A first committer's fsync is held in flight, so the two that follow
+	// share the next, failing, group.
+	first := make(chan error, 1)
+	go func() { first <- g.Wait(1) }()
+	<-s.entered
 	errs := make(chan error, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -175,7 +150,13 @@ func TestGroupSyncerFailurePoisonsOnlyItsGroup(t *testing.T) {
 			errs <- g.Wait(1)
 		}()
 	}
-	go func() { <-s.entered; s.gate <- struct{}{} }()
+	waitJoined(t, g, 2)
+	s.gate <- struct{}{}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	<-s.entered
+	s.gate <- struct{}{}
 	wg.Wait()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; !errors.Is(err, boom) {
@@ -184,7 +165,6 @@ func TestGroupSyncerFailurePoisonsOnlyItsGroup(t *testing.T) {
 	}
 	// A later committer gets the NEXT fsync's (clean) result, not the dead
 	// group's error.
-	g.Announce()
 	go func() { <-s.entered; s.gate <- struct{}{} }()
 	if err := g.Wait(1); err != nil {
 		t.Fatalf("post-failure committer inherited a stranger's error: %v", err)

@@ -95,15 +95,11 @@ func oneSegment(image []byte) []storage.WALSegment {
 
 // scriptedGroup is a GroupCommitter whose Wait results are scripted.
 type scriptedGroup struct {
-	announced int
-	retracted int
-	waits     int
-	commits   int64
-	errs      []error // per-Wait results; nil beyond the list
+	waits   int
+	commits int64
+	errs    []error // per-Wait results; nil beyond the list
 }
 
-func (g *scriptedGroup) Announce() { g.announced++ }
-func (g *scriptedGroup) Retract()  { g.retracted++ }
 func (g *scriptedGroup) Wait(commits int64) error {
 	n := g.waits
 	g.waits++
@@ -125,9 +121,8 @@ func TestCommitDurableGroupModeDefersSync(t *testing.T) {
 	if sink.appends != 1 {
 		t.Fatalf("%d appends, want 1", sink.appends)
 	}
-	if gc.announced != 1 || gc.waits != 1 || gc.retracted != 0 {
-		t.Fatalf("group protocol = announce %d / wait %d / retract %d, want 1/1/0",
-			gc.announced, gc.waits, gc.retracted)
+	if gc.waits != 1 {
+		t.Fatalf("%d group waits, want 1", gc.waits)
 	}
 	if got := replayedKeys(t, l); got != "k" {
 		t.Fatalf("replayed %q, want the one write", got)
@@ -195,8 +190,8 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if gc.announced != 0 {
-		t.Fatalf("batched appends announced %d commits before the batch wait", gc.announced)
+	if gc.waits != 0 {
+		t.Fatalf("batched appends parked on the group %d times before the batch wait", gc.waits)
 	}
 	if err := l.WaitBatch(b); err != nil {
 		t.Fatal(err)

@@ -122,18 +122,11 @@ func (s *segment) drop(lsn int64) bool {
 }
 
 // GroupCommitter coalesces commit durability across concurrent writers.
-// A committer announces intent, appends its record to the device without
-// sync, and then Waits: the waiter joins the open commit group, one
-// member becomes the leader and issues a single covering fsync, and every
-// member of the group receives that fsync's result. Announce/Retract bound
-// the window a leader may hold the group open for stragglers that have
-// declared intent but not yet appended (see filedev.GroupSyncer).
+// A committer appends its record to the device without sync, and then
+// Waits: the waiter joins the open commit group, one member becomes the
+// leader and issues a single covering fsync, and every member of the group
+// receives that fsync's result (see filedev.GroupSyncer).
 type GroupCommitter interface {
-	// Announce declares that a commit append is about to happen; every
-	// Announce is balanced by exactly one Wait or Retract.
-	Announce()
-	// Retract withdraws an announced commit whose append failed.
-	Retract()
 	// Wait joins the open commit group and blocks until a covering fsync
 	// completes, returning its result. The caller's records must be fully
 	// appended to the device before Wait is called; commits says how
@@ -258,10 +251,6 @@ func (l *Log) DropBefore(seq uint64) {
 // log area is no longer trustworthy, and an in-session Crash/Recover must
 // not replay a write reported as failed.
 func (l *Log) Append(r Record, b *Batch) (int64, error) {
-	park := l.dev != nil && b == nil // this call waits on the commit group itself
-	if park {
-		l.group.Announce()
-	}
 	l.mu.Lock()
 	r.LSN = l.nextLSN
 	l.nextLSN++
@@ -281,13 +270,10 @@ func (l *Log) Append(r Record, b *Batch) (int64, error) {
 		return r.LSN, nil
 	}
 	if err := l.dev.AppendWAL(enc); err != nil {
-		if park {
-			l.group.Retract()
-		}
 		l.poisonAndDrop(err, r.LSN)
 		return r.LSN, err
 	}
-	if !park {
+	if b != nil {
 		b.lsns = append(b.lsns, r.LSN)
 		return r.LSN, nil
 	}
@@ -387,12 +373,11 @@ func (l *Log) WaitBatch(b *Batch) error {
 	if b == nil || len(b.lsns) == 0 {
 		return nil
 	}
-	l.group.Announce()
 	l.mu.Lock()
 	yield := l.yield
 	l.mu.Unlock()
 	if yield != nil {
-		yield("wal.batch.announced")
+		yield("wal.batch.registered")
 	}
 	if err := l.group.Wait(int64(len(b.lsns))); err != nil {
 		l.failCovered(err, b.lsns...)

@@ -91,7 +91,8 @@ func ExampleDB_Recover() {
 	// after recovery, record 2 found: true
 }
 
-// ExampleQueryOptions_crackOnValidate shows query-driven maintenance.
+// ExampleQueryOptions shows Timestamp validation: a secondary entry that a
+// later upsert made obsolete is not returned.
 func ExampleQueryOptions() {
 	db, _ := lsmstore.Open(lsmstore.Options{
 		Strategy:    lsmstore.Validation,
@@ -103,8 +104,7 @@ func ExampleQueryOptions() {
 	db.Flush()
 
 	res, _ := db.SecondaryQuery("location", []byte("CA"), []byte("CA"), lsmstore.QueryOptions{
-		Validation:      lsmstore.TimestampValidation,
-		CrackOnValidate: true, // the query marks (CA,1) invalid for good
+		Validation: lsmstore.TimestampValidation, // (CA,1) is older than pk 1's newest record
 	})
 	fmt.Println(len(res.Records), "records in CA")
 	// Output: 0 records in CA

@@ -26,7 +26,7 @@ import (
 // contract); the returned control is live for everything after.
 func faultStore(t *testing.T, dir string, opts lsmstore.Options, script dst.Script) (*lsmstore.DB, *dst.Control) {
 	t.Helper()
-	control := dst.NewControl(dst.NewTrace(false), script, nil)
+	control := dst.NewControl(dst.NewTrace(false), script)
 	control.SetQuiet(true)
 	opts.WrapDevice = control.Wrap
 	db, err := lsmstore.Open(opts)
@@ -44,7 +44,7 @@ func faultStore(t *testing.T, dir string, opts lsmstore.Options, script dst.Scri
 func countedStore(t *testing.T, opts lsmstore.Options) (*lsmstore.DB, func() map[string]int) {
 	t.Helper()
 	trace := dst.NewTrace(true)
-	opts.WrapDevice = dst.NewControl(trace, dst.NoFaults{}, nil).Wrap
+	opts.WrapDevice = dst.NewControl(trace, dst.NoFaults{}).Wrap
 	db, err := lsmstore.Open(opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -190,9 +190,9 @@ func TestFlushWithoutMergeSavesOneManifest(t *testing.T) {
 }
 
 // TestTornWALTailAtGroupCommitBoundary kills the process on the WAL append
-// that starts a new group-commit window — the tail of the on-disk log lands
+// that starts a new commit group — the tail of the on-disk log lands
 // exactly on the durable boundary of the previous covering fsync. Every
-// write the previous windows acknowledged must survive a reopen of the crash
+// write the previous groups acknowledged must survive a reopen of the crash
 // image. A write is one append, so what the unacknowledged write leaves is
 // decided by how much of that one record reached the file: torn, it ends the
 // segment and is gone; whole, it is in the log and therefore replayed.
@@ -438,7 +438,7 @@ func TestKillAtReclaimPoints(t *testing.T) {
 	run := func(dir string, killAt int64) ([]string, map[uint64][]byte) {
 		seed(dir)
 		trace := dst.NewTrace(true)
-		control := dst.NewControl(trace, dst.NoFaults{}, nil)
+		control := dst.NewControl(trace, dst.NoFaults{})
 		control.SetKillAfter(killAt)
 		opts := diskOptions(lsmstore.Validation, dir)
 		opts.WrapDevice = control.Wrap

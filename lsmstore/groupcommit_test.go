@@ -141,7 +141,7 @@ func TestGroupCommitKillMidGroupCommit(t *testing.T) {
 		t.Fatal("group commit never engaged — the test exercised nothing")
 	}
 	if st.Counters.GroupCommitWaiters <= st.Counters.GroupCommitBatches {
-		t.Logf("warning: mean group size %.2f — little concurrency reached the commit window",
+		t.Logf("warning: mean group size %.2f — little concurrency reached the commit group",
 			float64(st.Counters.GroupCommitWaiters)/float64(st.Counters.GroupCommitBatches))
 	}
 	// The original process "died" at the snapshot: no Close, no final

@@ -139,12 +139,12 @@ type SecondaryIndex struct {
 // merges and a primary key index. What a DB lets a caller choose is the
 // schema (Strategy, Secondaries, FilterExtract), where the data lives
 // (Backend, Dir, Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
-// MaintenanceWorkers, ReadCache), MergeRepair, Seed and three hooks that let
+// MaintenanceWorkers, ReadCache), MergeRepair, Seed and two hooks that let
 // a test substitute a fake. Everything else is fixed: the write-ahead log is
 // always on, and on the file backend it commits through a group (concurrent
 // committers share one covering fsync, an ApplyBatch pays one per batch, and
 // no write is acknowledged before the fsync covering its log record
-// returns) whose leader waits at most 2 ms for announced committers;
+// returns) whose leader waits only for an fsync already in flight;
 // Mutable-bitmap merges use the Side-file method; and the maintenance
 // journal keeps the last 256 events. The paper's ablations (no primary key
 // index, correlated merges, the Bloom-filter repair optimization, blocked
@@ -212,8 +212,7 @@ type Options struct {
 
 	// The remaining fields are the seams through which deterministic
 	// simulation testing (internal/dst) substitutes a fault-injecting
-	// device, a virtual clock and a seeded scheduler. Production callers
-	// leave them nil.
+	// device and a seeded scheduler. Production callers leave them nil.
 
 	// WrapDevice, when set, wraps each partition's storage device before
 	// the store and WAL are built. It receives the shard index and the
@@ -222,10 +221,6 @@ type Options struct {
 	// return one: Open refuses a shard whose wrapper dropped the durable
 	// half rather than run it without a manifest and a log.
 	WrapDevice func(shard int, dev storage.Device) storage.Device
-	// Sleeper, when set, replaces the real-time source behind the
-	// commit-group hold-open window and backpressure stall accounting with
-	// a virtual one. Nil keeps wall time.
-	Sleeper metrics.Sleeper
 	// Yield, when set, is invoked at the instrumented scheduling points in
 	// the WAL commit path and the maintenance pool, letting the
 	// simulation harness perturb goroutine interleavings. Nil leaves
@@ -365,9 +360,6 @@ func resolvePageSize(opts Options) int {
 // openPartition opens shard idx.
 func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int) (partition, error) {
 	env := metrics.NewEnv()
-	if opts.Sleeper != nil {
-		env.Clock.SetSleeper(opts.Sleeper)
-	}
 	profile := storage.HDD()
 	if opts.PageSize > 0 {
 		profile = storage.ScaledHDD(opts.PageSize)
@@ -579,10 +571,6 @@ type QueryOptions struct {
 	// IndexOnly returns primary keys without fetching records. Direct
 	// validation validates by fetching them, so the pair is ErrBadQuery.
 	IndexOnly bool
-	// CrackOnValidate lets Timestamp validation mark the obsolete entries
-	// it discovers so later queries skip them and the next merge drops
-	// them (query-driven maintenance, the paper's Section 7 extension).
-	CrackOnValidate bool
 	// Limit caps the number of returned records (or keys, for index-only
 	// queries); 0 means unlimited. The answer is sorted in primary-key
 	// order before the cap applies, so the selected subset is deterministic
@@ -626,10 +614,9 @@ func (db *DB) SecondaryQuery(index string, lo, hi []byte, opts QueryOptions) (*Q
 		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, index)
 	}
 	return db.secondaryQuery(index, lo, hi, query.SecondaryQueryOptions{
-		Validation:      opts.Validation,
-		IndexOnly:       opts.IndexOnly,
-		Lookup:          query.DefaultLookupConfig(),
-		CrackOnValidate: opts.CrackOnValidate,
+		Validation: opts.Validation,
+		IndexOnly:  opts.IndexOnly,
+		Lookup:     query.DefaultLookupConfig(),
 	}, opts.Limit)
 }
 
