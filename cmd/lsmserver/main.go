@@ -4,7 +4,9 @@
 // schema — a "user" secondary index and a creation-time range filter — and
 // serves GET, UPSERT, INSERT, DELETE, APPLY_BATCH, SECONDARY_QUERY,
 // FILTER_SCAN, STATS, FLUSH and PING with pipelined, out-of-order responses.
-// Concurrent single writes are coalesced into per-shard batches.
+// The store is on files by default (-backend=disk); without -dir it lives in
+// a temp dir removed on exit. Concurrent single writes share WAL fsyncs
+// through the engine's group commit.
 //
 // The HTTP sidecar serves /healthz, /stats (JSON incl. latency digests),
 // /metrics (Prometheus text format), /debug/slow (slow-request ring),
@@ -18,7 +20,8 @@
 // Usage:
 //
 //	lsmserver -addr 127.0.0.1:4150 -http 127.0.0.1:9650 -shards 4 -maint-workers 2
-//	lsmserver -backend=disk -dir /data/store    # durable, reopenable
+//	lsmserver -dir /data/store    # durable, reopenable
+//	lsmserver -backend=sim        # the simulated device, nothing kept
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish, then the
 // store closes (on the disk backend: final manifests persist and the WAL
@@ -51,7 +54,7 @@ func main() {
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:4150", "TCP listen address for the wire protocol")
 	httpAddr := flag.String("http", "127.0.0.1:9650", "HTTP sidecar address for /healthz, /stats, /metrics and /debug/* (empty disables)")
-	backend := flag.String("backend", "sim", "storage backend: sim | disk")
+	backend := flag.String("backend", "disk", "storage backend: disk | sim")
 	dir := flag.String("dir", "", "data directory for -backend=disk (default: a temp dir, removed on exit)")
 	strategy := flag.String("strategy", "validation", "eager | validation | mutable-bitmap | deleted-key")
 	shards := flag.Int("shards", 1, "hash partitions")

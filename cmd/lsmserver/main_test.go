@@ -65,7 +65,7 @@ func startServer(t *testing.T, bin, dir string) *running {
 	t.Helper()
 	r := &running{out: &syncBuffer{}}
 	r.cmd = exec.Command(bin, "-addr", "127.0.0.1:0", "-http", "127.0.0.1:0",
-		"-backend", "disk", "-dir", dir, "-shards", "2", "-pprof", "-slow-threshold", "1us")
+		"-dir", dir, "-shards", "2", "-pprof", "-slow-threshold", "1us") // files are the default backend
 	r.cmd.Stdout, r.cmd.Stderr = r.out, r.out
 	if err := r.cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -136,13 +136,13 @@ func TestServeDrainReopen(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	// A directory without -backend=disk must be refused, not served from a
+	// A directory with -backend=sim must be refused, not served from a
 	// volatile simulated store (the timeout ends a server that did start).
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	out, err := exec.CommandContext(ctx, bin, "-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-http", "").CombinedOutput()
+	out, err := exec.CommandContext(ctx, bin, "-backend", "sim", "-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-http", "").CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "-backend=disk") {
-		t.Fatalf("-dir without -backend=disk: err = %v, output %q", err, out)
+		t.Fatalf("-dir with -backend=sim: err = %v, output %q", err, out)
 	}
 
 	const singles, batched = 100, 200

@@ -179,16 +179,18 @@ func (s Snapshot) Sub(o Snapshot) Snapshot { return combine(s, o, -1) }
 func (c *Counters) Reset() { each(c, func(_ int, a *atomic.Int64) { a.Store(0) }) }
 
 // ServerCounters aggregates network-service events for the lsmserver
-// front-end: connections, requests, failures, and write-coalescer
-// efficiency. It is a counter set; ServerSnapshot is its twin. All fields
-// are safe for concurrent use.
+// front-end: connections, requests and failures. It is a counter set;
+// ServerSnapshot is its twin. All fields are safe for concurrent use.
+//
+// CoalescedBatches and CoalescedWrites are retired, always 0; kept for
+// bench/trace.go until ROADMAP 1(e).
 type ServerCounters struct {
 	Connections      atomic.Int64 // connections accepted since start
 	ActiveConns      atomic.Int64 // connections currently open
 	Requests         atomic.Int64 // requests decoded and dispatched
 	Errors           atomic.Int64 // requests answered with an error frame
-	CoalescedBatches atomic.Int64 // ApplyBatch calls issued by the write coalescer
-	CoalescedWrites  atomic.Int64 // single writes absorbed into those batches
+	CoalescedBatches atomic.Int64 // retired, always 0; kept for bench/trace.go until ROADMAP 1(e)
+	CoalescedWrites  atomic.Int64 // retired, always 0; kept for bench/trace.go until ROADMAP 1(e)
 }
 
 // ServerSnapshot is an immutable copy of the server counter values, tagged
@@ -198,8 +200,8 @@ type ServerSnapshot struct {
 	ActiveConns      int64 `prom:"lsm_active_connections,Connections currently open."`
 	Requests         int64 `prom:"lsm_requests_total,Requests decoded and dispatched."`
 	Errors           int64 `prom:"lsm_request_errors_total,Requests answered with an error frame."`
-	CoalescedBatches int64 `prom:"lsm_coalesced_batches_total,ApplyBatch calls issued by the write coalescer."`
-	CoalescedWrites  int64 `prom:"lsm_coalesced_writes_total,Single writes absorbed into coalesced batches."`
+	CoalescedBatches int64 `prom:"lsm_coalesced_batches_total,Retired, always 0; kept for bench/trace.go until ROADMAP 1(e)."`
+	CoalescedWrites  int64 `prom:"lsm_coalesced_writes_total,Retired, always 0; kept for bench/trace.go until ROADMAP 1(e)."`
 }
 
 // Snapshot captures the current server counter values.

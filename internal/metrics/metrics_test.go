@@ -181,9 +181,9 @@ func checkWalk[C, S any](t *testing.T, c *C, snapshot func(*C) S, sub func(S, S)
 func TestServerCountersSnapshot(t *testing.T) {
 	var c ServerCounters
 	c.Requests.Add(4)
-	c.CoalescedWrites.Add(2)
+	c.Connections.Add(2)
 	s := c.Snapshot()
-	if s.Requests != 4 || s.CoalescedWrites != 2 || s.Errors != 0 {
+	if s.Requests != 4 || s.Connections != 2 || s.Errors != 0 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 }

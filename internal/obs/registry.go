@@ -46,8 +46,8 @@ type Stage uint8
 const (
 	// StageDecode is frame decoding, after the frame's bytes arrived.
 	StageDecode Stage = iota
-	// StageCoalesce is the wait between submitting a single write to the
-	// coalescer and a drainer picking it up.
+	// StageCoalesce is retired, always 0; kept for bench/trace.go until
+	// ROADMAP 1(e).
 	StageCoalesce
 	// StageEngine is the engine call (Get/ApplyBatch/query/scan).
 	StageEngine

@@ -13,15 +13,14 @@ func monotonic() time.Duration { return time.Since(procStart) }
 
 // SlowEntry is one over-threshold request with its per-stage breakdown.
 type SlowEntry struct {
-	Seq            uint64 `json:"seq"`
-	Op             string `json:"op"`
-	ReqID          uint64 `json:"req_id"`
-	TotalMicros    int64  `json:"total_us"`
-	DecodeMicros   int64  `json:"decode_us"`
-	CoalesceMicros int64  `json:"coalesce_wait_us"`
-	EngineMicros   int64  `json:"engine_us"`
-	EncodeMicros   int64  `json:"encode_us"`
-	WriteMicros    int64  `json:"write_us"`
+	Seq          uint64 `json:"seq"`
+	Op           string `json:"op"`
+	ReqID        uint64 `json:"req_id"`
+	TotalMicros  int64  `json:"total_us"`
+	DecodeMicros int64  `json:"decode_us"`
+	EngineMicros int64  `json:"engine_us"`
+	EncodeMicros int64  `json:"encode_us"`
+	WriteMicros  int64  `json:"write_us"`
 	// AgoMillis is how long before the dump the request completed;
 	// filled by Entries.
 	AgoMillis int64 `json:"ago_ms"`

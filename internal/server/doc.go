@@ -19,19 +19,16 @@
 // released its in-flight token but not yet parked can add one more, up to
 // MaxInFlight); they exit when the connection closes. What a served GET
 // allocates is its answer — the client's decoded value — and nothing
-// else: request and response frames, the client's call (channel and
-// timer) and the coalescer's reply channel are all reused.
+// else: request and response frames and the client's call (channel and
+// timer) are reused.
 //
-// # Write coalescing
+// # Writes
 //
-// Single writes (upsert, insert, delete) from all connections funnel
-// through a coalescer: whatever writes arrive while the previous batch is
-// applying are folded into one DB.ApplyBatchResults call, which the
-// engine groups per shard and applies with per-shard concurrency. Under
-// light load batches are size 1; under concurrency, batch size grows with
-// the arrival rate, converting many small write calls into the engine's
-// efficient batched path while still answering each client individually
-// (including per-mutation Insert/Delete applied results).
+// A single write (upsert, insert, delete) runs on the handler worker that
+// took it, straight into DB.Upsert, DB.Insert or DB.Delete, and is answered
+// once it has committed. The server adds no batching layer: concurrent
+// writers share WAL fsyncs through the engine's group commit. An
+// APPLY_BATCH request is one DB.ApplyBatchResults call.
 //
 // # Lifecycle
 //
@@ -47,6 +44,5 @@
 //
 // An optional HTTP sidecar (Config.HTTPAddr) serves GET /healthz for
 // liveness and GET /stats: the lsmstore.Stats engine snapshot plus the
-// server's own counters (connections, requests, errors, coalescer
-// efficiency).
+// server's own counters (connections, requests, errors).
 package server

@@ -82,9 +82,10 @@ func TestObservabilityHistograms(t *testing.T) {
 			t.Fatalf("stage %q count = %d, want %d (%v)", st, stages[st].Count, total, stages)
 		}
 	}
-	// Only the coalesced writes pass through the coalesce-wait stage.
-	if got := stages["coalesce_wait"].Count; got != 8 {
-		t.Fatalf("coalesce_wait count = %d, want 8", got)
+	// The retired coalesce-wait stage records nothing: single writes run
+	// on their handler worker.
+	if got := stages["coalesce_wait"].Count; got != 0 {
+		t.Fatalf("coalesce_wait count = %d, want 0", got)
 	}
 
 	// The /stats payload carries the digests; the buckets are on /metrics.
@@ -254,7 +255,7 @@ func TestStagesAddUpToTotal(t *testing.T) {
 		}
 		// Each stage is floored to µs on its own, so their sum is at most
 		// the floored total.
-		sum := e.DecodeMicros + e.CoalesceMicros + e.EngineMicros + e.EncodeMicros + e.WriteMicros
+		sum := e.DecodeMicros + e.EngineMicros + e.EncodeMicros + e.WriteMicros
 		if sum > e.TotalMicros {
 			t.Errorf("%s request %d: stages sum to %dµs > total %dµs (%+v)", e.Op, e.ReqID, sum, e.TotalMicros, e)
 		}

@@ -96,8 +96,8 @@ var wantExposition = []string{
 	"# HELP lsm_buffer_cache_frame_allocs_total Buffer-cache frames allocated.",
 	"# HELP lsm_buffer_cache_frame_reuses_total Buffer-cache misses read into a recycled frame.",
 	"# HELP lsm_buffer_cache_pinned_evictions_total Buffer-cache evictions of a page a reader still pinned.",
-	"# HELP lsm_coalesced_batches_total ApplyBatch calls issued by the write coalescer.",
-	"# HELP lsm_coalesced_writes_total Single writes absorbed into coalesced batches.",
+	"# HELP lsm_coalesced_batches_total Retired, always 0; kept for bench/trace.go until ROADMAP 1(e).",
+	"# HELP lsm_coalesced_writes_total Retired, always 0; kept for bench/trace.go until ROADMAP 1(e).",
 	"# HELP lsm_connections_total Connections accepted since start.",
 	"# HELP lsm_engine_bloom_negatives_total Bloom tests answered definitely-absent.",
 	"# HELP lsm_engine_bloom_tests_total Bloom filter membership tests.",

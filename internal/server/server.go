@@ -66,13 +66,6 @@ type Config struct {
 const (
 	defaultMaxInFlight   = 128
 	defaultSlowThreshold = 100 * time.Millisecond
-	// maxBatch caps how many concurrent single writes the coalescer folds
-	// into one ApplyBatch call.
-	maxBatch = 256
-	// coalescers is the number of concurrent batch-apply drainers: more
-	// than one lets a batch parked on its commit-group fsync overlap with
-	// the next batch's engine work.
-	coalescers = 4
 	// maxPresizedScan caps the records slice a FILTER_SCAN sizes up front
 	// from its limit; a larger answer grows past it.
 	maxPresizedScan = 1024
@@ -85,7 +78,6 @@ type Server struct {
 	cfg      Config
 	db       *lsmstore.DB
 	counters *metrics.ServerCounters
-	coal     *coalescer
 	obs      *obs.Registry         // nil when observability is disabled
 	slow     *obs.SlowLog          // nil when the slow log is disabled
 	adm      *admission.Controller // nil when admission control is disabled
@@ -125,7 +117,6 @@ func New(cfg Config) (*Server, error) {
 		conns:    make(map[*conn]struct{}),
 		stopped:  make(chan struct{}),
 	}
-	s.coal = newCoalescer(cfg.DB, s.counters, maxBatch, coalescers)
 	if !cfg.DisableObservability {
 		s.obs = obs.NewRegistry()
 		if cfg.SlowRequestThreshold >= 0 {
@@ -184,7 +175,6 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = true
-	s.coal.start()
 	if s.gov != nil {
 		s.db.SetMergeGate(s.gov.Gate())
 		s.gov.Start()
@@ -271,10 +261,10 @@ func (s *Server) beginStop() bool {
 
 // Shutdown gracefully drains the server: it stops accepting connections
 // and reading new requests, waits for every in-flight request to finish
-// and its response to flush, then closes the connections, the listeners,
-// and the write coalescer. If ctx expires first, remaining connections
-// are closed abruptly; Shutdown still waits for their handlers before
-// returning ctx's error. The DB is left open — the caller owns it.
+// and its response to flush, then closes the connections and the
+// listeners. If ctx expires first, remaining connections are closed
+// abruptly; Shutdown still waits for their handlers before returning
+// ctx's error. The DB is left open — the caller owns it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.beginStop() {
 		return nil
@@ -311,7 +301,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.coal.stop()
 	return err
 }
 
@@ -337,7 +326,6 @@ func (s *Server) Kill() {
 	s.mu.Unlock()
 	s.acceptWg.Wait()
 	s.connWg.Wait()
-	s.coal.stop()
 }
 
 // stopOverload tears down the overload-protection layer on either stop
@@ -372,10 +360,6 @@ var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return
 // copies what it keeps (see handle).
 var reqBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// coalResPool recycles the write coalescer's one-shot reply channels (see
-// coalescer.apply for why a returned channel is always empty and unshared).
-var coalResPool = sync.Pool{New: func() any { return make(chan coalRes, 1) }}
-
 // putReqBuf returns a request buffer to the pool unless one oversized
 // frame grew it past the cap worth pinning.
 func putReqBuf(bp *[]byte) {
@@ -385,8 +369,8 @@ func putReqBuf(bp *[]byte) {
 }
 
 // trace accumulates one request's stage timings as it moves through the
-// pipeline: decode on the read goroutine, coalesce-wait and engine on
-// the handler goroutine, encode at send, write on the writer goroutine.
+// pipeline: decode on the read goroutine, engine on the handler
+// goroutine, encode at send, write on the writer goroutine.
 // A zero trace (start.IsZero()) marks an untraced frame and records
 // nothing. It travels by value — tracing allocates nothing per request.
 //
@@ -400,7 +384,6 @@ type trace struct {
 	start  time.Time     // frame fully received
 	at     time.Duration // since start: when the stage under way began
 	decode time.Duration
-	wait   time.Duration // coalescer queue wait (writes only)
 	engine time.Duration
 	encode time.Duration
 }
@@ -562,11 +545,9 @@ func (c *conn) serveRequest(req wire.Request, bp *[]byte, tr trace) {
 		c.serveGet(req, tr)
 		return
 	}
-	resp := c.srv.handle(req, &tr)
+	resp := c.srv.handle(req)
 	if traced {
-		// The coalescer wait is part of the handle call but not of the
-		// engine's work; attribute it to its own stage.
-		tr.engine = tr.lap() - tr.wait
+		tr.engine = tr.lap()
 	}
 	if resp.Kind == wire.KindError {
 		c.srv.counters.Errors.Add(1)
@@ -664,28 +645,33 @@ func (c *conn) writeLoop(done chan struct{}) {
 // alike hand the fields to the engine as they are: the engine retains none
 // of a mutation's bytes once the apply returns (core.Dataset.Apply states
 // and tests the contract — the memtable and the log copy what they keep),
-// and a write returns here only after its batch has landed, so the buffer
+// and a write returns here only after it has committed, so the buffer
 // outlives every use of it.
-func (s *Server) handle(req wire.Request, tr *trace) wire.Response {
+//
+// A single write (upsert, insert, delete) runs on the handler worker that
+// took the request, like every other op: concurrent writers share WAL
+// fsyncs through the engine's group commit, which is the one layer that
+// batches them.
+func (s *Server) handle(req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpPing:
 		return wire.Response{ID: req.ID, Kind: wire.KindOK}
 
 	case wire.OpUpsert:
-		if _, err := s.write(lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: req.Key, Record: req.Value}, tr); err != nil {
+		if err := s.db.Upsert(req.Key, req.Value); err != nil {
 			return s.errorResponse(req.ID, err)
 		}
 		return wire.Response{ID: req.ID, Kind: wire.KindOK}
 
 	case wire.OpInsert:
-		applied, err := s.write(lsmstore.Mutation{Op: lsmstore.OpInsert, PK: req.Key, Record: req.Value}, tr)
+		applied, err := s.db.Insert(req.Key, req.Value)
 		if err != nil {
 			return s.errorResponse(req.ID, err)
 		}
 		return wire.Response{ID: req.ID, Kind: wire.KindApplied, Applied: applied}
 
 	case wire.OpDelete:
-		applied, err := s.write(lsmstore.Mutation{Op: lsmstore.OpDelete, PK: req.Key}, tr)
+		applied, err := s.db.Delete(req.Key)
 		if err != nil {
 			return s.errorResponse(req.ID, err)
 		}
@@ -751,14 +737,6 @@ func (s *Server) handle(req wire.Request, tr *trace) wire.Response {
 	return wire.ErrorResponse(req.ID, wire.CodeBadRequest, fmt.Sprintf("unknown op %d", req.Op))
 }
 
-// write applies one mutation through the coalescer. The time the mutation
-// spent queued before a drainer picked it up lands in tr.wait.
-func (s *Server) write(m lsmstore.Mutation, tr *trace) (bool, error) {
-	applied, wait, err := s.coal.apply(m, !tr.start.IsZero())
-	tr.wait = wait
-	return applied, err
-}
-
 // admissionClassOf maps a wire op onto its admission class. Control-plane
 // ops (PING, STATS, FLUSH) report ok=false: they bypass admission.
 func admissionClassOf(op wire.Op) (admission.Class, bool) {
@@ -817,22 +795,18 @@ func (s *Server) recordRequest(tr trace) {
 	write := total - tr.at
 	s.obs.RecordOp(tr.op, total)
 	s.obs.RecordStage(obs.StageDecode, tr.decode)
-	if tr.wait > 0 {
-		s.obs.RecordStage(obs.StageCoalesce, tr.wait)
-	}
 	s.obs.RecordStage(obs.StageEngine, tr.engine)
 	s.obs.RecordStage(obs.StageEncode, tr.encode)
 	s.obs.RecordStage(obs.StageWrite, write)
 	if s.slow != nil && total >= s.slow.Threshold() {
 		s.slow.Add(obs.SlowEntry{
-			Op:             tr.op.String(),
-			ReqID:          tr.id,
-			TotalMicros:    total.Microseconds(),
-			DecodeMicros:   tr.decode.Microseconds(),
-			CoalesceMicros: tr.wait.Microseconds(),
-			EngineMicros:   tr.engine.Microseconds(),
-			EncodeMicros:   tr.encode.Microseconds(),
-			WriteMicros:    write.Microseconds(),
+			Op:           tr.op.String(),
+			ReqID:        tr.id,
+			TotalMicros:  total.Microseconds(),
+			DecodeMicros: tr.decode.Microseconds(),
+			EngineMicros: tr.engine.Microseconds(),
+			EncodeMicros: tr.encode.Microseconds(),
+			WriteMicros:  write.Microseconds(),
 		})
 	}
 }

@@ -227,8 +227,64 @@ func TestPipelinedConcurrentClients(t *testing.T) {
 	if got := db.Stats().Ingested; got != workers*perWorker {
 		t.Fatalf("ingested = %d, want %d", got, workers*perWorker)
 	}
-	if b := srv.Counters().CoalescedBatches.Load(); b == 0 {
-		t.Fatal("no coalescer batches recorded")
+}
+
+// TestServedSingleWritesShareFsyncs serves a two-shard file-backend store
+// to eight connections, each sending its own UPSERTs. A single write runs
+// on its handler worker straight into the engine, so the only thing that
+// batches concurrent writers is the WAL's group commit: commit groups must
+// form, and the writes must cost fewer fsyncs than there are writes.
+func TestServedSingleWritesShareFsyncs(t *testing.T) {
+	opts := storeOptions()
+	opts.Shards = 2
+	opts.Backend = lsmstore.FileBackend
+	opts.Dir = t.TempDir()
+	srv, db := startServer(t, opts, nil)
+
+	const conns, perConn = 8, 400
+	const writes = conns * perConn
+	clients := make([]*lsmclient.Client, conns)
+	for i := range clients {
+		clients[i] = dial(t, srv, 1)
+	}
+	before := db.Stats().Counters
+	var wg sync.WaitGroup
+	errs := make([]error, conns)
+	for w, c := range clients {
+		wg.Add(1)
+		go func(w int, c *lsmclient.Client) {
+			defer wg.Done()
+			for i := 0; i < perConn; i++ {
+				pk, rec := tweet(uint64(w*perConn + i))
+				if err := c.Upsert(pk, rec); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w, c)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("connection %d: %v", w, err)
+		}
+	}
+	d := db.Stats().Counters.Sub(before)
+	for id := uint64(0); id < writes; id++ {
+		pk, rec := tweet(id)
+		got, found, err := clients[0].Get(pk)
+		if err != nil || !found || string(got) != string(rec) {
+			t.Fatalf("id %d: found=%v err=%v", id, found, err)
+		}
+	}
+	t.Logf("%d served writes: %d WAL fsyncs, %d commit groups covering %d writes",
+		writes, d.WALFsyncs, d.GroupCommitBatches, d.GroupCommitWaiters)
+	if d.GroupCommitWaiters <= d.GroupCommitBatches {
+		t.Fatalf("%d commit groups covered %d writes: no group held more than one writer",
+			d.GroupCommitBatches, d.GroupCommitWaiters)
+	}
+	if d.WALFsyncs >= writes {
+		t.Fatalf("%d served writes cost %d WAL fsyncs, want fewer than one per write", writes, d.WALFsyncs)
 	}
 }
 

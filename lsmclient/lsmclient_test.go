@@ -499,7 +499,9 @@ func TestLateResponseNeverReachesARecycledCall(t *testing.T) {
 // TestRoundTripAllocations counts the whole process — client and server
 // share it — per round trip against an in-process server: a GET answered by
 // the read cache allocates its decoded value and nothing else, a PING
-// nothing (one of slack each for the runtime's own bookkeeping). Under
+// nothing (one of slack each for the runtime's own bookkeeping). A single
+// write — an UPSERT of a new key, a DELETE of a missing one — runs on its
+// handler worker straight into the engine and allocates nothing. Under
 // -race the round trips run for the race detector's sake and the counts are
 // only logged: sync.Pool then drops Puts at random.
 func TestRoundTripAllocations(t *testing.T) {
@@ -537,12 +539,30 @@ func TestRoundTripAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// AllocsPerRun makes one warm-up call before its 200 measured ones.
+	fresh := make([][]byte, 201)
+	for i := range fresh {
+		fresh[i] = fmt.Appendf(nil, "fresh-%03d", i)
+	}
+	next := 0
+	upsertNew := func() {
+		if err := c.Upsert(fresh[next], record); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	missing := []byte("never-written")
+	deleteMissing := func() {
+		if applied, err := c.Delete(missing); err != nil || applied {
+			t.Fatalf("delete of a missing key = %v, %v", applied, err)
+		}
+	}
 	get() // fills the read cache, the pools and the worker
 	for _, tc := range []struct {
 		name string
 		fn   func()
 		max  float64
-	}{{"Get", get, 2}, {"Ping", ping, 1}} {
+	}{{"Get", get, 2}, {"Ping", ping, 1}, {"Upsert of a new key", upsertNew, 0}, {"Delete of a missing key", deleteMissing, 0}} {
 		n := testing.AllocsPerRun(200, tc.fn)
 		t.Logf("%s round trip: %v allocations", tc.name, n)
 		if !raceEnabled && n > tc.max {

@@ -549,8 +549,7 @@ func (db *DB) ApplyBatch(muts []Mutation) error {
 // tells whether mutation i took effect — upserts always do, duplicate
 // inserts and deletes of missing keys do not (they are the batch's ignored
 // writes). Entries after a shard's first error are left false. The network
-// server's write coalescer uses this to answer each coalesced Insert and
-// Delete individually.
+// server answers an APPLY_BATCH request with it, one result per mutation.
 func (db *DB) ApplyBatchResults(muts []Mutation) ([]bool, error) {
 	if err := db.acquire(); err != nil {
 		return nil, err

@@ -87,8 +87,7 @@ func (db *DB) fanOut(work []int, fn func(i int, ds *core.Dataset) error) error {
 // applyMutations, at the original batch positions.
 //
 // A batch whose keys all hash to one shard — every batch of a one-shard
-// store, and nearly every write the server's coalescer folds alone — is
-// applied on the caller's goroutine with no grouping at all; only a batch
+// store — is applied on the caller's goroutine with no grouping at all; only a batch
 // that spans shards is regrouped and fanned out. Either way the call's
 // bookkeeping lives in a batchScratch taken here and put back here.
 func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
@@ -213,9 +212,7 @@ func (sc *batchScratch) clear() {
 // have accepted. The report is conservative, not exact — a mid-batch
 // flush can have installed some of the batch's writes in durable
 // components before the WAL fsync failed, so an applied=false entry in an
-// errored batch means "retry safely", never "certainly absent" (the same
-// contract the server's write coalescer documents for partial batch
-// errors).
+// errored batch means "retry safely", never "certainly absent".
 func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool, log *wal.Batch) error {
 	b := ds.BeginCommitBatch(log)
 	var firstErr error
