@@ -13,9 +13,9 @@
 // /debug/maintenance (flush/merge journal) and, with -pprof, net/http/pprof.
 //
 // Overload protection is opt-in: -admission-budget bounds weighted
-// in-flight work (excess queues briefly, then sheds with OVERLOADED), and
-// -latency-target starts the maintenance governor, which throttles merge
-// dispatch whenever the foreground p99 exceeds the target.
+// in-flight work (excess queues briefly, then sheds with OVERLOADED).
+// Flushes and merges run in the background as the merge policy picks them;
+// nothing throttles them.
 //
 // Usage:
 //
@@ -61,7 +61,7 @@ func run() error {
 	maintWorkers := flag.Int("maint-workers", 2, "maintenance workers (0 = jobs run on the submitting writer)")
 	memBudget := flag.Int("memory-budget", 4<<20, "per-partition memory component budget in bytes")
 	cacheBytes := flag.Int64("cache", 64<<20, "buffer cache bytes (split across shards)")
-	readCache := flag.Int64("read-cache", 0, "hot-entry read cache bytes in front of the engine (0 = off)")
+	readCache := flag.Int64("read-cache", 8<<20, "hot-entry read cache bytes in front of the engine (0 = off)")
 	maxInFlight := flag.Int("max-inflight", 128, "max in-flight requests per connection before backpressure")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before connections are cut")
 	seed := flag.Int64("seed", 42, "engine seed")
@@ -70,7 +70,6 @@ func run() error {
 	noObs := flag.Bool("no-obs", false, "disable latency histograms, stage tracing and the slow-request log")
 	admBudget := flag.Int64("admission-budget", 0, "weighted in-flight admission budget (0 = admission control off)")
 	admQueue := flag.Int("admission-queue", 0, "admission wait-queue depth (0 = 2x budget; negative disables queueing)")
-	latencyTarget := flag.Duration("latency-target", 0, "foreground p99 target coupling maintenance to load (0 = governor off)")
 	flag.Parse()
 
 	opts := lsmstore.Options{
@@ -121,7 +120,6 @@ func run() error {
 
 		AdmissionBudget: *admBudget,
 		AdmissionQueue:  *admQueue,
-		LatencyTarget:   *latencyTarget,
 	})
 	if err != nil {
 		return err
@@ -133,9 +131,6 @@ func run() error {
 		opts.Backend, strings.ToLower(*strategy), *shards, srv.Addr())
 	if *admBudget > 0 {
 		fmt.Printf("lsmserver: admission control on (budget %d, queue %d)\n", *admBudget, *admQueue)
-	}
-	if *latencyTarget > 0 {
-		fmt.Printf("lsmserver: maintenance governor targeting foreground p99 %s\n", *latencyTarget)
 	}
 	if a := srv.HTTPAddr(); a != nil {
 		fmt.Printf("lsmserver: /healthz /stats /metrics /debug/slow /debug/maintenance on http://%s\n", a)

@@ -50,6 +50,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 var (
 	wireAddrLine = regexp.MustCompile(`serving disk backend .* on (\S+)\n`)
 	httpAddrLine = regexp.MustCompile(`on http://(\S+)\n`)
+
+	readCacheHits = regexp.MustCompile(`(?m)^lsm_engine_read_cache_hits_total (\d+)$`)
 )
 
 // running is one live lsmserver process.
@@ -98,19 +100,29 @@ func (r *running) terminate(t *testing.T) {
 	}
 }
 
+// fetch GETs a sidecar endpoint and returns its body, or nil unless it
+// answered 200.
+func (r *running) fetch(path string) []byte {
+	resp, err := http.Get("http://" + r.http + path)
+	if err != nil {
+		return nil
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return nil
+	}
+	return body
+}
+
 // waitBody polls a sidecar endpoint until it answers 200 with every wanted
 // substring. The server records a request after its reply is on the socket,
 // so the histograms may trail the client by one request.
 func (r *running) waitBody(t *testing.T, path string, wants ...string) {
 	t.Helper()
 	waitFor(t, path+" to serve "+strings.Join(wants, ", "), func() bool {
-		resp, err := http.Get("http://" + r.http + path)
-		if err != nil {
-			return false
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
+		body := r.fetch(path)
+		if body == nil {
 			return false
 		}
 		for _, w := range wants {
@@ -189,6 +201,19 @@ func TestServeDrainReopen(t *testing.T) {
 	if len(recs) != 10 {
 		t.Fatalf("filter scan returned %d records, want 10", len(recs))
 	}
+
+	// The read cache is on by default: a key read twice is a hit the
+	// second time.
+	hot, _ := tweet(1)
+	for n := 0; n < 2; n++ {
+		if _, found, err := c.Get(hot); err != nil || !found {
+			t.Fatalf("get 1, read %d: found=%v err=%v", n+1, found, err)
+		}
+	}
+	waitFor(t, "a read-cache hit on /metrics", func() bool {
+		m := readCacheHits.FindSubmatch(srv.fetch("/metrics"))
+		return m != nil && string(m[1]) != "0"
+	})
 
 	srv.waitBody(t, "/healthz", "ok")
 	srv.waitBody(t, "/metrics", `lsm_request_duration_seconds_bucket{op="get"`, "lsm_maintenance_flushes_total")

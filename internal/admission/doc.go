@@ -1,6 +1,5 @@
 // Package admission implements the server's overload-protection layer:
-// weighted admission control with load shedding, and the load-coupled
-// maintenance governor (ROADMAP item 9).
+// weighted admission control with load shedding (ROADMAP item 9).
 //
 // # Admission control
 //
@@ -32,36 +31,4 @@
 //  4. No blocking operation runs while Controller.mu is held (enforced
 //     by the lockio analyzer): waiters block on their own channel outside
 //     the lock, and grants are channel closes, which do not block.
-//
-// # The maintenance governor and the no-deadlock argument
-//
-// The Governor couples foreground latency to background maintenance: it
-// samples the obs Registry's get/upsert interval p99 each tick and steers
-// a token Bucket that gates merge-job dispatch in the maintenance pool
-// (AIMD: halve the merge rate when p99 is over target, multiplicatively
-// recover when comfortably under). Flush jobs are never gated — memtable
-// freezes must always drain, or ingest stalls forever.
-//
-// Throttled maintenance and write backpressure are natural deadlock
-// partners: writers stall on the frozen-memtable/unmerged-component
-// ceilings until maintenance catches up, so maintenance paused
-// indefinitely would park writers indefinitely. The design makes that
-// impossible by construction:
-//
-//   - The bucket's refill rate has a hard floor (GovernorConfig.MinRate,
-//     never zero or below): a gated merge job waits at most ~1/MinRate
-//     seconds for a token. Throttling delays merges, it never pauses
-//     them, so every backpressure stall clears in bounded time.
-//   - Flush jobs bypass the gate entirely (maint.JobFlush), and the pool
-//     prefers a queued flush over a queued merge when a gate is
-//     installed, so the frozen-memtable ceiling — the tighter of the two
-//     — is never behind a throttled dispatch.
-//   - Closing the bucket (governor stop, server shutdown, a governor
-//     panic) opens the gate permanently: Wait returns immediately, so a
-//     draining store is never slowed by a stale throttle.
-//
-// A governor that dies must not die silently: its loop runs under
-// recover, and a panic parks the sticky LastError (surfaced on /stats as
-// GovernorLastError) and opens the gate. Stale throttle state cannot
-// outlive its controller.
 package admission

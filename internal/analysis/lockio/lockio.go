@@ -50,7 +50,7 @@ var (
 
 func init() {
 	Analyzer.Flags.StringVar(&mutexList, "mutexes",
-		"repro/internal/storage/filedev.Device.mu,repro/internal/wal.Log.mu,repro/internal/readcache.segment.mu,repro/internal/obs.SlowLog.mu,repro/internal/obs.Journal.mu,repro/internal/admission.Controller.mu,repro/internal/admission.Bucket.mu,repro/internal/admission.Governor.mu",
+		"repro/internal/storage/filedev.Device.mu,repro/internal/wal.Log.mu,repro/internal/readcache.segment.mu,repro/internal/obs.SlowLog.mu,repro/internal/obs.Journal.mu,repro/internal/admission.Controller.mu",
 		"comma-separated pkgpath.Type.field mutexes the invariant protects")
 	Analyzer.Flags.StringVar(&blockingList, "blocking",
 		"repro/internal/wal.Device.AppendWAL,repro/internal/wal.Device.RotateWAL,repro/internal/wal.GroupCommitter.Wait",

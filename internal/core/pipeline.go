@@ -532,7 +532,7 @@ func (d *Dataset) scheduleMerge() {
 	}
 	m.mergeWant = true
 	m.mu.Unlock()
-	if !m.pool.SubmitKind(maint.JobMerge, d.runMergeJob) {
+	if !m.pool.Submit(d.runMergeJob) {
 		m.mu.Lock()
 		m.mergeWant = false
 		m.setErrLocked(ErrMaintenanceClosed)

@@ -47,9 +47,7 @@
 // with the frozen memtables. Errors from jobs are sticky on the dataset and
 // every later write returns them, at any worker count.
 //
-// The scheduler itself is deliberately minimal: jobs are plain funcs, the
-// pool only bounds concurrency and supports draining (Drain, Close). Merge
-// jobs pass a dispatch gate the admission governor may install (SetGate);
-// the run-on-caller pool never consults it, because the goroutine it would
-// block is a writer.
+// The scheduler itself is deliberately minimal: jobs are plain funcs run in
+// submission order, and the pool only bounds concurrency and supports
+// draining (Drain, Close). Nothing throttles a job once it is queued.
 package maint

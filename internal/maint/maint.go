@@ -1,44 +1,29 @@
 package maint
 
-import "sync"
-
-// JobKind classifies a maintenance job for dispatch gating. Flush jobs
-// are never gated — memtable freezes must always drain or ingest stalls
-// forever; merge jobs pass through the installed gate (if any) so the
-// admission governor can throttle them against foreground latency.
-type JobKind uint8
-
-// Job kinds.
-const (
-	JobFlush JobKind = iota
-	JobMerge
+import (
+	"slices"
+	"sync"
 )
-
-type job struct {
-	kind JobKind
-	fn   func()
-}
 
 // Pool runs maintenance jobs on a bounded set of worker goroutines. Submitted
 // jobs queue without bound; at most the configured number run at once. A
 // pool with zero workers runs every job on the goroutine that submits it,
-// before Submit returns. All methods are safe for concurrent use.
+// before Submit returns. Queued jobs start in submission order. All methods
+// are safe for concurrent use.
 type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []job
+	queue   []func()
 	workers int // configured worker bound
 	spawned int // workers currently alive
 	active  int // jobs currently executing
 	closed  bool
 	yield   func(point string) // scheduling hook around jobs (nil = off)
-	gate    func()             // merge-dispatch gate (nil = open)
 }
 
 // NewPool creates a pool with the given worker bound. workers < 1 creates
 // the run-on-caller pool: nothing queues, so its Stats are all zero, and the
-// merge gate and the yield hook are never consulted — a throttled merge
-// dispatch must not block the writer that submitted it.
+// yield hook is never consulted.
 func NewPool(workers int) *Pool {
 	if workers < 0 {
 		workers = 0
@@ -74,28 +59,10 @@ func (p *Pool) Stats() (queued, active, workers int) {
 	return len(p.queue), p.active, p.workers
 }
 
-// SetGate installs the merge-dispatch gate: a function each worker calls
-// (outside the pool lock) immediately before running a JobMerge job. The
-// admission governor installs its token-bucket Wait here. Flush jobs
-// bypass the gate, and a worker holding gated work prefers a queued flush
-// over a queued merge, so throttling can never starve memtable drains.
-// A nil gate disables gating.
-func (p *Pool) SetGate(fn func()) {
-	p.mu.Lock()
-	p.gate = fn
-	p.mu.Unlock()
-}
-
-// Submit enqueues a flush-class job (ungated). It returns false when the
-// pool is closed (the job is dropped); callers that must not lose work
-// should check the result. Workers are spawned lazily, up to the bound.
+// Submit enqueues a job. It returns false when the pool is closed (the job
+// is dropped); callers that must not lose work should check the result.
+// Workers are spawned lazily, up to the bound.
 func (p *Pool) Submit(fn func()) bool {
-	return p.SubmitKind(JobFlush, fn)
-}
-
-// SubmitKind enqueues a job of the given kind. Merge-class jobs pass
-// through the installed dispatch gate before running.
-func (p *Pool) SubmitKind(kind JobKind, fn func()) bool {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -106,7 +73,7 @@ func (p *Pool) SubmitKind(kind JobKind, fn func()) bool {
 		fn()
 		return true
 	}
-	p.queue = append(p.queue, job{kind: kind, fn: fn})
+	p.queue = append(p.queue, fn)
 	if p.spawned < p.workers && p.spawned < p.active+len(p.queue) {
 		p.spawned++
 		go p.worker()
@@ -129,34 +96,18 @@ func (p *Pool) worker() {
 			p.mu.Unlock()
 			return
 		}
-		// With a gate installed, prefer a queued flush over a queued
-		// merge: the frozen-memtable ceiling must never wait behind a
-		// throttled merge dispatch.
-		pick := 0
-		if p.gate != nil && p.queue[pick].kind == JobMerge {
-			for i := 1; i < len(p.queue); i++ {
-				if p.queue[i].kind == JobFlush {
-					pick = i
-					break
-				}
-			}
-		}
-		j := p.queue[pick]
-		p.queue = append(p.queue[:pick], p.queue[pick+1:]...)
+		// slices.Delete shifts in place and clears the vacated tail slot,
+		// so a popped func does not stay reachable from the backing array.
+		fn := p.queue[0]
+		p.queue = slices.Delete(p.queue, 0, 1)
 		p.active++
 		yield := p.yield
-		gate := p.gate
 		p.mu.Unlock()
 
-		if j.kind == JobMerge && gate != nil {
-			// Outside the lock: the gate may block (bounded by the
-			// governor's rate floor), and other workers keep draining.
-			gate()
-		}
 		if yield != nil {
 			yield("maint.job.start")
 		}
-		j.fn()
+		fn()
 		if yield != nil {
 			yield("maint.job.done")
 		}

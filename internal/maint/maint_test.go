@@ -1,6 +1,7 @@
 package maint
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,14 +73,12 @@ func TestPoolDrainWaitsForInFlight(t *testing.T) {
 }
 
 // TestPoolRunOnCaller pins the zero-worker pool: a job has run by the time
-// Submit returns, nothing ever queues, and the merge gate is never
-// consulted (it would block the submitting writer).
+// Submit returns and nothing ever queues.
 func TestPoolRunOnCaller(t *testing.T) {
 	p := NewPool(0)
-	p.SetGate(func() { t.Error("gate consulted by the run-on-caller pool") })
 	ran := 0
-	for _, kind := range []JobKind{JobFlush, JobMerge} {
-		if !p.SubmitKind(kind, func() { ran++ }) {
+	for i := 0; i < 2; i++ {
+		if !p.Submit(func() { ran++ }) {
 			t.Fatal("submit refused on an open pool")
 		}
 	}
@@ -103,56 +102,21 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p.Close()
 }
 
-func TestPoolGateOnlyMergeJobs(t *testing.T) {
+// TestPoolRunsInSubmissionOrder pins FIFO dispatch: with one worker, queued
+// jobs run in the order they were submitted.
+func TestPoolRunsInSubmissionOrder(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
-	var gated atomic.Int64
-	p.SetGate(func() { gated.Add(1) })
-	var flushes, merges atomic.Int64
-	for i := 0; i < 5; i++ {
-		p.Submit(func() { flushes.Add(1) })
-		p.SubmitKind(JobMerge, func() { merges.Add(1) })
-	}
-	p.Drain()
-	if flushes.Load() != 5 || merges.Load() != 5 {
-		t.Fatalf("ran %d flushes, %d merges; want 5 each", flushes.Load(), merges.Load())
-	}
-	if got := gated.Load(); got != 5 {
-		t.Fatalf("gate called %d times, want once per merge (5)", got)
-	}
-	// Clearing the gate stops gating.
-	p.SetGate(nil)
-	p.SubmitKind(JobMerge, func() {})
-	p.Drain()
-	if got := gated.Load(); got != 5 {
-		t.Fatalf("gate called %d times after SetGate(nil), want still 5", got)
-	}
-}
-
-func TestPoolPrefersFlushWhenGated(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	p.SetGate(func() {})
 	// Occupy the single worker so the queue builds in a known order.
 	block := make(chan struct{})
 	p.Submit(func() { <-block })
-	var order []string
-	var mu sync.Mutex
-	rec := func(s string) func() {
-		return func() {
-			mu.Lock()
-			order = append(order, s)
-			mu.Unlock()
-		}
+	var order []int
+	for i := 0; i < 3; i++ {
+		p.Submit(func() { order = append(order, i) })
 	}
-	p.SubmitKind(JobMerge, rec("merge1"))
-	p.SubmitKind(JobMerge, rec("merge2"))
-	p.Submit(rec("flush1"))
 	close(block)
 	p.Drain()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 3 || order[0] != "flush1" {
-		t.Fatalf("dispatch order %v, want flush first under a gate", order)
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("dispatch order %v, want [0 1 2]", order)
 	}
 }

@@ -104,9 +104,6 @@ func (r *Registry) RecordStage(st Stage, d time.Duration) {
 	r.stages[st].Record(d)
 }
 
-// OpHist exposes one op-class histogram (for tests and direct recording).
-func (r *Registry) OpHist(op Op) *Hist { return &r.ops[op] }
-
 // OpSnapshots captures every op-class histogram with at least one
 // observation, keyed by class name.
 func (r *Registry) OpSnapshots() map[string]HistSnapshot {

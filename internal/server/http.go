@@ -31,11 +31,6 @@ type StatsPayload struct {
 	// Admission is the admission controller's counters. Present only when
 	// admission control is enabled.
 	Admission *admission.Snapshot `json:",omitempty"`
-	// Governor is the maintenance governor's state. GovernorLastError is
-	// the sticky record of a governor panic — a dead governor must be
-	// diagnosable from /stats, like SidecarLastError.
-	Governor          *admission.GovernorSnapshot `json:",omitempty"`
-	GovernorLastError string                      `json:",omitempty"`
 }
 
 // statsPayload assembles the /stats body.
@@ -53,11 +48,6 @@ func (s *Server) statsPayload() StatsPayload {
 		snap := s.adm.Snapshot()
 		p.Admission = &snap
 	}
-	if s.gov != nil {
-		gsnap := s.gov.Snapshot()
-		p.Governor = &gsnap
-		p.GovernorLastError = s.gov.LastError()
-	}
 	return p
 }
 
@@ -70,11 +60,10 @@ type slowPayload struct {
 
 // maintenancePayload is the GET /debug/maintenance response body.
 type maintenancePayload struct {
-	Summary  obs.JournalSummary          `json:"summary"`
-	Pool     maintPoolStats              `json:"pool"`
-	Governor *admission.GovernorSnapshot `json:"governor,omitempty"`
-	Shards   []maintShardGauges          `json:"shards"`
-	Events   []obs.JournalEvent          `json:"events"`
+	Summary obs.JournalSummary `json:"summary"`
+	Pool    maintPoolStats     `json:"pool"`
+	Shards  []maintShardGauges `json:"shards"`
+	Events  []obs.JournalEvent `json:"events"`
 }
 
 type maintPoolStats struct {
@@ -137,10 +126,6 @@ func (h *httpSidecar) start(addrStr string, s *Server) error {
 		}
 		queued, active, workers := s.db.MaintPoolStats()
 		p.Pool = maintPoolStats{Queued: queued, Active: active, Workers: workers}
-		if s.gov != nil {
-			gsnap := s.gov.Snapshot()
-			p.Governor = &gsnap
-		}
 		st := s.db.Stats()
 		per := st.PerShard
 		if len(per) == 0 {

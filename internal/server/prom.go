@@ -42,15 +42,6 @@ func (s *Server) promExposition() []byte {
 		w.Histogram("lsm_admission_shed_duration_seconds",
 			"Fail-fast latency of shed requests.", s.adm.ShedHist())
 	}
-	if s.gov != nil {
-		g := s.gov.Snapshot()
-		w.Gauge("lsm_governor_merge_rate", "Current merge-dispatch rate (jobs/s).", g.Rate)
-		w.Gauge("lsm_governor_throttling", "1 while merge dispatch is throttled below the ceiling.", boolGauge(g.Throttling))
-		w.Gauge("lsm_governor_last_p99_micros", "Foreground interval p99 at the last governor tick.", float64(g.LastP99Micros))
-		w.Counter("lsm_governor_throttle_steps_total", "Governor rate-decrease steps.", g.ThrottleSteps)
-		w.Counter("lsm_governor_recover_steps_total", "Governor rate-increase steps.", g.RecoverSteps)
-	}
-
 	if s.obs != nil {
 		w.HistogramMap("lsm_request_duration_seconds",
 			"Server-side request latency by op class.", "op", s.obs.OpSnapshots())
@@ -58,11 +49,4 @@ func (s *Server) promExposition() []byte {
 			"Server-side time per request stage.", "stage", s.obs.StageSnapshots())
 	}
 	return w.Bytes()
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

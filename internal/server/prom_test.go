@@ -7,22 +7,20 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/server"
 )
 
 // TestMetricsExpositionNames pins the /metrics surface a scraper sees —
-// every metric name, its type and its help string — with admission, the
-// governor and the read cache on, so each optional family is present. The
-// list is sorted, so it does not pin the order families are written in.
+// every metric name, its type and its help string — with admission and the
+// read cache on, so each optional family is present. The list is sorted, so
+// it does not pin the order families are written in.
 func TestMetricsExpositionNames(t *testing.T) {
 	opts := storeOptions()
 	opts.ReadCache.Bytes = 1 << 20
 	srv, _ := startServer(t, opts, func(cfg *server.Config) {
 		cfg.HTTPAddr = "127.0.0.1:0"
 		cfg.AdmissionBudget = 64
-		cfg.LatencyTarget = 50 * time.Millisecond
 	})
 	doRequests(t, srv)
 
@@ -128,11 +126,6 @@ var wantExposition = []string{
 	"# HELP lsm_engine_wal_fsyncs_total Fsyncs issued against the WAL area.",
 	"# HELP lsm_engine_write_stall_seconds_total Total time writes spent stalled.",
 	"# HELP lsm_engine_write_stalls_total Writes stalled by maintenance backpressure.",
-	"# HELP lsm_governor_last_p99_micros Foreground interval p99 at the last governor tick.",
-	"# HELP lsm_governor_merge_rate Current merge-dispatch rate (jobs/s).",
-	"# HELP lsm_governor_recover_steps_total Governor rate-increase steps.",
-	"# HELP lsm_governor_throttle_steps_total Governor rate-decrease steps.",
-	"# HELP lsm_governor_throttling 1 while merge dispatch is throttled below the ceiling.",
 	"# HELP lsm_maintenance_active_flushes Flush operations in progress.",
 	"# HELP lsm_maintenance_active_merges Merge operations in progress.",
 	"# HELP lsm_maintenance_flush_bytes_total Bytes written by flushes.",
@@ -193,11 +186,6 @@ var wantExposition = []string{
 	"# TYPE lsm_engine_wal_fsyncs_total counter",
 	"# TYPE lsm_engine_write_stall_seconds_total counter",
 	"# TYPE lsm_engine_write_stalls_total counter",
-	"# TYPE lsm_governor_last_p99_micros gauge",
-	"# TYPE lsm_governor_merge_rate gauge",
-	"# TYPE lsm_governor_recover_steps_total counter",
-	"# TYPE lsm_governor_throttle_steps_total counter",
-	"# TYPE lsm_governor_throttling gauge",
 	"# TYPE lsm_maintenance_active_flushes gauge",
 	"# TYPE lsm_maintenance_active_merges gauge",
 	"# TYPE lsm_maintenance_flush_bytes_total counter",

@@ -47,13 +47,6 @@ type Config struct {
 	// negative = no queue: over-budget requests shed immediately). A
 	// request still queued after 2ms is shed.
 	AdmissionQueue int
-	// LatencyTarget enables the load-coupled maintenance governor: while
-	// the foreground get/upsert interval p99 exceeds the target, merge
-	// dispatch is throttled (never below a hard rate floor — see
-	// internal/admission's no-deadlock argument). 0 disables the
-	// governor. It samples the latency histograms, so New refuses it
-	// together with DisableObservability.
-	LatencyTarget time.Duration
 	// DisableObservability turns off the per-op latency histograms, the
 	// request-stage tracing and the slow-request log. /metrics then
 	// serves counters only.
@@ -81,7 +74,6 @@ type Server struct {
 	obs      *obs.Registry         // nil when observability is disabled
 	slow     *obs.SlowLog          // nil when the slow log is disabled
 	adm      *admission.Controller // nil when admission control is disabled
-	gov      *admission.Governor   // nil when the latency governor is disabled
 
 	ln       net.Listener
 	acceptWg sync.WaitGroup
@@ -107,9 +99,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = defaultMaxInFlight
 	}
-	if cfg.LatencyTarget > 0 && cfg.DisableObservability {
-		return nil, errors.New("server: Config.LatencyTarget needs the latency histograms that Config.DisableObservability turns off")
-	}
 	s := &Server{
 		cfg:      cfg,
 		db:       cfg.DB,
@@ -133,9 +122,6 @@ func New(cfg Config) (*Server, error) {
 			MaxQueue: cfg.AdmissionQueue,
 		})
 	}
-	if cfg.LatencyTarget > 0 {
-		s.gov = admission.NewGovernor(admission.GovernorConfig{Target: cfg.LatencyTarget}, s.obs)
-	}
 	return s, nil
 }
 
@@ -151,9 +137,6 @@ func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
 
 // Admission exposes the admission controller (nil when disabled).
 func (s *Server) Admission() *admission.Controller { return s.adm }
-
-// Governor exposes the maintenance governor (nil when disabled).
-func (s *Server) Governor() *admission.Governor { return s.gov }
 
 // Start binds the listeners and begins serving in the background.
 func (s *Server) Start() error {
@@ -175,10 +158,6 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = true
-	if s.gov != nil {
-		s.db.SetMergeGate(s.gov.Gate())
-		s.gov.Start()
-	}
 	s.acceptWg.Add(1)
 	go s.acceptLoop(ln)
 	return nil
@@ -330,15 +309,10 @@ func (s *Server) Kill() {
 
 // stopOverload tears down the overload-protection layer on either stop
 // path: queued admission waiters shed with ErrClosed (the client sees
-// CodeShuttingDown), the governor stops, and the merge gate opens and
-// detaches so a draining store is never slowed by a stale throttle.
+// CodeShuttingDown).
 func (s *Server) stopOverload() {
 	if s.adm != nil {
 		s.adm.Close()
-	}
-	if s.gov != nil {
-		s.gov.Stop()
-		s.db.SetMergeGate(nil)
 	}
 }
 

@@ -821,13 +821,5 @@ func (db *DB) MaintJournal() *obs.Journal { return db.journal }
 // where nothing queues: writers run the jobs themselves.
 func (db *DB) MaintPoolStats() (queued, active, workers int) { return db.pool.Stats() }
 
-// SetMergeGate installs a dispatch gate called before each merge job runs
-// (nil clears it). The server's admission governor uses it to throttle
-// merge I/O against foreground latency; flush jobs are never gated, and
-// neither is anything at Options.MaintenanceWorkers == 0, where the merge
-// runs on a writer the gate must not block. Gating changes merge timing
-// only, never results — see TestMergeGateObservationalOnly.
-func (db *DB) SetMergeGate(gate func()) { db.pool.SetGate(gate) }
-
 // Shard exposes shard i's dataset for advanced use.
 func (db *DB) Shard(i int) *core.Dataset { return db.parts[i].ds }
