@@ -12,8 +12,9 @@
 // Blocking operations are: (*os.File).Sync, any net package I/O, channel
 // sends/receives (including range-over-channel and select without a
 // default), time.Sleep, (*sync.WaitGroup).Wait, and the configured extras
-// (by default the log's device I/O — wal.Device.AppendWAL, which writes,
-// and wal.Device.RotateWAL, which fsyncs — and wal.GroupCommitter.Wait).
+// (by default the log's device I/O — storage.Device.AppendWAL, which
+// writes, and storage.Device.RotateWAL, which fsyncs — and
+// wal.GroupCommitter.Wait).
 //
 // The analysis is intentionally intra-package: call summaries propagate
 // through static calls within the package under analysis, branch state is
@@ -53,7 +54,7 @@ func init() {
 		"repro/internal/storage/filedev.Device.mu,repro/internal/wal.Log.mu,repro/internal/readcache.segment.mu,repro/internal/obs.SlowLog.mu,repro/internal/obs.Journal.mu,repro/internal/admission.Controller.mu",
 		"comma-separated pkgpath.Type.field mutexes the invariant protects")
 	Analyzer.Flags.StringVar(&blockingList, "blocking",
-		"repro/internal/wal.Device.AppendWAL,repro/internal/wal.Device.RotateWAL,repro/internal/wal.GroupCommitter.Wait",
+		"repro/internal/storage.Device.AppendWAL,repro/internal/storage.Device.RotateWAL,repro/internal/wal.GroupCommitter.Wait",
 		"comma-separated pkgpath.Type.Method (or pkgpath.Func) treated as blocking, besides the built-ins")
 }
 

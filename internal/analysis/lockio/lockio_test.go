@@ -17,18 +17,25 @@ func TestLockio(t *testing.T) {
 }
 
 // TestLockioDefaultsCoverTheLog runs the analyzer with its default lists —
-// only the package path swapped for the fixture's — over a stand-in for
-// internal/wal: an append or a rotation under Log.mu is flagged, so a
-// default entry that no longer names a method of the log's device fails
-// here instead of silently checking nothing.
+// only the package paths swapped for the fixtures' — over a stand-in for
+// internal/wal and the storage.Device it writes to: an append or a
+// rotation under Log.mu is flagged, so a default entry that no longer names
+// a method of the log's device fails here instead of silently checking
+// nothing.
 func TestLockioDefaultsCoverTheLog(t *testing.T) {
-	const realWAL, fixtureWAL = "repro/internal/wal.", "repro/internal/analysis/lockio/testdata/src/wal."
-	for _, name := range []string{"mutexes", "blocking"} {
+	const fixtures = "repro/internal/analysis/lockio/testdata/src/"
+	swap := strings.NewReplacer("repro/internal/wal.", fixtures+"wal.", "repro/internal/storage.", fixtures+"storage.")
+	for name, real := range map[string][]string{
+		"mutexes":  {"repro/internal/wal."},
+		"blocking": {"repro/internal/wal.", "repro/internal/storage."},
+	} {
 		def := lockio.Analyzer.Flags.Lookup(name).DefValue
-		if !strings.Contains(def, realWAL) {
-			t.Fatalf("default -%s names nothing in %s: %s", name, realWAL, def)
+		for _, pkg := range real {
+			if !strings.Contains(def, pkg) {
+				t.Fatalf("default -%s names nothing in %s: %s", name, pkg, def)
+			}
 		}
-		defer setFlag(t, name, strings.ReplaceAll(def, realWAL, fixtureWAL))()
+		defer setFlag(t, name, swap.Replace(def))()
 	}
 	analysistest.Run(t, "testdata", lockio.Analyzer, "./src/wal")
 }

@@ -1,17 +1,16 @@
 // Package wal is the lockio fixture that stands in for repro/internal/wal:
-// the same type, field and method names, so the test can point the
-// analyzer's DEFAULT mutex and blocking lists at it by swapping the package
-// path and nothing else. A default entry that is removed or misspelled
-// leaves a want below unmatched.
+// the same type, field and method names, over the fixture's stand-in for
+// repro/internal/storage, so the test can point the analyzer's DEFAULT
+// mutex and blocking lists at them by swapping the package paths and
+// nothing else. A default entry that is removed or misspelled leaves a want
+// below unmatched.
 package wal
 
-import "sync"
+import (
+	"sync"
 
-type Device interface {
-	AppendWAL(data []byte) error
-	RotateWAL(seq uint64) error
-	DropWAL(seq uint64)
-}
+	"repro/internal/analysis/lockio/testdata/src/storage"
+)
 
 type GroupCommitter interface {
 	Wait(commits int64) error
@@ -19,31 +18,33 @@ type GroupCommitter interface {
 
 type Log struct {
 	mu    sync.Mutex
-	dev   Device
+	dev   storage.Device
 	group GroupCommitter
-	segs  [][]byte
+	sizes []int
 }
 
 func (l *Log) AppendUnderLock(enc []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.segs = append(l.segs, enc)
-	return l.dev.AppendWAL(enc) // want `wal\.Device\.AppendWAL while .*\.Log\.mu is held`
+	l.sizes = append(l.sizes, len(enc))
+	return l.dev.AppendWAL(enc) // want `storage\.Device\.AppendWAL while .*\.Log\.mu is held`
 }
 
-// AppendOutsideLock is the shape the log's write path has: the memory image
-// changes under mu, the device append runs after it is released.
+// AppendOutsideLock is the shape the log's write path has: the device
+// append runs before mu is taken, and only the segment's size changes
+// under it.
 func (l *Log) AppendOutsideLock(enc []byte) error {
+	err := l.dev.AppendWAL(enc)
 	l.mu.Lock()
-	l.segs = append(l.segs, enc)
+	l.sizes = append(l.sizes, len(enc))
 	l.mu.Unlock()
-	return l.dev.AppendWAL(enc)
+	return err
 }
 
 func (l *Log) RotateUnderLock(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dev.RotateWAL(seq) // want `wal\.Device\.RotateWAL while .*\.Log\.mu is held`
+	return l.dev.RotateWAL(seq) // want `storage\.Device\.RotateWAL while .*\.Log\.mu is held`
 }
 
 // RotateWaived carries the waiver the real Log.Rotate does.

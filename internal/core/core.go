@@ -204,8 +204,9 @@ type frozenDeleted struct {
 type Dataset struct {
 	cfg Config
 	env *metrics.Env
-	// durable is the store's device when it is a storage.Durable, nil on the
-	// simulated one: Open asserts once, everything after reads the field.
+	// durable is the store's device when it is a storage.Durable (it keeps a
+	// manifest), nil on the simulated one: Open asserts once, everything
+	// after reads the field.
 	durable storage.Durable
 
 	primary     *lsm.Tree
@@ -292,10 +293,6 @@ func Open(cfg Config) (*Dataset, error) {
 		dsLock: &datasetLock{},
 	}
 	d.durable, _ = cfg.Store.Device().(storage.Durable)
-	if !cfg.DisableWAL {
-		d.log = wal.New(env)
-		d.log.SetYield(cfg.Yield)
-	}
 	pool := cfg.Maintenance
 	if pool == nil {
 		pool = maint.NewPool(0)
@@ -351,11 +348,15 @@ func Open(cfg Config) (*Dataset, error) {
 		}
 		d.secondaries = append(d.secondaries, si)
 	}
-	// On a durable device, restore a previous session's components, drop
-	// files a crash left unreferenced, and replay the on-disk WAL (the
-	// dataset serves no traffic yet, so replay needs no coordination). On
-	// the simulated device this is a no-op.
-	if err := d.setupDurability(); err != nil {
+	// On a durable device, restore a previous session's components and drop
+	// files a crash left unreferenced. Then open the log over the device's
+	// log area and replay what it holds (the dataset serves no traffic yet,
+	// so replay needs no coordination): nothing on the simulated device,
+	// whatever the last session left on files.
+	if err := d.restore(); err != nil {
+		return nil, err
+	}
+	if err := d.openLog(); err != nil {
 		return nil, err
 	}
 	d.maint = newMaintState(pool)
@@ -423,7 +424,7 @@ func (d *Dataset) maintEnv() *metrics.Env {
 func (d *Dataset) Config() Config { return d.cfg }
 
 // Durable reports whether the dataset persists: its device is a
-// storage.Durable, so there is a manifest to save and a log area to write.
+// storage.Durable, so there is a manifest to save next to the log.
 func (d *Dataset) Durable() bool { return d.durable != nil }
 
 // Log returns the write-ahead log (nil when disabled).

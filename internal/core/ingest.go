@@ -103,8 +103,10 @@ func (d *Dataset) applyLocked(m kv.Mutation, b *wal.Batch) (bool, error) {
 		return false, nil
 	}
 	if err := d.logOp(recordTypes[m.Op], m.PK, m.Record, ts, p.updateBit, b); err != nil {
-		// The append failed, so the write never durably happened: revert
-		// the bitmap flip before reporting failure.
+		// The write failed and is not acknowledged: revert the bitmap flip
+		// before reporting failure. (A record whose covering fsync failed
+		// is whole in the log area, so a crash may still replay it, flip
+		// included.)
 		if p.undo != nil {
 			p.undo()
 		}
@@ -454,9 +456,9 @@ func (d *Dataset) forwardDelete(comp *lsm.Component, pk []byte) {
 }
 
 // logOp logs one mutation as one record; the record is the commit (see
-// package wal). With a nil batch it is durable when logOp returns nil — on a
-// durable device, covered by one fsync shared with every concurrent writer
-// of its commit group. A failure of THIS record's append or covering fsync
+// package wal). With a nil batch it is durable when logOp returns nil —
+// covered by one fsync shared with every concurrent writer of its commit
+// group. A failure of THIS record's append or covering fsync
 // means the write is not durably committed and is surfaced as the
 // operation's error (a concurrent writer's failure wedges the dataset via
 // the sticky-error precheck instead, without mislabeling writes that did
@@ -475,16 +477,16 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 		Type:      t,
 		TS:        ts,
 		UpdateBit: updateBit,
-		Key:       pk, // encoded into the log's segment, not retained
+		Key:       pk, // encoded into the device's log area, not retained
 		Value:     record,
 	}, b)
 	return err
 }
 
-// BeginCommitBatch empties the caller's handle b and returns it when the log
-// is on a durable device, nil otherwise (a memory-only log has no fsync to
-// defer, and Mutable-bitmap writes carry their own, see below). b keeps its
-// capacity, so a caller that reuses its handle allocates no bookkeeping.
+// BeginCommitBatch empties the caller's handle b and returns it, or nil when
+// the dataset has no log (nothing to defer) or uses Mutable-bitmap (its
+// writes carry their own commits, see below). b keeps its encode buffer, so
+// a caller that reuses its handle allocates nothing per record.
 // Pair every non-nil handle with exactly one WaitCommitBatch before
 // acknowledging any of the batch's writes.
 //
@@ -503,13 +505,12 @@ func (d *Dataset) BeginCommitBatch(b *wal.Batch) *wal.Batch {
 }
 
 // WaitCommitBatch blocks until every record deferred into b is covered by
-// a WAL fsync. On failure none of the batch's writes may be acknowledged:
-// their records are dropped from the log's memory image, the log
-// is wedged (the dataset turns read-only), and an in-session
-// Crash/Recover will not replay them. The writes still sit in the memory
-// components — and any of them a mid-batch flush already installed in a
-// durable component stays durable — so "failed" means "not guaranteed,
-// retry safely", not "certainly absent".
+// a WAL fsync. On failure none of the batch's writes may be acknowledged
+// and the log is wedged (the dataset turns read-only). The writes still sit
+// in the memory components, their records are whole in the log area, and a
+// mid-batch flush may already have installed some of them in a durable
+// component — so after any crash each of them may or may not be replayed:
+// "failed" means "not guaranteed, retry safely", not "certainly absent".
 func (d *Dataset) WaitCommitBatch(b *wal.Batch) error {
 	if b == nil {
 		return nil

@@ -19,11 +19,10 @@ import (
 // then replaces the manifest atomically — and only then are the files of
 // merged-away components unlinked and the log segments the install covers
 // dropped. Reopening a directory restores the component lists from the
-// manifest, garbage-collects files a crash left half-installed or
-// half-reclaimed, and replays the surviving log segments to rebuild the
-// memory components — the real-files analogue of the simulated
-// Crash/Recover battery. On the simulated device every hook here is a
-// no-op, keeping the default backend byte-for-byte unchanged.
+// manifest and garbage-collects files a crash left half-installed or
+// half-reclaimed; the log replay that follows (openLog) rebuilds the memory
+// components, on files as on the simulated device. On the simulated device
+// every manifest hook here is a no-op.
 
 // manifestVersion guards the on-disk manifest schema.
 const manifestVersion = 1
@@ -205,14 +204,11 @@ func (d *Dataset) treeManifest(name string, tr *lsm.Tree, sharedValid bool) tree
 	return tm
 }
 
-// setupDurability wires a freshly opened dataset to a durable device:
-// restore the manifest's component lists, garbage-collect files a crash
-// left unreferenced (half-built components whose install never reached the
-// manifest), attach the persisted write-ahead log, and replay its records
-// past the maximum durable component timestamp — rebuilding the
-// memory components the previous process lost. On a non-durable device it
-// is a no-op.
-func (d *Dataset) setupDurability() error {
+// restore wires a freshly opened dataset to a durable device: restore the
+// manifest's component lists and garbage-collect files a crash left
+// unreferenced (half-built components whose install never reached the
+// manifest). On a non-durable device it is a no-op.
+func (d *Dataset) restore() error {
 	dev := d.durable
 	if dev == nil {
 		return nil
@@ -235,32 +231,29 @@ func (d *Dataset) setupDurability() error {
 			d.cfg.Store.Delete(id)
 		}
 	}
+	return nil
+}
+
+// openLog opens the write-ahead log over the device's log area, replays
+// the records past the maximum durable component timestamp — rebuilding the
+// memory components a previous process lost — and starts the session's
+// live segment. The segments found are replayed and then left alone —
+// never appended to, never rewritten, torn tails included — until the
+// first flush of this session cuts them with everything else it covers.
+// The group syncs the device as Open found it, wrapped or raw, so an
+// injected SyncWAL fault reaches the covering group fsync.
+func (d *Dataset) openLog() error {
 	if d.cfg.DisableWAL {
 		return nil
 	}
-	segs, err := dev.LoadWAL()
-	if err != nil {
-		return err
+	dev := d.cfg.Store.Device()
+	d.log = wal.Open(d.env, dev, filedev.NewGroupSyncer(dev, d.env.Counters))
+	d.log.SetYield(d.cfg.Yield)
+	if err := d.Recover(); err != nil {
+		return fmt.Errorf("core: replay of the WAL failed: %w", err)
 	}
-	// The recovered segments are replayed and then left alone — never
-	// appended to, never rewritten, torn tails included — until the first
-	// flush of this session cuts them with everything else it covers; the
-	// session's own appends go to the fresh segment OpenPersisted starts.
-	// The group syncs the device as Open found it, wrapped or raw, so an
-	// injected SyncWAL fault reaches the covering group fsync.
-	group := filedev.NewGroupSyncer(dev, d.env.Counters)
-	log, err := wal.OpenPersisted(d.env, segs, dev, group)
-	if err != nil {
-		return err
-	}
-	log.SetYield(d.cfg.Yield)
-	d.log = log
-	if d.log.Len() > 0 {
-		if err := d.Recover(); err != nil {
-			return fmt.Errorf("core: replay of the on-disk WAL failed: %w", err)
-		}
-	}
-	return nil
+	_, err := d.log.Rotate()
+	return err
 }
 
 // restoreManifest rebuilds every tree's component list from the manifest,

@@ -15,7 +15,8 @@ import (
 // survive. Maintenance jobs caught mid-build or mid-merge abandon their
 // installs (the trees' install generations change), exactly as a real
 // failure discards a half-written component. Use Recover to replay the
-// write-ahead log afterwards.
+// write-ahead log afterwards: it reads the log back from the device, so an
+// in-process crash recovers exactly as a reopen after a kill does.
 func (d *Dataset) Crash() {
 	// crashMu makes the generation bump atomic with respect to multi-tree
 	// installs: a flush batch or paired primary/pk merge lands either
@@ -45,8 +46,9 @@ var ErrNoWAL = errors.New("core: recovery requires the write-ahead log")
 
 // Recover replays the writes whose effects were lost in a crash. As in
 // AsterixDB (Section 2.2), the system first computes the maximum component
-// timestamp across all indexes; every log record beyond it — each one a
-// committed write — is re-executed: the prepare and install steps of Apply,
+// timestamp across all indexes, then decodes the log as the device holds
+// it (wal.Log.Replay: every segment, each up to its torn tail); every log
+// record beyond that timestamp — each one a committed write — is re-executed: the prepare and install steps of Apply,
 // at the record's own timestamp. What replay leaves out is what only a live
 // write needs — the locks (nothing else runs), the timestamp draw, the log
 // append, the ingested/ignored counters, and the existence search unless

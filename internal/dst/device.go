@@ -179,19 +179,18 @@ type Control struct {
 	trace *Trace
 	inj   Injector
 
-	mu        sync.Mutex
-	ops       int64
-	killAt    int64
-	killed    bool
-	detached  bool
-	quiet     bool
-	killOp    string
-	manifests int64
-	nextIdx   int64
-	fired     []FiredFault
-	suppress  map[int64]bool
-	ordinals  map[ordKey]int64
-	wal       map[int]*walState
+	mu       sync.Mutex
+	ops      int64
+	killAt   int64
+	killed   bool
+	detached bool
+	quiet    bool
+	killOp   string
+	nextIdx  int64
+	fired    []FiredFault
+	suppress map[int64]bool
+	ordinals map[ordKey]int64
+	wal      map[int]*walState
 }
 
 type ordKey struct {
@@ -282,15 +281,6 @@ func (c *Control) KillOp() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.killOp
-}
-
-// Manifests returns the running count of successful manifest installs, so
-// the harness can tell whether a flush installed durable components inside
-// a window it cares about (e.g. mid-batch).
-func (c *Control) Manifests() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.manifests
 }
 
 // Killed reports whether the simulated process death point was reached.
@@ -442,10 +432,11 @@ func (c *Control) noteRotateWAL(shard int, seq uint64) {
 }
 
 // Device is the fault-injecting storage.Device wrapper. Mutating and
-// durability operations are traced, counted against the kill switch, and
-// subject to injection; reads pass through untouched. Wrap returns the
-// richer durableDevice when the inner device is a storage.Durable, so the
-// wrapped device is durable exactly when the one beneath it is.
+// durability operations — page appends and the whole log area — are
+// traced, counted against the kill switch, and subject to injection; reads
+// pass through untouched. Wrap returns the richer durableDevice when the
+// inner device is a storage.Durable, so the wrapped device is durable
+// exactly when the one beneath it is.
 type Device struct {
 	c     *Control
 	shard int
@@ -514,16 +505,7 @@ func (d *Device) Close() error {
 	return d.inner.Close()
 }
 
-// durableDevice extends Device with the manifest and log-area half of
-// storage.Durable, forwarding to the durable view of the same inner device.
-type durableDevice struct {
-	Device
-	dur storage.Durable
-}
-
-var _ storage.Durable = (*durableDevice)(nil)
-
-func (d *durableDevice) AppendWAL(data []byte) error {
+func (d *Device) AppendWAL(data []byte) error {
 	f, ok, err := d.c.begin(d.shard, OpAppendWAL, fmt.Sprintf("n=%d", len(data)))
 	if err != nil {
 		return err
@@ -543,7 +525,7 @@ func (d *durableDevice) AppendWAL(data []byte) error {
 				}
 			}
 			if n > 0 {
-				if aerr := d.dur.AppendWAL(data[:n]); aerr == nil {
+				if aerr := d.inner.AppendWAL(data[:n]); aerr == nil {
 					d.c.noteAppendWAL(d.shard, n)
 				}
 			}
@@ -551,14 +533,14 @@ func (d *durableDevice) AppendWAL(data []byte) error {
 			return ErrKilled
 		}
 	}
-	if err := d.dur.AppendWAL(data); err != nil {
+	if err := d.inner.AppendWAL(data); err != nil {
 		return err
 	}
 	d.c.noteAppendWAL(d.shard, len(data))
 	return nil
 }
 
-func (d *durableDevice) SyncWAL() error {
+func (d *Device) SyncWAL() error {
 	f, ok, err := d.c.begin(d.shard, OpSyncWAL, "")
 	if err != nil {
 		return err
@@ -569,7 +551,7 @@ func (d *durableDevice) SyncWAL() error {
 			// Fail-report flavor: the fsync completes — the bytes ARE
 			// durable — but failure is reported. The engine must treat the
 			// covered suffix as indeterminate anyway.
-			if serr := d.dur.SyncWAL(); serr == nil {
+			if serr := d.inner.SyncWAL(); serr == nil {
 				d.c.noteWALSynced(d.shard, mark)
 			}
 		}
@@ -577,15 +559,15 @@ func (d *durableDevice) SyncWAL() error {
 		// volatile until some later covering sync.
 		return &injectedError{KindSyncWAL}
 	}
-	if err := d.dur.SyncWAL(); err != nil {
+	if err := d.inner.SyncWAL(); err != nil {
 		return err
 	}
 	d.c.noteWALSynced(d.shard, mark)
 	return nil
 }
 
-func (d *durableDevice) LoadWAL() ([]storage.WALSegment, error) {
-	segs, err := d.dur.LoadWAL()
+func (d *Device) LoadWAL() ([]storage.WALSegment, error) {
+	segs, err := d.inner.LoadWAL()
 	if err != nil {
 		return nil, err
 	}
@@ -601,23 +583,32 @@ func (d *durableDevice) LoadWAL() ([]storage.WALSegment, error) {
 // rotation leaves the old live segment with its unsynced tail, a death
 // before the first append after one leaves an empty successor, and a death
 // between two drops leaves a suffix of the covered segments.
-func (d *durableDevice) RotateWAL(seq uint64) error {
+func (d *Device) RotateWAL(seq uint64) error {
 	if _, _, err := d.c.begin(d.shard, OpRotateWAL, fmt.Sprintf("seq=%d", seq)); err != nil {
 		return err
 	}
-	if err := d.dur.RotateWAL(seq); err != nil {
+	if err := d.inner.RotateWAL(seq); err != nil {
 		return err
 	}
 	d.c.noteRotateWAL(d.shard, seq)
 	return nil
 }
 
-func (d *durableDevice) DropWAL(seq uint64) {
+func (d *Device) DropWAL(seq uint64) {
 	if _, _, err := d.c.begin(d.shard, OpDropWAL, fmt.Sprintf("seq=%d", seq)); err != nil {
 		return // a dead process unlinks nothing
 	}
-	d.dur.DropWAL(seq)
+	d.inner.DropWAL(seq)
 }
+
+// durableDevice extends Device with the manifest half of storage.Durable,
+// forwarding to the durable view of the same inner device.
+type durableDevice struct {
+	Device
+	dur storage.Durable
+}
+
+var _ storage.Durable = (*durableDevice)(nil)
 
 func (d *durableDevice) SaveManifest(data []byte) error {
 	f, ok, err := d.c.begin(d.shard, OpSaveManifest, fmt.Sprintf("n=%d", len(data)))
@@ -636,9 +627,6 @@ func (d *durableDevice) SaveManifest(data []byte) error {
 	// SaveManifest syncs the whole device (WAL included) before the
 	// atomic replace, so every appended byte is durable once it returns.
 	d.c.noteWALSynced(d.shard, mark)
-	d.c.mu.Lock()
-	d.c.manifests++
-	d.c.mu.Unlock()
 	return nil
 }
 

@@ -23,14 +23,16 @@
 //     pool).
 //   - Model (model.go): an in-memory mirror holding each key's
 //     acknowledged state plus the set of unacknowledged writes whose fate
-//     is open, with three check regimes — exact in-session reads, legal
-//     states after an in-process crash-recover, and legal states after a
-//     process kill and reopen.
+//     is open. Reads in a session are exact; after any crash — an
+//     in-process crash-recover or a process kill and reopen, both of which
+//     replay the log the device holds — a key may show its acknowledged
+//     state or any unacknowledged write.
 //   - harness (harness.go): the session loop — open, reconcile the model
 //     against the reopened store, drive seeded workload ops with strict
-//     read/query/scan checking, crash (soft or hard), repeat — plus the
-//     greedy fault-schedule minimizer (minimize.go) and the CLI core
-//     (cli.go) that cmd/lsmdst wraps.
+//     read/query/scan checking, crash (in process, or a failed write's
+//     crash-recover followed by a kill), repeat — plus the greedy
+//     fault-schedule minimizer (minimize.go) and the CLI core (cli.go)
+//     that cmd/lsmdst wraps.
 //
 // # Determinism contract
 //

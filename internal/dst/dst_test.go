@@ -71,10 +71,11 @@ func TestScriptWildcardOrd(t *testing.T) {
 	}
 }
 
-// TestModelRegimes walks one key through the three check regimes: exact
-// in-session visibility, soft-crash membership (certain ∪ in-mem maybes),
-// and hard-crash resolution (certain ∪ all maybes, folding the observation
-// back in).
+// TestModelRegimes walks one key through the model's two regimes: exact
+// state while a session runs, and after a crash the crash rule — the
+// acknowledged state or any unacknowledged write — checked without folding
+// (Allows) or resolved by the reopened store (ResolveHard, folding the
+// observation back in).
 func TestModelRegimes(t *testing.T) {
 	m := NewModel()
 	const id = 7
@@ -83,55 +84,44 @@ func TestModelRegimes(t *testing.T) {
 	absent := valState{}
 
 	m.AckWrite(id, v1)
-	if got := m.Visible(id); !got.equal(st(v1)) {
-		t.Fatalf("visible after ack: %s", got)
+	if got := m.Certain(id); !got.equal(st(v1)) {
+		t.Fatalf("certain after ack: %s", got)
 	}
 	if !m.AllCertain() {
 		t.Fatal("acked write left the model uncertain")
 	}
 
-	// A failed commit that never reached memory: invisible live and after
-	// a soft crash, but a kill may persist it from the on-disk WAL.
-	m.FailedWrite(id, v2, false)
-	if got := m.Visible(id); !got.equal(st(v1)) {
-		t.Fatalf("wal-only maybe changed live visibility: %s", got)
+	// Two failed writes: after a crash either may be the survivor, or
+	// neither; nothing no write produced.
+	m.FailedWrite(id, v2)
+	m.FailedWrite(id, v3)
+	if got := m.Certain(id); !got.equal(st(v1)) {
+		t.Fatalf("a maybe changed the certain state: %s", got)
 	}
-	if !m.CheckSoft(id, st(v1)) || m.CheckSoft(id, st(v2)) || m.CheckSoft(id, absent) {
-		t.Fatal("soft membership wrong for a wal-only maybe")
+	if !m.Allows(id, st(v1)) || !m.Allows(id, st(v2)) || !m.Allows(id, st(v3)) || m.Allows(id, absent) {
+		t.Fatal("crash rule wrong with two maybes")
 	}
+	// Allows does not fold: the kill after an in-process crash-recover
+	// may still lose an unsynced tail.
 	if m.AllCertain() {
-		t.Fatal("maybe not counted as uncertainty")
+		t.Fatal("maybes not counted as uncertainty after Allows")
 	}
 
-	// A failed batched commit that stayed applied in memory: visible live
-	// and allowed (not required) after a soft crash.
-	m.FailedWrite(id, v3, true)
-	if got := m.Visible(id); !got.equal(st(v3)) {
-		t.Fatalf("in-mem maybe not visible live: %s", got)
-	}
-	if !m.CheckSoft(id, st(v3)) || !m.CheckSoft(id, st(v1)) || m.CheckSoft(id, st(v2)) {
-		t.Fatal("soft membership wrong with an in-mem maybe")
-	}
-
-	// Hard crash: any maybe (or the certain state) may be the survivor;
-	// what is observed becomes certain.
+	// Reopen: what is observed becomes certain.
 	if m.ResolveHard(id, absent) {
 		t.Fatal("hard resolution accepted a state no write produced")
 	}
 	if !m.ResolveHard(id, st(v2)) {
-		t.Fatal("hard resolution rejected the wal-only maybe")
+		t.Fatal("hard resolution rejected a maybe")
 	}
 	if !m.AllCertain() || !m.Certain(id).equal(st(v2)) {
 		t.Fatalf("observation not folded back: %s", m.Describe(id))
 	}
 
 	// Deletes mirror writes.
-	m.FailedDelete(id, true)
-	if got := m.Visible(id); got.present {
-		t.Fatalf("in-mem failed delete still visible: %s", got)
-	}
-	if !m.CheckSoft(id, absent) || !m.CheckSoft(id, st(v2)) {
-		t.Fatal("soft membership wrong after an in-mem failed delete")
+	m.FailedDelete(id)
+	if !m.Allows(id, absent) || !m.Allows(id, st(v2)) || m.Allows(id, st(v1)) {
+		t.Fatal("crash rule wrong after a failed delete")
 	}
 	if !m.ResolveHard(id, absent) || m.Certain(id).present {
 		t.Fatal("hard resolution of the delete failed")
@@ -142,7 +132,7 @@ func TestModelRegimes(t *testing.T) {
 // every regime.
 func TestModelUntouchedKeys(t *testing.T) {
 	m := NewModel()
-	if m.Visible(1).present || !m.CheckSoft(1, valState{}) || m.CheckSoft(1, valState{present: true, val: "x"}) {
+	if m.Certain(1).present || !m.Allows(1, valState{}) || m.Allows(1, valState{present: true, val: "x"}) {
 		t.Fatal("untouched key has wrong membership")
 	}
 	if len(m.Keys()) != 0 {

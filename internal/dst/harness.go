@@ -46,10 +46,12 @@ func ParseProfile(s string) (Profile, error) {
 	return Seq, fmt.Errorf("dst: unknown profile %q", s)
 }
 
-// BugKeepCommit re-arms the historical keep-commit-on-failed-fsync bug
-// (wal.Log.SetUnsafeKeepCommitOnFailedFsync) in every opened store, so the
-// corpus can prove the harness catches it.
-const BugKeepCommit = "keep-commit"
+// BugReplayNewestOnly re-arms a recovery bug
+// (wal.Log.SetUnsafeReplayNewestOnly) in every opened store: an in-process
+// Recover replays only the newest log segment the device holds, so the
+// corpus can prove the harness catches a recovery that loses the writes of
+// an older retained segment.
+const BugReplayNewestOnly = "replay-newest-only"
 
 // BugEarlyUnlink and BugEarlyCut re-arm the two ordering bugs reclamation
 // must never have (core.Dataset.SetUnsafeReclaimBeforePersist): the files of
@@ -71,7 +73,7 @@ const (
 const BugEarlyUnpin = "early-unpin"
 
 // Bugs lists every re-armable bug.
-var Bugs = []string{BugKeepCommit, BugEarlyUnlink, BugEarlyCut, BugEarlyUnpin}
+var Bugs = []string{BugReplayNewestOnly, BugEarlyUnlink, BugEarlyCut, BugEarlyUnpin}
 
 // Config parameterizes one simulated run.
 type Config struct {
@@ -187,35 +189,28 @@ func (h *harness) commitUncertain(err error) bool {
 	return uncertain
 }
 
-// markFailedWrite records a failed upsert/insert in the model. When the
-// commit is in doubt the write becomes an on-disk-WAL-only maybe (the
-// non-batched path never applies a failed commit to the memory image).
-// When only the maintenance path failed, the commit stands: under the Seq
-// profile that classification is airtight (no background workers, so the
-// fault provably fired inside this op's post-commit flush) and the write is
-// acknowledged outright; under Conc a background worker's sticky error can
-// surface on an op whose own fate differs, so the write stays a maybe that
-// is allowed to be visible.
-func (h *harness) markFailedWrite(id uint64, rec []byte, err error) {
-	switch {
-	case h.commitUncertain(err):
-		h.model.FailedWrite(id, rec, false)
-	case h.workers == 0:
-		h.model.AckWrite(id, rec)
-	default:
-		h.model.FailedWrite(id, rec, true)
-	}
+// commitStands reports whether a failed op's own commit is certain: only
+// the maintenance path failed, and under the Seq profile that
+// classification is airtight (no background workers, so the fault provably
+// fired inside this op's post-commit flush). Under Conc a background
+// worker's sticky error can surface on an op whose own fate differs, and a
+// commit-path fault leaves the commit in doubt, so the write is a maybe.
+func (h *harness) commitStands(err error) bool {
+	return h.workers == 0 && !h.commitUncertain(err)
 }
 
-// markFailedDelete is markFailedWrite for deletes.
-func (h *harness) markFailedDelete(id uint64, err error) {
+// markFailed records a failed write (a delete when isDelete) in the model:
+// acknowledged outright when its commit stands, a maybe otherwise.
+func (h *harness) markFailed(isDelete bool, id uint64, val []byte, ack bool) {
 	switch {
-	case h.commitUncertain(err):
-		h.model.FailedDelete(id, false)
-	case h.workers == 0:
+	case ack && isDelete:
 		h.model.AckDelete(id)
+	case ack:
+		h.model.AckWrite(id, val)
+	case isDelete:
+		h.model.FailedDelete(id)
 	default:
-		h.model.FailedDelete(id, true)
+		h.model.FailedWrite(id, val)
 	}
 }
 
@@ -430,7 +425,7 @@ func (h *harness) openSession() error {
 	}
 	h.db = db
 	for i := 0; i < db.NumShards(); i++ {
-		db.Shard(i).Log().SetUnsafeKeepCommitOnFailedFsync(h.cfg.Bug == BugKeepCommit)
+		db.Shard(i).Log().SetUnsafeReplayNewestOnly(h.cfg.Bug == BugReplayNewestOnly)
 		db.Shard(i).SetUnsafeReclaimBeforePersist(h.cfg.Bug == BugEarlyUnlink, h.cfg.Bug == BugEarlyCut)
 		frames := db.Shard(i).Config().Store.Cache()
 		frames.SetPoison(true)
@@ -654,9 +649,10 @@ func mapDiff(want, got map[string]string) string {
 
 // failWrite handles the first acknowledged-path failure of a session: the
 // error must trace back to injection or the kill switch, and an in-process
-// crash-recover must then show only legal states — in particular, a commit
-// whose fsync failed must NOT be replayed unless the live memory image
-// legitimately held it (the keep-commit-on-failed-fsync detector).
+// crash-recover must then show only states the crash rule allows — the
+// acknowledged state or any unacknowledged write (Model.Allows). It does not
+// fold what it observes: the kill that follows (hardCrash) may still lose an
+// unsynced tail, and reconcile resolves the reopened store.
 func (h *harness) failWrite(err error) error {
 	if !faultInduced(err) {
 		return failf("write failed without an injected fault: %v", err)
@@ -671,8 +667,8 @@ func (h *harness) failWrite(err error) error {
 		if oerr != nil {
 			return oerr
 		}
-		if !h.model.CheckSoft(id, obs) {
-			return failf("after crash-recover, key %d observed %s, model allows %s (failed commit replayed?)",
+		if !h.model.Allows(id, obs) {
+			return failf("after crash-recover, key %d observed %s, model allows %s",
 				id, obs, h.model.Describe(id))
 		}
 	}
@@ -688,26 +684,6 @@ func faultClass(err error) string {
 		return ie.kind
 	}
 	return "other"
-}
-
-// markBatchMut records one predicted mutation of a failed batch: ack marks
-// it acknowledged outright, otherwise it becomes a maybe whose inMem flag
-// says whether it may legitimately be visible after an in-process
-// crash-recover.
-func (h *harness) markBatchMut(isDelete bool, id uint64, val []byte, ack, inMem bool) {
-	if isDelete {
-		if ack {
-			h.model.AckDelete(id)
-		} else {
-			h.model.FailedDelete(id, inMem)
-		}
-		return
-	}
-	if ack {
-		h.model.AckWrite(id, val)
-	} else {
-		h.model.FailedWrite(id, val, inMem)
-	}
 }
 
 func pkOf(id uint64) []byte { return workload.Tweet{ID: id}.PK() }
@@ -799,7 +775,7 @@ func (h *harness) step() (bool, error) {
 		rec := h.tweet(id).Encode()
 		h.trace.Addf("op upsert %d", id)
 		if err := h.db.Upsert(pkOf(id), rec); err != nil {
-			h.markFailedWrite(id, rec, err)
+			h.markFailed(false, id, rec, h.commitStands(err))
 			return true, h.failWrite(err)
 		}
 		h.model.AckWrite(id, rec)
@@ -807,14 +783,14 @@ func (h *harness) step() (bool, error) {
 	case wInsert:
 		id := h.key()
 		rec := h.tweet(id).Encode()
-		vis := h.model.Visible(id)
+		vis := h.model.Certain(id)
 		h.trace.Addf("op insert %d", id)
 		ok, err := h.db.Insert(pkOf(id), rec)
 		if err != nil {
 			// A duplicate insert logs nothing — its maybeFlush can still
 			// fail, with no mutation to record.
 			if !vis.present {
-				h.markFailedWrite(id, rec, err)
+				h.markFailed(false, id, rec, h.commitStands(err))
 			}
 			return true, h.failWrite(err)
 		}
@@ -827,13 +803,13 @@ func (h *harness) step() (bool, error) {
 
 	case wDelete:
 		id := h.key()
-		vis := h.model.Visible(id)
+		vis := h.model.Certain(id)
 		applies := vis.present || h.blindDeletes()
 		h.trace.Addf("op delete %d", id)
 		ok, err := h.db.Delete(pkOf(id))
 		if err != nil {
 			if applies {
-				h.markFailedDelete(id, err)
+				h.markFailed(true, id, nil, h.commitStands(err))
 			}
 			return true, h.failWrite(err)
 		}
@@ -851,7 +827,7 @@ func (h *harness) step() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if want := h.model.Visible(id); !obs.equal(want) {
+		if want := h.model.Certain(id); !obs.equal(want) {
 			return false, failf("get %d observed %s, expected %s", id, obs, want)
 		}
 
@@ -873,7 +849,7 @@ func (h *harness) step() (bool, error) {
 		}
 		want := map[string]string{}
 		for _, id := range h.model.Keys() {
-			vis := h.model.Visible(id)
+			vis := h.model.Certain(id)
 			if !vis.present {
 				continue
 			}
@@ -900,7 +876,7 @@ func (h *harness) step() (bool, error) {
 		}
 		want := map[string]string{}
 		for _, id := range h.model.Keys() {
-			if vis := h.model.Visible(id); vis.present {
+			if vis := h.model.Certain(id); vis.present {
 				want[string(pkOf(id))] = vis.val
 			}
 		}
@@ -927,7 +903,7 @@ func (h *harness) step() (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			if want := h.model.Visible(id); !obs.equal(want) {
+			if want := h.model.Certain(id); !obs.equal(want) {
 				return false, failf("after soft crash, key %d observed %s, expected %s", id, obs, want)
 			}
 		}
@@ -937,9 +913,11 @@ func (h *harness) step() (bool, error) {
 
 // stepBatch applies a small mixed batch through ApplyBatchResults. The
 // per-mutation applied flags are predicted by running the mutations
-// against the model's exact visible chain; on a batch failure, mutations
-// the engine reports as applied stay visible in memory unacknowledged
-// (inMem maybes), while the rest may at most have reached the on-disk WAL.
+// against the model's certain chain; on a batch failure, a mutation the
+// engine still reports as applied was committed (its covering fsync
+// succeeded: a failed one zeroes every flag), and every other predicted
+// mutation is a maybe — it may sit whole in the log area, or in a
+// component a mid-batch flush installed.
 func (h *harness) stepBatch() (bool, error) {
 	n := 1 + h.wrng.intn(5)
 	muts := make([]lsmstore.Mutation, 0, n)
@@ -951,7 +929,7 @@ func (h *harness) stepBatch() (bool, error) {
 		if s, ok := running[id]; ok {
 			return s
 		}
-		return h.model.Visible(id)
+		return h.model.Certain(id)
 	}
 	for i := 0; i < n; i++ {
 		id := h.key()
@@ -974,52 +952,14 @@ func (h *harness) stepBatch() (bool, error) {
 		}
 	}
 	h.trace.Addf("op batch n=%d", n)
-	manifestsBefore := h.control.Manifests()
 	applied, err := h.db.ApplyBatchResults(muts)
 	if err != nil {
-		// Classify each predicted mutation of the failed batch.
-		//
-		// grouped: one covering fsync for the whole batch (it runs even
-		// after a mid-batch error and zeroes applied on failure). Without
-		// grouping — gc off, or the mutable-bitmap strategy, whose batch
-		// handle is nil — every mutation carries its own durable commit,
-		// so reported-applied means committed no matter what failed later.
-		//
-		// uncertain: the error carries commit-path evidence, so the
-		// covering fsync (or an individual commit) failed and the affected
-		// records were dropped from the memory image. Otherwise only the
-		// maintenance path failed and every logged record is durably
-		// committed; a predicted-but-unreported mutation is either the
-		// errored one (applied, its flag just never set) or one after it
-		// (never logged) — an in-memory maybe covers both fates.
-		//
-		// flushed: a mid-batch flush installed a manifest. A grouped
-		// batch's writes sit in the memory components before their
-		// covering fsync, so that flush may have made them
-		// component-durable even though the batch commit failed.
-		//
-		// On a sharded store a batch splits into independent per-shard
-		// sub-batches, and only the failing shard's applied entries are
-		// zeroed — so a reported-applied mutation of an errored batch is
-		// durably committed in every mode. The wal-only verdict is kept
-		// only when it is provable: single shard, commit-path failure, no
-		// mid-batch install; a multi-shard batch cannot attribute the
-		// commit failure to this mutation's shard.
-		uncertain := h.commitUncertain(err)
-		flushed := h.control.Manifests() > manifestsBefore
+		// Under Seq a mutation still reported applied is acknowledged
+		// outright; under Conc, as for single writes, it stays a maybe.
 		for i := range muts {
-			if !predicted[i] {
-				continue // never applied, never logged
-			}
-			isDel := muts[i].Op == lsmstore.OpDelete
-			ok := len(applied) > i && applied[i]
-			switch {
-			case ok:
-				h.markBatchMut(isDel, ids[i], vals[i], h.workers == 0, true)
-			case uncertain && !flushed && h.shards == 1:
-				h.markBatchMut(isDel, ids[i], vals[i], false, false)
-			default:
-				h.markBatchMut(isDel, ids[i], vals[i], false, true)
+			if predicted[i] {
+				ok := len(applied) > i && applied[i]
+				h.markFailed(muts[i].Op == lsmstore.OpDelete, ids[i], vals[i], ok && h.workers == 0)
 			}
 		}
 		return true, h.failWrite(err)

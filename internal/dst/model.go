@@ -22,39 +22,24 @@ func (v valState) equal(o valState) bool {
 	return v.present == o.present && (!v.present || v.val == o.val)
 }
 
-// maybeWrite is a write that was issued but not acknowledged: the engine
-// reported failure, so the store promised only "not guaranteed, retriable,
-// not certainly absent". inMem marks writes the live session still holds
-// in its memory components (failed batched commits stay applied); those
-// may surface after an in-process crash-recover (a flush may have made
-// them durable), while non-inMem failures may only ever resurface from the
-// on-disk WAL after a process kill.
-type maybeWrite struct {
-	s     valState
-	inMem bool
-}
-
 type keyEntry struct {
 	certain valState
-	maybes  []maybeWrite
+	// maybes are the writes that were issued but not acknowledged: the
+	// engine reported failure, so the store promised only "not guaranteed,
+	// retriable, not certainly absent".
+	maybes []valState
 }
 
 // Model is the in-memory mirror the simulated store is checked against: a
 // plain map of key states plus, per key, the set of unacknowledged writes
-// whose fate is still open. Three check regimes follow from the engine's
-// durability contract:
-//
-//   - In-session, the visible state of a key is exact: the last
-//     memory-applied write in order, i.e. the newest inMem maybe, else the
-//     acknowledged state.
-//   - After an in-process crash-recover (DB.Crash + DB.Recover), failed
-//     commits must have been dropped from the replayed log image, so a key
-//     may only show its acknowledged state or an inMem maybe that a flush
-//     made durable. A non-inMem maybe appearing here is exactly the
-//     historical keep-commit-on-failed-fsync bug.
-//   - After a process kill and reopen from a crash image, any maybe may
-//     have reached the disk WAL; the observed state resolves the
-//     indeterminacy and is folded back into the model.
+// whose fate is still open. Every crash — an in-process Crash/Recover or a
+// process kill and reopen — replays the log as the device holds it, so one
+// rule judges the state after any of them: a key shows its acknowledged
+// state or any unacknowledged write (Allows). A write fails only on a fault
+// that ends the session, so while a session runs every key is certain and
+// reads are exact. After the reopen that follows, the observed state
+// resolves the indeterminacy and is folded back into the model
+// (ResolveHard).
 //
 // The model is not goroutine-safe; the harness drives it from the single
 // workload goroutine.
@@ -99,43 +84,25 @@ func (m *Model) AckDelete(id uint64) {
 }
 
 // FailedWrite records an unacknowledged upsert/insert of val.
-func (m *Model) FailedWrite(id uint64, val []byte, inMem bool) {
-	e := m.entry(id)
-	if len(e.maybes) == 0 {
-		m.uncertain++
-	}
-	e.maybes = append(e.maybes, maybeWrite{s: valState{present: true, val: string(val)}, inMem: inMem})
+func (m *Model) FailedWrite(id uint64, val []byte) {
+	m.addMaybe(id, valState{present: true, val: string(val)})
 }
 
 // FailedDelete records an unacknowledged delete.
-func (m *Model) FailedDelete(id uint64, inMem bool) {
+func (m *Model) FailedDelete(id uint64) { m.addMaybe(id, valState{}) }
+
+func (m *Model) addMaybe(id uint64, s valState) {
 	e := m.entry(id)
 	if len(e.maybes) == 0 {
 		m.uncertain++
 	}
-	e.maybes = append(e.maybes, maybeWrite{inMem: inMem})
+	e.maybes = append(e.maybes, s)
 }
 
-// Visible returns the state the live session must show for id: the newest
-// memory-applied write.
-func (m *Model) Visible(id uint64) valState {
-	e := m.keys[id]
-	if e == nil {
-		return valState{}
-	}
-	for i := len(e.maybes) - 1; i >= 0; i-- {
-		if e.maybes[i].inMem {
-			return e.maybes[i].s
-		}
-	}
-	return e.certain
-}
-
-// CheckSoft reports whether observed is a legal state for id after an
-// in-process crash-recover: the acknowledged state, or an inMem maybe that
-// a flush may have made durable. The model is not mutated — the on-disk
-// WAL keeps its own indeterminacy until a kill resolves it.
-func (m *Model) CheckSoft(id uint64, observed valState) bool {
+// Allows reports whether observed is a legal state for id after a crash:
+// the acknowledged state or any unacknowledged write. The model is not
+// mutated.
+func (m *Model) Allows(id uint64, observed valState) bool {
 	e := m.keys[id]
 	if e == nil {
 		return !observed.present
@@ -143,30 +110,23 @@ func (m *Model) CheckSoft(id uint64, observed valState) bool {
 	if observed.equal(e.certain) {
 		return true
 	}
-	for _, mw := range e.maybes {
-		if mw.inMem && observed.equal(mw.s) {
+	for _, s := range e.maybes {
+		if observed.equal(s) {
 			return true
 		}
 	}
 	return false
 }
 
-// ResolveHard checks observed against the legal post-kill states of id —
-// the acknowledged state or any unacknowledged write — and, when legal,
-// folds it back in: the crash image is concrete now, so observed becomes
-// the key's certain state and the maybe set collapses.
+// ResolveHard checks observed against the legal post-crash states of id
+// (Allows) and, when legal, folds it back in: the reopened store is
+// concrete now, so observed becomes the key's certain state and the maybe
+// set collapses.
 func (m *Model) ResolveHard(id uint64, observed valState) bool {
-	e := m.entry(id)
-	legal := observed.equal(e.certain)
-	for _, mw := range e.maybes {
-		if legal {
-			break
-		}
-		legal = observed.equal(mw.s)
-	}
-	if !legal {
+	if !m.Allows(id, observed) {
 		return false
 	}
+	e := m.entry(id)
 	e.certain = observed
 	m.clearMaybes(e)
 	return true
@@ -187,7 +147,8 @@ func (m *Model) Keys() []uint64 {
 	return ids
 }
 
-// Certain returns the acknowledged state of id.
+// Certain returns the acknowledged state of id: while a session runs, the
+// state the store must show.
 func (m *Model) Certain(id uint64) valState {
 	e := m.keys[id]
 	if e == nil {
@@ -204,11 +165,7 @@ func (m *Model) Describe(id uint64) string {
 	}
 	s := "certain=" + e.certain.String()
 	for _, mw := range e.maybes {
-		tag := "wal-only"
-		if mw.inMem {
-			tag = "in-mem"
-		}
-		s += fmt.Sprintf(" maybe[%s]=%s", tag, mw.s)
+		s += fmt.Sprintf(" maybe=%s", mw)
 	}
 	return s
 }

@@ -664,13 +664,13 @@ func TestServerRejectsBadConfig(t *testing.T) {
 
 // TestServedBatchSurvivesBufferReuse is the copy-before-retain guard for the
 // log: a request is decoded in place over a pooled receive buffer, and the
-// write-ahead log's memory image keeps each write's key and record until a
-// flush covers it — Recover (and Close's log compaction) read them back.
-// Same-sized batches on one connection recycle that buffer over and over;
-// after a crash every acknowledged write must still replay byte-identical.
-// The server hands the engine the buffer's bytes as they are, so the
-// engine's copy (the log encodes the record into its segment) is the only
-// one; TestServedWritesSurviveBufferReuse covers the other write ops and
+// device's log area keeps each write's key and record until a flush covers
+// it — Recover reads them back from the device. Same-sized batches on one
+// connection recycle that buffer over and over; after a crash every
+// acknowledged write must still replay byte-identical. The server hands the
+// engine the buffer's bytes as they are, so the engine's copy (the log
+// encodes the record and the device copies the encoding) is the only one;
+// TestServedWritesSurviveBufferReuse covers the other write ops and
 // the memory components.
 func TestServedBatchSurvivesBufferReuse(t *testing.T) {
 	opts := storeOptions()

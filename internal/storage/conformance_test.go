@@ -16,12 +16,12 @@ import (
 )
 
 // The device conformance suite: one table of implementations, one table of
-// cases, every case run over every implementation. The page cases hold for
-// any storage.Device, and the store cases — the paper's cost model, which
-// Store charges over whatever device it wraps — hold over every one alike;
-// the durable cases hold for any storage.Durable, and the suite also pins
-// which implementations are durable — a wrapper is exactly when the device
-// beneath it is.
+// cases, every case run over every implementation. The page and log-area
+// cases hold for any storage.Device, and the store cases — the paper's cost
+// model, which Store charges over whatever device it wraps — hold over
+// every one alike; the manifest case holds for any storage.Durable, and the
+// suite also pins which implementations are durable — a wrapper is exactly
+// when the device beneath it is.
 
 func openDisk(*testing.T) storage.Device { return storage.NewDisk(storage.ScaledHDD(512)) }
 
@@ -69,6 +69,9 @@ var pageCases = []struct {
 	{"store-prefetch-never-seeks", testStorePrefetchNeverSeeks},
 	{"store-failure-charges-nothing", testStoreFailureChargesNothing},
 	{"store-lane-view-shares-head", testStoreLaneViewSharesHead},
+	{"wal-lifecycle", testWALLifecycle},
+	{"wal-torn-tail", testWALTornTail},
+	{"wal-append-reuse", testWALAppendReuse},
 }
 
 var durableCases = []struct {
@@ -76,8 +79,6 @@ var durableCases = []struct {
 	run  func(*testing.T, storage.Durable)
 }{
 	{"manifest", testManifestRoundTrip},
-	{"wal-lifecycle", testWALLifecycle},
-	{"wal-torn-tail", testWALTornTail},
 }
 
 func TestDeviceConformance(t *testing.T) {
@@ -456,7 +457,7 @@ func testManifestRoundTrip(t *testing.T, dev storage.Durable) {
 }
 
 // walImage renders LoadWAL's answer as "seq:bytes" pairs.
-func walImage(t *testing.T, dev storage.Durable) string {
+func walImage(t *testing.T, dev storage.Device) string {
 	t.Helper()
 	segs, err := dev.LoadWAL()
 	if err != nil {
@@ -472,7 +473,7 @@ func walImage(t *testing.T, dev storage.Durable) string {
 // testWALLifecycle walks a session's log: it starts with the first
 // RotateWAL, appends land in the live segment before any sync, a rotation
 // never lands on a segment that exists, and DropWAL removes a sealed one.
-func testWALLifecycle(t *testing.T, dev storage.Durable) {
+func testWALLifecycle(t *testing.T, dev storage.Device) {
 	if got := walImage(t, dev); got != "" {
 		t.Fatalf("LoadWAL on a fresh device = %q", got)
 	}
@@ -511,7 +512,7 @@ func testWALLifecycle(t *testing.T, dev storage.Durable) {
 // testWALTornTail: the device holds bytes, not records. A record cut short
 // by a crash comes back from LoadWAL as it was written, and the log's
 // decoder — not the device — ends the segment there.
-func testWALTornTail(t *testing.T, dev storage.Durable) {
+func testWALTornTail(t *testing.T, dev storage.Device) {
 	whole := wal.AppendRecord(nil, wal.Record{LSN: 1, Type: wal.RecUpsert, TS: 1, Key: []byte("kept"), Value: []byte("v")})
 	torn := wal.AppendRecord(nil, wal.Record{LSN: 2, Type: wal.RecUpsert, TS: 2, Key: []byte("lost"), Value: []byte("v")})
 	torn = torn[:len(torn)-3]
@@ -531,12 +532,8 @@ func testWALTornTail(t *testing.T, dev storage.Durable) {
 	if len(segs) != 1 || segs[0].Seq != 1 || !bytes.Equal(segs[0].Data, append(slices.Clone(whole), torn...)) {
 		t.Fatalf("LoadWAL = %v, want segment 1 with the torn tail intact", segs)
 	}
-	log, err := wal.OpenPersisted(nil, segs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var keys []string
-	if err := log.Replay(func(r wal.Record) error {
+	if err := wal.Open(nil, dev, nil).Replay(func(r wal.Record) error {
 		keys = append(keys, string(r.Key))
 		return nil
 	}); err != nil {
@@ -544,5 +541,29 @@ func testWALTornTail(t *testing.T, dev storage.Durable) {
 	}
 	if !slices.Equal(keys, []string{"kept"}) {
 		t.Fatalf("replayed %q, want only the whole record", keys)
+	}
+}
+
+// testWALAppendReuse appends every record from one buffer, overwritten with
+// garbage as soon as each call returns — the log encodes every record into
+// a recycled buffer. LoadWAL must return the bytes as they were appended.
+func testWALAppendReuse(t *testing.T, dev storage.Device) {
+	if err := dev.RotateWAL(1); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	var want []byte
+	for i := range 5 {
+		rec := buf[:copy(buf, fmt.Sprintf("record-%d;", i))]
+		want = append(want, rec...)
+		if err := dev.AppendWAL(rec); err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = 0xEE
+		}
+	}
+	if got := walImage(t, dev); got != "1:"+string(want) {
+		t.Fatalf("LoadWAL = %q, want %q", got, "1:"+string(want))
 	}
 }

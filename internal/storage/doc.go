@@ -1,9 +1,9 @@
 // Package storage provides the device layer underneath every LSM
-// component, behind two interfaces (device.go). Device is the page half:
-// page-granular, append-only component files created by flush/merge bulk
-// loads and read by point lookups and scans. Durable is a Device that also
-// keeps a manifest and a write-ahead-log area — the paper's durability
-// model (Section 2.2), one contract a device has whole or not at all.
+// component, behind two interfaces (device.go). Device is what every device
+// has: page-granular, append-only component files created by flush/merge
+// bulk loads and read by point lookups and scans, and the write-ahead log's
+// area, which recovery reads back. Durable is a Device that also keeps a
+// manifest — with the log, the paper's durability model (Section 2.2).
 // core.Open asserts Durable once and keeps the answer on the dataset; the
 // simulation's wrapper (dst.Control.Wrap) asserts it of the device it
 // wraps; nothing else asserts, and lsmstore.Open refuses a file-backend
@@ -14,9 +14,10 @@
 // Two implementations exist:
 //
 //   - The simulated device (*Disk, this package) stands in for the paper's
-//     7200 rpm SATA hard disks and SSD (Section 6.1). Pages live in memory.
-//     Nothing survives process exit — crash/recovery is simulated by
-//     discarding memory components.
+//     7200 rpm SATA hard disks and SSD (Section 6.1). Pages and log
+//     segments live in memory, and SyncWAL does nothing. Nothing survives
+//     process exit — a crash is simulated by discarding memory components,
+//     and recovery decodes the log segments the disk holds.
 //
 //   - The file-backed device (internal/storage/filedev), the one Durable,
 //     maps each component file to a real file under a data directory,
@@ -26,8 +27,8 @@
 //
 // # WAL durability and group commit
 //
-// A Durable's log area takes appends, loads what previous sessions left,
-// rotates to a fresh segment and drops a sealed one. An append never
+// A device's log area takes appends, loads what it holds, rotates to a
+// fresh segment and drops a sealed one. An append never
 // fsyncs: SyncWAL — an fsync of the log area decoupled from any append — is
 // the only commit fsync, and group commit builds on it: concurrent
 // committers append their log records unsynced, park

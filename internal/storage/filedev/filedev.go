@@ -1,6 +1,8 @@
-// Package filedev implements storage.Durable — component pages, manifest and
-// log area — on real files: the persistence backend behind lsmstore's
-// Options.Backend = FileBackend.
+// Package filedev implements storage.Durable — component pages, log area and
+// manifest — on real files: the persistence backend behind lsmstore's
+// Options.Backend = FileBackend. The log area is the write-ahead log's only
+// copy: recovery, in process or at a reopen, reads the segment files back
+// through LoadWAL.
 //
 // Layout, under one data directory per partition:
 //
@@ -729,7 +731,8 @@ func (d *Device) DropWAL(seq uint64) {
 }
 
 // LoadWAL returns every log segment in the directory, oldest first (nil
-// when there is none).
+// when there is none): those a previous session left and this session's,
+// read back from the files.
 func (d *Device) LoadWAL() ([]storage.WALSegment, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

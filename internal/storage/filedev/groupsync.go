@@ -21,34 +21,43 @@ import (
 // exactly the members of that group, and to no one else. (The device
 // additionally poisons its WAL area, so later commits fail with their own
 // poisoned-log error instead of inheriting this group's.)
+//
+// A group is recycled once its last member has read the result, so a
+// commit allocates nothing once the syncer has as many groups as are ever
+// alive at once (the open one, the one syncing, and any whose members
+// have not all woken yet).
 type GroupSyncer struct {
 	dev      walSyncer
 	counters *metrics.Counters
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	cur     *commitGroup // open group accepting joiners (nil when none)
-	syncing bool         // a leader's fsync is in flight
+	slot    *sync.Cond     // signalled when the in-flight fsync ends
+	cur     *commitGroup   // open group accepting joiners (nil when none)
+	syncing bool           // a leader's fsync is in flight
+	free    []*commitGroup // groups every member has left
 }
 
-// commitGroup is one commit group: everyone parked on done shares the
-// covering fsync's result.
+// commitGroup is one commit group: every member shares the covering
+// fsync's result. Its fields are guarded by the syncer's mu.
 type commitGroup struct {
-	done    chan struct{}
+	done    *sync.Cond // broadcast when the covering fsync returns
+	closed  bool       // the covering fsync returned; err is its result
 	err     error
 	commits int64 // committed writes this group's fsync covers
+	members int   // waiters that have not read the result yet
 }
 
-// walSyncer is the slice of storage.Durable a group syncer needs: the raw
-// file device, a wrapper that preserves its sync semantics (the
-// deterministic-simulation fault injector), or a test's counting stub.
+// walSyncer is the slice of storage.Device a group syncer needs: the raw
+// file device, the simulated disk, a wrapper that preserves its sync
+// semantics (the deterministic-simulation fault injector), or a test's
+// counting stub.
 type walSyncer interface{ SyncWAL() error }
 
 // NewGroupSyncer builds a group syncer over dev's WAL area. counters, when
 // non-nil, accumulate GroupCommitBatches and GroupCommitWaiters.
 func NewGroupSyncer(dev walSyncer, counters *metrics.Counters) *GroupSyncer {
 	g := &GroupSyncer{dev: dev, counters: counters}
-	g.cond = sync.NewCond(&g.mu)
+	g.slot = sync.NewCond(&g.mu)
 	return g
 }
 
@@ -60,20 +69,23 @@ func NewGroupSyncer(dev walSyncer, counters *metrics.Counters) *GroupSyncer {
 // deferred batch parks once for its whole batch).
 func (g *GroupSyncer) Wait(commits int64) error {
 	g.mu.Lock()
-	if g.cur != nil {
+	defer g.mu.Unlock()
+	if grp := g.cur; grp != nil {
 		// Follower: park on the open group; its leader fsyncs for us.
-		grp := g.cur
 		grp.commits += commits
-		g.mu.Unlock()
-		<-grp.done
-		return grp.err
+		grp.members++
+		for !grp.closed {
+			grp.done.Wait()
+		}
+		return g.leave(grp)
 	}
 	// Leader: open a group, let followers accumulate while any in-flight
 	// fsync finishes, then close the group and fsync for everyone in it.
-	grp := &commitGroup{done: make(chan struct{}), commits: commits}
+	grp := g.open()
+	grp.commits, grp.members = commits, 1
 	g.cur = grp
 	for g.syncing {
-		g.cond.Wait()
+		g.slot.Wait()
 	}
 	g.cur = nil // joiners from here on open the next group
 	g.syncing = true
@@ -83,15 +95,35 @@ func (g *GroupSyncer) Wait(commits int64) error {
 
 	g.mu.Lock()
 	g.syncing = false
-	g.cond.Signal() // wake the next group's leader
+	g.slot.Signal() // wake the next group's leader
 	if g.counters != nil && err == nil {
 		// Only groups that actually committed count — a failed covering
 		// fsync must not inflate the mean-group-size the A/B reports use.
 		g.counters.GroupCommitBatches.Add(1)
 		g.counters.GroupCommitWaiters.Add(grp.commits)
 	}
-	g.mu.Unlock()
-	grp.err = err
-	close(grp.done)
+	grp.closed, grp.err = true, err
+	grp.done.Broadcast()
+	return g.leave(grp)
+}
+
+// open returns an empty group, recycled when one is free.
+func (g *GroupSyncer) open() *commitGroup {
+	if n := len(g.free); n > 0 {
+		grp := g.free[n-1]
+		g.free = g.free[:n-1]
+		return grp
+	}
+	return &commitGroup{done: sync.NewCond(&g.mu)}
+}
+
+// leave reads the group's result for one member; the last one to leave
+// recycles the group.
+func (g *GroupSyncer) leave(grp *commitGroup) error {
+	err := grp.err
+	if grp.members--; grp.members == 0 {
+		*grp = commitGroup{done: grp.done}
+		g.free = append(g.free, grp)
+	}
 	return err
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -73,9 +74,10 @@ type file struct {
 	pages [][]byte
 }
 
-// Disk is a simulated page device holding append-only files in memory. It
-// only stores pages: Store charges every access against the device Profile.
-// All methods are safe for concurrent use.
+// Disk is a simulated device holding append-only files and the log area in
+// memory. It only stores bytes: Store charges every page access against the
+// device Profile, and the log charges its own flat append cost. All methods
+// are safe for concurrent use.
 type Disk struct {
 	profile Profile
 
@@ -84,6 +86,16 @@ type Disk struct {
 	nextID FileID
 
 	bytesWritten int64
+
+	walMu   sync.Mutex
+	wal     []walSegment // ascending numbers
+	walLive uint64       // the live segment; 0 before the first RotateWAL
+}
+
+// walSegment is one segment of the simulated log area.
+type walSegment struct {
+	seq  uint64
+	data []byte
 }
 
 // NewDisk creates an empty simulated disk with the given device profile.
@@ -177,6 +189,59 @@ func (d *Disk) List() []FileID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// AppendWAL copies data onto the live log segment (see Device).
+func (d *Disk) AppendWAL(data []byte) error {
+	d.walMu.Lock()
+	defer d.walMu.Unlock()
+	n := len(d.wal)
+	if n == 0 || d.wal[n-1].seq != d.walLive {
+		return errors.New("storage: no live log segment (RotateWAL starts one)")
+	}
+	d.wal[n-1].data = append(d.wal[n-1].data, data...)
+	return nil
+}
+
+// SyncWAL is a no-op: the simulated log area lives as long as the process.
+func (d *Disk) SyncWAL() error { return nil }
+
+// RotateWAL starts segment seq, which must be numbered above every segment
+// the disk holds.
+func (d *Disk) RotateWAL(seq uint64) error {
+	d.walMu.Lock()
+	defer d.walMu.Unlock()
+	size := 0
+	if n := len(d.wal); n > 0 {
+		if d.wal[n-1].seq >= seq {
+			return fmt.Errorf("storage: log segment %d follows segment %d", seq, d.wal[n-1].seq)
+		}
+		size = len(d.wal[n-1].data)
+	}
+	// Sized like its predecessor: in steady state a segment never regrows.
+	d.wal = append(d.wal, walSegment{seq: seq, data: make([]byte, 0, size)})
+	d.walLive = seq
+	return nil
+}
+
+// DropWAL removes the sealed segment seq.
+func (d *Disk) DropWAL(seq uint64) {
+	d.walMu.Lock()
+	defer d.walMu.Unlock()
+	d.wal = slices.DeleteFunc(d.wal, func(s walSegment) bool { return s.seq == seq })
+}
+
+// LoadWAL returns every segment, oldest first. The data slices alias the
+// disk's segments up to their current length: later appends only write
+// past it.
+func (d *Disk) LoadWAL() ([]WALSegment, error) {
+	d.walMu.Lock()
+	defer d.walMu.Unlock()
+	var segs []WALSegment
+	for _, s := range d.wal {
+		segs = append(segs, WALSegment{Seq: s.seq, Data: s.data[:len(s.data):len(s.data)]})
+	}
+	return segs, nil
 }
 
 // Close is a no-op: the simulated disk is always "durable" for the lifetime

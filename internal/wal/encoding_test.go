@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -72,54 +73,59 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 	}
 }
 
-// TestLogPersistedRoundTrip runs the served decode path: the byte stream a
-// sink received reopens, through OpenPersisted, as a log that replays the
-// same records and continues the LSN sequence.
+// TestLogPersistedRoundTrip runs the reopen path: a second log opened over
+// the device the first one wrote replays the same records, adopts the
+// segment with its size and record count, and continues the LSN sequence
+// in a fresh segment.
 func TestLogPersistedRoundTrip(t *testing.T) {
-	sink := &recordingSink{}
-	l := openOn(t, sink, nil)
+	dev := newTestDevice()
+	l := openOn(t, nil, dev, nil)
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("a"), Value: []byte("1"), TS: 10})
 	mustAppend(t, l, Record{Type: RecDelete, Key: []byte("b"), TS: 11, UpdateBit: true})
 
-	l2, err := OpenPersisted(nil, oneSegment(sink.image), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if consumed := l2.Bytes(); consumed != int64(len(sink.image)) {
-		t.Fatalf("reopen consumed %d of %d image bytes", consumed, len(sink.image))
-	}
-	if l2.Len() != l.Len() || l2.MaxLSN() != l.MaxLSN() {
-		t.Fatalf("len=%d/%d maxLSN=%d/%d", l2.Len(), l.Len(), l2.MaxLSN(), l.MaxLSN())
+	l2 := openOn(t, nil, dev, nil)
+	if l2.Bytes() != l.Bytes() || l2.Len() != l.Len() || l2.MaxLSN() != l.MaxLSN() {
+		t.Fatalf("bytes=%d/%d len=%d/%d maxLSN=%d/%d", l2.Bytes(), l.Bytes(), l2.Len(), l.Len(), l2.MaxLSN(), l.MaxLSN())
 	}
 	if a, b := replayedKeys(t, l), replayedKeys(t, l2); a != "a,b" || b != a {
 		t.Fatalf("replay diverges: %q live, %q reopened, want a,b", a, b)
 	}
-	// Appends continue with fresh LSNs.
-	if lsn := mustAppend(t, l2, Record{Type: RecInsert}); lsn != l.MaxLSN()+1 {
+	// Appends continue with fresh LSNs, in segment 2.
+	if lsn := mustAppend(t, l2, Record{Type: RecInsert, Key: []byte("c")}); lsn != l.MaxLSN()+1 {
 		t.Fatalf("post-reopen LSN = %d", lsn)
+	}
+	segs, err := dev.LoadWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 2 || segs[0].Seq != 1 || segs[1].Seq != 2 || int64(len(segs[0].Data)) != l.Bytes() {
+		t.Fatalf("device holds %v, want segment 1 as the first log left it and a fresh segment 2", segs)
 	}
 }
 
-// TestOpenPersistedTornTail cuts the image at every byte: reopen keeps the
-// records before the torn one and reports exactly their bytes as decoded.
-func TestOpenPersistedTornTail(t *testing.T) {
-	sink := &recordingSink{}
-	l := openOn(t, sink, nil)
-	mustAppend(t, l, Record{Type: RecInsert, Key: []byte("x")})
-	first := len(sink.image)
-	mustAppend(t, l, Record{Type: RecDelete, Key: []byte("y"), TS: 7})
-	for cut := 0; cut < len(sink.image); cut++ {
-		kept, err := OpenPersisted(nil, oneSegment(sink.image[:cut]), nil, nil)
-		if err != nil {
+// TestReplayTornTail cuts a segment at every byte: replay decodes the
+// records before the torn one, and the reopened log counts exactly them
+// while its size is what the device holds.
+func TestReplayTornTail(t *testing.T) {
+	first := AppendRecord(nil, Record{LSN: 1, Type: RecInsert, Key: []byte("x")})
+	image := AppendRecord(slices.Clone(first), Record{LSN: 2, Type: RecDelete, Key: []byte("y"), TS: 7})
+	for cut := 0; cut < len(image); cut++ {
+		dev := newTestDevice()
+		if err := dev.RotateWAL(1); err != nil {
 			t.Fatal(err)
 		}
-		wantLen, wantConsumed := 0, int64(0)
-		if cut >= first {
-			wantLen, wantConsumed = 1, int64(first)
+		if err := dev.AppendWAL(image[:cut]); err != nil {
+			t.Fatal(err)
 		}
-		if consumed := kept.Bytes(); kept.Len() != wantLen || consumed != wantConsumed {
-			t.Fatalf("cut at %d: %d records, %d bytes decoded; want %d, %d",
-				cut, kept.Len(), consumed, wantLen, wantConsumed)
+		kept := Open(nil, dev, &scriptedGroup{})
+		keys := replayedKeys(t, kept)
+		wantKeys, wantLen := "", 0
+		if cut >= len(first) {
+			wantKeys, wantLen = "x", 1
+		}
+		if keys != wantKeys || kept.Len() != wantLen || kept.Bytes() != int64(cut) || kept.MaxLSN() != int64(wantLen) {
+			t.Fatalf("cut at %d: replayed %q, %d records, %d bytes, max LSN %d; want %q, %d, %d, %d",
+				cut, keys, kept.Len(), kept.Bytes(), kept.MaxLSN(), wantKeys, wantLen, cut, wantLen)
 		}
 	}
 }

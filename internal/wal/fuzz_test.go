@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // FuzzDecodeRecord feeds arbitrary bytes to the record decoder: it must
@@ -88,18 +85,28 @@ func FuzzRecordRoundTrip(f *testing.F) {
 }
 
 // TestCutDropsCoveredSegments pins the one way the log shrinks: Rotate
-// seals the live segment, DropBefore discards every sealed segment below a
-// cut — memory image and sink file together, never the live one — and a
-// reopen over what the device still holds replays exactly the survivors,
-// keeps a recovered torn segment readable up to its tear, and appends to a
-// fresh segment only.
+// seals the live segment, DropBefore has the device discard every sealed
+// segment below a cut — never the live one — and a reopen over what the
+// device still holds replays exactly the survivors, keeps a recovered torn
+// segment readable up to its tear, and appends to a fresh segment only.
 func TestCutDropsCoveredSegments(t *testing.T) {
-	sink := &recordingSink{}
-	l := openOn(t, sink, nil)
+	dev := newTestDevice()
+	l := openOn(t, nil, dev, nil)
 	app := func(lg *Log, ts int64, key string) {
 		mustAppend(t, lg, Record{Type: RecUpsert, Key: []byte(key), TS: ts})
 	}
 	replayed := func(lg *Log) string { return replayedKeys(t, lg) }
+	held := func() string {
+		segs, err := dev.LoadWAL()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs []uint64
+		for _, s := range segs {
+			seqs = append(seqs, s.Seq)
+		}
+		return fmt.Sprint(seqs)
+	}
 	app(l, 5, "a") // segment 1
 	cut2, err := l.Rotate()
 	if err != nil || cut2 != 2 {
@@ -124,21 +131,29 @@ func TestCutDropsCoveredSegments(t *testing.T) {
 	if got := replayed(l); got != "c" {
 		t.Fatalf("after the second cut the log replays %q, want c", got)
 	}
-	if fmt.Sprint(sink.dropped) != "[1 2]" || len(sink.segs) != 1 {
-		t.Fatalf("sink dropped %v and holds %d segments, want [1 2] and the live one", sink.dropped, len(sink.segs))
+	if got := held(); got != "[3]" {
+		t.Fatalf("device holds segments %s, want only the live one, [3]", got)
 	}
 
 	// Reopen over the surviving segment with a torn tail behind it.
-	torn := append(slices.Clone(sink.segs[3]), 0, 0, 1, 200, 77)
-	re, err := OpenPersisted(nil, []storage.WALSegment{{Seq: 3, Data: torn}}, sink, &scriptedGroup{})
+	torn := []byte{0, 0, 1, 200, 77}
+	if err := dev.Disk.AppendWAL(torn); err != nil {
+		t.Fatal(err)
+	}
+	before, err := dev.LoadWAL()
 	if err != nil {
 		t.Fatal(err)
 	}
+	re := openOn(t, nil, dev, nil)
 	app(re, 35, "d")
 	if got := replayed(re); got != "c,d" {
 		t.Fatalf("the reopened log replays %q, want c,d", got)
 	}
-	if !bytes.Equal(sink.segs[3], torn[:len(torn)-5]) || len(sink.segs[4]) == 0 {
+	after, err := dev.LoadWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held() != "[3 4]" || !bytes.Equal(after[0].Data, before[0].Data) || len(after[1].Data) == 0 {
 		t.Fatalf("reopen appended to the recovered segment instead of a fresh one")
 	}
 	if lsn := re.MaxLSN(); lsn != l.MaxLSN()+1 {

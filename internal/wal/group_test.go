@@ -5,60 +5,42 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
-// recordingSink captures every append and the byte stream a device's WAL
-// area would hold: image is everything ever appended, segs what each
-// segment still on the "device" holds.
-type recordingSink struct {
+// testDevice is a simulated disk whose log appends are counted and can be
+// made to fail.
+type testDevice struct {
+	*storage.Disk
 	appends int
-	image   []byte
-	live    uint64 // 0 until the first RotateWAL: appends then land in segment 1
-	segs    map[uint64][]byte
-	dropped []uint64
 	fail    error // when set, every append fails with it and keeps nothing
 }
 
-func (s *recordingSink) AppendWAL(encoded []byte) error {
-	if s.fail != nil {
-		return s.fail
-	}
-	s.appends++
-	s.image = append(s.image, encoded...)
-	if s.segs == nil {
-		s.segs = map[uint64][]byte{}
-	}
-	seq := max(s.live, 1)
-	s.segs[seq] = append(s.segs[seq], encoded...)
-	return nil
+func newTestDevice() *testDevice {
+	return &testDevice{Disk: storage.NewDisk(storage.ScaledHDD(512))}
 }
 
-func (s *recordingSink) RotateWAL(seq uint64) error {
-	if s.segs == nil {
-		s.segs = map[uint64][]byte{}
+func (d *testDevice) AppendWAL(encoded []byte) error {
+	if d.fail != nil {
+		return d.fail
 	}
-	if _, exists := s.segs[seq]; exists {
-		return errors.New("recordingSink: rotation onto an existing segment")
-	}
-	s.live, s.segs[seq] = seq, nil
-	return nil
+	d.appends++
+	return d.Disk.AppendWAL(encoded)
 }
 
-func (s *recordingSink) DropWAL(seq uint64) {
-	delete(s.segs, seq)
-	s.dropped = append(s.dropped, seq)
-}
-
-// openOn opens a fresh log on sink that commits through gc (a fresh
-// scriptedGroup when nil).
-func openOn(t *testing.T, sink *recordingSink, gc GroupCommitter) *Log {
+// openOn opens the log over dev the way a dataset does — replay, then
+// rotate — committing through gc (a fresh scriptedGroup when nil).
+func openOn(t *testing.T, env *metrics.Env, dev storage.Device, gc GroupCommitter) *Log {
 	t.Helper()
 	if gc == nil {
 		gc = &scriptedGroup{}
 	}
-	l, err := OpenPersisted(nil, nil, sink, gc)
-	if err != nil {
+	l := Open(env, dev, gc)
+	if err := l.Replay(func(Record) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	return l
@@ -75,7 +57,8 @@ func mustAppend(t *testing.T, lg *Log, r Record) int64 {
 	return lsn
 }
 
-// replayedKeys returns the keys lg replays, in order, comma-separated.
+// replayedKeys returns the keys lg replays from its device, in order,
+// comma-separated.
 func replayedKeys(t *testing.T, lg *Log) string {
 	t.Helper()
 	var keys []string
@@ -86,11 +69,6 @@ func replayedKeys(t *testing.T, lg *Log) string {
 		t.Fatal(err)
 	}
 	return strings.Join(keys, ",")
-}
-
-// oneSegment wraps a byte stream as the only segment a device holds.
-func oneSegment(image []byte) []storage.WALSegment {
-	return []storage.WALSegment{{Seq: 1, Data: image}}
 }
 
 // scriptedGroup is a GroupCommitter whose Wait results are scripted.
@@ -111,15 +89,15 @@ func (g *scriptedGroup) Wait(commits int64) error {
 }
 
 // TestCommitDurableGroupModeDefersSync: durability comes from the group
-// Wait, exactly once per write, and a write is exactly one sink append.
+// Wait, exactly once per write, and a write is exactly one device append.
 func TestCommitDurableGroupModeDefersSync(t *testing.T) {
-	sink := &recordingSink{}
+	dev := newTestDevice()
 	gc := &scriptedGroup{}
-	l := openOn(t, sink, gc)
+	l := openOn(t, nil, dev, gc)
 
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1})
-	if sink.appends != 1 {
-		t.Fatalf("%d appends, want 1", sink.appends)
+	if dev.appends != 1 {
+		t.Fatalf("%d appends, want 1", dev.appends)
 	}
 	if gc.waits != 1 {
 		t.Fatalf("%d group waits, want 1", gc.waits)
@@ -129,13 +107,13 @@ func TestCommitDurableGroupModeDefersSync(t *testing.T) {
 	}
 }
 
-// TestCommitDurableGroupFailure: a failed covering fsync fails THIS write —
-// its record leaves the memory image (replay must not resurrect the write)
-// and the log wedges with the sticky error.
+// TestCommitDurableGroupFailure: a failed covering fsync fails THIS write
+// and wedges the log with the sticky error. The record is whole in the
+// log area, so recovery may replay it: not guaranteed, never "certainly
+// absent".
 func TestCommitDurableGroupFailure(t *testing.T) {
 	boom := errors.New("covering fsync failed")
-	sink := &recordingSink{}
-	l := openOn(t, sink, &scriptedGroup{errs: []error{boom}})
+	l := openOn(t, nil, newTestDevice(), &scriptedGroup{errs: []error{boom}})
 
 	if _, err := l.Append(Record{Type: RecUpsert, Key: []byte("k"), Value: []byte("v"), TS: 1}, nil); !errors.Is(err, boom) {
 		t.Fatalf("Append error = %v, want the fsync failure", err)
@@ -143,27 +121,23 @@ func TestCommitDurableGroupFailure(t *testing.T) {
 	if err := l.DeviceErr(); !errors.Is(err, boom) {
 		t.Fatalf("DeviceErr = %v, want the sticky fsync failure", err)
 	}
-	if got := replayedKeys(t, l); got != "" {
-		t.Fatalf("replayed %q: a write whose covering fsync failed", got)
+	if got := replayedKeys(t, l); got != "k" {
+		t.Fatalf("replayed %q, want the record the device holds", got)
 	}
 }
 
-// TestWaitBatchFailureDropsEveryDeferredCommit: a deferred batch whose
-// covering fsync fails loses ALL its records — none of its writes may
-// survive an in-session recovery — and spares the ones acknowledged before.
-func TestWaitBatchFailureDropsEveryDeferredCommit(t *testing.T) {
+// TestWaitBatchFailureWedgesTheLog: a deferred batch whose covering fsync
+// fails fails as a whole and wedges the log; its records, like the write
+// acknowledged before it, are whole in the log area for recovery to read.
+func TestWaitBatchFailureWedgesTheLog(t *testing.T) {
 	boom := errors.New("covering fsync failed")
-	sink := &recordingSink{}
 	gc := &scriptedGroup{errs: []error{nil, boom}}
-	l := openOn(t, sink, gc)
+	l := openOn(t, nil, newTestDevice(), gc)
 
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("acked"), TS: 1})
 	b := l.BeginBatch(new(Batch))
-	if b == nil {
-		t.Fatal("BeginBatch returned nil on a log with a device")
-	}
-	for i := int64(1); i <= 3; i++ {
-		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte{byte(i)}, TS: 1 + i}, b); err != nil {
+	for _, k := range []string{"x", "y", "z"} {
+		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte(k), TS: 2}, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,16 +147,19 @@ func TestWaitBatchFailureDropsEveryDeferredCommit(t *testing.T) {
 	if gc.commits != 1+3 {
 		t.Fatalf("group saw %d commits, want 4 (the single write, then one batch waiter carrying 3)", gc.commits)
 	}
-	if got := replayedKeys(t, l); got != "acked" {
-		t.Fatalf("replayed %q, want only the write acknowledged before the failed batch", got)
+	if err := l.DeviceErr(); !errors.Is(err, boom) {
+		t.Fatalf("DeviceErr = %v, want the sticky fsync failure", err)
+	}
+	if got := replayedKeys(t, l); got != "acked,x,y,z" {
+		t.Fatalf("replayed %q, want every record the device holds", got)
 	}
 }
 
 // TestWaitBatchSuccessIsOneWait: a 3-write batch parks on the group once.
 func TestWaitBatchSuccessIsOneWait(t *testing.T) {
-	sink := &recordingSink{}
+	dev := newTestDevice()
 	gc := &scriptedGroup{}
-	l := openOn(t, sink, gc)
+	l := openOn(t, nil, dev, gc)
 
 	b := l.BeginBatch(new(Batch))
 	for i := int64(1); i <= 3; i++ {
@@ -199,22 +176,24 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	if gc.waits != 1 || gc.commits != 3 {
 		t.Fatalf("waits=%d commits=%d, want one wait carrying 3 commits", gc.waits, gc.commits)
 	}
-	if sink.appends != 3 {
-		t.Fatalf("%d appends, want 3", sink.appends)
+	if dev.appends != 3 {
+		t.Fatalf("%d appends, want 3", dev.appends)
 	}
 	if got := replayedKeys(t, l); got != "b,c,d" {
 		t.Fatalf("replayed %q, want the three batched writes", got)
 	}
 }
 
-// TestBeginBatchNilWithoutGroupMode: a log without a device (or a nil log)
-// has no fsync to wait for, so BeginBatch returns nil.
+// TestBeginBatchNilWithoutGroupMode: a nil log (a dataset without a WAL)
+// has no commit group, so BeginBatch returns nil; a log over a device
+// returns the caller's handle.
 func TestBeginBatchNilWithoutGroupMode(t *testing.T) {
-	if b := New(nil).BeginBatch(new(Batch)); b != nil {
-		t.Fatal("BeginBatch on a memory-only log returned a batch")
-	}
 	var l *Log
 	if b := l.BeginBatch(new(Batch)); b != nil {
 		t.Fatal("BeginBatch on a nil log returned a batch")
+	}
+	b := new(Batch)
+	if got := openOn(t, nil, newTestDevice(), nil).BeginBatch(b); got != b {
+		t.Fatal("BeginBatch on an opened log did not return the caller's handle")
 	}
 }

@@ -9,17 +9,25 @@
 // bitmap bit in a disk component. Only this package knows the rule and the
 // record encoding.
 //
+// # The log is its device's log area
+//
+// The log holds no copy of its records: Append encodes a record into a
+// buffer the caller recycles and hands it to the device's log area
+// (storage.Device), and Replay decodes what the device's LoadWAL returns.
+// Every recovery — an in-process Crash/Recover on the simulated disk or on
+// files, and a reopen after a kill — therefore reads the same bytes the
+// same way. The log itself keeps only its LSN counter and the number,
+// record count and size of each segment it retains.
+//
 // # Durability
 //
-// On a durable device (Device: the log-writing methods of storage.Durable,
-// under their own names) Append streams the record to the device's log area
-// unsynced, and its durability comes from the log's GroupCommitter, passed
-// at construction:
+// Append streams the record to the device unsynced, and its durability
+// comes from the log's GroupCommitter, passed at Open:
 //
 //   - Single write: the writer parks on the open commit group; one member
 //     issues a single fsync covering everyone parked and wakes the group. A
 //     lone writer's group is itself, and its fsync is immediate.
-//   - Batched: a record registered in a Batch is not waited for on its own;
+//   - Batched: a record counted in a Batch is not waited for on its own;
 //     WaitBatch parks once for all of them — one fsync per engine batch,
 //     not per mutation.
 //
@@ -29,34 +37,31 @@
 // everyone after. What each failure leaves behind:
 //
 //   - A failed append: the device rolled the bytes back (or poisoned its log
-//     area), the record is dropped from the memory image, the log is wedged.
-//   - A failed covering fsync: the records it was meant to cover are dropped
-//     from the memory image and the log is wedged, so an in-session
-//     Crash/Recover never replays them. Their bytes may still sit in the
-//     segment file.
+//     area) and the log is wedged. The record is not in the log area.
+//   - A failed covering fsync: the log is wedged. The records it was meant
+//     to cover are whole in the log area and may be replayed after any
+//     crash; a kill may also lose them with the unsynced tail.
 //   - A torn tail (a crash mid-append): the segment ends at its first
-//     truncated or malformed record when it is reopened.
+//     truncated or malformed record.
 //
 // The contract is "acknowledged ⇒ fsynced ⇒ replayed after any crash", not
-// its converse: a record that reached the file whole is replayed by the next
-// process even if the write was never acknowledged — the crash came before
-// the covering fsync returned, or that fsync failed. An unacknowledged write
+// its converse: a record that reached the log area whole may be replayed
+// even if the write was never acknowledged — the crash came before the
+// covering fsync returned, or that fsync failed. An unacknowledged write
 // is "not guaranteed", never "certainly absent".
 //
 // # Lifetime
 //
-// The log is a sequence of segments. Rotate seals the live one and starts
-// the next; the dataset rotates inside the writer drain of every memtable
-// freeze, and once the batch frozen there is installed and its manifest is
-// durable, DropBefore discards every older segment wholesale — the memory
-// image and, through the device, the file. Nothing is ever rewritten: a
-// reopened log keeps the segments it recovered read-only and appends to a
-// fresh one. What the log retains per record is its encoding, the very
-// bytes the device received; Replay decodes them.
+// The log is a sequence of segments. Replay, run before the session's
+// first Rotate, adopts the segments the device holds; Rotate seals the
+// live one and starts the next. The dataset rotates at open and inside the
+// writer drain of every memtable freeze, and once the batch frozen there is
+// installed and its manifest is durable, DropBefore has the device discard
+// every older segment wholesale. Nothing is ever rewritten: a reopened log
+// keeps the segments it recovered read-only and appends to a fresh one.
 package wal
 
 import (
-	"encoding/binary"
 	"slices"
 	"sync"
 
@@ -87,38 +92,11 @@ type Record struct {
 	Value     []byte
 }
 
-// Device is what the log writes to: the three log-area methods of
-// storage.Durable it consumes, under the device's own names and contracts,
-// so a durable device — raw or wrapped — is the log's device as it stands.
-// AppendWAL receives the binary encoding of every appended record, a slice
-// aliasing the log's own memory image.
-type Device interface {
-	AppendWAL(data []byte) error
-	RotateWAL(seq uint64) error
-	DropWAL(seq uint64)
-}
-
-// segment is the memory image of one log segment: the encodings of its
-// records back to back, exactly the bytes the device was given.
+// segment is what the log knows of one segment the device holds.
 type segment struct {
-	seq uint64
-	buf []byte
-	n   int // records in buf
-}
-
-// drop removes the record with the given LSN. The survivors move to a fresh
-// buffer: a device append still in flight may be reading the old one.
-func (s *segment) drop(lsn int64) bool {
-	for off := 0; off < len(s.buf); {
-		end := off + 4 + int(binary.BigEndian.Uint32(s.buf[off:]))
-		if got, _ := binary.Varint(s.buf[off+4:]); got == lsn {
-			s.buf = append(slices.Clone(s.buf[:off]), s.buf[end:]...)
-			s.n--
-			return true
-		}
-		off = end
-	}
-	return false
+	seq  uint64
+	n    int   // whole records
+	size int64 // bytes
 }
 
 // GroupCommitter coalesces commit durability across concurrent writers.
@@ -135,18 +113,18 @@ type GroupCommitter interface {
 	Wait(commits int64) error
 }
 
-// Log is an append-only logical log. The paper's configuration dedicates a
-// separate device to logging, so appends are charged at a flat group-commit
-// cost rather than against the LSM data disk. A log opened on a Device
-// additionally streams every record to it in its binary encoding and commits
-// it through its group (real write-ahead durability).
+// Log is an append-only logical log over a device's log area. The paper's
+// configuration dedicates a separate device to logging, so appends are
+// charged at a flat group-commit cost rather than against the LSM data
+// disk; the device receives every record in its binary encoding and the
+// group commits it.
 type Log struct {
 	env   *metrics.Env
-	dev   Device
-	group GroupCommitter // commits every append to dev; nil exactly when dev is
+	dev   storage.Device
+	group GroupCommitter // covers dev's log area
 
 	mu      sync.Mutex
-	segs    []segment // oldest to newest; appends go to the last
+	segs    []segment // oldest to newest; after Rotate the last is live
 	nextLSN int64
 	// devErr is the first device failure; once set the log is considered
 	// wedged for durability purposes and the next logged write surfaces it.
@@ -154,74 +132,47 @@ type Log struct {
 	// yield is the deterministic-simulation scheduling hook, invoked at the
 	// instrumented points in the group-commit path (nil = off).
 	yield func(point string)
-	// keepCommitOnFailedFsync reintroduces a historical bug for simulation
-	// validation; see SetUnsafeKeepCommitOnFailedFsync.
-	keepCommitOnFailedFsync bool
+	// newestOnly re-arms a recovery bug for simulation validation; see
+	// SetUnsafeReplayNewestOnly.
+	newestOnly bool
 }
 
-// New creates an empty log that lives in memory only.
-func New(env *metrics.Env) *Log {
-	return &Log{env: env, nextLSN: 1, segs: []segment{{seq: 1}}}
-}
+// encodePool recycles the encode buffers of single writes; a batch brings
+// its own (Batch).
+var encodePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
-// OpenPersisted rebuilds a log from the segments a previous session left on
-// a device, oldest first. Each segment ends at its first corrupt or
-// truncated record (the torn tail of a crash mid-append); the segments stay
-// as they are — nothing is appended to or cut out of a recovered segment —
-// and the session's appends go to a fresh one, started on dev here.
-// LSNs keep ascending across sessions. Every append is committed through
-// group, which must cover dev's log area; with a nil dev (and group) the log
-// lives in memory only.
-func OpenPersisted(env *metrics.Env, segs []storage.WALSegment, dev Device, group GroupCommitter) (*Log, error) {
-	l := &Log{env: env, dev: dev, group: group, nextLSN: 1}
-	for _, s := range segs {
-		seg := segment{seq: s.Seq}
-		data := s.Data
-		for len(data) > 0 {
-			r, rest, err := DecodeRecord(data)
-			if err != nil {
-				break
-			}
-			seg.n++
-			l.nextLSN = max(l.nextLSN, r.LSN+1)
-			data = rest
-		}
-		seg.buf = s.Data[:len(s.Data)-len(data)]
-		l.segs = append(l.segs, seg)
-	}
-	_, err := l.Rotate()
-	return l, err
+// Open returns the log over dev's log area, committing every append through
+// group, which must cover that area. It knows no segment yet: Replay adopts
+// the ones the device holds, and Rotate starts the session's live one.
+func Open(env *metrics.Env, dev storage.Device, group GroupCommitter) *Log {
+	return &Log{env: env, dev: dev, group: group, nextLSN: 1}
 }
 
 // Rotate seals the live segment and starts the next, returning the new
 // segment's number: the cut point to hand DropBefore once everything logged
 // before this call is durable elsewhere. No append may be in flight (the
-// dataset rotates inside a writer drain). A failed rotation wedges the log.
+// dataset rotates at open and inside a writer drain). A failed rotation
+// wedges the log.
 //
-//lsm:lockio-ok the rotation runs inside the flush pipeline's writer drain: no append is in flight and none can start until the freeze returns, so nobody waits on mu behind the segment fsync; mu keeps the device's live segment and segs moving together
+//lsm:lockio-ok the rotation runs at open or inside the flush pipeline's writer drain: no append is in flight and none can start until the freeze returns, so nobody waits on mu behind the segment fsync; mu keeps the device's live segment and segs moving together
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seq, size := uint64(1), 0
+	seq := uint64(1)
 	if n := len(l.segs); n > 0 {
-		seq, size = l.segs[n-1].seq+1, len(l.segs[n-1].buf)
+		seq = l.segs[n-1].seq + 1
 	}
-	if l.dev != nil {
-		if err := l.dev.RotateWAL(seq); err != nil {
-			if l.devErr == nil {
-				l.devErr = err
-			}
-			return 0, err
-		}
+	if err := l.dev.RotateWAL(seq); err != nil {
+		l.wedgeLocked(err)
+		return 0, err
 	}
-	// Sized like its predecessor: in steady state a segment never regrows.
-	l.segs = append(l.segs, segment{seq: seq, buf: make([]byte, 0, size)})
+	l.segs = append(l.segs, segment{seq: seq})
 	return seq, nil
 }
 
-// DropBefore discards every sealed segment numbered below seq, memory image
-// and file together. The caller guarantees their records are covered by
-// durable components.
+// DropBefore has the device discard every sealed segment numbered below
+// seq. The caller guarantees their records are covered by durable
+// components.
 func (l *Log) DropBefore(seq uint64) {
 	l.mu.Lock()
 	n := 0
@@ -231,75 +182,83 @@ func (l *Log) DropBefore(seq uint64) {
 	dropped := slices.Clone(l.segs[:n])
 	l.segs = slices.Delete(l.segs, 0, n)
 	l.mu.Unlock()
-	if l.dev != nil {
-		for _, s := range dropped {
-			l.dev.DropWAL(s.seq)
-		}
+	for _, s := range dropped {
+		l.dev.DropWAL(s.seq)
 	}
 }
 
 // Append logs one write, assigning and returning its LSN. With a nil batch
 // the record is durable when Append returns nil: covered by the one fsync
 // its commit group shares. With a batch (see BeginBatch) the record is
-// registered in b; it is durable, and the write may be acknowledged, only
-// after a successful WaitBatch.
+// counted in b; it is durable, and the write may be acknowledged, only
+// after a successful WaitBatch. The record is encoded into b's buffer, or a
+// pooled one for a single write, so appending allocates nothing.
 //
 // The error is THIS record's own result — a device failure of its append or
 // the failure of the fsync meant to cover it — never the log-wide sticky
-// one, which may belong to a concurrent writer. On failure the record is
-// removed from the memory image again and the log is wedged: the device's
-// log area is no longer trustworthy, and an in-session Crash/Recover must
-// not replay a write reported as failed.
+// one, which may belong to a concurrent writer. On failure the log is
+// wedged: its device's log area is no longer trustworthy.
 func (l *Log) Append(r Record, b *Batch) (int64, error) {
 	l.mu.Lock()
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	live := &l.segs[len(l.segs)-1]
-	start := len(live.buf)
-	live.buf = AppendRecord(live.buf, r)
-	live.n++
-	// The device reads the record out of the memory image: later appends only
-	// write past it, and a drop moves the survivors instead of shifting them.
-	enc := live.buf[start:len(live.buf):len(live.buf)]
 	yield := l.yield
 	l.mu.Unlock()
 	if l.env != nil {
 		l.env.ChargeLogAppend()
 	}
-	if l.dev == nil {
-		return r.LSN, nil
-	}
-	if err := l.dev.AppendWAL(enc); err != nil {
-		l.poisonAndDrop(err, r.LSN)
-		return r.LSN, err
-	}
 	if b != nil {
-		b.lsns = append(b.lsns, r.LSN)
+		b.enc = AppendRecord(b.enc[:0], r)
+		if err := l.write(b.enc); err != nil {
+			return r.LSN, err
+		}
+		b.n++
 		return r.LSN, nil
+	}
+	enc := encodePool.Get().(*[]byte)
+	*enc = AppendRecord((*enc)[:0], r)
+	err := l.write(*enc)
+	encodePool.Put(enc)
+	if err != nil {
+		return r.LSN, err
 	}
 	if yield != nil {
 		yield("wal.commit.appended")
 	}
 	if err := l.group.Wait(1); err != nil {
-		l.failCovered(err, r.LSN)
+		l.wedge(err)
 		return r.LSN, err
 	}
 	return r.LSN, nil
 }
 
-// poisonAndDrop records a durability failure: the sticky device error wedges
-// the log (the next logged write surfaces it) and every listed record is
-// removed from the memory image, so an in-session Crash/Recover can never
-// replay a write whose append or covering fsync was reported as failed.
-func (l *Log) poisonAndDrop(err error, lsns ...int64) {
+// write hands one encoded record to the device and counts it in the live
+// segment. A failed append wedges the log.
+func (l *Log) write(enc []byte) error {
+	err := l.dev.AppendWAL(enc)
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err != nil {
+		l.wedgeLocked(err)
+		return err
+	}
+	live := &l.segs[len(l.segs)-1]
+	live.n++
+	live.size += int64(len(enc))
+	return nil
+}
+
+// wedge records a durability failure: the first one sticks, and the next
+// logged write surfaces it.
+func (l *Log) wedge(err error) {
+	l.mu.Lock()
+	l.wedgeLocked(err)
+	l.mu.Unlock()
+}
+
+func (l *Log) wedgeLocked(err error) {
 	if l.devErr == nil {
 		l.devErr = err
-	}
-	for _, lsn := range lsns {
-		for i := len(l.segs) - 1; i >= 0 && !l.segs[i].drop(lsn); i-- {
-		}
 	}
 }
 
@@ -321,56 +280,47 @@ func (l *Log) SetYield(fn func(point string)) {
 	l.mu.Unlock()
 }
 
-// SetUnsafeKeepCommitOnFailedFsync reintroduces, on purpose, the historical
-// bug this package once shipped: a record whose covering fsync failed was
-// left in the memory image instead of being dropped and the log wedged, so
-// an in-session Crash/Recover would replay — and a later flush would make
-// durable — a write that was never acknowledged. It exists solely so the
-// deterministic simulation corpus can prove it still catches that bug
-// (internal/dst); nothing else may call it.
-func (l *Log) SetUnsafeKeepCommitOnFailedFsync(keep bool) {
+// SetUnsafeReplayNewestOnly re-arms, on purpose, a bug recovery must never
+// have: Replay applies only the records of the newest segment the device
+// holds, so the writes in every older retained segment — a recovered log
+// not yet cut, a flush batch whose install failed — are lost by an
+// in-process Crash/Recover. It exists solely so the deterministic
+// simulation corpus can prove it catches that bug (internal/dst); nothing
+// else may call it.
+func (l *Log) SetUnsafeReplayNewestOnly(on bool) {
 	l.mu.Lock()
-	l.keepCommitOnFailedFsync = keep
+	l.newestOnly = on
 	l.mu.Unlock()
-}
-
-// failCovered handles the failure of a covering fsync for the listed
-// records: they leave the memory image and the log wedges.
-func (l *Log) failCovered(err error, lsns ...int64) {
-	l.mu.Lock()
-	keep := l.keepCommitOnFailedFsync
-	l.mu.Unlock()
-	if !keep {
-		l.poisonAndDrop(err, lsns...)
-	}
 }
 
 // Batch defers durability across a run of writes: each record is appended
-// unsynced and registered here, and one WaitBatch at the end parks on the
+// unsynced and counted here, and one WaitBatch at the end parks on the
 // commit group once, so an engine batch pays a single fsync instead of one
-// per mutation. A Batch is not safe for concurrent use.
+// per mutation. It also carries the buffer its records are encoded into. A
+// Batch is not safe for concurrent use.
 type Batch struct {
-	lsns []int64
+	n   int64  // records appended since BeginBatch
+	enc []byte // encode buffer, reused by every record
 }
 
 // BeginBatch empties b and returns it as a deferred-durability handle, or
-// returns nil for a nil log or one without a device, whose writes have no
-// fsync to wait for. b may be the zero Batch; a caller that keeps its
-// handle from batch to batch keeps the capacity its LSN list grew to.
+// returns nil for a nil log (a dataset without a log has nothing to wait
+// for). b may be the zero Batch; a caller that keeps its handle from batch
+// to batch keeps the encode buffer it grew.
 func (l *Log) BeginBatch(b *Batch) *Batch {
-	if l == nil || l.dev == nil {
+	if l == nil {
 		return nil
 	}
-	b.lsns = b.lsns[:0]
+	b.n = 0
 	return b
 }
 
-// WaitBatch blocks until every record registered in b is covered by a WAL
-// fsync. On failure every registered record is removed from the memory
-// image and the log is wedged — none of the batch's writes may be
-// acknowledged, and an in-session Crash/Recover will not replay them.
+// WaitBatch blocks until every record counted in b is covered by a WAL
+// fsync. On failure the log is wedged and none of the batch's writes may
+// be acknowledged; their records are whole in the log area, so any crash
+// may still replay them.
 func (l *Log) WaitBatch(b *Batch) error {
-	if b == nil || len(b.lsns) == 0 {
+	if b == nil || b.n == 0 {
 		return nil
 	}
 	l.mu.Lock()
@@ -379,12 +329,12 @@ func (l *Log) WaitBatch(b *Batch) error {
 	if yield != nil {
 		yield("wal.batch.registered")
 	}
-	if err := l.group.Wait(int64(len(b.lsns))); err != nil {
-		l.failCovered(err, b.lsns...)
-		return err
+	err := l.group.Wait(b.n)
+	b.n = 0
+	if err != nil {
+		l.wedge(err)
 	}
-	b.lsns = b.lsns[:0]
-	return nil
+	return err
 }
 
 // MaxLSN returns the LSN of the last appended record (0 when empty).
@@ -394,13 +344,13 @@ func (l *Log) MaxLSN() int64 {
 	return l.nextLSN - 1
 }
 
-// Len returns the number of records the log retains.
+// Len returns the number of records in the segments the log retains.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for i := range l.segs {
-		n += l.segs[i].n
+	for _, s := range l.segs {
+		n += s.n
 	}
 	return n
 }
@@ -411,36 +361,52 @@ func (l *Log) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var n int64
-	for i := range l.segs {
-		n += int64(len(l.segs[i].buf))
+	for _, s := range l.segs {
+		n += s.size
 	}
 	return n
 }
 
-// Replay invokes apply for every record in the log, in log order: each is a
-// committed write (a record whose append or covering fsync failed has left
-// the memory image, and a recovered segment ends before its torn tail). The
-// records handed to apply alias the log's memory image.
+// Replay decodes every segment the device holds, oldest first, and invokes
+// apply for each whole record in log order. A segment ends at its first
+// truncated or malformed record: the torn tail of a crash mid-append. The
+// records handed to apply alias the bytes LoadWAL returned.
+//
+// The log learns from the same decode: its next LSN follows the largest one
+// replayed, and a log that knows no segment yet — one opened and not yet
+// rotated — adopts the device's segments as the retained log.
 func (l *Log) Replay(apply func(Record) error) error {
-	// A segment buffer is only ever appended to or replaced, so the slices
-	// snapshotted here stay valid while apply runs without the mutex.
-	l.mu.Lock()
-	bufs := make([][]byte, len(l.segs))
-	for i := range l.segs {
-		bufs[i] = l.segs[i].buf
+	segs, err := l.dev.LoadWAL()
+	if err != nil {
+		return err
 	}
+	l.mu.Lock()
+	newestOnly := l.newestOnly
 	l.mu.Unlock()
-	for _, data := range bufs {
-		for len(data) > 0 {
+	known := make([]segment, len(segs))
+	maxLSN := int64(0)
+	for i, s := range segs {
+		known[i] = segment{seq: s.Seq, size: int64(len(s.Data))}
+		for data := s.Data; len(data) > 0; {
 			r, rest, err := DecodeRecord(data)
 			if err != nil {
-				return err
+				break
 			}
-			if err := apply(r); err != nil {
-				return err
+			if !newestOnly || i == len(segs)-1 {
+				if err := apply(r); err != nil {
+					return err
+				}
 			}
+			known[i].n++
+			maxLSN = max(maxLSN, r.LSN)
 			data = rest
 		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.nextLSN = max(l.nextLSN, maxLSN+1)
+	if len(l.segs) == 0 {
+		l.segs = known
 	}
 	return nil
 }

@@ -147,12 +147,16 @@ func requireCorpusCatches(t *testing.T, bug string, seeds []int64, verdict strin
 	}
 }
 
-// TestDSTCatchesKeepCommitBug re-arms the historical
-// keep-commit-on-failed-fsync bug (the PR 5 failed-fsync rollback,
-// deleted): a slice of the corpus is enough that at least one seed draws a
-// failed covering fsync and fails with a replayed-failed-commit verdict.
-func TestDSTCatchesKeepCommitBug(t *testing.T) {
-	requireCorpusCatches(t, dst.BugKeepCommit, dstCorpus[:8], "failed commit replayed")
+// TestDSTCatchesReplayNewestOnlyBug re-arms a recovery that replays only
+// the newest log segment the device holds: the writes of an older retained
+// segment — the segments a reopen recovered, until the session's first flush
+// cuts them, or a flush batch whose install failed — vanish from an
+// in-process crash-recover, and the model sees an acknowledged write
+// absent. (A recovery that skips its component-timestamp filter was tried
+// first: it replays versions the components already hold, and no corpus
+// seed tells the difference.)
+func TestDSTCatchesReplayNewestOnlyBug(t *testing.T) {
+	requireCorpusCatches(t, dst.BugReplayNewestOnly, dstCorpus[:8], "observed <absent>")
 }
 
 // TestDSTCatchesEarlyUnlinkBug re-arms the unlink-before-manifest ordering

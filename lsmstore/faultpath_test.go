@@ -19,7 +19,8 @@ import (
 // real file backend. Where the dst sweeps explore seeded schedules, these
 // tests pin single failure shapes — a failed manifest sync during component
 // install, a torn WAL tail on a commit-group boundary, a failed WAL append on
-// a single write and mid-batch — plus the Close-persist regression.
+// a single write and mid-batch, a failed covering fsync judged by one crash
+// model — plus the Close-persist regression.
 
 // faultStore opens a disk store in dir wrapped with a scripted injector.
 // The open itself runs quiet (no injection: Open probes a different
@@ -365,6 +366,92 @@ func TestFailedWALAppend(t *testing.T) {
 	}
 }
 
+// TestFailedCoveringFsyncOneCrashModel fails the covering fsync of a single
+// Upsert and of an ApplyBatch, then snapshots the directory. The failed
+// writes' records are whole in the log file, so each is "not guaranteed",
+// never "certainly absent" — and every crash must decide it the same way,
+// because every recovery reads the log the device holds: an in-process
+// Crash+Recover and a reopen of the snapshot serve each failed write in
+// both or in neither. Every write acknowledged before them is served in
+// both.
+func TestFailedCoveringFsyncOneCrashModel(t *testing.T) {
+	const acked = 5 // single upserts acknowledged before the failure, one fsync each
+	for _, batched := range []bool{false, true} {
+		name, n := "upsert", 1
+		if batched {
+			name, n = "batch", 4
+		}
+		t.Run(name, func(t *testing.T) {
+			muts := make([]lsmstore.Mutation, n)
+			for i := range muts {
+				id := uint64(acked + 1 + i)
+				muts[i] = lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: tweetPK(id), Record: tweetRec(id, 7, int64(id))}
+			}
+			dir := t.TempDir()
+			opts := diskOptions(lsmstore.Validation, dir)
+			opts.MemoryBudget = 1 << 20 // no flush: the log holds every write
+			db, control := faultStore(t, dir, opts, dst.Script{
+				{Shard: 0, Op: dst.OpSyncWAL, Ord: acked, Fault: dst.Fault{Kind: dst.KindSyncWAL}},
+			})
+			for id := uint64(1); id <= acked; id++ {
+				if err := db.Upsert(tweetPK(id), tweetRec(id, uint32(id), int64(id))); err != nil {
+					t.Fatalf("acked upsert %d: %v", id, err)
+				}
+			}
+			var err error
+			if batched {
+				_, err = db.ApplyBatchResults(muts)
+			} else {
+				err = db.Upsert(muts[0].PK, muts[0].Record)
+			}
+			requireFired(t, control, dst.KindSyncWAL)
+			if err == nil || !strings.Contains(err.Error(), dst.KindSyncWAL) {
+				t.Fatalf("failed covering fsync returned %v, want the injected %s fault", err, dst.KindSyncWAL)
+			}
+			image := t.TempDir()
+			if err := snapshotStoreDir(dir, image); err != nil {
+				t.Fatal(err)
+			}
+
+			// served checks the acknowledged writes and reports, per failed
+			// write, whether it is served (and then with its own bytes).
+			served := func(when string, db *lsmstore.DB) []bool {
+				t.Helper()
+				for id := uint64(1); id <= acked; id++ {
+					got, found, err := db.Get(tweetPK(id))
+					if err != nil || !found || !bytes.Equal(got, tweetRec(id, uint32(id), int64(id))) {
+						t.Fatalf("%s: acknowledged write %d not served (found=%v err=%v)", when, id, found, err)
+					}
+				}
+				out := make([]bool, len(muts))
+				for i, m := range muts {
+					got, found, err := db.Get(m.PK)
+					if err != nil || found && !bytes.Equal(got, m.Record) {
+						t.Fatalf("%s: failed write %d served wrong bytes (err=%v)", when, i, err)
+					}
+					out[i] = found
+				}
+				return out
+			}
+			db.Crash()
+			if err := db.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			inSession := served("after crash+recover", db)
+			control.Detach()
+			_ = db.Close() // the log is wedged; the snapshot is the crash image
+			re, err := lsmstore.Open(diskOptions(lsmstore.Validation, image))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if reopened := served("after reopen", re); !slices.Equal(inSession, reopened) {
+				t.Fatalf("failed writes served %v after an in-process crash+recover but %v after a reopen: two crash models", inSession, reopened)
+			}
+		})
+	}
+}
+
 // TestClosePersistFailureKeepsWAL is the regression test for the Close
 // path: when Close's final persist fails (manifest install error), Close
 // must NOT cut the WAL — the log is the only durable copy of the
@@ -518,13 +605,13 @@ func TestKillAtReclaimPoints(t *testing.T) {
 }
 
 // pagesOnly is a WrapDevice result that forgot the durable half: embedding
-// storage.Device promotes the page methods and nothing else.
+// storage.Device promotes the page and log-area methods and nothing else.
 type pagesOnly struct{ storage.Device }
 
 // TestWrapDeviceMustStayDurable: on the file backend a wrapper that returns a
-// device without the manifest and the log area must be refused by Open, by
-// name — it used to open a store that persisted nothing and said nothing.
-// The refused open leaves the directory usable.
+// device without the manifest must be refused by Open, by name — it used
+// to open a store that persisted nothing and said nothing. The refused open
+// leaves the directory usable.
 func TestWrapDeviceMustStayDurable(t *testing.T) {
 	opts := diskOptions(lsmstore.Validation, t.TempDir())
 	opts.Shards = 2

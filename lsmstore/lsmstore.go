@@ -219,7 +219,7 @@ type Options struct {
 	// opened device; the returned device is used in its place. On the file
 	// backend the inner device is a storage.Durable and the wrapper must
 	// return one: Open refuses a shard whose wrapper dropped the durable
-	// half rather than run it without a manifest and a log.
+	// half rather than run it without a manifest.
 	WrapDevice func(shard int, dev storage.Device) storage.Device
 	// Yield, when set, is invoked at the instrumented scheduling points in
 	// the WAL commit path and the maintenance pool, letting the
@@ -400,7 +400,7 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 	}
 	ds, err := core.Open(cfg)
 	if err == nil && opts.Backend == FileBackend && !ds.Durable() {
-		err = fmt.Errorf("lsmstore: Options.WrapDevice returned a device for shard %d that is not a storage.Durable: the shard would keep no manifest and no log", idx)
+		err = fmt.Errorf("lsmstore: Options.WrapDevice returned a device for shard %d that is not a storage.Durable: the shard would keep no manifest", idx)
 	}
 	if err != nil {
 		dev.Close()
@@ -702,7 +702,8 @@ func (db *DB) Crash() {
 }
 
 // Recover replays committed write-ahead-log records lost in a Crash, on
-// every shard.
+// every shard, decoding the log each shard's device holds — the recovery a
+// reopen of a file-backend directory runs.
 func (db *DB) Recover() error {
 	if err := db.acquire(); err != nil {
 		return err

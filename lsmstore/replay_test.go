@@ -24,7 +24,7 @@ func memImage(tr *lsm.Tree) []string {
 // of the same name, over the served recovery path: a two-shard file-backend
 // store takes a seeded stream of batches and single writes (the tiny memory
 // budget flushes and merges along the way), is killed, and its crash image
-// is reopened — manifest restore plus wal.OpenPersisted replay. Shard by
+// is reopened — manifest restore plus a replay of the log files. Shard by
 // shard, the reopened store must hold the live store's memory image in
 // every index, its bitmap bits in every component (under Mutable-bitmap
 // the flips since the last manifest save exist only as update bits in the
