@@ -1,23 +1,18 @@
 // Ablation experiments beyond the paper's own figures: this
 // reproduction's design-choice ablations (merge policy, WAL — core.Config
-// settings, see README "Maintenance: one flush pipeline") and the Section 7
-// future-work extension (query-driven cracking).
+// settings, see README "Maintenance: one flush pipeline").
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/kv"
 	"repro/internal/lsm"
-	"repro/internal/query"
 	"repro/internal/workload"
 )
 
 func init() {
 	register("abA-policy", ablationPolicy)
 	register("abB-wal", ablationWAL)
-	register("abC-crack", ablationCracking)
 }
 
 // ablationPolicy — merge-policy ablation: the paper runs every experiment
@@ -95,53 +90,6 @@ func ablationWAL(s Scale) (*Result, error) {
 		}
 		res.Add(name, "total", marks[3].Minutes(), "min")
 		res.Add(name, "kops", throughput(s.IngestOps, marks[3]), "")
-	}
-	return res, nil
-}
-
-// ablationCracking — the query-driven maintenance extension: the same
-// Timestamp-validation query runs five times over an update-heavy dataset,
-// with and without cracking; cracking pays once and amortizes the
-// validation work across subsequent runs.
-func ablationCracking(s Scale) (*Result, error) {
-	res := &Result{Figure: "abC-crack", Title: "Extension: query-driven cracking amortizes validation"}
-	for _, crack := range []bool{false, true} {
-		c := s.newConfig()
-		c.strategy = core.Validation
-		ds, env, _, err := build(s, c)
-		if err != nil {
-			return nil, err
-		}
-		wcfg := workload.DefaultConfig(45)
-		wcfg.MessageMin, wcfg.MessageMax = s.MsgMin, s.MsgMax
-		wcfg.UserIDRange = s.UserRange
-		wcfg.UpdateRatio = 0.5
-		gen := workload.NewGenerator(wcfg)
-		if _, err := ingest(ds, env, gen, s.QueryRecords); err != nil {
-			return nil, err
-		}
-		si := ds.Secondary("user0")
-		name := "no-crack"
-		if crack {
-			name = "crack"
-		}
-		// Index-only queries isolate the validation cost that cracking
-		// amortizes (record fetches would dominate otherwise).
-		lo, hi := selRange(s, 0.05, 1)
-		for runIdx := 1; runIdx <= 5; runIdx++ {
-			start := env.Clock.Now()
-			_, err := query.SecondaryRange(ds, si, workload.UserKey(lo), workload.UserKey(hi),
-				query.SecondaryQueryOptions{
-					Validation:      query.Timestamp,
-					IndexOnly:       true,
-					Lookup:          query.DefaultLookupConfig(),
-					CrackOnValidate: crack,
-				})
-			if err != nil {
-				return nil, err
-			}
-			res.Add(name, fmt.Sprintf("run%d", runIdx), (env.Clock.Now() - start).Seconds(), "s")
-		}
 	}
 	return res, nil
 }

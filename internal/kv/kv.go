@@ -70,9 +70,24 @@ func (e Entry) Clone() Entry {
 // Arena copies byte strings into large chunks it allocates, so the keys and
 // records of one query cost an allocation per chunk instead of one each.
 // A chunk is never reallocated: slices returned earlier stay valid, and
-// they all keep their chunk alive. The zero value is ready to use; an
-// Arena is not safe for concurrent use.
+// they all keep their chunk alive, until Reset hands the last chunk out
+// again. The zero value is ready to use; an Arena is not safe for
+// concurrent use.
 type Arena struct{ chunk []byte }
+
+// maxChunk is the largest chunk Copy grows to, and the largest Reset keeps.
+const maxChunk = 256 << 10
+
+// Reset empties the arena for reuse. It keeps its last chunk, the largest
+// (unless it is over maxChunk, which only a single oversized string makes),
+// so an arena that answers queries of one size stops allocating; every
+// slice Copy returned before is invalid from here on.
+func (a *Arena) Reset() {
+	if cap(a.chunk) > maxChunk {
+		a.chunk = nil
+	}
+	a.chunk = a.chunk[:0]
+}
 
 // Copy returns a copy of b (nil when b is empty, as Entry.Clone does).
 func (a *Arena) Copy(b []byte) []byte {
@@ -80,9 +95,9 @@ func (a *Arena) Copy(b []byte) []byte {
 		return nil
 	}
 	if len(b) > cap(a.chunk)-len(a.chunk) {
-		// Chunks double from 4 KiB to 256 KiB, so a small answer stays
+		// Chunks double from 4 KiB to maxChunk, so a small answer stays
 		// small and a large one costs O(log n) allocations.
-		a.chunk = make([]byte, 0, max(len(b), min(2*cap(a.chunk), 256<<10), 4<<10))
+		a.chunk = make([]byte, 0, max(len(b), min(2*cap(a.chunk), maxChunk), 4<<10))
 	}
 	n := len(a.chunk)
 	a.chunk = append(a.chunk, b...)

@@ -161,3 +161,31 @@ func TestEntrySize(t *testing.T) {
 		t.Errorf("Size = %d, want 46", e.Size())
 	}
 }
+
+// TestArenaResetKeepsOneChunk: an arena reset between answers of one size
+// stops allocating once its kept chunk holds a whole answer, and a chunk
+// over maxChunk is not kept.
+func TestArenaResetKeepsOneChunk(t *testing.T) {
+	var a Arena
+	rec := bytes.Repeat([]byte("r"), 100)
+	answer := func() {
+		a.Reset()
+		for range 200 { // 20 000 bytes: 4, 8 and 16 KiB chunks, then one 32 KiB
+			a.Copy(rec)
+		}
+	}
+	answer()
+	answer()
+	if n := testing.AllocsPerRun(100, answer); n != 0 {
+		t.Errorf("%v allocations per reset answer, want 0", n)
+	}
+	got := a.Copy([]byte("abc"))
+	if string(got) != "abc" {
+		t.Fatalf("Copy after Reset = %q", got)
+	}
+	a.Copy(make([]byte, maxChunk+1))
+	a.Reset()
+	if c := cap(a.chunk); c != 0 {
+		t.Errorf("Reset kept a %d-byte chunk, over the %d-byte cap", c, maxChunk)
+	}
+}

@@ -65,15 +65,6 @@ type Component struct {
 	// bit=1 entries are invalid and are dropped at the next merge.
 	Obsolete *bitmap.Immutable
 
-	// cracked is an optional mutable bitmap filled opportunistically by
-	// queries that discover invalid entries during Timestamp validation —
-	// the paper's "let queries drive the maintenance of auxiliary
-	// structures" future-work direction (Section 7, after database
-	// cracking). Entries marked here are skipped by later queries and
-	// physically removed at the next merge, exactly like Obsolete marks.
-	// Created lazily on first Crack; read through an atomic pointer.
-	cracked atomic.Pointer[bitmap.Mutable]
-
 	// Valid is the mutable validity bitmap of the Mutable-bitmap strategy
 	// (Section 5): bit=1 entries are deleted. Shared between the primary
 	// index component and its primary-key-index sibling.
@@ -229,28 +220,8 @@ func (c *Component) FilterDisjoint(lo, hi int64) bool {
 }
 
 // Hidden reports whether the entry at ordinal is invisible to queries:
-// marked obsolete by repair, cracked out by a query, or deleted via the
-// mutable bitmap. It makes a component a btree.Filter.
+// marked obsolete by repair or deleted via the mutable bitmap. It makes a
+// component a btree.Filter.
 func (c *Component) Hidden(ordinal int64) bool {
-	return c.Obsolete.IsSet(ordinal) || c.cracked.Load().IsSet(ordinal) || c.Valid.IsSet(ordinal)
+	return c.Obsolete.IsSet(ordinal) || c.Valid.IsSet(ordinal)
 }
-
-// Crack marks the entry at ordinal invalid, creating the cracked bitmap on
-// first use. Marking is monotone (0 -> 1 only) and idempotent, so no
-// coordination with readers is needed: a mark may be missed by an
-// in-flight query, which merely re-validates the entry, never mis-answers.
-func (c *Component) Crack(ordinal int64) {
-	bm := c.cracked.Load()
-	if bm == nil {
-		fresh := bitmap.NewMutable(c.NumEntries())
-		if !c.cracked.CompareAndSwap(nil, fresh) {
-			bm = c.cracked.Load()
-		} else {
-			bm = fresh
-		}
-	}
-	bm.Set(ordinal)
-}
-
-// CrackedCount returns the number of query-cracked entries.
-func (c *Component) CrackedCount() int64 { return c.cracked.Load().Count() }

@@ -42,14 +42,14 @@ func (s *source) advance() {
 }
 
 // snapshotFilter hides what a component's snapshot of its deletes hides,
-// plus its repair and crack marks (Side-file builds).
+// plus its repair marks (Side-file builds).
 type snapshotFilter struct {
 	comp *Component
 	snap *bitmap.Immutable
 }
 
 func (f snapshotFilter) Hidden(ord int64) bool {
-	return f.snap.IsSet(ord) || f.comp.Obsolete.IsSet(ord) || f.comp.cracked.Load().IsSet(ord)
+	return f.snap.IsSet(ord) || f.comp.Obsolete.IsSet(ord)
 }
 
 // sourceHeap orders sources by (key asc, rank desc) so that for equal keys

@@ -118,33 +118,6 @@ func TestMergeBadRange(t *testing.T) {
 	}
 }
 
-func TestCrackedEntriesInvisibleAndRemovedAtMerge(t *testing.T) {
-	tr, _ := newTestTree(t, 1024, nil)
-	for i := 0; i < 20; i++ {
-		tr.Put(kv.Entry{Key: key(i), Value: val(i), TS: int64(i)})
-	}
-	tr.Flush(1)
-	tr.Put(kv.Entry{Key: key(100), Value: val(100), TS: 100})
-	tr.Flush(2)
-	comp := tr.Components()[0]
-	ord, _, _ := comp.BTree.Get(key(7), nil)
-	comp.Crack(ord)
-	if comp.CrackedCount() != 1 {
-		t.Fatalf("CrackedCount = %d", comp.CrackedCount())
-	}
-	if _, found, _ := get(tr, key(7)); found {
-		t.Fatal("cracked entry visible via Get")
-	}
-	res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 2, DropAnti: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Install(res)
-	if got := tr.Components()[0].NumEntries(); got != 20 { // 21 - cracked
-		t.Fatalf("entries after merge = %d, want 20", got)
-	}
-}
-
 func TestRepairedTSInheritedAtFlushAndMerge(t *testing.T) {
 	tr, _ := newTestTree(t, 1024, nil)
 	tr.Put(kv.Entry{Key: key(1), Value: val(1), TS: 5})

@@ -9,7 +9,7 @@ import (
 
 // MergeSpec describes one merge operation over the contiguous component
 // range disk[Lo:Hi) (oldest to newest). Entries invalidated through the
-// Obsolete, cracked or Valid bitmaps are physically removed (Sections 4.4
+// Obsolete or Valid bitmaps are physically removed (Sections 4.4
 // and 5). The merge charges the tree's lane (see Options.Lane). The caller
 // installs the result with Install (or ReplaceRun) once any post-processing
 // (index repair, bitmap catch-up) has finished.
@@ -212,7 +212,7 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 
 // visibleWith checks entry visibility honoring snapshot overrides.
 func visibleWith(c *Component, ordinal int64, snaps map[*Component]*bitmap.Immutable) bool {
-	if c.Obsolete.IsSet(ordinal) || c.cracked.Load().IsSet(ordinal) {
+	if c.Obsolete.IsSet(ordinal) {
 		return false
 	}
 	if snaps != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kv"
 )
 
 // render prints an answer in primary-key order, every byte of it.
@@ -58,10 +59,10 @@ func TestRecycledScratchAnswersLikeAFreshOne(t *testing.T) {
 		}
 		opts := plans[trial%len(plans)]
 		want, got := new(SecondaryResult), new(SecondaryResult)
-		if err := new(scratch).secondaryRange(want, d, si, userKey(lo), userKey(hi), opts); err != nil {
+		if err := new(scratch).secondaryRange(want, new(kv.Arena), d, si, userKey(lo), userKey(hi), opts); err != nil {
 			t.Fatal(err)
 		}
-		if err := reused.secondaryRange(got, d, si, userKey(lo), userKey(hi), opts); err != nil {
+		if err := reused.secondaryRange(got, new(kv.Arena), d, si, userKey(lo), userKey(hi), opts); err != nil {
 			t.Fatal(err)
 		}
 		reused.reset()

@@ -62,16 +62,12 @@ type SecondaryQueryOptions struct {
 	IndexOnly bool
 	// Lookup configures the record-fetch point lookups.
 	Lookup LookupConfig
-	// CrackOnValidate lets Timestamp validation drive index maintenance
-	// (the paper's Section 7 future-work direction): entries it proves
-	// obsolete are marked in the source component's cracked bitmap, so
-	// subsequent queries skip them and the next merge removes them.
-	CrackOnValidate bool
 }
 
 // SecondaryResult is the answer to a secondary-index range query. Its byte
-// strings are sub-slices of a few chunks shared by the whole answer
-// (kv.Arena): keeping one record or key keeps its chunk alive.
+// strings are sub-slices of a few chunks shared by the whole answer (a
+// kv.Arena): keeping one record or key keeps its chunk alive, and they are
+// valid until that arena is Reset.
 type SecondaryResult struct {
 	// Records holds the fetched records (non-index-only queries).
 	Records []kv.Entry
@@ -96,9 +92,6 @@ type candidate struct {
 	// Rank: the component's index in the scanned list, len or more for a
 	// memory component), for deleted-key validation recency.
 	srcRank int
-	// srcComp and srcOrdinal locate the entry for query-driven cracking.
-	srcComp    *lsm.Component
-	srcOrdinal int64
 }
 
 func byPK(a, b candidate) int { return kv.Compare(a.pk, b.pk) }
@@ -108,23 +101,24 @@ func byPK(a, b candidate) int { return kv.Compare(a.pk, b.pk) }
 // recycled scratch, so what it allocates is its answer.
 func SecondaryRange(ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) (*SecondaryResult, error) {
 	res := &SecondaryResult{}
-	if err := AppendSecondaryRange(res, ds, si, loSK, hiSK, opts); err != nil {
+	if err := AppendSecondaryRange(res, new(kv.Arena), ds, si, loSK, hiSK, opts); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // AppendSecondaryRange is SecondaryRange appending its answer to res: the
-// records to res.Records, or, index-only, the keys to res.Keys. A caller
-// that reuses res across queries (the multi-shard router's per-shard
-// answers) allocates only the arena holding the answer's bytes.
-func AppendSecondaryRange(res *SecondaryResult, ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) error {
+// records to res.Records, or, index-only, the keys to res.Keys, with every
+// byte of them copied into arena. A caller that reuses res and a Reset
+// arena across queries (the router's per-shard answers) allocates nothing
+// once they have grown to the answer's size.
+func AppendSecondaryRange(res *SecondaryResult, arena *kv.Arena, ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) error {
 	sc := getScratch()
 	defer sc.release()
-	return sc.secondaryRange(res, ds, si, loSK, hiSK, opts)
+	return sc.secondaryRange(res, arena, ds, si, loSK, hiSK, opts)
 }
 
-func (sc *scratch) secondaryRange(res *SecondaryResult, ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) error {
+func (sc *scratch) secondaryRange(res *SecondaryResult, arena *kv.Arena, ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) error {
 	env := ds.Env()
 	var lo, hi []byte
 	sc.bounds, lo, hi = kv.AppendSecondaryScanBounds(sc.bounds[:0], loSK, hiSK)
@@ -171,16 +165,15 @@ func (sc *scratch) secondaryRange(res *SecondaryResult, ds *core.Dataset, si *co
 	case DeletedKeyCheck:
 		cands, err = deletedKeyValidate(ds, si, comps, cands)
 	case Timestamp:
-		cands, err = sc.timestampValidate(ds, cands, opts.CrackOnValidate)
+		cands, err = sc.timestampValidate(ds, cands)
 	default:
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	// Every byte of the answer is copied into one arena; the candidates'
+	// Every byte of the answer is copied into the arena; the candidates'
 	// keys stay in the scratch.
-	var arena kv.Arena
 	if opts.IndexOnly && !direct {
 		res.Keys = slices.Grow(res.Keys, len(cands))
 		for i := range cands {
@@ -229,8 +222,6 @@ func (sc *scratch) collect() ([]candidate, error) {
 		if item.Comp != nil {
 			c.src = item.Comp.ID
 			c.srcRepairedTS = item.Comp.RepairedTS
-			c.srcComp = item.Comp
-			c.srcOrdinal = item.Ordinal
 		} else {
 			// Memory-component entries are as fresh as it gets: only the
 			// memory component itself can invalidate them.
@@ -283,10 +274,8 @@ func deletedKeyValidate(ds *core.Dataset, si *core.SecondaryIndex, comps []*lsm.
 // key, then validated with point lookups against the primary key index; a
 // candidate is invalid when the same key exists with a larger timestamp.
 // Primary-key-index components with maxTS <= the candidate's source
-// repairedTS are pruned. With crack set, proven-invalid entries are marked
-// in their source component's cracked bitmap (query-driven maintenance).
-// The survivors are filtered in place.
-func (sc *scratch) timestampValidate(ds *core.Dataset, cands []candidate, crack bool) ([]candidate, error) {
+// repairedTS are pruned. The survivors are filtered in place.
+func (sc *scratch) timestampValidate(ds *core.Dataset, cands []candidate) ([]candidate, error) {
 	pkIndex := ds.PKIndex()
 	if pkIndex == nil {
 		return nil, core.ErrNoPKIndex
@@ -326,11 +315,7 @@ func (sc *scratch) timestampValidate(ds *core.Dataset, cands []candidate, crack 
 			}
 		}
 		if newestTS > c.ts {
-			// A newer version (or delete) supersedes this entry.
-			if crack && c.srcComp != nil {
-				c.srcComp.Crack(c.srcOrdinal)
-			}
-			continue
+			continue // a newer version (or delete) supersedes this entry
 		}
 		valid = append(valid, c)
 	}

@@ -59,9 +59,6 @@ type Config struct {
 const (
 	defaultMaxInFlight   = 128
 	defaultSlowThreshold = 100 * time.Millisecond
-	// maxPresizedScan caps the records slice a FILTER_SCAN sizes up front
-	// from its limit; a larger answer grows past it.
-	maxPresizedScan = 1024
 )
 
 // Server serves a DB over the wire protocol: one TCP listener, a
@@ -515,8 +512,15 @@ func (c *conn) serveRequest(req wire.Request, bp *[]byte, tr trace) {
 	if traced {
 		tr.lap() // the hop to this worker and the admission wait are no stage
 	}
-	if req.Op == wire.OpGet {
+	switch req.Op {
+	case wire.OpGet:
 		c.serveGet(req, tr)
+		return
+	case wire.OpSecondaryQuery:
+		c.serveQuery(req, tr)
+		return
+	case wire.OpFilterScan:
+		c.serveScan(req, tr)
 		return
 	}
 	resp := c.srv.handle(req)
@@ -555,8 +559,7 @@ func (c *conn) serveGet(req wire.Request, tr trace) {
 	}
 	if err != nil {
 		frameBufPool.Put(bp)
-		c.srv.counters.Errors.Add(1)
-		c.send(c.srv.errorResponse(req.ID, err), tr)
+		c.sendError(c.srv.errorResponse(req.ID, err), tr)
 		return
 	}
 	if !found {
@@ -566,6 +569,100 @@ func (c *conn) serveGet(req wire.Request, tr trace) {
 		tr.encode = tr.lap()
 	}
 	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
+}
+
+// serveQuery is SECONDARY_QUERY's fast path, serveGet's twin: the merged
+// answer is encoded into the pooled response frame from inside the engine's
+// callback, while the recycled per-shard arenas holding its bytes are still
+// the query's — the server keeps no copy of an answer.
+func (c *conn) serveQuery(req wire.Request, tr trace) {
+	if req.Limit < 0 {
+		c.sendError(wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit"), tr)
+		return
+	}
+	traced := !tr.start.IsZero()
+	bp := frameBufPool.Get().(*[]byte)
+	err := c.srv.db.SecondaryQueryWith(req.Index, req.Lo, req.Hi, lsmstore.QueryOptions{
+		Validation: lsmstore.ValidationMethod(req.Validation), // range-checked by the store
+		IndexOnly:  req.IndexOnly,
+		Limit:      int(req.Limit),
+	}, func(res *lsmstore.QueryResult) {
+		if traced {
+			tr.engine = tr.lap()
+		}
+		*bp = wire.AppendResponse((*bp)[:0], wire.Response{ID: req.ID, Kind: wire.KindQuery, Records: res.Records, Keys: res.Keys})
+	})
+	if err != nil {
+		frameBufPool.Put(bp)
+		if traced {
+			tr.engine = tr.lap()
+		}
+		c.sendError(c.srv.errorResponse(req.ID, err), tr)
+		return
+	}
+	if traced {
+		tr.encode = tr.lap()
+	}
+	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
+}
+
+// scanAnswer is a FILTER_SCAN's answer until it is encoded: the records and
+// the arena holding their bytes, which the scan's callback must copy (a
+// record is valid only until the callback returns). Recycled through
+// scanAnswerPool.
+type scanAnswer struct {
+	records []lsmstore.Record
+	arena   kv.Arena
+}
+
+var scanAnswerPool = sync.Pool{New: func() any { return new(scanAnswer) }}
+
+// maxRecycledScan bounds the records slice scanAnswerPool keeps, in
+// entries; kv.Arena.Reset bounds the arena.
+const maxRecycledScan = 1 << 14
+
+// serveScan is FILTER_SCAN's path: the records are copied into a recycled
+// scanAnswer and encoded into the pooled response frame.
+func (c *conn) serveScan(req wire.Request, tr trace) {
+	if req.Limit < 0 {
+		c.sendError(wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit"), tr)
+		return
+	}
+	sa := scanAnswerPool.Get().(*scanAnswer)
+	err := c.srv.db.FilterScan(req.FilterLo, req.FilterHi, func(pk, record []byte) {
+		if req.Limit > 0 && int64(len(sa.records)) >= req.Limit {
+			return
+		}
+		sa.records = append(sa.records, lsmstore.Record{PK: sa.arena.Copy(pk), Value: sa.arena.Copy(record)})
+	})
+	if !tr.start.IsZero() {
+		tr.engine = tr.lap()
+	}
+	var bp *[]byte
+	if err == nil {
+		bp = frameBufPool.Get().(*[]byte)
+		*bp = wire.AppendResponse((*bp)[:0], wire.Response{ID: req.ID, Kind: wire.KindScan, Records: sa.records})
+	}
+	clear(sa.records)
+	sa.records = sa.records[:0]
+	sa.arena.Reset()
+	if cap(sa.records) <= maxRecycledScan {
+		scanAnswerPool.Put(sa)
+	}
+	if err != nil {
+		c.sendError(c.srv.errorResponse(req.ID, err), tr)
+		return
+	}
+	if !tr.start.IsZero() {
+		tr.encode = tr.lap()
+	}
+	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
+}
+
+// sendError counts and sends an error response.
+func (c *conn) sendError(resp wire.Response, tr trace) {
+	c.srv.counters.Errors.Add(1)
+	c.send(resp, tr)
 }
 
 func (c *conn) writeLoop(done chan struct{}) {
@@ -613,6 +710,8 @@ func (c *conn) writeLoop(done chan struct{}) {
 }
 
 // handle executes one request against the DB and builds its response.
+// GET, SECONDARY_QUERY and FILTER_SCAN do not come here: serveGet,
+// serveQuery and serveScan encode their answers straight into the frame.
 //
 // Requests arrive decoded in place: their byte fields alias a pooled
 // receive buffer that is reused once the request finishes. Reads and writes
@@ -658,42 +757,6 @@ func (s *Server) handle(req wire.Request) wire.Response {
 			return s.errorResponse(req.ID, err)
 		}
 		return wire.Response{ID: req.ID, Kind: wire.KindBatch, AppliedBatch: applied}
-
-	case wire.OpSecondaryQuery:
-		if req.Limit < 0 {
-			return wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit")
-		}
-		res, err := s.db.SecondaryQuery(req.Index, req.Lo, req.Hi, lsmstore.QueryOptions{
-			Validation: lsmstore.ValidationMethod(req.Validation), // range-checked by the store
-			IndexOnly:  req.IndexOnly,
-			Limit:      int(req.Limit),
-		})
-		if err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindQuery, Records: res.Records, Keys: res.Keys}
-
-	case wire.OpFilterScan:
-		if req.Limit < 0 {
-			return wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit")
-		}
-		// The answer's bytes are copied into one arena, as a secondary
-		// query's are; a capped answer's slice is sized once.
-		var records []lsmstore.Record
-		if req.Limit > 0 {
-			records = make([]lsmstore.Record, 0, min(req.Limit, maxPresizedScan))
-		}
-		var arena kv.Arena
-		err := s.db.FilterScan(req.FilterLo, req.FilterHi, func(pk, record []byte) {
-			if req.Limit > 0 && int64(len(records)) >= req.Limit {
-				return
-			}
-			records = append(records, lsmstore.Record{PK: arena.Copy(pk), Value: arena.Copy(record)})
-		})
-		if err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindScan, Records: records}
 
 	case wire.OpStats:
 		blob, err := json.Marshal(s.db.Stats())

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/kv"
 )
@@ -381,6 +384,63 @@ func takeString(b []byte) (string, []byte, error) {
 	return string(v), rest, err
 }
 
+// takeIndexName is takeString for a request's index name, which comes from
+// indexNames: a name decoded before costs no allocation.
+func takeIndexName(b []byte) (string, []byte, error) {
+	v, rest, err := takeBytesRef(b)
+	if err != nil || len(v) == 0 {
+		return "", rest, err
+	}
+	return indexNames.intern(v), rest, nil
+}
+
+// internTable interns the few index names a server's requests carry. It is
+// read-mostly: a lookup loads the current map and takes no lock, and a new
+// name replaces the map with a copy holding it. It holds at most
+// maxInternedNames names of at most maxInternedName bytes; any other name
+// is copied per request, so a peer sending made-up names bounds what it
+// pins.
+type internTable struct {
+	names atomic.Pointer[map[string]string]
+	mu    sync.Mutex // serializes the copies
+}
+
+const (
+	maxInternedNames = 64
+	maxInternedName  = 64
+)
+
+var indexNames internTable
+
+// intern returns b as a string, the table's copy when it has one.
+func (t *internTable) intern(b []byte) string {
+	if m := t.names.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s
+		}
+	}
+	s := string(b)
+	if len(s) > maxInternedName {
+		return s
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var old map[string]string
+	if m := t.names.Load(); m != nil {
+		old = *m
+	}
+	if v, ok := old[s]; ok {
+		return v // interned meanwhile
+	}
+	if len(old) < maxInternedNames {
+		m := make(map[string]string, len(old)+1)
+		maps.Copy(m, old)
+		m[s] = s
+		t.names.Store(&m)
+	}
+	return s
+}
+
 // backing holds the byte strings of one decoded response in a single
 // buffer, so a response costs one allocation for its bytes however many
 // records it carries. The buffer is allocated at the first non-empty string,
@@ -446,7 +506,7 @@ func AppendRequest(buf []byte, r Request) []byte {
 // It never panics on corrupt input: every failure wraps ErrCorruptFrame,
 // including trailing garbage after a well-formed request. Nothing is
 // copied: every byte field of the result (Key, Value, Lo, Hi, mutation PKs
-// and Records) aliases frame. The caller must keep frame alive and
+// and Records) aliases frame, and the index name is interned (indexNames). The caller must keep frame alive and
 // unmodified for as long as those fields are in use, and must copy any
 // field it hands to code that retains it. The server copies nothing: it
 // hands every field to the engine as it is, because the engine copies what
@@ -475,7 +535,7 @@ func DecodeRequestInPlace(frame []byte) (Request, error) {
 	if r.Value, b, err = takeBytesRef(b); err != nil {
 		return Request{}, err
 	}
-	if r.Index, b, err = takeString(b); err != nil {
+	if r.Index, b, err = takeIndexName(b); err != nil {
 		return Request{}, err
 	}
 	if r.Lo, b, err = takeBytesRef(b); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -347,5 +348,57 @@ func TestFrameIOAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("ReadFrame: %v allocations per frame, want 0", n)
+	}
+}
+
+// TestDecodeRequestInPlaceAllocations pins what decoding a request costs:
+// nothing but an APPLY_BATCH's mutation list. Every byte field aliases the
+// frame, and an index name decoded before comes from the intern table.
+func TestDecodeRequestInPlaceAllocations(t *testing.T) {
+	query := AppendRequest(nil, Request{ID: 3, Op: OpSecondaryQuery, Index: "user", Lo: []byte("a"), Hi: []byte("z"), Limit: 10})
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  float64
+	}{
+		{"get", AppendRequest(nil, Request{ID: 1, Op: OpGet, Key: []byte("pk-42")}), 0},
+		{"upsert", AppendRequest(nil, Request{ID: 2, Op: OpUpsert, Key: []byte("pk"), Value: []byte("record")}), 0},
+		{"secondary query, index seen before", query, 0},
+		{"apply batch", AppendRequest(nil, Request{ID: 4, Op: OpApplyBatch, Muts: []Mutation{
+			{Op: MutUpsert, PK: []byte("a"), Record: []byte("ra")},
+			{Op: MutDelete, PK: []byte("b")},
+		}}), 1},
+	} {
+		if _, err := DecodeRequestInPlace(c.frame); err != nil { // interns the name
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeRequestInPlace(c.frame); err != nil {
+				t.Fatal(err)
+			}
+		}); n != c.want {
+			t.Errorf("%s: %v allocations per decode, want %v", c.name, n, c.want)
+		}
+	}
+}
+
+// TestIndexNameInterning: interned or not, a decoded index name is the
+// name sent, and owns its bytes; the table stops growing at its bound.
+func TestIndexNameInterning(t *testing.T) {
+	var tab internTable
+	for i := range 2 * maxInternedNames {
+		name := []byte(fmt.Sprintf("index-%d", i))
+		got := tab.intern(name)
+		name[0] = 'X' // the frame buffer is reused
+		if want := fmt.Sprintf("index-%d", i); got != want || tab.intern([]byte(want)) != want {
+			t.Fatalf("intern = %q, want %q", got, want)
+		}
+	}
+	if n := len(*tab.names.Load()); n != maxInternedNames {
+		t.Errorf("table holds %d names, want its bound %d", n, maxInternedNames)
+	}
+	long := bytes.Repeat([]byte("n"), maxInternedName+1)
+	if got := tab.intern(long); got != string(long) || len(*tab.names.Load()) != maxInternedNames {
+		t.Errorf("an over-long name decoded as %d bytes or entered the table", len(got))
 	}
 }

@@ -11,13 +11,15 @@ import (
 
 // TestQueryRoundTripAllocations counts the whole process — client and
 // server share it — per SECONDARY_QUERY and FILTER_SCAN round trip against
-// an in-process two-shard server. Both allocate their answer and a fixed
-// handful of objects, however many records come back: on the server the
+// an in-process two-shard server. The server allocates nothing: the
 // engine's working memory is a recycled scratch, the shards answer into
-// recycled slices and the answer's bytes are one arena per shard (a filter
-// scan's too, then one for the capped answer), and the client decodes a
-// response into one backing buffer. Counts are logged,
-// not checked, under -race, where sync.Pool drops Puts at random.
+// recycled slices and arenas, a query's merged answer is encoded into the
+// pooled response frame from inside SecondaryQueryWith's callback and a
+// scan's records are copied into a recycled arena first. What is left is
+// the client's decoded answer, however many records come back: its
+// response's backing buffer and records slice, plus a query's result.
+// Counts are logged, not checked, under -race, where sync.Pool drops Puts
+// at random.
 func TestQueryRoundTripAllocations(t *testing.T) {
 	opts := storetest.BaseOptions(lsmstore.Validation)
 	opts.Shards = 2
@@ -60,14 +62,14 @@ func TestQueryRoundTripAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			return len(res.Records)
-		}, 18},
+		}, 3},
 		{"FilterScan", func() int {
 			records, err := c.FilterScan(n-400, n, 300)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return len(records)
-		}, 18},
+		}, 2},
 	} {
 		records := tc.fn() // fills the pools and the worker
 		allocs := testing.AllocsPerRun(100, func() { tc.fn() })

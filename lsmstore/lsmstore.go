@@ -33,8 +33,11 @@
 // write-ahead log and virtual clock; the DB itself is the router (router.go).
 // Primary-key operations route to the owning partition by PK hash;
 // ApplyBatch groups a batch of mutations per shard and applies the groups
-// concurrently; SecondaryQuery and FilterScan fan out to every shard, one
-// goroutine each, and merge the answers in primary-key order; Flush, Crash,
+// concurrently; SecondaryQuery and FilterScan fan out to every shard —
+// every shard but the last on a helper goroutine the DB keeps parked until
+// Close, the last on the caller's — and merge the answers in primary-key
+// order, into recycled memory that SecondaryQueryWith lends its callback
+// and SecondaryQuery copies once; Flush, Crash,
 // Recover, RepairSecondaryIndexes and Stats apply to (or aggregate over)
 // all shards. One shard is the N = 1 case of the same code, not a second
 // program: fan-outs run on the caller's goroutine, a batch is not
@@ -249,6 +252,7 @@ type DB struct {
 	pool    *maint.Pool      // run-on-caller when Options.MaintenanceWorkers is 0
 	cache   *readcache.Cache // non-nil only when Options.ReadCache.Bytes > 0
 	journal *obs.Journal     // flush/merge events of every shard
+	helpers *helpers         // run fan-out legs; stopped by Close
 
 	// mu guards the lifecycle: public operations hold it shared, Close
 	// holds it exclusively, so Close waits for in-flight operations to
@@ -293,7 +297,7 @@ func Open(opts Options) (*DB, error) {
 		pool.Close()
 		return nil, err
 	}
-	return &DB{parts: parts, pool: pool, cache: newReadCache(opts), journal: journal}, nil
+	return &DB{parts: parts, pool: pool, cache: newReadCache(opts), journal: journal, helpers: newHelpers()}, nil
 }
 
 // newReadCache builds the read cache, or nil when Options.ReadCache is off.
@@ -579,9 +583,11 @@ type QueryOptions struct {
 }
 
 // QueryResult is a secondary query's answer. The records (and keys) of one
-// answer are sub-slices of a few shared backing arrays, embedded and over
-// the wire alike: they are the caller's to read and keep, but keeping one
-// keeps its neighbours' bytes alive, so copy what must outlive the answer.
+// answer are sub-slices of one shared backing array, embedded and over the
+// wire alike: SecondaryQuery's answer is the caller's to read and keep, but
+// keeping one keeps its neighbours' bytes alive, so copy what must outlive
+// the answer. SecondaryQueryWith's answer is the store's, and is valid only
+// until its callback returns.
 type QueryResult struct {
 	// Records holds (pk, record) pairs for non-index-only queries.
 	Records []Record
@@ -598,25 +604,79 @@ var ErrUnknownIndex = errors.New("lsmstore: unknown secondary index")
 var ErrBadQuery = errors.New("lsmstore: bad query options")
 
 // SecondaryQuery runs a range query lo <= secondary key <= hi on the named
-// index. Results are in primary-key order, on every shard count.
+// index. Results are in primary-key order, on every shard count. The answer
+// is SecondaryQueryWith's copied into memory of its own: the result, its
+// records (or keys) slice and one exactly sized block holding every byte.
 func (db *DB) SecondaryQuery(index string, lo, hi []byte, opts QueryOptions) (*QueryResult, error) {
-	if err := db.acquire(); err != nil {
+	var out *QueryResult
+	err := db.SecondaryQueryWith(index, lo, hi, opts, func(res *QueryResult) { out = res.clone() })
+	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// SecondaryQueryWith is SecondaryQuery handing the answer to fn instead of
+// returning it (fn runs only when the query succeeds). The answer — the
+// result, its slices and every byte they hold — is recycled memory of the
+// store's and is valid only until fn returns, like GetWith's record: fn
+// must copy what it keeps and must not modify it. A query in steady state
+// allocates nothing. The network server encodes SECONDARY_QUERY responses
+// from inside fn, straight into its output frame.
+func (db *DB) SecondaryQueryWith(index string, lo, hi []byte, opts QueryOptions, fn func(*QueryResult)) error {
+	if err := db.acquire(); err != nil {
+		return err
 	}
 	defer db.release()
 	switch {
 	case !opts.Validation.Valid():
-		return nil, fmt.Errorf("%w: validation method %d out of range", ErrBadQuery, opts.Validation)
+		return fmt.Errorf("%w: validation method %d out of range", ErrBadQuery, opts.Validation)
 	case opts.IndexOnly && opts.Validation == DirectValidation:
-		return nil, fmt.Errorf("%w: index-only with direct validation", ErrBadQuery)
+		return fmt.Errorf("%w: index-only with direct validation", ErrBadQuery)
 	case db.parts[0].ds.Secondary(index) == nil: // every partition declares the same indexes
-		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, index)
+		return fmt.Errorf("%w: %q", ErrUnknownIndex, index)
 	}
 	return db.secondaryQuery(index, lo, hi, query.SecondaryQueryOptions{
 		Validation: opts.Validation,
 		IndexOnly:  opts.IndexOnly,
 		Lookup:     query.DefaultLookupConfig(),
-	}, opts.Limit)
+	}, opts.Limit, fn)
+}
+
+// clone copies the answer into the result, records (or keys) slice and
+// byte block of its own; empty byte strings stay nil, as the arenas leave
+// them.
+func (r *QueryResult) clone() *QueryResult {
+	n := 0
+	for _, rec := range r.Records {
+		n += len(rec.PK) + len(rec.Value)
+	}
+	for _, k := range r.Keys {
+		n += len(k)
+	}
+	block := make([]byte, 0, n)
+	take := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		at := len(block)
+		block = append(block, b...)
+		return block[at:len(block):len(block)]
+	}
+	out := &QueryResult{}
+	if len(r.Records) > 0 {
+		out.Records = make([]Record, len(r.Records))
+		for i, rec := range r.Records {
+			out.Records[i] = Record{PK: take(rec.PK), Value: take(rec.Value)}
+		}
+	}
+	if len(r.Keys) > 0 {
+		out.Keys = make([][]byte, len(r.Keys))
+		for i, k := range r.Keys {
+			out.Keys[i] = take(k)
+		}
+	}
+	return out
 }
 
 // FilterScan scans the primary index for records whose filter key lies in
@@ -641,7 +701,7 @@ func (db *DB) Flush() error {
 		return err
 	}
 	defer db.release()
-	return db.fanOut(nil, func(_ int, ds *core.Dataset) error { return ds.FlushAll() })
+	return db.fanOutEach(func(_ int, ds *core.Dataset) error { return ds.FlushAll() })
 }
 
 // Close drains all pending maintenance (flush builds and merges on every
@@ -667,9 +727,10 @@ func (db *DB) Close() error {
 	db.finalStats = db.stats()
 	db.closed = true
 	var errs []error
-	if err := db.fanOut(nil, func(_ int, ds *core.Dataset) error { return ds.DrainMaintenance() }); err != nil {
+	if err := db.fanOutEach(func(_ int, ds *core.Dataset) error { return ds.DrainMaintenance() }); err != nil {
 		errs = append(errs, err)
 	}
+	db.helpers.stop() // that was the last fan-out
 	db.pool.Close()
 	for _, p := range db.parts {
 		// The final manifest, and with it the last unlinks. The log needs
@@ -693,7 +754,7 @@ func (db *DB) Crash() {
 		return
 	}
 	defer db.release()
-	_ = db.fanOut(nil, func(_ int, ds *core.Dataset) error { ds.Crash(); return nil })
+	_ = db.fanOutEach(func(_ int, ds *core.Dataset) error { ds.Crash(); return nil })
 	// After the engine dropped its memory components: cached entries may
 	// reflect writes the crash destroyed (internal/readcache invariant 3).
 	if db.cache != nil {
@@ -709,7 +770,7 @@ func (db *DB) Recover() error {
 		return err
 	}
 	defer db.release()
-	err := db.fanOut(nil, func(_ int, ds *core.Dataset) error { return ds.Recover() })
+	err := db.fanOutEach(func(_ int, ds *core.Dataset) error { return ds.Recover() })
 	// Replay resurrects writes that were invisible between Crash and
 	// Recover, so negative entries cached in that window are now stale.
 	if db.cache != nil {
@@ -725,7 +786,7 @@ func (db *DB) RepairSecondaryIndexes() error {
 		return err
 	}
 	defer db.release()
-	return db.fanOut(nil, repairSecondaries)
+	return db.fanOutEach(repairSecondaries)
 }
 
 func repairSecondaries(_ int, ds *core.Dataset) error {

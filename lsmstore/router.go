@@ -46,36 +46,109 @@ func shardOf(pk []byte, n int) int {
 // dsFor returns the dataset owning pk.
 func (db *DB) dsFor(pk []byte) *core.Dataset { return db.parts[shardOf(pk, len(db.parts))].ds }
 
-// fanOut runs fn once per partition and joins the per-shard errors. The
-// last partition runs on the caller's goroutine and every other one on a
-// goroutine of its own, so a one-shard store starts none. A non-nil work
-// holds each partition's amount of work: those with none get no goroutine
-// and no call.
-func (db *DB) fanOut(work []int, fn func(i int, ds *core.Dataset) error) error {
+// leg is one shard's part of a fan-out: run does shard i's work on its
+// dataset. A per-request caller passes its recycled scratch (shardAnswers,
+// batchScratch) as the leg, so a fan-out allocates no closure; control-plane
+// calls (Flush, Close, Crash, Recover, repair) pass a func (fanOutEach).
+type leg interface {
+	run(i int, ds *core.Dataset) error
+}
+
+// legFunc is a func as a leg.
+type legFunc func(i int, ds *core.Dataset) error
+
+func (f legFunc) run(i int, ds *core.Dataset) error { return f(i, ds) }
+
+// fanOut runs l once per partition and joins the per-shard errors in j.
+// The last partition runs on the caller's goroutine and every other one on
+// a helper (see helpers), so a one-shard store hands off nothing. A non-nil
+// work holds each partition's amount of work: those with none get no leg.
+// A per-request caller passes the join of its recycled scratch, so its
+// fan-out allocates nothing.
+func (db *DB) fanOut(j *fanJoin, work []int, l leg) error {
 	if len(db.parts) == 1 {
-		return fn(0, db.parts[0].ds)
+		return l.run(0, db.parts[0].ds)
 	}
-	errs := make([]error, len(db.parts))
-	var wg sync.WaitGroup
+	j.leg = l
+	j.errs = slices.Grow(j.errs[:0], len(db.parts))[:len(db.parts)]
 	last := -1
 	for i := range db.parts {
 		if work != nil && work[i] == 0 {
 			continue
 		}
 		if last >= 0 {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = fn(i, db.parts[i].ds)
-			}(last)
+			j.wg.Add(1)
+			db.helpers.dispatch(legTask{j: j, i: last, ds: db.parts[last].ds})
 		}
 		last = i
 	}
 	if last >= 0 {
-		errs[last] = fn(last, db.parts[last].ds)
+		j.errs[last] = l.run(last, db.parts[last].ds)
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	j.wg.Wait()
+	err := errors.Join(j.errs...)
+	clear(j.errs)
+	j.leg = nil
+	return err
+}
+
+// fanOutEach is fanOut over every partition with a join of its own, for
+// the control-plane calls (Flush, Close, Crash, Recover, repair).
+func (db *DB) fanOutEach(fn func(i int, ds *core.Dataset) error) error {
+	return db.fanOut(new(fanJoin), nil, legFunc(fn))
+}
+
+// fanJoin is a fan-out's join: its leg, each shard's error and the wait
+// for the legs handed to helpers. It serves one fan-out at a time.
+type fanJoin struct {
+	leg  leg
+	errs []error
+	wg   sync.WaitGroup
+}
+
+// legTask is one leg handed to a helper: shard i of the fan-out j.
+type legTask struct {
+	j  *fanJoin
+	i  int
+	ds *core.Dataset
+}
+
+// helpers runs fan-out legs on goroutines the DB owns. A leg goes to a
+// parked helper or, when none is parked, starts one, so concurrent fan-outs
+// never queue behind each other: the DB keeps as many helpers as legs were
+// ever in flight at once. Helpers never exit before stop, which Close calls
+// after its own last fan-out.
+type helpers struct {
+	work    chan legTask // unbuffered: a send succeeds only into a parked helper
+	running sync.WaitGroup
+}
+
+func newHelpers() *helpers { return &helpers{work: make(chan legTask)} }
+
+func (h *helpers) dispatch(t legTask) {
+	select {
+	case h.work <- t:
+		return
+	default:
+	}
+	h.running.Add(1)
+	go h.serve(t)
+}
+
+// serve runs legs until stop closes the work channel. A leg's Done is its
+// helper's last touch of the join, which its fan-out then recycles.
+func (h *helpers) serve(t legTask) {
+	defer h.running.Done()
+	for ok := true; ok; t, ok = <-h.work {
+		t.j.errs[t.i] = t.j.leg.run(t.i, t.ds)
+		t.j.wg.Done()
+	}
+}
+
+// stop ends every helper; no fan-out may start after it.
+func (h *helpers) stop() {
+	close(h.work)
+	h.running.Wait()
 }
 
 // applyBatch applies the mutations shard by shard. Within a shard,
@@ -123,10 +196,18 @@ func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
 	return err
 }
 
-// applyAcrossShards groups a batch by owning shard (sc.owners[i] is
-// mutation i's) and applies the groups concurrently (fanOut), one call per
-// shard that has any.
+// applyAcrossShards groups a batch by owning shard and applies the groups
+// concurrently (fanOut), one leg per shard that has any; the scratch is the
+// leg.
 func (db *DB) applyAcrossShards(sc *batchScratch, muts []Mutation, applied []bool) error {
+	sc.group(muts)
+	sc.applied = applied
+	return db.fanOut(&sc.join, sc.counts, sc)
+}
+
+// group sorts the batch into the shard groups (sc.owners[i] is mutation
+// i's shard) and counts each group.
+func (sc *batchScratch) group(muts []Mutation) {
 	for i, s := range sc.owners {
 		g := &sc.shards[s]
 		g.muts = append(g.muts, muts[i])
@@ -135,20 +216,22 @@ func (db *DB) applyAcrossShards(sc *batchScratch, muts []Mutation, applied []boo
 	for s := range sc.shards {
 		sc.counts[s] = len(sc.shards[s].muts)
 	}
-	return db.fanOut(sc.counts, func(s int, ds *core.Dataset) error {
-		g := &sc.shards[s]
-		if applied == nil {
-			return applyMutations(ds, g.muts, nil, &g.log)
-		}
-		g.applied = slices.Grow(g.applied[:0], len(g.muts))[:len(g.muts)]
-		clear(g.applied)
-		err := applyMutations(ds, g.muts, g.applied, &g.log)
-		// Shards write disjoint index sets, so the scatter is race-free.
-		for j, ok := range g.applied {
-			applied[g.at[j]] = ok
-		}
-		return err
-	})
+}
+
+// run applies shard s's group: batchScratch is applyAcrossShards' leg.
+func (sc *batchScratch) run(s int, ds *core.Dataset) error {
+	g := &sc.shards[s]
+	if sc.applied == nil {
+		return applyMutations(ds, g.muts, nil, &g.log)
+	}
+	g.applied = slices.Grow(g.applied[:0], len(g.muts))[:len(g.muts)]
+	clear(g.applied)
+	err := applyMutations(ds, g.muts, g.applied, &g.log)
+	// Shards write disjoint index sets, so the scatter is race-free.
+	for j, ok := range g.applied {
+		sc.applied[g.at[j]] = ok
+	}
+	return err
 }
 
 // batchScratch is one applyBatch call's working memory: each mutation's
@@ -158,9 +241,11 @@ func (db *DB) applyAcrossShards(sc *batchScratch, muts []Mutation, applied []boo
 // state allocates no bookkeeping. clear drops the mutations, which point at
 // the caller's bytes.
 type batchScratch struct {
-	owners []int // owning shard per mutation
-	counts []int // mutations per shard: fanOut's work
-	shards []shardGroup
+	owners  []int // owning shard per mutation
+	counts  []int // mutations per shard: fanOut's work
+	shards  []shardGroup
+	applied []bool // the caller's per-mutation report, or nil
+	join    fanJoin
 }
 
 // shardGroup is one shard's part of a batch.
@@ -190,6 +275,7 @@ func (sc *batchScratch) forShards(n int) []shardGroup {
 // clear empties the scratch, keeping its memory but no reference to the
 // batch: the mutations are cleared to their capacity.
 func (sc *batchScratch) clear() {
+	sc.applied = nil
 	for s := range sc.shards {
 		g := &sc.shards[s]
 		clear(g.muts[:cap(g.muts)])
@@ -241,89 +327,123 @@ func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool, log *wal.
 	return firstErr
 }
 
-// secondaryQuery fans the query out to every shard and merges the answers.
-// Shards are independent hash partitions, so a primary key appears in
-// exactly one shard's answer; the merged records (or keys) come back in
-// primary-key order — a deterministic total order regardless of shard
-// interleaving — truncated to limit when limit > 0. The single-partition
-// query has no early exit, so limit bounds the answer size, not the scan
-// cost. The shards answer into recycled per-shard slices, so the merged
-// answer and the shards' arenas holding its bytes are what the query
-// allocates.
-func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQueryOptions, limit int) (*QueryResult, error) {
+// secondaryQuery fans the query out to every shard, merges the answers and
+// runs fn with the merged answer. Shards are independent hash partitions,
+// so a primary key appears in exactly one shard's answer; the merged
+// records (or keys) come in primary-key order — a deterministic total order
+// regardless of shard interleaving — truncated to limit when limit > 0. The
+// single-partition query has no early exit, so limit bounds the answer
+// size, not the scan cost. Every slice and byte of the answer is a
+// recycled shardAnswers', valid only until fn returns.
+func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQueryOptions, limit int, fn func(*QueryResult)) error {
 	sa := getShardAnswers()
 	defer sa.release()
-	perShard := sa.reset(len(db.parts))
-	err := db.fanOut(nil, func(i int, ds *core.Dataset) error {
-		return query.AppendSecondaryRange(&perShard[i], ds, ds.Secondary(index), lo, hi, opts)
-	})
-	if err != nil {
-		return nil, err
+	sa.forShards(len(db.parts))
+	sa.index, sa.lo, sa.hi, sa.opts = index, lo, hi, opts
+	if err := db.fanOut(&sa.join, nil, sa); err != nil {
+		return err
 	}
-	out := &QueryResult{}
-	var nRecords, nKeys int
-	for i := range perShard {
-		nRecords += len(perShard[i].Records)
-		nKeys += len(perShard[i].Keys)
-	}
-	if nRecords > 0 {
-		out.Records = make([]Record, 0, nRecords)
-	}
-	if nKeys > 0 {
-		out.Keys = make([][]byte, 0, nKeys)
-	}
-	for i := range perShard {
-		for _, e := range perShard[i].Records {
-			out.Records = append(out.Records, Record{PK: e.Key, Value: e.Value})
-		}
-		out.Keys = append(out.Keys, perShard[i].Keys...)
-	}
-	// Not even one partition answers in primary-key order: the batched
-	// record fetch emits in component order.
-	slices.SortFunc(out.Records, func(a, b Record) int { return kv.Compare(a.PK, b.PK) })
-	slices.SortFunc(out.Keys, kv.Compare)
+	out := sa.merge()
 	if limit > 0 {
 		out.Records = out.Records[:min(limit, len(out.Records))]
 		out.Keys = out.Keys[:min(limit, len(out.Keys))]
 	}
-	return out, nil
+	fn(out)
+	return nil
 }
 
-// shardAnswers holds a secondary query's or a multi-shard filter scan's
-// per-shard answers until they are merged. Recycled through
-// shardAnswersPool; release drops what they point at.
-type shardAnswers struct{ res []query.SecondaryResult }
+// shardAnswers is one secondary query's or multi-shard filter scan's
+// answer while it is built: the request every leg runs, each shard's
+// answer with the arena holding its bytes, and the merged answer. It is
+// the fan-out's leg. Recycled through shardAnswersPool with its arenas
+// Reset, so a query in steady state allocates nothing here.
+type shardAnswers struct {
+	res    []query.SecondaryResult // shard i's answer
+	arenas []kv.Arena              // shard i's answer's bytes
+	merged QueryResult             // res in primary-key order
+
+	// The request: a secondary query on index, or, with scan set, a filter
+	// scan over [filterLo, filterHi].
+	index              string
+	lo, hi             []byte
+	opts               query.SecondaryQueryOptions
+	scan               bool
+	filterLo, filterHi int64
+
+	join fanJoin
+}
 
 var shardAnswersPool = sync.Pool{New: func() any { return new(shardAnswers) }}
 
-func getShardAnswers() *shardAnswers { return shardAnswersPool.Get().(*shardAnswers) }
-
-// maxRecycledAnswer bounds the per-shard slices the pool keeps, in entries:
-// a larger answer leaves them to the garbage collector.
+// maxRecycledAnswer bounds the answer slices the pool keeps, in entries: a
+// larger answer leaves them to the garbage collector. kv.Arena.Reset bounds
+// what an arena keeps.
 const maxRecycledAnswer = 1 << 14
 
-// reset returns n empty per-shard answers.
-func (sa *shardAnswers) reset(n int) []query.SecondaryResult {
+func getShardAnswers() *shardAnswers { return shardAnswersPool.Get().(*shardAnswers) }
+
+// forShards sizes the empty answers for n shards.
+func (sa *shardAnswers) forShards(n int) {
 	if cap(sa.res) < n {
 		sa.res = make([]query.SecondaryResult, n)
+		sa.arenas = make([]kv.Arena, n)
 	}
-	sa.res = sa.res[:n]
-	for i := range sa.res {
-		sa.res[i].Records, sa.res[i].Keys = sa.res[i].Records[:0], sa.res[i].Keys[:0]
-	}
-	return sa.res
+	sa.res, sa.arenas = sa.res[:n], sa.arenas[:n]
 }
 
-// release clears the answers, which point into the query's arenas, and
-// returns them to the pool unless one grew past maxRecycledAnswer.
+// run answers shard i into res[i] and arenas[i].
+func (sa *shardAnswers) run(i int, ds *core.Dataset) error {
+	r, arena := &sa.res[i], &sa.arenas[i]
+	if !sa.scan {
+		return query.AppendSecondaryRange(r, arena, ds, ds.Secondary(sa.index), sa.lo, sa.hi, sa.opts)
+	}
+	return query.FilterScan(ds, sa.filterLo, sa.filterHi, func(e kv.Entry) {
+		r.Records = append(r.Records, arena.CloneEntry(e))
+	})
+}
+
+// merge gathers the shards' answers into merged, in primary-key order: not
+// even one partition answers in that order, because the batched record
+// fetch emits in component order.
+func (sa *shardAnswers) merge() *QueryResult {
+	var nRecords, nKeys int
+	for i := range sa.res {
+		nRecords += len(sa.res[i].Records)
+		nKeys += len(sa.res[i].Keys)
+	}
+	out := &sa.merged
+	out.Records = slices.Grow(out.Records, nRecords)
+	out.Keys = slices.Grow(out.Keys, nKeys)
+	for i := range sa.res {
+		for _, e := range sa.res[i].Records {
+			out.Records = append(out.Records, Record{PK: e.Key, Value: e.Value})
+		}
+		out.Keys = append(out.Keys, sa.res[i].Keys...)
+	}
+	slices.SortFunc(out.Records, func(a, b Record) int { return kv.Compare(a.PK, b.PK) })
+	slices.SortFunc(out.Keys, kv.Compare)
+	return out
+}
+
+// release drops everything the answers point at — their slices are cleared
+// to capacity, the arenas Reset, the request forgotten — and returns them
+// to the pool unless a slice grew past maxRecycledAnswer.
 func (sa *shardAnswers) release() {
-	keep := true
+	keep := cap(sa.merged.Records)+cap(sa.merged.Keys) <= maxRecycledAnswer
 	for i := range sa.res {
 		r := &sa.res[i]
-		clear(r.Records)
-		clear(r.Keys)
 		keep = keep && cap(r.Records)+cap(r.Keys) <= maxRecycledAnswer
+		clear(r.Records[:cap(r.Records)])
+		clear(r.Keys[:cap(r.Keys)])
+		r.Records, r.Keys = r.Records[:0], r.Keys[:0]
+		sa.arenas[i].Reset()
 	}
+	m := &sa.merged
+	clear(m.Records[:cap(m.Records)])
+	clear(m.Keys[:cap(m.Keys)])
+	m.Records, m.Keys = m.Records[:0], m.Keys[:0]
+	sa.index, sa.lo, sa.hi, sa.opts = "", nil, nil, query.SecondaryQueryOptions{}
+	sa.scan = false
 	if keep {
 		shardAnswersPool.Put(sa)
 	}
@@ -333,33 +453,21 @@ func (sa *shardAnswers) release() {
 // concurrently, then emits the union in primary-key order from the
 // caller's goroutine. A single partition already scans in primary-key
 // order, so it streams straight to fn: an unbounded scan is never buffered.
+// Otherwise the shards' records are copied into a recycled shardAnswers'
+// arenas, valid only until fn returns.
 func (db *DB) filterScan(lo, hi int64, fn func(pk, record []byte)) error {
 	if len(db.parts) == 1 {
 		return query.FilterScan(db.parts[0].ds, lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
 	}
 	sa := getShardAnswers()
 	defer sa.release()
-	perShard := sa.reset(len(db.parts))
-	err := db.fanOut(nil, func(i int, ds *core.Dataset) error {
-		var arena kv.Arena // this shard's records
-		return query.FilterScan(ds, lo, hi, func(e kv.Entry) {
-			perShard[i].Records = append(perShard[i].Records, arena.CloneEntry(e))
-		})
-	})
-	if err != nil {
+	sa.forShards(len(db.parts))
+	sa.scan, sa.filterLo, sa.filterHi = true, lo, hi
+	if err := db.fanOut(&sa.join, nil, sa); err != nil {
 		return err
 	}
-	var total int
-	for i := range perShard {
-		total += len(perShard[i].Records)
-	}
-	all := make([]kv.Entry, 0, total)
-	for i := range perShard {
-		all = append(all, perShard[i].Records...)
-	}
-	slices.SortFunc(all, func(a, b kv.Entry) int { return kv.Compare(a.Key, b.Key) })
-	for _, e := range all {
-		fn(e.Key, e.Value)
+	for _, r := range sa.merge().Records {
+		fn(r.PK, r.Value)
 	}
 	return nil
 }

@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -395,30 +397,31 @@ func TestBatchScratchReuseMatchesFresh(t *testing.T) {
 
 // TestShardAnswersReleaseKeepsNothing: the recycled per-shard answers start
 // every query empty, and release drops every reference into the query's
-// arenas, so a pooled shardAnswers keeps no answer alive.
+// arenas and request, merged answer included, so a pooled shardAnswers
+// keeps no answer alive.
 func TestShardAnswersReleaseKeepsNothing(t *testing.T) {
 	db := newRoutedDB(t, 3)
 	if _, err := db.ApplyBatchResults(insertBatch(600)); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := workload.UserKey(2), workload.UserKey(5)
-	sa := new(shardAnswers)
+	var sa *shardAnswers
 	for _, opts := range []query.SecondaryQueryOptions{
 		{Validation: query.Direct, Lookup: query.DefaultLookupConfig()},
 		{Validation: query.NoValidation, IndexOnly: true},
 	} {
-		perShard := sa.reset(len(db.parts))
-		var n int
-		for i, p := range db.parts {
-			if len(perShard[i].Records)+len(perShard[i].Keys) != 0 {
+		sa = getShardAnswers() // the one just released, or a fresh one
+		sa.forShards(len(db.parts))
+		for i, r := range sa.res {
+			if len(r.Records)+len(r.Keys) != 0 {
 				t.Fatalf("shard %d's recycled answer starts non-empty", i)
 			}
-			if err := query.AppendSecondaryRange(&perShard[i], p.ds, p.ds.Secondary("user"), lo, hi, opts); err != nil {
-				t.Fatal(err)
-			}
-			n += len(perShard[i].Records) + len(perShard[i].Keys)
 		}
-		if n < 100 {
+		sa.index, sa.lo, sa.hi, sa.opts = "user", lo, hi, opts
+		if err := db.fanOut(&sa.join, nil, sa); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(sa.merge().Records) + len(sa.merged.Keys); n < 100 {
 			t.Fatalf("%d results; the case measures nothing", n)
 		}
 		sa.release()
@@ -427,7 +430,59 @@ func TestShardAnswersReleaseKeepsNothing(t *testing.T) {
 				t.Fatalf("shard %d's released answer still references the query's arena", i)
 			}
 		}
+		m := sa.merged
+		if !allZero(m.Records[:cap(m.Records)]) || !allZero(m.Keys[:cap(m.Keys)]) {
+			t.Fatal("the released merged answer still references the query's arenas")
+		}
+		if sa.index != "" || sa.lo != nil || sa.hi != nil || sa.scan {
+			t.Fatal("a released shardAnswers still holds its request")
+		}
 	}
+}
+
+// TestBatchFanOutAllocatesNothing: a 64-record batch spanning two shards
+// hands one shard's group to a parked helper and joins it through its
+// scratch's own join, so the fan-out itself allocates nothing. The legs
+// count the mutations they are handed instead of applying them.
+func TestBatchFanOutAllocatesNothing(t *testing.T) {
+	db := newRoutedDB(t, 2)
+	muts := insertBatch(62) // and an upsert and a delete: 64
+	sc := new(batchScratch)
+	sc.forShards(2)
+	for i := range muts {
+		sc.owners = append(sc.owners, shardOf(muts[i].PK, 2))
+	}
+	sc.group(muts)
+	if len(muts) != 64 || sc.counts[0] == 0 || sc.counts[1] == 0 {
+		t.Fatalf("%d mutations, %v per shard: the batch must span both shards", len(muts), sc.counts)
+	}
+	legs := &groupCounter{sc: sc}
+	fan := func() {
+		if err := db.fanOut(&sc.join, sc.counts, legs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 { // the first fan-outs start the helpers
+		fan()
+	}
+	if n := testing.AllocsPerRun(100, fan); n != 0 {
+		t.Errorf("%v allocations per fan-out, want 0", n)
+	}
+	if got := legs.seen.Load(); got != 111*64 {
+		t.Errorf("legs were handed %d mutations over 111 fan-outs, want %d", got, 111*64)
+	}
+}
+
+// groupCounter is a fan-out leg that counts the mutations of the groups it
+// is handed.
+type groupCounter struct {
+	sc   *batchScratch
+	seen atomic.Int64
+}
+
+func (c *groupCounter) run(s int, _ *core.Dataset) error {
+	c.seen.Add(int64(len(c.sc.shards[s].muts)))
+	return nil
 }
 
 // allZero reports whether every element of s is its zero value.
