@@ -10,8 +10,7 @@
 //	lsmbench -shardsweep 1,2,4,8     # sharded ingest throughput sweep
 //	lsmbench -shardsweep 1,4 -n 200000
 //	lsmbench -shardsweep 4 -async 2  # background maintenance (2 workers)
-//	lsmbench -shardsweep 1,4 -backend=disk        # real files, real fsync
-//	lsmbench -shardsweep 4 -backend=disk -dir /data/bench
+//	lsmbench -shardsweep 4 -dir /data/bench
 //
 // Output rows mirror the series the paper plots; times are virtual
 // (cost-model) seconds except Figure 23, which reports wall time. The
@@ -20,14 +19,15 @@
 // throughput; with -async N the builds and merges run on N workers and it
 // adds the ingest- and maintenance-lane times and the backpressure stalls.
 //
-// With -backend=disk the sweep runs on the file backend (real files,
-// batched appends, fsync on commit and install) under -dir — a fresh
-// temporary directory, removed on exit, when -dir is empty. The Store
-// charges the same device model on files as on the simulator, so the
-// virtual-time columns print what -backend=sim prints; the wall-clock
-// column is the separate, real measure of the files. The paper figures
-// (-figure) always run on the simulated device, so -backend, -dir, -n and
-// -async without -shardsweep are an error (exit status 2), not ignored.
+// The sweep runs lsmstore, on files (batched appends, fsync on commit and
+// install): each row's store in its own subdirectory of -dir, or, without
+// -dir, in a temporary directory removed when the row's store closes. The
+// Store charges the paper's device model to the virtual clocks on files as
+// the simulator does, so the virtual-time columns are the figures'
+// measure; the wall-clock column is the separate, real measure of the
+// files. The paper figures (-figure) run on the simulated device, so -dir,
+// -n and -async without -shardsweep are an error (exit status 2), not
+// ignored.
 package main
 
 import (
@@ -39,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/cmd/internal/backendflag"
 	"repro/internal/experiments"
 	"repro/internal/workload"
 	"repro/lsmstore"
@@ -52,15 +51,14 @@ func main() {
 	sweep := flag.String("shardsweep", "", "comma-separated shard counts: run the sharded ingest sweep instead of figures")
 	nrecs := flag.Int("n", 100_000, "records to ingest per -shardsweep run")
 	async := flag.Int("async", 0, "maintenance workers for -shardsweep (0 = jobs run on the submitting writer)")
-	backendFlag := flag.String("backend", "sim", "storage backend for -shardsweep: sim | disk")
-	dir := flag.String("dir", "", "data directory for -backend=disk (default: a temp dir, removed on exit)")
+	dir := flag.String("dir", "", "parent directory of the -shardsweep rows' stores (default: a temp dir per row, removed when it closes)")
 	flag.Parse()
 
 	if *sweep == "" {
 		var stray []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "backend", "dir", "n", "async":
+			case "dir", "n", "async":
 				stray = append(stray, "-"+f.Name)
 			}
 		})
@@ -76,12 +74,7 @@ func main() {
 		return
 	}
 	if *sweep != "" {
-		backend, resolvedDir, cleanup, err := backendflag.Resolve(*backendFlag, *dir)
-		if err == nil {
-			err = runShardSweep(*sweep, *nrecs, *async, backend, resolvedDir)
-		}
-		cleanup()
-		if err != nil {
+		if err := runShardSweep(*sweep, *nrecs, *async, *dir); err != nil {
 			fmt.Fprintf(os.Stderr, "lsmbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -111,9 +104,9 @@ func main() {
 // each requested shard count and prints the total memory budget, simulated
 // time, throughput, and speedup relative to the first row. With async > 0,
 // maintenance runs on that many pool workers and the ingest time is the
-// ingest lane's (the write path's). On the disk backend each row runs in
-// its own subdirectory of dir.
-func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir string) error {
+// ingest lane's (the write path's). Each row runs in its own subdirectory
+// of dir, or in a temporary directory when dir is empty.
+func runShardSweep(spec string, n, async int, dir string) error {
 	var rows [][2]int // shard count, per-partition memory budget
 	for _, f := range strings.Split(spec, ",") {
 		c, err := strconv.Atoi(strings.TrimSpace(f))
@@ -141,9 +134,9 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 	if async > 0 {
 		mode = fmt.Sprintf("background maintenance, %d workers", async)
 	}
-	where := "backend=sim"
-	if backend == lsmstore.FileBackend {
-		where = fmt.Sprintf("backend=disk dir=%s", dir)
+	where := "a temp dir per row"
+	if dir != "" {
+		where = "dir=" + dir
 	}
 	fmt.Printf("# sharded ingest sweep: %d records (20%% Zipf updates), Validation strategy, %s, %s\n", n, mode, where)
 	fmt.Printf("%-8s %10s %14s %16s %10s %14s %8s\n", "shards", "mem-total", "ingest-time", "records/simsec", "speedup", "maint-time", "stalls")
@@ -151,7 +144,7 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 	for _, r := range rows {
 		shards, budget := r[0], r[1]
 		runDir := ""
-		if backend == lsmstore.FileBackend {
+		if dir != "" {
 			// Each row is its own store; a leftover run directory would be
 			// reopened and ingested on top of, skewing the sweep — refuse it.
 			runDir = filepath.Join(dir, fmt.Sprintf("run-%02d-%dk", shards, budget>>10))
@@ -169,7 +162,6 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 			Seed:               3,
 			Shards:             shards,
 			MaintenanceWorkers: async,
-			Backend:            backend,
 			Dir:                runDir,
 		})
 		if err != nil {
@@ -177,15 +169,18 @@ func runShardSweep(spec string, n, async int, backend lsmstore.Backend, dir stri
 		}
 		start := time.Now()
 		if err := db.ApplyBatch(muts); err != nil {
+			db.Close()
 			return err
 		}
 		// The ingest lane is read at the end of the write phase; the final
 		// Flush drains maintenance so every run ends fully compacted.
 		ingest, err := time.ParseDuration(db.Stats().IngestTime)
 		if err != nil {
+			db.Close()
 			return err
 		}
 		if err := db.Flush(); err != nil {
+			db.Close()
 			return err
 		}
 		st := db.Stats()

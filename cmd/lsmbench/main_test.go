@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestSweepFlagsRequireShardSweep runs the binary: -backend, -dir, -n and
-// -async only configure the shard sweep, so naming one without -shardsweep
-// must exit 2 and say which, never run the figures with the flag ignored.
+// TestSweepFlagsRequireShardSweep runs the binary: -dir, -n and -async only
+// configure the shard sweep, so naming one without -shardsweep must exit 2
+// and say which, never run the figures with the flag ignored.
 func TestSweepFlagsRequireShardSweep(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "lsmbench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -20,8 +20,7 @@ func TestSweepFlagsRequireShardSweep(t *testing.T) {
 		args []string
 		want []string // flags the refusal must name
 	}{
-		{[]string{"-backend", "bogus", "-dir", "/nonexistent", "-list"}, []string{"-backend", "-dir"}},
-		{[]string{"-figure", "fig14", "-backend", "disk"}, []string{"-backend"}},
+		{[]string{"-dir", "/nonexistent", "-list"}, []string{"-dir"}},
 		{[]string{"-list", "-n", "20000"}, []string{"-n"}},
 		{[]string{"-list", "-async=2"}, []string{"-async"}},
 	} {

@@ -1,12 +1,11 @@
 // Command lsmserver serves an lsmstore over TCP with the repository's wire
 // protocol, turning the embedded engine into a networked system. It opens
-// (or reopens) a store on the chosen backend, declares the tweet-workload
+// (or reopens) a store in -dir, declares the tweet-workload
 // schema — a "user" secondary index and a creation-time range filter — and
 // serves GET, UPSERT, INSERT, DELETE, APPLY_BATCH, SECONDARY_QUERY,
 // FILTER_SCAN, STATS, FLUSH and PING with pipelined, out-of-order responses.
-// The store is on files by default (-backend=disk); without -dir it lives in
-// a temp dir removed on exit. Concurrent single writes share WAL fsyncs
-// through the engine's group commit.
+// Without -dir the store lives in a temp dir removed on exit. Concurrent
+// single writes share WAL fsyncs through the engine's group commit.
 //
 // The HTTP sidecar serves /healthz, /stats (JSON incl. latency digests),
 // /metrics (Prometheus text format), /debug/slow (slow-request ring),
@@ -21,11 +20,9 @@
 //
 //	lsmserver -addr 127.0.0.1:4150 -http 127.0.0.1:9650 -shards 4 -maint-workers 2
 //	lsmserver -dir /data/store    # durable, reopenable
-//	lsmserver -backend=sim        # the simulated device, nothing kept
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish, then the
-// store closes (on the disk backend: final manifests persist and the WAL
-// compacts).
+// store closes: its final manifests persist, and a temp dir is removed.
 package main
 
 import (
@@ -38,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/cmd/internal/backendflag"
 	"repro/internal/server"
 	"repro/internal/workload"
 	"repro/lsmstore"
@@ -54,8 +50,7 @@ func main() {
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:4150", "TCP listen address for the wire protocol")
 	httpAddr := flag.String("http", "127.0.0.1:9650", "HTTP sidecar address for /healthz, /stats, /metrics and /debug/* (empty disables)")
-	backend := flag.String("backend", "disk", "storage backend: disk | sim")
-	dir := flag.String("dir", "", "data directory for -backend=disk (default: a temp dir, removed on exit)")
+	dir := flag.String("dir", "", "data directory (default: a temp dir, removed on exit)")
 	strategy := flag.String("strategy", "validation", "eager | validation | mutable-bitmap | deleted-key")
 	shards := flag.Int("shards", 1, "hash partitions")
 	maintWorkers := flag.Int("maint-workers", 2, "maintenance workers (0 = jobs run on the submitting writer)")
@@ -81,6 +76,7 @@ func run() error {
 		Shards:             *shards,
 		MaintenanceWorkers: *maintWorkers,
 		Seed:               *seed,
+		Dir:                *dir,
 	}
 	switch strings.ToLower(*strategy) {
 	case "eager":
@@ -94,14 +90,6 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
-	be, resolvedDir, cleanup, err := backendflag.Resolve(*backend, *dir)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	opts.Backend = be
-	opts.Dir = resolvedDir
-
 	db, err := lsmstore.Open(opts)
 	if err != nil {
 		return err
@@ -127,8 +115,12 @@ func run() error {
 	if err := srv.Start(); err != nil {
 		return err
 	}
-	fmt.Printf("lsmserver: serving %s backend (strategy %s, %d shard(s)) on %s\n",
-		opts.Backend, strings.ToLower(*strategy), *shards, srv.Addr())
+	where := *dir
+	if where == "" {
+		where = "a temp dir removed on exit"
+	}
+	fmt.Printf("lsmserver: serving %s (strategy %s, %d shard(s)) on %s\n",
+		where, strings.ToLower(*strategy), *shards, srv.Addr())
 	if *admBudget > 0 {
 		fmt.Printf("lsmserver: admission control on (budget %d, queue %d)\n", *admBudget, *admQueue)
 	}

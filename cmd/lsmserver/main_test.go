@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"net/http"
 	"os/exec"
@@ -48,7 +47,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 var (
-	wireAddrLine = regexp.MustCompile(`serving disk backend .* on (\S+)\n`)
+	wireAddrLine = regexp.MustCompile(`serving (.+) \(strategy \S+, \d+ shard\(s\)\) on (\S+)\n`)
 	httpAddrLine = regexp.MustCompile(`on http://(\S+)\n`)
 
 	readCacheHits = regexp.MustCompile(`(?m)^lsm_engine_read_cache_hits_total (\d+)$`)
@@ -62,12 +61,12 @@ type running struct {
 }
 
 // startServer launches the binary on dir with ephemeral ports and reads both
-// listen addresses from its start-up lines.
+// listen addresses from its start-up lines, the first of which names dir.
 func startServer(t *testing.T, bin, dir string) *running {
 	t.Helper()
 	r := &running{out: &syncBuffer{}}
 	r.cmd = exec.Command(bin, "-addr", "127.0.0.1:0", "-http", "127.0.0.1:0",
-		"-dir", dir, "-shards", "2", "-pprof", "-slow-threshold", "1us") // files are the default backend
+		"-dir", dir, "-shards", "2", "-pprof", "-slow-threshold", "1us")
 	r.cmd.Stdout, r.cmd.Stderr = r.out, r.out
 	if err := r.cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -79,9 +78,12 @@ func startServer(t *testing.T, bin, dir string) *running {
 		if w == nil || h == nil {
 			return false
 		}
-		r.wire, r.http = w[1], h[1]
+		r.wire, r.http = w[2], h[1]
 		return true
 	})
+	if w := wireAddrLine.FindStringSubmatch(r.out.String()); w[1] != dir {
+		t.Fatalf("the start-up line names %q, not the -dir %q", w[1], dir)
+	}
 	return r
 }
 
@@ -146,15 +148,6 @@ func TestServeDrainReopen(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "lsmserver")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	// A directory with -backend=sim must be refused, not served from a
-	// volatile simulated store (the timeout ends a server that did start).
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, bin, "-backend", "sim", "-dir", t.TempDir(), "-addr", "127.0.0.1:0", "-http", "").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "-backend=disk") {
-		t.Fatalf("-dir with -backend=sim: err = %v, output %q", err, out)
 	}
 
 	const singles, batched = 100, 200

@@ -59,6 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 
 	// 40 devices, 600 readings each, one reading per tick.
 	const devices, readings = 40, 600

@@ -52,6 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 
 	// Figure 2's initial data.
 	must(db.Upsert(pk(101), record("CA", 2015)))

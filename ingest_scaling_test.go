@@ -57,6 +57,7 @@ func ingestOnce(tb testing.TB, shards int, batch []lsmstore.Mutation) time.Durat
 	if err != nil {
 		tb.Fatal(err)
 	}
+	defer db.Close()
 	if err := db.ApplyBatch(batch); err != nil {
 		tb.Fatal(err)
 	}
@@ -77,6 +78,7 @@ func ingestOnceAsync(tb testing.TB, shards, workers int, batch []lsmstore.Mutati
 	if err != nil {
 		tb.Fatal(err)
 	}
+	defer db.Close()
 	if err := db.ApplyBatch(batch); err != nil {
 		tb.Fatal(err)
 	}

@@ -205,8 +205,8 @@ type Dataset struct {
 	cfg Config
 	env *metrics.Env
 	// durable is the store's device when it is a storage.Durable (it keeps a
-	// manifest), nil on the simulated one: Open asserts once, everything
-	// after reads the field.
+	// manifest), nil on the simulated one the figures run on: Open asserts
+	// once, everything after reads the field.
 	durable storage.Durable
 
 	primary     *lsm.Tree
@@ -422,10 +422,6 @@ func (d *Dataset) maintEnv() *metrics.Env {
 
 // Config returns the dataset's configuration.
 func (d *Dataset) Config() Config { return d.cfg }
-
-// Durable reports whether the dataset persists: its device is a
-// storage.Durable, so there is a manifest to save next to the log.
-func (d *Dataset) Durable() bool { return d.durable != nil }
 
 // Log returns the write-ahead log (nil when disabled).
 func (d *Dataset) Log() *wal.Log { return d.log }

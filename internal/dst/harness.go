@@ -456,7 +456,6 @@ func (h *harness) options() lsmstore.Options {
 			{Name: "user", Extract: workload.UserIDOf},
 		},
 		FilterExtract:      workload.CreationOf,
-		Backend:            lsmstore.FileBackend,
 		Dir:                h.dir,
 		MemoryBudget:       8 << 10,     // tiny: every run crosses flush and merge paths
 		CacheBytes:         2 * 4 << 10, // two frames: nearly every page a scan leaves is evicted by its next read

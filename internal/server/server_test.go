@@ -236,7 +236,6 @@ func TestPipelinedConcurrentClients(t *testing.T) {
 func TestServedSingleWritesShareFsyncs(t *testing.T) {
 	opts := storeOptions()
 	opts.Shards = 2
-	opts.Backend = lsmstore.FileBackend
 	opts.Dir = t.TempDir()
 	srv, db := startServer(t, opts, nil)
 
@@ -503,7 +502,6 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 func TestServerKillAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	opts := storeOptions()
-	opts.Backend = lsmstore.FileBackend
 	opts.Dir = dir
 	db, err := lsmstore.Open(opts)
 	if err != nil {
@@ -613,7 +611,6 @@ func TestServerKillAndReopen(t *testing.T) {
 	}
 	reopened, err := lsmstore.Open(func() lsmstore.Options {
 		o := storeOptions()
-		o.Backend = lsmstore.FileBackend
 		o.Dir = snap
 		return o
 	}())

@@ -6,24 +6,27 @@
 // manifest — with the log, the paper's durability model (Section 2.2).
 // core.Open asserts Durable once and keeps the answer on the dataset; the
 // simulation's wrapper (dst.Control.Wrap) asserts it of the device it
-// wraps; nothing else asserts, and lsmstore.Open refuses a file-backend
-// shard whose Options.WrapDevice hook returned a device that is not one.
+// wraps; and lsmstore.Open refuses a shard whose Options.WrapDevice hook
+// returned a device that is not one.
 //
-// # Backends
+// # Devices
 //
 // Two implementations exist:
 //
-//   - The simulated device (*Disk, this package) stands in for the paper's
+//   - The file-backed device (internal/storage/filedev), the one Durable,
+//     is what every lsmstore.DB runs on. It maps each component file to a
+//     real file under a data directory, batches appends, fsyncs on WAL
+//     commit and component install, and persists a manifest so a store can
+//     be reopened after a clean shutdown or a crash. See that package's
+//     documentation for the layout.
+//
+//   - The simulated device (*Disk, this package) is the figures' device:
+//     internal/experiments runs the paper's Section 6 experiments on it,
+//     and tests use it as a reference. It stands in for the paper's
 //     7200 rpm SATA hard disks and SSD (Section 6.1). Pages and log
 //     segments live in memory, and SyncWAL does nothing. Nothing survives
 //     process exit — a crash is simulated by discarding memory components,
 //     and recovery decodes the log segments the disk holds.
-//
-//   - The file-backed device (internal/storage/filedev), the one Durable,
-//     maps each component file to a real file under a data directory,
-//     batches appends, fsyncs on WAL commit and component install, and
-//     persists a manifest so a store can be reopened after a clean
-//     shutdown or a crash. See that package's documentation for the layout.
 //
 // # WAL durability and group commit
 //
@@ -35,7 +38,7 @@
 // on a shared commit group (filedev.GroupSyncer), and a leader issues one
 // SyncWAL covering all of them. One fsync then acknowledges a whole group
 // of writes instead of one, which is the difference between
-// fsync-rate-bound and device-bound ingest on the file backend. A failed
+// fsync-rate-bound and device-bound ingest on files. A failed
 // SyncWAL poisons the log area: the durable suffix is indeterminate, so
 // the device refuses further log appends rather than risk silently
 // committing a write whose failure was already reported.
@@ -54,9 +57,9 @@
 // head, so maintenance-lane reads break the foreground's sequential runs as
 // they would on one spindle. A failed read or append charges nothing.
 //
-// Virtual time therefore means the same thing on the file backend as on
-// the simulated one: the same workload reads the same counters and the
-// same clocks on both. It is the paper's model of the access pattern, not
+// Virtual time therefore means the same thing on files as on the simulated
+// device: the same workload reads the same counters and the same clocks on
+// both. It is the paper's model of the access pattern, not
 // a measurement of the files; on real files wall-clock time is the
 // separate, real measure.
 //

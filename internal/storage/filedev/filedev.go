@@ -1,6 +1,6 @@
 // Package filedev implements storage.Durable — component pages, log area and
-// manifest — on real files: the persistence backend behind lsmstore's
-// Options.Backend = FileBackend. The log area is the write-ahead log's only
+// manifest — on real files: the device every lsmstore.DB runs on, one per
+// shard, under Options.Dir. The log area is the write-ahead log's only
 // copy: recovery, in process or at a reopen, reads the segment files back
 // through LoadWAL.
 //

@@ -36,8 +36,9 @@ func TweetRec(id uint64, user uint32, creation int64) []byte {
 
 // BaseOptions returns the batteries' small store configuration: a "user"
 // secondary index, a creation-time filter, and budgets tiny enough that
-// every test exercises flushes and merges. The backend is left at the
-// zero value (SimBackend); disk tests go through DiskOptions.
+// every test exercises flushes and merges. Dir is left empty, so each store
+// lives in a temporary directory its Close removes; a test that reopens the
+// directory or inspects its files goes through DiskOptions.
 func BaseOptions(strategy lsmstore.Strategy) lsmstore.Options {
 	return lsmstore.Options{
 		Strategy: strategy,
@@ -52,10 +53,9 @@ func BaseOptions(strategy lsmstore.Strategy) lsmstore.Options {
 	}
 }
 
-// DiskOptions returns BaseOptions pinned to the file backend in dir.
+// DiskOptions returns BaseOptions in dir.
 func DiskOptions(strategy lsmstore.Strategy, dir string) lsmstore.Options {
 	opts := BaseOptions(strategy)
-	opts.Backend = lsmstore.FileBackend
 	opts.Dir = dir
 	return opts
 }

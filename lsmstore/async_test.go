@@ -104,6 +104,7 @@ func TestAsyncEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer syncDB.Close()
 				asyncDB, err := lsmstore.Open(asyncOptions(strategy, shards, 4))
 				if err != nil {
 					t.Fatal(err)

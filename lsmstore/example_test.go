@@ -45,6 +45,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 	db.Upsert(userPK(101), userRecord("CA", 2015))
 	db.Upsert(userPK(102), userRecord("CA", 2016))
 	db.Upsert(userPK(103), userRecord("MA", 2017))
@@ -63,6 +64,7 @@ func ExampleDB_FilterScan() {
 		Strategy:      lsmstore.MutableBitmap,
 		FilterExtract: userYear,
 	})
+	defer db.Close()
 	for y := int64(2010); y <= 2020; y++ {
 		db.Upsert(userPK(uint64(y)), userRecord("CA", y))
 	}
@@ -75,6 +77,7 @@ func ExampleDB_FilterScan() {
 // ExampleDB_Recover demonstrates crash recovery from the write-ahead log.
 func ExampleDB_Recover() {
 	db, _ := lsmstore.Open(lsmstore.Options{Strategy: lsmstore.Validation})
+	defer db.Close()
 	db.Upsert(userPK(1), userRecord("CA", 2015))
 	db.Flush() // durable in a disk component
 	db.Upsert(userPK(2), userRecord("NY", 2016))
@@ -98,6 +101,7 @@ func ExampleQueryOptions() {
 		Strategy:    lsmstore.Validation,
 		Secondaries: []lsmstore.SecondaryIndex{{Name: "location", Extract: userLocation}},
 	})
+	defer db.Close()
 	db.Upsert(userPK(1), userRecord("CA", 2015))
 	db.Flush()
 	db.Upsert(userPK(1), userRecord("NY", 2016)) // obsolete (CA,1) remains on disk

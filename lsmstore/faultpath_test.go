@@ -608,8 +608,8 @@ func TestKillAtReclaimPoints(t *testing.T) {
 // storage.Device promotes the page and log-area methods and nothing else.
 type pagesOnly struct{ storage.Device }
 
-// TestWrapDeviceMustStayDurable: on the file backend a wrapper that returns a
-// device without the manifest must be refused by Open, by name — it used
+// TestWrapDeviceMustStayDurable: a wrapper that returns a device without the
+// manifest must be refused by Open, by name — it used
 // to open a store that persisted nothing and said nothing. The refused open
 // leaves the directory usable.
 func TestWrapDeviceMustStayDurable(t *testing.T) {
@@ -624,7 +624,7 @@ func TestWrapDeviceMustStayDurable(t *testing.T) {
 	db, err := lsmstore.Open(opts)
 	if err == nil {
 		db.Close()
-		t.Fatal("Open accepted a file-backend shard whose device is not a storage.Durable")
+		t.Fatal("Open accepted a shard whose device is not a storage.Durable")
 	}
 	for _, want := range []string{"Options.WrapDevice", "shard 1"} {
 		if !strings.Contains(err.Error(), want) {
@@ -639,15 +639,5 @@ func TestWrapDeviceMustStayDurable(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
-	}
-	// The simulated device has no durable half to lose.
-	sim := tinyOptions(lsmstore.Validation)
-	if sim.Backend == lsmstore.SimBackend {
-		sim.WrapDevice = func(_ int, dev storage.Device) storage.Device { return pagesOnly{dev} }
-		db, err := lsmstore.Open(sim)
-		if err != nil {
-			t.Fatalf("simulated backend with a pages-only wrapper: %v", err)
-		}
-		db.Close()
 	}
 }

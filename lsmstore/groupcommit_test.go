@@ -15,8 +15,9 @@ import (
 // whether commits share fsyncs or each pays its own, an acknowledged write
 // survives a kill even when its fsync covered a whole group, a batch pays
 // one fsync, and a lone writer is never stranded waiting for followers that
-// are not coming. That the file backend's contents match the simulated
-// backend's, which has no fsync at all, is TestFileBackendMatchesSim.
+// are not coming. That a store on files holds what one on the figures'
+// simulated device holds, which has no fsync at all, is
+// TestFileBackendMatchesSim.
 
 // TestGroupCommitOnOffEquivalence drives the identical deterministic
 // workload with commit coalescing on and off — for every strategy, live and

@@ -9,17 +9,16 @@ import (
 )
 
 // The battery fixtures live in internal/storetest; these thin
-// names keep the test files readable and apply the per-run backend
-// override (LSMSTORE_TEST_BACKEND) where it belongs.
+// names keep the test files readable.
 
-// tinyOptions is the small store every functional test uses, routed
-// through the test-run backend override.
+// tinyOptions is the small store every functional test uses, in a
+// temporary directory its Close removes.
 func tinyOptions(strategy lsmstore.Strategy) lsmstore.Options {
-	return applyTestBackend(storetest.BaseOptions(strategy))
+	return storetest.BaseOptions(strategy)
 }
 
-// diskOptions pins tinyOptions to the file backend in dir (no override:
-// disk tests are disk tests on every run).
+// diskOptions is tinyOptions in dir, for a test that reopens the directory
+// or inspects its files.
 func diskOptions(strategy lsmstore.Strategy, dir string) lsmstore.Options {
 	return storetest.DiskOptions(strategy, dir)
 }

@@ -4,11 +4,11 @@
 // Carey, "Efficient Data Ingestion and Query Processing for LSM-Based
 // Storage Systems" (PVLDB 12(5), 2019).
 //
-// A DB routes over one or more dataset partitions, each backed by a
-// simulated disk with an explicit I/O cost model (see the internal/metrics
-// and internal/storage package docs) or by real files, holding a primary
-// LSM index, an optional primary key index, and any number of secondary
-// indexes that share a memory budget. The maintenance strategy for
+// A DB routes over one or more dataset partitions, each kept in files under
+// its own directory with an explicit I/O cost model charged to a virtual
+// clock (see the internal/metrics and internal/storage package docs), and
+// each holding a primary LSM index, an optional primary key index, and any
+// number of secondary indexes that share a memory budget. The maintenance strategy for
 // auxiliary structures — Eager, Validation, Mutable-bitmap, or Deleted-key
 // B+-tree — is chosen at Open time, and queries pick a validation method
 // per request.
@@ -61,6 +61,7 @@ package lsmstore
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/bloom"
@@ -98,35 +99,16 @@ const (
 	TimestampValidation = query.Timestamp
 )
 
-// Backend selects the storage backend beneath a DB.
+// Backend names a storage backend. Every DB runs on files, so it has one
+// value and Open ignores it.
+//
+// Deprecated: leave Options.Backend unset.
 type Backend int
 
-// Backends.
-const (
-	// SimBackend (the default) runs on the simulated in-memory device.
-	// Nothing survives process exit; crash/recovery is simulated
-	// (Crash/Recover).
-	SimBackend Backend = iota
-	// FileBackend runs on real files under Options.Dir: batched appends,
-	// fsync on WAL commit and component install, and a manifest that lets
-	// Open reopen the directory — after a clean Close or a crash — and
-	// continue serving every committed write. The Store charges the same
-	// HDD device model against the access pattern as on SimBackend, so the
-	// counters and virtual clocks match it; wall-clock time is the
-	// separate, real measure of the files.
-	FileBackend
-)
-
-// String implements fmt.Stringer.
-func (b Backend) String() string {
-	switch b {
-	case SimBackend:
-		return "sim"
-	case FileBackend:
-		return "disk"
-	}
-	return fmt.Sprintf("backend(%d)", int(b))
-}
+// FileBackend is Backend's one value.
+//
+// Deprecated: leave Options.Backend unset.
+const FileBackend Backend = 0
 
 // SecondaryIndex declares one secondary index.
 type SecondaryIndex struct {
@@ -137,23 +119,25 @@ type SecondaryIndex struct {
 	Extract func(record []byte) ([]byte, bool)
 }
 
-// Options configures a DB. The zero value gives an Eager-strategy store on
-// a simulated HDD with a 64 MB buffer cache, a 4 MB memory budget, tiering
-// merges and a primary key index. What a DB lets a caller choose is the
-// schema (Strategy, Secondaries, FilterExtract), where the data lives
-// (Backend, Dir, Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
+// Options configures a DB. The zero value gives an Eager-strategy store in a
+// fresh temporary directory that Close removes, with a 64 MB buffer cache, a
+// 4 MB memory budget, tiering merges, a primary key index and the HDD cost
+// model charged to its virtual clocks. What a DB lets a caller choose is the
+// schema (Strategy, Secondaries, FilterExtract), where the data lives (Dir,
+// Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
 // MaintenanceWorkers, ReadCache), MergeRepair, Seed and two hooks that let
 // a test substitute a fake. Everything else is fixed: the write-ahead log is
-// always on, and on the file backend it commits through a group (concurrent
-// committers share one covering fsync, an ApplyBatch pays one per batch, and
-// no write is acknowledged before the fsync covering its log record
-// returns) whose leader waits only for an fsync already in flight;
+// always on and commits through a group (concurrent committers share one
+// covering fsync, an ApplyBatch pays one per batch, and no write is
+// acknowledged before the fsync covering its log record returns) whose
+// leader waits only for an fsync already in flight;
 // Mutable-bitmap merges use the Side-file method; and the maintenance
 // journal keeps the last 256 events. The paper's ablations (no primary key
 // index, correlated merges, the Bloom-filter repair optimization, blocked
 // Bloom filters, no merges, the other concurrency-control methods, the SSD
 // profile, no log) are core.Config and storage settings that
-// internal/experiments sets directly; they are not options of a DB.
+// internal/experiments sets directly, on the simulated device the figures
+// run on; they are not options of a DB.
 type Options struct {
 	// Strategy is the maintenance strategy for secondary indexes and
 	// filters.
@@ -163,14 +147,14 @@ type Options struct {
 	// FilterExtract, when set, maintains a component-level range filter
 	// over the extracted value (e.g. a creation timestamp).
 	FilterExtract func(record []byte) (int64, bool)
-	// Backend selects the storage backend: the simulated device (default)
-	// or real files under Dir.
+	// Backend is ignored.
+	//
+	// Deprecated: every DB runs on files; leave it unset.
 	Backend Backend
-	// Dir is the data directory of the file backend (required for
-	// FileBackend, ignored otherwise). Each shard keeps its own
-	// subdirectory; reopening an existing directory restores all committed
-	// data and requires the same Shards, PageSize and Strategy it was
-	// written with.
+	// Dir is the data directory. Each shard keeps its own subdirectory;
+	// reopening an existing directory restores all committed data and
+	// requires the same Shards, PageSize and Strategy it was written with.
+	// Empty means a fresh temporary directory that Close removes.
 	Dir string
 	// PageSize overrides the device page size (testing).
 	PageSize int
@@ -219,10 +203,10 @@ type Options struct {
 
 	// WrapDevice, when set, wraps each partition's storage device before
 	// the store and WAL are built. It receives the shard index and the
-	// opened device; the returned device is used in its place. On the file
-	// backend the inner device is a storage.Durable and the wrapper must
-	// return one: Open refuses a shard whose wrapper dropped the durable
-	// half rather than run it without a manifest.
+	// opened device; the returned device is used in its place. The inner
+	// device is a storage.Durable and the wrapper must return one: Open
+	// refuses a shard whose wrapper dropped the durable half rather than run
+	// it without a manifest.
 	WrapDevice func(shard int, dev storage.Device) storage.Device
 	// Yield, when set, is invoked at the instrumented scheduling points in
 	// the WAL commit path and the maintenance pool, letting the
@@ -253,6 +237,7 @@ type DB struct {
 	cache   *readcache.Cache // non-nil only when Options.ReadCache.Bytes > 0
 	journal *obs.Journal     // flush/merge events of every shard
 	helpers *helpers         // run fan-out legs; stopped by Close
+	tempDir string           // the directory Open made for an empty Options.Dir; Close removes it
 
 	// mu guards the lifecycle: public operations hold it shared, Close
 	// holds it exclusively, so Close waits for in-flight operations to
@@ -275,24 +260,62 @@ func (db *DB) acquire() error {
 
 func (db *DB) release() { db.mu.RUnlock() }
 
-// Open creates an empty DB or, with Options.Backend = FileBackend and an
-// existing Options.Dir, reopens a previously written store: component
-// files are restored from the per-shard manifests, the on-disk write-ahead
-// logs are replayed, and every committed write — whether the previous
-// process Closed cleanly or crashed — is served again.
+// Open creates an empty DB or reopens a previously written Options.Dir:
+// component files are restored from the per-shard manifests, the on-disk
+// write-ahead logs are replayed, and every committed write — whether the
+// previous process Closed cleanly or crashed — is served again. With an
+// empty Dir the store lives in a fresh temporary directory, which Close (or
+// a failed Open) removes.
 func Open(opts Options) (*DB, error) {
-	if opts.Backend == FileBackend {
-		if opts.Dir == "" {
-			return nil, errors.New("lsmstore: FileBackend requires Options.Dir")
-		}
-		if err := checkLayout(opts); err != nil {
+	if opts.Dir == "" {
+		dir, err := os.MkdirTemp("", "lsmstore-*")
+		if err != nil {
 			return nil, err
 		}
+		opts.Dir = dir
+		db, err := Open(opts)
+		if err != nil {
+			os.RemoveAll(dir)
+			return nil, err
+		}
+		db.tempDir = dir
+		return db, nil
 	}
+	if err := checkLayout(opts); err != nil {
+		return nil, err
+	}
+	return open(opts, fileDevice)
+}
+
+// shardDevice opens shard idx's device on profile, counting its events in
+// c, before the shard's store and dataset are built on it.
+type shardDevice func(opts Options, idx int, profile storage.Profile, c *metrics.Counters) (storage.Device, error)
+
+// fileDevice is Open's shardDevice: the shard's subdirectory of Options.Dir,
+// wrapped by Options.WrapDevice, which must leave it a storage.Durable.
+func fileDevice(opts Options, idx int, profile storage.Profile, c *metrics.Counters) (storage.Device, error) {
+	fd, err := filedev.Open(shardDir(opts.Dir, idx), profile)
+	if err != nil {
+		return nil, err
+	}
+	fd.AttachCounters(c)
+	dev := storage.Device(fd)
+	if opts.WrapDevice != nil {
+		dev = opts.WrapDevice(idx, dev)
+	}
+	if _, ok := dev.(storage.Durable); !ok {
+		dev.Close()
+		return nil, fmt.Errorf("lsmstore: Options.WrapDevice returned a device for shard %d that is not a storage.Durable: the shard would keep no manifest", idx)
+	}
+	return dev, nil
+}
+
+// open builds a DB whose shards run on the devices device opens.
+func open(opts Options, device shardDevice) (*DB, error) {
 	pool := maint.NewPool(opts.MaintenanceWorkers)
 	pool.SetYield(opts.Yield)
 	journal := obs.NewJournal(0) // the default ring: 256 events
-	parts, err := openPartitions(opts, pool, journal)
+	parts, err := openPartitions(opts, device, pool, journal)
 	if err != nil {
 		pool.Close()
 		return nil, err
@@ -316,7 +339,7 @@ func newReadCache(opts Options) *readcache.Cache {
 // (the paper's per-partition budget). All partitions share one maintenance
 // pool, so background work is bounded machine-wide while each shard
 // compacts independently.
-func openPartitions(opts Options, pool *maint.Pool, journal *obs.Journal) ([]partition, error) {
+func openPartitions(opts Options, device shardDevice, pool *maint.Pool, journal *obs.Journal) ([]partition, error) {
 	n := max(opts.Shards, 1)
 	per := opts
 	per.CacheBytes = resolveCacheBytes(opts)
@@ -326,13 +349,22 @@ func openPartitions(opts Options, pool *maint.Pool, journal *obs.Journal) ([]par
 			per.CacheBytes = minCache
 		}
 	}
+	profile := storage.HDD()
+	if opts.PageSize > 0 {
+		profile = storage.ScaledHDD(opts.PageSize)
+	}
 	parts := make([]partition, n)
 	for i := range parts {
 		po := per
 		// Distinct seeds keep per-shard memtable shapes independent while
 		// staying deterministic for a given (Seed, Shards) pair.
 		po.Seed = opts.Seed + int64(i)*101
-		p, err := openPartition(po, pool, journal, i)
+		env := metrics.NewEnv()
+		dev, err := device(po, i, profile, env.Counters)
+		var p partition
+		if err == nil {
+			p, err = openPartition(po, dev, env, pool, journal, i)
+		}
 		if err != nil {
 			for _, prev := range parts[:i] {
 				prev.store.Device().Close()
@@ -361,27 +393,9 @@ func resolvePageSize(opts Options) int {
 	return storage.HDD().PageSize
 }
 
-// openPartition opens shard idx.
-func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int) (partition, error) {
-	env := metrics.NewEnv()
-	profile := storage.HDD()
-	if opts.PageSize > 0 {
-		profile = storage.ScaledHDD(opts.PageSize)
-	}
-	var dev storage.Device
-	if opts.Backend == FileBackend {
-		fd, err := filedev.Open(shardDir(opts.Dir, idx), profile)
-		if err != nil {
-			return partition{}, err
-		}
-		fd.AttachCounters(env.Counters)
-		dev = fd
-	} else {
-		dev = storage.NewDisk(profile)
-	}
-	if opts.WrapDevice != nil {
-		dev = opts.WrapDevice(idx, dev)
-	}
+// openPartition builds shard idx's store and dataset on dev, which it
+// closes if the dataset does not open.
+func openPartition(opts Options, dev storage.Device, env *metrics.Env, pool *maint.Pool, journal *obs.Journal, idx int) (partition, error) {
 	store := storage.NewStore(dev, resolveCacheBytes(opts), env)
 
 	cfg := core.Config{
@@ -403,9 +417,6 @@ func openPartition(opts Options, pool *maint.Pool, journal *obs.Journal, idx int
 		cfg.Secondaries = append(cfg.Secondaries, core.SecondarySpec(s))
 	}
 	ds, err := core.Open(cfg)
-	if err == nil && opts.Backend == FileBackend && !ds.Durable() {
-		err = fmt.Errorf("lsmstore: Options.WrapDevice returned a device for shard %d that is not a storage.Durable: the shard would keep no manifest", idx)
-	}
 	if err != nil {
 		dev.Close()
 		return partition{}, err
@@ -705,11 +716,11 @@ func (db *DB) Flush() error {
 }
 
 // Close drains all pending maintenance (flush builds and merges on every
-// shard), stops the maintenance workers, and — on the file
-// backend — persists the final manifests and releases the devices. It does
-// not flush live memory components: their committed writes sit in the
-// on-disk write-ahead log and are replayed at the next Open (call Flush
-// first for a replay-free shutdown image).
+// shard), stops the maintenance workers, persists the final manifests and
+// releases the devices; a store Open put in a temporary directory is then
+// removed with it. Close does not flush live memory components: their
+// committed writes sit in the on-disk write-ahead log and are replayed at
+// the next Open (call Flush first for a replay-free shutdown image).
 //
 // Close is idempotent and safe for concurrent use: it waits for in-flight
 // operations to finish, runs shutdown exactly once, and concurrent or
@@ -743,6 +754,11 @@ func (db *DB) Close() error {
 			errs = append(errs, err)
 		}
 	}
+	if db.tempDir != "" {
+		if err := os.RemoveAll(db.tempDir); err != nil {
+			errs = append(errs, err)
+		}
+	}
 	return errors.Join(errs...)
 }
 
@@ -764,7 +780,7 @@ func (db *DB) Crash() {
 
 // Recover replays committed write-ahead-log records lost in a Crash, on
 // every shard, decoding the log each shard's device holds — the recovery a
-// reopen of a file-backend directory runs.
+// reopen of the directory runs.
 func (db *DB) Recover() error {
 	if err := db.acquire(); err != nil {
 		return err
@@ -800,7 +816,7 @@ func repairSecondaries(_ int, ds *core.Dataset) error {
 		}
 	}
 	// Repair rewrites obsolete bitmaps and watermarks; capture them in the
-	// manifest (no-op on the simulated backend).
+	// manifest.
 	return ds.Persist()
 }
 

@@ -17,6 +17,7 @@ func TestCRUDRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	pk := binary.BigEndian.AppendUint64(nil, 42)
 	rec := workload.Tweet{ID: 42, UserID: 7, Creation: 1, Message: []byte("m")}.Encode()
 
@@ -49,6 +50,7 @@ func TestCRUDRoundTrip(t *testing.T) {
 
 func TestUnknownIndexError(t *testing.T) {
 	db, _ := lsmstore.Open(tinyOptions(lsmstore.Eager))
+	defer db.Close()
 	if _, err := db.SecondaryQuery("nope", nil, nil, lsmstore.QueryOptions{}); err == nil {
 		t.Fatal("unknown index accepted")
 	}
@@ -105,6 +107,7 @@ func TestPublicAPIEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer db.Close()
 			rng := rand.New(rand.NewSource(8))
 			type row struct {
 				user     uint32
@@ -182,6 +185,7 @@ func TestRepairSecondaryIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 3000; i++ {
 		id := uint64(rng.Intn(300) + 1)
@@ -211,6 +215,7 @@ func TestRepairSecondaryIndexes(t *testing.T) {
 
 func TestIndexOnlyQuery(t *testing.T) {
 	db, _ := lsmstore.Open(tinyOptions(lsmstore.Validation))
+	defer db.Close()
 	for i := uint64(1); i <= 100; i++ {
 		pk := binary.BigEndian.AppendUint64(nil, i)
 		rec := workload.Tweet{ID: i, UserID: uint32(i % 10), Creation: int64(i), Message: []byte("z")}.Encode()
@@ -228,6 +233,7 @@ func TestIndexOnlyQuery(t *testing.T) {
 
 func TestStatsProgress(t *testing.T) {
 	db, _ := lsmstore.Open(tinyOptions(lsmstore.Eager))
+	defer db.Close()
 	for i := uint64(1); i <= 2000; i++ {
 		pk := binary.BigEndian.AppendUint64(nil, i)
 		rec := workload.Tweet{ID: i, UserID: 1, Creation: int64(i), Message: make([]byte, 100)}.Encode()
@@ -252,6 +258,7 @@ func TestFlushIsExplicit(t *testing.T) {
 	opts := tinyOptions(lsmstore.Eager)
 	opts.MemoryBudget = 1 << 30 // never auto-flush
 	db, _ := lsmstore.Open(opts)
+	defer db.Close()
 	pk := binary.BigEndian.AppendUint64(nil, 1)
 	db.Upsert(pk, workload.Tweet{ID: 1, UserID: 1, Creation: 1, Message: []byte("m")}.Encode())
 	if db.Stats().PrimaryComponents != 0 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/lsmstore"
 )
@@ -213,25 +214,23 @@ func TestFileBackendAbandonsPartialInstalls(t *testing.T) {
 	}
 }
 
-// TestFileBackendMatchesSim drives the identical workload into a simulated
-// store and a file-backed store and demands identical visible contents,
-// live and after the file-backed store is reopened — the backends must
-// differ only in durability, never in semantics. The simulated backend has
-// no fsync at all, so it is also the reference for the file backend's
-// group commit: coalescing commit fsyncs changes no visible byte. Both
-// backends build the same engine, so after Flush and after the reads their
-// engine counters must match too, all but the durable log's, which only
-// files keep.
+// TestFileBackendMatchesSim drives the identical workload into a store on
+// the figures' simulated device (OpenSimulated) and a file-backed store and
+// demands identical visible contents, live and after the file-backed store
+// is reopened — the devices must differ only in durability, never in
+// semantics. The simulated device has no fsync at all, so it is also the
+// reference for group commit: coalescing commit fsyncs changes no visible
+// byte. Both stores build the same engine, so after Flush and after the
+// reads their engine counters must match too, all but the durable log's,
+// which only files keep.
 func TestFileBackendMatchesSim(t *testing.T) {
 	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap, lsmstore.DeletedKey} {
 		t.Run(strategy.String(), func(t *testing.T) {
-			simOpts := tinyOptions(strategy)
-			simOpts.Backend = lsmstore.SimBackend
-			simOpts.Dir = ""
-			sim, err := lsmstore.Open(simOpts)
+			sim, err := lsmstore.OpenSimulated(tinyOptions(strategy))
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer sim.Close()
 			diskOpts := diskOptions(strategy, t.TempDir())
 			disk, err := lsmstore.Open(diskOpts)
 			if err != nil {
@@ -268,9 +267,9 @@ func TestFileBackendMatchesSim(t *testing.T) {
 }
 
 // sameCounters fails t unless sim and disk report the same engine
-// counters, leaving out the durable log's, which the simulated backend
+// counters, leaving out the durable log's, which the simulated device
 // never moves, and the same virtual clocks: the Store charges one device
-// model on both backends.
+// model on both devices.
 func sameCounters(t *testing.T, stage string, sim, disk *lsmstore.DB) {
 	t.Helper()
 	engine := func(db *lsmstore.DB) metrics.Snapshot {
@@ -328,13 +327,11 @@ func TestFileBackendKillMidMaintenance(t *testing.T) {
 	// copied the WAL, so the recovered store must serve all of them. The
 	// expected values come from a clean replay of the same deterministic
 	// stream into a fresh simulated store.
-	refOpts := tinyOptions(lsmstore.Validation)
-	refOpts.Backend = lsmstore.SimBackend
-	refOpts.Dir = ""
-	ref, err := lsmstore.Open(refOpts)
+	ref, err := lsmstore.OpenSimulated(tinyOptions(lsmstore.Validation))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ref.Close()
 	mixedWorkload(t, ref, 600, 53)
 	want := storeImage(t, ref, ids, lsmstore.TimestampValidation)
 	if got := storeImage(t, re, ids, lsmstore.TimestampValidation); got != want {
@@ -507,11 +504,61 @@ func TestFileBackendRefusesDoubleOpen(t *testing.T) {
 	re.Close()
 }
 
-// TestFileBackendRequiresDir pins the error for the one option the file
-// backend cannot default: its data directory.
-func TestFileBackendRequiresDir(t *testing.T) {
-	if _, err := lsmstore.Open(lsmstore.Options{Backend: lsmstore.FileBackend}); err == nil {
-		t.Fatal("FileBackend without Dir was accepted")
+// TestEmptyDirIsTempDir: a store opened without a Dir lives in a fresh
+// temporary directory — a real, durable store with a layout, whose writes
+// survive Crash + Recover — and Close removes the directory. An Open that
+// is refused removes the directory it made, too.
+func TestEmptyDirIsTempDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	stores := func() []string {
+		t.Helper()
+		dirs, err := filepath.Glob(filepath.Join(tmp, "lsmstore-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dirs
+	}
+
+	db, err := lsmstore.Open(lsmstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := stores()
+	if len(dirs) != 1 {
+		db.Close()
+		t.Fatalf("an open store with an empty Dir made %d lsmstore-* directories, want 1: %v", len(dirs), dirs)
+	}
+	if _, err := os.Stat(filepath.Join(dirs[0], "layout.json")); err != nil {
+		t.Errorf("the temporary directory holds no layout.json: %v", err)
+	}
+	pk, rec := tweetPK(1), tweetRec(1, 7, 100)
+	if err := db.Upsert(pk, rec); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got, found, err := db.Get(pk); err != nil || !found || string(got) != string(rec) {
+		t.Errorf("after Crash + Recover: Get = %x, %v, %v; want %x", got, found, err, rec)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dirs := stores(); len(dirs) != 0 {
+		t.Fatalf("Close left the temporary directory behind: %v", dirs)
+	}
+
+	// A refused Open cleans up after itself.
+	_, err = lsmstore.Open(lsmstore.Options{
+		WrapDevice: func(_ int, dev storage.Device) storage.Device { return pagesOnly{dev} },
+	})
+	if err == nil {
+		t.Fatal("Open accepted a device that is not a storage.Durable")
+	}
+	if dirs := stores(); len(dirs) != 0 {
+		t.Fatalf("a refused Open left its temporary directory behind: %v", dirs)
 	}
 }
 

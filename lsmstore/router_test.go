@@ -305,7 +305,6 @@ func TestBatchScratchReuseMatchesFresh(t *testing.T) {
 		badOp                         = Op(99)
 	)
 	opts := routedOptions(shards)
-	opts.Backend, opts.Dir = FileBackend, t.TempDir()
 	db := openRouted(t, opts)
 	ref := newRoutedDB(t, 1)
 

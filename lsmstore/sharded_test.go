@@ -34,10 +34,12 @@ func TestShardedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer single.Close()
 				sharded, err := lsmstore.Open(shardedOptions(strategy, shards))
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer sharded.Close()
 				wantShards := max(shards, 1)
 				if single.NumShards() != 1 || sharded.NumShards() != wantShards {
 					t.Fatalf("shard counts: %d, %d", single.NumShards(), sharded.NumShards())
@@ -156,10 +158,12 @@ func TestShardedRoutingDeterministicAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer a.Close()
 	b, err := lsmstore.Open(shardedOptions(lsmstore.Eager, shards))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	pa, pb := placements(a), placements(b)
 	for id, s := range pa {
 		if pb[id] != s {
@@ -176,6 +180,7 @@ func TestShardedSecondaryQueryLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	const n = 400
 	var muts []lsmstore.Mutation
 	for id := uint64(1); id <= n; id++ {
@@ -242,6 +247,7 @@ func TestLimitConsistentAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer db.Close()
 		for id := uint64(1); id <= 120; id++ {
 			if err := db.Upsert(tweetPK(id), tweetRec(id, 5, int64(id))); err != nil {
 				t.Fatal(err)
@@ -271,6 +277,7 @@ func TestShardedCrashRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	const n = 300
 	for id := uint64(1); id <= n; id++ {
 		if err := db.Upsert(tweetPK(id), tweetRec(id, uint32(id%5), int64(id))); err != nil {
@@ -303,6 +310,7 @@ func TestShardedConcurrentApplyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	const (
 		writers = 4
 		batches = 6
@@ -371,6 +379,7 @@ func TestApplyBatchUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	muts := []lsmstore.Mutation{
 		{Op: lsmstore.OpInsert, PK: tweetPK(1), Record: tweetRec(1, 1, 1)},
 		{Op: lsmstore.OpUpsert, PK: tweetPK(1), Record: tweetRec(1, 2, 2)},
