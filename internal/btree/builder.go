@@ -57,18 +57,24 @@ type Builder struct {
 	// is free again as soon as the call returns.
 	page []byte
 
-	// one pending routing entry per written page, per level
-	levels [][]routeEntry
+	// one pending routing entry per written page, per level; routeKeys holds
+	// the leaves' first keys back to back, and an internal page's route
+	// names its first leaf's key there too
+	levels    [][]routeEntry
+	routeKeys []byte
 
 	lastKey []byte // reused; meaningful once count > 0
 	count   int64
 	done    bool
 }
 
+// routeEntry routes to a page whose first key is
+// routeKeys[keyOff : keyOff+keyLen].
 type routeEntry struct {
-	firstKey []byte
-	page     uint32
+	keyOff, keyLen uint32
+	page           uint32
 }
+
 
 // NewBuilder starts a bulk load into a new file on store.
 func NewBuilder(store *storage.Store) *Builder {
@@ -141,11 +147,12 @@ func (b *Builder) flushLeaf() error {
 	if err != nil {
 		return err
 	}
-	// The route's first key is the one copy a leaf costs: the entry buffer
-	// is about to be overwritten and the route lives until Finish.
+	// The route's first key moves to routeKeys: the entry buffer is about
+	// to be overwritten and the route lives until Finish.
 	keyLen, w := binary.Uvarint(b.entries)
-	firstKey := append([]byte(nil), b.entries[w:w+int(keyLen)]...)
-	b.pushRoute(0, routeEntry{firstKey: firstKey, page: uint32(pageNo)})
+	r := routeEntry{keyOff: uint32(len(b.routeKeys)), keyLen: uint32(keyLen), page: uint32(pageNo)}
+	b.routeKeys = append(b.routeKeys, b.entries[w:w+int(keyLen)]...)
+	b.pushRoute(0, r)
 	b.entries = b.entries[:0]
 	b.offs = b.offs[:0]
 	return nil
@@ -165,8 +172,8 @@ func (b *Builder) writeInternal(level int, routes []routeEntry) (uint32, error) 
 	page = append(page, make([]byte, 4*len(routes))...)
 	for i, r := range routes {
 		binary.BigEndian.PutUint32(page[slotBase+4*i:], uint32(len(page)))
-		page = binary.AppendUvarint(page, uint64(len(r.firstKey)))
-		page = append(page, r.firstKey...)
+		page = binary.AppendUvarint(page, uint64(r.keyLen))
+		page = append(page, b.routeKeys[r.keyOff:r.keyOff+r.keyLen]...)
 		page = binary.BigEndian.AppendUint32(page, r.page)
 	}
 	pageNo, err := b.store.AppendPage(b.file, page)
@@ -181,7 +188,7 @@ func (b *Builder) writeInternal(level int, routes []routeEntry) (uint32, error) 
 func (b *Builder) internalFits(routes []routeEntry) int {
 	bytes := internalHeaderSize
 	for i, r := range routes {
-		bytes += 4 + uvarintLen(uint64(len(r.firstKey))) + len(r.firstKey) + 4
+		bytes += 4 + uvarintLen(uint64(r.keyLen)) + int(r.keyLen) + 4
 		if bytes > b.pageSize {
 			return i
 		}
@@ -243,7 +250,9 @@ func (b *Builder) finish() (*Reader, error) {
 				if err != nil {
 					return nil, err
 				}
-				b.pushRoute(level+1, routeEntry{firstKey: rest[0].firstKey, page: pg})
+				up := rest[0] // the page's first key routes to it
+				up.page = pg
+				b.pushRoute(level+1, up)
 				rest = rest[n:]
 			}
 			level++

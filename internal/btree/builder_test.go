@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/kv"
+	"repro/internal/metrics"
 	"repro/internal/storage"
+	"repro/internal/storage/filedev"
 )
 
 // referencePages is the bulk loader as it was before the builder assembled
@@ -224,8 +226,9 @@ func TestBuilderRejectsDuplicateEmptyKey(t *testing.T) {
 
 // TestAddAllocatesNothing guards the in-place leaf: once the builder's
 // buffers have held one leaf, adding an entry to the next copies its bytes
-// into them and allocates nothing. (Closing a leaf costs its route's key
-// and the device's copy of the page; that is per page, not per entry.)
+// into them and allocates nothing. (Closing a leaf appends its first key to
+// the builder's route-key buffer; TestBuildAllocationsPerLevel bounds what
+// a whole build allocates.)
 func TestAddAllocatesNothing(t *testing.T) {
 	const pageSize = 32 << 10
 	store := newTestStore(t, pageSize)
@@ -256,6 +259,54 @@ func TestAddAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d leaves written, want the measured Adds inside the second", len(b.levels[0]))
 	}
 	b.Abort()
+}
+
+// TestBuildAllocationsPerLevel: a bulk load allocates per level, not per
+// leaf. A leaf's first key goes to the builder's one growing buffer of route
+// keys, and the file device appends each page into a recycled run, so a
+// build of over 1 000 leaves stays under buildAllocCeiling objects — the
+// builder, its buffers and their amortized growth, the new file and the
+// reader Finish opens — where one object per leaf would exceed it at once.
+func TestBuildAllocationsPerLevel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not checked under -race")
+	}
+	const pageSize, entries, minLeaves = 4 << 10, 40_000, 1000
+	const buildAllocCeiling = 120
+	dev, err := filedev.Open(t.TempDir(), storage.ScaledHDD(pageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := dev.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	store := storage.NewStore(dev, 64*pageSize, metrics.NopEnv())
+	payload := kv.AppendPayload(nil, kv.Entry{Value: make([]byte, 100), TS: 1})
+	var key [8]byte
+	leaves := 0
+	build := func() {
+		b := NewBuilder(store)
+		for i := range uint64(entries) {
+			binary.BigEndian.PutUint64(key[:], i)
+			if err := b.Add(key[:], payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		leaves = len(b.levels[0])
+		if _, err := b.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1, build)
+	if leaves < minLeaves {
+		t.Fatalf("%d leaves, want at least %d", leaves, minLeaves)
+	}
+	t.Logf("%d leaves, %v objects", leaves, allocs)
+	if allocs > buildAllocCeiling {
+		t.Errorf("a build of %d leaves allocated %v objects, want at most %d", leaves, allocs, buildAllocCeiling)
+	}
 }
 
 // fuzzEntries decodes arbitrary bytes into entries: a sequence of

@@ -109,6 +109,7 @@ func DefaultCPUCosts() CPUCosts {
 type Counters struct {
 	RandomReads     atomic.Int64 // disk pages read at random positions
 	SequentialReads atomic.Int64 // disk pages read sequentially
+	PageBytesRead   atomic.Int64 // page bytes those reads returned
 	PagesWritten    atomic.Int64 // disk pages written (always sequential)
 	CacheHits       atomic.Int64 // buffer-cache hits
 	CacheMisses     atomic.Int64 // buffer-cache misses
@@ -142,6 +143,7 @@ type Counters struct {
 type Snapshot struct {
 	RandomReads     int64 `prom:"lsm_engine_random_reads_total,Pages read at random positions."`
 	SequentialReads int64 `prom:"lsm_engine_sequential_reads_total,Pages read sequentially."`
+	PageBytesRead   int64 `prom:"lsm_engine_page_bytes_read_total,Page bytes read from the device."`
 	PagesWritten    int64 `prom:"lsm_engine_pages_written_total,Pages written."`
 	CacheHits       int64 `prom:"lsm_engine_cache_hits_total,Buffer-cache hits."`
 	CacheMisses     int64 `prom:"lsm_engine_cache_misses_total,Buffer-cache misses."`

@@ -110,6 +110,7 @@ var wantExposition = []string{
 	"# HELP lsm_engine_ignored_total Duplicate inserts ignored.",
 	"# HELP lsm_engine_ingested_total Records ingested.",
 	"# HELP lsm_engine_key_comparisons_total B+-tree search comparisons.",
+	"# HELP lsm_engine_page_bytes_read_total Page bytes read from the device.",
 	"# HELP lsm_engine_pages_written_total Pages written.",
 	"# HELP lsm_engine_pending_flush_batches Frozen batches queued for flush across shards.",
 	"# HELP lsm_engine_point_lookups_total Point lookups issued.",
@@ -170,6 +171,7 @@ var wantExposition = []string{
 	"# TYPE lsm_engine_ignored_total counter",
 	"# TYPE lsm_engine_ingested_total counter",
 	"# TYPE lsm_engine_key_comparisons_total counter",
+	"# TYPE lsm_engine_page_bytes_read_total counter",
 	"# TYPE lsm_engine_pages_written_total counter",
 	"# TYPE lsm_engine_pending_flush_batches gauge",
 	"# TYPE lsm_engine_point_lookups_total counter",

@@ -359,7 +359,7 @@ func testStoreCrossFileInterleaving(t *testing.T, dev storage.Device) {
 
 // testStoreChargesProfile: a random read costs a seek plus a transfer, a
 // sequential one a transfer, and a page write — part of a sequential bulk
-// load — a transfer.
+// load — a transfer. PageBytesRead counts each read page's length.
 func testStoreChargesProfile(t *testing.T, dev storage.Device) {
 	s, env, _ := costed(t, dev, 0, 0, 0)
 	p := dev.Profile()
@@ -377,6 +377,9 @@ func testStoreChargesProfile(t *testing.T, dev storage.Device) {
 	wantReads(t, env, 1, 0, p.Seek+p.TransferPerPage)
 	readThrough(t, s, id, 1, false)
 	wantReads(t, env, 1, 1, p.Seek+2*p.TransferPerPage)
+	if got := env.Counters.Snapshot().PageBytesRead; got != 1+2 {
+		t.Fatalf("PageBytesRead = %d after reading a 1-byte and a 2-byte page, want 3", got)
+	}
 }
 
 // testStorePrefetchNeverSeeks: a scan's miss prefetches the read-ahead

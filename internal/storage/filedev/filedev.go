@@ -72,14 +72,24 @@
 //     the session starts a fresh one (RotateWAL with the next number).
 //     Sealed files are therefore safe to hard-link into a crash image.
 //
-// Appends are batched: pages accumulate in memory and are written to the
-// OS in appendBatchPages-sized runs; SaveManifest and Close flush everything
-// outstanding and fsync the dirty files (and the directory after
-// creates/deletes). Reads served from a not-yet-written tail come straight
-// from the batch buffer. The device charges nothing: storage.Store charges
-// every access against the device Profile — the same head, counters and
-// virtual clock as on the simulated device — and wall-clock time is the
-// separate, real measure of what the files cost.
+// # Append runs
+//
+// Appends are batched in runs: AppendPage puts the page, behind its length
+// header, at the end of its file's run — a buffer holding the file's next
+// bytes exactly as the file will hold them — and a run of appendBatchPages
+// pages is written to the OS as is, in one write, without fsync.
+// SaveManifest and Close write through every partial run and fsync the
+// dirty files (and the directory after creates/deletes). A written run goes
+// back to the device, which keeps at most two free ones for the next files'
+// appends, so a steady append stream neither copies a page twice nor
+// allocates; a sync lets the free runs go, so an idle device holds none.
+// Because a run is recycled once written, a read of a page still in one
+// copies it out under the device mutex.
+//
+// The device charges nothing: storage.Store charges every access against
+// the device Profile — the same head, counters and virtual clock as on the
+// simulated device — and wall-clock time is the separate, real measure of
+// what the files cost.
 package filedev
 
 import (
@@ -101,9 +111,11 @@ import (
 const (
 	// pageHeader is the length prefix in front of every page on disk.
 	pageHeader = 4
-	// appendBatchPages is the number of buffered appended pages per file
-	// before the batch is written through to the OS (without fsync).
+	// appendBatchPages is the number of pages an append run holds before it
+	// is written through to the OS (without fsync).
 	appendBatchPages = 16
+	// maxFreeRuns is how many written runs the device keeps for reuse.
+	maxFreeRuns = 2
 
 	compPrefix   = "c"
 	compSuffix   = ".lsm"
@@ -118,23 +130,21 @@ var ErrClosed = errors.New("filedev: device is closed")
 
 type file struct {
 	f *os.File
-	// offs holds the header offset of every page written to the OS, and end
-	// the offset just past the last one, where the next write-through
-	// lands. Page p's length is the gap to the next offset (or to end),
-	// less the header.
+	// offs holds the header offset of every page: the first written of them
+	// are in the file, which the device has written up to end; the rest are
+	// in run, whose first byte is the file's byte end. Page p's length is the
+	// gap to the next offset (or to the end of the run), less the header.
 	offs    []int64
+	written int
 	end     int64
-	pending [][]byte // appended pages not yet written through
-	dirty   bool     // needs fsync before the next durability point
+	run     []byte // appended, not yet written through; nil when empty
+	dirty   bool   // needs fsync before the next durability point
 }
 
-// flushed returns the number of pages written to the OS.
-func (f *file) flushed() int { return len(f.offs) }
-
-// extent returns where written-through page p's header starts and how many
-// page bytes follow it.
+// extent returns where page p's header starts and how many page bytes
+// follow it.
 func (f *file) extent(p int) (off int64, n int) {
-	next := f.end
+	next := f.end + int64(len(f.run))
 	if p+1 < len(f.offs) {
 		next = f.offs[p+1]
 	}
@@ -168,7 +178,7 @@ type Device struct {
 	walBroken    bool
 	lock         *os.File
 	closed       bool
-	stage        []byte // reusable append write-through buffer
+	freeRuns     [][]byte // written runs kept for reuse, at most maxFreeRuns
 }
 
 // AttachCounters wires the device's WAL-durability events (fsync counts)
@@ -227,7 +237,7 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 		if err != nil {
 			return nil, errors.Join(err, f.Close(), d.closeAllLocked())
 		}
-		d.files[id] = &file{f: f, offs: offs, end: end}
+		d.files[id] = &file{f: f, offs: offs, written: len(offs), end: end}
 		if id >= d.nextID {
 			d.nextID = id + 1
 		}
@@ -314,6 +324,9 @@ func (d *Device) Delete(id storage.FileID) {
 	f, ok := d.files[id]
 	delete(d.files, id)
 	d.dirDirty = d.dirDirty || ok
+	if ok && f.run != nil {
+		d.recycleRunLocked(f)
+	}
 	d.mu.Unlock()
 	if !ok {
 		return
@@ -326,54 +339,41 @@ func (d *Device) Delete(id storage.FileID) {
 	os.Remove(d.compPath(id))
 }
 
-// writeThroughLocked appends the file's pending pages, each behind its
-// length header, at the file's written-through end, and records where each
-// one starts. The staging buffer is owned by the device and reused across
-// batches (the caller holds the device mutex), so a steady append stream
-// stages without allocating. A failed write records nothing: the next
-// attempt writes the same pages at the same offset.
+// writeThroughLocked writes the file's run at the file's written-through
+// end, in one write, and hands the run back to the device (the caller holds
+// the device mutex). A failed write changes nothing: the next attempt
+// writes the same run at the same offset.
 func (d *Device) writeThroughLocked(id storage.FileID, f *file) error {
-	if len(f.pending) == 0 {
+	if len(f.run) == 0 {
 		return nil
 	}
 	if f.f == nil {
 		return fmt.Errorf("filedev: file %d was not created on disk", id)
 	}
-	need := 0
-	for _, p := range f.pending {
-		need += pageHeader + len(p)
-	}
-	if cap(d.stage) < need {
-		d.stage = make([]byte, 0, need)
-	}
-	buf := d.stage[:0]
-	for _, p := range f.pending {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
-		buf = append(buf, p...)
-	}
-	if _, err := f.f.WriteAt(buf, f.end); err != nil {
+	if _, err := f.f.WriteAt(f.run, f.end); err != nil {
 		return err
 	}
-	// Same retention discipline as the pooled frame buffers: the batch
-	// is bounded at appendBatchPages full pages by construction, so
-	// anything larger came from an outsized caller and must not stay pinned
-	// for the device's lifetime.
-	if cap(buf) > appendBatchPages*(pageHeader+d.profile.PageSize) {
-		d.stage = nil
-	}
-	for _, p := range f.pending {
-		f.offs = append(f.offs, f.end)
-		f.end += int64(pageHeader + len(p))
-	}
-	f.pending = nil
+	f.end += int64(len(f.run))
+	f.written = len(f.offs)
 	f.dirty = true
+	d.recycleRunLocked(f)
 	return nil
 }
 
-// AppendPage appends one page, buffering it in the file's batch. The
-// page is visible to reads immediately; it becomes durable at the next
-// SaveManifest (component install) — the same no-force posture as the
-// simulation.
+// recycleRunLocked takes f's run away and keeps it for the next file's
+// appends unless the device already keeps maxFreeRuns. The run's bytes are
+// overwritten from then on, which is why ReadPage copies a buffered page
+// before it releases the mutex.
+func (d *Device) recycleRunLocked(f *file) {
+	if len(d.freeRuns) < maxFreeRuns {
+		d.freeRuns = append(d.freeRuns, f.run[:0])
+	}
+	f.run = nil
+}
+
+// AppendPage appends one page to the file's run. The page is visible to
+// reads immediately; it becomes durable at the next SaveManifest (component
+// install) — the same no-force posture as the simulation.
 func (d *Device) AppendPage(id storage.FileID, data []byte) (int, error) {
 	if len(data) > d.profile.PageSize {
 		return 0, fmt.Errorf("filedev: page overflow: %d > %d", len(data), d.profile.PageSize)
@@ -394,45 +394,27 @@ func (d *Device) AppendPage(id storage.FileID, data []byte) (int, error) {
 	if f.f == nil {
 		return 0, fmt.Errorf("filedev: file %d was never created on disk", id)
 	}
-	// The batch keeps its own copy; a read copies it out again.
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	f.pending = append(f.pending, cp)
-	n := f.flushed() + len(f.pending) - 1
+	if f.run == nil {
+		if n := len(d.freeRuns); n > 0 {
+			f.run, d.freeRuns = d.freeRuns[n-1], d.freeRuns[:n-1]
+		} else {
+			// Room for a full run of full pages: a run never regrows.
+			f.run = make([]byte, 0, appendBatchPages*(pageHeader+d.profile.PageSize))
+		}
+	}
+	f.offs = append(f.offs, f.end+int64(len(f.run)))
+	f.run = binary.BigEndian.AppendUint32(f.run, uint32(len(data)))
+	f.run = append(f.run, data...)
 	d.bytesWritten += int64(len(data))
-	if len(f.pending) >= appendBatchPages {
+	if len(f.offs)-f.written >= appendBatchPages {
 		if err := d.writeThroughLocked(id, f); err != nil {
 			return 0, err
 		}
 	}
-	return n, nil
+	return len(f.offs) - 1, nil
 }
 
-// planRead resolves a page read under the device mutex without performing
-// any I/O: a page still in the append batch is returned directly (the
-// buffered slices are never mutated after append), a written-through page
-// returns the file handle and the page's extent to pread outside the lock —
-// os.File.ReadAt is safe for concurrent use, and holding the device mutex
-// across real disk reads (or the multi-fsync install path) would serialize
-// the partition.
-func (d *Device) planRead(id storage.FileID, page int) (buffered []byte, h *os.File, off int64, n int, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	f, ok := d.files[id]
-	if !ok {
-		return nil, nil, 0, 0, storage.ErrNoSuchFile
-	}
-	if page < 0 || page >= f.flushed()+len(f.pending) {
-		return nil, nil, 0, 0, storage.ErrNoSuchPage
-	}
-	if page >= f.flushed() {
-		return f.pending[page-f.flushed()], nil, 0, 0, nil
-	}
-	off, n = f.extent(page)
-	return nil, f.f, off, n, nil
-}
-
-// ReadPage copies one page into dst: from the append batch, or by one pread
+// ReadPage copies one page into dst: out of the file's run, or by one pread
 // of exactly its header and bytes. The header must still say what the table
 // recorded. The page lands in dst's buffer whenever cap(dst) holds it: just
 // behind its header when there is room for both, else at the start, the
@@ -440,18 +422,36 @@ func (d *Device) planRead(id storage.FileID, page int) (buffered []byte, h *os.F
 // Without room, it lands in a new buffer of exactly header and page, so the
 // result never has capacity past the page unless dst gave it.
 func (d *Device) ReadPage(id storage.FileID, page int, dst []byte) ([]byte, error) {
-	buffered, h, off, n, err := d.planRead(id, page)
-	if err != nil {
-		return nil, err
+	d.mu.Lock()
+	f, ok := d.files[id]
+	if !ok {
+		d.mu.Unlock()
+		return nil, storage.ErrNoSuchFile
 	}
-	if h == nil {
-		if cap(dst) < len(buffered) {
-			dst = make([]byte, 0, len(buffered))
+	if page < 0 || page >= len(f.offs) {
+		d.mu.Unlock()
+		return nil, storage.ErrNoSuchPage
+	}
+	off, n := f.extent(page)
+	if page >= f.written {
+		// Copied under the mutex: once it is released, a write-through may
+		// hand the run to another file's appends.
+		if cap(dst) < n {
+			dst = make([]byte, 0, n)
 		}
-		return append(dst[:0], buffered...), nil
+		start := off - f.end + pageHeader
+		dst = append(dst[:0], f.run[start:start+int64(n)]...)
+		d.mu.Unlock()
+		return dst, nil
 	}
+	// os.File.ReadAt is safe for concurrent use, and holding the device
+	// mutex across real disk reads (or the multi-fsync install path) would
+	// serialize the partition.
+	h := f.f
+	d.mu.Unlock()
 	var length uint32
 	var body []byte
+	var err error
 	if cap(dst) < pageHeader+n && cap(dst) >= n {
 		var hdr [pageHeader]byte
 		body = dst[:n]
@@ -496,7 +496,7 @@ func (d *Device) NumPages(id storage.FileID) (int, error) {
 	if !ok {
 		return 0, storage.ErrNoSuchFile
 	}
-	return f.flushed() + len(f.pending), nil
+	return len(f.offs), nil
 }
 
 // List returns the IDs of all live component files in ascending order.
@@ -518,7 +518,7 @@ func (d *Device) BytesWritten() int64 {
 	return d.bytesWritten
 }
 
-// syncLocked flushes every pending append, fsyncs dirty component files and
+// syncLocked writes through every run, fsyncs dirty component files and
 // the WAL, and fsyncs the directory after creates/deletes.
 func (d *Device) syncLocked() error {
 	var errs []error
@@ -545,6 +545,10 @@ func (d *Device) syncLocked() error {
 			d.countWALFsync()
 		}
 	}
+	// A sync ends the builds it installs: an idle device keeps no run, and
+	// the next build's first appends take fresh ones.
+	clear(d.freeRuns)
+	d.freeRuns = d.freeRuns[:0]
 	if d.dirDirty {
 		if err := syncDir(d.dir); err != nil {
 			errs = append(errs, err)

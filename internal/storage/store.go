@@ -147,6 +147,7 @@ func (s *Store) load(key cache.PageKey, prefetch bool) (*cache.Frame, error) {
 		s.cache.Unpin(f)
 		return nil, err
 	}
+	s.env.Counters.PageBytesRead.Add(int64(len(data)))
 	if s.head.moveTo(FileID(key.File), key.Page) || prefetch {
 		s.env.Counters.SequentialReads.Add(1)
 		s.env.Clock.Advance(s.prof.TransferPerPage)

@@ -121,10 +121,11 @@ type SecondaryIndex struct {
 
 // Options configures a DB. The zero value gives an Eager-strategy store in a
 // fresh temporary directory that Close removes, with a 64 MB buffer cache, a
-// 4 MB memory budget, tiering merges, a primary key index and the HDD cost
-// model charged to its virtual clocks. What a DB lets a caller choose is the
-// schema (Strategy, Secondaries, FilterExtract), where the data lives (Dir,
-// Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
+// 4 MB memory budget, tiering merges, a primary key index and the paper's
+// SSD cost model (32 KiB pages) charged to its virtual clocks; a PageSize
+// keeps the HDD cost model at that page size. What a DB lets a caller
+// choose is the schema (Strategy, Secondaries, FilterExtract), where the
+// data lives (Dir, Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
 // MaintenanceWorkers, ReadCache), MergeRepair, Seed and two hooks that let
 // a test substitute a fake. Everything else is fixed: the write-ahead log is
 // always on and commits through a group (concurrent committers share one
@@ -134,10 +135,10 @@ type SecondaryIndex struct {
 // Mutable-bitmap merges use the Side-file method; and the maintenance
 // journal keeps the last 256 events. The paper's ablations (no primary key
 // index, correlated merges, the Bloom-filter repair optimization, blocked
-// Bloom filters, no merges, the other concurrency-control methods, the SSD
-// profile, no log) are core.Config and storage settings that
-// internal/experiments sets directly, on the simulated device the figures
-// run on; they are not options of a DB.
+// Bloom filters, no merges, the other concurrency-control methods, no log)
+// are core.Config and storage settings that internal/experiments sets
+// directly, on the simulated device the figures run on; they are not
+// options of a DB.
 type Options struct {
 	// Strategy is the maintenance strategy for secondary indexes and
 	// filters.
@@ -156,7 +157,9 @@ type Options struct {
 	// requires the same Shards, PageSize and Strategy it was written with.
 	// Empty means a fresh temporary directory that Close removes.
 	Dir string
-	// PageSize overrides the device page size (testing).
+	// PageSize is the device page size. The default (0) is 32 KiB, the
+	// paper's SSD page, charged at its SSD costs; any other value keeps the
+	// HDD cost model scaled to that page size.
 	PageSize int
 	// CacheBytes sizes the buffer cache (2 GB HDD / 4 GB SSD in the
 	// paper; defaults to 64 MB here to match scaled-down datasets).
@@ -349,7 +352,7 @@ func openPartitions(opts Options, device shardDevice, pool *maint.Pool, journal 
 			per.CacheBytes = minCache
 		}
 	}
-	profile := storage.HDD()
+	profile := storage.SSD()
 	if opts.PageSize > 0 {
 		profile = storage.ScaledHDD(opts.PageSize)
 	}
@@ -390,7 +393,7 @@ func resolvePageSize(opts Options) int {
 	if opts.PageSize > 0 {
 		return opts.PageSize
 	}
-	return storage.HDD().PageSize
+	return storage.SSD().PageSize
 }
 
 // openPartition builds shard idx's store and dataset on dev, which it

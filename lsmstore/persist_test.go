@@ -154,6 +154,46 @@ func TestFileBackendShardedReopen(t *testing.T) {
 	}
 }
 
+// TestDefaultPageSizeRefusesOldDefault: the default page size moved from
+// 128 KiB to the paper's 32 KiB SSD page. A directory written at 128 KiB and
+// reopened with PageSize unset is refused by the layout guard, with both
+// page sizes in the error, and reopens with PageSize set to what it was
+// written with.
+func TestDefaultPageSizeRefusesOldDefault(t *testing.T) {
+	dir := t.TempDir()
+	opts := diskOptions(lsmstore.Validation, dir)
+	opts.PageSize = 128 << 10
+	db, err := lsmstore.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := mixedWorkload(t, db, 400, 7)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := storeImage(t, db, ids, lsmstore.TimestampValidation)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	unset := opts
+	unset.PageSize = 0
+	if _, err := lsmstore.Open(unset); err == nil {
+		t.Fatal("a 128 KiB directory reopened at the default page size")
+	} else if msg := err.Error(); !strings.Contains(msg, "PageSize:131072") || !strings.Contains(msg, "PageSize:32768") {
+		t.Fatalf("refusal %q does not name both page sizes", msg)
+	}
+
+	re, err := lsmstore.Open(opts)
+	if err != nil {
+		t.Fatalf("reopen with PageSize 128 KiB: %v", err)
+	}
+	defer re.Close()
+	if got := storeImage(t, re, ids, lsmstore.TimestampValidation); got != want {
+		t.Fatalf("reopened store diverges:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestFileBackendAbandonsPartialInstalls plants orphan component files —
 // the state a crash leaves when it lands between the data sync and the
 // manifest rename of a flush or merge install — and demands that reopen
