@@ -75,7 +75,6 @@ type routeEntry struct {
 	page           uint32
 }
 
-
 // NewBuilder starts a bulk load into a new file on store.
 func NewBuilder(store *storage.Store) *Builder {
 	pageSize := store.PageSize()

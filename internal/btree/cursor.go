@@ -4,11 +4,13 @@ import (
 	"bytes"
 
 	"repro/internal/kv"
+	"repro/internal/storage"
 )
 
 // Scan iterates entries in key order over [lo, hi). Nil bounds are
 // unbounded. Leaf pages are fetched with the sequential hint so device
-// read-ahead applies.
+// read-ahead applies, or, for a streamed scan, through a read-ahead window
+// that bypasses the buffer cache (NewStreamedScan).
 //
 // A scan pins the leaf it is positioned on. An entry Next returns stays
 // valid through the following Next call, until the one after it or Close —
@@ -30,28 +32,57 @@ type Scan struct {
 	idx  int
 	err  error
 	done bool
+	// stream reads leaves with Store.ReadStreamed through window.
+	stream bool
+	window storage.Window
 }
 
 // NewScan positions a scan at the first entry >= lo. On error nothing is
 // left pinned and the returned scan is empty.
 func (r *Reader) NewScan(lo, hi []byte) (Scan, error) {
-	s := Scan{r: r, hi: hi}
-	if r.count == 0 {
+	return Scan{r: r, hi: hi}.start(lo)
+}
+
+// NewStreamedScan is a full scan for maintenance: a merge reads each input
+// once, front to back, and deletes it when its output installs, so the
+// leaves it reads are not worth caching. It reads them with
+// Store.ReadStreamed, leaving the buffer cache as it found it while charging
+// what a full NewScan on a cold cache would.
+func (r *Reader) NewStreamedScan() (Scan, error) {
+	return Scan{r: r, stream: true}.start(nil)
+}
+
+// start positions s at the first entry >= lo.
+func (s Scan) start(lo []byte) (Scan, error) {
+	if s.r.count == 0 {
 		s.done = true
 		return s, nil
 	}
 	var err error
 	if lo == nil {
-		s.leaf, err = r.readPage(0, true)
-	} else if s.leaf, err = r.descendToLeaf(lo); err == nil {
-		if s.idx, err = s.leaf.search(r.env, 0, s.leaf.n, lo); err != nil {
-			r.unpin(&s.leaf)
+		s.leaf, err = s.readLeaf(0)
+	} else if s.leaf, err = s.r.descendToLeaf(lo); err == nil {
+		if s.idx, err = s.leaf.search(s.r.env, 0, s.leaf.n, lo); err != nil {
+			s.r.unpin(&s.leaf)
 		}
 	}
 	if err != nil {
 		return Scan{}, err
 	}
 	return s, nil
+}
+
+// readLeaf returns leaf pageNo pinned: a cached read with the sequential
+// hint, or a streamed one.
+func (s *Scan) readLeaf(pageNo int) (page, error) {
+	if !s.stream {
+		return s.r.readPage(pageNo, true)
+	}
+	f, err := s.r.store.ReadStreamed(s.r.file, pageNo, &s.window)
+	if err != nil {
+		return page{}, err
+	}
+	return s.r.view(f, pageNo)
 }
 
 // A Filter hides entries from a scan by their ordinal (the visibility
@@ -78,7 +109,7 @@ func (s *Scan) Next() (e kv.Entry, ordinal int64, ok bool, err error) {
 				s.finish(nil)
 				return kv.Entry{}, 0, false, nil
 			}
-			leaf, err := s.r.readPage(next, true)
+			leaf, err := s.readLeaf(next)
 			if err != nil {
 				s.finish(err)
 				return kv.Entry{}, 0, false, err

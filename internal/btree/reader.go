@@ -114,6 +114,12 @@ func (r *Reader) readPage(pageNo int, seqHint bool) (page, error) {
 	if err != nil {
 		return page{}, err
 	}
+	return r.view(f, pageNo)
+}
+
+// view returns the pinned frame f as page pageNo, or unpins it when it is
+// malformed.
+func (r *Reader) view(f *cache.Frame, pageNo int) (page, error) {
 	p, err := viewPage(f.Data, pageNo)
 	if err != nil {
 		r.store.Unpin(f)

@@ -13,6 +13,11 @@
 // frame's buffer may be reused: at once when nobody holds it, else at its
 // last Unpin. Until then the evicted frame is out of the cache and its bytes
 // stay the page its holders read.
+//
+// A reader that must not fill the cache — a merge streaming its inputs,
+// which it reads once and then deletes — reads a missing page into a frame
+// from Frame and never hands it to Put: its Unpin returns the frame to the
+// free list, and the cache holds what it held before.
 package cache
 
 import (
@@ -129,7 +134,8 @@ func (c *LRU) Get(key PageKey) (*Frame, bool) {
 // one when one is free (reused is true), else a new one with frameBytes of
 // buffer. Data is empty with the buffer's capacity behind it: read the
 // page into it, set Data to the page (which must lie in that buffer), and
-// hand the frame to Put, or Unpin it when the read failed.
+// hand the frame to Put; or Unpin it when the read failed, or once done
+// with a page that is not to be cached.
 func (c *LRU) Frame() (f *Frame, reused bool) {
 	c.mu.Lock()
 	if f = c.free; f != nil {

@@ -317,9 +317,11 @@ func (d *Dataset) unionDeletedKeys(dst *lsm.Component, inputs []*lsm.Component) 
 }
 
 // newestDeleted folds every (key, timestamp) of the deleted-key tree dk into
-// merged, keeping the newest timestamp per key.
+// merged, keeping the newest timestamp per key. Like the merge's own inputs,
+// dk is read once and deleted at install, so it streams past the buffer
+// cache.
 func newestDeleted(dk *btree.Reader, merged map[string]int64) error {
-	scan, err := dk.NewScan(nil, nil)
+	scan, err := dk.NewStreamedScan()
 	if err != nil {
 		return err
 	}

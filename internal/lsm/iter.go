@@ -132,9 +132,11 @@ type IterOptions struct {
 	// Snapshots overrides components' live mutable bitmaps with immutable
 	// snapshots for visibility checks (Side-file builds).
 	Snapshots map[*Component]*bitmap.Immutable
-	// store, when set, charges the component scans to this store view
-	// (a merge's lane) instead of the readers' own.
-	store *storage.Store
+	// stream, when set, makes the component scans a merge's: full scans
+	// that read past the buffer cache (btree.Reader.NewStreamedScan),
+	// charged to this store view (the tree's lane). Open panics when Lo
+	// or Hi is set with it.
+	stream *storage.Store
 }
 
 // NewMergedIterator opens a new reconciling iterator over opts' sources.
@@ -152,14 +154,19 @@ func (mi *MergedIterator) Open(opts IterOptions) error {
 	if n := len(opts.Components) + len(opts.Flushing) + 1; cap(mi.srcs) < n {
 		mi.srcs, mi.h = make([]source, 0, n), make(sourceHeap, 0, n)
 	}
+	if opts.stream != nil && (opts.Lo != nil || opts.Hi != nil) {
+		panic("lsm: a streamed merge scan is a full scan; Lo and Hi must be nil")
+	}
 	mi.srcs, mi.h = mi.srcs[:0], mi.h[:0]
 	mi.hideAnti, mi.noReconcile = opts.HideAnti, opts.NoReconcile
 	for rank, comp := range opts.Components {
-		reader := comp.BTree
-		if opts.store != nil {
-			reader = reader.CloneFor(opts.store)
+		var scan btree.Scan
+		var err error
+		if opts.stream != nil {
+			scan, err = comp.BTree.CloneFor(opts.stream).NewStreamedScan()
+		} else {
+			scan, err = comp.BTree.NewScan(opts.Lo, opts.Hi)
 		}
-		scan, err := reader.NewScan(opts.Lo, opts.Hi)
 		if err != nil {
 			mi.Close()
 			return err

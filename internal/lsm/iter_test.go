@@ -118,6 +118,20 @@ func TestMergeBadRange(t *testing.T) {
 	}
 }
 
+// A merge's streamed scans are full scans; key bounds given with them would
+// be silently ignored, so Open refuses them.
+func TestStreamedScanRefusesKeyBounds(t *testing.T) {
+	tr, _ := newTestTree(t, 1024, nil)
+	tr.Put(kv.Entry{Key: key(1), Value: val(1), TS: 1})
+	tr.Flush(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a streamed scan with a key bound opened")
+		}
+	}()
+	NewMergedIterator(IterOptions{Components: tr.Components(), Lo: key(1), stream: tr.opts.Store})
+}
+
 func TestRepairedTSInheritedAtFlushAndMerge(t *testing.T) {
 	tr, _ := newTestTree(t, 1024, nil)
 	tr.Put(kv.Entry{Key: key(1), Value: val(1), TS: 5})

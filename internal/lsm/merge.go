@@ -79,14 +79,19 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 	}
 
 	b := t.NewBuilder(int(upperBound))
-	// Under LockKey the scan keeps invisible entries: visibility is checked
-	// under each key's lock instead.
+	lane := t.opts.Lane
+	if lane == nil {
+		lane = t.opts.Store
+	}
+	// The inputs are read once and deleted at install, so their scans
+	// stream past the buffer cache. Under LockKey they keep invisible
+	// entries: visibility is checked under each key's lock instead.
 	it, err := NewMergedIterator(IterOptions{
 		Components:    inputs,
 		HideAnti:      spec.DropAnti,
 		SkipInvisible: spec.LockKey == nil,
 		Snapshots:     spec.Snapshots,
-		store:         t.opts.Lane,
+		stream:        lane,
 	})
 	if err != nil {
 		b.Abort()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -441,10 +442,12 @@ func TestObsOverheadAllocations(t *testing.T) {
 
 // TestObsOverheadSmoke proves the tracing pipeline costs at most ~5%
 // throughput: the same GET workload runs against a traced and an untraced
-// server, best-of-six rounds each. Both servers are up and loaded before
-// anything is timed, and their rounds alternate, the side that goes first
-// flipping every pair, so neither side is timed on a warmer or a quieter
-// machine than the other. Gated behind LSMSTORE_BENCH_SMOKE=1 — it is a
+// server in six paired rounds, and the median of the rounds' traced to
+// untraced throughput ratios must reach 0.95. Both servers are up and
+// loaded before anything is timed, and each round times both sides back to
+// back, the side that goes first flipping every round, so neither side is
+// timed on a warmer or a quieter machine than the other; a pause that hits
+// one round moves one ratio, which the median ignores. Gated behind LSMSTORE_BENCH_SMOKE=1 — it is a
 // timing assertion, meaningful only on a quiet machine (CI runs it as a
 // dedicated step).
 func TestObsOverheadSmoke(t *testing.T) {
@@ -455,7 +458,7 @@ func TestObsOverheadSmoke(t *testing.T) {
 		keys    = 1024
 		ops     = 30000
 		workers = 4
-		rounds  = 6 // per side
+		rounds  = 6 // pairs
 	)
 	serve := func(disable bool) *lsmclient.Client {
 		srv, _ := startServer(t, storeOptions(), func(cfg *server.Config) {
@@ -490,16 +493,18 @@ func TestObsOverheadSmoke(t *testing.T) {
 		return float64(ops) / time.Since(start).Seconds()
 	}
 	clients := [2]*lsmclient.Client{serve(false), serve(true)} // traced, untraced
-	var best [2]float64
-	for r := 0; r < rounds; r++ {
+	var ratios [rounds]float64
+	for r := range ratios {
+		var opsPerSec [2]float64
 		for i := range clients {
 			side := (i + r) % 2 // traced first on even rounds, untraced first on odd
-			best[side] = max(best[side], round(clients[side]))
+			opsPerSec[side] = round(clients[side])
 		}
+		ratios[r] = opsPerSec[0] / opsPerSec[1]
 	}
-	traced, untraced := best[0], best[1]
-	ratio := traced / untraced
-	t.Logf("traced %.0f ops/s, untraced %.0f ops/s, ratio %.3f", traced, untraced, ratio)
+	slices.Sort(ratios[:])
+	ratio := (ratios[rounds/2-1] + ratios[rounds/2]) / 2
+	t.Logf("traced/untraced throughput per round %.3f, median %.3f", ratios, ratio)
 	if ratio < 0.95 {
 		t.Fatalf("observability costs %.1f%% throughput, budget is 5%%", (1-ratio)*100)
 	}

@@ -67,6 +67,7 @@ var pageCases = []struct {
 	{"store-cross-file-interleaving", testStoreCrossFileInterleaving},
 	{"store-charges-profile", testStoreChargesProfile},
 	{"store-prefetch-never-seeks", testStorePrefetchNeverSeeks},
+	{"store-streamed-scan-costs-a-cold-scan", testStoreStreamedScanCostsAColdScan},
 	{"store-failure-charges-nothing", testStoreFailureChargesNothing},
 	{"store-lane-view-shares-head", testStoreLaneViewSharesHead},
 	{"wal-lifecycle", testWALLifecycle},
@@ -402,6 +403,71 @@ func testStorePrefetchNeverSeeks(t *testing.T, dev storage.Device) {
 	env.Clock.Reset()
 	readThrough(t, s, ids[0], 10, false)
 	wantReads(t, env, 2, 9, p.TransferPerPage)
+}
+
+// testStoreStreamedScanCostsAColdScan: a streamed full scan of a file
+// advances the clock by exactly what a cached scan with read-ahead does on
+// the same cache contents, counts the same random and sequential reads, the
+// same page bytes and the same hits and misses (a page inside an open
+// window is a hit, as the page the prefetch installed would be), returns the
+// same bytes, and leaves the cache holding what it held, nothing pinned. The
+// file is longer than one window, so the last window is cut at its end, and
+// two of its pages are cached beforehand, one inside each window.
+func testStoreStreamedScanCostsAColdScan(t *testing.T, dev storage.Device) {
+	const pages = 45
+	cachedEnv, streamedEnv := metrics.NewEnv(), metrics.NewEnv()
+	cached := storage.NewStore(dev, 1<<20, cachedEnv)
+	streamed := storage.NewStore(dev, 1<<20, streamedEnv)
+	id := cached.Create()
+	for i := range pages {
+		if _, err := cached.AppendPage(id, bytes.Repeat([]byte{byte(i)}, 1+i*i%dev.PageSize())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := dev.Profile(); p.ReadAheadPages >= pages || p.ReadAheadPages < 8 {
+		t.Fatalf("read-ahead window of %d pages, the case needs 8..%d", p.ReadAheadPages, pages-1)
+	}
+	for _, s := range []*storage.Store{cached, streamed} {
+		readThrough(t, s, id, 5, false)
+		readThrough(t, s, id, pages-3, false)
+	}
+	cachedEnv.Counters.Reset()
+	cachedEnv.Clock.Reset()
+	streamedEnv.Counters.Reset()
+	streamedEnv.Clock.Reset()
+
+	var w storage.Window
+	for page := range pages {
+		readThrough(t, cached, id, page, true)
+		f, err := streamed.ReadStreamed(id, page, &w)
+		if err != nil {
+			t.Fatalf("ReadStreamed(%d): %v", page, err)
+		}
+		if len(f.Data) != 1+page*page%dev.PageSize() || f.Data[0] != byte(page) {
+			t.Fatalf("streamed page %d = %d bytes of %d", page, len(f.Data), f.Data[0])
+		}
+		streamed.Unpin(f)
+	}
+	c, s := cachedEnv.Counters.Snapshot(), streamedEnv.Counters.Snapshot()
+	if cachedEnv.Clock.Now() != streamedEnv.Clock.Now() || c.RandomReads != s.RandomReads ||
+		c.SequentialReads != s.SequentialReads || c.PageBytesRead != s.PageBytesRead ||
+		c.CacheHits != s.CacheHits || c.CacheMisses != s.CacheMisses {
+		t.Fatalf("streamed scan: clock=%v random=%d sequential=%d bytes=%d hits=%d misses=%d; cached scan: %v %d %d %d %d %d",
+			streamedEnv.Clock.Now(), s.RandomReads, s.SequentialReads, s.PageBytesRead, s.CacheHits, s.CacheMisses,
+			cachedEnv.Clock.Now(), c.RandomReads, c.SequentialReads, c.PageBytesRead, c.CacheHits, c.CacheMisses)
+	}
+	if s.RandomReads == 0 || s.SequentialReads == 0 || s.CacheHits == 0 {
+		t.Fatalf("random=%d sequential=%d hits=%d: the scan exercised no window", s.RandomReads, s.SequentialReads, s.CacheHits)
+	}
+	if n := streamed.Cache().Len(); n != 2 {
+		t.Fatalf("the streamed scan left %d pages cached, want the 2 cached before it", n)
+	}
+	if n := cached.Cache().Len(); n != pages {
+		t.Fatalf("the cached scan left %d pages cached, want %d", n, pages)
+	}
+	if n := streamed.Cache().Pinned(); n != 0 {
+		t.Fatalf("%d frames pinned after the streamed scan", n)
+	}
 }
 
 // testStoreFailureChargesNothing: a failed read or append counts no device

@@ -69,4 +69,14 @@
 // ReadPage returns a pinned cache frame that the caller unpins; a miss reads
 // the page into a recycled frame, which is why a device read copies into
 // the caller's buffer and never hands out memory of its own.
+//
+// Maintenance scans do not fill the cache. A merge reads each input once,
+// front to back, and deletes it when its output installs, so its scans (of
+// the input components and, under the Deleted-key strategy, of their
+// deleted-key trees) read with ReadStreamed: a cached page is a hit, a
+// missing one is read into a recycled frame that is never cached, and the
+// scan's read-ahead window is charged at the read that opens it exactly as
+// ReadPage's prefetch would be. Virtual time is the same as a cached scan
+// on the same cache contents; what changes is that the foreground's pages
+// stay cached.
 package storage

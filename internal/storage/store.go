@@ -15,6 +15,12 @@ import (
 // CPU, a device read costs a seek plus a transfer when it is random and a
 // transfer alone when it is sequential, and a page write — always part of
 // a sequential bulk load — costs a transfer.
+//
+// Foreground reads go through the cache (ReadPage). Maintenance scans — a
+// merge reading its inputs, which it deletes once its output installs —
+// stream past it (ReadStreamed): they are charged as a cold-cache scan
+// with read-ahead but leave the cache holding what it held, so they neither
+// evict the foreground's pages nor leave their frames cached.
 type Store struct {
 	dev   Device
 	prof  Profile
@@ -93,8 +99,7 @@ func (s *Store) PageSize() int { return s.dev.PageSize() }
 func (s *Store) ReadPage(id FileID, page int, seqHint bool) (*cache.Frame, error) {
 	key := cache.PageKey{File: uint64(id), Page: page}
 	if f, ok := s.cache.Get(key); ok {
-		s.env.Counters.CacheHits.Add(1)
-		s.env.Clock.Advance(s.env.CPU.CacheHit)
+		s.chargeHit()
 		return f, nil
 	}
 	s.env.Counters.CacheMisses.Add(1)
@@ -103,39 +108,113 @@ func (s *Store) ReadPage(id FileID, page int, seqHint bool) (*cache.Frame, error
 		return nil, err
 	}
 	if seqHint {
-		if n, err := s.dev.NumPages(id); err == nil {
-			end := page + s.prof.ReadAheadPages
-			if end > n {
-				end = n
+		for p, end := page+1, s.windowEnd(id, page); p < end; p++ {
+			pk := cache.PageKey{File: uint64(id), Page: p}
+			if s.cache.Contains(pk) {
+				continue
 			}
-			for p := page + 1; p < end; p++ {
-				pk := cache.PageKey{File: uint64(id), Page: p}
-				if s.cache.Contains(pk) {
-					continue
-				}
-				pf, err := s.load(pk, true)
-				if err != nil {
-					break
-				}
-				s.cache.Unpin(pf)
+			pf, err := s.load(pk, true)
+			if err != nil {
+				break
 			}
+			s.cache.Unpin(pf)
 		}
 	}
 	return f, nil
 }
 
-// load reads the page under key into a recycled frame (or a new one when
-// none is free), charges the read, caches it, and returns the frame pinned.
-// A page that would fill less than half a frame is moved to a buffer of its
-// own size and the frame goes back to the free list, so small internal and
-// meta pages never occupy whole frames; so is a page the device could not
-// place in the frame.
+// Window is a streamed scan's read-ahead window over one file: the pages
+// below its end were paid for by the read that opened it. The zero Window
+// holds no page.
+type Window struct{ end int }
+
+// ReadStreamed reads a page for a maintenance scan — a merge, which reads
+// each input front to back once and deletes it when its output installs —
+// without filling the buffer cache: a page the cache holds is an ordinary
+// hit, and a missing one is read into a recycled frame that is never
+// cached, so Unpin returns it to the free list. The frame is pinned as
+// ReadPage's is.
 //
-// A prefetch is one page of a read-ahead window: the seek that opened the
-// window already positioned the head, so it streams at transfer cost even
-// when cached pages inside the window were skipped over. It still moves
-// the head, so a read of the page after the window stays sequential.
+// w carries the scan's read-ahead window from page to page; pass the same
+// one for every page of the file, in ascending order, starting from the zero
+// Window. The charges are those of a ReadPage scan on a cold cache: the read
+// that opens a window is a miss that pays a seek (a transfer when the head
+// is already there) and one streaming transfer for each page of the window
+// the cache does not hold, moving the head as the prefetch would; every
+// later page of the window costs and counts a cache hit, as the page the
+// prefetch installed would, whether the cache holds it or it is read from
+// the device now.
+func (s *Store) ReadStreamed(id FileID, page int, w *Window) (*cache.Frame, error) {
+	key := cache.PageKey{File: uint64(id), Page: page}
+	f, cached := s.cache.Get(key)
+	if !cached {
+		var err error
+		if f, err = s.read(key); err != nil {
+			return nil, err
+		}
+	}
+	if cached || page < w.end {
+		s.chargeHit()
+		return f, nil
+	}
+	s.env.Counters.CacheMisses.Add(1)
+	s.charge(id, page, false)
+	w.end = s.windowEnd(id, page)
+	for p := page + 1; p < w.end; p++ {
+		if !s.cache.Contains(cache.PageKey{File: uint64(id), Page: p}) {
+			s.charge(id, p, true)
+		}
+	}
+	return f, nil
+}
+
+// chargeHit counts and charges a cache hit.
+func (s *Store) chargeHit() {
+	s.env.Counters.CacheHits.Add(1)
+	s.env.Clock.Advance(s.env.CPU.CacheHit)
+}
+
+// windowEnd returns the end of the read-ahead window a miss of page opens:
+// ReadAheadPages from page, cut at the end of the file (and at page+1 when
+// its length is unknown).
+func (s *Store) windowEnd(id FileID, page int) int {
+	n, err := s.dev.NumPages(id)
+	if err != nil {
+		return page + 1
+	}
+	return min(page+s.prof.ReadAheadPages, n)
+}
+
+// load reads the page under key, charges the read, caches it, and returns
+// the frame pinned. A page that would fill less than half a frame is moved
+// to a buffer of its own size and the frame goes back to the free list, so
+// small internal and meta pages never occupy whole frames; so is a page the
+// device could not place in the frame.
 func (s *Store) load(key cache.PageKey, prefetch bool) (*cache.Frame, error) {
+	f, err := s.read(key)
+	if err != nil {
+		return nil, err
+	}
+	s.charge(FileID(key.File), key.Page, prefetch)
+	if data := f.Data; !f.Holds(data) || 2*len(data) < s.dev.PageSize() {
+		if f.Holds(data) { // a small page: copy it out before the frame is freed
+			data = append([]byte(nil), data...)
+		}
+		own := s.cache.NewFrame(data)
+		s.env.Counters.FrameAllocs.Add(1)
+		s.cache.Unpin(f)
+		f = own
+	}
+	if s.cache.Put(key, f) {
+		s.env.Counters.PinnedEvictions.Add(1)
+	}
+	return f, nil
+}
+
+// read reads the page under key into a recycled frame (or a new one when
+// none is free) and returns the frame pinned and uncached, its Data the
+// page. It charges no time: the caller knows what the read costs.
+func (s *Store) read(key cache.PageKey) (*cache.Frame, error) {
 	f, reused := s.cache.Frame()
 	if reused {
 		s.env.Counters.FrameReuses.Add(1)
@@ -148,28 +227,23 @@ func (s *Store) load(key cache.PageKey, prefetch bool) (*cache.Frame, error) {
 		return nil, err
 	}
 	s.env.Counters.PageBytesRead.Add(int64(len(data)))
-	if s.head.moveTo(FileID(key.File), key.Page) || prefetch {
+	f.Data = data
+	return f, nil
+}
+
+// charge moves the head over page of id and charges its device read. A
+// prefetch is one page of a read-ahead window: the seek that opened the
+// window already positioned the head, so it streams at transfer cost even
+// when cached pages inside the window were skipped over. It still moves the
+// head, so a read of the page after the window stays sequential.
+func (s *Store) charge(id FileID, page int, prefetch bool) {
+	if s.head.moveTo(id, page) || prefetch {
 		s.env.Counters.SequentialReads.Add(1)
 		s.env.Clock.Advance(s.prof.TransferPerPage)
 	} else {
 		s.env.Counters.RandomReads.Add(1)
 		s.env.Clock.Advance(s.prof.Seek + s.prof.TransferPerPage)
 	}
-	if inFrame := f.Holds(data); inFrame && 2*len(data) >= cap(f.Data) {
-		f.Data = data
-	} else {
-		if inFrame { // a small page: copy it out before the frame is freed
-			data = append([]byte(nil), data...)
-		}
-		own := s.cache.NewFrame(data)
-		s.env.Counters.FrameAllocs.Add(1)
-		s.cache.Unpin(f)
-		f = own
-	}
-	if s.cache.Put(key, f) {
-		s.env.Counters.PinnedEvictions.Add(1)
-	}
-	return f, nil
 }
 
 // Unpin releases a frame ReadPage returned.

@@ -3,6 +3,7 @@ package lsmstore_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -83,7 +84,8 @@ func pinnedFrames(db *lsmstore.DB) int {
 
 // TestRecycledFramesNeverServeStaleBytes races GETs, secondary queries and
 // filter scans against writers, flushes and merges on an eight-frame cache
-// whose freed frames are poisoned. Every record any read returns must be
+// whose freed frames are poisoned; the merges stream their inputs through
+// frames they never cache, recycled alongside the readers' own. Every record any read returns must be
 // byte for byte a version of its key that was written, and a GET must
 // return a version no older than the last acknowledged write before it and
 // no newer than the last one started after it. Run it under -race: a reader
@@ -121,6 +123,7 @@ func TestRecycledFramesNeverServeStaleBytes(t *testing.T) {
 		stop     atomic.Bool
 		failures atomic.Int64
 	)
+	mergesBefore := db.Stats().Maintenance.Merges
 	fail := func(format string, args ...any) {
 		if failures.Add(1) <= 5 {
 			t.Errorf(format, args...)
@@ -201,8 +204,12 @@ func TestRecycledFramesNeverServeStaleBytes(t *testing.T) {
 		}
 	}()
 	writersWG.Wait()
+	mergesDuringReads := db.Stats().Maintenance.Merges - mergesBefore
 	stop.Store(true)
 	wg.Wait()
+	if mergesDuringReads == 0 {
+		t.Fatal("no merge ran while the readers did: the test exercised no streamed merge")
+	}
 
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -224,8 +231,8 @@ func TestRecycledFramesNeverServeStaleBytes(t *testing.T) {
 // TestNoLeakedPins runs every operation class against every strategy and
 // requires the pinned-frame count back at zero after each: point reads by
 // every path, writes (whose strategy reads pin pages), secondary queries
-// under each validation, filter scans, flushes with merges, and standalone
-// repair.
+// under each validation, filter scans, flushes with merges, merges streaming
+// while GETs and secondary queries read, and standalone repair.
 func TestNoLeakedPins(t *testing.T) {
 	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap, lsmstore.DeletedKey} {
 		t.Run(fmt.Sprint(strategy), func(t *testing.T) {
@@ -285,6 +292,9 @@ func TestNoLeakedPins(t *testing.T) {
 					return err
 				})
 			}
+			check("merge under reads", func() error {
+				return mergeUnderReads(db, keys, storetest.ValidationFor(strategy))
+			})
 			check("filter scan", func() error { return db.FilterScan(0, 1<<62, func(_, _ []byte) {}) })
 			check("bounded filter scan", func() error { return db.FilterScan(keys, 2*keys, func(_, _ []byte) {}) })
 			if strategy == lsmstore.Validation {
@@ -293,4 +303,46 @@ func TestNoLeakedPins(t *testing.T) {
 			check("flush and merge", db.Flush)
 		})
 	}
+}
+
+// mergeUnderReads overwrites every key and flushes, again until a flush
+// merged, while a reader GETs keys and runs secondary queries throughout.
+func mergeUnderReads(db *lsmstore.DB, keys int, validation lsmstore.ValidationMethod) error {
+	var (
+		wg      sync.WaitGroup
+		stop    atomic.Bool
+		readErr error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := uint64(0); !stop.Load() && readErr == nil; round++ {
+			if _, _, err := db.Get(storetest.TweetPK(round % uint64(keys))); err != nil {
+				readErr = err
+			} else if _, err := db.SecondaryQuery("user", workload.UserKey(uint32(round%30)), workload.UserKey(uint32(round%30)+8),
+				lsmstore.QueryOptions{Validation: validation}); err != nil {
+				readErr = err
+			}
+		}
+	}()
+	err := func() error {
+		before := db.Stats().Maintenance.Merges
+		for v := int64(10); v < 20; v++ {
+			for id := uint64(0); id < uint64(keys); id++ {
+				if err := db.Upsert(storetest.TweetPK(id), frameRecord(id, v, keys)); err != nil {
+					return err
+				}
+			}
+			if err := db.Flush(); err != nil {
+				return err
+			}
+			if db.Stats().Maintenance.Merges > before {
+				return nil
+			}
+		}
+		return fmt.Errorf("no merge in 10 flushes")
+	}()
+	stop.Store(true)
+	wg.Wait()
+	return errors.Join(err, readErr)
 }
