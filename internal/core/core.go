@@ -30,6 +30,7 @@ import (
 	"repro/internal/kv"
 	"repro/internal/lsm"
 	"repro/internal/maint"
+	"repro/internal/memtable"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -259,6 +260,9 @@ func Open(cfg Config) (*Dataset, error) {
 	}
 	if cfg.MemoryBudget <= 0 {
 		cfg.MemoryBudget = 4 << 20
+	}
+	if cfg.MemoryBudget > memtable.MaxBudget {
+		return nil, fmt.Errorf("core: MemoryBudget %d is over the %d a memory component can address", cfg.MemoryBudget, memtable.MaxBudget)
 	}
 	if cfg.Strategy == MutableBitmap && !cfg.UsePKIndex {
 		return nil, errors.New("core: the Mutable-bitmap strategy requires the primary key index")

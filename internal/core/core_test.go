@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/lsm"
+	"repro/internal/memtable"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 )
@@ -67,6 +68,9 @@ func TestOpenRejectsBadConfigs(t *testing.T) {
 	}
 	if _, err := Open(Config{Store: store, UsePKIndex: true, RepairBloomOpt: true}); err == nil {
 		t.Fatal("bf repair optimization without correlated merges must fail")
+	}
+	if _, err := Open(Config{Store: store, MemoryBudget: memtable.MaxBudget + 1}); err == nil {
+		t.Fatal("a budget past what a memtable's references address must fail")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // mallocsPer is testing.AllocsPerRun without the rounding down to a whole
-// number, which would hide a slab's amortised share.
+// number, which would hide a chunk's amortised share.
 func mallocsPer(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f() // warm up
@@ -25,11 +25,11 @@ func mallocsPer(runs int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// TestPutAllocations guards the slabs: a new key, with a value or without
+// TestPutAllocations guards the chunks: a new key, with a value or without
 // one (a secondary or primary-key index entry), costs only a share of a
-// slab, and an overwrite exactly the new value.
+// chunk, and an overwrite exactly the new value.
 func TestPutAllocations(t *testing.T) {
-	const runs = 4 * nodeSlab // whole slabs, so their cost is in the average
+	const runs = 4 * chunkSize / 64 // several whole chunks, so their cost is in the average
 	value := make([]byte, 100)
 	var key [8]byte
 	next := uint64(0)
@@ -59,31 +59,24 @@ func TestPutAllocations(t *testing.T) {
 
 // TestHotKeyPinsOneValue overwrites one key in place many times amid a
 // trickle of new keys. The table's first value for the hot key stays in its
-// slab, but every later value is an allocation of its own that the next
-// overwrite lets go. Were the overwrites carved from the slab too, each new
-// key would land in a chunk full of superseded values and keep it alive, and
-// the heap would grow by about the bytes written; as it is, it grows by
-// less than one slab chunk plus the one live value — the new keys' nodes,
-// towers and key bytes included.
+// chunk, but every later value is an allocation of its own, in the key's
+// slot, that the next overwrite lets go. Were the overwrites carved from
+// the chunks too, each new key would land in a chunk full of superseded
+// values and keep it alive, and the heap would grow by about the bytes
+// written; as it is, it grows by less than one chunk plus the one live
+// value — the new keys' nodes included.
 func TestHotKeyPinsOneValue(t *testing.T) {
 	const (
 		overwrites = 100_000
 		valueSize  = 1 << 10
-		newKeyEach = 256       // overwrites per new key-only entry
-		maxChunk   = 256 << 10 // kv.Arena's largest chunk
+		newKeyEach = 256 // overwrites per new key-only entry
 	)
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	value := make([]byte, valueSize)
 	hot := []byte("hot")
 	var key [8]byte
 	m := New(1)
 	m.Put(kv.Entry{Key: hot, Value: value, TS: 0})
-	before := heap()
+	before := liveHeap()
 	for i := 1; i <= overwrites; i++ {
 		value[0] = byte(i)
 		m.Put(kv.Entry{Key: hot, Value: value, TS: int64(i)})
@@ -92,28 +85,39 @@ func TestHotKeyPinsOneValue(t *testing.T) {
 			m.Put(kv.Entry{Key: key[:], TS: int64(i)})
 		}
 	}
-	after := heap()
+	after := liveHeap()
 	if e, ok := m.Get(hot); !ok || e.TS != overwrites || !bytes.Equal(e.Value, value) {
 		t.Fatalf("Get(hot) = %v, %v after %d overwrites", e, ok, overwrites)
 	}
-	if grew := int64(after) - int64(before); grew >= maxChunk+valueSize {
+	if grew := after - before; grew >= chunkSize+valueSize {
 		t.Fatalf("%d overwrites of one key grew the heap by %d bytes, want under %d (one chunk plus one value)",
-			overwrites, grew, maxChunk+valueSize)
+			overwrites, grew, chunkSize+valueSize)
 	}
 	runtime.KeepAlive(m)
 }
 
-// TestReadersAcrossSlabBoundaries runs Get and Iterator against a writer
-// that fills several node, tower and key slabs: a reader must never see a
-// node whose key or value is not the one put for it, whichever slab the
-// node, its tower and its key landed in. Run it under -race.
-func TestReadersAcrossSlabBoundaries(t *testing.T) {
-	const n = 5*nodeSlab + 7 // 16-byte keys: the first 4 KiB key chunk fills at 256
+// TestReadersAcrossChunkBoundaries runs Get and Iterator against a writer
+// that fills chunk after chunk with nodes of uneven sizes, some with their
+// value in a slot: a reader must never see a node whose key or value is
+// not the one put for it, wherever the node landed. A node never straddles
+// a chunk's end — one that does not fit opens the next chunk — and the
+// writer checks that, among the nodes that opened one, the end of the
+// chunk before would have cut each part: the header, the tower, the key
+// and the value. Run it under -race.
+func TestReadersAcrossChunkBoundaries(t *testing.T) {
+	const n = 50_000
 	keyOf := func(i uint64) []byte {
-		k := make([]byte, 16)
+		k := make([]byte, 40)
 		binary.BigEndian.PutUint64(k, i*2654435761%n) // a permutation of 0..n-1: the multiplier is prime
 		binary.BigEndian.PutUint64(k[8:], ^i)
-		return k[:8+i%9] // lengths 8..16, so key chunks fill at uneven points
+		return k[:8+i%33] // lengths 8..40
+	}
+	valueOf := func(k []byte) []byte {
+		l := int(binary.BigEndian.Uint16(k[6:]) % 160)
+		if k[7]%101 == 0 {
+			l = maxInline + 1 // in a slot
+		}
+		return bytes.Repeat(k, l/len(k)+1)[:l]
 	}
 	m := New(3)
 	var published atomic.Uint64 // keys 0..published-1 are in the table
@@ -131,7 +135,7 @@ func TestReadersAcrossSlabBoundaries(t *testing.T) {
 					continue
 				}
 				k := keyOf(i % done)
-				if e, ok := m.Get(k); !ok || !bytes.Equal(e.Key, k) || !bytes.Equal(e.Value, k) {
+				if e, ok := m.Get(k); !ok || !bytes.Equal(e.Key, k) || !bytes.Equal(e.Value, valueOf(k)) {
 					t.Errorf("Get(%x) = %v, %v with %d keys published", k, e, ok, done)
 					return
 				}
@@ -144,7 +148,7 @@ func TestReadersAcrossSlabBoundaries(t *testing.T) {
 					}
 					// (The first entry may sort below k: the iterator parks on
 					// k's predecessor and a key put since lands after it.)
-					if !bytes.Equal(e.Key, e.Value) || (prev != nil && bytes.Compare(prev, e.Key) >= 0) {
+					if !bytes.Equal(e.Value, valueOf(e.Key)) || (prev != nil && bytes.Compare(prev, e.Key) >= 0) {
 						t.Errorf("iterator from %x: entry %d is %v after %x", k, j, e, prev)
 						return
 					}
@@ -153,11 +157,34 @@ func TestReadersAcrossSlabBoundaries(t *testing.T) {
 			}
 		}(r)
 	}
+	// cut counts the nodes that opened a chunk by the part of them the end
+	// of the chunk before would have cut.
+	var cut [4]int // header, tower, key, value
 	for i := uint64(0); i < n; i++ {
 		k := keyOf(i)
-		m.Put(kv.Entry{Key: k, Value: k, TS: int64(i)})
+		// Only this goroutine writes the table, so it reads the chunks
+		// without the lock.
+		chunks, room := len(m.chunks), 0
+		if chunks > 0 {
+			room = len(m.chunks[chunks-1]) - m.used
+		}
+		m.Put(kv.Entry{Key: k, Value: valueOf(k), TS: int64(i)})
+		if chunks > 0 && len(m.chunks) > chunks {
+			node := m.chunks[chunks]
+			keyStart, keyEnd := keySpan(node)
+			switch {
+			case room < tower:
+				cut[0]++
+			case room < keyStart:
+				cut[1]++
+			case room < keyEnd:
+				cut[2]++
+			default:
+				cut[3]++
+			}
+		}
 		if i%5 == 0 { // overwrites keep the node and its key
-			m.Put(kv.Entry{Key: k, Value: k, TS: int64(i)})
+			m.Put(kv.Entry{Key: k, Value: valueOf(k), TS: int64(i)})
 		}
 		published.Store(i + 1)
 	}
@@ -165,4 +192,28 @@ func TestReadersAcrossSlabBoundaries(t *testing.T) {
 	if m.Len() != n {
 		t.Fatalf("Len = %d, want %d", m.Len(), n)
 	}
+	for part, c := range cut {
+		if c == 0 {
+			t.Errorf("no node opened a chunk whose end would have cut its %s (cuts: header, tower, key, value = %v)",
+				[]string{"header", "tower", "key", "value"}[part], cut)
+		}
+	}
+	t.Logf("%d chunks; chunk ends fell in header, tower, key, value: %v", len(m.chunks), cut)
+}
+
+// TestReferencesNeverWrap: a table that has filled every chunk its
+// references can address panics on the next new key instead of handing out
+// a reference that wraps onto an older node.
+func TestReferencesNeverWrap(t *testing.T) {
+	m := New(1)
+	m.Put(kv.Entry{Key: []byte("a"), TS: 1})
+	// Stand-ins for full chunks: the writer only looks at the open one.
+	m.chunks = append(m.chunks, make([][]byte, maxChunks-len(m.chunks))...)
+	m.used = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put past the last addressable chunk did not panic")
+		}
+	}()
+	m.Put(kv.Entry{Key: []byte("b"), TS: 2})
 }

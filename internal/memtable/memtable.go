@@ -8,18 +8,25 @@
 // record-level locking discipline.
 //
 // Nodes are never removed while a table lives and a node's key never
-// changes, so nodes, their towers and their keys are carved from slabs —
-// chunks the table allocates whole and that become garbage together, when
-// the flushed table is dropped. A new key's first value is carved from the
-// key slab too, so a Put of a new key allocates nothing of its own. Only an
-// overwrite allocates: it replaces the node's value with a copy of its own,
-// which is collectable the moment a later overwrite replaces it. A
-// superseded first value stays in its slab until the flush, so a key
-// overwritten in place pins at most one superseded value, never a chain of
-// them, however often it is overwritten.
+// changes, so the whole list lives in byte chunks the table allocates
+// whole and that become garbage together, when the flushed table is
+// dropped. A chunk holds no pointers, so the garbage collector never scans
+// it, and a node costs its bytes and nothing more: a fixed header, a tower
+// of uint32 node references, the key and the first value, back to back. A
+// Put of a new key therefore allocates nothing of its own.
+//
+// Only an overwrite allocates: its value is a copy of its own, held in a
+// side slot that the node's value reference names, and the next overwrite
+// of that key replaces the slot's value. A superseded first value stays in
+// its chunk until the flush, so a key overwritten in place pins at most one
+// superseded value, never a chain of them, however often it is
+// overwritten. A value too large to carve from a chunk lives in a slot
+// from the start.
 package memtable
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -28,33 +35,69 @@ import (
 
 const maxHeight = 16
 
-// Slab sizes. A table that holds anything holds at least one slab of each
-// kind (34 KiB together, with the first 4 KiB key chunk); one that never sees a Put holds none.
+// Node layout, from a node's first byte. The tower's level-l reference
+// follows the header at tower+4l, then come the key and the first value.
 const (
-	nodeSlab  = 256  // nodes per slab
-	towerSlab = 1024 // next-pointers per slab; a node uses 4/3 on average
+	offTS     = 0  // int64
+	offKeyLen = 8  // uint32
+	offValue  = 12 // uint32 value reference
+	offHeight = 16 // uint8
+	offAnti   = 17 // uint8: 1 for anti-matter
+	tower     = 20 // header size; 18 rounded up to the node alignment
 )
 
-type node struct {
-	entry kv.Entry
-	next  []*node
-}
+// A value reference with slotBit set is the index of the node's side slot
+// in its low bits. Without it, it is the length of the value inline behind
+// the key (0 for an empty value).
+const slotBit = 1 << 31
+
+// Chunk sizes. A table's first chunk is firstChunk bytes and each next one
+// twice the last, up to chunkSize, so a table that holds little stays
+// small; one that never sees a Put holds none. A node larger than
+// chunkSize (only a huge key makes one) gets a chunk of its own size.
+const (
+	firstChunk = 4 << 10
+	chunkSize  = 64 << 10
+	// maxInline is the largest value carved from a chunk; a larger one
+	// goes to a slot, so a chunk strands at most about this much at its
+	// end, unless a key is larger still.
+	maxInline = chunkSize / 8
+)
+
+// A node reference is the node's chunk index and its offset in that chunk
+// in 4-byte units; nodes start 4-aligned. Reference 0 is the head node,
+// the first one carved, and as a next reference it means "none", since no
+// node links to the head.
+const (
+	align      = 4
+	offsetBits = 14 // chunkSize / align offsets per chunk
+	maxChunks  = 1 << (32 - offsetBits)
+)
+
+// MaxBudget is the largest memory budget, in accounted bytes, a table may
+// be filled to. References address maxChunks chunks, about 16 GiB,
+// which leaves 8× headroom: a node adds to the key and value that Bytes()
+// counts (plus 16) a 20-byte header, 4 bytes per tower level (4/3 levels
+// on average, at most 16) and its alignment, and a chunk strands less
+// than one node at its end. Should a table still fill every chunk (first
+// values overwritten by far shorter ones can do it), Put panics rather
+// than let a reference wrap.
+const MaxBudget = 2 << 30
 
 // Table is one memory component. Safe for concurrent use.
 type Table struct {
 	mu     sync.RWMutex
-	head   *node
 	height int
 	rng    *rand.Rand
 	count  int
 	bytes  int
 
-	// The open slab of each kind; full ones stay reachable through the
-	// nodes, towers, keys and first values carved from them. Guarded by mu
-	// like the list.
-	nodes  []node
-	towers []*node
-	keys   kv.Arena // keys and first values
+	// chunks hold the list; the last is the open one, carved up to used.
+	// slots hold overwritten and oversized values. Guarded by mu like the
+	// list.
+	chunks [][]byte
+	used   int
+	slots  [][]byte
 
 	// Component ID bookkeeping (minTS-maxTS of contained entries).
 	minTS int64
@@ -71,7 +114,6 @@ type Table struct {
 // deterministic across runs.
 func New(seed int64) *Table {
 	return &Table{
-		head:   &node{next: make([]*node, maxHeight)},
 		height: 1,
 		rng:    rand.New(rand.NewSource(seed)),
 		minTS:  -1,
@@ -87,63 +129,159 @@ func (t *Table) randomHeight() int {
 	return h
 }
 
-// newNode carves a node with an h-high tower from the slabs.
-func (t *Table) newNode(h int) *node {
-	if len(t.nodes) == cap(t.nodes) {
-		t.nodes = make([]node, 0, nodeSlab)
+var le = binary.LittleEndian
+
+// at returns the chunk bytes from node ref on.
+func (t *Table) at(ref uint32) []byte {
+	return t.chunks[ref>>offsetBits][(ref&(1<<offsetBits-1))*align:]
+}
+
+// next returns node n's level-l successor, 0 if none.
+func next(n []byte, level int) uint32 {
+	return le.Uint32(n[tower+4*level:])
+}
+
+// keySpan returns where node n's key starts and ends.
+func keySpan(n []byte) (start, end int) {
+	start = tower + 4*int(n[offHeight])
+	return start, start + int(le.Uint32(n[offKeyLen:]))
+}
+
+func nodeKey(n []byte) []byte {
+	start, end := keySpan(n)
+	return n[start:end]
+}
+
+// carve returns the reference and bytes of size fresh bytes, opening a
+// chunk when the open one lacks them.
+func (t *Table) carve(size int) (uint32, []byte) {
+	size = (size + align - 1) &^ (align - 1)
+	if len(t.chunks) == 0 || size > len(t.chunks[len(t.chunks)-1])-t.used {
+		if len(t.chunks) == maxChunks {
+			panic(fmt.Sprintf("memtable: a table of %d accounted bytes filled all %d chunks its references address", t.bytes, maxChunks))
+		}
+		n := firstChunk
+		if len(t.chunks) > 0 {
+			n = min(2*len(t.chunks[len(t.chunks)-1]), chunkSize)
+		}
+		t.chunks = append(t.chunks, make([]byte, max(n, size)))
+		t.used = 0
 	}
-	if h > cap(t.towers)-len(t.towers) {
-		t.towers = make([]*node, 0, towerSlab)
+	c := len(t.chunks) - 1
+	ref := uint32(c)<<offsetBits | uint32(t.used/align)
+	b := t.chunks[c][t.used : t.used+size]
+	t.used += size
+	return ref, b
+}
+
+// newSlot stores a copy of v in a new slot and returns its value reference.
+func (t *Table) newSlot(v []byte) uint32 {
+	t.slots = append(t.slots, append([]byte(nil), v...))
+	return uint32(len(t.slots)-1) | slotBit
+}
+
+// seek returns the last node whose key sorts below key, recording the last
+// one at each level in update when it is not nil. The table is not empty.
+func (t *Table) seek(key []byte, update *[maxHeight]uint32) uint32 {
+	var x uint32
+	xn := t.at(x)
+	for level := t.height - 1; level >= 0; level-- {
+		for nx := next(xn, level); nx != 0; nx = next(xn, level) {
+			nn := t.at(nx)
+			if kv.Compare(nodeKey(nn), key) >= 0 {
+				break
+			}
+			x, xn = nx, nn
+		}
+		if update != nil {
+			update[level] = x
+		}
 	}
-	t.nodes = t.nodes[:len(t.nodes)+1]
-	n := &t.nodes[len(t.nodes)-1]
-	top := len(t.towers) + h
-	n.next = t.towers[len(t.towers):top:top]
-	t.towers = t.towers[:top]
-	return n
+	return x
+}
+
+// find returns the node holding key, or nil.
+func (t *Table) find(key []byte, update *[maxHeight]uint32) []byte {
+	if nx := next(t.at(t.seek(key, update)), 0); nx != 0 {
+		if n := t.at(nx); kv.Compare(nodeKey(n), key) == 0 {
+			return n
+		}
+	}
+	return nil
+}
+
+// entry returns node n's entry. Its slices alias the chunk or the slot and
+// are clipped to their length, so appending to one copies it; an empty key
+// or value is nil.
+func (t *Table) entry(n []byte) kv.Entry {
+	e := kv.Entry{TS: int64(le.Uint64(n[offTS:])), Anti: n[offAnti] != 0}
+	ks, ke := keySpan(n)
+	if ke > ks {
+		e.Key = n[ks:ke:ke]
+	}
+	if ref := le.Uint32(n[offValue:]); ref&slotBit != 0 {
+		if v := t.slots[ref&^slotBit]; len(v) > 0 {
+			e.Value = v[:len(v):len(v)]
+		}
+	} else if ref > 0 {
+		ve := ke + int(ref)
+		e.Value = n[ke:ve:ve]
+	}
+	return e
 }
 
 // Put inserts or replaces the entry for e.Key. The table copies what it
-// keeps — a new entry's key and value into a slab, an overwrite's value
+// keeps — a new entry's key and value into a chunk, an overwrite's value
 // into an allocation of its own — and retains none of e's bytes.
 func (t *Table) Put(e kv.Entry) {
-	// The stored entry is built from a fresh local, never from e: were e
-	// itself stored, its key would escape and a caller could not compose
-	// one in a stack buffer.
-	stored := kv.Entry{TS: e.TS, Anti: e.Anti}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-
-	var update [maxHeight]*node
-	x := t.head
-	for level := t.height - 1; level >= 0; level-- {
-		for x.next[level] != nil && kv.Compare(x.next[level].entry.Key, e.Key) < 0 {
-			x = x.next[level]
-		}
-		update[level] = x
+	if len(t.chunks) == 0 {
+		_, head := t.carve(tower + 4*maxHeight)
+		head[offHeight] = maxHeight
 	}
-	if nxt := x.next[0]; nxt != nil && kv.Compare(nxt.entry.Key, e.Key) == 0 {
-		stored.Key = nxt.entry.Key // an overwrite keeps the node's key
-		stored.Value = append([]byte(nil), e.Value...)
-		t.bytes += stored.Size() - nxt.entry.Size()
-		nxt.entry = stored
+
+	var update [maxHeight]uint32 // 0, the head, above the list's height
+	if n := t.find(e.Key, &update); n != nil {
+		// An overwrite keeps the node and its key. Readers may hold the
+		// node's inline value, so a new value never goes where it was.
+		t.bytes += len(e.Value) - len(t.entry(n).Value)
+		ref := le.Uint32(n[offValue:])
+		switch {
+		case ref&slotBit != 0:
+			t.slots[ref&^slotBit] = append([]byte(nil), e.Value...)
+		case len(e.Value) == 0:
+			le.PutUint32(n[offValue:], 0)
+		default:
+			le.PutUint32(n[offValue:], t.newSlot(e.Value))
+		}
+		stamp(n, e)
 	} else {
 		h := t.randomHeight()
-		if h > t.height {
-			for level := t.height; level < h; level++ {
-				update[level] = t.head
-			}
-			t.height = h
+		t.height = max(t.height, h)
+		inline := len(e.Value) <= maxInline
+		size := tower + 4*h + len(e.Key)
+		if inline {
+			size += len(e.Value)
 		}
-		stored.Key, stored.Value = t.keys.Copy(e.Key), t.keys.Copy(e.Value)
-		n := t.newNode(h)
-		n.entry = stored
+		ref, n := t.carve(size)
+		le.PutUint32(n[offKeyLen:], uint32(len(e.Key)))
+		n[offHeight] = byte(h)
+		ke := tower + 4*h
+		ke += copy(n[ke:], e.Key)
+		if inline {
+			le.PutUint32(n[offValue:], uint32(copy(n[ke:], e.Value)))
+		} else {
+			le.PutUint32(n[offValue:], t.newSlot(e.Value))
+		}
+		stamp(n, e)
 		for level := 0; level < h; level++ {
-			n.next[level] = update[level].next[level]
-			update[level].next[level] = n
+			p := t.at(update[level])
+			le.PutUint32(n[tower+4*level:], next(p, level))
+			le.PutUint32(p[tower+4*level:], ref)
 		}
 		t.count++
-		t.bytes += stored.Size()
+		t.bytes += e.Size()
 	}
 	if t.minTS < 0 || e.TS < t.minTS {
 		t.minTS = e.TS
@@ -153,18 +291,24 @@ func (t *Table) Put(e kv.Entry) {
 	}
 }
 
+// stamp writes e's timestamp and anti-matter flag into node n.
+func stamp(n []byte, e kv.Entry) {
+	le.PutUint64(n[offTS:], uint64(e.TS))
+	n[offAnti] = 0
+	if e.Anti {
+		n[offAnti] = 1
+	}
+}
+
 // Get returns the entry for key (which may be anti-matter) if present.
 func (t *Table) Get(key []byte) (kv.Entry, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	x := t.head
-	for level := t.height - 1; level >= 0; level-- {
-		for x.next[level] != nil && kv.Compare(x.next[level].entry.Key, key) < 0 {
-			x = x.next[level]
-		}
+	if len(t.chunks) == 0 {
+		return kv.Entry{}, false
 	}
-	if nxt := x.next[0]; nxt != nil && kv.Compare(nxt.entry.Key, key) == 0 {
-		return nxt.entry, true
+	if n := t.find(key, nil); n != nil {
+		return t.entry(n), true
 	}
 	return kv.Entry{}, false
 }
@@ -219,11 +363,12 @@ func (t *Table) Filter() (min, max int64, ok bool) {
 }
 
 // Iterator walks entries in ascending key order. It holds no lock; it
-// snapshots next-pointers as it goes, which is safe because nodes are never
-// removed while a table is live and flush freezes the table anyway.
+// keeps the reference of the node it last returned, which stays valid
+// because nodes are never removed while a table is live and flush freezes
+// the table anyway.
 type Iterator struct {
 	t *Table
-	x *node
+	x uint32 // the head (0) until an entry is returned
 	// bounds: lo inclusive, hi exclusive (nil = unbounded). lo is cleared
 	// once an entry at or above it has been returned.
 	lo, hi []byte
@@ -234,13 +379,9 @@ type Iterator struct {
 func (t *Table) NewIterator(lo, hi []byte) Iterator {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	x := t.head
-	if lo != nil {
-		for level := t.height - 1; level >= 0; level-- {
-			for x.next[level] != nil && kv.Compare(x.next[level].entry.Key, lo) < 0 {
-				x = x.next[level]
-			}
-		}
+	var x uint32
+	if lo != nil && len(t.chunks) > 0 {
+		x = t.seek(lo, nil)
 	}
 	return Iterator{t: t, x: x, lo: lo, hi: hi}
 }
@@ -252,19 +393,27 @@ func (t *Table) NewIterator(lo, hi []byte) Iterator {
 // keys below lo until it has returned one at or above it. After that every
 // later key sorts above lo: the list is sorted and nodes are never removed.
 func (it *Iterator) Next() (kv.Entry, bool) {
-	it.t.mu.RLock()
-	defer it.t.mu.RUnlock()
-	nxt := it.x.next[0]
-	for it.lo != nil && nxt != nil && kv.Compare(nxt.entry.Key, it.lo) < 0 {
-		it.x = nxt
-		nxt = nxt.next[0]
-	}
-	if nxt == nil {
+	t := it.t
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if len(t.chunks) == 0 {
 		return kv.Entry{}, false
 	}
-	if it.hi != nil && kv.Compare(nxt.entry.Key, it.hi) >= 0 {
+	nx := next(t.at(it.x), 0)
+	var n []byte
+	for nx != 0 {
+		n = t.at(nx)
+		if it.lo == nil || kv.Compare(nodeKey(n), it.lo) >= 0 {
+			break
+		}
+		it.x, nx = nx, next(n, 0)
+	}
+	if nx == 0 {
 		return kv.Entry{}, false
 	}
-	it.x, it.lo = nxt, nil
-	return nxt.entry, true
+	if it.hi != nil && kv.Compare(nodeKey(n), it.hi) >= 0 {
+		return kv.Entry{}, false
+	}
+	it.x, it.lo = nx, nil
+	return t.entry(n), true
 }

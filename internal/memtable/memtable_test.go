@@ -177,26 +177,38 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	}
 }
 
+// TestAgainstModelRandomOps puts random entries, some with an empty key,
+// a key or a value larger than a chunk or an empty value, and checks the
+// table against a model of what was put last for each key.
 func TestAgainstModelRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := New(5)
 	model := map[string]kv.Entry{}
 	for i := 0; i < 20000; i++ {
 		k := []byte(fmt.Sprintf("%04d", rng.Intn(3000)))
+		switch r := rng.Intn(1000); {
+		case r == 0:
+			k = bytes.Repeat(k, chunkSize/len(k)+1) // a node that gets a chunk of its own size
+		case r <= 10:
+			k = nil
+		}
 		e := kv.Entry{Key: k, TS: int64(i), Anti: rng.Intn(4) == 0}
 		if !e.Anti {
-			e.Value = []byte(fmt.Sprint(rng.Intn(1000)))
+			switch r := rng.Intn(1000); {
+			case r < 2:
+				e.Value = bytes.Repeat([]byte{byte(i)}, chunkSize+rng.Intn(100))
+			case r < 100:
+				// empty
+			case r < 200:
+				e.Value = bytes.Repeat([]byte{byte(i)}, 100)
+			default:
+				e.Value = []byte(fmt.Sprint(rng.Intn(1000)))
+			}
 		}
 		m.Put(e)
 		model[string(k)] = e
 	}
-	for k, want := range model {
-		got, ok := m.Get([]byte(k))
-		if !ok || got.TS != want.TS || got.Anti != want.Anti || !bytes.Equal(got.Value, want.Value) {
-			t.Fatalf("key %s: got %v want %v", k, got, want)
-		}
-	}
-	if m.Len() != len(model) {
-		t.Fatalf("Len = %d, want %d", m.Len(), len(model))
+	if err := matches(m, model); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package memtable
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -14,68 +15,97 @@ type opSpec struct {
 	Key   uint16
 	Value uint8
 	Anti  bool
+	Shape uint8 // picks the value's length
+}
+
+// entry builds op's entry: a two-byte key, or an empty one for one key in
+// 64; no value for anti-matter, else 0, 1 or 100 bytes of op.Value or, for
+// one op in 16, more than a whole chunk of them.
+func (op opSpec) entry(ts int) kv.Entry {
+	e := kv.Entry{TS: int64(ts), Anti: op.Anti}
+	if op.Key%64 != 0 {
+		e.Key = []byte{byte(op.Key >> 8), byte(op.Key)}
+	}
+	if op.Anti {
+		return e
+	}
+	n := [...]int{0, 1, 100, 1}[op.Shape%4]
+	if op.Shape%16 == 15 {
+		n = chunkSize + 1
+	}
+	e.Value = bytes.Repeat([]byte{op.Value}, n)
+	return e
 }
 
 // TestQuickMatchesSortedMap: after any operation sequence, iteration yields
-// exactly the model's entries in ascending key order, and Get agrees on
-// every key.
+// exactly the model's entries in ascending key order, Get agrees on every
+// key, and appending to what either returned changes nothing.
 func TestQuickMatchesSortedMap(t *testing.T) {
 	f := func(ops []opSpec) bool {
 		m := New(3)
-		model := map[uint16]opSpec{}
+		model := map[string]kv.Entry{}
 		for i, op := range ops {
-			e := kv.Entry{
-				Key:  []byte{byte(op.Key >> 8), byte(op.Key)},
-				TS:   int64(i),
-				Anti: op.Anti,
-			}
-			if !op.Anti {
-				e.Value = []byte{op.Value}
-			}
+			e := op.entry(i)
 			m.Put(e)
-			model[op.Key] = op
+			model[string(e.Key)] = e
 		}
-		if m.Len() != len(model) {
+		if err := matches(m, model); err != nil {
+			t.Log(err)
 			return false
-		}
-		// Iteration order and contents.
-		keys := make([]uint16, 0, len(model))
-		for k := range model {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		it := m.NewIterator(nil, nil)
-		for _, k := range keys {
-			e, ok := it.Next()
-			if !ok {
-				return false
-			}
-			want := model[k]
-			if kv.DecodeUint64(append(make([]byte, 6), e.Key...)) != uint64(k) {
-				return false
-			}
-			if e.Anti != want.Anti {
-				return false
-			}
-			if !want.Anti && !bytes.Equal(e.Value, []byte{want.Value}) {
-				return false
-			}
-		}
-		if _, ok := it.Next(); ok {
-			return false
-		}
-		// Point gets.
-		for k, want := range model {
-			e, ok := m.Get([]byte{byte(k >> 8), byte(k)})
-			if !ok || e.Anti != want.Anti {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// matches reports how m differs from model, which maps each key to the
+// entry last put for it: iteration must return the model's entries in
+// ascending key order, and Get each one. It then appends to every key and
+// value the table returned and checks again: a returned slice is clipped to
+// its length, so appending to it copies it and changes no other entry.
+func matches(m *Table, model map[string]kv.Entry) error {
+	if m.Len() != len(model) {
+		return fmt.Errorf("Len = %d, want %d", m.Len(), len(model))
+	}
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	same := func(got, want kv.Entry) bool {
+		return bytes.Equal(got.Key, want.Key) && bytes.Equal(got.Value, want.Value) &&
+			got.TS == want.TS && got.Anti == want.Anti &&
+			(got.Key == nil) == (len(want.Key) == 0) && (got.Value == nil) == (len(want.Value) == 0) // empty is nil
+	}
+	junk := bytes.Repeat([]byte{0xFF}, 64)
+	for pass := 0; pass < 2; pass++ {
+		var returned []kv.Entry
+		it := m.NewIterator(nil, nil)
+		for _, k := range keys {
+			e, ok := it.Next()
+			if !ok || !same(e, model[k]) {
+				return fmt.Errorf("pass %d: iteration returned %v, %v where the model has %v", pass, e, ok, model[k])
+			}
+			returned = append(returned, e)
+		}
+		if e, ok := it.Next(); ok {
+			return fmt.Errorf("pass %d: iteration returned %v past the model's last key", pass, e)
+		}
+		for _, k := range keys {
+			e, ok := m.Get([]byte(k))
+			if !ok || !same(e, model[k]) {
+				return fmt.Errorf("pass %d: Get(%q) = %v, %v, want %v", pass, k, e, ok, model[k])
+			}
+			returned = append(returned, e)
+		}
+		for _, e := range returned {
+			_ = append(e.Key, junk...)
+			_ = append(e.Value, junk...)
+		}
+	}
+	return nil
 }
 
 // TestQuickBoundedIteration: bounded iterators never leak keys outside

@@ -67,14 +67,14 @@ func BenchmarkDiskApplyBatch(b *testing.B) {
 // TestDiskWriteAllocGuard is the allocation regression gate for the write
 // path on the file backend: a record's bytes are copied once per layer and
 // nothing is allocated per mutation that can be allocated per page, per
-// slab or per batch. Keys and records are composed into the test's reused
+// chunk or per batch. Keys and records are composed into the test's reused
 // buffers — Apply keeps none of the caller's bytes — so every object
 // counted is the engine's, and the counts are unrounded mallocs per
 // mutation, background flushes and merges included.
 //
 // A batched mutation measures about 0.76 objects on one shard and 0.79 on
 // two, a single write about 2.4. None of it is per mutation: the memtable
-// carves a new key and its first value from a slab, the lock table
+// carves a new key's node and first value from a chunk, the lock table
 // recycles its locks and their keys, and a batch's grouping and log
 // bookkeeping come from a recycled scratch. What is left is the flushes'
 // and merges' per-page and per-component objects spread over the entries
