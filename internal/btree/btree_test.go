@@ -529,7 +529,7 @@ func TestColdLookupOnFullCacheAllocatesNothing(t *testing.T) {
 	i := 0
 	lookup := func() {
 		// A different leaf each time, away from the tree's right edge, whose
-		// part-filled pages would each take a buffer of their own.
+		// part-filled pages would each move to a frame of a smaller class.
 		binary.BigEndian.PutUint64(probe[:], uint64(i*7919%(n-1000))*3)
 		i++
 		if _, _, found, err := cur.Lookup(probe[:]); err != nil || !found {

@@ -14,6 +14,19 @@
 // last Unpin. Until then the evicted frame is out of the cache and its bytes
 // stay the page its holders read.
 //
+// Frames come in power-of-two size classes: whole frames of the device page
+// size and halves of one down to a 64th (512 bytes at a 32 KiB page). A
+// miss reads into a whole frame; Fit moves a page that fills half a frame or
+// less (internal and meta pages) into a frame of the smallest class that
+// holds it, so small pages neither occupy whole frames nor cost a buffer of
+// their own. Each class has its own free list. Whole frames are kept while
+// the pages cached in whole frames plus the free whole frames stay within
+// capacity+spareFrames, and each smaller class keeps at most spareFrames
+// free ones. So the whole frames are a fixed pool, whatever share of the
+// cache small pages take from one moment to the next, and readers and
+// streamed scans that pin up to spareFrames frames at once on a full cache
+// find them free instead of allocating.
+//
 // A reader that must not fill the cache — a merge streaming its inputs,
 // which it reads once and then deletes — reads a missing page into a frame
 // from Frame and never hands it to Put: its Unpin returns the frame to the
@@ -32,9 +45,11 @@ type PageKey struct {
 }
 
 // Frame is one page buffer of the cache and its own links in the recency
-// list, so a hit follows no second pointer. A frame handed out by Get, Put
-// or Frame is pinned: Data is the page's bytes, unchanged, until the holder
-// calls Unpin, after which the holder must not touch them.
+// list, so a hit follows no second pointer. A frame handed out by Get, Put,
+// Frame or Fit is pinned: Data is the page's bytes, unchanged, until the
+// holder calls Unpin, after which the holder must not touch them. Unpinned
+// and uncached, the frame and its buffer go back to the free list of their
+// size class together.
 type Frame struct {
 	prev, next *Frame
 	key        PageKey
@@ -43,7 +58,11 @@ type Frame struct {
 	Data []byte
 	// buf is the buffer Data lies in (a device may place the page a few
 	// bytes into it); recycling the frame recycles buf.
-	buf    []byte
+	buf []byte
+	// class is buf's size class (frameBytes>>class bytes), or -1 for a
+	// buffer a device allocated for the page itself, which is never
+	// recycled.
+	class  int8
 	pins   int32
 	cached bool
 }
@@ -51,52 +70,55 @@ type Frame struct {
 // poison is the pattern SetPoison writes over a freed frame's buffer.
 const poison = 0xDB
 
+// classes is the number of frame size classes: whole frames and their
+// halves down to a 64th of a frame.
+const classes = 7
+
+// spareFrames is how many frames beyond a full cache's pages each size
+// class keeps free. It covers the frames pinned at once outside the cache:
+// a merge's streamed scans (at most two per input) and pages concurrent
+// readers hold after their eviction. Without them, a full cache drops such
+// frames at their unpin and the next misses allocate new ones.
+const spareFrames = 8
+
 // LRU is a fixed-capacity least-recently-used page cache. It is safe for
 // concurrent use.
 type LRU struct {
 	mu         sync.Mutex
 	capacity   int
 	frameBytes int
+	nclasses   int // classes whose frames hold at least a byte
 	items      map[PageKey]*Frame
 	// root is the sentinel of the circular recency list: root.next is the
 	// most recently used frame, root.prev the least.
 	root Frame
-	// free holds unpinned, uncached frames with frameBytes of buffer,
-	// linked through next. A frame joins it only while cached plus free
-	// frames do not exceed capacity, so the cache holds at most one frame
-	// more than a full cache of pages (plus the ones readers pin): the one
-	// the next miss reads into.
-	free   *Frame
-	nfree  int
+	// free holds each size class's unpinned, uncached frames, linked
+	// through next; nfree counts them.
+	free   [classes]*Frame
+	nfree  [classes]int
+	whole  int // cached pages in whole frames
 	pinned int // frames with pins > 0, cached or not
 
 	poison     atomic.Bool
 	earlyUnpin atomic.Bool
 }
 
-// NewLRU creates a cache holding at most capacity pages, whose recyclable
-// frames have frameBytes of buffer (the device page size). A capacity of 0
+// NewLRU creates a cache holding at most capacity pages, whose whole frames
+// have frameBytes of buffer (the device page size). A capacity of 0
 // disables caching (every Get misses).
 func NewLRU(capacity, frameBytes int) *LRU {
-	c := &LRU{capacity: capacity, frameBytes: frameBytes, items: make(map[PageKey]*Frame)}
+	c := &LRU{capacity: capacity, frameBytes: frameBytes, nclasses: 1, items: make(map[PageKey]*Frame)}
+	for c.nclasses < classes && frameBytes>>c.nclasses > 0 {
+		c.nclasses++
+	}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
 
-// NewFrame returns a pinned, uncached frame holding data, for a page kept
-// in a buffer of its own (one too small to fill a recycled frame). Hand it
-// to Put like a frame from Frame.
-func (c *LRU) NewFrame(data []byte) *Frame {
-	c.mu.Lock()
-	c.pinned++
-	c.mu.Unlock()
-	return &Frame{Data: data, buf: data, pins: 1}
-}
-
-// Holds reports whether p lies in f's buffer, as a page a device read into
+// holds reports whether p lies in f's buffer, as a page a device read into
 // the frame does; a page the device had to put in a buffer of its own does
 // not.
-func (f *Frame) Holds(p []byte) bool {
+func (f *Frame) holds(p []byte) bool {
 	return cap(p) > 0 && cap(f.buf) > 0 && &p[:cap(p)][cap(p)-1] == &f.buf[:cap(f.buf)][cap(f.buf)-1]
 }
 
@@ -130,17 +152,23 @@ func (c *LRU) Get(key PageKey) (*Frame, bool) {
 	return nil, false
 }
 
-// Frame returns a pinned, uncached frame to read a page into: a recycled
-// one when one is free (reused is true), else a new one with frameBytes of
-// buffer. Data is empty with the buffer's capacity behind it: read the
-// page into it, set Data to the page (which must lie in that buffer), and
-// hand the frame to Put; or Unpin it when the read failed, or once done
-// with a page that is not to be cached.
+// Frame returns a pinned, uncached whole frame to read a page into: a
+// recycled one when one is free (reused is true), else a new one with
+// frameBytes of buffer. Data is empty with the buffer's capacity behind it:
+// read the page into it, set Data to the page, and hand the frame to Fit
+// and then Put; or Unpin it when the read failed, or once done with a page
+// that is not to be cached.
 func (c *LRU) Frame() (f *Frame, reused bool) {
+	return c.frame(0)
+}
+
+// frame returns a pinned, uncached frame of size class i, recycled when one
+// is free.
+func (c *LRU) frame(i int) (f *Frame, reused bool) {
 	c.mu.Lock()
-	if f = c.free; f != nil {
-		c.free, f.next = f.next, nil
-		c.nfree--
+	if f = c.free[i]; f != nil {
+		c.free[i], f.next = f.next, nil
+		c.nfree[i]--
 		c.pin(f)
 		c.mu.Unlock()
 		f.Data = f.buf[:0]
@@ -148,8 +176,39 @@ func (c *LRU) Frame() (f *Frame, reused bool) {
 	}
 	c.pinned++
 	c.mu.Unlock()
-	buf := make([]byte, 0, c.frameBytes)
-	return &Frame{Data: buf, buf: buf, pins: 1}, false
+	buf := make([]byte, 0, c.frameBytes>>i)
+	return &Frame{Data: buf, buf: buf, class: int8(i), pins: 1}, false
+}
+
+// Fit returns the frame to cache f's page in, f being a pinned, uncached
+// whole frame from Frame that a page was read into. A page filling more
+// than half of f stays in it. A smaller one is copied into a frame of the
+// smallest size class that holds it, and f goes back to the free list. A
+// page the device placed in a buffer of its own moves, uncopied, to a frame
+// around that buffer, which is never recycled. allocated reports whether
+// the returned frame is a new one that was not f.
+func (c *LRU) Fit(f *Frame) (g *Frame, allocated bool) {
+	data := f.Data
+	if f.holds(data) {
+		i := 0
+		for i+1 < c.nclasses && c.frameBytes>>(i+1) >= len(data) {
+			i++
+		}
+		if i == 0 {
+			return f, false
+		}
+		var reused bool
+		g, reused = c.frame(i)
+		g.Data = append(g.Data, data...)
+		allocated = !reused
+	} else {
+		c.mu.Lock()
+		c.pinned++
+		c.mu.Unlock()
+		g, allocated = &Frame{Data: data, buf: data, class: -1, pins: 1}, true
+	}
+	c.Unpin(f)
+	return g, allocated
 }
 
 // Put caches f, a pinned frame holding the page under key, evicting the
@@ -171,6 +230,9 @@ func (c *LRU) Put(key PageKey, f *Frame) (pinnedVictim bool) {
 		c.drop(victim)
 	}
 	f.key, f.cached = key, true
+	if f.class == 0 {
+		c.whole++
+	}
 	c.pushFront(f)
 	c.items[key] = f
 	return pinnedVictim
@@ -182,15 +244,20 @@ func (c *LRU) drop(f *Frame) {
 	f.unlink()
 	delete(c.items, f.key)
 	f.cached = false
+	if f.class == 0 {
+		c.whole--
+	}
 	if f.pins == 0 {
 		c.release(f)
 	}
 }
 
-// release frees an unpinned, uncached frame: it joins the free list when its
-// buffer is a whole frame and the cache has room for it, else it is left to
-// the garbage collector. Either way it is poisoned first when SetPoison is
-// on.
+// release frees an unpinned, uncached frame: it joins its class's free list
+// while the class has room for it — whole frames while cached whole pages
+// plus free whole frames stay within capacity+spareFrames, smaller ones up
+// to spareFrames free — else it is left to the garbage collector, as a
+// buffer a device allocated always is. Either way it is poisoned first when
+// SetPoison is on.
 func (c *LRU) release(f *Frame) {
 	if c.poison.Load() {
 		buf := f.buf[:cap(f.buf)]
@@ -198,13 +265,14 @@ func (c *LRU) release(f *Frame) {
 			buf[i] = poison
 		}
 	}
-	if cap(f.buf) != c.frameBytes || len(c.items)+c.nfree > c.capacity {
+	i := f.class
+	if i < 0 || i == 0 && c.whole+c.nfree[0] >= c.capacity+spareFrames || i > 0 && c.nfree[i] >= spareFrames {
 		return
 	}
 	f.Data = nil
-	f.prev, f.next = nil, c.free
-	c.free = f
-	c.nfree++
+	f.prev, f.next = nil, c.free[i]
+	c.free[i] = f
+	c.nfree[i]++
 }
 
 // Unpin releases one pin on f. Unpinning a frame more times than it was

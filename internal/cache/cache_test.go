@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -227,6 +228,44 @@ func TestMissAtCapacityAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPinnedFramesAllocateNothing: on a full cache, spareFrames frames
+// pinned at once outside it — a streamed scan's uncached frames and pages
+// evicted while a reader held them, whole and small — find their frames free
+// and go back to their free lists at their unpin, so a round of them
+// allocates nothing. Free lists capped at one frame drop most of them, and
+// every round allocates them anew.
+func TestPinnedFramesAllocateNothing(t *testing.T) {
+	const capacity, frameBytes = 2, 64
+	c := NewLRU(capacity, frameBytes)
+	n := 0
+	held := make([]*Frame, 0, spareFrames)
+	var page [frameBytes]byte
+	round := func() {
+		for j := range spareFrames {
+			f, _ := c.Frame()
+			if j%2 == 1 { // a miss, cached and evicted by the next ones while held
+				f.Data = append(f.Data, page[:frameBytes>>(j%3)]...)
+				f, _ = c.Fit(f)
+				c.Put(key(1, n), f)
+				n++
+			}
+			held = append(held, f)
+		}
+		for _, f := range held {
+			c.Unpin(f)
+		}
+		held = held[:0]
+	}
+	round()
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of %d pinned frames on a full cache allocates %v times, want 0", spareFrames, allocs)
+	}
+	if c.Len() != capacity || c.Pinned() != 0 {
+		t.Fatalf("Len/Pinned = %d/%d, want %d/0", c.Len(), c.Pinned(), capacity)
+	}
+}
+
 // TestPinnedVictimKeepsItsBytes: evicting or invalidating a pinned page
 // takes it out of the cache exactly as an unpinned one, but its frame is
 // neither poisoned nor reused until its last Unpin; then the next miss
@@ -305,29 +344,117 @@ func TestUnpinUnpinnedPanics(t *testing.T) {
 	c.Unpin(f)
 }
 
-// TestFreeFramesBounded: frames freed by invalidation wait for reuse only
-// while cached plus free frames stay below capacity, and frames whose buffer
-// is not a whole frame are never kept.
-func TestFreeFramesBounded(t *testing.T) {
-	c := NewLRU(4, 8)
-	for i := 0; i < 4; i++ {
-		put(c, key(1, i), "p")
-	}
-	small := c.NewFrame([]byte("s"))
-	c.Put(key(2, 0), small) // evicts (1,0) into the free list
-	c.Unpin(small)
-	c.InvalidateFile(1)
-	c.InvalidateFile(2)
-	reused := 0
-	for i := 0; i < 8; i++ {
-		if f, ok := c.Frame(); ok {
-			reused++
-			if cap(f.Data) != 8 {
-				t.Fatalf("a %d-byte buffer was kept for reuse", cap(f.Data))
+// fit reads an n-byte page into a frame from Frame and hands it to Fit,
+// returning the frame Fit chose, pinned and uncached, and whether it was
+// recycled.
+func fit(c *LRU, n int) (*Frame, bool) {
+	f, _ := c.Frame()
+	f.Data = append(f.Data, make([]byte, n)...)
+	g, allocated := c.Fit(f)
+	return g, !allocated
+}
+
+// TestFitPicksTheSmallestClass: a page filling more than half a frame stays
+// in the whole frame it was read into; a smaller one moves to a frame of
+// the smallest class that holds it, down to a 64th of a frame, and the
+// whole frame goes back to the free list for the next miss.
+func TestFitPicksTheSmallestClass(t *testing.T) {
+	const frameBytes = 1024
+	c := NewLRU(4, frameBytes)
+	for _, tc := range []struct{ n, want int }{{1024, 1024}, {513, 1024}, {512, 512}, {300, 512}, {256, 256}, {40, 64}, {17, 32}, {16, 16}, {1, 16}} {
+		staged, _ := c.Frame()
+		staged.Data = append(staged.Data, bytes.Repeat([]byte{byte(tc.n)}, tc.n)...)
+		g, _ := c.Fit(staged)
+		if cap(g.buf) != tc.want || !bytes.Equal(g.Data, bytes.Repeat([]byte{byte(tc.n)}, tc.n)) {
+			t.Fatalf("a %d-byte page sits in a %d-byte buffer (%d bytes intact), want %d", tc.n, cap(g.buf), len(g.Data), tc.want)
+		}
+		if g != staged {
+			if next, reused := c.Frame(); !reused || next != staged {
+				t.Fatalf("a %d-byte page's staging frame did not go back to the free list", tc.n)
+			} else {
+				c.Unpin(next)
 			}
 		}
+		c.Unpin(g)
 	}
-	if reused == 0 || reused > c.Capacity() {
-		t.Fatalf("%d frames reused after invalidating a full cache of %d, want 1..%d", reused, c.Capacity(), c.Capacity())
+	if c.Pinned() != 0 {
+		t.Fatalf("Pinned = %d after every frame was unpinned", c.Pinned())
+	}
+}
+
+// TestFreeFramesBounded: every size class keeps its own free frames —
+// whole frames while cached whole pages plus free whole frames stay within
+// capacity+spareFrames, each smaller class at most spareFrames — so a full
+// free list of one class never starves another, a frame only ever comes
+// back in the class it was made for, and a buffer a device allocated for a
+// page is never kept.
+func TestFreeFramesBounded(t *testing.T) {
+	const capacity, frameBytes = 4, 64
+	c := NewLRU(capacity, frameBytes)
+	var held []*Frame
+	for range 2 * (capacity + spareFrames) {
+		f, _ := c.Frame()
+		held = append(held, f)
+	}
+	for i := 1; i < c.nclasses; i++ {
+		for range 2 * spareFrames {
+			f, _ := fit(c, frameBytes>>i)
+			held = append(held, f)
+		}
+	}
+	staged, _ := c.Frame()
+	staged.Data = make([]byte, 3) // a page the device put in a buffer of its own
+	own, allocated := c.Fit(staged)
+	if !allocated || own.class >= 0 {
+		t.Fatalf("a device's own buffer came back as class %d (allocated=%v)", own.class, allocated)
+	}
+	held = append(held, own)
+	put(c, key(1, 0), "p")
+	small, _ := fit(c, 5)
+	c.Put(key(1, 1), small)
+	c.Unpin(small)
+	for _, f := range held { // every class's free list is offered twice its room
+		c.Unpin(f)
+	}
+
+	for i := c.nclasses - 1; i > 0; i-- {
+		var kept []*Frame
+		for {
+			f, reused := fit(c, frameBytes>>i)
+			kept = append(kept, f)
+			if !reused {
+				break
+			}
+			if cap(f.buf) != frameBytes>>i || f == own {
+				t.Fatalf("class %d recycled a %d-byte buffer", i, cap(f.buf))
+			}
+		}
+		if n := len(kept) - 1; n != spareFrames {
+			t.Fatalf("class %d kept %d free frames, want %d", i, n, spareFrames)
+		}
+		for _, f := range kept {
+			c.Unpin(f)
+		}
+	}
+	var whole []*Frame
+	for {
+		f, reused := c.Frame()
+		whole = append(whole, f)
+		if !reused {
+			break
+		}
+		if cap(f.buf) != frameBytes || f == own {
+			t.Fatalf("a %d-byte buffer was kept as a whole frame", cap(f.buf))
+		}
+	}
+	// One of the two cached pages is in a whole frame; the small one is not.
+	if n, want := len(whole)-1, capacity+spareFrames-1; n != want {
+		t.Fatalf("%d whole frames kept beside one cached whole page, want %d", n, want)
+	}
+	for _, f := range whole {
+		c.Unpin(f)
+	}
+	if c.Pinned() != 0 {
+		t.Fatalf("Pinned = %d after every frame was unpinned", c.Pinned())
 	}
 }

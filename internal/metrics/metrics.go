@@ -114,7 +114,7 @@ type Counters struct {
 	CacheHits       atomic.Int64 // buffer-cache hits
 	CacheMisses     atomic.Int64 // buffer-cache misses
 	FrameReuses     atomic.Int64 // misses read into a recycled buffer-cache frame
-	FrameAllocs     atomic.Int64 // buffer-cache frames allocated (no free frame, or a page kept in its own buffer)
+	FrameAllocs     atomic.Int64 // buffer-cache frames allocated, of any size class (none of the class was free, or a device put the page in a buffer of its own)
 	PinnedEvictions atomic.Int64 // evictions whose victim a reader still pinned
 	BloomTests      atomic.Int64 // Bloom filter membership tests
 	BloomNegatives  atomic.Int64 // tests that returned "definitely absent"
@@ -148,7 +148,7 @@ type Snapshot struct {
 	CacheHits       int64 `prom:"lsm_engine_cache_hits_total,Buffer-cache hits."`
 	CacheMisses     int64 `prom:"lsm_engine_cache_misses_total,Buffer-cache misses."`
 	FrameReuses     int64 `prom:"lsm_buffer_cache_frame_reuses_total,Buffer-cache misses read into a recycled frame."`
-	FrameAllocs     int64 `prom:"lsm_buffer_cache_frame_allocs_total,Buffer-cache frames allocated."`
+	FrameAllocs     int64 `prom:"lsm_buffer_cache_frame_allocs_total,Buffer-cache frames allocated in any size class."`
 	PinnedEvictions int64 `prom:"lsm_buffer_cache_pinned_evictions_total,Buffer-cache evictions of a page a reader still pinned."`
 	BloomTests      int64 `prom:"lsm_engine_bloom_tests_total,Bloom filter membership tests."`
 	BloomNegatives  int64 `prom:"lsm_engine_bloom_negatives_total,Bloom tests answered definitely-absent."`

@@ -91,7 +91,7 @@ var wantExposition = []string{
 	"# HELP lsm_admission_queued Requests waiting in the admission queue.",
 	"# HELP lsm_admission_shed_duration_seconds Fail-fast latency of shed requests.",
 	"# HELP lsm_admission_shed_total Requests shed, by cause.",
-	"# HELP lsm_buffer_cache_frame_allocs_total Buffer-cache frames allocated.",
+	"# HELP lsm_buffer_cache_frame_allocs_total Buffer-cache frames allocated in any size class.",
 	"# HELP lsm_buffer_cache_frame_reuses_total Buffer-cache misses read into a recycled frame.",
 	"# HELP lsm_buffer_cache_pinned_evictions_total Buffer-cache evictions of a page a reader still pinned.",
 	"# HELP lsm_coalesced_batches_total Retired, always 0; kept for bench/trace.go until ROADMAP 1(e).",

@@ -68,7 +68,9 @@
 // prefetches the rest of the device read-ahead window at streaming cost.
 // ReadPage returns a pinned cache frame that the caller unpins; a miss reads
 // the page into a recycled frame, which is why a device read copies into
-// the caller's buffer and never hands out memory of its own.
+// the caller's buffer and never hands out memory of its own. A page of half
+// a frame or less (internal and meta pages) is then cached in a recycled
+// frame of its size class, and the whole frame goes back to the free list.
 //
 // Maintenance scans do not fill the cache. A merge reads each input once,
 // front to back, and deletes it when its output installs, so its scans (of

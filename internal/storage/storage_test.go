@@ -156,9 +156,11 @@ func TestCacheHitCostCheaperThanDisk(t *testing.T) {
 }
 
 // TestStoreRecyclesFrames: once the cache is full, a miss reads into the
-// frame the previous eviction freed — no allocation at all — while a page
-// that would fill less than half a frame gets a buffer of its own size, and
-// an eviction of a page a reader still pins is counted.
+// frame the previous eviction freed — no allocation at all. A page that
+// fills half a frame or less is cached in a frame of the smallest size class
+// that holds it, and once evicted that frame serves the class's next miss
+// as a whole one serves the next whole page. An eviction of a page a reader
+// still pins is counted, and the page keeps its bytes until the unpin.
 func TestStoreRecyclesFrames(t *testing.T) {
 	env := metrics.NewEnv()
 	const pageSize, frames = 512, 4
@@ -195,8 +197,8 @@ func TestStoreRecyclesFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(fr.Data) != "tiny" || cap(fr.Data) >= pageSize/2 {
-		t.Fatalf("small page: %q in a %d-byte buffer, want one of its own size", fr.Data, cap(fr.Data))
+	if string(fr.Data) != "tiny" || cap(fr.Data) != pageSize>>6 {
+		t.Fatalf("small page: %q in a %d-byte buffer, want the %d-byte class", fr.Data, cap(fr.Data), pageSize>>6)
 	}
 	for range frames { // evict the small page while it is pinned
 		read()
@@ -208,6 +210,17 @@ func TestStoreRecyclesFrames(t *testing.T) {
 		t.Fatalf("pinned page changed to %q after its eviction", fr.Data)
 	}
 	store.Unpin(fr)
+	again, err := store.ReadPage(small, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != fr || string(again.Data) != "tiny" {
+		t.Fatalf("the small page's second miss read %q into another frame, want its freed class frame", again.Data)
+	}
+	store.Unpin(again)
+	if s := env.Counters.Snapshot(); s.FrameAllocs != frames+2 || s.CacheMisses != int64(i)+2 || s.FrameReuses != s.CacheMisses-(frames+1) {
+		t.Fatalf("frame allocs/reuses = %d/%d over %d misses, want %d/%d: only the small page's first miss allocates, its class frame", s.FrameAllocs, s.FrameReuses, s.CacheMisses, frames+2, s.CacheMisses-(frames+1))
+	}
 	if n := store.Cache().Pinned(); n != 0 {
 		t.Fatalf("%d frames still pinned", n)
 	}

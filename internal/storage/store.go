@@ -186,24 +186,19 @@ func (s *Store) windowEnd(id FileID, page int) int {
 }
 
 // load reads the page under key, charges the read, caches it, and returns
-// the frame pinned. A page that would fill less than half a frame is moved
-// to a buffer of its own size and the frame goes back to the free list, so
-// small internal and meta pages never occupy whole frames; so is a page the
-// device could not place in the frame.
+// the frame pinned. A page that fills half a frame or less (internal and
+// meta pages) is cached in a recycled frame of its size class (Fit), and
+// the whole frame it was read into goes straight back to the free list; a
+// page the device placed in a buffer of its own is cached in that buffer.
 func (s *Store) load(key cache.PageKey, prefetch bool) (*cache.Frame, error) {
 	f, err := s.read(key)
 	if err != nil {
 		return nil, err
 	}
 	s.charge(FileID(key.File), key.Page, prefetch)
-	if data := f.Data; !f.Holds(data) || 2*len(data) < s.dev.PageSize() {
-		if f.Holds(data) { // a small page: copy it out before the frame is freed
-			data = append([]byte(nil), data...)
-		}
-		own := s.cache.NewFrame(data)
+	f, allocated := s.cache.Fit(f)
+	if allocated {
 		s.env.Counters.FrameAllocs.Add(1)
-		s.cache.Unpin(f)
-		f = own
 	}
 	if s.cache.Put(key, f) {
 		s.env.Counters.PinnedEvictions.Add(1)

@@ -11,9 +11,9 @@ import (
 // nothing reading it until every shard has merged at least four times. A
 // merge reads its inputs once and deletes them, so it streams them past the
 // buffer cache: the only frames a shard allocates are the few its merge
-// scans pin at once (at most two per input) and the small buffer of each
-// new component's meta page, which opening the component reads through the
-// cache. A merge that cached its inputs would allocate a frame for every
+// scans pin at once (at most two per input) and a frame of the meta page's
+// small size class for each new component, whose meta page opening the
+// component reads through the cache. A merge that cached its inputs would allocate a frame for every
 // page it read until the caches filled (340 frames here, where streaming
 // allocates 64). Under the Deleted-key strategy a secondary merge also
 // reads its inputs' deleted-key trees once, and streams them too.

@@ -289,3 +289,57 @@ func TestOwnedAnswerSurvivesRecycling(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectQueriesAllocateNoFrames: on a Validation store whose data
+// exceed its buffer cache, Direct secondary queries miss on index leaves,
+// internal pages and primary leaves all the time, yet once the cache is
+// full every miss reads into a recycled frame — a whole one, or one of a
+// small page's size class — so FrameAllocs stops growing after warm-up.
+func TestDirectQueriesAllocateNoFrames(t *testing.T) {
+	opts := tinyOptions(lsmstore.Validation)
+	const frames = 32
+	opts.CacheBytes = frames * int64(opts.PageSize)
+	db, err := lsmstore.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n, users = 12000, 40
+	for i := range n + n/4 {
+		id := uint64(i % n)
+		if err := db.Upsert(tweetPK(id), tweetRec(id, uint32(i%users), int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	qo := lsmstore.QueryOptions{Validation: lsmstore.DirectValidation}
+	results := 0
+	query := func(round int) {
+		u := uint32(round*7) % users
+		if err := db.SecondaryQueryWith("user", workload.UserKey(u), workload.UserKey(u+1), qo, func(res *lsmstore.QueryResult) {
+			results += len(res.Records)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := range 2 * users { // fill the cache and every free list
+		query(round)
+	}
+	before := db.Stats().Counters
+	results = 0
+	for round := range 4 * users {
+		query(round)
+	}
+	after := db.Stats().Counters
+	misses, allocs := after.CacheMisses-before.CacheMisses, after.FrameAllocs-before.FrameAllocs
+	t.Logf("%d queries, %d results: %d cache misses, %d frames reused, %d allocated",
+		4*users, results, misses, after.FrameReuses-before.FrameReuses, allocs)
+	if results < 4*n/users || misses < 4*users*frames {
+		t.Fatalf("%d results over %d misses: the queries did not run past the %d-frame cache", results, misses, frames)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d frames allocated over %d misses after warm-up, want 0", allocs, misses)
+	}
+}
