@@ -27,11 +27,11 @@ type lookupStack struct {
 
 func stacks(batchMem int) []lookupStack {
 	return []lookupStack{
-		{"naive", false, query.LookupConfig{EstRecordSize: 512}},
-		{"batch", false, query.LookupConfig{Batched: true, BatchMemory: batchMem, EstRecordSize: 512}},
-		{"batch/sLookup", false, query.LookupConfig{Batched: true, BatchMemory: batchMem, EstRecordSize: 512, Stateful: true}},
-		{"batch/sLookup/bBF", true, query.LookupConfig{Batched: true, BatchMemory: batchMem, EstRecordSize: 512, Stateful: true}},
-		{"batch/sLookup/bBF/pID", true, query.LookupConfig{Batched: true, BatchMemory: batchMem, EstRecordSize: 512, Stateful: true, PropagateIDs: true}},
+		{"naive", false, query.LookupConfig{}},
+		{"batch", false, query.LookupConfig{BatchMemory: batchMem}},
+		{"batch/sLookup", false, query.LookupConfig{BatchMemory: batchMem, Stateful: true}},
+		{"batch/sLookup/bBF", true, query.LookupConfig{BatchMemory: batchMem, Stateful: true}},
+		{"batch/sLookup/bBF/pID", true, query.LookupConfig{BatchMemory: batchMem, Stateful: true, PropagateIDs: true}},
 	}
 }
 
@@ -223,12 +223,9 @@ func fig12c(s Scale) (*Result, error) {
 	for _, sel := range []float64{0.001, 0.01, 0.05, 0.10} {
 		series := fmt.Sprintf("selectivity %.4g%%", sel*100)
 		for _, b := range batchSizes {
-			cfg := query.LookupConfig{EstRecordSize: 512, Stateful: true}
-			if b.bytes > 0 {
-				cfg.Batched, cfg.BatchMemory = true, b.bytes
-			}
 			d, err := avgQuery(ds, env, si, s, sel, query.SecondaryQueryOptions{
-				Validation: query.NoValidation, Lookup: cfg,
+				Validation: query.NoValidation,
+				Lookup:     query.LookupConfig{BatchMemory: b.bytes, Stateful: true},
 			})
 			if err != nil {
 				return nil, err
@@ -252,14 +249,14 @@ func fig12d(s Scale) (*Result, error) {
 		// Plan 1: no batching (results already in pk order).
 		d, err := avgQuery(ds, env, si, s, sel, query.SecondaryQueryOptions{
 			Validation: query.NoValidation,
-			Lookup:     query.LookupConfig{EstRecordSize: 512, Stateful: true},
+			Lookup:     query.LookupConfig{Stateful: true},
 		})
 		if err != nil {
 			return nil, err
 		}
 		res.Add("No Batching", x, d.Seconds(), "s")
 		// Plan 2: batching, unsorted output.
-		cfg := query.LookupConfig{Batched: true, BatchMemory: 16 << 20, EstRecordSize: 512, Stateful: true}
+		cfg := query.LookupConfig{BatchMemory: 16 << 20, Stateful: true}
 		d2, err := avgQuery(ds, env, si, s, sel, query.SecondaryQueryOptions{
 			Validation: query.NoValidation, Lookup: cfg,
 		})

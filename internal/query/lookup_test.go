@@ -26,7 +26,7 @@ func TestFetchRecordsSingleKeyBatches(t *testing.T) {
 	d.FlushAll()
 	// BatchMemory below one record forces single-key batches; answers
 	// must still be complete.
-	cfg := LookupConfig{Batched: true, BatchMemory: 1, EstRecordSize: 512, Stateful: true}
+	cfg := LookupConfig{BatchMemory: 1, Stateful: true}
 	var keys []Key
 	for i := uint64(0); i < 500; i += 7 {
 		keys = append(keys, Key{PK: kv.EncodeUint64(i)})
@@ -37,6 +37,49 @@ func TestFetchRecordsSingleKeyBatches(t *testing.T) {
 	}
 	if got != len(keys) {
 		t.Fatalf("fetched %d of %d", got, len(keys))
+	}
+}
+
+// TestStatefulCursorCarriesLeafAcrossBatches: each component has one
+// cursor for the whole fetch, so with one key per batch a stateful cursor
+// still carries its leaf from batch to batch, and sorted keys that fall in
+// one leaf of one component cost one root-to-leaf descent of buffer-cache
+// accesses, not one descent per batch.
+func TestStatefulCursorCarriesLeafAcrossBatches(t *testing.T) {
+	d := newDataset(t, core.Eager, func(c *core.Config) { c.MemoryBudget = 1 << 20 })
+	for i := uint64(0); i < 2000; i++ {
+		d.Upsert(kv.EncodeUint64(i), mkRecord(1, 1, 40))
+	}
+	d.FlushAll()
+	if n := d.Primary().NumDiskComponents(); n != 1 {
+		t.Fatalf("%d primary components, want 1", n)
+	}
+	cfg := LookupConfig{BatchMemory: recordSize, Stateful: true} // one key per batch
+	accesses := func(keys []Key) int64 {
+		t.Helper()
+		c := d.Env().Counters
+		before := c.CacheHits.Load() + c.CacheMisses.Load()
+		got := 0
+		if err := new(scratch).fetchRecords(d.Primary(), keys, cfg, func(kv.Entry) { got++ }); err != nil {
+			t.Fatal(err)
+		}
+		if got != len(keys) {
+			t.Fatalf("fetched %d of %d", got, len(keys))
+		}
+		return c.CacheHits.Load() + c.CacheMisses.Load() - before
+	}
+	descent := accesses([]Key{{PK: kv.EncodeUint64(0)}})
+	if descent < 2 {
+		t.Fatalf("a descent reads %d pages; the tree needs an internal level", descent)
+	}
+	// Eight ~60-byte entries at the start of the key space share the
+	// first 4 KiB leaf.
+	var keys []Key
+	for i := uint64(0); i < 8; i++ {
+		keys = append(keys, Key{PK: kv.EncodeUint64(i)})
+	}
+	if got := accesses(keys); got != descent {
+		t.Fatalf("%d single-key batches in one leaf read %d pages; one descent is %d", len(keys), got, descent)
 	}
 }
 
@@ -51,14 +94,14 @@ func TestFetchRecordsMissingKeysSilent(t *testing.T) {
 		{PK: kv.EncodeUint64(100000)}, // absent
 		{PK: kv.EncodeUint64(7)},
 	}
-	for _, batched := range []bool{false, true} {
+	for _, batchMemory := range []int{0, 1 << 20} {
 		got := 0
-		cfg := LookupConfig{Batched: batched, BatchMemory: 1 << 20, EstRecordSize: 64}
+		cfg := LookupConfig{BatchMemory: batchMemory}
 		if err := new(scratch).fetchRecords(d.Primary(), keys, cfg, func(kv.Entry) { got++ }); err != nil {
 			t.Fatal(err)
 		}
 		if got != 2 {
-			t.Fatalf("batched=%v: fetched %d, want 2", batched, got)
+			t.Fatalf("batch memory %d: fetched %d, want 2", batchMemory, got)
 		}
 	}
 }
@@ -87,7 +130,7 @@ func TestPIDPruningSafeUnderUpdates(t *testing.T) {
 	si := d.Secondary("user")
 	res, err := SecondaryRange(d, si, userKey(5), userKey(5), SecondaryQueryOptions{
 		Validation: NoValidation,
-		Lookup:     LookupConfig{Batched: true, BatchMemory: 1 << 20, EstRecordSize: 64, PropagateIDs: true},
+		Lookup:     LookupConfig{BatchMemory: 1 << 20, PropagateIDs: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -282,10 +282,10 @@ func TestLookupConfigsAgree(t *testing.T) {
 
 	configs := map[string]LookupConfig{
 		"naive":       {},
-		"batch":       {Batched: true, BatchMemory: 16 << 20, EstRecordSize: 64},
-		"batch-small": {Batched: true, BatchMemory: 1 << 10, EstRecordSize: 64},
-		"batch-slk":   {Batched: true, BatchMemory: 16 << 20, EstRecordSize: 64, Stateful: true},
-		"batch-pid":   {Batched: true, BatchMemory: 16 << 20, EstRecordSize: 64, Stateful: true, PropagateIDs: true},
+		"batch":       {BatchMemory: 16 << 20},
+		"batch-small": {BatchMemory: 8 << 10},
+		"batch-slk":   {BatchMemory: 16 << 20, Stateful: true},
+		"batch-pid":   {BatchMemory: 16 << 20, Stateful: true, PropagateIDs: true},
 		"naive-pid":   {PropagateIDs: true},
 		"naive-slk":   {Stateful: true},
 	}
@@ -352,7 +352,7 @@ func TestBatchedReducesRandomReads(t *testing.T) {
 		return env.Counters.RandomReads.Load()
 	}
 	naive := run(LookupConfig{})
-	batched := run(LookupConfig{Batched: true, BatchMemory: 16 << 20, EstRecordSize: 128})
+	batched := run(LookupConfig{BatchMemory: 16 << 20})
 	if batched >= naive {
 		t.Errorf("batched random reads = %d, naive = %d; batching should reduce them", batched, naive)
 	}

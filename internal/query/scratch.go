@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/btree"
@@ -9,7 +10,7 @@ import (
 
 // scratch is one query's working memory: the secondary index's merged
 // iterator with its sources and B+-tree scans, the composite scan bounds,
-// the candidates and their primary keys, the fetch list, the batch's found
+// the candidates and their primary keys, the fetch list, the lookup's found
 // flags and the lookup cursors. A query takes one from scratchPool and
 // returns it when it is done, so a query in steady state allocates only its
 // answer: the result, its records (or keys) slice and the arena chunks
@@ -59,7 +60,7 @@ func (sc *scratch) reset() {
 // slice; the caller closes them (closeCursors) before the scratch is used
 // for the next lookups.
 func (sc *scratch) lookupCursors(comps []*lsm.Component, stateful bool) []btree.LookupCursor {
-	cursors := sc.cursors[:0]
+	cursors := slices.Grow(sc.cursors[:0], len(comps))
 	for _, c := range comps {
 		cursors = append(cursors, c.BTree.NewLookupCursor(stateful))
 	}

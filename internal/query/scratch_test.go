@@ -35,7 +35,7 @@ func TestRecycledScratchAnswersLikeAFreshOne(t *testing.T) {
 	applyWorkload(t, d, 11, 6000, 800)
 	si := d.Secondary("user")
 	naive := DefaultLookupConfig()
-	naive.Batched = false
+	naive.BatchMemory = 0
 	plans := []SecondaryQueryOptions{
 		{Validation: Direct, Lookup: DefaultLookupConfig()},
 		{Validation: Direct, Lookup: naive},

@@ -92,6 +92,9 @@ type candidate struct {
 	// Rank: the component's index in the scanned list, len or more for a
 	// memory component), for deleted-key validation recency.
 	srcRank int
+	// superseded marks a candidate Timestamp validation found a newer
+	// version of.
+	superseded bool
 }
 
 func byPK(a, b candidate) int { return kv.Compare(a.pk, b.pk) }
@@ -271,53 +274,34 @@ func deletedKeyValidate(ds *core.Dataset, si *core.SecondaryIndex, comps []*lsm.
 }
 
 // timestampValidate implements Figure 5b: candidates are sorted by primary
-// key, then validated with point lookups against the primary key index; a
-// candidate is invalid when the same key exists with a larger timestamp.
-// Primary-key-index components with maxTS <= the candidate's source
-// repairedTS are pruned. The survivors are filtered in place.
+// key, then validated with point lookups against the primary key index, one
+// key per batch; a candidate is invalid when the same key exists with a
+// larger timestamp. Primary-key-index components with maxTS <= the
+// candidate's source repairedTS are pruned. The survivors are filtered in
+// place.
 func (sc *scratch) timestampValidate(ds *core.Dataset, cands []candidate) ([]candidate, error) {
 	pkIndex := ds.PKIndex()
 	if pkIndex == nil {
 		return nil, core.ErrNoPKIndex
 	}
-	env := ds.Env()
-	env.ChargeSort(len(cands))
+	ds.Env().ChargeSort(len(cands))
 	slices.SortFunc(cands, byPK)
-
-	v := pkIndex.ReadView()
-	defer v.Release()
-	mem, flushing, comps := v.Mem, v.Flushing, v.Components
-	cursors := sc.lookupCursors(comps, true)
-	defer closeCursors(cursors)
-
+	if err := sc.lookup(pkIndex, len(cands), 1, true,
+		func(i int) []byte { return cands[i].pk },
+		func(i int, c *lsm.Component) bool {
+			return c.ID.MaxTS <= cands[i].srcRepairedTS // pruned: already validated up to here
+		},
+		func(i int, e kv.Entry, _ bool) {
+			// A newer version (or delete) supersedes this entry.
+			cands[i].superseded = e.TS > cands[i].ts
+		}); err != nil {
+		return nil, err
+	}
 	valid := cands[:0]
 	for _, c := range cands {
-		newestTS := int64(-1)
-		if e, ok := memGet(env, mem, flushing, c.pk); ok {
-			newestTS = e.TS
-		} else {
-			for ci := len(comps) - 1; ci >= 0; ci-- {
-				comp := comps[ci]
-				if comp.ID.MaxTS <= c.srcRepairedTS {
-					continue // pruned: already validated up to here
-				}
-				if !comp.MayContain(env, c.pk) {
-					continue
-				}
-				e, _, found, err := cursors[ci].Lookup(c.pk)
-				if err != nil {
-					return nil, err
-				}
-				if found {
-					newestTS = e.TS
-					break
-				}
-			}
+		if !c.superseded {
+			valid = append(valid, c)
 		}
-		if newestTS > c.ts {
-			continue // a newer version (or delete) supersedes this entry
-		}
-		valid = append(valid, c)
 	}
 	return valid, nil
 }

@@ -70,7 +70,7 @@
 //
 // The cache owns what it keeps: an accepted Put copies the value into the
 // ring (a fill discarded by the version gate costs nothing), so an entry
-// of a few hundred bytes never pins the 128 KiB page it was read from, and
+// of a few hundred bytes never pins the 32 KiB page it was read from, and
 // the byte budget bounds the memory the cache really holds. Because the
 // ring's bytes are reused, a hit never lends them out: Append copies the
 // record into the caller's buffer under the segment lock (lsmstore reuses

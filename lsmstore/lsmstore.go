@@ -126,18 +126,18 @@ type SecondaryIndex struct {
 // keeps the HDD cost model at that page size. What a DB lets a caller
 // choose is the schema (Strategy, Secondaries, FilterExtract), where the
 // data lives (Dir, Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
-// MaintenanceWorkers, ReadCache), MergeRepair, Seed and two hooks that let
-// a test substitute a fake. Everything else is fixed: the write-ahead log is
-// always on and commits through a group (concurrent committers share one
-// covering fsync, an ApplyBatch pays one per batch, and no write is
-// acknowledged before the fsync covering its log record returns) whose
-// leader waits only for an fsync already in flight;
-// Mutable-bitmap merges use the Side-file method; and the maintenance
-// journal keeps the last 256 events. The paper's ablations (no primary key
-// index, correlated merges, the Bloom-filter repair optimization, blocked
-// Bloom filters, no merges, the other concurrency-control methods, no log)
-// are core.Config and storage settings that internal/experiments sets
-// directly, on the simulated device the figures run on; they are not
+// MaintenanceWorkers, ReadCache), Seed and two hooks that let a test
+// substitute a fake. Everything else is fixed: the write-ahead log is always
+// on and commits through a group (concurrent committers share one covering
+// fsync, an ApplyBatch pays one per batch, and no write is acknowledged
+// before the fsync covering its log record returns) whose leader waits only
+// for an fsync already in flight; Mutable-bitmap merges use the Side-file
+// method; merges never repair secondary indexes; and the maintenance journal
+// keeps the last 256 events. The paper's ablations (no primary key index,
+// correlated merges, merge repair, the Bloom-filter repair optimization,
+// blocked Bloom filters, no merges, the other concurrency-control methods,
+// no log) are core.Config and storage settings that internal/experiments
+// sets directly, on the simulated device the figures run on; they are not
 // options of a DB.
 type Options struct {
 	// Strategy is the maintenance strategy for secondary indexes and
@@ -166,8 +166,6 @@ type Options struct {
 	CacheBytes int64
 	// MemoryBudget is the shared memory-component budget (default 4 MB).
 	MemoryBudget int
-	// MergeRepair repairs secondary indexes during merges (Validation).
-	MergeRepair bool
 	// Seed fixes all pseudo-random choices.
 	Seed int64
 	// Shards selects the number of hash partitions (values below 1 mean
@@ -407,7 +405,6 @@ func openPartition(opts Options, dev storage.Device, env *metrics.Env, pool *mai
 		FilterExtract: opts.FilterExtract,
 		MemoryBudget:  opts.MemoryBudget,
 		UsePKIndex:    true,
-		MergeRepair:   opts.MergeRepair,
 		BloomFPR:      0.01,
 		Bloom:         bloom.KindV2,
 		Policy:        lsm.NewTiering(0),
