@@ -41,11 +41,12 @@ type RestoredComponent struct {
 
 // Restore rebuilds the tree's disk-component list from persisted images,
 // oldest to newest: each component's B+-tree reader is reopened on the
-// tree's store and its Bloom filter — which lives only in memory — is
-// rebuilt by a sequential scan of the component's keys. Restore must run
-// before the tree serves traffic; it replaces any existing disk components.
-// It returns the installed components in list order so the caller can
-// re-link cross-tree shared state (paired validity bitmaps).
+// tree's store and its persisted bloom.V2 filter decoded; a missing or
+// corrupt one (or another flavor) is rebuilt by a sequential scan of the
+// component's keys. Restore must run before the tree serves traffic; it
+// replaces any existing disk components. It returns the installed
+// components in list order so the caller can re-link cross-tree shared
+// state (paired validity bitmaps).
 func (t *Tree) Restore(images []RestoredComponent) ([]*Component, error) {
 	comps := make([]*Component, 0, len(images))
 	for _, im := range images {

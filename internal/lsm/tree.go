@@ -302,9 +302,9 @@ func (t *Tree) Get(key []byte, visit func(kv.Entry)) (bool, error) {
 
 // GetWithLocation reports the component holding the newest visible
 // version of key (nil for the memory component) and the entry's ordinal in
-// it. It is used by the Mutable-bitmap strategy's delete path and by
-// component-ID propagation. The onlyComponents argument, when non-nil,
-// restricts the search to the given disk components (pID pruning).
+// it. It serves the Mutable-bitmap strategy's delete path; onlyComponents,
+// when non-nil, restricts the search to those disk components (the delete
+// path passes a pinned view's, having searched memory itself).
 func (t *Tree) GetWithLocation(key []byte, onlyComponents []*Component) (*Component, int64, bool, error) {
 	return t.get(key, onlyComponents, nil)
 }

@@ -1,12 +1,13 @@
 // Package query implements the paper's query-processing machinery:
 //
 //   - Index-to-index navigation (Section 3.2): fetching primary-index
-//     records for a list of primary keys with the batched point lookup (the
-//     naive sorted algorithm is its one-key batch), optionally with stateful
-//     B+-tree cursors and component-ID propagation (pID).
+//     records for a list of primary keys with the batched point lookup,
+//     lsm.View.Lookup (the naive sorted algorithm is its one-key batch),
+//     optionally with stateful B+-tree cursors and component-ID propagation
+//     (pID).
 //   - Query validation for the Validation strategy (Section 4.3, Figure 5):
 //     Direct validation (fetch + re-check) and Timestamp validation (probe
-//     the primary key index).
+//     the primary key index through the same lsm.View.Lookup).
 //   - Primary-index scans with range-filter pruning (Sections 3, 5), whose
 //     candidate-component rules differ per maintenance strategy.
 package query
@@ -16,7 +17,6 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/lsm"
-	"repro/internal/memtable"
 	"repro/internal/metrics"
 )
 
@@ -55,9 +55,9 @@ type Key struct {
 }
 
 // fetchRecords retrieves the newest visible record for each key from the
-// primary index, invoking emit for each record found, with its cursors and
-// flags in sc. Keys need not be sorted; they are sorted here (the classic
-// fetch-list optimization). The order of emitted records follows the
+// primary index through lsm.View.Lookup, invoking emit for each record
+// found, with its cursors and flags in sc. Keys need not be sorted; they are
+// sorted here (the classic fetch-list optimization). The order of emitted records follows the
 // algorithm: primary-key order with one key per batch, batch-internal
 // component order with more. A record read from a disk component is the
 // pinned buffer-cache page's bytes, valid only until emit returns.
@@ -67,7 +67,9 @@ func (sc *scratch) fetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig,
 	}
 	primary.Env().ChargeSort(len(keys))
 	slices.SortFunc(keys, func(a, b Key) int { return kv.Compare(a.PK, b.PK) })
-	return sc.lookup(primary, len(keys), max(cfg.BatchMemory/recordSize, 1), cfg.Stateful,
+	v := primary.ReadView()
+	defer v.Release()
+	return v.Lookup(&sc.lookups, len(keys), max(cfg.BatchMemory/recordSize, 1), cfg.Stateful,
 		func(i int) []byte { return keys[i].PK },
 		func(i int, c *lsm.Component) bool {
 			return cfg.PropagateIDs && c.ID.MaxTS < keys[i].Src.MinTS // too old to hold this version
@@ -77,76 +79,6 @@ func (sc *scratch) fetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig,
 				emit(e)
 			}
 		})
-}
-
-// lookup is the batched point lookup of Section 3.2 over n sorted keys
-// (key(i) is the i-th) against tree: the keys are split into batches of
-// batchKeys; within a batch the memory components and then each disk
-// component, newest to oldest, are probed for every key not yet found, so
-// each component's leaf pages are read in monotone order, and a batch ends
-// early once every key is found. Each component has one cursor for the
-// whole call, so a stateful cursor carries its leaf from batch to batch.
-// skip(i, c) prunes component c for key i; found(i, e, deleted) receives
-// key i's newest entry, deleted when the component's mutable bitmap marks
-// it. A key found nowhere gets no call.
-func (sc *scratch) lookup(tree *lsm.Tree, n, batchKeys int, stateful bool,
-	key func(i int) []byte,
-	skip func(i int, c *lsm.Component) bool,
-	found func(i int, e kv.Entry, deleted bool)) error {
-	env := tree.Env()
-	v := tree.ReadView()
-	defer v.Release()
-	comps := v.Components
-	cursors := sc.lookupCursors(comps, stateful)
-	defer closeCursors(cursors)
-
-	done := sc.foundFlags(n)
-	for start := 0; start < n; start += batchKeys {
-		end := min(start+batchKeys, n)
-		remaining := end - start
-		for i := start; i < end; i++ {
-			env.Counters.PointLookups.Add(1)
-			if e, ok := memGet(env, v.Mem, v.Flushing, key(i)); ok {
-				done[i] = true
-				remaining--
-				found(i, e, false)
-			}
-		}
-		for ci := len(comps) - 1; ci >= 0 && remaining > 0; ci-- {
-			c := comps[ci]
-			for i := start; i < end; i++ {
-				if done[i] || skip(i, c) || !c.MayContain(env, key(i)) {
-					continue
-				}
-				e, ord, ok, err := cursors[ci].Lookup(key(i))
-				if err != nil {
-					return err
-				}
-				if ok {
-					done[i] = true
-					remaining--
-					found(i, e, c.Valid.IsSet(ord))
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// memGet probes the live memory component and then the frozen flushing
-// memtables newest-first, charging one memtable operation per table probed.
-func memGet(env *metrics.Env, mem *memtable.Table, flushing []*memtable.Table, pk []byte) (kv.Entry, bool) {
-	env.ChargeMemtable()
-	if e, ok := mem.Get(pk); ok {
-		return e, true
-	}
-	for i := len(flushing) - 1; i >= 0; i-- {
-		env.ChargeMemtable()
-		if e, ok := flushing[i].Get(pk); ok {
-			return e, true
-		}
-	}
-	return kv.Entry{}, false
 }
 
 // SortRecordsByPK sorts fetched records back into primary-key order

@@ -81,31 +81,15 @@ func (sc *scratch) filterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry
 				return err
 			}
 		}
-		if len(flushing) > 0 {
-			// Memory-side sources must reconcile among themselves: a
-			// version frozen by an in-flight asynchronous flush may be
-			// superseded by a newer version or anti-matter in a later
-			// frozen memtable or the live one, and memtables carry no
-			// validity bitmaps to reflect that. (Deletes of keys living in
-			// frozen memtables reach the built component's bitmap through
-			// the flush batch; until the install, the anti-matter in the
-			// newer memory source is the only evidence.)
-			if flushingOverlaps || memOverlaps {
-				return sc.reconciledScan(nil, flushing, mem, check)
-			}
-			return nil
-		}
-		if memOverlaps {
-			it := mem.NewIterator(nil, nil)
-			for {
-				e, ok := it.Next()
-				if !ok {
-					break
-				}
-				if !e.Anti {
-					check(e)
-				}
-			}
+		// Memory-side sources must reconcile among themselves: a version
+		// frozen by an in-flight asynchronous flush may be superseded by a
+		// newer version or anti-matter in a later frozen memtable or the
+		// live one, and memtables carry no validity bitmaps to reflect
+		// that. (Deletes of keys living in frozen memtables reach the built
+		// component's bitmap through the flush batch; until the install,
+		// the anti-matter in the newer memory source is the only evidence.)
+		if flushingOverlaps || memOverlaps {
+			return sc.reconciledScan(nil, flushing, mem, check)
 		}
 		return nil
 

@@ -1,17 +1,15 @@
 package query
 
 import (
-	"slices"
 	"sync"
 
-	"repro/internal/btree"
 	"repro/internal/lsm"
 )
 
 // scratch is one query's working memory: the secondary index's merged
 // iterator with its sources and B+-tree scans, the composite scan bounds,
-// the candidates and their primary keys, the fetch list, the lookup's found
-// flags and the lookup cursors. A query takes one from scratchPool and
+// the candidates and their primary keys, the fetch list, and the point
+// lookup's cursors and found flags. A query takes one from scratchPool and
 // returns it when it is done, so a query in steady state allocates only its
 // answer: the result, its records (or keys) slice and the arena chunks
 // holding their bytes. Nothing in the answer points into a scratch.
@@ -21,8 +19,7 @@ type scratch struct {
 	pks     []byte // the candidates' primary keys, back to back
 	cands   []candidate
 	keys    []Key
-	found   []bool
-	cursors []btree.LookupCursor
+	lookups lsm.Lookups
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -53,34 +50,5 @@ func (sc *scratch) reset() {
 	sc.it.Close()
 	clear(sc.cands[:cap(sc.cands)])
 	clear(sc.keys[:cap(sc.keys)])
-	clear(sc.cursors[:cap(sc.cursors)])
-}
-
-// lookupCursors returns one cursor per component, in the scratch's reused
-// slice; the caller closes them (closeCursors) before the scratch is used
-// for the next lookups.
-func (sc *scratch) lookupCursors(comps []*lsm.Component, stateful bool) []btree.LookupCursor {
-	cursors := slices.Grow(sc.cursors[:0], len(comps))
-	for _, c := range comps {
-		cursors = append(cursors, c.BTree.NewLookupCursor(stateful))
-	}
-	sc.cursors = cursors
-	return cursors
-}
-
-// closeCursors releases every cursor's pinned leaf.
-func closeCursors(cursors []btree.LookupCursor) {
-	for i := range cursors {
-		cursors[i].Close()
-	}
-}
-
-// foundFlags returns n false flags in the scratch's reused slice.
-func (sc *scratch) foundFlags(n int) []bool {
-	if cap(sc.found) < n {
-		sc.found = make([]bool, n)
-	}
-	found := sc.found[:n]
-	clear(found)
-	return found
+	sc.lookups.Reset()
 }

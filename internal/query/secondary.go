@@ -286,7 +286,9 @@ func (sc *scratch) timestampValidate(ds *core.Dataset, cands []candidate) ([]can
 	}
 	ds.Env().ChargeSort(len(cands))
 	slices.SortFunc(cands, byPK)
-	if err := sc.lookup(pkIndex, len(cands), 1, true,
+	v := pkIndex.ReadView()
+	defer v.Release()
+	if err := v.Lookup(&sc.lookups, len(cands), 1, true,
 		func(i int) []byte { return cands[i].pk },
 		func(i int, c *lsm.Component) bool {
 			return c.ID.MaxTS <= cands[i].srcRepairedTS // pruned: already validated up to here

@@ -1,8 +1,6 @@
 package repair
 
 import (
-	"sort"
-
 	"repro/internal/bitmap"
 	"repro/internal/kv"
 	"repro/internal/lsm"
@@ -29,41 +27,14 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 			repairedTS = c.RepairedTS
 		}
 	}
-	v := newValidator(pkIndex, repairedTS)
+	v := newValidator(pkIndex, repairedTS, opts)
 	defer v.release()
-	env := pkIndex.Env()
-
-	var tuples []tuple
-	var skipped int64
-	res, err := sec.Merge(lsm.MergeSpec{
-		Lo: lo, Hi: hi,
-		DropAnti: lo == 0,
-		OnEntry: func(e kv.Entry, ordinal int64) {
-			if e.Anti {
-				return
-			}
-			pk, err := kv.PrimaryOf(e.Key)
-			if err != nil {
-				return
-			}
-			if opts.UseBloom && !v.mayContainAny(pk) {
-				// Bloom optimization (Section 4.4): the key was never
-				// updated after this component's watermark; exclude it
-				// from sorting and validation entirely.
-				skipped++
-				return
-			}
-			tuples = append(tuples, tuple{pk: append([]byte(nil), pk...), ts: e.TS, pos: ordinal})
-		},
-	})
+	res, err := sec.Merge(lsm.MergeSpec{Lo: lo, Hi: hi, DropAnti: lo == 0, OnEntry: v.add})
 	if err != nil {
 		return err
 	}
-	env.ChargeSort(len(tuples))
-	sort.Slice(tuples, func(i, j int) bool { return kv.Compare(tuples[i].pk, tuples[j].pk) < 0 })
-
 	bm := bitmap.NewImmutable(res.Component.NumEntries())
-	if err := v.validate(tuples, bm); err != nil {
+	if err := v.validate(bm); err != nil {
 		sec.Discard(res.Component)
 		return err
 	}
@@ -78,16 +49,15 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 // The caller keeps comp's files in place (a pinned view of sec, or no
 // concurrent merges).
 func StandaloneRepair(sec, pkIndex *lsm.Tree, comp *lsm.Component, opts Options) error {
-	v := newValidator(pkIndex, comp.RepairedTS)
+	v := newValidator(pkIndex, comp.RepairedTS, opts)
 	defer v.release()
-	env := pkIndex.Env()
 
 	scan, err := comp.BTree.NewScan(nil, nil)
 	if err != nil {
 		return err
 	}
 	defer scan.Close()
-	var tuples []tuple
+	bm := bitmap.NewImmutable(comp.NumEntries())
 	for {
 		e, ordinal, ok, err := scan.Next()
 		if err != nil {
@@ -96,31 +66,13 @@ func StandaloneRepair(sec, pkIndex *lsm.Tree, comp *lsm.Component, opts Options)
 		if !ok {
 			break
 		}
-		if e.Anti || comp.Obsolete.IsSet(ordinal) {
-			continue
-		}
-		pk, err := kv.PrimaryOf(e.Key)
-		if err != nil {
-			continue
-		}
-		if opts.UseBloom && !v.mayContainAny(pk) {
-			continue
-		}
-		tuples = append(tuples, tuple{pk: append([]byte(nil), pk...), ts: e.TS, pos: ordinal})
-	}
-	env.ChargeSort(len(tuples))
-	sort.Slice(tuples, func(i, j int) bool { return kv.Compare(tuples[i].pk, tuples[j].pk) < 0 })
-
-	bm := bitmap.NewImmutable(comp.NumEntries())
-	// Carry forward existing marks so earlier repairs are not forgotten.
-	if comp.Obsolete != nil {
-		for i := int64(0); i < comp.Obsolete.Len(); i++ {
-			if comp.Obsolete.IsSet(i) {
-				bm.Set(i)
-			}
+		if comp.Obsolete.IsSet(ordinal) {
+			bm.Set(ordinal) // carried forward: earlier repairs are not forgotten
+		} else {
+			v.add(e, ordinal)
 		}
 	}
-	if err := v.validate(tuples, bm); err != nil {
+	if err := v.validate(bm); err != nil {
 		return err
 	}
 	sec.SetObsolete(comp, bm, v.newRepairedTS)

@@ -7,16 +7,19 @@
 // position) is fed to a sorter; the sorted keys are then validated against
 // the primary key index, and invalid positions are recorded in an immutable
 // bitmap attached to the new component. Standalone repair validates a
-// single component in place, producing only a new bitmap. Both prune
-// primary-key-index components with maxTS <= the component's repairedTS.
+// single component in place, producing only a new bitmap. Both feed one
+// tuple pipeline (validator.add, then validator.validate), whose point
+// lookups are lsm.View.Lookup, the loop Timestamp validation uses, and both
+// prune primary-key-index components with maxTS <= the component's
+// repairedTS.
 package repair
 
 import (
+	"slices"
+
 	"repro/internal/bitmap"
-	"repro/internal/btree"
 	"repro/internal/kv"
 	"repro/internal/lsm"
-	"repro/internal/memtable"
 	"repro/internal/metrics"
 )
 
@@ -38,17 +41,17 @@ type tuple struct {
 	pos int64
 }
 
-// validator answers "does the primary key index hold this key with a larger
-// timestamp?" against a pruned snapshot of the primary key index.
+// validator collects one repair's tuples (add) and answers, for each, "does
+// the primary key index hold this key with a larger timestamp?" against a
+// pruned snapshot of the primary key index (validate).
 type validator struct {
-	env  *metrics.Env
-	view lsm.View
-	mem  *memtable.Table
-	// flushing holds the memory components frozen by in-flight flushes
-	// (oldest to newest); they rank between mem and the disk components.
-	flushing []*memtable.Table
-	comps    []*lsm.Component // unpruned, oldest to newest
-	cursors  []btree.LookupCursor
+	env      *metrics.Env
+	view     lsm.View
+	useBloom bool
+	// repairedTS prunes the primary-key-index components with maxTS <= it.
+	repairedTS int64
+	comps      []*lsm.Component // unpruned, oldest to newest
+	tuples     []tuple
 	// newRepairedTS is the repair watermark after this operation: the
 	// maximum timestamp covered by the examined components and memory.
 	newRepairedTS int64
@@ -57,47 +60,56 @@ type validator struct {
 // newValidator pins a view of the primary key index, pruning disk
 // components with maxTS <= repairedTS (Fig 6). The caller releases the
 // validator when the repair is over.
-func newValidator(pkIndex *lsm.Tree, repairedTS int64) *validator {
+func newValidator(pkIndex *lsm.Tree, repairedTS int64, opts Options) *validator {
 	view := pkIndex.ReadView()
-	v := &validator{env: pkIndex.Env(), view: view, mem: view.Mem, flushing: view.Flushing, newRepairedTS: repairedTS}
+	v := &validator{env: pkIndex.Env(), view: view, useBloom: opts.UseBloom, repairedTS: repairedTS, newRepairedTS: repairedTS}
 	for _, c := range view.Components {
 		if c.ID.MaxTS <= repairedTS {
 			continue // pruned
 		}
 		v.comps = append(v.comps, c)
-		v.cursors = append(v.cursors, c.BTree.NewLookupCursor(true))
-		if c.ID.MaxTS > v.newRepairedTS {
-			v.newRepairedTS = c.ID.MaxTS
-		}
+		v.newRepairedTS = max(v.newRepairedTS, c.ID.MaxTS)
 	}
-	if _, maxTS := v.mem.ID(); maxTS > v.newRepairedTS {
-		v.newRepairedTS = maxTS
+	for _, m := range view.Flushing {
+		_, maxTS := m.ID()
+		v.newRepairedTS = max(v.newRepairedTS, maxTS)
 	}
-	for _, m := range v.flushing {
-		if _, maxTS := m.ID(); maxTS > v.newRepairedTS {
-			v.newRepairedTS = maxTS
-		}
-	}
+	_, memMaxTS := view.Mem.ID()
+	v.newRepairedTS = max(v.newRepairedTS, memMaxTS)
 	return v
 }
 
-// release closes the validator's cursors and releases its view.
-func (v *validator) release() {
-	for i := range v.cursors {
-		v.cursors[i].Close()
+// release releases the validator's view.
+func (v *validator) release() { v.view.Release() }
+
+// add feeds one secondary-index entry at ordinal to the sorter: the merge's
+// OnEntry and the standalone scan's loop body. Anti-matter is skipped, and
+// so, with UseBloom, is a key that no unpruned component may hold.
+func (v *validator) add(e kv.Entry, ordinal int64) {
+	if e.Anti {
+		return
 	}
-	v.view.Release()
+	pk, err := kv.PrimaryOf(e.Key)
+	if err != nil {
+		return
+	}
+	if v.useBloom && !v.mayContainAny(pk) {
+		// Bloom optimization (Section 4.4): the key was never updated
+		// after this component's watermark; exclude it from sorting and
+		// validation entirely.
+		return
+	}
+	v.tuples = append(v.tuples, tuple{pk: append([]byte(nil), pk...), ts: e.TS, pos: ordinal})
 }
 
 // numRecentKeys returns the total entry count of the unpruned components,
 // used to decide between point lookups and a merge scan.
 func (v *validator) numRecentKeys() int64 {
-	var n int64
+	n := int64(v.view.Mem.Len())
 	for _, c := range v.comps {
 		n += c.NumEntries()
 	}
-	n += int64(v.mem.Len())
-	for _, m := range v.flushing {
+	for _, m := range v.view.Flushing {
 		n += int64(m.Len())
 	}
 	return n
@@ -106,11 +118,11 @@ func (v *validator) numRecentKeys() int64 {
 // mayContainAny reports whether any unpruned component's Bloom filter (or
 // the memory component) may contain pk.
 func (v *validator) mayContainAny(pk []byte) bool {
-	if _, ok := v.mem.Get(pk); ok {
+	if _, ok := v.view.Mem.Get(pk); ok {
 		return true
 	}
-	for i := len(v.flushing) - 1; i >= 0; i-- {
-		if _, ok := v.flushing[i].Get(pk); ok {
+	for i := len(v.view.Flushing) - 1; i >= 0; i-- {
+		if _, ok := v.view.Flushing[i].Get(pk); ok {
 			return true
 		}
 	}
@@ -122,54 +134,42 @@ func (v *validator) mayContainAny(pk []byte) bool {
 	return false
 }
 
-// newestTS returns the timestamp of the newest entry for pk in the
-// snapshot, anti-matter included (a newer anti-matter also invalidates).
-func (v *validator) newestTS(pk []byte) (int64, bool) {
-	if e, ok := v.mem.Get(pk); ok {
-		return e.TS, true
-	}
-	for i := len(v.flushing) - 1; i >= 0; i-- {
-		if e, ok := v.flushing[i].Get(pk); ok {
-			return e.TS, true
-		}
-	}
-	for i := len(v.comps) - 1; i >= 0; i-- {
-		if !v.comps[i].MayContain(v.env, pk) {
-			continue
-		}
-		e, _, found, err := v.cursors[i].Lookup(pk)
-		if err == nil && found {
-			return e.TS, true
-		}
-	}
-	return 0, false
-}
-
-// validate marks in bm the positions of tuples whose primary key exists in
-// the snapshot with a larger timestamp. Tuples must be sorted by pk.
-// When the number of keys to validate exceeds the number of recently
-// ingested keys, a merge scan replaces the per-key lookups (Section 4.4).
-func (v *validator) validate(tuples []tuple, bm *bitmap.Immutable) error {
+// validate sorts the added tuples by primary key, charging the sort, and
+// marks in bm the positions of those whose primary key exists in the
+// snapshot with a larger timestamp, anti-matter included (a newer
+// anti-matter also invalidates). Each distinct key is probed once through
+// lsm.View.Lookup, one key per batch with stateful cursors; when the tuples
+// outnumber the recently ingested keys, a merge scan replaces the per-key
+// lookups (Section 4.4).
+func (v *validator) validate(bm *bitmap.Immutable) error {
+	tuples := v.tuples
+	v.env.ChargeSort(len(tuples))
+	slices.SortFunc(tuples, func(a, b tuple) int { return kv.Compare(a.pk, b.pk) })
 	if len(tuples) == 0 {
 		return nil
 	}
 	if int64(len(tuples)) > v.numRecentKeys() {
 		return v.validateByMergeScan(tuples, bm)
 	}
-	var lastPK []byte
-	var lastTS int64
-	var lastFound bool
+	// The j-th distinct key's tuples are tuples[firsts[j]:firsts[j+1]].
+	var firsts []int
 	for i := range tuples {
-		t := &tuples[i]
-		if lastPK == nil || kv.Compare(t.pk, lastPK) != 0 {
-			lastPK = t.pk
-			lastTS, lastFound = v.newestTS(t.pk)
-		}
-		if lastFound && lastTS > t.ts {
-			bm.Set(t.pos)
+		if i == 0 || kv.Compare(tuples[i].pk, tuples[i-1].pk) != 0 {
+			firsts = append(firsts, i)
 		}
 	}
-	return nil
+	firsts = append(firsts, len(tuples))
+	var lk lsm.Lookups
+	return v.view.Lookup(&lk, len(firsts)-1, 1, true,
+		func(j int) []byte { return tuples[firsts[j]].pk },
+		func(_ int, c *lsm.Component) bool { return c.ID.MaxTS <= v.repairedTS },
+		func(j int, e kv.Entry, _ bool) {
+			for _, t := range tuples[firsts[j]:firsts[j+1]] {
+				if e.TS > t.ts {
+					bm.Set(t.pos)
+				}
+			}
+		})
 }
 
 // validateByMergeScan walks the sorted tuples alongside one reconciled scan
@@ -177,7 +177,7 @@ func (v *validator) validate(tuples []tuple, bm *bitmap.Immutable) error {
 func (v *validator) validateByMergeScan(tuples []tuple, bm *bitmap.Immutable) error {
 	// The snapshot reconciled so the newest version (anti-matter included)
 	// wins; an entry stays valid until the following Next.
-	it, err := lsm.NewMergedIterator(lsm.IterOptions{Components: v.comps, Flushing: v.flushing, Mem: v.mem})
+	it, err := lsm.NewMergedIterator(lsm.IterOptions{Components: v.comps, Flushing: v.view.Flushing, Mem: v.view.Mem})
 	if err != nil {
 		return err
 	}

@@ -290,3 +290,58 @@ func TestSecondaryRepairCheaperThanPrimary(t *testing.T) {
 	}
 	t.Logf("page reads: secondary repair=%d, primary repair=%d", secReads, primReads)
 }
+
+// TestRepairProbesEachDistinctKeyOnce: repair's point lookups probe each
+// distinct primary key of the sorted tuples once, and count as every other
+// probe does: one point lookup per key for its memory probe, and one per
+// disk probe. The secondary component repaired is two flushes merged, so it
+// holds two live entries per key for keys 0..99, and a repairedTS that
+// prunes the first primary-key-index component but not the second, which
+// holds every key. The memory component holds more recent keys than there
+// are tuples, so validation takes the point-lookup path: 100 memory probes
+// and 100 disk probes, where probing every tuple would count 400.
+func TestRepairProbesEachDistinctKeyOnce(t *testing.T) {
+	d := newDataset(t, func(c *core.Config) {
+		c.MemoryBudget = 1 << 30 // manual flushes
+	})
+	for user := range 2 {
+		for pk := uint64(0); pk < 100; pk++ {
+			if err := d.Upsert(kv.EncodeUint64(pk), mkRecord(uint32(user), 30)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	si := d.Secondary("user")
+	res, err := si.Tree.Merge(lsm.MergeSpec{Lo: 0, Hi: 2, DropAnti: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := si.Tree.Install(res); err != nil {
+		t.Fatal(err)
+	}
+	comp := si.Tree.Components()[0]
+	pkComps := d.PKIndex().Components()
+	if si.Tree.NumDiskComponents() != 1 || comp.NumEntries() != 200 || len(pkComps) != 2 ||
+		pkComps[0].ID.MaxTS > comp.RepairedTS || pkComps[1].ID.MaxTS <= comp.RepairedTS {
+		t.Fatalf("setup: %d secondary components (%d entries, repairedTS %d), %d pk-index components",
+			si.Tree.NumDiskComponents(), comp.NumEntries(), comp.RepairedTS, len(pkComps))
+	}
+	for pk := uint64(1000); pk < 1300; pk++ {
+		if err := d.Upsert(kv.EncodeUint64(pk), mkRecord(7, 30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := d.Env().Counters.PointLookups.Load()
+	if err := repair.StandaloneRepair(si.Tree, d.PKIndex(), comp, repair.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Env().Counters.PointLookups.Load() - before; got != 200 {
+		t.Fatalf("repair counted %d point lookups for 100 distinct keys, want 100 memory and 100 disk probes", got)
+	}
+	if marked := si.Tree.Components()[0].Obsolete.Count(); marked != 100 {
+		t.Fatalf("%d entries marked obsolete, want the 100 stale ones", marked)
+	}
+}
