@@ -16,6 +16,6 @@
 // This root package holds the benchmark harness: bench_test.go regenerates
 // every figure of the paper's evaluation via internal/experiments, and
 // ingest_scaling_test.go sweeps shard counts over the same ingest workload
-// (BenchmarkShardedIngest with sync and maint=N variants,
+// (BenchmarkShardedIngest with fixed-total-memory and maint=N variants,
 // TestShardedIngestScaling, TestAsyncIngestThroughput).
 package repro

@@ -290,6 +290,29 @@ func TestInsertUniqueness(t *testing.T) {
 	}
 }
 
+// TestMutableBitmapDeleteSkipsBitDeletedVersion: the Mutable-bitmap delete
+// search treats a newest disk version whose validity bit is already set
+// as absent, so deleting that key is ignored and sets no bit.
+func TestMutableBitmapDeleteSkipsBitDeletedVersion(t *testing.T) {
+	d := newTestDataset(t, func(c *Config) { c.Strategy = MutableBitmap })
+	mustUpsert(t, d, 10, "CA", 2015)
+	if err := d.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	c := d.PKIndex().Components()[0]
+	ord, found, err := c.BTree.Get(pkOf(10), nil)
+	if err != nil || !found {
+		t.Fatal(err, found)
+	}
+	c.Valid.Set(ord)
+	if ok, err := d.Delete(pkOf(10)); err != nil || ok {
+		t.Fatalf("delete of a bit-deleted version: ok=%v err=%v, want it ignored", ok, err)
+	}
+	if n := c.Valid.Count(); n != 1 {
+		t.Fatalf("%d bits set, want the one set by hand", n)
+	}
+}
+
 func TestDeleteSemantics(t *testing.T) {
 	for _, strat := range []Strategy{Eager, Validation, MutableBitmap, DeletedKey} {
 		t.Run(strat.String(), func(t *testing.T) {

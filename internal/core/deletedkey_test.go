@@ -130,43 +130,6 @@ func checkDeletedKeys(t *testing.T, c *lsm.Component, lo, hi uint64) map[uint64]
 	return ts
 }
 
-// TestGetWithLocation verifies component/ordinal reporting, which both the
-// Mutable-bitmap delete path and pID pruning rely on.
-func TestGetWithLocation(t *testing.T) {
-	d := newTestDataset(t, nil)
-	mustUpsert(t, d, 1, "CA", 2015)
-	if err := d.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	mustUpsert(t, d, 2, "NY", 2016)
-
-	// Key 1 lives in the only disk component.
-	comps := d.Primary().Components()
-	comp, ord, found, err := d.Primary().GetWithLocation(pkOf(1), comps)
-	if err != nil || !found {
-		t.Fatal(err, found)
-	}
-	if comp != comps[0] || ord != 0 {
-		t.Fatalf("location = %v/%d", comp, ord)
-	}
-	// Key 2 is memory-only: restricted search misses it.
-	_, _, found, err = d.Primary().GetWithLocation(pkOf(2), comps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if found {
-		t.Fatal("memory-only key found in component-restricted search")
-	}
-	// Unrestricted get finds it with a nil component.
-	comp2, _, found2, err := d.Primary().GetWithLocation(pkOf(2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found2 || comp2 != nil {
-		t.Fatalf("mem search: found=%v comp=%v", found2, comp2)
-	}
-}
-
 // TestMergeEpochRangeSkipsSingletons: a correlated merge over an epoch
 // range covering fewer than two components of some index leaves that index
 // untouched instead of erroring.

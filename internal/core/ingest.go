@@ -398,14 +398,19 @@ func (d *Dataset) markDeletedViaBitmap(pk []byte) (updateBit, existed bool, undo
 			runtime.Gosched()
 			continue
 		}
+		// Memory is searched above: probe the pinned disk components only.
 		v := d.pkIndex.ReadView()
-		comp, ordinal, found, err := d.pkIndex.GetWithLocation(pk, v.Components)
+		v.Mem, v.Flushing = nil, nil
+		var comp *lsm.Component
+		var ordinal int64
+		_, err := v.Get(pk, func(e kv.Entry, c *lsm.Component, ord int64) {
+			if !e.Anti && !c.Valid.IsSet(ord) {
+				comp, ordinal = c, ord
+			}
+		})
 		v.Release()
-		if err != nil || !found {
+		if err != nil || comp == nil {
 			return false, false, nil, nil, err
-		}
-		if comp == nil {
-			return false, true, nil, nil, nil
 		}
 		undo, commit := d.flipDeferred(comp, ordinal, pk)
 		return true, true, undo, commit, nil

@@ -79,6 +79,35 @@ func (v View) Lookup(lk *Lookups, n, batchKeys int, stateful bool,
 	return nil
 }
 
+// Get is the single-key point lookup of Section 3.2: it probes the memory
+// components and then each disk component, newest to oldest, behind its
+// Bloom filter, and reports whether key was found. visit receives the
+// newest entry, anti-matter included, with the disk component holding it
+// (nil for memory) and its ordinal there; a disk entry is the pinned
+// leaf's bytes, valid only until visit returns. A view whose Mem is nil
+// probes its disk components only. Each call counts one point lookup.
+// Tree.Get and the Mutable-bitmap delete search use it.
+func (v View) Get(key []byte, visit func(e kv.Entry, c *Component, ord int64)) (bool, error) {
+	env := v.t.env
+	env.Counters.PointLookups.Add(1)
+	if v.Mem != nil {
+		if e, ok := memGet(env, v.Mem, v.Flushing, key); ok {
+			visit(e, nil, 0)
+			return true, nil
+		}
+	}
+	for i := len(v.Components) - 1; i >= 0; i-- {
+		c := v.Components[i]
+		if !c.MayContain(env, key) {
+			continue
+		}
+		if _, found, err := c.BTree.Get(key, func(e kv.Entry, ord int64) { visit(e, c, ord) }); err != nil || found {
+			return found, err
+		}
+	}
+	return false, nil
+}
+
 // memGet probes the live memory component and then the frozen flushing
 // memtables newest-first, charging one memtable operation per table probed.
 func memGet(env *metrics.Env, mem *memtable.Table, flushing []*memtable.Table, pk []byte) (kv.Entry, bool) {

@@ -184,3 +184,71 @@ func TestResetLookupsReferenceNoComponent(t *testing.T) {
 		}
 	}
 }
+
+// TestViewGetLocatesNewestEntry: View.Get reports where the newest entry
+// lives — a disk component and its ordinal there, or nil for memory — a
+// disk-only view (Mem nil) misses a key held only in memory, and on
+// TestViewLookupMatchesGet's fixture (anti-matter, Valid-bit deletes,
+// frozen memtables) it gives View.Lookup's one-key answer on every key,
+// counting one point lookup per call.
+func TestViewGetLocatesNewestEntry(t *testing.T) {
+	tr, _ := newTestTree(t, 1024, nil)
+	tr.Put(kv.Entry{Key: key(1), Value: val(1), TS: 1})
+	if _, err := tr.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	tr.Put(kv.Entry{Key: key(2), Value: val(2), TS: 2})
+	v := tr.ReadView()
+	disk := v
+	disk.Mem, disk.Flushing = nil, nil
+	locate := func(view View, k []byte) (*Component, int64, bool) {
+		var comp *Component
+		var ord int64
+		found, err := view.Get(k, func(_ kv.Entry, c *Component, o int64) { comp, ord = c, o })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp, ord, found
+	}
+	if c, ord, found := locate(disk, key(1)); !found || c != v.Components[0] || ord != 0 {
+		t.Fatalf("disk key: found=%v at %v/%d, want the only component, ordinal 0", found, c, ord)
+	}
+	if _, _, found := locate(disk, key(2)); found {
+		t.Fatal("a disk-only view found a key held only in memory")
+	}
+	if c, _, found := locate(v, key(2)); !found || c != nil {
+		t.Fatalf("memory key: found=%v in %v, want a nil component", found, c)
+	}
+	v.Release()
+
+	tr = lookupTree(t)
+	v = tr.ReadView()
+	defer v.Release()
+	const n = 250
+	var lk Lookups
+	for i := range n {
+		lookup, got := "absent", "absent"
+		err := v.Lookup(&lk, 1, 1, false,
+			func(int) []byte { return key(i) },
+			func(int, *Component) bool { return false },
+			func(_ int, e kv.Entry, deleted bool) {
+				lookup = fmt.Sprintf("%d=%s anti=%v deleted=%v", e.TS, e.Value, e.Anti, deleted)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tr.Env().Counters.PointLookups.Load()
+		_, err = v.Get(key(i), func(e kv.Entry, c *Component, ord int64) {
+			got = fmt.Sprintf("%d=%s anti=%v deleted=%v", e.TS, e.Value, e.Anti, c != nil && c.Valid.IsSet(ord))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != lookup {
+			t.Fatalf("key %d: Get %q, Lookup %q", i, got, lookup)
+		}
+		if d := tr.Env().Counters.PointLookups.Load() - before; d != 1 {
+			t.Fatalf("key %d: Get counted %d point lookups, want 1", i, d)
+		}
+	}
+}

@@ -288,98 +288,24 @@ func (t *Tree) Put(e kv.Entry) {
 // dependent; see memtable.WidenFilter).
 func (t *Tree) WidenMemFilter(v int64) { t.Mem().WidenFilter(v) }
 
-// Get reports whether key has a visible version, reconciling the memory
-// component and all disk components newest-first. Anti-matter and bitmap-
-// deleted entries make the key read as absent. When it is present and visit
-// is non-nil, visit runs with the newest version; a version read from a
-// disk component is the pinned buffer-cache page's bytes, valid only until
-// visit returns, so visit copies what it keeps. This is the one point-read
-// path.
+// Get reports whether key has a visible version: the newest entry View.Get
+// finds is neither anti-matter nor deleted through its component's mutable
+// bitmap (every older version is deleted too, see Component.Valid). When
+// it is present and visit is non-nil, visit runs with it; a version read
+// from a disk component is the pinned buffer-cache page's bytes, valid only
+// until visit returns, so visit copies what it keeps. Batches of sorted
+// keys go through View.Lookup instead.
 func (t *Tree) Get(key []byte, visit func(kv.Entry)) (bool, error) {
-	_, _, found, err := t.get(key, nil, visit)
-	return found, err
-}
-
-// GetWithLocation reports the component holding the newest visible
-// version of key (nil for the memory component) and the entry's ordinal in
-// it. It serves the Mutable-bitmap strategy's delete path; onlyComponents,
-// when non-nil, restricts the search to those disk components (the delete
-// path passes a pinned view's, having searched memory itself).
-func (t *Tree) GetWithLocation(key []byte, onlyComponents []*Component) (*Component, int64, bool, error) {
-	return t.get(key, onlyComponents, nil)
-}
-
-func (t *Tree) get(key []byte, only []*Component, visit func(kv.Entry)) (*Component, int64, bool, error) {
-	t.env.Counters.PointLookups.Add(1)
-	comps := only
-	if comps == nil {
-		v := t.ReadView()
-		defer v.Release()
-		t.env.ChargeMemtable()
-		if e, ok := v.Mem.Get(key); ok {
-			return nil, 0, memVisit(e, visit), nil
+	v := t.ReadView()
+	defer v.Release()
+	visible := false
+	_, err := v.Get(key, func(e kv.Entry, c *Component, ord int64) {
+		visible = !e.Anti && (c == nil || !c.Valid.IsSet(ord))
+		if visible && visit != nil {
+			visit(e)
 		}
-		for i := len(v.Flushing) - 1; i >= 0; i-- {
-			t.env.ChargeMemtable()
-			if e, ok := v.Flushing[i].Get(key); ok {
-				return nil, 0, memVisit(e, visit), nil
-			}
-		}
-		comps = v.Components
-	}
-	for i := len(comps) - 1; i >= 0; i-- {
-		c := comps[i]
-		if !c.MayContain(t.env, key) {
-			continue
-		}
-		// The verdict is taken inside the visitor, while the leaf is
-		// pinned: deleted, present, or (Obsolete-bitmap skip) search on.
-		const searchOn, absent, present = 0, 1, 2
-		verdict := searchOn
-		ord, found, err := c.BTree.Get(key, func(e kv.Entry, ord int64) {
-			switch {
-			case c.Hidden(ord):
-				// Deleted through a bitmap: every older version is deleted
-				// too (each was the newest when the write that superseded
-				// it set its bit, see Component.Valid), so keep searching
-				// only to honor Obsolete-bitmap skips, where older entries
-				// may win.
-				if c.Valid.IsSet(ord) {
-					verdict = absent
-				}
-			case e.Anti:
-				verdict = absent
-			default:
-				verdict = present
-				if visit != nil {
-					visit(e)
-				}
-			}
-		})
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if !found || verdict == searchOn {
-			continue
-		}
-		if verdict == absent {
-			return nil, 0, false, nil
-		}
-		return c, ord, true, nil
-	}
-	return nil, 0, false, nil
-}
-
-// memVisit finishes a point read answered by a memory component: anti-
-// matter reads as absent, anything else is visited.
-func memVisit(e kv.Entry, visit func(kv.Entry)) bool {
-	if e.Anti {
-		return false
-	}
-	if visit != nil {
-		visit(e)
-	}
-	return true
+	})
+	return visible, err
 }
 
 // ResetMem discards the memory component and every frozen memory component

@@ -59,12 +59,11 @@ func TestViewPinsMergedAwayComponents(t *testing.T) {
 	if tr.RetiredFiles() != 3 {
 		t.Fatalf("RetiredFiles = %d with three merged-away components pinned", tr.RetiredFiles())
 	}
+	disk := view
+	disk.Mem, disk.Flushing = nil, nil
 	for i := 0; i < 100; i++ { // the newest pinned component still answers
-		c, _, found, err := tr.GetWithLocation(key(i), view.Components)
 		var got []byte
-		if found {
-			_, _, err = c.BTree.Get(key(i), func(e kv.Entry, _ int64) { got = bytes.Clone(e.Value) })
-		}
+		found, err := disk.Get(key(i), func(e kv.Entry, _ *Component, _ int64) { got = bytes.Clone(e.Value) })
 		if err != nil || !found || !bytes.Equal(got, val(2000+i)) {
 			t.Fatalf("key %d through the pinned view: %v %v %q", i, found, err, got)
 		}
@@ -126,7 +125,8 @@ func TestViewsUnderConcurrentMerges(t *testing.T) {
 				default:
 				}
 				v := tr.ReadView()
-				if _, _, found, err := tr.GetWithLocation(key(i%100), v.Components); err != nil || !found {
+				v.Mem, v.Flushing = nil, nil
+				if found, err := v.Get(key(i%100), func(kv.Entry, *Component, int64) {}); err != nil || !found {
 					t.Errorf("read through a pinned view: found=%v err=%v", found, err)
 				}
 				v.Release()

@@ -116,12 +116,15 @@ func (v *validator) numRecentKeys() int64 {
 }
 
 // mayContainAny reports whether any unpruned component's Bloom filter (or
-// the memory component) may contain pk.
+// the memory component) may contain pk. Each memory table probed is charged
+// one memtable operation, as every other memory probe is.
 func (v *validator) mayContainAny(pk []byte) bool {
+	v.env.ChargeMemtable()
 	if _, ok := v.view.Mem.Get(pk); ok {
 		return true
 	}
 	for i := len(v.view.Flushing) - 1; i >= 0; i-- {
+		v.env.ChargeMemtable()
 		if _, ok := v.view.Flushing[i].Get(pk); ok {
 			return true
 		}

@@ -797,6 +797,8 @@ func (db *DB) Recover() error {
 
 // RepairSecondaryIndexes runs a standalone repair over every component of
 // every secondary index (Validation strategy housekeeping), on every shard.
+// It runs without the Bloom-filter repair optimization of Section 4.4,
+// which is a figure ablation (internal/experiments), not a store option.
 func (db *DB) RepairSecondaryIndexes() error {
 	if err := db.acquire(); err != nil {
 		return err
@@ -811,7 +813,7 @@ func repairSecondaries(_ int, ds *core.Dataset) error {
 		return core.ErrNoPKIndex
 	}
 	for _, si := range ds.Secondaries() {
-		if err := repair.RepairAll(si.Tree, pk, repair.Options{UseBloom: ds.Config().RepairBloomOpt}); err != nil {
+		if err := repair.RepairAll(si.Tree, pk, repair.Options{}); err != nil {
 			return err
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/kv"
+	"repro/internal/lsm"
 	"repro/internal/storage"
 	"repro/internal/storage/filedev"
 	"repro/internal/storetest"
@@ -194,12 +195,11 @@ func TestStaleReaderKeepsRetiredComponents(t *testing.T) {
 		t.Fatal("Stats.RetiredFiles is 0 while readers pin merged-away components")
 	}
 	// Every read through the stale view succeeds, with the bytes it pinned.
+	disk := view
+	disk.Mem, disk.Flushing = nil, nil
 	for k := 0; k < keys; k++ {
-		c, _, found, err := primary.GetWithLocation(tweetPK(uint64(k)), view.Components)
 		var got []byte
-		if found {
-			_, _, err = c.BTree.Get(tweetPK(uint64(k)), func(e kv.Entry, _ int64) { got = bytes.Clone(e.Value) })
-		}
+		found, err := disk.Get(tweetPK(uint64(k)), func(e kv.Entry, _ *lsm.Component, _ int64) { got = bytes.Clone(e.Value) })
 		if err != nil || !found || !bytes.Equal(got, oldRec(k)) {
 			t.Fatalf("key %d through the stale view: found=%v err=%v value=%x", k, found, err, got)
 		}
