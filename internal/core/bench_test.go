@@ -34,7 +34,10 @@ func benchDataset(b *testing.B, strategy Strategy) *Dataset {
 
 // BenchmarkUpsertByStrategy measures per-operation real cost of the write
 // paths (the virtual clock measures simulated cost; this measures the
-// implementation itself).
+// implementation itself). Quote it at -benchtime=100000x: the flushes and
+// merges a run triggers are amortized over its iterations, so allocs/op
+// depends on b.N, and figures taken at different counts compare different
+// workloads.
 func BenchmarkUpsertByStrategy(b *testing.B) {
 	for _, strategy := range []Strategy{Eager, Validation, MutableBitmap, DeletedKey} {
 		strategy := strategy

@@ -79,6 +79,32 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
+// BenchmarkPutFirstOverwrite overwrites each key of a primary table filled
+// to the served budget once, in the order they were put; after the last it
+// fills a fresh table, untimed. (The index shapes hold no value, so their
+// overwrites carve nothing.) Run it with -benchmem: a first overwrite
+// carves its value from the open chunk, so allocs/op is a chunk's share.
+func BenchmarkPutFirstOverwrite(b *testing.B) {
+	s := shapes[0]
+	m := New(1)
+	n := fill(m, s, budget)
+	buf := make([]byte, 0, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, j := 0, uint64(0); i < b.N; i, j = i+1, j+1 {
+		if j == n {
+			b.StopTimer()
+			m, j = New(int64(i)), 0
+			fill(m, s, budget)
+			b.StartTimer()
+		}
+		var e kv.Entry
+		buf, e = s.entry(buf, j)
+		e.TS += int64(n)
+		m.Put(e)
+	}
+}
+
 // BenchmarkGet looks up the keys of a table filled to the served budget.
 func BenchmarkGet(b *testing.B) {
 	for _, s := range shapes {

@@ -26,8 +26,9 @@ func mallocsPer(runs int, f func()) float64 {
 }
 
 // TestPutAllocations guards the chunks: a new key, with a value or without
-// one (a secondary or primary-key index entry), costs only a share of a
-// chunk, and an overwrite exactly the new value.
+// one (a secondary or primary-key index entry), and a key's first
+// overwrite cost only a share of a chunk, and every later overwrite of a
+// key exactly the new value.
 func TestPutAllocations(t *testing.T) {
 	const runs = 4 * chunkSize / 64 // several whole chunks, so their cost is in the average
 	value := make([]byte, 100)
@@ -46,11 +47,21 @@ func TestPutAllocations(t *testing.T) {
 	if got := mallocsPer(runs, put(New(1), nil)); got > 0.1 {
 		t.Errorf("Put of a new key-only entry: %v allocations, want under 0.1", got)
 	}
+	// The same scattered keys again: each is a key's first overwrite.
 	m := New(1)
+	next = 0
+	for i := 0; i <= runs; i++ { // mallocsPer puts runs+1 keys
+		put(m, value)()
+	}
+	next = 0
+	if got := mallocsPer(runs, put(m, value)); got > 0.1 {
+		t.Errorf("first overwrite of a key: %v allocations, want under 0.1", got)
+	}
+	m = New(1)
 	m.Put(kv.Entry{Key: []byte("k"), Value: value})
 	overwrite := func() { m.Put(kv.Entry{Key: []byte("k"), Value: value, TS: 2}) }
 	if got := testing.AllocsPerRun(runs, overwrite); got != 1 {
-		t.Errorf("overwrite: %v allocations, want exactly 1 (the value)", got)
+		t.Errorf("repeat overwrite: %v allocations, want exactly 1 (the value)", got)
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d after overwrites, want 1", m.Len())
@@ -58,13 +69,14 @@ func TestPutAllocations(t *testing.T) {
 }
 
 // TestHotKeyPinsOneValue overwrites one key in place many times amid a
-// trickle of new keys. The table's first value for the hot key stays in its
-// chunk, but every later value is an allocation of its own, in the key's
-// slot, that the next overwrite lets go. Were the overwrites carved from
-// the chunks too, each new key would land in a chunk full of superseded
-// values and keep it alive, and the heap would grow by about the bytes
-// written; as it is, it grows by less than one chunk plus the one live
-// value — the new keys' nodes included.
+// trickle of new keys. The hot key's first value and its first overwrite's
+// stay in their chunks, but every later value is an allocation of its own,
+// in the key's slot, that the next overwrite lets go, so the key pins at
+// most two superseded values. Were every overwrite carved from the chunks,
+// each new key would land in a chunk full of superseded values and keep it
+// alive, and the heap would grow by about the bytes written; as it is, it
+// grows by less than one chunk plus the one live value — the new keys'
+// nodes and the carved first overwrite included.
 func TestHotKeyPinsOneValue(t *testing.T) {
 	const (
 		overwrites = 100_000
@@ -94,6 +106,31 @@ func TestHotKeyPinsOneValue(t *testing.T) {
 			overwrites, grew, chunkSize+valueSize)
 	}
 	runtime.KeepAlive(m)
+}
+
+// TestOverwritesKeepReadersValues: a value a reader took before a key's
+// first and second overwrites still reads its own bytes after them, for a
+// first value inline behind the key and for one carved for the first
+// overwrite — a new value never goes where an old one was.
+func TestOverwritesKeepReadersValues(t *testing.T) {
+	m := New(1)
+	key := []byte("k")
+	var held [][]byte
+	for i := byte(0); i < 3; i++ {
+		m.Put(kv.Entry{Key: key, Value: bytes.Repeat([]byte{'a' + i}, 40), TS: int64(i)})
+		e, ok := m.Get(key)
+		if !ok {
+			t.Fatalf("Get after put %d missed", i)
+		}
+		held = append(held, e.Value)
+		// The next put must not land behind the value just read.
+		m.Put(kv.Entry{Key: []byte{'k', i}, Value: bytes.Repeat([]byte{'z'}, 40), TS: int64(i)})
+	}
+	for i, v := range held {
+		if want := bytes.Repeat([]byte{'a' + byte(i)}, 40); !bytes.Equal(v, want) {
+			t.Errorf("value read after put %d = %q, want %q", i, v, want)
+		}
+	}
 }
 
 // TestReadersAcrossChunkBoundaries runs Get and Iterator against a writer

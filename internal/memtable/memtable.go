@@ -15,13 +15,14 @@
 // of uint32 node references, the key and the first value, back to back. A
 // Put of a new key therefore allocates nothing of its own.
 //
-// Only an overwrite allocates: its value is a copy of its own, held in a
-// side slot that the node's value reference names, and the next overwrite
-// of that key replaces the slot's value. A superseded first value stays in
-// its chunk until the flush, so a key overwritten in place pins at most one
-// superseded value, never a chain of them, however often it is
-// overwritten. A value too large to carve from a chunk lives in a slot
-// from the start.
+// An overwrite moves the value to a side slot that the node's value
+// reference names. The first overwrite of a key carves the slot's value
+// from the open chunk too, so it allocates nothing of its own either; every
+// later one replaces the slot's value with a copy of its own. The first
+// value and the first overwrite's stay in their chunks until the flush, so
+// a key overwritten in place pins at most two superseded values, never a
+// chain of them, however often it is overwritten. A value too large to
+// carve from a chunk lives in a slot, allocated, from the start.
 package memtable
 
 import (
@@ -78,10 +79,13 @@ const (
 // be filled to. References address maxChunks chunks, about 16 GiB,
 // which leaves 8× headroom: a node adds to the key and value that Bytes()
 // counts (plus 16) a 20-byte header, 4 bytes per tower level (4/3 levels
-// on average, at most 16) and its alignment, and a chunk strands less
-// than one node at its end. Should a table still fill every chunk (first
-// values overwritten by far shorter ones can do it), Put panics rather
-// than let a reference wrap.
+// on average, at most 16) and its alignment; a key's first overwrite
+// carves its value from a chunk as well, while Bytes() counts only the
+// newest value, so a table whose every key was overwritten by a value as
+// long as its first holds at most about twice what it counts; and a chunk
+// strands less than one node at its end. Should a table still fill every
+// chunk (values overwritten by far shorter ones can do it), Put panics
+// rather than let a reference wrap.
 const MaxBudget = 2 << 30
 
 // Table is one memory component. Safe for concurrent use.
@@ -175,8 +179,17 @@ func (t *Table) carve(size int) (uint32, []byte) {
 }
 
 // newSlot stores a copy of v in a new slot and returns its value reference.
+// A value of at most maxInline bytes is carved from the open chunk; a
+// larger one is allocated.
 func (t *Table) newSlot(v []byte) uint32 {
-	t.slots = append(t.slots, append([]byte(nil), v...))
+	var s []byte
+	if len(v) <= maxInline {
+		_, s = t.carve(len(v))
+		s = s[:copy(s, v):len(v)]
+	} else {
+		s = append([]byte(nil), v...)
+	}
+	t.slots = append(t.slots, s)
 	return uint32(len(t.slots)-1) | slotBit
 }
 
@@ -231,8 +244,9 @@ func (t *Table) entry(n []byte) kv.Entry {
 }
 
 // Put inserts or replaces the entry for e.Key. The table copies what it
-// keeps — a new entry's key and value into a chunk, an overwrite's value
-// into an allocation of its own — and retains none of e's bytes.
+// keeps — a new entry's key and value, and a key's first overwrite's value,
+// into a chunk, every later overwrite's value into an allocation of its
+// own — and retains none of e's bytes.
 func (t *Table) Put(e kv.Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -244,7 +258,9 @@ func (t *Table) Put(e kv.Entry) {
 	var update [maxHeight]uint32 // 0, the head, above the list's height
 	if n := t.find(e.Key, &update); n != nil {
 		// An overwrite keeps the node and its key. Readers may hold the
-		// node's inline value, so a new value never goes where it was.
+		// node's value, so a new value never goes where it was: the first
+		// overwrite carves a slot's value, every later one replaces the
+		// slot's value with a copy of its own.
 		t.bytes += len(e.Value) - len(t.entry(n).Value)
 		ref := le.Uint32(n[offValue:])
 		switch {

@@ -28,7 +28,11 @@
 // took it, straight into DB.Upsert, DB.Insert or DB.Delete, and is answered
 // once it has committed. The server adds no batching layer: concurrent
 // writers share WAL fsyncs through the engine's group commit. An
-// APPLY_BATCH request is one DB.ApplyBatchResults call.
+// APPLY_BATCH request is one DB.ApplyBatchWith call: its mutations are
+// decoded into a list recycled with the receive buffer, and the engine's
+// recycled per-mutation report is encoded into the response frame from
+// inside the call, so a batch in steady state allocates nothing here or
+// in the engine.
 //
 // # Lifecycle
 //

@@ -323,19 +323,38 @@ const maxPooledFrame = 64 << 10
 
 var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// reqBufPool recycles request frame buffers. Each request reads its frame
-// into a pooled buffer and decodes it in place (wire.DecodeRequestInPlace),
-// so no key or record leaves the receive buffer; the handler returns the
-// buffer once the request is done. Nothing is cloned first: reads and
-// writes alike are finished with the bytes by then, because the engine
-// copies what it keeps (see handle).
-var reqBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// reqBuf is one request's receive memory: the frame buffer and the
+// mutation list an APPLY_BATCH is decoded into.
+type reqBuf struct {
+	frame []byte
+	muts  []wire.Mutation
+}
 
-// putReqBuf returns a request buffer to the pool unless one oversized
-// frame grew it past the cap worth pinning.
-func putReqBuf(bp *[]byte) {
-	if cap(*bp) <= maxPooledFrame {
-		reqBufPool.Put(bp)
+// reqBufPool recycles request buffers. Each request reads its frame into a
+// pooled buffer and decodes it in place (wire.DecodeRequestInto), its
+// mutations into the buffer's list, so no key or record leaves the receive
+// buffer and a batch allocates no list; the handler returns the buffer
+// once the request is done. Nothing is cloned first: reads and writes
+// alike are finished with the bytes by then, because the engine copies
+// what it keeps (see handle).
+var reqBufPool = sync.Pool{New: func() any { return &reqBuf{frame: make([]byte, 0, 4096)} }}
+
+// maxPooledMuts bounds the mutation list a pooled request buffer keeps, in
+// mutations: about maxPooledFrame's worth of list.
+const maxPooledMuts = 1 << 10
+
+// putReqBuf clears a request buffer's mutation list, which points into the
+// frame, or drops it when one huge batch grew it past maxPooledMuts, and
+// returns the buffer to the pool unless one oversized frame grew it past
+// the cap worth pinning.
+func putReqBuf(rb *reqBuf) {
+	if cap(rb.muts) > maxPooledMuts {
+		rb.muts = nil
+	}
+	clear(rb.muts[:cap(rb.muts)])
+	rb.muts = rb.muts[:0]
+	if cap(rb.frame) <= maxPooledFrame {
+		reqBufPool.Put(rb)
 	}
 }
 
@@ -378,10 +397,11 @@ type outFrame struct {
 }
 
 // job is one decoded request on its way from the reader to a handler
-// worker, with the pooled receive buffer its byte fields alias.
+// worker, with the pooled receive buffer its byte fields and its mutation
+// list alias.
 type job struct {
 	req wire.Request
-	bp  *[]byte
+	rb  *reqBuf
 	tr  trace
 }
 
@@ -436,7 +456,7 @@ func (c *conn) dispatch(j job) {
 // worker serves jobs until serve closes the work channel.
 func (c *conn) worker(j job) {
 	for ok := true; ok; j, ok = <-c.work {
-		c.serveRequest(j.req, j.bp, j.tr)
+		c.serveRequest(j.req, j.rb, j.tr)
 	}
 }
 
@@ -447,25 +467,29 @@ func (c *conn) readLoop() {
 		if c.srv.draining() {
 			return
 		}
-		bp := reqBufPool.Get().(*[]byte)
-		frame, err := wire.ReadFrame(br, *bp, wire.MaxFrame)
+		rb := reqBufPool.Get().(*reqBuf)
+		frame, err := wire.ReadFrame(br, rb.frame, wire.MaxFrame)
 		if err != nil {
-			putReqBuf(bp)
+			putReqBuf(rb)
 			return // EOF, peer reset, shutdown deadline, oversized frame
 		}
 		var start time.Time
 		if traced {
 			start = time.Now()
 		}
-		*bp = frame[:cap(frame)]
+		rb.frame = frame[:cap(frame)]
 		c.srv.counters.Requests.Add(1)
 		// Decode in place: the request's byte fields alias the pooled
-		// buffer, which stays with this request until its handler is done.
-		req, err := wire.DecodeRequestInPlace(frame)
+		// buffer, and its mutations fill the buffer's list; both stay with
+		// this request until its handler is done.
+		req, err := wire.DecodeRequestInto(frame, rb.muts)
+		if req.Muts != nil {
+			rb.muts = req.Muts
+		}
 		if err != nil {
 			// The stream is unframed garbage from here on; answer with a
 			// zero-ID error so the client can log it, then hang up.
-			putReqBuf(bp)
+			putReqBuf(rb)
 			c.srv.counters.Errors.Add(1)
 			c.send(wire.ErrorResponse(0, wire.CodeBadRequest, err.Error()), trace{})
 			return
@@ -480,16 +504,16 @@ func (c *conn) readLoop() {
 		// back on the client.
 		c.sem <- struct{}{}
 		c.reqWg.Add(1)
-		c.dispatch(job{req: req, bp: bp, tr: tr}) //lsm:poolleak-ok the handler worker owns the request's buffer from here; serveRequest returns it via putReqBuf
+		c.dispatch(job{req: req, rb: rb, tr: tr}) //lsm:poolleak-ok the handler worker owns the request's buffer from here; serveRequest returns it via putReqBuf
 	}
 }
 
 // serveRequest executes one request on a handler worker and enqueues its
 // response. It returns the request's buffer, sem token and reqWg count.
-func (c *conn) serveRequest(req wire.Request, bp *[]byte, tr trace) {
+func (c *conn) serveRequest(req wire.Request, rb *reqBuf, tr trace) {
 	defer c.reqWg.Done()
 	defer func() { <-c.sem }()
-	defer putReqBuf(bp)
+	defer putReqBuf(rb)
 	traced := !tr.start.IsZero()
 	// Admission control: data-plane ops pass through the global weighted
 	// budget; a shed request fails fast without ever touching the engine.
@@ -521,6 +545,9 @@ func (c *conn) serveRequest(req wire.Request, bp *[]byte, tr trace) {
 		return
 	case wire.OpFilterScan:
 		c.serveScan(req, tr)
+		return
+	case wire.OpApplyBatch:
+		c.serveBatch(req, tr)
 		return
 	}
 	resp := c.srv.handle(req)
@@ -591,6 +618,33 @@ func (c *conn) serveQuery(req wire.Request, tr trace) {
 			tr.engine = tr.lap()
 		}
 		*bp = wire.AppendResponse((*bp)[:0], wire.Response{ID: req.ID, Kind: wire.KindQuery, Records: res.Records, Keys: res.Keys})
+	})
+	if err != nil {
+		frameBufPool.Put(bp)
+		if traced {
+			tr.engine = tr.lap()
+		}
+		c.sendError(c.srv.errorResponse(req.ID, err), tr)
+		return
+	}
+	if traced {
+		tr.encode = tr.lap()
+	}
+	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
+}
+
+// serveBatch is APPLY_BATCH's path, serveQuery's twin: the per-mutation
+// report is encoded into the pooled response frame from inside the
+// engine's callback, while the recycled report is still the batch's. The
+// decoder already refused out-of-range ops.
+func (c *conn) serveBatch(req wire.Request, tr trace) {
+	traced := !tr.start.IsZero()
+	bp := frameBufPool.Get().(*[]byte)
+	err := c.srv.db.ApplyBatchWith(req.Muts, func(applied []bool) {
+		if traced {
+			tr.engine = tr.lap()
+		}
+		*bp = wire.AppendResponse((*bp)[:0], wire.Response{ID: req.ID, Kind: wire.KindBatch, AppliedBatch: applied})
 	})
 	if err != nil {
 		frameBufPool.Put(bp)
@@ -710,8 +764,9 @@ func (c *conn) writeLoop(done chan struct{}) {
 }
 
 // handle executes one request against the DB and builds its response.
-// GET, SECONDARY_QUERY and FILTER_SCAN do not come here: serveGet,
-// serveQuery and serveScan encode their answers straight into the frame.
+// GET, SECONDARY_QUERY, FILTER_SCAN and APPLY_BATCH do not come here:
+// serveGet, serveQuery, serveScan and serveBatch encode their answers
+// straight into the frame.
 //
 // Requests arrive decoded in place: their byte fields alias a pooled
 // receive buffer that is reused once the request finishes. Reads and writes
@@ -749,14 +804,6 @@ func (s *Server) handle(req wire.Request) wire.Response {
 			return s.errorResponse(req.ID, err)
 		}
 		return wire.Response{ID: req.ID, Kind: wire.KindApplied, Applied: applied}
-
-	case wire.OpApplyBatch:
-		// The decoder already refused out-of-range ops.
-		applied, err := s.db.ApplyBatchResults(req.Muts)
-		if err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindBatch, AppliedBatch: applied}
 
 	case wire.OpStats:
 		blob, err := json.Marshal(s.db.Stats())

@@ -32,8 +32,22 @@ func FuzzDecodeRequest(f *testing.F) {
 	// A request followed by a length-prefixed string: the retired tenant
 	// tag, now trailing garbage.
 	f.Add(append(AppendRequest(nil, Request{ID: 6, Op: OpGet, Key: []byte("pk")}), 0x02, 't', '1'))
+	// stale fills a reused list with mutations no decode of a fuzz input
+	// produces, to show that decoding into it leaves none behind.
+	stale := make([]Mutation, 0, 8)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequestInPlace(data)
+		stale = stale[:cap(stale)]
+		for i := range stale {
+			stale[i] = Mutation{Op: MutDelete, PK: []byte("stale"), Record: []byte("stale")}
+		}
+		reused, reusedErr := DecodeRequestInto(data, stale)
+		if (err == nil) != (reusedErr == nil) || (err != nil && err.Error() != reusedErr.Error()) {
+			t.Fatalf("fresh decode error %v, into a reused list %v", err, reusedErr)
+		}
+		if !reflect.DeepEqual(reused, req) {
+			t.Fatalf("decode into a reused list:\n got  %+v\n want %+v", reused, req)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("decode error %v does not wrap ErrCorruptFrame", err)

@@ -512,7 +512,15 @@ func AppendRequest(buf []byte, r Request) []byte {
 // hands every field to the engine as it is, because the engine copies what
 // it keeps (core.Dataset.Apply's contract) and the request's buffer
 // outlives the call.
-func DecodeRequestInPlace(frame []byte) (Request, error) {
+func DecodeRequestInPlace(frame []byte) (Request, error) { return DecodeRequestInto(frame, nil) }
+
+// DecodeRequestInto is DecodeRequestInPlace with the mutation list
+// supplied: an APPLY_BATCH's n mutations are decoded into muts[:n], every
+// entry overwritten, when muts has the capacity, and into a new list when
+// it has not. A request without mutations has nil Muts, as from
+// DecodeRequestInPlace. The server keeps one list with each pooled receive
+// buffer, so a batch in steady state decodes without allocating.
+func DecodeRequestInto(frame []byte, muts []Mutation) (Request, error) {
 	var (
 		r   Request
 		err error
@@ -564,7 +572,10 @@ func DecodeRequestInPlace(frame []byte) (Request, error) {
 		return Request{}, err
 	}
 	if n > 0 {
-		r.Muts = make([]Mutation, n)
+		if cap(muts) < n {
+			muts = make([]Mutation, n)
+		}
+		r.Muts = muts[:n]
 		for i := range r.Muts {
 			var mo byte
 			if mo, b, err = takeByte(b); err != nil {

@@ -380,6 +380,16 @@ func TestDecodeRequestInPlaceAllocations(t *testing.T) {
 			t.Errorf("%s: %v allocations per decode, want %v", c.name, n, c.want)
 		}
 	}
+	// A batch decoded into a reused list of enough capacity: nothing.
+	batch := AppendRequest(nil, Request{ID: 5, Op: OpApplyBatch, Muts: make([]Mutation, 64)})
+	muts := make([]Mutation, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		if r, err := DecodeRequestInto(batch, muts); err != nil || len(r.Muts) != 64 {
+			t.Fatalf("decode into a reused list: %d mutations, %v", len(r.Muts), err)
+		}
+	}); n != 0 {
+		t.Errorf("apply batch into a reused list: %v allocations per decode, want 0", n)
+	}
 }
 
 // TestIndexNameInterning: interned or not, a decoded index name is the

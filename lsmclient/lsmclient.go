@@ -220,6 +220,9 @@ func (c *Client) Delete(pk []byte) (bool, error) {
 
 // ApplyBatch applies a batch of mutations in one round trip and reports,
 // per mutation, whether it took effect (matching DB.ApplyBatchResults).
+// The report is the round trip's one allocation and the caller's to keep:
+// the server encodes it from the store's recycled report
+// (DB.ApplyBatchWith).
 func (c *Client) ApplyBatch(muts []lsmstore.Mutation) ([]bool, error) {
 	for _, m := range muts {
 		// The server's decoder treats an out-of-range op as a corrupt frame

@@ -496,16 +496,11 @@ func TestLateResponseNeverReachesARecycledCall(t *testing.T) {
 	t.Logf("%d answered, %d timed out", answered.Load(), timedOut.Load())
 }
 
-// TestRoundTripAllocations counts the whole process — client and server
-// share it — per round trip against an in-process server: a GET answered by
-// the read cache allocates its decoded value and nothing else, a PING
-// nothing (one of slack each for the runtime's own bookkeeping). A single
-// write — an UPSERT of a new key, a DELETE of a missing one — runs on its
-// handler worker straight into the engine and allocates nothing. Under
-// -race the round trips run for the race detector's sake and the counts are
-// only logged: sync.Pool then drops Puts at random.
-func TestRoundTripAllocations(t *testing.T) {
-	db, err := lsmstore.Open(lsmstore.Options{ReadCache: lsmstore.ReadCacheOptions{Bytes: 1 << 20}})
+// dialServed opens a store with opts, serves it in process and dials the
+// server; the test's cleanup closes all three.
+func dialServed(t *testing.T, opts lsmstore.Options) *Client {
+	t.Helper()
+	db, err := lsmstore.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,15 +511,36 @@ func TestRoundTripAllocations(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		srv.Kill()
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
+		c.Close()
 		srv.Kill()
 		db.Close()
 	})
-	c, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	return c
+}
+
+// TestRoundTripAllocations counts the whole process — client and server
+// share it — per round trip against an in-process server: a GET answered by
+// the read cache allocates its decoded value and nothing else, a PING
+// nothing (one of slack each for the runtime's own bookkeeping). A single
+// write — an UPSERT of a new key, a DELETE of a missing one — runs on its
+// handler worker straight into the engine and allocates nothing. An
+// APPLY_BATCH of 64 upserts, of new keys or of each key's first overwrite,
+// allocates the client's returned report and nothing else: the server
+// decodes into a recycled mutation list and encodes the engine's recycled
+// report, and the memtable carves the values from its chunks. Under
+// -race the round trips run for the race detector's sake and the counts are
+// only logged: sync.Pool then drops Puts at random.
+func TestRoundTripAllocations(t *testing.T) {
+	c := dialServed(t, lsmstore.Options{ReadCache: lsmstore.ReadCacheOptions{Bytes: 1 << 20}})
+	// The batches go to a store with the served ingest's strategy: an Eager
+	// overwrite copies the record it replaces (Section 3.1).
+	bc := dialServed(t, lsmstore.Options{Strategy: lsmstore.Validation})
 	pk, record := []byte("pk-1"), []byte("a record of some bytes")
 	if err := c.Upsert(pk, record); err != nil {
 		t.Fatal(err)
@@ -557,12 +573,30 @@ func TestRoundTripAllocations(t *testing.T) {
 			t.Fatalf("delete of a missing key = %v, %v", applied, err)
 		}
 	}
+	// Batches of 64 upserts: 201 of new keys, then the same 201 again,
+	// each upsert a key's first overwrite.
+	batches := make([][]lsmstore.Mutation, 201)
+	for i := range batches {
+		batches[i] = make([]lsmstore.Mutation, 64)
+		for j := range batches[i] {
+			batches[i][j] = lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: fmt.Appendf(nil, "batch-%03d-%02d", i, j), Record: record}
+		}
+	}
+	nextBatch := 0
+	applyBatch := func() {
+		applied, err := bc.ApplyBatch(batches[nextBatch%len(batches)])
+		if err != nil || len(applied) != 64 || !applied[0] || !applied[63] {
+			t.Fatalf("batch %d = %v, %v", nextBatch, applied, err)
+		}
+		nextBatch++
+	}
 	get() // fills the read cache, the pools and the worker
 	for _, tc := range []struct {
 		name string
 		fn   func()
 		max  float64
-	}{{"Get", get, 2}, {"Ping", ping, 1}, {"Upsert of a new key", upsertNew, 0}, {"Delete of a missing key", deleteMissing, 0}} {
+	}{{"Get", get, 2}, {"Ping", ping, 1}, {"Upsert of a new key", upsertNew, 0}, {"Delete of a missing key", deleteMissing, 0},
+		{"ApplyBatch of 64 new keys", applyBatch, 1}, {"ApplyBatch of 64 first overwrites", applyBatch, 1}} {
 		n := testing.AllocsPerRun(200, tc.fn)
 		t.Logf("%s round trip: %v allocations", tc.name, n)
 		if !raceEnabled && n > tc.max {

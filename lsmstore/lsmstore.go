@@ -563,15 +563,33 @@ func (db *DB) ApplyBatch(muts []Mutation) error {
 // ApplyBatchResults is ApplyBatch plus a per-mutation report: applied[i]
 // tells whether mutation i took effect — upserts always do, duplicate
 // inserts and deletes of missing keys do not (they are the batch's ignored
-// writes). Entries after a shard's first error are left false. The network
-// server answers an APPLY_BATCH request with it, one result per mutation.
+// writes). Entries after a shard's first error are left false; the report
+// is returned with the error too.
 func (db *DB) ApplyBatchResults(muts []Mutation) ([]bool, error) {
 	if err := db.acquire(); err != nil {
 		return nil, err
 	}
 	defer db.release()
 	applied := make([]bool, len(muts))
-	return applied, db.applyBatch(muts, applied)
+	return applied, db.applyBatch(muts, func(report []bool, _ error) { copy(applied, report) })
+}
+
+// ApplyBatchWith is ApplyBatchResults handing the report to fn instead of
+// returning it (fn runs only when the batch succeeds). The report is
+// recycled memory of the store's and is valid only until fn returns, like
+// GetWith's record: fn must copy what it keeps. A batch in steady state
+// allocates no report. The network server answers an APPLY_BATCH request
+// from inside fn, encoding the report straight into its output frame.
+func (db *DB) ApplyBatchWith(muts []Mutation, fn func(applied []bool)) error {
+	if err := db.acquire(); err != nil {
+		return err
+	}
+	defer db.release()
+	return db.applyBatch(muts, func(applied []bool, err error) {
+		if err == nil {
+			fn(applied)
+		}
+	})
 }
 
 // NumShards returns the number of hash partitions.

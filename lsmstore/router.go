@@ -156,18 +156,28 @@ func (h *helpers) stop() {
 // program order; across shards there is no ordering, matching the
 // independence of hash partitions. The first error in a shard stops that
 // shard's remaining mutations; all shard errors are joined. A non-nil
-// applied (len(muts) long) receives the per-mutation report of
-// applyMutations, at the original batch positions.
+// report runs, with the call's error, on the per-mutation report of
+// applyMutations at the original batch positions: the scratch's memory,
+// valid only until report returns.
 //
 // A batch whose keys all hash to one shard — every batch of a one-shard
 // store — is applied on the caller's goroutine with no grouping at all; only a batch
 // that spans shards is regrouped and fanned out. Either way the call's
 // bookkeeping lives in a batchScratch taken here and put back here.
-func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
+func (db *DB) applyBatch(muts []Mutation, report func(applied []bool, err error)) error {
 	if len(muts) == 0 {
+		if report != nil {
+			report(nil, nil)
+		}
 		return nil
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
+	var applied []bool
+	if report != nil {
+		applied = slices.Grow(sc.report[:0], len(muts))[:len(muts)]
+		clear(applied)
+		sc.report = applied
+	}
 	n := len(db.parts)
 	shards := sc.forShards(n)
 	owners, spans := sc.owners[:0], false
@@ -188,6 +198,9 @@ func (db *DB) applyBatch(muts []Mutation, applied []bool) error {
 	// dropped too: their on-disk outcome is uncertain.
 	for i := range muts {
 		db.invalidate(muts[i].PK)
+	}
+	if report != nil {
+		report(applied, err)
 	}
 	sc.clear()
 	if cap(sc.owners) <= maxRecycledBatch {
@@ -235,16 +248,17 @@ func (sc *batchScratch) run(s int, ds *core.Dataset) error {
 }
 
 // batchScratch is one applyBatch call's working memory: each mutation's
-// owning shard and, per shard, its group of mutations with their batch
-// positions and report, and its log batch. A call takes one from
-// batchScratchPool and puts it back when it is done, so a batch in steady
-// state allocates no bookkeeping. clear drops the mutations, which point at
-// the caller's bytes.
+// owning shard, the call's per-mutation report and, per shard, its group
+// of mutations with their batch positions and report, and its log batch.
+// A call takes one from batchScratchPool and puts it back when it is done,
+// so a batch in steady state allocates no bookkeeping and no report. clear
+// drops the mutations, which point at the caller's bytes.
 type batchScratch struct {
 	owners  []int // owning shard per mutation
 	counts  []int // mutations per shard: fanOut's work
 	shards  []shardGroup
-	applied []bool // the caller's per-mutation report, or nil
+	report  []bool // the call's per-mutation report, kept for the next
+	applied []bool // report while a call that wants one fans out, or nil
 	join    fanJoin
 }
 
