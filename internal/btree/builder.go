@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/storage"
 )
@@ -40,6 +41,12 @@ var ErrKeyOrder = errors.New("btree: keys must be added in strictly increasing o
 var ErrEntryTooLarge = errors.New("btree: entry exceeds page size")
 
 // Builder bulk-loads a B+-tree into a fresh component file.
+//
+// Builders are recycled. NewBuilder takes one from a small free list, and
+// Finish and Abort give it back with its buffers (the leaf under
+// construction, the page buffer, the route keys and the per-level routes),
+// so a warm build allocates nothing per entry, page or level. A builder
+// must not be used once Finish or Abort has returned.
 type Builder struct {
 	store    *storage.Store
 	file     storage.FileID
@@ -75,16 +82,68 @@ type routeEntry struct {
 	page           uint32
 }
 
+const (
+	// maxFreeBuilders is how many finished builders are kept for reuse:
+	// about as many as run at once (a merge builds its primary-key-index
+	// sibling beside it, and maintenance runs on a few workers).
+	maxFreeBuilders = 4
+	// maxKeptBuilderBytes caps the buffer capacity a kept builder retains;
+	// one that grew past it (a very large merge) is dropped instead.
+	maxKeptBuilderBytes = 256 << 10
+)
+
+// freeBuilders holds finished builders for NewBuilder. It is a plain list,
+// not a sync.Pool, so what it keeps is bounded and counted as live heap.
+var freeBuilders struct {
+	sync.Mutex
+	list []*Builder
+}
+
 // NewBuilder starts a bulk load into a new file on store.
 func NewBuilder(store *storage.Store) *Builder {
-	pageSize := store.PageSize()
-	return &Builder{
-		store:    store,
-		file:     store.Create(),
-		pageSize: pageSize,
-		entries:  make([]byte, 0, pageSize),
-		page:     make([]byte, 0, pageSize),
+	var b *Builder
+	freeBuilders.Lock()
+	if n := len(freeBuilders.list); n > 0 {
+		b = freeBuilders.list[n-1]
+		freeBuilders.list[n-1] = nil
+		freeBuilders.list = freeBuilders.list[:n-1]
 	}
+	freeBuilders.Unlock()
+	if b == nil {
+		b = new(Builder)
+	}
+	pageSize := store.PageSize()
+	if cap(b.entries) < pageSize {
+		b.entries = make([]byte, 0, pageSize)
+	}
+	if cap(b.page) < pageSize {
+		b.page = make([]byte, 0, pageSize)
+	}
+	b.store, b.file, b.pageSize, b.done = store, store.Create(), pageSize, false
+	return b
+}
+
+// release empties b and keeps it for the next NewBuilder, unless the free
+// list is full or b's buffers grew past maxKeptBuilderBytes.
+func (b *Builder) release() {
+	b.store, b.count, b.done = nil, 0, true
+	b.entries, b.offs, b.page = b.entries[:0], b.offs[:0], b.page[:0]
+	b.routeKeys, b.lastKey = b.routeKeys[:0], b.lastKey[:0]
+	kept := cap(b.entries) + 4*cap(b.offs) + cap(b.page) + cap(b.routeKeys) + cap(b.lastKey)
+	levels := b.levels[:cap(b.levels)]
+	for i := range levels {
+		levels[i] = levels[i][:0]
+		kept += 12 * cap(levels[i]) // a routeEntry is three uint32s
+	}
+	b.levels = levels[:0]
+	if kept > maxKeptBuilderBytes {
+		return
+	}
+	freeBuilders.Lock()
+	if len(freeBuilders.list) < maxFreeBuilders {
+		freeBuilders.list = append(freeBuilders.list, b)
+	}
+	freeBuilders.Unlock()
 }
 
 // Add appends an entry. Keys must arrive in strictly increasing order.
@@ -157,9 +216,15 @@ func (b *Builder) flushLeaf() error {
 	return nil
 }
 
+// pushRoute queues r on level. A level past the end reuses the (emptied)
+// route slice a recycled builder kept there.
 func (b *Builder) pushRoute(level int, r routeEntry) {
 	for len(b.levels) <= level {
-		b.levels = append(b.levels, nil)
+		if len(b.levels) < cap(b.levels) {
+			b.levels = b.levels[:len(b.levels)+1]
+		} else {
+			b.levels = append(b.levels, nil)
+		}
 	}
 	b.levels[level] = append(b.levels[level], r)
 }
@@ -167,8 +232,10 @@ func (b *Builder) pushRoute(level int, r routeEntry) {
 func (b *Builder) writeInternal(level int, routes []routeEntry) (uint32, error) {
 	page := append(b.page[:0], pageInternal)
 	page = binary.BigEndian.AppendUint32(page, uint32(len(routes)))
+	// The slot directory is filled in as the entries are placed; the page
+	// buffer has room for it because internalFits fitted the page.
 	slotBase := len(page)
-	page = append(page, make([]byte, 4*len(routes))...)
+	page = page[:slotBase+4*len(routes)]
 	for i, r := range routes {
 		binary.BigEndian.PutUint32(page[slotBase+4*i:], uint32(len(page)))
 		page = binary.AppendUvarint(page, uint64(r.keyLen))
@@ -197,7 +264,7 @@ func (b *Builder) internalFits(routes []routeEntry) int {
 
 // Finish flushes remaining data, writes internal levels and the meta page,
 // and opens a Reader over the completed tree. A failed Finish deletes the
-// file, as Abort does.
+// file, as Abort does. Either way b goes back to the free list.
 func (b *Builder) Finish() (*Reader, error) {
 	if b.done {
 		return nil, errors.New("btree: builder already finished")
@@ -207,6 +274,7 @@ func (b *Builder) Finish() (*Reader, error) {
 	if err != nil {
 		b.store.Delete(b.file)
 	}
+	b.release()
 	return r, err
 }
 
@@ -270,11 +338,12 @@ func (b *Builder) finish() (*Reader, error) {
 	return Open(b.store, b.file)
 }
 
-// Abort discards a partially built tree.
+// Abort discards a partially built tree and gives b back to the free list.
 func (b *Builder) Abort() {
 	if !b.done {
 		b.done = true
 		b.store.Delete(b.file)
+		b.release()
 	}
 }
 

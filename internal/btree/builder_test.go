@@ -261,18 +261,18 @@ func TestAddAllocatesNothing(t *testing.T) {
 	b.Abort()
 }
 
-// TestBuildAllocationsPerLevel: a bulk load allocates per level, not per
-// leaf. A leaf's first key goes to the builder's one growing buffer of route
-// keys, and the file device appends each page into a recycled run, so a
+// TestBuildAllocationsPerLevel: a warm bulk load allocates nothing per
+// leaf or per level. The builder and its buffers come back from the free
+// list, and the file device appends each page into a recycled run, so a
 // build of over 1 000 leaves stays under buildAllocCeiling objects — the
-// builder, its buffers and their amortized growth, the new file and the
-// reader Finish opens — where one object per leaf would exceed it at once.
+// new file with the growth of its page table, and the reader Finish opens
+// (22 measured) — where one object per leaf would exceed it at once.
 func TestBuildAllocationsPerLevel(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not checked under -race")
 	}
 	const pageSize, entries, minLeaves = 4 << 10, 40_000, 1000
-	const buildAllocCeiling = 120
+	const buildAllocCeiling = 30
 	dev, err := filedev.Open(t.TempDir(), storage.ScaledHDD(pageSize))
 	if err != nil {
 		t.Fatal(err)
@@ -307,6 +307,82 @@ func TestBuildAllocationsPerLevel(t *testing.T) {
 	if allocs > buildAllocCeiling {
 		t.Errorf("a build of %d leaves allocated %v objects, want at most %d", leaves, allocs, buildAllocCeiling)
 	}
+}
+
+// drainFreeBuilders empties the free list, so the next NewBuilder is fresh.
+func drainFreeBuilders() {
+	freeBuilders.Lock()
+	clear(freeBuilders.list)
+	freeBuilders.list = freeBuilders.list[:0]
+	freeBuilders.Unlock()
+}
+
+// TestRecycledBuilderMatchesFresh: a builder back from the free list writes
+// the same pages as a fresh one. Its first build has long keys over three
+// levels and the second short keys, so a route key, a last key or a level's
+// routes left over from the first build would show in the second's pages.
+func TestRecycledBuilderMatchesFresh(t *testing.T) {
+	const pageSize = 512
+	entries := func(n, keyLen int) (keys, payloads [][]byte) {
+		for i := range n {
+			k := make([]byte, keyLen)
+			binary.BigEndian.PutUint32(k, uint32(i))
+			for j := 4; j < keyLen; j++ {
+				k[j] = 0xff // bytes a shorter key would not overwrite
+			}
+			keys = append(keys, k)
+			payloads = append(payloads, kv.AppendPayload(nil, kv.Entry{Value: []byte{byte(i)}, TS: int64(i)}))
+		}
+		return keys, payloads
+	}
+	longKeys, longPayloads := entries(3000, 120)
+	shortKeys, shortPayloads := entries(5000, 4)
+	store := newTestStore(t, pageSize)
+	build := func(keys, payloads [][]byte) (*Builder, *Reader) {
+		b := NewBuilder(store)
+		for i := range keys {
+			if err := b.Add(keys[i], payloads[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, r
+	}
+	pages := func(r *Reader) [][]byte {
+		n, err := store.NumPages(r.FileID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]byte, n)
+		for i := range out {
+			if out[i], err = store.Device().ReadPage(r.FileID(), i, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+
+	drainFreeBuilders()
+	first, long := build(longKeys, longPayloads)
+	if long.height < 2 {
+		t.Fatalf("the long-key tree has height %d, want at least 2", long.height)
+	}
+	recycled, got := build(shortKeys, shortPayloads)
+	if recycled != first {
+		t.Fatal("the second build did not reuse the first build's builder")
+	}
+	drainFreeBuilders()
+	fresh, want := build(shortKeys, shortPayloads)
+	if fresh == first {
+		t.Fatal("the fresh build reused a builder")
+	}
+	if gp, wp := pages(got), pages(want); !slices.EqualFunc(gp, wp, bytes.Equal) {
+		t.Fatalf("the recycled builder's %d pages differ from the fresh builder's %d", len(gp), len(wp))
+	}
+	checkPagesMatchReference(t, store, got, shortKeys, shortPayloads)
 }
 
 // fuzzEntries decodes arbitrary bytes into entries: a sequence of
@@ -348,8 +424,11 @@ var fuzzPageSizes = [...]int{256, 512, 1024, 4096}
 // FuzzBuilderRoundTrip: whatever sorted, distinct entries the input decodes
 // to, the builder either refuses an entry as too large for the page or
 // stores it; the pages equal the reference encoder's and a scan returns the
-// stored entries.
+// stored entries. Every input after the first builds with the builder the
+// previous one finished, so whatever an input leaves in it is in the next
+// input's way.
 func FuzzBuilderRoundTrip(f *testing.F) {
+	var last *Builder
 	f.Add(fuzzInput(kv.Entry{}, kv.Entry{Key: []byte("a"), Value: []byte("1")}), uint8(0)) // the empty key
 	// The largest entry a 256-byte page takes (1 flag + 1 TS + 2 length
 	// bytes of payload framing), and one byte more.
@@ -366,6 +445,10 @@ func FuzzBuilderRoundTrip(f *testing.F) {
 		pageSize := fuzzPageSizes[int(sizeSel)%len(fuzzPageSizes)]
 		store := newTestStore(t, pageSize)
 		b := NewBuilder(store)
+		if last != nil && b != last {
+			t.Fatal("NewBuilder did not reuse the builder the previous input finished")
+		}
+		last = nil // until this input's Finish gives b back
 		var stored []kv.Entry
 		var keys, payloads [][]byte
 		for _, e := range fuzzEntries(data) {
@@ -387,6 +470,7 @@ func FuzzBuilderRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		last = b
 		checkPagesMatchReference(t, store, r, keys, payloads)
 		scan, err := r.NewScan(nil, nil)
 		if err != nil {

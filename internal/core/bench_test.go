@@ -38,20 +38,37 @@ func benchDataset(b *testing.B, strategy Strategy) *Dataset {
 // merges a run triggers are amortized over its iterations, so allocs/op
 // depends on b.N, and figures taken at different counts compare different
 // workloads.
+//
+// Each strategy has two rows. The plain one cycles 50 000 keys through the
+// 1 MiB memory budget, so every upsert replaces a version already flushed.
+// The "-hot" row overwrites hotKeys keys written before the timer starts,
+// which fit the budget: every upsert replaces a version still in the memory
+// component, the overwrite path the served ingest-batch updates take.
 func BenchmarkUpsertByStrategy(b *testing.B) {
+	const hotKeys = 2000
 	for _, strategy := range []Strategy{Eager, Validation, MutableBitmap, DeletedKey} {
-		strategy := strategy
-		b.Run(strategy.String(), func(b *testing.B) {
-			d := benchDataset(b, strategy)
-			rec := testRecord("CA", 2015)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := d.Upsert(pkOf(uint64(i%50000)), rec); err != nil {
-					b.Fatal(err)
+		for _, row := range []struct {
+			suffix  string
+			keys    int
+			preload bool
+		}{{"", 50000, false}, {"-hot", hotKeys, true}} {
+			b.Run(strategy.String()+row.suffix, func(b *testing.B) {
+				d := benchDataset(b, strategy)
+				rec := testRecord("CA", 2015)
+				for i := 0; row.preload && i < row.keys; i++ {
+					if err := d.Upsert(pkOf(uint64(i)), rec); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := d.Upsert(pkOf(uint64(i%row.keys)), rec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -29,6 +29,8 @@ var recordTypes = [...]wal.RecordType{
 // With a non-nil batch the log record is appended unsynced and registered
 // in b, and the write may only be acknowledged after WaitCommitBatch(b)
 // succeeds. A nil batch makes the write durable before Apply returns.
+// An Eager update copies the record it replaces into b's buffer, so a
+// writer that keeps its Batch allocates nothing for it.
 //
 // Apply retains none of m's bytes after it returns: the memory components
 // copy the key and record they keep, the log encodes the record into its
@@ -38,7 +40,7 @@ var recordTypes = [...]wal.RecordType{
 // PK and Record at once — the server applies writes straight out of its
 // pooled receive buffers. TestApplyRetainsNoCallerBytes holds every
 // strategy to this.
-func (d *Dataset) Apply(m kv.Mutation, b *wal.Batch) (applied bool, err error) {
+func (d *Dataset) Apply(m kv.Mutation, b *Batch) (applied bool, err error) {
 	if int(m.Op) >= len(recordTypes) {
 		return false, fmt.Errorf("core: unknown mutation op %d", m.Op)
 	}
@@ -80,7 +82,7 @@ func (d *Dataset) Delete(pk []byte) (bool, error) {
 // compaction) drop records with TS <= the maximum durable component
 // timestamp — drawing the timestamp before registering would let a stalled
 // writer log an acknowledged write that replay then skips forever.
-func (d *Dataset) applyLocked(m kv.Mutation, b *wal.Batch) (bool, error) {
+func (d *Dataset) applyLocked(m kv.Mutation, b *Batch) (bool, error) {
 	d.dsLock.Enter()
 	defer d.dsLock.Exit()
 	d.locks.Lock(m.PK, lockExclusive)
@@ -94,7 +96,11 @@ func (d *Dataset) applyLocked(m kv.Mutation, b *wal.Batch) (bool, error) {
 		}
 	}
 	ts := d.NextTS()
-	p, err := d.prepare(m.Op, m.PK, true)
+	var old []byte
+	if b != nil {
+		old = b.old
+	}
+	p, err := d.prepare(m.Op, m.PK, true, old)
 	if err != nil {
 		return false, err
 	}
@@ -113,6 +119,9 @@ func (d *Dataset) applyLocked(m kv.Mutation, b *wal.Batch) (bool, error) {
 		return false, err
 	}
 	d.install(m.Op, m.PK, m.Record, ts, p)
+	if b != nil && p.old != nil {
+		b.old = p.old[:0] // nothing install built from it outlives the call
+	}
 	d.ingested.Add(1)
 	return true, nil
 }
@@ -123,7 +132,8 @@ type prepared struct {
 	// skip marks a live no-op: an insert of an existing key, a delete of a
 	// missing one.
 	skip bool
-	// found and old are the version being replaced (Eager only).
+	// found and old are the version being replaced (Eager only), copied
+	// out of its pinned page into the buffer prepare was given.
 	found bool
 	old   []byte
 	// updateBit, undo and commit are markDeletedViaBitmap's results
@@ -137,8 +147,9 @@ type prepared struct {
 // Mutable-bitmap pk-index search that flips the old version's bitmap bit. A
 // live write always runs it. Replay runs it only for a record whose update
 // bit says the search flipped a disk bitmap (Section 5.2): its other
-// answer, skip, was settled when the record was logged.
-func (d *Dataset) prepare(op kv.Op, pk []byte, search bool) (p prepared, err error) {
+// answer, skip, was settled when the record was logged. An Eager update
+// copies the old record into old's memory when it has the room.
+func (d *Dataset) prepare(op kv.Op, pk []byte, search bool, old []byte) (p prepared, err error) {
 	if op == kv.OpInsert {
 		// Every strategy handles an insert the same way: a uniqueness
 		// check, then a blind put into every index.
@@ -152,8 +163,8 @@ func (d *Dataset) prepare(op kv.Op, pk []byte, search bool) (p prepared, err err
 		// Point lookup to fetch the old record, so anti-matter can clean
 		// the secondary indexes and the filters can be widened with it
 		// (Section 3.1, Figure 3).
-		p.found, err = d.primary.Get(pk, func(old kv.Entry) {
-			p.old = append([]byte(nil), old.Value...) // outlives the page pin
+		p.found, err = d.primary.Get(pk, func(e kv.Entry) {
+			p.old = append(old[:0], e.Value...) // outlives the page pin
 		})
 		p.skip = !p.found && op == kv.OpDelete
 	case MutableBitmap:
@@ -474,9 +485,13 @@ func (d *Dataset) forwardDelete(comp *lsm.Component, pk []byte) {
 // mutation. Until that wait succeeds the write is visible in the memory
 // components but NOT acknowledged; callers must not report success before
 // the wait returns.
-func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit bool, b *wal.Batch) error {
+func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit bool, b *Batch) error {
 	if d.log == nil {
 		return nil
+	}
+	var lb *wal.Batch
+	if b != nil {
+		lb = &b.log
 	}
 	_, err := d.log.Append(wal.Record{
 		Type:      t,
@@ -484,14 +499,24 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 		UpdateBit: updateBit,
 		Key:       pk, // encoded into the device's log area, not retained
 		Value:     record,
-	}, b)
+	}, lb)
 	return err
+}
+
+// Batch is a writer's handle over a run of mutations it applies to one
+// dataset: the log batch their records defer their commits into, and the
+// buffer an Eager update copies the record it replaces into (installEager
+// keeps nothing built from that copy past the call). The zero Batch is
+// ready; a caller that keeps its Batch from run to run keeps both buffers.
+type Batch struct {
+	log wal.Batch
+	old []byte
 }
 
 // BeginCommitBatch empties the caller's handle b and returns it, or nil when
 // the dataset has no log (nothing to defer) or uses Mutable-bitmap (its
-// writes carry their own commits, see below). b keeps its encode buffer, so
-// a caller that reuses its handle allocates nothing per record.
+// writes carry their own commits, see below). b keeps its encode and copy
+// buffers, so a caller that reuses its handle allocates nothing per record.
 // Pair every non-nil handle with exactly one WaitCommitBatch before
 // acknowledging any of the batch's writes.
 //
@@ -502,11 +527,11 @@ func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit
 // does. Its mutations commit one by one instead (still coalesced with
 // concurrent writers by the commit group), so a failed covering fsync can
 // always revert the flip under the lock.
-func (d *Dataset) BeginCommitBatch(b *wal.Batch) *wal.Batch {
-	if d.cfg.Strategy == MutableBitmap {
+func (d *Dataset) BeginCommitBatch(b *Batch) *Batch {
+	if d.cfg.Strategy == MutableBitmap || d.log.BeginBatch(&b.log) == nil {
 		return nil
 	}
-	return d.log.BeginBatch(b)
+	return b
 }
 
 // WaitCommitBatch blocks until every record deferred into b is covered by
@@ -516,9 +541,9 @@ func (d *Dataset) BeginCommitBatch(b *wal.Batch) *wal.Batch {
 // mid-batch flush may already have installed some of them in a durable
 // component — so after any crash each of them may or may not be replayed:
 // "failed" means "not guaranteed, retry safely", not "certainly absent".
-func (d *Dataset) WaitCommitBatch(b *wal.Batch) error {
+func (d *Dataset) WaitCommitBatch(b *Batch) error {
 	if b == nil {
 		return nil
 	}
-	return d.log.WaitBatch(b)
+	return d.log.WaitBatch(&b.log)
 }

@@ -61,6 +61,7 @@ func (d *Dataset) Recover() error {
 		return ErrNoWAL
 	}
 	maxComponentTS := d.maxComponentTS()
+	var old []byte // an Eager update's copy of the record it replaces
 	return d.log.Replay(func(r wal.Record) error {
 		if r.TS <= maxComponentTS {
 			return nil // already durable in a disk component
@@ -70,11 +71,14 @@ func (d *Dataset) Recover() error {
 		for cur := d.clock.Load(); cur < r.TS; cur = d.clock.Load() {
 			d.clock.CompareAndSwap(cur, r.TS)
 		}
-		p, err := d.prepare(op, r.Key, r.UpdateBit)
+		p, err := d.prepare(op, r.Key, r.UpdateBit, old)
 		if err != nil {
 			return err
 		}
 		d.install(op, r.Key, r.Value, r.TS, p)
+		if p.old != nil {
+			old = p.old[:0]
+		}
 		return nil
 	})
 }

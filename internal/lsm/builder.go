@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"sync"
+
 	"repro/internal/bloom"
 	"repro/internal/btree"
 	"repro/internal/kv"
@@ -17,13 +19,38 @@ var keySetFilter = Options{BloomFPR: 0.01, Bloom: bloom.KindStandard}
 // maintenance lane to the foreground store. Flushes, merges, the primary-key-
 // index sibling of a Mutable-bitmap merge and deleted-key trees all build
 // through it.
+//
+// Builders are recycled like btree.Builder: NewBuilder and NewKeySetBuilder
+// take one from a small free list, and Finish and Abort give it back with
+// its payload buffer and the merge iterator Merge reads its inputs through.
+// A warm build allocates the file, the Bloom filter and the reader, and
+// nothing per entry or page. A builder must not be used once Finish or Abort
+// has returned.
 type Builder struct {
-	tree    *btree.Builder
+	tree    *btree.Builder // nil once aborted
 	read    *storage.Store // the store the finished reader charges
 	filter  bloom.Filter
 	add     func([]byte)
 	payload []byte
 	err     error
+	// merge is the iterator Tree.Merge reads its inputs through; Finish and
+	// Abort close it.
+	merge MergedIterator
+}
+
+const (
+	// maxFreeBuilders is how many finished builders are kept for reuse, as
+	// many as btree keeps.
+	maxFreeBuilders = 4
+	// maxKeptPayload caps the payload buffer a kept builder retains.
+	maxKeptPayload = 64 << 10
+)
+
+// freeBuilders holds finished builders for newBuilder: a bounded list, not a
+// sync.Pool, so what it keeps is counted as live heap.
+var freeBuilders struct {
+	sync.Mutex
+	list []*Builder
 }
 
 // NewBuilder starts a component of t sized for up to n keys, written on the
@@ -44,7 +71,35 @@ func newBuilder(lane, read *storage.Store, filter bloom.Filter, add func([]byte)
 	if lane == nil {
 		lane = read
 	}
-	return &Builder{tree: btree.NewBuilder(lane), read: read, filter: filter, add: add}
+	var b *Builder
+	freeBuilders.Lock()
+	if n := len(freeBuilders.list); n > 0 {
+		b = freeBuilders.list[n-1]
+		freeBuilders.list[n-1] = nil
+		freeBuilders.list = freeBuilders.list[:n-1]
+	}
+	freeBuilders.Unlock()
+	if b == nil {
+		b = new(Builder)
+	}
+	b.tree, b.read, b.filter, b.add, b.err = btree.NewBuilder(lane), read, filter, add, nil
+	return b
+}
+
+// release closes b's merge iterator, drops what b refers to and keeps it for
+// the next build, unless the free list is full or its payload buffer grew
+// past maxKeptPayload.
+func (b *Builder) release() {
+	b.merge.Close()
+	b.tree, b.read, b.filter, b.add = nil, nil, nil, nil
+	if cap(b.payload) > maxKeptPayload {
+		return
+	}
+	freeBuilders.Lock()
+	if len(freeBuilders.list) < maxFreeBuilders {
+		freeBuilders.list = append(freeBuilders.list, b)
+	}
+	freeBuilders.Unlock()
 }
 
 // Add appends e; keys arrive in strictly increasing order. A failed Add
@@ -57,7 +112,7 @@ func (b *Builder) Add(e kv.Entry) error {
 	b.payload = kv.AppendPayload(b.payload[:0], e)
 	if err := b.tree.Add(e.Key, b.payload); err != nil {
 		b.tree.Abort()
-		b.err = err
+		b.tree, b.err = nil, err
 		return err
 	}
 	if b.add != nil {
@@ -71,15 +126,24 @@ func (b *Builder) Add(e kv.Entry) error {
 // leaves no file behind.
 func (b *Builder) Finish() (*btree.Reader, bloom.Filter, error) {
 	if b.err != nil {
-		return nil, nil, b.err
+		err := b.err
+		b.release()
+		return nil, nil, err
 	}
 	r, err := b.tree.Finish()
+	filter, read := b.filter, b.read
+	b.release()
 	if err != nil {
 		return nil, nil, err
 	}
-	r.Rebind(b.read)
-	return r, b.filter, nil
+	r.Rebind(read)
+	return r, filter, nil
 }
 
 // Abort discards an unfinished build and its file.
-func (b *Builder) Abort() { b.tree.Abort() }
+func (b *Builder) Abort() {
+	if b.tree != nil {
+		b.tree.Abort()
+	}
+	b.release()
+}

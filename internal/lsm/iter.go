@@ -103,8 +103,12 @@ type MergedIterator struct {
 	// srcs holds every source, exhausted ones included: an exhausted scan
 	// still pins the leaf of its last entry until Close. h points into it,
 	// so srcs never grows while the iterator is open.
-	srcs     []source
-	h        sourceHeap
+	srcs []source
+	h    sourceHeap
+	// clones are a streamed open's readers: each input's, charging the
+	// stream's store. A scan points into it, so it never grows while the
+	// iterator is open either.
+	clones   []btree.Reader
 	hideAnti bool
 	// noReconcile emits all versions of duplicate keys.
 	noReconcile bool
@@ -154,16 +158,24 @@ func (mi *MergedIterator) Open(opts IterOptions) error {
 	if n := len(opts.Components) + len(opts.Flushing) + 1; cap(mi.srcs) < n {
 		mi.srcs, mi.h = make([]source, 0, n), make(sourceHeap, 0, n)
 	}
-	if opts.stream != nil && (opts.Lo != nil || opts.Hi != nil) {
-		panic("lsm: a streamed merge scan is a full scan; Lo and Hi must be nil")
+	if opts.stream != nil {
+		if opts.Lo != nil || opts.Hi != nil {
+			panic("lsm: a streamed merge scan is a full scan; Lo and Hi must be nil")
+		}
+		if cap(mi.clones) < len(opts.Components) {
+			mi.clones = make([]btree.Reader, 0, len(opts.Components))
+		}
 	}
-	mi.srcs, mi.h = mi.srcs[:0], mi.h[:0]
+	mi.srcs, mi.h, mi.clones = mi.srcs[:0], mi.h[:0], mi.clones[:0]
 	mi.hideAnti, mi.noReconcile = opts.HideAnti, opts.NoReconcile
 	for rank, comp := range opts.Components {
 		var scan btree.Scan
 		var err error
 		if opts.stream != nil {
-			scan, err = comp.BTree.CloneFor(opts.stream).NewStreamedScan()
+			mi.clones = append(mi.clones, *comp.BTree)
+			r := &mi.clones[len(mi.clones)-1]
+			r.Rebind(opts.stream)
+			scan, err = r.NewStreamedScan()
 		} else {
 			scan, err = comp.BTree.NewScan(opts.Lo, opts.Hi)
 		}
@@ -251,7 +263,8 @@ func (mi *MergedIterator) Close() {
 		}
 	}
 	clear(mi.srcs)
-	mi.srcs, mi.h = mi.srcs[:0], mi.h[:0]
+	clear(mi.clones)
+	mi.srcs, mi.h, mi.clones = mi.srcs[:0], mi.h[:0], mi.clones[:0]
 }
 
 func (mi *MergedIterator) popAdvance() {

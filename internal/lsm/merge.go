@@ -85,19 +85,19 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 	}
 	// The inputs are read once and deleted at install, so their scans
 	// stream past the buffer cache. Under LockKey they keep invisible
-	// entries: visibility is checked under each key's lock instead.
-	it, err := NewMergedIterator(IterOptions{
+	// entries: visibility is checked under each key's lock instead. The
+	// iterator is the builder's, so Finish and Abort close it.
+	it := &b.merge
+	if err := it.Open(IterOptions{
 		Components:    inputs,
 		HideAnti:      spec.DropAnti,
 		SkipInvisible: spec.LockKey == nil,
 		Snapshots:     spec.Snapshots,
 		stream:        lane,
-	})
-	if err != nil {
+	}); err != nil {
 		b.Abort()
 		return nil, err
 	}
-	defer it.Close()
 
 	var (
 		ordinal    int64
@@ -143,6 +143,7 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 		e := item.Entry
 		if err := b.Add(e); err != nil {
 			unlock()
+			b.Abort()
 			return nil, err
 		}
 		if e.Anti {

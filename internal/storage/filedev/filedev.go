@@ -177,6 +177,7 @@ type Device struct {
 	walDirty     bool
 	walBroken    bool
 	lock         *os.File
+	dirf         *os.File // the data directory, held open for its fsyncs
 	closed       bool
 	freeRuns     [][]byte // written runs kept for reuse, at most maxFreeRuns
 }
@@ -208,8 +209,16 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Like LOCK, the directory stays open for the device's life: every
+	// directory fsync (a sync after creates or deletes, a manifest rename,
+	// a log rotation) goes through this one handle.
+	dirf, err := os.Open(dir)
+	if err != nil {
+		return nil, errors.Join(err, lock.Close())
+	}
 	d := &Device{
 		lock:    lock,
+		dirf:    dirf,
 		dir:     dir,
 		profile: profile,
 		files:   make(map[storage.FileID]*file),
@@ -217,7 +226,7 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, errors.Join(err, d.closeAllLocked())
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -550,7 +559,7 @@ func (d *Device) syncLocked() error {
 	clear(d.freeRuns)
 	d.freeRuns = d.freeRuns[:0]
 	if d.dirDirty {
-		if err := syncDir(d.dir); err != nil {
+		if err := d.dirf.Sync(); err != nil {
 			errs = append(errs, err)
 		} else {
 			d.dirDirty = false
@@ -586,6 +595,12 @@ func (d *Device) closeAllLocked() error {
 			errs = append(errs, err)
 		}
 		d.wal = nil
+	}
+	if d.dirf != nil {
+		if err := d.dirf.Close(); err != nil {
+			errs = append(errs, err)
+		}
+		d.dirf = nil
 	}
 	if d.lock != nil {
 		// Releases the directory lock.
@@ -709,7 +724,7 @@ func (d *Device) RotateWAL(seq uint64) error {
 		return err
 	}
 	//lsm:lockio-ok see above: same barrier
-	if err := syncDir(d.dir); err != nil {
+	if err := d.dirf.Sync(); err != nil {
 		return errors.Join(err, f.Close())
 	}
 	if d.wal != nil {
@@ -787,7 +802,11 @@ func (d *Device) SaveManifest(data []byte) error {
 		return err
 	}
 	//lsm:lockio-ok see above: the manifest write is the second half of the same install barrier
-	return AtomicWriteFile(d.dir, manifestName, data)
+	if err := replaceFile(d.dir, manifestName, data); err != nil {
+		return err
+	}
+	//lsm:lockio-ok see above: the rename is durable once the directory is
+	return d.dirf.Sync()
 }
 
 // LoadManifest returns the manifest of a previous session, or (nil, nil).
@@ -799,7 +818,15 @@ func (d *Device) LoadManifest() ([]byte, error) {
 	return data, err
 }
 
-func syncDir(dir string) error {
+// AtomicWriteFile durably replaces dir/name: temp file + fsync + rename +
+// directory fsync, so a crash leaves either the previous content or the
+// new one, never a mix. It is the one crash-safe replace protocol shared
+// by the manifest and the store layout file; a Device fsyncs the directory
+// through the handle it holds instead of opening it again.
+func AtomicWriteFile(dir, name string, data []byte) error {
+	if err := replaceFile(dir, name, data); err != nil {
+		return err
+	}
 	f, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -807,11 +834,9 @@ func syncDir(dir string) error {
 	return errors.Join(f.Sync(), f.Close())
 }
 
-// AtomicWriteFile durably replaces dir/name: temp file + fsync + rename +
-// directory fsync, so a crash leaves either the previous content or the
-// new one, never a mix. It is the one crash-safe replace protocol shared
-// by the manifest and the store layout file.
-func AtomicWriteFile(dir, name string, data []byte) error {
+// replaceFile is AtomicWriteFile up to the directory fsync: temp file +
+// fsync + rename.
+func replaceFile(dir, name string, data []byte) error {
 	path := filepath.Join(dir, name)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -827,10 +852,7 @@ func AtomicWriteFile(dir, name string, data []byte) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return os.Rename(tmp, path)
 }
 
 var _ storage.Durable = (*Device)(nil)

@@ -541,6 +541,9 @@ func TestRoundTripAllocations(t *testing.T) {
 	// The batches go to a store with the served ingest's strategy: an Eager
 	// overwrite copies the record it replaces (Section 3.1).
 	bc := dialServed(t, lsmstore.Options{Strategy: lsmstore.Validation})
+	// An Eager overwrite copies the record it replaces into the batch's
+	// buffer (Section 3.1), so it allocates no more than the rest.
+	ec := dialServed(t, lsmstore.Options{Strategy: lsmstore.Eager})
 	pk, record := []byte("pk-1"), []byte("a record of some bytes")
 	if err := c.Upsert(pk, record); err != nil {
 		t.Fatal(err)
@@ -590,13 +593,27 @@ func TestRoundTripAllocations(t *testing.T) {
 		}
 		nextBatch++
 	}
+	for _, batch := range batches {
+		if _, err := ec.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nextEager := 0
+	eagerOverwrite := func() {
+		applied, err := ec.ApplyBatch(batches[nextEager])
+		if err != nil || len(applied) != 64 || !applied[0] || !applied[63] {
+			t.Fatalf("Eager batch %d = %v, %v", nextEager, applied, err)
+		}
+		nextEager++
+	}
 	get() // fills the read cache, the pools and the worker
 	for _, tc := range []struct {
 		name string
 		fn   func()
 		max  float64
 	}{{"Get", get, 2}, {"Ping", ping, 1}, {"Upsert of a new key", upsertNew, 0}, {"Delete of a missing key", deleteMissing, 0},
-		{"ApplyBatch of 64 new keys", applyBatch, 1}, {"ApplyBatch of 64 first overwrites", applyBatch, 1}} {
+		{"ApplyBatch of 64 new keys", applyBatch, 1}, {"ApplyBatch of 64 first overwrites", applyBatch, 1},
+		{"ApplyBatch of 64 first overwrites on an Eager store", eagerOverwrite, 1}} {
 		n := testing.AllocsPerRun(200, tc.fn)
 		t.Logf("%s round trip: %v allocations", tc.name, n)
 		if !raceEnabled && n > tc.max {

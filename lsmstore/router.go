@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // partition is one shard: a self-contained dataset with its own device,
@@ -267,7 +266,7 @@ type shardGroup struct {
 	muts    []Mutation // in batch order
 	at      []int      // muts[j] is the batch's mutation at[j]
 	applied []bool     // applyMutations' report on muts
-	log     wal.Batch  // the shard's deferred commits
+	log     core.Batch // the shard's deferred commits and Eager copy buffer
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -313,7 +312,7 @@ func (sc *batchScratch) clear() {
 // flush can have installed some of the batch's writes in durable
 // components before the WAL fsync failed, so an applied=false entry in an
 // errored batch means "retry safely", never "certainly absent".
-func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool, log *wal.Batch) error {
+func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool, log *core.Batch) error {
 	b := ds.BeginCommitBatch(log)
 	var firstErr error
 	for i, m := range muts {
