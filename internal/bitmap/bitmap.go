@@ -100,17 +100,17 @@ func (b *Immutable) Len() int64 {
 	return b.n
 }
 
-// Marshal serializes the bitmap for the durable manifest. A nil bitmap
-// marshals to nil.
-func (b *Immutable) Marshal() []byte {
+// AppendTo appends the bitmap's serialized form to dst for the durable
+// manifest. A nil bitmap appends nothing.
+func (b *Immutable) AppendTo(dst []byte) []byte {
 	if b == nil {
-		return nil
+		return dst
 	}
-	return appendWords(nil, b.n, b.bits)
+	return appendWords(dst, b.n, b.bits)
 }
 
-// UnmarshalImmutable reconstructs a Marshal-ed immutable bitmap; nil input
-// yields a nil bitmap.
+// UnmarshalImmutable reconstructs an immutable bitmap from what AppendTo
+// wrote; empty input yields a nil bitmap.
 func UnmarshalImmutable(data []byte) (*Immutable, error) {
 	if len(data) == 0 {
 		return nil, nil
@@ -202,23 +202,23 @@ func (b *Mutable) Count() int64 {
 	return c
 }
 
-// Marshal serializes the bitmap's current state for the durable manifest.
-// Concurrent Sets may or may not be captured — the manifest's WAL replay
-// re-applies any that are not (Set is idempotent). A nil bitmap marshals to
-// nil.
-func (b *Mutable) Marshal() []byte {
+// AppendTo appends the bitmap's current state, serialized, to dst for the
+// durable manifest. Concurrent Sets may or may not be captured — the
+// manifest's WAL replay re-applies any that are not (Set is idempotent). A
+// nil bitmap appends nothing.
+func (b *Mutable) AppendTo(dst []byte) []byte {
 	if b == nil {
-		return nil
+		return dst
 	}
-	words := make([]uint64, len(b.bits))
+	dst = binary.AppendVarint(dst, b.n)
 	for i := range b.bits {
-		words[i] = atomic.LoadUint64(&b.bits[i])
+		dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&b.bits[i]))
 	}
-	return appendWords(nil, b.n, words)
+	return dst
 }
 
-// UnmarshalMutable reconstructs a Marshal-ed mutable bitmap; nil input
-// yields a nil bitmap.
+// UnmarshalMutable reconstructs a mutable bitmap from what AppendTo wrote;
+// empty input yields a nil bitmap.
 func UnmarshalMutable(data []byte) (*Mutable, error) {
 	if len(data) == 0 {
 		return nil, nil

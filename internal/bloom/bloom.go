@@ -35,7 +35,7 @@ const (
 	// cost-model ablation.
 	KindBlocked
 	// KindV2 is the runtime split-block filter, the only variant with a
-	// persisted form (V2.Marshal).
+	// persisted form (V2.AppendTo), written into its component's file.
 	KindV2
 )
 

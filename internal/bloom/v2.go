@@ -16,8 +16,8 @@ import (
 //
 // Standard and Blocked (bloom.go) remain the paper's Section 3.2 cost-model
 // variants; V2 exists to make real (wall-clock) point reads fast and to be
-// snapshotted into the manifest via Marshal/UnmarshalV2 so reopen does not
-// rebuild filters by scanning every component.
+// written into its component's file (AppendTo, UnmarshalV2) so reopen does
+// not rebuild filters by scanning every component.
 type V2 struct {
 	words  []uint64 // v2WordsPerBlock words per block, laid out block-major
 	blocks uint64
@@ -136,35 +136,58 @@ func (f *V2) NumBits() int { return int(f.blocks) * v2BlockBytes * 8 }
 // K returns the number of word probes per test (for cost charging).
 func (f *V2) K() int { return v2K }
 
-// Marshal header: magic, format version, then the block count and raw words.
+// Encoding header: magic, format version, then the block count and raw
+// words.
 const (
 	v2Magic   = "bfv2"
 	v2Version = 1
+	v2Header  = len(v2Magic) + 1 + 8
 )
 
-// Marshal encodes the filter for the component manifest. The layout is
-// magic ("bfv2"), a version byte, the block count as a little-endian
-// uint64, then blocks*64 bytes of little-endian filter words.
-func (f *V2) Marshal() []byte {
-	out := make([]byte, 0, len(v2Magic)+1+8+len(f.words)*8)
-	out = append(out, v2Magic...)
-	out = append(out, v2Version)
-	out = binary.LittleEndian.AppendUint64(out, f.blocks)
-	for _, w := range f.words {
-		out = binary.LittleEndian.AppendUint64(out, w)
+// AppendTo appends the filter's encoding to dst: magic ("bfv2"), a version
+// byte, the block count as a little-endian uint64, then blocks*64 bytes of
+// little-endian filter words.
+func (f *V2) AppendTo(dst []byte) []byte {
+	return f.AppendEncoded(dst, 0, f.EncodedLen())
+}
+
+// EncodedLen returns the length of the filter's encoding.
+func (f *V2) EncodedLen() int { return v2Header + len(f.words)*8 }
+
+// AppendEncoded appends bytes [off, off+n) of the encoding AppendTo writes
+// to dst, so a component builder can write the filter a page at a time
+// through the one page buffer it reuses (btree.EncodedFilter).
+func (f *V2) AppendEncoded(dst []byte, off, n int) []byte {
+	end := off + n
+	var hdr [v2Header]byte
+	copy(hdr[:], v2Magic)
+	hdr[len(v2Magic)] = v2Version
+	binary.LittleEndian.PutUint64(hdr[len(v2Magic)+1:], f.blocks)
+	for ; off < end && off < v2Header; off++ {
+		dst = append(dst, hdr[off])
 	}
-	return out
+	for off < end {
+		i := off - v2Header
+		w := f.words[i/8]
+		if i%8 == 0 && end-off >= 8 {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+			off += 8
+			continue
+		}
+		dst = append(dst, byte(w>>(8*(i%8))))
+		off++
+	}
+	return dst
 }
 
 // ErrCorruptFilter reports a malformed V2 encoding.
 var ErrCorruptFilter = errors.New("bloom: corrupt v2 filter encoding")
 
-// UnmarshalV2 decodes a filter produced by Marshal. Corrupt input returns
+// UnmarshalV2 decodes a filter produced by AppendTo. Corrupt input returns
 // ErrCorruptFilter (wrapped), never a panic; callers fall back to rebuilding
 // the filter by scanning the component.
 func UnmarshalV2(data []byte) (*V2, error) {
-	hdr := len(v2Magic) + 1 + 8
-	if len(data) < hdr {
+	if len(data) < v2Header {
 		return nil, errors.Join(ErrCorruptFilter, errors.New("short header"))
 	}
 	if string(data[:len(v2Magic)]) != v2Magic {
@@ -177,7 +200,7 @@ func UnmarshalV2(data []byte) (*V2, error) {
 	if blocks < 1 || blocks > uint64(len(data)) {
 		return nil, errors.Join(ErrCorruptFilter, errors.New("implausible block count"))
 	}
-	body := data[hdr:]
+	body := data[v2Header:]
 	if uint64(len(body)) != blocks*v2BlockBytes {
 		return nil, errors.Join(ErrCorruptFilter, errors.New("body length mismatch"))
 	}

@@ -65,7 +65,7 @@ func TestV2MarshalRoundTrip(t *testing.T) {
 	for _, k := range keys {
 		f.Add(k)
 	}
-	enc := f.Marshal()
+	enc := f.AppendTo(nil)
 	g, err := UnmarshalV2(enc)
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
@@ -78,7 +78,7 @@ func TestV2MarshalRoundTrip(t *testing.T) {
 			t.Fatalf("word %d differs after round trip", i)
 		}
 	}
-	if !bytes.Equal(g.Marshal(), enc) {
+	if !bytes.Equal(g.AppendTo(nil), enc) {
 		t.Fatal("re-marshal is not byte-identical")
 	}
 }
@@ -86,7 +86,7 @@ func TestV2MarshalRoundTrip(t *testing.T) {
 func TestV2UnmarshalRejectsCorrupt(t *testing.T) {
 	f := NewV2FPR(100, 0.01)
 	f.Add([]byte("k"))
-	enc := f.Marshal()
+	enc := f.AppendTo(nil)
 	cases := map[string][]byte{
 		"empty":       {},
 		"short":       enc[:4],
@@ -154,18 +154,18 @@ func TestMayContainAllocFree(t *testing.T) {
 
 // FuzzBloomV2 is the house-style fuzzer (see internal/wire/fuzz_test.go):
 // split the input into keys, assert no false negatives against a map
-// oracle, and assert Marshal/UnmarshalV2 round-trips to an identical
+// oracle, and assert AppendTo/UnmarshalV2 round-trips to an identical
 // filter. Raw fuzz bytes are also fed straight to UnmarshalV2, which must
 // reject corruption with ErrCorruptFilter and never panic.
 func FuzzBloomV2(f *testing.F) {
 	f.Add([]byte("alpha\x00beta\x00gamma"), uint8(9))
 	f.Add([]byte{}, uint8(0))
 	f.Add(bytes.Repeat([]byte{0xab}, 300), uint8(64))
-	f.Add(NewV2FPR(10, 0.01).Marshal(), uint8(3))
+	f.Add(NewV2FPR(10, 0.01).AppendTo(nil), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		// Corrupt-input leg: arbitrary bytes must decode or error, never panic.
 		if g, err := UnmarshalV2(data); err == nil {
-			if !bytes.Equal(g.Marshal(), data) {
+			if !bytes.Equal(g.AppendTo(nil), data) {
 				t.Fatal("accepted encoding does not re-marshal identically")
 			}
 		} else if !errors.Is(err, ErrCorruptFilter) {
@@ -193,12 +193,12 @@ func FuzzBloomV2(f *testing.F) {
 				t.Fatalf("false negative for inserted key %x", k)
 			}
 		}
-		enc := filter.Marshal()
+		enc := filter.AppendTo(nil)
 		again, err := UnmarshalV2(enc)
 		if err != nil {
 			t.Fatalf("round trip unmarshal: %v", err)
 		}
-		if !bytes.Equal(again.Marshal(), enc) {
+		if !bytes.Equal(again.AppendTo(nil), enc) {
 			t.Fatal("marshal round trip not identity")
 		}
 		for k := range oracle {

@@ -4,7 +4,9 @@
 // bulk-loaded once at flush/merge time and never modified afterwards.
 //
 // Layout: leaf pages first (file pages 0..L-1, so a full scan is a pure
-// sequential read), then internal levels bottom-up, then one meta page.
+// sequential read), then internal levels bottom-up, then the pages of the
+// component's filter when it has one (FinishWithFilter), then one meta page
+// that records where the root and the filter are.
 // Every leaf knows the ordinal (rank) of its first entry, giving each entry
 // a stable position used by the immutable and mutable bitmaps of Sections 4
 // and 5.
@@ -262,15 +264,31 @@ func (b *Builder) internalFits(routes []routeEntry) int {
 	return len(routes)
 }
 
-// Finish flushes remaining data, writes internal levels and the meta page,
-// and opens a Reader over the completed tree. A failed Finish deletes the
-// file, as Abort does. Either way b goes back to the free list.
-func (b *Builder) Finish() (*Reader, error) {
+// EncodedFilter is the key filter of a component, opaque to the tree:
+// FinishWithFilter writes its EncodedLen bytes into the file a page at a
+// time, each appended to the builder's page buffer by AppendEncoded.
+type EncodedFilter interface {
+	EncodedLen() int
+	// AppendEncoded appends bytes [off, off+n) of the encoding to dst.
+	AppendEncoded(dst []byte, off, n int) []byte
+}
+
+// Finish completes a tree that carries no filter; see FinishWithFilter.
+func (b *Builder) Finish() (*Reader, error) { return b.FinishWithFilter(nil) }
+
+// FinishWithFilter flushes remaining data, writes the internal levels, then
+// filter's encoding (when filter is non-nil) as the file's next pages, cut
+// at the page size, and last the meta page, which records the filter's
+// first page and length (Reader.AppendFilter reads it back). Without a
+// filter the meta page is the one Finish writes. It opens a Reader over the
+// completed tree. A failed finish deletes the file, as Abort does. Either
+// way b goes back to the free list.
+func (b *Builder) FinishWithFilter(filter EncodedFilter) (*Reader, error) {
 	if b.done {
 		return nil, errors.New("btree: builder already finished")
 	}
 	b.done = true
-	r, err := b.finish()
+	r, err := b.finish(filter)
 	if err != nil {
 		b.store.Delete(b.file)
 	}
@@ -278,7 +296,7 @@ func (b *Builder) Finish() (*Reader, error) {
 	return r, err
 }
 
-func (b *Builder) finish() (*Reader, error) {
+func (b *Builder) finish(filter EncodedFilter) (*Reader, error) {
 	if err := b.flushLeaf(); err != nil {
 		return nil, err
 	}
@@ -326,12 +344,31 @@ func (b *Builder) finish() (*Reader, error) {
 			height = level
 		}
 	}
-	// meta page: type(1) count(8) root(4) height(2) numLeaves(4)
+	filterPage, filterLen := 0, 0
+	if filter != nil {
+		filterLen = filter.EncodedLen()
+	}
+	for off := 0; off < filterLen; off += b.pageSize {
+		page := filter.AppendEncoded(b.page[:0], off, min(filterLen-off, b.pageSize))
+		pg, err := b.store.AppendPage(b.file, page)
+		if err != nil {
+			return nil, err
+		}
+		if off == 0 {
+			filterPage = pg
+		}
+	}
+	// meta page: type(1) count(8) root(4) height(2) numLeaves(4), then,
+	// when the file carries a filter, filterPage(4) filterLen(4)
 	meta := append(b.page[:0], pageMeta)
 	meta = binary.BigEndian.AppendUint64(meta, uint64(b.count))
 	meta = binary.BigEndian.AppendUint32(meta, rootPage)
 	meta = binary.BigEndian.AppendUint16(meta, uint16(height))
 	meta = binary.BigEndian.AppendUint32(meta, uint32(numLeaves))
+	if filterLen > 0 {
+		meta = binary.BigEndian.AppendUint32(meta, uint32(filterPage))
+		meta = binary.BigEndian.AppendUint32(meta, uint32(filterLen))
+	}
 	if _, err := b.store.AppendPage(b.file, meta); err != nil {
 		return nil, err
 	}

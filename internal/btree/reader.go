@@ -24,7 +24,17 @@ type Reader struct {
 	numLeaves int
 	count     int64
 	numPages  int
+	// filterPage and filterLen locate the component's filter pages (see
+	// Builder.FinishWithFilter); filterLen is 0 when the file carries none.
+	filterPage int
+	filterLen  int
 }
+
+// Meta page sizes: without a filter, and with one.
+const (
+	metaSize       = 19
+	metaFilterSize = metaSize + 8
+)
 
 // Open reads the meta page of a completed tree.
 func Open(store *storage.Store, file storage.FileID) (*Reader, error) {
@@ -41,10 +51,10 @@ func Open(store *storage.Store, file storage.FileID) (*Reader, error) {
 	}
 	defer store.Unpin(f)
 	meta := f.Data
-	if len(meta) < 19 || meta[0] != pageMeta {
+	if len(meta) < metaSize || meta[0] != pageMeta {
 		return nil, ErrCorrupt
 	}
-	return &Reader{
+	r := &Reader{
 		store:     store,
 		env:       store.Env(),
 		file:      file,
@@ -53,7 +63,37 @@ func Open(store *storage.Store, file storage.FileID) (*Reader, error) {
 		height:    int(binary.BigEndian.Uint16(meta[13:])),
 		numLeaves: int(binary.BigEndian.Uint32(meta[15:])),
 		numPages:  n,
-	}, nil
+	}
+	if len(meta) >= metaFilterSize {
+		r.filterPage = int(binary.BigEndian.Uint32(meta[metaSize:]))
+		r.filterLen = int(binary.BigEndian.Uint32(meta[metaSize+4:]))
+	}
+	return r, nil
+}
+
+// AppendFilter appends the filter the file carries (Builder.
+// FinishWithFilter) to dst, and returns dst unchanged when it carries none.
+// The pages are read as a merge reads its inputs (Store.ReadStreamed):
+// charged like a cold scan and never cached. Pages that do not add up to
+// the recorded length are ErrCorrupt.
+func (r *Reader) AppendFilter(dst []byte) ([]byte, error) {
+	want := len(dst) + r.filterLen
+	var w storage.Window
+	for p := r.filterPage; len(dst) < want; p++ {
+		if p >= r.numPages-1 { // the last page is the meta page
+			return dst, ErrCorrupt
+		}
+		f, err := r.store.ReadStreamed(r.file, p, &w)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, f.Data...)
+		r.store.Unpin(f)
+	}
+	if len(dst) != want {
+		return dst, ErrCorrupt
+	}
+	return dst, nil
 }
 
 // Rebind switches the reader onto another store view of the same disk
@@ -78,7 +118,8 @@ func (r *Reader) CloneFor(store *storage.Store) *Reader {
 // NumEntries returns the number of entries in the tree.
 func (r *Reader) NumEntries() int64 { return r.count }
 
-// SizeBytes approximates the on-disk size of the tree.
+// SizeBytes approximates the on-disk size of the file: the tree and the
+// filter pages it carries.
 func (r *Reader) SizeBytes() int64 { return int64(r.numPages) * int64(r.store.PageSize()) }
 
 // FileID returns the backing file.

@@ -144,8 +144,8 @@ type Config struct {
 	BloomFPR float64
 	// Bloom selects the filter variant of the primary and pk-index trees:
 	// the paper's Standard (default) or Blocked (Section 3.2) cost-model
-	// variants, or the runtime split-block bloom.KindV2, which persists in
-	// the manifest so reopen skips the rebuild-by-scan.
+	// variants, or the runtime split-block bloom.KindV2, which is written
+	// into each component's file so reopen skips the rebuild-by-scan.
 	Bloom bloom.Kind
 	// DisableWAL turns off write-ahead logging (benchmarks that measure
 	// pure ingestion I/O).
@@ -220,12 +220,24 @@ type Dataset struct {
 	dsLock *datasetLock
 	log    *wal.Log
 
+	// trees lists every LSM index under its manifest name: the primary,
+	// the pk index when there is one, then the secondaries.
+	trees []namedTree
+
 	// persistMu serializes manifest saves, so a later component-list
 	// snapshot is never overwritten by an earlier one, and the unlinks that
-	// follow them. named, under it, is the file set of the durable manifest
-	// (nil on a non-durable device): a retired file in it must wait.
+	// follow them. Under it: named is the file set of the durable manifest
+	// (nil on a non-durable device), where a retired file must wait;
+	// naming is the set the save in progress fills, swapped with named
+	// once it is durable. manifest, comps and retired are the saves'
+	// reused scratch: the record, one tree's component list and one
+	// tree's retired files.
 	persistMu sync.Mutex
 	named     map[storage.FileID]bool
+	naming    map[storage.FileID]bool
+	manifest  []byte
+	comps     []*lsm.Component
+	retired   []storage.FileID
 	// unsafeEarlyUnlink and unsafeEarlyCut re-arm ordering bugs for the
 	// simulation corpus; see SetUnsafeReclaimBeforePersist.
 	unsafeEarlyUnlink, unsafeEarlyCut atomic.Bool
@@ -283,6 +295,9 @@ func Open(cfg Config) (*Dataset, error) {
 	for _, s := range cfg.Secondaries {
 		if s.Name == "" || s.Name == manifestPrimary || s.Name == manifestPKIndex {
 			return nil, fmt.Errorf("core: secondary index name %q is empty or reserved", s.Name)
+		}
+		if len(s.Name) > maxTreeName {
+			return nil, fmt.Errorf("core: secondary index name of %d bytes is longer than the manifest's %d", len(s.Name), maxTreeName)
 		}
 		if seenNames[s.Name] {
 			return nil, fmt.Errorf("core: duplicate secondary index name %q", s.Name)
@@ -351,6 +366,13 @@ func Open(cfg Config) (*Dataset, error) {
 			si.memDeleted = make(map[string]int64)
 		}
 		d.secondaries = append(d.secondaries, si)
+	}
+	d.trees = append(d.trees, namedTree{name: manifestPrimary, tree: d.primary})
+	if d.pkIndex != nil {
+		d.trees = append(d.trees, namedTree{name: manifestPKIndex, tree: d.pkIndex, sharedValid: mutable})
+	}
+	for _, si := range d.secondaries {
+		d.trees = append(d.trees, namedTree{name: si.Spec.Name, tree: si.Tree})
 	}
 	// On a durable device, restore a previous session's components and drop
 	// files a crash left unreferenced. Then open the log over the device's
@@ -452,14 +474,14 @@ func (d *Dataset) ReclaimStats() (walBytes, componentBytes int64, retiredFiles i
 	if d.log != nil {
 		walBytes = d.log.Bytes()
 	}
-	for _, tr := range d.allTrees() {
-		for _, c := range tr.Components() {
+	for _, nt := range d.trees {
+		for _, c := range nt.tree.Components() {
 			componentBytes += c.SizeBytes()
 			if c.DeletedKeys != nil {
 				componentBytes += c.DeletedKeys.SizeBytes()
 			}
 		}
-		retiredFiles += tr.RetiredFiles()
+		retiredFiles += nt.tree.RetiredFiles()
 	}
 	return walBytes, componentBytes, retiredFiles
 }
@@ -485,18 +507,6 @@ func (d *Dataset) memBytes() int {
 		si.mu.Unlock()
 	}
 	return total
-}
-
-// allTrees lists every LSM index of the dataset.
-func (d *Dataset) allTrees() []*lsm.Tree {
-	trees := []*lsm.Tree{d.primary}
-	if d.pkIndex != nil {
-		trees = append(trees, d.pkIndex)
-	}
-	for _, si := range d.secondaries {
-		trees = append(trees, si.Tree)
-	}
-	return trees
 }
 
 // freezeMemDeleted swaps out the accumulator and parks it on pendingDeleted,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/kv"
@@ -71,6 +72,10 @@ func TestOpenRejectsBadConfigs(t *testing.T) {
 	}
 	if _, err := Open(Config{Store: store, MemoryBudget: memtable.MaxBudget + 1}); err == nil {
 		t.Fatal("a budget past what a memtable's references address must fail")
+	}
+	long := SecondarySpec{Name: strings.Repeat("x", maxTreeName+1), Extract: recLocation}
+	if _, err := Open(Config{Store: store, Secondaries: []SecondarySpec{long}}); err == nil {
+		t.Fatal("a secondary name longer than the manifest can record must fail")
 	}
 }
 

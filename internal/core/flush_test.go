@@ -24,9 +24,9 @@ func TestFlushAllEmptyUniform(t *testing.T) {
 			if got := d.epoch.Load(); got != 0 {
 				t.Fatalf("empty flush consumed epoch %d", got)
 			}
-			for _, tr := range d.allTrees() {
-				if n := tr.NumDiskComponents(); n != 0 {
-					t.Fatalf("%s: %d components after empty flush", tr.Name(), n)
+			for _, nt := range d.trees {
+				if n := nt.tree.NumDiskComponents(); n != 0 {
+					t.Fatalf("%s: %d components after empty flush", nt.name, n)
 				}
 			}
 

@@ -59,9 +59,8 @@ func TestMaintJournalObservationalOnly(t *testing.T) {
 		t.Fatalf("counts diverge: off %d/%d on %d/%d",
 			off.IngestedCount(), off.IgnoredCount(), on.IngestedCount(), on.IgnoredCount())
 	}
-	onTrees := on.allTrees()
-	for i, tr := range off.allTrees() {
-		want, got := treeImage(t, tr), treeImage(t, onTrees[i])
+	for i, nt := range off.trees {
+		want, got := treeImage(t, nt.tree), treeImage(t, on.trees[i].tree)
 		if len(want) < 2 {
 			t.Fatalf("setup: tree %d is empty", i)
 		}

@@ -88,8 +88,8 @@ func (d *Dataset) Recover() error {
 // below it are covered and need no replay.
 func (d *Dataset) maxComponentTS() int64 {
 	maxTS := int64(-1)
-	for _, tr := range d.allTrees() {
-		for _, c := range tr.Components() {
+	for _, nt := range d.trees {
+		for _, c := range nt.tree.Components() {
 			if c.ID.MaxTS > maxTS {
 				maxTS = c.ID.MaxTS
 			}

@@ -306,9 +306,8 @@ func TestReplayMatchesLive(t *testing.T) {
 					t.Fatalf("setup: %d disk components with flushEvery=%d", n, flushEvery)
 				}
 
-				liveTrees, recTrees := live.allTrees(), recovered.allTrees()
-				for i, tr := range liveTrees {
-					want, got := memImage(tr), memImage(recTrees[i])
+				for i, nt := range live.trees {
+					want, got := memImage(nt.tree), memImage(recovered.trees[i].tree)
 					if len(want) == 0 {
 						t.Fatalf("setup: live memory component of tree %d is empty", i)
 					}
@@ -321,7 +320,7 @@ func TestReplayMatchesLive(t *testing.T) {
 							break
 						}
 					}
-					lc, rc := tr.Components(), recTrees[i].Components()
+					lc, rc := nt.tree.Components(), recovered.trees[i].tree.Components()
 					if len(lc) != len(rc) {
 						t.Fatalf("tree %d: %d components replayed, %d live", i, len(rc), len(lc))
 					}

@@ -15,7 +15,8 @@ var keySetFilter = Options{BloomFPR: 0.01, Bloom: bloom.KindStandard}
 
 // Builder writes one component file. It is the only code that turns entries
 // into component bytes: it encodes each payload, bulk-loads the B+-tree,
-// fills the Bloom filter, and hands the finished reader over from the
+// fills the Bloom filter — a bloom.V2 filter is written into the file,
+// after the tree's pages — and hands the finished reader over from the
 // maintenance lane to the foreground store. Flushes, merges, the primary-key-
 // index sibling of a Mutable-bitmap merge and deleted-key trees all build
 // through it.
@@ -121,8 +122,9 @@ func (b *Builder) Add(e kv.Entry) error {
 	return nil
 }
 
-// Finish completes the file and returns its reader, bound to the foreground
-// store, and its filter (nil when the tree builds none). A failed Finish
+// Finish completes the file — with its filter's pages when the filter is a
+// bloom.V2 — and returns its reader, bound to the foreground store, and its
+// filter (nil when the tree builds none). A failed Finish
 // leaves no file behind.
 func (b *Builder) Finish() (*btree.Reader, bloom.Filter, error) {
 	if b.err != nil {
@@ -130,7 +132,13 @@ func (b *Builder) Finish() (*btree.Reader, bloom.Filter, error) {
 		b.release()
 		return nil, nil, err
 	}
-	r, err := b.tree.Finish()
+	// Only the runtime filter is written into the file; the paper's
+	// cost-model variants stay in memory and are rebuilt at reopen.
+	var enc btree.EncodedFilter
+	if v2, ok := b.filter.(*bloom.V2); ok {
+		enc = v2
+	}
+	r, err := b.tree.FinishWithFilter(enc)
 	filter, read := b.filter, b.read
 	b.release()
 	if err != nil {

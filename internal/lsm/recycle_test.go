@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bloom"
 	"repro/internal/kv"
 	"repro/internal/memtable"
 )
@@ -35,7 +36,8 @@ func pagesOf(c *Component) int64 { return c.BTree.SizeBytes() / buildPageSize }
 // the simulated device's copy of the page — plus a constant: the file with
 // its page table's growth, the Bloom filter, the reader and the Component
 // (and a merge's result and pinned view). Nothing else is per entry, page
-// or level.
+// or level, with the paper's filter or with a bloom.V2 filter, whose pages
+// the build writes into the file from the builder's page buffer.
 func TestWarmBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not checked under -race")
@@ -43,40 +45,42 @@ func TestWarmBuildAllocations(t *testing.T) {
 	const slack = 24
 	for _, n := range []int{1_000, 100_000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			tr, _ := newTestTree(t, buildPageSize, nil)
-			mem := memtable.New(1)
-			value := make([]byte, 100)
-			for i := range n {
-				mem.Put(kv.Entry{Key: key(i), Value: value, TS: int64(i)})
-			}
-			var pages int64
-			flush := func() {
-				comp, err := tr.BuildFrozen(mem, 1)
-				if err != nil {
-					t.Fatal(err)
+			for _, kind := range []bloom.Kind{bloom.KindStandard, bloom.KindV2} {
+				tr, _ := newTestTree(t, buildPageSize, func(o *Options) { o.Bloom = kind })
+				mem := memtable.New(1)
+				value := make([]byte, 100)
+				for i := range n {
+					mem.Put(kv.Entry{Key: key(i), Value: value, TS: int64(i)})
 				}
-				pages = pagesOf(comp)
-				tr.Discard(comp)
-			}
-			allocs := testing.AllocsPerRun(3, flush)
-			t.Logf("flush build: %d pages, %v objects", pages, allocs)
-			if allocs > float64(pages+slack) {
-				t.Errorf("a warm flush build of %d entries allocated %v objects for %d pages, want at most %d", n, allocs, pages, pages+slack)
-			}
+				var pages int64
+				flush := func() {
+					comp, err := tr.BuildFrozen(mem, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pages = pagesOf(comp)
+					tr.Discard(comp)
+				}
+				allocs := testing.AllocsPerRun(3, flush)
+				t.Logf("filter kind %d: flush build: %d pages, %v objects", kind, pages, allocs)
+				if allocs > float64(pages+slack) {
+					t.Errorf("filter kind %d: a warm flush build of %d entries allocated %v objects for %d pages, want at most %d", kind, n, allocs, pages, pages+slack)
+				}
 
-			fillComponents(t, tr, 4, n/4)
-			merge := func() {
-				res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 4, DropAnti: true})
-				if err != nil {
-					t.Fatal(err)
+				fillComponents(t, tr, 4, n/4)
+				merge := func() {
+					res, err := tr.Merge(MergeSpec{Lo: 0, Hi: 4, DropAnti: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					pages = pagesOf(res.Component)
+					tr.Discard(res.Component)
 				}
-				pages = pagesOf(res.Component)
-				tr.Discard(res.Component)
-			}
-			allocs = testing.AllocsPerRun(3, merge)
-			t.Logf("merge of 4: %d pages, %v objects", pages, allocs)
-			if allocs > float64(pages+slack) {
-				t.Errorf("a warm merge of 4 components allocated %v objects for %d pages, want at most %d", allocs, pages, pages+slack)
+				allocs = testing.AllocsPerRun(3, merge)
+				t.Logf("filter kind %d: merge of 4: %d pages, %v objects", kind, pages, allocs)
+				if allocs > float64(pages+slack) {
+					t.Errorf("filter kind %d: a warm merge of 4 components allocated %v objects for %d pages, want at most %d", kind, allocs, pages, pages+slack)
+				}
 			}
 		})
 	}

@@ -12,8 +12,8 @@ import (
 
 // RestoredComponent is one persisted disk-component image read back from a
 // durable device's manifest at reopen time. File contents (the bulk-loaded
-// B+-tree pages) live on the device; this struct carries the in-memory
-// metadata that the manifest persists alongside them.
+// B+-tree pages and a bloom.V2 filter's pages) live on the device; this
+// struct carries the metadata that the manifest persists alongside them.
 type RestoredComponent struct {
 	ID                 ID
 	EpochMin, EpochMax uint64
@@ -32,17 +32,12 @@ type RestoredComponent struct {
 	// DeletedKeysFile is the component's deleted-key B+-tree file
 	// (DeletedKey strategy); zero when none.
 	DeletedKeysFile storage.FileID
-	// Bloom is the component's marshalled bloom.V2 filter (nil when the
-	// tree does not use v2 filters, or for manifests written before
-	// filters were persisted). A missing or corrupt encoding is not an
-	// error: Restore falls back to rebuilding the filter by scan.
-	Bloom []byte
 }
 
 // Restore rebuilds the tree's disk-component list from persisted images,
 // oldest to newest: each component's B+-tree reader is reopened on the
-// tree's store and its persisted bloom.V2 filter decoded; a missing or
-// corrupt one (or another flavor) is rebuilt by a sequential scan of the
+// tree's store and the bloom.V2 filter its file carries decoded; a missing
+// or corrupt one (or another flavor) is rebuilt by a sequential scan of the
 // component's keys. Restore must run before the tree serves traffic; it
 // replaces any existing disk components. It returns the installed
 // components in list order so the caller can re-link cross-tree shared
@@ -71,13 +66,8 @@ func (t *Tree) Restore(images []RestoredComponent) ([]*Component, error) {
 		}
 		if t.opts.BloomFPR > 0 {
 			var f bloom.Filter
-			if t.opts.Bloom == bloom.KindV2 && len(im.Bloom) > 0 {
-				// Persisted v2 filter: decode instead of scanning. Corrupt
-				// bytes degrade to the rebuild path below (self-healing on
-				// the next manifest write).
-				if v2, err := bloom.UnmarshalV2(im.Bloom); err == nil {
-					f = v2
-				}
+			if t.opts.Bloom == bloom.KindV2 {
+				f = readBloom(reader)
 			}
 			if f == nil {
 				rebuilt, err := rebuildBloom(reader, t.opts)
@@ -107,11 +97,26 @@ func (t *Tree) Restore(images []RestoredComponent) ([]*Component, error) {
 	return comps, nil
 }
 
+// readBloom decodes the bloom.V2 filter r's file carries, or returns nil
+// when it carries none or its pages do not read back as one: the caller
+// then rebuilds the filter by scan.
+func readBloom(r *btree.Reader) bloom.Filter {
+	enc, err := r.AppendFilter(nil)
+	if err != nil || len(enc) == 0 {
+		return nil
+	}
+	v2, err := bloom.UnmarshalV2(enc)
+	if err != nil {
+		return nil
+	}
+	return v2
+}
+
 // rebuildBloom scans every key of a restored component (or deleted-key tree,
 // with keySetFilter) into a fresh Bloom filter of the configured flavor. The
 // cost-model variants live only in memory, so this scan is their normal
-// reopen price; v2 trees reach here only when the manifest carries no (or a
-// corrupt) persisted filter.
+// reopen price; v2 trees reach here only when the component file carries no
+// (or a corrupt) filter.
 func rebuildBloom(r *btree.Reader, opts Options) (bloom.Filter, error) {
 	filter, add := newFilter(opts, int(r.NumEntries()))
 	if filter == nil {

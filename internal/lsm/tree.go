@@ -28,9 +28,10 @@ type Options struct {
 	// BloomFPR, when positive, attaches a Bloom filter with this target
 	// false-positive rate to every disk component (the paper uses 1%).
 	BloomFPR float64
-	// Bloom selects the filter variant. Only bloom.KindV2 filters marshal
-	// into the durable manifest (RestoredComponent.Bloom), so reopen skips
-	// the rebuild-by-scan the paper's in-memory-only variants pay.
+	// Bloom selects the filter variant. Only bloom.KindV2 filters are
+	// written into their component's file (Builder.Finish), so reopen
+	// reads them back and skips the rebuild-by-scan the paper's
+	// in-memory-only variants pay.
 	Bloom bloom.Kind
 	// FilterExtract extracts the range-filter key from an entry, or reports
 	// false when the entry carries none (anti-matter). Nil disables
@@ -164,15 +165,16 @@ func (t *Tree) unref(rs *readState) {
 	}
 }
 
-// TakeRetired hands over the files of components that no read state lists
-// any more. The caller deletes them once the manifest that no longer names
-// them is durable (or gives them back with Retire when it is not).
-func (t *Tree) TakeRetired() []storage.FileID {
+// TakeRetired appends the files of components that no read state lists any
+// more to dst and empties the queue, keeping its capacity. The caller
+// deletes them once the manifest that no longer names them is durable (or
+// gives them back with Retire when it is not).
+func (t *Tree) TakeRetired(dst []storage.FileID) []storage.FileID {
 	t.retMu.Lock()
 	defer t.retMu.Unlock()
-	ids := t.retired
-	t.retired = nil
-	return ids
+	dst = append(dst, t.retired...)
+	t.retired = t.retired[:0]
+	return dst
 }
 
 // Retire queues files for a later TakeRetired.
@@ -219,10 +221,14 @@ func (t *Tree) Mem() *memtable.Table {
 // Components returns a snapshot of the disk components, oldest to newest.
 // It pins nothing: maintenance uses it to pick and locate merge inputs;
 // anything that reads the components' files goes through ReadView.
-func (t *Tree) Components() []*Component {
+func (t *Tree) Components() []*Component { return t.AppendComponents(nil) }
+
+// AppendComponents is Components appending to dst, for a caller that reuses
+// one slice from snapshot to snapshot.
+func (t *Tree) AppendComponents(dst []*Component) []*Component {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([]*Component(nil), t.cur.disk...)
+	return append(dst, t.cur.disk...)
 }
 
 // ReadView pins the tree's read sources: one atomic add under the read

@@ -53,7 +53,7 @@ func TestViewPinsMergedAwayComponents(t *testing.T) {
 	}
 
 	mergeAll(t, tr)
-	if got := tr.TakeRetired(); len(got) != 0 || retires != 0 {
+	if got := tr.TakeRetired(nil); len(got) != 0 || retires != 0 {
 		t.Fatalf("retired %v (%d callbacks) while two views pin the inputs", got, retires)
 	}
 	if tr.RetiredFiles() != 3 {
@@ -70,7 +70,7 @@ func TestViewPinsMergedAwayComponents(t *testing.T) {
 	}
 
 	view.Release()
-	if got := tr.TakeRetired(); len(got) != 0 {
+	if got := tr.TakeRetired(nil); len(got) != 0 {
 		t.Fatalf("retired %v while one view still pins the inputs", got)
 	}
 	second.Release()
@@ -79,7 +79,7 @@ func TestViewPinsMergedAwayComponents(t *testing.T) {
 			t.Fatalf("the last release deleted file %d itself; it may only queue it", id)
 		}
 	}
-	got := tr.TakeRetired()
+	got := tr.TakeRetired(nil)
 	slices.Sort(got)
 	if !slices.Equal(got, pinned) || retires != 1 || tr.RetiredFiles() != 0 {
 		t.Fatalf("retired %v (%d callbacks, %d owed), want %v once", got, retires, tr.RetiredFiles(), pinned)
@@ -141,13 +141,13 @@ func TestViewsUnderConcurrentMerges(t *testing.T) {
 			t.Fatal(err)
 		}
 		mergeAll(t, tr)
-		for _, id := range tr.TakeRetired() { // the dataset's job: unlink what no view lists
+		for _, id := range tr.TakeRetired(nil) { // the dataset's job: unlink what no view lists
 			store.Delete(id)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	for _, id := range tr.TakeRetired() {
+	for _, id := range tr.TakeRetired(nil) {
 		store.Delete(id)
 	}
 	if owed, files := tr.RetiredFiles(), store.Device().List(); owed != 0 || len(files) != 1 {

@@ -28,7 +28,6 @@ package memtable
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/kv"
@@ -92,7 +91,7 @@ const MaxBudget = 2 << 30
 type Table struct {
 	mu     sync.RWMutex
 	height int
-	rng    *rand.Rand
+	rng    uint64 // splitmix64 state of the tower heights
 	count  int
 	bytes  int
 
@@ -119,16 +118,24 @@ type Table struct {
 func New(seed int64) *Table {
 	return &Table{
 		height: 1,
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    uint64(seed),
 		minTS:  -1,
 		maxTS:  -1,
 	}
 }
 
+// randomHeight draws a tower height, each level above the first with
+// probability 1/4, from one splitmix64 step: two bits per level.
 func (t *Table) randomHeight() int {
+	t.rng += 0x9e3779b97f4a7c15
+	z := t.rng
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
 	h := 1
-	for h < maxHeight && t.rng.Intn(4) == 0 {
+	for h < maxHeight && z&3 == 0 {
 		h++
+		z >>= 2
 	}
 	return h
 }

@@ -98,7 +98,8 @@ type Durable interface {
 	// completed page append (and log append) is made durable first, then
 	// the manifest replaces the previous one atomically, so a crash leaves
 	// either the old or the new manifest — never a mix — and every file the
-	// surviving one references is durable.
+	// surviving one references is durable. The caller reuses data once the
+	// call returns, so a device keeps no reference to it.
 	SaveManifest(data []byte) error
 	// LoadManifest returns the manifest written by a previous session, or
 	// (nil, nil) when none exists.

@@ -99,6 +99,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -154,7 +155,9 @@ func (f *file) extent(p int) (off int64, n int) {
 // Device is a storage.Durable backed by real files under a data directory.
 // All methods are safe for concurrent use.
 type Device struct {
-	dir     string
+	dir string
+	// base is what filepath.Join(dir, name) puts in front of a file name.
+	base    string
 	profile storage.Profile
 
 	// counters, when attached, feed the WAL-durability event counts
@@ -180,6 +183,7 @@ type Device struct {
 	dirf         *os.File // the data directory, held open for its fsyncs
 	closed       bool
 	freeRuns     [][]byte // written runs kept for reuse, at most maxFreeRuns
+	recentPages  [4]int   // page counts of the last files created, for Create
 }
 
 // AttachCounters wires the device's WAL-durability events (fsync counts)
@@ -220,6 +224,7 @@ func Open(dir string, profile storage.Profile) (*Device, error) {
 		lock:    lock,
 		dirf:    dirf,
 		dir:     dir,
+		base:    deviceBase(dir),
 		profile: profile,
 		files:   make(map[storage.FileID]*file),
 		nextID:  1,
@@ -288,19 +293,42 @@ func (d *Device) Profile() storage.Profile { return d.profile }
 // PageSize returns the page size in bytes.
 func (d *Device) PageSize() int { return d.profile.PageSize }
 
+// deviceBase returns what filepath.Join(dir, name) puts in front of name.
+func deviceBase(dir string) string {
+	return strings.TrimSuffix(filepath.Join(dir, "_"), "_")
+}
+
+// compPath is filepath.Join(d.dir, ComponentFileName(id)), built in one
+// allocation.
 func (d *Device) compPath(id storage.FileID) string {
-	return filepath.Join(d.dir, ComponentFileName(id))
+	var buf [256]byte
+	return string(appendName(append(buf[:0], d.base...), compPrefix, uint64(id), compSuffix))
 }
 
 // ComponentFileName is the name of component file id inside a data
 // directory; WALSegmentName that of log segment seq. Crash-image builders
 // and tests name files through these, so the layout is spelled in one place.
 func ComponentFileName(id storage.FileID) string {
-	return fmt.Sprintf("%s%08d%s", compPrefix, uint64(id), compSuffix)
+	var buf [32]byte
+	return string(appendName(buf[:0], compPrefix, uint64(id), compSuffix))
 }
 
 func WALSegmentName(seq uint64) string {
-	return fmt.Sprintf("%s%08d%s", walPrefix, seq, walSuffix)
+	var buf [32]byte
+	return string(appendName(buf[:0], walPrefix, seq, walSuffix))
+}
+
+// appendName appends prefix, n in decimal zero-padded to eight digits (as
+// %08d prints it; a wider n keeps all its digits), and suffix to dst.
+func appendName(dst []byte, prefix string, n uint64, suffix string) []byte {
+	dst = append(dst, prefix...)
+	var digits [20]byte
+	num := strconv.AppendUint(digits[:0], n, 10)
+	for range 8 - len(num) {
+		dst = append(dst, '0')
+	}
+	dst = append(dst, num...)
+	return append(dst, suffix...)
 }
 
 // Create allocates a new empty component file.
@@ -319,7 +347,14 @@ func (d *Device) Create() storage.FileID {
 		d.files[id] = &file{f: nil}
 		return id
 	}
-	d.files[id] = &file{f: f, dirty: true}
+	// The page table is sized once, rather than grown page by page: for as
+	// many pages as the largest of the last few files created holds. A
+	// flush creates a file per index, the largest first, and the next
+	// flush's come out about as large.
+	if prev, ok := d.files[id-1]; ok {
+		d.recentPages[id%storage.FileID(len(d.recentPages))] = len(prev.offs)
+	}
+	d.files[id] = &file{f: f, dirty: true, offs: make([]int64, 0, slices.Max(d.recentPages[:]))}
 	d.dirDirty = true
 	return id
 }
@@ -619,7 +654,10 @@ func (d *Device) closeAllLocked() error {
 var errWALBroken = errors.New("filedev: WAL is poisoned by an earlier failed append")
 
 // walPath names the file of segment seq.
-func (d *Device) walPath(seq uint64) string { return filepath.Join(d.dir, WALSegmentName(seq)) }
+func (d *Device) walPath(seq uint64) string {
+	var buf [256]byte
+	return string(appendName(append(buf[:0], d.base...), walPrefix, seq, walSuffix))
+}
 
 // AppendWAL appends encoded log records to the live segment, unsynced: the
 // commit group's SyncWAL makes them durable. A failed write means the

@@ -415,3 +415,34 @@ func TestWALAppendLoad(t *testing.T) {
 		t.Fatalf("LoadWAL after rotate+drop = %q", got)
 	}
 }
+
+// TestFileNamesMatchPrintf: component and log segment names, and the paths
+// the device opens, are byte for byte what fmt's %08d and filepath.Join
+// give, IDs wider than eight digits and unclean directories included.
+func TestFileNamesMatchPrintf(t *testing.T) {
+	ids := []uint64{0, 1, 7, 42, 9999999, 12345678, 99999999, 100000000, 123456789012, 1<<64 - 1}
+	dirs := []string{"", "/", "data", "data/", "./data/shard-0000", "/a//b/../c", strings.Repeat("long-directory/", 20)}
+	for _, id := range ids {
+		if got, want := ComponentFileName(storage.FileID(id)), fmt.Sprintf("c%08d.lsm", id); got != want {
+			t.Errorf("ComponentFileName(%d) = %q, want %q", id, got, want)
+		}
+		if got, want := WALSegmentName(id), fmt.Sprintf("wal-%08d.log", id); got != want {
+			t.Errorf("WALSegmentName(%d) = %q, want %q", id, got, want)
+		}
+		for _, dir := range dirs {
+			d := &Device{dir: dir, base: deviceBase(dir)}
+			if got, want := d.compPath(storage.FileID(id)), filepath.Join(dir, fmt.Sprintf("c%08d.lsm", id)); got != want {
+				t.Errorf("compPath(%q, %d) = %q, want %q", dir, id, got, want)
+			}
+			if got, want := d.walPath(id), filepath.Join(dir, fmt.Sprintf("wal-%08d.log", id)); got != want {
+				t.Errorf("walPath(%q, %d) = %q, want %q", dir, id, got, want)
+			}
+		}
+	}
+	d := &Device{dir: "data", base: deviceBase("data")}
+	if n := testing.AllocsPerRun(100, func() { pathSink = d.compPath(12345) }); n != 1 && !raceEnabled {
+		t.Errorf("compPath allocated %v objects, want 1", n)
+	}
+}
+
+var pathSink string

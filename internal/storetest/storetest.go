@@ -10,7 +10,6 @@ package storetest
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -20,7 +19,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/storage"
+	"repro/internal/core"
 	"repro/internal/storage/filedev"
 	"repro/internal/workload"
 	"repro/lsmstore"
@@ -234,24 +233,13 @@ func namedFilesPresent(manifest []byte, dir string) bool {
 	if manifest == nil {
 		return true
 	}
-	var m struct {
-		Trees []struct {
-			Components []struct{ File, DeletedKeysFile uint64 }
-		}
-	}
-	if json.Unmarshal(manifest, &m) != nil {
+	files, err := core.ManifestFiles(manifest)
+	if err != nil {
 		return false
 	}
-	for _, tr := range m.Trees {
-		for _, c := range tr.Components {
-			for _, id := range []uint64{c.File, c.DeletedKeysFile} {
-				if id == 0 {
-					continue
-				}
-				if _, err := os.Stat(filepath.Join(dir, filedev.ComponentFileName(storage.FileID(id)))); err != nil {
-					return false
-				}
-			}
+	for _, id := range files {
+		if _, err := os.Stat(filepath.Join(dir, filedev.ComponentFileName(id))); err != nil {
+			return false
 		}
 	}
 	return true

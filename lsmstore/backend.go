@@ -20,21 +20,31 @@ const layoutName = "layout.json"
 
 type layout struct {
 	// Format numbers the on-disk encodings under the shard directories
-	// (today: the write-ahead log's record layout, package wal, and the
-	// component file layout, package filedev). A directory stamped with
-	// another number, or none, is refused: its log segments would not decode
-	// as corrupt-and-reportable but as an empty torn tail, and a format-1
+	// (today: the write-ahead log's record layout, package wal, the
+	// component file layout, packages filedev and btree, and the manifest
+	// record, package core). A directory stamped with another number, or
+	// none, is refused: its log segments would not decode as
+	// corrupt-and-reportable but as an empty torn tail, a format-1
 	// component file's slot padding would read as a torn tail after its
-	// first page that is not full.
+	// first page that is not full, and a format-2 manifest is JSON.
 	Format   int
 	Shards   int
 	PageSize int
 }
 
 // layoutFormat is the Format this build reads and writes. 1: one log record
-// per write. 2: component pages back to back. Directories from before the
-// field existed read as 0.
-const layoutFormat = 2
+// per write. 2: component pages back to back. 3: each component file
+// carries its Bloom filter, and the manifest is a checksummed binary
+// record. Directories from before the field existed read as 0.
+const layoutFormat = 3
+
+// formatNames says what an older Format's directory holds, so the refusal
+// names it.
+var formatNames = map[int]string{
+	0: "from before formats were numbered",
+	1: "component pages in fixed slots",
+	2: "Bloom filters in a JSON manifest",
+}
 
 // shardDir returns shard i's subdirectory of a file-backed store.
 func shardDir(dir string, i int) string {
@@ -61,8 +71,12 @@ func checkLayout(opts Options) error {
 			return fmt.Errorf("lsmstore: corrupt %s: %w", layoutName, err)
 		}
 		if have.Format != want.Format {
-			return fmt.Errorf("lsmstore: directory %s is in on-disk format %d, this build reads and writes format %d only",
-				opts.Dir, have.Format, want.Format)
+			name := formatNames[have.Format]
+			if name == "" {
+				name = "unknown to this build"
+			}
+			return fmt.Errorf("lsmstore: directory %s is in on-disk format %d (%s), this build reads and writes format %d only",
+				opts.Dir, have.Format, name, want.Format)
 		}
 		if have != want {
 			return fmt.Errorf("lsmstore: directory %s was written as %+v, reopened as %+v", opts.Dir, have, want)

@@ -754,14 +754,47 @@ func TestFileBackendRefusesOtherFormat(t *testing.T) {
 		}
 	}
 
+	// jsonManifest flushes the acknowledged upsert into components and
+	// rewrites every shard's MANIFEST as format 2 wrote it: a JSON document
+	// carrying each component's Bloom filter, base64-encoded.
+	jsonManifest := func(t *testing.T, dir string) {
+		db, err := lsmstore.Open(diskOptions(lsmstore.Validation, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Upsert(tweetPK(1), tweetRec(1, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "shard-*", "MANIFEST"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no manifest to rewrite (%v)", err)
+		}
+		doc := fmt.Sprintf(`{"Version":1,"Strategy":"validation","PageSize":%v,"Epoch":1,"Clock":1,`+
+			`"Trees":[{"Name":"primary","Components":[{"File":1,"MinTS":1,"MaxTS":1,"EpochMin":1,"EpochMax":1,"Bloom":"YmZ2Mg=="}]}]}`,
+			readLayout(t, dir)["PageSize"])
+		for _, path := range paths {
+			if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
 	for _, c := range []struct {
 		name  string
 		plant func(*testing.T, string) // what a directory of that format holds
 		stamp func(map[string]any)
+		names string // what the refusal says the directory holds
 	}{
-		{"no format number", twoRecordLog, func(l map[string]any) { delete(l, "Format") }},
-		{"format 1 (fixed slots)", fixedSlots, func(l map[string]any) { l["Format"] = 1 }},
-		{"a later format", twoRecordLog, func(l map[string]any) { l["Format"] = 99 }},
+		{"no format number", twoRecordLog, func(l map[string]any) { delete(l, "Format") }, "before formats were numbered"},
+		{"format 1 (fixed slots)", fixedSlots, func(l map[string]any) { l["Format"] = 1 }, "fixed slots"},
+		{"format 2 (filters in a JSON manifest)", jsonManifest, func(l map[string]any) { l["Format"] = 2 }, "Bloom filters in a JSON manifest"},
+		{"a later format", twoRecordLog, func(l map[string]any) { l["Format"] = 99 }, "unknown to this build"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -784,8 +817,8 @@ func TestFileBackendRefusesOtherFormat(t *testing.T) {
 				re.Close()
 				t.Fatalf("a directory in another format opened (its acknowledged write found=%v)", found)
 			}
-			if !strings.Contains(err.Error(), "on-disk format") {
-				t.Fatalf("the refusal does not name the format: %v", err)
+			if !strings.Contains(err.Error(), "on-disk format") || !strings.Contains(err.Error(), c.names) {
+				t.Fatalf("the refusal does not name the format (%q): %v", c.names, err)
 			}
 			if after := dirFiles(t, dir); !maps.Equal(after, before) {
 				t.Fatal("the refused open changed the directory")
