@@ -3,6 +3,7 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,29 +221,29 @@ func (c *Controller) releaseFunc(w int64) func() {
 }
 
 // grantLocked admits queued waiters in FIFO order while the budget has
-// room. Grants are channel closes — nothing here blocks under mu.
+// room. Grants are channel closes — nothing here blocks under mu. The
+// admitted prefix leaves the queue in one slices.Delete, which clears the
+// vacated slots: the queue keeps its capacity but no admitted waiter.
 func (c *Controller) grantLocked() {
-	for len(c.queue) > 0 {
-		w := c.queue[0]
+	n := 0
+	for _, w := range c.queue {
 		if c.inflight+w.weight > c.cfg.Budget {
-			return
+			break
 		}
-		c.queue = c.queue[1:]
 		c.inflight += w.weight
 		c.admitted.Add(1)
 		w.state = stateAdmitted
 		close(w.ready)
+		n++
 	}
+	c.queue = slices.Delete(c.queue, 0, n)
 }
 
 // removeWaiterLocked drops a waiter from the queue (deadline expiry).
 func (c *Controller) removeWaiterLocked(w *waiter) {
-	for i, q := range c.queue {
-		if q == w {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			w.state = stateShed
-			return
-		}
+	if i := slices.Index(c.queue, w); i >= 0 {
+		c.queue = slices.Delete(c.queue, i, i+1)
+		w.state = stateShed
 	}
 }
 

@@ -258,3 +258,66 @@ func TestSnapshotShedTotal(t *testing.T) {
 		t.Fatalf("Shed() = %d, want 3", got)
 	}
 }
+
+// queueSlots returns the capacity of c's queue and how many of its slots,
+// up to that capacity, still reference a waiter.
+func queueSlots(c *Controller) (capacity, held int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range c.queue[:cap(c.queue)] {
+		if w != nil {
+			held++
+		}
+	}
+	return cap(c.queue), held
+}
+
+// TestDequeuedWaitersLeaveTheQueue pins that neither an admitted waiter nor
+// one shed by its deadline stays reachable from the queue's backing array
+// once it has left the queue: the queue keeps the slots its waiters used
+// (a queue popped by reslicing its front hides them instead, still
+// reachable) and every one of them is clear.
+func TestDequeuedWaitersLeaveTheQueue(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration
+		release  bool // release the held budget, admitting every waiter
+	}{
+		{"admitted", 2 * time.Second, true},
+		{"shed", 20 * time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{Budget: 1, MaxQueue: 8, QueueDeadline: tc.deadline})
+			rel, err := c.Acquire(ClassRead)
+			if err != nil {
+				t.Fatalf("Acquire: %v", err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 3; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if r, err := c.Acquire(ClassRead); err == nil {
+						r()
+					} else if tc.release {
+						t.Errorf("queued acquire: %v", err)
+					}
+				}()
+				waitQueued(t, c, i+1)
+			}
+			if tc.release {
+				rel()
+			}
+			wg.Wait()
+			if !tc.release {
+				rel()
+			}
+			if s := c.Snapshot(); s.Queued != 0 {
+				t.Fatalf("%d waiters still queued", s.Queued)
+			}
+			if capacity, held := queueSlots(c); capacity < 3 || held != 0 {
+				t.Fatalf("the queue keeps %d slots, %d of them referencing a waiter that left it; want at least the 3 its waiters used, all clear", capacity, held)
+			}
+		})
+	}
+}

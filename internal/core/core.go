@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -247,6 +248,11 @@ type Dataset struct {
 	crashMu sync.Mutex
 	// maint is the flush pipeline's scheduling state over the pool.
 	maint *maintState
+	// pickComps and pickSizes are pickFor's reused scratch: one tree's
+	// component list and its sizes. Merge passes run one at a time per
+	// dataset (maintState.merging), so nothing shares them.
+	pickComps []*lsm.Component
+	pickSizes []int64
 	// bgEnv/bgStore are the background maintenance I/O lane: a clock of
 	// its own over the same disk, cache, cost model and counters. Flush
 	// builds and merges charge this lane — it is every tree's
@@ -532,11 +538,8 @@ func (si *SecondaryIndex) releasePendingDeleted(fd *frozenDeleted) {
 		return
 	}
 	si.mu.Lock()
-	for i, p := range si.pendingDeleted {
-		if p == fd {
-			si.pendingDeleted = append(si.pendingDeleted[:i:i], si.pendingDeleted[i+1:]...)
-			break
-		}
+	if i := slices.Index(si.pendingDeleted, fd); i >= 0 {
+		si.pendingDeleted = slices.Delete(si.pendingDeleted, i, i+1)
 	}
 	si.mu.Unlock()
 }

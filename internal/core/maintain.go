@@ -105,13 +105,17 @@ func (d *Dataset) mergeDue() (merged bool, err error) {
 	return merged, nil
 }
 
+// pickFor asks the merge policy for tr's next merge, over the sizes of its
+// components. It reuses the dataset's pick scratch and clears the component
+// list afterwards, so no merged-away component stays reachable through it.
 func (d *Dataset) pickFor(tr *lsm.Tree) (lsm.MergeCandidate, bool) {
-	comps := tr.Components()
-	sizes := make([]int64, len(comps))
-	for i, c := range comps {
-		sizes[i] = c.SizeBytes()
+	d.pickComps = tr.AppendComponents(d.pickComps[:0])
+	d.pickSizes = d.pickSizes[:0]
+	for _, c := range d.pickComps {
+		d.pickSizes = append(d.pickSizes, c.SizeBytes())
 	}
-	return d.cfg.Policy.Pick(sizes)
+	clear(d.pickComps)
+	return d.cfg.Policy.Pick(d.pickSizes)
 }
 
 // mergeCorrelated synchronizes merges across all of the dataset's indexes

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -129,6 +130,15 @@ func newMaintState(pool *maint.Pool) *maintState {
 	return m
 }
 
+// dequeueLocked removes pending[i]; the builder's pop and a refused
+// submit's unwind both go through it. slices.Delete clears the slot it
+// vacates at the tail, so the backing array never keeps a dequeued batch —
+// and with it a memory budget's worth of frozen memtables — reachable after
+// its install, and the queue keeps its capacity. m.mu must be held.
+func (m *maintState) dequeueLocked(i int) {
+	m.pending = slices.Delete(m.pending, i, i+1)
+}
+
 // ErrMaintenanceClosed reports a write against a store whose maintenance
 // pool was closed (the store was Closed).
 var ErrMaintenanceClosed = errors.New("core: maintenance pool is closed")
@@ -227,12 +237,9 @@ func (d *Dataset) freezeAndSchedule(checkBudget bool) {
 	}
 	if !m.pool.Submit(d.processOneBatch) {
 		m.mu.Lock()
-		for i, p := range m.pending {
-			if p == b {
-				m.pending = append(m.pending[:i:i], m.pending[i+1:]...)
-				m.frozen--
-				break
-			}
+		if i := slices.Index(m.pending, b); i >= 0 {
+			m.dequeueLocked(i)
+			m.frozen--
 		}
 		delete(m.byPKTable, b.pk)
 		m.setErrLocked(ErrMaintenanceClosed)
@@ -319,7 +326,7 @@ func (d *Dataset) processOneBatch() {
 	}
 	for len(m.pending) > 0 {
 		b := m.pending[0]
-		m.pending = m.pending[1:]
+		m.dequeueLocked(0)
 		m.building = true
 		m.mu.Unlock()
 
