@@ -43,7 +43,7 @@ func TestDeletedKeyMergeDropsObsoleteEntries(t *testing.T) {
 		t.Fatalf("setup: %d entries", total)
 	}
 
-	if err := d.mergeDeletedKeyRange(si, 0, 2); err != nil {
+	if _, err := d.mergeDeletedKeyRange(si, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	merged := si.Tree.Components()
@@ -75,7 +75,7 @@ func TestDeletedKeyMergeDropsObsoleteEntries(t *testing.T) {
 	if err := d.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.mergeDeletedKeyRange(si, 0, 2); err != nil {
+	if _, err := d.mergeDeletedKeyRange(si, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	merged = si.Tree.Components()

@@ -77,3 +77,44 @@ func TestMaintJournalObservationalOnly(t *testing.T) {
 		t.Fatalf("drained dataset reports active maintenance: %+v", sum)
 	}
 }
+
+// TestMergeJournalReportsBytes: a secondary merge that repairs (Validation
+// with merge repair) or filters by deleted keys (Deleted-key) is journaled
+// with its merged component's size, as a plain merge is, not as 0 bytes.
+func TestMergeJournalReportsBytes(t *testing.T) {
+	for _, v := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"validation/merge-repair", func(c *Config) { c.Strategy = Validation; c.MergeRepair = true }},
+		{"deleted-key", func(c *Config) { c.Strategy = DeletedKey }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			journal := obs.NewJournal(4096)
+			pool := maint.NewPool(0)
+			t.Cleanup(pool.Close)
+			d := newAsyncDataset(t, pool, func(c *Config) {
+				v.mutate(c)
+				c.Journal = obs.ShardJournal{J: journal}
+			})
+			driveReplayStream(t, d, 29, 3000, 0)
+			if err := d.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			merges := 0
+			for _, ev := range journal.Events() {
+				if ev.Kind != obs.JMerge.String() || ev.Tree != "location" {
+					continue
+				}
+				merges++
+				if ev.Bytes <= 0 || ev.Err != "" {
+					t.Fatalf("secondary merge journaled as %+v, want its output bytes", ev)
+				}
+			}
+			if merges == 0 {
+				t.Fatal("setup: the stream merged no secondary components")
+			}
+			t.Logf("%d secondary merges journaled with their bytes", merges)
+		})
+	}
+}

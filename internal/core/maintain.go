@@ -213,17 +213,15 @@ func (d *Dataset) mergeTreeRange(tr *lsm.Tree, lo, hi int, dropAnti bool) error 
 func (d *Dataset) mergeSecondaryRange(si *SecondaryIndex, lo, hi int) error {
 	switch {
 	case (d.cfg.Strategy == Validation || d.cfg.Strategy == MutableBitmap) && d.cfg.MergeRepair && d.pkIndex != nil:
-		// Byte sizes of repaired components are not surfaced by the repair
-		// package; the journal records the merge with bytes unknown (0).
 		op := d.cfg.Journal.Begin(obs.JMerge, si.Spec.Name)
-		err := repair.MergeRepair(si.Tree, d.pkIndex, lo, hi,
+		bytes, err := repair.MergeRepair(si.Tree, d.pkIndex, lo, hi,
 			repair.Options{UseBloom: d.cfg.RepairBloomOpt})
-		op.End(0, hi-lo, 1, err)
+		op.End(bytes, hi-lo, 1, err)
 		return err
 	case d.cfg.Strategy == DeletedKey:
 		op := d.cfg.Journal.Begin(obs.JMerge, si.Spec.Name)
-		err := d.mergeDeletedKeyRange(si, lo, hi)
-		op.End(0, hi-lo, 1, err)
+		bytes, err := d.mergeDeletedKeyRange(si, lo, hi)
+		op.End(bytes, hi-lo, 1, err)
 		return err
 	default:
 		return d.mergeTreeRange(si.Tree, lo, hi, lo == 0)
@@ -235,14 +233,15 @@ func (d *Dataset) mergeSecondaryRange(si *SecondaryIndex, lo, hi int) error {
 // the merge carries its primary key in its deleted-key B+-tree, and the new
 // component receives the union of the inputs' deleted-key trees. Each
 // deleted-key probe costs a point lookup, which is why this strategy's
-// merges are expensive (Section 4.1).
-func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
+// merges are expensive (Section 4.1). It returns the merged component's
+// size in bytes.
+func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) (int64, error) {
 	// Pinned: the merge probes and scans the inputs' deleted-key trees.
 	view := si.Tree.ReadView()
 	defer view.Release()
 	comps := view.Components
 	if lo < 0 || hi > len(comps) || lo >= hi {
-		return lsm.ErrBadMergeRange
+		return 0, lsm.ErrBadMergeRange
 	}
 	inputs := comps[lo:hi]
 	env := d.maintEnv()
@@ -290,14 +289,14 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) error {
 		},
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// Union the deleted-key trees into the merged component.
 	if err := d.unionDeletedKeys(res.Component, inputs); err != nil {
 		si.Tree.Discard(res.Component)
-		return err
+		return 0, err
 	}
-	return si.Tree.Install(res)
+	return res.Component.SizeBytes(), si.Tree.Install(res)
 }
 
 // unionDeletedKeys bulk-loads the union of the inputs' deleted-key trees,

@@ -119,9 +119,10 @@ type IterOptions struct {
 	Lo, Hi []byte // key range [lo, hi); nil = unbounded
 	// Components to include, oldest to newest. Required.
 	Components []*Component
-	// Flushing includes memory components frozen by in-flight flushes
-	// (oldest to newest) as sources newer than every disk component and
-	// older than Mem (see Tree.ReadView).
+	// Flushing includes memory components (oldest to newest) as sources
+	// newer than every disk component and older than Mem: those frozen by
+	// in-flight flushes (see Tree.ReadView), or any list of memtables (a
+	// filter scan passes its picked ones, the live one last).
 	Flushing []*memtable.Table
 	// Mem includes the given memory component as the newest source.
 	Mem *memtable.Table
@@ -130,8 +131,8 @@ type IterOptions struct {
 	// SkipInvisible drops bitmap-invalidated entries at the source.
 	SkipInvisible bool
 	// NoReconcile disables duplicate-key reconciliation: every visible
-	// entry from every source is emitted (secondary-index scans under the
-	// Validation strategy emit all versions and let validation filter).
+	// entry from every source is emitted (repair.PrimaryRepair reads every
+	// version of a primary key to find the secondary entries it obsoletes).
 	NoReconcile bool
 	// Snapshots overrides components' live mutable bitmaps with immutable
 	// snapshots for visibility checks (Side-file builds).

@@ -8,8 +8,11 @@
 //   - Query validation for the Validation strategy (Section 4.3, Figure 5):
 //     Direct validation (fetch + re-check) and Timestamp validation (probe
 //     the primary key index through the same lsm.View.Lookup).
-//   - Primary-index scans with range-filter pruning (Sections 3, 5), whose
-//     candidate-component rules differ per maintenance strategy.
+//   - Primary-index scans with range-filter pruning (Sections 3, 4.2, 5):
+//     one rule picks the sources, oldest to newest — a source is read when
+//     its filter overlaps the predicate, or when an older one is read and
+//     the strategy makes newer sources follow it — and one reconciled scan
+//     reads them (FilterScan).
 package query
 
 import (

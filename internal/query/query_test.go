@@ -273,6 +273,59 @@ func TestFilterScanMatchesModel(t *testing.T) {
 	}
 }
 
+// TestFilterScanReadsRuleSources pins FilterScan's source rule with the
+// entries it scans. Four disk components hold disjoint creation ranges. A
+// predicate on the oldest range reads that component alone under Eager and
+// Mutable-bitmap, and that component plus every newer one under Validation
+// and Deleted-key (Section 4.2); a predicate on the newest range reads the
+// newest component alone under every strategy.
+func TestFilterScanReadsRuleSources(t *testing.T) {
+	const comps, perComp = 4, 100
+	for _, strategy := range []core.Strategy{core.Eager, core.Validation, core.MutableBitmap, core.DeletedKey} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			d := newDataset(t, strategy, func(c *core.Config) { c.Policy = lsm.NoMerge{} })
+			for c := range comps {
+				for i := range perComp {
+					pk := uint64(c*perComp + i)
+					if err := d.Upsert(kv.EncodeUint64(pk), mkRecord(1, int64(c*1000+i), 20)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := d.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := d.Primary().NumDiskComponents(); n != comps {
+				t.Fatalf("setup: %d disk components, want %d", n, comps)
+			}
+			oldest := perComp
+			if strategy == core.Validation || strategy == core.DeletedKey {
+				oldest = comps * perComp
+			}
+			for _, tc := range []struct {
+				name    string
+				c       int // the component whose range the predicate covers
+				scanned int // entries the rule reads
+			}{
+				{"oldest", 0, oldest},
+				{"newest", comps - 1, perComp},
+			} {
+				counters := d.Config().Store.Env().Counters
+				before := counters.EntriesScanned.Load()
+				matched := 0
+				lo := int64(tc.c * 1000)
+				if err := FilterScan(d, lo, lo+perComp-1, func(kv.Entry) { matched++ }); err != nil {
+					t.Fatal(err)
+				}
+				if scanned := int(counters.EntriesScanned.Load() - before); scanned != tc.scanned || matched != perComp {
+					t.Fatalf("%s range: scanned %d entries and matched %d, want %d and %d",
+						tc.name, scanned, matched, tc.scanned, perComp)
+				}
+			}
+		})
+	}
+}
+
 // TestLookupConfigsAgree verifies every point-lookup configuration (naive,
 // batched, stateful, pID, batch sizes) fetches the same records.
 func TestLookupConfigsAgree(t *testing.T) {

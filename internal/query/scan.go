@@ -8,23 +8,34 @@ import (
 )
 
 // FilterScan scans the primary index for records whose filter key lies in
-// [lo, hi], using the component-level range filters for pruning. The set of
-// components that must be read depends on the maintenance strategy
-// (Sections 3.1, 4.2, 5; evaluated in Figure 19):
+// [lo, hi], using the component-level range filters for pruning (Sections
+// 3.1, 4.2, 5; evaluated in Figure 19). One rule picks the sources: walking
+// the view oldest to newest — disk components, then the flushing memtables,
+// then the live memtable — a source is read when its filter overlaps
+// [lo, hi], or when an older source is already read and the strategy makes
+// newer sources follow it:
 //
-//   - Eager: filters are widened with old records on every update, so only
-//     components whose filter overlaps the predicate are scanned,
-//     reconciled together.
-//   - Validation: filters only reflect new records; a query touching an
-//     older component must also read every newer component (and memory) so
-//     no overriding update is missed.
-//   - Mutable-bitmap: deletes are reflected in-place through bitmaps, so
-//     only overlapping components are read — and they can be scanned one by
-//     one without reconciliation.
+//   - Validation and Deleted-key: filters only reflect new records, so
+//     reading an older source means reading every newer one too, or an
+//     update that moved a record out of the range would be missed (the
+//     correctness rule of Section 4.2).
+//   - Eager: updates widen the new version's filter with the old record's
+//     value, so the overlapping sources alone are read.
+//   - Mutable-bitmap: deletes reach older disk components in place through
+//     their bitmaps, so each overlapping disk component is read on its own.
+//     Memtables carry no bitmaps: among the memory sources, reading one
+//     means reading every newer one, because a version frozen by an
+//     in-flight flush may be superseded by a newer version or anti-matter
+//     in a later frozen memtable or the live one. (Deletes of keys living in
+//     frozen memtables reach the built component's bitmap through the flush
+//     batch; until the install, the newer anti-matter is the only evidence.)
 //
-// emit is called once per matching record. A record read from a disk
-// component is the pinned buffer-cache page's bytes, valid only until emit
-// returns. A reconciled scan's merged iterator lives in a recycled scratch.
+// Every read is one reconciled scan of the picked sources that hides
+// anti-matter and invalidated entries; a one-component scan has nothing to
+// reconcile. emit is called once per matching record. A record read from a
+// disk component is the pinned buffer-cache page's bytes, valid only until
+// emit returns. The scan's iterator and source lists live in a recycled
+// scratch.
 func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 	sc := getScratch()
 	defer sc.release()
@@ -33,14 +44,13 @@ func FilterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 
 func (sc *scratch) filterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry)) error {
 	extract := ds.Config().FilterExtract
-	primary := ds.Primary()
+	strategy := ds.Config().Strategy
 	// One atomic view: a concurrent flush's frozen memtable stays visible
 	// as a source newer than every disk component (see Tree.ReadView). It
 	// stays pinned until the scan returns, so a merge installing meanwhile
 	// cannot take the components' files away.
-	v := primary.ReadView()
+	v := ds.Primary().ReadView()
 	defer v.Release()
-	mem, flushing, comps := v.Mem, v.Flushing, v.Components
 
 	check := func(e kv.Entry) {
 		if extract != nil {
@@ -51,123 +61,53 @@ func (sc *scratch) filterScan(ds *core.Dataset, lo, hi int64, emit func(kv.Entry
 		emit(e)
 	}
 
-	overlaps := func(m *memtable.Table) bool {
-		if m == nil {
-			return false
+	follow := strategy == core.Validation || strategy == core.DeletedKey
+	perComponent := strategy == core.MutableBitmap
+	read := false // whether the source at hand is read
+	for i, c := range v.Components {
+		read = read && follow || !c.FilterDisjoint(lo, hi)
+		if !read {
+			continue
 		}
-		if fmin, fmax, ok := m.Filter(); ok {
-			return !(fmax < lo || fmin > hi)
-		}
-		return m.Len() > 0
-	}
-	memOverlaps := overlaps(mem)
-	flushingOverlaps := false
-	for _, m := range flushing {
-		if overlaps(m) {
-			flushingOverlaps = true
-			break
-		}
-	}
-
-	switch ds.Config().Strategy {
-	case core.MutableBitmap:
-		// Scan each overlapping component independently; bitmaps already
-		// reflect deletes, so no cross-component reconciliation is needed.
-		for _, c := range comps {
-			if c.FilterDisjoint(lo, hi) {
-				continue
-			}
-			if err := scanVisible(c, check); err != nil {
-				return err
-			}
-		}
-		// Memory-side sources must reconcile among themselves: a version
-		// frozen by an in-flight asynchronous flush may be superseded by a
-		// newer version or anti-matter in a later frozen memtable or the
-		// live one, and memtables carry no validity bitmaps to reflect
-		// that. (Deletes of keys living in frozen memtables reach the built
-		// component's bitmap through the flush batch; until the install,
-		// the anti-matter in the newer memory source is the only evidence.)
-		if flushingOverlaps || memOverlaps {
-			return sc.reconciledScan(nil, flushing, mem, check)
-		}
-		return nil
-
-	case core.Validation, core.DeletedKey:
-		// Correctness rule of Section 4.2: accessing an older component
-		// requires accessing all newer components too, because their
-		// filters were not widened by updates.
-		firstIdx := -1
-		for i, c := range comps {
-			if !c.FilterDisjoint(lo, hi) {
-				firstIdx = i
-				break
-			}
-		}
-		if firstIdx < 0 {
-			if flushingOverlaps {
-				// Reading the flushing table requires reading the (newer)
-				// memory component too.
-				return sc.reconciledScan(nil, flushing, mem, check)
-			}
-			if !memOverlaps {
-				return nil
-			}
-			return sc.reconciledScan(nil, nil, mem, check)
-		}
-		return sc.reconciledScan(comps[firstIdx:], flushing, mem, check)
-
-	default: // Eager
-		var cands []*lsm.Component
-		for _, c := range comps {
-			if !c.FilterDisjoint(lo, hi) {
-				cands = append(cands, c)
-			}
-		}
-		flushArg := flushing
-		if !flushingOverlaps {
-			flushArg = nil
-		}
-		memArg := mem
-		if !memOverlaps {
-			memArg = nil
-		}
-		if len(cands) == 0 && flushArg == nil && memArg == nil {
-			return nil
-		}
-		return sc.reconciledScan(cands, flushArg, memArg, check)
-	}
-}
-
-// scanVisible emits every entry of c that neither a bitmap nor anti-matter
-// hides, without reconciliation.
-func scanVisible(c *lsm.Component, emit func(kv.Entry)) error {
-	scan, err := c.BTree.NewScan(nil, nil)
-	if err != nil {
-		return err
-	}
-	defer scan.Close()
-	scan.Hide(c)
-	for {
-		e, _, ok, err := scan.Next()
-		if err != nil || !ok {
+		if !perComponent {
+			sc.comps = append(sc.comps, c)
+		} else if err := sc.reconciledScan(v.Components[i:i+1], nil, check); err != nil {
 			return err
 		}
-		if !e.Anti {
-			emit(e)
+	}
+	if perComponent {
+		follow, read = true, false
+	}
+	for i := 0; i <= len(v.Flushing); i++ {
+		m := v.Mem
+		if i < len(v.Flushing) {
+			m = v.Flushing[i]
+		}
+		read = read && follow || memOverlaps(m, lo, hi)
+		if read {
+			sc.mems = append(sc.mems, m)
 		}
 	}
+	return sc.reconciledScan(sc.comps, sc.mems, check)
 }
 
-// reconciledScan runs a full reconciled scan over the given components, the
-// flushing memtables, and the live memory component (either may be empty),
-// hiding anti-matter.
-func (sc *scratch) reconciledScan(comps []*lsm.Component, flushing []*memtable.Table, mem *memtable.Table, emit func(kv.Entry)) error {
+// memOverlaps reports whether m's range filter overlaps [lo, hi]; a table
+// without one overlaps when it holds anything.
+func memOverlaps(m *memtable.Table, lo, hi int64) bool {
+	if fmin, fmax, ok := m.Filter(); ok {
+		return !(fmax < lo || fmin > hi)
+	}
+	return m.Len() > 0
+}
+
+// reconciledScan runs a full reconciled scan over the given disk components
+// and memory components (each oldest to newest, either may be empty),
+// hiding anti-matter and invalidated entries.
+func (sc *scratch) reconciledScan(comps []*lsm.Component, mems []*memtable.Table, emit func(kv.Entry)) error {
 	it := &sc.it
 	if err := it.Open(lsm.IterOptions{
 		Components:    comps,
-		Flushing:      flushing,
-		Mem:           mem,
+		Flushing:      mems,
 		HideAnti:      true,
 		SkipInvisible: true,
 	}); err != nil {

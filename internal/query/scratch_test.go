@@ -26,10 +26,11 @@ func render(res *SecondaryResult) string {
 }
 
 // TestRecycledScratchAnswersLikeAFreshOne: one scratch, reset between
-// queries of every validation method and lookup plan, wide ranges before
-// narrow ones, answers exactly what a fresh scratch answers; a reset leaves
-// no reference into the query's data behind (the point lookup's cursors are
-// checked where they live, by lsm's TestResetLookupsReferenceNoComponent);
+// queries of every validation method and lookup plan and filter scans, wide
+// ranges before narrow ones, answers exactly what a fresh scratch answers; a
+// reset leaves no reference into the query's data behind (the point
+// lookup's cursors are checked where they live, by lsm's
+// TestResetLookupsReferenceNoComponent);
 // and no answer aliases the scratch: it reads the same after later queries
 // have reused it.
 func TestRecycledScratchAnswersLikeAFreshOne(t *testing.T) {
@@ -75,20 +76,47 @@ func TestRecycledScratchAnswersLikeAFreshOne(t *testing.T) {
 			t.Fatalf("trial %d: empty answer measures nothing", trial)
 		}
 		answers = append(answers, kept{got, render(want)})
+		flo := int64(13000 + rng.Intn(2500)) // recent: older records are mostly superseded
+		fhi := flo + int64(2000-trial*40)
+		wantScan := scanImage(t, new(scratch), d, flo, fhi)
+		gotScan := scanImage(t, reused, d, flo, fhi)
+		reused.reset()
+		if gotScan != wantScan || gotScan == "" {
+			t.Fatalf("trial %d: the recycled scratch's filter scan [%d,%d] reads\n%.300s\na fresh one\n%.300s",
+				trial, flo, fhi, gotScan, wantScan)
+		}
 		for name, s := range map[string]any{
-			"candidates": reused.cands[:cap(reused.cands)],
-			"fetch keys": reused.keys[:cap(reused.keys)],
+			"candidates":             reused.cands[:cap(reused.cands)],
+			"fetch keys":             reused.keys[:cap(reused.keys)],
+			"filter-scan components": reused.comps[:cap(reused.comps)],
+			"filter-scan memtables":  reused.mems[:cap(reused.mems)],
 		} {
 			if !allZero(s) {
 				t.Fatalf("trial %d: the reset scratch's %s still reference the query's data", trial, name)
 			}
 		}
 	}
+	if cap(reused.comps) == 0 || cap(reused.mems) == 0 {
+		t.Fatal("setup: the filter scans picked no disk component or no memtable")
+	}
 	for i, a := range answers {
 		if got := render(a.res); got != a.want {
 			t.Fatalf("answer %d changed after the scratch was reused:\n%s\nwas\n%s", i, got, a.want)
 		}
 	}
+}
+
+// scanImage renders every record a filter scan over [lo, hi] emits on sc.
+func scanImage(t *testing.T, sc *scratch, d *core.Dataset, lo, hi int64) string {
+	t.Helper()
+	var lines []string
+	err := sc.filterScan(d, lo, hi, func(e kv.Entry) {
+		lines = append(lines, fmt.Sprintf("%x@%d=%x", e.Key, e.TS, e.Value))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(lines, " ")
 }
 
 // allZero reports whether every element of the slice s is its zero value.

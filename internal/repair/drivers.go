@@ -13,11 +13,11 @@ import (
 // immutable bitmap. The merged component's repairedTS advances to the
 // maximum timestamp of the unpruned primary-key-index components. The merge
 // charges sec's lane; validation lookups charge the primary key index's
-// readers.
-func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
+// readers. It returns the merged component's size in bytes.
+func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) (int64, error) {
 	comps := sec.Components()
 	if lo < 0 || hi > len(comps) || lo >= hi {
-		return lsm.ErrBadMergeRange
+		return 0, lsm.ErrBadMergeRange
 	}
 	// The merged component's starting watermark is the weakest (minimum)
 	// of the inputs': entries from any input may be stale past it.
@@ -31,16 +31,16 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) error {
 	defer v.release()
 	res, err := sec.Merge(lsm.MergeSpec{Lo: lo, Hi: hi, DropAnti: lo == 0, OnEntry: v.add})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	bm := bitmap.NewImmutable(res.Component.NumEntries())
 	if err := v.validate(bm); err != nil {
 		sec.Discard(res.Component)
-		return err
+		return 0, err
 	}
 	res.Component.Obsolete = bm
 	res.Component.RepairedTS = v.newRepairedTS
-	return sec.Install(res)
+	return res.Component.SizeBytes(), sec.Install(res)
 }
 
 // StandaloneRepair validates one secondary-index component in place,

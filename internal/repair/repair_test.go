@@ -176,7 +176,7 @@ func TestMergeRepairCleansObsolete(t *testing.T) {
 	if n < 2 {
 		t.Skip("need >=2 components")
 	}
-	if err := repair.MergeRepair(si.Tree, d.PKIndex(), 0, n, repair.Options{}); err != nil {
+	if _, err := repair.MergeRepair(si.Tree, d.PKIndex(), 0, n, repair.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if si.Tree.NumDiskComponents() != 1 {

@@ -53,7 +53,10 @@
 // reads and the pages written, and charges the device Profile to the
 // virtual clock — seek + transfer for a random read, transfer only for a
 // sequential one, a prefetched one or a page write (LSM writes are always
-// sequential bulk loads). Every WithEnv view of a Store moves the same
+// sequential bulk loads). A page is charged whole whatever its length: a
+// meta page, a short internal page and a Bloom filter's short tail page cost
+// one transfer each, as every page did when pages were fixed slots, so
+// charging by length would move every figure. Every WithEnv view of a Store moves the same
 // head, so maintenance-lane reads break the foreground's sequential runs as
 // they would on one spindle. A failed read or append charges nothing.
 //

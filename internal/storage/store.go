@@ -248,7 +248,11 @@ func (s *Store) Unpin(f *cache.Frame) { s.cache.Unpin(f) }
 func (s *Store) Create() FileID { return s.dev.Create() }
 
 // AppendPage appends a page to a component file being bulk-loaded,
-// charging a transfer. A failed append charges nothing.
+// charging one full TransferPerPage whatever the page's length: a Bloom
+// filter's tail page of a few hundred bytes costs what a full leaf does.
+// That is kept on purpose: meta and internal pages are short too, and
+// charging by length would move every figure (see the package doc's cost
+// model). A failed append charges nothing.
 func (s *Store) AppendPage(id FileID, data []byte) (int, error) {
 	n, err := s.dev.AppendPage(id, data)
 	if err != nil {
