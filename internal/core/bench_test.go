@@ -41,9 +41,11 @@ func benchDataset(b *testing.B, strategy Strategy) *Dataset {
 //
 // Each strategy has two rows. The plain one cycles 50 000 keys through the
 // 1 MiB memory budget, so every upsert replaces a version already flushed.
-// The "-hot" row overwrites hotKeys keys written before the timer starts,
-// which fit the budget: every upsert replaces a version still in the memory
-// component, the overwrite path the served ingest-batch updates take.
+// The "-hot" row overwrites hotKeys keys written before the timer starts:
+// every upsert replaces a version still in the memory component, the
+// overwrite path the served ingest-batch updates take. Each overwrite is
+// charged its record's length, so at 100000x the hot set fills the 1 MiB
+// budget about once and the row carries one flush's cost.
 func BenchmarkUpsertByStrategy(b *testing.B) {
 	const hotKeys = 2000
 	for _, strategy := range []Strategy{Eager, Validation, MutableBitmap, DeletedKey} {

@@ -123,7 +123,8 @@ type Config struct {
 	FilterExtract func(record []byte) (int64, bool)
 	// MemoryBudget is the shared memory-component budget in bytes
 	// (128 MB per dataset in the paper); all indexes flush together when
-	// their combined footprint exceeds it.
+	// their combined footprint (memtable.Table.Bytes: every overwrite is
+	// charged) exceeds it.
 	MemoryBudget int
 	// UsePKIndex builds the primary key index. Insert uniqueness checks
 	// and Validation/Mutable-bitmap maintenance use it; without it (a

@@ -82,8 +82,8 @@ func BenchmarkPut(b *testing.B) {
 // BenchmarkPutFirstOverwrite overwrites each key of a primary table filled
 // to the served budget once, in the order they were put; after the last it
 // fills a fresh table, untimed. (The index shapes hold no value, so their
-// overwrites carve nothing.) Run it with -benchmem: a first overwrite
-// carves its value from the open chunk, so allocs/op is a chunk's share.
+// overwrites carve nothing.) Run it with -benchmem: an overwrite carves
+// its value record from the open chunk, so allocs/op is a chunk's share.
 func BenchmarkPutFirstOverwrite(b *testing.B) {
 	s := shapes[0]
 	m := New(1)

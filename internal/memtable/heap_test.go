@@ -1,6 +1,7 @@
 package memtable
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -14,27 +15,22 @@ func liveHeap() int {
 	return int(ms.HeapAlloc)
 }
 
-// carved returns the chunk bytes m's nodes take, the head's included.
+// carved returns the chunk bytes m has carved: every chunk but what the
+// open one has left.
 func carved(m *Table) int {
-	size := func(n []byte) int {
-		_, end := keySpan(n)
-		if ref := le.Uint32(n[offValue:]); ref&slotBit == 0 {
-			end += int(ref)
-		}
-		return (end + align - 1) &^ (align - 1)
-	}
-	total := size(m.at(0))
-	for x := next(m.at(0), 0); x != 0; x = next(m.at(x), 0) {
-		total += size(m.at(x))
+	total := m.used - len(m.chunks[m.open])
+	for _, c := range m.chunks {
+		total += len(c)
 	}
 	return total
 }
 
 // TestHeapTracksBudget fills tables the way a served store fills its
 // memtables — to the 4 MiB budget, with the entries of the served schema's
-// primary index, secondary index and primary key index — and bounds the
-// heap they hold against the chunk bytes their nodes carve, which is all a
-// table should hold, and against Bytes(), which the budget charges.
+// primary index, secondary index and primary key index, with and without
+// overwrites, and with values too large to share a chunk — and bounds the
+// heap they hold against the chunk bytes they carve, which is all a table
+// should hold, and against Bytes(), which the budget charges.
 func TestHeapTracksBudget(t *testing.T) {
 	for _, s := range shapes {
 		before := liveHeap()
@@ -52,28 +48,66 @@ func TestHeapTracksBudget(t *testing.T) {
 		runtime.KeepAlive(m)
 	}
 
-	// The three together, one entry of each per record, as the served
-	// schema writes them.
+	for _, overwrites := range []bool{false, true} {
+		got := servedHeap(overwrites)
+		t.Logf("served schema, half overwrites %v: heap %.3f× Bytes()", overwrites, got)
+		if got > 1.15 {
+			t.Errorf("served schema, half overwrites %v: heap is %.3f× Bytes(), want at most 1.15", overwrites, got)
+		}
+	}
+
+	// Values too large to share a chunk, each key's first and then its
+	// overwrite's: every one is a chunk of its own.
+	before := liveHeap()
+	m := New(1)
+	big := make([]byte, 2*maxInline)
+	var key [8]byte
+	for i := uint64(0); m.Bytes() < budget; i++ {
+		binary.BigEndian.PutUint64(key[:], i/2*0x9E3779B97F4A7C15)
+		m.Put(kv.Entry{Key: key[:], Value: big[:maxInline+1+i*7919%maxInline], TS: int64(i)})
+	}
+	heap := float64(liveHeap() - before)
+	t.Logf("values over maxInline: heap %.3f× Bytes(), %d chunks", heap/float64(m.Bytes()), len(m.chunks))
+	if heap/float64(m.Bytes()) > 1.15 {
+		t.Errorf("values over maxInline: heap is %.3f× Bytes(), want at most 1.15", heap/float64(m.Bytes()))
+	}
+	runtime.KeepAlive(m)
+}
+
+// servedHeap puts one entry of each of the served schema's shapes per
+// record until the three tables hold the budget, and returns the heap they
+// hold per accounted byte. With overwrites, every other record updates a
+// past key, as a Validation store writes it: its primary and primary key
+// index entries overwrite that key's, and its secondary entry is new.
+func servedHeap(overwrites bool) float64 {
 	before := liveHeap()
 	var tables [3]*Table
 	for j := range tables {
 		tables[j] = New(int64(j))
 	}
 	buf := make([]byte, 0, 32)
-	accounted := 0
+	accounted, keys := 0, uint64(0)
 	for i := uint64(0); accounted < budget; i++ {
+		k := keys
+		if overwrites && i%2 == 1 {
+			k = i * 7919 % keys
+		} else {
+			keys++
+		}
 		accounted = 0
 		for j, s := range shapes {
 			var e kv.Entry
-			buf, e = s.entry(buf, i)
+			if s.name == "secondary" {
+				buf, e = s.entry(buf, i)
+			} else {
+				buf, e = s.entry(buf, k)
+			}
+			e.TS = int64(i)
 			tables[j].Put(e)
 			accounted += tables[j].Bytes()
 		}
 	}
 	heap := float64(liveHeap() - before)
-	t.Logf("served schema: heap %.0f B, %.3f× Bytes()", heap, heap/float64(accounted))
-	if heap/float64(accounted) > 1.15 {
-		t.Errorf("served schema: heap is %.3f× Bytes(), want at most 1.15", heap/float64(accounted))
-	}
 	runtime.KeepAlive(tables)
+	return heap / float64(accounted)
 }

@@ -7,22 +7,17 @@
 // concurrent readers and a single writer path, which matches the engine's
 // record-level locking discipline.
 //
-// Nodes are never removed while a table lives and a node's key never
-// changes, so the whole list lives in byte chunks the table allocates
-// whole and that become garbage together, when the flushed table is
-// dropped. A chunk holds no pointers, so the garbage collector never scans
-// it, and a node costs its bytes and nothing more: a fixed header, a tower
-// of uint32 node references, the key and the first value, back to back. A
-// Put of a new key therefore allocates nothing of its own.
-//
-// An overwrite moves the value to a side slot that the node's value
-// reference names. The first overwrite of a key carves the slot's value
-// from the open chunk too, so it allocates nothing of its own either; every
-// later one replaces the slot's value with a copy of its own. The first
-// value and the first overwrite's stay in their chunks until the flush, so
-// a key overwritten in place pins at most two superseded values, never a
-// chain of them, however often it is overwritten. A value too large to
-// carve from a chunk lives in a slot, allocated, from the start.
+// Nothing a table holds is removed or moved while the table lives, so every
+// byte of it lives in byte chunks the table allocates whole and that become
+// garbage together, when the flushed table is dropped. A chunk holds no
+// pointers, so the garbage collector never scans it. A node costs its bytes
+// and nothing more: a fixed header, a tower of uint32 node references, the
+// key and the first value, back to back. An overwrite carves a value
+// record, the value behind its length, and points the node at it: readers
+// may hold the value it supersedes, so a new value never goes where an old
+// one was. A Put therefore allocates nothing of its own, and Bytes()
+// charges every byte a Put copies in, so a key overwritten in place fills
+// the memory budget as new keys do.
 package memtable
 
 import (
@@ -37,37 +32,35 @@ const maxHeight = 16
 
 // Node layout, from a node's first byte. The tower's level-l reference
 // follows the header at tower+4l, then come the key and the first value.
+// The value reference is that value's length (0 for an empty one) or, when
+// the record flag is set, the reference of the value record an overwrite
+// carved: the value's length as a uint32, then the value.
 const (
 	offTS     = 0  // int64
 	offKeyLen = 8  // uint32
 	offValue  = 12 // uint32 value reference
 	offHeight = 16 // uint8
 	offAnti   = 17 // uint8: 1 for anti-matter
-	tower     = 20 // header size; 18 rounded up to the node alignment
+	offRecord = 18 // uint8: 1 when the value reference names a value record
+	tower     = 20 // header size; 19 rounded up to the node alignment
 )
 
-// A value reference with slotBit set is the index of the node's side slot
-// in its low bits. Without it, it is the length of the value inline behind
-// the key (0 for an empty value).
-const slotBit = 1 << 31
-
-// Chunk sizes. A table's first chunk is firstChunk bytes and each next one
-// twice the last, up to chunkSize, so a table that holds little stays
-// small; one that never sees a Put holds none. A node larger than
-// chunkSize (only a huge key makes one) gets a chunk of its own size.
+// Chunk sizes. A table's first chunk is firstChunk bytes and each next open
+// one twice the last, up to chunkSize, so a table that holds little stays
+// small; one that never sees a Put holds none. A carve of more than
+// maxInline bytes (a large value, or a node with a large key or first
+// value) gets a chunk of its own size and leaves the open chunk open, so a
+// chunk strands less than maxInline bytes at its end.
 const (
 	firstChunk = 4 << 10
 	chunkSize  = 64 << 10
-	// maxInline is the largest value carved from a chunk; a larger one
-	// goes to a slot, so a chunk strands at most about this much at its
-	// end, unless a key is larger still.
-	maxInline = chunkSize / 8
+	maxInline  = chunkSize / 8
 )
 
-// A node reference is the node's chunk index and its offset in that chunk
-// in 4-byte units; nodes start 4-aligned. Reference 0 is the head node,
-// the first one carved, and as a next reference it means "none", since no
-// node links to the head.
+// A reference, to a node or to a value record, is its chunk's index and its
+// offset in that chunk in 4-byte units; everything carved starts 4-aligned.
+// Reference 0 is the head node, the first one carved, and as a next
+// reference it means "none", since no node links to the head.
 const (
 	align      = 4
 	offsetBits = 14 // chunkSize / align offsets per chunk
@@ -75,17 +68,18 @@ const (
 )
 
 // MaxBudget is the largest memory budget, in accounted bytes, a table may
-// be filled to. References address maxChunks chunks, about 16 GiB,
-// which leaves 8× headroom: a node adds to the key and value that Bytes()
-// counts (plus 16) a 20-byte header, 4 bytes per tower level (4/3 levels
-// on average, at most 16) and its alignment; a key's first overwrite
-// carves its value from a chunk as well, while Bytes() counts only the
-// newest value, so a table whose every key was overwritten by a value as
-// long as its first holds at most about twice what it counts; and a chunk
-// strands less than one node at its end. Should a table still fill every
-// chunk (values overwritten by far shorter ones can do it), Put panics
-// rather than let a reference wrap.
-const MaxBudget = 2 << 30
+// be filled to. References address maxChunks chunks, and each chunk but the
+// four growing first ones holds over 7 KiB that Bytes() charges: a chunk of
+// its own holds one carve of over maxInline bytes, charged all but its
+// header; a shared chunk strands less than maxInline bytes, and what it
+// holds carves at most 8× its charge (a node: a 20-byte header and up to 16
+// tower levels of 4 bytes on top of the key, value and 16 that Bytes()
+// counts; an overwrite: a 1-byte value behind its 4-byte length, aligned).
+// So a table runs out of references only past about 1.75 GiB charged,
+// 1.75× this budget, and a table of the served schema, which carves about
+// 1.1× its charge, past about 14 GiB. Should one still fill every chunk,
+// Put panics rather than let a reference wrap.
+const MaxBudget = 1 << 30
 
 // Table is one memory component. Safe for concurrent use.
 type Table struct {
@@ -95,12 +89,11 @@ type Table struct {
 	count  int
 	bytes  int
 
-	// chunks hold the list; the last is the open one, carved up to used.
-	// slots hold overwritten and oversized values. Guarded by mu like the
-	// list.
+	// chunks hold the list and the overwrites' value records;
+	// chunks[open] is carved up to used. Guarded by mu like the list.
 	chunks [][]byte
+	open   int
 	used   int
-	slots  [][]byte
 
 	// Component ID bookkeeping (minTS-maxTS of contained entries).
 	minTS int64
@@ -142,7 +135,7 @@ func (t *Table) randomHeight() int {
 
 var le = binary.LittleEndian
 
-// at returns the chunk bytes from node ref on.
+// at returns the chunk bytes from reference ref on.
 func (t *Table) at(ref uint32) []byte {
 	return t.chunks[ref>>offsetBits][(ref&(1<<offsetBits-1))*align:]
 }
@@ -163,41 +156,35 @@ func nodeKey(n []byte) []byte {
 	return n[start:end]
 }
 
-// carve returns the reference and bytes of size fresh bytes, opening a
-// chunk when the open one lacks them.
+// carve returns the reference and bytes of size fresh bytes: a chunk of
+// their own when they are over maxInline, else the open chunk's next ones,
+// opening the next chunk when the open one lacks them.
 func (t *Table) carve(size int) (uint32, []byte) {
 	size = (size + align - 1) &^ (align - 1)
-	if len(t.chunks) == 0 || size > len(t.chunks[len(t.chunks)-1])-t.used {
-		if len(t.chunks) == maxChunks {
-			panic(fmt.Sprintf("memtable: a table of %d accounted bytes filled all %d chunks its references address", t.bytes, maxChunks))
-		}
+	if size > maxInline {
+		c := t.newChunk(size)
+		return uint32(c) << offsetBits, t.chunks[c]
+	}
+	if len(t.chunks) == 0 || size > len(t.chunks[t.open])-t.used {
 		n := firstChunk
 		if len(t.chunks) > 0 {
-			n = min(2*len(t.chunks[len(t.chunks)-1]), chunkSize)
+			n = min(2*len(t.chunks[t.open]), chunkSize)
 		}
-		t.chunks = append(t.chunks, make([]byte, max(n, size)))
-		t.used = 0
+		t.open, t.used = t.newChunk(n), 0
 	}
-	c := len(t.chunks) - 1
-	ref := uint32(c)<<offsetBits | uint32(t.used/align)
-	b := t.chunks[c][t.used : t.used+size]
+	ref := uint32(t.open)<<offsetBits | uint32(t.used/align)
+	b := t.chunks[t.open][t.used : t.used+size]
 	t.used += size
 	return ref, b
 }
 
-// newSlot stores a copy of v in a new slot and returns its value reference.
-// A value of at most maxInline bytes is carved from the open chunk; a
-// larger one is allocated.
-func (t *Table) newSlot(v []byte) uint32 {
-	var s []byte
-	if len(v) <= maxInline {
-		_, s = t.carve(len(v))
-		s = s[:copy(s, v):len(v)]
-	} else {
-		s = append([]byte(nil), v...)
+// newChunk appends a chunk of n bytes and returns its index.
+func (t *Table) newChunk(n int) int {
+	if len(t.chunks) == maxChunks {
+		panic(fmt.Sprintf("memtable: a table of %d accounted bytes filled all %d chunks its references address", t.bytes, maxChunks))
 	}
-	t.slots = append(t.slots, s)
-	return uint32(len(t.slots)-1) | slotBit
+	t.chunks = append(t.chunks, make([]byte, n))
+	return len(t.chunks) - 1
 }
 
 // seek returns the last node whose key sorts below key, recording the last
@@ -230,30 +217,30 @@ func (t *Table) find(key []byte, update *[maxHeight]uint32) []byte {
 	return nil
 }
 
-// entry returns node n's entry. Its slices alias the chunk or the slot and
-// are clipped to their length, so appending to one copies it; an empty key
-// or value is nil.
+// entry returns node n's entry. Its slices alias the chunks and are
+// clipped to their length, so appending to one copies it; an empty key or
+// value is nil.
 func (t *Table) entry(n []byte) kv.Entry {
 	e := kv.Entry{TS: int64(le.Uint64(n[offTS:])), Anti: n[offAnti] != 0}
 	ks, ke := keySpan(n)
 	if ke > ks {
 		e.Key = n[ks:ke:ke]
 	}
-	if ref := le.Uint32(n[offValue:]); ref&slotBit != 0 {
-		if v := t.slots[ref&^slotBit]; len(v) > 0 {
-			e.Value = v[:len(v):len(v)]
-		}
-	} else if ref > 0 {
-		ve := ke + int(ref)
-		e.Value = n[ke:ve:ve]
+	v, vs, l := n, ke, le.Uint32(n[offValue:]) // the value is v[vs:vs+l]
+	if n[offRecord] != 0 {
+		v = t.at(l)
+		vs, l = 4, le.Uint32(v)
+	}
+	if l > 0 {
+		ve := vs + int(l)
+		e.Value = v[vs:ve:ve]
 	}
 	return e
 }
 
 // Put inserts or replaces the entry for e.Key. The table copies what it
-// keeps — a new entry's key and value, and a key's first overwrite's value,
-// into a chunk, every later overwrite's value into an allocation of its
-// own — and retains none of e's bytes.
+// keeps into its chunks — a new entry's key and value, an overwrite's
+// value — and retains none of e's bytes.
 func (t *Table) Put(e kv.Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -264,39 +251,30 @@ func (t *Table) Put(e kv.Entry) {
 
 	var update [maxHeight]uint32 // 0, the head, above the list's height
 	if n := t.find(e.Key, &update); n != nil {
-		// An overwrite keeps the node and its key. Readers may hold the
-		// node's value, so a new value never goes where it was: the first
-		// overwrite carves a slot's value, every later one replaces the
-		// slot's value with a copy of its own.
-		t.bytes += len(e.Value) - len(t.entry(n).Value)
-		ref := le.Uint32(n[offValue:])
-		switch {
-		case ref&slotBit != 0:
-			t.slots[ref&^slotBit] = append([]byte(nil), e.Value...)
-		case len(e.Value) == 0:
-			le.PutUint32(n[offValue:], 0)
-		default:
-			le.PutUint32(n[offValue:], t.newSlot(e.Value))
+		// An overwrite keeps the node and its key and points it at a new
+		// value record; the value it supersedes stays where readers may
+		// hold it.
+		ref, rec := uint32(0), byte(0)
+		if len(e.Value) > 0 {
+			var r []byte
+			ref, r = t.carve(4 + len(e.Value))
+			le.PutUint32(r, uint32(len(e.Value)))
+			copy(r[4:], e.Value)
+			rec = 1
 		}
+		le.PutUint32(n[offValue:], ref)
+		n[offRecord] = rec
 		stamp(n, e)
+		t.bytes += len(e.Value)
 	} else {
 		h := t.randomHeight()
 		t.height = max(t.height, h)
-		inline := len(e.Value) <= maxInline
-		size := tower + 4*h + len(e.Key)
-		if inline {
-			size += len(e.Value)
-		}
-		ref, n := t.carve(size)
+		ke := tower + 4*h + len(e.Key)
+		ref, n := t.carve(ke + len(e.Value))
 		le.PutUint32(n[offKeyLen:], uint32(len(e.Key)))
 		n[offHeight] = byte(h)
-		ke := tower + 4*h
-		ke += copy(n[ke:], e.Key)
-		if inline {
-			le.PutUint32(n[offValue:], uint32(copy(n[ke:], e.Value)))
-		} else {
-			le.PutUint32(n[offValue:], t.newSlot(e.Value))
-		}
+		copy(n[tower+4*h:], e.Key)
+		le.PutUint32(n[offValue:], uint32(copy(n[ke:], e.Value)))
 		stamp(n, e)
 		for level := 0; level < h; level++ {
 			p := t.at(update[level])
@@ -343,8 +321,13 @@ func (t *Table) Len() int {
 	return t.count
 }
 
-// Bytes returns the approximate memory footprint of the entries, used for
-// the dataset-wide memory-component budget (Section 3).
+// Bytes returns what Puts copied into the table, which the dataset-wide
+// memory-component budget charges (Sections 3 and 6.1): each new key's
+// entry (kv.Entry.Size) and each overwrite's value. Nothing is taken off
+// when a value is superseded, since its bytes stay in the chunks, so Bytes
+// never falls. Node headers and towers stay uncharged: the served schema's
+// tables hold about 1.08× their charge even so, and charging them would
+// move the flush points of update-free workloads too.
 func (t *Table) Bytes() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -127,16 +127,23 @@ func TestFilterWidening(t *testing.T) {
 	}
 }
 
+// TestBytesAccounting: a new key is charged its entry's size and every
+// overwrite its value's length; the value it supersedes stays in the
+// chunks, so nothing is taken off and Bytes never falls.
 func TestBytesAccounting(t *testing.T) {
 	m := New(1)
-	m.Put(kv.Entry{Key: []byte("k1"), Value: make([]byte, 100)})
-	b1 := m.Bytes()
-	if b1 <= 0 {
-		t.Fatal("Bytes should grow")
+	e := kv.Entry{Key: []byte("k1"), Value: make([]byte, 100)}
+	m.Put(e)
+	if got := m.Bytes(); got != e.Size() {
+		t.Fatalf("Bytes = %d after a new key, want its entry's size %d", got, e.Size())
 	}
-	m.Put(kv.Entry{Key: []byte("k1"), Value: make([]byte, 10)})
-	if m.Bytes() >= b1 {
-		t.Fatalf("replacing with smaller value should shrink: %d -> %d", b1, m.Bytes())
+	want := e.Size()
+	for _, n := range []int{10, 0, 100, 1} {
+		m.Put(kv.Entry{Key: []byte("k1"), Value: make([]byte, n)})
+		want += n
+		if got := m.Bytes(); got != want {
+			t.Fatalf("Bytes = %d after overwriting with %d value bytes, want %d: it never falls", got, n, want)
+		}
 	}
 }
 

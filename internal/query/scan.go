@@ -32,7 +32,9 @@ import (
 //
 // Every read is one reconciled scan of the picked sources that hides
 // anti-matter and invalidated entries; a one-component scan has nothing to
-// reconcile. emit is called once per matching record. A record read from a
+// reconcile. emit is called once per matching record, in primary-key order
+// within each read: under Mutable-bitmap that is a run per disk component,
+// oldest first, then one for the memtables. A record read from a
 // disk component is the pinned buffer-cache page's bytes, valid only until
 // emit returns. The scan's iterator and source lists live in a recycled
 // scratch.

@@ -576,8 +576,8 @@ func TestRoundTripAllocations(t *testing.T) {
 			t.Fatalf("delete of a missing key = %v, %v", applied, err)
 		}
 	}
-	// Batches of 64 upserts: 201 of new keys, then the same 201 again,
-	// each upsert a key's first overwrite.
+	// Batches of 64 upserts: 201 of new keys, then the same 201 twice
+	// more, each upsert a key's first overwrite and then a repeat one.
 	batches := make([][]lsmstore.Mutation, 201)
 	for i := range batches {
 		batches[i] = make([]lsmstore.Mutation, 64)
@@ -613,6 +613,7 @@ func TestRoundTripAllocations(t *testing.T) {
 		max  float64
 	}{{"Get", get, 2}, {"Ping", ping, 1}, {"Upsert of a new key", upsertNew, 0}, {"Delete of a missing key", deleteMissing, 0},
 		{"ApplyBatch of 64 new keys", applyBatch, 1}, {"ApplyBatch of 64 first overwrites", applyBatch, 1},
+		{"ApplyBatch of 64 repeat overwrites", applyBatch, 1},
 		{"ApplyBatch of 64 first overwrites on an Eager store", eagerOverwrite, 1}} {
 		n := testing.AllocsPerRun(200, tc.fn)
 		t.Logf("%s round trip: %v allocations", tc.name, n)

@@ -164,7 +164,11 @@ type Options struct {
 	// CacheBytes sizes the buffer cache (2 GB HDD / 4 GB SSD in the
 	// paper; defaults to 64 MB here to match scaled-down datasets).
 	CacheBytes int64
-	// MemoryBudget is the shared memory-component budget (default 4 MB).
+	// MemoryBudget is the shared memory-component budget (default 4 MB, at
+	// most memtable.MaxBudget, 1 GiB). Every byte a write copies into a
+	// memory component is charged to it: a new key's entry and every
+	// overwrite's value, so a hot set overwritten in place flushes as new
+	// keys do.
 	MemoryBudget int
 	// Seed fixes all pseudo-random choices.
 	Seed int64
@@ -711,9 +715,12 @@ func (r *QueryResult) clone() *QueryResult {
 // FilterScan scans the primary index for records whose filter key lies in
 // [lo, hi], using component range filters for pruning. Every shard scans
 // concurrently and the union is emitted in primary-key order from the
-// caller's goroutine; a one-shard store streams its scan without buffering,
-// so pk and record may be a pinned buffer-cache page's bytes: they are valid
-// only until fn returns, and fn copies what it keeps.
+// caller's goroutine. A one-shard store streams its scan without buffering,
+// in primary-key order except under MutableBitmap, which reads each
+// overlapping disk component on its own: its records come a component at a
+// time, oldest first, each in primary-key order, then the memory
+// components'. pk and record may be a pinned buffer-cache page's bytes:
+// they are valid only until fn returns, and fn copies what it keeps.
 func (db *DB) FilterScan(lo, hi int64, fn func(pk, record []byte)) error {
 	if err := db.acquire(); err != nil {
 		return err

@@ -180,6 +180,66 @@ func TestPublicAPIEquivalence(t *testing.T) {
 	}
 }
 
+// TestFilterScanOrder pins the order FilterScan emits in, for every
+// strategy at one and two shards. Keys 0..39 land in two disk components
+// with interleaved keys (the evens, then the odds below 20) and the
+// memtable (the odds from 21). A store of two shards sorts the shards'
+// union, and a one-shard store streams its scan: in primary-key order,
+// except under Mutable-bitmap, which reads each overlapping disk component
+// on its own, so its records come a component at a time, oldest first, each
+// in primary-key order, and the memtables' after them.
+func TestFilterScanOrder(t *testing.T) {
+	type group struct{ from, step, to int }
+	groups := []group{{0, 2, 40}, {1, 2, 20}, {21, 2, 40}} // flushed, flushed, in memory
+	var sorted, componentOrder []uint64
+	for _, g := range groups {
+		for id := g.from; id < g.to; id += g.step {
+			componentOrder = append(componentOrder, uint64(id))
+		}
+	}
+	for id := range uint64(40) {
+		sorted = append(sorted, id)
+	}
+	for _, strategy := range []lsmstore.Strategy{lsmstore.Eager, lsmstore.Validation, lsmstore.MutableBitmap, lsmstore.DeletedKey} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/shards=%d", strategy, shards), func(t *testing.T) {
+				opts := tinyOptions(strategy)
+				opts.Shards = shards
+				db, err := lsmstore.Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				for i, g := range groups {
+					for id := g.from; id < g.to; id += g.step {
+						if err := db.Upsert(tweetPK(uint64(id)), tweetRec(uint64(id), uint32(id%8), int64(id))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if i < 2 {
+						if err := db.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				var got []uint64
+				if err := db.FilterScan(0, 1<<62, func(pk, _ []byte) {
+					got = append(got, binary.BigEndian.Uint64(pk))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				want := sorted
+				if strategy == lsmstore.MutableBitmap && shards == 1 {
+					want = componentOrder
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("FilterScan emitted %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
 func TestRepairSecondaryIndexes(t *testing.T) {
 	db, err := lsmstore.Open(tinyOptions(lsmstore.Validation))
 	if err != nil {

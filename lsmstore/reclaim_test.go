@@ -75,21 +75,28 @@ func measureFootprint(t *testing.T, db *lsmstore.DB, dir string) footprint {
 func overwriteCycles(t *testing.T, db *lsmstore.DB, keys, cycles int) {
 	t.Helper()
 	for c := 0; c < cycles; c++ {
-		muts := make([]lsmstore.Mutation, keys)
-		for k := range muts {
-			id := uint64(k)
-			muts[k] = lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: tweetPK(id), Record: tweetRec(id, uint32(k%32), int64(c*keys+k))}
-		}
-		for len(muts) > 0 {
-			n := min(len(muts), 250)
-			if err := db.ApplyBatch(muts[:n]); err != nil {
-				t.Fatal(err)
-			}
-			muts = muts[n:]
-		}
+		rewrite(t, db, keys, c)
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// rewrite upserts keys 0..keys-1 once more, in batches of 250, each with the
+// same secondary key as ever and a creation time of cycle c's own.
+func rewrite(t *testing.T, db *lsmstore.DB, keys, c int) {
+	t.Helper()
+	muts := make([]lsmstore.Mutation, keys)
+	for k := range muts {
+		id := uint64(k)
+		muts[k] = lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: tweetPK(id), Record: tweetRec(id, uint32(k%32), int64(c*keys+k))}
+	}
+	for len(muts) > 0 {
+		n := min(len(muts), 250)
+		if err := db.ApplyBatch(muts[:n]); err != nil {
+			t.Fatal(err)
+		}
+		muts = muts[n:]
 	}
 }
 
@@ -126,6 +133,37 @@ func TestReclaimBounded(t *testing.T) {
 	within("component files on the devices", int64(few.devFiles), int64(many.devFiles))
 	within("open handles", int64(few.handles), int64(many.handles))
 	within("retained log records", int64(few.logRecords), int64(many.logRecords))
+}
+
+// TestHotSetLogBounded is TestReclaimBounded's sibling for a hot set
+// overwritten in place with no Flush: 2 000 keys rewritten for 80 and for
+// 320 cycles. Every overwrite is charged to the memory budget, so the hot
+// set crosses it and flushes like new keys do, and each durable flush gives
+// back the log it covers: the retained log stays within a few budgets at
+// both counts. When overwrites of a key in the memtable went uncharged the
+// set never flushed, and the log grew with every cycle (23.6 MB after 320).
+func TestHotSetLogBounded(t *testing.T) {
+	const keys, cycles = 2000, 80
+	opts := diskOptions(lsmstore.Validation, t.TempDir())
+	opts.Shards, opts.MaintenanceWorkers = 2, 2
+	opts.MemoryBudget = 1 << 20
+	db, err := lsmstore.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	limit := int64(3 * opts.MemoryBudget * opts.Shards)
+	for c := 0; c < 4*cycles; c++ {
+		rewrite(t, db, keys, c)
+		if c+1 == cycles || c+1 == 4*cycles {
+			wal := db.Stats().WALBytes
+			t.Logf("%d cycles: %d log bytes retained", c+1, wal)
+			if wal > limit {
+				t.Errorf("%d cycles of %d keys overwritten in place: %d log bytes retained, want at most %d (3 budgets per shard)",
+					c+1, keys, wal, limit)
+			}
+		}
+	}
 }
 
 // componentPath names the file of a component on shard 0.

@@ -464,10 +464,11 @@ func (sa *shardAnswers) release() {
 
 // filterScan runs the primary-index range-filter scan on every shard
 // concurrently, then emits the union in primary-key order from the
-// caller's goroutine. A single partition already scans in primary-key
-// order, so it streams straight to fn: an unbounded scan is never buffered.
-// Otherwise the shards' records are copied into a recycled shardAnswers'
-// arenas, valid only until fn returns.
+// caller's goroutine. A single partition streams its scan straight to fn,
+// in the order query.FilterScan emits (a component at a time under
+// Mutable-bitmap): an unbounded scan is never buffered. Otherwise the
+// shards' records are copied into a recycled shardAnswers' arenas, valid
+// only until fn returns.
 func (db *DB) filterScan(lo, hi int64, fn func(pk, record []byte)) error {
 	if len(db.parts) == 1 {
 		return query.FilterScan(db.parts[0].ds, lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
