@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/lsm"
@@ -37,7 +38,7 @@ func benchDataset(b *testing.B, strategy Strategy) *Dataset {
 // implementation itself). Quote it at -benchtime=100000x: the flushes and
 // merges a run triggers are amortized over its iterations, so allocs/op
 // depends on b.N, and figures taken at different counts compare different
-// workloads.
+// workloads. mallocs/op is allocs/op unrounded.
 //
 // Each strategy has two rows. The plain one cycles 50 000 keys through the
 // 1 MiB memory budget, so every upsert replaces a version already flushed.
@@ -63,12 +64,17 @@ func BenchmarkUpsertByStrategy(b *testing.B) {
 					}
 				}
 				b.ReportAllocs()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := d.Upsert(pkOf(uint64(i%row.keys)), rec); err != nil {
 						b.Fatal(err)
 					}
 				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "mallocs/op")
 			})
 		}
 	}

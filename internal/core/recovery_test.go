@@ -155,6 +155,45 @@ func TestRecoveryPreservesTimestampOrder(t *testing.T) {
 	}
 }
 
+// TestComponentTimestampRangesDisjoint checks the invariant the record
+// fetch's pruning after Timestamp validation rests on: a tree's disk
+// components hold disjoint timestamp ranges, ordered oldest to newest, so a
+// version's timestamp names the one component that can hold it. Flushes,
+// merges and a crash with its replay must all keep it, under every
+// strategy.
+func TestComponentTimestampRangesDisjoint(t *testing.T) {
+	for _, strat := range []Strategy{Eager, Validation, MutableBitmap, DeletedKey} {
+		t.Run(strat.String(), func(t *testing.T) {
+			d := newTestDataset(t, func(c *Config) {
+				c.Strategy = strat
+				c.Policy = lsm.NewTiering(48 << 10)
+			})
+			driveMixed(t, d, 17, 1500, 100)
+			d.Crash()
+			if err := d.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			driveMixed(t, d, 18, 1500, 100)
+			if err := d.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			for _, tree := range []*lsm.Tree{d.Primary(), d.PKIndex()} {
+				comps := tree.Components()
+				merged := false
+				for i, c := range comps {
+					merged = merged || c.EpochMin < c.EpochMax
+					if c.ID.MinTS > c.ID.MaxTS || i > 0 && comps[i-1].ID.MaxTS >= c.ID.MinTS {
+						t.Fatalf("component %d of %d holds [%d, %d] after %+v", i, len(comps), c.ID.MinTS, c.ID.MaxTS, comps[max(i-1, 0)].ID)
+					}
+				}
+				if len(comps) < 2 || !merged {
+					t.Fatalf("setup: %d components, merged %v", len(comps), merged)
+				}
+			}
+		})
+	}
+}
+
 // driveNoFlush applies a deterministic op stream without ever draining, so
 // asynchronous flush batches and merges pile up behind the writers.
 func driveNoFlush(t *testing.T, d *Dataset, seed int64, nOps int) map[uint64]string {

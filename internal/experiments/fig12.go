@@ -26,13 +26,15 @@ type lookupStack struct {
 	cfg     query.LookupConfig
 }
 
+// stacks has no pID row: the figure runs NoValidation, where a secondary
+// entry's timestamp need not be its key's newest, so the fetch prunes
+// nothing; it prunes after Timestamp validation (fig16, fig18).
 func stacks(batchMem int) []lookupStack {
 	return []lookupStack{
 		{"naive", false, query.LookupConfig{}},
 		{"batch", false, query.LookupConfig{BatchMemory: batchMem}},
 		{"batch/sLookup", false, query.LookupConfig{BatchMemory: batchMem, Stateful: true}},
 		{"batch/sLookup/bBF", true, query.LookupConfig{BatchMemory: batchMem, Stateful: true}},
-		{"batch/sLookup/bBF/pID", true, query.LookupConfig{BatchMemory: batchMem, Stateful: true, PropagateIDs: true}},
 	}
 }
 
@@ -111,10 +113,9 @@ func avgQuery(ds *core.Dataset, env *metrics.Env, si *core.SecondaryIndex,
 // lookup optimizations pay off with the number of records fetched, not
 // with the fraction of the dataset that number is.
 func fig12a(s Scale) (*Result, error) {
-	return fig12Sel(s, "fig12a", "Point lookup optimizations, low selectivity", fig12aSels, false)
+	return fig12Sel(s, "fig12a", "Point lookup optimizations, low selectivity",
+		[]float64{0.0001, 0.0002, 0.0005, 0.001, 0.0025}, false)
 }
-
-var fig12aSels = []float64{0.0001, 0.0002, 0.0005, 0.001, 0.0025}
 
 func fig12b(s Scale) (*Result, error) {
 	return fig12Sel(s, "fig12b", "Point lookup optimizations, high selectivity (with scan baselines)",

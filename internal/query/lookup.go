@@ -3,8 +3,8 @@
 //   - Index-to-index navigation (Section 3.2): fetching primary-index
 //     records for a list of primary keys with the batched point lookup,
 //     lsm.View.Lookup (the naive sorted algorithm is its one-key batch),
-//     optionally with stateful B+-tree cursors and component-ID propagation
-//     (pID).
+//     optionally with stateful B+-tree cursors; after Timestamp validation a
+//     key probes only the component its timestamp names (the paper's pID).
 //   - Query validation for the Validation strategy (Section 4.3, Figure 5):
 //     Direct validation (fetch + re-check) and Timestamp validation (probe
 //     the primary key index through the same lsm.View.Lookup).
@@ -36,9 +36,6 @@ type LookupConfig struct {
 	// Stateful uses stateful B+-tree lookup cursors with exponential
 	// search instead of a root-to-leaf descent per key.
 	Stateful bool
-	// PropagateIDs prunes primary components that are strictly older than
-	// the secondary component a key was found in (Jia's pID optimization).
-	PropagateIDs bool
 }
 
 // recordSize estimates a fetched record's size for batch sizing (tweets
@@ -46,24 +43,32 @@ type LookupConfig struct {
 const recordSize = 512
 
 // DefaultLookupConfig returns the paper's fully optimized configuration.
+// Component pruning has no setting: Timestamp validation turns it on.
 func DefaultLookupConfig() LookupConfig {
 	return LookupConfig{BatchMemory: 16 << 20, Stateful: true}
 }
 
-// Key is one primary key to fetch, tagged with the component ID of the
-// secondary-index component it was found in (for pID pruning).
+// Key is one primary key to fetch. TS, when not 0, is the timestamp of the
+// key's newest version as Timestamp validation found it.
 type Key struct {
-	PK  []byte
-	Src lsm.ID
+	PK []byte
+	TS int64
 }
 
 // fetchRecords retrieves the newest visible record for each key from the
 // primary index through lsm.View.Lookup, invoking emit for each record
 // found, with its cursors and flags in sc. Keys need not be sorted; they are
-// sorted here (the classic fetch-list optimization). The order of emitted records follows the
-// algorithm: primary-key order with one key per batch, batch-internal
-// component order with more. A record read from a disk component is the
-// pinned buffer-cache page's bytes, valid only until emit returns.
+// sorted here (the classic fetch-list optimization). The order of emitted
+// records follows the algorithm: primary-key order with one key per batch,
+// batch-internal component order with more. A record read from a disk
+// component is the pinned buffer-cache page's bytes, valid only until emit
+// returns.
+//
+// A key with a TS is probed in memory and in the one disk component whose
+// [MinTS, MaxTS] holds TS, where its version lives, so a Timestamp query
+// returns the version it validated or a newer one. A key that pass does not
+// emit (updated, flushed and bitmap-deleted since validation) is looked up
+// again with nothing skipped. The fetch consumes the keys' TS fields.
 func (sc *scratch) fetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig, emit func(kv.Entry)) error {
 	if len(keys) == 0 {
 		return nil
@@ -72,16 +77,34 @@ func (sc *scratch) fetchRecords(primary *lsm.Tree, keys []Key, cfg LookupConfig,
 	slices.SortFunc(keys, func(a, b Key) int { return kv.Compare(a.PK, b.PK) })
 	v := primary.ReadView()
 	defer v.Release()
-	return v.Lookup(&sc.lookups, len(keys), max(cfg.BatchMemory/recordSize, 1), cfg.Stateful,
-		func(i int) []byte { return keys[i].PK },
-		func(i int, c *lsm.Component) bool {
-			return cfg.PropagateIDs && c.ID.MaxTS < keys[i].Src.MinTS // too old to hold this version
-		},
-		func(_ int, e kv.Entry, deleted bool) {
-			if !e.Anti && !deleted {
-				emit(e)
+	// The second pass, if any, looks up the keys the first did not emit,
+	// with their TS cleared: nothing is skipped, and nothing is left over.
+	for {
+		if err := v.Lookup(&sc.lookups, len(keys), max(cfg.BatchMemory/recordSize, 1), cfg.Stateful,
+			func(i int) []byte { return keys[i].PK },
+			func(i int, c *lsm.Component) bool {
+				ts := keys[i].TS
+				return ts != 0 && (ts < c.ID.MinTS || ts > c.ID.MaxTS) // another component holds it
+			},
+			func(i int, e kv.Entry, deleted bool) {
+				if !e.Anti && !deleted {
+					keys[i].TS = 0 // answered
+					emit(e)
+				}
+			}); err != nil {
+			return err
+		}
+		retry := keys[:0]
+		for _, k := range keys {
+			if k.TS != 0 {
+				retry = append(retry, Key{PK: k.PK})
 			}
-		})
+		}
+		if len(retry) == 0 {
+			return nil
+		}
+		keys = retry
+	}
 }
 
 // SortRecordsByPK sorts fetched records back into primary-key order

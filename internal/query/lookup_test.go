@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kv"
+	"repro/internal/lsm"
 )
 
 func TestFetchRecordsEmpty(t *testing.T) {
@@ -106,11 +107,10 @@ func TestFetchRecordsMissingKeysSilent(t *testing.T) {
 	}
 }
 
-// TestPIDPruningSafeUnderUpdates guards the pruning direction: propagating
-// component IDs may skip components strictly OLDER than the source entry,
-// but never newer ones — a key updated without a secondary-key change has
-// its newest version in a newer component than the surviving secondary
-// entry, and pruning must not miss it.
+// TestPIDPruningSafeUnderUpdates pins that nothing is pruned without
+// Timestamp validation: a key updated without a secondary-key change has its
+// newest version in a newer component than its surviving secondary entry,
+// whose timestamp therefore must not prune the fetch.
 func TestPIDPruningSafeUnderUpdates(t *testing.T) {
 	d := newDataset(t, core.Eager, nil)
 	// Insert with user 5, then upsert the SAME user but a new creation
@@ -130,7 +130,7 @@ func TestPIDPruningSafeUnderUpdates(t *testing.T) {
 	si := d.Secondary("user")
 	res, err := SecondaryRange(d, si, userKey(5), userKey(5), SecondaryQueryOptions{
 		Validation: NoValidation,
-		Lookup:     LookupConfig{BatchMemory: 1 << 20, PropagateIDs: true},
+		Lookup:     LookupConfig{BatchMemory: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,131 @@ func TestPIDPruningSafeUnderUpdates(t *testing.T) {
 		t.Fatalf("got %d records", len(res.Records))
 	}
 	if cr, _ := recCreation(res.Records[0].Value); cr != 999 {
-		t.Fatalf("pID pruning returned the stale version (creation %d)", cr)
+		t.Fatalf("the fetch returned the stale version (creation %d)", cr)
+	}
+}
+
+// TestTimestampFetchTestsOneBloomFilterPerKey: after Timestamp validation a
+// key's version lives in memory or in the one disk component whose
+// timestamp range holds it, so the fetch tests at most one Bloom filter per
+// key however many components there are. The fetch's tests are the query's
+// less those of the same query answered index-only, which stops after
+// validation.
+func TestTimestampFetchTestsOneBloomFilterPerKey(t *testing.T) {
+	d := newDataset(t, core.Validation, func(c *core.Config) { c.Policy = lsm.NoMerge{} })
+	upsert := func(pk uint64, user uint32) {
+		t.Helper()
+		if err := d.Upsert(kv.EncodeUint64(pk), mkRecord(user, int64(pk), 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const perFlush = 100
+	for round := uint64(0); round < 5; round++ {
+		for i := uint64(0); i < perFlush; i++ {
+			upsert(round*perFlush+i, uint32(i%10))
+		}
+		// Move some older keys to another user: their old entries go
+		// obsolete and their records to a newer component.
+		for pk := uint64(0); pk < round*perFlush; pk += 9 {
+			upsert(pk, uint32(pk+round)%10)
+		}
+		if round < 4 { // the last round stays in memory
+			if err := d.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := d.Primary().NumDiskComponents(); n != 4 {
+		t.Fatalf("%d primary components, want 4", n)
+	}
+	si := d.Secondary("user")
+	query := func(indexOnly bool) (bloomTests int64, answers int) {
+		t.Helper()
+		before := d.Env().Counters.BloomTests.Load()
+		res, err := SecondaryRange(d, si, userKey(2), userKey(4), SecondaryQueryOptions{
+			Validation: Timestamp, IndexOnly: indexOnly, Lookup: DefaultLookupConfig(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Env().Counters.BloomTests.Load() - before, len(res.Records) + len(res.Keys)
+	}
+	all, records := query(false)
+	validation, keys := query(true)
+	if records == 0 || records != keys {
+		t.Fatalf("setup: %d records fetched for %d validated keys", records, keys)
+	}
+	fetch := all - validation
+	if fetch > int64(records) {
+		t.Fatalf("the fetch tested %d Bloom filters for %d keys; at most one per key", fetch, records)
+	}
+	t.Logf("the fetch tested %d Bloom filters for %d keys", fetch, records)
+}
+
+// TestTimestampFetchFollowsLaterUpdates: a key validated at one version and
+// then updated with the same secondary key, flushed and merged before the
+// fetch, is still answered. Under Validation the answer is the validated
+// version or the newer one; under Mutable-bitmap the validated version's
+// bit is set, so only the newer one, in a component the first pass prunes,
+// can answer.
+func TestTimestampFetchFollowsLaterUpdates(t *testing.T) {
+	for _, strategy := range []core.Strategy{core.Validation, core.MutableBitmap} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			d := newDataset(t, strategy, func(c *core.Config) { c.Policy = lsm.NoMerge{} })
+			upsertFlush := func(pk uint64, creation int64) {
+				t.Helper()
+				if err := d.Upsert(kv.EncodeUint64(pk), mkRecord(5, creation, 40)); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pk := kv.EncodeUint64(7)
+			upsertFlush(7, 100)
+			var validated int64 // the version's timestamp, as validation leaves it
+			if _, err := d.Primary().Get(pk, func(e kv.Entry) { validated = e.TS }); err != nil || validated == 0 {
+				t.Fatalf("setup: validated timestamp %d, %v", validated, err)
+			}
+			upsertFlush(8, 100)
+			upsertFlush(7, 200) // after validation, before the fetch
+			fetch := func(stage string) {
+				t.Helper()
+				var got []int64
+				err := new(scratch).fetchRecords(d.Primary(), []Key{{PK: pk, TS: validated}}, DefaultLookupConfig(),
+					func(e kv.Entry) {
+						cr, _ := recCreation(e.Value)
+						got = append(got, cr)
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 1 || (got[0] != 200 && (got[0] != 100 || strategy == core.MutableBitmap)) {
+					t.Fatalf("%s: fetched creations %v", stage, got)
+				}
+			}
+			fetch("flushed")
+			// Merge the two newer components: the validated version's
+			// component stays, and the merged one does not hold its
+			// timestamp.
+			if strategy == core.MutableBitmap {
+				if _, err := d.MergePrimaryRange(1, 3, 1, 3); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				res, err := d.Primary().Merge(lsm.MergeSpec{Lo: 1, Hi: 3})
+				if err == nil {
+					err = d.Primary().Install(res)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := d.Primary().NumDiskComponents(); n != 2 {
+				t.Fatalf("setup: %d primary components after the merge, want 2", n)
+			}
+			fetch("merged")
+		})
 	}
 }
 

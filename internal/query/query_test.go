@@ -327,7 +327,7 @@ func TestFilterScanReadsRuleSources(t *testing.T) {
 }
 
 // TestLookupConfigsAgree verifies every point-lookup configuration (naive,
-// batched, stateful, pID, batch sizes) fetches the same records.
+// batched, stateful, batch sizes) fetches the same records.
 func TestLookupConfigsAgree(t *testing.T) {
 	d := newDataset(t, core.Eager, nil)
 	model := applyWorkload(t, d, 77, 5000, 900)
@@ -338,8 +338,6 @@ func TestLookupConfigsAgree(t *testing.T) {
 		"batch":       {BatchMemory: 16 << 20},
 		"batch-small": {BatchMemory: 8 << 10},
 		"batch-slk":   {BatchMemory: 16 << 20, Stateful: true},
-		"batch-pid":   {BatchMemory: 16 << 20, Stateful: true, PropagateIDs: true},
-		"naive-pid":   {PropagateIDs: true},
 		"naive-slk":   {Stateful: true},
 	}
 	rng := rand.New(rand.NewSource(13))

@@ -83,7 +83,6 @@ type candidate struct {
 	pk    []byte
 	pkEnd int
 	ts    int64
-	src   lsm.ID
 	// srcRepairedTS is the repairedTS of the component the entry came
 	// from, which prunes primary-key-index components during Timestamp
 	// validation (footnote 2 of the paper).
@@ -184,9 +183,15 @@ func (sc *scratch) secondaryRange(res *SecondaryResult, arena *kv.Arena, ds *cor
 		}
 		return nil
 	}
+	// Only a Timestamp survivor's ts is known to be its key's newest, which
+	// the fetch prunes by.
 	keys := sc.keys[:0]
 	for _, c := range cands {
-		keys = append(keys, Key{PK: c.pk, Src: c.src})
+		k := Key{PK: c.pk}
+		if opts.Validation == Timestamp {
+			k.TS = c.ts
+		}
+		keys = append(keys, k)
 	}
 	sc.keys = keys
 	res.Records = slices.Grow(res.Records, len(keys))
@@ -223,12 +228,7 @@ func (sc *scratch) collect() ([]candidate, error) {
 		sc.pks = append(sc.pks, pk...)
 		c := candidate{pkEnd: len(sc.pks), ts: item.Entry.TS, srcRank: item.Rank}
 		if item.Comp != nil {
-			c.src = item.Comp.ID
 			c.srcRepairedTS = item.Comp.RepairedTS
-		} else {
-			// Memory-component entries are as fresh as it gets: only the
-			// memory component itself can invalidate them.
-			c.src = lsm.ID{MinTS: item.Entry.TS, MaxTS: item.Entry.TS}
 		}
 		cands = append(cands, c)
 	}

@@ -602,7 +602,8 @@ func (db *DB) NumShards() int { return len(db.parts) }
 // QueryOptions configures a secondary-index query.
 type QueryOptions struct {
 	// Validation selects the validation method; required (non-
-	// NoValidation) for lazy strategies.
+	// NoValidation) for lazy strategies. An Eager store answers every
+	// method as NoValidation.
 	Validation ValidationMethod
 	// IndexOnly returns primary keys without fetching records. Direct
 	// validation validates by fetching them, so the pair is ErrBadQuery.
@@ -669,8 +670,14 @@ func (db *DB) SecondaryQueryWith(index string, lo, hi []byte, opts QueryOptions,
 	case db.parts[0].ds.Secondary(index) == nil: // every partition declares the same indexes
 		return fmt.Errorf("%w: %q", ErrUnknownIndex, index)
 	}
+	validation := opts.Validation
+	if db.parts[0].ds.Config().Strategy == Eager {
+		// Its indexes are current. Timestamp validation would drop a record
+		// whose update kept its secondary key, and so its old index entry.
+		validation = NoValidation
+	}
 	return db.secondaryQuery(index, lo, hi, query.SecondaryQueryOptions{
-		Validation: opts.Validation,
+		Validation: validation,
 		IndexOnly:  opts.IndexOnly,
 		Lookup:     query.DefaultLookupConfig(),
 	}, opts.Limit, fn)

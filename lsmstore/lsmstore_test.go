@@ -89,6 +89,44 @@ func TestBadQueryRejected(t *testing.T) {
 	}
 }
 
+// TestEagerAnswersEveryValidationMethod: an Eager store skips index
+// maintenance when an update keeps the secondary key, so the key's index
+// entry stays older than its primary key index entry. Timestamp validation
+// used to drop that live record; an Eager store now answers every method
+// from its current indexes, in memory and flushed alike.
+func TestEagerAnswersEveryValidationMethod(t *testing.T) {
+	db, err := lsmstore.Open(tinyOptions(lsmstore.Eager))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for creation := int64(1); creation <= 2; creation++ {
+		if err := db.Upsert(tweetPK(1), tweetRec(1, 3, creation)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stage := range []string{"in memory", "flushed"} {
+		if stage == "flushed" {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range []lsmstore.ValidationMethod{lsmstore.NoValidation, lsmstore.DirectValidation, lsmstore.TimestampValidation} {
+			res, err := db.SecondaryQuery("user", workload.UserKey(3), workload.UserKey(3), lsmstore.QueryOptions{Validation: m})
+			if err != nil || len(res.Records) != 1 {
+				t.Fatalf("%s, %v: res=%+v err=%v, want 1 record", stage, m, res, err)
+			}
+			if creation, _ := workload.CreationOf(res.Records[0].Value); creation != 2 {
+				t.Fatalf("%s, %v: creation %d, want the update's", stage, m, creation)
+			}
+		}
+	}
+	if _, err := db.SecondaryQuery("user", nil, nil,
+		lsmstore.QueryOptions{Validation: lsmstore.DirectValidation, IndexOnly: true}); !errors.Is(err, lsmstore.ErrBadQuery) {
+		t.Fatalf("index-only Direct query: %v, want ErrBadQuery", err)
+	}
+}
+
 // TestPublicAPIEquivalence drives the full public surface across all
 // strategies against a model.
 func TestPublicAPIEquivalence(t *testing.T) {
