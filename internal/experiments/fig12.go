@@ -83,8 +83,10 @@ func measureQuery(ds *core.Dataset, env *metrics.Env, si *core.SecondaryIndex,
 // avgQuery reproduces the paper's methodology fairly across series: the
 // buffer cache is reset, one warm-up query (a different predicate) loads
 // the internal pages and Bloom filters, then three fresh predicates are
-// measured and averaged. Measured predicates never repeat, so leaf pages
-// stay cold, as they would with a dataset far larger than the cache.
+// measured and averaged. The cache is reset only before the warm-up, so a
+// page one measured query reads (a leaf, or a record page a Bloom false
+// positive fetched) stays cached and can serve the next one: each
+// measured time includes what the queries before it left in the cache.
 func avgQuery(ds *core.Dataset, env *metrics.Env, si *core.SecondaryIndex,
 	s Scale, sel float64, opts query.SecondaryQueryOptions) (time.Duration, error) {
 	ds.Config().Store.Cache().Reset()

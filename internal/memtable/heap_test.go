@@ -57,21 +57,32 @@ func TestHeapTracksBudget(t *testing.T) {
 	}
 
 	// Values too large to share a chunk, each key's first and then its
-	// overwrite's: every one is a chunk of its own.
-	before := liveHeap()
-	m := New(1)
-	big := make([]byte, 2*maxInline)
-	var key [8]byte
-	for i := uint64(0); m.Bytes() < budget; i++ {
-		binary.BigEndian.PutUint64(key[:], i/2*0x9E3779B97F4A7C15)
-		m.Put(kv.Entry{Key: key[:], Value: big[:maxInline+1+i*7919%maxInline], TS: int64(i)})
+	// overwrite's: every one is a chunk of its own, which the heap rounds
+	// up to its size class — by about 15 % for an 8 193-byte value and 25 % for a
+	// 32 769-byte one, which Bytes() charges too.
+	big := make([]byte, 4*maxInline+1)
+	for _, c := range []struct {
+		name string
+		size func(i uint64) int
+	}{
+		{"values over maxInline", func(i uint64) int { return maxInline + 1 + int(i*7919%maxInline) }},
+		{"8 193-byte values", func(uint64) int { return 8193 }},
+		{"32 769-byte values", func(uint64) int { return 32769 }},
+	} {
+		before := liveHeap()
+		m := New(1)
+		var key [8]byte
+		for i := uint64(0); m.Bytes() < budget; i++ {
+			binary.BigEndian.PutUint64(key[:], i/2*0x9E3779B97F4A7C15)
+			m.Put(kv.Entry{Key: key[:], Value: big[:c.size(i)], TS: int64(i)})
+		}
+		heap := float64(liveHeap() - before)
+		t.Logf("%s: heap %.3f× Bytes(), %d chunks", c.name, heap/float64(m.Bytes()), len(m.chunks))
+		if heap/float64(m.Bytes()) > 1.15 {
+			t.Errorf("%s: heap is %.3f× Bytes(), want at most 1.15", c.name, heap/float64(m.Bytes()))
+		}
+		runtime.KeepAlive(m)
 	}
-	heap := float64(liveHeap() - before)
-	t.Logf("values over maxInline: heap %.3f× Bytes(), %d chunks", heap/float64(m.Bytes()), len(m.chunks))
-	if heap/float64(m.Bytes()) > 1.15 {
-		t.Errorf("values over maxInline: heap is %.3f× Bytes(), want at most 1.15", heap/float64(m.Bytes()))
-	}
-	runtime.KeepAlive(m)
 }
 
 // servedHeap puts one entry of each of the served schema's shapes per

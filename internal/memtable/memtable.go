@@ -158,11 +158,14 @@ func nodeKey(n []byte) []byte {
 
 // carve returns the reference and bytes of size fresh bytes: a chunk of
 // their own when they are over maxInline, else the open chunk's next ones,
-// opening the next chunk when the open one lacks them.
+// opening the next chunk when the open one lacks them. The heap rounds a
+// chunk of its own up to its size class (an 8 200-byte one to 9 472 bytes,
+// a 32 776-byte one to 40 960), and Bytes charges that rounding too.
 func (t *Table) carve(size int) (uint32, []byte) {
 	size = (size + align - 1) &^ (align - 1)
 	if size > maxInline {
 		c := t.newChunk(size)
+		t.bytes += cap(t.chunks[c]) - size
 		return uint32(c) << offsetBits, t.chunks[c]
 	}
 	if len(t.chunks) == 0 || size > len(t.chunks[t.open])-t.used {
@@ -178,12 +181,14 @@ func (t *Table) carve(size int) (uint32, []byte) {
 	return ref, b
 }
 
-// newChunk appends a chunk of n bytes and returns its index.
+// newChunk appends a chunk of n bytes and returns its index. The chunk's
+// capacity is what the heap holds for it: append's growth reads it from the
+// allocator's size class.
 func (t *Table) newChunk(n int) int {
 	if len(t.chunks) == maxChunks {
 		panic(fmt.Sprintf("memtable: a table of %d accounted bytes filled all %d chunks its references address", t.bytes, maxChunks))
 	}
-	t.chunks = append(t.chunks, make([]byte, n))
+	t.chunks = append(t.chunks, append([]byte(nil), make([]byte, n)...))
 	return len(t.chunks) - 1
 }
 
@@ -323,7 +328,8 @@ func (t *Table) Len() int {
 
 // Bytes returns what Puts copied into the table, which the dataset-wide
 // memory-component budget charges (Sections 3 and 6.1): each new key's
-// entry (kv.Entry.Size) and each overwrite's value. Nothing is taken off
+// entry (kv.Entry.Size) and each overwrite's value, plus the size-class
+// rounding of every carve too large to share a chunk. Nothing is taken off
 // when a value is superseded, since its bytes stay in the chunks, so Bytes
 // never falls. Node headers and towers stay uncharged: the served schema's
 // tables hold about 1.08× their charge even so, and charging them would

@@ -21,13 +21,14 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) (int64, error
 	}
 	// The merged component's starting watermark is the weakest (minimum)
 	// of the inputs': entries from any input may be stale past it.
-	repairedTS := comps[lo].RepairedTS
+	repairedTS, entries := comps[lo].RepairedTS, int64(0)
 	for _, c := range comps[lo:hi] {
 		if c.RepairedTS < repairedTS {
 			repairedTS = c.RepairedTS
 		}
+		entries += c.NumEntries()
 	}
-	v := newValidator(pkIndex, repairedTS, opts)
+	v := newValidator(pkIndex, repairedTS, entries, opts)
 	defer v.release()
 	res, err := sec.Merge(lsm.MergeSpec{Lo: lo, Hi: hi, DropAnti: lo == 0, OnEntry: v.add})
 	if err != nil {
@@ -49,7 +50,7 @@ func MergeRepair(sec, pkIndex *lsm.Tree, lo, hi int, opts Options) (int64, error
 // The caller keeps comp's files in place (a pinned view of sec, or no
 // concurrent merges).
 func StandaloneRepair(sec, pkIndex *lsm.Tree, comp *lsm.Component, opts Options) error {
-	v := newValidator(pkIndex, comp.RepairedTS, opts)
+	v := newValidator(pkIndex, comp.RepairedTS, comp.NumEntries(), opts)
 	defer v.release()
 
 	scan, err := comp.BTree.NewScan(nil, nil)

@@ -52,17 +52,20 @@ type validator struct {
 	repairedTS int64
 	comps      []*lsm.Component // unpruned, oldest to newest
 	tuples     []tuple
+	keys       kv.Arena // the tuples' primary keys, copied out of the pages
 	// newRepairedTS is the repair watermark after this operation: the
 	// maximum timestamp covered by the examined components and memory.
 	newRepairedTS int64
 }
 
 // newValidator pins a view of the primary key index, pruning disk
-// components with maxTS <= repairedTS (Fig 6). The caller releases the
-// validator when the repair is over.
-func newValidator(pkIndex *lsm.Tree, repairedTS int64, opts Options) *validator {
+// components with maxTS <= repairedTS (Fig 6), with room for the tuples of
+// the repaired components, which hold entries entries. The caller releases
+// the validator when the repair is over.
+func newValidator(pkIndex *lsm.Tree, repairedTS int64, entries int64, opts Options) *validator {
 	view := pkIndex.ReadView()
-	v := &validator{env: pkIndex.Env(), view: view, useBloom: opts.UseBloom, repairedTS: repairedTS, newRepairedTS: repairedTS}
+	v := &validator{env: pkIndex.Env(), view: view, useBloom: opts.UseBloom, repairedTS: repairedTS, newRepairedTS: repairedTS,
+		tuples: make([]tuple, 0, entries)}
 	for _, c := range view.Components {
 		if c.ID.MaxTS <= repairedTS {
 			continue // pruned
@@ -99,7 +102,7 @@ func (v *validator) add(e kv.Entry, ordinal int64) {
 		// validation entirely.
 		return
 	}
-	v.tuples = append(v.tuples, tuple{pk: append([]byte(nil), pk...), ts: e.TS, pos: ordinal})
+	v.tuples = append(v.tuples, tuple{pk: v.keys.Copy(pk), ts: e.TS, pos: ordinal})
 }
 
 // numRecentKeys returns the total entry count of the unpruned components,

@@ -48,3 +48,49 @@ func BenchmarkDecodeRequestBatch(b *testing.B) {
 		muts = r.Muts
 	}
 }
+
+// servedAnswer is a secondary query's answer as the served query workload
+// gets it: n records of 8-byte primary keys and 464- to 564-byte records,
+// about 40 KB for 75.
+func servedAnswer(n int) Response {
+	r := Response{ID: 1, Kind: KindQuery, Records: make([]Record, n)}
+	for i := range r.Records {
+		r.Records[i] = Record{
+			PK:    binary.BigEndian.AppendUint64(nil, uint64(i)*0x9E3779B97F4A7C15),
+			Value: make([]byte, 464+i*100/n),
+		}
+	}
+	return r
+}
+
+// BenchmarkDecodeResponse decodes the served answers the client reads — a
+// 514-byte GET value, a 64-flag batch report and a 75-record query answer —
+// each through DecodeResponse, one exact-size backing per answer, and
+// through a connection's ResponseDecoder, which carves the first two from
+// its chunks. Run it with -benchmem.
+func BenchmarkDecodeResponse(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"get-514B", AppendValueResponse(nil, 1, true, make([]byte, 514))},
+		{"batch-64", AppendResponse(nil, Response{ID: 1, Kind: KindBatch, AppliedBatch: make([]bool, 64)})},
+		{"query-75", AppendResponse(nil, servedAnswer(75))},
+	} {
+		var d ResponseDecoder
+		for _, dec := range []struct {
+			name   string
+			decode func([]byte) (Response, error)
+		}{{"exact", DecodeResponse}, {"decoder", d.Decode}} {
+			b.Run(c.name+"/"+dec.name, func(b *testing.B) {
+				b.SetBytes(int64(len(c.frame)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := dec.decode(c.frame); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

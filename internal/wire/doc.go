@@ -27,10 +27,16 @@
 // message, letting clients map server-side failures back onto the
 // lsmstore sentinel errors.
 //
+// A client decodes a connection's responses through one ResponseDecoder,
+// which carves small answers from pointer-free chunks instead of
+// allocating per answer; DecodeResponse gives every answer a backing of
+// its own.
+//
 // # Robustness
 //
 // DecodeRequestInPlace and DecodeResponse never panic on corrupt input. Every
 // decoding failure — truncation, bad varint, out-of-range enum, trailing
 // garbage, list counts exceeding the frame — wraps ErrCorruptFrame, which
-// the fuzzers in this package enforce.
+// the fuzzers in this package enforce; a ResponseDecoder answers as
+// DecodeResponse does, corrupt input included.
 package wire

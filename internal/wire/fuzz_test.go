@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -81,8 +82,26 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 200})
+	// One decoder sees every input, corrupt ones included, as a connection's
+	// reader would: it must answer as DecodeResponse does, and no carve may
+	// disturb the answer it decoded before.
+	var (
+		dec          ResponseDecoder
+		prev         Response
+		prevEncoding []byte
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeResponse(data)
+		carved, cerr := dec.Decode(data)
+		if (err == nil) != (cerr == nil) || !reflect.DeepEqual(carved, resp) {
+			t.Fatalf("decoder answered %+v, %v; DecodeResponse %+v, %v", carved, cerr, resp, err)
+		}
+		if prevEncoding != nil && !bytes.Equal(AppendResponse(nil, prev), prevEncoding) {
+			t.Fatalf("a later decode changed the answer before it:\n got  %+v", prev)
+		}
+		if cerr == nil {
+			prev, prevEncoding = carved, AppendResponse(nil, carved)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("decode error %v does not wrap ErrCorruptFrame", err)

@@ -213,9 +213,13 @@ type Request struct {
 // union keyed by Kind but all encode unconditionally.
 //
 // The byte strings of a decoded Response (Value, every record's PK and
-// Value, Keys, Stats) are sub-slices of one backing array: keeping any one
-// of them keeps the whole answer's bytes alive. Copy what must outlive the
-// rest.
+// Value, Keys, Stats) are capacity-limited sub-slices of one backing
+// array. DecodeResponse allocates that array for the answer alone, so
+// keeping any one string keeps the whole answer's bytes alive. A
+// ResponseDecoder carves the array of an answer of at most 2 KiB from its
+// 16 KiB chunk, and a batch report from its 4 KiB flag chunk: a kept value
+// then keeps alive at most that one chunk, shared with other answers, and
+// an answer over 2 KiB only its own bytes. Copy what must outlive the rest.
 type Response struct {
 	ID   uint64
 	Kind Kind
@@ -442,11 +446,17 @@ func (t *internTable) intern(b []byte) string {
 }
 
 // backing holds the byte strings of one decoded response in a single
-// buffer, so a response costs one allocation for its bytes however many
-// records it carries. The buffer is allocated at the first non-empty string,
-// sized by the bytes still undecoded then — an upper bound on everything
-// that follows, so it never grows and earlier sub-slices stay valid.
-type backing []byte
+// buffer, so a response costs at most one allocation for its bytes however
+// many records it carries. The buffer is taken at the first non-empty
+// string, sized by the bytes still undecoded then — an upper bound on
+// everything that follows, so it never grows and earlier sub-slices stay
+// valid. It is carved from the decoder's byte chunk when the bound allows
+// (carved is then set), else allocated at exactly the bound.
+type backing struct {
+	buf    []byte
+	dec    *ResponseDecoder // nil: always allocate
+	carved bool
+}
 
 // take is takeBytesRef with the string copied into the backing buffer.
 func (bk *backing) take(b []byte) ([]byte, []byte, error) {
@@ -454,12 +464,63 @@ func (bk *backing) take(b []byte) ([]byte, []byte, error) {
 	if err != nil || len(v) == 0 {
 		return nil, rest, err
 	}
-	if *bk == nil {
-		*bk = make([]byte, 0, len(v)+len(rest))
+	if bk.buf == nil {
+		if n := len(v) + len(rest); bk.dec != nil && n <= maxCarveBytes {
+			bk.buf, bk.carved = carve(&bk.dec.bytes, byteChunk, n), true
+		} else {
+			bk.buf = make([]byte, 0, n)
+		}
 	}
-	n := len(*bk)
-	*bk = append(*bk, v...)
-	return (*bk)[n:len(*bk):len(*bk)], rest, nil
+	n := len(bk.buf)
+	bk.buf = append(bk.buf, v...)
+	return bk.buf[n:len(bk.buf):len(bk.buf)], rest, nil
+}
+
+// Chunk sizes of a ResponseDecoder. An answer carves at most an eighth of
+// a chunk, so a chunk strands less than an eighth of itself at its end.
+const (
+	byteChunk     = 16 << 10
+	boolChunk     = 4 << 10
+	maxCarveBytes = byteChunk / 8
+	maxCarveBools = boolChunk / 8
+)
+
+// ResponseDecoder decodes one connection's responses, carving the bytes of
+// small answers from chunks it owns instead of allocating per answer. A
+// response whose byte strings need at most 2 KiB takes them from the
+// current 16 KiB byte chunk, and a batch report of at most 512 flags from
+// the current 4 KiB flag chunk; larger answers get their own exact-size
+// backing, as DecodeResponse gives every answer. Chunks hold no pointers,
+// and nothing that does (a query's Records and Keys) is shared between
+// answers. Every carve is capacity-limited, so an append to a value copies
+// it instead of writing into its neighbour. A chunk is never reset or
+// written again where it was handed out: when it is full the decoder
+// allocates a new one, and the old one is freed once its last value is
+// dropped. So a kept value keeps alive at most one chunk, or only its own
+// answer's bytes when the answer is over 2 KiB.
+//
+// The zero value is ready to use. A ResponseDecoder is not safe for
+// concurrent use: a connection's reader is its only user.
+type ResponseDecoder struct {
+	bytes []byte // carved up to len
+	bools []bool // carved up to len
+}
+
+// carve returns an empty slice of capacity n from chunk's free tail,
+// replacing *chunk with a fresh one of size elements when fewer than n are
+// free. The caller extends *chunk over what it keeps.
+func carve[T any](chunk *[]T, size, n int) []T {
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]T, 0, size)
+	}
+	l := len(*chunk)
+	return (*chunk)[l : l : l+n]
+}
+
+// Decode is DecodeResponse with small answers carved from the decoder's
+// chunks. Nothing in the result aliases frame.
+func (d *ResponseDecoder) Decode(frame []byte) (Response, error) {
+	return decodeResponse(frame, d)
 }
 
 // takeCount reads a list length and sanity-checks it against the bytes
@@ -649,14 +710,18 @@ func AppendValueResponse(buf []byte, id uint64, found bool, value []byte) []byte
 
 // DecodeResponse decodes a frame payload produced by AppendResponse. Like
 // DecodeRequestInPlace it never panics and wraps every failure in
-// ErrCorruptFrame. Nothing in the result aliases frame.
-func DecodeResponse(frame []byte) (Response, error) {
+// ErrCorruptFrame. Nothing in the result aliases frame: its byte strings
+// share one exact-size backing, allocated for this answer alone.
+func DecodeResponse(frame []byte) (Response, error) { return decodeResponse(frame, nil) }
+
+// decodeResponse decodes frame, carving from d's chunks when d is not nil.
+func decodeResponse(frame []byte, d *ResponseDecoder) (Response, error) {
 	var (
 		r    Response
 		err  error
 		b    = frame
 		kind byte
-		bk   backing
+		bk   = backing{dec: d}
 	)
 	if r.ID, b, err = takeUvarint(b); err != nil {
 		return Response{}, err
@@ -707,7 +772,12 @@ func DecodeResponse(frame []byte) (Response, error) {
 		return Response{}, err
 	}
 	if n > 0 {
-		r.AppliedBatch = make([]bool, n)
+		if d != nil && n <= maxCarveBools {
+			r.AppliedBatch = carve(&d.bools, boolChunk, n)[:n]
+			d.bools = d.bools[:len(d.bools)+n]
+		} else {
+			r.AppliedBatch = make([]bool, n)
+		}
 		for i := range r.AppliedBatch {
 			if r.AppliedBatch[i], b, err = takeBool(b); err != nil {
 				return Response{}, err
@@ -730,6 +800,9 @@ func DecodeResponse(frame []byte) (Response, error) {
 	}
 	if len(b) != 0 {
 		return Response{}, fmt.Errorf("%w: %d trailing bytes", ErrCorruptFrame, len(b))
+	}
+	if bk.carved { // keep what the answer used; the rest of the bound stays free
+		d.bytes = d.bytes[:len(d.bytes)+len(bk.buf)]
 	}
 	return r, nil
 }

@@ -52,8 +52,14 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 8, Kind: KindScan, Records: []Record{{PK: []byte("p")}}},
 		{ID: 9, Kind: KindStats, Stats: []byte(`{"Shards":1}`)},
 		ErrorResponse(10, CodeUnknownIndex, `unknown secondary index "nope"`),
+		{ID: 11, Kind: KindBatch, AppliedBatch: make([]bool, maxCarveBools+1)},
+		{ID: 12, Kind: KindValue, Found: true, Value: bytes.Repeat([]byte("x"), maxCarveBytes)},
 	}
-	for _, want := range resps {
+	// A decoder answers as DecodeResponse does, and its answers, carved
+	// from shared chunks, still read right after all the others.
+	var d ResponseDecoder
+	carved := make([]Response, len(resps))
+	for i, want := range resps {
 		enc := AppendResponse(nil, want)
 		got, err := DecodeResponse(enc)
 		if err != nil {
@@ -62,13 +68,24 @@ func TestResponseRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s round trip:\n got  %+v\n want %+v", want.Kind, got, want)
 		}
+		if carved[i], err = d.Decode(enc); err != nil {
+			t.Fatalf("%s: decoder: %v", want.Kind, err)
+		}
+	}
+	for i, want := range resps {
+		if !reflect.DeepEqual(carved[i], want) {
+			t.Fatalf("%s through a decoder:\n got  %+v\n want %+v", want.Kind, carved[i], want)
+		}
 	}
 }
 
 // TestDecodeResponseOneBacking: a decoded response owns its bytes (nothing
 // aliases the frame, and an append to one field cannot reach the next) and
-// pays for them once — one allocation for a GET reply's value, one more
-// than the record slice for a query answer of any length.
+// pays for them once — one allocation for a GET reply's value or a batch
+// report, one more than the record slice for a query answer of any length.
+// Through a ResponseDecoder the reply and the report cost nothing (one
+// chunk per many answers rounds to 0 over 100 decodes), and the query
+// answer, over 2 KiB, still costs its own backing and record slice.
 func TestDecodeResponseOneBacking(t *testing.T) {
 	get := AppendValueResponse(nil, 7, true, bytes.Repeat([]byte("v"), 500))
 	query := Response{ID: 8, Kind: KindQuery}
@@ -76,20 +93,28 @@ func TestDecodeResponseOneBacking(t *testing.T) {
 		query.Records = append(query.Records, Record{PK: []byte{byte(i), 1, 2, 3}, Value: bytes.Repeat([]byte{byte(i)}, 300)})
 	}
 	for _, c := range []struct {
-		name  string
-		frame []byte
-		want  float64
+		name            string
+		frame           []byte
+		want, carveWant float64
 	}{
-		{"value reply", get, 1},
-		{"miss reply", AppendValueResponse(nil, 7, false, nil), 0},
-		{"100-record answer", AppendResponse(nil, query), 2},
+		{"value reply", get, 1, 0},
+		{"miss reply", AppendValueResponse(nil, 7, false, nil), 0, 0},
+		{"64-flag batch report", AppendResponse(nil, Response{ID: 9, Kind: KindBatch, AppliedBatch: make([]bool, 64)}), 1, 0},
+		{"100-record answer", AppendResponse(nil, query), 2, 2},
 	} {
-		if allocs := testing.AllocsPerRun(100, func() {
-			if _, err := DecodeResponse(c.frame); err != nil {
-				t.Fatal(err)
+		var d ResponseDecoder
+		for _, dec := range []struct {
+			name   string
+			decode func([]byte) (Response, error)
+			want   float64
+		}{{"DecodeResponse", DecodeResponse, c.want}, {"ResponseDecoder", d.Decode, c.carveWant}} {
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, err := dec.decode(c.frame); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != dec.want {
+				t.Errorf("%s through %s: %v allocations per decode, want %v", c.name, dec.name, allocs, dec.want)
 			}
-		}); allocs != c.want {
-			t.Errorf("%s: %v allocations per decode, want %v", c.name, allocs, c.want)
 		}
 	}
 

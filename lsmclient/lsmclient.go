@@ -185,7 +185,12 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Get returns the record under pk and whether it exists.
+// Get returns the record under pk and whether it exists. The record is
+// the caller's to keep, capacity-limited so an append copies it. An
+// answer of at most 2 KiB (the record and a few bytes of framing) is
+// carved, with other small answers, from its connection's 16 KiB chunk, so
+// a GET allocates nothing of its own, and keeping the record keeps that one
+// chunk alive; a larger record keeps only its own bytes.
 func (c *Client) Get(pk []byte) ([]byte, bool, error) {
 	resp, err := c.do(wire.Request{Op: wire.OpGet, Key: pk}, wire.KindValue)
 	if err != nil {
@@ -220,9 +225,11 @@ func (c *Client) Delete(pk []byte) (bool, error) {
 
 // ApplyBatch applies a batch of mutations in one round trip and reports,
 // per mutation, whether it took effect (matching DB.ApplyBatchResults).
-// The report is the round trip's one allocation and the caller's to keep:
-// the server encodes it from the store's recycled report
-// (DB.ApplyBatchWith).
+// The report is the caller's to keep: the server encodes it from the
+// store's recycled report (DB.ApplyBatchWith), and the client carves a
+// report of up to 512 flags from its connection's 4 KiB flag chunk, so the
+// round trip allocates nothing of its own, and keeping the report keeps
+// that one chunk alive.
 func (c *Client) ApplyBatch(muts []lsmstore.Mutation) ([]bool, error) {
 	for _, m := range muts {
 		// The server's decoder treats an out-of-range op as a corrupt frame
@@ -243,7 +250,10 @@ func (c *Client) ApplyBatch(muts []lsmstore.Mutation) ([]bool, error) {
 }
 
 // SecondaryQuery runs a range query lo <= secondary key <= hi on the
-// named index.
+// named index. The result is the caller's: its records and keys are
+// capacity-limited slices of one backing array. An answer of up to 2 KiB
+// is carved from its connection's 16 KiB chunk, so keeping any part of it
+// keeps at most that chunk alive; a larger one keeps only its own bytes.
 func (c *Client) SecondaryQuery(index string, lo, hi []byte, opts lsmstore.QueryOptions) (*lsmstore.QueryResult, error) {
 	resp, err := c.do(wire.Request{
 		Op:         wire.OpSecondaryQuery,
@@ -261,7 +271,9 @@ func (c *Client) SecondaryQuery(index string, lo, hi []byte, opts lsmstore.Query
 }
 
 // FilterScan returns records whose filter key lies in [lo, hi], in
-// primary-key order, capped at limit (0 = all).
+// primary-key order, capped at limit (0 = all). As with SecondaryQuery, a
+// kept record keeps at most one 16 KiB connection chunk alive, or only its
+// own answer's bytes when the answer is over 2 KiB.
 func (c *Client) FilterScan(lo, hi int64, limit int) ([]lsmstore.Record, error) {
 	resp, err := c.do(wire.Request{
 		Op: wire.OpFilterScan, FilterLo: lo, FilterHi: hi, Limit: int64(limit),
@@ -552,7 +564,10 @@ func (c *conn) readLoop() {
 	// Reading through a buffer makes a response one read(2), not two
 	// (length prefix, then payload).
 	br := bufio.NewReaderSize(c.nc, 64<<10)
-	var buf []byte
+	var (
+		buf []byte
+		dec wire.ResponseDecoder // small answers share its chunks
+	)
 	for {
 		frame, err := wire.ReadFrame(br, buf, wire.MaxFrame)
 		if err != nil {
@@ -560,7 +575,7 @@ func (c *conn) readLoop() {
 			return
 		}
 		buf = frame[:cap(frame)]
-		resp, err := wire.DecodeResponse(frame)
+		resp, err := dec.Decode(frame)
 		if err != nil {
 			c.close(err)
 			return

@@ -2,6 +2,7 @@ package lsmclient
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -526,16 +527,18 @@ func dialServed(t *testing.T, opts lsmstore.Options) *Client {
 
 // TestRoundTripAllocations counts the whole process — client and server
 // share it — per round trip against an in-process server: a GET answered by
-// the read cache allocates its decoded value and nothing else, a PING
-// nothing (one of slack each for the runtime's own bookkeeping). A single
-// write — an UPSERT of a new key, a DELETE of a missing one — runs on its
-// handler worker straight into the engine and allocates nothing. An
-// APPLY_BATCH of 64 upserts, of new keys or of each key's first overwrite,
-// allocates the client's returned report and nothing else: the server
-// decodes into a recycled mutation list and encodes the engine's recycled
-// report, and the memtable carves the values from its chunks. Under
-// -race the round trips run for the race detector's sake and the counts are
-// only logged: sync.Pool then drops Puts at random.
+// the read cache allocates nothing, since the client carves its decoded
+// value from the connection's byte chunk (a 16 KiB chunk every few hundred
+// GETs rounds down to 0 per round trip), and a PING nothing (one of slack
+// for the runtime's own bookkeeping). A single write — an UPSERT of a new
+// key, a DELETE of a missing one — runs on its handler worker straight into
+// the engine and allocates nothing. An APPLY_BATCH of 64 upserts, of new
+// keys or of each key's first overwrite, allocates nothing either: the
+// server decodes into a recycled mutation list and encodes the engine's
+// recycled report, the memtable carves the values from its chunks, and the
+// client carves its returned report from the connection's flag chunk.
+// Under -race the round trips run for the race detector's sake and the
+// counts are only logged: sync.Pool then drops Puts at random.
 func TestRoundTripAllocations(t *testing.T) {
 	c := dialServed(t, lsmstore.Options{ReadCache: lsmstore.ReadCacheOptions{Bytes: 1 << 20}})
 	// The batches go to a store with the served ingest's strategy: an Eager
@@ -611,14 +614,77 @@ func TestRoundTripAllocations(t *testing.T) {
 		name string
 		fn   func()
 		max  float64
-	}{{"Get", get, 2}, {"Ping", ping, 1}, {"Upsert of a new key", upsertNew, 0}, {"Delete of a missing key", deleteMissing, 0},
-		{"ApplyBatch of 64 new keys", applyBatch, 1}, {"ApplyBatch of 64 first overwrites", applyBatch, 1},
-		{"ApplyBatch of 64 repeat overwrites", applyBatch, 1},
-		{"ApplyBatch of 64 first overwrites on an Eager store", eagerOverwrite, 1}} {
+	}{{"Get", get, 0}, {"Ping", ping, 1}, {"Upsert of a new key", upsertNew, 0}, {"Delete of a missing key", deleteMissing, 0},
+		{"ApplyBatch of 64 new keys", applyBatch, 0}, {"ApplyBatch of 64 first overwrites", applyBatch, 0},
+		{"ApplyBatch of 64 repeat overwrites", applyBatch, 0},
+		{"ApplyBatch of 64 first overwrites on an Eager store", eagerOverwrite, 0}} {
 		n := testing.AllocsPerRun(200, tc.fn)
 		t.Logf("%s round trip: %v allocations", tc.name, n)
 		if !raceEnabled && n > tc.max {
 			t.Errorf("%s round trip: %v allocations, want <= %v", tc.name, n, tc.max)
 		}
 	}
+}
+
+// carvedValue is the value the server of TestCarvedValuesSurviveLaterAnswers
+// returns for goroutine g's request i: a length of its own, 1 to 2 500 bytes
+// so most answers are carved and some are over the carve limit, and bytes
+// that differ from every other request's.
+func carvedValue(g, i int) []byte {
+	v := make([]byte, 1+(g*2003+i*7919)%2500)
+	for j := range v {
+		v[j] = byte(g*31 + i*7 + j)
+	}
+	return v
+}
+
+// TestCarvedValuesSurviveLaterAnswers: 8 goroutines share one Client, and
+// so one connection and one response decoder, and issue 2 000 GETs each
+// whose values have distinct lengths. Each goroutine keeps every value it
+// got and checks all of them again, byte for byte, once later answers have
+// been carved from the same chunks; and every value is capacity-limited,
+// so an append to it copies it instead of writing into a neighbour. Run it
+// under -race: readLoop carves while callers read their values.
+func TestCarvedValuesSurviveLaterAnswers(t *testing.T) {
+	const goroutines, perG = 8, 2000
+	srv := newScriptedServer(t, func(req wire.Request) wire.Response {
+		var g, i int
+		if _, err := fmt.Sscanf(string(req.Key), "g%d-%d", &g, &i); err != nil {
+			return wire.ErrorResponse(req.ID, wire.CodeBadRequest, err.Error())
+		}
+		return wire.Response{Kind: wire.KindValue, Found: true, Value: carvedValue(g, i)}
+	})
+	c, err := Dial(srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kept := make([][]byte, perG)
+			for i := range perG {
+				v, found, err := c.Get(fmt.Appendf(nil, "g%d-%d", g, i))
+				if err != nil || !found {
+					t.Errorf("g%d-%d: found=%v, %v", g, i, found, err)
+					return
+				}
+				if cap(v) != len(v) {
+					t.Errorf("g%d-%d: value of %d bytes has capacity %d", g, i, len(v), cap(v))
+					return
+				}
+				_ = append(v, 0xEE) // must copy, not write into the next answer
+				kept[i] = v
+			}
+			for i, v := range kept {
+				if !bytes.Equal(v, carvedValue(g, i)) {
+					t.Errorf("g%d-%d: value changed after later answers were carved", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
