@@ -17,10 +17,16 @@
 // when none is parked, and never past MaxInFlight, so a connection's parked
 // workers are bounded by its peak in-flight count (a worker that has
 // released its in-flight token but not yet parked can add one more, up to
-// MaxInFlight); they exit when the connection closes. What a served GET
-// allocates is its answer — the client's decoded value — and nothing
-// else: request and response frames and the client's call (channel and
-// timer) are reused.
+// MaxInFlight); they exit when the connection closes. A served GET
+// allocates nothing, client and server together: request and response
+// frames and the client's call (channel and timer) are reused, and the
+// client carves the decoded value from its connection's byte chunk.
+//
+// Every op is answered by one function, serveRequest: GET,
+// SECONDARY_QUERY, FILTER_SCAN and APPLY_BATCH encode their reply into the
+// pooled response frame from inside the engine's callback, while the
+// engine's answer is still valid; every other op, a GET miss and every
+// error are encoded after the engine call returns.
 //
 // # Writes
 //

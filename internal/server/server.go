@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/kv"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -336,7 +335,7 @@ type reqBuf struct {
 // buffer and a batch allocates no list; the handler returns the buffer
 // once the request is done. Nothing is cloned first: reads and writes
 // alike are finished with the bytes by then, because the engine copies
-// what it keeps (see handle).
+// what it keeps (see serveRequest).
 var reqBufPool = sync.Pool{New: func() any { return &reqBuf{frame: make([]byte, 0, 4096)} }}
 
 // maxPooledMuts bounds the mutation list a pooled request buffer keeps, in
@@ -398,11 +397,13 @@ type outFrame struct {
 
 // job is one decoded request on its way from the reader to a handler
 // worker, with the pooled receive buffer its byte fields and its mutation
-// list alias.
+// list alias. A frame that did not decode travels as its error instead, to
+// be answered with a zero-ID error before the connection hangs up.
 type job struct {
 	req wire.Request
 	rb  *reqBuf
 	tr  trace
+	err error
 }
 
 // conn is one client connection: a reader goroutine decoding requests and
@@ -456,7 +457,7 @@ func (c *conn) dispatch(j job) {
 // worker serves jobs until serve closes the work channel.
 func (c *conn) worker(j job) {
 	for ok := true; ok; j, ok = <-c.work {
-		c.serveRequest(j.req, j.rb, j.tr)
+		c.serveRequest(j)
 	}
 }
 
@@ -486,16 +487,8 @@ func (c *conn) readLoop() {
 		if req.Muts != nil {
 			rb.muts = req.Muts
 		}
-		if err != nil {
-			// The stream is unframed garbage from here on; answer with a
-			// zero-ID error so the client can log it, then hang up.
-			putReqBuf(rb)
-			c.srv.counters.Errors.Add(1)
-			c.send(wire.ErrorResponse(0, wire.CodeBadRequest, err.Error()), trace{})
-			return
-		}
 		var tr trace
-		if traced {
+		if traced && err == nil {
 			tr = trace{op: obsOpOf(req.Op), id: req.ID, start: start}
 			tr.decode = tr.lap()
 		}
@@ -504,219 +497,132 @@ func (c *conn) readLoop() {
 		// back on the client.
 		c.sem <- struct{}{}
 		c.reqWg.Add(1)
-		c.dispatch(job{req: req, rb: rb, tr: tr}) //lsm:poolleak-ok the handler worker owns the request's buffer from here; serveRequest returns it via putReqBuf
+		c.dispatch(job{req: req, rb: rb, tr: tr, err: err}) //lsm:poolleak-ok the handler worker owns the request's buffer from here; serveRequest returns it via putReqBuf
+		if err != nil {
+			// The stream is unframed garbage from here on: the worker
+			// answers with a zero-ID error so the client can log it.
+			return
+		}
 	}
 }
 
 // serveRequest executes one request on a handler worker and enqueues its
 // response. It returns the request's buffer, sem token and reqWg count.
-func (c *conn) serveRequest(req wire.Request, rb *reqBuf, tr trace) {
+//
+// Every op is answered here, through one switch. An op whose engine call
+// lends its answer to a callback (GET, SECONDARY_QUERY, FILTER_SCAN,
+// APPLY_BATCH) encodes its reply into the pooled frame from inside that
+// callback, while the answer — a pinned buffer-cache page, the router's
+// recycled merged answer, the batch's recycled report — is still valid:
+// the server keeps no copy of an answer. Every other op, a miss and every
+// error leave their reply in resp, which the one tail encodes. The tail
+// also ends the engine and encode stages, counts errors and hands the frame
+// to the writer.
+//
+// Requests arrive decoded in place: their byte fields alias a pooled
+// receive buffer that is reused once the request finishes. Reads and writes
+// alike hand the fields to the engine as they are: the engine retains none
+// of a mutation's bytes once the apply returns (core.Dataset.Apply states
+// and tests the contract — the memtable and the log copy what they keep),
+// and a write returns here only after it has committed, so the buffer
+// outlives every use of it. A single write (upsert, insert, delete) runs on
+// the handler worker that took the request, like every other op:
+// concurrent writers share WAL fsyncs through the engine's group commit,
+// which is the one layer that batches them.
+func (c *conn) serveRequest(j job) {
 	defer c.reqWg.Done()
 	defer func() { <-c.sem }()
-	defer putReqBuf(rb)
+	defer putReqBuf(j.rb)
+	req, tr := j.req, j.tr
 	traced := !tr.start.IsZero()
 	// Admission control: data-plane ops pass through the global weighted
 	// budget; a shed request fails fast without ever touching the engine.
 	// Control-plane ops (PING, STATS, FLUSH) bypass it — health checks must
 	// work on an overloaded server.
+	var shed error
 	if adm := c.srv.adm; adm != nil {
 		if class, ok := admissionClassOf(req.Op); ok {
-			release, err := adm.Acquire(class)
-			if err != nil {
-				if traced {
-					tr.lap() // the admission wait is no stage
-				}
-				c.srv.counters.Errors.Add(1)
-				c.send(admissionError(req.ID, err), tr)
-				return
+			var release func()
+			if release, shed = adm.Acquire(class); shed == nil {
+				defer release()
 			}
-			defer release()
 		}
 	}
 	if traced {
 		tr.lap() // the hop to this worker and the admission wait are no stage
 	}
-	switch req.Op {
-	case wire.OpGet:
-		c.serveGet(req, tr)
-		return
-	case wire.OpSecondaryQuery:
-		c.serveQuery(req, tr)
-		return
-	case wire.OpFilterScan:
-		c.serveScan(req, tr)
-		return
-	case wire.OpApplyBatch:
-		c.serveBatch(req, tr)
-		return
+	bp := frameBufPool.Get().(*[]byte)
+	resp := wire.Response{ID: req.ID, Kind: wire.KindOK}
+	encoded := false // an engine callback encoded the reply into *bp
+	encode := func(r wire.Response) {
+		if traced {
+			tr.engine = tr.lap()
+		}
+		*bp = wire.AppendResponse((*bp)[:0], r)
+		encoded = true
 	}
-	resp := c.srv.handle(req)
+	var err error
+	switch {
+	case j.err != nil:
+		resp = wire.ErrorResponse(0, wire.CodeBadRequest, j.err.Error())
+	case shed != nil:
+		resp = admissionError(req.ID, shed)
+	case req.Limit < 0: // only queries and scans read it
+		resp = wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit")
+	case req.Op == wire.OpPing:
+	case req.Op == wire.OpGet:
+		resp.Kind = wire.KindValue // a miss, unless the visitor runs
+		_, err = c.srv.db.GetWith(req.Key, func(val []byte) {
+			encode(wire.Response{ID: req.ID, Kind: wire.KindValue, Found: true, Value: val})
+		})
+	case req.Op == wire.OpSecondaryQuery:
+		err = c.srv.db.SecondaryQueryWith(req.Index, req.Lo, req.Hi, lsmstore.QueryOptions{
+			Validation: lsmstore.ValidationMethod(req.Validation), // range-checked by the store
+			IndexOnly:  req.IndexOnly,
+			Limit:      int(req.Limit),
+		}, func(res *lsmstore.QueryResult) {
+			encode(wire.Response{ID: req.ID, Kind: wire.KindQuery, Records: res.Records, Keys: res.Keys})
+		})
+	case req.Op == wire.OpFilterScan:
+		err = c.srv.db.FilterScanWith(req.FilterLo, req.FilterHi, int(req.Limit), func(res *lsmstore.QueryResult) {
+			encode(wire.Response{ID: req.ID, Kind: wire.KindScan, Records: res.Records})
+		})
+	case req.Op == wire.OpApplyBatch: // the decoder already refused out-of-range mutation ops
+		err = c.srv.db.ApplyBatchWith(req.Muts, func(applied []bool) {
+			encode(wire.Response{ID: req.ID, Kind: wire.KindBatch, AppliedBatch: applied})
+		})
+	case req.Op == wire.OpUpsert:
+		err = c.srv.db.Upsert(req.Key, req.Value)
+	case req.Op == wire.OpInsert:
+		resp.Kind = wire.KindApplied
+		resp.Applied, err = c.srv.db.Insert(req.Key, req.Value)
+	case req.Op == wire.OpDelete:
+		resp.Kind = wire.KindApplied
+		resp.Applied, err = c.srv.db.Delete(req.Key)
+	case req.Op == wire.OpStats:
+		resp.Kind = wire.KindStats
+		resp.Stats, err = json.Marshal(c.srv.db.Stats())
+	case req.Op == wire.OpFlush:
+		err = c.srv.db.Flush()
+	default:
+		resp = wire.ErrorResponse(req.ID, wire.CodeBadRequest, fmt.Sprintf("unknown op %d", req.Op))
+	}
+	if err != nil {
+		resp, encoded = c.srv.errorResponse(req.ID, err), false
+	}
+	if !encoded {
+		if traced {
+			tr.engine = tr.lap()
+		}
+		*bp = wire.AppendResponse((*bp)[:0], resp)
+	}
 	if traced {
-		tr.engine = tr.lap()
+		tr.encode = tr.lap()
 	}
 	if resp.Kind == wire.KindError {
 		c.srv.counters.Errors.Add(1)
 	}
-	c.send(resp, tr)
-}
-
-func (c *conn) send(resp wire.Response, tr trace) {
-	bp := frameBufPool.Get().(*[]byte)
-	*bp = wire.AppendResponse((*bp)[:0], resp)
-	if !tr.start.IsZero() {
-		tr.encode = tr.lap()
-	}
 	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
-}
-
-// serveGet is the GET fast path: the record is encoded into the pooled
-// response frame from inside the engine's read, while the buffer-cache page
-// holding it is pinned — no value copy, no intermediate Response.
-func (c *conn) serveGet(req wire.Request, tr trace) {
-	traced := !tr.start.IsZero()
-	bp := frameBufPool.Get().(*[]byte)
-	found, err := c.srv.db.GetWith(req.Key, func(val []byte) {
-		if traced {
-			tr.engine = tr.lap()
-		}
-		*bp = wire.AppendValueResponse((*bp)[:0], req.ID, true, val)
-	})
-	if !found && traced {
-		tr.engine = tr.lap()
-	}
-	if err != nil {
-		frameBufPool.Put(bp)
-		c.sendError(c.srv.errorResponse(req.ID, err), tr)
-		return
-	}
-	if !found {
-		*bp = wire.AppendValueResponse((*bp)[:0], req.ID, false, nil)
-	}
-	if traced {
-		tr.encode = tr.lap()
-	}
-	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
-}
-
-// serveQuery is SECONDARY_QUERY's fast path, serveGet's twin: the merged
-// answer is encoded into the pooled response frame from inside the engine's
-// callback, while the recycled per-shard arenas holding its bytes are still
-// the query's — the server keeps no copy of an answer.
-func (c *conn) serveQuery(req wire.Request, tr trace) {
-	if req.Limit < 0 {
-		c.sendError(wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit"), tr)
-		return
-	}
-	traced := !tr.start.IsZero()
-	bp := frameBufPool.Get().(*[]byte)
-	err := c.srv.db.SecondaryQueryWith(req.Index, req.Lo, req.Hi, lsmstore.QueryOptions{
-		Validation: lsmstore.ValidationMethod(req.Validation), // range-checked by the store
-		IndexOnly:  req.IndexOnly,
-		Limit:      int(req.Limit),
-	}, func(res *lsmstore.QueryResult) {
-		if traced {
-			tr.engine = tr.lap()
-		}
-		*bp = wire.AppendResponse((*bp)[:0], wire.Response{ID: req.ID, Kind: wire.KindQuery, Records: res.Records, Keys: res.Keys})
-	})
-	if err != nil {
-		frameBufPool.Put(bp)
-		if traced {
-			tr.engine = tr.lap()
-		}
-		c.sendError(c.srv.errorResponse(req.ID, err), tr)
-		return
-	}
-	if traced {
-		tr.encode = tr.lap()
-	}
-	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
-}
-
-// serveBatch is APPLY_BATCH's path, serveQuery's twin: the per-mutation
-// report is encoded into the pooled response frame from inside the
-// engine's callback, while the recycled report is still the batch's. The
-// decoder already refused out-of-range ops.
-func (c *conn) serveBatch(req wire.Request, tr trace) {
-	traced := !tr.start.IsZero()
-	bp := frameBufPool.Get().(*[]byte)
-	err := c.srv.db.ApplyBatchWith(req.Muts, func(applied []bool) {
-		if traced {
-			tr.engine = tr.lap()
-		}
-		*bp = wire.AppendResponse((*bp)[:0], wire.Response{ID: req.ID, Kind: wire.KindBatch, AppliedBatch: applied})
-	})
-	if err != nil {
-		frameBufPool.Put(bp)
-		if traced {
-			tr.engine = tr.lap()
-		}
-		c.sendError(c.srv.errorResponse(req.ID, err), tr)
-		return
-	}
-	if traced {
-		tr.encode = tr.lap()
-	}
-	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
-}
-
-// scanAnswer is a FILTER_SCAN's answer until it is encoded: the records and
-// the arena holding their bytes, which the scan's callback must copy (a
-// record is valid only until the callback returns). Recycled through
-// scanAnswerPool.
-type scanAnswer struct {
-	records []lsmstore.Record
-	arena   kv.Arena
-}
-
-var scanAnswerPool = sync.Pool{New: func() any { return new(scanAnswer) }}
-
-// maxRecycledScan bounds the records slice scanAnswerPool keeps, in
-// entries; kv.Arena.Reset bounds the arena.
-const maxRecycledScan = 1 << 14
-
-// serveScan is FILTER_SCAN's path: the records are copied into a recycled
-// scanAnswer and encoded into the pooled response frame.
-func (c *conn) serveScan(req wire.Request, tr trace) {
-	if req.Limit < 0 {
-		c.sendError(wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit"), tr)
-		return
-	}
-	sa := scanAnswerPool.Get().(*scanAnswer)
-	err := c.srv.db.FilterScan(req.FilterLo, req.FilterHi, func(pk, record []byte) {
-		if req.Limit > 0 && int64(len(sa.records)) >= req.Limit {
-			return
-		}
-		sa.records = append(sa.records, lsmstore.Record{PK: sa.arena.Copy(pk), Value: sa.arena.Copy(record)})
-	})
-	if !tr.start.IsZero() {
-		tr.engine = tr.lap()
-	}
-	var bp *[]byte
-	if err == nil {
-		bp = frameBufPool.Get().(*[]byte)
-		*bp = wire.AppendResponse((*bp)[:0], wire.Response{ID: req.ID, Kind: wire.KindScan, Records: sa.records})
-	}
-	clear(sa.records)
-	sa.records = sa.records[:0]
-	sa.arena.Reset()
-	if cap(sa.records) <= maxRecycledScan {
-		scanAnswerPool.Put(sa)
-	}
-	if err != nil {
-		c.sendError(c.srv.errorResponse(req.ID, err), tr)
-		return
-	}
-	if !tr.start.IsZero() {
-		tr.encode = tr.lap()
-	}
-	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
-}
-
-// sendError counts and sends an error response.
-func (c *conn) sendError(resp wire.Response, tr trace) {
-	c.srv.counters.Errors.Add(1)
-	c.send(resp, tr)
 }
 
 func (c *conn) writeLoop(done chan struct{}) {
@@ -761,64 +667,6 @@ func (c *conn) writeLoop(done chan struct{}) {
 			fail()
 		}
 	}
-}
-
-// handle executes one request against the DB and builds its response.
-// GET, SECONDARY_QUERY, FILTER_SCAN and APPLY_BATCH do not come here:
-// serveGet, serveQuery, serveScan and serveBatch encode their answers
-// straight into the frame.
-//
-// Requests arrive decoded in place: their byte fields alias a pooled
-// receive buffer that is reused once the request finishes. Reads and writes
-// alike hand the fields to the engine as they are: the engine retains none
-// of a mutation's bytes once the apply returns (core.Dataset.Apply states
-// and tests the contract — the memtable and the log copy what they keep),
-// and a write returns here only after it has committed, so the buffer
-// outlives every use of it.
-//
-// A single write (upsert, insert, delete) runs on the handler worker that
-// took the request, like every other op: concurrent writers share WAL
-// fsyncs through the engine's group commit, which is the one layer that
-// batches them.
-func (s *Server) handle(req wire.Request) wire.Response {
-	switch req.Op {
-	case wire.OpPing:
-		return wire.Response{ID: req.ID, Kind: wire.KindOK}
-
-	case wire.OpUpsert:
-		if err := s.db.Upsert(req.Key, req.Value); err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindOK}
-
-	case wire.OpInsert:
-		applied, err := s.db.Insert(req.Key, req.Value)
-		if err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindApplied, Applied: applied}
-
-	case wire.OpDelete:
-		applied, err := s.db.Delete(req.Key)
-		if err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindApplied, Applied: applied}
-
-	case wire.OpStats:
-		blob, err := json.Marshal(s.db.Stats())
-		if err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindStats, Stats: blob}
-
-	case wire.OpFlush:
-		if err := s.db.Flush(); err != nil {
-			return s.errorResponse(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, Kind: wire.KindOK}
-	}
-	return wire.ErrorResponse(req.ID, wire.CodeBadRequest, fmt.Sprintf("unknown op %d", req.Op))
 }
 
 // admissionClassOf maps a wire op onto its admission class. Control-plane

@@ -173,6 +173,40 @@ func TestServeBasicOps(t *testing.T) {
 	}
 }
 
+// TestServedFilterScanOrder: a served FILTER_SCAN answers in primary-key
+// order and its limit keeps the smallest keys, on the default one-shard
+// store too. Under Mutable-bitmap two flushed components with interleaved
+// keys are read one at a time, so an answer cut before it is sorted would
+// keep the first component's keys.
+func TestServedFilterScanOrder(t *testing.T) {
+	opts := storeOptions()
+	opts.Strategy = lsmstore.MutableBitmap
+	srv, _ := startServer(t, opts, nil)
+	c := dial(t, srv, 1)
+	for _, from := range []uint64{0, 1} { // the evens, then the odds
+		for id := from; id < 40; id += 2 {
+			pk, rec := tweet(id)
+			if err := c.Upsert(pk, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := c.FilterScan(0, 1<<40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, r := range recs {
+		got = append(got, binary.BigEndian.Uint64(r.PK))
+	}
+	if fmt.Sprint(got) != fmt.Sprint([]uint64{0, 1, 2, 3, 4}) {
+		t.Fatalf("served FilterScan with limit 5 answered %v, want [0 1 2 3 4]", got)
+	}
+}
+
 func TestPipelinedConcurrentClients(t *testing.T) {
 	opts := storeOptions()
 	opts.Shards = 2

@@ -73,7 +73,7 @@ func BenchmarkDecodeResponse(b *testing.B) {
 		name  string
 		frame []byte
 	}{
-		{"get-514B", AppendValueResponse(nil, 1, true, make([]byte, 514))},
+		{"get-514B", AppendResponse(nil, Response{ID: 1, Kind: KindValue, Found: true, Value: make([]byte, 514)})},
 		{"batch-64", AppendResponse(nil, Response{ID: 1, Kind: KindBatch, AppliedBatch: make([]bool, 64)})},
 		{"query-75", AppendResponse(nil, servedAnswer(75))},
 	} {

@@ -12,8 +12,8 @@ import (
 // into the answer carved next to it.
 func TestResponseDecoderCapsCarves(t *testing.T) {
 	var d ResponseDecoder
-	a, _ := d.Decode(AppendValueResponse(nil, 1, true, []byte("first")))
-	b, _ := d.Decode(AppendValueResponse(nil, 2, true, []byte("second")))
+	a, _ := d.Decode(AppendResponse(nil, Response{ID: 1, Kind: KindValue, Found: true, Value: []byte("first")}))
+	b, _ := d.Decode(AppendResponse(nil, Response{ID: 2, Kind: KindValue, Found: true, Value: []byte("second")}))
 	x, _ := d.Decode(AppendResponse(nil, Response{ID: 3, Kind: KindBatch, AppliedBatch: []bool{true, true}}))
 	y, _ := d.Decode(AppendResponse(nil, Response{ID: 4, Kind: KindBatch, AppliedBatch: []bool{true, true}}))
 	if cap(a.Value) != len(a.Value) || cap(x.AppliedBatch) != len(x.AppliedBatch) {
@@ -32,7 +32,7 @@ func TestResponseDecoderCapsCarves(t *testing.T) {
 // kept value keeps its own chunk alive and no other.
 func TestDecoderChunkReleased(t *testing.T) {
 	var d ResponseDecoder
-	value := AppendValueResponse(nil, 1, true, bytes.Repeat([]byte("v"), 500))
+	value := AppendResponse(nil, Response{ID: 1, Kind: KindValue, Found: true, Value: bytes.Repeat([]byte("v"), 500)})
 	report := AppendResponse(nil, Response{ID: 2, Kind: KindBatch, AppliedBatch: make([]bool, 64)})
 	decode := func(frame []byte) Response {
 		r, err := d.Decode(frame)

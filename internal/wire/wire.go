@@ -688,26 +688,6 @@ func AppendResponse(buf []byte, r Response) []byte {
 	return buf
 }
 
-// AppendValueResponse appends a KindValue response, encoding byte-for-byte
-// what AppendResponse(buf, Response{ID: id, Kind: KindValue, Found: found,
-// Value: value}) would — pinned by TestAppendValueResponseIdentity. The
-// server's GET fast path uses it to encode straight from an engine-owned
-// value reference into a pooled frame, with no intermediate Response.
-func AppendValueResponse(buf []byte, id uint64, found bool, value []byte) []byte {
-	buf = appendUvarint(buf, id)
-	buf = append(buf, byte(KindValue))
-	buf = appendBool(buf, found)
-	buf = appendBytes(buf, value)
-	buf = appendBool(buf, false) // Applied
-	buf = appendUvarint(buf, 0)  // Records
-	buf = appendUvarint(buf, 0)  // Keys
-	buf = appendUvarint(buf, 0)  // AppliedBatch
-	buf = appendBytes(buf, nil)  // Stats
-	buf = appendUvarint(buf, 0)  // Code
-	buf = appendString(buf, "")  // Msg
-	return buf
-}
-
 // DecodeResponse decodes a frame payload produced by AppendResponse. Like
 // DecodeRequestInPlace it never panics and wraps every failure in
 // ErrCorruptFrame. Nothing in the result aliases frame: its byte strings

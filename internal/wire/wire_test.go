@@ -87,7 +87,7 @@ func TestResponseRoundTrip(t *testing.T) {
 // chunk per many answers rounds to 0 over 100 decodes), and the query
 // answer, over 2 KiB, still costs its own backing and record slice.
 func TestDecodeResponseOneBacking(t *testing.T) {
-	get := AppendValueResponse(nil, 7, true, bytes.Repeat([]byte("v"), 500))
+	get := AppendResponse(nil, Response{ID: 7, Kind: KindValue, Found: true, Value: bytes.Repeat([]byte("v"), 500)})
 	query := Response{ID: 8, Kind: KindQuery}
 	for i := 0; i < 100; i++ {
 		query.Records = append(query.Records, Record{PK: []byte{byte(i), 1, 2, 3}, Value: bytes.Repeat([]byte{byte(i)}, 300)})
@@ -98,7 +98,7 @@ func TestDecodeResponseOneBacking(t *testing.T) {
 		want, carveWant float64
 	}{
 		{"value reply", get, 1, 0},
-		{"miss reply", AppendValueResponse(nil, 7, false, nil), 0, 0},
+		{"miss reply", AppendResponse(nil, Response{ID: 7, Kind: KindValue}), 0, 0},
 		{"64-flag batch report", AppendResponse(nil, Response{ID: 9, Kind: KindBatch, AppliedBatch: make([]bool, 64)}), 1, 0},
 		{"100-record answer", AppendResponse(nil, query), 2, 2},
 	} {
@@ -130,36 +130,6 @@ func TestDecodeResponseOneBacking(t *testing.T) {
 	_ = append(got.Records[0].Value, 0xEE)
 	if !reflect.DeepEqual(got, query) {
 		t.Fatal("decoded records alias the frame or each other")
-	}
-}
-
-// TestAppendValueResponseIdentity pins the GET fast path's hand-rolled
-// encoder to the generic one: any drift between them would let the two
-// paths disagree on the bytes a client sees for the same response.
-func TestAppendValueResponseIdentity(t *testing.T) {
-	cases := []struct {
-		id    uint64
-		found bool
-		value []byte
-	}{
-		{0, false, nil},
-		{1, true, nil},
-		{2, true, []byte{}},
-		{3, true, []byte("rec")},
-		{1 << 63, true, bytes.Repeat([]byte{0xAB}, 4096)},
-		{9, false, []byte("present but not found")},
-	}
-	for _, c := range cases {
-		want := AppendResponse(nil, Response{ID: c.id, Kind: KindValue, Found: c.found, Value: c.value})
-		got := AppendValueResponse(nil, c.id, c.found, c.value)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("id=%d found=%v len(value)=%d:\n got  %x\n want %x", c.id, c.found, len(c.value), got, want)
-		}
-		// And it must append, not overwrite.
-		prefix := []byte("prefix")
-		if got := AppendValueResponse(append([]byte(nil), prefix...), c.id, c.found, c.value); !bytes.Equal(got, append(prefix, want...)) {
-			t.Fatalf("append semantics broken for id=%d", c.id)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package lsmclient
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/server"
@@ -11,18 +12,23 @@ import (
 
 // TestQueryRoundTripAllocations counts the whole process — client and
 // server share it — per SECONDARY_QUERY and FILTER_SCAN round trip against
-// an in-process two-shard server. The server allocates nothing: the
-// engine's working memory is a recycled scratch, the shards answer into
-// recycled slices and arenas, a query's merged answer is encoded into the
-// pooled response frame from inside SecondaryQueryWith's callback and a
-// scan's records are copied into a recycled arena first. What is left is
-// the client's decoded answer, however many records come back: its
-// response's backing buffer and records slice, plus a query's result.
-// Counts are logged, not checked, under -race, where sync.Pool drops Puts
-// at random.
+// an in-process server of one and of two shards. The server allocates
+// nothing: the engine's working memory is a recycled scratch, the shards
+// answer into recycled slices and arenas, and the merged answer is encoded
+// into the pooled response frame from inside SecondaryQueryWith's or
+// FilterScanWith's callback. What is left is the client's decoded answer,
+// however many records come back: its response's backing buffer and
+// records slice, plus a query's result. Counts are logged, not checked,
+// under -race, where sync.Pool drops Puts at random.
 func TestQueryRoundTripAllocations(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { queryRoundTripAllocations(t, shards) })
+	}
+}
+
+func queryRoundTripAllocations(t *testing.T, shards int) {
 	opts := storetest.BaseOptions(lsmstore.Validation)
-	opts.Shards = 2
+	opts.Shards = shards
 	db, err := lsmstore.Open(opts)
 	if err != nil {
 		t.Fatal(err)

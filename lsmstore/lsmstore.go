@@ -36,12 +36,13 @@
 // concurrently; SecondaryQuery and FilterScan fan out to every shard —
 // every shard but the last on a helper goroutine the DB keeps parked until
 // Close, the last on the caller's — and merge the answers in primary-key
-// order, into recycled memory that SecondaryQueryWith lends its callback
-// and SecondaryQuery copies once; Flush, Crash,
+// order, into recycled memory that SecondaryQueryWith and FilterScanWith
+// lend their callbacks and SecondaryQuery copies once; Flush, Crash,
 // Recover, RepairSecondaryIndexes and Stats apply to (or aggregate over)
 // all shards. One shard is the N = 1 case of the same code, not a second
-// program: fan-outs run on the caller's goroutine, a batch is not
-// regrouped, and FilterScan streams instead of buffering.
+// program: fan-outs run on the caller's goroutine and a batch is not
+// regrouped. A scan buffers its whole answer at every shard count; the
+// pool keeps an answer's slices only up to maxRecycledAnswer entries.
 //
 // # Maintenance
 //
@@ -720,20 +721,32 @@ func (r *QueryResult) clone() *QueryResult {
 }
 
 // FilterScan scans the primary index for records whose filter key lies in
-// [lo, hi], using component range filters for pruning. Every shard scans
-// concurrently and the union is emitted in primary-key order from the
-// caller's goroutine. A one-shard store streams its scan without buffering,
-// in primary-key order except under MutableBitmap, which reads each
-// overlapping disk component on its own: its records come a component at a
-// time, oldest first, each in primary-key order, then the memory
-// components'. pk and record may be a pinned buffer-cache page's bytes:
-// they are valid only until fn returns, and fn copies what it keeps.
+// [lo, hi], using component range filters for pruning, and runs fn with
+// each, in primary-key order: it walks FilterScanWith's answer, unbounded.
+// pk and record are recycled memory of the store's, valid only until fn
+// returns: fn copies what it keeps.
 func (db *DB) FilterScan(lo, hi int64, fn func(pk, record []byte)) error {
+	return db.FilterScanWith(lo, hi, 0, func(res *QueryResult) {
+		for _, r := range res.Records {
+			fn(r.PK, r.Value)
+		}
+	})
+}
+
+// FilterScanWith is the range-filter scan handing its answer to fn, like
+// SecondaryQueryWith (fn runs only when the scan succeeds). Every shard
+// scans concurrently; the union's records are sorted in primary-key order
+// and then cut to limit when limit > 0, at every shard count. The answer
+// is recycled memory of the store's and is valid only until fn returns: fn
+// must copy what it keeps and must not modify it. The scan buffers its
+// whole answer before the cut. The network server encodes FILTER_SCAN
+// responses from inside fn, straight into its output frame.
+func (db *DB) FilterScanWith(lo, hi int64, limit int, fn func(*QueryResult)) error {
 	if err := db.acquire(); err != nil {
 		return err
 	}
 	defer db.release()
-	return db.filterScan(lo, hi, fn)
+	return db.filterScan(lo, hi, limit, fn)
 }
 
 // Flush forces all memory components to disk and runs due merges, on every

@@ -218,23 +218,17 @@ func TestPublicAPIEquivalence(t *testing.T) {
 	}
 }
 
-// TestFilterScanOrder pins the order FilterScan emits in, for every
-// strategy at one and two shards. Keys 0..39 land in two disk components
-// with interleaved keys (the evens, then the odds below 20) and the
-// memtable (the odds from 21). A store of two shards sorts the shards'
-// union, and a one-shard store streams its scan: in primary-key order,
-// except under Mutable-bitmap, which reads each overlapping disk component
-// on its own, so its records come a component at a time, oldest first, each
-// in primary-key order, and the memtables' after them.
+// TestFilterScanOrder pins the order FilterScan emits in: primary-key
+// order, for every strategy at one and two shards. Keys 0..39 land in two
+// disk components with interleaved keys (the evens, then the odds below 20)
+// and the memtable (the odds from 21), so Mutable-bitmap, which reads each
+// overlapping disk component on its own, finds them a component at a time
+// and the merged answer must still be sorted. FilterScanWith's limit keeps
+// the smallest keys.
 func TestFilterScanOrder(t *testing.T) {
 	type group struct{ from, step, to int }
 	groups := []group{{0, 2, 40}, {1, 2, 20}, {21, 2, 40}} // flushed, flushed, in memory
-	var sorted, componentOrder []uint64
-	for _, g := range groups {
-		for id := g.from; id < g.to; id += g.step {
-			componentOrder = append(componentOrder, uint64(id))
-		}
-	}
+	var sorted []uint64
 	for id := range uint64(40) {
 		sorted = append(sorted, id)
 	}
@@ -266,12 +260,19 @@ func TestFilterScanOrder(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				want := sorted
-				if strategy == lsmstore.MutableBitmap && shards == 1 {
-					want = componentOrder
+				if fmt.Sprint(got) != fmt.Sprint(sorted) {
+					t.Fatalf("FilterScan emitted %v, want %v", got, sorted)
 				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("FilterScan emitted %v, want %v", got, want)
+				got = got[:0]
+				if err := db.FilterScanWith(0, 1<<62, 5, func(res *lsmstore.QueryResult) {
+					for _, r := range res.Records {
+						got = append(got, binary.BigEndian.Uint64(r.PK))
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(sorted[:5]) {
+					t.Fatalf("FilterScanWith with limit 5 answered %v, want %v", got, sorted[:5])
 				}
 			})
 		}

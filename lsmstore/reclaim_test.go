@@ -3,6 +3,7 @@ package lsmstore_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -171,9 +172,12 @@ func componentPath(dir string, id storage.FileID) string {
 	return filepath.Join(dir, "shard-0000", filedev.ComponentFileName(id))
 }
 
-// TestStaleReaderKeepsRetiredComponents holds a pinned view and an open
-// FilterScan across merges that retire every component they list. Reads
-// through the view return the old bytes, the scan finishes clean, the files
+// TestStaleReaderKeepsRetiredComponents holds a pinned view and a GetWith
+// parked in its visitor across merges that retire every component they
+// list. The store has no read cache, so the visitor runs inside the
+// primary tree's Get, which pins its own view and the leaf page the record
+// lies on until the visitor returns. Reads through the view return the old
+// bytes, the parked record still holds them when it resumes, the files
 // stay on the device until both let go — and are unlinked, by maintenance,
 // once they have.
 func TestStaleReaderKeepsRetiredComponents(t *testing.T) {
@@ -199,17 +203,20 @@ func TestStaleReaderKeepsRetiredComponents(t *testing.T) {
 		pinned = append(pinned, c.BTree.FileID())
 	}
 
-	// An open scan, parked inside its first callback.
+	// A point read, parked inside its visitor with the record's page pinned.
 	parked, resume := make(chan struct{}), make(chan struct{})
-	scanned, scanErr := 0, make(chan error, 1)
+	var parkedRec []byte
+	getErr := make(chan error, 1)
 	go func() {
-		scanErr <- db.FilterScan(0, 1<<62, func(pk, rec []byte) {
-			if scanned == 0 {
-				close(parked)
-				<-resume
-			}
-			scanned++
+		found, err := db.GetWith(tweetPK(0), func(rec []byte) {
+			close(parked)
+			<-resume
+			parkedRec = bytes.Clone(rec)
 		})
+		if err == nil && !found {
+			err = errors.New("key 0 not found")
+		}
+		getErr <- err
 	}()
 	<-parked
 
@@ -244,12 +251,22 @@ func TestStaleReaderKeepsRetiredComponents(t *testing.T) {
 	}
 
 	view.Release()
-	close(resume)
-	if err := <-scanErr; err != nil {
-		t.Fatalf("scan across the merges: %v", err)
+	// The parked read alone still pins them, through a flush that drains
+	// maintenance.
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if scanned != keys {
-		t.Fatalf("scan across the merges saw %d records, want %d", scanned, keys)
+	for _, id := range pinned {
+		if _, err := os.Stat(componentPath(dir, id)); err != nil {
+			t.Fatalf("component file %d unlinked while a parked read pins it: %v", id, err)
+		}
+	}
+	close(resume)
+	if err := <-getErr; err != nil {
+		t.Fatalf("read across the merges: %v", err)
+	}
+	if !bytes.Equal(parkedRec, oldRec(0)) {
+		t.Fatalf("read across the merges kept %x, want %x", parkedRec, oldRec(0))
 	}
 	// The last release only queued the files; a maintenance worker unlinks.
 	deadline := time.Now().Add(10 * time.Second)

@@ -340,19 +340,33 @@ func applyMutations(ds *core.Dataset, muts []Mutation, applied []bool, log *core
 	return firstErr
 }
 
-// secondaryQuery fans the query out to every shard, merges the answers and
-// runs fn with the merged answer. Shards are independent hash partitions,
-// so a primary key appears in exactly one shard's answer; the merged
-// records (or keys) come in primary-key order — a deterministic total order
-// regardless of shard interleaving — truncated to limit when limit > 0. The
-// single-partition query has no early exit, so limit bounds the answer
-// size, not the scan cost. Every slice and byte of the answer is a
-// recycled shardAnswers', valid only until fn returns.
+// secondaryQuery answers a secondary query on index through answer.
 func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQueryOptions, limit int, fn func(*QueryResult)) error {
 	sa := getShardAnswers()
+	sa.index, sa.lo, sa.hi, sa.opts = index, lo, hi, opts
+	return db.answer(sa, limit, fn)
+}
+
+// filterScan answers a primary-index range-filter scan over [lo, hi]
+// through answer.
+func (db *DB) filterScan(lo, hi int64, limit int, fn func(*QueryResult)) error {
+	sa := getShardAnswers()
+	sa.scan, sa.filterLo, sa.filterHi = true, lo, hi
+	return db.answer(sa, limit, fn)
+}
+
+// answer runs sa's request on every shard, merges the answers and runs fn
+// with the merged answer, at every shard count. Shards are independent hash
+// partitions, so a primary key appears in exactly one shard's answer; the
+// merged records (or keys) come in primary-key order — a deterministic
+// total order regardless of shard interleaving — truncated to limit when
+// limit > 0. A partition's query or scan has no early exit, so limit bounds
+// the answer size, not the scan cost, and an unbounded scan is buffered
+// whole. Every slice and byte of the answer is sa's, valid only until fn
+// returns; answer releases sa.
+func (db *DB) answer(sa *shardAnswers, limit int, fn func(*QueryResult)) error {
 	defer sa.release()
 	sa.forShards(len(db.parts))
-	sa.index, sa.lo, sa.hi, sa.opts = index, lo, hi, opts
 	if err := db.fanOut(&sa.join, nil, sa); err != nil {
 		return err
 	}
@@ -365,10 +379,9 @@ func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQu
 	return nil
 }
 
-// shardAnswers is one secondary query's or multi-shard filter scan's
-// answer while it is built: the request every leg runs, each shard's
-// answer with the arena holding its bytes, and the merged answer. It is
-// the fan-out's leg. Recycled through shardAnswersPool with its arenas
+// shardAnswers is one secondary query's or filter scan's answer while it
+// is built: the request every leg runs, each shard's answer with the arena
+// holding its bytes, and the merged answer. It is the fan-out's leg. Recycled through shardAnswersPool with its arenas
 // Reset, so a query in steady state allocates nothing here.
 type shardAnswers struct {
 	res    []query.SecondaryResult // shard i's answer
@@ -417,7 +430,7 @@ func (sa *shardAnswers) run(i int, ds *core.Dataset) error {
 
 // merge gathers the shards' answers into merged, in primary-key order: not
 // even one partition answers in that order, because the batched record
-// fetch emits in component order.
+// fetch, and Mutable-bitmap's filter scan, emit in component order.
 func (sa *shardAnswers) merge() *QueryResult {
 	var nRecords, nKeys int
 	for i := range sa.res {
@@ -460,30 +473,6 @@ func (sa *shardAnswers) release() {
 	if keep {
 		shardAnswersPool.Put(sa)
 	}
-}
-
-// filterScan runs the primary-index range-filter scan on every shard
-// concurrently, then emits the union in primary-key order from the
-// caller's goroutine. A single partition streams its scan straight to fn,
-// in the order query.FilterScan emits (a component at a time under
-// Mutable-bitmap): an unbounded scan is never buffered. Otherwise the
-// shards' records are copied into a recycled shardAnswers' arenas, valid
-// only until fn returns.
-func (db *DB) filterScan(lo, hi int64, fn func(pk, record []byte)) error {
-	if len(db.parts) == 1 {
-		return query.FilterScan(db.parts[0].ds, lo, hi, func(e kv.Entry) { fn(e.Key, e.Value) })
-	}
-	sa := getShardAnswers()
-	defer sa.release()
-	sa.forShards(len(db.parts))
-	sa.scan, sa.filterLo, sa.filterHi = true, lo, hi
-	if err := db.fanOut(&sa.join, nil, sa); err != nil {
-		return err
-	}
-	for _, r := range sa.merge().Records {
-		fn(r.PK, r.Value)
-	}
-	return nil
 }
 
 // stats computes the snapshot; the caller holds the lifecycle lock. Shards
