@@ -397,13 +397,11 @@ type outFrame struct {
 
 // job is one decoded request on its way from the reader to a handler
 // worker, with the pooled receive buffer its byte fields and its mutation
-// list alias. A frame that did not decode travels as its error instead, to
-// be answered with a zero-ID error before the connection hangs up.
+// list alias.
 type job struct {
 	req wire.Request
 	rb  *reqBuf
 	tr  trace
-	err error
 }
 
 // conn is one client connection: a reader goroutine decoding requests and
@@ -487,8 +485,18 @@ func (c *conn) readLoop() {
 		if req.Muts != nil {
 			rb.muts = req.Muts
 		}
+		if err != nil {
+			// The stream is unframed garbage from here on; answer with a
+			// zero-ID error so the client can log it, then hang up.
+			putReqBuf(rb)
+			c.srv.counters.Errors.Add(1)
+			bp := frameBufPool.Get().(*[]byte)
+			*bp = wire.AppendResponse((*bp)[:0], wire.ErrorResponse(0, wire.CodeBadRequest, err.Error()))
+			c.out <- outFrame{bp: bp} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
+			return
+		}
 		var tr trace
-		if traced && err == nil {
+		if traced {
 			tr = trace{op: obsOpOf(req.Op), id: req.ID, start: start}
 			tr.decode = tr.lap()
 		}
@@ -497,12 +505,7 @@ func (c *conn) readLoop() {
 		// back on the client.
 		c.sem <- struct{}{}
 		c.reqWg.Add(1)
-		c.dispatch(job{req: req, rb: rb, tr: tr, err: err}) //lsm:poolleak-ok the handler worker owns the request's buffer from here; serveRequest returns it via putReqBuf
-		if err != nil {
-			// The stream is unframed garbage from here on: the worker
-			// answers with a zero-ID error so the client can log it.
-			return
-		}
+		c.dispatch(job{req: req, rb: rb, tr: tr}) //lsm:poolleak-ok the handler worker owns the request's buffer from here; serveRequest returns it via putReqBuf
 	}
 }
 
@@ -540,11 +543,13 @@ func (c *conn) serveRequest(j job) {
 	// Control-plane ops (PING, STATS, FLUSH) bypass it — health checks must
 	// work on an overloaded server.
 	var shed error
+	release := func() {}
 	if adm := c.srv.adm; adm != nil {
 		if class, ok := admissionClassOf(req.Op); ok {
-			var release func()
-			if release, shed = adm.Acquire(class); shed == nil {
-				defer release()
+			if r, err := adm.Acquire(class); err != nil {
+				shed = err
+			} else {
+				release = r
 			}
 		}
 	}
@@ -563,11 +568,9 @@ func (c *conn) serveRequest(j job) {
 	}
 	var err error
 	switch {
-	case j.err != nil:
-		resp = wire.ErrorResponse(0, wire.CodeBadRequest, j.err.Error())
 	case shed != nil:
 		resp = admissionError(req.ID, shed)
-	case req.Limit < 0: // only queries and scans read it
+	case (req.Op == wire.OpSecondaryQuery || req.Op == wire.OpFilterScan) && req.Limit < 0:
 		resp = wire.ErrorResponse(req.ID, wire.CodeBadRequest, "negative limit")
 	case req.Op == wire.OpPing:
 	case req.Op == wire.OpGet:
@@ -622,6 +625,9 @@ func (c *conn) serveRequest(j job) {
 	if resp.Kind == wire.KindError {
 		c.srv.counters.Errors.Add(1)
 	}
+	// The budget is returned before the reply can reach the client, so a
+	// client that has its answer sees the request out of the budget.
+	release()
 	c.out <- outFrame{bp: bp, tr: tr} //lsm:poolleak-ok ownership of the frame moves to writeLoop, which returns it with Put after writing
 }
 

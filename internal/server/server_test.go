@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -8,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"sync"
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/storetest"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/lsmclient"
 	"repro/lsmstore"
@@ -204,6 +207,58 @@ func TestServedFilterScanOrder(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint([]uint64{0, 1, 2, 3, 4}) {
 		t.Fatalf("served FilterScan with limit 5 answered %v, want [0 1 2 3 4]", got)
+	}
+}
+
+// TestRawFrames drives the server with hand-encoded frames: a negative
+// limit is refused only by the ops that read it (a PING carrying one is
+// answered OK), and a frame that does not decode is answered with a
+// zero-ID bad-request error before the server hangs up.
+func TestRawFrames(t *testing.T) {
+	srv, _ := startServer(t, storeOptions(), nil)
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
+	roundTrip := func(payload []byte) wire.Response {
+		t.Helper()
+		if err := wire.WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.ReadFrame(br, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, tc := range []struct {
+		op   wire.Op
+		want wire.Kind
+	}{
+		{wire.OpPing, wire.KindOK},
+		{wire.OpFilterScan, wire.KindError},
+		{wire.OpSecondaryQuery, wire.KindError},
+	} {
+		resp := roundTrip(wire.AppendRequest(nil, wire.Request{ID: 7, Op: tc.op, Index: "user", Limit: -1}))
+		if resp.ID != 7 || resp.Kind != tc.want || tc.want == wire.KindError && resp.Code != wire.CodeBadRequest {
+			t.Errorf("%v with limit -1 answered %+v, want kind %v", tc.op, resp, tc.want)
+		}
+	}
+	resp := roundTrip([]byte{1}) // an ID and no op
+	if resp.ID != 0 || resp.Kind != wire.KindError || resp.Code != wire.CodeBadRequest {
+		t.Errorf("a corrupt frame answered %+v, want a zero-ID bad-request error", resp)
+	}
+	if _, err := wire.ReadFrame(br, nil, 0); err == nil {
+		t.Error("the connection stayed open after a corrupt frame")
 	}
 }
 

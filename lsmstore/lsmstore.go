@@ -41,8 +41,9 @@
 // Recover, RepairSecondaryIndexes and Stats apply to (or aggregate over)
 // all shards. One shard is the N = 1 case of the same code, not a second
 // program: fan-outs run on the caller's goroutine and a batch is not
-// regrouped. A scan buffers its whole answer at every shard count; the
-// pool keeps an answer's slices only up to maxRecycledAnswer entries.
+// regrouped. An unbounded scan buffers its whole answer at every shard
+// count, a bounded one at most its limit per shard; the pool keeps an
+// answer's slices only up to maxRecycledAnswer entries.
 //
 // # Maintenance
 //
@@ -738,9 +739,11 @@ func (db *DB) FilterScan(lo, hi int64, fn func(pk, record []byte)) error {
 // scans concurrently; the union's records are sorted in primary-key order
 // and then cut to limit when limit > 0, at every shard count. The answer
 // is recycled memory of the store's and is valid only until fn returns: fn
-// must copy what it keeps and must not modify it. The scan buffers its
-// whole answer before the cut. The network server encodes FILTER_SCAN
-// responses from inside fn, straight into its output frame.
+// must copy what it keeps and must not modify it. An unbounded scan
+// buffers its whole answer; a bounded one copies only records that are
+// among each shard's limit smallest keys so far, so it holds at most limit
+// records per shard. The network server encodes FILTER_SCAN responses from
+// inside fn, straight into its output frame.
 func (db *DB) FilterScanWith(lo, hi int64, limit int, fn func(*QueryResult)) error {
 	if err := db.acquire(); err != nil {
 		return err

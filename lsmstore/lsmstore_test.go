@@ -263,16 +263,18 @@ func TestFilterScanOrder(t *testing.T) {
 				if fmt.Sprint(got) != fmt.Sprint(sorted) {
 					t.Fatalf("FilterScan emitted %v, want %v", got, sorted)
 				}
-				got = got[:0]
-				if err := db.FilterScanWith(0, 1<<62, 5, func(res *lsmstore.QueryResult) {
-					for _, r := range res.Records {
-						got = append(got, binary.BigEndian.Uint64(r.PK))
+				for _, limit := range []int{1, 5, 25, 40, 41} {
+					got = got[:0]
+					if err := db.FilterScanWith(0, 1<<62, limit, func(res *lsmstore.QueryResult) {
+						for _, r := range res.Records {
+							got = append(got, binary.BigEndian.Uint64(r.PK))
+						}
+					}); err != nil {
+						t.Fatal(err)
 					}
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(sorted[:5]) {
-					t.Fatalf("FilterScanWith with limit 5 answered %v, want %v", got, sorted[:5])
+					if want := sorted[:min(limit, len(sorted))]; fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("FilterScanWith with limit %d answered %v, want %v", limit, got, want)
+					}
 				}
 			})
 		}

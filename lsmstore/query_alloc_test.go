@@ -2,7 +2,9 @@ package lsmstore_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +86,69 @@ func TestSecondaryQueryAllocations(t *testing.T) {
 				}
 				if with != 0 {
 					t.Errorf("SecondaryQueryWith: %.1f allocations per query, want 0", with)
+				}
+			})
+		}
+	}
+}
+
+// TestBoundedScanCopiesLimit: a filter scan with a limit copies only
+// records among each shard's limit smallest keys so far, so its buffer does
+// not grow with the range it scans. Over 20 000 matching records a scan
+// with limit 5 allocates a few KiB per call, on one shard and on two, for a
+// strategy that scans in primary-key order and for Mutable-bitmap, which
+// scans a run per component; buffering the whole answer before the cut
+// allocates megabytes.
+func TestBoundedScanCopiesLimit(t *testing.T) {
+	const n, limit = 20000, 5
+	for _, strategy := range []lsmstore.Strategy{lsmstore.Validation, lsmstore.MutableBitmap} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/shards=%d", strategy, shards), func(t *testing.T) {
+				opts := tinyOptions(strategy)
+				opts.Shards = shards
+				db, err := lsmstore.Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				for i := range n {
+					id := uint64(n - 1 - i) // the newest components hold the smallest keys
+					if err := db.Upsert(tweetPK(id), tweetRec(id, uint32(i%40), int64(i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var got []uint64
+				scan := func() {
+					got = got[:0]
+					if err := db.FilterScanWith(0, n, limit, func(res *lsmstore.QueryResult) {
+						for _, r := range res.Records {
+							got = append(got, binary.BigEndian.Uint64(r.PK))
+						}
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				scan() // warm the pools
+				const calls = 10
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range calls {
+					scan()
+				}
+				runtime.ReadMemStats(&after)
+				perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+				t.Logf("%d components: %d bytes allocated per scan", db.Stats().PrimaryComponents, perCall)
+				if fmt.Sprint(got) != "[0 1 2 3 4]" {
+					t.Fatalf("answered %v, want [0 1 2 3 4]", got)
+				}
+				if db.Stats().PrimaryComponents < 2 {
+					t.Fatal("one component: the case measures nothing")
+				}
+				if raceEnabled {
+					return
+				}
+				if perCall > 64<<10 {
+					t.Errorf("%d bytes allocated per scan with limit %d, want at most 64 KiB", perCall, limit)
 				}
 			})
 		}

@@ -351,7 +351,7 @@ func (db *DB) secondaryQuery(index string, lo, hi []byte, opts query.SecondaryQu
 // through answer.
 func (db *DB) filterScan(lo, hi int64, limit int, fn func(*QueryResult)) error {
 	sa := getShardAnswers()
-	sa.scan, sa.filterLo, sa.filterHi = true, lo, hi
+	sa.scan, sa.filterLo, sa.filterHi, sa.limit = true, lo, hi, limit
 	return db.answer(sa, limit, fn)
 }
 
@@ -361,9 +361,10 @@ func (db *DB) filterScan(lo, hi int64, limit int, fn func(*QueryResult)) error {
 // merged records (or keys) come in primary-key order — a deterministic
 // total order regardless of shard interleaving — truncated to limit when
 // limit > 0. A partition's query or scan has no early exit, so limit bounds
-// the answer size, not the scan cost, and an unbounded scan is buffered
-// whole. Every slice and byte of the answer is sa's, valid only until fn
-// returns; answer releases sa.
+// the answer size, not the scan cost. A bounded scan keeps at most limit
+// records per shard (see keepSmallest); an unbounded one is buffered whole.
+// Every slice and byte of the answer is sa's, valid only until fn returns;
+// answer releases sa.
 func (db *DB) answer(sa *shardAnswers, limit int, fn func(*QueryResult)) error {
 	defer sa.release()
 	sa.forShards(len(db.parts))
@@ -395,6 +396,7 @@ type shardAnswers struct {
 	opts               query.SecondaryQueryOptions
 	scan               bool
 	filterLo, filterHi int64
+	limit              int // a scan's limit; 0 keeps every record
 
 	join fanJoin
 }
@@ -424,8 +426,50 @@ func (sa *shardAnswers) run(i int, ds *core.Dataset) error {
 		return query.AppendSecondaryRange(r, arena, ds, ds.Secondary(sa.index), sa.lo, sa.hi, sa.opts)
 	}
 	return query.FilterScan(ds, sa.filterLo, sa.filterHi, func(e kv.Entry) {
-		r.Records = append(r.Records, arena.CloneEntry(e))
+		r.Records = keepSmallest(r.Records, arena, e, sa.limit)
 	})
+}
+
+// keepSmallest adds a copy of e, made in arena, to recs when e is among the
+// limit smallest keys seen so far (always when limit is 0), so a bounded
+// scan's shard answer never grows past limit records. Once recs is full it
+// is a max-heap on the key, and a record not below the largest kept is
+// dropped uncopied: a scan emitting in primary-key order copies limit
+// records and no more, and one emitting a sorted run per component
+// (Mutable-bitmap) copies at most limit per run.
+func keepSmallest(recs []kv.Entry, arena *kv.Arena, e kv.Entry, limit int) []kv.Entry {
+	switch {
+	case limit <= 0 || len(recs) < limit-1:
+		return append(recs, arena.CloneEntry(e))
+	case len(recs) == limit-1: // the last free slot: recs becomes a heap
+		recs = append(recs, arena.CloneEntry(e))
+		for i := len(recs)/2 - 1; i >= 0; i-- {
+			siftDown(recs, i)
+		}
+		return recs
+	case kv.Compare(e.Key, recs[0].Key) >= 0:
+		return recs
+	}
+	recs[0] = arena.CloneEntry(e)
+	siftDown(recs, 0)
+	return recs
+}
+
+// siftDown restores the max-heap order on h's keys below position i.
+func siftDown(h []kv.Entry, i int) {
+	for {
+		top := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && kv.Compare(h[c].Key, h[top].Key) > 0 {
+				top = c
+			}
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
 }
 
 // merge gathers the shards' answers into merged, in primary-key order: not
@@ -469,7 +513,7 @@ func (sa *shardAnswers) release() {
 	clear(m.Keys[:cap(m.Keys)])
 	m.Records, m.Keys = m.Records[:0], m.Keys[:0]
 	sa.index, sa.lo, sa.hi, sa.opts = "", nil, nil, query.SecondaryQueryOptions{}
-	sa.scan = false
+	sa.scan, sa.limit = false, 0
 	if keep {
 		shardAnswersPool.Put(sa)
 	}
