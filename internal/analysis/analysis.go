@@ -4,9 +4,8 @@
 //
 // The repo builds against the bare standard library, so instead of
 // importing x/tools the package defines the same Analyzer/Pass/Diagnostic
-// shapes, and the drivers in internal/analysis/unit (the `go vet -vettool`
-// protocol) and internal/analysis/load (a `go list -export` source loader)
-// supply what go/packages and unitchecker would. Analyzers written against
+// shapes, and internal/analysis/load (a `go list -test -export` source
+// loader) supplies what go/packages would. Analyzers written against
 // this package port to the real x/tools API by changing one import.
 package analysis
 
@@ -22,7 +21,7 @@ import (
 // An Analyzer describes one analysis pass: a named checker over a single
 // type-checked package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and driver flags. It must
+	// Name identifies the analyzer in diagnostics and directives. It must
 	// be a valid Go identifier.
 	Name string
 
@@ -30,8 +29,8 @@ type Analyzer struct {
 	// one-line summary.
 	Doc string
 
-	// Flags holds analyzer-specific configuration. Drivers expose each flag
-	// as -<name>.<flag>, exactly like the x/tools multichecker.
+	// Flags holds analyzer-specific configuration: scopes whose defaults
+	// encode the engine's contracts, which tests point at their fixtures.
 	Flags flag.FlagSet
 
 	// Run applies the analyzer to one package.
@@ -70,8 +69,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // PathMatches reports whether pkgpath is covered by a comma-separated
 // package list. An entry ending in "/..." covers that package and its
 // subpackages; a plain entry covers exactly that package — or, when
-// subtree is set, its subpackages too.
+// subtree is set, its subpackages too. An external test package ("p_test")
+// is covered wherever p is.
 func PathMatches(pkgpath, list string, subtree bool) bool {
+	pkgpath = strings.TrimSuffix(pkgpath, "_test")
 	for _, e := range strings.Split(list, ",") {
 		e = strings.TrimSpace(e)
 		if e == "" {
@@ -88,20 +89,4 @@ func PathMatches(pkgpath, list string, subtree bool) bool {
 		}
 	}
 	return false
-}
-
-// Validate checks an analyzer list for driver use: names must be non-empty,
-// valid and unique, and every analyzer must have a Run function.
-func Validate(analyzers []*Analyzer) error {
-	seen := make(map[string]bool)
-	for _, a := range analyzers {
-		if a == nil || a.Name == "" || a.Run == nil {
-			return fmt.Errorf("analysis: invalid analyzer %v (missing name or Run)", a)
-		}
-		if seen[a.Name] {
-			return fmt.Errorf("analysis: duplicate analyzer name %q", a.Name)
-		}
-		seen[a.Name] = true
-	}
-	return nil
 }

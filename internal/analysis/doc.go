@@ -1,8 +1,8 @@
 // Package analysis hosts lsmlint, the repo's invariant-enforcing static
 // analyzer suite. The subpackages lockio, erraudit, poolleak and
 // clocksource each encode one contract the engine's correctness or
-// performance depends on; cmd/lsmlint bundles them behind the
-// `go vet -vettool` protocol so CI and local runs share go's build cache.
+// performance depends on; cmd/lsmlint runs them over the packages the
+// load subpackage loads, test files included, in CI and locally alike.
 //
 // # The invariants
 //
@@ -66,19 +66,19 @@
 //
 // # Running
 //
-//	go build -o /tmp/lsmlint ./cmd/lsmlint
-//	go vet -vettool=/tmp/lsmlint ./...   # vet protocol, cached, tests included
-//	/tmp/lsmlint ./...                   # standalone, convenient locally
+//	go run ./cmd/lsmlint ./...
 //
-// Analyzer scopes are flags (-lockio.mutexes, -erraudit.packages, ...);
-// the defaults encode the engine's current contracts.
+// Every matched package is analyzed with its _test.go files, and so is its
+// external test package, which an analyzer's scope covers wherever it
+// covers the package. The scopes are the analyzers' Flags (lockio's
+// mutexes, erraudit's packages, ...), which the tests point at their
+// fixtures; the defaults encode the engine's current contracts.
 //
 // # Implementation note
 //
 // The framework is a stdlib-only reimplementation of the core of
 // golang.org/x/tools/go/analysis: this repo builds with no module
-// dependencies, so Analyzer/Pass/Diagnostic are defined here, the unit
-// subpackage speaks go vet's unitchecker JSON protocol, and the load
-// subpackage type-checks packages via `go list -export`. Analyzers
+// dependencies, so Analyzer/Pass/Diagnostic are defined here and the load
+// subpackage type-checks packages via `go list -test -export`. Analyzers
 // written against this package port to x/tools by swapping one import.
 package analysis

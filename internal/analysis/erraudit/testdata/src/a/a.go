@@ -9,10 +9,10 @@ import (
 	"strings"
 )
 
-func mayFail() error          { return errors.New("boom") }
-func twoVals() (int, error)   { return 0, nil }
-func value() int              { return 1 }
-func cleanup()                {}
+func mayFail() error        { return errors.New("boom") }
+func twoVals() (int, error) { return 0, nil }
+func value() int            { return 1 }
+func cleanup()              {}
 
 func bad() {
 	mayFail()         // want `call discards its error result in mayFail`
@@ -28,7 +28,7 @@ func good() error {
 	if err := mayFail(); err != nil {
 		return err
 	}
-	value()        // no error result
+	value()         // no error result
 	defer cleanup() // no error result
 	n, err := twoVals()
 	if err != nil {
@@ -68,3 +68,6 @@ func justified() {
 func emptyReason() {
 	_ = mayFail() /*lsm:allow-discard*/ // want `directive needs a justification` `error value assigned to _`
 }
+
+// MayFail exports mayFail to the external test package.
+func MayFail() error { return mayFail() }

@@ -2,11 +2,18 @@
 // packages for the lsmlint analyzers, using only the standard library and
 // the go toolchain itself.
 //
-// It shells out once to `go list -export -deps -json`, which compiles (or
-// reuses from the build cache) gc export data for every dependency, then
+// It shells out once to `go list -test -export -deps -json`, which compiles
+// (or reuses from the build cache) gc export data for every dependency, then
 // parses the target packages from source and type-checks them against that
 // export data via go/importer's lookup mode. This is the same shape as the
 // x/tools go/packages LoadAllSyntax path, minus the dependency.
+//
+// Test files are analyzed the way `go vet` analyzes them: a matched package
+// p with internal tests is loaded as its test variant "p [p.test]", whose
+// GoFiles include the _test.go files, and its external test package
+// "p_test [p.test]" is loaded as well. Both are type-checked under their
+// plain paths (p and p_test). The generated p.test mains and other
+// packages' test-time recompilations ("p [q.test]") are skipped.
 package load
 
 import (
@@ -23,6 +30,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // listPackage is the subset of `go list -json` output the loader reads.
@@ -32,8 +40,8 @@ type listPackage struct {
 	Name       string
 	GoFiles    []string
 	Export     string
+	ImportMap  map[string]string
 	DepOnly    bool
-	Standard   bool
 }
 
 // Package is one parsed and type-checked target package.
@@ -51,12 +59,12 @@ type Result struct {
 }
 
 // Load resolves patterns (as `go list` understands them, relative to dir)
-// and returns every matched package parsed and type-checked. Dependencies
-// are consumed as export data, never re-parsed.
+// and returns every matched package, with its test files, parsed and
+// type-checked. Dependencies are consumed as export data, never re-parsed.
 func Load(dir string, patterns ...string) (*Result, error) {
 	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,GoFiles,Export,DepOnly,Standard",
+		"list", "-test", "-export", "-deps",
+		"-json=ImportPath,Dir,Name,GoFiles,Export,ImportMap,DepOnly",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -69,7 +77,8 @@ func Load(dir string, patterns ...string) (*Result, error) {
 	}
 
 	exports := make(map[string]string)
-	var targets []listPackage
+	var listed []listPackage
+	hasTestVariant := make(map[string]bool)
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
@@ -81,25 +90,38 @@ func Load(dir string, patterns ...string) (*Result, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && p.Name != "" && len(p.GoFiles) > 0 {
-			targets = append(targets, p)
+		if p.DepOnly || p.Name == "" || len(p.GoFiles) == 0 {
+			continue
 		}
+		path, variant := splitID(p.ImportPath)
+		switch variant {
+		case "":
+			if strings.HasSuffix(path, ".test") {
+				continue // a generated test main
+			}
+		case path + ".test":
+			hasTestVariant[path] = true
+		case strings.TrimSuffix(path, "_test") + ".test":
+			// the external test package
+		default:
+			continue // recompiled for another package's test
+		}
+		listed = append(listed, p)
 	}
 
 	fset := token.NewFileSet()
-	// One shared importer: common dependencies resolve to one *types.Package
-	// across all targets, exactly like a build.
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-
 	res := &Result{Fset: fset}
-	for _, t := range targets {
-		pkg, err := typecheck(fset, imp, t)
+	shared := newImporter(fset, exports, nil)
+	for _, p := range listed {
+		path, variant := splitID(p.ImportPath)
+		if variant == "" && hasTestVariant[path] {
+			continue // its test variant covers the same files and more
+		}
+		imp := shared
+		if len(p.ImportMap) > 0 {
+			imp = newImporter(fset, exports, p.ImportMap)
+		}
+		pkg, err := typecheck(fset, imp, path, p)
 		if err != nil {
 			return nil, err
 		}
@@ -108,14 +130,45 @@ func Load(dir string, patterns ...string) (*Result, error) {
 	return res, nil
 }
 
-func typecheck(fset *token.FileSet, imp types.Importer, lp listPackage) (*Package, error) {
+// splitID splits a `go list -test` ID such as "p_test [p.test]" into its
+// plain import path and the test binary in brackets ("" for none).
+func splitID(id string) (path, variant string) {
+	path, rest, ok := strings.Cut(id, " [")
+	if !ok {
+		return id, ""
+	}
+	return path, strings.TrimSuffix(rest, "]")
+}
+
+// newImporter reads export data for the imports of packages that share
+// importMap. The map sends an external test package's imports to the
+// variants compiled for its test; the importer still caches each package
+// by its plain path, the name every export file uses for the packages it
+// mentions, so packages with an import map each get an importer of their
+// own.
+func newImporter(fset *token.FileSet, exports map[string]string, importMap map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(importPath string) (io.ReadCloser, error) {
+		id := importPath
+		if mapped, ok := importMap[importPath]; ok {
+			id = mapped
+		}
+		file, ok := exports[id]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", id)
+		}
+		return os.Open(file)
+	})
+}
+
+// typecheck parses lp's files and type-checks them as package path.
+func typecheck(fset *token.FileSet, imp types.Importer, path string, lp listPackage) (*Package, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(lp.Dir, name)
+		file := name
+		if !filepath.IsAbs(file) {
+			file = filepath.Join(lp.Dir, name)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -133,9 +186,9 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp listPackage) (*Packag
 		Importer: imp,
 		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
 	}
-	pkg, err := conf.Check(lp.ImportPath, fset, files, info)
+	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 	}
-	return &Package{ImportPath: lp.ImportPath, Files: files, Pkg: pkg, Info: info}, nil
+	return &Package{ImportPath: path, Files: files, Pkg: pkg, Info: info}, nil
 }

@@ -83,7 +83,7 @@ func (w *PromWriter) Gauge(name, help string, value float64, labels ...string) {
 	w.sample(name, help, "gauge", formatFloat(value), labels)
 }
 
-// Fields writes one sample per int64 field of the struct snapshot that
+// Fields writes one sample per integer field of the struct snapshot that
 // carries a `prom:"name,help"` tag, in declaration order. A name ending in
 // _total is written as a counter and any other as a gauge; a field whose Go
 // name ends in Nanos is written in seconds, with its fraction.

@@ -143,6 +143,38 @@ func TestPIDPruningSafeUnderUpdates(t *testing.T) {
 	}
 }
 
+// TestEagerAnswersEveryMethod pins that an Eager dataset answers every
+// validation method as NoValidation: an update that keeps its secondary key
+// leaves the old index entry behind a newer primary-key-index timestamp, so
+// Timestamp validation, taken at its word, would drop the record.
+func TestEagerAnswersEveryMethod(t *testing.T) {
+	d := newDataset(t, core.Eager, nil)
+	pk := kv.EncodeUint64(77)
+	if _, err := d.Insert(pk, mkRecord(5, 100, 40)); err != nil {
+		t.Fatal(err)
+	}
+	d.FlushAll()
+	if err := d.Upsert(pk, mkRecord(5, 999, 40)); err != nil {
+		t.Fatal(err)
+	}
+	d.FlushAll()
+
+	si := d.Secondary("user")
+	for _, m := range []ValidationMethod{NoValidation, Direct, Timestamp, DeletedKeyCheck} {
+		for _, indexOnly := range []bool{false, true} {
+			res, err := SecondaryRange(d, si, userKey(5), userKey(5), SecondaryQueryOptions{
+				Validation: m, IndexOnly: indexOnly, Lookup: DefaultLookupConfig(),
+			})
+			if err != nil {
+				t.Fatalf("%v index-only=%v: %v", m, indexOnly, err)
+			}
+			if n := len(res.Records) + len(res.Keys); n != 1 {
+				t.Fatalf("%v index-only=%v: %d answers, want 1", m, indexOnly, n)
+			}
+		}
+	}
+}
+
 // TestTimestampFetchTestsOneBloomFilterPerKey: after Timestamp validation a
 // key's version lives in memory or in the one disk component whose
 // timestamp range holds it, so the fetch tests at most one Bloom filter per

@@ -55,7 +55,8 @@ func (v ValidationMethod) String() string {
 // SecondaryQueryOptions configures a secondary-index range query.
 type SecondaryQueryOptions struct {
 	// Validation selects the validation method (Figure 5). Use
-	// NoValidation only with the Eager strategy.
+	// NoValidation only with the Eager strategy, which answers every method
+	// as NoValidation.
 	Validation ValidationMethod
 	// IndexOnly answers from the secondary index alone (plus validation);
 	// no records are fetched. Incompatible with Direct validation.
@@ -121,6 +122,11 @@ func AppendSecondaryRange(res *SecondaryResult, arena *kv.Arena, ds *core.Datase
 }
 
 func (sc *scratch) secondaryRange(res *SecondaryResult, arena *kv.Arena, ds *core.Dataset, si *core.SecondaryIndex, loSK, hiSK []byte, opts SecondaryQueryOptions) error {
+	if ds.Config().Strategy == core.Eager {
+		// Its indexes are current. Timestamp validation would drop a record
+		// whose update kept its secondary key, and so its old index entry.
+		opts.Validation = NoValidation
+	}
 	env := ds.Env()
 	var lo, hi []byte
 	sc.bounds, lo, hi = kv.AppendSecondaryScanBounds(sc.bounds[:0], loSK, hiSK)

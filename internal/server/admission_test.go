@@ -1,10 +1,7 @@
 package server_test
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -49,7 +46,7 @@ func TestOverloadShedThenRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer closeOK(t, c)
 
 	// One storm can, rarely, serialize through the one-slot budget without
 	// a single collision (a single-CPU scheduler can run each handler to
@@ -104,15 +101,8 @@ func TestAdmissionSurfacedOnStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var payload server.StatsPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, "http://"+srv.HTTPAddr().String()+"/stats", &payload)
 	if payload.Admission == nil {
 		t.Fatal("/stats Admission is null with admission enabled")
 	}
@@ -120,16 +110,7 @@ func TestAdmissionSurfacedOnStats(t *testing.T) {
 		t.Fatalf("/stats Admission.Budget = %d, want 1", payload.Admission.Budget)
 	}
 
-	resp2, err := http.Get("http://" + srv.HTTPAddr().String() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	raw, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
+	body := scrape(t, srv)
 	for _, want := range []string{
 		"lsm_admission_budget 1",
 		`lsm_admission_shed_total{cause="queue_full"}`,
@@ -197,7 +178,7 @@ func TestOverloadGoodputSmoke(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			defer c.Close()
+			defer closeOK(t, c)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:

@@ -1,9 +1,7 @@
 package server_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"slices"
@@ -91,15 +89,8 @@ func TestObservabilityHistograms(t *testing.T) {
 	}
 
 	// The /stats payload carries the digests; the buckets are on /metrics.
-	resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var payload server.StatsPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, "http://"+srv.HTTPAddr().String()+"/stats", &payload)
 	if payload.Latency["upsert"].Count != 8 || payload.Latency["upsert"].MaxMicros < 0 {
 		t.Fatalf("/stats latency = %+v", payload.Latency)
 	}
@@ -114,15 +105,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	})
 	doRequests(t, srv)
 
-	resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, raw := httpGet(t, "http://"+srv.HTTPAddr().String()+"/metrics")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	raw, _ := io.ReadAll(resp.Body)
 	body := string(raw)
 	for _, want := range []string{
 		"# TYPE lsm_requests_total counter",
@@ -149,11 +135,6 @@ func TestDebugSlowEndpoint(t *testing.T) {
 	// The slow ring is filled after the histograms.
 	waitFor(t, "10 slow entries", func() bool { return srv.SlowLog().Total() >= 10 })
 
-	resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/debug/slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var p struct {
 		ThresholdMillis int64 `json:"threshold_ms"`
 		Total           int64 `json:"total"`
@@ -162,9 +143,7 @@ func TestDebugSlowEndpoint(t *testing.T) {
 			TotalMicros int64  `json:"total_us"`
 		} `json:"entries"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, "http://"+srv.HTTPAddr().String()+"/debug/slow", &p)
 	if p.Total != 10 {
 		t.Fatalf("slow total = %d, want 10", p.Total)
 	}
@@ -233,17 +212,10 @@ func TestStagesAddUpToTotal(t *testing.T) {
 	// client can be ahead of the log.
 	waitFor(t, "every request in the slow log", func() bool { return srv.SlowLog().Total() >= requests })
 
-	resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/debug/slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var p struct {
 		Entries []obs.SlowEntry `json:"entries"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, "http://"+srv.HTTPAddr().String()+"/debug/slow", &p)
 	if len(p.Entries) != requests {
 		t.Fatalf("slow entries = %d, want %d", len(p.Entries), requests)
 	}
@@ -296,11 +268,6 @@ func TestDebugMaintenanceEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/debug/maintenance")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var p struct {
 		Summary struct {
 			Flushes    int64 `json:"flushes"`
@@ -318,9 +285,7 @@ func TestDebugMaintenanceEndpoint(t *testing.T) {
 			DurationMicros int64  `json:"duration_us"`
 		} `json:"events"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, "http://"+srv.HTTPAddr().String()+"/debug/maintenance", &p)
 	if p.Summary.Flushes < 1 || p.Summary.FlushBytes <= 0 {
 		t.Fatalf("maintenance summary = %+v", p.Summary)
 	}
@@ -341,12 +306,7 @@ func TestPprofEndpointOptIn(t *testing.T) {
 		cfg.EnablePprof = true
 	})
 	base := "http://" + srv.HTTPAddr().String()
-	resp, err := http.Get(base + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	resp, body := httpGet(t, base+"/debug/pprof/cmdline")
 	if resp.StatusCode != http.StatusOK || len(body) == 0 {
 		t.Fatalf("/debug/pprof/cmdline = %d, %d bytes", resp.StatusCode, len(body))
 	}
@@ -355,11 +315,7 @@ func TestPprofEndpointOptIn(t *testing.T) {
 	srv2, _ := startServer(t, storeOptions(), func(cfg *server.Config) {
 		cfg.HTTPAddr = "127.0.0.1:0"
 	})
-	resp, err = http.Get("http://" + srv2.HTTPAddr().String() + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, _ = httpGet(t, "http://"+srv2.HTTPAddr().String()+"/debug/pprof/cmdline")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("pprof without opt-in = %d, want 404", resp.StatusCode)
 	}
@@ -375,30 +331,17 @@ func TestDisableObservability(t *testing.T) {
 		t.Fatal("observability not disabled")
 	}
 	base := "http://" + srv.HTTPAddr().String()
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var payload server.StatsPayload
-	err = json.NewDecoder(resp.Body).Decode(&payload)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, base+"/stats", &payload)
 	if payload.Latency != nil || payload.Stages != nil {
 		t.Fatalf("/stats carries histograms while disabled: %+v", payload.Latency)
 	}
 	// Counters still serve.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(raw), "lsm_requests_total") {
+	body := scrape(t, srv)
+	if !strings.Contains(body, "lsm_requests_total") {
 		t.Fatal("/metrics lost counters while observability disabled")
 	}
-	if strings.Contains(string(raw), "lsm_request_duration_seconds") {
+	if strings.Contains(body, "lsm_request_duration_seconds") {
 		t.Fatal("/metrics serves request histograms while disabled")
 	}
 }
@@ -508,5 +451,7 @@ func TestObsOverheadSmoke(t *testing.T) {
 	if ratio < 0.95 {
 		t.Fatalf("observability costs %.1f%% throughput, budget is 5%%", (1-ratio)*100)
 	}
-	fmt.Println("OBS_OVERHEAD_RATIO", ratio)
+	if _, err := fmt.Println("OBS_OVERHEAD_RATIO", ratio); err != nil {
+		t.Fatal(err)
+	}
 }

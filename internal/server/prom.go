@@ -7,9 +7,10 @@ import (
 // promExposition renders the full Prometheus text-format body served at
 // GET /metrics: server counters, engine counters, maintenance journal
 // totals and gauges, and — when observability is on — the per-op-class
-// and per-stage latency histograms. The three counter snapshots carry
-// their own names and help (obs.PromWriter.Fields); the rows written here
-// are the ones that come from elsewhere or carry labels.
+// and per-stage latency histograms. The engine's stats and the three
+// counter snapshots carry their own names and help (obs.PromWriter.Fields);
+// the rows written here are the ones that come from elsewhere or carry
+// labels.
 func (s *Server) promExposition() []byte {
 	var w obs.PromWriter
 
@@ -17,16 +18,7 @@ func (s *Server) promExposition() []byte {
 	w.Counter("lsm_slow_requests_total", "Requests at or over the slow-request threshold.", int64(s.slow.Total()))
 
 	st := s.db.Stats()
-	w.Counter("lsm_engine_ingested_total", "Records ingested.", st.Ingested)
-	w.Counter("lsm_engine_ignored_total", "Duplicate inserts ignored.", st.Ignored)
-	w.Gauge("lsm_engine_primary_components", "On-disk primary components across shards.", float64(st.PrimaryComponents))
-	w.Counter("lsm_engine_disk_bytes_written_total", "Bytes written to the storage device.", st.DiskBytesWritten)
-	w.Gauge("lsm_engine_wal_bytes", "Bytes of write-ahead log no durable flush covers yet, across shards.", float64(st.WALBytes))
-	w.Gauge("lsm_engine_component_bytes", "Bytes of the component files the current component lists name, across shards.", float64(st.ComponentBytes))
-	w.Gauge("lsm_engine_retired_files", "Files of merged-away components not yet unlinked (pinned by a reader or awaiting the manifest).", float64(st.RetiredFiles))
-	w.Gauge("lsm_engine_pending_flush_batches", "Frozen batches queued for flush across shards.", float64(st.PendingFlushBatches))
-	w.Gauge("lsm_engine_frozen_memtables", "Frozen memtables not yet installed across shards.", float64(st.FrozenMemtables))
-	w.Gauge("lsm_engine_read_cache_bytes", "Memory the read cache holds: its record chunks and its index.", float64(st.ReadCacheBytes))
+	w.Fields(st)
 	w.Fields(st.Counters)
 	w.Fields(s.db.MaintJournal().Summary())
 

@@ -1,8 +1,6 @@
 package server_test
 
 import (
-	"io"
-	"net/http"
 	"slices"
 	"strconv"
 	"strings"
@@ -70,16 +68,8 @@ func TestSecondsTotalsAreFractional(t *testing.T) {
 // scrape returns the /metrics body.
 func scrape(t *testing.T, srv *server.Server) string {
 	t.Helper()
-	resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(raw)
+	_, body := httpGet(t, "http://"+srv.HTTPAddr().String()+"/metrics")
+	return string(body)
 }
 
 var wantExposition = []string{

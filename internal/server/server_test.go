@@ -55,18 +55,20 @@ func startServer(t testing.TB, opts lsmstore.Options, mod func(*server.Config)) 
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
-		db.Close()
+		closeOK(t, db)
 		t.Fatal(err)
 	}
 	if err := srv.Start(); err != nil {
-		db.Close()
+		closeOK(t, db)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		srv.Shutdown(ctx)
-		db.Close()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+		closeOK(t, db)
 	})
 	return srv, db
 }
@@ -81,8 +83,43 @@ func dial(t testing.TB, srv *server.Server, conns int) *lsmclient.Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	t.Cleanup(func() { closeOK(t, c) })
 	return c
+}
+
+// closeOK closes c and fails the test on an error.
+func closeOK(t testing.TB, c io.Closer) {
+	t.Helper()
+	if err := c.Close(); err != nil {
+		t.Error(err)
+	}
+}
+
+// httpGet fetches url and returns the response with its whole body read
+// and closed, failing the test on any error along the way.
+func httpGet(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// getJSON fetches url and decodes its JSON body into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	_, body := httpGet(t, url)
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // tweet builds a deterministic record: PK from id, user id%32, creation=id.
@@ -109,8 +146,8 @@ func TestServeBasicOps(t *testing.T) {
 	if string(got) != string(rec) {
 		t.Fatalf("get = %x, want %x", got, rec)
 	}
-	if _, found, _ := c.Get([]byte("absent-key")); found {
-		t.Fatal("absent key reported found")
+	if _, found, err := c.Get([]byte("absent-key")); err != nil || found {
+		t.Fatalf("absent key: found=%v err=%v", found, err)
 	}
 
 	if applied, err := c.Insert(pk, rec); err != nil || applied {
@@ -160,8 +197,8 @@ func TestServeBasicOps(t *testing.T) {
 	if len(recs) != 5 {
 		t.Fatalf("filter scan returned %d records, want 5", len(recs))
 	}
-	if recs, _ := c.FilterScan(0, 1<<40, 3); len(recs) != 3 {
-		t.Fatalf("limited scan returned %d records, want 3", len(recs))
+	if recs, err := c.FilterScan(0, 1<<40, 3); err != nil || len(recs) != 3 {
+		t.Fatalf("limited scan returned %d records, err %v; want 3", len(recs), err)
 	}
 
 	if err := c.Flush(); err != nil {
@@ -220,7 +257,7 @@ func TestRawFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
+	defer closeOK(t, nc)
 	br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
 	roundTrip := func(payload []byte) wire.Response {
 		t.Helper()
@@ -439,7 +476,7 @@ func TestConnCloseStopsWorkers(t *testing.T) {
 	if n := runtime.NumGoroutine(); n < base+4 {
 		t.Fatalf("%d goroutines with an idle connection open, baseline %d: no parked worker", n, base)
 	}
-	c.Close()
+	closeOK(t, c)
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
@@ -460,25 +497,13 @@ func TestHTTPSidecar(t *testing.T) {
 	}
 
 	base := "http://" + srv.HTTPAddr().String()
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	resp, body := httpGet(t, base+"/healthz")
 	if resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
 		t.Fatalf("/healthz = %d %q", resp.StatusCode, body)
 	}
 
-	resp, err = http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var payload server.StatsPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, base+"/stats", &payload)
 	if payload.Engine.Ingested != 1 {
 		t.Fatalf("/stats engine ingested = %d, want 1", payload.Engine.Ingested)
 	}
@@ -517,7 +542,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer closeOK(t, db)
 	srv, err := server.New(server.Config{DB: db, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +556,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer closeOK(t, c)
 
 	const workers = 8
 	var (
@@ -615,7 +640,7 @@ func TestServerKillAndReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cl.Close()
+		defer closeOK(t, cl)
 		clients[i] = cl
 	}
 
@@ -706,7 +731,7 @@ func TestServerKillAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after kill: %v", err)
 	}
-	defer reopened.Close()
+	defer closeOK(t, reopened)
 
 	users := map[uint32][]uint64{}
 	for _, id := range ackedFinal {
@@ -742,7 +767,7 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer closeOK(t, db)
 	if _, err := server.New(server.Config{DB: db}); err == nil {
 		t.Fatal("empty addr accepted")
 	}

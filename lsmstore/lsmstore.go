@@ -672,14 +672,8 @@ func (db *DB) SecondaryQueryWith(index string, lo, hi []byte, opts QueryOptions,
 	case db.parts[0].ds.Secondary(index) == nil: // every partition declares the same indexes
 		return fmt.Errorf("%w: %q", ErrUnknownIndex, index)
 	}
-	validation := opts.Validation
-	if db.parts[0].ds.Config().Strategy == Eager {
-		// Its indexes are current. Timestamp validation would drop a record
-		// whose update kept its secondary key, and so its old index entry.
-		validation = NoValidation
-	}
 	return db.secondaryQuery(index, lo, hi, query.SecondaryQueryOptions{
-		Validation: validation,
+		Validation: opts.Validation,
 		IndexOnly:  opts.IndexOnly,
 		Lookup:     query.DefaultLookupConfig(),
 	}, opts.Limit, fn)
@@ -889,11 +883,12 @@ type Stats struct {
 	// ("0s" at MaintenanceWorkers 0).
 	MaintenanceTime string
 	// Ingested and Ignored count accepted and ignored writes.
-	Ingested, Ignored int64
+	Ingested int64 `prom:"lsm_engine_ingested_total,Records ingested."`
+	Ignored  int64 `prom:"lsm_engine_ignored_total,Duplicate inserts ignored."`
 	// PrimaryComponents is the primary index's disk-component count.
-	PrimaryComponents int
+	PrimaryComponents int `prom:"lsm_engine_primary_components,On-disk primary components across shards."`
 	// DiskBytesWritten is total bytes flushed/merged (write amplification).
-	DiskBytesWritten int64
+	DiskBytesWritten int64 `prom:"lsm_engine_disk_bytes_written_total,Bytes written to the storage device."`
 	// WALBytes is the size of the retained write-ahead log (the segments no
 	// durable flush has covered yet) and ComponentBytes that of the
 	// component files the current component lists name: together, what the
@@ -902,18 +897,18 @@ type Stats struct {
 	// not yet unlinked because a reader still pins them or the manifest
 	// dropping their names is not durable yet; a value that only grows
 	// means a reader leaked its pin.
-	WALBytes       int64
-	ComponentBytes int64
-	RetiredFiles   int
+	WALBytes       int64 `prom:"lsm_engine_wal_bytes,Bytes of write-ahead log no durable flush covers yet, across shards."`
+	ComponentBytes int64 `prom:"lsm_engine_component_bytes,Bytes of the component files the current component lists name, across shards."`
+	RetiredFiles   int   `prom:"lsm_engine_retired_files,Files of merged-away components not yet unlinked (pinned by a reader or awaiting the manifest)."`
 	// PendingFlushBatches and FrozenMemtables are the flush backlog
 	// gauges: frozen flush batches awaiting a builder, and frozen batches
 	// total (pending plus building) not yet installed.
-	PendingFlushBatches int
-	FrozenMemtables     int
+	PendingFlushBatches int `prom:"lsm_engine_pending_flush_batches,Frozen batches queued for flush across shards."`
+	FrozenMemtables     int `prom:"lsm_engine_frozen_memtables,Frozen memtables not yet installed across shards."`
 	// ReadCacheBytes is the memory the read cache holds: its record chunks,
 	// never more than Options.ReadCache.Bytes, and its index. Top-level
 	// only, like the cache; 0 with the cache off.
-	ReadCacheBytes int64
+	ReadCacheBytes int64 `prom:"lsm_engine_read_cache_bytes,Memory the read cache holds: its record chunks and its index."`
 	// Counters snapshots the low-level event counters.
 	Counters metrics.Snapshot
 	// Maintenance aggregates the maintenance journal: flush/merge counts,
