@@ -164,13 +164,15 @@ func TestServeDrainReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := c.NewBatch()
+	var batch []lsmstore.Mutation
 	for i := uint64(singles); i < singles+batched; i++ {
-		b.Upsert(tweet(i))
-		if b.Len() == 50 {
-			if _, err := b.Apply(); err != nil {
+		pk, rec := tweet(i)
+		batch = append(batch, lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: pk, Record: rec})
+		if len(batch) == 50 {
+			if _, err := c.ApplyBatch(batch); err != nil {
 				t.Fatal(err)
 			}
+			batch = batch[:0]
 		}
 	}
 	for i := uint64(0); i < singles+batched; i += 3 {

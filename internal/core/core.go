@@ -259,8 +259,8 @@ type Dataset struct {
 	// builds and merges charge this lane — it is every tree's
 	// lsm.Options.Lane, set once in Open — modelling maintenance that
 	// overlaps the ingest path; the lanes couple at backpressure stalls
-	// and drains. Nil when the pool runs jobs on the caller: maintenance
-	// then charges the ingest lane.
+	// and drains. When the pool runs jobs on the caller, bgEnv is nil and
+	// bgStore is cfg.Store: maintenance then charges the ingest lane.
 	bgEnv   *metrics.Env
 	bgStore *storage.Store
 
@@ -323,6 +323,7 @@ func Open(cfg Config) (*Dataset, error) {
 	if pool == nil {
 		pool = maint.NewPool(0)
 	}
+	d.bgStore = cfg.Store
 	if pool.Workers() > 0 {
 		d.bgEnv = env.BackgroundLane()
 		d.bgStore = cfg.Store.WithEnv(d.bgEnv)
@@ -442,15 +443,6 @@ func (d *Dataset) MaintSimTime() time.Duration {
 		return 0
 	}
 	return d.bgEnv.Clock.Now()
-}
-
-// maintEnv returns the metrics environment maintenance CPU work should
-// charge: the background lane when configured, else the foreground env.
-func (d *Dataset) maintEnv() *metrics.Env {
-	if d.bgEnv != nil {
-		return d.bgEnv
-	}
-	return d.env
 }
 
 // Config returns the dataset's configuration.

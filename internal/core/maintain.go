@@ -33,8 +33,8 @@ func pairPrimaryPK(primComp, pkComp *lsm.Component) error {
 // attachDeletedEntries bulk-loads pk-sorted deleted-key entries into a
 // deleted-key B+-tree attached to a freshly flushed component (Section
 // 4.1's deleted-key B+-tree strategy; one copy per secondary), at flush and
-// at merge alike. The build charges the maintenance lane when one is
-// configured; the reader is bound to the foreground store for queries.
+// at merge alike. The build charges the maintenance lane; the reader is
+// bound to the foreground store for queries.
 func (d *Dataset) attachDeletedEntries(comp *lsm.Component, entries []kv.Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -244,17 +244,14 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) (int64, e
 		return 0, lsm.ErrBadMergeRange
 	}
 	inputs := comps[lo:hi]
-	env := d.maintEnv()
+	env := d.bgStore.Env()
 	// Deleted-key probes during the merge charge the maintenance lane.
 	dkReaders := make([]*btree.Reader, len(inputs))
 	for i, c := range inputs {
 		if c.DeletedKeys == nil {
 			continue
 		}
-		dkReaders[i] = c.DeletedKeys
-		if d.bgStore != nil {
-			dkReaders[i] = c.DeletedKeys.CloneFor(d.bgStore)
-		}
+		dkReaders[i] = c.DeletedKeys.CloneFor(d.bgStore)
 	}
 	deletedIn := func(pk []byte, newerThan int) bool {
 		for i := newerThan + 1; i < len(inputs); i++ {
@@ -301,18 +298,14 @@ func (d *Dataset) mergeDeletedKeyRange(si *SecondaryIndex, lo, hi int) (int64, e
 
 // unionDeletedKeys bulk-loads the union of the inputs' deleted-key trees,
 // keeping each key's newest deletion timestamp, charging the maintenance
-// lane when one is configured.
+// lane.
 func (d *Dataset) unionDeletedKeys(dst *lsm.Component, inputs []*lsm.Component) error {
 	merged := make(map[string]int64)
 	for _, c := range inputs {
 		if c.DeletedKeys == nil {
 			continue
 		}
-		dk := c.DeletedKeys
-		if d.bgStore != nil {
-			dk = dk.CloneFor(d.bgStore)
-		}
-		if err := newestDeleted(dk, merged); err != nil {
+		if err := newestDeleted(c.DeletedKeys.CloneFor(d.bgStore), merged); err != nil {
 			return err
 		}
 	}
@@ -459,7 +452,7 @@ func (d *Dataset) mergePrimaryPKRange(pLo, pHi, kLo, kHi int) (*lsm.Component, e
 	if d.cfg.CC == SideFile {
 		var deleted [][]byte
 		d.dsLock.Drain(func() { deleted = target.SideFile.Close() })
-		d.maintEnv().ChargeSort(len(deleted))
+		d.bgStore.Env().ChargeSort(len(deleted))
 		for _, pk := range deleted {
 			if ord, ok := target.OrdinalOf(pk); ok {
 				newPrim.Valid.Set(ord)

@@ -189,12 +189,6 @@ func DecodeUint64(b []byte) uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// EncodeInt64 encodes v order-preservingly (sign bit flipped).
-func EncodeInt64(v int64) []byte { return EncodeUint64(uint64(v) ^ (1 << 63)) }
-
-// DecodeInt64 reverses EncodeInt64.
-func DecodeInt64(b []byte) int64 { return int64(DecodeUint64(b) ^ (1 << 63)) }
-
 // Composite-key encoding. Secondary indexes key entries on the composition
 // (secondary key, primary key) so duplicate secondary keys remain unique, as
 // in Section 3 of the paper. The secondary part is escaped (0x00 becomes

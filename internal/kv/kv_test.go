@@ -68,16 +68,6 @@ func TestEncodeUint64Order(t *testing.T) {
 	}
 }
 
-func TestEncodeInt64Order(t *testing.T) {
-	f := func(a, b int64) bool {
-		ka, kb := EncodeInt64(a), EncodeInt64(b)
-		return (a < b) == (bytes.Compare(ka, kb) < 0) && DecodeInt64(ka) == a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestComposeSplitRoundTrip(t *testing.T) {
 	f := func(secondary, primary []byte) bool {
 		s, p, err := SplitKey(ComposeKey(secondary, primary))

@@ -62,16 +62,13 @@ func (t *Tree) NewBuilder(n int) *Builder {
 }
 
 // NewKeySetBuilder starts a deleted-key B+-tree of up to n keys, written on
-// lane (nil: on read) and read through read once finished.
+// lane and read through read once finished.
 func NewKeySetBuilder(lane, read *storage.Store, n int) *Builder {
 	filter, add := newFilter(keySetFilter, n)
 	return newBuilder(lane, read, filter, add)
 }
 
 func newBuilder(lane, read *storage.Store, filter bloom.Filter, add func([]byte)) *Builder {
-	if lane == nil {
-		lane = read
-	}
 	var b *Builder
 	freeBuilders.Lock()
 	if n := len(freeBuilders.list); n > 0 {

@@ -79,10 +79,6 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 	}
 
 	b := t.NewBuilder(int(upperBound))
-	lane := t.opts.Lane
-	if lane == nil {
-		lane = t.opts.Store
-	}
 	// The inputs are read once and deleted at install, so their scans
 	// stream past the buffer cache. Under LockKey they keep invisible
 	// entries: visibility is checked under each key's lock instead. The
@@ -93,7 +89,7 @@ func (t *Tree) Merge(spec MergeSpec) (*MergeResult, error) {
 		HideAnti:      spec.DropAnti,
 		SkipInvisible: spec.LockKey == nil,
 		Snapshots:     spec.Snapshots,
-		stream:        lane,
+		stream:        t.opts.Lane,
 	}); err != nil {
 		b.Abort()
 		return nil, err

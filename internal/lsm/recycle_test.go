@@ -142,7 +142,7 @@ func churn(t testing.TB, g, rounds, perRound int) error {
 				return err
 			}
 		}
-		ks := NewKeySetBuilder(nil, tr.Options().Store, len(keys))
+		ks := NewKeySetBuilder(tr.Options().Store, tr.Options().Store, len(keys))
 		for _, e := range keys {
 			if err := ks.Add(e); err != nil {
 				return err

@@ -20,10 +20,10 @@ type Options struct {
 	Name string
 	// Store is the shared storage handle (disk + buffer cache).
 	Store *storage.Store
-	// Lane, when set, is the store view maintenance charges — the
-	// background I/O lane: flush and merge builds write on it and merges
-	// scan their inputs on it. Every finished component is read through
-	// Store. Nil charges everything to Store.
+	// Lane is the store view maintenance charges — the background I/O
+	// lane: flush and merge builds write on it and merges scan their
+	// inputs on it. Every finished component is read through Store. New
+	// sets a nil Lane to Store, which then charges everything.
 	Lane *storage.Store
 	// BloomFPR, when positive, attaches a Bloom filter with this target
 	// false-positive rate to every disk component (the paper uses 1%).
@@ -122,6 +122,9 @@ func (v View) Release() { v.t.unref(v.rs) }
 
 // New creates an empty LSM-tree.
 func New(opts Options) *Tree {
+	if opts.Lane == nil {
+		opts.Lane = opts.Store
+	}
 	t := &Tree{opts: opts, env: opts.Store.Env()}
 	t.cur = &readState{mem: memtable.New(opts.Seed)}
 	t.cur.refs.Store(1)

@@ -35,18 +35,21 @@ func overloadedServer(t testing.TB, mod func(*server.Config)) *server.Server {
 // happened, and (b) no caller ever saw one.
 func TestOverloadShedThenRecover(t *testing.T) {
 	srv := overloadedServer(t, nil)
-	c, err := lsmclient.DialOptions(lsmclient.Options{
-		Addr:           srv.Addr().String(),
-		Conns:          4,
-		RequestTimeout: 30 * time.Second,
-		RetryLimit:     100,
-		BackoffBase:    100 * time.Microsecond,
-		BackoffCap:     2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	clients := make([]*lsmclient.Client, 4)
+	for i := range clients {
+		c, err := lsmclient.DialOptions(lsmclient.Options{
+			Addr:           srv.Addr().String(),
+			RequestTimeout: 30 * time.Second,
+			RetryLimit:     100,
+			BackoffBase:    100 * time.Microsecond,
+			BackoffCap:     2 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeOK(t, c)
+		clients[i] = c
 	}
-	defer closeOK(t, c)
 
 	// One storm can, rarely, serialize through the one-slot budget without
 	// a single collision (a single-CPU scheduler can run each handler to
@@ -60,6 +63,7 @@ func TestOverloadShedThenRecover(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				c := clients[w%len(clients)]
 				for i := 0; i < opsPer; i++ {
 					pk, rec := tweet(uint64(w*opsPer + i))
 					if err := c.Upsert(pk, rec); err != nil {
@@ -95,7 +99,7 @@ func TestAdmissionSurfacedOnStats(t *testing.T) {
 	srv := overloadedServer(t, func(cfg *server.Config) {
 		cfg.HTTPAddr = "127.0.0.1:0"
 	})
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	pk, rec := tweet(2)
 	if err := c.Upsert(pk, rec); err != nil {
 		t.Fatal(err)
@@ -133,7 +137,7 @@ func TestAdmissionBypassesControlOps(t *testing.T) {
 	}
 	defer release()
 
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping with exhausted budget: %v", err)
 	}

@@ -19,7 +19,7 @@ func BenchmarkServerGet(b *testing.B) {
 			opts := storeOptions()
 			opts.ReadCache.Bytes = bench.cacheBytes
 			srv, _ := startServer(b, opts, nil)
-			c := dial(b, srv, 1)
+			c := dial(b, srv)
 
 			const keys = 512
 			pks := make([][]byte, keys)

@@ -21,7 +21,7 @@ import (
 // and returns once the server has recorded all ten.
 func doRequests(t *testing.T, srv *server.Server) {
 	t.Helper()
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	for i := uint64(0); i < 8; i++ {
 		pk, rec := tweet(i)
 		if err := c.Upsert(pk, rec); err != nil {
@@ -178,7 +178,7 @@ func TestStagesAddUpToTotal(t *testing.T) {
 		cfg.HTTPAddr = "127.0.0.1:0"
 		cfg.SlowRequestThreshold = time.Nanosecond // every request is logged
 	})
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	const n = 16
 	var (
 		clientOps []string
@@ -257,7 +257,7 @@ func TestDebugMaintenanceEndpoint(t *testing.T) {
 	srv, _ := startServer(t, opts, func(cfg *server.Config) {
 		cfg.HTTPAddr = "127.0.0.1:0"
 	})
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	for i := uint64(0); i < 400; i++ {
 		pk, rec := tweet(i)
 		if err := c.Upsert(pk, rec); err != nil {
@@ -359,7 +359,7 @@ func TestObsOverheadAllocations(t *testing.T) {
 		srv, _ := startServer(t, opts, func(cfg *server.Config) {
 			cfg.DisableObservability = disable
 		})
-		c := dial(t, srv, 1)
+		c := dial(t, srv)
 		pk, rec := tweet(1)
 		upsertOnce := func() {
 			if err := c.Upsert(pk, rec); err != nil {
@@ -403,26 +403,27 @@ func TestObsOverheadSmoke(t *testing.T) {
 		workers = 4
 		rounds  = 6 // pairs
 	)
-	serve := func(disable bool) *lsmclient.Client {
+	serve := func(disable bool) []*lsmclient.Client {
 		srv, _ := startServer(t, storeOptions(), func(cfg *server.Config) {
 			cfg.DisableObservability = disable
 		})
-		c := dial(t, srv, 2)
+		cs := []*lsmclient.Client{dial(t, srv), dial(t, srv)}
 		for i := uint64(0); i < keys; i++ {
 			pk, rec := tweet(i)
-			if err := c.Upsert(pk, rec); err != nil {
+			if err := cs[0].Upsert(pk, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return c
+		return cs
 	}
-	round := func(c *lsmclient.Client) float64 {
+	round := func(cs []*lsmclient.Client) float64 {
 		start := time.Now()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				c := cs[w%len(cs)]
 				for i := 0; i < ops/workers; i++ {
 					pk, _ := tweet(uint64((i*workers + w) % keys))
 					if _, _, err := c.Get(pk); err != nil {
@@ -435,7 +436,7 @@ func TestObsOverheadSmoke(t *testing.T) {
 		wg.Wait()
 		return float64(ops) / time.Since(start).Seconds()
 	}
-	clients := [2]*lsmclient.Client{serve(false), serve(true)} // traced, untraced
+	clients := [2][]*lsmclient.Client{serve(false), serve(true)} // traced, untraced
 	var ratios [rounds]float64
 	for r := range ratios {
 		var opsPerSec [2]float64

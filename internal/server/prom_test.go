@@ -43,7 +43,7 @@ func TestSecondsTotalsAreFractional(t *testing.T) {
 	srv, _ := startServer(t, storeOptions(), func(cfg *server.Config) {
 		cfg.HTTPAddr = "127.0.0.1:0"
 	})
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	for i := uint64(0); i < 8; i++ {
 		pk, rec := tweet(i)
 		if err := c.Upsert(pk, rec); err != nil {

@@ -73,11 +73,10 @@ func startServer(t testing.TB, opts lsmstore.Options, mod func(*server.Config)) 
 	return srv, db
 }
 
-func dial(t testing.TB, srv *server.Server, conns int) *lsmclient.Client {
+func dial(t testing.TB, srv *server.Server) *lsmclient.Client {
 	t.Helper()
 	c, err := lsmclient.DialOptions(lsmclient.Options{
 		Addr:           srv.Addr().String(),
-		Conns:          conns,
 		RequestTimeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -130,7 +129,7 @@ func tweet(id uint64) (pk, rec []byte) {
 
 func TestServeBasicOps(t *testing.T) {
 	srv, _ := startServer(t, storeOptions(), nil)
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
@@ -164,13 +163,14 @@ func TestServeBasicOps(t *testing.T) {
 		t.Fatalf("deleted key still served (found=%v err=%v)", found, err)
 	}
 
-	b := c.NewBatch()
+	var batch []lsmstore.Mutation
 	for id := uint64(100); id < 110; id++ {
 		pk, rec := tweet(id)
-		b.Upsert(pk, rec)
+		batch = append(batch, lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: pk, Record: rec})
 	}
-	b.Insert(pk, rec) // duplicate: must come back applied=false
-	applied, err := b.Apply()
+	// A duplicate insert: must come back applied=false.
+	batch = append(batch, lsmstore.Mutation{Op: lsmstore.OpInsert, PK: pk, Record: rec})
+	applied, err := c.ApplyBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestServedFilterScanOrder(t *testing.T) {
 	opts := storeOptions()
 	opts.Strategy = lsmstore.MutableBitmap
 	srv, _ := startServer(t, opts, nil)
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	for _, from := range []uint64{0, 1} { // the evens, then the odds
 		for id := from; id < 40; id += 2 {
 			pk, rec := tweet(id)
@@ -303,8 +303,12 @@ func TestPipelinedConcurrentClients(t *testing.T) {
 	opts := storeOptions()
 	opts.Shards = 2
 	srv, db := startServer(t, opts, nil)
-	c := dial(t, srv, 4)
+	clients := make([]*lsmclient.Client, 4)
+	for i := range clients {
+		clients[i] = dial(t, srv)
+	}
 
+	// Two pipelined workers per connection.
 	const workers, perWorker = 8, 150
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -312,6 +316,7 @@ func TestPipelinedConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			c := clients[w%len(clients)]
 			for i := 0; i < perWorker; i++ {
 				id := uint64(w*perWorker + i)
 				pk, rec := tweet(id)
@@ -341,7 +346,8 @@ func TestPipelinedConcurrentClients(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	// Every write must be visible both through the client and the DB.
+	// Every write must be visible both through a client and the DB.
+	c := clients[0]
 	for id := uint64(0); id < workers*perWorker; id += 97 {
 		pk, rec := tweet(id)
 		got, found, err := c.Get(pk)
@@ -369,7 +375,7 @@ func TestServedSingleWritesShareFsyncs(t *testing.T) {
 	const writes = conns * perConn
 	clients := make([]*lsmclient.Client, conns)
 	for i := range clients {
-		clients[i] = dial(t, srv, 1)
+		clients[i] = dial(t, srv)
 	}
 	before := db.Stats().Counters
 	var wg sync.WaitGroup
@@ -416,7 +422,7 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 	srv, _ := startServer(t, storeOptions(), func(cfg *server.Config) {
 		cfg.MaxInFlight = 2
 	})
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	var wg sync.WaitGroup
 	var fails atomic.Int64
 	for i := 0; i < 64; i++ {
@@ -490,7 +496,7 @@ func TestHTTPSidecar(t *testing.T) {
 	srv, _ := startServer(t, storeOptions(), func(cfg *server.Config) {
 		cfg.HTTPAddr = "127.0.0.1:0"
 	})
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	pk, rec := tweet(1)
 	if err := c.Upsert(pk, rec); err != nil {
 		t.Fatal(err)
@@ -514,7 +520,7 @@ func TestHTTPSidecar(t *testing.T) {
 
 func TestClosedStoreSurfacesTypedError(t *testing.T) {
 	srv, db := startServer(t, storeOptions(), nil)
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	pk, rec := tweet(1)
 	if err := c.Upsert(pk, rec); err != nil {
 		t.Fatal(err)
@@ -550,14 +556,12 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := lsmclient.DialOptions(lsmclient.Options{
-		Addr: srv.Addr().String(), Conns: 4, RequestTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
+	clients := make([]*lsmclient.Client, 4)
+	for i := range clients {
+		clients[i] = dial(t, srv)
 	}
-	defer closeOK(t, c)
 
+	// Two pipelined workers per connection.
 	const workers = 8
 	var (
 		wg    sync.WaitGroup
@@ -569,6 +573,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			c := clients[w%len(clients)]
 			for i := 0; !stop.Load(); i++ {
 				id := uint64(w)<<32 | uint64(i)
 				pk, rec := tweet(id)
@@ -635,7 +640,7 @@ func TestServerKillAndReopen(t *testing.T) {
 	clients := make([]*lsmclient.Client, conns)
 	for i := range clients {
 		cl, err := lsmclient.DialOptions(lsmclient.Options{
-			Addr: srv.Addr().String(), Conns: 1, RequestTimeout: 30 * time.Second,
+			Addr: srv.Addr().String(), RequestTimeout: 30 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -662,11 +667,11 @@ func TestServerKillAndReopen(t *testing.T) {
 					id := uint64(worker)<<32 | uint64(i)
 					pk, rec := tweet(id)
 					if i%20 == 19 { // a batch write
-						b := cl.NewBatch()
-						b.Upsert(pk, rec)
 						pk2, rec2 := tweet(id | 1<<31)
-						b.Upsert(pk2, rec2)
-						if _, err := b.Apply(); err != nil {
+						if _, err := cl.ApplyBatch([]lsmstore.Mutation{
+							{Op: lsmstore.OpUpsert, PK: pk, Record: rec},
+							{Op: lsmstore.OpUpsert, PK: pk2, Record: rec2},
+						}); err != nil {
 							return
 						}
 						ackMu.Lock()
@@ -787,7 +792,7 @@ func TestServedBatchSurvivesBufferReuse(t *testing.T) {
 	opts := storeOptions()
 	opts.MemoryBudget = 8 << 20 // nothing flushes: recovery replays every write from the log
 	srv, db := startServer(t, opts, nil)
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 
 	const batches, perBatch = 64, 16
 	want := make(map[string][]byte, batches*perBatch)
@@ -835,7 +840,7 @@ func TestServedWritesSurviveBufferReuse(t *testing.T) {
 	opts := storeOptions()
 	opts.MemoryBudget = 8 << 20 // nothing flushes until the test says so
 	srv, db := startServer(t, opts, nil)
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 
 	record := func(id uint64, version byte) (pk, rec []byte) {
 		tw := workload.Tweet{ID: id, UserID: uint32(id % 32), Creation: int64(id),
@@ -871,7 +876,11 @@ func TestServedWritesSurviveBufferReuse(t *testing.T) {
 						oldPK, newRec := record(id-2, 2)
 						dupPK, dupRec := record(id-1, 3)
 						var applied []bool
-						applied, err = c.NewBatch().Upsert(pk, rec).Upsert(oldPK, newRec).Insert(dupPK, dupRec).Apply()
+						applied, err = c.ApplyBatch([]lsmstore.Mutation{
+							{Op: lsmstore.OpUpsert, PK: pk, Record: rec},
+							{Op: lsmstore.OpUpsert, PK: oldPK, Record: newRec},
+							{Op: lsmstore.OpInsert, PK: dupPK, Record: dupRec},
+						})
 						if err == nil && (len(applied) != 3 || applied[2]) {
 							err = fmt.Errorf("batch report %v, want the duplicate insert ignored", applied)
 						}
@@ -945,7 +954,7 @@ func TestServedWritesSurviveBufferReuse(t *testing.T) {
 // retries — and leave the connection usable.
 func TestBadQueryIsBadRequest(t *testing.T) {
 	srv, _ := startServer(t, storeOptions(), nil)
-	c := dial(t, srv, 1)
+	c := dial(t, srv)
 	for _, q := range []struct {
 		index string
 		opts  lsmstore.QueryOptions

@@ -1,13 +1,13 @@
-// Package lsmclient is the Go client for lsmserver: a connection pool
-// speaking the length-prefixed wire protocol, with pipelining, batch
-// helpers, and timeouts.
+// Package lsmclient is the Go client for lsmserver: one pipelined TCP
+// connection speaking the length-prefixed wire protocol, with timeouts and
+// overload retries.
 //
-// Requests carry IDs, so many goroutines can share one Client — and one
-// TCP connection — and their requests pipeline: each in-flight request
+// Requests carry IDs, so many goroutines can share one Client — and its
+// one connection — and their requests pipeline: each in-flight request
 // waits only for its own response, which the server returns in completion
-// order. The pool (Options.Conns) spreads callers across connections
-// round-robin; a connection that breaks fails its in-flight requests and
-// is redialed transparently on next use.
+// order. A connection that breaks fails its in-flight requests and is
+// redialed transparently on next use. A caller that wants more
+// connections dials more clients.
 //
 //	c, err := lsmclient.Dial("127.0.0.1:4150")
 //	if err != nil { ... }
@@ -21,10 +21,9 @@
 // lsmstore.ErrUnknownIndex and ErrOverloaded are recognized with
 // errors.Is; everything else is a *ServerError.
 //
-// Overload responses (CodeOverloaded) are retried
-// automatically with capped exponential backoff and full jitter, up to
-// Options.RetryLimit; Options.MaxInFlight bounds the pool's concurrency
-// so a backing-off client stops hammering an overloaded server.
+// Overload responses (CodeOverloaded) are retried automatically with
+// capped exponential backoff and full jitter, up to Options.RetryLimit.
+// ApplyBatch sends a list of mutations in one round trip.
 package lsmclient
 
 import (
@@ -46,20 +45,10 @@ import (
 type Options struct {
 	// Addr is the server's TCP address (required).
 	Addr string
-	// Conns is the connection pool size (default 1). Requests spread
-	// round-robin; goroutines sharing a connection pipeline on it.
-	Conns int
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
 	// RequestTimeout bounds each request round trip (default 30s; < 0
 	// disables). A timed-out request fails with ErrTimeout; its response,
 	// if it ever arrives, is discarded.
 	RequestTimeout time.Duration
-	// MaxInFlight bounds the requests this client (whole pool) runs at
-	// once. A slot is held across a request's retries and backoff sleeps,
-	// so a backing-off client stops hammering the server instead of
-	// piling on fresh load. 0 = unlimited.
-	MaxInFlight int
 	// RetryLimit caps the retries after a CodeOverloaded response before
 	// the error surfaces to the caller (0 = the default of 4; negative
 	// disables retries). Only overload errors are retried; bad requests,
@@ -74,7 +63,7 @@ type Options struct {
 }
 
 const (
-	defaultDialTimeout    = 5 * time.Second
+	dialTimeout           = 5 * time.Second // bounds each connection attempt
 	defaultRequestTimeout = 30 * time.Second
 	defaultRetryLimit     = 4
 	defaultBackoffBase    = time.Millisecond
@@ -102,16 +91,14 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("lsmclient: server error %s: %s", e.Code, e.Msg)
 }
 
-// Client is a pooled, pipelining connection to one lsmserver. All methods
-// are safe for concurrent use.
+// Client is one pipelining connection to one lsmserver, redialed when it
+// breaks. All methods are safe for concurrent use.
 type Client struct {
-	opts    Options
-	slotMu  sync.Mutex // guards conns slot pointers (redial swaps)
-	conns   []*conn
-	rr      atomic.Uint64
-	nextID  atomic.Uint64
-	closed  atomic.Bool
-	limiter chan struct{} // pool-wide in-flight slots (nil = unlimited)
+	opts   Options
+	mu     sync.Mutex // guards cn (redial swaps)
+	cn     *conn
+	nextID atomic.Uint64
+	closed atomic.Bool
 }
 
 // Dial connects to an lsmserver with default options.
@@ -119,17 +106,11 @@ func Dial(addr string) (*Client, error) {
 	return DialOptions(Options{Addr: addr})
 }
 
-// DialOptions connects with explicit options. Every pool connection is
+// DialOptions connects with explicit options. The connection is
 // established eagerly so a bad address fails here, not on first use.
 func DialOptions(opts Options) (*Client, error) {
 	if opts.Addr == "" {
 		return nil, errors.New("lsmclient: Options.Addr is required")
-	}
-	if opts.Conns <= 0 {
-		opts.Conns = 1
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = defaultDialTimeout
 	}
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = defaultRequestTimeout
@@ -146,34 +127,24 @@ func DialOptions(opts Options) (*Client, error) {
 	if opts.BackoffCap < opts.BackoffBase {
 		opts.BackoffCap = opts.BackoffBase
 	}
-	c := &Client{opts: opts, conns: make([]*conn, opts.Conns)}
-	if opts.MaxInFlight > 0 {
-		c.limiter = make(chan struct{}, opts.MaxInFlight)
+	c := &Client{opts: opts}
+	cn, err := c.dialConn()
+	if err != nil {
+		return nil, err
 	}
-	for i := range c.conns {
-		cn, err := c.dialConn()
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.conns[i] = cn
-	}
+	c.cn = cn
 	return c, nil
 }
 
-// Close closes every pool connection. In-flight requests fail.
+// Close closes the connection. In-flight requests fail.
 func (c *Client) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	c.slotMu.Lock()
-	conns := append([]*conn(nil), c.conns...)
-	c.slotMu.Unlock()
-	for _, cn := range conns {
-		if cn != nil {
-			cn.close(ErrClientClosed)
-		}
-	}
+	c.mu.Lock()
+	cn := c.cn
+	c.mu.Unlock()
+	cn.close(ErrClientClosed)
 	return nil
 }
 
@@ -303,57 +274,13 @@ func (c *Client) Flush() error {
 	return err
 }
 
-// --- batch helper -------------------------------------------------------
-
-// Batch accumulates mutations for a single ApplyBatch round trip.
-type Batch struct {
-	c    *Client
-	muts []lsmstore.Mutation
-}
-
-// NewBatch starts an empty batch.
-func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
-
-// Upsert queues an upsert.
-func (b *Batch) Upsert(pk, record []byte) *Batch {
-	b.muts = append(b.muts, lsmstore.Mutation{Op: lsmstore.OpUpsert, PK: pk, Record: record})
-	return b
-}
-
-// Insert queues an insert.
-func (b *Batch) Insert(pk, record []byte) *Batch {
-	b.muts = append(b.muts, lsmstore.Mutation{Op: lsmstore.OpInsert, PK: pk, Record: record})
-	return b
-}
-
-// Delete queues a delete.
-func (b *Batch) Delete(pk []byte) *Batch {
-	b.muts = append(b.muts, lsmstore.Mutation{Op: lsmstore.OpDelete, PK: pk})
-	return b
-}
-
-// Len reports the queued mutation count.
-func (b *Batch) Len() int { return len(b.muts) }
-
-// Apply sends the batch and resets it for reuse.
-func (b *Batch) Apply() ([]bool, error) {
-	applied, err := b.c.ApplyBatch(b.muts)
-	b.muts = b.muts[:0]
-	return applied, err
-}
-
 // --- transport ----------------------------------------------------------
 
-// do sends one request, holding a pool in-flight slot for its whole
-// lifetime (including backoff sleeps) and retrying overload errors with
-// capped exponential backoff and full jitter.
+// do sends one request, retrying overload errors with capped exponential
+// backoff and full jitter.
 func (c *Client) do(req wire.Request, want wire.Kind) (wire.Response, error) {
 	if c.closed.Load() {
 		return wire.Response{}, ErrClientClosed
-	}
-	if c.limiter != nil {
-		c.limiter <- struct{}{}
-		defer func() { <-c.limiter }()
 	}
 	for attempt := 0; ; attempt++ {
 		resp, err := c.doOnce(req, want)
@@ -397,7 +324,7 @@ func randDelay(n int64) int64 {
 	return rand.Int63n(n)
 }
 
-// doOnce sends one request attempt on a pool connection and waits for its
+// doOnce sends one request attempt on the connection and waits for its
 // response, enforcing the request timeout and mapping error frames to
 // typed errors. Each attempt gets a fresh request ID so an abandoned
 // attempt's late response can never be routed to its retry. The attempt's
@@ -406,8 +333,7 @@ func randDelay(n int64) int64 {
 // call).
 func (c *Client) doOnce(req wire.Request, want wire.Kind) (wire.Response, error) {
 	req.ID = c.nextID.Add(1)
-	slot := int(c.rr.Add(1)-1) % len(c.conns)
-	cn, err := c.conn(slot)
+	cn, err := c.conn()
 	if err != nil {
 		return wire.Response{}, err
 	}
@@ -459,28 +385,28 @@ func mapServerError(res wire.Response) error {
 	return &ServerError{Code: res.Code.String(), Msg: res.Msg}
 }
 
-// conn returns pool slot i, redialing it if it broke.
-func (c *Client) conn(i int) (*conn, error) {
-	c.slotMu.Lock()
-	cn := c.conns[i]
-	c.slotMu.Unlock()
-	if cn != nil && !cn.broken() {
+// conn returns the client's connection, redialing it if it broke.
+func (c *Client) conn() (*conn, error) {
+	c.mu.Lock()
+	cn := c.cn
+	c.mu.Unlock()
+	if !cn.broken() {
 		return cn, nil
 	}
 	fresh, err := c.dialConn()
 	if err != nil {
 		return nil, err
 	}
-	// Another goroutine may have redialed the slot concurrently; keep the
-	// winner and close the extra connection.
-	c.slotMu.Lock()
-	if cur := c.conns[i]; cur != cn && cur != nil && !cur.broken() {
-		c.slotMu.Unlock()
+	// Other goroutines may have redialed concurrently: the first dial to
+	// replace the broken connection wins, and every losing dial is closed.
+	c.mu.Lock()
+	if cur := c.cn; cur != cn && !cur.broken() {
+		c.mu.Unlock()
 		fresh.close(nil)
 		return cur, nil
 	}
-	c.conns[i] = fresh
-	c.slotMu.Unlock()
+	c.cn = fresh
+	c.mu.Unlock()
 	if c.closed.Load() { // lost a race with Close
 		fresh.close(ErrClientClosed)
 		return nil, ErrClientClosed
@@ -489,7 +415,7 @@ func (c *Client) conn(i int) (*conn, error) {
 }
 
 func (c *Client) dialConn() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", c.opts.Addr, c.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.opts.Addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -507,7 +433,7 @@ func (c *Client) dialConn() (*conn, error) {
 // after it (the server's maxPooledFrame rule).
 const maxKeptFrame = 64 << 10
 
-// conn is one pooled connection: a locked write path and a reader
+// conn is one connection: a locked write path and a reader
 // goroutine routing responses to their waiters by request ID.
 type conn struct {
 	nc net.Conn

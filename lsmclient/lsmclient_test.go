@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,7 +101,7 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := DialOptions(Options{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := DialOptions(Options{Addr: "127.0.0.1:1"}); err == nil {
 		t.Fatal("dial of a dead port succeeded")
 	}
 	if _, err := DialOptions(Options{}); err == nil {
@@ -118,7 +119,7 @@ func TestBrokenConnectionFailsPendingAndRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	nc := <-srv.conns // the pool's one connection, server side
+	nc := <-srv.conns // the client's connection, server side
 
 	done := make(chan error, 1)
 	go func() {
@@ -150,10 +151,14 @@ func TestBrokenConnectionFailsPendingAndRedials(t *testing.T) {
 }
 
 // scriptedServer speaks the wire protocol with a caller-supplied handler,
-// for driving the client's retry machinery from the server side.
+// for driving the client's retry machinery from the server side. It keeps
+// every connection it accepted and counts those still open.
 type scriptedServer struct {
-	ln net.Listener
-	wg sync.WaitGroup
+	ln    net.Listener
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	conns []net.Conn   // every accepted connection, in accept order
+	open  atomic.Int64 // accepted connections not yet closed by either side
 }
 
 func newScriptedServer(t *testing.T, handle func(req wire.Request) wire.Response) *scriptedServer {
@@ -171,9 +176,14 @@ func newScriptedServer(t *testing.T, handle func(req wire.Request) wire.Response
 			if err != nil {
 				return
 			}
+			s.mu.Lock()
+			s.conns = append(s.conns, nc)
+			s.mu.Unlock()
+			s.open.Add(1)
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
+				defer s.open.Add(-1)
 				defer nc.Close()
 				bw := bufio.NewWriter(nc)
 				var buf []byte
@@ -201,9 +211,74 @@ func newScriptedServer(t *testing.T, handle func(req wire.Request) wire.Response
 	}()
 	t.Cleanup(func() {
 		ln.Close()
+		s.mu.Lock()
+		for _, nc := range s.conns {
+			nc.Close()
+		}
+		s.mu.Unlock()
 		s.wg.Wait()
 	})
 	return s
+}
+
+// accepted returns the connections s has accepted so far.
+func (s *scriptedServer) accepted() []net.Conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.conns)
+}
+
+// TestConcurrentRedialsKeepOneConnection drops the client's connection
+// from the server side, then races 16 Pings into the redial: each may dial,
+// one dial wins the client's connection and every losing dial is closed.
+// Every Ping succeeds, and once the losers' closes reach the server exactly
+// one connection stays open.
+func TestConcurrentRedialsKeepOneConnection(t *testing.T) {
+	srv := newScriptedServer(t, func(req wire.Request) wire.Response {
+		return wire.Response{Kind: wire.KindOK}
+	})
+	c, err := Dial(srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil { // answered: the server has recorded the connection
+		t.Fatal(err)
+	}
+	srv.accepted()[0].Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		broken := c.cn.broken()
+		c.mu.Unlock()
+		if broken {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the client never saw its connection drop")
+		}
+	}
+
+	const pings = 16
+	var wg sync.WaitGroup
+	for range pings {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.Ping(); err != nil {
+				t.Errorf("ping after the drop: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(5 * time.Second); srv.open.Load() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections open after the redial, want 1", srv.open.Load())
+		}
+	}
+	t.Logf("%d concurrent pings dialed %d connections", pings, len(srv.accepted())-1)
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping on the winning connection: %v", err)
+	}
 }
 
 func TestBackoffDelayJitterBounds(t *testing.T) {
@@ -327,41 +402,6 @@ func TestRetryRecoversAfterShed(t *testing.T) {
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("server saw %d attempts, want 3 (2 sheds + success)", got)
-	}
-}
-
-func TestMaxInFlightBoundsPoolConcurrency(t *testing.T) {
-	var cur, peak atomic.Int64
-	srv := newScriptedServer(t, func(req wire.Request) wire.Response {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-		cur.Add(-1)
-		return wire.Response{ID: req.ID, Kind: wire.KindOK}
-	})
-	c, err := DialOptions(Options{Addr: srv.ln.Addr().String(), Conns: 2, MaxInFlight: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.Ping(); err != nil {
-				t.Errorf("ping: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("observed %d concurrent requests, limiter bound is 2", p)
 	}
 }
 

@@ -124,8 +124,8 @@ type SecondaryIndex struct {
 // Options configures a DB. The zero value gives an Eager-strategy store in a
 // fresh temporary directory that Close removes, with a 64 MB buffer cache, a
 // 4 MB memory budget, tiering merges, a primary key index and the paper's
-// SSD cost model (32 KiB pages) charged to its virtual clocks; a PageSize
-// keeps the HDD cost model at that page size. What a DB lets a caller
+// SSD cost model (32 KiB pages) charged to its virtual clocks; any other
+// PageSize keeps the HDD cost model at that page size. What a DB lets a caller
 // choose is the schema (Strategy, Secondaries, FilterExtract), where the
 // data lives (Dir, Shards, PageSize), its budgets (CacheBytes, MemoryBudget,
 // MaintenanceWorkers, ReadCache), Seed and two hooks that let a test
@@ -159,9 +159,9 @@ type Options struct {
 	// requires the same Shards, PageSize and Strategy it was written with.
 	// Empty means a fresh temporary directory that Close removes.
 	Dir string
-	// PageSize is the device page size. The default (0) is 32 KiB, the
-	// paper's SSD page, charged at its SSD costs; any other value keeps the
-	// HDD cost model scaled to that page size.
+	// PageSize is the device page size (0 = 32 KiB). A 32 KiB page, set
+	// or defaulted, is the paper's SSD page and is charged at its SSD
+	// costs; any other size keeps the HDD cost model scaled to that size.
 	PageSize int
 	// CacheBytes sizes the buffer cache (2 GB HDD / 4 GB SSD in the
 	// paper; defaults to 64 MB here to match scaled-down datasets).
@@ -357,8 +357,8 @@ func openPartitions(opts Options, device shardDevice, pool *maint.Pool, journal 
 		}
 	}
 	profile := storage.SSD()
-	if opts.PageSize > 0 {
-		profile = storage.ScaledHDD(opts.PageSize)
+	if size := resolvePageSize(opts); size != profile.PageSize {
+		profile = storage.ScaledHDD(size)
 	}
 	parts := make([]partition, n)
 	for i := range parts {

@@ -154,6 +154,35 @@ func TestFileBackendShardedReopen(t *testing.T) {
 	}
 }
 
+// TestExplicitDefaultPageSizeChargesAlike: PageSize 0 and PageSize 32 KiB
+// are one layout (the layout guard records both as 32768), so they are
+// charged one cost model. One writer, with maintenance on the caller, runs
+// the same workload at both and reads the same ingest time and counters.
+func TestExplicitDefaultPageSizeChargesAlike(t *testing.T) {
+	run := func(pageSize int) lsmstore.Stats {
+		opts := diskOptions(lsmstore.Validation, t.TempDir())
+		opts.PageSize = pageSize
+		opts.MaintenanceWorkers = 0
+		db, err := lsmstore.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixedWorkload(t, db, 600, 53)
+		st := db.Stats()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	unset, explicit := run(0), run(32<<10)
+	if unset.IngestTime != explicit.IngestTime {
+		t.Errorf("ingest time: %s at PageSize 0, %s at PageSize 32 KiB", unset.IngestTime, explicit.IngestTime)
+	}
+	if unset.Counters != explicit.Counters {
+		t.Errorf("counters diverge:\n PageSize 0      %+v\n PageSize 32 KiB %+v", unset.Counters, explicit.Counters)
+	}
+}
+
 // TestDefaultPageSizeRefusesOldDefault: the default page size moved from
 // 128 KiB to the paper's 32 KiB SSD page. A directory written at 128 KiB and
 // reopened with PageSize unset is refused by the layout guard, with both
