@@ -57,7 +57,6 @@ func run() error {
 	memBudget := flag.Int("memory-budget", 4<<20, "per-partition memory component budget in bytes")
 	cacheBytes := flag.Int64("cache", 64<<20, "buffer cache bytes (split across shards)")
 	readCache := flag.Int64("read-cache", 8<<20, "hot-entry read cache bytes in front of the engine (0 = off)")
-	maxInFlight := flag.Int("max-inflight", 128, "max in-flight requests per connection before backpressure")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before connections are cut")
 	seed := flag.Int64("seed", 42, "engine seed")
 	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the HTTP sidecar")
@@ -97,10 +96,9 @@ func run() error {
 	defer db.Close()
 
 	srv, err := server.New(server.Config{
-		DB:          db,
-		Addr:        *addr,
-		HTTPAddr:    *httpAddr,
-		MaxInFlight: *maxInFlight,
+		DB:       db,
+		Addr:     *addr,
+		HTTPAddr: *httpAddr,
 
 		EnablePprof:          *pprof,
 		SlowRequestThreshold: *slowThreshold,

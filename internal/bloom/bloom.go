@@ -1,9 +1,10 @@
 // Package bloom provides the two Bloom filter variants evaluated in
-// Section 3.2 of the paper: a standard Bloom filter, whose k probes may each
-// touch a distinct cache line, and a cache-friendly blocked Bloom filter
-// (Putze et al.) whose first hash selects one cache-line-sized block and
-// whose remaining probes stay inside it, at the cost of roughly one extra
-// bit per key for the same false-positive rate.
+// Section 3.2 of the paper: Standard, a classic filter whose k probes may
+// each touch a distinct cache line, and V2 (v2.go), a blocked (split-block)
+// filter in the style of Putze et al. whose hash selects one
+// cache-line-sized block that every probe stays inside, at the cost of one
+// extra bit per key for the same false-positive rate. V2 is also the
+// runtime filter every served component carries and writes into its file.
 //
 // Membership tests report how many cache lines were touched so the caller
 // can charge the virtual clock; the filters themselves are accounting-free.
@@ -18,7 +19,7 @@ import (
 type Filter interface {
 	// MayContain reports whether key may be present, together with the
 	// number of distinct cache lines touched by the test (for the cost
-	// model: a standard filter touches up to k, a blocked filter one).
+	// model: a standard filter touches up to k, V2 one).
 	MayContain(key []byte) (ok bool, cacheLines int)
 	// NumBits returns the size of the bit space.
 	NumBits() int
@@ -31,11 +32,9 @@ type Kind uint8
 const (
 	// KindStandard is the classic filter (the paper's default).
 	KindStandard Kind = iota
-	// KindBlocked is the paper's cache-friendly variant (Section 3.2), a
-	// cost-model ablation.
-	KindBlocked
-	// KindV2 is the runtime split-block filter, the only variant with a
-	// persisted form (V2.AppendTo), written into its component's file.
+	// KindV2 is the blocked filter (Section 3.2), the runtime split-block
+	// V2 and the only variant with a persisted form (V2.AppendTo), written
+	// into its component's file.
 	KindV2
 )
 
@@ -115,6 +114,11 @@ func NewStandard(n int, bitsPerKey float64) *Standard {
 	}
 }
 
+// NewStandardFPR sizes a standard filter for the target false-positive rate.
+func NewStandardFPR(n int, fpr float64) *Standard {
+	return NewStandard(n, BitsPerKeyFor(fpr))
+}
+
 // Add inserts a key.
 func (f *Standard) Add(key []byte) {
 	h1, h2 := hash2(key)
@@ -144,75 +148,3 @@ func (f *Standard) NumBits() int { return int(f.m) }
 
 // K returns the number of hash functions.
 func (f *Standard) K() int { return f.k }
-
-// blockBits is one CPU cache line (64 bytes) of bit space.
-const blockBits = 512
-
-// Blocked is a cache-friendly blocked Bloom filter: the first hash selects a
-// 512-bit block, the remaining k probes test bits within that block, so a
-// membership test costs a single cache miss (Section 3.2). To reach the same
-// false-positive rate as a standard filter it is sized with one extra bit
-// per key.
-type Blocked struct {
-	bits   []uint64
-	blocks uint64
-	k      int
-}
-
-// NewBlocked sizes a blocked filter for n keys at bitsPerKey (the caller
-// should already have added the extra bit per key; see NewBlockedFPR).
-func NewBlocked(n int, bitsPerKey float64) *Blocked {
-	if n < 1 {
-		n = 1
-	}
-	m := uint64(math.Ceil(float64(n) * bitsPerKey))
-	blocks := (m + blockBits - 1) / blockBits
-	if blocks < 1 {
-		blocks = 1
-	}
-	return &Blocked{
-		bits:   make([]uint64, blocks*(blockBits/64)),
-		blocks: blocks,
-		k:      optimalK(bitsPerKey),
-	}
-}
-
-// NewBlockedFPR sizes a blocked filter for the target false-positive rate,
-// adding the extra bit per key the paper notes is required.
-func NewBlockedFPR(n int, fpr float64) *Blocked {
-	return NewBlocked(n, BitsPerKeyFor(fpr)+1)
-}
-
-// NewStandardFPR sizes a standard filter for the target false-positive rate.
-func NewStandardFPR(n int, fpr float64) *Standard {
-	return NewStandard(n, BitsPerKeyFor(fpr))
-}
-
-// Add inserts a key.
-func (f *Blocked) Add(key []byte) {
-	h1, h2 := hash2(key)
-	block := (h1 % f.blocks) * (blockBits / 64)
-	for i := 1; i <= f.k; i++ {
-		bit := (h1 + uint64(i)*h2) % blockBits
-		f.bits[block+bit/64] |= 1 << (bit % 64)
-	}
-}
-
-// MayContain implements Filter; exactly one cache line is touched.
-func (f *Blocked) MayContain(key []byte) (bool, int) {
-	h1, h2 := hash2(key)
-	block := (h1 % f.blocks) * (blockBits / 64)
-	for i := 1; i <= f.k; i++ {
-		bit := (h1 + uint64(i)*h2) % blockBits
-		if f.bits[block+bit/64]&(1<<(bit%64)) == 0 {
-			return false, 1
-		}
-	}
-	return true, 1
-}
-
-// NumBits implements Filter.
-func (f *Blocked) NumBits() int { return int(f.blocks * blockBits) }
-
-// K returns the number of probes per test.
-func (f *Blocked) K() int { return f.k }

@@ -32,19 +32,6 @@ func TestStandardNoFalseNegatives(t *testing.T) {
 	}
 }
 
-func TestBlockedNoFalseNegatives(t *testing.T) {
-	keys := keysFor(10000, 2)
-	f := NewBlockedFPR(len(keys), 0.01)
-	for _, k := range keys {
-		f.Add(k)
-	}
-	for i, k := range keys {
-		if ok, _ := f.MayContain(k); !ok {
-			t.Fatalf("false negative for key %d", i)
-		}
-	}
-}
-
 func measureFPR(t *testing.T, f Filter, absent [][]byte) float64 {
 	t.Helper()
 	fp := 0
@@ -65,34 +52,6 @@ func TestStandardFalsePositiveRate(t *testing.T) {
 	fpr := measureFPR(t, f, keysFor(50000, 99))
 	if fpr > 0.02 {
 		t.Errorf("standard FPR %.4f exceeds 2%% (target 1%%)", fpr)
-	}
-}
-
-func TestBlockedFalsePositiveRate(t *testing.T) {
-	keys := keysFor(50000, 4)
-	f := NewBlockedFPR(len(keys), 0.01)
-	for _, k := range keys {
-		f.Add(k)
-	}
-	fpr := measureFPR(t, f, keysFor(50000, 98))
-	// Blocked filters trade a slightly worse FPR for single-cache-line
-	// probes even with the extra bit per key.
-	if fpr > 0.03 {
-		t.Errorf("blocked FPR %.4f exceeds 3%%", fpr)
-	}
-}
-
-func TestBlockedSingleCacheLine(t *testing.T) {
-	keys := keysFor(1000, 5)
-	f := NewBlockedFPR(len(keys), 0.01)
-	for _, k := range keys {
-		f.Add(k)
-	}
-	probe := keysFor(2000, 77)
-	for _, k := range probe {
-		if _, lines := f.MayContain(k); lines != 1 {
-			t.Fatalf("blocked probe touched %d cache lines, want 1", lines)
-		}
 	}
 }
 
@@ -119,16 +78,16 @@ func TestNoFalseNegativesQuick(t *testing.T) {
 			return true
 		}
 		std := NewStandardFPR(len(raw), 0.01)
-		blk := NewBlockedFPR(len(raw), 0.01)
+		v2 := NewV2FPR(len(raw), 0.01)
 		for _, k := range raw {
 			std.Add(k)
-			blk.Add(k)
+			v2.Add(k)
 		}
 		for _, k := range raw {
 			if ok, _ := std.MayContain(k); !ok {
 				return false
 			}
-			if ok, _ := blk.MayContain(k); !ok {
+			if ok, _ := v2.MayContain(k); !ok {
 				return false
 			}
 		}
@@ -152,15 +111,10 @@ func TestBitsPerKeyFor(t *testing.T) {
 func TestTinyFilters(t *testing.T) {
 	for _, n := range []int{0, 1, 2} {
 		std := NewStandardFPR(n, 0.01)
-		blk := NewBlockedFPR(n, 0.01)
 		k := []byte("only")
 		std.Add(k)
-		blk.Add(k)
 		if ok, _ := std.MayContain(k); !ok {
 			t.Errorf("n=%d standard lost its key", n)
-		}
-		if ok, _ := blk.MayContain(k); !ok {
-			t.Errorf("n=%d blocked lost its key", n)
 		}
 	}
 }
@@ -168,19 +122,6 @@ func TestTinyFilters(t *testing.T) {
 func BenchmarkStandardMayContain(b *testing.B) {
 	keys := keysFor(100000, 7)
 	f := NewStandardFPR(len(keys), 0.01)
-	for _, k := range keys {
-		f.Add(k)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.MayContain(keys[i%len(keys)])
-	}
-}
-
-func BenchmarkBlockedMayContain(b *testing.B) {
-	keys := keysFor(100000, 8)
-	f := NewBlockedFPR(len(keys), 0.01)
 	for _, k := range keys {
 		f.Add(k)
 	}

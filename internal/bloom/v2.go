@@ -7,17 +7,17 @@ import (
 	"math/bits"
 )
 
-// V2 is the runtime read-path filter: a split-block Bloom filter in the
-// style of Impala/Parquet. Each block is one 64-byte cache line holding
+// V2 is the blocked Bloom filter (Section 3.2) and the runtime read-path
+// filter: a split-block Bloom filter in the style of Impala/Parquet. Each block is one 64-byte cache line holding
 // eight 64-bit words; a key sets (and tests) exactly one bit in each word,
 // with the bit index derived by multiplying the key hash with a per-word
 // odd constant. A membership test therefore touches a single cache line,
 // performs no modulo operations, and allocates nothing.
 //
-// Standard and Blocked (bloom.go) remain the paper's Section 3.2 cost-model
-// variants; V2 exists to make real (wall-clock) point reads fast and to be
-// written into its component's file (AppendTo, UnmarshalV2) so reopen does
-// not rebuild filters by scanning every component.
+// Standard (bloom.go) is the paper's default filter; V2 is the blocked
+// variant fig12's bBF stack measures, it makes real (wall-clock) point reads
+// fast, and it is written into its component's file (AppendTo, UnmarshalV2)
+// so reopen does not rebuild filters by scanning every component.
 type V2 struct {
 	words  []uint64 // v2WordsPerBlock words per block, laid out block-major
 	blocks uint64
@@ -43,7 +43,7 @@ var v2Salts = [v2WordsPerBlock]uint64{
 // hashV2 is a fast non-cryptographic 64-bit hash (xxhash-style: 8-byte
 // lanes folded with multiply-rotate, murmur-style avalanche finish). It is
 // allocation-free and only used by V2, so its values are independent of the
-// FNV-based cost-model filters.
+// FNV-based Standard filter.
 func hashV2(key []byte) uint64 {
 	const (
 		p1 = 0x9e3779b185ebca87
@@ -92,8 +92,8 @@ func NewV2(n int, bitsPerKey float64) *V2 {
 }
 
 // NewV2FPR sizes a split-block filter for the target false-positive rate.
-// Like the blocked variant it pays one extra bit per key over the standard
-// filter's optimum to compensate for per-block load variance.
+// As the paper notes for blocked filters, it pays one extra bit per key over
+// the standard filter's optimum to compensate for per-block load variance.
 func NewV2FPR(n int, fpr float64) *V2 {
 	return NewV2(n, BitsPerKeyFor(fpr)+1)
 }

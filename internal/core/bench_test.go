@@ -23,7 +23,6 @@ func benchDataset(b *testing.B, strategy Strategy) *Dataset {
 		UsePKIndex:   true,
 		BloomFPR:     0.01,
 		Policy:       lsm.NewTiering(8 << 20),
-		DisableWAL:   true,
 		Seed:         2,
 	}
 	d, err := Open(cfg)

@@ -145,13 +145,10 @@ type Config struct {
 	// BloomFPR is the Bloom filter false-positive rate (1% in the paper).
 	BloomFPR float64
 	// Bloom selects the filter variant of the primary and pk-index trees:
-	// the paper's Standard (default) or Blocked (Section 3.2) cost-model
-	// variants, or the runtime split-block bloom.KindV2, which is written
-	// into each component's file so reopen skips the rebuild-by-scan.
+	// the paper's Standard (the default) or its blocked filter (Section
+	// 3.2), the split-block bloom.KindV2, which is written into each
+	// component's file so reopen skips the rebuild-by-scan.
 	Bloom bloom.Kind
-	// DisableWAL turns off write-ahead logging (benchmarks that measure
-	// pure ingestion I/O).
-	DisableWAL bool
 	// Seed makes memtable shapes deterministic.
 	Seed int64
 	// Maintenance is the pool that runs the flush pipeline's jobs — the
@@ -448,7 +445,7 @@ func (d *Dataset) MaintSimTime() time.Duration {
 // Config returns the dataset's configuration.
 func (d *Dataset) Config() Config { return d.cfg }
 
-// Log returns the write-ahead log (nil when disabled).
+// Log returns the write-ahead log.
 func (d *Dataset) Log() *wal.Log { return d.log }
 
 // SetUnsafeReclaimBeforePersist re-arms, on purpose, the two ordering bugs
@@ -470,9 +467,7 @@ func (d *Dataset) SetUnsafeReclaimBeforePersist(unlink, cut bool) {
 // merged-away components not yet unlinked (a reader still pins them, or
 // they await the next manifest).
 func (d *Dataset) ReclaimStats() (walBytes, componentBytes int64, retiredFiles int) {
-	if d.log != nil {
-		walBytes = d.log.Bytes()
-	}
+	walBytes = d.log.Bytes()
 	for _, nt := range d.trees {
 		for _, c := range nt.tree.Components() {
 			componentBytes += c.SizeBytes()

@@ -507,16 +507,8 @@ func TestWALRecordsAppendsAndCommits(t *testing.T) {
 	if _, err := d.Delete(pkOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if d.Log() == nil {
-		t.Fatal("WAL disabled by default config?")
-	}
 	if n := d.Log().Len(); n != 2 { // one record per write
 		t.Errorf("log records = %d, want 2", n)
-	}
-	d2 := newTestDataset(t, func(c *Config) { c.DisableWAL = true })
-	mustUpsert(t, d2, 1, "CA", 2015)
-	if d2.Log() != nil {
-		t.Error("WAL should be disabled")
 	}
 }
 

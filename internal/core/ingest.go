@@ -90,10 +90,8 @@ func (d *Dataset) applyLocked(m kv.Mutation, b *Batch) (bool, error) {
 	// A sticky WAL-durability failure makes the dataset read-only: fail
 	// here, before prepare mutates shared state (the Mutable-bitmap search
 	// flips disk bitmaps before logging).
-	if d.log != nil {
-		if err := d.log.DeviceErr(); err != nil {
-			return false, err
-		}
+	if err := d.log.DeviceErr(); err != nil {
+		return false, err
 	}
 	ts := d.NextTS()
 	var old []byte
@@ -486,9 +484,6 @@ func (d *Dataset) forwardDelete(comp *lsm.Component, pk []byte) {
 // components but NOT acknowledged; callers must not report success before
 // the wait returns.
 func (d *Dataset) logOp(t wal.RecordType, pk, record []byte, ts int64, updateBit bool, b *Batch) error {
-	if d.log == nil {
-		return nil
-	}
 	var lb *wal.Batch
 	if b != nil {
 		lb = &b.log
@@ -514,9 +509,9 @@ type Batch struct {
 }
 
 // BeginCommitBatch empties the caller's handle b and returns it, or nil when
-// the dataset has no log (nothing to defer) or uses Mutable-bitmap (its
-// writes carry their own commits, see below). b keeps its encode and copy
-// buffers, so a caller that reuses its handle allocates nothing per record.
+// the dataset uses Mutable-bitmap (its writes carry their own commits, see
+// below). b keeps its encode and copy buffers, so a caller that reuses its
+// handle allocates nothing per record.
 // Pair every non-nil handle with exactly one WaitCommitBatch before
 // acknowledging any of the batch's writes.
 //
@@ -528,9 +523,10 @@ type Batch struct {
 // concurrent writers by the commit group), so a failed covering fsync can
 // always revert the flip under the lock.
 func (d *Dataset) BeginCommitBatch(b *Batch) *Batch {
-	if d.cfg.Strategy == MutableBitmap || d.log.BeginBatch(&b.log) == nil {
+	if d.cfg.Strategy == MutableBitmap {
 		return nil
 	}
+	d.log.BeginBatch(&b.log)
 	return b
 }
 

@@ -404,9 +404,6 @@ func (d *Dataset) restore() error {
 // The group syncs the device as Open found it, wrapped or raw, so an
 // injected SyncWAL fault reaches the covering group fsync.
 func (d *Dataset) openLog() error {
-	if d.cfg.DisableWAL {
-		return nil
-	}
 	dev := d.cfg.Store.Device()
 	d.log = wal.Open(d.env, dev, filedev.NewGroupSyncer(dev, d.env.Counters))
 	d.log.SetYield(d.cfg.Yield)

@@ -37,8 +37,8 @@ import (
 type flushBatch struct {
 	epoch uint64
 	// walCut is the log segment the freeze rotated to: every older segment
-	// is covered once this batch is durable. 0 when there is no log or the
-	// rotation failed (nothing is cut then).
+	// is covered once this batch is durable. 0 when the rotation failed
+	// (nothing is cut then).
 	walCut uint64
 
 	primary, pk *memtable.Table // nil when that index's memtable was empty
@@ -287,13 +287,11 @@ func (d *Dataset) freezeBatch() *flushBatch {
 		}
 		if any {
 			b.epoch = d.epoch.Add(1)
-			if d.log != nil {
-				// No append is in flight inside the drain. A failed rotation
-				// wedges the log itself (the next write surfaces it); the
-				// batch still builds, it just cuts nothing.
-				//lsm:allow-discard the error is sticky in the log (DeviceErr) and fails the next write
-				b.walCut, _ = d.log.Rotate()
-			}
+			// No append is in flight inside the drain. A failed rotation
+			// wedges the log itself (the next write surfaces it); the
+			// batch still builds, it just cuts nothing.
+			//lsm:allow-discard the error is sticky in the log (DeviceErr) and fails the next write
+			b.walCut, _ = d.log.Rotate()
 			m := d.maint
 			m.mu.Lock()
 			m.pending = append(m.pending, b)

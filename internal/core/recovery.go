@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"slices"
 
 	"repro/internal/kv"
@@ -41,9 +40,6 @@ func (d *Dataset) Crash() {
 	})
 }
 
-// ErrNoWAL reports recovery without a write-ahead log.
-var ErrNoWAL = errors.New("core: recovery requires the write-ahead log")
-
 // Recover replays the writes whose effects were lost in a crash. As in
 // AsterixDB (Section 2.2), the system first computes the maximum component
 // timestamp across all indexes, then decodes the log as the device holds
@@ -57,9 +53,6 @@ var ErrNoWAL = errors.New("core: recovery requires the write-ahead log")
 // to replay). No undo is needed: the no-steal policy guarantees disk
 // components hold only committed data.
 func (d *Dataset) Recover() error {
-	if d.log == nil {
-		return ErrNoWAL
-	}
 	maxComponentTS := d.maxComponentTS()
 	var old []byte // an Eager update's copy of the record it replaces
 	return d.log.Replay(func(r wal.Record) error {

@@ -96,15 +96,6 @@ func TestCrashLosesUnrecoveredState(t *testing.T) {
 	}
 }
 
-func TestRecoverRequiresWAL(t *testing.T) {
-	d := newTestDataset(t, func(c *Config) { c.DisableWAL = true })
-	mustUpsert(t, d, 1, "CA", 2015)
-	d.Crash()
-	if err := d.Recover(); err != ErrNoWAL {
-		t.Fatalf("Recover without WAL = %v", err)
-	}
-}
-
 func TestRecoveryIdempotentForBitmaps(t *testing.T) {
 	// A replayed update-bit record must not corrupt bitmaps that already
 	// reflect the delete (the bitmap page was checkpointed before the

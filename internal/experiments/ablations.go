@@ -1,6 +1,6 @@
 // Ablation experiments beyond the paper's own figures: this
-// reproduction's design-choice ablations (merge policy, WAL — core.Config
-// settings, see README "Maintenance: one flush pipeline").
+// reproduction's design-choice ablation of the merge policy (a core.Config
+// setting, see README "Maintenance: one flush pipeline").
 package experiments
 
 import (
@@ -12,7 +12,6 @@ import (
 
 func init() {
 	register("abA-policy", ablationPolicy)
-	register("abB-wal", ablationWAL)
 }
 
 // ablationPolicy — merge-policy ablation: the paper runs every experiment
@@ -59,37 +58,6 @@ func ablationPolicy(s Scale) (*Result, error) {
 			}
 		}
 		res.Add(p.name, "200-gets", (env.Clock.Now() - start).Seconds(), "s")
-	}
-	return res, nil
-}
-
-// ablationWAL — logging overhead: identical ingestion with and without the
-// write-ahead log, isolating the per-operation group-commit cost.
-func ablationWAL(s Scale) (*Result, error) {
-	res := &Result{Figure: "abB-wal", Title: "Ablation: WAL overhead on ingestion"}
-	for _, wal := range []bool{true, false} {
-		c := s.newConfig()
-		c.strategy = core.Validation
-		c.disableWAL = !wal
-		ds, env, _, err := build(s, c)
-		if err != nil {
-			return nil, err
-		}
-		wcfg := workload.DefaultConfig(43)
-		wcfg.MessageMin, wcfg.MessageMax = s.MsgMin, s.MsgMax
-		wcfg.UserIDRange = s.UserRange
-		wcfg.UpdateRatio = 0.10
-		gen := workload.NewGenerator(wcfg)
-		marks, err := ingest(ds, env, gen, s.IngestOps)
-		if err != nil {
-			return nil, err
-		}
-		name := "wal"
-		if !wal {
-			name = "no-wal"
-		}
-		res.Add(name, "total", marks[3].Minutes(), "min")
-		res.Add(name, "kops", throughput(s.IngestOps, marks[3]), "")
 	}
 	return res, nil
 }

@@ -164,7 +164,6 @@ type dsConfig struct {
 	blockedBloom  bool
 	noPolicy      bool
 	policy        lsm.Policy // overrides the default tiering policy
-	disableWAL    bool
 	maxMergeable  int64
 	memoryBudget  int
 	noRangeFilter bool
@@ -205,11 +204,10 @@ func build(s Scale, c dsConfig) (*core.Dataset, *metrics.Env, *storage.Store, er
 		MergeRepair:      c.mergeRepair,
 		RepairBloomOpt:   c.repairBloom,
 		BloomFPR:         0.01,
-		DisableWAL:       c.disableWAL,
 		Seed:             42,
 	}
 	if c.blockedBloom {
-		cfg.Bloom = bloom.KindBlocked
+		cfg.Bloom = bloom.KindV2
 	}
 	if !c.noRangeFilter {
 		cfg.FilterExtract = workload.CreationOf

@@ -68,7 +68,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig16", "fig17", "fig18", "fig19",
 		"fig20", "fig21", "fig22",
 		"fig23a", "fig23b", "fig23c",
-		"abA-policy", "abB-wal",
+		"abA-policy",
 	}
 	have := strings.Join(IDs(), ",")
 	for _, id := range want {

@@ -129,8 +129,8 @@ func (b *Builder) Finish() (*btree.Reader, bloom.Filter, error) {
 		b.release()
 		return nil, nil, err
 	}
-	// Only the runtime filter is written into the file; the paper's
-	// cost-model variants stay in memory and are rebuilt at reopen.
+	// Only a V2 filter is written into the file; a Standard filter stays
+	// in memory and is rebuilt at reopen.
 	var enc btree.EncodedFilter
 	if v2, ok := b.filter.(*bloom.V2); ok {
 		enc = v2

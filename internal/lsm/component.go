@@ -183,8 +183,8 @@ func (c *Component) MayContain(env *metrics.Env, key []byte) bool {
 
 // ProbeBloom asks f whether it may contain key — true when f is nil — and
 // charges env for the probe: it counts the test (and a negative answer),
-// and charges the hash, the cache lines touched and, for the blocked
-// filters, the in-block probes after the first. Every Bloom probe of the
+// and charges the hash, the cache lines touched and, for the blocked V2
+// filter, the in-block probes after the first. Every Bloom probe of the
 // engine goes through it: primary and secondary components' filters and
 // the deleted-key trees'.
 func ProbeBloom(env *metrics.Env, f bloom.Filter, key []byte) bool {
@@ -195,13 +195,10 @@ func ProbeBloom(env *metrics.Env, f bloom.Filter, key []byte) bool {
 	env.Clock.Advance(env.CPU.Hash)
 	ok, lines := f.MayContain(key)
 	env.Clock.Advance(time.Duration(lines) * env.CPU.CacheLineMiss)
-	switch b := f.(type) {
-	case *bloom.Blocked:
-		env.Clock.Advance(time.Duration(b.K()-1) * env.CPU.ProbeInBlock)
-	case *bloom.V2:
-		// Same single-cache-line shape as Blocked: the in-block word
-		// probes after the first are charged at register speed.
-		env.Clock.Advance(time.Duration(b.K()-1) * env.CPU.ProbeInBlock)
+	if v2, isV2 := f.(*bloom.V2); isV2 {
+		// One cache line: the in-block word probes after the first are
+		// charged at register speed.
+		env.Clock.Advance(time.Duration(v2.K()-1) * env.CPU.ProbeInBlock)
 	}
 	if !ok {
 		env.Counters.BloomNegatives.Add(1)

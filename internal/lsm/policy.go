@@ -92,10 +92,3 @@ func (p *Leveling) Pick(sizes []int64) (MergeCandidate, bool) {
 	}
 	return MergeCandidate{}, false
 }
-
-// NoMerge never merges (Validation-without-repair ablations control merge
-// timing explicitly).
-type NoMerge struct{}
-
-// Pick implements Policy.
-func (NoMerge) Pick([]int64) (MergeCandidate, bool) { return MergeCandidate{}, false }

@@ -113,10 +113,10 @@ func readBloom(r *btree.Reader) bloom.Filter {
 }
 
 // rebuildBloom scans every key of a restored component (or deleted-key tree,
-// with keySetFilter) into a fresh Bloom filter of the configured flavor. The
-// cost-model variants live only in memory, so this scan is their normal
-// reopen price; v2 trees reach here only when the component file carries no
-// (or a corrupt) filter.
+// with keySetFilter) into a fresh Bloom filter of the configured flavor. A
+// Standard filter lives only in memory, so this scan is its normal reopen
+// price; v2 trees reach here only when the component file carries no (or a
+// corrupt) filter.
 func rebuildBloom(r *btree.Reader, opts Options) (bloom.Filter, error) {
 	filter, add := newFilter(opts, int(r.NumEntries()))
 	if filter == nil {

@@ -28,10 +28,10 @@ type Options struct {
 	// BloomFPR, when positive, attaches a Bloom filter with this target
 	// false-positive rate to every disk component (the paper uses 1%).
 	BloomFPR float64
-	// Bloom selects the filter variant. Only bloom.KindV2 filters are
-	// written into their component's file (Builder.Finish), so reopen
-	// reads them back and skips the rebuild-by-scan the paper's
-	// in-memory-only variants pay.
+	// Bloom selects the filter variant: bloom.KindStandard (the zero
+	// value) or the blocked bloom.KindV2. Only V2 filters are written into
+	// their component's file (Builder.Finish), so reopen reads them back
+	// and skips the rebuild-by-scan an in-memory Standard filter pays.
 	Bloom bloom.Kind
 	// FilterExtract extracts the range-filter key from an entry, or reports
 	// false when the entry carries none (anti-matter). Nil disables
@@ -60,9 +60,6 @@ func newFilter(opts Options, n int) (bloom.Filter, func([]byte)) {
 	switch opts.Bloom {
 	case bloom.KindV2:
 		f := bloom.NewV2FPR(n, opts.BloomFPR)
-		return f, f.Add
-	case bloom.KindBlocked:
-		f := bloom.NewBlockedFPR(n, opts.BloomFPR)
 		return f, f.Add
 	default:
 		f := bloom.NewStandardFPR(n, opts.BloomFPR)

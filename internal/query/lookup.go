@@ -25,7 +25,7 @@ import (
 
 // LookupConfig selects the point-lookup optimizations of Section 3.2.
 // The blocked-Bloom-filter optimization (bBF) is a property of how the
-// dataset's components were built (core.Config.Bloom = bloom.KindBlocked);
+// dataset's components were built (core.Config.Bloom = bloom.KindV2);
 // the remaining optimizations are per-query.
 type LookupConfig struct {
 	// BatchMemory bounds the memory holding one batch's fetched records

@@ -182,7 +182,7 @@ func TestEagerAnswersEveryMethod(t *testing.T) {
 // less those of the same query answered index-only, which stops after
 // validation.
 func TestTimestampFetchTestsOneBloomFilterPerKey(t *testing.T) {
-	d := newDataset(t, core.Validation, func(c *core.Config) { c.Policy = lsm.NoMerge{} })
+	d := newDataset(t, core.Validation, func(c *core.Config) { c.Policy = nil })
 	upsert := func(pk uint64, user uint32) {
 		t.Helper()
 		if err := d.Upsert(kv.EncodeUint64(pk), mkRecord(user, int64(pk), 40)); err != nil {
@@ -241,7 +241,7 @@ func TestTimestampFetchTestsOneBloomFilterPerKey(t *testing.T) {
 func TestTimestampFetchFollowsLaterUpdates(t *testing.T) {
 	for _, strategy := range []core.Strategy{core.Validation, core.MutableBitmap} {
 		t.Run(strategy.String(), func(t *testing.T) {
-			d := newDataset(t, strategy, func(c *core.Config) { c.Policy = lsm.NoMerge{} })
+			d := newDataset(t, strategy, func(c *core.Config) { c.Policy = nil })
 			upsertFlush := func(pk uint64, creation int64) {
 				t.Helper()
 				if err := d.Upsert(kv.EncodeUint64(pk), mkRecord(5, creation, 40)); err != nil {

@@ -283,7 +283,7 @@ func TestFilterScanReadsRuleSources(t *testing.T) {
 	const comps, perComp = 4, 100
 	for _, strategy := range []core.Strategy{core.Eager, core.Validation, core.MutableBitmap, core.DeletedKey} {
 		t.Run(strategy.String(), func(t *testing.T) {
-			d := newDataset(t, strategy, func(c *core.Config) { c.Policy = lsm.NoMerge{} })
+			d := newDataset(t, strategy, func(c *core.Config) { c.Policy = nil })
 			for c := range comps {
 				for i := range perComp {
 					pk := uint64(c*perComp + i)

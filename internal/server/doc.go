@@ -9,15 +9,15 @@
 // requests on one connection execute concurrently and responses return in
 // completion order, correlated by request ID — a client that pipelines N
 // requests pays one round trip, not N. In-flight requests per connection
-// are bounded (Config.MaxInFlight): past the bound the reader stops
-// reading, and TCP flow control pushes back on the client.
+// are bounded (128, a constant): past the bound the reader stops reading,
+// and TCP flow control pushes back on the client.
 //
 // A worker serves a request, then parks for the next one instead of
 // exiting, so a request costs no goroutine start. A worker is started only
-// when none is parked, and never past MaxInFlight, so a connection's parked
+// when none is parked, and never past that bound, so a connection's parked
 // workers are bounded by its peak in-flight count (a worker that has
 // released its in-flight token but not yet parked can add one more, up to
-// MaxInFlight); they exit when the connection closes. A served GET
+// the bound); they exit when the connection closes. A served GET
 // allocates nothing, client and server together: request and response
 // frames and the client's call (channel and timer) are reused, and the
 // client carves the decoded value from its connection's byte chunk.

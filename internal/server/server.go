@@ -27,11 +27,6 @@ type Config struct {
 	// HTTPAddr is the observability sidecar's listen address, serving
 	// GET /healthz and GET /stats. Empty disables the sidecar.
 	HTTPAddr string
-	// MaxInFlight bounds the requests a single connection may have
-	// executing at once. When a client pipelines past it, the server
-	// stops reading that connection until responses drain — backpressure
-	// by TCP flow control. 0 means the default of 128.
-	MaxInFlight int
 	// SlowRequestThreshold is the server-side latency at or above which a
 	// request lands in the 128-entry slow-request ring served at
 	// /debug/slow. 0 means the 100ms default; negative disables the slow
@@ -40,7 +35,8 @@ type Config struct {
 	// AdmissionBudget enables server-wide admission control: the total
 	// weighted in-flight budget across every connection (see
 	// internal/admission for the per-class weights). 0 disables admission
-	// control — the only bound is then the per-connection MaxInFlight.
+	// control — the only bound is then the per-connection limit of 128
+	// in-flight requests.
 	AdmissionBudget int64
 	// AdmissionQueue caps the admission FIFO wait queue (0 = 2×budget,
 	// negative = no queue: over-budget requests shed immediately). A
@@ -56,7 +52,11 @@ type Config struct {
 }
 
 const (
-	defaultMaxInFlight   = 128
+	// maxInFlight bounds the requests a single connection may have
+	// executing at once. When a client pipelines past it, the server stops
+	// reading that connection until responses drain — backpressure by TCP
+	// flow control.
+	maxInFlight          = 128
 	defaultSlowThreshold = 100 * time.Millisecond
 )
 
@@ -91,9 +91,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Addr == "" {
 		return nil, errors.New("server: Config.Addr is required")
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = defaultMaxInFlight
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -183,8 +180,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		c := &conn{
 			srv:  s,
 			nc:   nc,
-			out:  make(chan outFrame, s.cfg.MaxInFlight),
-			sem:  make(chan struct{}, s.cfg.MaxInFlight),
+			out:  make(chan outFrame, maxInFlight),
+			sem:  make(chan struct{}, maxInFlight),
 			work: make(chan job),
 		}
 		s.mu.Lock()
@@ -436,7 +433,7 @@ func (c *conn) serve() {
 
 // dispatch hands a request to a parked worker, or starts one when none is
 // parked. Workers never exit before the connection does, so the count
-// only grows, and it stops at MaxInFlight: past it the reader waits for a
+// only grows, and it stops at maxInFlight: past it the reader waits for a
 // worker to park — by then one holds no token, so that wait is short.
 func (c *conn) dispatch(j job) {
 	select {
@@ -500,7 +497,7 @@ func (c *conn) readLoop() {
 			tr = trace{op: obsOpOf(req.Op), id: req.ID, start: start}
 			tr.decode = tr.lap()
 		}
-		// Backpressure: past MaxInFlight outstanding requests this blocks,
+		// Backpressure: past maxInFlight outstanding requests this blocks,
 		// which stops reading the socket and lets TCP flow control push
 		// back on the client.
 		c.sem <- struct{}{}

@@ -418,14 +418,17 @@ func TestServedSingleWritesShareFsyncs(t *testing.T) {
 	}
 }
 
+// TestBackpressureBoundsInFlight pipelines four times the server's
+// per-connection bound of 128 in-flight requests on one client, so the
+// reader stops reading and TCP flow control pushes back; no write may fail
+// and every key must read back.
 func TestBackpressureBoundsInFlight(t *testing.T) {
-	srv, _ := startServer(t, storeOptions(), func(cfg *server.Config) {
-		cfg.MaxInFlight = 2
-	})
+	const writes = 4 * 128
+	srv, _ := startServer(t, storeOptions(), nil)
 	c := dial(t, srv)
 	var wg sync.WaitGroup
 	var fails atomic.Int64
-	for i := 0; i < 64; i++ {
+	for i := 0; i < writes; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -439,7 +442,7 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 	if n := fails.Load(); n != 0 {
 		t.Fatalf("%d writes failed under backpressure", n)
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < writes; i++ {
 		pk, _ := tweet(uint64(i))
 		if _, found, err := c.Get(pk); err != nil || !found {
 			t.Fatalf("key %d missing after backpressured writes (err=%v)", i, err)

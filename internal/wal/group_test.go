@@ -184,14 +184,9 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	}
 }
 
-// TestBeginBatchNilWithoutGroupMode: a nil log (a dataset without a WAL)
-// has no commit group, so BeginBatch returns nil; a log over a device
-// returns the caller's handle.
-func TestBeginBatchNilWithoutGroupMode(t *testing.T) {
-	var l *Log
-	if b := l.BeginBatch(new(Batch)); b != nil {
-		t.Fatal("BeginBatch on a nil log returned a batch")
-	}
+// TestBeginBatchReturnsCallersHandle: a log over a device returns the
+// caller's handle.
+func TestBeginBatchReturnsCallersHandle(t *testing.T) {
 	b := new(Batch)
 	if got := openOn(t, nil, newTestDevice(), nil).BeginBatch(b); got != b {
 		t.Fatal("BeginBatch on an opened log did not return the caller's handle")

@@ -303,14 +303,10 @@ type Batch struct {
 	enc []byte // encode buffer, reused by every record
 }
 
-// BeginBatch empties b and returns it as a deferred-durability handle, or
-// returns nil for a nil log (a dataset without a log has nothing to wait
-// for). b may be the zero Batch; a caller that keeps its handle from batch
-// to batch keeps the encode buffer it grew.
+// BeginBatch empties b and returns it as a deferred-durability handle. b
+// may be the zero Batch; a caller that keeps its handle from batch to batch
+// keeps the encode buffer it grew.
 func (l *Log) BeginBatch(b *Batch) *Batch {
-	if l == nil {
-		return nil
-	}
 	b.n = 0
 	return b
 }

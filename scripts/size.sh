@@ -3,8 +3,8 @@
 # counts the same thing: non-test Go lines outside bench/ with analyzer
 # testdata excluded (and listed on its own line), per top-level directory
 # and in total; the package count; the option surface (fields of
-# lsmstore.Options, server.Config and lsmclient.Options); and the flag
-# definitions under cmd/.
+# lsmstore.Options, server.Config and lsmclient.Options); the engine's
+# knobs (fields of core.Config); and the flag definitions under cmd/.
 # Lines are raw `wc -l` lines of gofmt-ed source: comments and blanks count.
 #
 #   scripts/size.sh                     the working tree
@@ -13,10 +13,10 @@
 #                                       difference, row by row
 #   scripts/size.sh --against <git-ref> --no-new-knobs
 #                                       the same, and exit 1 when the options,
-#                                       config, client or flags row grew: the
-#                                       configuration surface grows only by a
-#                                       change that edits this gate's caller
-#                                       and says why
+#                                       config, client, engine or flags row
+#                                       grew: the configuration surface grows
+#                                       only by a change that edits this gate's
+#                                       caller and says why
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage='usage: scripts/size.sh [--against <git-ref> [--no-new-knobs]]'
@@ -57,6 +57,7 @@ measure() (
 	printf 'options\t%d\tlsmstore.Options fields\n' "$(fields Options lsmstore/lsmstore.go)"
 	printf 'config\t%d\tserver.Config fields\n' "$(fields Config internal/server/server.go)"
 	printf 'client\t%d\tlsmclient.Options fields\n' "$(fields Options lsmclient/lsmclient.go)"
+	printf 'engine\t%d\tcore.Config fields\n' "$(fields Config internal/core/core.go)"
 	printf 'flags\t%d\tflag definitions under cmd/\n' \
 		"$(find cmd -name '*.go' -not -name '*_test.go' -print0 |
 			xargs -0 grep -hoE '\bflag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' | wc -l)"
@@ -87,7 +88,7 @@ case "${1:-}" in
 			for (i = 1; i <= n; i++) {
 				k = order[i]
 				printf "%-12s %9d %9d %+7d%s\n", k, ref[k], tree[k], tree[k] - ref[k], (note[k] == "" ? "" : "   " note[k])
-				if (gate != "" && (k == "options" || k == "config" || k == "client" || k == "flags") && tree[k] > ref[k]) {
+				if (gate != "" && (k == "options" || k == "config" || k == "client" || k == "engine" || k == "flags") && tree[k] > ref[k]) {
 					printf "size.sh: the %s row grew (%d -> %d)\n", k, ref[k], tree[k] > "/dev/stderr"
 					grew = 1
 				}
