@@ -526,7 +526,7 @@ func (d *Dataset) BeginCommitBatch(b *Batch) *Batch {
 	if d.cfg.Strategy == MutableBitmap {
 		return nil
 	}
-	d.log.BeginBatch(&b.log)
+	b.log.Reset()
 	return b
 }
 

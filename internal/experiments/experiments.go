@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
@@ -161,7 +160,6 @@ type dsConfig struct {
 	mergeRepair   bool
 	correlated    bool
 	repairBloom   bool
-	blockedBloom  bool
 	noPolicy      bool
 	policy        lsm.Policy // overrides the default tiering policy
 	maxMergeable  int64
@@ -205,9 +203,6 @@ func build(s Scale, c dsConfig) (*core.Dataset, *metrics.Env, *storage.Store, er
 		RepairBloomOpt:   c.repairBloom,
 		BloomFPR:         0.01,
 		Seed:             42,
-	}
-	if c.blockedBloom {
-		cfg.Bloom = bloom.KindV2
 	}
 	if !c.noRangeFilter {
 		cfg.FilterExtract = workload.CreationOf

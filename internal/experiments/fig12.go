@@ -5,8 +5,10 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/kv"
+	"repro/internal/lsm"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -22,13 +24,15 @@ func init() {
 // lookupStack enumerates Figure 12's cumulative optimization stack.
 type lookupStack struct {
 	name    string
-	blocked bool // dataset built with blocked Bloom filters
+	blocked bool // queries blocked (bloom.V2) filters; see useV2Filters
 	cfg     query.LookupConfig
 }
 
 // stacks has no pID row: the figure runs NoValidation, where a secondary
 // entry's timestamp need not be its key's newest, so the fetch prunes
-// nothing; it prunes after Timestamp validation (fig16, fig18).
+// nothing; it prunes after Timestamp validation (fig16, fig18). The bBF
+// stack comes last: useV2Filters replaces the Standard filters the stacks
+// before it query.
 func stacks(batchMem int) []lookupStack {
 	return []lookupStack{
 		{"naive", false, query.LookupConfig{}},
@@ -39,10 +43,8 @@ func stacks(batchMem int) []lookupStack {
 }
 
 // queryDataset ingests the Figure 12 dataset: inserts only, no updates.
-func queryDataset(s Scale, blocked, seqKeys bool) (*core.Dataset, *metrics.Env, error) {
-	c := s.newConfig()
-	c.blockedBloom = blocked
-	ds, env, _, err := build(s, c)
+func queryDataset(s Scale, seqKeys bool) (*core.Dataset, *metrics.Env, error) {
+	ds, env, _, err := build(s, s.newConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -55,6 +57,41 @@ func queryDataset(s Scale, blocked, seqKeys bool) (*core.Dataset, *metrics.Env, 
 		return nil, nil, err
 	}
 	return ds, env, nil
+}
+
+// useV2Filters gives every disk component of ds's primary and primary-key
+// indexes an in-memory blocked bloom.V2 filter over its keys, in place of
+// the Standard filter it was built with. The bBF rows thus query the very
+// layout the other rows query. A dataset opened with bloom.KindV2 would not:
+// it writes each filter into its component's file, which changes the sizes
+// the merge policy weighs and so which merges run.
+func useV2Filters(ds *core.Dataset) error {
+	for _, t := range []*lsm.Tree{ds.Primary(), ds.PKIndex()} {
+		if t == nil {
+			continue
+		}
+		for _, c := range t.Components() {
+			f := bloom.NewV2FPR(int(c.BTree.NumEntries()), t.Options().BloomFPR)
+			scan, err := c.BTree.NewScan(nil, nil)
+			if err != nil {
+				return err
+			}
+			for {
+				e, _, ok, err := scan.Next()
+				if err != nil {
+					scan.Close()
+					return err
+				}
+				if !ok {
+					break
+				}
+				f.Add(e.Key)
+			}
+			scan.Close()
+			c.Bloom = f
+		}
+	}
+	return nil
 }
 
 // selRange converts a selectivity (fraction) into a user-id range of the
@@ -126,30 +163,19 @@ func fig12b(s Scale) (*Result, error) {
 
 func fig12Sel(s Scale, id, title string, sels []float64, withScan bool) (*Result, error) {
 	res := &Result{Figure: id, Title: title}
-	var standard, blocked *core.Dataset
-	var stdEnv, blkEnv *metrics.Env
+	ds, env, err := queryDataset(s, false)
+	if err != nil {
+		return nil, err
+	}
+	si := ds.Secondary("user0")
+	v2 := false
 	for _, st := range stacks(16 << 20) {
-		var ds *core.Dataset
-		var env *metrics.Env
-		var err error
-		if st.blocked {
-			if blocked == nil {
-				blocked, blkEnv, err = queryDataset(s, true, false)
-				if err != nil {
-					return nil, err
-				}
+		if st.blocked && !v2 {
+			if err := useV2Filters(ds); err != nil {
+				return nil, err
 			}
-			ds, env = blocked, blkEnv
-		} else {
-			if standard == nil {
-				standard, stdEnv, err = queryDataset(s, false, false)
-				if err != nil {
-					return nil, err
-				}
-			}
-			ds, env = standard, stdEnv
+			v2 = true
 		}
-		si := ds.Secondary("user0")
 		for _, sel := range sels {
 			d, err := avgQuery(ds, env, si, s, sel, query.SecondaryQueryOptions{
 				Validation: query.NoValidation,
@@ -162,12 +188,14 @@ func fig12Sel(s Scale, id, title string, sels []float64, withScan bool) (*Result
 		}
 	}
 	if withScan {
-		d, err := measureFullScan(standard, stdEnv)
+		// A scan probes no Bloom filter, so it reads the stacks' layout
+		// whichever filters it carries.
+		d, err := measureFullScan(ds, env)
 		if err != nil {
 			return nil, err
 		}
 		res.Add("scan", "any", d.Seconds(), "s")
-		seqDS, seqEnv, err := queryDataset(s, false, true)
+		seqDS, seqEnv, err := queryDataset(s, true)
 		if err != nil {
 			return nil, err
 		}
@@ -197,8 +225,11 @@ func measureFullScan(ds *core.Dataset, env *metrics.Env) (time.Duration, error) 
 
 func fig12c(s Scale) (*Result, error) {
 	res := &Result{Figure: "fig12c", Title: "Impact of batch memory size"}
-	ds, env, err := queryDataset(s, true, false)
+	ds, env, err := queryDataset(s, false)
 	if err != nil {
+		return nil, err
+	}
+	if err := useV2Filters(ds); err != nil {
 		return nil, err
 	}
 	si := ds.Secondary("user0")
@@ -226,8 +257,11 @@ func fig12c(s Scale) (*Result, error) {
 
 func fig12d(s Scale) (*Result, error) {
 	res := &Result{Figure: "fig12d", Title: "Impact of sorting (batching destroys key order)"}
-	ds, env, err := queryDataset(s, true, false)
+	ds, env, err := queryDataset(s, false)
 	if err != nil {
+		return nil, err
+	}
+	if err := useV2Filters(ds); err != nil {
 		return nil, err
 	}
 	si := ds.Secondary("user0")

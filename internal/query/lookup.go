@@ -24,9 +24,9 @@ import (
 )
 
 // LookupConfig selects the point-lookup optimizations of Section 3.2.
-// The blocked-Bloom-filter optimization (bBF) is a property of how the
-// dataset's components were built (core.Config.Bloom = bloom.KindV2);
-// the remaining optimizations are per-query.
+// The blocked-Bloom-filter optimization (bBF) is a property of the
+// dataset's components, whose filters are bloom.V2 (core.Config.Bloom =
+// bloom.KindV2); the remaining optimizations are per-query.
 type LookupConfig struct {
 	// BatchMemory bounds the memory holding one batch's fetched records
 	// (16 MB in the paper's default configuration): a batch is

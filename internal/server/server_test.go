@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/storetest"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -419,13 +420,22 @@ func TestServedSingleWritesShareFsyncs(t *testing.T) {
 }
 
 // TestBackpressureBoundsInFlight pipelines four times the server's
-// per-connection bound of 128 in-flight requests on one client, so the
-// reader stops reading and TCP flow control pushes back; no write may fail
-// and every key must read back.
+// per-connection bound of in-flight requests on one client while the log's
+// fsync is held, so the handlers cannot finish and the connection must reach
+// the bound, where its reader stops reading and TCP flow control pushes
+// back. Once the fsync is let go, no write may fail and every key must read
+// back.
 func TestBackpressureBoundsInFlight(t *testing.T) {
-	const writes = 4 * 128
-	srv, _ := startServer(t, storeOptions(), nil)
+	hold := &heldSync{release: make(chan struct{})}
+	opts := storeOptions()
+	opts.WrapDevice = func(_ int, dev storage.Device) storage.Device {
+		return heldSyncDevice{Durable: dev.(storage.Durable), hold: hold}
+	}
+	srv, _ := startServer(t, opts, nil)
 	c := dial(t, srv)
+	_, bound := server.ConnsInFlight(srv)
+	writes := 4 * bound
+	hold.armed.Store(true)
 	var wg sync.WaitGroup
 	var fails atomic.Int64
 	for i := 0; i < writes; i++ {
@@ -438,6 +448,28 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 			}
 		}(i)
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		most, _ := server.ConnsInFlight(srv)
+		if most >= bound {
+			break
+		}
+		if time.Now().After(deadline) {
+			hold.let()
+			wg.Wait()
+			t.Fatalf("the connection held at most %d requests in flight with every fsync held, want the bound %d", most, bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The reader has stopped: the requests past the bound wait in the
+	// socket, not in the server.
+	time.Sleep(20 * time.Millisecond)
+	most, _ := server.ConnsInFlight(srv)
+	hold.let()
+	if most != bound {
+		wg.Wait()
+		t.Fatalf("%d requests in flight on one connection, want the bound %d", most, bound)
+	}
 	wg.Wait()
 	if n := fails.Load(); n != 0 {
 		t.Fatalf("%d writes failed under backpressure", n)
@@ -448,6 +480,28 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 			t.Fatalf("key %d missing after backpressured writes (err=%v)", i, err)
 		}
 	}
+}
+
+// heldSync holds every log fsync, once armed, until let is called.
+type heldSync struct {
+	armed   atomic.Bool
+	release chan struct{}
+	once    sync.Once
+}
+
+func (h *heldSync) let() { h.once.Do(func() { close(h.release) }) }
+
+// heldSyncDevice is a store device whose SyncWAL waits on its heldSync.
+type heldSyncDevice struct {
+	storage.Durable
+	hold *heldSync
+}
+
+func (d heldSyncDevice) SyncWAL() error {
+	if d.hold.armed.Load() {
+		<-d.hold.release
+	}
+	return d.Durable.SyncWAL()
 }
 
 // TestConnCloseStopsWorkers: a connection's handler workers park between

@@ -135,7 +135,7 @@ func TestWaitBatchFailureWedgesTheLog(t *testing.T) {
 	l := openOn(t, nil, newTestDevice(), gc)
 
 	mustAppend(t, l, Record{Type: RecUpsert, Key: []byte("acked"), TS: 1})
-	b := l.BeginBatch(new(Batch))
+	b := new(Batch)
 	for _, k := range []string{"x", "y", "z"} {
 		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte(k), TS: 2}, b); err != nil {
 			t.Fatal(err)
@@ -161,7 +161,7 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	gc := &scriptedGroup{}
 	l := openOn(t, nil, dev, gc)
 
-	b := l.BeginBatch(new(Batch))
+	b := new(Batch)
 	for i := int64(1); i <= 3; i++ {
 		if _, err := l.Append(Record{Type: RecUpsert, Key: []byte{'a' + byte(i)}, TS: i}, b); err != nil {
 			t.Fatal(err)
@@ -181,14 +181,5 @@ func TestWaitBatchSuccessIsOneWait(t *testing.T) {
 	}
 	if got := replayedKeys(t, l); got != "b,c,d" {
 		t.Fatalf("replayed %q, want the three batched writes", got)
-	}
-}
-
-// TestBeginBatchReturnsCallersHandle: a log over a device returns the
-// caller's handle.
-func TestBeginBatchReturnsCallersHandle(t *testing.T) {
-	b := new(Batch)
-	if got := openOn(t, nil, newTestDevice(), nil).BeginBatch(b); got != b {
-		t.Fatal("BeginBatch on an opened log did not return the caller's handle")
 	}
 }

@@ -189,7 +189,7 @@ func (l *Log) DropBefore(seq uint64) {
 
 // Append logs one write, assigning and returning its LSN. With a nil batch
 // the record is durable when Append returns nil: covered by the one fsync
-// its commit group shares. With a batch (see BeginBatch) the record is
+// its commit group shares. With a batch (see Batch) the record is
 // counted in b; it is durable, and the write may be acknowledged, only
 // after a successful WaitBatch. The record is encoded into b's buffer, or a
 // pooled one for a single write, so appending allocates nothing.
@@ -299,17 +299,14 @@ func (l *Log) SetUnsafeReplayNewestOnly(on bool) {
 // per mutation. It also carries the buffer its records are encoded into. A
 // Batch is not safe for concurrent use.
 type Batch struct {
-	n   int64  // records appended since BeginBatch
+	n   int64  // records appended since Reset
 	enc []byte // encode buffer, reused by every record
 }
 
-// BeginBatch empties b and returns it as a deferred-durability handle. b
-// may be the zero Batch; a caller that keeps its handle from batch to batch
-// keeps the encode buffer it grew.
-func (l *Log) BeginBatch(b *Batch) *Batch {
-	b.n = 0
-	return b
-}
+// Reset empties b for a new run of writes. The zero Batch is ready to use;
+// a caller that keeps its Batch from run to run keeps the encode buffer it
+// grew.
+func (b *Batch) Reset() { b.n = 0 }
 
 // WaitBatch blocks until every record counted in b is covered by a WAL
 // fsync. On failure the log is wedged and none of the batch's writes may

@@ -137,10 +137,10 @@ type SecondaryIndex struct {
 // method; merges never repair secondary indexes; and the maintenance journal
 // keeps the last 256 events. The paper's ablations (no primary key index,
 // correlated merges, merge repair, the Bloom-filter repair optimization,
-// blocked Bloom filters — bloom.KindV2, the filter every DB already builds —
 // no merges, the other concurrency-control methods) are core.Config and
 // storage settings that internal/experiments sets directly, on the
-// simulated device the figures run on; they are not options of a DB.
+// simulated device the figures run on; they are not options of a DB. Its
+// blocked Bloom filter is bloom.V2, the filter every DB already builds.
 type Options struct {
 	// Strategy is the maintenance strategy for secondary indexes and
 	// filters.
